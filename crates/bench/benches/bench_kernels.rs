@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks of the dense-inference kernels behind the
 //! cost models: the scalar reference GEMM, the cache-blocked GEMM, the
-//! packed-panel GEMM used by `Dense::forward`, the int8 quantized GEMM,
-//! and the end-to-end `Mlp` forward paths (allocating vs scratch, f32 vs
-//! int8) at the cost-model architecture (input → 128-64-32-16 → 1).
+//! packed-panel GEMM used by `Dense::forward`, and the end-to-end `Mlp`
+//! forward paths (allocating vs scratch) at the cost-model architecture
+//! (input → 128-64-32-16 → 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use nshard_nn::gemm::{gemm_into, gemm_ref_into, PackedGemm};
-use nshard_nn::{Matrix, Mlp, MlpScratch, QuantizedMlp};
+use nshard_nn::{Matrix, Mlp, MlpScratch};
 
 /// Deterministic pseudo-random matrix (no RNG dependency in benches).
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -67,7 +67,6 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_mlp_forward(c: &mut Criterion) {
     // The comm-model architecture at a 4-GPU feature width.
     let mlp = Mlp::new(11, &[128, 64, 32, 16], 1, 9);
-    let quant = QuantizedMlp::from_mlp(&mlp);
     let mut scratch = MlpScratch::new();
 
     let mut group = c.benchmark_group("mlp_forward");
@@ -79,12 +78,6 @@ fn bench_mlp_forward(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scratch_f32", rows), &x, |b, x| {
             b.iter(|| {
                 let y = mlp.forward_scratch(black_box(x), &mut scratch);
-                black_box(y.get(0, 0))
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("scratch_int8", rows), &x, |b, x| {
-            b.iter(|| {
-                let y = quant.forward_scratch(black_box(x), &mut scratch);
                 black_box(y.get(0, 0))
             });
         });

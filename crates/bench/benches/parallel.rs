@@ -1,6 +1,5 @@
 //! Criterion benchmarks of the parallel search runtime: the work pool at
-//! several thread counts, batched vs. unbatched inference, and the sharded
-//! prediction cache under contention.
+//! several thread counts and the sharded prediction cache under contention.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -40,21 +39,6 @@ fn bench_threaded_search(c: &mut Criterion) {
             });
         });
     }
-    let unbatched = NeuroShard::new(
-        bundle.clone(),
-        NeuroShardConfig {
-            threads: 1,
-            use_batch: false,
-            ..NeuroShardConfig::smoke()
-        },
-    );
-    group.bench_function("1_thread_unbatched", |b| {
-        b.iter(|| {
-            unbatched
-                .shard_with_stats(black_box(&task))
-                .expect("feasible")
-        });
-    });
     group.finish();
 }
 

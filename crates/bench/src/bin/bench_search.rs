@@ -1,12 +1,10 @@
 //! Parallel-search benchmark: runs table1-scale NeuroShard searches at 1,
-//! 2, 4 and 8 worker threads plus an unbatched (row-at-a-time inference)
-//! baseline, verifying that every configuration returns bit-identical
-//! plans, and writes the timings to `BENCH_search.json`.
+//! 2, 4 and 8 worker threads, verifying that every thread count returns
+//! bit-identical plans, plus one uncached run that isolates the inference
+//! cost, and writes the timings to `BENCH_search.json`.
 //!
 //! Thread scaling is bounded by the host: the JSON records
 //! `hardware_threads` so flat curves on small containers are explainable.
-//! The batched-vs-unbatched speedup is hardware-independent and is the
-//! headline number on single-CPU hosts.
 //!
 //! Usage:
 //! `bench_search [--tasks 6] [--tables-min 10] [--tables-max 60]
@@ -18,12 +16,8 @@ use serde::Serialize;
 
 use nshard_bench::{print_markdown_table, Args};
 use nshard_core::{NeuroShard, NeuroShardConfig, ShardOutcome};
-use nshard_cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
+use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
 use nshard_data::{ShardingTask, TablePool};
-
-/// Conformance band for the int8 engine: the f32-evaluated cost of every
-/// int8-found plan must stay within this factor of the f32 plan's cost.
-const INT8_COST_BAND: f64 = 1.10;
 
 #[derive(Serialize)]
 struct ThreadRow {
@@ -44,41 +38,16 @@ struct Output {
     num_gpus: usize,
     search: NeuroShardConfig,
     rows: Vec<ThreadRow>,
-    /// Same workload with `use_batch: false` (one single-row MLP forward
-    /// per prediction) at 1 thread — the pre-batching engine.
-    unbatched: ThreadRow,
-    /// Wall-clock of the unbatched engine over the batched engine at
-    /// 1 thread. Hardware-independent. With the cache on, most queries
-    /// never reach the model, so this is near 1.
-    batched_speedup_vs_unbatched: f64,
-    /// Batched engine with the prediction cache disabled — every query
-    /// reaches the model, isolating the inference cost.
+    /// The 1-thread workload with the prediction cache disabled — every
+    /// query reaches the model, isolating the inference cost. *Not*
+    /// compared against the cached runs: the cache canonicalizes costs (the
+    /// first computed value is reused for every permutation of a table
+    /// set), while uncached recomputation sum-pools in per-call order — an
+    /// ablation, not a determinism bug.
     nocache_batched: ThreadRow,
-    /// Unbatched engine with the cache disabled.
-    nocache_unbatched: ThreadRow,
-    /// Wall-clock of the uncached unbatched engine over the uncached
-    /// batched engine — the batching speedup on model-bound search.
-    batched_speedup_vs_unbatched_nocache: f64,
-    /// Same workload with `use_int8: true` (quantized cost-model
-    /// inference) at 1 thread. Approximate by design, so it is *not* part
-    /// of the plan-identity checks; instead its plans must be
-    /// memory-feasible and within [`INT8_COST_BAND`] of the f32 plans
-    /// when re-evaluated under the exact f32 simulator.
-    int8: ThreadRow,
-    /// Worst f32-evaluated cost ratio (int8 plan / f32 plan) over tasks.
-    int8_max_cost_ratio_vs_f32: f64,
-    /// The conformance band the ratio is checked against.
-    int8_cost_band: f64,
-    /// True iff every thread count and the unbatched engine returned the
-    /// same plan and bit-identical cost for every task (at the default
-    /// cached configuration).
+    /// True iff every thread count returned the same plan and bit-identical
+    /// cost for every task (at the default cached configuration).
     plans_identical: bool,
-    /// True iff the two uncached engines agree with each other. They are
-    /// *not* compared against the cached runs: the cache canonicalizes
-    /// costs (the first computed value is reused for every permutation of
-    /// a table set), while uncached recomputation sum-pools in per-call
-    /// order — an ablation, not a determinism bug.
-    plans_identical_nocache: bool,
 }
 
 fn run(
@@ -163,22 +132,8 @@ fn main() {
         rows.push(row(threads, wall, &outcomes, base_wall));
     }
 
-    eprintln!("searching {tasks_n} tasks with batching disabled...");
-    let (wall, outcomes) = run(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            use_batch: false,
-            ..search
-        },
-        &tasks,
-    );
-    identical &= same_plans(&base_outcomes, &outcomes);
-    let unbatched = row(1, wall, &outcomes, base_wall);
-    let batched_speedup = unbatched.wall_clock_s / base_wall.max(1e-9);
-
-    eprintln!("searching {tasks_n} tasks with the cache disabled (batched)...");
-    let (nocache_b_wall, outcomes) = run(
+    eprintln!("searching {tasks_n} tasks with the cache disabled...");
+    let (nocache_wall, nocache_outcomes) = run(
         &bundle,
         NeuroShardConfig {
             threads: 1,
@@ -187,53 +142,7 @@ fn main() {
         },
         &tasks,
     );
-    let nocache_b_outcomes = outcomes;
-    let nocache_batched = row(1, nocache_b_wall, &nocache_b_outcomes, base_wall);
-
-    eprintln!("searching {tasks_n} tasks with the cache disabled (unbatched)...");
-    let (nocache_u_wall, outcomes) = run(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            use_cache: false,
-            use_batch: false,
-            ..search
-        },
-        &tasks,
-    );
-    let identical_nocache = same_plans(&nocache_b_outcomes, &outcomes);
-    let nocache_unbatched = row(1, nocache_u_wall, &outcomes, base_wall);
-    let nocache_batched_speedup = nocache_u_wall / nocache_b_wall.max(1e-9);
-
-    eprintln!("searching {tasks_n} tasks with int8 inference...");
-    let (int8_wall, int8_outcomes) = run(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            use_int8: true,
-            ..search
-        },
-        &tasks,
-    );
-    let int8 = row(1, int8_wall, &int8_outcomes, base_wall);
-    // Conformance: every int8 plan must be memory-feasible and, when
-    // re-evaluated under the exact f32 simulator, within the band of the
-    // f32 engine's plan for the same task.
-    let eval_sim = CostSimulator::new(bundle.clone());
-    let mut int8_max_ratio: f64 = 0.0;
-    for ((task, f32_o), int8_o) in tasks.iter().zip(&base_outcomes).zip(&int8_outcomes) {
-        int8_o
-            .plan
-            .validate(task)
-            .expect("int8 plan must be memory-feasible");
-        let f32_cost = eval_sim
-            .estimate_plan(&f32_o.plan.device_profiles(task.batch_size()))
-            .total_ms();
-        let int8_cost = eval_sim
-            .estimate_plan(&int8_o.plan.device_profiles(task.batch_size()))
-            .total_ms();
-        int8_max_ratio = int8_max_ratio.max(int8_cost / f32_cost.max(1e-9));
-    }
+    let nocache_batched = row(1, nocache_wall, &nocache_outcomes, base_wall);
 
     let output = Output {
         hardware_threads: std::thread::available_parallelism().map_or(1, usize::from),
@@ -241,28 +150,22 @@ fn main() {
         num_gpus,
         search,
         rows,
-        unbatched,
-        batched_speedup_vs_unbatched: batched_speedup,
         nocache_batched,
-        nocache_unbatched,
-        batched_speedup_vs_unbatched_nocache: nocache_batched_speedup,
-        int8,
-        int8_max_cost_ratio_vs_f32: int8_max_ratio,
-        int8_cost_band: INT8_COST_BAND,
         plans_identical: identical,
-        plans_identical_nocache: identical_nocache,
     };
 
     println!(
         "\n# Parallel search, {} tasks, {} GPUs, {} hardware thread(s)\n",
         tasks_n, num_gpus, output.hardware_threads
     );
-    let mut table: Vec<Vec<String>> = output
+    let table: Vec<Vec<String>> = output
         .rows
         .iter()
-        .map(|r| {
+        .map(|r| (format!("batched, {} thread(s)", r.threads), r))
+        .chain([("batched, no cache".to_string(), &output.nocache_batched)])
+        .map(|(name, r)| {
             vec![
-                format!("batched, {} thread(s)", r.threads),
+                name,
                 format!("{:.2}", r.wall_clock_s),
                 format!("{:.0}", r.plans_per_s),
                 format!("{:.1}%", r.cache_hit_rate * 100.0),
@@ -270,42 +173,12 @@ fn main() {
             ]
         })
         .collect();
-    for (name, r) in [
-        ("unbatched, 1 thread", &output.unbatched),
-        ("batched, no cache", &output.nocache_batched),
-        ("unbatched, no cache", &output.nocache_unbatched),
-        ("int8, 1 thread", &output.int8),
-    ] {
-        table.push(vec![
-            name.into(),
-            format!("{:.2}", r.wall_clock_s),
-            format!("{:.0}", r.plans_per_s),
-            format!("{:.1}%", r.cache_hit_rate * 100.0),
-            format!("{:.2}x", r.speedup_vs_1_thread),
-        ]);
-    }
     print_markdown_table(
         &["engine", "wall clock (s)", "plans/s", "hit rate", "speedup"],
         &table,
     );
-    println!(
-        "\nbatched vs unbatched speedup: {batched_speedup:.2}x cached, \
-         {nocache_batched_speedup:.2}x uncached; plans identical: {identical} \
-         (uncached pair: {identical_nocache})"
-    );
-    println!(
-        "int8 engine: worst f32-evaluated cost ratio {int8_max_ratio:.4} \
-         (band {INT8_COST_BAND})"
-    );
-    assert!(identical, "plans must not depend on threads or batching");
-    assert!(
-        identical_nocache,
-        "uncached plans must not depend on batching"
-    );
-    assert!(
-        int8_max_ratio <= INT8_COST_BAND,
-        "int8 plan cost ratio {int8_max_ratio} exceeds the band {INT8_COST_BAND}"
-    );
+    println!("\nplans identical: {identical}");
+    assert!(identical, "plans must not depend on the thread count");
 
     let json = serde_json::to_string_pretty(&output).expect("results are serializable");
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -12,11 +12,11 @@ use serde::{Deserialize, Serialize};
 
 use nshard_cost::{CacheStats, CostSimulator, DeviceScales};
 use nshard_data::{ShardingTask, TableConfig};
+use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
 use crate::greedy_grid::{GreedyGridSearch, GridSearchResult};
 use crate::plan::{apply_split_plan, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep};
-use crate::pool::WorkPool;
 
 /// Score offset for memory-infeasible beam entries: far above any real
 /// cost (ms), with the plan's largest shard size (bytes) added so that
@@ -70,7 +70,7 @@ pub struct BeamSearch<'a> {
     /// split across them).
     replication: bool,
     /// Worker threads for level evaluation; `0` = auto (see
-    /// [`crate::pool::resolve_threads`]).
+    /// [`nshard_pool::resolve_threads`]).
     threads: usize,
 }
 

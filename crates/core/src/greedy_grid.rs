@@ -23,10 +23,10 @@ use serde::{Deserialize, Serialize};
 
 use nshard_cost::{CostSimulator, DeviceScales, TableSetKey};
 use nshard_data::TableConfig;
+use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
 use crate::plan::PlanError;
-use crate::pool::WorkPool;
 
 /// Result of one inner-loop search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ pub struct GreedyGridSearch<'a> {
     /// grid search" ablation of Table 3.
     use_grid: bool,
     /// Worker threads for the grid sweep; `0` = auto (see
-    /// [`crate::pool::resolve_threads`]).
+    /// [`nshard_pool::resolve_threads`]).
     threads: usize,
 }
 

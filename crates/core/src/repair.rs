@@ -21,10 +21,10 @@
 
 use nshard_cost::{CostSimulator, TableSetKey};
 use nshard_data::ShardingTask;
+use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
 use crate::plan::{PlanError, ShardingPlan, SplitStep};
-use crate::pool::WorkPool;
 
 /// Limits of the repair loop.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -238,10 +238,10 @@ impl CacheStats {
 /// use nshard_cost::PredictionCache;
 ///
 /// let cache = PredictionCache::new();
-/// let v1 = cache.get_or_insert_with(42, || 3.5);
-/// let v2 = cache.get_or_insert_with(42, || unreachable!("cached"));
-/// assert_eq!(v1, 3.5);
-/// assert_eq!(v2, 3.5);
+/// assert_eq!(cache.get_counted(42), None);
+/// cache.record_miss(42);
+/// cache.insert_if_absent(42, 3.5);
+/// assert_eq!(cache.get_counted(42), Some(3.5));
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(cache.misses(), 1);
 /// ```
@@ -292,21 +292,6 @@ impl PredictionCache {
     fn shard(&self, key: u64) -> &Mutex<Shard> {
         // Keys are avalanche-mixed, so the low bits are uniform.
         &self.shards[(key as usize) & (self.shards.len() - 1)]
-    }
-
-    /// Looks up `key`, computing and inserting the value on a miss. The
-    /// closure runs under the shard lock, so two threads racing on the same
-    /// key produce exactly one miss and one hit.
-    pub fn get_or_insert_with(&self, key: u64, compute: impl FnOnce() -> f64) -> f64 {
-        let mut shard = self.shard(key).lock();
-        if let Some(&v) = shard.map.get(&key) {
-            shard.hits += 1;
-            return v;
-        }
-        shard.misses += 1;
-        let v = compute();
-        shard.map.insert(key, v);
-        v
     }
 
     /// Returns the cached value for `key`, counting a hit if present. A
@@ -466,11 +451,6 @@ impl EncodingCache {
     pub fn is_empty(&self) -> bool {
         self.map.read().is_empty()
     }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        self.map.write().clear();
-    }
 }
 
 #[cfg(test)]
@@ -480,6 +460,16 @@ mod tests {
 
     fn t(dim: u32, rows: u64) -> TableProfile {
         TableProfile::new(dim, rows, 10.0, 0.5, 1.0)
+    }
+
+    /// One lookup the way `CostSimulator` resolves it: a counted probe,
+    /// then on a miss the miss is recorded and the computed value stored.
+    fn lookup(cache: &PredictionCache, key: u64, computed: f64) -> f64 {
+        cache.get_counted(key).unwrap_or_else(|| {
+            cache.record_miss(key);
+            cache.insert_if_absent(key, computed);
+            computed
+        })
     }
 
     #[test]
@@ -522,9 +512,9 @@ mod tests {
     fn cache_hits_and_misses_are_counted() {
         let cache = PredictionCache::new();
         assert_eq!(cache.hit_rate(), 0.0);
-        cache.get_or_insert_with(1, || 1.0);
-        cache.get_or_insert_with(1, || 2.0);
-        cache.get_or_insert_with(2, || 3.0);
+        lookup(&cache, 1, 1.0);
+        lookup(&cache, 1, 2.0);
+        lookup(&cache, 2, 3.0);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -534,8 +524,8 @@ mod tests {
     #[test]
     fn cached_value_wins() {
         let cache = PredictionCache::new();
-        cache.get_or_insert_with(9, || 5.0);
-        assert_eq!(cache.get_or_insert_with(9, || 99.0), 5.0);
+        lookup(&cache, 9, 5.0);
+        assert_eq!(lookup(&cache, 9, 99.0), 5.0);
     }
 
     #[test]
@@ -555,8 +545,8 @@ mod tests {
     #[test]
     fn clear_and_reset_stats() {
         let cache = PredictionCache::new();
-        cache.get_or_insert_with(1, || 1.0);
-        cache.get_or_insert_with(1, || 1.0);
+        lookup(&cache, 1, 1.0);
+        lookup(&cache, 1, 1.0);
         cache.reset_stats();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 1);
@@ -569,8 +559,8 @@ mod tests {
         let cache = PredictionCache::with_shards(4);
         // Keys 0..16 cover every shard index at least once.
         for k in 0..16u64 {
-            cache.get_or_insert_with(k, || k as f64);
-            cache.get_or_insert_with(k, || unreachable!());
+            lookup(&cache, k, k as f64);
+            assert_eq!(cache.get_counted(k), Some(k as f64));
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, 16);
@@ -635,39 +625,30 @@ mod tests {
         assert!(cache.accumulate(5, &mut acc));
         assert!(cache.accumulate(5, &mut acc));
         assert_eq!(acc, [2.0, 2.5]);
-
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
     fn concurrent_hammer_keeps_stats_consistent() {
-        // Many threads, overlapping keys, mixed scalar/batch primitives:
-        // every lookup must be counted exactly once, so hits + misses
-        // equals the number of calls regardless of interleaving.
+        // Many threads released together onto the same 64 keys, each
+        // running the simulator's probe / record / insert sequence: every
+        // lookup must be counted exactly once, so hits + misses equals the
+        // number of calls regardless of interleaving, and every read sees
+        // the one value its key can hold.
         const THREADS: usize = 8;
         const OPS: u64 = 2_000;
         let cache = PredictionCache::new();
+        let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
-            for t in 0..THREADS as u64 {
-                let cache = &cache;
-                scope.spawn(move || {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
                     for i in 0..OPS {
-                        let key = avalanche((i % 64) ^ (t << 32));
-                        match i % 3 {
-                            0 => {
-                                let _ = cache.get_or_insert_with(key, || key as f64);
-                            }
-                            1 => match cache.get_counted(key) {
-                                Some(_) => {}
-                                None => {
-                                    cache.record_miss(key);
-                                    cache.insert_if_absent(key, key as f64);
-                                }
-                            },
-                            _ => {
-                                let _ = cache.get_or_insert_with(key, || key as f64);
-                            }
+                        let key = avalanche(i % 64);
+                        if i % 3 == 0 {
+                            // An in-batch duplicate: answered without a probe.
+                            cache.record_hit(key);
+                        } else {
+                            assert_eq!(lookup(&cache, key, key as f64), key as f64);
                         }
                     }
                 });
@@ -675,8 +656,7 @@ mod tests {
         });
         let stats = cache.stats();
         assert_eq!(stats.total(), THREADS as u64 * OPS);
-        // 64 distinct keys per thread stripe.
-        assert!(cache.len() <= THREADS * 64);
+        assert_eq!(cache.len(), 64);
         assert!(stats.hits > stats.misses, "repeated keys should mostly hit");
     }
 

@@ -6,14 +6,12 @@
 //! models (§3.2); both share this type.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
-use nshard_nn::{
-    Dataset, Matrix, Mlp, MlpScratch, QuantizedMlp, TrainConfig, TrainReport, Trainer,
-};
+use nshard_nn::{Dataset, Matrix, Mlp, MlpScratch, TrainConfig, TrainReport, Trainer};
+use serde::{Deserialize, Serialize};
 
 use crate::features::{comm_feature_dim, comm_features_into};
-use crate::simulator::{InferenceMode, TrainSettings};
+use crate::simulator::TrainSettings;
 
 /// The paper's communication model architecture: input → 128-64-32-16 → 1.
 const COMM_HIDDEN: [usize; 4] = [128, 64, 32, 16];
@@ -29,13 +27,10 @@ const COMM_HIDDEN: [usize; 4] = [128, 64, 32, 16];
 /// let cost = model.predict(&[320.0, 300.0, 310.0, 290.0], &[0.0; 4], 65_536);
 /// assert!(cost.is_finite());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CommCostModel {
     num_devices: usize,
     mlp: Mlp,
-    /// Lazily built int8 snapshot for [`InferenceMode::Int8`]; derived
-    /// state, invalidated on retrain, never serialized or compared.
-    quant: OnceLock<QuantizedMlp>,
 }
 
 /// Reusable per-thread buffers for `predict`/`predict_batch`.
@@ -49,57 +44,6 @@ thread_local! {
     static COMM_SCRATCH: RefCell<CommScratch> = RefCell::new(CommScratch::default());
 }
 
-impl Clone for CommCostModel {
-    fn clone(&self) -> Self {
-        Self {
-            num_devices: self.num_devices,
-            mlp: self.mlp.clone(),
-            quant: self
-                .quant
-                .get()
-                .cloned()
-                .map(OnceLock::from)
-                .unwrap_or_default(),
-        }
-    }
-}
-
-impl PartialEq for CommCostModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_devices == other.num_devices && self.mlp == other.mlp
-    }
-}
-
-// Mirrors the historical derive on `{ num_devices, mlp }` so committed
-// model fixtures stay byte-compatible; the quantized cache is derived.
-impl serde::Serialize for CommCostModel {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Map(vec![
-            (
-                String::from("num_devices"),
-                serde::Serialize::to_value(&self.num_devices),
-            ),
-            (String::from("mlp"), serde::Serialize::to_value(&self.mlp)),
-        ])
-    }
-}
-
-impl serde::Deserialize for CommCostModel {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let map = v.as_map().ok_or_else(|| {
-            serde::de::Error::custom(format!(
-                "expected object for struct CommCostModel, found {}",
-                v.kind()
-            ))
-        })?;
-        Ok(CommCostModel {
-            num_devices: serde::__field(map, "num_devices")?,
-            mlp: serde::__field(map, "mlp")?,
-            quant: OnceLock::new(),
-        })
-    }
-}
-
 impl CommCostModel {
     /// A freshly initialized (untrained) model for `num_devices` GPUs.
     ///
@@ -111,24 +55,12 @@ impl CommCostModel {
         Self {
             num_devices,
             mlp: Mlp::new(comm_feature_dim(num_devices), &COMM_HIDDEN, 1, seed),
-            quant: OnceLock::new(),
         }
     }
 
     /// The device count this model was built for.
     pub fn num_devices(&self) -> usize {
         self.num_devices
-    }
-
-    /// The lazily built int8 snapshot of the current weights.
-    fn quantized(&self) -> &QuantizedMlp {
-        self.quant.get_or_init(|| QuantizedMlp::from_mlp(&self.mlp))
-    }
-
-    /// Worst-case per-weight absolute quantization error of the int8
-    /// snapshot (half an int8 step at the layer's scale, maxed over layers).
-    pub fn quantization_error_bound(&self) -> f32 {
-        self.quantized().error_bound()
     }
 
     /// Predicts the max collective latency (ms) for a placement described by
@@ -138,48 +70,19 @@ impl CommCostModel {
     ///
     /// Panics if the slices do not match the model's device count.
     pub fn predict(&self, device_dims: &[f64], start_ts_ms: &[f64], batch_size: u32) -> f64 {
-        self.predict_with_mode(device_dims, start_ts_ms, batch_size, InferenceMode::F32)
-    }
-
-    /// [`CommCostModel::predict`] with an explicit [`InferenceMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not match the model's device count.
-    pub fn predict_with_mode(
-        &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        batch_size: u32,
-        mode: InferenceMode,
-    ) -> f64 {
-        self.predict_batch_with_mode(&[(device_dims, start_ts_ms)], batch_size, mode)[0]
+        self.predict_batch(&[(device_dims, start_ts_ms)], batch_size)[0]
     }
 
     /// Predicts many placements with a single multi-row forward pass.
     /// `Mlp::forward` is row-independent, so each result is bit-identical
     /// to calling [`CommCostModel::predict`] on that placement alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any placement does not match the model's device count.
-    pub fn predict_batch(&self, placements: &[(&[f64], &[f64])], batch_size: u32) -> Vec<f64> {
-        self.predict_batch_with_mode(placements, batch_size, InferenceMode::F32)
-    }
-
-    /// [`CommCostModel::predict_batch`] with an explicit [`InferenceMode`].
     /// Feature rows are written directly into a reusable per-thread batch
     /// matrix, so steady-state prediction does not allocate.
     ///
     /// # Panics
     ///
     /// Panics if any placement does not match the model's device count.
-    pub fn predict_batch_with_mode(
-        &self,
-        placements: &[(&[f64], &[f64])],
-        batch_size: u32,
-        mode: InferenceMode,
-    ) -> Vec<f64> {
+    pub fn predict_batch(&self, placements: &[(&[f64], &[f64])], batch_size: u32) -> Vec<f64> {
         if placements.is_empty() {
             return Vec::new();
         }
@@ -194,10 +97,7 @@ impl CommCostModel {
                 );
                 comm_features_into(dims, starts, batch_size, s.x.row_mut(i));
             }
-            let y = match mode {
-                InferenceMode::F32 => self.mlp.forward_scratch(&s.x, &mut s.mlp),
-                InferenceMode::Int8 => self.quantized().forward_scratch(&s.x, &mut s.mlp),
-            };
+            let y = self.mlp.forward_scratch(&s.x, &mut s.mlp);
             (0..placements.len())
                 .map(|i| f64::from(y.get(i, 0)))
                 .collect()
@@ -228,7 +128,6 @@ impl CommCostModel {
         });
         let report = trainer.fit(self.mlp.clone(), data, seed);
         self.mlp = trainer.into_best_model().expect("fit always sets a model");
-        self.quant = OnceLock::new();
         report
     }
 
@@ -277,7 +176,6 @@ impl CommCostModel {
         .with_frozen_layers(frozen_layers.to_vec());
         let report = trainer.fit_split(self.mlp.clone(), &split, seed);
         self.mlp = trainer.into_best_model().expect("fit always sets a model");
-        self.quant = OnceLock::new();
         report
     }
 
@@ -362,33 +260,6 @@ mod tests {
             assert_eq!(single.to_bits(), b.to_bits());
         }
         assert!(model.predict_batch(&[], 65_536).is_empty());
-    }
-
-    #[test]
-    fn int8_predictions_stay_close_to_f32() {
-        let data = dataset(500, 4);
-        let mut model = CommCostModel::new(4, 7);
-        model.train(
-            &data.forward,
-            &TrainSettings {
-                epochs: 30,
-                batch_size: 64,
-                learning_rate: 1e-3,
-                ..TrainSettings::default()
-            },
-            3,
-        );
-        assert!(model.quantization_error_bound() > 0.0);
-        let dims = [700.0, 100.0, 100.0, 100.0];
-        let starts = [1.0, 0.5, 0.0, 2.0];
-        let f32_cost = model.predict(&dims, &starts, 65_536);
-        let int8_cost = model.predict_with_mode(&dims, &starts, 65_536, InferenceMode::Int8);
-        assert!(int8_cost.is_finite());
-        let denom = f32_cost.abs().max(1e-3);
-        assert!(
-            ((f32_cost - int8_cost).abs() / denom) < 0.25,
-            "int8 {int8_cost} drifted too far from f32 {f32_cost}"
-        );
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //! pre-trained model serve every sharding task.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use nshard_pool::WorkPool;
 use serde::{Deserialize, Serialize};
 
-use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpScratch, QuantizedMlp};
+use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpScratch};
 
 use crate::collect::{ComputeDataset, ComputeSample};
 use crate::features::TABLE_FEATURE_DIM;
-use crate::simulator::{InferenceMode, TrainSettings};
+use crate::simulator::TrainSettings;
 
 /// The paper's encoder architecture: table features → 128 → 32.
 const ENCODER_HIDDEN: [usize; 1] = [128];
@@ -52,20 +51,10 @@ pub struct ComputeTrainReport {
 /// let cost = model.predict(&features);
 /// assert!(cost.is_finite());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComputeCostModel {
     encoder: Mlp,
     head: Mlp,
-    /// Lazily built int8 snapshot of `(encoder, head)` for
-    /// [`InferenceMode::Int8`]; derived state, invalidated on retrain and
-    /// never serialized or compared.
-    quant: OnceLock<QuantizedPair>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct QuantizedPair {
-    encoder: QuantizedMlp,
-    head: QuantizedMlp,
 }
 
 /// Reusable per-thread buffers for `predict`/`predict_batch`: the batch
@@ -84,57 +73,6 @@ thread_local! {
     static COMPUTE_SCRATCH: RefCell<ComputeScratch> = RefCell::new(ComputeScratch::default());
 }
 
-impl Clone for ComputeCostModel {
-    fn clone(&self) -> Self {
-        Self {
-            encoder: self.encoder.clone(),
-            head: self.head.clone(),
-            quant: self
-                .quant
-                .get()
-                .cloned()
-                .map(OnceLock::from)
-                .unwrap_or_default(),
-        }
-    }
-}
-
-impl PartialEq for ComputeCostModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.encoder == other.encoder && self.head == other.head
-    }
-}
-
-// Mirrors the historical derive on `{ encoder, head }` so committed model
-// fixtures stay byte-compatible; the quantized cache is derived state.
-impl serde::Serialize for ComputeCostModel {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Map(vec![
-            (
-                String::from("encoder"),
-                serde::Serialize::to_value(&self.encoder),
-            ),
-            (String::from("head"), serde::Serialize::to_value(&self.head)),
-        ])
-    }
-}
-
-impl serde::Deserialize for ComputeCostModel {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let map = v.as_map().ok_or_else(|| {
-            serde::de::Error::custom(format!(
-                "expected object for struct ComputeCostModel, found {}",
-                v.kind()
-            ))
-        })?;
-        Ok(ComputeCostModel {
-            encoder: serde::__field(map, "encoder")?,
-            head: serde::__field(map, "head")?,
-            quant: OnceLock::new(),
-        })
-    }
-}
-
 impl ComputeCostModel {
     /// A freshly initialized (untrained) model with the paper's
     /// architecture (encoder 128-32, head 64).
@@ -149,7 +87,6 @@ impl ComputeCostModel {
         Self {
             encoder: Mlp::new(TABLE_FEATURE_DIM, encoder_hidden, ENCODER_OUT, seed),
             head: Mlp::new(ENCODER_OUT, head_hidden, 1, seed ^ 0x5EED_CAFE),
-            quant: OnceLock::new(),
         }
     }
 
@@ -159,33 +96,13 @@ impl ComputeCostModel {
         Self::with_architecture(&[], &[], seed)
     }
 
-    /// The int8 snapshot of the current weights, built on first use.
-    fn quantized(&self) -> &QuantizedPair {
-        self.quant.get_or_init(|| QuantizedPair {
-            encoder: QuantizedMlp::from_mlp(&self.encoder),
-            head: QuantizedMlp::from_mlp(&self.head),
-        })
-    }
-
-    /// The largest recorded per-layer weight-quantization error bound
-    /// across the encoder and head (`scale / 2` of the widest layer).
-    pub fn quantization_error_bound(&self) -> f32 {
-        let q = self.quantized();
-        q.encoder.error_bound().max(q.head.error_bound())
-    }
-
     /// Predicts the fused multi-table kernel cost (ms) for a combination
     /// given per-table feature vectors.
     ///
     /// An empty combination predicts the head's response to a zero sum
     /// (≈ the kernel launch overhead once trained).
     pub fn predict(&self, tables: &[Vec<f32>]) -> f64 {
-        self.predict_with_mode(tables, InferenceMode::F32)
-    }
-
-    /// [`ComputeCostModel::predict`] on an explicit numeric path.
-    pub fn predict_with_mode(&self, tables: &[Vec<f32>], mode: InferenceMode) -> f64 {
-        self.predict_batch_with_mode(&[tables], mode)[0]
+        self.predict_batch(&[tables])[0]
     }
 
     /// Predicts the fused-kernel cost of many table combinations with two
@@ -199,17 +116,6 @@ impl ComputeCostModel {
     /// live in thread-local scratch — the hot path allocates only the
     /// returned `Vec` after warm-up.
     pub fn predict_batch<S: AsRef<[Vec<f32>]>>(&self, sets: &[S]) -> Vec<f64> {
-        self.predict_batch_with_mode(sets, InferenceMode::F32)
-    }
-
-    /// [`ComputeCostModel::predict_batch`] on an explicit numeric path.
-    /// [`InferenceMode::Int8`] runs both MLPs through their quantized
-    /// snapshots (approximate, inference-only).
-    pub fn predict_batch_with_mode<S: AsRef<[Vec<f32>]>>(
-        &self,
-        sets: &[S],
-        mode: InferenceMode,
-    ) -> Vec<f64> {
         if sets.is_empty() {
             return Vec::new();
         }
@@ -226,12 +132,7 @@ impl ComputeCostModel {
                         r += 1;
                     }
                 }
-                let encoded: &Matrix = match mode {
-                    InferenceMode::F32 => self.encoder.forward_scratch(&s.x, &mut s.enc),
-                    InferenceMode::Int8 => {
-                        self.quantized().encoder.forward_scratch(&s.x, &mut s.enc)
-                    }
-                };
+                let encoded = self.encoder.forward_scratch(&s.x, &mut s.enc);
                 let mut r = 0;
                 for (i, set) in sets.iter().enumerate() {
                     let pooled = s.pooled.row_mut(i);
@@ -243,13 +144,7 @@ impl ComputeCostModel {
                     }
                 }
             }
-            let y: &Matrix = match mode {
-                InferenceMode::F32 => self.head.forward_scratch(&s.pooled, &mut s.head),
-                InferenceMode::Int8 => self
-                    .quantized()
-                    .head
-                    .forward_scratch(&s.pooled, &mut s.head),
-            };
+            let y = self.head.forward_scratch(&s.pooled, &mut s.head);
             (0..sets.len()).map(|i| f64::from(y.get(i, 0))).collect()
         })
     }
@@ -267,11 +162,7 @@ impl ComputeCostModel {
     /// row is bit-identical to the corresponding row of any other forward
     /// containing that table — the property the search's per-table
     /// encoding cache relies on.
-    pub fn encode_tables_with_mode(
-        &self,
-        features: &[Vec<f32>],
-        mode: InferenceMode,
-    ) -> Vec<Vec<f32>> {
+    pub fn encode_tables(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
         if features.is_empty() {
             return Vec::new();
         }
@@ -281,10 +172,7 @@ impl ComputeCostModel {
             for (i, row) in features.iter().enumerate() {
                 s.x.row_mut(i).copy_from_slice(row);
             }
-            let encoded: &Matrix = match mode {
-                InferenceMode::F32 => self.encoder.forward_scratch(&s.x, &mut s.enc),
-                InferenceMode::Int8 => self.quantized().encoder.forward_scratch(&s.x, &mut s.enc),
-            };
+            let encoded = self.encoder.forward_scratch(&s.x, &mut s.enc);
             (0..features.len())
                 .map(|i| encoded.row(i).to_vec())
                 .collect()
@@ -292,15 +180,15 @@ impl ComputeCostModel {
     }
 
     /// Runs only the head over already sum-pooled encoding rows, returning
-    /// one cost per row. Combined with [`ComputeCostModel::encode_tables_with_mode`]
+    /// one cost per row. Combined with [`ComputeCostModel::encode_tables`]
     /// and a left-to-right fold of the encodings, this reproduces
-    /// [`ComputeCostModel::predict_batch_with_mode`] bit for bit.
+    /// [`ComputeCostModel::predict_batch`] bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `pooled`'s width differs from
     /// [`ComputeCostModel::encoding_dim`].
-    pub fn head_costs_with_mode(&self, pooled: &Matrix, mode: InferenceMode) -> Vec<f64> {
+    pub fn head_costs(&self, pooled: &Matrix) -> Vec<f64> {
         assert_eq!(
             pooled.cols(),
             self.encoding_dim(),
@@ -308,10 +196,7 @@ impl ComputeCostModel {
         );
         COMPUTE_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            let y: &Matrix = match mode {
-                InferenceMode::F32 => self.head.forward_scratch(pooled, &mut s.head),
-                InferenceMode::Int8 => self.quantized().head.forward_scratch(pooled, &mut s.head),
-            };
+            let y = self.head.forward_scratch(pooled, &mut s.head);
             (0..pooled.rows()).map(|i| f64::from(y.get(i, 0))).collect()
         })
     }
@@ -442,7 +327,6 @@ impl ComputeCostModel {
 
         self.encoder = best.0;
         self.head = best.1;
-        self.quant = OnceLock::new();
         ComputeTrainReport {
             train_mse: self.evaluate_mse(train),
             valid_mse: best_valid,
@@ -531,31 +415,23 @@ mod tests {
     #[test]
     fn decomposed_encode_fold_head_matches_predict() {
         // encode → left-fold → head must reproduce the fused forward bit
-        // for bit on both numeric paths (the encoding cache's contract).
+        // for bit (the encoding cache's contract).
         let model = ComputeCostModel::new(5);
         let data = small_dataset(4);
-        for mode in [InferenceMode::F32, InferenceMode::Int8] {
-            for s in &data.samples {
-                let encoded = model.encode_tables_with_mode(&s.tables, mode);
-                assert_eq!(encoded.len(), s.tables.len());
-                let mut pooled = Matrix::zeros(1, model.encoding_dim());
-                for row in &encoded {
-                    for (p, &v) in pooled.row_mut(0).iter_mut().zip(row) {
-                        *p += v;
-                    }
+        for s in &data.samples {
+            let encoded = model.encode_tables(&s.tables);
+            assert_eq!(encoded.len(), s.tables.len());
+            let mut pooled = Matrix::zeros(1, model.encoding_dim());
+            for row in &encoded {
+                for (p, &v) in pooled.row_mut(0).iter_mut().zip(row) {
+                    *p += v;
                 }
-                let via_parts = model.head_costs_with_mode(&pooled, mode)[0];
-                let direct = model.predict_with_mode(&s.tables, mode);
-                assert_eq!(
-                    via_parts.to_bits(),
-                    direct.to_bits(),
-                    "decomposed path diverged in mode {mode:?}"
-                );
             }
+            let via_parts = model.head_costs(&pooled)[0];
+            let direct = model.predict(&s.tables);
+            assert_eq!(via_parts.to_bits(), direct.to_bits());
         }
-        assert!(model
-            .encode_tables_with_mode(&[], InferenceMode::F32)
-            .is_empty());
+        assert!(model.encode_tables(&[]).is_empty());
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub use features::{
     comm_feature_dim, comm_features, comm_features_into, table_features, TABLE_FEATURE_DIM,
 };
 pub use simulator::{
-    BundleReport, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, InferenceMode,
-    TrainSettings, FWD_FRACTION,
+    BundleReport, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, TrainSettings,
+    FWD_FRACTION,
 };

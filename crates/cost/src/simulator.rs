@@ -32,22 +32,6 @@ use crate::features::table_features;
 /// predictions exactly the way [`CostSimulator::estimate_plan`] does.
 pub const FWD_FRACTION: f64 = 1.0 / 2.45;
 
-/// Numeric path used for cost-model inference.
-///
-/// `F32` is the exact path: bit-identical to the scalar reference kernels
-/// and to every pre-batching/pre-blocking engine. `Int8` runs forward
-/// passes through per-layer symmetrically quantized weights
-/// ([`nshard_nn::QuantizedMlp`]) with f32 accumulation — approximate but
-/// faster; it is inference-only and gated by a cost-band conformance test.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InferenceMode {
-    /// Exact f32 inference (the default).
-    #[default]
-    F32,
-    /// Int8 symmetric weight quantization with f32 accumulation.
-    Int8,
-}
-
 /// Per-device heterogeneity scales applied **after** cost-model inference.
 ///
 /// The pre-trained models (and their caches) always see the *baseline*
@@ -375,12 +359,9 @@ impl EstimatedCost {
 pub struct CostSimulator {
     bundle: CostModelBundle,
     cache: PredictionCache,
-    /// Life-long per-table encoder outputs (see [`EncodingCache`]); like
-    /// the cost cache, per-simulator so numeric modes never mix.
+    /// Life-long per-table encoder outputs (see [`EncodingCache`]).
     encodings: EncodingCache,
     cache_enabled: bool,
-    batch_enabled: bool,
-    inference_mode: InferenceMode,
 }
 
 /// Reusable per-thread buffers for the batched cache-resolution path:
@@ -408,8 +389,6 @@ impl CostSimulator {
             cache: PredictionCache::new(),
             encodings: EncodingCache::new(),
             cache_enabled: true,
-            batch_enabled: true,
-            inference_mode: InferenceMode::F32,
         }
     }
 
@@ -420,37 +399,6 @@ impl CostSimulator {
         self
     }
 
-    /// Selects the numeric inference path. [`InferenceMode::Int8`] trades
-    /// exactness for speed; cached predictions are per-simulator, so one
-    /// simulator instance never mixes values from different modes (both
-    /// caches are dropped here in case anything was already memoized).
-    pub fn with_inference_mode(mut self, mode: InferenceMode) -> Self {
-        if mode != self.inference_mode {
-            self.cache.clear();
-            self.encodings.clear();
-        }
-        self.inference_mode = mode;
-        self
-    }
-
-    /// The active numeric inference path.
-    pub fn inference_mode(&self) -> InferenceMode {
-        self.inference_mode
-    }
-
-    /// Disables batched inference: every batch API falls back to one
-    /// single-row model forward per query (the pre-batching engine, kept
-    /// as a benchmark baseline). Results are bit-identical either way.
-    pub fn with_batching_disabled(mut self) -> Self {
-        self.batch_enabled = false;
-        self
-    }
-
-    /// Whether batched inference is enabled.
-    pub fn batching_enabled(&self) -> bool {
-        self.batch_enabled
-    }
-
     /// The underlying bundle.
     pub fn bundle(&self) -> &CostModelBundle {
         &self.bundle
@@ -459,45 +407,6 @@ impl CostSimulator {
     /// The prediction cache (for hit-rate reporting).
     pub fn cache(&self) -> &PredictionCache {
         &self.cache
-    }
-
-    fn features(&self, tables: &[TableProfile]) -> Vec<Vec<f32>> {
-        tables
-            .iter()
-            .map(|t| table_features(t, self.bundle.batch_size))
-            .collect()
-    }
-
-    /// Feature rows of `tables` with `extra`'s row appended (the greedy
-    /// probe's set layout).
-    fn features_with_extra(
-        &self,
-        tables: &[TableProfile],
-        extra: Option<&TableProfile>,
-    ) -> Vec<Vec<f32>> {
-        tables
-            .iter()
-            .chain(extra)
-            .map(|t| table_features(t, self.bundle.batch_size))
-            .collect()
-    }
-
-    /// Runs the compute model over many feature sets, batched or one by
-    /// one depending on the ablation toggle. Identical bits either way.
-    fn predict_compute_sets(&self, sets: &[Vec<Vec<f32>>]) -> Vec<f64> {
-        if self.batch_enabled {
-            self.bundle
-                .compute
-                .predict_batch_with_mode(sets, self.inference_mode)
-        } else {
-            sets.iter()
-                .map(|s| {
-                    self.bundle
-                        .compute
-                        .predict_with_mode(s, self.inference_mode)
-                })
-                .collect()
-        }
     }
 
     /// Resolves many keyed compute-cost queries against the cache, running
@@ -523,9 +432,15 @@ impl CostSimulator {
                 self.cache.count_miss();
             }
             let feats: Vec<Vec<Vec<f32>>> = (0..n)
-                .map(|i| self.features_with_extra(set_of(i), extra))
+                .map(|i| {
+                    set_of(i)
+                        .iter()
+                        .chain(extra)
+                        .map(|t| table_features(t, self.bundle.batch_size))
+                        .collect()
+                })
                 .collect();
-            return self.predict_compute_sets(&feats);
+            return self.bundle.compute.predict_batch(&feats);
         }
         SIM_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
@@ -548,22 +463,13 @@ impl CostSimulator {
                 }
             }
             if !s.miss_items.is_empty() {
-                let preds = if self.batch_enabled {
-                    self.predict_misses_via_encodings(
-                        &s.miss_items,
-                        &set_of,
-                        extra,
-                        &mut s.pooled,
-                        &mut s.table_keys,
-                    )
-                } else {
-                    let feats: Vec<Vec<Vec<f32>>> = s
-                        .miss_items
-                        .iter()
-                        .map(|&i| self.features_with_extra(set_of(i), extra))
-                        .collect();
-                    self.predict_compute_sets(&feats)
-                };
+                let preds = self.predict_misses_via_encodings(
+                    &s.miss_items,
+                    &set_of,
+                    extra,
+                    &mut s.pooled,
+                    &mut s.table_keys,
+                );
                 for (slot, &i) in s.miss_items.iter().enumerate() {
                     self.cache.insert_if_absent(keys[i], preds[slot]);
                     out[i] = preds[slot];
@@ -613,7 +519,7 @@ impl CostSimulator {
                 .iter()
                 .map(|&(_, t)| table_features(t, self.bundle.batch_size))
                 .collect();
-            let encoded = model.encode_tables_with_mode(&feats, self.inference_mode);
+            let encoded = model.encode_tables(&feats);
             for (&(k, _), row) in unknown.iter().zip(encoded) {
                 self.encodings.insert_if_absent(k, row.into_boxed_slice());
             }
@@ -629,32 +535,13 @@ impl CostSimulator {
             }
             next_key += count;
         }
-        model.head_costs_with_mode(pooled, self.inference_mode)
+        model.head_costs(pooled)
     }
 
     /// Predicted fused-kernel cost (fwd+bwd, ms) of one device's table set,
     /// memoized in the life-long cache.
     pub fn device_compute_cost(&self, tables: &[TableProfile]) -> f64 {
-        self.device_compute_cost_keyed(TableSetKey::of(tables), tables)
-    }
-
-    /// Like [`CostSimulator::device_compute_cost`] for callers that
-    /// maintain the set key incrementally (skips the O(n) rehash).
-    ///
-    /// `key` must fingerprint exactly the multiset in `tables`.
-    pub fn device_compute_cost_keyed(&self, key: TableSetKey, tables: &[TableProfile]) -> f64 {
-        let predict = || {
-            self.bundle
-                .compute
-                .predict_with_mode(&self.features(tables), self.inference_mode)
-        };
-        if self.cache_enabled {
-            self.cache.get_or_insert_with(key.key(), predict)
-        } else {
-            // Still count lookups so ablation hit rates read 0%.
-            self.cache.count_miss();
-            predict()
-        }
+        self.cached_compute_batch(&[table_set_key(tables)], |_| tables, None)[0]
     }
 
     /// Predicted costs of many device table sets, resolved with one
@@ -665,24 +552,13 @@ impl CostSimulator {
         self.cached_compute_batch(&keys, |i| sets[i].1, None)
     }
 
-    /// Predicted costs of `extra` appended to each base set — the greedy
-    /// allocator's probe pattern ("what if this table joined device g?")
-    /// — scored with one batched forward over the cache misses and O(1)
-    /// key updates.
-    pub fn appended_compute_cost_batch(
-        &self,
-        bases: &[(TableSetKey, &[TableProfile])],
-        extra: &TableProfile,
-    ) -> Vec<f64> {
-        let keys: Vec<u64> = bases.iter().map(|(k, _)| k.with(extra).key()).collect();
-        self.cached_compute_batch(&keys, |i| bases[i].1, Some(extra))
-    }
-
-    /// [`CostSimulator::appended_compute_cost_batch`] for callers that
-    /// keep per-device sets and keys in parallel arrays: candidate device
-    /// `candidates[j]`'s probe cost lands in slot `j` of the result, and
-    /// the device sets are read straight out of `device_sets` — no
-    /// per-probe view building.
+    /// Predicted costs of `extra` appended to candidate devices' sets — the
+    /// greedy allocator's probe pattern ("what if this table joined device
+    /// g?") — scored with one batched forward over the cache misses and
+    /// O(1) key updates. The caller keeps per-device sets and keys in
+    /// parallel arrays: candidate device `candidates[j]`'s probe cost lands
+    /// in slot `j` of the result, and the device sets are read straight out
+    /// of `device_sets` — no per-probe view building.
     pub fn appended_compute_cost_indexed(
         &self,
         device_sets: &[Vec<TableProfile>],
@@ -705,15 +581,10 @@ impl CostSimulator {
         )
     }
 
-    /// Predicted cost (fwd+bwd, ms) of a single table alone on a device —
-    /// used by the search to rank candidate tables.
-    pub fn single_table_cost(&self, table: &TableProfile) -> f64 {
-        self.device_compute_cost(std::slice::from_ref(table))
-    }
-
-    /// [`CostSimulator::single_table_cost`] for many tables at once — one
-    /// batched forward over the misses, each result memoized under the
-    /// table's singleton set key.
+    /// Predicted cost (fwd+bwd, ms) of each table alone on a device — used
+    /// by the search to rank candidate tables. One batched forward over
+    /// the misses, each result memoized under the table's singleton set
+    /// key.
     pub fn single_table_cost_batch(&self, tables: &[TableProfile]) -> Vec<f64> {
         let keys: Vec<u64> = tables
             .iter()
@@ -827,8 +698,15 @@ impl CostSimulator {
             .iter()
             .map(|dims| (dims.as_slice(), bwd_starts.as_slice()))
             .collect();
-        let fwd = self.predict_comm(&self.bundle.comm_fwd, &fwd_placements);
-        let bwd = self.predict_comm(&self.bundle.comm_bwd, &bwd_placements);
+        let batch_size = self.bundle.batch_size;
+        let fwd = self
+            .bundle
+            .comm_fwd
+            .predict_batch(&fwd_placements, batch_size);
+        let bwd = self
+            .bundle
+            .comm_bwd
+            .predict_batch(&bwd_placements, batch_size);
 
         (0..assignments.len())
             .map(|pi| {
@@ -843,31 +721,12 @@ impl CostSimulator {
             })
             .collect()
     }
-
-    /// Runs one comm model over many placements, batched or row by row
-    /// depending on the ablation toggle. Identical bits either way.
-    fn predict_comm(&self, model: &CommCostModel, placements: &[(&[f64], &[f64])]) -> Vec<f64> {
-        if self.batch_enabled {
-            model.predict_batch_with_mode(placements, self.bundle.batch_size, self.inference_mode)
-        } else {
-            placements
-                .iter()
-                .map(|(dims, starts)| {
-                    model.predict_with_mode(
-                        dims,
-                        starts,
-                        self.bundle.batch_size,
-                        self.inference_mode,
-                    )
-                })
-                .collect()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use nshard_data::TablePool;
 
     fn quick_bundle(d: usize) -> CostModelBundle {
@@ -919,57 +778,85 @@ mod tests {
     }
 
     #[test]
-    fn batch_apis_match_scalar_apis_bit_for_bit() {
+    fn batch_apis_match_the_model_bit_for_bit() {
         let bundle = quick_bundle(2);
-        let batched = CostSimulator::new(bundle.clone());
-        let rowwise = CostSimulator::new(bundle).with_batching_disabled();
-        assert!(batched.batching_enabled());
-        assert!(!rowwise.batching_enabled());
+        let sim = CostSimulator::new(bundle.clone());
+        // The reference: one single-set forward straight through the model,
+        // no cache and no encoding fold in between.
+        let direct = |tables: &[TableProfile]| {
+            let feats: Vec<Vec<f32>> = tables
+                .iter()
+                .map(|t| table_features(t, bundle.batch_size()))
+                .collect();
+            bundle.compute_model().predict(&feats)
+        };
 
         let tables = [t(64), t(32), t(16), t(8)];
-        // single_table_cost_batch vs single_table_cost.
-        let singles = batched.single_table_cost_batch(&tables);
+        let singles = sim.single_table_cost_batch(&tables);
         for (tab, &b) in tables.iter().zip(&singles) {
-            assert_eq!(rowwise.single_table_cost(tab).to_bits(), b.to_bits());
+            assert_eq!(direct(&[*tab]).to_bits(), b.to_bits());
         }
 
-        // device_compute_cost_batch vs device_compute_cost, including an
-        // in-batch duplicate and the empty set.
+        // device_compute_cost_batch, including an in-batch duplicate and
+        // the empty set.
         let sets: Vec<Vec<TableProfile>> = vec![
             vec![t(64), t(32)],
             vec![t(16)],
             vec![t(64), t(32)], // duplicate of set 0
             vec![],
         ];
-        let keyed: Vec<(TableSetKey, &[TableProfile])> = sets
+        let keys: Vec<TableSetKey> = sets.iter().map(|s| TableSetKey::of(s)).collect();
+        let keyed: Vec<(TableSetKey, &[TableProfile])> = keys
             .iter()
-            .map(|s| (TableSetKey::of(s), s.as_slice()))
+            .zip(&sets)
+            .map(|(k, s)| (*k, s.as_slice()))
             .collect();
-        let costs = batched.device_compute_cost_batch(&keyed);
+        let costs = sim.device_compute_cost_batch(&keyed);
         for (s, &c) in sets.iter().zip(&costs) {
-            assert_eq!(rowwise.device_compute_cost(s).to_bits(), c.to_bits());
+            assert_eq!(direct(s).to_bits(), c.to_bits());
         }
 
         // appended probe vs push-predict-pop.
         let extra = t(128);
-        let appended = batched.appended_compute_cost_batch(&keyed, &extra);
-        for (s, &c) in sets.iter().zip(&appended) {
-            let mut probed = s.clone();
+        let candidates = [3, 0, 1];
+        let appended =
+            sim.appended_compute_cost_indexed(&sets, &keys, &candidates, &extra, &mut Vec::new());
+        for (&g, &c) in candidates.iter().zip(&appended) {
+            let mut probed = sets[g].clone();
             probed.push(extra);
-            assert_eq!(rowwise.device_compute_cost(&probed).to_bits(), c.to_bits());
+            assert_eq!(direct(&probed).to_bits(), c.to_bits());
         }
 
-        // estimate_plan_batch vs estimate_plan.
+        // estimate_plan_batch vs estimate_plan vs the model.
         let plans = vec![
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let ests = batched.estimate_plan_batch(&plans);
+        let ests = sim.estimate_plan_batch(&plans);
         for (plan, est) in plans.iter().zip(&ests) {
-            let scalar = rowwise.estimate_plan(plan);
-            assert_eq!(scalar.total_ms().to_bits(), est.total_ms().to_bits());
-            assert_eq!(scalar.compute_per_device, est.compute_per_device);
+            let single = sim.estimate_plan(plan);
+            assert_eq!(single.total_ms().to_bits(), est.total_ms().to_bits());
+            assert_eq!(single.compute_per_device, est.compute_per_device);
+            for (tables, &c) in plan.iter().zip(&est.compute_per_device) {
+                assert_eq!(direct(tables).to_bits(), c.to_bits());
+            }
         }
+    }
+
+    #[test]
+    fn single_set_lookup_is_a_one_element_batch() {
+        let bundle = quick_bundle(2);
+        let set = vec![t(64), t(32)];
+        let keyed = [(TableSetKey::of(&set), set.as_slice())];
+        let via_batch = CostSimulator::new(bundle.clone()).device_compute_cost_batch(&keyed)[0];
+
+        let sim = CostSimulator::new(bundle);
+        let first = sim.device_compute_cost(&set);
+        assert_eq!(first.to_bits(), via_batch.to_bits());
+        assert_eq!(sim.cache().stats(), CacheStats { hits: 0, misses: 1 });
+        let second = sim.device_compute_cost(&set);
+        assert_eq!(second.to_bits(), first.to_bits());
+        assert_eq!(sim.cache().stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -1057,24 +944,6 @@ mod tests {
         // Serial replay: miss(a), miss(b), hit(a), hit(a).
         assert_eq!(sim.cache().misses(), 2);
         assert_eq!(sim.cache().hits(), 2);
-    }
-
-    #[test]
-    fn int8_mode_estimates_stay_close_to_f32() {
-        let bundle = quick_bundle(2);
-        let exact_sim = CostSimulator::new(bundle.clone());
-        let quant_sim = CostSimulator::new(bundle).with_inference_mode(InferenceMode::Int8);
-        assert_eq!(exact_sim.inference_mode(), InferenceMode::F32);
-        assert_eq!(quant_sim.inference_mode(), InferenceMode::Int8);
-        let plan = vec![vec![t(64), t(32)], vec![t(16)]];
-        let exact = exact_sim.estimate_plan(&plan).total_ms();
-        let quant = quant_sim.estimate_plan(&plan).total_ms();
-        assert!(quant.is_finite());
-        let denom = exact.abs().max(1e-3);
-        assert!(
-            ((exact - quant).abs() / denom) < 0.25,
-            "int8 estimate {quant} drifted too far from f32 {exact}"
-        );
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //!   backprop needs,
 //! * [`gemm`] — cache-blocked, register-tiled GEMM kernels (bit-identical
 //!   to the scalar reference) with a packed weight layout,
-//! * [`quant`] — int8 symmetric weight quantization for inference-only
-//!   forward passes with a recorded error bound,
 //! * [`layer::Dense`] + ReLU — fully connected layers with manual gradients,
 //! * [`mlp::Mlp`] — an MLP container with `forward` / `backward`,
 //! * [`adam::Adam`] — the Adam optimizer,
@@ -50,7 +48,6 @@ pub mod gemm;
 pub mod layer;
 pub mod loss;
 pub mod mlp;
-pub mod quant;
 pub mod serialize;
 pub mod tensor;
 pub mod train;
@@ -59,7 +56,6 @@ pub use adam::Adam;
 pub use layer::Dense;
 pub use loss::{mse, mse_grad, mse_grad_scaled};
 pub use mlp::{Gradients, Mlp, MlpCache, MlpScratch};
-pub use quant::{QuantizedDense, QuantizedMlp};
 pub use serialize::{
     envelope_from_json, envelope_to_json, load_envelope, save_envelope, Checkpoint,
     CheckpointError, Envelope, CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,

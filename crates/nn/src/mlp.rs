@@ -22,11 +22,6 @@ impl MlpScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The two ping-pong buffers (used by quantized forward passes too).
-    pub(crate) fn buffers(&mut self) -> (&mut Matrix, &mut Matrix) {
-        (&mut self.ping, &mut self.pong)
-    }
 }
 
 /// An MLP: dense layers with ReLU between all but the last.
@@ -208,7 +203,7 @@ impl Mlp {
     /// intermediate (and the final) activations live in `scratch`, so a hot
     /// caller performs no allocations after warm-up.
     pub fn forward_scratch<'s>(&self, x: &Matrix, scratch: &'s mut MlpScratch) -> &'s Matrix {
-        let (ping, pong) = scratch.buffers();
+        let MlpScratch { ping, pong } = scratch;
         if self.layers.is_empty() {
             ping.copy_from(x);
             return ping;

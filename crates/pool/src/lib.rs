@@ -13,9 +13,8 @@
 //! This crate sits at the bottom of the dependency graph so both halves of
 //! the paper's *pre-train, and search* pipeline share one pool: `nshard-nn`
 //! and `nshard-cost` parallelize training and label collection with it,
-//! `nshard-core` (which re-exports it as `nshard_core::pool`) parallelizes
-//! the plan search, and `nshard-serve` sizes its request worker pool
-//! through [`resolve_threads`].
+//! `nshard-core` parallelizes the plan search, and `nshard-serve` sizes
+//! its request worker pool through [`resolve_threads`].
 //!
 //! [`splitmix64`] / [`sample_seed`] live here too: deterministic fan-out
 //! needs per-item seeds that are a pure function of `(seed, index)`, so a

@@ -103,7 +103,7 @@ impl PlanningEngine {
     /// Builds the engine from a pre-trained bundle and search knobs.
     ///
     /// `threads = 0` in `search` resolves through the single
-    /// [`nshard_core::pool::THREADS_ENV`] path, so the daemon honors
+    /// [`nshard_pool::THREADS_ENV`] path, so the daemon honors
     /// `NSHARD_THREADS` exactly like the offline binaries. The initial
     /// model version is `1`.
     pub fn new(

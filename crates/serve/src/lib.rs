@@ -44,7 +44,7 @@
 //! vendored serializer has a fixed field order, and response bodies carry
 //! no timestamps. The worker-pool size (like every other parallel knob in
 //! the workspace) resolves through [`nshard_core::resolve_threads`], so
-//! `NSHARD_THREADS` ([`nshard_core::pool::THREADS_ENV`]) is the single
+//! `NSHARD_THREADS` ([`nshard_pool::THREADS_ENV`]) is the single
 //! thread-count control.
 
 // `deny` (not `forbid`) so the one syscall-wrapper module can opt back

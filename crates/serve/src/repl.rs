@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use nshard_core::pool::Backoff;
+use nshard_pool::Backoff;
 
 use crate::http::http_call;
 use crate::kv::{KvSnapshot, LogFetch};

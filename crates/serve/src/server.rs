@@ -27,7 +27,7 @@
 //! The worker pool size resolves through the same
 //! [`nshard_core::resolve_threads`] path as every other parallel
 //! component, so `NSHARD_THREADS` is the single thread-count knob
-//! (see [`nshard_core::pool::THREADS_ENV`]).
+//! (see [`nshard_pool::THREADS_ENV`]).
 //!
 //! Determinism: workers add no entropy — identical request bodies produce
 //! byte-identical `200` responses at any concurrency, because the engine

@@ -1,7 +1,6 @@
 //! Determinism of the parallel search runtime: the selected plan, its
 //! estimated cost (bit-for-bit), and the number of evaluated plans must
-//! not depend on the worker-thread count or on whether MLP inference is
-//! batched.
+//! not depend on the worker-thread count.
 //!
 //! CI runs this suite twice — once unconstrained and once with
 //! `NSHARD_THREADS=8` — so the `threads: 0` (auto) path is exercised at a
@@ -114,51 +113,4 @@ fn auto_thread_count_matches_serial() {
         &tasks,
     );
     assert_identical(&serial, &auto, "auto threads");
-}
-
-#[test]
-fn batched_inference_matches_unbatched() {
-    let pool = TablePool::synthetic_dlrm(60, 13);
-    let bundle = quick_bundle(&pool, 4, 9);
-    let tasks: Vec<ShardingTask> = (0..2)
-        .map(|i| ShardingTask::sample(&pool, 4, 10..=20, 64, 23 + i))
-        .collect();
-    // Plans and costs are batching-independent at any thread count
-    // (search_config() resolves threads via NSHARD_THREADS in CI).
-    let batched = shard_all(&bundle, search_config(), &tasks);
-    let unbatched = shard_all(
-        &bundle,
-        NeuroShardConfig {
-            use_batch: false,
-            ..search_config()
-        },
-        &tasks,
-    );
-    assert_identical(&batched, &unbatched, "unbatched inference");
-
-    // Cache *statistics* are only exactly serial-equivalent at one
-    // thread — concurrent batches overlapping on the same missing key may
-    // shift a few hit/miss counts (never the cached values) — so the
-    // hit-rate equality check pins threads to 1.
-    let batched_1 = shard_all(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            ..search_config()
-        },
-        &tasks,
-    );
-    let unbatched_1 = shard_all(
-        &bundle,
-        NeuroShardConfig {
-            threads: 1,
-            use_batch: false,
-            ..search_config()
-        },
-        &tasks,
-    );
-    assert_identical(&batched_1, &unbatched_1, "unbatched inference, serial");
-    for (a, b) in batched_1.iter().zip(&unbatched_1) {
-        assert!((a.cache_hit_rate - b.cache_hit_rate).abs() < 1e-12);
-    }
 }
