@@ -19,18 +19,16 @@
 //! requests tractable on one core while still exercising the complete
 //! accept→parse→admit→queue→respond path per request.
 //!
-//! A separate comparison phase drives the **same** workload through the
-//! event reactor and through the blocking thread-per-connection
-//! reference from 64 keep-alive client connections, recording the
-//! throughput ratio.
+//! A separate keep-alive phase drives one cache-warm plan body from 64
+//! pipelining client connections and records the daemon's throughput
+//! and p99 (reported, not gated).
 //!
 //! Gates (asserted and recorded in the JSON artifact):
 //! * replayed requests ≥ 1,000,000 (≥ 10,000 with `--smoke`);
 //! * zero transport-level failures;
-//! * steady cells shed ≤ 1% while every burst cell sheds > 0;
-//! * event-path throughput ≥ 5× blocking-path at 64 connections.
+//! * steady cells shed ≤ 1% with `429` while every burst cell sheds > 0.
 //!
-//! Usage: `bench_replay [--smoke] [--per-cell 67000] [--compare 4000]
+//! Usage: `bench_replay [--smoke] [--per-cell 67000] [--keepalive-each 120]
 //! [--seed 2023] [--out BENCH_replay.json]`
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -45,7 +43,7 @@ use nshard_bench::{maybe_write_json, print_markdown_table, Args};
 use nshard_core::NeuroShardConfig;
 use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
 use nshard_data::{ShardingTask, TablePool};
-use nshard_serve::{http_call, IoMode, KeepAliveClient, ServeConfig, Server, Service};
+use nshard_serve::{http_call, ServeConfig, Server, Service};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,8 +61,8 @@ const PROCESSES: [ArrivalProcess; 3] = [
 /// Client connections per replay cell.
 const CELL_CONNS: usize = 8;
 
-/// Client connections in the event-vs-blocking comparison phase.
-const COMPARE_CONNS: usize = 64;
+/// Client connections in the keep-alive throughput phase.
+const KEEPALIVE_CONNS: usize = 64;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ArrivalProcess {
@@ -247,15 +245,11 @@ struct Cell {
 }
 
 #[derive(Serialize)]
-struct Comparison {
+struct KeepAlive {
     connections: usize,
     requests_each: usize,
-    event_rps: f64,
-    event_p99_ms: f64,
-    blocking_rps: f64,
-    blocking_p99_ms: f64,
-    blocking_reconnects: u64,
-    speedup: f64,
+    rps: f64,
+    p99_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -265,12 +259,13 @@ struct Gates {
     volume_floor: usize,
     /// Zero transport-level failures across the replay.
     no_transport_errors: bool,
-    /// Every steady cell shed ≤ 1% of offered load.
-    steady_cells_clean: bool,
+    /// Every steady cell shed (`429`) ≤ 1% of offered load. `503`s are
+    /// not counted: a quarter of each cell is deliberate 1 ms-deadline
+    /// churn, most of which expires in the queue by design — the share is
+    /// printed beside the gate, not gated.
+    steady_cells_shed_under_1pct: bool,
     /// Every burst cell shed at least one request.
     burst_cells_shed: bool,
-    /// Event path ≥ 5× blocking throughput at 64 connections.
-    event_speedup_5x: bool,
     pass: bool,
 }
 
@@ -283,7 +278,7 @@ struct Output {
     total_requests: usize,
     queue_capacity: usize,
     cells: Vec<Cell>,
-    comparison: Comparison,
+    keepalive: KeepAlive,
     gates: Gates,
 }
 
@@ -394,108 +389,53 @@ fn run_cell(
     }
 }
 
-/// The 64-connection event-vs-blocking throughput comparison over one
-/// shared cache-warm plan body.
-fn run_comparison(bundle: &CostModelBundle, body: String, requests_each: usize) -> Comparison {
-    let serve = |io_mode: IoMode| {
-        let config = ServeConfig {
-            search: NeuroShardConfig::smoke(),
-            io_mode,
-            response_cache_entries: 64,
-            queue_capacity: 1024,
-            workers: 2,
-            seed: 7,
-            ..ServeConfig::default()
-        };
-        let service = Arc::new(Service::new(bundle.clone(), config).expect("service boots"));
-        Server::start(service, "127.0.0.1:0").expect("server binds")
+/// The 64-connection keep-alive throughput row over one cache-warm plan
+/// body: pipelined windows of requests per connection, the traffic the
+/// reactor exists to serve.
+fn run_keepalive(bundle: &CostModelBundle, body: String, requests_each: usize) -> KeepAlive {
+    let config = ServeConfig {
+        search: NeuroShardConfig::smoke(),
+        response_cache_entries: 64,
+        queue_capacity: 1024,
+        workers: 2,
+        seed: 7,
+        ..ServeConfig::default()
     };
-
-    // Event path: 64 keep-alive connections in their operating mode —
-    // pipelined windows of requests per connection (what the reactor
-    // exists to serve). The blocking reference physically cannot do
-    // this: it closes after every response.
-    let event = serve(IoMode::Event);
-    let addr = event.addr().to_string();
-    // Warm the response cache so both paths serve the same cached plan.
+    let service = Arc::new(Service::new(bundle.clone(), config).expect("service boots"));
+    let server = Server::start(service, "127.0.0.1:0").expect("server binds");
+    let addr = server.addr().to_string();
+    // Warm the response cache so every timed request is an inline hit.
     let (status, _) = http_call(&addr, "POST", "/v1/plan", body.as_bytes()).expect("warmup");
-    assert_eq!(status, 200, "comparison warmup must plan");
+    assert_eq!(status, 200, "keep-alive warmup must plan");
     let requests: Arc<Vec<WireRequest>> = Arc::new(vec![wire_request("/v1/plan", &body)]);
-    let quota = Arc::new(AtomicUsize::new(COMPARE_CONNS * requests_each));
+    let quota = Arc::new(AtomicUsize::new(KEEPALIVE_CONNS * requests_each));
     let started = Instant::now();
-    let handles: Vec<_> = (0..COMPARE_CONNS)
+    let handles: Vec<_> = (0..KEEPALIVE_CONNS)
         .map(|_| {
             let addr = addr.clone();
             let requests = Arc::clone(&requests);
             let quota = Arc::clone(&quota);
             std::thread::spawn(move || {
                 replay_connection(&addr, &requests, ArrivalProcess::Steady, &quota)
-                    .expect("event-path connection")
+                    .expect("keep-alive connection")
             })
         })
         .collect();
-    let mut event_lat: Vec<f64> = Vec::new();
+    let mut latencies: Vec<f64> = Vec::new();
     for handle in handles {
-        for (status, ms) in handle.join().expect("event client") {
-            assert_eq!(status, 200, "comparison requests must all be admitted");
-            event_lat.push(ms);
+        for (status, ms) in handle.join().expect("keep-alive client") {
+            assert_eq!(status, 200, "keep-alive requests must all be admitted");
+            latencies.push(ms);
         }
     }
-    let event_wall = started.elapsed().as_secs_f64();
-    event.shutdown();
-    event_lat.sort_by(|a, b| a.total_cmp(b));
-
-    // Blocking path: same fleet; the blocking server closes after every
-    // response, so each call pays connect + accept-thread + teardown.
-    let blocking = serve(IoMode::Blocking);
-    let addr = blocking.addr().to_string();
-    let (status, _) = http_call(&addr, "POST", "/v1/plan", body.as_bytes()).expect("warmup");
-    assert_eq!(status, 200);
-    let reconnects = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
-    let handles: Vec<_> = (0..COMPARE_CONNS)
-        .map(|_| {
-            let addr = addr.clone();
-            let body = body.clone();
-            let reconnects = Arc::clone(&reconnects);
-            std::thread::spawn(move || {
-                // KeepAliveClient against a `Connection: close` server
-                // reconnects for every request — exactly the blocking
-                // path's connection cost, measured by the same client.
-                let mut client = KeepAliveClient::new(addr);
-                let mut latencies = Vec::with_capacity(requests_each);
-                for _ in 0..requests_each {
-                    let t0 = Instant::now();
-                    let (status, _) = client
-                        .call("POST", "/v1/plan", body.as_bytes())
-                        .expect("blocking-path call");
-                    assert_eq!(status, 200);
-                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                reconnects.fetch_add(client.reconnects() as usize, Ordering::SeqCst);
-                latencies
-            })
-        })
-        .collect();
-    let mut blocking_lat: Vec<f64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("blocking client"))
-        .collect();
-    let blocking_wall = started.elapsed().as_secs_f64();
-    blocking.shutdown();
-    blocking_lat.sort_by(|a, b| a.total_cmp(b));
-
-    let event_rps = event_lat.len() as f64 / event_wall.max(1e-9);
-    let blocking_rps = blocking_lat.len() as f64 / blocking_wall.max(1e-9);
-    Comparison {
-        connections: COMPARE_CONNS,
+    let wall = started.elapsed().as_secs_f64();
+    server.shutdown();
+    latencies.sort_by(|a, b| a.total_cmp(b));
+    KeepAlive {
+        connections: KEEPALIVE_CONNS,
         requests_each,
-        event_rps,
-        event_p99_ms: percentile(&event_lat, 0.99),
-        blocking_rps,
-        blocking_p99_ms: percentile(&blocking_lat, 0.99),
-        blocking_reconnects: reconnects.load(Ordering::SeqCst) as u64,
-        speedup: event_rps / blocking_rps.max(1e-9),
+        rps: latencies.len() as f64 / wall.max(1e-9),
+        p99_ms: percentile(&latencies, 0.99),
     }
 }
 
@@ -504,7 +444,7 @@ fn main() {
     let smoke = args.has("smoke");
     let seed: u64 = args.get("seed", 2023);
     let per_cell: usize = args.get("per-cell", if smoke { 700 } else { 67_000 });
-    let compare_each: usize = args.get("compare", if smoke { 30 } else { 120 });
+    let keepalive_each: usize = args.get("keepalive-each", if smoke { 30 } else { 120 });
     let volume_floor = if smoke { 10_000 } else { 1_000_000 };
 
     let pool = TablePool::synthetic_dlrm(856, seed);
@@ -533,13 +473,12 @@ fn main() {
             tier8_bundle = Some(bundle.clone());
         }
 
-        // One event-mode daemon serves the tier's replay cells: the
-        // response cache makes repeat bodies O(lookup) so a million
-        // requests measure the serving core, not the search; the six
-        // distinct bodies per cell still run the full chain once each.
+        // One daemon serves the tier's replay cells: the response cache
+        // makes repeat bodies O(lookup) so a million requests measure
+        // the serving core, not the search; the six distinct bodies per
+        // cell still run the full chain once each.
         let config = ServeConfig {
             search: NeuroShardConfig::smoke(),
-            io_mode: IoMode::Event,
             response_cache_entries: 1024,
             queue_capacity,
             workers: 2,
@@ -599,11 +538,11 @@ fn main() {
     }
     let tier8_bundle = tier8_bundle.expect("8-gpu tier ran");
 
-    eprintln!("comparison phase: {COMPARE_CONNS} connections, event vs blocking...");
-    // A small task (8 tables), so the shared worker path — cache lookup
-    // plus a small response — is cheap and the comparison isolates what
-    // actually differs between the modes: per-connection cost.
-    let compare_body = {
+    eprintln!("keep-alive phase: {KEEPALIVE_CONNS} connections...");
+    // A small task (8 tables), so the worker path behind the warm-up —
+    // and the cached response — is cheap and the row measures
+    // per-request serving cost.
+    let keepalive_body = {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
         let task = ShardingTask::new(pool.sample_tables(8, &mut rng), 8, 4 << 30, 4096);
         format!(
@@ -611,21 +550,15 @@ fn main() {
             serde_json::to_string(&task).expect("tasks serialize")
         )
     };
-    let comparison = run_comparison(&tier8_bundle, compare_body, compare_each);
-    eprintln!(
-        "  event {:.0} rps vs blocking {:.0} rps — {:.1}x ({} reconnects)",
-        comparison.event_rps,
-        comparison.blocking_rps,
-        comparison.speedup,
-        comparison.blocking_reconnects
-    );
+    let keepalive = run_keepalive(&tier8_bundle, keepalive_body, keepalive_each);
+    eprintln!("  {:.0} rps, p99 {:.2} ms", keepalive.rps, keepalive.p99_ms);
 
     let transport_errors: usize = cells.iter().map(|c| c.transport_errors).sum();
     let gates = Gates {
         volume: total >= volume_floor,
         volume_floor,
         no_transport_errors: transport_errors == 0,
-        steady_cells_clean: cells
+        steady_cells_shed_under_1pct: cells
             .iter()
             .filter(|c| c.process == "steady")
             .all(|c| c.shed_rate <= 0.01),
@@ -633,14 +566,12 @@ fn main() {
             .iter()
             .filter(|c| c.process == "burst")
             .all(|c| c.shed_429 > 0),
-        event_speedup_5x: comparison.speedup >= 5.0,
         pass: false,
     };
     let pass = gates.volume
         && gates.no_transport_errors
-        && gates.steady_cells_clean
-        && gates.burst_cells_shed
-        && gates.event_speedup_5x;
+        && gates.steady_cells_shed_under_1pct
+        && gates.burst_cells_shed;
     let gates = Gates { pass, ..gates };
 
     print_markdown_table(
@@ -666,16 +597,27 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!(
-        "\ntotal replayed: {total} (floor {volume_floor}); event/blocking speedup {:.1}x",
-        comparison.speedup
+        "\ntotal replayed: {total} (floor {volume_floor}); keep-alive {:.0} rps at {} connections",
+        keepalive.rps, keepalive.connections
     );
+    let steady_503_shares: Vec<String> = cells
+        .iter()
+        .filter(|c| c.process == "steady")
+        .map(|c| {
+            format!(
+                "{} gpus {:.1}%",
+                c.gpus,
+                100.0 * c.expired_503 as f64 / c.offered.max(1) as f64
+            )
+        })
+        .collect();
     println!(
-        "gates: volume={} no_transport_errors={} steady_clean={} burst_shed={} speedup_5x={} pass={}",
+        "gates: volume={} no_transport_errors={} steady_shed_under_1pct={} (503 share, not gated: {}) burst_shed={} pass={}",
         gates.volume,
         gates.no_transport_errors,
-        gates.steady_cells_clean,
+        gates.steady_cells_shed_under_1pct,
+        steady_503_shares.join(", "),
         gates.burst_cells_shed,
-        gates.event_speedup_5x,
         gates.pass
     );
 
@@ -687,7 +629,7 @@ fn main() {
         total_requests: total,
         queue_capacity,
         cells,
-        comparison,
+        keepalive,
         gates,
     };
     maybe_write_json(&args, &output);

@@ -598,7 +598,8 @@ impl OnlineController {
                     .plan
                     .device_bytes()
                     .iter()
-                    .all(|&b| b <= task.mem_budget_bytes());
+                    .enumerate()
+                    .all(|(device, &bytes)| bytes <= task.budget_of(device));
                 if !feasible {
                     return fall_back("incremental plan still over budget".into());
                 }

@@ -60,7 +60,7 @@ pub enum ReplanTrigger {
         device: usize,
         /// Bytes resident on that device under the drifted workload.
         bytes: u64,
-        /// The per-device budget.
+        /// That device's own budget.
         budget: u64,
     },
     /// Predicted cost regressed beyond the threshold.
@@ -191,12 +191,12 @@ impl DriftDetector {
             .device_bytes()
             .iter()
             .enumerate()
-            .find(|&(_, &bytes)| bytes > task.mem_budget_bytes())
+            .find(|&(device, &bytes)| bytes > task.budget_of(device))
             .map(|(device, &bytes)| ReplanTrigger::MemoryViolation {
                 epoch,
                 device,
                 bytes,
-                budget: task.mem_budget_bytes(),
+                budget: task.budget_of(device),
             });
 
         // Priority 2: cost regression vs. the deploy-time prediction.

@@ -278,18 +278,18 @@ impl IncrementalPlanner {
     ) -> Result<IncrementalOutcome, PlanError> {
         let base = incumbent.rebase(task)?;
         let pool = WorkPool::new(self.config.threads);
-        let budget = task.mem_budget_bytes();
+        let budgets = task.budgets();
         let batch = task.batch_size();
 
         let mut current = base.clone();
         let mut current_est = sim.estimate_plan(&current.device_profiles(batch));
-        let mut current_score = self.score(&base, &current, &current_est, budget);
+        let mut current_score = self.score(&base, &current, &current_est, &budgets);
         let mut steps: Vec<DeltaStep> = Vec::new();
         let mut evaluated = 1usize;
         let mut rounds = 0usize;
 
         for _ in 0..self.config.max_rounds {
-            let candidates = self.candidate_steps(&current, &current_est, budget, batch);
+            let candidates = self.candidate_steps(&current, &current_est, &budgets, batch);
             if candidates.is_empty() {
                 break;
             }
@@ -322,7 +322,7 @@ impl IncrementalPlanner {
             // First strict improvement in candidate order wins ties.
             let mut best: Option<(usize, Score)> = None;
             for (i, ((_, plan), est)) in viable.iter().zip(&estimates).enumerate() {
-                let score = self.score(&base, plan, est, budget);
+                let score = self.score(&base, plan, est, &budgets);
                 if score.better_than(&best.map_or(current_score, |(_, s)| s)) {
                     best = Some((i, score));
                 }
@@ -355,13 +355,9 @@ impl IncrementalPlanner {
         base: &ShardingPlan,
         plan: &ShardingPlan,
         est: &EstimatedCost,
-        budget: u64,
+        budgets: &[u64],
     ) -> Score {
-        let overflow_bytes = plan
-            .device_bytes()
-            .iter()
-            .map(|&b| b.saturating_sub(budget))
-            .sum();
+        let overflow_bytes = overflow(&plan.device_bytes(), budgets).sum();
         let moved = migration_bytes(base, plan) as f64 / BYTES_PER_GB;
         Score {
             overflow_bytes,
@@ -372,8 +368,8 @@ impl IncrementalPlanner {
     /// Candidate local moves around the current plan, in a fixed
     /// deterministic order.
     ///
-    /// Donor devices are the most memory-overloaded device when any is
-    /// over budget, otherwise the two predicted-compute hottest (the
+    /// Donor devices are the device furthest over its own budget when any
+    /// is, otherwise the two predicted-compute hottest (the
     /// second donor matters once the hottest device is already lean:
     /// comm and the runner-up device then dominate the max). From each
     /// donor the top `candidates_per_device` tables by workload proxy
@@ -385,16 +381,16 @@ impl IncrementalPlanner {
         &self,
         plan: &ShardingPlan,
         est: &EstimatedCost,
-        budget: u64,
+        budgets: &[u64],
         batch: u32,
     ) -> Vec<DeltaStep> {
-        let device_bytes = plan.device_bytes();
+        let overflow: Vec<u64> = overflow(&plan.device_bytes(), budgets).collect();
         let num_devices = plan.num_devices();
-        let over_budget = device_bytes.iter().any(|&b| b > budget);
+        let over_budget = overflow.iter().any(|&o| o > 0);
 
         // Donors: most overloaded device, else the two compute-hottest.
         let donors: Vec<usize> = if over_budget {
-            vec![argmax_u64(&device_bytes)]
+            vec![argmax_u64(&overflow)]
         } else {
             let mut by_heat: Vec<usize> = (0..num_devices).collect();
             by_heat.sort_by(|&a, &b| {
@@ -491,6 +487,14 @@ impl Default for IncrementalPlanner {
     fn default() -> Self {
         Self::new(IncrementalConfig::default())
     }
+}
+
+/// Bytes by which each device exceeds its own budget.
+fn overflow<'a>(device_bytes: &'a [u64], budgets: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+    device_bytes
+        .iter()
+        .zip(budgets)
+        .map(|(&bytes, &budget)| bytes.saturating_sub(budget))
 }
 
 fn argmin_f64(xs: &[f64]) -> usize {

@@ -1,15 +1,13 @@
 //! A minimal, dependency-free HTTP/1.1 subset: exactly what the daemon
 //! needs and nothing more.
 //!
-//! Requests are parsed from a stream (request line, headers, optional
-//! `Content-Length` body). The blocking reference path writes responses
-//! with `Connection: close` — one request per connection keeps it simple
-//! and the conformance tests honest — while the event-driven path
-//! ([`crate::net`]) serializes the same bytes with `Connection:
-//! keep-alive` via [`HttpResponse::to_bytes`]. Two blocking clients live
-//! here too: the one-shot [`http_call`] and the connection-reusing
-//! [`KeepAliveClient`], shared by the integration tests, the
-//! load-generator benches, and the demos' self-checks.
+//! The types both sides of the wire share ([`HttpRequest`],
+//! [`HttpResponse`] and its one serializer, [`HttpResponse::to_bytes`])
+//! plus two blocking clients: the one-shot [`http_call`] and the
+//! connection-reusing [`KeepAliveClient`], shared by the integration
+//! tests, the load-generator benches, and the demos' self-checks. The
+//! server side of the wire — the request parser and the socket I/O — is
+//! [`crate::net`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -26,90 +24,6 @@ pub struct HttpRequest {
     pub path: String,
     /// Raw body bytes (empty when no `Content-Length`).
     pub body: Vec<u8>,
-}
-
-/// Why a request could not be parsed.
-#[derive(Debug)]
-pub enum HttpParseError {
-    /// The stream closed or errored mid-request.
-    Io(std::io::Error),
-    /// The request line or headers were not valid HTTP/1.1.
-    Malformed(String),
-    /// The declared body exceeds [`MAX_BODY_BYTES`].
-    BodyTooLarge {
-        /// Declared `Content-Length`.
-        declared: usize,
-    },
-}
-
-impl std::fmt::Display for HttpParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HttpParseError::Io(e) => write!(f, "I/O while reading request: {e}"),
-            HttpParseError::Malformed(reason) => write!(f, "malformed request: {reason}"),
-            HttpParseError::BodyTooLarge { declared } => {
-                write!(f, "body of {declared} bytes exceeds {MAX_BODY_BYTES}")
-            }
-        }
-    }
-}
-
-impl From<std::io::Error> for HttpParseError {
-    fn from(e: std::io::Error) -> Self {
-        HttpParseError::Io(e)
-    }
-}
-
-/// Reads and parses one request from `stream`.
-///
-/// # Errors
-///
-/// [`HttpParseError`] on stream errors, malformed framing, or an
-/// oversized declared body.
-pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpParseError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpParseError::Malformed("empty request line".into()))?
-        .to_ascii_uppercase();
-    let path = parts
-        .next()
-        .ok_or_else(|| HttpParseError::Malformed("request line has no path".into()))?
-        .to_string();
-
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 {
-            return Err(HttpParseError::Malformed(
-                "connection closed in headers".into(),
-            ));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpParseError::Malformed("bad Content-Length".into()))?;
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpParseError::BodyTooLarge {
-            declared: content_length,
-        });
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(HttpRequest { method, path, body })
 }
 
 /// A response ready to serialize.
@@ -183,11 +97,10 @@ impl HttpResponse {
         }
     }
 
-    /// Serializes the response to bytes. `keep_alive` selects the
-    /// `Connection` header; everything else — header order included — is
-    /// identical between the two values, so the blocking path
-    /// ([`HttpResponse::write_to`], always `close`) and the event-driven
-    /// path differ by exactly that one header value and nothing more.
+    /// Serializes the response (status line, headers, body) to bytes —
+    /// the only serializer, so every response on the wire has the same
+    /// header order. `keep_alive` selects the `Connection` header value
+    /// (`keep-alive` or `close`) and changes nothing else.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut out = Vec::with_capacity(128 + self.body.len());
@@ -211,17 +124,6 @@ impl HttpResponse {
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Serializes the response (status line, headers, body) to `out`
-    /// with `Connection: close` — the blocking path's exact bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors from `out`.
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        out.write_all(&self.to_bytes(false))?;
-        out.flush()
     }
 }
 
@@ -417,7 +319,24 @@ impl KeepAliveClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{ParseStep, RequestParser};
     use std::net::TcpListener;
+
+    /// Reads the next request off `stream` with the daemon's parser.
+    fn next_request(stream: &mut TcpStream, parser: &mut RequestParser) -> HttpRequest {
+        let mut chunk = [0u8; 4096];
+        loop {
+            match parser.step() {
+                ParseStep::Request(parsed) => return parsed.request,
+                ParseStep::Incomplete => {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client closed mid-request");
+                    parser.feed(&chunk[..n]);
+                }
+                ParseStep::Fault(fault) => panic!("client sent an unparseable request: {fault}"),
+            }
+        }
+    }
 
     #[test]
     fn request_round_trips_over_a_socket() {
@@ -425,13 +344,12 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap();
+            let req = next_request(&mut stream, &mut RequestParser::new());
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/v1/plan");
             assert_eq!(req.body, b"{\"x\":1}");
-            HttpResponse::json(200, "{\"ok\":true}".into())
-                .write_to(&mut stream)
-                .unwrap();
+            let resp = HttpResponse::json(200, "{\"ok\":true}".into());
+            stream.write_all(&resp.to_bytes(false)).unwrap();
         });
         let (status, body) =
             http_call(&addr.to_string(), "POST", "/v1/plan", b"{\"x\":1}").unwrap();
@@ -443,9 +361,7 @@ mod tests {
     #[test]
     fn retry_after_header_is_emitted() {
         let resp = HttpResponse::json(429, "{}".into()).with_retry_after(1);
-        let mut out = Vec::new();
-        resp.write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(resp.to_bytes(false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
@@ -454,25 +370,16 @@ mod tests {
     #[test]
     fn extra_headers_are_emitted() {
         let resp = HttpResponse::json(200, "{}".into()).with_header("X-Nshard-Stale", "true");
-        let mut out = Vec::new();
-        resp.write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(resp.to_bytes(false)).unwrap();
         assert!(text.contains("X-Nshard-Stale: true\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
     }
 
     #[test]
-    fn to_bytes_differs_from_write_to_only_in_the_connection_header() {
+    fn keep_alive_changes_only_the_connection_header() {
         let resp = HttpResponse::json(200, "{\"ok\":true}".into())
             .with_retry_after(2)
             .with_header("X-Nshard-Stale", "true");
-        let mut via_write_to = Vec::new();
-        resp.write_to(&mut via_write_to).unwrap();
-        assert_eq!(
-            via_write_to,
-            resp.to_bytes(false),
-            "write_to and to_bytes(false) are the same bytes"
-        );
         let keep = String::from_utf8(resp.to_bytes(true)).unwrap();
         let close = String::from_utf8(resp.to_bytes(false)).unwrap();
         assert_eq!(
@@ -488,8 +395,9 @@ mod tests {
         let handle = std::thread::spawn(move || {
             // One accepted connection serves two requests.
             let (mut stream, _) = listener.accept().unwrap();
+            let mut parser = RequestParser::new();
             for _ in 0..2 {
-                let req = read_request(&mut stream).unwrap();
+                let req = next_request(&mut stream, &mut parser);
                 let resp = HttpResponse::json(200, format!("{{\"path\":\"{}\"}}", req.path));
                 stream.write_all(&resp.to_bytes(true)).unwrap();
             }
@@ -501,27 +409,5 @@ mod tests {
         assert_eq!((status, body.as_str()), (200, "{\"path\":\"/b\"}"));
         assert_eq!(client.reconnects(), 0);
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn oversized_declared_body_is_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            matches!(
-                read_request(&mut stream),
-                Err(HttpParseError::BodyTooLarge { .. })
-            )
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "POST /v1/plan HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        )
-        .unwrap();
-        stream.flush().unwrap();
-        assert!(handle.join().unwrap());
     }
 }

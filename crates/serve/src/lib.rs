@@ -29,9 +29,9 @@
 //!
 //! ## Admission control
 //!
-//! The accept loop feeds a **bounded** queue drained by a worker pool; a
-//! full queue sheds load with `429 Too Many Requests` instead of building
-//! unbounded latency. Every job carries a deadline: expired jobs answer
+//! The reactor ([`net`]) feeds a **bounded** queue drained by a worker
+//! pool; a full queue sheds load with `429 Too Many Requests` instead of
+//! building unbounded latency. Every job carries a deadline: expired jobs answer
 //! `503` without searching, and deadline-pressed jobs degrade to the
 //! greedy chain — a fast plan beats no plan, the same philosophy as the
 //! fault-driven [`nshard_core::FallbackChain`].
@@ -74,7 +74,7 @@ pub use engine::{plan_id, PlanOutput, PlanningEngine, ReplanOutput};
 pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
 pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SeqEntry, SnapshotEntry};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use net::{ConnConfig, IoMode};
+pub use net::ConnConfig;
 pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
 pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service, MODEL_KEY};
 pub use store::{ModelStore, PlanStore, StoreError, StoredPlan};

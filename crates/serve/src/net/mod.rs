@@ -2,18 +2,18 @@
 //!
 //! A single reactor thread multiplexes every connection over a
 //! level-triggered readiness poller (`epoll(7)` on Linux, `poll(2)`
-//! portable fallback — [`sys`]), with per-connection state machines
+//! portable fallback — `sys`), with per-connection state machines
 //! ([`conn`]) doing incremental HTTP/1.1 parsing ([`parser`]), keep-alive
 //! and pipelined request handling over reusable buffers, write
 //! backpressure, and idle/read/write timeouts ([`timer`]).
 //!
-//! The reactor replaces only the **I/O edge** of the daemon: requests
-//! still route through the same [`crate::server::Service`] — the same
+//! The reactor is the daemon's only **I/O edge**: every byte reaches
+//! [`crate::server::Service`] through it, and everything behind it — the
 //! bounded admission queue, deadline checks, degradation ladder
-//! (429/503/greedy-degrade), and worker pool — so admission semantics
-//! are byte-identical to the blocking thread-per-connection reference,
-//! which stays available behind [`IoMode::Blocking`] as the conformance
-//! baseline (`tests/serve_loop.rs` runs its suite in both modes).
+//! (429/503/greedy-degrade), and worker pool — is socket-free, so
+//! `tests/serve_net.rs` pins the daemon's answers to
+//! [`crate::server::Service::handle_blocking`] on an identically-seeded
+//! in-process service.
 //!
 //! Workers never touch sockets: they deliver finished responses into a
 //! completion queue and nudge the reactor through a self-pipe waker;
@@ -21,27 +21,13 @@
 
 pub mod conn;
 pub mod parser;
-pub mod reactor;
-pub mod sys;
+pub(crate) mod reactor;
+pub(crate) mod sys;
 pub mod timer;
 
 pub use conn::{ConnConfig, ConnState, ReadOutcome, TimeoutKind};
 pub use parser::{ParseFault, ParseStep, ParsedRequest, RequestParser, MAX_HEADER_BYTES};
-pub use reactor::Reactor;
-pub use sys::{Backend, Event, Interest, Poller};
 pub use timer::{Expiry, TimerWheel};
-
-/// Which accept path a [`crate::server::Server`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The event-driven reactor: one thread, epoll/poll readiness,
-    /// keep-alive + pipelined HTTP/1.1. The default.
-    #[default]
-    Event,
-    /// The original blocking thread-per-connection path
-    /// (`Connection: close`), kept as the conformance reference.
-    Blocking,
-}
 
 use std::sync::Arc;
 

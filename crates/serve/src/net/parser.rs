@@ -1,23 +1,23 @@
 //! Incremental HTTP/1.1 request parsing over reusable buffers.
 //!
-//! The blocking accept path parses a request with buffered blocking reads
-//! ([`crate::http::read_request`]); a readiness reactor cannot block, so
-//! this module provides the same grammar as a **resumable** parser: bytes
-//! arrive in arbitrary fragments ([`RequestParser::feed`]) and complete
-//! requests are popped off as they materialize ([`RequestParser::step`]).
-//! Several requests may sit in the buffer at once (HTTP/1.1 pipelining) —
-//! `step` keeps yielding until the buffer runs dry.
+//! A readiness reactor cannot block on a read, so the daemon's one
+//! request parser is **resumable**: bytes arrive in arbitrary fragments
+//! ([`RequestParser::feed`]) and complete requests are popped off as they
+//! materialize ([`RequestParser::step`]). Several requests may sit in the
+//! buffer at once (HTTP/1.1 pipelining) — `step` keeps yielding until the
+//! buffer runs dry.
 //!
 //! **Conformance.** For any split of a well-formed request stream into
 //! fragments — including one fragment per byte — the parsed requests are
-//! identical to what the one-shot blocking parser produces on the whole
-//! stream. `tests/serve_net.rs` proves this with a proptest over split
-//! points and pipelined pairs.
+//! identical to what one `feed` of the whole stream produces.
+//! `tests/serve_net.rs` proves this with a proptest over split points and
+//! pipelined pairs, and pins the grammar's corners (bare LF, lower-case
+//! method, binary body) to literal expected requests.
 //!
-//! Beyond the blocking grammar, the incremental parser enforces two
-//! DoS bounds the event loop needs: an oversized header block is refused
-//! with `431` ([`ParseFault::HeadersTooLarge`]) and an oversized declared
-//! body with `413` ([`ParseFault::BodyTooLarge`]) — a reactor holds many
+//! The parser enforces the two DoS bounds the event loop needs: an
+//! oversized header block is refused with `431`
+//! ([`ParseFault::HeadersTooLarge`]) and an oversized declared body with
+//! `413` ([`ParseFault::BodyTooLarge`]) — a reactor holds many
 //! connections in one thread, so per-connection memory must be bounded.
 
 use crate::http::{HttpRequest, MAX_BODY_BYTES};
@@ -30,7 +30,7 @@ pub const MAX_HEADER_BYTES: usize = 32 << 10;
 /// reactor needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedRequest {
-    /// The request, identical to what the one-shot parser yields.
+    /// The request.
     pub request: HttpRequest,
     /// Whether the connection should stay open after the response:
     /// HTTP/1.1 defaults to keep-alive unless `Connection: close`;
@@ -175,8 +175,7 @@ impl RequestParser {
             return Ok(None);
         }
         // Locate the blank line ending the headers. Lines end at `\n`
-        // with an optional preceding `\r` — exactly the grammar the
-        // blocking path's `read_line` + `trim_end` accepts.
+        // with an optional preceding `\r`.
         let Some(header_end) = find_header_end(bytes) else {
             if bytes.len() > MAX_HEADER_BYTES {
                 return Err(ParseFault::HeadersTooLarge {
@@ -193,8 +192,7 @@ impl RequestParser {
 
         let head = &bytes[..header_end];
         let mut lines = head.split(|&b| b == b'\n').map(|line| {
-            // `trim_end` semantics of the blocking path: strip trailing
-            // CR and whitespace.
+            // Strip trailing CR and whitespace.
             let mut line = line;
             while let Some((&last, rest)) = line.split_last() {
                 if last == b'\r' || last.is_ascii_whitespace() {
@@ -401,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn lf_only_line_endings_parse_like_the_blocking_path() {
+    fn lf_only_line_endings_parse() {
         let ParseStep::Request(r) = full(b"POST /p HTTP/1.1\nContent-Length: 2\n\nok") else {
             panic!()
         };

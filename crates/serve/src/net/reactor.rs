@@ -219,8 +219,7 @@ impl EventLoop {
 
     /// Stop accepting and force-close every connection with nothing left
     /// to deliver; connections with in-flight jobs or unflushed bytes
-    /// drain first (admitted work still gets its response — the same
-    /// contract as the blocking path's graceful shutdown).
+    /// drain first (admitted work still gets its response).
     fn begin_shutdown(&mut self) {
         if self.accepting {
             let _ = self.poller.deregister(self.listener.as_raw_fd());

@@ -6,15 +6,16 @@
 //! (`lib.rs` denies it everywhere else); every unsafe block is a direct
 //! syscall wrapper with the invariants stated inline.
 //!
-//! Both backends present the same level-triggered [`Poller`] API:
-//! register a file descriptor with a `usize` token and an [`Interest`],
-//! then [`Poller::wait`] for [`Event`]s. Level-triggered semantics keep
-//! the reactor simple: a readable socket keeps reporting readable until
-//! drained, so a partial read never strands a connection.
+//! Both backends have the same level-triggered methods and the platform
+//! picks one at compile time under the name [`Poller`]: register a file
+//! descriptor with a `usize` token and an [`Interest`], then `wait` for
+//! [`Event`]s. Level-triggered semantics keep the reactor simple: a
+//! readable socket keeps reporting readable until drained, so a partial
+//! read never strands a connection. On Linux the `poll(2)` backend is
+//! compiled for the unit tests only, which run both.
 
 #![allow(unsafe_code)]
 
-use std::collections::HashMap;
 use std::ffi::c_int;
 use std::io;
 use std::os::fd::RawFd;
@@ -34,19 +35,9 @@ impl Interest {
         read: true,
         write: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Self = Self {
-        read: false,
-        write: true,
-    };
-    /// Both directions.
-    pub const BOTH: Self = Self {
-        read: true,
-        write: true,
-    };
 }
 
-/// One readiness event out of [`Poller::wait`].
+/// One readiness event out of `Poller::wait`.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered with.
@@ -60,138 +51,18 @@ pub struct Event {
     pub error: bool,
 }
 
-/// Which kernel facility backs the poller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// `epoll(7)` — Linux only.
-    Epoll,
-    /// `poll(2)` — portable fallback, O(n) per wait.
-    Poll,
-}
+/// The platform's readiness poller: `epoll(7)` on Linux.
+#[cfg(target_os = "linux")]
+pub type Poller = Epoll;
+/// The platform's readiness poller: `poll(2)` off Linux.
+#[cfg(not(target_os = "linux"))]
+pub type Poller = PollSet;
 
-/// A level-triggered readiness poller over one of the [`Backend`]s.
-#[derive(Debug)]
-pub enum Poller {
-    /// Backed by `epoll(7)`.
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    /// Backed by `poll(2)`.
-    Poll(PollSet),
-}
-
-impl Poller {
-    /// The platform default: epoll on Linux, `poll(2)` elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `epoll_create1` failure, if any.
-    pub fn new() -> io::Result<Self> {
-        #[cfg(target_os = "linux")]
-        {
-            Ok(Self::Epoll(Epoll::new()?))
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Ok(Self::Poll(PollSet::new()))
-        }
-    }
-
-    /// A poller over an explicit backend (tests run both on Linux).
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` when asking for epoll off-Linux; `epoll_create1`
-    /// failures otherwise.
-    pub fn with_backend(backend: Backend) -> io::Result<Self> {
-        match backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => Ok(Self::Epoll(Epoll::new()?)),
-            #[cfg(not(target_os = "linux"))]
-            Backend::Epoll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll is Linux-only",
-            )),
-            Backend::Poll => Ok(Self::Poll(PollSet::new())),
-        }
-    }
-
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        match self {
-            #[cfg(target_os = "linux")]
-            Self::Epoll(_) => Backend::Epoll,
-            Self::Poll(_) => Backend::Poll,
-        }
-    }
-
-    /// Starts watching `fd` under `token`.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `epoll_ctl` failure; the `poll` backend is
-    /// infallible here.
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Self::Epoll(e) => e.ctl(EPOLL_CTL_ADD, fd, token, interest),
-            Self::Poll(p) => {
-                p.register(fd, token, interest);
-                Ok(())
-            }
-        }
-    }
-
-    /// Changes the interest set of an already-registered fd.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Poller::register`].
-    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Self::Epoll(e) => e.ctl(EPOLL_CTL_MOD, fd, token, interest),
-            Self::Poll(p) => {
-                p.register(fd, token, interest);
-                Ok(())
-            }
-        }
-    }
-
-    /// Stops watching `fd`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Poller::register`].
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Self::Epoll(e) => e.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Self::Poll(p) => {
-                p.deregister(fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks up to `timeout_ms` (`None` = forever) for readiness,
-    /// appending events to `out` (which is cleared first). An interrupted
-    /// wait (`EINTR`) returns cleanly with no events.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `epoll_wait`/`poll` failure.
-    pub fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
-        out.clear();
-        let timeout: c_int = match timeout_ms {
-            // Negative means "block forever" for both syscalls.
-            None => -1,
-            Some(ms) => c_int::try_from(ms).unwrap_or(c_int::MAX),
-        };
-        match self {
-            #[cfg(target_os = "linux")]
-            Self::Epoll(e) => e.wait(timeout, out),
-            Self::Poll(p) => p.wait(timeout, out),
-        }
+/// `timeout_ms` as both syscalls take it: negative means "block forever".
+fn timeout_arg(timeout_ms: Option<u64>) -> c_int {
+    match timeout_ms {
+        None => -1,
+        Some(ms) => c_int::try_from(ms).unwrap_or(c_int::MAX),
     }
 }
 
@@ -262,7 +133,12 @@ impl std::fmt::Debug for EpollEventRaw {
 
 #[cfg(target_os = "linux")]
 impl Epoll {
-    fn new() -> io::Result<Self> {
+    /// A new epoll instance.
+    ///
+    /// # Errors
+    ///
+    /// The underlying `epoll_create1` failure.
+    pub fn new() -> io::Result<Self> {
         // SAFETY: epoll_create1 takes a flags integer and returns a new
         // fd or -1; no pointers are involved.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -273,6 +149,33 @@ impl Epoll {
             epfd,
             buf: vec![EpollEventRaw { events: 0, data: 0 }; 256],
         })
+    }
+
+    /// Starts watching `fd` under `token`.
+    ///
+    /// # Errors
+    ///
+    /// The underlying `epoll_ctl` failure.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    /// Changes the interest set of an already-registered fd.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Epoll::register`].
+    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    /// Stops watching `fd`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Epoll::register`].
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
@@ -298,7 +201,15 @@ impl Epoll {
         Ok(())
     }
 
-    fn wait(&mut self, timeout: c_int, out: &mut Vec<Event>) -> io::Result<()> {
+    /// Blocks up to `timeout_ms` (`None` = forever) for readiness,
+    /// appending events to `out` (which is cleared first). An interrupted
+    /// wait (`EINTR`) returns cleanly with no events.
+    ///
+    /// # Errors
+    ///
+    /// The underlying `epoll_wait` failure.
+    pub fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
+        out.clear();
         // SAFETY: `buf` is a live, properly sized allocation of
         // epoll_event; the kernel writes at most `len` entries.
         let n = unsafe {
@@ -306,7 +217,7 @@ impl Epoll {
                 self.epfd,
                 self.buf.as_mut_ptr(),
                 self.buf.len() as c_int,
-                timeout,
+                timeout_arg(timeout_ms),
             )
         };
         if n < 0 {
@@ -344,12 +255,17 @@ impl Drop for Epoll {
 // poll(2) fallback (portable)
 // ---------------------------------------------------------------------------
 
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLIN: i16 = 0x001;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLOUT: i16 = 0x004;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLERR: i16 = 0x008;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLHUP: i16 = 0x010;
 
 /// `struct pollfd`, exactly as `<poll.h>` declares it.
+#[cfg(any(test, not(target_os = "linux")))]
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
 struct PollFdRaw {
@@ -360,27 +276,31 @@ struct PollFdRaw {
 
 #[cfg(target_os = "macos")]
 type Nfds = std::ffi::c_uint;
-#[cfg(not(target_os = "macos"))]
+#[cfg(all(not(target_os = "macos"), any(test, not(target_os = "linux"))))]
 type Nfds = std::ffi::c_ulong;
 
+#[cfg(any(test, not(target_os = "linux")))]
 extern "C" {
     fn poll(fds: *mut PollFdRaw, nfds: Nfds, timeout: c_int) -> c_int;
 }
 
 /// The `poll(2)` fallback: an fd list rebuilt per wait — O(n) per call,
-/// fine for the fd counts this daemon sees off-Linux.
+/// fine for the fd counts this daemon sees off-Linux. Same methods as
+/// the epoll backend; only `wait` can fail here.
+#[cfg(any(test, not(target_os = "linux")))]
 #[derive(Debug, Default)]
 pub struct PollSet {
     entries: Vec<(RawFd, usize, Interest)>,
-    index: HashMap<RawFd, usize>,
+    index: std::collections::HashMap<RawFd, usize>,
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 impl PollSet {
-    fn new() -> Self {
-        Self::default()
+    pub fn new() -> io::Result<Self> {
+        Ok(Self::default())
     }
 
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) {
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         match self.index.get(&fd) {
             Some(&i) => self.entries[i] = (fd, token, interest),
             None => {
@@ -388,18 +308,29 @@ impl PollSet {
                 self.entries.push((fd, token, interest));
             }
         }
+        Ok(())
     }
 
-    fn deregister(&mut self, fd: RawFd) {
+    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.register(fd, token, interest)
+    }
+
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         if let Some(i) = self.index.remove(&fd) {
             self.entries.swap_remove(i);
             if let Some(&(moved_fd, _, _)) = self.entries.get(i) {
                 self.index.insert(moved_fd, i);
             }
         }
+        Ok(())
     }
 
-    fn wait(&mut self, timeout: c_int, out: &mut Vec<Event>) -> io::Result<()> {
+    /// # Errors
+    ///
+    /// The underlying `poll` failure.
+    pub fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
+        out.clear();
+        let timeout = timeout_arg(timeout_ms);
         if self.entries.is_empty() {
             // Nothing registered: poll(NULL, 0, ...) is legal but a plain
             // sleep serves the same purpose without a syscall wrapper.
@@ -459,21 +390,26 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn backends() -> Vec<Backend> {
-        #[cfg(target_os = "linux")]
-        {
-            vec![Backend::Epoll, Backend::Poll]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            vec![Backend::Poll]
-        }
+    /// Every backend this platform compiles, by name.
+    macro_rules! for_each_backend {
+        (|$backend:ident, $poller:ident| $body:block) => {
+            #[cfg(target_os = "linux")]
+            {
+                let $backend = "epoll";
+                let mut $poller = Epoll::new().unwrap();
+                $body
+            }
+            {
+                let $backend = "poll";
+                let mut $poller = PollSet::new().unwrap();
+                $body
+            }
+        };
     }
 
     #[test]
     fn reports_readable_once_bytes_arrive() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
+        for_each_backend!(|backend, poller| {
             let (mut a, b) = UnixStream::pair().unwrap();
             b.set_nonblocking(true).unwrap();
             poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
@@ -495,16 +431,19 @@ mod tests {
             let _ = std::io::Read::read(&mut (&b), &mut buf);
             poller.wait(Some(0), &mut events).unwrap();
             assert!(events.is_empty(), "{backend:?}: drained");
-        }
+        });
     }
 
     #[test]
     fn write_interest_and_deregister() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
+        for_each_backend!(|backend, poller| {
             let (a, _b) = UnixStream::pair().unwrap();
             a.set_nonblocking(true).unwrap();
-            poller.register(a.as_raw_fd(), 1, Interest::BOTH).unwrap();
+            let both = Interest {
+                read: true,
+                write: true,
+            };
+            poller.register(a.as_raw_fd(), 1, both).unwrap();
 
             let mut events = Vec::new();
             poller.wait(Some(1_000), &mut events).unwrap();
@@ -523,13 +462,12 @@ mod tests {
             poller.deregister(a.as_raw_fd()).unwrap();
             poller.wait(Some(0), &mut events).unwrap();
             assert!(events.is_empty(), "{backend:?}: deregistered");
-        }
+        });
     }
 
     #[test]
     fn peer_hangup_reports_readable() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
+        for_each_backend!(|backend, poller| {
             let (a, b) = UnixStream::pair().unwrap();
             b.set_nonblocking(true).unwrap();
             poller.register(b.as_raw_fd(), 3, Interest::READ).unwrap();
@@ -542,6 +480,6 @@ mod tests {
             );
             let mut buf = [0u8; 4];
             assert_eq!((&b).read(&mut buf).unwrap(), 0);
-        }
+        });
     }
 }

@@ -1,10 +1,10 @@
-//! The daemon: TCP accept loop, bounded admission queue, worker pool,
-//! endpoint dispatch, and graceful shutdown.
+//! The daemon: bounded admission queue, worker pool, endpoint dispatch,
+//! and graceful shutdown around the [`crate::net`] reactor.
 //!
 //! # Request flow
 //!
 //! ```text
-//! connection thread            bounded queue            worker pool
+//! reactor thread               bounded queue            worker pool
 //! ──────────────────           ─────────────            ───────────────
 //! parse HTTP ── GET ──────────────────────────────────▶ answered inline
 //!          └─── POST ─▶ admit ─▶ [Job, Job, ...] ─pop─▶ deadline check
@@ -13,7 +13,7 @@
 //!                       429                                ▼
 //!                                                    PlanningEngine
 //!                                                          │
-//!                              ResponseSlot ◀── response ──┘
+//!                          on_response(..) ◀── response ──┘
 //! ```
 //!
 //! Admission control: the queue is **bounded** (`queue_capacity`) — a full
@@ -35,10 +35,8 @@
 //! idempotent by id, and response bodies contain no timestamps.
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -53,10 +51,11 @@ use crate::api::{
 };
 use crate::clock::{Clock, WallClock};
 use crate::engine::PlanningEngine;
-use crate::http::{read_request, HttpParseError, HttpRequest, HttpResponse};
+use crate::http::{HttpRequest, HttpResponse};
 use crate::kv::{KvSnapshot, LogOp, MatchSeq, PlanKv};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use crate::net::{ConnConfig, IoMode, Reactor};
+use crate::net::reactor::Reactor;
+use crate::net::ConnConfig;
 use crate::repl::{Role, RoleCell};
 use crate::store::{PlanStore, StoreError, StoredPlan};
 
@@ -84,11 +83,8 @@ pub struct ServeConfig {
     /// Replication role and tier knobs; defaults to a standalone leader,
     /// so single-node deployments need no extra configuration.
     pub replica: ReplicaConfig,
-    /// Which accept path serves connections: the event-driven reactor
-    /// (default) or the blocking thread-per-connection reference.
-    pub io_mode: IoMode,
     /// Event-loop connection knobs (timeouts, pipeline depth, write
-    /// buffering); ignored in [`IoMode::Blocking`].
+    /// buffering).
     pub net: ConnConfig,
     /// Identical-request response cache entries; `0` (default) disables
     /// it. Safe because identical bodies already produce byte-identical
@@ -147,7 +143,6 @@ impl Default for ServeConfig {
             degrade_below_ms: 250,
             store_dir: None,
             replica: ReplicaConfig::default(),
-            io_mode: IoMode::Event,
             net: ConnConfig::default(),
             response_cache_entries: 0,
         }
@@ -180,32 +175,21 @@ impl JobKind {
     }
 }
 
+/// Where a worker delivers a finished response. The reactor passes a
+/// closure that pushes onto its completion queue (its thread never
+/// blocks); [`Service::route`] passes one that fills a [`ResponseSlot`].
+type OnResponse = Box<dyn FnOnce(HttpResponse) + Send>;
+
 /// A queued planning request.
 struct Job {
     kind: JobKind,
     body: Vec<u8>,
     enqueued_ms: u64,
-    sink: ResponseSink,
+    on_response: OnResponse,
 }
 
-/// Where a worker delivers a finished response: a blocking slot (the
-/// thread-per-connection path parks on it) or a callback (the event
-/// loop's completion queue — the reactor thread never blocks).
-enum ResponseSink {
-    Slot(Arc<ResponseSlot>),
-    Callback(Box<dyn FnOnce(HttpResponse) + Send>),
-}
-
-impl ResponseSink {
-    fn deliver(self, response: HttpResponse) {
-        match self {
-            ResponseSink::Slot(slot) => slot.put(response),
-            ResponseSink::Callback(callback) => callback(response),
-        }
-    }
-}
-
-/// Hand-off cell between a worker and the waiting connection thread.
+/// Hand-off cell between a worker and a caller blocked in
+/// [`ResponseSlot::wait`] (the socket-free [`Service::route`] path).
 pub struct ResponseSlot {
     cell: Mutex<Option<HttpResponse>>,
     ready: Condvar,
@@ -630,40 +614,66 @@ impl Service {
         }
     }
 
-    /// Routes a request: GETs answered inline, planning POSTs admitted to
-    /// the queue (the returned slot resolves when a worker finishes).
+    /// Routes a request without a socket: GETs answered inline, planning
+    /// POSTs admitted to the queue (the returned slot resolves when a
+    /// worker finishes). Same dispatch as the reactor's
+    /// [`Service::route_async`], with a slot-filling callback.
     pub fn route(&self, request: &HttpRequest) -> Routed {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/health") => Routed::Inline(self.health()),
-            ("GET", "/metrics") => Routed::Inline(HttpResponse::text(200, self.render_metrics())),
+        let slot = ResponseSlot::new();
+        let filled = Arc::clone(&slot);
+        match self.route_async(request, Box::new(move |response| filled.put(response))) {
+            Some(response) => Routed::Inline(response),
+            None => Routed::Queued(slot),
+        }
+    }
+
+    /// Routes a request: inline answers return `Some(response)`
+    /// immediately; planning POSTs are admitted with `on_response` as the
+    /// delivery callback and return `None` (the callback fires from a
+    /// worker thread when the job completes). Admission rejections
+    /// (429/503) and response-cache hits come back inline, so the
+    /// callback fires **only** for admitted jobs.
+    pub fn route_async(
+        &self,
+        request: &HttpRequest,
+        on_response: Box<dyn FnOnce(HttpResponse) + Send>,
+    ) -> Option<HttpResponse> {
+        let inline = match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/health") => self.health(),
+            ("GET", "/metrics") => HttpResponse::text(200, self.render_metrics()),
             ("GET", path) if path.starts_with("/v1/plans/") => {
-                Routed::Inline(self.get_plan(&path["/v1/plans/".len()..]))
+                self.get_plan(&path["/v1/plans/".len()..])
             }
-            ("GET", "/v1/repl/status") => Routed::Inline(self.repl_status()),
-            ("GET", "/v1/repl/snapshot") => Routed::Inline(self.repl_snapshot()),
+            ("GET", "/v1/repl/status") => self.repl_status(),
+            ("GET", "/v1/repl/snapshot") => self.repl_snapshot(),
             ("GET", path) if path.starts_with("/v1/repl/log/") => {
-                Routed::Inline(self.repl_log(&path["/v1/repl/log/".len()..]))
+                self.repl_log(&path["/v1/repl/log/".len()..])
             }
-            ("POST", "/v1/plan") => self.admit(JobKind::Plan, request.body.clone()),
-            ("POST", "/v1/replan") => self.admit(JobKind::Replan, request.body.clone()),
-            ("POST", "/v1/observations") => Routed::Inline(self.ingest_observations(&request.body)),
+            ("POST", "/v1/plan") => {
+                return self.admit(JobKind::Plan, request.body.clone(), on_response)
+            }
+            ("POST", "/v1/replan") => {
+                return self.admit(JobKind::Replan, request.body.clone(), on_response)
+            }
+            ("POST", "/v1/observations") => self.ingest_observations(&request.body),
             ("POST", _) | ("GET", _) => {
                 self.metrics.count_request("other", 404);
-                Routed::Inline(error_response(
+                error_response(
                     404,
                     "not_found",
                     format!("no route for {} {}", request.method, request.path),
-                ))
+                )
             }
             (method, _) => {
                 self.metrics.count_request("other", 405);
-                Routed::Inline(error_response(
+                error_response(
                     405,
                     "method_not_allowed",
                     format!("method {method} not supported"),
-                ))
+                )
             }
-        }
+        };
+        Some(inline)
     }
 
     fn health(&self) -> HttpResponse {
@@ -832,65 +842,24 @@ impl Service {
         HttpResponse::json(200, serde_json::to_string(&fetch).unwrap_or_default())
     }
 
-    /// Routes a request for the event loop: inline answers return
-    /// `Some(response)` immediately; planning POSTs are admitted with
-    /// `on_response` as the delivery callback and return `None` (the
-    /// callback fires from a worker thread when the job completes).
-    /// Admission rejections (429/503) and response-cache hits come back
-    /// inline, so the callback fires **only** for admitted jobs.
-    pub fn route_async(
-        &self,
-        request: &HttpRequest,
-        on_response: Box<dyn FnOnce(HttpResponse) + Send>,
-    ) -> Option<HttpResponse> {
-        let kind = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/plan") => JobKind::Plan,
-            ("POST", "/v1/replan") => JobKind::Replan,
-            _ => {
-                return match self.route(request) {
-                    Routed::Inline(response) => Some(response),
-                    Routed::Queued(_) => unreachable!("only planning POSTs queue"),
-                }
-            }
-        };
-        self.admit_with(
-            kind,
-            request.body.clone(),
-            ResponseSink::Callback(on_response),
-        )
-        .err()
-    }
-
-    /// Admits a planning job with a blocking slot, or sheds it inline.
-    fn admit(&self, kind: JobKind, body: Vec<u8>) -> Routed {
-        let slot = ResponseSlot::new();
-        match self.admit_with(kind, body, ResponseSink::Slot(Arc::clone(&slot))) {
-            Ok(()) => Routed::Queued(slot),
-            Err(rejection) => Routed::Inline(rejection),
-        }
-    }
-
-    /// Admits a planning job, or returns an inline response: a shed
-    /// (`429`/`503`) or an admission-time response-cache hit (`200`).
-    fn admit_with(
-        &self,
-        kind: JobKind,
-        body: Vec<u8>,
-        sink: ResponseSink,
-    ) -> Result<(), HttpResponse> {
+    /// Admits a planning job (`None`), or returns an inline response: a
+    /// shed (`429`/`503`) or an admission-time response-cache hit (`200`).
+    fn admit(&self, kind: JobKind, body: Vec<u8>, on_response: OnResponse) -> Option<HttpResponse> {
         if !self.role.is_leader() {
             self.metrics.count_rejection("not_leader");
             self.metrics.count_request(kind.endpoint(), 503);
-            return Err(error_response(
-                503,
-                "not_leader",
-                format!(
-                    "node {} is a {}; planning writes go to the leader",
-                    self.config.replica.node,
-                    self.role.role().label()
-                ),
-            )
-            .with_retry_after(1));
+            return Some(
+                error_response(
+                    503,
+                    "not_leader",
+                    format!(
+                        "node {} is a {}; planning writes go to the leader",
+                        self.config.replica.node,
+                        self.role.role().label()
+                    ),
+                )
+                .with_retry_after(1),
+            );
         }
         // Admission-time cache fast path: a hit is answered inline
         // without consuming queue capacity — equivalent to a worker
@@ -899,41 +868,42 @@ impl Service {
         // identical deadlines, so a body whose deadline forces
         // degradation (or instant expiry) can never have an entry under
         // this key and falls through to the worker path, which computes
-        // the full deadline/degrade semantics. Both I/O modes share
-        // this path, so cross-mode conformance is untouched.
+        // the full deadline/degrade semantics.
         if let Some(cache) = &self.response_cache {
             let key = response_cache_key(kind, false, self.cache_generation(kind), &body);
             if let Some(hit) = cache.lock().expect("cache poisoned").get(key) {
                 self.metrics.response_cache_hits.inc();
                 self.metrics.count_request(kind.endpoint(), hit.status);
-                return Err(hit);
+                return Some(hit);
             }
         }
         let job = Job {
             kind,
             body,
             enqueued_ms: self.clock.now_ms(),
-            sink,
+            on_response,
         };
         match self.queue.push(job) {
-            Ok(()) => Ok(()),
+            Ok(()) => None,
             Err(Rejection::QueueFull) => {
                 self.metrics.count_rejection("queue_full");
                 self.metrics.count_request(kind.endpoint(), 429);
-                Err(error_response(
-                    429,
-                    "queue_full",
-                    format!(
-                        "admission queue at capacity ({}); retry later",
-                        self.config.queue_capacity
-                    ),
+                Some(
+                    error_response(
+                        429,
+                        "queue_full",
+                        format!(
+                            "admission queue at capacity ({}); retry later",
+                            self.config.queue_capacity
+                        ),
+                    )
+                    .with_retry_after(1),
                 )
-                .with_retry_after(1))
             }
             Err(Rejection::ShuttingDown) => {
                 self.metrics.count_rejection("shutdown");
                 self.metrics.count_request(kind.endpoint(), 503);
-                Err(
+                Some(
                     error_response(503, "shutting_down", "daemon is draining".to_string())
                         .with_retry_after(5),
                 )
@@ -973,7 +943,7 @@ impl Service {
         );
         self.metrics
             .count_request(job.kind.endpoint(), response.status);
-        job.sink.deliver(response);
+        (job.on_response)(response);
     }
 
     /// Produces the response for one job: deadline check, degradation
@@ -1332,32 +1302,31 @@ fn plan_key(id: &str) -> String {
 /// serializes promotions, and followers always want the newest bundle.
 pub const MODEL_KEY: &str = "models/active";
 
-/// A running daemon: accept path (event-driven reactor or the blocking
-/// thread-per-connection reference, per [`ServeConfig::io_mode`]) plus
-/// worker pool around a [`Service`].
+/// A running daemon: the [`crate::net`] reactor plus a worker pool around
+/// a [`Service`].
 pub struct Server {
     service: Arc<Service>,
     addr: std::net::SocketAddr,
-    running: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    reactor: Option<Reactor>,
+    reactor: Reactor,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// the accept path and worker pool.
+    /// the reactor and worker pool.
     ///
     /// # Errors
     ///
-    /// I/O errors binding the listener (or creating the reactor's poller
-    /// and waker in [`IoMode::Event`]).
+    /// I/O errors binding the listener or creating the reactor's poller
+    /// and waker.
     pub fn start(service: Arc<Service>, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let running = Arc::new(AtomicBool::new(true));
-
-        let worker_threads: Vec<JoinHandle<()>> = (0..service.workers())
+        // The reactor first: its setup is the only fallible step left, and
+        // failing after the workers exist would leave them parked on
+        // `queue.pop()` forever.
+        let reactor = Reactor::spawn(Arc::clone(&service), listener)?;
+        let worker_threads = (0..service.workers())
             .map(|i| {
                 let service = Arc::clone(&service);
                 std::thread::Builder::new()
@@ -1366,41 +1335,9 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-
-        let (accept_thread, reactor) = match service.config().io_mode {
-            IoMode::Event => {
-                let reactor = Reactor::spawn(Arc::clone(&service), listener)?;
-                (None, Some(reactor))
-            }
-            IoMode::Blocking => {
-                let service = Arc::clone(&service);
-                let running = Arc::clone(&running);
-                let handle = std::thread::Builder::new()
-                    .name("nshard-serve-accept".into())
-                    .spawn(move || {
-                        for stream in listener.incoming() {
-                            if !running.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            let service = Arc::clone(&service);
-                            // One thread per connection: connections are
-                            // short-lived (Connection: close) and the
-                            // real concurrency limit is the bounded
-                            // queue behind.
-                            std::thread::spawn(move || handle_connection(&service, stream));
-                        }
-                    })
-                    .expect("spawn accept loop");
-                (Some(handle), None)
-            }
-        };
-
         Ok(Self {
             service,
             addr: local,
-            running,
-            accept_thread,
             worker_threads,
             reactor,
         })
@@ -1418,18 +1355,10 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, drain the queue, join all
     /// threads. Everything already admitted still gets its response.
-    pub fn shutdown(mut self) {
-        self.running.store(false, Ordering::SeqCst);
+    pub fn shutdown(self) {
         self.service.close();
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
-        // Self-connect to wake the blocking accept call.
-        let _ = TcpStream::connect(self.addr).map(|mut s| s.write_all(b""));
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        for handle in self.worker_threads.drain(..) {
+        self.reactor.shutdown();
+        for handle in self.worker_threads {
             let _ = handle.join();
         }
     }
@@ -1439,18 +1368,4 @@ impl Server {
 enum Parsed {
     Plan(PlanRequest),
     Replan(ReplanRequest),
-}
-
-fn handle_connection(service: &Service, mut stream: TcpStream) {
-    let response = match read_request(&mut stream) {
-        Ok(request) => service.handle_blocking(&request),
-        Err(HttpParseError::BodyTooLarge { declared }) => error_response(
-            413,
-            "body_too_large",
-            format!("declared body of {declared} bytes exceeds the limit"),
-        ),
-        // Includes the zero-byte wake-up connection from shutdown.
-        Err(_) => return,
-    };
-    let _ = response.write_to(&mut stream);
 }

@@ -4,16 +4,20 @@
 //!   incremental planner's output exactly (the delta is the full story),
 //! * the incremental plan is never worse than the incumbent under the
 //!   drifted workload (in predicted cost),
+//! * on a two-tier fleet every budget comparison is against the device's
+//!   own budget, not the fleet's largest,
 //! * the whole controller loop is bit-deterministic per seed — CI runs
 //!   this suite again with `NSHARD_THREADS=8` to pin thread-count
 //!   invariance on oversubscribed hosts.
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
-use neuroshard::data::{ShardingTask, TablePool};
+use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::online::{
-    IncrementalPlanner, OnlineConfig, OnlineController, ReplanStrategy, WorkloadDrift,
+    DriftDetector, IncrementalPlanner, OnlineConfig, OnlineController, ReplanStrategy,
+    ReplanTrigger, WorkloadDrift,
 };
 use neuroshard::prelude::*;
+use neuroshard::sim::DevicePool;
 use proptest::prelude::*;
 
 fn quick_bundle(pool: &TablePool, gpus: usize, seed: u64) -> CostModelBundle {
@@ -143,6 +147,73 @@ fn drift_generator_is_pure_per_seed() {
     // A different seed produces a different trace.
     let other = WorkloadDrift::standard(base, 43);
     assert_ne!(other.task_at(3), forward[3]);
+}
+
+/// A roomy device (16 MiB) holds three 2 MiB tables and a tight one
+/// (5 MiB) holds two. Drift that leaves the tight device over its own budget —
+/// but under the roomy one — is a memory violation of *that* device, and
+/// the incremental planner neither leaves it there nor piles more onto it.
+#[test]
+fn tight_devices_are_held_to_their_own_budget() {
+    const MIB: u64 = 1 << 20;
+    let pool = TablePool::synthetic_dlrm(40, 1);
+    let sim = CostSimulator::new(quick_bundle(&pool, 2, 7));
+    let task_of = |tables: Vec<TableConfig>| {
+        ShardingTask::new(tables, 2, 16 * MIB, 64).with_devices(DevicePool::two_tier(
+            1,
+            16 * MIB,
+            1,
+            5 * MIB,
+            1.0,
+            1.0,
+        ))
+    };
+    let tables: Vec<TableConfig> = (0..5)
+        .map(|i| TableConfig::new(TableId(i), 32, 1 << 14, 8.0, 1.05))
+        .collect();
+    assert_eq!(tables[0].memory_bytes(), 2 * MIB);
+    let deployed = task_of(tables.clone());
+    // Even tables on the roomy device 0, odd tables on the tight device 1.
+    let incumbent = ShardingPlan::new(vec![], tables.clone(), vec![0, 1, 0, 1, 0], 2).unwrap();
+    incumbent.validate(&deployed).expect("6 and 4 MiB fit");
+
+    // Table 1 doubles its rows: the tight device now holds 6 MiB of 5.
+    let mut grown = tables.clone();
+    grown[1] = grown[1].with_hash_size(grown[1].hash_size() * 2);
+    let grown = task_of(grown);
+    let rebased = incumbent.rebase(&grown).unwrap();
+    let report = DriftDetector::default().observe(&sim, &rebased, &grown, &deployed, 1e9, 1);
+    assert_eq!(
+        report.trigger,
+        Some(ReplanTrigger::MemoryViolation {
+            epoch: 1,
+            device: 1,
+            bytes: 6 * MIB,
+            budget: 5 * MIB,
+        })
+    );
+
+    // The roomy device's tables run 8x hot: relief must not come from
+    // moving one onto the tight device (4 + 2 MiB > 5).
+    let hot: Vec<TableConfig> = tables
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            if i % 2 == 0 {
+                t.with_pooling_factor(t.pooling_factor() * 8.0)
+            } else {
+                *t
+            }
+        })
+        .collect();
+    for task in [grown, task_of(hot)] {
+        let out = IncrementalPlanner::default()
+            .replan(&sim, &task, &incumbent)
+            .expect("rebase is legal");
+        out.plan
+            .validate(&task)
+            .expect("replanned plans respect per-device budgets");
+    }
 }
 
 /// Shared fixture for the property test: pre-training once, not per case.

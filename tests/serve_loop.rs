@@ -9,7 +9,7 @@ use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::serve::http::HttpRequest;
 use neuroshard::serve::server::Routed;
-use neuroshard::serve::{http_call, IoMode, ManualClock, ServeConfig, Server, Service};
+use neuroshard::serve::{http_call, ManualClock, ServeConfig, Server, Service};
 
 fn quick_bundle(seed: u64) -> CostModelBundle {
     let pool = TablePool::synthetic_dlrm(40, 3);
@@ -44,14 +44,11 @@ fn post(service: &Service, path: &str, body: &str) -> Routed {
 
 /// The acceptance-criterion test: 8 threads posting the same `/v1/plan`
 /// body over real TCP receive **byte-identical** responses, identical to
-/// a subsequent single call. Runs in both I/O modes: the event-driven
-/// reactor and the blocking thread-per-connection conformance reference.
-fn eight_threads_get_byte_identical_plans(io_mode: IoMode) {
-    let config = ServeConfig {
-        io_mode,
-        ..ServeConfig::smoke()
-    };
-    let service = Arc::new(Service::new(quick_bundle(7), config).expect("service boots"));
+/// a subsequent single call.
+#[test]
+fn eight_threads_get_byte_identical_plans() {
+    let service =
+        Arc::new(Service::new(quick_bundle(7), ServeConfig::smoke()).expect("service boots"));
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
     let addr = server.addr().to_string();
     let body = plan_body();
@@ -83,16 +80,6 @@ fn eight_threads_get_byte_identical_plans(io_mode: IoMode) {
     // Exactly one plan was adopted for the nine identical requests.
     assert_eq!(service.plans().len(), 1);
     server.shutdown();
-}
-
-#[test]
-fn eight_threads_get_byte_identical_plans_event_mode() {
-    eight_threads_get_byte_identical_plans(IoMode::Event);
-}
-
-#[test]
-fn eight_threads_get_byte_identical_plans_blocking_mode() {
-    eight_threads_get_byte_identical_plans(IoMode::Blocking);
 }
 
 /// A request whose deadline expired while queued is answered `503`
@@ -251,17 +238,13 @@ fn response_cache_answers_identical_requests_inline() {
 }
 
 /// Adopted plans survive a daemon restart (disk-backed store) and are
-/// retrievable over `GET /v1/plans/{id}` with full provenance. Runs in
-/// both I/O modes.
-fn plan_store_survives_restart(io_mode: IoMode) {
-    let dir = std::env::temp_dir().join(format!(
-        "nshard_serve_restart_{}_{io_mode:?}",
-        std::process::id()
-    ));
+/// retrievable over `GET /v1/plans/{id}` with full provenance.
+#[test]
+fn plan_store_survives_restart() {
+    let dir = std::env::temp_dir().join(format!("nshard_serve_restart_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let config = ServeConfig {
         store_dir: Some(dir.clone()),
-        io_mode,
         ..ServeConfig::smoke()
     };
 
@@ -318,25 +301,13 @@ fn plan_store_survives_restart(io_mode: IoMode) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn plan_store_survives_restart_event_mode() {
-    plan_store_survives_restart(IoMode::Event);
-}
-
-#[test]
-fn plan_store_survives_restart_blocking_mode() {
-    plan_store_survives_restart(IoMode::Blocking);
-}
-
 /// `/health` and `/metrics` expose the daemon's core observability
 /// contract: liveness facts, request counters, latency quantiles, and
-/// prediction-cache statistics. Runs in both I/O modes.
-fn health_and_metrics_expose_the_core_counters(io_mode: IoMode) {
-    let config = ServeConfig {
-        io_mode,
-        ..ServeConfig::smoke()
-    };
-    let service = Arc::new(Service::new(quick_bundle(7), config).expect("service boots"));
+/// prediction-cache statistics.
+#[test]
+fn health_and_metrics_expose_the_core_counters() {
+    let service =
+        Arc::new(Service::new(quick_bundle(7), ServeConfig::smoke()).expect("service boots"));
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
     let addr = server.addr().to_string();
 
@@ -366,14 +337,4 @@ fn health_and_metrics_expose_the_core_counters(io_mode: IoMode) {
     assert_eq!(status, 404);
     assert!(body.contains("not_found"));
     server.shutdown();
-}
-
-#[test]
-fn health_and_metrics_expose_the_core_counters_event_mode() {
-    health_and_metrics_expose_the_core_counters(IoMode::Event);
-}
-
-#[test]
-fn health_and_metrics_expose_the_core_counters_blocking_mode() {
-    health_and_metrics_expose_the_core_counters(IoMode::Blocking);
 }

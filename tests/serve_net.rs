@@ -1,21 +1,21 @@
 //! Event-driven serving core tests: incremental-parser conformance under
 //! arbitrary byte fragmentation (proptest), pipelining and keep-alive
 //! over real TCP, malformed-request handling (400/431), slow-loris
-//! timeout semantics driven by a manual clock (zero sleeps), and
-//! blocking-vs-event cross-mode byte identity.
+//! timeout semantics driven by a manual clock (zero sleeps), and byte
+//! identity between the daemon's answers and the socket-free
+//! `Service::handle_blocking` route.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
-use neuroshard::serve::http::read_request;
 use neuroshard::serve::net::{
     ConnConfig, ConnState, ParseStep, RequestParser, TimeoutKind, TimerWheel, MAX_HEADER_BYTES,
 };
 use neuroshard::serve::{
-    http_call, HttpRequest, HttpResponse, IoMode, KeepAliveClient, ServeConfig, Server, Service,
+    http_call, HttpRequest, HttpResponse, KeepAliveClient, ServeConfig, Server, Service,
 };
 use proptest::prelude::*;
 
@@ -122,47 +122,44 @@ fn every_single_byte_boundary_parses_identically() {
     assert_eq!(one_shot, parse_fragmented(&raw, &all));
 }
 
-/// The incremental parser and the blocking `read_request` reference agree
-/// on what a request *means*: same method, path, and body over a real
-/// socket for a spread of canonical requests (CRLF, bare LF, empty body,
-/// binary body).
+/// What a request *means* is pinned to literals for the grammar's
+/// corners: CRLF, a lower-case method (upper-cased), bare-LF line endings,
+/// a binary body containing CR and LF, and an empty-bodied PUT.
 #[test]
-fn incremental_parser_agrees_with_the_blocking_reference() {
-    let cases: Vec<Vec<u8>> = vec![
-        b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
-        b"get /metrics HTTP/1.1\r\n\r\n".to_vec(),
-        b"POST /v1/plan HTTP/1.1\nContent-Length: 2\n\nok".to_vec(),
-        request_bytes("POST", "/v1/replan", &[0u8, 255, 7, 10, 13], "X-Bin: yes"),
-        request_bytes("PUT", "/nope", b"", ""),
+fn canonical_requests_parse_to_their_literal_meaning() {
+    let binary = [0u8, 255, 7, 10, 13];
+    let request = |method: &str, path: &str, body: &[u8]| HttpRequest {
+        method: method.into(),
+        path: path.into(),
+        body: body.to_vec(),
+    };
+    let cases: Vec<(Vec<u8>, HttpRequest)> = vec![
+        (
+            b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+            request("GET", "/health", b""),
+        ),
+        (
+            b"get /metrics HTTP/1.1\r\n\r\n".to_vec(),
+            request("GET", "/metrics", b""),
+        ),
+        (
+            b"POST /v1/plan HTTP/1.1\nContent-Length: 2\n\nok".to_vec(),
+            request("POST", "/v1/plan", b"ok"),
+        ),
+        (
+            request_bytes("POST", "/v1/replan", &binary, "X-Bin: yes"),
+            request("POST", "/v1/replan", &binary),
+        ),
+        (
+            request_bytes("PUT", "/nope", b"", ""),
+            request("PUT", "/nope", b""),
+        ),
     ];
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    for raw in cases {
-        let expected = {
-            let mut parser = RequestParser::new();
-            parser.feed(&raw);
-            let ParseStep::Request(parsed) = parser.step() else {
-                panic!("canonical case must parse");
-            };
-            parsed.request
-        };
-        let raw_clone = raw.clone();
-        let client = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(&raw_clone).unwrap();
-            // Keep the connection open until the server has parsed.
-            stream.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut sink = Vec::new();
-            let _ = stream.read_to_end(&mut sink);
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let blocking = read_request(&mut stream).expect("blocking parser accepts");
-        drop(stream);
-        client.join().unwrap();
+    for (raw, expected) in cases {
         assert_eq!(
-            (blocking.method, blocking.path, blocking.body),
-            (expected.method, expected.path, expected.body),
-            "parsers disagree on {:?}",
+            parse_one_shot(&raw),
+            vec![expected],
+            "wrong parse of {:?}",
             String::from_utf8_lossy(&raw)
         );
     }
@@ -195,12 +192,9 @@ fn plan_body() -> String {
     format!("{{\"task\":{}}}", task_json())
 }
 
-fn start_server(io_mode: IoMode) -> (Server, String) {
-    let config = ServeConfig {
-        io_mode,
-        ..ServeConfig::smoke()
-    };
-    let service = Arc::new(Service::new(quick_bundle(7), config).expect("service boots"));
+fn start_server() -> (Server, String) {
+    let service =
+        Arc::new(Service::new(quick_bundle(7), ServeConfig::smoke()).expect("service boots"));
     let server = Server::start(service, "127.0.0.1:0").expect("server binds");
     let addr = server.addr().to_string();
     (server, addr)
@@ -219,7 +213,7 @@ fn raw_roundtrip(addr: &str, raw: &[u8]) -> String {
 
 #[test]
 fn malformed_request_line_gets_400_and_close() {
-    let (server, addr) = start_server(IoMode::Event);
+    let (server, addr) = start_server();
     let response = raw_roundtrip(&addr, b"\r\n\r\n");
     assert!(
         response.starts_with("HTTP/1.1 400 Bad Request\r\n"),
@@ -232,7 +226,7 @@ fn malformed_request_line_gets_400_and_close() {
 
 #[test]
 fn oversized_headers_get_431_and_close() {
-    let (server, addr) = start_server(IoMode::Event);
+    let (server, addr) = start_server();
     let mut raw = b"GET /health HTTP/1.1\r\nX-Fill: ".to_vec();
     raw.extend(std::iter::repeat_n(b'a', MAX_HEADER_BYTES + 64));
     raw.extend_from_slice(b"\r\n\r\n");
@@ -247,7 +241,7 @@ fn oversized_headers_get_431_and_close() {
 
 #[test]
 fn oversized_declared_body_gets_413_and_close() {
-    let (server, addr) = start_server(IoMode::Event);
+    let (server, addr) = start_server();
     let raw = format!(
         "POST /v1/plan HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
         (8 << 20) + 1
@@ -266,7 +260,7 @@ fn oversized_declared_body_gets_413_and_close() {
 
 #[test]
 fn keepalive_connection_serves_many_requests_and_counts_reuse() {
-    let (server, addr) = start_server(IoMode::Event);
+    let (server, addr) = start_server();
     let mut client = KeepAliveClient::new(addr.clone());
     for _ in 0..5 {
         let (status, body) = client.call("GET", "/health", b"").unwrap();
@@ -298,7 +292,7 @@ fn keepalive_connection_serves_many_requests_and_counts_reuse() {
 
 #[test]
 fn pipelined_requests_answer_in_order_on_one_socket() {
-    let (server, addr) = start_server(IoMode::Event);
+    let (server, addr) = start_server();
     let mut stream = TcpStream::connect(&addr).unwrap();
     // Three pipelined GETs, the last one closing.
     let raw = b"GET /health HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\nConnection: close\r\n\r\n";
@@ -418,16 +412,19 @@ fn idle_keepalive_connection_expires_on_the_idle_timeout() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-mode conformance: blocking reference vs event loop
+// Conformance: the daemon over TCP vs the socket-free route
 // ---------------------------------------------------------------------------
 
-/// The same requests against a blocking-mode and an event-mode daemon
-/// (same seed) produce byte-identical status lines and bodies — the
-/// reactor changed the I/O edge, not one byte of semantics.
+/// The same requests sent to a daemon over TCP and handed to
+/// `Service::handle_blocking` on an identically-seeded in-process service
+/// produce byte-identical statuses and bodies — the I/O edge adds and
+/// changes nothing.
 #[test]
-fn blocking_and_event_modes_answer_byte_identically() {
-    let (blocking_server, blocking_addr) = start_server(IoMode::Blocking);
-    let (event_server, event_addr) = start_server(IoMode::Event);
+fn daemon_answers_equal_the_socket_free_route() {
+    let (server, addr) = start_server();
+    // Nothing ever connects to the oracle's socket; its server is there
+    // for the worker pool `handle_blocking` waits on.
+    let (oracle, _) = start_server();
 
     let plan = plan_body();
     let replan = format!("{{\"task\":{},\"adopt\":false}}", task_json());
@@ -441,13 +438,21 @@ fn blocking_and_event_modes_answer_byte_identically() {
         ("GET", "/v1/plans/missing", b""),
     ];
     for (method, path, body) in calls {
-        let via_blocking = http_call(&blocking_addr, method, path, body).unwrap();
-        let via_event = http_call(&event_addr, method, path, body).unwrap();
+        let expected = oracle.service().handle_blocking(&HttpRequest {
+            method: method.into(),
+            path: path.into(),
+            body: body.to_vec(),
+        });
+        let over_tcp = http_call(&addr, method, path, body).unwrap();
         assert_eq!(
-            via_blocking, via_event,
-            "cross-mode mismatch on {method} {path}"
+            over_tcp,
+            (
+                expected.status,
+                String::from_utf8(expected.body).expect("bodies are UTF-8")
+            ),
+            "daemon and socket-free route disagree on {method} {path}"
         );
     }
-    blocking_server.shutdown();
-    event_server.shutdown();
+    server.shutdown();
+    oracle.shutdown();
 }
