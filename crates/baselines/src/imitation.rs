@@ -213,9 +213,9 @@ impl ShardingAlgorithm for ImitationSharder {
 
     fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
         // Deterministic pre-split: halve any shard that exceeds half the
-        // budget until everything is placeable (the imitation policy is
-        // table-wise only; see module docs).
-        let threshold = task.mem_budget_bytes() / 2;
+        // largest device's budget until everything is placeable (the
+        // imitation policy is table-wise only; see module docs).
+        let threshold = task.devices().max_budget() / 2;
         let mut split_plan: Vec<SplitStep> = Vec::new();
         let mut tables = task.tables().to_vec();
         while let Some(idx) = tables
@@ -243,7 +243,7 @@ impl ShardingAlgorithm for ImitationSharder {
             let scores = self.policy.forward(&Matrix::from_rows(&inputs));
             // Argmax over memory-feasible devices.
             let chosen = (0..task.num_devices())
-                .filter(|&g| placed_bytes[g] + table.memory_bytes() <= task.mem_budget_bytes())
+                .filter(|&g| placed_bytes[g] + table.memory_bytes() <= task.budget_of(g))
                 .max_by(|&a, &b| {
                     scores
                         .get(a, 0)

@@ -105,4 +105,47 @@ mod tests {
             assert_eq!(plan.num_devices(), 2, "{}", algo.name());
         }
     }
+
+    /// The two-tier pool of `online_loop::tight_devices_are_held_to_their_own_budget`:
+    /// a 16 MiB device beside a 5 MiB one, five 2 MiB tables, one of which
+    /// doubles. The baselines that reason about memory hold each device to
+    /// its own budget: a plan they return validates, and when nothing fits
+    /// they say so — never an `Ok` that `validate` rejects because the
+    /// tight device was filled to the roomy one's budget.
+    #[test]
+    fn memory_aware_baselines_hold_tight_devices_to_their_own_budget() {
+        use nshard_data::{DevicePool, TableConfig, TableId};
+        const MIB: u64 = 1 << 20;
+        let tables: Vec<TableConfig> = (0..5)
+            .map(|i| TableConfig::new(TableId(i), 32, 1 << 14, 8.0, 1.05))
+            .collect();
+        let deployed = ShardingTask::new(tables.clone(), 2, 16 * MIB, 64)
+            .with_devices(DevicePool::two_tier(1, 16 * MIB, 1, 5 * MIB, 1.0, 1.0));
+        let mut grown = tables.clone();
+        grown[1] = grown[1].with_hash_size(grown[1].hash_size() * 2);
+        let grown = deployed.clone().with_tables(grown);
+        // An 8 MiB table that cannot split fits only the roomy device.
+        let mut lumpy = tables;
+        lumpy[4] = TableConfig::new(TableId(4), 4, 1 << 19, 8.0, 1.05);
+        let lumpy = deployed.clone().with_tables(lumpy);
+
+        let mut log = SystemLog::new();
+        log.record(&deployed, &SizeGreedy.shard(&deployed).unwrap());
+        let algos: [Box<dyn ShardingAlgorithm>; 3] = [
+            Box::new(TorchRecLikePlanner::default()),
+            Box::new(ImitationSharder::fit(&log, 5, 0)),
+            Box::new(RlSharder::new(RlVariant::DreamShardLike, 0)),
+        ];
+        for task in [&deployed, &grown, &lumpy] {
+            for algo in &algos {
+                match algo.shard(task) {
+                    Ok(plan) => plan.validate(task).unwrap_or_else(|e| {
+                        panic!("{} returned a plan validate rejects: {e}", algo.name())
+                    }),
+                    Err(PlanError::Infeasible { .. }) => {}
+                    Err(other) => panic!("{}: {other}", algo.name()),
+                }
+            }
+        }
+    }
 }

@@ -63,14 +63,15 @@ impl TorchRecLikePlanner {
         (plan, list)
     }
 
-    /// Memory-aware greedy partition of `shards` balancing `heuristic`.
-    /// Returns `None` when some shard fits on no device.
+    /// Memory-aware greedy partition of `shards` over devices of `budgets`
+    /// bytes, balancing `heuristic`. Returns `None` when some shard fits on
+    /// no device.
     fn partition(
         shards: &[TableConfig],
-        num_devices: usize,
-        mem_budget: u64,
+        budgets: &[u64],
         heuristic: Heuristic,
     ) -> Option<(Vec<usize>, f64)> {
+        let num_devices = budgets.len();
         let costs: Vec<f64> = shards.iter().map(|t| heuristic.cost(t)).collect();
         let mut order: Vec<usize> = (0..shards.len()).collect();
         order.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).expect("finite costs"));
@@ -81,7 +82,7 @@ impl TorchRecLikePlanner {
         for &i in &order {
             let bytes = shards[i].memory_bytes();
             let g = (0..num_devices)
-                .filter(|&g| device_bytes[g] + bytes <= mem_budget)
+                .filter(|&g| device_bytes[g] + bytes <= budgets[g])
                 .min_by(|&a, &b| {
                     device_cost[a]
                         .partial_cmp(&device_cost[b])
@@ -102,9 +103,11 @@ impl ShardingAlgorithm for TorchRecLikePlanner {
     }
 
     fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
-        let budget = task.mem_budget_bytes();
-        // Proposal grid: split thresholds (as a fraction of the budget) ×
-        // balancing heuristics. Smaller thresholds split more aggressively.
+        let budgets = task.budgets();
+        // Proposal grid: split thresholds (as a fraction of the largest
+        // device's budget) × balancing heuristics. Smaller thresholds split
+        // more aggressively; the partition holds each device to its own.
+        let budget = task.devices().max_budget();
         let thresholds = [budget, budget / 2, budget / 4, budget / 8];
         let heuristics = [Heuristic::Lookup, Heuristic::Storage, Heuristic::Dim];
 
@@ -112,9 +115,7 @@ impl ShardingAlgorithm for TorchRecLikePlanner {
         for &threshold in &thresholds {
             let (col_plan, shards) = Self::split_until_fits(task.tables(), threshold);
             for &h in &heuristics {
-                let Some((device_of, max_cost)) =
-                    Self::partition(&shards, task.num_devices(), budget, h)
-                else {
+                let Some((device_of, max_cost)) = Self::partition(&shards, &budgets, h) else {
                     continue;
                 };
                 // Normalize the heuristic score so proposals from different

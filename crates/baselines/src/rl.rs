@@ -181,8 +181,8 @@ impl RlSharder {
                     .evaluate_exact(&assignment)
                     .expect("memory disabled for reward query");
                 let mut r = -costs.max_total_ms() / 10.0;
-                let budget = task.mem_budget_bytes();
-                for tables in &assignment {
+                for (g, tables) in assignment.iter().enumerate() {
+                    let budget = task.budget_of(g);
                     let bytes: u64 = tables.iter().map(TableProfile::memory_bytes).sum();
                     if bytes > budget {
                         r -= 5.0 * (bytes - budget) as f64 / budget as f64;

@@ -25,13 +25,15 @@ fn bench_greedy_grid(c: &mut Criterion) {
     let pool = TablePool::synthetic_dlrm(60, 2);
     let task = ShardingTask::sample(&pool, 4, 30..=30, 64, 5);
     let search = GreedyGridSearch::new(&sim, 11);
+    let budgets = task.budgets();
     c.bench_function("search/greedy_grid_30tables_4gpu", |b| {
         b.iter(|| {
             search
-                .search(
+                .search_with_devices(
                     black_box(task.tables()),
                     4,
-                    task.mem_budget_bytes(),
+                    &budgets,
+                    None,
                     task.batch_size(),
                 )
                 .expect("feasible")

@@ -9,8 +9,7 @@
 //! 2. on the Zipf-skew heterogeneous scenario the full search's
 //!    ground-truth max-device cost is ≤ [`HETERO_GATE`] × the
 //!    column-wise-only plan's,
-//! 3. plans are bit-identical across worker-thread counts {1, 2, 8},
-//! 4. a uniform [`DevicePool`] is bit-identical to the scalar-budget path.
+//! 3. plans are bit-identical across worker-thread counts {1, 2, 8}.
 //!
 //! Usage: `bench_hetero [--smoke] [--seed 9] [--out BENCH_hetero.json]`
 
@@ -93,9 +92,6 @@ struct Output {
     /// True iff the full-shape hetero search is bit-identical at worker
     /// thread counts {1, 2, 8}.
     plans_identical_across_threads: bool,
-    /// True iff a uniform `DevicePool` reproduces the scalar-budget path
-    /// bit for bit.
-    uniform_pool_parity: bool,
 }
 
 fn shard(bundle: &CostModelBundle, task: &ShardingTask, cfg: NeuroShardConfig) -> ShardOutcome {
@@ -188,16 +184,6 @@ fn main() {
     }
     assert!(identical, "plans must not depend on the thread count");
 
-    // Gate 4: a uniform pool is the scalar path, bit for bit.
-    let pooled_uniform = uniform
-        .clone()
-        .with_devices(DevicePool::uniform(DEVICES, uniform.mem_budget_bytes()));
-    let scalar = shard(&bundle, &uniform, config(true, 1));
-    let pooled = shard(&bundle, &pooled_uniform, config(true, 1));
-    let parity = scalar.plan == pooled.plan
-        && scalar.estimated_cost_ms.to_bits() == pooled.estimated_cost_ms.to_bits();
-    assert!(parity, "uniform DevicePool must match the scalar path");
-
     let rows = vec![u_col, u_full, h_col, h_full];
     print_markdown_table(
         &[
@@ -233,7 +219,6 @@ fn main() {
         hetero_cost_ratio: ratio,
         hetero_gate: HETERO_GATE,
         plans_identical_across_threads: identical,
-        uniform_pool_parity: parity,
     };
     let json = serde_json::to_string_pretty(&output).expect("results are serializable");
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

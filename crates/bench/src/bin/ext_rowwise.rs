@@ -64,7 +64,7 @@ fn main() {
                 24.0,
                 1.1,
             ));
-            ShardingTask::new(tables, 4, base.mem_budget_bytes(), base.batch_size())
+            base.with_tables(tables)
         })
         .collect();
 

@@ -18,10 +18,10 @@ use nshard_baselines::{
     SizeLookupGreedy, TorchRecLikePlanner,
 };
 use nshard_bench::{maybe_write_json, print_markdown_table, Args};
-use nshard_core::{evaluate_plan, NeuroShard, NeuroShardConfig, ShardingPlan};
+use nshard_core::{cluster_for, evaluate_plan, NeuroShard, NeuroShardConfig, ShardingPlan};
 use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
 use nshard_data::{ShardingTask, TablePool};
-use nshard_sim::{Cluster, GpuSpec, TraceSimulator};
+use nshard_sim::{GpuSpec, TraceSimulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,13 +43,8 @@ struct Output {
 
 /// Measures steady-state training throughput of a plan (samples/s).
 fn throughput(task: &ShardingTask, plan: &ShardingPlan, spec: &GpuSpec) -> Option<f64> {
-    let cluster = Cluster::new(
-        spec.with_mem_budget(task.mem_budget_bytes()),
-        task.num_devices(),
-        task.batch_size(),
-    );
     // Dense-network compute sized like a production DLRM iteration.
-    let sim = TraceSimulator::new(cluster, 30.0);
+    let sim = TraceSimulator::new(cluster_for(task, spec), 30.0);
     sim.simulate(&plan.device_profiles(task.batch_size()), 20)
         .ok()
         .map(|s| s.throughput_samples_per_sec)
@@ -119,12 +114,9 @@ fn main() {
     );
 
     // The baselines re-shard table-wise on top of NeuroShard's column plan.
-    let presplit_task = ShardingTask::new(
-        ns_outcome.plan.sharded_tables().to_vec(),
-        d,
-        task.mem_budget_bytes(),
-        task.batch_size(),
-    );
+    let presplit_task = task
+        .clone()
+        .with_tables(ns_outcome.plan.sharded_tables().to_vec());
 
     let mut algos: Vec<(Box<dyn ShardingAlgorithm>, bool)> = vec![
         (Box::new(RandomSharding::new(seed)), true),

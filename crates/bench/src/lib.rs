@@ -228,7 +228,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use nshard_baselines::DimGreedy;
-    use nshard_data::TablePool;
+    use nshard_data::{DevicePool, TablePool};
 
     #[test]
     fn evaluate_method_counts_successes() {
@@ -250,7 +250,9 @@ mod tests {
             .map(|i| ShardingTask::sample(&pool, 2, 4..=8, 16, i))
             .collect();
         // An impossible task: tiny budget.
-        tasks.push(ShardingTask::sample(&pool, 2, 4..=8, 16, 9).with_mem_budget(1));
+        tasks.push(
+            ShardingTask::sample(&pool, 2, 4..=8, 16, 9).with_devices(DevicePool::uniform(2, 1)),
+        );
         let row = evaluate_method(&DimGreedy, &tasks, &GpuSpec::rtx_2080_ti(), 0);
         assert_eq!(row.successes, 2);
         assert!(row.mean_cost_ms.is_none());

@@ -174,11 +174,10 @@ impl<'a> BeamSearch<'a> {
         let mut phase_stats = SearchPhaseStats::default();
         let mut evaluated = 0usize;
 
-        // Heterogeneous-fleet context, shared by every inner search of this
-        // run. `scales` is `None` on uniform fleets, which keeps the whole
-        // search on the bit-exact homogeneous path.
+        // Fleet context, shared by every inner search of this run. `scales`
+        // is `None` on fleets with baseline compute and a flat network.
         let budgets = task.budgets();
-        let scales = task.device_pool().and_then(DeviceScales::from_pool);
+        let scales = DeviceScales::from_pool(task.devices());
         let scales = scales.as_ref();
 
         // The root plan: empty, except when row-wise sharding is on —

@@ -9,20 +9,11 @@ use nshard_sim::{Cluster, GpuSpec, PlanCosts, SimError};
 
 use crate::plan::ShardingPlan;
 
-/// The ground-truth cluster for `task`: the GPU spec's memory budget is
-/// overridden by the task's, and when the task describes a heterogeneous
-/// fleet the cluster inherits its per-device memory, compute, and
-/// interconnect profiles.
+/// The ground-truth cluster for `task`: `spec`'s kernel and interconnect
+/// laws on the task's device fleet and batch size. The task's per-device
+/// budgets stand in for the spec's own memory budget.
 pub fn cluster_for(task: &ShardingTask, spec: &GpuSpec) -> Cluster {
-    let cluster = Cluster::new(
-        spec.with_mem_budget(task.mem_budget_bytes()),
-        task.num_devices(),
-        task.batch_size(),
-    );
-    match task.device_pool() {
-        Some(pool) => cluster.with_devices(pool.clone()),
-        None => cluster,
-    }
+    Cluster::new(*spec, task.num_devices(), task.batch_size()).with_devices(task.devices().clone())
 }
 
 /// Evaluates `plan` for `task` on the ground-truth cluster with measurement
@@ -131,22 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_pool_evaluation_is_bit_identical_to_scalar() {
-        use nshard_data::DevicePool;
-        let t = task();
-        let p = plan(&t);
-        let scalar = evaluate_plan_exact(&t, &p, &GpuSpec::rtx_2080_ti()).unwrap();
-        let pooled_task = t
-            .clone()
-            .with_devices(DevicePool::uniform(2, nshard_sim::DEFAULT_MEM_BYTES));
-        let pooled = evaluate_plan_exact(&pooled_task, &p, &GpuSpec::rtx_2080_ti()).unwrap();
-        assert_eq!(scalar, pooled);
-    }
-
-    #[test]
     fn task_memory_budget_overrides_spec() {
         // A plan valid under the default 4 GB budget fails under a tiny one.
-        let t = task().with_mem_budget(1024);
+        let t = task().with_devices(nshard_data::DevicePool::uniform(2, 1024));
         let p = plan(&t);
         assert!(evaluate_plan(&t, &p, &GpuSpec::rtx_2080_ti(), 0).is_err());
     }

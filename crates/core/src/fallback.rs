@@ -910,7 +910,7 @@ mod tests {
     #[test]
     fn chain_verifies_against_per_device_budgets() {
         use nshard_data::{DevicePool, DeviceProfile};
-        // Round-robin is feasible under the scalar budget but overflows
+        // Round-robin is feasible under the largest budget but overflows
         // the starved device of the heterogeneous pool, so the chain must
         // repair it rather than accept it as-is.
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 32, 4096)).collect();

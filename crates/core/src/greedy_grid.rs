@@ -81,33 +81,16 @@ impl<'a> GreedyGridSearch<'a> {
     }
 
     /// Searches for the best table-wise plan of `tables` (already
-    /// column-wise sharded) on `num_devices` devices.
+    /// column-wise sharded) on `num_devices` devices with per-device memory
+    /// `budgets`. `scales`, when given, are per-device compute/bandwidth
+    /// multipliers applied to every prediction during allocation and
+    /// scoring; `None` prices every device at baseline (unit scales give
+    /// the same bits: `x * 1.0` and `x / 1.0` are bitwise identities).
     ///
     /// # Errors
     ///
-    /// [`PlanError::Infeasible`] when even the unconstrained greedy pass
-    /// cannot satisfy the memory budget.
-    pub fn search(
-        &self,
-        tables: &[TableConfig],
-        num_devices: usize,
-        mem_budget_bytes: u64,
-        batch_size: u32,
-    ) -> Result<GridSearchResult, PlanError> {
-        let budgets = vec![mem_budget_bytes; num_devices];
-        self.search_with_devices(tables, num_devices, &budgets, None, batch_size)
-    }
-
-    /// Heterogeneous-fleet variant of [`Self::search`]: per-device memory
-    /// budgets, and optional per-device compute/bandwidth scales applied to
-    /// every prediction during allocation and scoring.
-    ///
-    /// With uniform budgets and no scales this is **bit-identical** to
-    /// [`Self::search`] (the homogeneous path multiplies and divides by
-    /// exact `1.0`s, which are bitwise identities for finite floats).
-    ///
-    /// # Errors
-    ///
+    /// [`PlanError::Invalid`] when `num_devices` is zero or `budgets` /
+    /// `scales` do not cover `num_devices` devices;
     /// [`PlanError::Infeasible`] when even the unconstrained greedy pass
     /// cannot satisfy the per-device memory budgets.
     pub fn search_with_devices(
@@ -339,14 +322,22 @@ mod tests {
         TableConfig::new(TableId(id), dim, 1 << 18, 10.0, 1.0)
     }
 
+    /// `tables` on two baseline devices of `budget` bytes each.
+    fn search2(
+        search: &GreedyGridSearch<'_>,
+        tables: &[TableConfig],
+        budget: u64,
+        batch_size: u32,
+    ) -> Result<GridSearchResult, PlanError> {
+        search.search_with_devices(tables, 2, &[budget; 2], None, batch_size)
+    }
+
     #[test]
     fn assigns_every_table() {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 5);
         let tables: Vec<TableConfig> = (0..8).map(|i| t(i, 32)).collect();
-        let result = search
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let result = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         assert_eq!(result.device_of.len(), 8);
         assert!(result.device_of.iter().all(|&d| d < 2));
         assert!(result.estimated_cost_ms.is_finite());
@@ -361,7 +352,7 @@ mod tests {
             .map(|i| TableConfig::new(TableId(i), 64, 1024, 5.0, 1.0))
             .collect();
         let budget = 2 * 64 * 1024 * 4;
-        let result = search.search(&tables, 2, budget, 1024).unwrap();
+        let result = search2(&search, &tables, budget, 1024).unwrap();
         let mut per_dev = [0u64; 2];
         for (i, &d) in result.device_of.iter().enumerate() {
             per_dev[d] += tables[i].memory_bytes();
@@ -374,7 +365,7 @@ mod tests {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 3);
         let tables = vec![t(0, 64)];
-        let err = search.search(&tables, 2, 16, 1024).unwrap_err();
+        let err = search2(&search, &tables, 16, 1024).unwrap_err();
         assert!(matches!(err, PlanError::Infeasible { .. }));
     }
 
@@ -386,9 +377,7 @@ mod tests {
         // table can never make device dims exactly even; the fallback (or a
         // loose threshold) must still produce a plan.
         let tables: Vec<TableConfig> = (0..5).map(|i| t(i, 32)).collect();
-        let result = search
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let result = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         assert_eq!(result.device_of.len(), 5);
     }
 
@@ -397,9 +386,7 @@ mod tests {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 11).without_grid();
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 64)).collect();
-        let result = search
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let result = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         assert!(result.max_dim_used.is_none());
     }
 
@@ -409,13 +396,15 @@ mod tests {
         let tables: Vec<TableConfig> = (0..10)
             .map(|i| t(i, if i % 3 == 0 { 128 } else { 16 }))
             .collect();
-        let with_grid = GreedyGridSearch::new(&sim, 11)
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
-        let without = GreedyGridSearch::new(&sim, 11)
-            .without_grid()
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let grid = GreedyGridSearch::new(&sim, 11);
+        let with_grid = search2(&grid, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
+        let without = search2(
+            &grid.without_grid(),
+            &tables,
+            nshard_sim::DEFAULT_MEM_BYTES,
+            65_536,
+        )
+        .unwrap();
         assert!(with_grid.estimated_cost_ms <= without.estimated_cost_ms + 1e-9);
     }
 
@@ -424,9 +413,7 @@ mod tests {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 11);
         let tables: Vec<TableConfig> = (0..12).map(|i| t(i, 32)).collect();
-        let _ = search
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let _ = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         assert!(
             sim.cache().hit_rate() > 0.5,
             "hit rate {}",
@@ -440,40 +427,36 @@ mod tests {
         let tables: Vec<TableConfig> = (0..14)
             .map(|i| t(i, if i % 3 == 0 { 128 } else { 32 }))
             .collect();
-        let serial = GreedyGridSearch::new(&sim, 7)
-            .with_threads(1)
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let at = |threads| {
+            let search = GreedyGridSearch::new(&sim, 7).with_threads(threads);
+            search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap()
+        };
+        let serial = at(1);
         for threads in [2, 4, 8] {
-            let parallel = GreedyGridSearch::new(&sim, 7)
-                .with_threads(threads)
-                .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-                .unwrap();
+            let parallel = at(threads);
             assert_eq!(parallel, serial, "diverged at {threads} threads");
         }
     }
 
     #[test]
-    fn uniform_device_context_is_bit_identical_to_scalar_search() {
+    fn unit_scales_are_bit_identical_to_no_scales() {
         let sim = sim(2);
         let tables: Vec<TableConfig> = (0..10)
             .map(|i| t(i, if i % 3 == 0 { 128 } else { 32 }))
             .collect();
         let search = GreedyGridSearch::new(&sim, 7);
-        let scalar = search
-            .search(&tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536)
-            .unwrap();
+        let unscaled = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
         let unit = DeviceScales::new(vec![1.0; 2], vec![1.0; 2]);
         let scaled = search
             .search_with_devices(&tables, 2, &budgets, Some(&unit), 65_536)
             .unwrap();
-        assert_eq!(scaled.device_of, scalar.device_of);
+        assert_eq!(scaled.device_of, unscaled.device_of);
         assert_eq!(
             scaled.estimated_cost_ms.to_bits(),
-            scalar.estimated_cost_ms.to_bits()
+            unscaled.estimated_cost_ms.to_bits()
         );
-        assert_eq!(scaled.max_dim_used, scalar.max_dim_used);
+        assert_eq!(scaled.max_dim_used, unscaled.max_dim_used);
     }
 
     #[test]
@@ -527,7 +510,7 @@ mod tests {
         let sim = sim(2);
         let search = GreedyGridSearch::new(&sim, 3);
         assert!(matches!(
-            search.search(&[t(0, 8)], 0, 1 << 30, 1024),
+            search.search_with_devices(&[t(0, 8)], 0, &[], None, 1024),
             Err(PlanError::Invalid { .. })
         ));
     }

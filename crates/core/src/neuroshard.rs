@@ -207,9 +207,15 @@ impl NeuroShard {
     ///
     /// # Errors
     ///
-    /// [`PlanError::Infeasible`] when no explored plan satisfies the memory
-    /// budget.
+    /// [`PlanError::Invalid`] when the task's device count is not the one
+    /// the cost models were trained for
+    /// ([`CostModelBundle::check_device_count`]); [`PlanError::Infeasible`] when no explored
+    /// plan satisfies the memory budgets.
     pub fn shard_with_stats(&self, task: &ShardingTask) -> Result<ShardOutcome, PlanError> {
+        self.sim
+            .bundle()
+            .check_device_count(task.num_devices())
+            .map_err(|reason| PlanError::Invalid { reason })?;
         let before = self.sim.cache().stats();
         let start = Instant::now();
 
@@ -293,6 +299,14 @@ mod tests {
         assert!(outcome.sharding_time_s >= 0.0);
         assert!(outcome.evaluated_plans >= 1);
         assert!((0.0..=1.0).contains(&outcome.cache_hit_rate));
+    }
+
+    #[test]
+    fn a_device_count_the_models_were_not_trained_for_is_invalid() {
+        let ns = sharder(2, NeuroShardConfig::smoke());
+        let err = ns.shard_with_stats(&task(3)).unwrap_err();
+        assert!(matches!(err, PlanError::Invalid { .. }), "{err}");
+        assert!(err.to_string().contains("3 devices") && err.to_string().contains("for 2"));
     }
 
     #[test]

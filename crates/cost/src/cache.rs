@@ -27,8 +27,8 @@ use serde::{Deserialize, Serialize};
 use nshard_sim::TableProfile;
 
 /// A pass-through [`Hasher`] for keys that are already avalanche-mixed
-/// 64-bit fingerprints (every key in this crate goes through
-/// [`avalanche`]). Re-hashing such keys with SipHash is pure overhead on
+/// 64-bit fingerprints (every key in this crate goes through the private
+/// `avalanche` finalizer). Re-hashing such keys with SipHash is pure overhead on
 /// the search hot path, so maps keyed by them use the key bits directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PreMixedHasher(u64);
@@ -230,7 +230,7 @@ impl CacheStats {
 }
 
 /// A thread-safe memoization cache with hit-rate accounting, sharded into
-/// [`NUM_SHARDS`] independently locked segments selected by key bits.
+/// 16 independently locked segments selected by key bits.
 ///
 /// # Example
 ///

@@ -73,8 +73,8 @@ impl DeviceScales {
     }
 
     /// Lowers a [`nshard_sim::DevicePool`] to inference scales. Returns
-    /// `None` for a pool with baseline compute and a flat network — the
-    /// caller should then use the unscaled (bit-exact legacy) path.
+    /// `None` for a pool with baseline compute and a flat network: there
+    /// is nothing to scale, and callers pass the `None` straight on.
     pub fn from_pool(pool: &nshard_sim::DevicePool) -> Option<Self> {
         if pool.has_uniform_compute() && pool.has_uniform_bandwidth() {
             return None;
@@ -292,6 +292,23 @@ impl CostModelBundle {
     /// Device count this bundle was trained for.
     pub fn num_devices(&self) -> usize {
         self.num_devices
+    }
+
+    /// Whether a task on `num_devices` devices can be priced: the
+    /// communication models' input width is the count they were trained
+    /// for, so no other count can be.
+    ///
+    /// # Errors
+    ///
+    /// A message naming both counts.
+    pub fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
+        if num_devices == self.num_devices {
+            return Ok(());
+        }
+        Err(format!(
+            "task has {num_devices} devices, the cost models were trained for {}",
+            self.num_devices
+        ))
     }
 
     /// Batch size of the training workload.

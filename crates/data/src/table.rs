@@ -75,13 +75,7 @@ impl TableConfig {
         pooling_factor: f64,
         zipf_alpha: f64,
     ) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        assert!(hash_size > 0, "hash size must be positive");
-        assert!(
-            pooling_factor.is_finite() && pooling_factor > 0.0,
-            "pooling factor must be positive"
-        );
-        Self {
+        let table = Self {
             id,
             dim,
             hash_size,
@@ -89,7 +83,27 @@ impl TableConfig {
             zipf_alpha: zipf_alpha.max(0.0),
             replicas: 1,
             row_offset: 0,
+        };
+        if let Err(reason) = table.check() {
+            panic!("{reason}");
         }
+        table
+    }
+
+    /// The conditions [`TableConfig::new`] asserts, as an error — also run
+    /// by the task decoder (`crate::task`), because a deserialized table
+    /// never went through `new`.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.dim == 0 {
+            return Err("dimension must be positive".into());
+        }
+        if self.hash_size == 0 {
+            return Err("hash size must be positive".into());
+        }
+        if !(self.pooling_factor.is_finite() && self.pooling_factor > 0.0) {
+            return Err("pooling factor must be positive".into());
+        }
+        Ok(())
     }
 
     /// The table's identity within its pool.

@@ -9,14 +9,29 @@ use std::ops::RangeInclusive;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
-use nshard_sim::{DevicePool, TableProfile};
+use nshard_sim::{DevicePool, DeviceProfile, TableProfile};
 
 use crate::pool::TablePool;
 use crate::table::TableConfig;
 
-/// One embedding-table sharding task.
+/// One embedding-table sharding task: tables, a device fleet, a batch size.
+///
+/// The fleet is always a [`DevicePool`] — per-device memory budgets,
+/// compute classes and the two-tier network. [`ShardingTask::new`] and
+/// [`ShardingTask::sample`] build the paper's uniform fleet (`D` identical
+/// devices, one budget); [`ShardingTask::with_devices`] swaps in any other.
+///
+/// This module also owns the task's JSON form (requests to the daemon,
+/// `StoredPlan` files, replication values, plan ids). It keeps the five
+/// keys tasks have always had — `tables, num_devices, mem_budget_bytes,
+/// batch_size, devices` — with `"devices":null` standing for
+/// `DevicePool::uniform(num_devices, mem_budget_bytes)`, so uniform tasks
+/// serialize to the bytes they always did. Reading validates: a JSON task
+/// that the constructors would have refused is a decode error, never a
+/// value that panics later.
 ///
 /// # Example
 ///
@@ -28,26 +43,107 @@ use crate::table::TableConfig;
 /// assert_eq!(task.num_devices(), 4);
 /// assert!(task.tables().iter().all(|t| t.dim() <= 128));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(try_from = "TaskWire")]
 pub struct ShardingTask {
+    tables: Vec<TableConfig>,
+    devices: DevicePool,
+    batch_size: u32,
+}
+
+/// The JSON form of a [`ShardingTask`] as read; [`ShardingTask`]'s
+/// `Serialize` writes the same five keys.
+#[derive(Deserialize)]
+struct TaskWire {
     tables: Vec<TableConfig>,
     num_devices: usize,
     mem_budget_bytes: u64,
     batch_size: u32,
-    /// Optional heterogeneous fleet description: per-device memory budgets,
-    /// compute classes and the two-tier network. `None` — and any uniform
-    /// pool — means the classic homogeneous task, where every device has
-    /// `mem_budget_bytes` and baseline compute.
+    /// Absent in files from before heterogeneous fleets.
     #[serde(default)]
     devices: Option<DevicePool>,
 }
 
+/// Most devices a JSON task may name: `"devices":null` expands to one
+/// profile per device, so the count must be bounded before it is allocated.
+/// The largest fleet any bench drives has 128.
+const MAX_WIRE_DEVICES: usize = 1 << 16;
+
+impl TryFrom<TaskWire> for ShardingTask {
+    type Error = String;
+
+    fn try_from(wire: TaskWire) -> Result<Self, String> {
+        if wire.tables.is_empty() {
+            return Err("a task needs at least one table".into());
+        }
+        wire.tables.iter().try_for_each(TableConfig::check)?;
+        // `memory_bytes` and `total_bytes` multiply and sum unchecked.
+        wire.tables
+            .iter()
+            .try_fold(0u64, |sum, t| {
+                let bytes = t.hash_size().checked_mul(u64::from(t.dim()) * 4)?;
+                sum.checked_add(bytes)
+            })
+            .ok_or("the tables' total byte size overflows 64 bits")?;
+        if !(1..=MAX_WIRE_DEVICES).contains(&wire.num_devices) {
+            return Err(format!(
+                "a task needs between 1 and {MAX_WIRE_DEVICES} devices, got {}",
+                wire.num_devices
+            ));
+        }
+        let devices = match wire.devices {
+            // The derive built the pool past its constructors: re-run them.
+            Some(pool) => DevicePool::try_new(pool.devices().to_vec(), pool.inter_node_bw_scale())
+                .map_err(|e| e.to_string())?,
+            None if wire.mem_budget_bytes == 0 => {
+                return Err("device memory budget must be positive".into())
+            }
+            None => DevicePool::uniform(wire.num_devices, wire.mem_budget_bytes),
+        };
+        if devices.len() != wire.num_devices {
+            return Err(format!(
+                "device pool describes {} devices, the task names {}",
+                devices.len(),
+                wire.num_devices
+            ));
+        }
+        Ok(Self {
+            tables: wire.tables,
+            devices,
+            batch_size: wire.batch_size,
+        })
+    }
+}
+
+impl Serialize for ShardingTask {
+    fn to_value(&self) -> Value {
+        let budget = self.devices.max_budget();
+        let plain = DeviceProfile::new(budget, 1.0, 0);
+        let uniform = self.devices.inter_node_bw_scale() == 1.0
+            && self.devices.devices().iter().all(|d| *d == plain);
+        let pool = if uniform {
+            Value::Null
+        } else {
+            self.devices.to_value()
+        };
+        Value::Map(vec![
+            ("tables".into(), self.tables.to_value()),
+            ("num_devices".into(), self.num_devices().to_value()),
+            ("mem_budget_bytes".into(), budget.to_value()),
+            ("batch_size".into(), self.batch_size.to_value()),
+            ("devices".into(), pool),
+        ])
+    }
+}
+
 impl ShardingTask {
-    /// Builds a task from explicit parts.
+    /// Builds a task on `num_devices` identical devices of
+    /// `mem_budget_bytes` each ([`DevicePool::uniform`]).
     ///
     /// # Panics
     ///
-    /// Panics if `num_devices == 0` or `tables` is empty.
+    /// Panics if `num_devices == 0`, `mem_budget_bytes == 0` or `tables` is
+    /// empty.
     pub fn new(
         tables: Vec<TableConfig>,
         num_devices: usize,
@@ -58,10 +154,8 @@ impl ShardingTask {
         assert!(!tables.is_empty(), "a task needs at least one table");
         Self {
             tables,
-            num_devices,
-            mem_budget_bytes,
+            devices: DevicePool::uniform(num_devices, mem_budget_bytes),
             batch_size,
-            devices: None,
         }
     }
 
@@ -112,23 +206,12 @@ impl ShardingTask {
 
     /// Number of GPU devices.
     pub fn num_devices(&self) -> usize {
-        self.num_devices
-    }
-
-    /// Per-device embedding memory budget in bytes.
-    pub fn mem_budget_bytes(&self) -> u64 {
-        self.mem_budget_bytes
+        self.devices.len()
     }
 
     /// Training batch size.
     pub fn batch_size(&self) -> u32 {
         self.batch_size
-    }
-
-    /// Returns a copy with a different memory budget (builder-style).
-    pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget_bytes = bytes;
-        self
     }
 
     /// Returns a copy with a different batch size (builder-style).
@@ -137,11 +220,19 @@ impl ShardingTask {
         self
     }
 
-    /// Attaches a heterogeneous fleet description (builder-style). The
-    /// pool's per-device budgets override `mem_budget_bytes` device by
-    /// device; `mem_budget_bytes` is also updated to the pool's **largest**
-    /// budget so code that only understands a scalar budget stays
-    /// conservative about what *some* device can hold.
+    /// Returns a copy with different tables on the same fleet
+    /// (builder-style) — how a workload drifts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` is empty.
+    pub fn with_tables(mut self, tables: Vec<TableConfig>) -> Self {
+        assert!(!tables.is_empty(), "a task needs at least one table");
+        self.tables = tables;
+        self
+    }
+
+    /// Replaces the device fleet (builder-style).
     ///
     /// # Panics
     ///
@@ -149,30 +240,26 @@ impl ShardingTask {
     pub fn with_devices(mut self, pool: DevicePool) -> Self {
         assert_eq!(
             pool.len(),
-            self.num_devices,
+            self.num_devices(),
             "device pool size must match the task's device count"
         );
-        self.mem_budget_bytes = pool.max_budget();
-        self.devices = Some(pool);
+        self.devices = pool;
         self
     }
 
-    /// The heterogeneous fleet description, if any.
-    pub fn device_pool(&self) -> Option<&DevicePool> {
-        self.devices.as_ref()
+    /// The device fleet.
+    pub fn devices(&self) -> &DevicePool {
+        &self.devices
     }
 
-    /// The memory budget of device `g`: its pool profile when the task is
-    /// heterogeneous, the scalar budget otherwise.
+    /// The memory budget of device `g`.
     pub fn budget_of(&self, g: usize) -> u64 {
-        self.devices
-            .as_ref()
-            .map_or(self.mem_budget_bytes, |p| p.budget_of(g))
+        self.devices.budget_of(g)
     }
 
     /// Per-device memory budgets, in device order.
     pub fn budgets(&self) -> Vec<u64> {
-        (0..self.num_devices).map(|g| self.budget_of(g)).collect()
+        self.devices.budgets()
     }
 
     /// Lowers all tables to simulator profiles at the task's batch size.
@@ -193,11 +280,7 @@ impl ShardingTask {
     /// `false` guarantees it does not without column-wise sharding of
     /// oversized tables.)
     pub fn aggregate_memory_feasible(&self) -> bool {
-        let aggregate = self.devices.as_ref().map_or_else(
-            || self.mem_budget_bytes * self.num_devices as u64,
-            DevicePool::total_budget,
-        );
-        self.total_bytes() <= aggregate
+        self.total_bytes() <= self.devices.total_budget()
     }
 }
 
@@ -369,33 +452,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_methods() {
-        let task = ShardingTask::sample(&pool(), 2, 4..=6, 8, 0)
-            .with_mem_budget(1234)
-            .with_batch_size(256);
-        assert_eq!(task.mem_budget_bytes(), 1234);
+    fn with_batch_size_changes_only_the_batch() {
+        let base = ShardingTask::sample(&pool(), 2, 4..=6, 8, 0);
+        let task = base.clone().with_batch_size(256);
         assert_eq!(task.batch_size(), 256);
+        assert_eq!(task.devices(), base.devices());
+        assert_eq!(task.tables(), base.tables());
     }
 
     #[test]
-    fn device_pool_overrides_scalar_budgets() {
-        let task = ShardingTask::sample(&pool(), 4, 10..=20, 64, 3).with_devices(
-            nshard_sim::DevicePool::two_tier(2, 4 << 30, 2, 1 << 30, 1.5, 0.5),
-        );
+    fn budgets_come_from_the_pool() {
+        let uniform = ShardingTask::new(two_tables(), 4, 1 << 30, 64);
+        assert_eq!(uniform.devices(), &DevicePool::uniform(4, 1 << 30));
+        assert_eq!(uniform.budgets(), vec![1 << 30; 4]);
+        let task = uniform.with_devices(DevicePool::two_tier(2, 4 << 30, 2, 1 << 30, 1.5, 0.5));
         assert_eq!(task.budget_of(0), 4 << 30);
         assert_eq!(task.budget_of(3), 1 << 30);
         assert_eq!(task.budgets(), vec![4 << 30, 4 << 30, 1 << 30, 1 << 30]);
-        // The scalar budget snaps to the largest device.
-        assert_eq!(task.mem_budget_bytes(), 4 << 30);
-        assert!(task.device_pool().is_some());
-    }
-
-    #[test]
-    fn uniform_tasks_have_scalar_budgets_everywhere() {
-        let task = ShardingTask::sample(&pool(), 4, 10..=20, 64, 3).with_mem_budget(1 << 30);
-        assert_eq!(task.budget_of(0), 1 << 30);
-        assert_eq!(task.budget_of(3), 1 << 30);
-        assert!(task.device_pool().is_none());
     }
 
     #[test]
@@ -407,18 +480,11 @@ mod tests {
             8.0,
             1.0,
         )];
-        // Scalar: 2 devices x 256 MB < 1 GB -> infeasible.
-        let scalar = ShardingTask::new(tables.clone(), 2, 256 << 20, 65_536);
-        assert!(!scalar.aggregate_memory_feasible());
-        // Pool: one roomy device makes the aggregate feasible.
-        let pooled = scalar.with_devices(nshard_sim::DevicePool::two_tier(
-            1,
-            2 << 30,
-            1,
-            256 << 20,
-            1.0,
-            1.0,
-        ));
+        // 2 devices x 256 MB < 1 GB -> infeasible.
+        let uniform = ShardingTask::new(tables.clone(), 2, 256 << 20, 65_536);
+        assert!(!uniform.aggregate_memory_feasible());
+        // One roomy device makes the aggregate feasible.
+        let pooled = uniform.with_devices(DevicePool::two_tier(1, 2 << 30, 1, 256 << 20, 1.0, 1.0));
         assert!(pooled.aggregate_memory_feasible());
     }
 
@@ -427,6 +493,127 @@ mod tests {
     fn mismatched_pool_size_panics() {
         let _ = ShardingTask::sample(&pool(), 4, 10..=20, 64, 3)
             .with_devices(nshard_sim::DevicePool::uniform(2, 1 << 30));
+    }
+
+    fn two_tables() -> Vec<TableConfig> {
+        use crate::table::TableId;
+        vec![
+            TableConfig::new(TableId(0), 32, 1 << 14, 8.0, 1.05),
+            TableConfig::new(TableId(1), 64, 1 << 12, 2.5, 0.0),
+        ]
+    }
+
+    // Three task files as the last commit with a scalar budget beside an
+    // `Option<DevicePool>` wrote them (`two_tables()` on 2 devices of
+    // 16 MiB, batch 64): the `devices` key absent (files from before
+    // heterogeneous fleets), `"devices":null`, and a two-tier pool.
+    const TABLES_JSON: &str = r#"[{"id":0,"dim":32,"hash_size":16384,"pooling_factor":8.0,"zipf_alpha":1.05,"replicas":1,"row_offset":0},{"id":1,"dim":64,"hash_size":4096,"pooling_factor":2.5,"zipf_alpha":0.0,"replicas":1,"row_offset":0}]"#;
+
+    fn legacy_json() -> String {
+        format!(
+            r#"{{"tables":{TABLES_JSON},"num_devices":2,"mem_budget_bytes":16777216,"batch_size":64}}"#
+        )
+    }
+
+    fn null_pool_json() -> String {
+        format!(
+            r#"{{"tables":{TABLES_JSON},"num_devices":2,"mem_budget_bytes":16777216,"batch_size":64,"devices":null}}"#
+        )
+    }
+
+    fn two_tier_json() -> String {
+        format!(
+            r#"{{"tables":{TABLES_JSON},"num_devices":2,"mem_budget_bytes":16777216,"batch_size":64,"devices":{{"devices":[{{"mem_budget_bytes":16777216,"compute_scale":1.0,"node":0}},{{"mem_budget_bytes":5242880,"compute_scale":1.5,"node":1}}],"inter_node_bw_scale":0.25}}}}"#
+        )
+    }
+
+    #[test]
+    fn parent_task_files_load_and_round_trip_to_the_same_bytes() {
+        let uniform = ShardingTask::new(two_tables(), 2, 16 << 20, 64);
+        let legacy: ShardingTask = serde_json::from_str(&legacy_json()).unwrap();
+        assert_eq!(legacy, uniform);
+
+        let null_pool: ShardingTask = serde_json::from_str(&null_pool_json()).unwrap();
+        assert_eq!(null_pool, uniform);
+        assert_eq!(serde_json::to_string(&null_pool).unwrap(), null_pool_json());
+
+        let two_tier: ShardingTask = serde_json::from_str(&two_tier_json()).unwrap();
+        assert_eq!(
+            two_tier,
+            uniform.with_devices(DevicePool::two_tier(1, 16 << 20, 1, 5 << 20, 1.5, 0.25))
+        );
+        assert_eq!(serde_json::to_string(&two_tier).unwrap(), two_tier_json());
+    }
+
+    #[test]
+    fn a_uniform_pool_serializes_as_no_pool() {
+        let plain = ShardingTask::new(two_tables(), 2, 16 << 20, 64);
+        let pooled = plain.clone().with_devices(DevicePool::uniform(2, 16 << 20));
+        assert_eq!(serde_json::to_string(&plain).unwrap(), null_pool_json());
+        assert_eq!(serde_json::to_string(&pooled).unwrap(), null_pool_json());
+        // Equal budgets on two nodes is not `DevicePool::uniform`: faults
+        // address nodes, so the pool is written out.
+        let two_nodes =
+            plain.with_devices(DevicePool::two_tier(1, 16 << 20, 1, 16 << 20, 1.0, 1.0));
+        let json = serde_json::to_string(&two_nodes).unwrap();
+        assert!(json.contains(r#""node":1"#), "{json}");
+        assert_eq!(
+            serde_json::from_str::<ShardingTask>(&json).unwrap(),
+            two_nodes
+        );
+    }
+
+    #[test]
+    fn the_decoder_refuses_what_the_constructors_refuse() {
+        let edits = [
+            (r#""num_devices":2"#, r#""num_devices":0"#, "between 1 and"),
+            (
+                r#""num_devices":2"#,
+                r#""num_devices":3"#,
+                "the task names 3",
+            ),
+            (
+                r#""num_devices":2"#,
+                r#""num_devices":9223372036854775808"#,
+                "between 1 and",
+            ),
+            (
+                r#""compute_scale":1.5"#,
+                r#""compute_scale":0.0"#,
+                "compute scale",
+            ),
+            (
+                r#""mem_budget_bytes":5242880"#,
+                r#""mem_budget_bytes":0"#,
+                "budget",
+            ),
+            (
+                r#""inter_node_bw_scale":0.25"#,
+                r#""inter_node_bw_scale":1.5"#,
+                "bandwidth scale",
+            ),
+            (r#""dim":32"#, r#""dim":0"#, "dimension"),
+            (r#""hash_size":16384"#, r#""hash_size":0"#, "hash size"),
+            (
+                r#""hash_size":16384"#,
+                r#""hash_size":9223372036854775808"#,
+                "overflows",
+            ),
+            (
+                r#""pooling_factor":8.0"#,
+                r#""pooling_factor":0.0"#,
+                "pooling factor",
+            ),
+            (TABLES_JSON, "[]", "at least one table"),
+        ];
+        for (from, to, expect) in edits {
+            let body = two_tier_json().replacen(from, to, 1);
+            assert_ne!(body, two_tier_json(), "{from} not found");
+            let err = serde_json::from_str::<ShardingTask>(&body).unwrap_err();
+            assert!(err.to_string().contains(expect), "{to}: {err}");
+        }
+        let zero_budget = null_pool_json().replace("16777216", "0");
+        assert!(serde_json::from_str::<ShardingTask>(&zero_budget).is_err());
     }
 
     proptest! {

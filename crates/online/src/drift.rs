@@ -292,10 +292,9 @@ impl WorkloadDrift {
 
     /// The workload at `epoch`: the base task with every table's pooling
     /// factor, hash size and Zipf skew adjusted by the composed drift
-    /// factors. Table count, ids, dimensions, device count, memory budget,
-    /// batch size and the heterogeneous device pool (if any) never change
-    /// — drift evolves traffic, not the fleet. Bit-deterministic per
-    /// `(base, models, seed, epoch)`.
+    /// factors. Table count, ids, dimensions, batch size and the device
+    /// fleet never change — drift evolves traffic, not the fleet.
+    /// Bit-deterministic per `(base, models, seed, epoch)`.
     pub fn task_at(&self, epoch: u64) -> ShardingTask {
         let tables: Vec<TableConfig> = self
             .base
@@ -313,16 +312,7 @@ impl WorkloadDrift {
                     .with_zipf_alpha(alpha)
             })
             .collect();
-        let task = ShardingTask::new(
-            tables,
-            self.base.num_devices(),
-            self.base.mem_budget_bytes(),
-            self.base.batch_size(),
-        );
-        match self.base.device_pool() {
-            Some(pool) => task.with_devices(pool.clone()),
-            None => task,
-        }
+        self.base.clone().with_tables(tables)
     }
 }
 
@@ -453,11 +443,10 @@ mod tests {
         for epoch in [0, 1, 9] {
             let t = drift.task_at(epoch);
             assert_eq!(
-                t.device_pool(),
-                pooled.device_pool(),
-                "epoch {epoch} dropped the fleet description"
+                t.devices(),
+                pooled.devices(),
+                "epoch {epoch} changed the fleet"
             );
-            assert_eq!(t.budgets(), pooled.budgets());
         }
     }
 

@@ -262,20 +262,20 @@ impl IncrementalPlanner {
     ///
     /// # Errors
     ///
-    /// [`PlanError`] when the incumbent cannot be rebased onto `task`
-    /// (table-count mismatch, or a recorded split no longer legal after
-    /// drift). The caller should fall back to a full replan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator bundle's device count differs from the
-    /// task's.
+    /// [`PlanError`] when the task's device count is not the one `sim`'s
+    /// cost models were trained for, or the incumbent cannot be rebased
+    /// onto `task` (table-count mismatch, or a recorded split no longer
+    /// legal after drift). In the second case the caller should fall back
+    /// to a full replan.
     pub fn replan(
         &self,
         sim: &CostSimulator,
         task: &ShardingTask,
         incumbent: &ShardingPlan,
     ) -> Result<IncrementalOutcome, PlanError> {
+        sim.bundle()
+            .check_device_count(task.num_devices())
+            .map_err(|reason| PlanError::Invalid { reason })?;
         let base = incumbent.rebase(task)?;
         let pool = WorkPool::new(self.config.threads);
         let budgets = task.budgets();
@@ -557,6 +557,15 @@ mod tests {
             2,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_device_count_the_models_were_not_trained_for_is_invalid() {
+        let task = skewed_task();
+        let err = IncrementalPlanner::default()
+            .replan(&sim(4), &task, &all_on_zero(&task))
+            .unwrap_err();
+        assert!(matches!(err, PlanError::Invalid { .. }), "{err}");
     }
 
     #[test]

@@ -181,6 +181,20 @@ impl PlanningEngine {
         self.current().version
     }
 
+    /// Whether the active cost models can price a task on `num_devices`
+    /// devices ([`CostModelBundle::check_device_count`]).
+    ///
+    /// # Errors
+    ///
+    /// A message naming both counts.
+    pub fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
+        let core = self.current();
+        core.neuro
+            .simulator()
+            .bundle()
+            .check_device_count(num_devices)
+    }
+
     /// Cumulative prediction-cache statistics of the **active** model
     /// generation, for `/metrics` (a swap resets them with the caches).
     pub fn cache_stats(&self) -> CacheStats {

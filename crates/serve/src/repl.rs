@@ -2,14 +2,14 @@
 //!
 //! A serve tier is N daemons sharing one logical plan/model store. One
 //! node is the **leader**: it runs searches, adopts plans, and appends
-//! every adoption to the sequenced op log of its [`PlanKv`]. The others
-//! are **followers**: they poll the leader's `/v1/repl/log/{from}`
-//! endpoint, apply the ops through the same sequence-gated
-//! [`PlanKv::apply`] path, and materialize replicated plans into their
-//! local [`crate::store::PlanStore`] — so every replica can answer
-//! `GET /v1/plans/{id}` warm at all times. A cold or lagging follower
-//! whose position predates the leader's retained log catches up from
-//! `/v1/repl/snapshot` instead.
+//! every adoption to the sequenced op log of its [`crate::kv::PlanKv`].
+//! The others are **followers**: they poll the leader's
+//! `/v1/repl/log/{from}` endpoint, apply the ops through the same
+//! sequence-gated [`crate::kv::PlanKv::apply`] path, and materialize
+//! replicated plans into their local [`crate::store::PlanStore`] — so
+//! every replica can answer `GET /v1/plans/{id}` warm at all times. A
+//! cold or lagging follower whose position predates the leader's
+//! retained log catches up from `/v1/repl/snapshot` instead.
 //!
 //! **Failover.** The [`Replicator`] counts *consecutive* transport
 //! failures; at `failure_threshold` it promotes its service to leader

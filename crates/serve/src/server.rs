@@ -970,6 +970,11 @@ impl Service {
                 return error_response(400, "bad_request", format!("invalid request body: {e}"))
             }
         };
+        // Nothing past this point survives a device count the models
+        // cannot price: the simulator asserts it.
+        if let Err(detail) = self.engine.check_device_count(parsed.task().num_devices()) {
+            return error_response(400, "unsupported_device_count", detail);
+        }
 
         let waited_ms = now_ms.saturating_sub(job.enqueued_ms);
         if waited_ms >= deadline_ms {
@@ -1368,4 +1373,13 @@ impl Server {
 enum Parsed {
     Plan(PlanRequest),
     Replan(ReplanRequest),
+}
+
+impl Parsed {
+    fn task(&self) -> &ShardingTask {
+        match self {
+            Parsed::Plan(request) => &request.task,
+            Parsed::Replan(request) => &request.task,
+        }
+    }
 }

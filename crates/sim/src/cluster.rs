@@ -114,11 +114,13 @@ impl PlanCosts {
     }
 }
 
-/// A homogeneous cluster of `D` GPUs evaluating embedding sharding plans.
+/// A cluster of `D` GPUs evaluating embedding sharding plans.
 ///
 /// This is the reproduction's stand-in for the paper's eight-GPU 2080 Ti
 /// server (and, with [`GpuSpec::datacenter`], the 128-GPU production
-/// cluster).
+/// cluster). The fleet — per-device memory budgets, compute classes and
+/// the two-tier network — is always a [`DevicePool`]; [`Cluster::new`]
+/// builds the uniform one, [`Cluster::with_devices`] swaps in another.
 ///
 /// # Example
 ///
@@ -135,31 +137,26 @@ impl PlanCosts {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cluster {
     spec: GpuSpec,
-    num_devices: usize,
     batch_size: u32,
     noise: NoiseModel,
-    /// Optional heterogeneous fleet description. `None` (and any uniform
-    /// pool) evaluates through the bit-exact homogeneous paths; serialized
-    /// clusters from before heterogeneity load as `None`.
-    #[serde(default)]
-    devices: Option<DevicePool>,
+    devices: DevicePool,
 }
 
 impl Cluster {
-    /// Creates a cluster of `num_devices` identical GPUs with ~2% default
+    /// Creates a cluster of `num_devices` identical GPUs — each with the
+    /// spec's memory budget, baseline compute, one node — with ~2% default
     /// measurement noise.
     ///
     /// # Panics
     ///
-    /// Panics if `num_devices == 0`.
+    /// Panics if `num_devices == 0` or the spec's memory budget is zero.
     pub fn new(spec: GpuSpec, num_devices: usize, batch_size: u32) -> Self {
         assert!(num_devices > 0, "a cluster needs at least one device");
         Self {
             spec,
-            num_devices,
             batch_size,
             noise: NoiseModel::default(),
-            devices: None,
+            devices: DevicePool::uniform(num_devices, spec.mem_budget_bytes()),
         }
     }
 
@@ -169,11 +166,10 @@ impl Cluster {
         self
     }
 
-    /// Attaches a heterogeneous fleet description (builder-style): the
-    /// pool's per-device memory budgets override the spec's budget, kernel
+    /// Replaces the fleet description (builder-style): the pool's
+    /// per-device memory budgets stand in for the spec's budget, kernel
     /// times scale by each device's compute multiplier, and the two-tier
-    /// network reshapes the all-to-all. A uniform pool behaves exactly
-    /// like `None`.
+    /// network reshapes the all-to-all.
     ///
     /// # Panics
     ///
@@ -181,34 +177,31 @@ impl Cluster {
     pub fn with_devices(mut self, pool: DevicePool) -> Self {
         assert_eq!(
             pool.len(),
-            self.num_devices,
+            self.num_devices(),
             "device pool size must match the cluster's device count"
         );
-        self.devices = Some(pool);
+        self.devices = pool;
         self
     }
 
-    /// The heterogeneous fleet description, if any.
-    pub fn device_pool(&self) -> Option<&DevicePool> {
-        self.devices.as_ref()
+    /// The fleet description.
+    pub fn devices(&self) -> &DevicePool {
+        &self.devices
     }
 
-    /// The memory budget of device `g`: its pool profile when the cluster
-    /// is heterogeneous, the spec's budget otherwise.
+    /// The memory budget of device `g`.
     pub fn budget_of(&self, g: usize) -> u64 {
-        self.devices
-            .as_ref()
-            .map_or(self.spec.mem_budget_bytes(), |p| p.budget_of(g))
+        self.devices.budget_of(g)
     }
 
-    /// The compute-time multiplier of device `g` (`1.0` when uniform).
+    /// The compute-time multiplier of device `g` (`1.0` = baseline).
     pub fn compute_scale_of(&self, g: usize) -> f64 {
-        self.devices.as_ref().map_or(1.0, |p| p.compute_scale_of(g))
+        self.devices.compute_scale_of(g)
     }
 
-    /// The node of device `g` (`0` when no pool is attached).
+    /// The node of device `g`.
     pub fn node_of(&self, g: usize) -> usize {
-        self.devices.as_ref().map_or(0, |p| p.node_of(g))
+        self.devices.node_of(g)
     }
 
     /// The device specification.
@@ -218,7 +211,7 @@ impl Cluster {
 
     /// Number of GPUs.
     pub fn num_devices(&self) -> usize {
-        self.num_devices
+        self.devices.len()
     }
 
     /// Training batch size.
@@ -248,12 +241,12 @@ impl Cluster {
         assignment: &[Vec<TableProfile>],
         faults: &FaultPlan,
     ) -> Result<(), SimError> {
-        if assignment.len() != self.num_devices {
+        if assignment.len() != self.num_devices() {
             return Err(SimError::InvalidPlan {
                 reason: format!(
                     "plan assigns {} devices but cluster has {}",
                     assignment.len(),
-                    self.num_devices
+                    self.num_devices()
                 ),
             });
         }
@@ -349,7 +342,7 @@ impl Cluster {
     ) -> Result<PlanCosts, SimError> {
         self.check_memory_with_faults(assignment, faults)?;
         if let Some(s) = seed {
-            if let Some(device) = faults.transient_failure(s, self.num_devices) {
+            if let Some(device) = faults.transient_failure(s, self.num_devices()) {
                 return Err(SimError::TransientFailure {
                     device,
                     reason: "injected measurement fault".into(),
@@ -367,8 +360,8 @@ impl Cluster {
 
         // Per-device kernel slowdown: injected straggler faults × the
         // device's hardware class × slow-node-class faults. Every factor is
-        // exactly 1.0 on a healthy homogeneous cluster, and `x * 1.0` is a
-        // bitwise identity, so the legacy path is unchanged.
+        // exactly 1.0 on a healthy uniform cluster, and `x * 1.0` is a
+        // bitwise identity.
         let slowdown = |g: usize| {
             faults.compute_slowdown(g)
                 * self.compute_scale_of(g)
@@ -437,7 +430,7 @@ impl Cluster {
             }
         };
 
-        let devices = (0..self.num_devices)
+        let devices = (0..self.num_devices())
             .map(|g| DeviceCost {
                 compute_fwd_ms: fwd_compute[g],
                 compute_bwd_ms: bwd_compute[g],
@@ -450,23 +443,16 @@ impl Cluster {
 
     /// Per-device bandwidth scales when the network is *not* flat — from
     /// the pool's two-tier topology and/or asymmetric inter-node link
-    /// faults. `None` on a flat healthy network, routing evaluation
-    /// through the bit-exact uniform comm path.
+    /// faults. `None` on a flat healthy network, which evaluates through
+    /// the flat comm law (the two laws differ in the last ulp, and the
+    /// committed fixtures pin the flat one).
     fn tiered_bw_scales(&self, faults: &FaultPlan) -> Option<Vec<f64>> {
-        let pool_tiered = self
-            .devices
-            .as_ref()
-            .is_some_and(|p| !p.has_uniform_bandwidth());
-        let fault_tiered = faults.has_node_link_faults();
-        if !pool_tiered && !fault_tiered {
+        if self.devices.has_uniform_bandwidth() && !faults.has_node_link_faults() {
             return None;
         }
         Some(
-            (0..self.num_devices)
-                .map(|g| {
-                    let pool_scale = self.devices.as_ref().map_or(1.0, |p| p.bw_scale_of(g));
-                    pool_scale * faults.node_link_scale(self.node_of(g))
-                })
+            (0..self.num_devices())
+                .map(|g| self.devices.bw_scale_of(g) * faults.node_link_scale(self.node_of(g)))
                 .collect(),
         )
     }
@@ -561,9 +547,9 @@ mod tests {
 
     #[test]
     fn empty_devices_occupy_zero_bytes() {
-        // Devices with no tables pass the memory check even at budget 0,
-        // and an all-empty plan evaluates without error.
-        let c = Cluster::new(GpuSpec::rtx_2080_ti().with_mem_budget(0), 2, 65_536);
+        // Devices with no tables pass the memory check at the smallest
+        // budget, and an all-empty plan evaluates without error.
+        let c = Cluster::new(GpuSpec::rtx_2080_ti().with_mem_budget(1), 2, 65_536);
         c.check_memory(&[vec![], vec![]]).unwrap();
         let roomy = cluster(2);
         let costs = roomy.evaluate_exact(&[vec![], vec![]]).unwrap();
@@ -644,21 +630,6 @@ mod tests {
         assert!(costs.balance() > 0.0 && costs.balance() <= 1.0);
         let d0 = costs.devices()[0];
         assert!((d0.total_ms() - (d0.compute_ms() + d0.comm_ms())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_pool_is_bit_identical_to_no_pool() {
-        let plain = cluster(4);
-        let pooled = cluster(4).with_devices(DevicePool::uniform(
-            4,
-            GpuSpec::rtx_2080_ti().mem_budget_bytes(),
-        ));
-        let plan = vec![vec![t(64), t(32)], vec![t(64)], vec![t(16)], vec![t(128)]];
-        assert_eq!(plain.evaluate_exact(&plan), pooled.evaluate_exact(&plan));
-        assert_eq!(
-            plain.evaluate(&plan, 17).unwrap(),
-            pooled.evaluate(&plan, 17).unwrap()
-        );
     }
 
     #[test]

@@ -195,8 +195,10 @@ impl CommParams {
             .collect()
     }
 
-    /// Per-GPU forward all-to-all latency on a two-tier network (see
-    /// [`CommParams::costs_ms_tiered`] for the law).
+    /// Per-GPU forward all-to-all latency on a two-tier network: device
+    /// `g`'s link runs at `bw_scales[g] ×` the collective's bandwidth, and
+    /// the straggler term is gated by the slowest *transfer*, not the
+    /// largest byte count.
     ///
     /// # Panics
     ///

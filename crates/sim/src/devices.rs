@@ -15,8 +15,8 @@
 //! bandwidth is the harmonic blend
 //! `(local + remote) / (local + remote / inter_node_bw_scale)`.
 //! When the network is flat (`inter_node_bw_scale = 1.0`, or a single
-//! node) the scale is exactly `1.0` and every homogeneous code path is
-//! bit-for-bit unchanged.
+//! node) the scale is exactly `1.0`, and multiplying or dividing by it
+//! changes no bits.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,19 +43,35 @@ impl DeviceProfile {
     /// Panics when `mem_budget_bytes` is zero or `compute_scale` is not
     /// finite and positive.
     pub fn new(mem_budget_bytes: u64, compute_scale: f64, node: usize) -> Self {
-        assert!(
-            mem_budget_bytes > 0,
-            "device memory budget must be positive"
-        );
-        assert!(
-            compute_scale.is_finite() && compute_scale > 0.0,
-            "compute scale must be finite and positive, got {compute_scale}"
-        );
-        Self {
+        let profile = Self {
             mem_budget_bytes,
             compute_scale,
             node,
+        };
+        if let Err(e) = profile.check() {
+            panic!("{e}");
         }
+        profile
+    }
+
+    /// The conditions [`DeviceProfile::new`] asserts, as a typed error —
+    /// also run by [`DevicePool::try_new`], because a deserialized profile
+    /// never went through `new`.
+    fn check(&self) -> Result<(), SimError> {
+        if self.mem_budget_bytes == 0 {
+            return Err(SimError::InvalidTable {
+                reason: "device memory budget must be positive".into(),
+            });
+        }
+        if !(self.compute_scale.is_finite() && self.compute_scale > 0.0) {
+            return Err(SimError::InvalidTable {
+                reason: format!(
+                    "compute scale must be finite and positive, got {}",
+                    self.compute_scale
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Embedding-table memory budget, bytes.
@@ -88,8 +104,9 @@ impl DevicePool {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidTable`] when the pool is empty or the inter-node
-    /// bandwidth scale is outside `(0, 1]`.
+    /// [`SimError::InvalidTable`] when the pool is empty, a profile has a
+    /// zero budget or a compute scale that is not finite and positive, or
+    /// the inter-node bandwidth scale is outside `(0, 1]`.
     pub fn try_new(
         devices: Vec<DeviceProfile>,
         inter_node_bw_scale: f64,
@@ -99,6 +116,7 @@ impl DevicePool {
                 reason: "a device pool needs at least one device".into(),
             });
         }
+        devices.iter().try_for_each(DeviceProfile::check)?;
         if !(inter_node_bw_scale.is_finite()
             && inter_node_bw_scale > 0.0
             && inter_node_bw_scale <= 1.0)
@@ -125,8 +143,8 @@ impl DevicePool {
     }
 
     /// A uniform pool: `n` identical devices with `mem_budget_bytes` each,
-    /// baseline compute, one node, flat network. Behaves bit-identically
-    /// to no pool at all.
+    /// baseline compute, one node, flat network — the fleet of the paper's
+    /// benchmark clusters.
     pub fn uniform(n: usize, mem_budget_bytes: u64) -> Self {
         Self::new(
             (0..n)
@@ -255,17 +273,6 @@ impl DevicePool {
         self.inter_node_bw_scale == 1.0
             || self.devices.iter().all(|d| d.node == self.devices[0].node)
     }
-
-    /// Whether the fleet behaves exactly like a uniform cluster: equal
-    /// budgets, baseline compute, flat network. Uniform pools take the
-    /// homogeneous (bit-exact legacy) code paths everywhere.
-    pub fn is_uniform(&self) -> bool {
-        self.devices
-            .iter()
-            .all(|d| d.mem_budget_bytes == self.devices[0].mem_budget_bytes)
-            && self.has_uniform_compute()
-            && self.has_uniform_bandwidth()
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +282,7 @@ mod tests {
     #[test]
     fn uniform_pool_is_uniform() {
         let pool = DevicePool::uniform(4, 1 << 30);
-        assert!(pool.is_uniform());
+        assert!(pool.has_uniform_compute() && pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.budget_of(3), 1 << 30);
         assert_eq!(pool.total_budget(), 4 << 30);
@@ -288,7 +295,7 @@ mod tests {
     #[test]
     fn two_tier_pool_is_heterogeneous() {
         let pool = DevicePool::two_tier(2, 4 << 30, 2, 1 << 30, 1.5, 0.25);
-        assert!(!pool.is_uniform());
+        assert!(!pool.has_uniform_compute() && !pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.budget_of(0), 4 << 30);
         assert_eq!(pool.budget_of(2), 1 << 30);
@@ -305,13 +312,12 @@ mod tests {
     #[test]
     fn flat_network_bw_scale_is_exactly_one() {
         // Two nodes but full inter-node bandwidth: scale must be the exact
-        // 1.0 bits so homogeneous paths stay bit-identical.
+        // 1.0 bits, so applying it changes nothing.
         let pool = DevicePool::two_tier(2, 1 << 30, 2, 1 << 30, 1.0, 1.0);
         for g in 0..4 {
             assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
         }
         assert!(pool.has_uniform_bandwidth());
-        assert!(pool.is_uniform());
     }
 
     #[test]

@@ -105,8 +105,8 @@ pub enum Fault {
     /// Every device in **training-cluster node** `node` computes
     /// `slowdown`× slower (a whole host throttling: shared power cap,
     /// firmware regression, a bad rack). Which devices sit in which node
-    /// comes from the cluster's [`crate::DevicePool`]; on a cluster with
-    /// no pool every device is node 0.
+    /// comes from the cluster's [`crate::DevicePool`]; on the uniform
+    /// pool of [`crate::Cluster::new`] every device is node 0.
     SlowNodeClass {
         /// Index of the slow training-cluster node.
         node: usize,

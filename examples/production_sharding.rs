@@ -8,10 +8,10 @@
 //! ```
 
 use neuroshard::baselines::{DimGreedy, ShardingAlgorithm};
-use neuroshard::core::{evaluate_plan, NeuroShard, NeuroShardConfig};
+use neuroshard::core::{cluster_for, evaluate_plan, NeuroShard, NeuroShardConfig};
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TablePool};
-use neuroshard::sim::{Cluster, GpuSpec, TraceSimulator};
+use neuroshard::sim::{GpuSpec, TraceSimulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,12 +67,7 @@ fn main() {
     for (name, plan) in [("neuroshard", &outcome.plan), ("dim_greedy", &greedy_plan)] {
         match evaluate_plan(&task, plan, &spec, 1) {
             Ok(costs) => {
-                let cluster = Cluster::new(
-                    spec.with_mem_budget(task.mem_budget_bytes()),
-                    num_gpus,
-                    task.batch_size(),
-                );
-                let trace = TraceSimulator::new(cluster, 30.0)
+                let trace = TraceSimulator::new(cluster_for(&task, &spec), 30.0)
                     .simulate(&plan.device_profiles(task.batch_size()), 20)
                     .expect("plan fits");
                 println!(

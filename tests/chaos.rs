@@ -15,7 +15,7 @@ use neuroshard::resilient::{
     FallbackChain, FaultPlan, FaultyCluster, PlanSource, ProvenanceEvent, ResilientError,
     ResilientOutcome, RetryPolicy,
 };
-use neuroshard::sim::{Cluster, GpuSpec};
+use neuroshard::sim::GpuSpec;
 
 const SCENARIOS: u64 = 24;
 const DEVICES: usize = 4;
@@ -63,7 +63,7 @@ fn task_for(seed: u64) -> ShardingTask {
     let task = base_task(seed);
     if seed % 3 == 2 {
         let tight = task.total_bytes() * 115 / (100 * DEVICES as u64);
-        task.with_mem_budget(tight)
+        task.with_devices(DevicePool::uniform(DEVICES, tight))
     } else {
         task
     }
@@ -77,10 +77,10 @@ fn run_scenario(seed: u64, conservative: bool) -> Result<ResilientOutcome, Resil
         // targets the squeezed (effective) one.
         let task = base_task(seed);
         let min_budget = (0..DEVICES)
-            .map(|d| faults.effective_budget_bytes(d, task.mem_budget_bytes()))
+            .map(|d| faults.effective_budget_bytes(d, task.budget_of(d)))
             .min()
             .unwrap();
-        task.with_mem_budget(min_budget)
+        task.with_devices(DevicePool::uniform(DEVICES, min_budget))
     } else {
         task_for(seed)
     };
@@ -200,11 +200,7 @@ fn oom_greedy_plan_is_repaired_into_feasibility() {
     let task = ShardingTask::new(tables, 2, 4 * 1024 * 1024 * 1024, 65_536);
 
     let oom_plan = DimGreedy.shard(&task).expect("search itself succeeds");
-    let cluster = Cluster::new(
-        GpuSpec::rtx_2080_ti().with_mem_budget(task.mem_budget_bytes()),
-        task.num_devices(),
-        task.batch_size(),
-    );
+    let cluster = neuroshard::core::cluster_for(&task, &GpuSpec::rtx_2080_ti());
     let err = cluster
         .check_memory(&oom_plan.device_profiles(task.batch_size()))
         .unwrap_err();

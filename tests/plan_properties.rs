@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use neuroshard::core::{apply_split_plan, migration_bytes, ShardingPlan, SplitStep};
-use neuroshard::data::{ShardingTask, TableConfig, TableId};
+use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId};
 use neuroshard::resilient::{RepairConfig, RepairEngine};
 
 fn arbitrary_tables() -> impl Strategy<Value = Vec<TableConfig>> {
@@ -26,7 +26,82 @@ fn arbitrary_tables() -> impl Strategy<Value = Vec<TableConfig>> {
     })
 }
 
+/// The byte span of every value in `json` that follows a `"key":` — each
+/// field of each object, nested ones included. Task JSON has no string
+/// values, so a value is a bracketed span or runs to the next `,` / `}`.
+fn field_value_spans(json: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = json.as_bytes();
+    let mut spans = Vec::new();
+    for (colon, _) in json.match_indices("\":") {
+        let start = colon + 2;
+        let end = match bytes[start] {
+            open @ (b'[' | b'{') => {
+                let close = if open == b'[' { b']' } else { b'}' };
+                let mut depth = 0usize;
+                let mut at = start;
+                loop {
+                    if bytes[at] == open {
+                        depth += 1;
+                    } else if bytes[at] == close {
+                        depth -= 1;
+                        if depth == 0 {
+                            break at + 1;
+                        }
+                    }
+                    at += 1;
+                }
+            }
+            _ => start + json[start..].find([',', '}']).expect("objects close"),
+        };
+        spans.push(start..end);
+    }
+    spans
+}
+
+/// What a hostile client writes where a number, array or object belongs.
+const HOSTILE_VALUES: [&str; 9] = [
+    "0",
+    "1",
+    "9223372036854775808",
+    "-1",
+    "1e308",
+    "null",
+    "\"x\"",
+    "[]",
+    "{}",
+];
+
 proptest! {
+    /// Overwriting any one field of a valid task's JSON with a hostile
+    /// value never panics the decoder, and whatever it still accepts is a
+    /// task the planners can take: one budget per device, at least one
+    /// device and one table, tables that lower to simulator profiles.
+    #[test]
+    fn task_decoder_survives_any_one_field_overwritten(
+        tables in arbitrary_tables(),
+        devices in 1usize..5,
+        two_tier in any::<bool>(),
+    ) {
+        let mut task = ShardingTask::new(tables, devices, 1 << 30, 1024);
+        if two_tier {
+            task = task.with_devices(DevicePool::two_tier(1, 1 << 30, devices - 1, 1 << 28, 1.5, 0.5));
+        }
+        let json = serde_json::to_string(&task).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<ShardingTask>(&json).unwrap(), &task);
+        for span in field_value_spans(&json) {
+            for value in HOSTILE_VALUES {
+                let mut edited = json.clone();
+                edited.replace_range(span.clone(), value);
+                if let Ok(decoded) = serde_json::from_str::<ShardingTask>(&edited) {
+                    prop_assert!(decoded.num_devices() >= 1, "{}", edited);
+                    prop_assert_eq!(decoded.budgets().len(), decoded.num_devices());
+                    prop_assert!(!decoded.tables().is_empty(), "{}", edited);
+                    prop_assert_eq!(decoded.profiles().len(), decoded.tables().len());
+                }
+            }
+        }
+    }
+
     /// Any legal split plan conserves total memory exactly and grows the
     /// table count by exactly the number of steps.
     #[test]
@@ -113,7 +188,7 @@ proptest! {
             Ok(report) => {
                 prop_assert!(report.plan.validate(&task).is_ok());
                 for &bytes in &report.plan.device_bytes() {
-                    prop_assert!(bytes <= task.mem_budget_bytes());
+                    prop_assert!(bytes <= budget);
                 }
             }
             Err(_) => {

@@ -338,3 +338,117 @@ fn health_and_metrics_expose_the_core_counters() {
     assert!(body.contains("not_found"));
     server.shutdown();
 }
+
+/// A task whose JSON the constructors would have refused — or whose device
+/// count is not the bundle's — is answered `400` with a JSON error body,
+/// and the worker that answered it answers the next request. The server
+/// lends **one** worker: a single panic there would leave nothing to plan.
+#[test]
+fn malformed_tasks_get_400_and_the_worker_survives() {
+    use neuroshard::data::DevicePool;
+
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::smoke()
+    };
+    let service = Arc::new(Service::new(quick_bundle(7), config).expect("service boots"));
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
+    // A dead worker never fills the slot: wait on a channel, not on it.
+    let answer = |path: &'static str, body: String| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            let _ = tx.send(service.handle_blocking(&HttpRequest {
+                method: "POST".into(),
+                path: path.into(),
+                body: body.into_bytes(),
+            }));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the only worker died on the previous request")
+    };
+
+    let uniform = task_json();
+    let pooled: ShardingTask = serde_json::from_str(&uniform).unwrap();
+    let pooled = serde_json::to_string(&pooled.with_devices(DevicePool::two_tier(
+        1,
+        1 << 30,
+        1,
+        1 << 29,
+        1.5,
+        0.25,
+    )))
+    .unwrap();
+    let one_device = r#"{"devices":[{"mem_budget_bytes":1073741824,"compute_scale":1.0,"node":0}],"inter_node_bw_scale":1.0}"#;
+    let edits: [(&str, &str, String, &str); 8] = [
+        (
+            &uniform,
+            r#""num_devices":2"#,
+            r#""num_devices":0"#.into(),
+            "bad_request",
+        ),
+        (
+            &uniform,
+            r#""num_devices":2"#,
+            r#""num_devices":3"#.into(),
+            "unsupported_device_count",
+        ),
+        (
+            &uniform,
+            r#""num_devices":2"#,
+            r#""num_devices":9223372036854775808"#.into(),
+            "bad_request",
+        ),
+        (
+            &uniform,
+            r#""devices":null"#,
+            format!(r#""devices":{one_device}"#),
+            "bad_request",
+        ),
+        (
+            &pooled,
+            r#""compute_scale":1.5"#,
+            r#""compute_scale":0.0"#.into(),
+            "bad_request",
+        ),
+        (&uniform, r#""dim":16"#, r#""dim":0"#.into(), "bad_request"),
+        (
+            &uniform,
+            r#""hash_size":16384"#,
+            r#""hash_size":0"#.into(),
+            "bad_request",
+        ),
+        (
+            &uniform,
+            r#""hash_size":16384"#,
+            r#""hash_size":9223372036854775808"#.into(),
+            "bad_request",
+        ),
+    ];
+    for path in ["/v1/plan", "/v1/replan"] {
+        for (task, from, to, kind) in &edits {
+            let edited = task.replacen(from, to, 1);
+            assert_ne!(&edited, task, "{from} not found");
+            let response = answer(path, format!("{{\"task\":{edited}}}"));
+            let text = String::from_utf8(response.body).unwrap();
+            assert_eq!(response.status, 400, "{path} {to}: {text}");
+            assert!(
+                text.starts_with(&format!("{{\"error\":\"{kind}\",\"detail\":\"")),
+                "{path} {to}: {text}"
+            );
+        }
+        if path == "/v1/plan" {
+            assert_eq!(answer(path, plan_body()).status, 200);
+        }
+    }
+    // The mismatch names both counts.
+    let three = uniform.replacen(r#""num_devices":2"#, r#""num_devices":3"#, 1);
+    let text = String::from_utf8(answer("/v1/plan", format!("{{\"task\":{three}}}")).body).unwrap();
+    assert!(
+        text.contains("3 devices") && text.contains("trained for 2"),
+        "{text}"
+    );
+    // After sixteen refusals the same worker replans from the stored plan.
+    assert_eq!(answer("/v1/replan", plan_body()).status, 200);
+    server.shutdown();
+}
