@@ -1,9 +1,9 @@
 //! # nshard-bench — experiment harness for every table and figure
 //!
-//! One binary per experiment of the paper (see `src/bin/`), plus Criterion
-//! micro-benchmarks (see `benches/`). This library holds the shared
-//! plumbing: evaluating a sharding method over a task set under the paper's
-//! protocol, formatting result tables, and a tiny CLI-argument helper.
+//! One binary per experiment of the paper (see `src/bin/`). This library
+//! holds the shared plumbing: evaluating a sharding method over a task set
+//! under the paper's protocol, formatting result tables, and a tiny
+//! CLI-argument helper.
 //!
 //! ## Experiment binaries
 //!

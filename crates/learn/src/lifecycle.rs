@@ -18,9 +18,8 @@
 //! checkpoint and the `active` checkpoint are written through the
 //! checksum-framed [`ModelStore`], and only then is the bundle handed
 //! back for installation. A rejected candidate leaves the active
-//! checkpoint **byte-identical** — the rollback guarantee the
-//! `bench_learn` regression gate asserts — while still being archived
-//! under a `rejected` name for post-mortems.
+//! checkpoint **byte-identical** — the rollback guarantee — while still
+//! being archived under a `rejected` name for post-mortems.
 
 use std::path::PathBuf;
 

@@ -15,13 +15,25 @@
 //!   {1, 2, 8} (CI re-runs this suite under `NSHARD_THREADS=8`),
 //! * on the skewed cells, the richer shard shapes (row-wise, replicated)
 //!   are **never worse** than the column-wise-only baseline.
+//!
+//! The cells above run on smoke-trained cost models. One further test
+//! pre-trains at full scale and holds the feature's quality gate: on the
+//! two-tier Zipf-skew cell the full shard-shape search lands at most
+//! `FULL_OVER_COLUMN_GATE` × the column-only plan's ground-truth
+//! max-device cost. `cargo test --test hetero_scenarios -- --nocapture`
+//! prints the four rows of `results/table_hetero.md`.
 
-use neuroshard::core::{NeuroShard, NeuroShardConfig, ShardOutcome};
+use neuroshard::core::{evaluate_plan_exact, NeuroShard, NeuroShardConfig, ShardOutcome};
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId, TablePool};
+use neuroshard::sim::GpuSpec;
 
 const DEVICES: usize = 4;
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// The full shard-shape search must beat column-wise-only by at least 10%
+/// ground-truth max-device cost on the two-tier Zipf-skew cell.
+const FULL_OVER_COLUMN_GATE: f64 = 0.90;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Fleet {
@@ -91,15 +103,13 @@ fn config(shape: Shape, threads: usize) -> NeuroShardConfig {
     }
 }
 
-fn bundle() -> CostModelBundle {
+fn pretrain(collect: &CollectConfig, train: &TrainSettings) -> CostModelBundle {
     let pool = TablePool::synthetic_dlrm(80, 0xE7E90);
-    CostModelBundle::pretrain(
-        &pool,
-        DEVICES,
-        &CollectConfig::smoke(),
-        &TrainSettings::smoke(),
-        9,
-    )
+    CostModelBundle::pretrain(&pool, DEVICES, collect, train, 9)
+}
+
+fn bundle() -> CostModelBundle {
+    pretrain(&CollectConfig::smoke(), &TrainSettings::smoke())
 }
 
 fn shard_cell(
@@ -199,6 +209,46 @@ fn replication_fires_on_the_skewed_heterogeneous_cell() {
     assert!(
         outcome.plan.num_replications() + outcome.plan.num_row_splits() > 0,
         "replicated-shape search used neither replication nor row splits"
+    );
+}
+
+#[test]
+fn full_shapes_cost_at_most_0_90x_column_only_on_the_two_tier_zipf_cell() {
+    let bundle = pretrain(&CollectConfig::default(), &TrainSettings::default());
+    let spec = GpuSpec::rtx_2080_ti();
+    println!("| fleet | shapes | est (ms) | GT max (ms) | col | row | rep |");
+    println!("|---|---|---|---|---|---|---|");
+    let mut gt_max_ms = Vec::new();
+    for (fleet, fleet_name) in [
+        (Fleet::Uniform, "uniform"),
+        (Fleet::Heterogeneous, "two-tier"),
+    ] {
+        for (shape, shape_name) in [
+            (Shape::Column, "column-only"),
+            (Shape::Replicated, "column+row+replicate"),
+        ] {
+            let t = task(fleet, Workload::ZipfSkew);
+            let o = shard_cell(&bundle, fleet, Workload::ZipfSkew, shape, 1);
+            let gt = evaluate_plan_exact(&t, &o.plan, &spec)
+                .expect("a plan the search returned is memory-feasible")
+                .max_total_ms();
+            println!(
+                "| {fleet_name} | {shape_name} | {:.4} | {gt:.4} | {} | {} | {} |",
+                o.estimated_cost_ms,
+                o.plan.num_column_splits(),
+                o.plan.num_row_splits(),
+                o.plan.num_replications()
+            );
+            gt_max_ms.push(gt);
+        }
+    }
+    // Print order: uniform column/full, then two-tier column/full.
+    let ratio = gt_max_ms[3] / gt_max_ms[2];
+    println!("two-tier full/column-only ground-truth cost ratio: {ratio}");
+    assert!(
+        ratio <= FULL_OVER_COLUMN_GATE,
+        "the full shard-shape search reached {ratio}x the column-only ground-truth \
+         max-device cost on the two-tier Zipf cell (gate {FULL_OVER_COLUMN_GATE})"
     );
 }
 

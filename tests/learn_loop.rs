@@ -1,9 +1,11 @@
 //! Continual-learning loop integration tests: the observation buffer is
 //! a **pure function of `(seed, insert sequence)`** (proptest), the
 //! hooked epoch loop produces byte-identical buffers and identical
-//! promotion decisions at every worker thread count, and an end-to-end
+//! promotion decisions at every worker thread count, an end-to-end
 //! drift run against a stale incumbent promotes at least one fine-tuned
-//! candidate through the shadow evaluation.
+//! candidate through the shadow evaluation, and — the subsystem's quality
+//! gate — over a 28-epoch trace the continual run ends at most 0.97× the
+//! frozen run's ground-truth max-device cost.
 //!
 //! The thread-count sweep is the learning loop's entry in the workspace
 //! determinism contract: CI runs this file under `NSHARD_THREADS=8` as
@@ -18,7 +20,7 @@ use neuroshard::learn::{
     ObservationBuffer, ObservationKind,
 };
 use neuroshard::online::{
-    DriftThresholds, OnlineConfig, OnlineController, ReplanStrategy, WorkloadDrift,
+    DriftThresholds, OnlineConfig, OnlineController, ReplanHistory, ReplanStrategy, WorkloadDrift,
 };
 
 /// Self-removing scratch directory for checkpoint stores.
@@ -123,24 +125,27 @@ proptest! {
     }
 }
 
-fn stale_setup() -> (CostModelBundle, ShardingTask, TablePool) {
-    let pool = TablePool::synthetic_dlrm(96, 17);
-    // Pre-train on a stale snapshot (pooling factors scaled down), so
-    // serving-time features sit outside the pre-training distribution
-    // and the fine-tuner has a real gap to close.
+/// Pre-trains on a stale snapshot of `pool` (pooling factors scaled
+/// down), so serving-time features sit outside the pre-training
+/// distribution and the fine-tuner has a real gap to close.
+fn stale_bundle(
+    pool: &TablePool,
+    gpus: usize,
+    collect: &CollectConfig,
+    seed: u64,
+) -> CostModelBundle {
     let stale: Vec<TableConfig> = pool
         .tables()
         .iter()
         .map(|t| t.with_pooling_factor((t.pooling_factor() * 0.35).max(1.0)))
         .collect();
     let stale_pool = TablePool::from_tables(stale);
-    let bundle = CostModelBundle::pretrain(
-        &stale_pool,
-        2,
-        &CollectConfig::smoke(),
-        &TrainSettings::smoke(),
-        17,
-    );
+    CostModelBundle::pretrain(&stale_pool, gpus, collect, &TrainSettings::smoke(), seed)
+}
+
+fn stale_setup() -> (CostModelBundle, ShardingTask, TablePool) {
+    let pool = TablePool::synthetic_dlrm(96, 17);
+    let bundle = stale_bundle(&pool, 2, &CollectConfig::smoke(), 17);
     let base = ShardingTask::sample(&pool, 2, 10..=14, 64, 17);
     (bundle, base, pool)
 }
@@ -275,5 +280,67 @@ fn drift_run_promotes_a_finetuned_candidate() {
     assert_eq!(
         &learner.lifecycle().load_active().unwrap(),
         learner.incumbent()
+    );
+}
+
+/// The quality gate of the continual learner: the same 28-epoch drift
+/// trace, planned once with a weakly pre-trained stale incumbent frozen
+/// and once with the learner fine-tuning it from served ground truth.
+/// Closing the loop must actually plan better.
+#[test]
+fn continual_final_cost_at_most_0_97x_frozen() {
+    const MAX_FINAL_COST_OVER_FROZEN: f64 = 0.97;
+
+    let pool = TablePool::synthetic_dlrm(856, 2023);
+    // A small sample budget on purpose: the incumbent stands in for a
+    // model the production workload has drifted away from.
+    let collect = CollectConfig {
+        compute_samples: 400,
+        comm_samples: 400,
+        ..CollectConfig::default()
+    };
+    let bundle = stale_bundle(&pool, 4, &collect, 42);
+    let drift = WorkloadDrift::standard(ShardingTask::sample(&pool, 4, 25..=35, 64, 9), 33);
+    let config = OnlineConfig {
+        epochs: 28,
+        strategy: ReplanStrategy::Full,
+        seed: 9,
+        ..OnlineConfig::default()
+    };
+    let controller = || OnlineController::new(bundle.clone(), drift.clone(), config);
+    let final_ms = |h: &ReplanHistory| {
+        h.epochs
+            .last()
+            .and_then(|e| e.ground_truth_ms)
+            .expect("the last deployed plan is memory-feasible")
+    };
+
+    let frozen = controller().run().expect("the deployment is feasible");
+
+    let dir = TempDir::new("gate");
+    let learn_config = ContinualConfig {
+        settings: FineTuneSettings {
+            epochs: 30,
+            learning_rate: 1e-3,
+            min_samples: 12,
+            ..FineTuneSettings::default()
+        },
+        min_observations: 24,
+        cooldown_epochs: 3,
+        seed: 9,
+        ..ContinualConfig::default()
+    };
+    let mut learner =
+        ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
+    let continual = controller()
+        .run_hooked(&mut learner)
+        .expect("the deployment is feasible");
+
+    let ratio = final_ms(&continual) / final_ms(&frozen);
+    println!("continual/frozen final ground-truth cost over 28 epochs: {ratio}");
+    assert!(
+        ratio <= MAX_FINAL_COST_OVER_FROZEN,
+        "the continual run ended at {ratio}x the frozen run's ground-truth max-device cost \
+         (gate {MAX_FINAL_COST_OVER_FROZEN})"
     );
 }

@@ -8,13 +8,17 @@
 //!   own budget, not the fleet's largest,
 //! * the whole controller loop is bit-deterministic per seed — CI runs
 //!   this suite again with `NSHARD_THREADS=8` to pin thread-count
-//!   invariance on oversubscribed hosts.
+//!   invariance on oversubscribed hosts,
+//! * the subsystem's quality gate, on fully trained cost models: over a
+//!   20-epoch drift trace the incremental strategy moves at most a
+//!   quarter of the bytes full replanning moves and ends within 5% of
+//!   its ground-truth max-device cost.
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::online::{
-    DriftDetector, IncrementalPlanner, OnlineConfig, OnlineController, ReplanStrategy,
-    ReplanTrigger, WorkloadDrift,
+    DriftDetector, IncrementalPlanner, OnlineConfig, OnlineController, ReplanHistory,
+    ReplanStrategy, ReplanTrigger, WorkloadDrift,
 };
 use neuroshard::prelude::*;
 use neuroshard::sim::DevicePool;
@@ -214,6 +218,65 @@ fn tight_devices_are_held_to_their_own_budget() {
             .validate(&task)
             .expect("replanned plans respect per-device budgets");
     }
+}
+
+/// Runs the 20-epoch standard drift trace under `strategy`, with the
+/// end-of-trace escape hatch armed: when the λ-objective stalls the final
+/// epoch replans once through the full chain, and those bytes are charged
+/// to the strategy like any other replan.
+fn run_trace(
+    bundle: &CostModelBundle,
+    drift: &WorkloadDrift,
+    strategy: ReplanStrategy,
+) -> ReplanHistory {
+    let config = OnlineConfig {
+        epochs: 20,
+        strategy,
+        seed: 7,
+        final_full_replan_on_stall: true,
+        ..OnlineConfig::default()
+    };
+    OnlineController::new(bundle.clone(), drift.clone(), config)
+        .run()
+        .expect("the deployment is feasible")
+}
+
+#[test]
+fn incremental_moves_at_most_a_quarter_of_full_bytes_at_most_1_05x_final_cost() {
+    const MAX_BYTES_OVER_FULL: f64 = 0.25;
+    const MAX_FINAL_COST_OVER_FULL: f64 = 1.05;
+
+    let pool = TablePool::synthetic_dlrm(856, 2023);
+    let collect = CollectConfig {
+        compute_samples: 2000,
+        comm_samples: 1500,
+        ..CollectConfig::default()
+    };
+    let bundle = CostModelBundle::pretrain(&pool, 4, &collect, &TrainSettings::default(), 42);
+    let drift = WorkloadDrift::standard(ShardingTask::sample(&pool, 4, 25..=35, 64, 7), 42);
+
+    let full = run_trace(&bundle, &drift, ReplanStrategy::Full);
+    let incremental = run_trace(&bundle, &drift, ReplanStrategy::Incremental);
+    let final_ms = |h: &ReplanHistory| {
+        h.epochs
+            .last()
+            .and_then(|e| e.ground_truth_ms)
+            .expect("the last deployed plan is memory-feasible")
+    };
+    let bytes_ratio =
+        incremental.total_migration_bytes() as f64 / full.total_migration_bytes() as f64;
+    let cost_ratio = final_ms(&incremental) / final_ms(&full);
+    println!("incremental/full over 20 epochs: bytes {bytes_ratio}, final cost {cost_ratio}");
+    assert!(
+        bytes_ratio <= MAX_BYTES_OVER_FULL,
+        "incremental replanning moved {bytes_ratio}x the bytes of full replanning \
+         (gate {MAX_BYTES_OVER_FULL})"
+    );
+    assert!(
+        cost_ratio <= MAX_FINAL_COST_OVER_FULL,
+        "incremental replanning ended at {cost_ratio}x the full replan's ground-truth \
+         max-device cost (gate {MAX_FINAL_COST_OVER_FULL})"
+    );
 }
 
 /// Shared fixture for the property test: pre-training once, not per case.

@@ -69,7 +69,7 @@ fn plans_are_identical_across_thread_counts_and_seeds() {
             .map(|i| ShardingTask::sample(&pool, 4, 12..=24, 64, seed ^ i))
             .collect();
         let serial = shard_all(&bundle, search_config(), &tasks);
-        for threads in [2usize, 8] {
+        for threads in [2usize, 4, 8] {
             let parallel = shard_all(
                 &bundle,
                 NeuroShardConfig {
