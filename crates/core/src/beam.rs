@@ -16,6 +16,7 @@ use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
 use crate::greedy_grid::{GreedyGridSearch, GridSearchResult};
+use crate::neuroshard::NeuroShardConfig;
 use crate::plan::{apply_split_plan, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep};
 
 /// Score offset for memory-infeasible beam entries: far above any real
@@ -51,106 +52,36 @@ pub struct BeamSearchResult {
     pub phase_stats: SearchPhaseStats,
 }
 
-/// The beam-search driver over column-wise sharding plans.
+/// The beam-search driver over column-wise sharding plans. Every knob is
+/// read from the [`NeuroShardConfig`] it borrows (`use_cache` excepted:
+/// caching is a property of the simulator it is handed).
 #[derive(Debug, Clone, Copy)]
 pub struct BeamSearch<'a> {
     sim: &'a CostSimulator,
-    /// Candidate-set size `N` per criterion (paper: 10).
-    n: usize,
-    /// Beam width `K` (paper: 3).
-    k: usize,
-    /// Number of sharding levels `L` (paper: 10).
-    l: usize,
-    /// Grid granularity `M` for the inner loop (paper: 11).
-    m: usize,
-    use_grid: bool,
-    /// Also propose row-wise splits (the paper's future-work extension).
-    row_wise: bool,
-    /// Also propose replicating hot tables (memory on every holder, traffic
-    /// split across them).
-    replication: bool,
-    /// Worker threads for level evaluation; `0` = auto (see
-    /// [`nshard_pool::resolve_threads`]).
-    threads: usize,
+    config: &'a NeuroShardConfig,
 }
 
 impl<'a> BeamSearch<'a> {
-    /// Creates a beam search with the paper's hyperparameters
-    /// `N = 10, K = 3, L = 10, M = 11`.
-    pub fn new(sim: &'a CostSimulator) -> Self {
-        Self {
-            sim,
-            n: 10,
-            k: 3,
-            l: 10,
-            m: 11,
-            use_grid: true,
-            row_wise: false,
-            replication: false,
-            threads: 0,
+    /// A beam search over `sim`'s cost models with `config`'s
+    /// hyperparameters (the paper's are [`NeuroShardConfig::default`]:
+    /// `N = 10, K = 3, L = 10, M = 11`).
+    pub fn new(sim: &'a CostSimulator, config: &'a NeuroShardConfig) -> Self {
+        Self { sim, config }
+    }
+
+    /// Sharding levels `L`; `use_beam: false` is `L = 0` (the "w/o beam
+    /// search" ablation).
+    fn levels(&self) -> usize {
+        if self.config.use_beam {
+            self.config.l
+        } else {
+            0
         }
     }
 
-    /// Sets the candidate-set size `N`.
-    pub fn with_n(mut self, n: usize) -> Self {
-        self.n = n.max(1);
-        self
-    }
-
-    /// Sets the beam width `K`.
-    pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k.max(1);
-        self
-    }
-
-    /// Sets the number of levels `L`. `L = 0` disables column-wise sharding
-    /// (the "w/o beam search" ablation).
-    pub fn with_l(mut self, l: usize) -> Self {
-        self.l = l;
-        self
-    }
-
-    /// Sets the inner grid granularity `M`.
-    pub fn with_m(mut self, m: usize) -> Self {
-        self.m = m.max(1);
-        self
-    }
-
-    /// Disables the inner grid search (the "w/o greedy grid search"
-    /// ablation).
-    pub fn without_grid(mut self) -> Self {
-        self.use_grid = false;
-        self
-    }
-
-    /// Also proposes **row-wise** splits of the candidate tables — the
-    /// extension the paper lists as future work. Row-wise splits rescue
-    /// tall-skinny tables (large hash size, minimum dimension) that
-    /// column-wise sharding cannot partition.
-    pub fn with_row_wise(mut self, enable: bool) -> Self {
-        self.row_wise = enable;
-        self
-    }
-
-    /// Also proposes **replicating** hot tables: each replica costs full
-    /// memory on its holder but serves only its share of the lookups, so a
-    /// single skew-dominating table stops bottlenecking one device.
-    pub fn with_replication(mut self, enable: bool) -> Self {
-        self.replication = enable;
-        self
-    }
-
-    /// Sets the worker-thread count for level evaluation (`0` = auto).
-    /// Results are collected in candidate order, so the returned plan and
-    /// cost are **bit-for-bit identical** at any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     fn inner_with_threads(&self, threads: usize) -> GreedyGridSearch<'a> {
-        let g = GreedyGridSearch::new(self.sim, self.m).with_threads(threads);
-        if self.use_grid {
+        let g = GreedyGridSearch::new(self.sim, self.config.m).with_threads(threads);
+        if self.config.use_grid {
             g
         } else {
             g.without_grid()
@@ -167,8 +98,8 @@ impl<'a> BeamSearch<'a> {
         // Standalone inner searches parallelize their own grid sweep; the
         // per-level jobs below are themselves parallel, so each job runs a
         // *serial* inner search to avoid oversubscription.
-        let pool = WorkPool::new(self.threads);
-        let inner = self.inner_with_threads(self.threads);
+        let pool = WorkPool::new(self.config.threads);
+        let inner = self.inner_with_threads(self.config.threads);
         let inner_serial = self.inner_with_threads(1);
         let cache = self.sim.cache();
         let mut phase_stats = SearchPhaseStats::default();
@@ -184,7 +115,7 @@ impl<'a> BeamSearch<'a> {
         // then a deterministic presplit pass first row-halves any table
         // too large for every device, so row-wise splits stay reachable
         // even with the beam disabled (`L = 0`, the greedy-only config).
-        let root: SplitPlan = if self.row_wise {
+        let root: SplitPlan = if self.config.use_row_wise {
             self.presplit_steps(task)
         } else {
             Vec::new()
@@ -212,7 +143,7 @@ impl<'a> BeamSearch<'a> {
         let mut beam: Vec<(SplitPlan, f64)> =
             vec![(root, best.as_ref().map_or(f64::INFINITY, |b| b.1))];
 
-        for _level in 0..self.l {
+        for _level in 0..self.levels() {
             // Expand every beam entry's candidates serially, building the
             // level's evaluation jobs in a deterministic order.
             let before = cache.stats();
@@ -284,14 +215,14 @@ impl<'a> BeamSearch<'a> {
                 }
             }
             next.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are comparable"));
-            next.truncate(self.k);
+            next.truncate(self.config.k.max(1));
             beam = next;
         }
 
         let (split_plan, cost, device_of) = best.ok_or_else(|| PlanError::Infeasible {
             reason: format!(
                 "no split plan within {} levels yields a memory-feasible assignment",
-                self.l
+                self.levels()
             ),
         })?;
         let sharded = apply_split_plan(task.tables(), &split_plan)?;
@@ -347,11 +278,13 @@ impl<'a> BeamSearch<'a> {
     /// both a column step and a row step (where legal); with replication
     /// enabled, a replicate step as well.
     fn candidates(&self, tables: &[TableConfig], batch_size: u32) -> Vec<SplitStep> {
+        let (row_wise, replication) = (self.config.use_row_wise, self.config.use_replication);
+        let n = self.config.n.max(1);
         let relevant: Vec<usize> = (0..tables.len())
             .filter(|&i| {
                 tables[i].split_columns().is_some()
-                    || (self.row_wise && tables[i].split_rows().is_some())
-                    || (self.replication && tables[i].replicate().is_some())
+                    || (row_wise && tables[i].split_rows().is_some())
+                    || (replication && tables[i].replicate().is_some())
             })
             .collect();
         if relevant.is_empty() {
@@ -375,12 +308,8 @@ impl<'a> BeamSearch<'a> {
         });
 
         let mut seen = vec![false; relevant.len()];
-        let mut picked: Vec<usize> = Vec::with_capacity(2 * self.n);
-        for &r in by_cost
-            .iter()
-            .take(self.n)
-            .chain(by_size.iter().take(self.n))
-        {
+        let mut picked: Vec<usize> = Vec::with_capacity(2 * n);
+        for &r in by_cost.iter().take(n).chain(by_size.iter().take(n)) {
             if !seen[r] {
                 seen[r] = true;
                 picked.push(relevant[r]);
@@ -394,13 +323,13 @@ impl<'a> BeamSearch<'a> {
                     kind: SplitKind::Column,
                 });
             }
-            if self.row_wise && tables[i].split_rows().is_some() {
+            if row_wise && tables[i].split_rows().is_some() {
                 out.push(SplitStep {
                     index: i,
                     kind: SplitKind::Row,
                 });
             }
-            if self.replication && tables[i].replicate().is_some() {
+            if replication && tables[i].replicate().is_some() {
                 out.push(SplitStep {
                     index: i,
                     kind: SplitKind::Replicate,
@@ -429,6 +358,15 @@ mod tests {
         CostSimulator::new(bundle)
     }
 
+    /// `NeuroShardConfig::smoke()` with the given levels / candidate count.
+    fn config(l: usize, n: usize) -> NeuroShardConfig {
+        NeuroShardConfig {
+            l,
+            n,
+            ..NeuroShardConfig::smoke()
+        }
+    }
+
     fn small_task(d: usize) -> ShardingTask {
         let tables: Vec<TableConfig> = (0..8)
             .map(|i| {
@@ -447,13 +385,10 @@ mod tests {
     #[test]
     fn finds_a_valid_plan() {
         let sim = sim(2);
-        let search = BeamSearch::new(&sim)
-            .with_l(2)
-            .with_n(3)
-            .with_k(2)
-            .with_m(3);
         let task = small_task(2);
-        let result = search.search(&task).unwrap();
+        let result = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
+            .search(&task)
+            .unwrap();
         assert!(result.plan.validate(&task).is_ok());
         assert!(result.estimated_cost_ms.is_finite());
         assert!(result.evaluated_plans >= 1);
@@ -468,12 +403,7 @@ mod tests {
         // 1.25 GB budget: the 2 GB table must split, and its 1 GB halves
         // plus the small table then fit comfortably.
         let task = ShardingTask::new(vec![big, small], 2, (1 << 30) + (1 << 28), 65_536);
-        let search = BeamSearch::new(&sim)
-            .with_l(3)
-            .with_n(2)
-            .with_k(2)
-            .with_m(3);
-        let result = search.search(&task).unwrap();
+        let result = BeamSearch::new(&sim, &config(3, 2)).search(&task).unwrap();
         assert!(
             !result.plan.split_plan().is_empty(),
             "must column-split the 2 GB table"
@@ -486,9 +416,13 @@ mod tests {
         let sim = sim(2);
         let big = TableConfig::new(TableId(0), 128, 4 << 20, 8.0, 1.0); // 2 GB
         let task = ShardingTask::new(vec![big], 2, 1 << 30, 65_536);
-        let search = BeamSearch::new(&sim).with_l(0); // ablation: no col-wise sharding
+        // Ablation: no column-wise sharding.
+        let no_beam = NeuroShardConfig {
+            use_beam: false,
+            ..NeuroShardConfig::default()
+        };
         assert!(matches!(
-            search.search(&task),
+            BeamSearch::new(&sim, &no_beam).search(&task),
             Err(PlanError::Infeasible { .. })
         ));
     }
@@ -497,12 +431,8 @@ mod tests {
     fn more_levels_never_hurt() {
         let sim = sim(2);
         let task = small_task(2);
-        let shallow = BeamSearch::new(&sim).with_l(0).search(&task).unwrap();
-        let deep = BeamSearch::new(&sim)
-            .with_l(2)
-            .with_n(3)
-            .with_k(2)
-            .with_m(3)
+        let shallow = BeamSearch::new(&sim, &config(0, 3)).search(&task).unwrap();
+        let deep = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
             .search(&task)
             .unwrap();
         assert!(deep.estimated_cost_ms <= shallow.estimated_cost_ms + 1e-9);
@@ -511,9 +441,9 @@ mod tests {
     #[test]
     fn candidate_count_respects_n() {
         let sim = sim(2);
-        let search = BeamSearch::new(&sim).with_n(2);
         let task = small_task(2);
-        let cands = search.candidates(task.tables(), task.batch_size());
+        let cands =
+            BeamSearch::new(&sim, &config(10, 2)).candidates(task.tables(), task.batch_size());
         assert!(cands.len() <= 4); // 2 by cost + 2 by size, deduped
         assert!(!cands.is_empty());
     }
@@ -525,18 +455,17 @@ mod tests {
         // split it (dim 4 is the lane minimum), so plain NeuroShard fails...
         let tall = TableConfig::new(TableId(0), 4, 512 << 20, 16.0, 1.0);
         let task = ShardingTask::new(vec![tall], 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
-        let plain = BeamSearch::new(&sim)
-            .with_l(4)
-            .with_n(2)
-            .with_k(2)
-            .with_m(3);
+        let plain = config(4, 2);
         assert!(matches!(
-            plain.search(&task),
+            BeamSearch::new(&sim, &plain).search(&task),
             Err(PlanError::Infeasible { .. })
         ));
         // ...while the row-wise extension splits it across devices.
-        let extended = plain.with_row_wise(true);
-        let result = extended.search(&task).unwrap();
+        let extended = NeuroShardConfig {
+            use_row_wise: true,
+            ..plain
+        };
+        let result = BeamSearch::new(&sim, &extended).search(&task).unwrap();
         assert!(result.plan.num_row_splits() >= 1);
         assert!(result.plan.validate(&task).is_ok());
     }
@@ -545,13 +474,13 @@ mod tests {
     fn row_wise_never_hurts_estimated_cost() {
         let sim = sim(2);
         let task = small_task(2);
-        let plain = BeamSearch::new(&sim)
-            .with_l(2)
-            .with_n(3)
-            .with_k(2)
-            .with_m(3);
-        let base = plain.search(&task).unwrap();
-        let extended = plain.with_row_wise(true).search(&task).unwrap();
+        let plain = NeuroShardConfig::smoke();
+        let base = BeamSearch::new(&sim, &plain).search(&task).unwrap();
+        let extended = NeuroShardConfig {
+            use_row_wise: true,
+            ..plain
+        };
+        let extended = BeamSearch::new(&sim, &extended).search(&task).unwrap();
         assert!(extended.estimated_cost_ms <= base.estimated_cost_ms + 1e-9);
     }
 
@@ -559,17 +488,16 @@ mod tests {
     fn parallel_beam_is_bit_identical_to_serial() {
         let sim = sim(2);
         let task = small_task(2);
-        let make = |threads| {
-            BeamSearch::new(&sim)
-                .with_l(2)
-                .with_n(3)
-                .with_k(2)
-                .with_m(3)
-                .with_threads(threads)
+        let run = |threads| {
+            let config = NeuroShardConfig {
+                threads,
+                ..NeuroShardConfig::smoke()
+            };
+            BeamSearch::new(&sim, &config).search(&task).unwrap()
         };
-        let serial = make(1).search(&task).unwrap();
+        let serial = run(1);
         for threads in [2, 8] {
-            let parallel = make(threads).search(&task).unwrap();
+            let parallel = run(threads);
             assert_eq!(
                 parallel.plan, serial.plan,
                 "plan diverged at {threads} threads"
@@ -587,11 +515,7 @@ mod tests {
     fn phase_stats_are_populated() {
         let sim = sim(2);
         let task = small_task(2);
-        let result = BeamSearch::new(&sim)
-            .with_l(2)
-            .with_n(3)
-            .with_k(2)
-            .with_m(3)
+        let result = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
             .search(&task)
             .unwrap();
         assert!(result.phase_stats.candidate.total() > 0);
@@ -606,8 +530,12 @@ mod tests {
         // deterministic presplit pass must row-halve it until it fits.
         let tall = TableConfig::new(TableId(0), 4, 512 << 20, 16.0, 1.0);
         let task = ShardingTask::new(vec![tall], 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
-        let search = BeamSearch::new(&sim).with_l(0).with_row_wise(true);
-        let result = search.search(&task).unwrap();
+        let greedy_only = NeuroShardConfig {
+            use_beam: false,
+            use_row_wise: true,
+            ..NeuroShardConfig::default()
+        };
+        let result = BeamSearch::new(&sim, &greedy_only).search(&task).unwrap();
         assert!(result.plan.num_row_splits() >= 1);
         assert!(result.plan.validate(&task).is_ok());
     }
@@ -615,9 +543,13 @@ mod tests {
     #[test]
     fn replication_proposes_replicate_candidates() {
         let sim = sim(2);
-        let search = BeamSearch::new(&sim).with_n(3).with_replication(true);
+        let replicating = NeuroShardConfig {
+            use_replication: true,
+            ..config(10, 3)
+        };
         let task = small_task(2);
-        let cands = search.candidates(task.tables(), task.batch_size());
+        let cands =
+            BeamSearch::new(&sim, &replicating).candidates(task.tables(), task.batch_size());
         assert!(cands.iter().any(|s| s.kind == SplitKind::Replicate));
     }
 
@@ -625,13 +557,13 @@ mod tests {
     fn replication_never_hurts_estimated_cost() {
         let sim = sim(2);
         let task = small_task(2);
-        let plain = BeamSearch::new(&sim)
-            .with_l(2)
-            .with_n(3)
-            .with_k(2)
-            .with_m(3);
-        let base = plain.search(&task).unwrap();
-        let replicated = plain.with_replication(true).search(&task).unwrap();
+        let plain = NeuroShardConfig::smoke();
+        let base = BeamSearch::new(&sim, &plain).search(&task).unwrap();
+        let replicating = NeuroShardConfig {
+            use_replication: true,
+            ..plain
+        };
+        let replicated = BeamSearch::new(&sim, &replicating).search(&task).unwrap();
         assert!(replicated.estimated_cost_ms <= base.estimated_cost_ms + 1e-9);
         assert!(replicated.plan.validate(&task).is_ok());
     }
@@ -655,13 +587,7 @@ mod tests {
         );
         let task =
             ShardingTask::new(tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536).with_devices(pool);
-        let result = BeamSearch::new(&sim)
-            .with_l(1)
-            .with_n(2)
-            .with_k(2)
-            .with_m(3)
-            .search(&task)
-            .unwrap();
+        let result = BeamSearch::new(&sim, &config(1, 2)).search(&task).unwrap();
         assert!(result.plan.validate(&task).is_ok());
         let bytes = result.plan.device_bytes();
         assert!(bytes[1] <= one_table);
@@ -692,19 +618,18 @@ mod tests {
         );
         let task =
             ShardingTask::new(tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536).with_devices(pool);
-        let make = |threads| {
-            BeamSearch::new(&sim)
-                .with_l(2)
-                .with_n(3)
-                .with_k(2)
-                .with_m(3)
-                .with_row_wise(true)
-                .with_replication(true)
-                .with_threads(threads)
+        let run = |threads| {
+            let config = NeuroShardConfig {
+                use_row_wise: true,
+                use_replication: true,
+                threads,
+                ..NeuroShardConfig::smoke()
+            };
+            BeamSearch::new(&sim, &config).search(&task).unwrap()
         };
-        let serial = make(1).search(&task).unwrap();
+        let serial = run(1);
         for threads in [2, 8] {
-            let parallel = make(threads).search(&task).unwrap();
+            let parallel = run(threads);
             assert_eq!(parallel.plan, serial.plan, "diverged at {threads} threads");
             assert_eq!(
                 parallel.estimated_cost_ms.to_bits(),
@@ -720,7 +645,7 @@ mod tests {
             .map(|i| TableConfig::new(TableId(i), 4, 1 << 16, 4.0, 1.0))
             .collect();
         let task = ShardingTask::new(tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
-        let result = BeamSearch::new(&sim).with_l(5).search(&task).unwrap();
+        let result = BeamSearch::new(&sim, &config(5, 10)).search(&task).unwrap();
         assert!(result.plan.split_plan().is_empty());
     }
 }

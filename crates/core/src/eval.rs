@@ -1,13 +1,19 @@
-//! Ground-truth evaluation of sharding plans.
+//! Pricing a finished plan *for its task*: ground truth and learned.
 //!
 //! After the search finishes, the paper runs the chosen plan on real GPUs
 //! and reports the max per-device embedding cost ("Evaluation protocol",
-//! §4). Here the ground truth is the `nshard-sim` cluster.
+//! §4). Here the ground truth is the `nshard-sim` cluster
+//! ([`evaluate_plan`], [`evaluate_plan_exact`]); its learned twin
+//! ([`estimate_for_task`]) is Equation 1's `f(c, t)` from the pre-trained
+//! cost models. Both families read the fleet from the task, so a plan gets
+//! the same price from the search that proposed it and from everything
+//! that judges it afterwards.
 
+use nshard_cost::{CostSimulator, DeviceScales, EstimatedCost};
 use nshard_data::ShardingTask;
 use nshard_sim::{Cluster, GpuSpec, PlanCosts, SimError};
 
-use crate::plan::ShardingPlan;
+use crate::plan::{PlanError, ShardingPlan};
 
 /// The ground-truth cluster for `task`: `spec`'s kernel and interconnect
 /// laws on the task's device fleet and batch size. The task's per-device
@@ -45,6 +51,50 @@ pub fn evaluate_plan_exact(
     spec: &GpuSpec,
 ) -> Result<PlanCosts, SimError> {
     cluster_for(task, spec).evaluate_exact(&plan.device_profiles(task.batch_size()))
+}
+
+/// The cost models' estimate of `plan` on `task`'s fleet — the price the
+/// search itself minimised: compute predictions scaled by each device's
+/// compute class, communication dimensions by its effective bandwidth.
+///
+/// # Errors
+///
+/// See [`estimate_batch_for_task`].
+pub fn estimate_for_task(
+    sim: &CostSimulator,
+    task: &ShardingTask,
+    plan: &ShardingPlan,
+) -> Result<EstimatedCost, PlanError> {
+    let mut estimates = estimate_batch_for_task(sim, task, [plan])?;
+    Ok(estimates.pop().expect("one plan in, one estimate out"))
+}
+
+/// [`estimate_for_task`] for many plans of one task: the fleet is lowered
+/// once and every plan priced in one batched call, each estimate
+/// bit-identical to pricing that plan alone.
+///
+/// # Errors
+///
+/// [`PlanError::Invalid`] when the task's device count is not the one the
+/// cost models were trained for
+/// ([`nshard_cost::CostModelBundle::check_device_count`]), or a plan was
+/// built for a different device count than the task.
+pub fn estimate_batch_for_task<'p>(
+    sim: &CostSimulator,
+    task: &ShardingTask,
+    plans: impl IntoIterator<Item = &'p ShardingPlan>,
+) -> Result<Vec<EstimatedCost>, PlanError> {
+    sim.bundle()
+        .check_device_count(task.num_devices())
+        .map_err(|reason| PlanError::Invalid { reason })?;
+    let plans = plans.into_iter();
+    let mut assignments = Vec::with_capacity(plans.size_hint().0);
+    for plan in plans {
+        plan.check_device_count(task)?;
+        assignments.push(plan.device_profiles(task.batch_size()));
+    }
+    let scales = DeviceScales::from_pool(task.devices());
+    Ok(sim.estimate_plan_batch_scaled(&assignments, scales.as_ref()))
 }
 
 #[cfg(test)]
@@ -127,5 +177,36 @@ mod tests {
         let t = task().with_devices(nshard_data::DevicePool::uniform(2, 1024));
         let p = plan(&t);
         assert!(evaluate_plan(&t, &p, &GpuSpec::rtx_2080_ti(), 0).is_err());
+    }
+
+    #[test]
+    fn estimates_refuse_what_the_models_cannot_price() {
+        use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
+        let pool = nshard_data::TablePool::synthetic_dlrm(30, 1);
+        let sim = CostSimulator::new(CostModelBundle::pretrain(
+            &pool,
+            2,
+            &CollectConfig::smoke(),
+            &TrainSettings::smoke(),
+            7,
+        ));
+        let t = task();
+        assert!(estimate_for_task(&sim, &t, &plan(&t)).is_ok());
+
+        // A fleet of another size than the models were trained for.
+        let three = ShardingTask::new(
+            t.tables().to_vec(),
+            3,
+            nshard_sim::DEFAULT_MEM_BYTES,
+            65_536,
+        );
+        let err = estimate_for_task(&sim, &three, &plan(&t)).unwrap_err();
+        assert!(matches!(err, PlanError::Invalid { .. }), "{err}");
+        assert!(err.to_string().contains("3 devices") && err.to_string().contains("for 2"));
+
+        // A plan built for another fleet than its task.
+        let wide = ShardingPlan::new(vec![], t.tables().to_vec(), vec![0, 1, 2, 3], 4).unwrap();
+        let err = estimate_batch_for_task(&sim, &t, [&plan(&t), &wide]).unwrap_err();
+        assert!(err.to_string().contains("plan has 4 devices"), "{err}");
     }
 }

@@ -293,7 +293,6 @@ pub struct FallbackChain {
     repair: RepairConfig,
     verifier: Option<Box<PlanVerifier>>,
     seed: u64,
-    threads: usize,
 }
 
 impl FallbackChain {
@@ -307,7 +306,6 @@ impl FallbackChain {
             repair: RepairConfig::default(),
             verifier: None,
             seed: 0,
-            threads: 0,
         }
     }
 
@@ -342,14 +340,6 @@ impl FallbackChain {
     /// (builder-style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count used by the repair engine
-    /// (builder-style); `0` = auto. Repaired plans are bit-identical at
-    /// any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -453,8 +443,7 @@ impl FallbackChain {
         match self.verify_with_retries(task, &plan, name, trail) {
             Ok(()) => Ok((plan, None)),
             Err(err) if is_repairable(&err) => {
-                let engine = RepairEngine::new(self.repair).with_threads(self.threads);
-                match engine.repair(task, &plan) {
+                match RepairEngine::new(self.repair).repair(task, &plan) {
                     Ok(report) => {
                         trail.events.push(ProvenanceEvent::Repaired {
                             algorithm: name.to_string(),

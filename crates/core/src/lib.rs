@@ -19,10 +19,11 @@
 //!   sharding steps, candidates drawn from the most costly and the largest
 //!   tables,
 //! * [`neuroshard`] — the end-to-end [`NeuroShard`] sharder,
-//! * [`eval`] — ground-truth evaluation of finished plans (the paper's
-//!   "collect real costs from GPUs" step),
+//! * [`eval`] — pricing a finished plan for its task's fleet: ground truth
+//!   (the paper's "collect real costs from GPUs" step) and its learned
+//!   twin, the one place outside the search that lowers a fleet to scales,
 //! * [`repair`] — self-healing of memory-infeasible plans
-//!   (evict-and-replace, cost-model-guided),
+//!   (evict-and-replace onto the least-loaded device that fits),
 //! * [`fallback`] — the graceful-degradation chain with bounded retries
 //!   and full [`PlanProvenance`] attribution.
 //!
@@ -55,7 +56,9 @@ pub mod plan;
 pub mod repair;
 
 pub use beam::{BeamSearch, BeamSearchResult, SearchPhaseStats};
-pub use eval::{cluster_for, evaluate_plan, evaluate_plan_exact};
+pub use eval::{
+    cluster_for, estimate_batch_for_task, estimate_for_task, evaluate_plan, evaluate_plan_exact,
+};
 pub use fallback::{
     size_balanced_plan, FailoverAttribution, FallbackChain, PlanProvenance, PlanSource,
     ProvenanceEvent, ReplanAttribution, ResilientError, ResilientOutcome, RetryPolicy,

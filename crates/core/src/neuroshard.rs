@@ -13,6 +13,7 @@ use crate::ShardingAlgorithm;
 
 /// Hyperparameters of the online search (§4, "Implementation details":
 /// `N = 10, K = 3, L = 10, M = 11`) plus the ablation switches of Table 3.
+/// `n`, `k` and `m` below 1 are searched as 1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NeuroShardConfig {
     /// Candidate tables per criterion in the beam's expansion step.
@@ -219,22 +220,7 @@ impl NeuroShard {
         let before = self.sim.cache().stats();
         let start = Instant::now();
 
-        let mut search = BeamSearch::new(&self.sim)
-            .with_n(self.config.n)
-            .with_k(self.config.k)
-            .with_l(if self.config.use_beam {
-                self.config.l
-            } else {
-                0
-            })
-            .with_m(self.config.m)
-            .with_row_wise(self.config.use_row_wise)
-            .with_replication(self.config.use_replication)
-            .with_threads(self.config.threads);
-        if !self.config.use_grid {
-            search = search.without_grid();
-        }
-        let result = search.search(task)?;
+        let result = BeamSearch::new(&self.sim, &self.config).search(task)?;
 
         let elapsed = start.elapsed().as_secs_f64();
         Ok(ShardOutcome {

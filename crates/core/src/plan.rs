@@ -410,6 +410,20 @@ impl ShardingPlan {
         mass
     }
 
+    /// Whether the plan was built for `task`'s device count.
+    pub(crate) fn check_device_count(&self, task: &ShardingTask) -> Result<(), PlanError> {
+        if self.num_devices == task.num_devices() {
+            return Ok(());
+        }
+        Err(PlanError::Invalid {
+            reason: format!(
+                "plan has {} devices, task wants {}",
+                self.num_devices,
+                task.num_devices()
+            ),
+        })
+    }
+
     /// Validates the plan against a task: same device count, every device
     /// within the memory budget, and the sharded tables derivable from the
     /// task's tables via the recorded column plan.
@@ -418,15 +432,7 @@ impl ShardingPlan {
     ///
     /// [`PlanError::Invalid`] describing the first violated constraint.
     pub fn validate(&self, task: &ShardingTask) -> Result<(), PlanError> {
-        if self.num_devices != task.num_devices() {
-            return Err(PlanError::Invalid {
-                reason: format!(
-                    "plan has {} devices, task wants {}",
-                    self.num_devices,
-                    task.num_devices()
-                ),
-            });
-        }
+        self.check_device_count(task)?;
         let expected = apply_split_plan(task.tables(), &self.split_plan)?;
         if expected != self.sharded_tables {
             return Err(PlanError::Invalid {

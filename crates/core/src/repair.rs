@@ -9,20 +9,16 @@
 //! headroom, column-splitting tables that fit nowhere, until the plan is
 //! memory-feasible or provably stuck.
 //!
-//! Target devices are chosen cost-model-guided when a
-//! [`CostSimulator`] is supplied (minimizing the predicted compute cost of
-//! the receiving device), and by minimal resulting memory load otherwise.
-//! Every action is recorded in a typed [`RepairReport`] so callers — most
-//! importantly the fallback chain in [`crate::fallback`] — can attribute
-//! exactly what was changed.
+//! An evicted table goes to the device with the lightest memory load
+//! among those it fits on (ties to the lower index). Every action is
+//! recorded in a typed [`RepairReport`] so callers — most importantly the
+//! fallback chain in [`crate::fallback`] — can attribute exactly what was
+//! changed.
 //!
 //! Repair is fully deterministic: identical inputs produce identical
 //! reports.
 
-use nshard_cost::{CostSimulator, TableSetKey};
 use nshard_data::ShardingTask;
-use nshard_pool::WorkPool;
-use nshard_sim::TableProfile;
 
 use crate::plan::{PlanError, ShardingPlan, SplitStep};
 
@@ -94,34 +90,14 @@ impl RepairReport {
 /// Evicts-and-replaces tables of infeasible plans until they fit.
 /// See the [module documentation](self).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RepairEngine<'a> {
+pub struct RepairEngine {
     config: RepairConfig,
-    cost: Option<&'a CostSimulator>,
-    threads: usize,
 }
 
-impl<'a> RepairEngine<'a> {
-    /// An engine with the given limits and size-heuristic target choice.
+impl RepairEngine {
+    /// An engine with the given limits.
     pub fn new(config: RepairConfig) -> Self {
-        Self {
-            config,
-            cost: None,
-            threads: 0,
-        }
-    }
-
-    /// Guides target-device choice with predicted compute costs
-    /// (builder-style).
-    pub fn with_cost_model(mut self, cost: &'a CostSimulator) -> Self {
-        self.cost = Some(cost);
-        self
-    }
-
-    /// Sets the worker-thread count for candidate-device scoring (`0` =
-    /// auto). Repair stays deterministic at any count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+        Self { config }
     }
 
     /// Repairs `plan` for `task`: after this returns `Ok`, the reported
@@ -202,16 +178,7 @@ impl<'a> RepairEngine<'a> {
 
             let moved = on_device.iter().copied().find_map(|i| {
                 let bytes = tables[i].memory_bytes();
-                self.pick_target(
-                    task,
-                    &tables,
-                    &device_of,
-                    &bytes_of_device,
-                    offender,
-                    i,
-                    &budgets,
-                )
-                .map(|to| (i, to, bytes))
+                pick_target(&bytes_of_device, &budgets, offender, bytes).map(|to| (i, to, bytes))
             });
 
             if let Some((i, to, bytes)) = moved {
@@ -278,62 +245,15 @@ impl<'a> RepairEngine<'a> {
             remapped_devices: remapped,
         })
     }
+}
 
-    /// Chooses the device to receive evicted table `table_idx`, or `None`
-    /// when it fits nowhere. With a cost model: the feasible device whose
-    /// predicted compute cost *after insertion* is lowest. Without: the
-    /// feasible device with the lightest memory load.
-    #[allow(clippy::too_many_arguments)]
-    fn pick_target(
-        &self,
-        task: &ShardingTask,
-        tables: &[nshard_data::TableConfig],
-        device_of: &[usize],
-        bytes_of_device: &[u64],
-        from: usize,
-        table_idx: usize,
-        budgets: &[u64],
-    ) -> Option<usize> {
-        let bytes = tables[table_idx].memory_bytes();
-        let feasible: Vec<usize> = (0..bytes_of_device.len())
-            .filter(|&d| d != from && bytes_of_device[d].saturating_add(bytes) <= budgets[d])
-            .collect();
-        match self.cost {
-            Some(cost) => {
-                if feasible.is_empty() {
-                    return None;
-                }
-                // Build each candidate device's would-be table set in
-                // parallel, then score them all with one batched model
-                // call; ties break toward the lower device index, like
-                // the old per-device comparator.
-                let pool = WorkPool::new(self.threads);
-                let sets: Vec<(TableSetKey, Vec<TableProfile>)> = pool.map(&feasible, |&d| {
-                    let mut profiles: Vec<TableProfile> = tables
-                        .iter()
-                        .zip(device_of)
-                        .filter(|&(_, &dev)| dev == d)
-                        .map(|(t, _)| t.profile(task.batch_size()))
-                        .collect();
-                    profiles.push(tables[table_idx].profile(task.batch_size()));
-                    (TableSetKey::of(&profiles), profiles)
-                });
-                let keyed: Vec<(TableSetKey, &[TableProfile])> =
-                    sets.iter().map(|(k, p)| (*k, p.as_slice())).collect();
-                let costs = cost.device_compute_cost_batch(&keyed);
-                let mut best: Option<(usize, f64)> = None;
-                for (&d, &c) in feasible.iter().zip(&costs) {
-                    if best.is_none_or(|(_, bc)| c < bc) {
-                        best = Some((d, c));
-                    }
-                }
-                best.map(|(d, _)| d)
-            }
-            None => feasible
-                .into_iter()
-                .min_by_key(|&d| (bytes_of_device[d], d)),
-        }
-    }
+/// The device to receive `bytes` evicted from device `from`: the lightest
+/// memory load among the devices it fits on, or `None` when it fits
+/// nowhere.
+fn pick_target(bytes_of_device: &[u64], budgets: &[u64], from: usize, bytes: u64) -> Option<usize> {
+    (0..bytes_of_device.len())
+        .filter(|&d| d != from && bytes_of_device[d].saturating_add(bytes) <= budgets[d])
+        .min_by_key(|&d| (bytes_of_device[d], d))
 }
 
 /// Index of the least-loaded device.

@@ -615,37 +615,30 @@ impl CostSimulator {
     /// forward/backward communication with start skews derived from the
     /// computation estimates.
     ///
+    /// This is the **baseline-hardware** primitive: every device is priced
+    /// at compute class 1 on a flat network. To price a plan for a task's
+    /// fleet use `nshard_core::estimate_for_task`.
+    ///
     /// # Panics
     ///
     /// Panics if `assignment.len()` differs from the bundle's device count.
     pub fn estimate_plan(&self, assignment: &[Vec<TableProfile>]) -> EstimatedCost {
-        self.estimate_plan_batch(std::slice::from_ref(&assignment))
+        self.estimate_plan_batch_scaled(std::slice::from_ref(&assignment), None)
             .pop()
             .expect("one assignment in, one estimate out")
     }
 
     /// Estimates many plans at once: one batched (cached) compute call
     /// over every device set of every plan, then one batched forward per
-    /// communication model. Each estimate is bit-identical to
-    /// [`CostSimulator::estimate_plan`] on that plan alone.
+    /// communication model. Each estimate is bit-identical to estimating
+    /// that plan alone.
     ///
-    /// # Panics
-    ///
-    /// Panics if any assignment's device count differs from the bundle's.
-    pub fn estimate_plan_batch<A: AsRef<[Vec<TableProfile>]>>(
-        &self,
-        assignments: &[A],
-    ) -> Vec<EstimatedCost> {
-        self.estimate_plan_batch_scaled(assignments, None)
-    }
-
-    /// Like [`CostSimulator::estimate_plan_batch`], with optional
-    /// per-device heterogeneity scales (see [`DeviceScales`]): raw model
-    /// predictions — and the cache holding them — are always baseline;
-    /// compute predictions are multiplied by each device's compute class
-    /// and communication dimensions divided by each device's effective
-    /// bandwidth *after* retrieval. `None` is bit-identical to the
-    /// unscaled API.
+    /// `scales` are optional per-device heterogeneity scales (see
+    /// [`DeviceScales`]): raw model predictions — and the cache holding
+    /// them — are always baseline; compute predictions are multiplied by
+    /// each device's compute class and communication dimensions divided by
+    /// each device's effective bandwidth *after* retrieval. `None` is
+    /// bit-identical to unit scales.
     ///
     /// # Panics
     ///
@@ -844,12 +837,12 @@ mod tests {
             assert_eq!(direct(&probed).to_bits(), c.to_bits());
         }
 
-        // estimate_plan_batch vs estimate_plan vs the model.
+        // batched estimate vs estimate_plan vs the model.
         let plans = vec![
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let ests = sim.estimate_plan_batch(&plans);
+        let ests = sim.estimate_plan_batch_scaled(&plans, None);
         for (plan, est) in plans.iter().zip(&ests) {
             let single = sim.estimate_plan(plan);
             assert_eq!(single.total_ms().to_bits(), est.total_ms().to_bits());
@@ -883,7 +876,7 @@ mod tests {
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let plain = sim.estimate_plan_batch(&plans);
+        let plain = sim.estimate_plan_batch_scaled(&plans, None);
         // Even explicit all-1.0 scales must not perturb a single bit:
         // x * 1.0 and x / 1.0 are exact for finite f64.
         let unit = DeviceScales::new(vec![1.0; 2], vec![1.0; 2]);

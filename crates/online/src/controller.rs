@@ -31,8 +31,8 @@ use serde::{Deserialize, Serialize};
 
 use nshard_baselines::SizeGreedy;
 use nshard_core::{
-    evaluate_plan, migration_bytes, FallbackChain, NeuroShard, NeuroShardConfig, PlanProvenance,
-    PlanSource, ShardingPlan,
+    estimate_for_task, evaluate_plan, migration_bytes, FallbackChain, NeuroShard, NeuroShardConfig,
+    PlanProvenance, PlanSource, ShardingPlan,
 };
 use nshard_cost::{CostModelBundle, CostSimulator, EstimatedCost};
 use nshard_data::ShardingTask;
@@ -330,7 +330,6 @@ impl OnlineController {
         FallbackChain::new(Box::new(NeuroShard::new(bundle, config.search)))
             .with_fallback(Box::new(SizeGreedy))
             .with_seed(config.seed)
-            .with_threads(config.threads)
     }
 
     /// Hot-swaps the cost models the loop plans with: the simulator (and
@@ -369,6 +368,11 @@ impl OnlineController {
     ///
     /// [`nshard_core::ResilientError`] when even the initial deployment
     /// cannot be planned (every stage of the fallback chain failed).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cost models were trained for a different device
+    /// count than the drift's fleet.
     pub fn run_hooked(
         &mut self,
         hook: &mut dyn EpochHook,
@@ -381,7 +385,7 @@ impl OnlineController {
         let mut incumbent = deployed.plan;
         let mut deployed_task = task0.clone();
         let profiles0 = incumbent.device_profiles(task0.batch_size());
-        let estimated0 = self.sim.estimate_plan(&profiles0);
+        let estimated0 = self.price(&task0, &incumbent);
         let truth0 = self.ground_truth(&task0, &incumbent, 0);
         let mut baseline_ms = estimated0.total_ms();
         epochs.push(EpochRecord {
@@ -402,7 +406,7 @@ impl OnlineController {
         });
         if let HookAction::SwapModels(bundle) = hook_action {
             self.install_bundle(*bundle);
-            baseline_ms = self.sim.estimate_plan(&profiles0).total_ms();
+            baseline_ms = self.price(&task0, &incumbent).total_ms();
         }
 
         // λ-objective stall tracking for the end-of-trace escape hatch:
@@ -490,10 +494,7 @@ impl OnlineController {
                         // unconstrained search would find, so progress
                         // is measured against the last full-chain
                         // deployment's predicted quality instead.
-                        let after = self
-                            .sim
-                            .estimate_plan(&next.device_profiles(task.batch_size()))
-                            .total_ms();
+                        let after = self.price(&task, &next).total_ms();
                         if matches!(act, ReplanAction::IncrementalFellBack { .. }) {
                             // The fallback chain replans unconstrained:
                             // it clears the debt by construction and
@@ -531,7 +532,7 @@ impl OnlineController {
                 }
             }
             let profiles = incumbent.device_profiles(task.batch_size());
-            let estimated = self.sim.estimate_plan(&profiles);
+            let estimated = self.price(&task, &incumbent);
             let truth = self.ground_truth(&task, &incumbent, epoch);
             let predicted_ms = estimated.total_ms();
 
@@ -561,10 +562,7 @@ impl OnlineController {
                 // Re-price the baseline (and the stall reference) with the
                 // new models so next epoch's regression ratio is not an
                 // artifact of the swap itself.
-                let repriced = self
-                    .sim
-                    .estimate_plan(&incumbent.device_profiles(deployed_task.batch_size()))
-                    .total_ms();
+                let repriced = self.price(&deployed_task, &incumbent).total_ms();
                 full_quality_ms *= repriced / baseline_ms.max(f64::MIN_POSITIVE);
                 baseline_ms = repriced;
             }
@@ -625,6 +623,13 @@ impl OnlineController {
             }
             Err(e) => fall_back(format!("incremental replan failed: {e}")),
         }
+    }
+
+    /// The cost models' estimate of `plan` on `task`'s fleet — the same
+    /// price the search and the detector see.
+    fn price(&self, task: &ShardingTask, plan: &ShardingPlan) -> EstimatedCost {
+        estimate_for_task(&self.sim, task, plan)
+            .unwrap_or_else(|e| panic!("the controller cannot price its deployment: {e}"))
     }
 
     /// Ground-truth per-device cost breakdown of `plan` for `task`,

@@ -3,7 +3,8 @@
 //! The detector compares the deployed plan's *assumptions* (the predicted
 //! cost profile it was accepted with) against the plan *re-priced under
 //! the current epoch's workload* — the incumbent rebased onto the drifted
-//! task and run through the pre-trained [`CostSimulator`]. No ground-truth
+//! task and priced for that task's fleet by the pre-trained
+//! [`CostSimulator`] ([`estimate_for_task`]). No ground-truth
 //! execution is involved, mirroring the paper's search-time discipline: the
 //! controller only pays for a simulator evaluation after a plan ships.
 //!
@@ -24,7 +25,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_core::ShardingPlan;
+use nshard_core::{estimate_for_task, ShardingPlan};
 use nshard_cost::CostSimulator;
 use nshard_data::ShardingTask;
 use nshard_sim::TableProfile;
@@ -152,8 +153,8 @@ impl DriftDetector {
     ///
     /// # Panics
     ///
-    /// Panics if the simulator bundle's device count differs from the
-    /// plan's (the same contract as [`CostSimulator::estimate_plan`]).
+    /// Panics if `sim`'s cost models cannot price `rebased` for `task`
+    /// (the device counts differ; see [`estimate_for_task`]).
     pub fn observe(
         &self,
         sim: &CostSimulator,
@@ -176,7 +177,8 @@ impl DriftDetector {
             .fold(0.0, f64::max);
 
         // Price the incumbent under the current workload.
-        let est = sim.estimate_plan(&rebased.device_profiles(task.batch_size()));
+        let est = estimate_for_task(sim, task, rebased)
+            .unwrap_or_else(|e| panic!("the detector cannot price the incumbent: {e}"));
         let predicted_cost_ms = est.total_ms();
         let mean_compute =
             est.compute_per_device.iter().sum::<f64>() / est.compute_per_device.len().max(1) as f64;
@@ -278,9 +280,7 @@ mod tests {
         let sim = sim(2);
         let task = task((0..6).map(|i| t(i, 32)).collect());
         let plan = balanced_plan(&task);
-        let baseline = sim
-            .estimate_plan(&plan.device_profiles(task.batch_size()))
-            .total_ms();
+        let baseline = estimate_for_task(&sim, &task, &plan).unwrap().total_ms();
         let report = DriftDetector::default().observe(&sim, &plan, &task, &task, baseline, 3);
         assert_eq!(report.trigger, None);
         assert_eq!(report.epoch, 3);
@@ -302,8 +302,8 @@ mod tests {
                 .collect(),
         );
         let rebased = plan.rebase(&drifted).unwrap();
-        let baseline = sim
-            .estimate_plan(&plan.device_profiles(deployed.batch_size()))
+        let baseline = estimate_for_task(&sim, &deployed, &plan)
+            .unwrap()
             .total_ms();
         let report = DriftDetector::new(DriftThresholds {
             max_cost_regression: 0.05,
@@ -390,5 +390,34 @@ mod tests {
         let a = DriftDetector::default().observe(&sim, &plan, &task, &task, 1.0, 1);
         let b = DriftDetector::default().observe(&sim, &plan, &task, &task, 1.0, 1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn detector_prices_the_incumbent_for_the_tasks_fleet() {
+        let sim = sim(2);
+        // Device 1 runs kernels at 3x the baseline time behind a
+        // half-bandwidth link; the plan itself is balanced.
+        let task = task((0..6).map(|i| t(i, 32)).collect()).with_devices(
+            nshard_data::DevicePool::two_tier(1, 1 << 30, 1, 1 << 30, 3.0, 0.5),
+        );
+        let plan = balanced_plan(&task);
+        let est = estimate_for_task(&sim, &task, &plan).unwrap();
+        let hottest = (0..2)
+            .max_by(|&a, &b| est.compute_per_device[a].total_cmp(&est.compute_per_device[b]))
+            .unwrap();
+        assert_eq!(hottest, 1, "the 3x device must be the predicted straggler");
+
+        let report = DriftDetector::default().observe(&sim, &plan, &task, &task, 1.0, 1);
+        assert_eq!(report.predicted_cost_ms.to_bits(), est.total_ms().to_bits());
+        let mean = est.compute_per_device.iter().sum::<f64>() / 2.0;
+        assert_eq!(
+            report.imbalance.to_bits(),
+            (est.max_compute_ms / mean).to_bits()
+        );
+        assert!(
+            report.imbalance > 1.4,
+            "a balanced plan on a 1x/3x fleet is 1.5x imbalanced, got {}",
+            report.imbalance
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! warm-starts from the incumbent plan and hill-climbs over *local moves*
 //! — single-table moves, pairwise swaps and in-place splits — scoring each
 //! candidate with the same pre-trained [`CostSimulator`] the offline search
-//! uses, under the migration-regularized objective
+//! uses, priced for the task's fleet exactly as the search prices it
+//! ([`estimate_for_task`]), under the migration-regularized objective
 //!
 //! ```text
 //! J(p) = est_total_ms(p) + λ · migration_GB(incumbent → p)
@@ -19,12 +20,13 @@
 //! The search is bit-deterministic at any thread count: candidates are
 //! generated serially in a fixed order, the [`WorkPool`] only *constructs*
 //! candidate plans (order-preserving map of pure functions), and all
-//! scoring happens in a single [`CostSimulator::estimate_plan_batch`] call.
+//! scoring happens in a single [`estimate_batch_for_task`] call.
 
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{
-    migration_bytes, NeuroShardConfig, PlanError, ShardingPlan, SplitKind, WorkPool,
+    estimate_batch_for_task, estimate_for_task, migration_bytes, NeuroShardConfig, PlanError,
+    ShardingPlan, SplitKind, WorkPool,
 };
 use nshard_cost::{CostSimulator, EstimatedCost};
 use nshard_data::ShardingTask;
@@ -273,16 +275,13 @@ impl IncrementalPlanner {
         task: &ShardingTask,
         incumbent: &ShardingPlan,
     ) -> Result<IncrementalOutcome, PlanError> {
-        sim.bundle()
-            .check_device_count(task.num_devices())
-            .map_err(|reason| PlanError::Invalid { reason })?;
         let base = incumbent.rebase(task)?;
         let pool = WorkPool::new(self.config.threads);
         let budgets = task.budgets();
         let batch = task.batch_size();
 
         let mut current = base.clone();
-        let mut current_est = sim.estimate_plan(&current.device_profiles(batch));
+        let mut current_est = estimate_for_task(sim, task, &current)?;
         let mut current_score = self.score(&base, &current, &current_est, &budgets);
         let mut steps: Vec<DeltaStep> = Vec::new();
         let mut evaluated = 1usize;
@@ -311,12 +310,8 @@ impl IncrementalPlanner {
             if viable.is_empty() {
                 break;
             }
-            let profiles: Vec<Vec<Vec<nshard_sim::TableProfile>>> = viable
-                .iter()
-                .map(|(_, p)| p.device_profiles(batch))
-                .collect();
             // All scoring in one serial batched call — deterministic.
-            let estimates = sim.estimate_plan_batch(&profiles);
+            let estimates = estimate_batch_for_task(sim, task, viable.iter().map(|(_, p)| p))?;
             evaluated += estimates.len();
 
             // First strict improvement in candidate order wins ties.
@@ -626,9 +621,7 @@ mod tests {
             .replan(&sim, &task, &base)
             .unwrap();
         assert!(out.rounds > 0, "a fully skewed plan must be improvable");
-        let before = sim
-            .estimate_plan(&base.device_profiles(task.batch_size()))
-            .total_ms();
+        let before = estimate_for_task(&sim, &task, &base).unwrap().total_ms();
         assert!(out.estimated.total_ms() < before);
         assert!(out.delta.migration_bytes > 0);
         // The delta replays to exactly the returned plan.
@@ -643,9 +636,7 @@ mod tests {
         let out = IncrementalPlanner::default()
             .replan(&sim, &task, &base)
             .unwrap();
-        let before = sim
-            .estimate_plan(&base.device_profiles(task.batch_size()))
-            .total_ms();
+        let before = estimate_for_task(&sim, &task, &base).unwrap().total_ms();
         assert!(out.estimated.total_ms() <= before + 1e-12);
     }
 

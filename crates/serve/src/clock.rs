@@ -69,11 +69,6 @@ impl ManualClock {
     pub fn advance_ms(&self, ms: u64) {
         self.now.fetch_add(ms, Ordering::SeqCst);
     }
-
-    /// Sets the clock to an absolute time.
-    pub fn set_ms(&self, ms: u64) {
-        self.now.store(ms, Ordering::SeqCst);
-    }
 }
 
 impl Clock for ManualClock {
@@ -101,7 +96,5 @@ mod tests {
         c.advance_ms(10);
         c.advance_ms(5);
         assert_eq!(c.now_ms(), 15);
-        c.set_ms(3);
-        assert_eq!(c.now_ms(), 3);
     }
 }

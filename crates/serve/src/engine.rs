@@ -21,12 +21,14 @@ use std::sync::{Arc, RwLock};
 
 use nshard_baselines::{DimGreedy, SizeGreedy};
 use nshard_core::{
-    migration_bytes, FallbackChain, NeuroShard, NeuroShardConfig, PlanError, PlanProvenance,
-    PlanSource, ResilientError, ShardingAlgorithm, ShardingPlan,
+    estimate_for_task, migration_bytes, FallbackChain, NeuroShard, NeuroShardConfig, PlanError,
+    PlanProvenance, PlanSource, ResilientError, ShardingAlgorithm, ShardingPlan,
 };
 use nshard_cost::{CacheStats, CostModelBundle};
 use nshard_data::ShardingTask;
 use nshard_online::{IncrementalConfig, IncrementalPlanner};
+
+use crate::store::{fnv64, fnv64_extend};
 
 /// A [`ShardingAlgorithm`] view of a shared [`NeuroShard`].
 ///
@@ -55,7 +57,8 @@ pub struct PlanOutput {
     pub plan: ShardingPlan,
     /// How the chain arrived at it.
     pub provenance: PlanProvenance,
-    /// Predicted embedding cost under the cost models, ms.
+    /// Predicted embedding cost under the cost models on the task's
+    /// fleet, ms — the number the search minimised.
     pub predicted_ms: f64,
     /// `true` when the serving layer routed this request through the
     /// degraded chain (deadline pressure) or the chain itself downgraded.
@@ -135,12 +138,10 @@ impl PlanningEngine {
         let neuro = Arc::new(NeuroShard::new(bundle, search));
         let full = FallbackChain::new(Box::new(SharedAlgo(Arc::clone(&neuro))))
             .with_fallback(Box::new(SizeGreedy))
-            .with_seed(seed)
-            .with_threads(search.threads);
+            .with_seed(seed);
         let degraded = FallbackChain::new(Box::new(SizeGreedy))
             .with_fallback(Box::new(DimGreedy))
-            .with_seed(seed)
-            .with_threads(search.threads);
+            .with_seed(seed);
         EngineCore {
             neuro,
             full,
@@ -208,18 +209,14 @@ impl PlanningEngine {
     /// # Errors
     ///
     /// [`ResilientError`] when every stage of the chain failed (the task
-    /// is infeasible even size-balanced); carries full provenance.
+    /// is infeasible even size-balanced), or the accepted plan cannot be
+    /// priced because the cost models were trained for another device
+    /// count (cause [`PlanError::Invalid`]); carries full provenance.
     pub fn plan(&self, task: &ShardingTask, degrade: bool) -> Result<PlanOutput, ResilientError> {
         let core = self.current();
         let chain = if degrade { &core.degraded } else { &core.full };
         let outcome = chain.shard_with_provenance(task)?;
-        Ok(finish(
-            &core,
-            task,
-            outcome.plan,
-            outcome.provenance,
-            degrade,
-        ))
+        finish(&core, task, outcome.plan, outcome.provenance, degrade)
     }
 
     /// Replans `task` warm-started from `incumbent`. Falls back to a full
@@ -229,7 +226,8 @@ impl PlanningEngine {
     ///
     /// # Errors
     ///
-    /// [`ResilientError`] when the full-search fallback also failed.
+    /// [`ResilientError`] when the full-search fallback also failed; see
+    /// [`PlanningEngine::plan`].
     pub fn replan(
         &self,
         task: &ShardingTask,
@@ -254,7 +252,7 @@ impl PlanningEngine {
                 };
                 let migration = out.delta.migration_bytes;
                 let evaluated = out.evaluated_plans;
-                let output = finish(&core, task, out.plan, provenance, false);
+                let output = finish(&core, task, out.plan, provenance, false)?;
                 return Ok(ReplanOutput {
                     output,
                     migration_bytes: migration,
@@ -287,21 +285,25 @@ fn finish(
     plan: ShardingPlan,
     provenance: PlanProvenance,
     degrade: bool,
-) -> PlanOutput {
-    let predicted_ms = core
-        .neuro
-        .simulator()
-        .estimate_plan(&plan.device_profiles(task.batch_size()))
-        .total_ms();
+) -> Result<PlanOutput, ResilientError> {
+    let predicted_ms = match estimate_for_task(core.neuro.simulator(), task, &plan) {
+        Ok(estimate) => estimate.total_ms(),
+        Err(cause) => {
+            return Err(ResilientError {
+                cause,
+                provenance: Box::new(provenance),
+            })
+        }
+    };
     let id = plan_id(task, &plan);
     let degraded = degrade || provenance.is_degraded();
-    PlanOutput {
+    Ok(PlanOutput {
         id,
         plan,
         provenance,
         predicted_ms,
         degraded,
-    }
+    })
 }
 
 /// Content-addressed plan id: FNV-1a over the task and plan JSON, 16 hex
@@ -309,17 +311,10 @@ fn finish(
 /// engine can produce for identical requests — get identical ids, which
 /// makes store adoption idempotent and responses bit-identical.
 pub fn plan_id(task: &ShardingTask, plan: &ShardingPlan) -> String {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(serde_json::to_string(task).unwrap_or_default().as_bytes());
-    eat(b"|");
-    eat(serde_json::to_string(plan).unwrap_or_default().as_bytes());
-    format!("{hash:016x}")
+    let task = serde_json::to_string(task).unwrap_or_default();
+    let plan = serde_json::to_string(plan).unwrap_or_default();
+    let hash = fnv64_extend(fnv64(task.as_bytes()), b"|");
+    format!("{:016x}", fnv64_extend(hash, plan.as_bytes()))
 }
 
 #[cfg(test)]
@@ -447,5 +442,80 @@ mod tests {
             first.predicted_ms, second.predicted_ms,
             "different bundles should price the workload differently"
         );
+    }
+
+    /// The Motivation fleet of ISSUE 17: one baseline device, one at 3x
+    /// compute time behind a half-bandwidth link.
+    fn two_tier_task() -> ShardingTask {
+        task().with_devices(nshard_data::DevicePool::two_tier(
+            1,
+            1 << 30,
+            1,
+            1 << 30,
+            3.0,
+            0.5,
+        ))
+    }
+
+    #[test]
+    fn predicted_ms_is_the_search_estimate_on_a_heterogeneous_fleet() {
+        let eng = engine();
+        let t = two_tier_task();
+        let searched = eng.current().neuro.shard_with_stats(&t).unwrap();
+        let planned = eng.plan(&t, false).unwrap();
+        assert_eq!(planned.plan, searched.plan);
+        assert_eq!(
+            planned.predicted_ms.to_bits(),
+            searched.estimated_cost_ms.to_bits(),
+            "the engine must price the plan for the task's fleet, as the search did"
+        );
+        // Nothing drifted: the replanner keeps the search's own plan.
+        let re = eng.replan(&t, &planned.plan, false).unwrap();
+        assert!(re.incremental);
+        assert_eq!(re.output.plan, planned.plan);
+        assert_eq!(re.migration_bytes, 0);
+        assert_eq!(
+            re.output.predicted_ms.to_bits(),
+            planned.predicted_ms.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_device_count_the_models_cannot_price_is_a_typed_error() {
+        let eng = engine();
+        let three = ShardingTask::new(task().tables().to_vec(), 3, 1 << 30, 1024);
+        let incumbent = eng.plan(&task(), false).unwrap().plan;
+        // `catch_unwind` so a panic fails this test instead of aborting
+        // the run.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (
+                eng.plan(&three, false).map(|out| out.id),
+                eng.plan(&three, true).map(|out| out.id),
+                eng.replan(&three, &incumbent, false).map(|re| re.output.id),
+            )
+        }))
+        .expect("a mismatched device count must not panic");
+        for result in [outcome.0, outcome.1, outcome.2] {
+            let err = result.expect_err("the bundle cannot price 3 devices");
+            assert!(matches!(err.cause, PlanError::Invalid { .. }), "{err}");
+            let text = err.cause.to_string();
+            assert!(
+                text.contains("3 devices") && text.contains("for 2"),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_ids_do_not_move() {
+        // Stored ids are content addresses: this literal pair hashed to
+        // this id before the crate's FNV copies were merged.
+        let tables = vec![
+            TableConfig::new(TableId(0), 16, 1024, 4.0, 1.0),
+            TableConfig::new(TableId(1), 32, 2048, 8.0, 1.05),
+        ];
+        let task = ShardingTask::new(tables.clone(), 2, 1 << 30, 1024);
+        let plan = ShardingPlan::new(vec![], tables, vec![0, 1], 2).unwrap();
+        assert_eq!(plan_id(&task, &plan), "2462697166e423e7");
     }
 }

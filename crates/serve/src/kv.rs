@@ -283,25 +283,6 @@ impl PlanKv {
             .cloned()
     }
 
-    /// Looks up many keys at once, positionally.
-    pub fn mget<'a>(&self, keys: impl IntoIterator<Item = &'a str>) -> Vec<Option<SeqEntry>> {
-        let inner = self.inner.lock().expect("plan kv poisoned");
-        keys.into_iter()
-            .map(|k| inner.entries.get(k).cloned())
-            .collect()
-    }
-
-    /// All entries whose key starts with `prefix`, in key order.
-    pub fn prefix_list(&self, prefix: &str) -> Vec<(String, SeqEntry)> {
-        let inner = self.inner.lock().expect("plan kv poisoned");
-        inner
-            .entries
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// The sequence of the last applied mutation (`0` when pristine).
     pub fn applied_seq(&self) -> u64 {
         self.inner.lock().expect("plan kv poisoned").applied_seq
@@ -449,23 +430,13 @@ mod tests {
     }
 
     #[test]
-    fn reads_get_mget_prefix() {
+    fn get_finds_present_keys_and_len_counts_them() {
         let kv = PlanKv::new(64);
         kv.upsert("plans/b", "B", MatchSeq::Any).unwrap();
         kv.upsert("plans/a", "A", MatchSeq::Any).unwrap();
         kv.upsert("models/m", "M", MatchSeq::Any).unwrap();
         assert_eq!(kv.get("plans/a").unwrap().value, "A");
         assert!(kv.get("plans/zz").is_none());
-        let got = kv.mget(["plans/a", "nope", "models/m"]);
-        assert_eq!(got[0].as_ref().unwrap().value, "A");
-        assert!(got[1].is_none());
-        assert_eq!(got[2].as_ref().unwrap().value, "M");
-        let plans = kv.prefix_list("plans/");
-        assert_eq!(
-            plans.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            vec!["plans/a", "plans/b"],
-            "prefix listing is key-ordered"
-        );
         assert_eq!(kv.len(), 3);
     }
 

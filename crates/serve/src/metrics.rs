@@ -20,19 +20,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::store::fnv64;
+
 /// Number of registry shards; a power of two so the name hash maps with a
 /// mask. Contention on registration is negligible at this size.
 const REGISTRY_SHARDS: usize = 8;
-
-/// FNV-1a hash of a metric name, for shard selection.
-fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -259,7 +251,7 @@ impl MetricsRegistry {
     }
 
     fn shard(&self, name: &str) -> &Mutex<BTreeMap<String, Entry>> {
-        &self.shards[(name_hash(name) as usize) & (REGISTRY_SHARDS - 1)]
+        &self.shards[(fnv64(name.as_bytes()) as usize) & (REGISTRY_SHARDS - 1)]
     }
 
     /// Gets or creates a counter. The help text of the first registration

@@ -270,11 +270,6 @@ impl Replicator {
         self.last_leader_seq
     }
 
-    /// Consecutive transport failures so far.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.failures
-    }
-
     /// One replication step: fetch from the leader, apply, and update the
     /// service's role/lag state. Never sleeps — callers schedule the next
     /// poll using any recorded `backoff_ms`.

@@ -57,7 +57,7 @@ use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::net::reactor::Reactor;
 use crate::net::ConnConfig;
 use crate::repl::{Role, RoleCell};
-use crate::store::{PlanStore, StoreError, StoredPlan};
+use crate::store::{fnv64, fnv64_extend, PlanStore, StoreError, StoredPlan};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -343,23 +343,12 @@ impl ResponseCache {
 
 /// FNV-1a over the facts that determine a cached response.
 fn response_cache_key(kind: JobKind, degrade: bool, generation: u64, body: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(match kind {
+    let kind = match kind {
         JobKind::Plan => 1,
         JobKind::Replan => 2,
-    });
-    mix(u8::from(degrade));
-    for byte in generation.to_le_bytes() {
-        mix(byte);
-    }
-    for &byte in body {
-        mix(byte);
-    }
-    hash
+    };
+    let hash = fnv64(&[kind, u8::from(degrade)]);
+    fnv64_extend(fnv64_extend(hash, &generation.to_le_bytes()), body)
 }
 
 /// Per-endpoint metric handles.
@@ -544,6 +533,13 @@ impl Service {
         let engine = PlanningEngine::new(bundle, config.search, config.incremental, config.seed);
         let metrics = ServiceMetrics::new();
         metrics.model_version.set(engine.model_version());
+        metrics
+            .registry
+            .gauge(
+                "nshard_serve_store_quarantined",
+                "Unreadable plan files the store set aside when it opened",
+            )
+            .set(plans.quarantined() as u64);
         let queue = AdmissionQueue::new(config.queue_capacity, Arc::clone(&metrics.queue_depth));
         let workers = resolve_threads(config.workers);
         let role = RoleCell::new(if config.replica.follower {
@@ -970,8 +966,9 @@ impl Service {
                 return error_response(400, "bad_request", format!("invalid request body: {e}"))
             }
         };
-        // Nothing past this point survives a device count the models
-        // cannot price: the simulator asserts it.
+        // A device count the models cannot price is the client's error:
+        // answered here, ahead of deadline, cache and engine (which would
+        // return it as a typed `Invalid`).
         if let Err(detail) = self.engine.check_device_count(parsed.task().num_devices()) {
             return error_response(400, "unsupported_device_count", detail);
         }
@@ -1381,5 +1378,23 @@ impl Parsed {
             Parsed::Plan(request) => &request.task,
             Parsed::Replan(request) => &request.task,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn response_cache_keys_do_not_move() {
+        // The value this input hashed to before the crate's FNV copies
+        // were merged.
+        let key = response_cache_key(
+            JobKind::Replan,
+            true,
+            0x0102_0304_0506_0708,
+            b"{\"task\":1}",
+        );
+        assert_eq!(key, 0x40e9_da07_77fd_0f02);
     }
 }

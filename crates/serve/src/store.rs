@@ -31,8 +31,9 @@
 //! [`PlanStore::open`] **quarantines** corrupt entries (renames them to
 //! `*.json.quarantined`) and keeps booting with the surviving plans rather
 //! than refusing to start; [`PlanStore::quarantined`] reports how many were
-//! set aside. Files written by pre-checksum builds carry no magic line and
-//! still load unchanged.
+//! set aside (the daemon's `nshard_serve_store_quarantined` gauge). Files
+//! written by pre-checksum builds carry no magic line and still load
+//! unchanged.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -51,10 +52,16 @@ const CREATED_BY: &str = "nshard-serve";
 /// Magic prefix of the checksum line framing every persisted artifact.
 const CHECKSUM_MAGIC: &str = "#nshard-checksum: ";
 
-/// FNV-1a over a byte string — the same cheap, dependency-free digest the
-/// engine uses for content-addressed plan ids.
+/// FNV-1a over a byte string — the crate's one cheap, dependency-free
+/// digest: store checksums, content-addressed plan ids, response-cache
+/// keys and metric-registry shards.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a digest `h` over more bytes:
+/// `fnv64_extend(fnv64(a), b)` is `fnv64` of `a` followed by `b`.
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

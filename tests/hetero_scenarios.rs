@@ -14,7 +14,10 @@
 //! * plans and costs are **bit-identical** across worker-thread counts
 //!   {1, 2, 8} (CI re-runs this suite under `NSHARD_THREADS=8`),
 //! * on the skewed cells, the richer shard shapes (row-wise, replicated)
-//!   are **never worse** than the column-wise-only baseline.
+//!   are **never worse** than the column-wise-only baseline,
+//! * on the heterogeneous cells, an incremental replan with **no drift**
+//!   is never priced above the search's own plan (search and replanner
+//!   price a plan for the same fleet).
 //!
 //! The cells above run on smoke-trained cost models. One further test
 //! pre-trains at full scale and holds the feature's quality gate: on the
@@ -23,9 +26,12 @@
 //! max-device cost. `cargo test --test hetero_scenarios -- --nocapture`
 //! prints the four rows of `results/table_hetero.md`.
 
-use neuroshard::core::{evaluate_plan_exact, NeuroShard, NeuroShardConfig, ShardOutcome};
-use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
+use neuroshard::core::{
+    estimate_for_task, evaluate_plan_exact, NeuroShard, NeuroShardConfig, ShardOutcome,
+};
+use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
 use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId, TablePool};
+use neuroshard::online::IncrementalPlanner;
 use neuroshard::sim::GpuSpec;
 
 const DEVICES: usize = 4;
@@ -188,6 +194,31 @@ fn richer_shapes_never_regress_on_skewed_cells() {
                  column-only {:.4} ms",
                 richer.estimated_cost_ms,
                 column.estimated_cost_ms
+            );
+        }
+    }
+}
+
+#[test]
+fn an_undrifted_replan_is_not_priced_above_any_heterogeneous_cell() {
+    let bundle = bundle();
+    let sim = CostSimulator::new(bundle.clone());
+    for workload in WORKLOADS {
+        for shape in SHAPES {
+            let t = task(Fleet::Heterogeneous, workload);
+            let cell = shard_cell(&bundle, Fleet::Heterogeneous, workload, shape, 1);
+            let replanned = IncrementalPlanner::default()
+                .replan(&sim, &t, &cell.plan)
+                .expect("the cell's own plan rebases onto its own task");
+            let repriced = estimate_for_task(&sim, &t, &replanned.plan)
+                .expect("the bundle prices this fleet")
+                .total_ms();
+            assert!(
+                repriced <= cell.estimated_cost_ms,
+                "cell ({workload:?}, {shape:?}): the undrifted replan moved {} bytes to a \
+                 plan priced {repriced} ms, above the search's {} ms",
+                replanned.delta.migration_bytes,
+                cell.estimated_cost_ms
             );
         }
     }

@@ -5,7 +5,9 @@
 //! * the incremental plan is never worse than the incumbent under the
 //!   drifted workload (in predicted cost),
 //! * on a two-tier fleet every budget comparison is against the device's
-//!   own budget, not the fleet's largest,
+//!   own budget, not the fleet's largest, and the replanner prices plans
+//!   for that fleet exactly as the search does — replanning the search's
+//!   own plan with nothing drifted keeps it and moves nothing,
 //! * the whole controller loop is bit-deterministic per seed — CI runs
 //!   this suite again with `NSHARD_THREADS=8` to pin thread-count
 //!   invariance on oversubscribed hosts,
@@ -14,6 +16,7 @@
 //!   quarter of the bytes full replanning moves and ends within 5% of
 //!   its ground-truth max-device cost.
 
+use neuroshard::core::estimate_for_task;
 use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::online::{
@@ -90,15 +93,62 @@ fn incremental_plan_is_never_worse_than_the_incumbent() {
             .replan(&sim, &task, &incumbent)
             .expect("rebase is legal on this trace");
         let rebased = incumbent.rebase(&task).unwrap();
-        let incumbent_ms = sim
-            .estimate_plan(&rebased.device_profiles(task.batch_size()))
-            .total_ms();
+        let incumbent_ms = estimate_for_task(&sim, &task, &rebased).unwrap().total_ms();
         assert!(
             out.estimated.total_ms() <= incumbent_ms + 1e-12,
             "epoch {epoch}: incremental {:.4} ms worse than incumbent {incumbent_ms:.4} ms",
             out.estimated.total_ms()
         );
     }
+}
+
+/// ISSUE 17's recipe: one baseline device and one at 3x compute time
+/// behind a half-bandwidth link. When the replanner priced every device as
+/// baseline hardware it paid 3 MiB of migration to reach a plan the
+/// search's own estimate priced 63% higher.
+#[test]
+fn undrifted_two_tier_replan_keeps_the_searchs_own_plan() {
+    let pool = TablePool::synthetic_dlrm(40, 3);
+    let bundle = quick_bundle(&pool, 2, 7);
+    let sim = CostSimulator::new(bundle.clone());
+    let tables: Vec<TableConfig> = (0..8)
+        .map(|i| TableConfig::new(TableId(i), 16 + 16 * (i % 2), 1 << 14, 8.0, 1.05))
+        .collect();
+    let task = ShardingTask::new(tables, 2, 1 << 30, 1024).with_devices(DevicePool::two_tier(
+        1,
+        1 << 30,
+        1,
+        1 << 30,
+        3.0,
+        0.5,
+    ));
+    let searched = NeuroShard::new(bundle, NeuroShardConfig::smoke())
+        .shard_with_stats(&task)
+        .expect("the recipe's task is feasible");
+    let incumbent_ms = estimate_for_task(&sim, &task, &searched.plan)
+        .unwrap()
+        .total_ms();
+    assert_eq!(
+        incumbent_ms.to_bits(),
+        searched.estimated_cost_ms.to_bits(),
+        "the task-level estimate is the search's own"
+    );
+
+    let out = IncrementalPlanner::default()
+        .replan(&sim, &task, &searched.plan)
+        .expect("the search's plan rebases onto its own task");
+    let replanned_ms = estimate_for_task(&sim, &task, &out.plan)
+        .unwrap()
+        .total_ms();
+    assert!(
+        replanned_ms <= incumbent_ms,
+        "the undrifted replan moved {} bytes to a plan priced {replanned_ms} ms, above the \
+         incumbent's {incumbent_ms} ms",
+        out.delta.migration_bytes
+    );
+    assert_eq!(out.estimated.total_ms().to_bits(), replanned_ms.to_bits());
+    assert_eq!(out.plan, searched.plan, "nothing drifted, nothing to gain");
+    assert_eq!(out.delta.migration_bytes, 0);
 }
 
 #[test]

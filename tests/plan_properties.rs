@@ -2,9 +2,38 @@
 
 use proptest::prelude::*;
 
-use neuroshard::core::{apply_split_plan, migration_bytes, ShardingPlan, SplitStep};
-use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId};
+use neuroshard::core::{
+    apply_split_plan, estimate_batch_for_task, estimate_for_task, migration_bytes, ShardingPlan,
+    SplitStep,
+};
+use neuroshard::cost::{
+    CollectConfig, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, TrainSettings,
+};
+use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::resilient::{RepairConfig, RepairEngine};
+
+/// One smoke-trained two-device simulator shared by every pricing case.
+fn pricing_sim() -> &'static CostSimulator {
+    static SIM: std::sync::OnceLock<CostSimulator> = std::sync::OnceLock::new();
+    SIM.get_or_init(|| {
+        CostSimulator::new(CostModelBundle::pretrain(
+            &TablePool::synthetic_dlrm(40, 3),
+            2,
+            &CollectConfig::smoke(),
+            &TrainSettings::smoke(),
+            7,
+        ))
+    })
+}
+
+/// Every float of an estimate, as bits.
+fn estimate_bits(e: &EstimatedCost) -> Vec<u64> {
+    e.compute_per_device
+        .iter()
+        .chain([&e.max_compute_ms, &e.fwd_comm_ms, &e.bwd_comm_ms])
+        .map(|x| x.to_bits())
+        .collect()
+}
 
 fn arbitrary_tables() -> impl Strategy<Value = Vec<TableConfig>> {
     proptest::collection::vec(
@@ -343,5 +372,52 @@ proptest! {
         foreign[0] = TableConfig::new(TableId(9999), foreign[0].dim(), foreign[0].hash_size(), 1.0, 1.0);
         let bad = ShardingPlan::new(vec![], foreign, device_of, 2).unwrap();
         prop_assert!(bad.validate(&task).is_err());
+    }
+
+    /// The task-level estimate is the scaled primitive applied to the
+    /// task's own fleet, its batched form is its single form, and on a
+    /// uniform fleet both are the baseline-hardware `estimate_plan`.
+    #[test]
+    fn task_level_estimate_is_the_scaled_primitive_on_the_tasks_fleet(
+        tables in arbitrary_tables(),
+        placement in proptest::collection::vec(0usize..2, 12),
+        two_tier in any::<bool>(),
+        slow_scale in 1.0f64..=4.0,
+        link_slowdown in 1.0f64..=20.0,
+    ) {
+        let sim = pricing_sim();
+        let mut task = ShardingTask::new(tables.clone(), 2, 1 << 40, 1024);
+        if two_tier {
+            // Link scale in [0.05, 1].
+            let pool = DevicePool::two_tier(1, 1 << 40, 1, 1 << 40, slow_scale, 1.0 / link_slowdown);
+            task = task.with_devices(pool);
+        }
+        let device_of: Vec<usize> = placement[..tables.len()].to_vec();
+        let mirrored: Vec<usize> = device_of.iter().map(|d| 1 - d).collect();
+        let plans = [
+            ShardingPlan::new(vec![], tables.clone(), device_of, 2).unwrap(),
+            ShardingPlan::new(vec![], tables, mirrored, 2).unwrap(),
+        ];
+
+        let batched = estimate_batch_for_task(sim, &task, &plans).unwrap();
+        prop_assert_eq!(batched.len(), plans.len());
+        let scales = DeviceScales::from_pool(task.devices());
+        prop_assert_eq!(scales.is_none(), !two_tier || (slow_scale == 1.0 && link_slowdown == 1.0));
+        for (plan, from_batch) in plans.iter().zip(&batched) {
+            let profiles = plan.device_profiles(task.batch_size());
+            let single = estimate_for_task(sim, &task, plan).unwrap();
+            let primitive = sim
+                .estimate_plan_batch_scaled(std::slice::from_ref(&profiles), scales.as_ref())
+                .pop()
+                .unwrap();
+            prop_assert_eq!(estimate_bits(&single), estimate_bits(&primitive));
+            prop_assert_eq!(estimate_bits(&single), estimate_bits(from_batch));
+            if scales.is_none() {
+                prop_assert_eq!(
+                    estimate_bits(&single),
+                    estimate_bits(&sim.estimate_plan(&profiles))
+                );
+            }
+        }
     }
 }

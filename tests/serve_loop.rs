@@ -301,6 +301,54 @@ fn plan_store_survives_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The service-level twin of the store's
+/// `truncated_plan_file_is_quarantined_not_fatal`: a plan file torn by a
+/// crash is set aside at boot, the daemon comes up without it, and
+/// `/metrics` reports how many files were set aside.
+#[test]
+fn torn_plan_file_is_quarantined_and_counted_on_metrics() {
+    let dir = std::env::temp_dir().join(format!("nshard_serve_torn_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::smoke()
+    };
+    {
+        let service =
+            Arc::new(Service::new(quick_bundle(7), config.clone()).expect("service boots"));
+        assert!(service
+            .render_metrics()
+            .contains("nshard_serve_store_quarantined 0"));
+        let server = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
+        let (status, _) = http_call(
+            &server.addr().to_string(),
+            "POST",
+            "/v1/plan",
+            plan_body().as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(status, 200);
+        server.shutdown();
+    }
+    // Simulate a crash mid-persist: the one plan file stops halfway.
+    let victim = std::fs::read_dir(dir.join("plans"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .expect("the adopted plan was persisted");
+    let full = std::fs::read(&victim).unwrap();
+    std::fs::write(&victim, &full[..full.len() / 2]).unwrap();
+
+    let service = Service::new(quick_bundle(7), config).expect("a torn file does not stop boot");
+    assert_eq!(service.plans().len(), 0);
+    let metrics = service.render_metrics();
+    assert!(
+        metrics.contains("nshard_serve_store_quarantined 1"),
+        "missing the quarantine gauge in:\n{metrics}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `/health` and `/metrics` expose the daemon's core observability
 /// contract: liveness facts, request counters, latency quantiles, and
 /// prediction-cache statistics.

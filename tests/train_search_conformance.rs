@@ -21,7 +21,7 @@
 
 use std::path::PathBuf;
 
-use neuroshard::core::{evaluate_plan_exact, BeamSearch, ShardingPlan};
+use neuroshard::core::{evaluate_plan_exact, BeamSearch, NeuroShardConfig, ShardingPlan};
 use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
 use neuroshard::data::{ShardingTask, TablePool};
 use neuroshard::nn::{envelope_from_json, envelope_to_json, Envelope};
@@ -69,7 +69,7 @@ fn pretrain(seed: u64) -> CostModelBundle {
 /// on the oracle, not on their own models' estimates.
 fn search_and_measure(bundle: CostModelBundle, task: &ShardingTask) -> (ShardingPlan, f64) {
     let sim = CostSimulator::new(bundle);
-    let result = BeamSearch::new(&sim)
+    let result = BeamSearch::new(&sim, &NeuroShardConfig::default())
         .search(task)
         .expect("smoke task is feasible");
     let truth = evaluate_plan_exact(task, &result.plan, &GpuSpec::rtx_2080_ti())
