@@ -290,7 +290,6 @@ pub struct FallbackChain {
     primary: Box<dyn ShardingAlgorithm + Send + Sync>,
     fallbacks: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>,
     retry: RetryPolicy,
-    repair: RepairConfig,
     verifier: Option<Box<PlanVerifier>>,
     seed: u64,
 }
@@ -303,7 +302,6 @@ impl FallbackChain {
             primary,
             fallbacks: Vec::new(),
             retry: RetryPolicy::default(),
-            repair: RepairConfig::default(),
             verifier: None,
             seed: 0,
         }
@@ -319,12 +317,6 @@ impl FallbackChain {
     /// Replaces the retry policy (builder-style).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Replaces the repair limits (builder-style).
-    pub fn with_repair(mut self, repair: RepairConfig) -> Self {
-        self.repair = repair;
         self
     }
 
@@ -405,7 +397,7 @@ impl FallbackChain {
         trail.events.push(ProvenanceEvent::Attempt {
             algorithm: "size_balanced".into(),
         });
-        match size_balanced_plan(task, self.repair) {
+        match size_balanced_plan(task, RepairConfig::default()) {
             Ok(plan) => match self.verify_and_repair(task, plan, "size_balanced", &mut trail) {
                 Ok((plan, _)) => Ok(ResilientOutcome {
                     plan,
@@ -443,7 +435,7 @@ impl FallbackChain {
         match self.verify_with_retries(task, &plan, name, trail) {
             Ok(()) => Ok((plan, None)),
             Err(err) if is_repairable(&err) => {
-                match RepairEngine::new(self.repair).repair(task, &plan) {
+                match RepairEngine::new(RepairConfig::default()).repair(task, &plan) {
                     Ok(report) => {
                         trail.events.push(ProvenanceEvent::Repaired {
                             algorithm: name.to_string(),

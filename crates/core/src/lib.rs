@@ -89,3 +89,16 @@ pub trait ShardingAlgorithm {
     /// plan — the "-" cells of Table 1.
     fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError>;
 }
+
+/// A shared algorithm is an algorithm: a [`FallbackChain`] can run the
+/// same [`NeuroShard`] — hence the same simulator and caches — that its
+/// owner keeps a handle to.
+impl<T: ShardingAlgorithm + ?Sized> ShardingAlgorithm for std::sync::Arc<T> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
+        (**self).shard(task)
+    }
+}

@@ -22,22 +22,20 @@ use nshard_data::ShardingTask;
 
 use crate::plan::{PlanError, ShardingPlan, SplitStep};
 
+/// Maximum number of recorded actions (moves + splits) before the engine
+/// gives up. Bounds the loop on adversarial inputs.
+const MAX_STEPS: usize = 256;
+
 /// Limits of the repair loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairConfig {
-    /// Maximum number of recorded actions (moves + splits) before the
-    /// engine gives up. Bounds the loop on adversarial inputs.
-    pub max_steps: usize,
     /// Whether tables that fit on no device may be column-split in place.
     pub allow_splits: bool,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
-        Self {
-            max_steps: 256,
-            allow_splits: true,
-        }
+        Self { allow_splits: true }
     }
 }
 
@@ -160,12 +158,11 @@ impl RepairEngine {
 
         let mut steps = Vec::new();
         while let Some(offender) = worst_device(&bytes_of_device, &budgets) {
-            if steps.len() >= self.config.max_steps {
+            if steps.len() >= MAX_STEPS {
                 return Err(PlanError::Infeasible {
                     reason: format!(
-                        "repair did not converge within {} steps \
-                         (device {offender} still over budget)",
-                        self.config.max_steps
+                        "repair did not converge within {MAX_STEPS} steps \
+                         (device {offender} still over budget)"
                     ),
                 });
             }
@@ -350,7 +347,6 @@ mod tests {
         let plan = ShardingPlan::new(vec![], vec![big], vec![0], 2).unwrap();
         let engine = RepairEngine::new(RepairConfig {
             allow_splits: false,
-            ..RepairConfig::default()
         });
         assert!(matches!(
             engine.repair(&task, &plan),

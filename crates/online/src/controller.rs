@@ -12,9 +12,10 @@
 //!    with the pre-trained cost models and fires a typed
 //!    [`ReplanTrigger`] when the plan's assumptions no longer hold.
 //! 3. **Replan** — per the configured [`ReplanStrategy`]: keep the
-//!    incumbent, run a full search through the [`FallbackChain`] safety
-//!    net, or run the migration-aware [`IncrementalPlanner`] (falling
-//!    back to the chain when the incremental result is unusable).
+//!    incumbent, run a full search through the [`PlanningStack`]'s
+//!    fallback chain, or ask the stack for a migration-aware replan (the
+//!    incremental planner, falling back to the chain when its result is
+//!    unusable).
 //! 4. **Apply** — adopt the new plan; migration bytes are charged by
 //!    [`migration_bytes`] against the rebased incumbent.
 //! 5. **Evaluate** — ground-truth the deployed plan on the cluster
@@ -29,18 +30,18 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_baselines::SizeGreedy;
 use nshard_core::{
-    estimate_for_task, evaluate_plan, migration_bytes, FallbackChain, NeuroShard, NeuroShardConfig,
-    PlanProvenance, PlanSource, ShardingPlan,
+    estimate_for_task, evaluate_plan, migration_bytes, NeuroShardConfig, PlanProvenance,
+    ShardingPlan,
 };
-use nshard_cost::{CostModelBundle, CostSimulator, EstimatedCost};
+use nshard_cost::{CostModelBundle, EstimatedCost};
 use nshard_data::ShardingTask;
 use nshard_sim::{GpuSpec, PlanCosts, TableProfile};
 
 use crate::detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
 use crate::drift::{mix, WorkloadDrift};
-use crate::incremental::{IncrementalConfig, IncrementalPlanner, PlanDelta};
+use crate::incremental::{IncrementalConfig, PlanDelta};
+use crate::stack::{PlanningStack, ReplanOutcome, ReplanRoute};
 
 /// How the controller reacts to a fired trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,7 +78,8 @@ pub struct OnlineConfig {
     /// Drift-detector thresholds.
     pub thresholds: DriftThresholds,
     /// Incremental-planner knobs (used by
-    /// [`ReplanStrategy::Incremental`]).
+    /// [`ReplanStrategy::Incremental`]); its `row_wise` follows
+    /// `search.use_row_wise`.
     pub incremental: IncrementalConfig,
     /// Full-search knobs (used by [`ReplanStrategy::Full`] and as the
     /// incremental strategy's fallback).
@@ -85,9 +87,6 @@ pub struct OnlineConfig {
     /// Base seed for ground-truth evaluation noise (mixed with the epoch
     /// so every epoch re-measures).
     pub seed: u64,
-    /// Worker threads (`0` = auto, honoring `NSHARD_THREADS`). Thread
-    /// count never changes any result.
-    pub threads: usize,
     /// End-of-trace escape hatch for [`ReplanStrategy::Incremental`]:
     /// when the λ-objective has stalled — some incremental replan left
     /// the predicted cost more than
@@ -116,7 +115,6 @@ impl Default for OnlineConfig {
             incremental: IncrementalConfig::default(),
             search: NeuroShardConfig::default(),
             seed: 0,
-            threads: 0,
             final_full_replan_on_stall: false,
             stall_improvement: 0.05,
         }
@@ -265,9 +263,9 @@ pub enum HookAction {
     /// Keep running with the current cost models.
     Continue,
     /// Swap in a new cost-model bundle before the next epoch: the
-    /// controller rebuilds its simulator and full-search chain from it
-    /// and re-prices the detector baseline so subsequent regression
-    /// ratios compare like with like.
+    /// controller builds a new [`PlanningStack`] from it and re-prices the
+    /// detector baseline so subsequent regression ratios compare like with
+    /// like.
     SwapModels(Box<CostModelBundle>),
 }
 
@@ -293,61 +291,29 @@ impl EpochHook for NoopHook {
 /// The epoch loop. See the [module documentation](self).
 pub struct OnlineController {
     drift: WorkloadDrift,
-    sim: CostSimulator,
-    chain: FallbackChain,
+    stack: PlanningStack,
     detector: DriftDetector,
-    planner: IncrementalPlanner,
     config: OnlineConfig,
 }
 
 impl OnlineController {
     /// Builds a controller from a pre-trained bundle, a drift generator
-    /// and a configuration. The bundle is shared (cloned) between the
-    /// detector/incremental-planner simulator and the full-search
-    /// fallback chain.
+    /// and a configuration.
     pub fn new(bundle: CostModelBundle, drift: WorkloadDrift, config: OnlineConfig) -> Self {
-        let sim = CostSimulator::new(bundle.clone());
-        let chain = Self::build_chain(bundle, &config);
-        let mut incremental = config.incremental;
-        incremental.threads = config.threads;
-        // The incremental planner honors the search config's row-wise
-        // setting: a disabled `use_row_wise` must disable row-split
-        // candidates everywhere, not just in the full search.
-        incremental.row_wise = config.search.use_row_wise;
         Self {
             drift,
-            sim,
-            chain,
+            stack: Self::stack_for(bundle, &config),
             detector: DriftDetector::new(config.thresholds),
-            planner: IncrementalPlanner::new(incremental),
             config,
         }
     }
 
-    /// The full-search fallback chain for `bundle` under `config` — used
-    /// at construction and again on every [`HookAction::SwapModels`].
-    fn build_chain(bundle: CostModelBundle, config: &OnlineConfig) -> FallbackChain {
-        FallbackChain::new(Box::new(NeuroShard::new(bundle, config.search)))
-            .with_fallback(Box::new(SizeGreedy))
-            .with_seed(config.seed)
-    }
-
-    /// Hot-swaps the cost models the loop plans with: the simulator (and
-    /// with it every prediction/encoding cache) and the full-search chain
-    /// are rebuilt from `bundle`.
-    fn install_bundle(&mut self, bundle: CostModelBundle) {
-        self.sim = CostSimulator::new(bundle.clone());
-        self.chain = Self::build_chain(bundle, &self.config);
-    }
-
-    /// The drift generator driving the run.
-    pub fn drift(&self) -> &WorkloadDrift {
-        &self.drift
-    }
-
-    /// The controller configuration.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.config
+    /// The planning stack for `bundle` under `config` — built at
+    /// construction and again on every [`HookAction::SwapModels`], so a
+    /// swap replaces the simulator and with it every prediction/encoding
+    /// cache.
+    fn stack_for(bundle: CostModelBundle, config: &OnlineConfig) -> PlanningStack {
+        PlanningStack::new(bundle, config.search, config.incremental, config.seed)
     }
 
     /// Runs the full epoch loop and returns the per-epoch history.
@@ -381,7 +347,7 @@ impl OnlineController {
 
         // Epoch 0: initial deployment via the full chain.
         let task0 = self.drift.task_at(0);
-        let deployed = self.chain.shard_with_provenance(&task0)?;
+        let deployed = self.stack.plan(&task0)?;
         let mut incumbent = deployed.plan;
         let mut deployed_task = task0.clone();
         let profiles0 = incumbent.device_profiles(task0.batch_size());
@@ -405,7 +371,7 @@ impl OnlineController {
             trigger: None,
         });
         if let HookAction::SwapModels(bundle) = hook_action {
-            self.install_bundle(*bundle);
+            self.stack = Self::stack_for(*bundle, &self.config);
             baseline_ms = self.price(&task0, &incumbent).total_ms();
         }
 
@@ -425,7 +391,7 @@ impl OnlineController {
             let (report, reference) = match &rebased {
                 Ok(r) => {
                     let report = self.detector.observe(
-                        &self.sim,
+                        self.stack.simulator(),
                         r,
                         &task,
                         &deployed_task,
@@ -464,30 +430,26 @@ impl OnlineController {
                     ReplanStrategy::Never => {
                         action = Some(ReplanAction::Suppressed);
                     }
-                    ReplanStrategy::Full => {
-                        let outcome = self.chain.shard_with_provenance(&task)?;
-                        moved = migration_bytes(&reference, &outcome.plan);
-                        incumbent = outcome.plan;
-                        action = Some(ReplanAction::Full {
-                            provenance: outcome
-                                .provenance
-                                .attributed_to_replan(trigger_kind, epoch),
-                        });
-                    }
-                    ReplanStrategy::Incremental if escape => {
-                        let outcome = self.chain.shard_with_provenance(&task)?;
-                        moved = migration_bytes(&reference, &outcome.plan);
-                        incumbent = outcome.plan;
-                        stalled_replans = 0;
-                        action = Some(ReplanAction::Full {
-                            provenance: outcome
-                                .provenance
-                                .attributed_to_replan(trigger_kind, epoch),
-                        });
-                    }
-                    ReplanStrategy::Incremental => {
-                        let (next, act) =
-                            self.incremental_replan(&task, &incumbent, trigger_kind, epoch)?;
+                    ReplanStrategy::Incremental if !escape => {
+                        let ReplanOutcome {
+                            plan: next,
+                            provenance,
+                            route,
+                        } = self.stack.replan(&task, &incumbent)?;
+                        let provenance = provenance.attributed_to_replan(trigger_kind, epoch);
+                        let act = match route {
+                            ReplanRoute::Incremental {
+                                delta,
+                                evaluated_plans,
+                            } => ReplanAction::Incremental {
+                                delta,
+                                evaluated_plans,
+                                provenance,
+                            },
+                            ReplanRoute::FellBack { reason } => {
+                                ReplanAction::IncrementalFellBack { reason, provenance }
+                            }
+                        };
                         // Stall accounting against the λ-objective: a
                         // patch that beats the drifted incumbent can
                         // still ratchet the deployment away from what an
@@ -513,6 +475,19 @@ impl OnlineController {
                         moved = migration_bytes(&reference, &next);
                         incumbent = next;
                         action = Some(act);
+                    }
+                    // `Full`, or a stalled incremental trace's escape
+                    // hatch: plan from scratch, which clears the debt.
+                    ReplanStrategy::Full | ReplanStrategy::Incremental => {
+                        let outcome = self.stack.plan(&task)?;
+                        moved = migration_bytes(&reference, &outcome.plan);
+                        incumbent = outcome.plan;
+                        stalled_replans = 0;
+                        action = Some(ReplanAction::Full {
+                            provenance: outcome
+                                .provenance
+                                .attributed_to_replan(trigger_kind, epoch),
+                        });
                     }
                 }
             }
@@ -558,7 +533,7 @@ impl OnlineController {
             deployed_task = task;
             baseline_ms = predicted_ms;
             if let HookAction::SwapModels(bundle) = hook_action {
-                self.install_bundle(*bundle);
+                self.stack = Self::stack_for(*bundle, &self.config);
                 // Re-price the baseline (and the stall reference) with the
                 // new models so next epoch's regression ratio is not an
                 // artifact of the swap itself.
@@ -574,61 +549,10 @@ impl OnlineController {
         })
     }
 
-    /// The incremental path with the fallback chain as safety net.
-    fn incremental_replan(
-        &self,
-        task: &nshard_data::ShardingTask,
-        incumbent: &ShardingPlan,
-        trigger_kind: &str,
-        epoch: u64,
-    ) -> Result<(ShardingPlan, ReplanAction), nshard_core::ResilientError> {
-        let fall_back = |reason: String| -> Result<(ShardingPlan, ReplanAction), _> {
-            let outcome = self.chain.shard_with_provenance(task)?;
-            let action = ReplanAction::IncrementalFellBack {
-                reason,
-                provenance: outcome.provenance.attributed_to_replan(trigger_kind, epoch),
-            };
-            Ok((outcome.plan, action))
-        };
-        match self.planner.replan(&self.sim, task, incumbent) {
-            Ok(out) => {
-                let feasible = out
-                    .plan
-                    .device_bytes()
-                    .iter()
-                    .enumerate()
-                    .all(|(device, &bytes)| bytes <= task.budget_of(device));
-                if !feasible {
-                    return fall_back("incremental plan still over budget".into());
-                }
-                let provenance = PlanProvenance {
-                    source: PlanSource::Primary {
-                        algorithm: "incremental".into(),
-                    },
-                    events: Vec::new(),
-                    total_retries: 0,
-                    total_backoff_ms: 0,
-                    replan: None,
-                    failover: None,
-                }
-                .attributed_to_replan(trigger_kind, epoch);
-                Ok((
-                    out.plan,
-                    ReplanAction::Incremental {
-                        delta: out.delta,
-                        evaluated_plans: out.evaluated_plans,
-                        provenance,
-                    },
-                ))
-            }
-            Err(e) => fall_back(format!("incremental replan failed: {e}")),
-        }
-    }
-
     /// The cost models' estimate of `plan` on `task`'s fleet — the same
     /// price the search and the detector see.
     fn price(&self, task: &ShardingTask, plan: &ShardingPlan) -> EstimatedCost {
-        estimate_for_task(&self.sim, task, plan)
+        estimate_for_task(self.stack.simulator(), task, plan)
             .unwrap_or_else(|e| panic!("the controller cannot price its deployment: {e}"))
     }
 

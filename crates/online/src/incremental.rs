@@ -38,6 +38,12 @@ const BYTES_PER_GB: f64 = 1e9;
 /// floating-point noise keeping the hill-climb alive forever.
 const MIN_GAIN_MS: f64 = 1e-9;
 
+/// How many of a donor device's heaviest tables are considered per round.
+const CANDIDATES_PER_DEVICE: usize = 8;
+
+/// Maximum hill-climb rounds (one accepted move per round).
+const MAX_ROUNDS: usize = 32;
+
 /// One local move of an incremental replan, in application order.
 ///
 /// Indices refer to the *sharded* table list of the plan the step is
@@ -179,17 +185,13 @@ pub struct IncrementalConfig {
     /// per gigabyte moved. Small values chase cost aggressively; large
     /// values pin tables in place.
     pub lambda_ms_per_gb: f64,
-    /// How many of the hottest device's tables are considered per round.
-    pub candidates_per_device: usize,
-    /// Maximum hill-climb rounds (one accepted move per round).
-    pub max_rounds: usize,
     /// Worker threads for candidate construction (`0` = auto, honoring
     /// `NSHARD_THREADS`). Thread count never changes the result.
     pub threads: usize,
-    /// Whether row-wise split candidates are proposed. The controller
-    /// mirrors [`nshard_core::NeuroShardConfig::use_row_wise`] here so a
-    /// disabled setting disables row splits on the incremental path too
-    /// (it used to be silently ignored — ROADMAP item 4).
+    /// Whether row-wise split candidates are proposed. A
+    /// [`PlanningStack`](crate::PlanningStack) overwrites this with its
+    /// search's [`nshard_core::NeuroShardConfig::use_row_wise`], so a
+    /// disabled setting disables row splits on the incremental path too.
     pub row_wise: bool,
 }
 
@@ -197,8 +199,6 @@ impl Default for IncrementalConfig {
     fn default() -> Self {
         Self {
             lambda_ms_per_gb: 3.0,
-            candidates_per_device: 8,
-            max_rounds: 32,
             threads: 0,
             row_wise: NeuroShardConfig::default().use_row_wise,
         }
@@ -257,8 +257,8 @@ impl IncrementalPlanner {
     ///
     /// The incumbent is first rebased onto `task` (see
     /// [`ShardingPlan::rebase`]), then improved by one accepted local move
-    /// per round until no candidate beats the current plan or
-    /// `max_rounds` is exhausted. Migration bytes are always charged
+    /// per round until no candidate beats the current plan or the round
+    /// cap is exhausted. Migration bytes are always charged
     /// against the *rebased incumbent*, so a table moved away and back
     /// costs nothing in the final delta.
     ///
@@ -287,7 +287,7 @@ impl IncrementalPlanner {
         let mut evaluated = 1usize;
         let mut rounds = 0usize;
 
-        for _ in 0..self.config.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let candidates = self.candidate_steps(&current, &current_est, &budgets, batch);
             if candidates.is_empty() {
                 break;
@@ -367,7 +367,7 @@ impl IncrementalPlanner {
     /// is, otherwise the two predicted-compute hottest (the
     /// second donor matters once the hottest device is already lean:
     /// comm and the runner-up device then dominate the max). From each
-    /// donor the top `candidates_per_device` tables by workload proxy
+    /// donor the top `CANDIDATES_PER_DEVICE` tables by workload proxy
     /// (`batch · pooling · dim`, or bytes when repairing memory) each
     /// propose: a move to every other device, a swap with every other
     /// device's lightest table, and a split whose second half lands on
@@ -435,7 +435,7 @@ impl IncrementalPlanner {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            donor_tables.truncate(self.config.candidates_per_device);
+            donor_tables.truncate(CANDIDATES_PER_DEVICE);
 
             for &t in &donor_tables {
                 for (to, partner) in lightest.iter().enumerate() {

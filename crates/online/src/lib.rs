@@ -21,9 +21,13 @@
 //!   warm-starts from the incumbent and hill-climbs over local moves
 //!   (move / swap / split), minimizing predicted cost plus a
 //!   λ·migration-bytes penalty, and emits a replayable [`PlanDelta`].
+//! * [`PlanningStack`] — one sharder (one simulator, one
+//!   pair of caches), the full fallback chain around it and the
+//!   incremental planner, for one cost-model bundle. Its `replan` is the
+//!   one place that decides *incremental, else the full chain*.
 //! * [`controller`] — the [`OnlineController`] epoch loop: observe →
-//!   detect → replan (through the `FallbackChain` safety net) → apply →
-//!   ground-truth evaluate, recording a full [`ReplanHistory`].
+//!   detect → replan (through its stack) → apply → ground-truth evaluate,
+//!   recording a full [`ReplanHistory`].
 //!
 //! Everything is bit-deterministic per seed at any thread count.
 //!
@@ -60,6 +64,7 @@ pub mod controller;
 pub mod detect;
 pub mod drift;
 pub mod incremental;
+mod stack;
 
 pub use controller::{
     EpochHook, EpochObservation, EpochRecord, HookAction, NoopHook, OnlineConfig, OnlineController,
@@ -70,3 +75,4 @@ pub use drift::{DriftFactors, DriftModel, WorkloadDrift};
 pub use incremental::{
     DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta,
 };
+pub use stack::{PlanningStack, ReplanOutcome, ReplanRoute};

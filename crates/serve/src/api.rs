@@ -20,9 +20,8 @@ use nshard_data::ShardingTask;
 pub struct PlanRequest {
     /// The task to shard.
     pub task: ShardingTask,
-    /// Per-request deadline in ms; defaults to the server's
-    /// `default_deadline_ms`. Expired in queue ⇒ `503`; nearly expired ⇒
-    /// degraded (greedy) search.
+    /// Per-request deadline in ms; defaults to 30 s. Expired in queue ⇒
+    /// `503`; nearly expired ⇒ degraded (greedy) search.
     pub deadline_ms: Option<u64>,
     /// Store the plan on success (default `true`). Idempotent by plan id.
     pub adopt: bool,

@@ -1,15 +1,14 @@
 //! The planning engine behind the daemon's endpoints.
 //!
 //! One [`PlanningEngine`] is shared (behind an `Arc`) by every worker
-//! thread. It owns:
+//! thread. Per cost-model generation it owns:
 //!
-//! * the **full chain** — NeuroShard primary with a `SizeGreedy` fallback
-//!   and the size-balanced last resort, via [`FallbackChain`];
+//! * the [`PlanningStack`] — the sharder, the full chain around it and the
+//!   incremental planner, all pricing with one simulator; `POST /v1/plan`
+//!   is its `plan`, `POST /v1/replan` its `replan`;
 //! * the **degraded chain** — greedy primaries only, used when a request's
 //!   remaining deadline budget is too small for a beam search, so a
-//!   deadline-pressed request degrades to a fast plan instead of erroring;
-//! * the **incremental planner** — warm-started replans around a stored
-//!   incumbent for `POST /v1/replan`.
+//!   deadline-pressed request degrades to a fast plan instead of erroring.
 //!
 //! Everything downstream is deterministic (order-preserving work pools,
 //! serial batched scoring), so identical requests produce **bit-identical
@@ -21,32 +20,14 @@ use std::sync::{Arc, RwLock};
 
 use nshard_baselines::{DimGreedy, SizeGreedy};
 use nshard_core::{
-    estimate_for_task, migration_bytes, FallbackChain, NeuroShard, NeuroShardConfig, PlanError,
-    PlanProvenance, PlanSource, ResilientError, ShardingAlgorithm, ShardingPlan,
+    estimate_for_task, migration_bytes, FallbackChain, NeuroShardConfig, PlanProvenance,
+    ResilientError, ShardingPlan,
 };
 use nshard_cost::{CacheStats, CostModelBundle};
 use nshard_data::ShardingTask;
-use nshard_online::{IncrementalConfig, IncrementalPlanner};
+use nshard_online::{IncrementalConfig, PlanningStack, ReplanRoute};
 
 use crate::store::{fnv64, fnv64_extend};
-
-/// A [`ShardingAlgorithm`] view of a shared [`NeuroShard`].
-///
-/// The chain owns its primary as a `Box<dyn ShardingAlgorithm>`, but the
-/// engine also needs the sharder afterwards (its simulator prices plans
-/// and exposes cache statistics for `/metrics`), so the chain gets this
-/// forwarding wrapper around the engine's `Arc`.
-struct SharedAlgo(Arc<NeuroShard>);
-
-impl ShardingAlgorithm for SharedAlgo {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
-        self.0.shard(task)
-    }
-}
 
 /// One planned (or replanned) task, ready to store and serialize.
 #[derive(Debug, Clone)]
@@ -73,24 +54,22 @@ pub struct ReplanOutput {
     /// Bytes that must move from the incumbent to adopt the new plan.
     pub migration_bytes: u64,
     /// `true` when the warm-started incremental planner produced the plan;
-    /// `false` when it could not (e.g. the incumbent no longer rebases
-    /// onto the drifted task) and a full search ran instead.
+    /// `false` when it could not (the incumbent no longer rebases onto
+    /// the drifted task, or no local move brings every device within its
+    /// budget) and a full search ran instead.
     pub incremental: bool,
     /// Candidate plans scored (incremental path only; `0` for full).
     pub evaluated_plans: usize,
 }
 
-/// Everything derived from one cost-model bundle: the sharder, both
-/// fallback chains, the incremental planner, and the monotonically
-/// increasing model version. Swapped atomically as a unit on promotion,
-/// which also replaces the simulator — and with it every prediction and
-/// encoding cache, so a promoted model can never serve a predecessor's
-/// cached predictions.
+/// Everything derived from one cost-model bundle: the planning stack, the
+/// degraded chain, and the monotonically increasing model version.
+/// Swapped atomically as a unit on promotion, which also replaces the
+/// stack's simulator — and with it every prediction and encoding cache,
+/// so a promoted model can never serve a predecessor's cached predictions.
 struct EngineCore {
-    neuro: Arc<NeuroShard>,
-    full: FallbackChain,
+    stack: PlanningStack,
     degraded: FallbackChain,
-    incremental: IncrementalPlanner,
     version: u64,
 }
 
@@ -115,10 +94,6 @@ impl PlanningEngine {
         incremental: IncrementalConfig,
         seed: u64,
     ) -> Self {
-        let mut incremental = incremental;
-        // Mirror the search's row-wise setting on the incremental path —
-        // a disabled `use_row_wise` disables row splits everywhere.
-        incremental.row_wise = search.use_row_wise;
         let core = Arc::new(Self::build_core(bundle, search, incremental, seed, 1));
         Self {
             core: RwLock::new(core),
@@ -135,18 +110,12 @@ impl PlanningEngine {
         seed: u64,
         version: u64,
     ) -> EngineCore {
-        let neuro = Arc::new(NeuroShard::new(bundle, search));
-        let full = FallbackChain::new(Box::new(SharedAlgo(Arc::clone(&neuro))))
-            .with_fallback(Box::new(SizeGreedy))
-            .with_seed(seed);
         let degraded = FallbackChain::new(Box::new(SizeGreedy))
             .with_fallback(Box::new(DimGreedy))
             .with_seed(seed);
         EngineCore {
-            neuro,
-            full,
+            stack: PlanningStack::new(bundle, search, incremental, seed),
             degraded,
-            incremental: IncrementalPlanner::new(incremental),
             version,
         }
     }
@@ -158,11 +127,10 @@ impl PlanningEngine {
         self.core.read().expect("engine core lock poisoned").clone()
     }
 
-    /// Atomically swaps in a new cost-model bundle, rebuilding the
-    /// sharder, both chains, and the incremental planner around it, and
-    /// returns the new model version. The fresh simulator starts with
-    /// empty prediction/encoding caches, so no stale predictions survive
-    /// the promotion.
+    /// Atomically swaps in a new cost-model bundle — a new planning stack
+    /// and degraded chain built around it — and returns the new model
+    /// version. The fresh simulator starts with empty prediction/encoding
+    /// caches, so no stale predictions survive the promotion.
     pub fn swap_bundle(&self, bundle: CostModelBundle) -> u64 {
         let mut guard = self.core.write().expect("engine core lock poisoned");
         let version = guard.version + 1;
@@ -190,7 +158,7 @@ impl PlanningEngine {
     /// A message naming both counts.
     pub fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
         let core = self.current();
-        core.neuro
+        core.stack
             .simulator()
             .bundle()
             .check_device_count(num_devices)
@@ -199,7 +167,7 @@ impl PlanningEngine {
     /// Cumulative prediction-cache statistics of the **active** model
     /// generation, for `/metrics` (a swap resets them with the caches).
     pub fn cache_stats(&self) -> CacheStats {
-        self.current().neuro.simulator().cache().stats()
+        self.current().stack.simulator().cache().stats()
     }
 
     /// Plans `task` from scratch. `degrade` routes through the greedy
@@ -211,18 +179,25 @@ impl PlanningEngine {
     /// [`ResilientError`] when every stage of the chain failed (the task
     /// is infeasible even size-balanced), or the accepted plan cannot be
     /// priced because the cost models were trained for another device
-    /// count (cause [`PlanError::Invalid`]); carries full provenance.
+    /// count (cause [`nshard_core::PlanError::Invalid`]); carries full
+    /// provenance.
     pub fn plan(&self, task: &ShardingTask, degrade: bool) -> Result<PlanOutput, ResilientError> {
         let core = self.current();
-        let chain = if degrade { &core.degraded } else { &core.full };
-        let outcome = chain.shard_with_provenance(task)?;
+        let outcome = if degrade {
+            core.degraded.shard_with_provenance(task)?
+        } else {
+            core.stack.plan(task)?
+        };
         finish(&core, task, outcome.plan, outcome.provenance, degrade)
     }
 
-    /// Replans `task` warm-started from `incumbent`. Falls back to a full
-    /// search when the incumbent cannot be rebased onto the drifted task;
-    /// `degrade` skips the incremental path entirely (a deadline-pressed
-    /// replan takes the greedy chain, charged with full migration).
+    /// Replans `task` warm-started from `incumbent` through
+    /// [`PlanningStack::replan`]: the incremental result when every device
+    /// ends within its budget, else a full search. `degrade` skips the
+    /// stack entirely (a deadline-pressed replan takes the greedy chain).
+    /// Anything but an incremental result is charged with the migration
+    /// from the rebased incumbent, or with every byte when the incumbent
+    /// no longer rebases.
     ///
     /// # Errors
     ///
@@ -235,44 +210,33 @@ impl PlanningEngine {
         degrade: bool,
     ) -> Result<ReplanOutput, ResilientError> {
         let core = self.current();
-        if !degrade {
-            if let Ok(out) = core
-                .incremental
-                .replan(core.neuro.simulator(), task, incumbent)
-            {
-                let provenance = PlanProvenance {
-                    source: PlanSource::Primary {
-                        algorithm: "incremental_planner".into(),
-                    },
-                    events: Vec::new(),
-                    total_retries: 0,
-                    total_backoff_ms: 0,
-                    replan: None,
-                    failover: None,
-                };
-                let migration = out.delta.migration_bytes;
-                let evaluated = out.evaluated_plans;
-                let output = finish(&core, task, out.plan, provenance, false)?;
-                return Ok(ReplanOutput {
-                    output,
-                    migration_bytes: migration,
-                    incremental: true,
-                    evaluated_plans: evaluated,
-                });
-            }
-        }
-        // Full (or degraded) search; migration is charged against the
-        // rebased incumbent when it still rebases, else everything moves.
-        let output = self.plan(task, degrade)?;
-        let moved = incumbent
-            .rebase(task)
-            .map(|base| migration_bytes(&base, &output.plan))
-            .unwrap_or_else(|_| task.tables().iter().map(|t| t.memory_bytes()).sum());
+        let (plan, provenance, incremental) = if degrade {
+            let outcome = core.degraded.shard_with_provenance(task)?;
+            (outcome.plan, outcome.provenance, None)
+        } else {
+            let re = core.stack.replan(task, incumbent)?;
+            let incremental = match re.route {
+                ReplanRoute::Incremental {
+                    delta,
+                    evaluated_plans,
+                } => Some((delta.migration_bytes, evaluated_plans)),
+                ReplanRoute::FellBack { .. } => None,
+            };
+            (re.plan, re.provenance, incremental)
+        };
+        let output = finish(&core, task, plan, provenance, degrade)?;
+        let (migration_bytes, evaluated_plans) = incremental.unwrap_or_else(|| {
+            let moved = incumbent
+                .rebase(task)
+                .map(|base| migration_bytes(&base, &output.plan))
+                .unwrap_or_else(|_| task.tables().iter().map(|t| t.memory_bytes()).sum());
+            (moved, 0)
+        });
         Ok(ReplanOutput {
             output,
-            migration_bytes: moved,
-            incremental: false,
-            evaluated_plans: 0,
+            migration_bytes,
+            incremental: incremental.is_some(),
+            evaluated_plans,
         })
     }
 }
@@ -286,7 +250,7 @@ fn finish(
     provenance: PlanProvenance,
     degrade: bool,
 ) -> Result<PlanOutput, ResilientError> {
-    let predicted_ms = match estimate_for_task(core.neuro.simulator(), task, &plan) {
+    let predicted_ms = match estimate_for_task(core.stack.simulator(), task, &plan) {
         Ok(estimate) => estimate.total_ms(),
         Err(cause) => {
             return Err(ResilientError {
@@ -320,6 +284,7 @@ pub fn plan_id(task: &ShardingTask, plan: &ShardingPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nshard_core::{BeamSearch, PlanError};
     use nshard_cost::{CollectConfig, TrainSettings};
     use nshard_data::{TableConfig, TableId, TablePool};
 
@@ -400,6 +365,33 @@ mod tests {
         assert!(re.output.plan.validate(&drifted).is_ok());
     }
 
+    /// Two 64-dim tables on two 64 MiB devices; `rows` sizes the first.
+    fn tight_task(rows: u64) -> ShardingTask {
+        let tables = vec![
+            TableConfig::new(TableId(0), 64, rows, 8.0, 1.05),
+            TableConfig::new(TableId(1), 64, 180_000, 8.0, 1.05),
+        ];
+        ShardingTask::new(tables, 2, 64 << 20, 1024)
+    }
+
+    #[test]
+    fn replan_never_returns_a_plan_validate_rejects() {
+        let eng = engine();
+        let incumbent = eng.plan(&tight_task(200_000), false).unwrap();
+        // The first table outgrows its 67,108,864-byte device and no
+        // single move, swap or split fits both devices again: the
+        // hill-climb ends at 76,800,000 bytes on device 0.
+        let grown = tight_task(300_000);
+        let re = eng.replan(&grown, &incumbent.plan, false).unwrap();
+        assert!(!re.incremental, "an over-budget patch is not an answer");
+        assert_eq!(re.evaluated_plans, 0);
+        re.output.plan.validate(&grown).unwrap();
+        let full = eng.plan(&grown, false).unwrap();
+        assert_eq!(re.output.plan, full.plan);
+        assert_eq!(re.output.id, full.id);
+        assert_eq!(re.output.plan.device_bytes(), vec![61_440_000, 61_440_000]);
+    }
+
     #[test]
     fn engine_is_shareable_across_threads() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -461,7 +453,9 @@ mod tests {
     fn predicted_ms_is_the_search_estimate_on_a_heterogeneous_fleet() {
         let eng = engine();
         let t = two_tier_task();
-        let searched = eng.current().neuro.shard_with_stats(&t).unwrap();
+        let searched = BeamSearch::new(eng.current().stack.simulator(), &eng.search)
+            .search(&t)
+            .unwrap();
         let planned = eng.plan(&t, false).unwrap();
         assert_eq!(planned.plan, searched.plan);
         assert_eq!(

@@ -19,8 +19,10 @@
 //! replicas fed the same set of ops — shuffled, duplicated, re-sent —
 //! converge to **byte-identical** stores ([`PlanKv::dump`] /
 //! [`PlanKv::digest`] make that checkable). A replica whose lag exceeds
-//! the leader's retained log window catches up from a full
-//! [`KvSnapshot`] instead ([`LogFetch::NeedSnapshot`]).
+//! the leader's retained log window — or whose position is *ahead* of the
+//! leader's, i.e. in the sequence space of a leader that has since
+//! restarted — catches up from a full [`KvSnapshot`] instead
+//! ([`LogFetch::NeedSnapshot`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -141,8 +143,9 @@ pub struct KvSnapshot {
 pub enum LogFetch {
     /// Ops strictly after the requested sequence, in order.
     Ops(Vec<LogOp>),
-    /// The requested sequence predates the retained log — fetch a
-    /// [`KvSnapshot`] instead.
+    /// The requested sequence predates the retained log, or lies beyond
+    /// anything this store ever sequenced — fetch a [`KvSnapshot`]
+    /// instead.
     NeedSnapshot {
         /// Oldest sequence still in the retained log.
         earliest: u64,
@@ -310,10 +313,14 @@ impl PlanKv {
     }
 
     /// Ops strictly after `from_seq` for a tailing follower, or the
-    /// snapshot redirect when `from_seq` predates the retained log.
+    /// snapshot redirect when `from_seq` predates the retained log — or
+    /// is ahead of this store: that follower tailed a leader whose
+    /// sequence space is gone (restarted without its log), and would
+    /// otherwise drop this store's next ops as duplicates.
     pub fn log_since(&self, from_seq: u64) -> LogFetch {
         let inner = self.inner.lock().expect("plan kv poisoned");
-        if from_seq + 1 < inner.log_start && inner.applied_seq > from_seq {
+        let compacted = from_seq + 1 < inner.log_start && inner.applied_seq > from_seq;
+        if compacted || from_seq > inner.applied_seq {
             return LogFetch::NeedSnapshot {
                 earliest: inner.log_start,
             };
@@ -347,9 +354,16 @@ impl PlanKv {
 
     /// Replaces this replica's contents with `snapshot` (the catch-up
     /// path). Buffered future ops beyond the snapshot are kept and drain
-    /// as soon as their predecessors stream in.
+    /// as soon as their predecessors stream in — unless the snapshot is
+    /// *behind* this replica, which means the leader restarted its
+    /// sequence space and everything buffered belongs to the dead one.
     pub fn restore(&self, snapshot: &KvSnapshot) {
         let mut inner = self.inner.lock().expect("plan kv poisoned");
+        inner.pending = if snapshot.applied_seq < inner.applied_seq {
+            BTreeMap::new()
+        } else {
+            inner.pending.split_off(&(snapshot.applied_seq + 1))
+        };
         inner.entries = snapshot
             .entries
             .iter()
@@ -366,14 +380,6 @@ impl PlanKv {
         inner.applied_seq = snapshot.applied_seq;
         inner.log.clear();
         inner.log_start = snapshot.applied_seq + 1;
-        let stale: Vec<u64> = inner
-            .pending
-            .range(..=snapshot.applied_seq)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in stale {
-            inner.pending.remove(&s);
-        }
     }
 
     /// Canonical dump of the live entries (`key\tseq\tvalue` lines in key
@@ -501,6 +507,52 @@ mod tests {
             }
         }
         assert_eq!(lagging.dump(), kv.dump());
+    }
+
+    #[test]
+    fn a_follower_ahead_of_the_leader_is_redirected_to_the_snapshot() {
+        // The follower tailed a leader through seq 5 and buffered a
+        // gapped seq 7; that leader then restarted with an empty log.
+        let dead = PlanKv::new(64);
+        for i in 0..7 {
+            dead.upsert(&format!("plans/k{i}"), "old", MatchSeq::Any)
+                .unwrap();
+        }
+        let LogFetch::Ops(old_ops) = dead.log_since(0) else {
+            panic!("log retained")
+        };
+        let follower = PlanKv::new(64);
+        for op in old_ops.iter().take(5).chain(&old_ops[6..]) {
+            follower.apply(op.clone());
+        }
+        assert_eq!((follower.applied_seq(), follower.pending_len()), (5, 1));
+
+        let leader = PlanKv::new(64);
+        leader.upsert("plans/k0", "new", MatchSeq::Any).unwrap();
+        assert_eq!(
+            leader.log_since(follower.applied_seq()),
+            LogFetch::NeedSnapshot { earliest: 1 },
+            "seq 5 was never sequenced here: an empty fetch would read as caught up"
+        );
+        assert_eq!(leader.log_since(1), LogFetch::Ops(Vec::new()));
+
+        follower.restore(&leader.snapshot());
+        assert_eq!(follower.dump(), leader.dump());
+        assert_eq!(follower.pending_len(), 0, "seq 7 of the dead space is gone");
+        // Seven new ops cross the old position without being mistaken for
+        // duplicates, and seq 7 is the leader's, not the buffered one.
+        for i in 0..7 {
+            leader
+                .upsert(&format!("plans/k{i}"), "new", MatchSeq::Any)
+                .unwrap();
+        }
+        let LogFetch::Ops(ops) = leader.log_since(follower.applied_seq()) else {
+            panic!("the follower is inside the window")
+        };
+        for op in ops {
+            follower.apply(op);
+        }
+        assert_eq!(follower.dump(), leader.dump());
     }
 
     #[test]

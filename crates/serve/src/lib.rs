@@ -76,5 +76,5 @@ pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SeqEntry, S
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use net::ConnConfig;
 pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
-pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service, MODEL_KEY};
+pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service};
 pub use store::{ModelStore, PlanStore, StoreError, StoredPlan};

@@ -182,10 +182,6 @@ impl EventLoop {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn cfg(&self) -> ConnConfig {
-        self.service.config().net.clone()
-    }
-
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
@@ -327,7 +323,7 @@ impl EventLoop {
     /// Reads until `WouldBlock`, feeding the parser and dispatching any
     /// complete requests.
     fn read_ready(&mut self, token: usize) {
-        let cfg = self.cfg();
+        let cfg = ConnConfig::default();
         let mut buf = [0u8; 64 * 1024];
         loop {
             let Some(entry) = self.entry_mut(token) else {
@@ -445,7 +441,7 @@ impl EventLoop {
     /// After any activity on a connection: resume paused parsing, close
     /// if finished, otherwise refresh poller interest and the timer.
     fn finish_conn_turn(&mut self, token: usize) {
-        let cfg = self.cfg();
+        let cfg = ConnConfig::default();
         // Completions may have freed pipeline slots with bytes already
         // buffered in the parser.
         let pending = {
@@ -486,7 +482,7 @@ impl EventLoop {
     /// Arms the connection's current deadline in the wheel (keyed by
     /// connection id, validated by generation on expiry).
     fn rearm(&mut self, token: usize) {
-        let cfg = self.cfg();
+        let cfg = ConnConfig::default();
         let Some(entry) = self.entry_mut(token) else {
             return;
         };
@@ -528,7 +524,7 @@ impl EventLoop {
 
     fn fire_timers(&mut self) {
         let now = self.now_ms();
-        let cfg = self.cfg();
+        let cfg = ConnConfig::default();
         for expiry in self.wheel.pop_due(now) {
             let conn_id = expiry.token as u64;
             let Some(&token) = self.by_id.get(&conn_id) else {

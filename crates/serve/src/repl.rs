@@ -9,7 +9,8 @@
 //! replicated plans into their local [`crate::store::PlanStore`] — so
 //! every replica can answer `GET /v1/plans/{id}` warm at all times. A
 //! cold or lagging follower whose position predates the leader's
-//! retained log catches up from `/v1/repl/snapshot` instead.
+//! retained log — or lies ahead of it, because the leader restarted its
+//! sequence space — catches up from `/v1/repl/snapshot` instead.
 //!
 //! **Failover.** The [`Replicator`] counts *consecutive* transport
 //! failures; at `failure_threshold` it promotes its service to leader
@@ -33,6 +34,12 @@ use nshard_pool::Backoff;
 use crate::http::http_call;
 use crate::kv::{KvSnapshot, LogFetch};
 use crate::server::Service;
+
+/// Base reconnect backoff, ms (seeded decorrelated jitter on top).
+const BACKOFF_BASE_MS: u64 = 50;
+
+/// Reconnect backoff cap, ms.
+const BACKOFF_CAP_MS: u64 = 2_000;
 
 /// A node's role in the serve tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +215,9 @@ pub enum PollOutcome {
     Applied(usize),
     /// Nothing new — the replica is caught up.
     UpToDate,
-    /// Lag exceeded the leader's retained log; restored a full snapshot.
+    /// This replica's position was outside the leader's retained log
+    /// (behind it, or ahead of a restarted leader); restored a full
+    /// snapshot.
     SnapshotRestored {
         /// The sequence the replica is now current through.
         applied_seq: u64,
@@ -241,8 +250,9 @@ pub struct Replicator {
     backoff: Backoff,
     failures: u32,
     failure_threshold: u32,
-    /// Highest leader sequence ever *observed* (log or snapshot headers),
-    /// even if its ops never arrived — the staleness watermark.
+    /// Highest sequence *observed* in the leader's current sequence space
+    /// (log or snapshot headers), even if its ops never arrived — the
+    /// staleness watermark. A snapshot restore resets it.
     last_leader_seq: u64,
 }
 
@@ -251,16 +261,16 @@ impl Replicator {
     /// seeded from the service's replica config, so two runs with the
     /// same seed record identical schedules.
     pub fn new(service: Arc<Service>, transport: Box<dyn ReplTransport>) -> Self {
-        let rc = service.config().replica.clone();
-        let backoff = Backoff::exponential(rc.backoff_base_ms)
-            .with_cap(rc.backoff_cap_ms)
+        let backoff = Backoff::exponential(BACKOFF_BASE_MS)
+            .with_cap(BACKOFF_CAP_MS)
             .with_jitter(service.config().seed ^ 0x5EED_4E91_1CA7_0157);
+        let failure_threshold = service.config().replica.failure_threshold.max(1);
         Self {
             service,
             transport,
             backoff,
             failures: 0,
-            failure_threshold: rc.failure_threshold.max(1),
+            failure_threshold,
             last_leader_seq: 0,
         }
     }
@@ -302,11 +312,14 @@ impl Replicator {
                     Ok(snapshot) => {
                         self.failures = 0;
                         self.service.reaffirm_follower();
-                        self.last_leader_seq = self.last_leader_seq.max(snapshot.applied_seq);
+                        // Not `max`: a snapshot behind the watermark means
+                        // the leader restarted its sequence space, and the
+                        // old space's watermark would misreport lag and
+                        // staleness forever.
                         let applied_seq = snapshot.applied_seq;
+                        self.last_leader_seq = applied_seq;
                         self.service.restore_snapshot(&snapshot);
-                        self.service
-                            .note_replication_lag(self.last_leader_seq.saturating_sub(applied_seq));
+                        self.service.note_replication_lag(0);
                         PollOutcome::SnapshotRestored { applied_seq }
                     }
                     Err(e) => self.note_failure(e),

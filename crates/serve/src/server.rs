@@ -20,7 +20,7 @@
 //! queue sheds load with `429` + `Retry-After` instead of letting latency
 //! grow without bound. Each job carries its enqueue time; a worker that
 //! pops an already-expired job answers `503` without searching, and a job
-//! whose remaining budget is below `degrade_below_ms` is routed through
+//! whose remaining budget is below 250 ms is routed through
 //! the **degraded** (greedy) chain rather than erroring — the
 //! `FallbackChain` discipline applied to deadlines.
 //!
@@ -55,9 +55,19 @@ use crate::http::{HttpRequest, HttpResponse};
 use crate::kv::{KvSnapshot, LogOp, MatchSeq, PlanKv};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::net::reactor::Reactor;
-use crate::net::ConnConfig;
 use crate::repl::{Role, RoleCell};
 use crate::store::{fnv64, fnv64_extend, PlanStore, StoreError, StoredPlan};
+
+/// Deadline applied when a request does not carry one, ms.
+const DEFAULT_DEADLINE_MS: u64 = 30_000;
+
+/// Remaining-budget threshold below which a request takes the degraded
+/// (greedy) chain instead of the full search, ms.
+const DEGRADE_BELOW_MS: u64 = 250;
+
+/// Ops retained in the replication log before compaction; followers
+/// lagging beyond the window catch up by snapshot.
+const LOG_KEEP: usize = 1_024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -73,19 +83,11 @@ pub struct ServeConfig {
     /// Worker threads draining the queue; `0` = auto via
     /// [`resolve_threads`] (the `NSHARD_THREADS` path).
     pub workers: usize,
-    /// Deadline applied when a request does not carry one, ms.
-    pub default_deadline_ms: u64,
-    /// Remaining-budget threshold below which a request takes the
-    /// degraded (greedy) chain instead of the full search, ms.
-    pub degrade_below_ms: u64,
     /// Persist adopted plans under this directory; `None` = memory only.
     pub store_dir: Option<PathBuf>,
     /// Replication role and tier knobs; defaults to a standalone leader,
     /// so single-node deployments need no extra configuration.
     pub replica: ReplicaConfig,
-    /// Event-loop connection knobs (timeouts, pipeline depth, write
-    /// buffering).
-    pub net: ConnConfig,
     /// Identical-request response cache entries; `0` (default) disables
     /// it. Safe because identical bodies already produce byte-identical
     /// responses (the documented determinism contract) and every entry
@@ -109,13 +111,6 @@ pub struct ReplicaConfig {
     /// Consecutive transport failures after which a follower promotes
     /// itself to leader.
     pub failure_threshold: u32,
-    /// Base reconnect backoff, ms (seeded decorrelated jitter on top).
-    pub backoff_base_ms: u64,
-    /// Reconnect backoff cap, ms.
-    pub backoff_cap_ms: u64,
-    /// Ops retained in the replication log before compaction; lagging
-    /// followers beyond the window catch up by snapshot.
-    pub log_keep: usize,
 }
 
 impl Default for ReplicaConfig {
@@ -124,9 +119,6 @@ impl Default for ReplicaConfig {
             node: "node-0".to_string(),
             follower: false,
             failure_threshold: 3,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            log_keep: 1_024,
         }
     }
 }
@@ -139,11 +131,8 @@ impl Default for ServeConfig {
             seed: 0,
             queue_capacity: 64,
             workers: 0,
-            default_deadline_ms: 30_000,
-            degrade_below_ms: 250,
             store_dir: None,
             replica: ReplicaConfig::default(),
-            net: ConnConfig::default(),
             response_cache_entries: 0,
         }
     }
@@ -223,7 +212,7 @@ impl ResponseSlot {
 
 /// Why admission refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rejection {
+enum Rejection {
     /// The bounded queue is full — shed load, retry later.
     QueueFull,
     /// The daemon is draining for shutdown.
@@ -548,7 +537,7 @@ impl Service {
             Role::Leader
         });
         metrics.replica_role.set(role.role().gauge_value());
-        let kv = PlanKv::new(config.replica.log_keep);
+        let kv = PlanKv::new(LOG_KEEP);
         // Replay warm-restarted plans into the KV in adoption order, so a
         // restarted leader immediately serves its log to followers.
         if !config.replica.follower {
@@ -612,8 +601,8 @@ impl Service {
 
     /// Routes a request without a socket: GETs answered inline, planning
     /// POSTs admitted to the queue (the returned slot resolves when a
-    /// worker finishes). Same dispatch as the reactor's
-    /// [`Service::route_async`], with a slot-filling callback.
+    /// worker finishes). Same dispatch as the reactor's `route_async`,
+    /// with a slot-filling callback.
     pub fn route(&self, request: &HttpRequest) -> Routed {
         let slot = ResponseSlot::new();
         let filled = Arc::clone(&slot);
@@ -629,7 +618,7 @@ impl Service {
     /// worker thread when the job completes). Admission rejections
     /// (429/503) and response-cache hits come back inline, so the
     /// callback fires **only** for admitted jobs.
-    pub fn route_async(
+    pub(crate) fn route_async(
         &self,
         request: &HttpRequest,
         on_response: Box<dyn FnOnce(HttpResponse) + Send>,
@@ -961,7 +950,7 @@ impl Service {
             }),
         };
         let (parsed, deadline_ms) = match parsed_deadline {
-            Ok((parsed, deadline)) => (parsed, deadline.unwrap_or(self.config.default_deadline_ms)),
+            Ok((parsed, deadline)) => (parsed, deadline.unwrap_or(DEFAULT_DEADLINE_MS)),
             Err(e) => {
                 return error_response(400, "bad_request", format!("invalid request body: {e}"))
             }
@@ -985,7 +974,7 @@ impl Service {
         }
         // Deadline-pressed: not enough budget left for a beam search, so
         // degrade to the greedy chain instead of erroring later.
-        let degrade = deadline_ms - waited_ms < self.config.degrade_below_ms;
+        let degrade = deadline_ms - waited_ms < DEGRADE_BELOW_MS;
 
         // Cache lookup happens only after the deadline check: an expired
         // request answers 503 whether or not its twin is cached — the
@@ -1168,7 +1157,7 @@ impl Service {
 
     /// Replaces this replica's KV with a full snapshot and materializes
     /// every plan in it — the cold/lagging catch-up path.
-    pub fn restore_snapshot(&self, snapshot: &KvSnapshot) {
+    pub(crate) fn restore_snapshot(&self, snapshot: &KvSnapshot) {
         self.kv.restore(snapshot);
         for entry in &snapshot.entries {
             self.materialize(&entry.key, &entry.value);
@@ -1198,21 +1187,21 @@ impl Service {
 
     /// Records the observed replication lag (sequence delta to the
     /// leader) in `/metrics`.
-    pub fn note_replication_lag(&self, lag: u64) {
+    pub(crate) fn note_replication_lag(&self, lag: u64) {
         self.metrics.replication_lag.set(lag);
     }
 
     /// Promotes this node to leader after failover detection — the store
     /// it caught up keeps serving, now accepting writes. `stale` marks
     /// degraded-mode reads (the dead leader was known to be ahead).
-    pub fn promote(&self, at_seq: u64, stale: bool) {
+    pub(crate) fn promote(&self, at_seq: u64, stale: bool) {
         self.role.mark_promoted(at_seq, stale);
         self.metrics.replica_role.set(Role::Leader.gauge_value());
     }
 
     /// Moves a follower to candidate while failures accumulate (visible
     /// in the role gauge and `/v1/repl/status`).
-    pub fn set_candidate_if_follower(&self) {
+    pub(crate) fn set_candidate_if_follower(&self) {
         if matches!(self.role.role(), Role::Follower) {
             self.role.set_role(Role::Candidate);
             self.metrics.replica_role.set(Role::Candidate.gauge_value());
@@ -1221,7 +1210,7 @@ impl Service {
 
     /// Drops a candidate back to follower once the leader answers again
     /// (a blip, not a death).
-    pub fn reaffirm_follower(&self) {
+    pub(crate) fn reaffirm_follower(&self) {
         if matches!(self.role.role(), Role::Candidate) {
             self.role.set_role(Role::Follower);
             self.metrics.replica_role.set(Role::Follower.gauge_value());
@@ -1244,7 +1233,7 @@ impl Service {
     /// The shared metrics registry — the event loop ([`crate::net`])
     /// registers its connection-level series here, so `/metrics` is one
     /// exposition for the whole daemon.
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
+    pub(crate) fn metrics_registry(&self) -> &MetricsRegistry {
         &self.metrics.registry
     }
 
@@ -1302,7 +1291,7 @@ fn plan_key(id: &str) -> String {
 /// The KV key under which the promoted cost-model bundle replicates.
 /// A single key — promotion is last-writer-wins by design: the lifecycle
 /// serializes promotions, and followers always want the newest bundle.
-pub const MODEL_KEY: &str = "models/active";
+const MODEL_KEY: &str = "models/active";
 
 /// A running daemon: the [`crate::net`] reactor plus a worker pool around
 /// a [`Service`].

@@ -64,7 +64,6 @@ fn main() {
         node: "node-1".into(),
         follower: true,
         failure_threshold: 3,
-        ..ReplicaConfig::default()
     };
     let follower_service =
         Arc::new(Service::new(bundle(seed), follower_config).expect("follower boots"));

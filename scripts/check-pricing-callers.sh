@@ -3,6 +3,11 @@
 # is priced through `nshard_core::estimate_for_task`, and a fleet is lowered
 # to `DeviceScales` by exactly two callers (the search and that function).
 #
+# One planning stack (DESIGN.md §8): outside `online::stack` nothing under
+# online/serve/learn builds an incremental planner or a fallback chain — the
+# one exception is the daemon's greedy degraded chain in `serve::engine` —
+# so "incremental, else the full chain" cannot be written a second time.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -26,4 +31,25 @@ if [ "$lowerings" -gt 2 ]; then
     echo "error: $lowerings callers of DeviceScales::from_pool, at most 2 allowed" >&2
     exit 1
 fi
-echo "pricing callers ok ($lowerings fleet lowerings)"
+
+stack=crates/online/src/stack.rs
+consumers="crates/online/src crates/serve/src crates/learn/src"
+fail=0
+# shellcheck disable=SC2086
+if code $consumers | grep -E 'IncrementalPlanner::(new|default)\(' |
+    grep -v -e "^$stack:" -e '^crates/online/src/incremental.rs:'; then
+    echo "error: replan through nshard_online::PlanningStack (lines above)" >&2
+    fail=1
+fi
+# shellcheck disable=SC2086
+chains=$(code $consumers | grep 'FallbackChain::new(' | grep -v "^$stack:" || true)
+degraded=$(printf '%s\n' "$chains" | grep -c '^crates/serve/src/engine.rs:' || true)
+if [ "$degraded" -gt 1 ] ||
+    printf '%s\n' "$chains" | grep -v '^crates/serve/src/engine.rs:' | grep -q .; then
+    printf '%s\n' "$chains"
+    echo "error: nshard_online::PlanningStack builds the NeuroShard chain; only" \
+        "serve::engine's one degraded chain may stand beside it (lines above)" >&2
+    fail=1
+fi
+[ "$fail" -eq 0 ] || exit 1
+echo "pricing callers ok ($lowerings fleet lowerings, $degraded chain beside the stack)"

@@ -65,8 +65,8 @@ pub mod prelude {
 /// Resilience: fault injection, plan repair and graceful degradation.
 ///
 /// Re-exports the fault layer of [`nshard_sim`] and the repair / fallback
-/// machinery of [`nshard_core`], plus the wired-up default chain used in
-/// chaos testing.
+/// machinery of [`nshard_core`]. The wired-up NeuroShard chain lives in
+/// [`nshard_online::PlanningStack`].
 pub mod resilient {
     pub use nshard_core::{
         size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
@@ -74,15 +74,4 @@ pub mod resilient {
         RetryPolicy,
     };
     pub use nshard_sim::{Fault, FaultPlan, FaultyCluster};
-
-    use nshard_baselines::SizeGreedy;
-    use nshard_core::{NeuroShard, NeuroShardConfig};
-    use nshard_cost::CostModelBundle;
-
-    /// The default degradation chain: NeuroShard search, repaired
-    /// NeuroShard plan, size-greedy baseline, size-balanced placement.
-    pub fn default_chain(bundle: CostModelBundle, config: NeuroShardConfig) -> FallbackChain {
-        FallbackChain::new(Box::new(NeuroShard::new(bundle, config)))
-            .with_fallback(Box::new(SizeGreedy))
-    }
 }

@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 
+use neuroshard::core::NeuroShardConfig;
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TablePool};
 use neuroshard::learn::{
@@ -20,7 +21,8 @@ use neuroshard::learn::{
     ObservationBuffer, ObservationKind,
 };
 use neuroshard::online::{
-    DriftThresholds, OnlineConfig, OnlineController, ReplanHistory, ReplanStrategy, WorkloadDrift,
+    DriftThresholds, IncrementalConfig, OnlineConfig, OnlineController, ReplanHistory,
+    ReplanStrategy, WorkloadDrift,
 };
 
 /// Self-removing scratch directory for checkpoint stores.
@@ -161,7 +163,14 @@ fn hooked_run(
     let config = OnlineConfig {
         epochs: 10,
         strategy: ReplanStrategy::Full,
-        threads,
+        search: NeuroShardConfig {
+            threads,
+            ..NeuroShardConfig::default()
+        },
+        incremental: IncrementalConfig {
+            threads,
+            ..IncrementalConfig::default()
+        },
         seed: 29,
         ..OnlineConfig::default()
     };

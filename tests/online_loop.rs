@@ -20,8 +20,8 @@ use neuroshard::core::estimate_for_task;
 use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::online::{
-    DriftDetector, IncrementalPlanner, OnlineConfig, OnlineController, ReplanHistory,
-    ReplanStrategy, ReplanTrigger, WorkloadDrift,
+    DriftDetector, IncrementalConfig, IncrementalPlanner, OnlineConfig, OnlineController,
+    ReplanHistory, ReplanStrategy, ReplanTrigger, WorkloadDrift,
 };
 use neuroshard::prelude::*;
 use neuroshard::sim::DevicePool;
@@ -175,12 +175,24 @@ fn controller_history_is_bit_deterministic_per_seed() {
     // predicted and ground-truth cost — bit for bit (PartialEq on f64).
     assert_eq!(a, b);
 
-    // An explicit thread-count sweep on top of the NSHARD_THREADS CI run.
+    // An explicit thread-count sweep on top of the NSHARD_THREADS CI run:
+    // the beam's and the incremental planner's pools both take the count.
     for threads in [1usize, 4] {
         let c = {
             let bundle = quick_bundle(&pool, 2, 7);
             let drift = WorkloadDrift::standard(base_task.clone(), 42);
-            OnlineController::new(bundle, drift, OnlineConfig { threads, ..config })
+            let swept = OnlineConfig {
+                search: NeuroShardConfig {
+                    threads,
+                    ..config.search
+                },
+                incremental: IncrementalConfig {
+                    threads,
+                    ..config.incremental
+                },
+                ..config
+            };
+            OnlineController::new(bundle, drift, swept)
                 .run()
                 .expect("initial deployment is feasible")
         };

@@ -56,7 +56,6 @@ fn follower_service(seed: u64, threshold: u32) -> Arc<Service> {
         node: "node-1".into(),
         follower: true,
         failure_threshold: threshold,
-        ..ReplicaConfig::default()
     };
     Arc::new(
         Service::with_clock(quick_bundle(seed), config, Arc::new(ManualClock::new()))
@@ -230,7 +229,6 @@ fn follower_tails_through_partition_and_heals() {
 
     // Partition the link: polls fail with recorded, bounded backoff.
     *faults.lock().unwrap() = FaultPlan::new(5).with_fault(Fault::Partition { a: 0, b: 1 });
-    let rc = ReplicaConfig::default();
     for want in 1..=3u32 {
         match repl.poll_once() {
             PollOutcome::TransportError {
@@ -239,10 +237,8 @@ fn follower_tails_through_partition_and_heals() {
             } => {
                 assert_eq!(consecutive, want);
                 assert!(
-                    (rc.backoff_base_ms..=rc.backoff_cap_ms).contains(&backoff_ms),
-                    "backoff {backoff_ms} outside [{}, {}]",
-                    rc.backoff_base_ms,
-                    rc.backoff_cap_ms
+                    (50..=2_000).contains(&backoff_ms),
+                    "backoff {backoff_ms} outside the replicator's [50, 2000] ms"
                 );
             }
             other => panic!("expected transport error, got {other:?}"),
@@ -324,6 +320,67 @@ fn lagging_replica_catches_up_by_snapshot() {
         metrics.contains("nshard_serve_snapshot_catchup_total 1"),
         "got:\n{metrics}"
     );
+}
+
+/// A follower *ahead* of its leader — the leader restarted without its
+/// store, so its sequence space began again at 1 — is sent to the
+/// snapshot instead of being told it is up to date, and then tails the
+/// new space without mistaking its ops for duplicates of the dead one's.
+#[test]
+fn follower_ahead_of_a_restarted_leader_resyncs_by_snapshot() {
+    struct Restartable(Arc<Mutex<Arc<Service>>>);
+    impl ReplTransport for Restartable {
+        fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
+            Ok(self.0.lock().unwrap().kv().log_since(from_seq))
+        }
+        fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
+            Ok(self.0.lock().unwrap().kv().snapshot())
+        }
+    }
+    let adopt = |leader: &Service, salt: u32| {
+        let body = format!("{{\"task\":{}}}", task_json(salt));
+        assert_eq!(post_drained(leader, "/v1/plan", body).0, 200);
+    };
+
+    let leader = Arc::new(Mutex::new(leader_service(19)));
+    let follower = follower_service(19, 10);
+    let mut repl = Replicator::new(
+        Arc::clone(&follower),
+        Box::new(Restartable(Arc::clone(&leader))),
+    );
+    for salt in 0..3 {
+        adopt(&leader.lock().unwrap(), salt);
+    }
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
+
+    // The leader restarts memory-only and adopts one plan: seq 1 < 3.
+    *leader.lock().unwrap() = leader_service(19);
+    adopt(&leader.lock().unwrap(), 3);
+    assert_eq!(
+        repl.poll_once(),
+        PollOutcome::SnapshotRestored { applied_seq: 1 },
+        "position 3 does not exist in the new leader's log"
+    );
+    assert_eq!(follower.kv().dump(), leader.lock().unwrap().kv().dump());
+    assert_eq!(
+        repl.last_leader_seq(),
+        1,
+        "the dead space's watermark must not outlive it"
+    );
+    assert!(
+        follower
+            .render_metrics()
+            .contains("nshard_serve_replication_lag 0"),
+        "a restored replica is not lagging"
+    );
+
+    // New ops crossing the old position (seqs 2 and 3) are applied, not
+    // dropped as duplicates.
+    adopt(&leader.lock().unwrap(), 0);
+    adopt(&leader.lock().unwrap(), 1);
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(2));
+    assert_eq!(follower.kv().dump(), leader.lock().unwrap().kv().dump());
+    assert_eq!(repl.poll_once(), PollOutcome::UpToDate);
 }
 
 /// The acceptance-criterion chaos scenario: the leader dies mid-stream

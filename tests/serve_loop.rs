@@ -143,6 +143,42 @@ fn deadline_pressure_degrades_instead_of_failing() {
     assert!(text.contains("\"degraded\":false"), "got: {text}");
 }
 
+/// `POST /v1/replan` never stores a plan its own task rejects: when the
+/// first of two tables outgrows its 64 MiB device and no single move, swap
+/// or split fits both devices again, the daemon answers with the full
+/// search's plan (`"incremental":false`), not the hill-climb's
+/// 76,800,000-byte device.
+#[test]
+fn replan_adopts_only_plans_that_fit_their_fleet() {
+    let service = Service::new(quick_bundle(7), ServeConfig::smoke()).expect("service boots");
+    let body_for = |rows: u64| {
+        let tables = vec![
+            TableConfig::new(TableId(0), 64, rows, 8.0, 1.05),
+            TableConfig::new(TableId(1), 64, 180_000, 8.0, 1.05),
+        ];
+        let task = ShardingTask::new(tables, 2, 64 << 20, 1024);
+        format!("{{\"task\":{}}}", serde_json::to_string(&task).unwrap())
+    };
+    for (path, rows) in [("/v1/plan", 200_000), ("/v1/replan", 300_000)] {
+        let Routed::Queued(slot) = post(&service, path, &body_for(rows)) else {
+            panic!("{path} must be queued");
+        };
+        assert!(service.drain_one());
+        let response = slot.wait();
+        let text = String::from_utf8(response.body).unwrap();
+        assert_eq!(response.status, 200, "{path}: {text}");
+        if path == "/v1/replan" {
+            assert!(text.contains("\"incremental\":false"), "got: {text}");
+        }
+    }
+    assert_eq!(service.plans().len(), 2);
+    let stored = service.plans().latest().expect("the replan was adopted");
+    stored
+        .plan
+        .validate(&stored.task)
+        .expect("a stored plan fits the fleet it was planned for");
+}
+
 /// A full admission queue sheds load with `429` + `Retry-After`; the
 /// already-admitted jobs still complete.
 #[test]
