@@ -17,7 +17,9 @@ use nshard_sim::TableProfile;
 
 use crate::greedy_grid::{GreedyGridSearch, GridSearchResult};
 use crate::neuroshard::NeuroShardConfig;
-use crate::plan::{apply_split_plan, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep};
+use crate::plan::{
+    apply_split_plan, finite_cost, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep,
+};
 
 /// Score offset for memory-infeasible beam entries: far above any real
 /// cost (ms), with the plan's largest shard size (bytes) added so that
@@ -79,8 +81,9 @@ impl<'a> BeamSearch<'a> {
         }
     }
 
-    fn inner_with_threads(&self, threads: usize) -> GreedyGridSearch<'a> {
-        let g = GreedyGridSearch::new(self.sim, self.config.m).with_threads(threads);
+    /// The inner-loop searcher every evaluation of this run shares.
+    fn inner(&self) -> GreedyGridSearch<'a> {
+        let g = GreedyGridSearch::new(self.sim, self.config.m);
         if self.config.use_grid {
             g
         } else {
@@ -93,14 +96,15 @@ impl<'a> BeamSearch<'a> {
     /// # Errors
     ///
     /// [`PlanError::Infeasible`] when no explored column-wise plan admits a
-    /// memory-feasible table-wise plan.
+    /// memory-feasible table-wise plan; [`PlanError::NonFiniteCost`] when a
+    /// cost model predicts NaN or an infinity for a candidate table or
+    /// anywhere in an inner search — the run stops there instead of
+    /// ranking plans by a meaningless number.
     pub fn search(&self, task: &ShardingTask) -> Result<BeamSearchResult, PlanError> {
-        // Standalone inner searches parallelize their own grid sweep; the
-        // per-level jobs below are themselves parallel, so each job runs a
-        // *serial* inner search to avoid oversubscription.
+        // The one fan-out level: a beam level's candidate plans spread over
+        // the pool, each evaluated by one serial inner search.
         let pool = WorkPool::new(self.config.threads);
-        let inner = self.inner_with_threads(self.config.threads);
-        let inner_serial = self.inner_with_threads(1);
+        let inner = self.inner();
         let cache = self.sim.cache();
         let mut phase_stats = SearchPhaseStats::default();
         let mut evaluated = 0usize;
@@ -127,14 +131,18 @@ impl<'a> BeamSearch<'a> {
         let mut best: Option<(SplitPlan, f64, Vec<usize>)> = None;
         evaluated += 1;
         let before = cache.stats();
-        if let Ok(result) = inner.search_with_devices(
+        match inner.search_with_devices(
             &root_tables,
             task.num_devices(),
             &budgets,
             scales,
             task.batch_size(),
         ) {
-            best = Some((root.clone(), result.estimated_cost_ms, result.device_of));
+            Ok(result) => {
+                best = Some((root.clone(), result.estimated_cost_ms, result.device_of));
+            }
+            Err(e @ PlanError::NonFiniteCost { .. }) => return Err(e),
+            Err(_) => {} // infeasible unsplit: the beam may split its way out
         }
         phase_stats.inner.absorb(&cache.stats().since(&before));
 
@@ -151,7 +159,7 @@ impl<'a> BeamSearch<'a> {
             for (col_plan, _) in &beam {
                 let sharded = apply_split_plan(task.tables(), col_plan)
                     .expect("beam plans are constructed to be applicable");
-                for cand in self.candidates(&sharded, task.batch_size()) {
+                for cand in self.candidates(&sharded, task.batch_size())? {
                     let mut new_plan = col_plan.clone();
                     new_plan.push(cand);
                     match apply_split_plan(task.tables(), &new_plan) {
@@ -172,7 +180,7 @@ impl<'a> BeamSearch<'a> {
             let before = cache.stats();
             let results: Vec<Result<GridSearchResult, PlanError>> =
                 pool.map(&jobs, |(_, sharded)| {
-                    inner_serial.search_with_devices(
+                    inner.search_with_devices(
                         sharded,
                         task.num_devices(),
                         &budgets,
@@ -198,6 +206,7 @@ impl<'a> BeamSearch<'a> {
                         }
                         next.push((new_plan, result.estimated_cost_ms));
                     }
+                    Err(e @ PlanError::NonFiniteCost { .. }) => return Err(e),
                     Err(_) => {
                         // Memory-infeasible: keep the plan explorable,
                         // ranked behind every feasible plan but ahead of
@@ -214,7 +223,10 @@ impl<'a> BeamSearch<'a> {
                     }
                 }
             }
-            next.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are comparable"));
+            next.sort_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .expect("inner searches return finite estimates")
+            });
             next.truncate(self.config.k.max(1));
             beam = next;
         }
@@ -277,7 +289,16 @@ impl<'a> BeamSearch<'a> {
     /// With row-wise sharding enabled, each candidate table contributes
     /// both a column step and a row step (where legal); with replication
     /// enabled, a replicate step as well.
-    fn candidates(&self, tables: &[TableConfig], batch_size: u32) -> Vec<SplitStep> {
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::NonFiniteCost`] when a table's predicted cost is NaN
+    /// or an infinity.
+    fn candidates(
+        &self,
+        tables: &[TableConfig],
+        batch_size: u32,
+    ) -> Result<Vec<SplitStep>, PlanError> {
         let (row_wise, replication) = (self.config.use_row_wise, self.config.use_replication);
         let n = self.config.n.max(1);
         let relevant: Vec<usize> = (0..tables.len())
@@ -288,7 +309,7 @@ impl<'a> BeamSearch<'a> {
             })
             .collect();
         if relevant.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         // One batched call scores every relevant table up front (memoized
         // under singleton set keys), so the sort comparator is O(1) —
@@ -298,8 +319,15 @@ impl<'a> BeamSearch<'a> {
             .map(|&i| tables[i].profile(batch_size))
             .collect();
         let costs = self.sim.single_table_cost_batch(&profiles);
+        for &cost in &costs {
+            finite_cost("single-table cost", cost)?;
+        }
         let mut by_cost: Vec<usize> = (0..relevant.len()).collect();
-        by_cost.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).expect("costs are finite"));
+        by_cost.sort_by(|&a, &b| {
+            costs[b]
+                .partial_cmp(&costs[a])
+                .expect("every single-table cost was checked finite")
+        });
         let mut by_size: Vec<usize> = (0..relevant.len()).collect();
         by_size.sort_by(|&a, &b| {
             tables[relevant[b]]
@@ -336,7 +364,7 @@ impl<'a> BeamSearch<'a> {
                 });
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -444,6 +472,7 @@ mod tests {
         let task = small_task(2);
         let cands =
             BeamSearch::new(&sim, &config(10, 2)).candidates(task.tables(), task.batch_size());
+        let cands = cands.unwrap();
         assert!(cands.len() <= 4); // 2 by cost + 2 by size, deduped
         assert!(!cands.is_empty());
     }
@@ -550,7 +579,10 @@ mod tests {
         let task = small_task(2);
         let cands =
             BeamSearch::new(&sim, &replicating).candidates(task.tables(), task.batch_size());
-        assert!(cands.iter().any(|s| s.kind == SplitKind::Replicate));
+        assert!(cands
+            .unwrap()
+            .iter()
+            .any(|s| s.kind == SplitKind::Replicate));
     }
 
     #[test]

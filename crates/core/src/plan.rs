@@ -99,6 +99,15 @@ pub enum PlanError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// A cost model answered the search with NaN or an infinity (a bad
+    /// checkpoint, a poisoned fine-tune): no comparison of such a value
+    /// means anything, so the search stops instead of ranking with it.
+    NonFiniteCost {
+        /// Which prediction it was.
+        what: String,
+        /// The value predicted.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -114,11 +123,27 @@ impl std::fmt::Display for PlanError {
             ),
             PlanError::Infeasible { reason } => write!(f, "no feasible plan: {reason}"),
             PlanError::Invalid { reason } => write!(f, "invalid plan: {reason}"),
+            PlanError::NonFiniteCost { what, value } => {
+                write!(f, "the cost model predicted a non-finite {what}: {value}")
+            }
         }
     }
 }
 
 impl std::error::Error for PlanError {}
+
+/// `value` if it is finite, else the [`PlanError::NonFiniteCost`] naming
+/// it — the guard every prediction passes before the search compares it.
+pub(crate) fn finite_cost(what: &str, value: f64) -> Result<f64, PlanError> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(PlanError::NonFiniteCost {
+            what: what.to_string(),
+            value,
+        })
+    }
+}
 
 /// Applies a column-wise plan to a table list, producing the sharded list
 /// of `T + |plan|` tables.

@@ -24,6 +24,7 @@ use std::hash::{BuildHasher, Hasher};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
+use nshard_nn::Matrix;
 use nshard_sim::TableProfile;
 
 /// A pass-through [`Hasher`] for keys that are already avalanche-mixed
@@ -239,8 +240,7 @@ impl CacheStats {
 ///
 /// let cache = PredictionCache::new();
 /// assert_eq!(cache.get_counted(42), None);
-/// cache.record_miss(42);
-/// cache.insert_if_absent(42, 3.5);
+/// assert_eq!(cache.insert_miss(42, 3.5), 3.5);
 /// assert_eq!(cache.get_counted(42), Some(3.5));
 /// assert_eq!(cache.hits(), 1);
 /// assert_eq!(cache.misses(), 1);
@@ -296,7 +296,7 @@ impl PredictionCache {
 
     /// Returns the cached value for `key`, counting a hit if present. A
     /// miss is *not* counted — batch callers pair this with
-    /// [`PredictionCache::record_miss`] once they commit to computing.
+    /// [`PredictionCache::insert_miss`] once they have computed the value.
     pub fn get_counted(&self, key: u64) -> Option<f64> {
         let mut shard = self.shard(key).lock();
         match shard.map.get(&key) {
@@ -315,15 +315,14 @@ impl PredictionCache {
         self.shard(key).lock().hits += 1;
     }
 
-    /// Counts one miss against `key`'s shard without touching the map.
-    pub fn record_miss(&self, key: u64) {
-        self.shard(key).lock().misses += 1;
-    }
-
-    /// Inserts a computed value unless another thread got there first (the
-    /// first value wins, keeping reads stable).
-    pub fn insert_if_absent(&self, key: u64, value: f64) {
-        self.shard(key).lock().map.entry(key).or_insert(value);
+    /// Counts one miss against `key` and stores its computed `value`, under
+    /// one lock. Returns the value the cache now holds: `value`, unless
+    /// another thread stored one first (the first value wins, keeping reads
+    /// stable).
+    pub fn insert_miss(&self, key: u64, value: f64) -> f64 {
+        let mut shard = self.shard(key).lock();
+        shard.misses += 1;
+        *shard.map.entry(key).or_insert(value)
     }
 
     /// Number of cache hits so far.
@@ -396,10 +395,11 @@ impl PredictionCache {
 /// are summed, and a small head maps the sum to a cost. Encoder rows are
 /// pure functions of one table — bit-identical whether computed alone or
 /// inside any batch — so the search caches them life-long and rebuilds a
-/// set's pooled representation by re-folding cached rows, skipping the
+/// set's pooled representation by folding cached rows, skipping the
 /// encoder (the bulk of the inference FLOPs) for every table it has seen
-/// before. Keyed by [`table_key`]. Reads take a shared lock; inserting a
-/// newly seen table takes the write lock.
+/// before. Keyed by [`table_key`]. A batch of reads takes the shared lock
+/// once ([`EncodingCache::read_rows`]); inserting a newly seen table takes
+/// the write lock.
 #[derive(Debug, Default)]
 pub struct EncodingCache {
     map: RwLock<PreMixedMap<Box<[f32]>>>,
@@ -411,35 +411,31 @@ impl EncodingCache {
         Self::default()
     }
 
-    /// Whether `key`'s encoding is cached.
-    pub fn contains(&self, key: u64) -> bool {
-        self.map.read().contains_key(&key)
-    }
-
     /// Inserts an encoding unless one is already present (the first value
     /// wins; every computed encoding for a key is bit-identical anyway).
     pub fn insert_if_absent(&self, key: u64, encoding: Box<[f32]>) {
         self.map.write().entry(key).or_insert(encoding);
     }
 
-    /// Element-wise adds `key`'s cached encoding into `acc`, returning
-    /// whether the key was present (on `false`, `acc` is untouched).
+    /// Copies the cached encoding of `keys[i]` into row `i` of `rows`, all
+    /// under one shared lock. Returns the positions whose key has no
+    /// encoding yet; their rows are left untouched.
     ///
     /// # Panics
     ///
-    /// Panics if the cached encoding's width differs from `acc.len()`.
-    pub fn accumulate(&self, key: u64, acc: &mut [f32]) -> bool {
+    /// Panics if `rows` does not have one row per key or a cached
+    /// encoding's width differs from the rows'.
+    pub fn read_rows(&self, keys: &[u64], rows: &mut Matrix) -> Vec<usize> {
+        assert_eq!(rows.rows(), keys.len(), "one row per key");
         let map = self.map.read();
-        match map.get(&key) {
-            Some(enc) => {
-                assert_eq!(enc.len(), acc.len(), "encoding width mismatch");
-                for (a, &e) in acc.iter_mut().zip(enc.iter()) {
-                    *a += e;
-                }
-                true
+        let mut missing = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            match map.get(key) {
+                Some(enc) => rows.row_mut(i).copy_from_slice(enc),
+                None => missing.push(i),
             }
-            None => false,
         }
+        missing
     }
 
     /// Number of distinct table encodings stored.
@@ -453,6 +449,53 @@ impl EncodingCache {
     }
 }
 
+/// The encoder rows of one table list, fetched once (see
+/// `CostSimulator::table_encodings`) and read without any lock afterwards:
+/// row `i` is the encoding of the list's `i`-th table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TableEncodings {
+    rows: Matrix,
+}
+
+impl TableEncodings {
+    /// Wraps one encoder row per table.
+    pub(crate) fn new(rows: Matrix) -> Self {
+        Self { rows }
+    }
+
+    /// Width of one encoding (the cost model's pooled-representation
+    /// dimension).
+    pub fn width(&self) -> usize {
+        self.rows.cols()
+    }
+
+    /// The encoding of table `i`.
+    pub fn row(&self, i: usize) -> &[f32] {
+        self.rows.row(i)
+    }
+
+    /// One step of the sum-pooling left fold: element-wise adds table
+    /// `i`'s encoding into `acc`. Folding a set's tables this way from an
+    /// all-zero `acc`, in set order, is bit for bit the pooled row the
+    /// fused forward builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is not [`TableEncodings::width`] wide.
+    pub fn add_to(&self, i: usize, acc: &mut [f32]) {
+        add_encoding(acc, self.row(i));
+    }
+}
+
+/// `acc += encoding`, element-wise — the one fold step every pooled
+/// representation is built from.
+pub(crate) fn add_encoding(acc: &mut [f32], encoding: &[f32]) {
+    assert_eq!(encoding.len(), acc.len(), "encoding width mismatch");
+    for (a, &e) in acc.iter_mut().zip(encoding) {
+        *a += e;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,13 +506,11 @@ mod tests {
     }
 
     /// One lookup the way `CostSimulator` resolves it: a counted probe,
-    /// then on a miss the miss is recorded and the computed value stored.
+    /// then on a miss the computed value is stored and the miss counted.
     fn lookup(cache: &PredictionCache, key: u64, computed: f64) -> f64 {
-        cache.get_counted(key).unwrap_or_else(|| {
-            cache.record_miss(key);
-            cache.insert_if_absent(key, computed);
-            computed
-        })
+        cache
+            .get_counted(key)
+            .unwrap_or_else(|| cache.insert_miss(key, computed))
     }
 
     #[test]
@@ -532,13 +573,13 @@ mod tests {
     fn batch_primitives_account_consistently() {
         let cache = PredictionCache::new();
         assert_eq!(cache.get_counted(7), None);
-        cache.record_miss(7);
-        cache.insert_if_absent(7, 1.5);
-        cache.insert_if_absent(7, 9.9); // first value wins
+        assert_eq!(cache.insert_miss(7, 1.5), 1.5);
+        // A racing thread's miss on the same key: counted, first value wins.
+        assert_eq!(cache.insert_miss(7, 9.9), 1.5);
         assert_eq!(cache.get_counted(7), Some(1.5));
         cache.record_hit(7);
         assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 1);
     }
 
@@ -600,6 +641,7 @@ mod tests {
         assert_send_sync::<PredictionCache>();
         assert_send_sync::<TableSetKey>();
         assert_send_sync::<EncodingCache>();
+        assert_send_sync::<TableEncodings>();
     }
 
     #[test]
@@ -610,20 +652,25 @@ mod tests {
     }
 
     #[test]
-    fn encoding_cache_accumulates_and_first_value_wins() {
+    fn encoding_cache_reads_rows_and_first_value_wins() {
         let cache = EncodingCache::new();
         assert!(cache.is_empty());
-        assert!(!cache.contains(5));
-        let mut acc = vec![1.0f32, 2.0];
-        assert!(!cache.accumulate(5, &mut acc));
-        assert_eq!(acc, [1.0, 2.0]);
+        let mut rows = Matrix::from_flat(2, 2, vec![7.0; 4]);
+        assert_eq!(cache.read_rows(&[5, 6], &mut rows), [0, 1]);
+        assert_eq!(rows.as_slice(), [7.0; 4]);
 
         cache.insert_if_absent(5, vec![0.5, 0.25].into_boxed_slice());
         cache.insert_if_absent(5, vec![9.0, 9.0].into_boxed_slice());
-        assert!(cache.contains(5));
         assert_eq!(cache.len(), 1);
-        assert!(cache.accumulate(5, &mut acc));
-        assert!(cache.accumulate(5, &mut acc));
+        assert_eq!(cache.read_rows(&[6, 5], &mut rows), [0]);
+        assert_eq!(rows.as_slice(), [7.0, 7.0, 0.5, 0.25]);
+
+        let encodings = TableEncodings::new(rows);
+        assert_eq!(encodings.width(), 2);
+        assert_eq!(encodings.row(1), [0.5, 0.25]);
+        let mut acc = vec![1.0f32, 2.0];
+        encodings.add_to(1, &mut acc);
+        encodings.add_to(1, &mut acc);
         assert_eq!(acc, [2.0, 2.5]);
     }
 

@@ -45,7 +45,7 @@ pub mod compute;
 pub mod features;
 pub mod simulator;
 
-pub use cache::{table_set_key, CacheStats, PredictionCache, TableSetKey};
+pub use cache::{table_set_key, CacheStats, PredictionCache, TableEncodings, TableSetKey};
 pub use collect::{
     collect_comm_data, collect_compute_data, CollectConfig, CommDataset, ComputeDataset,
     ComputeSample,
@@ -56,6 +56,6 @@ pub use features::{
     comm_feature_dim, comm_features, comm_features_into, table_features, TABLE_FEATURE_DIM,
 };
 pub use simulator::{
-    BundleReport, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, TrainSettings,
-    FWD_FRACTION,
+    BundleReport, CostModelBundle, CostSimulator, DeviceLoads, DeviceScales, EstimatedCost,
+    TrainSettings, FWD_FRACTION,
 };

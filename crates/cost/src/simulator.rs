@@ -16,7 +16,8 @@ use nshard_nn::Matrix;
 use nshard_sim::{CommParams, GpuSpec, KernelParams, TableProfile};
 
 use crate::cache::{
-    table_key, table_set_key, EncodingCache, PreMixedMap, PredictionCache, TableSetKey,
+    add_encoding, table_key, table_set_key, EncodingCache, PreMixedMap, PredictionCache,
+    TableEncodings, TableSetKey,
 };
 use crate::collect::{collect_comm_data, collect_compute_data, CollectConfig};
 use crate::comm_model::CommCostModel;
@@ -322,6 +323,19 @@ impl CostModelBundle {
     }
 }
 
+/// One plan's per-device inputs to the communication models — what
+/// [`CostSimulator::estimate_from_loads`] turns into an [`EstimatedCost`].
+/// Both vectors are **raw** (baseline hardware): heterogeneity scales are
+/// applied by the estimate, not by the caller.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeviceLoads {
+    /// Predicted fused-kernel cost of each device's table set (fwd+bwd, ms).
+    pub compute_ms: Vec<f64>,
+    /// Each device's communication dimension: its shards'
+    /// [`TableProfile::comm_dim`]s summed in table order.
+    pub comm_dims: Vec<f64>,
+}
+
 /// Estimated cost breakdown of one sharding plan, per §3.3.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimatedCost {
@@ -382,13 +396,12 @@ pub struct CostSimulator {
 }
 
 /// Reusable per-thread buffers for the batched cache-resolution path:
-/// the pooled encoding rows of the current miss batch, the flat per-table
-/// fingerprint list, and the miss bookkeeping containers. Thread-local
-/// because simulators are shared `&self` across search worker threads.
+/// the pooled encoding rows of the current miss batch and the miss
+/// bookkeeping containers. Thread-local because simulators are shared
+/// `&self` across search worker threads.
 #[derive(Debug, Default)]
 struct SimScratch {
     pooled: Matrix,
-    table_keys: Vec<u64>,
     pending: PreMixedMap<usize>,
     miss_items: Vec<usize>,
     dups: Vec<(usize, usize)>,
@@ -427,44 +440,48 @@ impl CostSimulator {
     }
 
     /// Resolves many keyed compute-cost queries against the cache, running
-    /// the model once over all misses. Within one batch the accounting
-    /// matches the serial path exactly: the first occurrence of a missing
-    /// key is a miss, every later duplicate is a hit.
+    /// the model's head once over all misses. Within one batch the
+    /// accounting matches the serial path exactly: the first occurrence of
+    /// a missing key is a miss, every later duplicate is a hit.
     ///
-    /// Query `i`'s table set is `set_of(i)` with `extra` (if any)
-    /// appended; `keys[i]` must fingerprint exactly that multiset. Taking
-    /// the sets as an indexing closure (rather than a slice of slices)
-    /// lets hot callers probe directly out of their own storage without
-    /// building a borrowed `Vec` per call.
-    fn cached_compute_batch<'a>(
+    /// `keys[i]` fingerprints query `i`'s table multiset. The caller says
+    /// what the missing sets look like to the model: `pool_misses(items,
+    /// pooled)` receives the queries that must be computed and an all-zero
+    /// `items.len() × encoding_dim` matrix, and adds into row `r` the left
+    /// fold of query `items[r]`'s per-table encoder rows, in set order.
+    /// That fold is bit for bit the pooled row of the fused forward
+    /// ([`ComputeCostModel::predict_batch`]), so every value this returns
+    /// — and every value the cache keeps — is the model's own.
+    fn cached_compute_batch(
         &self,
         keys: &[u64],
-        set_of: impl Fn(usize) -> &'a [TableProfile],
-        extra: Option<&TableProfile>,
+        pool_misses: impl FnOnce(&[usize], &mut Matrix),
     ) -> Vec<f64> {
         let n = keys.len();
-        if !self.cache_enabled {
-            // Still count lookups so ablation hit rates read 0%.
-            for _ in 0..n {
-                self.cache.count_miss();
-            }
-            let feats: Vec<Vec<Vec<f32>>> = (0..n)
-                .map(|i| {
-                    set_of(i)
-                        .iter()
-                        .chain(extra)
-                        .map(|t| table_features(t, self.bundle.batch_size))
-                        .collect()
-                })
-                .collect();
-            return self.bundle.compute.predict_batch(&feats);
+        if n == 0 {
+            return Vec::new();
         }
+        let model = self.bundle.compute_model();
+        let score = |items: &[usize], pooled: &mut Matrix| {
+            pooled.reset(items.len(), model.encoding_dim());
+            pool_misses(items, pooled);
+            model.head_costs(pooled)
+        };
         SIM_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
+            s.miss_items.clear();
+            if !self.cache_enabled {
+                // Every lookup computes; still count them so ablation hit
+                // rates read 0%.
+                for _ in 0..n {
+                    self.cache.count_miss();
+                }
+                s.miss_items.extend(0..n);
+                return score(&s.miss_items, &mut s.pooled);
+            }
             let mut out = vec![f64::NAN; n];
             // First-occurrence slot of each key this batch must compute.
             s.pending.clear();
-            s.miss_items.clear();
             s.dups.clear();
             for (i, &key) in keys.iter().enumerate() {
                 if let Some(v) = self.cache.get_counted(key) {
@@ -474,91 +491,105 @@ impl CostSimulator {
                     self.cache.record_hit(key);
                     s.dups.push((i, slot));
                 } else {
-                    self.cache.record_miss(key);
                     s.pending.insert(key, s.miss_items.len());
                     s.miss_items.push(i);
                 }
             }
             if !s.miss_items.is_empty() {
-                let preds = self.predict_misses_via_encodings(
-                    &s.miss_items,
-                    &set_of,
-                    extra,
-                    &mut s.pooled,
-                    &mut s.table_keys,
-                );
-                for (slot, &i) in s.miss_items.iter().enumerate() {
-                    self.cache.insert_if_absent(keys[i], preds[slot]);
-                    out[i] = preds[slot];
+                let preds = score(&s.miss_items, &mut s.pooled);
+                for (&i, &pred) in s.miss_items.iter().zip(&preds) {
+                    out[i] = self.cache.insert_miss(keys[i], pred);
                 }
                 for &(i, slot) in &s.dups {
-                    out[i] = preds[slot];
+                    out[i] = out[s.miss_items[slot]];
                 }
             }
             out
         })
     }
 
-    /// Scores the cache-missing sets by re-folding per-table encodings:
-    /// tables never seen before are encoded with one batched encoder
-    /// forward and memoized in the life-long [`EncodingCache`], every
-    /// other table's encoding is read back, each miss's rows are left-fold
-    /// summed in set order, and the pooled rows go through the head as one
-    /// matrix. Bit-identical to the full forward — encoder rows are
-    /// independent of batch composition and the fold matches the fused
-    /// path's pooling order — while skipping the encoder (the bulk of the
-    /// FLOPs) for every previously seen table.
-    fn predict_misses_via_encodings<'a>(
+    /// Resolves whole table sets: a missing set is pooled by folding the
+    /// encoder rows of all its tables, in set order.
+    fn cached_set_costs<'a>(
         &self,
-        miss_items: &[usize],
+        keys: &[u64],
         set_of: impl Fn(usize) -> &'a [TableProfile],
-        extra: Option<&TableProfile>,
-        pooled: &mut Matrix,
-        table_keys: &mut Vec<u64>,
     ) -> Vec<f64> {
-        let model = self.bundle.compute_model();
-        // Fingerprint every table of the miss batch; collect the ones with
-        // no cached encoding (deduplicated — the list stays tiny because a
-        // table is unknown at most once per search).
-        table_keys.clear();
-        let mut unknown: Vec<(u64, &TableProfile)> = Vec::new();
-        for &i in miss_items {
-            for t in set_of(i).iter().chain(extra) {
-                let k = table_key(t);
-                table_keys.push(k);
-                if !self.encodings.contains(k) && !unknown.iter().any(|&(u, _)| u == k) {
-                    unknown.push((k, t));
+        self.cached_compute_batch(keys, |items, pooled| {
+            let encodings = self.table_encodings(items.iter().flat_map(|&i| set_of(i)));
+            let mut next = 0;
+            for (row, &i) in items.iter().enumerate() {
+                for _ in set_of(i) {
+                    encodings.add_to(next, pooled.row_mut(row));
+                    next += 1;
                 }
             }
-        }
-        if !unknown.is_empty() {
-            let feats: Vec<Vec<f32>> = unknown
+        })
+    }
+
+    /// The encoder rows of `tables`, one per table in iteration order
+    /// (duplicates included). Tables never seen before go through the
+    /// encoder as one batch and are memoized in the life-long
+    /// [`EncodingCache`]; every other row is read back under one shared
+    /// lock. Encoder rows are independent of batch composition, so each row
+    /// is bit-identical to that table's row in any other forward. With the
+    /// cache disabled nothing is memoized: every table is encoded.
+    ///
+    /// The greedy walk calls this once per inner search and folds the rows
+    /// itself ([`TableEncodings::add_to`]), so its probes
+    /// ([`CostSimulator::pooled_probe_costs`]) never touch the encoder or
+    /// this cache again.
+    pub fn table_encodings<'a>(
+        &self,
+        tables: impl IntoIterator<Item = &'a TableProfile>,
+    ) -> TableEncodings {
+        let model = self.bundle.compute_model();
+        let width = model.encoding_dim();
+        let tables: Vec<&TableProfile> = tables.into_iter().collect();
+        let encode = |tables: &[&TableProfile]| {
+            let feats: Vec<Vec<f32>> = tables
                 .iter()
-                .map(|&(_, t)| table_features(t, self.bundle.batch_size))
+                .map(|t| table_features(t, self.bundle.batch_size))
                 .collect();
-            let encoded = model.encode_tables(&feats);
-            for (&(k, _), row) in unknown.iter().zip(encoded) {
-                self.encodings.insert_if_absent(k, row.into_boxed_slice());
+            model.encode_tables(&feats)
+        };
+        if !self.cache_enabled {
+            let rows = encode(&tables).concat();
+            return TableEncodings::new(Matrix::from_flat(tables.len(), width, rows));
+        }
+        let keys: Vec<u64> = tables.iter().map(|t| table_key(t)).collect();
+        let mut rows = Matrix::zeros(keys.len(), width);
+        let missing = self.encodings.read_rows(&keys, &mut rows);
+        if !missing.is_empty() {
+            // Encode each unknown table once, however often it occurs (the
+            // list of distinct unknowns stays short: a table is unknown at
+            // most once in a simulator's life).
+            let mut unknown: Vec<usize> = Vec::new();
+            let mut slot_of: Vec<usize> = Vec::with_capacity(missing.len());
+            for &i in &missing {
+                let known = unknown.iter().position(|&u| keys[u] == keys[i]);
+                slot_of.push(known.unwrap_or_else(|| {
+                    unknown.push(i);
+                    unknown.len() - 1
+                }));
+            }
+            let firsts: Vec<&TableProfile> = unknown.iter().map(|&i| tables[i]).collect();
+            let encoded = encode(&firsts);
+            for (&i, &slot) in missing.iter().zip(&slot_of) {
+                rows.row_mut(i).copy_from_slice(&encoded[slot]);
+            }
+            for (&i, row) in unknown.iter().zip(encoded) {
+                self.encodings
+                    .insert_if_absent(keys[i], row.into_boxed_slice());
             }
         }
-        pooled.reset(miss_items.len(), model.encoding_dim());
-        let mut next_key = 0usize;
-        for (slot, &i) in miss_items.iter().enumerate() {
-            let acc = pooled.row_mut(slot);
-            let count = set_of(i).len() + usize::from(extra.is_some());
-            for &k in &table_keys[next_key..next_key + count] {
-                let present = self.encodings.accumulate(k, acc);
-                debug_assert!(present, "encoding missing from the life-long cache");
-            }
-            next_key += count;
-        }
-        model.head_costs(pooled)
+        TableEncodings::new(rows)
     }
 
     /// Predicted fused-kernel cost (fwd+bwd, ms) of one device's table set,
     /// memoized in the life-long cache.
     pub fn device_compute_cost(&self, tables: &[TableProfile]) -> f64 {
-        self.cached_compute_batch(&[table_set_key(tables)], |_| tables, None)[0]
+        self.cached_set_costs(&[table_set_key(tables)], |_| tables)[0]
     }
 
     /// Predicted costs of many device table sets, resolved with one
@@ -566,36 +597,38 @@ impl CostSimulator {
     /// fingerprint its paired multiset.
     pub fn device_compute_cost_batch(&self, sets: &[(TableSetKey, &[TableProfile])]) -> Vec<f64> {
         let keys: Vec<u64> = sets.iter().map(|(k, _)| k.key()).collect();
-        self.cached_compute_batch(&keys, |i| sets[i].1, None)
+        self.cached_set_costs(&keys, |i| sets[i].1)
     }
 
-    /// Predicted costs of `extra` appended to candidate devices' sets — the
-    /// greedy allocator's probe pattern ("what if this table joined device
-    /// g?") — scored with one batched forward over the cache misses and
-    /// O(1) key updates. The caller keeps per-device sets and keys in
-    /// parallel arrays: candidate device `candidates[j]`'s probe cost lands
-    /// in slot `j` of the result, and the device sets are read straight out
-    /// of `device_sets` — no per-probe view building.
-    pub fn appended_compute_cost_indexed(
+    /// The greedy walk's probe — "what would each candidate device cost
+    /// with this table added?" — answered from the state the walk carries
+    /// instead of from table lists. Candidate `j` holds a set whose pooled
+    /// encoding (the left fold of its tables' encoder rows, in placement
+    /// order, from all zeros) is `pooled_of(j)`; `extra` is the encoder row
+    /// of the table being placed and `keys[j]` fingerprints the set with
+    /// that table added.
+    ///
+    /// A miss is pooled as `pooled_of(j) + extra` — the last step of the
+    /// very fold the whole-set path performs over that set in placement
+    /// order — so the result equals
+    /// [`CostSimulator::device_compute_cost`] of the set with the table
+    /// appended bit for bit, and the two paths can share cache entries.
+    /// Resolves through the same private batch routine as every other
+    /// compute lookup: one head forward over the misses, serial hit/miss
+    /// accounting.
+    pub fn pooled_probe_costs<'a>(
         &self,
-        device_sets: &[Vec<TableProfile>],
-        device_keys: &[TableSetKey],
-        candidates: &[usize],
-        extra: &TableProfile,
-        keys_scratch: &mut Vec<u64>,
+        keys: &[u64],
+        pooled_of: impl Fn(usize) -> &'a [f32],
+        extra: &[f32],
     ) -> Vec<f64> {
-        assert_eq!(
-            device_sets.len(),
-            device_keys.len(),
-            "device sets and keys must be aligned"
-        );
-        keys_scratch.clear();
-        keys_scratch.extend(candidates.iter().map(|&g| device_keys[g].with(extra).key()));
-        self.cached_compute_batch(
-            keys_scratch,
-            |j| device_sets[candidates[j]].as_slice(),
-            Some(extra),
-        )
+        self.cached_compute_batch(keys, |items, pooled| {
+            for (row, &j) in items.iter().enumerate() {
+                let acc = pooled.row_mut(row);
+                acc.copy_from_slice(pooled_of(j));
+                add_encoding(acc, extra);
+            }
+        })
     }
 
     /// Predicted cost (fwd+bwd, ms) of each table alone on a device — used
@@ -607,7 +640,7 @@ impl CostSimulator {
             .iter()
             .map(|t| table_set_key(std::slice::from_ref(t)))
             .collect();
-        self.cached_compute_batch(&keys, |i| std::slice::from_ref(&tables[i]), None)
+        self.cached_set_costs(&keys, |i| std::slice::from_ref(&tables[i]))
     }
 
     /// Estimates the full embedding cost of a plan (Equation 1's
@@ -657,9 +690,6 @@ impl CostSimulator {
                 "plan device count does not match the bundle"
             );
         }
-        if let Some(s) = scales {
-            assert_eq!(s.len(), d, "device scales do not match the bundle");
-        }
         // One batched compute call over all device sets of all plans. The
         // cache stores RAW (baseline-hardware) predictions; heterogeneity
         // is applied on the way out so cached entries stay fleet-agnostic.
@@ -668,45 +698,74 @@ impl CostSimulator {
             .flat_map(|a| a.as_ref().iter().map(Vec::as_slice))
             .collect();
         let keys: Vec<u64> = flat.iter().map(|s| table_set_key(s)).collect();
-        let mut compute_flat = self.cached_compute_batch(&keys, |i| flat[i], None);
+        let compute_flat = self.cached_set_costs(&keys, |i| flat[i]);
+        let loads = assignments
+            .iter()
+            .enumerate()
+            .map(|(pi, a)| DeviceLoads {
+                compute_ms: compute_flat[pi * d..(pi + 1) * d].to_vec(),
+                comm_dims: a
+                    .as_ref()
+                    .iter()
+                    .map(|tables| tables.iter().map(TableProfile::comm_dim).sum())
+                    .collect(),
+            })
+            .collect();
+        self.estimate_from_loads(loads, scales)
+    }
+
+    /// The second half of an estimate: given each plan's raw per-device
+    /// compute predictions and communication dimensions, applies `scales`
+    /// (compute × class, dimension ÷ bandwidth; `None` is bit-identical to
+    /// unit scales), runs one batched forward per communication model and
+    /// assembles the [`EstimatedCost`]s.
+    ///
+    /// [`CostSimulator::estimate_plan_batch_scaled`] is "look the compute
+    /// costs up, then this"; the greedy walk already holds every device's
+    /// cost when a pass finishes and calls this directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any plan's device count differs from the bundle's, or if
+    /// `scales` covers a different number of devices.
+    pub fn estimate_from_loads(
+        &self,
+        mut loads: Vec<DeviceLoads>,
+        scales: Option<&DeviceScales>,
+    ) -> Vec<EstimatedCost> {
+        let d = self.bundle.num_devices;
+        for load in &loads {
+            assert!(
+                load.compute_ms.len() == d && load.comm_dims.len() == d,
+                "plan device count does not match the bundle"
+            );
+        }
         if let Some(s) = scales {
-            for (i, c) in compute_flat.iter_mut().enumerate() {
-                *c *= s.compute_scale(i % d);
+            assert_eq!(s.len(), d, "device scales do not match the bundle");
+            for load in &mut loads {
+                for g in 0..d {
+                    load.compute_ms[g] *= s.compute_scale(g);
+                    // Replicated shards contribute their comm share of the
+                    // dimension; a slow link inflates the effective
+                    // dimension proportionally.
+                    load.comm_dims[g] /= s.bandwidth_scale(g);
+                }
             }
         }
-
-        let mut dims_all: Vec<Vec<f64>> = Vec::with_capacity(assignments.len());
-        let mut fwd_starts_all: Vec<Vec<f64>> = Vec::with_capacity(assignments.len());
-        for (pi, a) in assignments.iter().enumerate() {
-            let compute = &compute_flat[pi * d..(pi + 1) * d];
-            dims_all.push(
-                a.as_ref()
-                    .iter()
-                    .enumerate()
-                    .map(|(g, tables)| {
-                        // Replicated shards contribute their comm share of
-                        // the dimension; a slow link inflates the effective
-                        // dimension proportionally.
-                        let dim: f64 = tables.iter().map(TableProfile::comm_dim).sum();
-                        match scales {
-                            Some(s) => dim / s.bandwidth_scale(g),
-                            None => dim,
-                        }
-                    })
-                    .collect(),
-            );
-            // Forward comm starts when each device's forward kernel ends.
-            fwd_starts_all.push(compute.iter().map(|c| c * FWD_FRACTION).collect());
-        }
+        // Forward comm starts when each device's forward kernel ends.
+        let fwd_starts_all: Vec<Vec<f64>> = loads
+            .iter()
+            .map(|load| load.compute_ms.iter().map(|c| c * FWD_FRACTION).collect())
+            .collect();
         let bwd_starts = vec![0.0; d];
-        let fwd_placements: Vec<(&[f64], &[f64])> = dims_all
+        let fwd_placements: Vec<(&[f64], &[f64])> = loads
             .iter()
             .zip(&fwd_starts_all)
-            .map(|(dims, starts)| (dims.as_slice(), starts.as_slice()))
+            .map(|(load, starts)| (load.comm_dims.as_slice(), starts.as_slice()))
             .collect();
-        let bwd_placements: Vec<(&[f64], &[f64])> = dims_all
+        let bwd_placements: Vec<(&[f64], &[f64])> = loads
             .iter()
-            .map(|dims| (dims.as_slice(), bwd_starts.as_slice()))
+            .map(|load| (load.comm_dims.as_slice(), bwd_starts.as_slice()))
             .collect();
         let batch_size = self.bundle.batch_size;
         let fwd = self
@@ -718,16 +777,14 @@ impl CostSimulator {
             .comm_bwd
             .predict_batch(&bwd_placements, batch_size);
 
-        (0..assignments.len())
-            .map(|pi| {
-                let compute = compute_flat[pi * d..(pi + 1) * d].to_vec();
-                let max_compute = compute.iter().cloned().fold(0.0, f64::max);
-                EstimatedCost {
-                    compute_per_device: compute,
-                    max_compute_ms: max_compute,
-                    fwd_comm_ms: fwd[pi].max(0.0),
-                    bwd_comm_ms: bwd[pi].max(0.0),
-                }
+        loads
+            .into_iter()
+            .zip(fwd.into_iter().zip(bwd))
+            .map(|(load, (fwd, bwd))| EstimatedCost {
+                max_compute_ms: load.compute_ms.iter().cloned().fold(0.0, f64::max),
+                compute_per_device: load.compute_ms,
+                fwd_comm_ms: fwd.max(0.0),
+                bwd_comm_ms: bwd.max(0.0),
             })
             .collect()
     }
@@ -752,6 +809,17 @@ mod tests {
 
     fn t(dim: u32) -> TableProfile {
         TableProfile::new(dim, 1 << 20, 12.0, 0.3, 1.0)
+    }
+
+    /// The pooled encoding of `set` as the greedy walk builds it: encoder
+    /// rows folded in placement order, from all zeros.
+    fn fold(sim: &CostSimulator, set: &[TableProfile]) -> Vec<f32> {
+        let rows = sim.table_encodings(set);
+        let mut acc = vec![0.0; rows.width()];
+        for i in 0..set.len() {
+            rows.add_to(i, &mut acc);
+        }
+        acc
     }
 
     #[test]
@@ -826,15 +894,20 @@ mod tests {
             assert_eq!(direct(s).to_bits(), c.to_bits());
         }
 
-        // appended probe vs push-predict-pop.
+        // pooled probe vs push-predict-pop.
         let extra = t(128);
         let candidates = [3, 0, 1];
-        let appended =
-            sim.appended_compute_cost_indexed(&sets, &keys, &candidates, &extra, &mut Vec::new());
-        for (&g, &c) in candidates.iter().zip(&appended) {
-            let mut probed = sets[g].clone();
-            probed.push(extra);
-            assert_eq!(direct(&probed).to_bits(), c.to_bits());
+        let folds: Vec<Vec<f32>> = candidates.iter().map(|&g| fold(&sim, &sets[g])).collect();
+        let probe_keys: Vec<u64> = candidates
+            .iter()
+            .map(|&g| keys[g].with(&extra).key())
+            .collect();
+        let extra_row = sim.table_encodings([&extra]);
+        let probed = sim.pooled_probe_costs(&probe_keys, |j| &folds[j], extra_row.row(0));
+        for (&g, &c) in candidates.iter().zip(&probed) {
+            let mut appended = sets[g].clone();
+            appended.push(extra);
+            assert_eq!(direct(&appended).to_bits(), c.to_bits());
         }
 
         // batched estimate vs estimate_plan vs the model.
@@ -977,5 +1050,71 @@ mod tests {
         let json = serde_json::to_string(&bundle).unwrap();
         let back: CostModelBundle = serde_json::from_str(&json).unwrap();
         assert_eq!(bundle, back);
+    }
+
+    /// One shared smoke bundle for the property below (pre-training per
+    /// case would dominate the suite).
+    fn shared_bundle() -> &'static CostModelBundle {
+        static BUNDLE: std::sync::OnceLock<CostModelBundle> = std::sync::OnceLock::new();
+        BUNDLE.get_or_init(|| quick_bundle(4))
+    }
+
+    proptest::proptest! {
+        /// Oracle for the greedy walk's probe: for device sets grown one
+        /// table at a time in placement order, the pooled probe of every
+        /// device equals the whole-set prediction of that device's tables
+        /// plus the probed one, bit for bit — cache on and off. The
+        /// reference simulator is a separate one, so its answer is
+        /// computed by the whole-set fold, never read back from an entry
+        /// the probe wrote.
+        #[test]
+        fn pooled_probe_equals_whole_set_prediction(
+            // (dim / 4, rows, pooling factor, replicas, device it lands on)
+            tables in proptest::collection::vec(
+                (1u32..=32, 1u64..(1 << 22), 1.0f64..40.0, 1u32..=4, 0usize..4),
+                1..14,
+            ),
+            use_cache: bool,
+        ) {
+            let make = || {
+                let sim = CostSimulator::new(shared_bundle().clone());
+                if use_cache { sim } else { sim.with_cache_disabled() }
+            };
+            let (walk, reference) = (make(), make());
+            let profiles: Vec<TableProfile> = tables
+                .iter()
+                .map(|&(dim4, rows, pooling, replicas, _)| {
+                    TableProfile::new(dim4 * 4, rows, pooling, 0.3, 1.05)
+                        .with_comm_share(1.0 / f64::from(replicas))
+                })
+                .collect();
+            let rows = walk.table_encodings(&profiles);
+            let width = rows.width();
+            let mut sets: Vec<Vec<TableProfile>> = vec![Vec::new(); 4];
+            let mut keys = [TableSetKey::empty(); 4];
+            let mut pooled = vec![0.0f32; 4 * width];
+            for (i, p) in profiles.iter().enumerate() {
+                let probe_keys: Vec<u64> = keys.iter().map(|k| k.with(p).key()).collect();
+                let probed = walk.pooled_probe_costs(
+                    &probe_keys,
+                    |g| &pooled[g * width..(g + 1) * width],
+                    rows.row(i),
+                );
+                for (g, set) in sets.iter().enumerate() {
+                    let mut appended = set.clone();
+                    appended.push(*p);
+                    let whole = reference.device_compute_cost(&appended);
+                    proptest::prop_assert!(
+                        probed[g].to_bits() == whole.to_bits(),
+                        "table {i} probed on device {g}: {} vs whole-set {whole}",
+                        probed[g]
+                    );
+                }
+                let g = tables[i].4;
+                sets[g].push(*p);
+                keys[g].add(p);
+                rows.add_to(i, &mut pooled[g * width..(g + 1) * width]);
+            }
+        }
     }
 }

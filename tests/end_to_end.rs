@@ -187,6 +187,87 @@ fn garbage_cost_models_still_produce_valid_plans() {
     }
 }
 
+/// `bundle` as a poisoned checkpoint would load: the first entry of the
+/// last bias vector serialized before `marker` reads back as `inf` (JSON
+/// `1e39` overflows `f32`).
+fn poisoned_before(bundle: &CostModelBundle, marker: &str) -> CostModelBundle {
+    let json = serde_json::to_string(bundle).unwrap();
+    let end = json.find(marker).expect("marker is a field of the bundle");
+    let bias = json[..end].rfind("\"b\":[").expect("a bias vector") + "\"b\":[".len();
+    let stop = bias + json[bias..].find([',', ']']).unwrap();
+    serde_json::from_str(&format!("{}1e39{}", &json[..bias], &json[stop..])).unwrap()
+}
+
+/// A cost model that predicts NaN or an infinity must get a typed error
+/// out of the search — not a panic inside a sort comparator, not a plan
+/// "costing" `inf` — so the fallback chain can ship a greedy plan and say
+/// why. Two poisons: an infinite encoder output bias turns every compute
+/// prediction into `inf - inf = NaN` (caught on the first single-table
+/// costs); an infinite output bias in the forward communication model
+/// leaves compute finite and makes every plan estimate `inf` (caught in
+/// the inner search's fold).
+#[test]
+fn non_finite_predictions_reach_the_fallback_chain() {
+    use neuroshard::baselines::SizeGreedy;
+    use neuroshard::core::{BeamSearch, PlanError};
+    use neuroshard::cost::CostSimulator;
+    use neuroshard::resilient::{FallbackChain, PlanSource, ProvenanceEvent};
+
+    let pool = TablePool::synthetic_dlrm(100, 13);
+    let healthy = CostModelBundle::pretrain(
+        &pool,
+        2,
+        &CollectConfig::smoke(),
+        &TrainSettings::smoke(),
+        3,
+    );
+    let task = ShardingTask::sample(&pool, 2, 8..=16, 64, 5_000);
+    let config = NeuroShardConfig::smoke();
+
+    let nan_compute = poisoned_before(&healthy, "\"head\"");
+    let sim = CostSimulator::new(nan_compute.clone());
+    assert!(sim.device_compute_cost(&task.profiles()).is_nan());
+    let err = BeamSearch::new(&sim, &config)
+        .search(&task)
+        .expect_err("a NaN cost is not a plan");
+    assert!(
+        matches!(&err, PlanError::NonFiniteCost { what, value }
+            if what == "single-table cost" && value.is_nan()),
+        "{err}"
+    );
+
+    let inf_comm = poisoned_before(&healthy, "\"comm_bwd\"");
+    let comm_err = BeamSearch::new(&CostSimulator::new(inf_comm), &config)
+        .search(&task)
+        .expect_err("an infinite estimate is not a plan");
+    assert!(
+        matches!(&comm_err, PlanError::NonFiniteCost { what, value }
+            if what == "plan estimate" && *value == f64::INFINITY),
+        "{comm_err}"
+    );
+
+    let chain = FallbackChain::new(Box::new(NeuroShard::new(nan_compute, config)))
+        .with_fallback(Box::new(SizeGreedy));
+    let outcome = chain
+        .shard_with_provenance(&task)
+        .expect("greedy plan ships");
+    assert!(outcome.plan.validate(&task).is_ok());
+    assert!(matches!(
+        &outcome.provenance.source,
+        PlanSource::Fallback { algorithm } if algorithm == SizeGreedy.name()
+    ));
+    let reason = err.to_string();
+    assert!(
+        outcome.provenance.events.iter().any(|e| matches!(
+            e,
+            ProvenanceEvent::SearchFailed { algorithm, reason: r }
+                if algorithm == "neuroshard" && *r == reason
+        )),
+        "{:?}",
+        outcome.provenance.events
+    );
+}
+
 /// The full pipeline tolerates degenerate tasks: a single table on a
 /// single device.
 #[test]
