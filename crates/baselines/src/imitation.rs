@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use nshard_core::{apply_split_plan, PlanError, ShardingAlgorithm, ShardingPlan, SplitStep};
 use nshard_cost::table_features;
 use nshard_data::{ShardingTask, TableConfig};
-use nshard_nn::{Adam, Gradients, Matrix, Mlp};
+use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
 
 /// Number of device-state features appended to each table's features
 /// (relative bytes, dimension and lookup load).
@@ -102,6 +102,10 @@ impl ImitationSharder {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1417);
 
         let mut order: Vec<usize> = (0..log.entries.len()).collect();
+        let mut ws = MlpWorkspace::new();
+        let mut step_grads = Gradients::zeros_like(&policy);
+        let mut grads = Gradients::zeros_like(&policy);
+        let mut scaled = Gradients::zeros_like(&policy);
         for _epoch in 0..epochs {
             for i in (1..order.len()).rev() {
                 let j = rng.random_range(0..=i);
@@ -109,10 +113,10 @@ impl ImitationSharder {
             }
             for &e in &order {
                 let entry = &log.entries[e];
-                let mut grads = Gradients::zeros_like(&policy);
+                grads.zero();
                 let steps = replay(entry, |inputs, label| {
-                    let x = Matrix::from_rows(inputs);
-                    let (scores, cache) = policy.forward_cached(&x);
+                    *ws.input_mut() = Matrix::from_rows(inputs);
+                    let scores = policy.forward_train(&mut ws);
                     let probs = softmax(scores.as_slice());
                     // Cross-entropy gradient: p - onehot(label).
                     let mut dy = Matrix::zeros(inputs.len(), 1);
@@ -120,12 +124,12 @@ impl ImitationSharder {
                         let indicator = if g == label { 1.0 } else { 0.0 };
                         dy.set(g, 0, (p - indicator) as f32);
                     }
-                    let (_, g) = policy.backward(&cache, &dy);
-                    grads.accumulate(&g, 1.0);
+                    policy.backward(&mut ws, 0..inputs.len(), &dy, &[], &mut step_grads);
+                    grads.accumulate(&step_grads, 1.0);
                 });
                 if steps > 0 {
                     // Average per decision so long tasks don't dominate.
-                    let mut scaled = Gradients::zeros_like(&policy);
+                    scaled.zero();
                     scaled.accumulate(&grads, 1.0 / steps as f32);
                     adam.step(&mut policy, &scaled);
                 }

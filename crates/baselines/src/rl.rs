@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use nshard_core::{PlanError, ShardingAlgorithm, ShardingPlan};
 use nshard_cost::table_features;
 use nshard_data::ShardingTask;
-use nshard_nn::{Adam, Gradients, Matrix, Mlp};
+use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
 use nshard_sim::{Cluster, GpuSpec, TableProfile};
 
 use crate::plan_from_assignment;
@@ -225,8 +225,11 @@ impl ShardingAlgorithm for RlSharder {
         // all sampled episodes; the final answer is the better of this and
         // the trained policy's deterministic rollout.
         let mut best_sampled: Option<(f64, Vec<usize>)> = None;
+        let mut ws = MlpWorkspace::new();
+        let mut step_grads = Gradients::zeros_like(&policy);
+        let mut grads = Gradients::zeros_like(&policy);
         while episodes_done < self.episodes {
-            let mut grads = Gradients::zeros_like(&policy);
+            grads.zero();
             let batch = self.batch_episodes.min(self.episodes - episodes_done);
             for _ in 0..batch {
                 let (device_of, steps) = self.rollout(
@@ -246,16 +249,16 @@ impl ShardingAlgorithm for RlSharder {
                 baseline = 0.9 * baseline + 0.1 * reward;
                 // REINFORCE: accumulate -(advantage) * ∇ log π(a).
                 for step in &steps {
-                    let x = Matrix::from_rows(&step.inputs);
-                    let (_, cache) = policy.forward_cached(&x);
+                    *ws.input_mut() = Matrix::from_rows(&step.inputs);
+                    policy.forward_train(&mut ws);
                     // d(-logp)/d(score_g) = p_g - 1[g == a]
                     let mut dy = Matrix::zeros(step.inputs.len(), 1);
                     for g in 0..step.inputs.len() {
                         let indicator = if g == step.action { 1.0 } else { 0.0 };
                         dy.set(g, 0, (step.probs[g] as f32 - indicator) * advantage as f32);
                     }
-                    let (_, g) = policy.backward(&cache, &dy);
-                    grads.accumulate(&g, 1.0 / batch as f32);
+                    policy.backward(&mut ws, 0..step.inputs.len(), &dy, &[], &mut step_grads);
+                    grads.accumulate(&step_grads, 1.0 / batch as f32);
                 }
             }
             adam.step(&mut policy, &grads);

@@ -130,7 +130,11 @@ impl ComputeDataset {
         self.samples.is_empty()
     }
 
-    /// Shuffled 80/10/10 split by sample index.
+    /// Shuffled 80/10/10 split by sample index. As in
+    /// [`Dataset::split_with_ratios`], every part receives at least one
+    /// sample when the dataset is large enough (≥ 3 samples) — rounding
+    /// alone leaves up to seven samples without a validation or test part,
+    /// and a fit cannot select a checkpoint on an empty one.
     pub fn split(&self, seed: u64) -> (ComputeDataset, ComputeDataset, ComputeDataset) {
         use rand::Rng;
         let n = self.samples.len();
@@ -140,15 +144,22 @@ impl ComputeDataset {
             let j = rng.random_range(0..=i);
             idx.swap(i, j);
         }
-        let n_train = ((n as f64) * 0.8).round() as usize;
-        let n_valid = ((n as f64) * 0.1).round() as usize;
+        let mut n_train = ((n as f64) * 0.8).round() as usize;
+        let mut n_valid = ((n as f64) * 0.1).round() as usize;
+        if n >= 3 {
+            n_train = n_train.clamp(1, n - 2);
+            n_valid = n_valid.clamp(1, n - n_train - 1);
+        } else {
+            n_train = n_train.min(n);
+            n_valid = n_valid.min(n - n_train);
+        }
         let pick = |range: &[usize]| ComputeDataset {
             samples: range.iter().map(|&i| self.samples[i].clone()).collect(),
         };
         (
-            pick(&idx[..n_train.min(n)]),
-            pick(&idx[n_train.min(n)..(n_train + n_valid).min(n)]),
-            pick(&idx[(n_train + n_valid).min(n)..]),
+            pick(&idx[..n_train]),
+            pick(&idx[n_train..n_train + n_valid]),
+            pick(&idx[n_train + n_valid..]),
         )
     }
 }
@@ -309,6 +320,36 @@ mod tests {
         let (train, valid, test) = data.split(9);
         assert_eq!(train.len() + valid.len() + test.len(), 100);
         assert_eq!(train.len(), 80);
+    }
+
+    #[test]
+    fn compute_split_leaves_no_part_empty_and_moves_no_split_of_eight_or_more() {
+        let dataset = |n: usize| ComputeDataset {
+            samples: vec![
+                ComputeSample {
+                    tables: Vec::new(),
+                    cost_ms: 1.0,
+                };
+                n
+            ],
+        };
+        for n in 3..8 {
+            let (train, valid, test) = dataset(n).split(1);
+            assert_eq!(train.len() + valid.len() + test.len(), n);
+            assert!(!train.is_empty() && !valid.is_empty() && !test.is_empty());
+        }
+        // From eight samples on, rounding alone already fills every part:
+        // the sizes are the ones every fixture was trained on.
+        for n in 8..=600 {
+            let (train, valid, test) = dataset(n).split(1);
+            let n_train = ((n as f64) * 0.8).round() as usize;
+            let n_valid = ((n as f64) * 0.1).round() as usize;
+            assert_eq!(
+                (train.len(), valid.len(), test.len()),
+                (n_train, n_valid, n - n_train - n_valid),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

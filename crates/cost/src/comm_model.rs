@@ -133,9 +133,10 @@ impl CommCostModel {
 
     /// Fine-tunes on explicit train/valid partitions (no internal split),
     /// keeping the best-on-validation checkpoint. `frozen_layers` indices
-    /// are left bitwise untouched (their gradients are zeroed before every
-    /// optimizer step — see [`nshard_nn::Gradients::zero_layers`]). The
-    /// reported `test_mse` is the selected checkpoint's MSE on `valid`.
+    /// are left bitwise untouched (their gradients are never formed, so
+    /// every optimizer step sees zeros — see
+    /// [`Trainer::with_frozen_layers`]). The reported `test_mse` is the
+    /// selected checkpoint's MSE on `valid`.
     ///
     /// Same determinism contract as [`CommCostModel::train`]: weights are
     /// bit-identical at any [`TrainSettings::threads`] setting.

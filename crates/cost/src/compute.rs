@@ -12,9 +12,9 @@ use std::cell::RefCell;
 use nshard_pool::WorkPool;
 use serde::{Deserialize, Serialize};
 
-use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpScratch};
+use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpScratch, MlpWorkspace};
 
-use crate::collect::{ComputeDataset, ComputeSample};
+use crate::collect::ComputeDataset;
 use crate::features::TABLE_FEATURE_DIM;
 use crate::simulator::TrainSettings;
 
@@ -121,32 +121,36 @@ impl ComputeCostModel {
         }
         COMPUTE_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            let total_rows: usize = sets.iter().map(|s| s.as_ref().len()).sum();
-            s.pooled.reset(sets.len(), ENCODER_OUT);
-            if total_rows > 0 {
-                s.x.reset(total_rows, self.encoder.input_dim());
-                let mut r = 0;
-                for set in sets {
-                    for row in set.as_ref() {
-                        s.x.row_mut(r).copy_from_slice(row);
-                        r += 1;
-                    }
-                }
-                let encoded = self.encoder.forward_scratch(&s.x, &mut s.enc);
-                let mut r = 0;
-                for (i, set) in sets.iter().enumerate() {
-                    let pooled = s.pooled.row_mut(i);
-                    for _ in 0..set.as_ref().len() {
-                        for (p, &v) in pooled.iter_mut().zip(encoded.row(r)) {
-                            *p += v;
-                        }
-                        r += 1;
-                    }
-                }
-            }
+            self.pool_encodings(sets, s);
             let y = self.head.forward_scratch(&s.pooled, &mut s.head);
             (0..sets.len()).map(|i| f64::from(y.get(i, 0))).collect()
         })
+    }
+
+    /// Encodes every table row of every set as one matrix and sum-pools
+    /// each set's rows, in order, into row `i` of `s.pooled`.
+    fn pool_encodings<S: AsRef<[Vec<f32>]>>(&self, sets: &[S], s: &mut ComputeScratch) {
+        let total_rows: usize = sets.iter().map(|s| s.as_ref().len()).sum();
+        s.pooled.reset(sets.len(), ENCODER_OUT);
+        if total_rows == 0 {
+            return;
+        }
+        s.x.reset(total_rows, self.encoder.input_dim());
+        let rows = sets.iter().flat_map(|set| set.as_ref());
+        for (r, row) in rows.enumerate() {
+            s.x.row_mut(r).copy_from_slice(row);
+        }
+        let encoded = self.encoder.forward_scratch(&s.x, &mut s.enc);
+        let mut r = 0;
+        for (i, set) in sets.iter().enumerate() {
+            let pooled = s.pooled.row_mut(i);
+            for _ in 0..set.as_ref().len() {
+                for (p, &v) in pooled.iter_mut().zip(encoded.row(r)) {
+                    *p += v;
+                }
+                r += 1;
+            }
+        }
     }
 
     /// Width of one per-table encoding (the pooled-representation
@@ -244,7 +248,9 @@ impl ComputeCostModel {
     /// With `freeze_encoder` the shared table encoder is left **bitwise
     /// untouched** — only the head adapts. That preserves the per-table
     /// encoding geometry the search's encoding cache and DeepSets pooling
-    /// rely on, while the head re-calibrates to observed costs.
+    /// rely on, while the head re-calibrates to observed costs. A frozen
+    /// encoder also costs nothing: every sample's pooled encoding is a
+    /// constant of the fit, computed once.
     ///
     /// Returns an unchanged-model report when `train` is empty. Same
     /// determinism contract as [`ComputeCostModel::train`]: bit-identical
@@ -280,17 +286,36 @@ impl ComputeCostModel {
                 valid_history: Vec::new(),
             };
         }
+        // A validation set that cannot rank checkpoints (empty, or a
+        // non-finite label) would leave the untrained weights selected
+        // after every epoch ran: select on the training data instead.
+        let select_on = if self.evaluate_mse(valid).is_finite() {
+            valid
+        } else {
+            train
+        };
         let pool = WorkPool::new(settings.threads);
         let mut adam_enc = Adam::new(&self.encoder, settings.learning_rate);
         let mut adam_head = Adam::new(&self.head, settings.learning_rate);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7A57);
 
-        let n = train.len().max(1);
+        let n = train.len();
         let batch_size = settings.batch_size.clamp(1, n);
         let mut best = (self.encoder.clone(), self.head.clone());
         let mut best_valid = f32::INFINITY;
         let mut valid_history = Vec::with_capacity(settings.epochs);
         let mut order: Vec<usize> = (0..n).collect();
+
+        // With the encoder frozen each sample's pooled row never changes.
+        let frozen_pooled = freeze_encoder.then(|| self.pooled_rows(train));
+        // One block of the mini-batch per thread: on one thread the encoder
+        // forward is a single GEMM over all its table rows.
+        let n_blocks = pool.threads().min(batch_size);
+        let mut blocks: Vec<FitBlock> = (0..n_blocks)
+            .map(|_| FitBlock::new(self, batch_size.div_ceil(n_blocks), freeze_encoder))
+            .collect();
+        let mut grad_enc = Gradients::zeros_like(&self.encoder);
+        let mut grad_head = Gradients::zeros_like(&self.head);
 
         for _epoch in 0..settings.epochs {
             for i in (1..n).rev() {
@@ -298,15 +323,23 @@ impl ComputeCostModel {
                 order.swap(i, j);
             }
             for chunk in order.chunks(batch_size) {
-                let per_sample = pool.map(chunk, |&idx| self.sample_gradients(&train.samples[idx]));
-                let mut grad_enc = Gradients::zeros_like(&self.encoder);
-                let mut grad_head = Gradients::zeros_like(&self.head);
+                // Contiguous blocks of the mini-batch; each sample's gradient
+                // lands in its own slot of its block.
+                let len = chunk.len().div_ceil(n_blocks);
+                pool.for_each_mut(&mut blocks, |b, block| {
+                    let samples = chunk.chunks(len).nth(b).unwrap_or(&[]);
+                    block.run(self, train, samples, frozen_pooled.as_ref());
+                });
+                // The numerical contract: sample gradients are formed
+                // first, then folded serially in sample order.
+                grad_enc.zero();
+                grad_head.zero();
                 let scale = 1.0 / chunk.len() as f32;
-                for (g_enc, g_head) in &per_sample {
-                    if let Some(g) = g_enc {
-                        grad_enc.accumulate(g, scale);
+                for slot in blocks.iter().flat_map(|b| &b.grads[..b.filled]) {
+                    if slot.has_enc {
+                        grad_enc.accumulate(&slot.enc, scale);
                     }
-                    grad_head.accumulate(g_head, scale);
+                    grad_head.accumulate(&slot.head, scale);
                 }
                 // Exact encoder freeze: equivalent to zeroing the encoder
                 // gradients (Adam with perpetually-zero gradients keeps
@@ -317,7 +350,7 @@ impl ComputeCostModel {
                 }
                 adam_head.step(&mut self.head, &grad_head);
             }
-            let valid_mse = self.evaluate_mse(valid);
+            let valid_mse = self.evaluate_mse(select_on);
             valid_history.push(valid_mse);
             if valid_mse < best_valid {
                 best_valid = valid_mse;
@@ -335,35 +368,135 @@ impl ComputeCostModel {
         }
     }
 
-    /// Forward + backward of one sample under the squared-error loss,
-    /// returning `(encoder grads (None when the sample has no tables),
-    /// head grads)`.
-    fn sample_gradients(&self, sample: &ComputeSample) -> (Option<Gradients>, Gradients) {
-        if sample.tables.is_empty() {
-            let pooled = Matrix::zeros(1, ENCODER_OUT);
-            let (pred, head_cache) = self.head.forward_cached(&pooled);
-            let dy = Matrix::from_rows([vec![2.0 * (pred.get(0, 0) - sample.cost_ms)]]);
-            let (_, g_head) = self.head.backward(&head_cache, &dy);
-            return (None, g_head);
+    /// The sum-pooled encoding of every sample of `data`, one per row.
+    fn pooled_rows(&self, data: &ComputeDataset) -> Matrix {
+        let sets: Vec<&[Vec<f32>]> = data.samples.iter().map(|s| s.tables.as_slice()).collect();
+        COMPUTE_SCRATCH.with(|scratch| {
+            let s = &mut *scratch.borrow_mut();
+            self.pool_encodings(&sets, s);
+            s.pooled.clone()
+        })
+    }
+}
+
+/// One sample's gradient under the squared-error loss, formed in full
+/// before the mini-batch fold reads it.
+struct SampleGrad {
+    enc: Gradients,
+    head: Gradients,
+    /// Whether `enc` belongs to this sample: a sample without tables, or
+    /// any sample under a frozen encoder, has no encoder gradient and the
+    /// fold must skip it rather than add zeros.
+    has_enc: bool,
+}
+
+/// One block's share of a fit's workspace, built once per fit: the network
+/// buffers for a contiguous run of a mini-batch's samples and one gradient
+/// slot per sample, reused from mini-batch to mini-batch.
+struct FitBlock {
+    /// Encoder pass over every table row of the block at once.
+    enc: MlpWorkspace,
+    /// Head pass over one sample's pooled row.
+    head: MlpWorkspace,
+    dy: Matrix,
+    d_encoded: Matrix,
+    grads: Vec<SampleGrad>,
+    /// Slots of `grads` the last block filled.
+    filled: usize,
+}
+
+impl FitBlock {
+    fn new(model: &ComputeCostModel, samples: usize, freeze_encoder: bool) -> Self {
+        let slot = || SampleGrad {
+            enc: if freeze_encoder {
+                Gradients { layers: Vec::new() }
+            } else {
+                Gradients::zeros_like(&model.encoder)
+            },
+            head: Gradients::zeros_like(&model.head),
+            has_enc: false,
+        };
+        Self {
+            enc: MlpWorkspace::new(),
+            head: MlpWorkspace::new(),
+            dy: Matrix::zeros(1, 1),
+            d_encoded: Matrix::default(),
+            grads: (0..samples).map(|_| slot()).collect(),
+            filled: 0,
         }
-        let x = Matrix::from_rows(&sample.tables);
-        let (encoded, enc_cache) = self.encoder.forward_cached(&x);
-        let pooled = Matrix::from_rows([encoded.sum_rows()]);
-        let (pred, head_cache) = self.head.forward_cached(&pooled);
-        let err = pred.get(0, 0) - sample.cost_ms;
-        let dy = Matrix::from_rows([vec![2.0 * err]]);
-        let (d_pooled, g_head) = self.head.backward(&head_cache, &dy);
-        // Sum pooling broadcasts the gradient to every table's encoding.
-        let d_encoded = Matrix::from_rows(vec![d_pooled.row(0).to_vec(); sample.tables.len()]);
-        let (_, g_enc) = self.encoder.backward(&enc_cache, &d_encoded);
-        (Some(g_enc), g_head)
+    }
+
+    /// Forward + backward of the block's samples (`block` indexes
+    /// `train.samples`), one gradient slot per sample.
+    ///
+    /// The encoder forward is one pass over all table rows of the block —
+    /// encoder rows do not depend on what shares their batch — while every
+    /// backward product stays per sample: merging two samples' `xᵀ·dy`
+    /// would re-associate the sum the fold is defined over. With
+    /// `frozen_pooled` (row `i` = sample `i`'s pooled encoding) the encoder
+    /// is not run at all.
+    fn run(
+        &mut self,
+        model: &ComputeCostModel,
+        train: &ComputeDataset,
+        block: &[usize],
+        frozen_pooled: Option<&Matrix>,
+    ) {
+        self.filled = block.len();
+        if frozen_pooled.is_none() {
+            let tables = block.iter().flat_map(|&i| &train.samples[i].tables);
+            let x = self.enc.input_mut();
+            x.reset(tables.clone().count(), model.encoder.input_dim());
+            for (r, row) in tables.enumerate() {
+                x.row_mut(r).copy_from_slice(row);
+            }
+            model.encoder.forward_train(&mut self.enc);
+        }
+        let mut first_row = 0;
+        for (&i, slot) in block.iter().zip(&mut self.grads) {
+            let sample = &train.samples[i];
+            let rows = first_row..first_row + sample.tables.len();
+            first_row = rows.end;
+
+            let pooled = self.head.input_mut();
+            pooled.reset(1, ENCODER_OUT);
+            match frozen_pooled {
+                Some(constant) => pooled.row_mut(0).copy_from_slice(constant.row(i)),
+                None => {
+                    for r in rows.clone() {
+                        for (p, &v) in pooled.row_mut(0).iter_mut().zip(self.enc.output().row(r)) {
+                            *p += v;
+                        }
+                    }
+                }
+            }
+            let pred = model.head.forward_train(&mut self.head).get(0, 0);
+            self.dy.set(0, 0, 2.0 * (pred - sample.cost_ms));
+            model
+                .head
+                .backward(&mut self.head, 0..1, &self.dy, &[], &mut slot.head);
+
+            slot.has_enc = frozen_pooled.is_none() && !rows.is_empty();
+            if slot.has_enc {
+                // Sum pooling broadcasts the gradient to every table's
+                // encoding.
+                let d_pooled = model.head.input_gradient(&mut self.head);
+                self.d_encoded.reset(rows.len(), ENCODER_OUT);
+                for r in 0..rows.len() {
+                    self.d_encoded.row_mut(r).copy_from_slice(d_pooled.row(0));
+                }
+                model
+                    .encoder
+                    .backward(&mut self.enc, rows, &self.d_encoded, &[], &mut slot.enc);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::{collect_compute_data, CollectConfig};
+    use crate::collect::{collect_compute_data, CollectConfig, ComputeSample};
     use nshard_data::TablePool;
     use nshard_sim::KernelParams;
 
@@ -648,5 +781,218 @@ mod tests {
         let json = serde_json::to_string(&model).unwrap();
         let back: ComputeCostModel = serde_json::from_str(&json).unwrap();
         assert_eq!(model, back);
+    }
+
+    #[test]
+    fn tiny_datasets_train_instead_of_returning_the_initial_weights() {
+        // Rounding alone split 3..=7 samples with an empty validation or
+        // test part; the fit then compared `NaN < inf` after every epoch and
+        // handed back the untrained weights with `valid_mse = inf`.
+        let settings = TrainSettings {
+            epochs: 5,
+            ..TrainSettings::smoke()
+        };
+        for n in [3, 4, 5] {
+            let data = small_dataset(n);
+            let (train, valid, test) = data.split(3);
+            assert!(!train.is_empty() && !valid.is_empty() && !test.is_empty());
+            let mut model = ComputeCostModel::new(1);
+            let report = model.train(&data, &settings, 3);
+            assert_ne!(model, ComputeCostModel::new(1), "n = {n}: untrained");
+            for mse in [report.train_mse, report.valid_mse, report.test_mse] {
+                assert!(mse.is_finite(), "n = {n}: {report:?}");
+            }
+            assert!(report.valid_history.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn a_validation_set_that_cannot_rank_falls_back_to_the_training_data() {
+        let data = small_dataset(40);
+        let settings = TrainSettings {
+            epochs: 4,
+            ..TrainSettings::smoke()
+        };
+        let mut poisoned = data.clone();
+        poisoned.samples[0].cost_ms = f32::NAN;
+        for valid in [ComputeDataset::default(), poisoned] {
+            let mut model = ComputeCostModel::new(6);
+            let report = model.fine_tune(&data, &valid, &settings, false, 2);
+            assert_ne!(model, ComputeCostModel::new(6));
+            // Selected, and reported, on the training data.
+            assert!(report.valid_mse.is_finite());
+            assert_eq!(report.valid_mse.to_bits(), report.train_mse.to_bits());
+        }
+    }
+
+    /// The fit as it stood before the per-fit workspace, kept as the oracle:
+    /// one forward + backward per sample in fresh buffers, a fresh
+    /// `Gradients` pair per sample, the encoder run (and its gradient folded)
+    /// even when frozen. It stands on `nshard-nn`'s step, which that crate's
+    /// own oracle holds to the old scalar step bit for bit.
+    fn reference_fit(
+        model: &mut ComputeCostModel,
+        train: &ComputeDataset,
+        valid: &ComputeDataset,
+        settings: &TrainSettings,
+        freeze_encoder: bool,
+        seed: u64,
+    ) -> ComputeTrainReport {
+        use rand::Rng;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let sample_gradients = |model: &ComputeCostModel, sample: &ComputeSample| {
+            let mut head = MlpWorkspace::new();
+            let mut g_head = Gradients::zeros_like(&model.head);
+            if sample.tables.is_empty() {
+                *head.input_mut() = Matrix::zeros(1, ENCODER_OUT);
+                let pred = model.head.forward_train(&mut head).get(0, 0);
+                let dy = Matrix::from_rows([vec![2.0 * (pred - sample.cost_ms)]]);
+                model.head.backward(&mut head, 0..1, &dy, &[], &mut g_head);
+                return (None, g_head);
+            }
+            let mut enc = MlpWorkspace::new();
+            let mut g_enc = Gradients::zeros_like(&model.encoder);
+            *enc.input_mut() = Matrix::from_rows(&sample.tables);
+            let encoded = model.encoder.forward_train(&mut enc);
+            let mut pooled = Matrix::zeros(1, ENCODER_OUT);
+            for r in 0..encoded.rows() {
+                for (p, &v) in pooled.row_mut(0).iter_mut().zip(encoded.row(r)) {
+                    *p += v;
+                }
+            }
+            *head.input_mut() = pooled;
+            let pred = model.head.forward_train(&mut head).get(0, 0);
+            let dy = Matrix::from_rows([vec![2.0 * (pred - sample.cost_ms)]]);
+            model.head.backward(&mut head, 0..1, &dy, &[], &mut g_head);
+            let d_pooled = model.head.input_gradient(&mut head).row(0).to_vec();
+            let rows = sample.tables.len();
+            let d_encoded = Matrix::from_rows(vec![d_pooled; rows]);
+            model
+                .encoder
+                .backward(&mut enc, 0..rows, &d_encoded, &[], &mut g_enc);
+            (Some(g_enc), g_head)
+        };
+
+        let mut adam_enc = Adam::new(&model.encoder, settings.learning_rate);
+        let mut adam_head = Adam::new(&model.head, settings.learning_rate);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A57);
+        let n = train.len();
+        let batch_size = settings.batch_size.clamp(1, n);
+        let mut best = model.clone();
+        let mut best_valid = f32::INFINITY;
+        let mut valid_history = Vec::new();
+        let mut order: Vec<usize> = (0..n).collect();
+        for _epoch in 0..settings.epochs {
+            for i in (1..n).rev() {
+                let j = rng.random_range(0..=i);
+                order.swap(i, j);
+            }
+            for chunk in order.chunks(batch_size) {
+                let mut grad_enc = Gradients::zeros_like(&model.encoder);
+                let mut grad_head = Gradients::zeros_like(&model.head);
+                let scale = 1.0 / chunk.len() as f32;
+                for &idx in chunk {
+                    let (g_enc, g_head) = sample_gradients(model, &train.samples[idx]);
+                    if let Some(g) = g_enc {
+                        grad_enc.accumulate(&g, scale);
+                    }
+                    grad_head.accumulate(&g_head, scale);
+                }
+                if !freeze_encoder {
+                    adam_enc.step(&mut model.encoder, &grad_enc);
+                }
+                adam_head.step(&mut model.head, &grad_head);
+            }
+            let valid_mse = model.evaluate_mse(valid);
+            valid_history.push(valid_mse);
+            if valid_mse < best_valid {
+                best_valid = valid_mse;
+                best = model.clone();
+            }
+        }
+        *model = best;
+        ComputeTrainReport {
+            train_mse: model.evaluate_mse(train),
+            valid_mse: best_valid,
+            test_mse: model.evaluate_mse(valid),
+            valid_history,
+        }
+    }
+
+    /// Samples with 0, 1, 15 and a few tables, zeros among the features.
+    fn random_dataset(rng: &mut rand::rngs::StdRng, n: usize) -> ComputeDataset {
+        use rand::Rng;
+        let samples = (0..n)
+            .map(|_| {
+                let tables = match rng.random_range(0..6u32) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 15,
+                    _ => rng.random_range(2..9usize),
+                };
+                ComputeSample {
+                    tables: (0..tables)
+                        .map(|_| {
+                            (0..TABLE_FEATURE_DIM)
+                                .map(|_| match rng.random_range(0..5u32) {
+                                    0 => 0.0,
+                                    _ => rng.random::<f32>() * 2.0 - 0.5,
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                    cost_ms: rng.random::<f32>() * 20.0,
+                }
+            })
+            .collect();
+        ComputeDataset { samples }
+    }
+
+    proptest::proptest! {
+        /// Whole fits against the old one: weights and reports, frozen and
+        /// unfrozen encoder, mini-batches of one to all samples, any thread
+        /// count (so any cut of a mini-batch into blocks).
+        #[test]
+        fn fit_matches_the_reference(
+            n in 1usize..40,
+            batch_size in 1usize..40,
+            freeze_encoder: bool,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let train = random_dataset(&mut rng, n);
+            let valid = random_dataset(&mut rng, 5);
+            let base = TrainSettings { epochs: 2, batch_size, learning_rate: 2e-3, threads: 1 };
+            let mut want = ComputeCostModel::new(seed);
+            let want_report = reference_fit(&mut want, &train, &valid, &base, freeze_encoder, seed);
+            for threads in [1, 2, 3, 8] {
+                let mut model = ComputeCostModel::new(seed);
+                let settings = TrainSettings { threads, ..base };
+                let report = model.fine_tune(&train, &valid, &settings, freeze_encoder, seed);
+                let weights = |m: &ComputeCostModel| {
+                    [&m.encoder, &m.head]
+                        .iter()
+                        .flat_map(|mlp| mlp.layers())
+                        .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()))
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                proptest::prop_assert!(
+                    weights(&model) == weights(&want),
+                    "weights diverged at {} threads",
+                    threads
+                );
+                let bits = |r: &ComputeTrainReport| {
+                    [r.train_mse, r.valid_mse, r.test_mse]
+                        .iter()
+                        .chain(&r.valid_history)
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                proptest::prop_assert_eq!(bits(&report), bits(&want_report));
+            }
+        }
     }
 }

@@ -10,14 +10,16 @@ use crate::mlp::{Gradients, Mlp};
 /// # Example
 ///
 /// ```
-/// use nshard_nn::{Adam, Gradients, Matrix, Mlp};
+/// use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
 ///
 /// let mut mlp = Mlp::new(2, &[4], 1, 0);
 /// let mut adam = Adam::new(&mlp, 0.001);
-/// let x = Matrix::from_rows([vec![1.0, 2.0]]);
-/// let (y, cache) = mlp.forward_cached(&x);
-/// let dy = Matrix::from_rows([vec![y.get(0, 0) - 3.0]]); // pull output to 3
-/// let (_, grads) = mlp.backward(&cache, &dy);
+/// let mut ws = MlpWorkspace::new();
+/// let mut grads = Gradients::zeros_like(&mlp);
+/// *ws.input_mut() = Matrix::from_rows([vec![1.0, 2.0]]);
+/// let y = mlp.forward_train(&mut ws).get(0, 0);
+/// let dy = Matrix::from_rows([vec![y - 3.0]]); // pull output to 3
+/// mlp.backward(&mut ws, 0..1, &dy, &[], &mut grads);
 /// adam.step(&mut mlp, &grads);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -151,6 +153,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::MlpWorkspace;
     use crate::tensor::Matrix;
 
     /// Adam should drive a 1-parameter quadratic to its minimum.
@@ -159,11 +162,14 @@ mod tests {
         let mut mlp = Mlp::new(1, &[], 1, 0); // single linear layer y = wx + b
         let mut adam = Adam::new(&mlp, 0.05);
         let x = Matrix::from_rows([vec![1.0]]);
+        let mut ws = MlpWorkspace::new();
+        let mut grads = Gradients::zeros_like(&mlp);
+        ws.input_mut().copy_from(&x);
         // Target: y = 5. Loss = (y-5)^2, dL/dy = 2(y-5).
         for _ in 0..500 {
-            let (y, cache) = mlp.forward_cached(&x);
-            let dy = Matrix::from_rows([vec![2.0 * (y.get(0, 0) - 5.0)]]);
-            let (_, grads) = mlp.backward(&cache, &dy);
+            let y = mlp.forward_train(&mut ws).get(0, 0);
+            let dy = Matrix::from_rows([vec![2.0 * (y - 5.0)]]);
+            mlp.backward(&mut ws, 0..1, &dy, &[], &mut grads);
             adam.step(&mut mlp, &grads);
         }
         let y = mlp.forward(&x).get(0, 0);
@@ -175,9 +181,17 @@ mod tests {
         let mut mlp = Mlp::new(1, &[], 1, 0);
         let mut adam = Adam::new(&mlp, 0.01);
         assert_eq!(adam.steps(), 0);
-        let x = Matrix::from_rows([vec![1.0]]);
-        let (_, cache) = mlp.forward_cached(&x);
-        let (_, grads) = mlp.backward(&cache, &Matrix::from_rows([vec![1.0]]));
+        let mut ws = MlpWorkspace::new();
+        let mut grads = Gradients::zeros_like(&mlp);
+        *ws.input_mut() = Matrix::from_rows([vec![1.0]]);
+        mlp.forward_train(&mut ws);
+        mlp.backward(
+            &mut ws,
+            0..1,
+            &Matrix::from_rows([vec![1.0]]),
+            &[],
+            &mut grads,
+        );
         adam.step(&mut mlp, &grads);
         assert_eq!(adam.steps(), 1);
     }

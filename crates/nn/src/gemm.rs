@@ -26,6 +26,13 @@
 //! fused-multiply-add or re-association is introduced (rustc does not
 //! contract float expressions). The conformance suite in
 //! `tests/kernel_conformance.rs` pins this across odd shapes.
+//!
+//! The two backward-pass products (crate-internal, behind
+//! [`crate::Mlp::backward`]) keep their own, equally fixed orders:
+//! `PackedGemm::gemm_sum_into` over a transposed pack is bitwise the scalar
+//! dot `Σₖ dy[k]·w[k]` folded the way `Iterator::sum::<f32>` folds (from
+//! `-0.0`), and `at_b_into` accumulates `aᵀ·b` over rows in ascending
+//! order, skipping zero entries of `a`.
 
 /// Rows of the output register tile.
 pub const MR: usize = 4;
@@ -152,6 +159,38 @@ pub fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [
     }
 }
 
+/// `out = aᵀ · b` with `a: rows × m` and `b: rows × n`, both row-major —
+/// the weight gradient `xᵀ · dy` of a dense layer, without materializing
+/// the transpose.
+///
+/// Each `out[i][j]` accumulates `a[r][i] * b[r][j]` from `+0.0` over `r` in
+/// ascending order, and a term whose `a[r][i]` is zero is skipped rather
+/// than added (ReLU makes about half of a hidden layer's inputs zero). The
+/// order and the skip are part of the trainers' numerical contract.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the given dimensions.
+pub(crate) fn at_b_into(a: &[f32], b: &[f32], rows: usize, m: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), rows * m, "at_b_into: lhs length mismatch");
+    assert_eq!(b.len(), rows * n, "at_b_into: rhs length mismatch");
+    assert_eq!(out.len(), m * n, "at_b_into: out length mismatch");
+    out.fill(0.0);
+    if m == 0 || n == 0 {
+        return;
+    }
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        for (out_row, &av) in out.chunks_exact_mut(n).zip(a_row) {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
 /// A right-hand operand pre-packed into `NR`-wide column panels.
 ///
 /// Layout: `ceil(n / NR)` panels, each `k × NR` row-major, so panel `p`
@@ -159,7 +198,7 @@ pub fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [
 /// last panel zero-padded. The `k` loop of [`PackedGemm::gemm_into`] then
 /// streams both operands contiguously. Padded lanes accumulate zeros and
 /// are never stored, so results stay bit-identical to [`gemm_ref_into`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedGemm {
     k: usize,
     n: usize,
@@ -173,18 +212,57 @@ impl PackedGemm {
     ///
     /// Panics if `b.len() != k * n`.
     pub fn pack(b: &[f32], k: usize, n: usize) -> Self {
+        let mut packed = Self::default();
+        packed.repack(b, k, n);
+        packed
+    }
+
+    /// Re-packs in place from a row-major `k × n` matrix, reusing the panel
+    /// allocation (a layer re-packs after every optimizer step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    pub(crate) fn repack(&mut self, b: &[f32], k: usize, n: usize) {
         assert_eq!(b.len(), k * n, "pack: operand length mismatch");
-        let n_panels = n.div_ceil(NR);
-        let mut panels = vec![0.0f32; n_panels * k * NR];
-        for p in 0..n_panels {
+        self.resize(k, n);
+        for (p, panel) in self.panels.chunks_exact_mut((k * NR).max(1)).enumerate() {
             let j = p * NR;
             let w = (n - j).min(NR);
-            let panel = &mut panels[p * k * NR..(p + 1) * k * NR];
             for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
                 dst[..w].copy_from_slice(&b[kk * n + j..kk * n + j + w]);
             }
         }
-        Self { k, n, panels }
+    }
+
+    /// Re-packs in place from the **transpose** of a row-major
+    /// `rows × cols` matrix `w`: the packed operand is `wᵀ` (`cols × rows`),
+    /// so `a · wᵀ` streams contiguously. Reuses the panel allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != rows * cols`.
+    pub(crate) fn repack_transposed(&mut self, w: &[f32], rows: usize, cols: usize) {
+        assert_eq!(w.len(), rows * cols, "pack: operand length mismatch");
+        let (k, n) = (cols, rows);
+        self.resize(k, n);
+        for (p, panel) in self.panels.chunks_exact_mut((k * NR).max(1)).enumerate() {
+            let j = p * NR;
+            let width = (n - j).min(NR);
+            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                for (c, d) in dst[..width].iter_mut().enumerate() {
+                    *d = w[(j + c) * cols + kk];
+                }
+            }
+        }
+    }
+
+    /// Zero-filled panels for a `k × n` operand, keeping the allocation.
+    fn resize(&mut self, k: usize, n: usize) {
+        self.k = k;
+        self.n = n;
+        self.panels.clear();
+        self.panels.resize(n.div_ceil(NR) * k * NR, 0.0);
     }
 
     /// Inner (contraction) dimension `k`.
@@ -204,14 +282,47 @@ impl PackedGemm {
     ///
     /// Panics if slice lengths do not match the given dimensions.
     pub fn gemm_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        self.gemm_from::<false>(a, m, out);
+    }
+
+    /// `out = a · B` with every accumulator started at `-0.0` instead of
+    /// `+0.0` — the identity `Iterator::sum::<f32>` folds from. Over a
+    /// [`PackedGemm::repack_transposed`] pack of `w` each `out[i][j]` is
+    /// therefore **bitwise** the scalar dot
+    /// `a.row(i).zip(w.row(j)).map(|(a, w)| a * w).sum::<f32>()`, computed
+    /// sixteen `j` at a time. The two starts differ only when every product
+    /// of an element is `-0.0` (the result keeps the sign).
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the given dimensions.
+    pub(crate) fn gemm_sum_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        self.gemm_from::<true>(a, m, out);
+    }
+
+    /// The packed kernel with every accumulator started at `-0.0`
+    /// (`FROM_NEG_ZERO`) or `+0.0`.
+    ///
+    /// The tile is four separate `[f32; NR]` rows, each updated by its own
+    /// fixed-width loop: that shape vectorizes whatever the rows start from,
+    /// where one `[[f32; NR]; MR]` block started at anything but a literal
+    /// `+0.0` is left in memory by LLVM and runs six times slower.
+    fn gemm_from<const FROM_NEG_ZERO: bool>(&self, a: &[f32], m: usize, out: &mut [f32]) {
         let (k, n) = (self.k, self.n);
         assert_eq!(a.len(), m * k, "packed gemm: lhs length mismatch");
         assert_eq!(out.len(), m * n, "packed gemm: out length mismatch");
         if n == 0 {
             return;
         }
+        let start = || {
+            if FROM_NEG_ZERO {
+                [-0.0f32; NR]
+            } else {
+                [0.0f32; NR]
+            }
+        };
         if k == 0 {
-            out.fill(0.0);
+            out.fill(start()[0]);
             return;
         }
         let m_main = m - m % MR;
@@ -224,20 +335,26 @@ impl PackedGemm {
             for (p, panel) in self.panels.chunks_exact(k * NR).enumerate() {
                 let j = p * NR;
                 let w = (n - j).min(NR);
-                let mut acc = [[0.0f32; NR]; MR];
+                let (mut acc0, mut acc1, mut acc2, mut acc3) = (start(), start(), start(), start());
                 for ((((bk, &v0), &v1), &v2), &v3) in
                     panel.chunks_exact(NR).zip(a0).zip(a1).zip(a2).zip(a3)
                 {
                     let bk: &[f32; NR] = bk.try_into().expect("NR-wide panel row");
-                    let av = [v0, v1, v2, v3];
-                    for r in 0..MR {
-                        for c in 0..NR {
-                            acc[r][c] += av[r] * bk[c];
-                        }
+                    for c in 0..NR {
+                        acc0[c] += v0 * bk[c];
+                    }
+                    for c in 0..NR {
+                        acc1[c] += v1 * bk[c];
+                    }
+                    for c in 0..NR {
+                        acc2[c] += v2 * bk[c];
+                    }
+                    for c in 0..NR {
+                        acc3[c] += v3 * bk[c];
                     }
                 }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    out[(i + r) * n + j..(i + r) * n + j + w].copy_from_slice(&acc_row[..w]);
+                for (r, acc) in [acc0, acc1, acc2, acc3].iter().enumerate() {
+                    out[(i + r) * n + j..(i + r) * n + j + w].copy_from_slice(&acc[..w]);
                 }
             }
             i += MR;
@@ -247,7 +364,7 @@ impl PackedGemm {
             for (p, panel) in self.panels.chunks_exact(k * NR).enumerate() {
                 let j = p * NR;
                 let w = (n - j).min(NR);
-                let mut acc = [0.0f32; NR];
+                let mut acc = start();
                 for (bk, &av) in panel.chunks_exact(NR).zip(a_row) {
                     let bk: &[f32; NR] = bk.try_into().expect("NR-wide panel row");
                     for c in 0..NR {
@@ -301,6 +418,45 @@ mod tests {
                 "packed kernel diverged at m={m} k={k} n={n}"
             );
         }
+    }
+
+    #[test]
+    fn at_b_is_the_transposed_product_with_the_zero_skip() {
+        // a: 2x3, b: 2x2 → aᵀ·b: 3x2.
+        let a = [1.0, 2.0, 0.0, 4.0, 5.0, 0.0];
+        let b = [1.0, 0.0, 0.0, 1.0];
+        let mut out = [9.0f32; 6];
+        at_b_into(&a, &b, 2, 3, 2, &mut out);
+        assert_eq!(out, [1.0, 4.0, 2.0, 5.0, 0.0, 0.0]);
+        // A zero entry of `a` is skipped, not multiplied: its row of the
+        // product stays `+0.0` even against a non-finite `b`.
+        at_b_into(&a, &[f32::INFINITY; 4], 2, 3, 2, &mut out);
+        assert_eq!(out[4..], [0.0, 0.0]);
+    }
+
+    #[test]
+    fn sum_kernel_over_a_transposed_pack_is_the_scalar_dot() {
+        for &(m, k, n) in &[(1, 1, 1), (5, 7, 9), (3, 32, 128), (4, 64, 32), (9, 1, 17)] {
+            // `a`: m × k upstream rows; `w`: n × k weights, one row per output.
+            let (a, w) = dummy(m, k, n);
+            let mut packed = PackedGemm::default();
+            packed.repack_transposed(&w, n, k);
+            assert_eq!((packed.k(), packed.n()), (k, n));
+            let mut got = vec![0.0f32; m * n];
+            packed.gemm_sum_into(&a, m, &mut got);
+            for i in 0..m {
+                for j in 0..n {
+                    let dot: f32 = (0..k).map(|kk| a[i * k + kk] * w[j * k + kk]).sum();
+                    assert_eq!(got[i * n + j].to_bits(), dot.to_bits(), "m={m} k={k} n={n}");
+                }
+            }
+        }
+        // No terms: the empty sum, `-0.0`.
+        let mut packed = PackedGemm::default();
+        packed.repack_transposed(&[], 3, 0);
+        let mut out = vec![1.0f32; 6];
+        packed.gemm_sum_into(&[], 2, &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]

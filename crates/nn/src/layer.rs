@@ -1,6 +1,6 @@
 //! Dense (fully connected) layer with manual gradients.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,20 +11,57 @@ use crate::tensor::Matrix;
 /// A fully connected layer `y = x · W + b` with `W: in × out`.
 ///
 /// The layer stores only parameters; activations are cached by the caller
-/// (see [`crate::mlp::MlpCache`]) so a layer can be shared across several
+/// (see [`crate::mlp::MlpWorkspace`]) so a layer can be shared across several
 /// forward passes in flight (the computation cost model applies one shared
 /// encoder to many tables).
 ///
-/// Forward passes run through a packed-panel copy of `W` (see
-/// [`crate::gemm::PackedGemm`]) that is built lazily on first use and
-/// invalidated whenever the parameters are mutated. The cache is pure
-/// derived state: it never affects equality, serialization, or results
-/// (the packed kernel is bit-identical to the scalar reference).
+/// Forward passes run through a packed-panel copy of `W`, and input
+/// gradients through a packed-panel copy of `Wᵀ` (see
+/// [`crate::gemm::PackedGemm`]); each is built lazily on first use and
+/// invalidated whenever the parameters are mutated. The caches are pure
+/// derived state: they never affect equality, serialization, or results
+/// (the packed kernels are bit-identical to their scalar references).
 #[derive(Debug)]
 pub struct Dense {
     w: Matrix,
     b: Vec<f32>,
-    packed: OnceLock<PackedGemm>,
+    packed: Panels,
+    packed_t: Panels,
+}
+
+/// A lazily packed copy of the weights that recycles its allocation: a
+/// training loop invalidates it once per optimizer step, and the next pack
+/// writes into the buffer the last one left behind.
+#[derive(Debug, Default)]
+struct Panels {
+    live: OnceLock<PackedGemm>,
+    /// The invalidated generation's buffer, parked for the next pack.
+    spare: Mutex<Option<PackedGemm>>,
+}
+
+impl Panels {
+    /// The live panels, packed by `repack` (into the parked buffer when
+    /// there is one) if the weights changed since the last call.
+    fn get(&self, repack: impl FnOnce(&mut PackedGemm)) -> &PackedGemm {
+        self.live.get_or_init(|| {
+            // An `Option` is valid in any state, so a poisoned lock is too.
+            let spare = self
+                .spare
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let mut panels = spare.unwrap_or_default();
+            repack(&mut panels);
+            panels
+        })
+    }
+
+    /// Marks the panels stale, keeping their allocation for the next pack.
+    fn invalidate(&mut self) {
+        if let Some(stale) = self.live.take() {
+            *self.spare.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(stale);
+        }
+    }
 }
 
 impl Clone for Dense {
@@ -32,13 +69,19 @@ impl Clone for Dense {
         Self {
             w: self.w.clone(),
             b: self.b.clone(),
-            // Carry the packed panels over so clones stay on the fast path.
-            packed: self
-                .packed
-                .get()
-                .cloned()
-                .map(OnceLock::from)
-                .unwrap_or_default(),
+            // Carry the forward panels over so clones stay on the fast
+            // path; `Wᵀ` is training-only and re-packs on demand.
+            packed: Panels {
+                live: self
+                    .packed
+                    .live
+                    .get()
+                    .cloned()
+                    .map(OnceLock::from)
+                    .unwrap_or_default(),
+                spare: Mutex::default(),
+            },
+            packed_t: Panels::default(),
         }
     }
 }
@@ -73,7 +116,8 @@ impl serde::Deserialize for Dense {
         Ok(Dense {
             w: serde::__field(map, "w")?,
             b: serde::__field(map, "b")?,
-            packed: OnceLock::new(),
+            packed: Panels::default(),
+            packed_t: Panels::default(),
         })
     }
 }
@@ -89,7 +133,8 @@ impl Dense {
         Self {
             w: Matrix::from_flat(input_dim, output_dim, data),
             b: vec![0.0; output_dim],
-            packed: OnceLock::new(),
+            packed: Panels::default(),
+            packed_t: Panels::default(),
         }
     }
 
@@ -116,7 +161,13 @@ impl Dense {
     /// The packed-panel copy of `W`, built on first use.
     fn packed(&self) -> &PackedGemm {
         self.packed
-            .get_or_init(|| PackedGemm::pack(self.w.as_slice(), self.w.rows(), self.w.cols()))
+            .get(|p| p.repack(self.w.as_slice(), self.w.rows(), self.w.cols()))
+    }
+
+    /// The packed-panel copy of `Wᵀ`, built on first use.
+    fn packed_t(&self) -> &PackedGemm {
+        self.packed_t
+            .get(|p| p.repack_transposed(self.w.as_slice(), self.w.rows(), self.w.cols()))
     }
 
     /// Forward pass: `x (batch × in) → batch × out`.
@@ -145,18 +196,29 @@ impl Dense {
         out.add_row_bias(&self.b);
     }
 
-    /// Backward pass. Given the layer input `x` and the upstream gradient
-    /// `dy`, returns `(dx, dw, db)`.
+    /// The gradient on the layer input: `dx = dy · Wᵀ` (`batch × in`) into a
+    /// caller-provided matrix, reusing its allocation.
+    ///
+    /// Each `dx[r][i]` is bitwise the scalar dot
+    /// `dy.row(r).zip(W.row(i)).map(|(d, w)| d * w).sum::<f32>()` — one
+    /// accumulator per element, `k` ascending, from the `-0.0` that `sum`
+    /// folds from — computed sixteen `i` at a time over the packed `Wᵀ`
+    /// (`PackedGemm::gemm_sum_into`). The parameter gradients of a layer do
+    /// not involve its weights — they are `xᵀ · dy` and the column sums of
+    /// `dy` — so [`crate::Mlp::backward`] forms them itself.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatches.
-    pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
-        assert_eq!(x.rows(), dy.rows(), "batch mismatch in backward");
-        let dx = dy.matmul_t(&self.w); // dy (b×out) · Wᵀ (out×in)
-        let dw = x.t_matmul(dy); // xᵀ (in×b) · dy (b×out)
-        let db = dy.col_sums();
-        (dx, dw, db)
+    /// Panics if `dy.cols() != output_dim`.
+    pub(crate) fn input_grad_into(&self, dy: &Matrix, dx: &mut Matrix) {
+        assert_eq!(
+            dy.cols(),
+            self.output_dim(),
+            "input gradient shape mismatch"
+        );
+        dx.reset(dy.rows(), self.input_dim());
+        self.packed_t()
+            .gemm_sum_into(dy.as_slice(), dy.rows(), dx.as_mut_slice());
     }
 
     /// Applies a parameter update: `W += dw_scaled`, `b += db_scaled`.
@@ -165,7 +227,8 @@ impl Dense {
     ///
     /// Panics on shape mismatches.
     pub fn apply_update(&mut self, dw: &Matrix, db: &[f32]) {
-        self.packed.take();
+        self.packed.invalidate();
+        self.packed_t.invalidate();
         self.w.add_scaled(dw, 1.0);
         assert_eq!(db.len(), self.b.len(), "bias update length mismatch");
         for (b, &d) in self.b.iter_mut().zip(db) {
@@ -176,40 +239,34 @@ impl Dense {
     /// Direct mutable access to the parameters (weights buffer then bias),
     /// used by the optimizer.
     pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
-        self.packed.take();
+        self.packed.invalidate();
+        self.packed_t.invalidate();
         (self.w.as_mut_slice(), &mut self.b)
     }
 }
 
-/// ReLU forward: `max(0, x)` element-wise, returning a new matrix.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    relu_inplace(&mut y);
-    y
-}
-
-/// ReLU forward in place: `max(0, x)` element-wise (bit-identical to
-/// [`relu`], without the allocation).
+/// ReLU forward in place: `max(0, x)` element-wise.
 pub fn relu_inplace(x: &mut Matrix) {
     x.map_inplace(|v| v.max(0.0));
 }
 
-/// ReLU backward: zeroes the upstream gradient wherever the *pre-activation*
-/// input was non-positive.
+/// ReLU backward in place: zeroes the upstream gradient `d` wherever the
+/// unit was off.
+///
+/// `post` is the unit's **post**-activation `max(0, pre)`: it is zero
+/// exactly where the pre-activation was non-positive, so the forward pass
+/// does not have to keep both.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ.
-pub fn relu_backward(pre_activation: &Matrix, dy: &Matrix) -> Matrix {
-    assert_eq!(pre_activation.rows(), dy.rows(), "relu shape mismatch");
-    assert_eq!(pre_activation.cols(), dy.cols(), "relu shape mismatch");
-    let mut dx = dy.clone();
-    for (d, &p) in dx.as_mut_slice().iter_mut().zip(pre_activation.as_slice()) {
+/// Panics if lengths differ.
+pub(crate) fn relu_backward_inplace(post: &[f32], d: &mut [f32]) {
+    assert_eq!(post.len(), d.len(), "relu shape mismatch");
+    for (d, &p) in d.iter_mut().zip(post) {
         if p <= 0.0 {
             *d = 0.0;
         }
     }
-    dx
 }
 
 #[cfg(test)]
@@ -237,18 +294,40 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let x = Matrix::from_rows([vec![-1.0, 0.0, 2.0]]);
-        assert_eq!(relu(&x), Matrix::from_rows([vec![0.0, 0.0, 2.0]]));
+        let mut x = Matrix::from_rows([vec![-1.0, 0.0, 2.0]]);
+        relu_inplace(&mut x);
+        assert_eq!(x, Matrix::from_rows([vec![0.0, 0.0, 2.0]]));
     }
 
     #[test]
     fn relu_backward_masks() {
-        let pre = Matrix::from_rows([vec![-1.0, 0.5]]);
-        let dy = Matrix::from_rows([vec![3.0, 3.0]]);
-        assert_eq!(
-            relu_backward(&pre, &dy),
-            Matrix::from_rows([vec![0.0, 3.0]])
-        );
+        let mut act = Matrix::from_rows([vec![-1.0, -0.0, 0.5]]);
+        relu_inplace(&mut act);
+        let mut d = [3.0, 3.0, 3.0];
+        relu_backward_inplace(act.as_slice(), &mut d);
+        assert_eq!(d, [0.0, 0.0, 3.0]);
+    }
+
+    #[test]
+    fn panels_follow_the_weights_and_recycle_their_buffer() {
+        let mut layer = Dense::new(3, 20, 4);
+        let x = Matrix::from_rows([vec![0.5, -1.0, 2.0]]);
+        let dy = Matrix::from_rows([(0..20).map(|i| i as f32 - 7.5).collect::<Vec<_>>()]);
+        let mut dx = Matrix::default();
+        for step in 0..3 {
+            layer.params_mut().0[step] += 0.25;
+            let mut fresh = Dense::new(3, 20, 4);
+            for s in 0..=step {
+                fresh.params_mut().0[s] += 0.25;
+            }
+            assert_eq!(layer.forward(&x), fresh.forward(&x));
+            layer.input_grad_into(&dy, &mut dx);
+            let mut want = Matrix::default();
+            fresh.input_grad_into(&dy, &mut want);
+            assert_eq!(dx, want);
+            // The live panels are the ones parked by the last invalidation.
+            assert!(layer.packed.spare.lock().unwrap().is_none());
+        }
     }
 
     /// Finite-difference gradient check on a tiny layer.
@@ -258,7 +337,10 @@ mod tests {
         let x = Matrix::from_rows([vec![0.5, -0.3, 0.8], vec![-0.1, 0.4, 0.2]]);
         // Loss = sum of outputs; dL/dy = ones.
         let dy = Matrix::from_rows([vec![1.0, 1.0], vec![1.0, 1.0]]);
-        let (dx, dw, db) = layer.backward(&x, &dy);
+        let (mut dx, mut dw, mut db) = (Matrix::default(), Matrix::zeros(3, 2), [0.0; 2]);
+        layer.input_grad_into(&dy, &mut dx);
+        crate::gemm::at_b_into(x.as_slice(), dy.as_slice(), 2, 3, 2, dw.as_mut_slice());
+        dy.col_sums_into(&mut db);
 
         let loss = |layer: &Dense, x: &Matrix| -> f32 { layer.forward(x).as_slice().iter().sum() };
         let eps = 1e-3;

@@ -48,14 +48,16 @@ pub mod gemm;
 pub mod layer;
 pub mod loss;
 pub mod mlp;
+#[cfg(test)]
+mod reference;
 pub mod serialize;
 pub mod tensor;
 pub mod train;
 
 pub use adam::Adam;
 pub use layer::Dense;
-pub use loss::{mse, mse_grad, mse_grad_scaled};
-pub use mlp::{Gradients, Mlp, MlpCache, MlpScratch};
+pub use loss::{mse, mse_grad};
+pub use mlp::{Gradients, Mlp, MlpScratch, MlpWorkspace};
 pub use serialize::{
     envelope_from_json, envelope_to_json, load_envelope, save_envelope, Checkpoint,
     CheckpointError, Envelope, CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,

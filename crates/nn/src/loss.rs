@@ -36,11 +36,14 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> f32 {
 ///
 /// Panics if shapes differ.
 pub fn mse_grad(pred: &Matrix, target: &Matrix) -> Matrix {
-    mse_grad_scaled(pred, target, pred.rows() * pred.cols())
+    let mut grad = Matrix::default();
+    mse_grad_scaled_into(pred, target, pred.rows() * pred.cols(), &mut grad);
+    grad
 }
 
 /// Gradient of the squared error summed over this shard and divided by
-/// `total_elems`: `2 (pred - target) / total_elems`.
+/// `total_elems`, written into `grad` (reusing its allocation):
+/// `2 (pred - target) / total_elems`.
 ///
 /// This is the per-shard building block of the data-parallel trainer: each
 /// row shard of a mini-batch computes its gradient against the *whole*
@@ -53,15 +56,19 @@ pub fn mse_grad(pred: &Matrix, target: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics if shapes differ.
-pub fn mse_grad_scaled(pred: &Matrix, target: &Matrix, total_elems: usize) -> Matrix {
+pub(crate) fn mse_grad_scaled_into(
+    pred: &Matrix,
+    target: &Matrix,
+    total_elems: usize,
+    grad: &mut Matrix,
+) {
     assert_eq!(pred.rows(), target.rows(), "mse shape mismatch");
     assert_eq!(pred.cols(), target.cols(), "mse shape mismatch");
     let n = total_elems.max(1) as f32;
-    let mut grad = pred.clone();
+    grad.copy_from(pred);
     for (g, &t) in grad.as_mut_slice().iter_mut().zip(target.as_slice()) {
         *g = 2.0 * (*g - t) / n;
     }
-    grad
 }
 
 #[cfg(test)]

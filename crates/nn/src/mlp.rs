@@ -2,7 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::layer::{relu, relu_backward, relu_inplace, Dense};
+use std::ops::Range;
+
+use crate::layer::{relu_backward_inplace, relu_inplace, Dense};
 use crate::tensor::Matrix;
 
 /// Reusable activation buffers for allocation-free forward passes.
@@ -43,15 +45,45 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
-/// Cached intermediate activations of one forward pass, needed by
-/// [`Mlp::backward`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpCache {
-    /// `inputs[i]` is the input to layer `i` (post-activation of `i-1`).
-    inputs: Vec<Matrix>,
-    /// `pre_acts[i]` is the pre-activation output of layer `i` (only layers
-    /// followed by a ReLU are recorded meaningfully).
-    pre_acts: Vec<Matrix>,
+/// The buffers of one training forward + backward pass, reused from pass
+/// to pass: after the first pass of a given batch shape a step allocates
+/// nothing.
+///
+/// The caller writes the input batch into [`MlpWorkspace::input_mut`],
+/// [`Mlp::forward_train`] writes every layer's post-activation output
+/// once, and [`Mlp::backward`] ping-pongs the layer gradients through two
+/// more matrices. ReLU's backward mask is read off the post-activations,
+/// so pre-activations are not kept.
+#[derive(Debug, Default)]
+pub struct MlpWorkspace {
+    x: Matrix,
+    /// `acts[i]` is the output of layer `i`, after its ReLU if it has one;
+    /// it is the input of layer `i + 1`.
+    acts: Vec<Matrix>,
+    /// The gradient on the output of the layer the backward pass is at.
+    d: Matrix,
+    d_next: Matrix,
+    /// The layer whose pre-activation gradient `d` holds after a backward
+    /// pass.
+    d_layer: Option<usize>,
+}
+
+impl MlpWorkspace {
+    /// Empty workspace; buffers are sized by the first pass.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The input batch of the next [`Mlp::forward_train`] (and of the
+    /// backward passes that follow it).
+    pub fn input_mut(&mut self) -> &mut Matrix {
+        &mut self.x
+    }
+
+    /// The output of the last [`Mlp::forward_train`].
+    pub fn output(&self) -> &Matrix {
+        self.acts.last().unwrap_or(&self.x)
+    }
 }
 
 /// Per-layer parameter gradients produced by [`Mlp::backward`].
@@ -62,19 +94,12 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Zeroes the gradients of the given layers in place (out-of-range
-    /// indices are ignored).
-    ///
-    /// Used to freeze layers during fine-tuning: Adam's moment estimates
-    /// for a layer whose gradients are always zero stay zero, so the
-    /// resulting parameter update is exactly `lr·0/(√0+ε) = 0` — the layer
-    /// is bitwise untouched, from any fresh optimizer state.
-    pub fn zero_layers(&mut self, layers: &[usize]) {
-        for &idx in layers {
-            if let Some((dw, db)) = self.layers.get_mut(idx) {
-                dw.as_mut_slice().fill(0.0);
-                db.iter_mut().for_each(|b| *b = 0.0);
-            }
+    /// Zeroes every gradient in place (an accumulator starting its next
+    /// mini-batch).
+    pub fn zero(&mut self) {
+        for (dw, db) in &mut self.layers {
+            dw.as_mut_slice().fill(0.0);
+            db.fill(0.0);
         }
     }
 
@@ -111,33 +136,6 @@ impl Gradients {
                 *b += o * scale;
             }
         }
-    }
-
-    /// Sums a list of gradients with a fixed-order pairwise tree reduction:
-    /// level by level, element `2k` absorbs element `2k + 1`.
-    ///
-    /// The reduction order is a pure function of `grads.len()`, never of
-    /// which thread produced which entry — the property that lets the
-    /// data-parallel trainer produce bit-identical weights at any worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` is empty or the shapes mismatch.
-    pub fn tree_reduce(mut grads: Vec<Gradients>) -> Gradients {
-        assert!(!grads.is_empty(), "cannot reduce zero gradients");
-        while grads.len() > 1 {
-            let mut next = Vec::with_capacity(grads.len().div_ceil(2));
-            let mut it = grads.into_iter();
-            while let Some(mut left) = it.next() {
-                if let Some(right) = it.next() {
-                    left.accumulate(&right, 1.0);
-                }
-                next.push(left);
-            }
-            grads = next;
-        }
-        grads.pop().expect("one gradient remains")
     }
 }
 
@@ -190,8 +188,10 @@ impl Mlp {
         let mut h = x.clone();
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&h);
-            h = if i < last { relu(&pre) } else { pre };
+            h = layer.forward(&h);
+            if i < last {
+                relu_inplace(&mut h);
+            }
         }
         h
     }
@@ -224,49 +224,95 @@ impl Mlp {
         cur
     }
 
-    /// Forward pass that records the cache needed for [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, MlpCache) {
-        let mut cache = MlpCache {
-            inputs: Vec::with_capacity(self.layers.len()),
-            pre_acts: Vec::with_capacity(self.layers.len()),
-        };
-        let mut h = x.clone();
+    /// Training forward pass over the batch in [`MlpWorkspace::input_mut`]:
+    /// every layer's output is written once into `ws`, where
+    /// [`Mlp::backward`] finds it. Bit-identical to [`Mlp::forward`], and
+    /// row-independent: a row's activations do not depend on which other
+    /// rows share its batch.
+    pub fn forward_train<'w>(&self, ws: &'w mut MlpWorkspace) -> &'w Matrix {
+        ws.acts.resize_with(self.layers.len(), Matrix::default);
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
-            cache.inputs.push(h.clone());
-            let pre = layer.forward(&h);
-            cache.pre_acts.push(pre.clone());
-            h = if i < last { relu(&pre) } else { pre };
+            let (done, rest) = ws.acts.split_at_mut(i);
+            layer.forward_into(done.last().unwrap_or(&ws.x), &mut rest[0]);
+            if i < last {
+                relu_inplace(&mut rest[0]);
+            }
         }
-        (h, cache)
+        ws.output()
     }
 
-    /// Backward pass: given the cache of a [`Mlp::forward_cached`] call and
-    /// the upstream gradient `dy` on the output, returns the gradient on the
-    /// input plus per-layer parameter gradients.
+    /// Backward pass of rows `rows` of the last [`Mlp::forward_train`] on
+    /// `ws`, given the upstream gradient `dy` on those rows' outputs:
+    /// overwrites `grads` with their parameter gradients.
+    ///
+    /// Only what has a consumer is formed. Layers listed in `frozen` get no
+    /// parameter gradient (their entries of `grads` are left as they are),
+    /// an input gradient `d · Wᵀ` is formed only for layers above the
+    /// lowest unfrozen one, and never for layer 0 — the one caller that
+    /// needs it asks [`Mlp::input_gradient`] afterwards.
+    ///
+    /// A mini-batch may be cut into row ranges freely on the forward side
+    /// (rows are independent) but a range's gradient sums over its rows in
+    /// ascending order, so *which* ranges are taken is part of a trainer's
+    /// numerical contract.
     ///
     /// # Panics
     ///
-    /// Panics if `cache` does not match this network's depth.
-    pub fn backward(&self, cache: &MlpCache, dy: &Matrix) -> (Matrix, Gradients) {
-        assert_eq!(
-            cache.inputs.len(),
-            self.layers.len(),
-            "cache depth mismatch"
-        );
-        let mut grads = Vec::with_capacity(self.layers.len());
-        let mut d = dy.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            if i < last {
-                d = relu_backward(&cache.pre_acts[i], &d);
+    /// Panics if `ws` holds no forward pass of this network, or on shape
+    /// mismatches between `rows`, `dy` and `grads`.
+    pub fn backward(
+        &self,
+        ws: &mut MlpWorkspace,
+        rows: Range<usize>,
+        dy: &Matrix,
+        frozen: &[usize],
+        grads: &mut Gradients,
+    ) {
+        let depth = self.layers.len();
+        assert_eq!(ws.acts.len(), depth, "workspace depth mismatch");
+        assert_eq!(grads.layers.len(), depth, "gradient layer mismatch");
+        assert_eq!(dy.rows(), rows.len(), "batch mismatch in backward");
+        ws.d_layer = None;
+        let Some(lowest) = (0..depth).find(|i| !frozen.contains(i)) else {
+            return;
+        };
+        ws.d.copy_from(dy);
+        for i in (lowest..depth).rev() {
+            if i + 1 < depth {
+                relu_backward_inplace(ws.acts[i].row_range(rows.clone()), ws.d.as_mut_slice());
             }
-            let (dx, dw, db) = layer.backward(&cache.inputs[i], &d);
-            grads.push((dw, db));
-            d = dx;
+            if !frozen.contains(&i) {
+                let input = if i == 0 { &ws.x } else { &ws.acts[i - 1] };
+                let (dw, db) = &mut grads.layers[i];
+                crate::gemm::at_b_into(
+                    input.row_range(rows.clone()),
+                    ws.d.as_slice(),
+                    rows.len(),
+                    input.cols(),
+                    ws.d.cols(),
+                    dw.as_mut_slice(),
+                );
+                ws.d.col_sums_into(db);
+            }
+            if i > lowest {
+                self.layers[i].input_grad_into(&ws.d, &mut ws.d_next);
+                std::mem::swap(&mut ws.d, &mut ws.d_next);
+            }
         }
-        grads.reverse();
-        (d, Gradients { layers: grads })
+        ws.d_layer = Some(lowest);
+    }
+
+    /// The gradient on the input rows of the last [`Mlp::backward`] on
+    /// `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless that pass ran down to layer 0 (no frozen prefix).
+    pub fn input_gradient<'w>(&self, ws: &'w mut MlpWorkspace) -> &'w Matrix {
+        assert_eq!(ws.d_layer, Some(0), "no backward pass reached layer 0");
+        self.layers[0].input_grad_into(&ws.d, &mut ws.d_next);
+        &ws.d_next
     }
 }
 
@@ -314,21 +360,45 @@ mod tests {
         }
     }
 
+    /// One forward + backward pass over all rows of `x`: the input
+    /// gradient and the parameter gradients.
+    fn pass(mlp: &Mlp, x: &Matrix, dy: &Matrix) -> (Matrix, Gradients) {
+        let mut ws = MlpWorkspace::new();
+        let mut grads = Gradients::zeros_like(mlp);
+        ws.input_mut().copy_from(x);
+        mlp.forward_train(&mut ws);
+        mlp.backward(&mut ws, 0..x.rows(), dy, &[], &mut grads);
+        (mlp.input_gradient(&mut ws).clone(), grads)
+    }
+
     #[test]
-    fn cached_forward_matches_plain_forward() {
+    fn training_forward_matches_plain_forward() {
         let mlp = Mlp::new(4, &[8, 8], 2, 3);
         let x = Matrix::from_rows([vec![0.1, -0.2, 0.3, 0.4], vec![1.0, 2.0, -3.0, 0.5]]);
-        let (y, _) = mlp.forward_cached(&x);
-        assert_eq!(y, mlp.forward(&x));
+        let mut ws = MlpWorkspace::new();
+        ws.input_mut().copy_from(&x);
+        assert_eq!(mlp.forward_train(&mut ws), &mlp.forward(&x));
+        assert_eq!(ws.output(), &mlp.forward(&x));
+    }
+
+    #[test]
+    #[should_panic(expected = "reached layer 0")]
+    fn input_gradient_needs_a_pass_down_to_layer_zero() {
+        let mlp = Mlp::new(2, &[3], 1, 0);
+        let mut ws = MlpWorkspace::new();
+        let mut grads = Gradients::zeros_like(&mlp);
+        *ws.input_mut() = Matrix::from_rows([vec![1.0, -1.0]]);
+        mlp.forward_train(&mut ws);
+        let dy = Matrix::from_rows([vec![1.0]]);
+        mlp.backward(&mut ws, 0..1, &dy, &[0], &mut grads);
+        let _ = mlp.input_gradient(&mut ws);
     }
 
     #[test]
     fn gradient_check_full_network() {
         let mlp = Mlp::new(3, &[5], 1, 7);
         let x = Matrix::from_rows([vec![0.2, -0.5, 0.9]]);
-        let (_, cache) = mlp.forward_cached(&x);
-        let dy = Matrix::from_rows([vec![1.0]]);
-        let (dx, grads) = mlp.backward(&cache, &dy);
+        let (dx, grads) = pass(&mlp, &x, &Matrix::from_rows([vec![1.0]]));
 
         let loss = |m: &Mlp, x: &Matrix| m.forward(x).get(0, 0);
         let base = loss(&mlp, &x);
@@ -362,8 +432,7 @@ mod tests {
     fn gradients_accumulate() {
         let mlp = Mlp::new(2, &[3], 1, 0);
         let x = Matrix::from_rows([vec![1.0, -1.0]]);
-        let (_, cache) = mlp.forward_cached(&x);
-        let (_, g) = mlp.backward(&cache, &Matrix::from_rows([vec![1.0]]));
+        let (_, g) = pass(&mlp, &x, &Matrix::from_rows([vec![1.0]]));
         let mut acc = Gradients::zeros_like(&mlp);
         acc.accumulate(&g, 2.0);
         acc.accumulate(&g, -2.0);
@@ -371,41 +440,9 @@ mod tests {
             assert!(dw.norm() < 1e-6);
             assert!(db.iter().all(|&v| v.abs() < 1e-6));
         }
-    }
-
-    #[test]
-    fn tree_reduce_sums_in_fixed_order() {
-        let mlp = Mlp::new(2, &[3], 1, 0);
-        let x = Matrix::from_rows([vec![1.0, -1.0]]);
-        let (_, cache) = mlp.forward_cached(&x);
-        let (_, g) = mlp.backward(&cache, &Matrix::from_rows([vec![1.0]]));
-        // For three entries the tree order is exactly ((a + b) + c).
-        let scaled = |s: f32| {
-            let mut out = Gradients::zeros_like(&mlp);
-            out.accumulate(&g, s);
-            out
-        };
-        let (a, b, c) = (scaled(1.0), scaled(0.25), scaled(-0.5));
-        let mut expected = a.clone();
-        expected.accumulate(&b, 1.0);
-        expected.accumulate(&c, 1.0);
-        let reduced = Gradients::tree_reduce(vec![a.clone(), b.clone(), c.clone()]);
-        for ((rw, rb), (sw, sb)) in reduced.layers.iter().zip(&expected.layers) {
-            assert_eq!(rw.as_slice(), sw.as_slice());
-            assert_eq!(rb, sb);
-        }
-        // The reduction is a pure function of its inputs.
-        let again = Gradients::tree_reduce(vec![a, b, c]);
-        assert_eq!(again.layers[0].0.as_slice(), reduced.layers[0].0.as_slice());
-        // Single-element reduction is the identity.
-        let one = Gradients::tree_reduce(vec![g.clone()]);
-        assert_eq!(one.layers[0].0.as_slice(), g.layers[0].0.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero gradients")]
-    fn tree_reduce_rejects_empty() {
-        let _ = Gradients::tree_reduce(Vec::new());
+        acc.accumulate(&g, 1.0);
+        acc.zero();
+        assert_eq!(acc, Gradients::zeros_like(&mlp));
     }
 
     #[test]

@@ -1,0 +1,406 @@
+//! The training step as it stood before the workspace rewrite, compiled only
+//! under `#[cfg(test)]` (see `lib.rs`), and the oracle tests that hold the
+//! new step to it bit for bit.
+//!
+//! The reference is the old code kept verbatim in shape: the scalar
+//! `.sum()` dot for `dy · Wᵀ`, an input gradient for every layer, three
+//! clones per activation, a fresh `Gradients` per shard, the consuming
+//! tree reduction, and frozen layers computed and then zeroed. The rewrite
+//! promises the same floating-point operations in the same order, so every
+//! comparison here is by `to_bits`.
+
+use nshard_pool::WorkPool;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::adam::Adam;
+use crate::layer::Dense;
+use crate::loss::{mse, mse_grad_scaled_into};
+use crate::mlp::{Gradients, Mlp, MlpWorkspace};
+use crate::tensor::Matrix;
+use crate::train::{Dataset, Split, TrainConfig, TrainReport, Trainer, GRAD_SHARD_ROWS};
+
+/// `a · bᵀ`, one scalar `.sum()` dot per element.
+fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), b.cols(), "matmul_t shape mismatch");
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let dot: f32 = a.row(i).iter().zip(b.row(j)).map(|(&a, &b)| a * b).sum();
+            out.set(i, j, dot);
+        }
+    }
+    out
+}
+
+/// `aᵀ · b`, rows ascending, zero entries of `a` skipped.
+fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.rows(), b.rows(), "t_matmul shape mismatch");
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    for r in 0..a.rows() {
+        for (i, &av) in a.row(r).iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(r)) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
+fn dense_backward(layer: &Dense, x: &Matrix, dy: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
+    (matmul_t(dy, layer.weights()), t_matmul(x, dy), col_sums(dy))
+}
+
+fn col_sums(m: &Matrix) -> Vec<f32> {
+    let mut sums = vec![0.0; m.cols()];
+    for r in 0..m.rows() {
+        for (s, &v) in sums.iter_mut().zip(m.row(r)) {
+            *s += v;
+        }
+    }
+    sums
+}
+
+fn relu(x: &Matrix) -> Matrix {
+    let mut y = x.clone();
+    y.map_inplace(|v| v.max(0.0));
+    y
+}
+
+fn relu_backward(pre_activation: &Matrix, dy: &Matrix) -> Matrix {
+    let mut dx = dy.clone();
+    for (d, &p) in dx.as_mut_slice().iter_mut().zip(pre_activation.as_slice()) {
+        if p <= 0.0 {
+            *d = 0.0;
+        }
+    }
+    dx
+}
+
+struct Cache {
+    inputs: Vec<Matrix>,
+    pre_acts: Vec<Matrix>,
+}
+
+fn forward_cached(mlp: &Mlp, x: &Matrix) -> (Matrix, Cache) {
+    let mut cache = Cache {
+        inputs: Vec::new(),
+        pre_acts: Vec::new(),
+    };
+    let mut h = x.clone();
+    let last = mlp.layers().len().saturating_sub(1);
+    for (i, layer) in mlp.layers().iter().enumerate() {
+        cache.inputs.push(h.clone());
+        let pre = layer.forward(&h);
+        cache.pre_acts.push(pre.clone());
+        h = if i < last { relu(&pre) } else { pre };
+    }
+    (h, cache)
+}
+
+fn backward(mlp: &Mlp, cache: &Cache, dy: &Matrix) -> (Matrix, Gradients) {
+    let mut grads = Vec::new();
+    let mut d = dy.clone();
+    let last = mlp.layers().len() - 1;
+    for (i, layer) in mlp.layers().iter().enumerate().rev() {
+        if i < last {
+            d = relu_backward(&cache.pre_acts[i], &d);
+        }
+        let (dx, dw, db) = dense_backward(layer, &cache.inputs[i], &d);
+        grads.push((dw, db));
+        d = dx;
+    }
+    grads.reverse();
+    (d, Gradients { layers: grads })
+}
+
+fn tree_reduce(mut grads: Vec<Gradients>) -> Gradients {
+    while grads.len() > 1 {
+        let mut next = Vec::new();
+        let mut it = grads.into_iter();
+        while let Some(mut left) = it.next() {
+            if let Some(right) = it.next() {
+                left.accumulate(&right, 1.0);
+            }
+            next.push(left);
+        }
+        grads = next;
+    }
+    grads.pop().expect("one gradient remains")
+}
+
+fn batch_gradients(mlp: &Mlp, train: &Dataset, chunk: &[usize], pool: &WorkPool) -> Gradients {
+    let total_elems = chunk.len() * train.y().cols();
+    let shards: Vec<&[usize]> = chunk.chunks(GRAD_SHARD_ROWS).collect();
+    let per_shard = pool.map(&shards, |shard| {
+        let xb = train.x().select_rows(shard);
+        let yb = train.y().select_rows(shard);
+        let (pred, cache) = forward_cached(mlp, &xb);
+        let mut dy = Matrix::default();
+        mse_grad_scaled_into(&pred, &yb, total_elems, &mut dy);
+        backward(mlp, &cache, &dy).1
+    });
+    tree_reduce(per_shard)
+}
+
+fn zero_layers(grads: &mut Gradients, layers: &[usize]) {
+    for &idx in layers {
+        if let Some((dw, db)) = grads.layers.get_mut(idx) {
+            dw.as_mut_slice().fill(0.0);
+            db.fill(0.0);
+        }
+    }
+}
+
+fn fit_split(
+    config: &TrainConfig,
+    frozen: &[usize],
+    mut mlp: Mlp,
+    split: &Split,
+    seed: u64,
+) -> (TrainReport, Mlp) {
+    let pool = WorkPool::new(config.threads);
+    let mut adam = Adam::new(&mlp, config.learning_rate);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
+    let n = split.train.len();
+    let batch = config.batch_size.clamp(1, n);
+    let mut best = mlp.clone();
+    let mut best_valid = f32::INFINITY;
+    let mut valid_history = Vec::new();
+    let mut order: Vec<usize> = (0..n).collect();
+    for _epoch in 0..config.epochs {
+        for i in (1..n).rev() {
+            let j = rng.random_range(0..=i);
+            order.swap(i, j);
+        }
+        for chunk in order.chunks(batch) {
+            let mut grads = batch_gradients(&mlp, &split.train, chunk, &pool);
+            zero_layers(&mut grads, frozen);
+            adam.step(&mut mlp, &grads);
+        }
+        let valid_mse = mse(&mlp.forward(split.valid.x()), split.valid.y());
+        valid_history.push(valid_mse);
+        if valid_mse < best_valid {
+            best_valid = valid_mse;
+            best = mlp.clone();
+        }
+    }
+    let report = TrainReport {
+        train_mse: mse(&best.forward(split.train.x()), split.train.y()),
+        valid_mse: best_valid,
+        test_mse: mse(&best.forward(split.test.x()), split.test.y()),
+        epochs_run: config.epochs,
+        valid_history,
+    };
+    (report, best)
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn grad_bits(grads: &Gradients) -> Vec<Vec<u32>> {
+    grads
+        .layers
+        .iter()
+        .flat_map(|(dw, db)| [bits(dw.as_slice()), bits(db)])
+        .collect()
+}
+
+fn weight_bits(mlp: &Mlp) -> Vec<Vec<u32>> {
+    mlp.layers()
+        .iter()
+        .flat_map(|l| [bits(l.weights().as_slice()), bits(l.bias())])
+        .collect()
+}
+
+/// Values with exact zeros, negative zeros and both signs mixed in, so the
+/// zero skip of `aᵀ·b` and ReLU's mask both fire.
+fn matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| match rng.random_range(0..6u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.random::<f32>() * 4.0 - 2.0,
+        })
+        .collect();
+    Matrix::from_flat(rows, cols, data)
+}
+
+/// Two to five layer widths (zero to three hidden layers) that are mostly
+/// not multiples of the 16-wide panel, down to one column.
+fn dims(rng: &mut StdRng) -> Vec<usize> {
+    (0..rng.random_range(2..=5usize))
+        .map(|_| match rng.random_range(0..6u32) {
+            0 => 1,
+            1 => 16,
+            2 => 17,
+            3 => 33,
+            _ => rng.random_range(2..40usize),
+        })
+        .collect()
+}
+
+fn mlp_of(dims: &[usize], seed: u64) -> Mlp {
+    Mlp::new(
+        dims[0],
+        &dims[1..dims.len() - 1],
+        dims[dims.len() - 1],
+        seed,
+    )
+}
+
+proptest! {
+    /// The packed `Wᵀ` kernel against the scalar `.sum()` dot, any shape.
+    #[test]
+    fn input_gradient_kernel_is_the_scalar_dot(
+        rows in 1usize..9,
+        input in 1usize..40,
+        output in 1usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let layer = Dense::new(input, output, seed);
+        let dy = matrix(&mut StdRng::seed_from_u64(seed), rows, output);
+        let mut dx = Matrix::default();
+        layer.input_grad_into(&dy, &mut dx);
+        let want = matmul_t(&dy, layer.weights());
+        prop_assert_eq!(bits(dx.as_slice()), bits(want.as_slice()));
+    }
+
+    /// One forward + backward pass against the old step — predictions,
+    /// parameter gradients, input gradient — and the row-range form against
+    /// whole passes over each range's rows.
+    #[test]
+    fn step_matches_the_reference(rows in 1usize..7, cut in 0usize..7, seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = dims(&mut rng);
+        let mlp = mlp_of(&dims, seed);
+        let x = matrix(&mut rng, rows, dims[0]);
+        let dy = matrix(&mut rng, rows, dims[dims.len() - 1]);
+
+        let mut ws = MlpWorkspace::new();
+        let mut grads = Gradients::zeros_like(&mlp);
+        ws.input_mut().copy_from(&x);
+        let pred = mlp.forward_train(&mut ws).clone();
+        let (want_pred, cache) = forward_cached(&mlp, &x);
+        prop_assert_eq!(bits(pred.as_slice()), bits(want_pred.as_slice()));
+
+        mlp.backward(&mut ws, 0..rows, &dy, &[], &mut grads);
+        let (want_dx, want) = backward(&mlp, &cache, &dy);
+        prop_assert_eq!(grad_bits(&grads), grad_bits(&want));
+        let dx = mlp.input_gradient(&mut ws);
+        prop_assert_eq!(bits(dx.as_slice()), bits(want_dx.as_slice()));
+
+        let cut = cut.min(rows);
+        for range in [0..cut, cut..rows] {
+            let picked: Vec<usize> = range.clone().collect();
+            let (x, dy) = (x.select_rows(&picked), dy.select_rows(&picked));
+            mlp.backward(&mut ws, range, &dy, &[], &mut grads);
+            let (_, cache) = forward_cached(&mlp, &x);
+            let (_, want) = backward(&mlp, &cache, &dy);
+            prop_assert_eq!(grad_bits(&grads), grad_bits(&want));
+        }
+    }
+
+    /// Whole fits against the old trainer: weights and reports, frozen and
+    /// unfrozen layers, mini-batches shorter and longer than a shard, any
+    /// thread count.
+    #[test]
+    fn fit_matches_the_reference(
+        n in 5usize..200,
+        batch in 1usize..200,
+        frozen in proptest::collection::vec(0usize..5, 0..3),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = dims(&mut rng);
+        let data = Dataset::new(
+            matrix(&mut rng, n, dims[0]),
+            matrix(&mut rng, n, dims[dims.len() - 1]),
+        )
+        .expect("non-empty dataset");
+        let split = data.split(seed);
+        let init = mlp_of(&dims, seed ^ 0x51);
+        let base = TrainConfig { epochs: 3, batch_size: batch, learning_rate: 2e-3, threads: 1 };
+        let (want_report, want_model) = fit_split(&base, &frozen, init.clone(), &split, seed);
+        for threads in [1, 2, 3, 8] {
+            let mut trainer = Trainer::new(TrainConfig { threads, ..base })
+                .with_frozen_layers(frozen.clone());
+            let report = trainer.fit_split(init.clone(), &split, seed);
+            let model = trainer.into_best_model().expect("fit sets a model");
+            prop_assert!(
+                weight_bits(&model) == weight_bits(&want_model),
+                "weights diverged at {} threads",
+                threads
+            );
+            prop_assert_eq!(bits(&report.valid_history), bits(&want_report.valid_history));
+            prop_assert_eq!(
+                bits(&[report.train_mse, report.valid_mse, report.test_mse]),
+                bits(&[want_report.train_mse, want_report.valid_mse, want_report.test_mse])
+            );
+        }
+    }
+}
+
+/// All-zero upstream rows against negative weights: every product is
+/// `-0.0`, so the sum keeps the sign only if its accumulator started at the
+/// `-0.0` that `Iterator::sum::<f32>` folds from. Gradients and weights
+/// cannot catch a `+0.0` start (the next product absorbs a zero's sign);
+/// this is the one place it shows.
+#[test]
+fn input_gradient_kernel_folds_from_negative_zero() {
+    assert_eq!(
+        std::iter::empty::<f32>().sum::<f32>().to_bits(),
+        0x8000_0000
+    );
+    for (input, output) in [(1, 1), (5, 3), (16, 16), (33, 20)] {
+        let mut layer = Dense::new(input, output, 7);
+        layer
+            .params_mut()
+            .0
+            .iter_mut()
+            .for_each(|w| *w = -w.abs() - 0.5);
+        let dy = Matrix::zeros(3, output);
+        let mut dx = Matrix::default();
+        layer.input_grad_into(&dy, &mut dx);
+        let want = matmul_t(&dy, layer.weights());
+        assert!(want.as_slice().iter().all(|v| v.to_bits() == 0x8000_0000));
+        assert_eq!(bits(dx.as_slice()), bits(want.as_slice()));
+    }
+}
+
+#[test]
+fn slot_tree_reduction_is_the_reference_tree() {
+    // One fit per shard count 1..=9 exercises every tree shape the
+    // in-place reduction can take, odd tails included.
+    for shards in 1..=9usize {
+        let n = shards * GRAD_SHARD_ROWS - 5;
+        let mut rng = StdRng::seed_from_u64(shards as u64);
+        let data = Dataset::new(matrix(&mut rng, n, 3), matrix(&mut rng, n, 1))
+            .expect("non-empty dataset");
+        let split = Split {
+            train: data.clone(),
+            valid: data.clone(),
+            test: data,
+        };
+        let init = Mlp::new(3, &[5], 1, 2);
+        let config = TrainConfig {
+            epochs: 1,
+            batch_size: n,
+            learning_rate: 1e-2,
+            threads: 2,
+        };
+        let (_, want) = fit_split(&config, &[], init.clone(), &split, 3);
+        let mut trainer = Trainer::new(config);
+        trainer.fit_split(init, &split, 3);
+        assert_eq!(
+            weight_bits(trainer.best_model().expect("fit sets a model")),
+            weight_bits(&want),
+            "{shards} shards"
+        );
+    }
+}

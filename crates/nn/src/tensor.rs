@@ -129,6 +129,19 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
+    /// Borrow of the contiguous rows `rows` as one flat row-major slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds.
+    pub(crate) fn row_range(&self, rows: std::ops::Range<usize>) -> &[f32] {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.rows,
+            "rows out of bounds"
+        );
+        &self.data[rows.start * self.cols..rows.end * self.cols]
+    }
+
     /// Borrow of row `r`.
     ///
     /// # Panics
@@ -220,49 +233,6 @@ impl Matrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self · otherᵀ` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let dot: f32 = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
-                out.data[i * other.rows + j] = dot;
-            }
-        }
-        out
-    }
-
     /// Adds `bias` to every row.
     ///
     /// # Panics
@@ -277,15 +247,20 @@ impl Matrix {
         }
     }
 
-    /// Column sums (used for bias gradients).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
+    /// Column sums (a layer's bias gradient) into a caller-provided buffer:
+    /// each sum starts at `+0.0` and adds its column top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums.len() != self.cols`.
+    pub(crate) fn col_sums_into(&self, sums: &mut [f32]) {
+        assert_eq!(sums.len(), self.cols, "column sum length mismatch");
+        sums.fill(0.0);
         for r in 0..self.rows {
             for (s, &v) in sums.iter_mut().zip(self.row(r)) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Element-wise in-place map.
@@ -308,22 +283,28 @@ impl Matrix {
         }
     }
 
-    /// Sums all rows into a single row vector.
-    pub fn sum_rows(&self) -> Vec<f32> {
-        self.col_sums()
-    }
-
-    /// Selects the given rows into a new matrix (used for mini-batching).
+    /// Selects the given rows into a new matrix (used for splits).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
+        let mut out = Matrix::default();
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// Selects the given rows into `out`, reusing its allocation (used for
+    /// mini-batching).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub(crate) fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        out.reset(indices.len(), self.cols);
         for (i, &r) in indices.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(r));
         }
-        out
     }
 
     /// Frobenius norm.
@@ -346,33 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn t_matmul_equals_transpose_then_matmul() {
-        let a = Matrix::from_rows([vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows([vec![1.0, 0.0], vec![0.0, 1.0]]);
-        // aᵀ (3x2) · b (2x2) = 3x2
-        let c = a.t_matmul(&b);
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.cols(), 2);
-        assert_eq!(c.get(0, 0), 1.0);
-        assert_eq!(c.get(0, 1), 4.0);
-        assert_eq!(c.get(2, 0), 3.0);
-    }
-
-    #[test]
-    fn matmul_t_equals_matmul_with_transpose() {
-        let a = Matrix::from_rows([vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows([vec![5.0, 6.0], vec![7.0, 8.0]]);
-        // a · bᵀ
-        let c = a.matmul_t(&b);
-        assert_eq!(c.get(0, 0), 1.0 * 5.0 + 2.0 * 6.0);
-        assert_eq!(c.get(1, 1), 3.0 * 7.0 + 4.0 * 8.0);
-    }
-
-    #[test]
     fn bias_and_col_sums() {
         let mut m = Matrix::zeros(3, 2);
         m.add_row_bias(&[1.0, -2.0]);
-        assert_eq!(m.col_sums(), vec![3.0, -6.0]);
+        let mut sums = [9.0; 2];
+        m.col_sums_into(&mut sums);
+        assert_eq!(sums, [3.0, -6.0]);
     }
 
     #[test]
@@ -418,23 +378,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn matmul_t_consistency(
-            a_vals in proptest::collection::vec(-10.0f32..10.0, 6),
-            b_vals in proptest::collection::vec(-10.0f32..10.0, 6),
-        ) {
-            // a: 2x3, b: 2x3 → a · bᵀ : 2x2, (a·bᵀ)ᵀ = b·aᵀ
-            let a = Matrix::from_flat(2, 3, a_vals);
-            let b = Matrix::from_flat(2, 3, b_vals);
-            let ab = a.matmul_t(&b);
-            let ba = b.matmul_t(&a);
-            for i in 0..2 {
-                for j in 0..2 {
-                    prop_assert!((ab.get(i, j) - ba.get(j, i)).abs() < 1e-4);
-                }
-            }
-        }
-
         #[test]
         fn add_scaled_then_subtract_is_identity(
             vals in proptest::collection::vec(-10.0f32..10.0, 8),

@@ -8,12 +8,16 @@
 //!
 //! Each mini-batch is decomposed into fixed-width row shards of
 //! [`GRAD_SHARD_ROWS`]; workers compute per-shard gradients against the
-//! whole batch's element count, a fixed-order tree reduction
-//! ([`crate::Gradients::tree_reduce`]) sums them, and a single Adam step
-//! applies the sum. The shard decomposition and the reduction order are
-//! pure functions of the batch — never of the thread count — so trained
-//! weights are **bit-identical** at any [`TrainConfig::threads`] setting,
-//! including the serial `threads = 1`.
+//! whole batch's element count, a fixed-order pairwise tree reduction sums
+//! them, and a single Adam step applies the sum. The shard decomposition
+//! and the reduction order are pure functions of the batch — never of the
+//! thread count — so trained weights are **bit-identical** at any
+//! [`TrainConfig::threads`] setting, including the serial `threads = 1`.
+//!
+//! Every shard of a mini-batch runs in its own slot of a workspace built
+//! once per fit (input rows, activations, layer gradients, the shard's
+//! parameter gradients), so after the first mini-batch a step allocates
+//! nothing.
 
 use nshard_pool::WorkPool;
 use rand::rngs::StdRng;
@@ -21,8 +25,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
-use crate::loss::{mse, mse_grad_scaled};
-use crate::mlp::{Gradients, Mlp};
+use crate::loss::{mse, mse_grad_scaled_into};
+use crate::mlp::{Gradients, Mlp, MlpWorkspace};
 use crate::tensor::Matrix;
 
 /// Width (in dataset rows) of one gradient shard. A mini-batch of 512 rows
@@ -192,8 +196,9 @@ pub struct TrainReport {
 #[derive(Debug, Clone)]
 pub struct Trainer {
     config: TrainConfig,
-    /// Layer indices whose gradients are zeroed before every optimizer
-    /// step (exact freeze; see [`Gradients::zero_layers`]).
+    /// Layer indices whose gradients are never formed, so every optimizer
+    /// step sees them as zero (exact freeze; see
+    /// [`Trainer::with_frozen_layers`]).
     frozen_layers: Vec<usize>,
     /// The best model found (set by [`Trainer::fit`]).
     best_model: Option<Mlp>,
@@ -210,9 +215,10 @@ impl Trainer {
     }
 
     /// Freezes the given layer indices for subsequent fits: their gradients
-    /// are zeroed before every Adam step, which leaves the layer parameters
+    /// stay zero at every Adam step, which leaves the layer parameters
     /// bitwise unchanged (zero gradients keep Adam's moments at zero, so
-    /// the update is exactly zero).
+    /// the update is exactly `lr·0/(√0+ε) = 0`, from any fresh optimizer
+    /// state).
     pub fn with_frozen_layers(mut self, layers: Vec<usize>) -> Self {
         self.frozen_layers = layers;
         self
@@ -259,6 +265,9 @@ impl Trainer {
         let mut valid_history = Vec::with_capacity(self.config.epochs);
 
         let mut order: Vec<usize> = (0..n).collect();
+        let mut slots: Vec<ShardSlot> = (0..batch.div_ceil(GRAD_SHARD_ROWS))
+            .map(|_| ShardSlot::new(&mlp))
+            .collect();
         for _epoch in 0..self.config.epochs {
             // Shuffle sample order.
             for i in (1..n).rev() {
@@ -266,11 +275,15 @@ impl Trainer {
                 order.swap(i, j);
             }
             for chunk in order.chunks(batch) {
-                let mut grads = batch_gradients(&mlp, &split.train, chunk, &pool);
-                if !self.frozen_layers.is_empty() {
-                    grads.zero_layers(&self.frozen_layers);
-                }
-                adam.step(&mut mlp, &grads);
+                let grads = batch_gradients(
+                    &mlp,
+                    &split.train,
+                    chunk,
+                    &self.frozen_layers,
+                    &pool,
+                    &mut slots,
+                );
+                adam.step(&mut mlp, grads);
             }
             let valid_mse = mse(&mlp.forward(split.valid.x()), split.valid.y());
             valid_history.push(valid_mse);
@@ -297,27 +310,85 @@ impl Trainer {
     }
 }
 
+/// Everything one gradient shard needs, kept from mini-batch to mini-batch:
+/// the network workspace (the shard's input rows live in it), its target
+/// rows, the loss gradient, and the shard's parameter gradients.
+struct ShardSlot {
+    ws: MlpWorkspace,
+    target: Matrix,
+    dy: Matrix,
+    grads: Gradients,
+}
+
+impl ShardSlot {
+    fn new(mlp: &Mlp) -> Self {
+        Self {
+            ws: MlpWorkspace::new(),
+            target: Matrix::default(),
+            dy: Matrix::default(),
+            grads: Gradients::zeros_like(mlp),
+        }
+    }
+}
+
 /// Computes the gradient of one mini-batch (`chunk` of row indices into
-/// `train`) by fanning fixed-width row shards over `pool` and summing the
-/// per-shard gradients with [`Gradients::tree_reduce`].
+/// `train`) by fanning fixed-width row shards over `pool`, one per slot,
+/// and summing the per-shard gradients with [`tree_reduce`]; the sum is
+/// returned out of the first slot.
 ///
 /// Each shard's upstream gradient is scaled by the *whole* batch's element
-/// count ([`mse_grad_scaled`]), so the reduced sum is the mini-batch MSE
-/// gradient. Both the shard boundaries ([`GRAD_SHARD_ROWS`]) and the
+/// count ([`mse_grad_scaled_into`]), so the reduced sum is the mini-batch
+/// MSE gradient. Both the shard boundaries ([`GRAD_SHARD_ROWS`]) and the
 /// reduction order depend only on the batch itself, making the result
-/// bit-identical at any worker count.
-fn batch_gradients(mlp: &Mlp, train: &Dataset, chunk: &[usize], pool: &WorkPool) -> Gradients {
+/// bit-identical at any worker count. Gradients of `frozen` layers are
+/// never written: they stay the zeros the slots were built with.
+fn batch_gradients<'s>(
+    mlp: &Mlp,
+    train: &Dataset,
+    chunk: &[usize],
+    frozen: &[usize],
+    pool: &WorkPool,
+    slots: &'s mut [ShardSlot],
+) -> &'s Gradients {
     let total_elems = chunk.len() * train.y().cols();
-    let shards: Vec<&[usize]> = chunk.chunks(GRAD_SHARD_ROWS).collect();
-    let per_shard = pool.map(&shards, |shard| {
-        let xb = train.x().select_rows(shard);
-        let yb = train.y().select_rows(shard);
-        let (pred, cache) = mlp.forward_cached(&xb);
-        let dy = mse_grad_scaled(&pred, &yb, total_elems);
-        let (_, grads) = mlp.backward(&cache, &dy);
-        grads
+    let slots = &mut slots[..chunk.len().div_ceil(GRAD_SHARD_ROWS)];
+    pool.for_each_mut(slots, |s, slot| {
+        let end = ((s + 1) * GRAD_SHARD_ROWS).min(chunk.len());
+        let shard = &chunk[s * GRAD_SHARD_ROWS..end];
+        train.x().select_rows_into(shard, slot.ws.input_mut());
+        train.y().select_rows_into(shard, &mut slot.target);
+        let pred = mlp.forward_train(&mut slot.ws);
+        mse_grad_scaled_into(pred, &slot.target, total_elems, &mut slot.dy);
+        mlp.backward(
+            &mut slot.ws,
+            0..shard.len(),
+            &slot.dy,
+            frozen,
+            &mut slot.grads,
+        );
     });
-    Gradients::tree_reduce(per_shard)
+    tree_reduce(slots);
+    &slots[0].grads
+}
+
+/// Sums the slots' gradients into the first slot with a fixed-order
+/// pairwise tree reduction: level by level, slot `2k` of the survivors
+/// absorbs slot `2k + 1`.
+///
+/// The reduction order is a pure function of `slots.len()`, never of which
+/// thread filled which slot — the property that lets the data-parallel
+/// trainer produce bit-identical weights at any worker count.
+fn tree_reduce(slots: &mut [ShardSlot]) {
+    let mut stride = 1;
+    while stride < slots.len() {
+        for pair in slots.chunks_mut(2 * stride) {
+            let (left, right) = pair.split_at_mut(stride.min(pair.len()));
+            if let Some(right) = right.first() {
+                left[0].grads.accumulate(&right.grads, 1.0);
+            }
+        }
+        stride *= 2;
+    }
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer (public-domain constants).
 ///
@@ -262,6 +263,45 @@ impl WorkPool {
         collected.sort_by_key(|(i, _)| *i);
         collected.into_iter().map(|(_, o)| o).collect()
     }
+
+    /// Runs `f(index, &mut item)` once for every item, each item on exactly
+    /// one thread.
+    ///
+    /// The in-place twin of [`WorkPool::map`]: results land in the items
+    /// themselves, so a caller that keeps its items across calls (the
+    /// trainers' per-fit workspaces) fans out without allocating an output
+    /// per item. Items are claimed one at a time from a shared queue; the
+    /// calling thread works alongside `threads - 1` spawned workers. With
+    /// one worker (or one item) no thread is spawned. A panic in `f`
+    /// propagates to the caller.
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let workers = self.threads.min(items.len());
+        if workers <= 1 {
+            items
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, item)| f(i, item));
+            return;
+        }
+        let queue = Mutex::new(items.iter_mut().enumerate());
+        let work = || loop {
+            // The guard is dropped before `f` runs, so a panicking `f` never
+            // poisons the queue; an iterator is valid in any state anyway.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else { break };
+            f(i, item);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
+        });
+    }
 }
 
 impl Default for WorkPool {
@@ -282,6 +322,17 @@ mod tests {
             let pool = WorkPool::new(threads);
             assert_eq!(pool.map(&items, |&x: &usize| x * 3), expected);
         }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_with_its_index() {
+        for threads in [1, 2, 3, 8, 64] {
+            let mut items = vec![0usize; 100];
+            WorkPool::new(threads).for_each_mut(&mut items, |i, item| *item += i + 1);
+            let expected: Vec<usize> = (1..=100).collect();
+            assert_eq!(items, expected, "at {threads} threads");
+        }
+        WorkPool::new(4).for_each_mut(&mut [] as &mut [usize], |_, _| unreachable!());
     }
 
     #[test]

@@ -170,3 +170,53 @@ fn pretrained_bundle_is_bit_identical_across_thread_counts() {
         );
     }
 }
+
+/// FNV-1a 64 over the serialized weights of the three models, in bundle
+/// order.
+fn weight_digest(bundle: &CostModelBundle) -> String {
+    let json = [
+        serde_json::to_string(bundle.compute_model()).unwrap(),
+        serde_json::to_string(bundle.comm_fwd_model()).unwrap(),
+        serde_json::to_string(bundle.comm_bwd_model()).unwrap(),
+    ]
+    .concat();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in json.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+#[test]
+fn pretrained_weights_match_the_digests_recorded_before_the_step_rewrite() {
+    // Recorded at the parent of the PR that rewrote the training step
+    // (vectorised input gradients, per-fit workspaces, batched encoder
+    // forward): the rewrite performs the same floating-point operations in
+    // the same order, so every trained bit is the one the old step produced.
+    // The three specs are the repo benchmark's: its `pretrain` op and its
+    // 4- and 8-GPU set-up bundles.
+    let spec = |gpus: usize, compute: usize, comm: usize, epochs: usize, threads: usize, seed| {
+        let bundle = CostModelBundle::pretrain(
+            &TablePool::synthetic_dlrm(856, seed),
+            gpus,
+            &CollectConfig {
+                compute_samples: compute,
+                comm_samples: comm,
+                threads,
+                ..CollectConfig::default()
+            },
+            &TrainSettings {
+                epochs,
+                threads,
+                ..TrainSettings::default()
+            },
+            seed,
+        );
+        weight_digest(&bundle)
+    };
+    assert_eq!(spec(4, 1200, 900, 6, 1, 100), "8e7828ad6e16244d");
+    assert_eq!(spec(4, 2000, 1500, 10, 1, 200), "c5ca14628ba77cbf");
+    assert_eq!(spec(4, 2000, 1500, 10, 2, 200), "c5ca14628ba77cbf");
+    assert_eq!(spec(8, 2000, 1500, 10, 2, 300), "126463c5b431733d");
+}
