@@ -8,7 +8,7 @@
 //! `O(L·K·N·M·T·D)` cost-model queries.
 //!
 //! The trained [`ImitationSharder`] trades a little plan quality for a
-//! large speedup (see the `ext_imitation` experiment binary), exactly the
+//! large speedup (see the `repro ext_imitation` experiment), exactly the
 //! trade Appendix H anticipates. Column-wise sharding is handled by a
 //! deterministic pre-splitting pass (oversized shards are split until they
 //! fit), since the imitation policy itself only makes table-wise choices.

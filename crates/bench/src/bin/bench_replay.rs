@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use nshard_bench::{maybe_write_json, print_markdown_table, Args};
+use nshard_bench::{markdown_table, maybe_write_json, Args};
 use nshard_core::NeuroShardConfig;
 use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
 use nshard_data::{ShardingTask, TablePool};
@@ -574,28 +574,27 @@ fn main() {
         && gates.burst_cells_shed;
     let gates = Gates { pass, ..gates };
 
-    print_markdown_table(
+    let table = markdown_table(
         &[
             "gpus", "process", "offered", "200", "429", "503", "rps", "p50 ms", "p99 ms", "shed %",
         ],
-        &cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.gpus.to_string(),
-                    c.process.clone(),
-                    c.offered.to_string(),
-                    c.admitted_200.to_string(),
-                    c.shed_429.to_string(),
-                    c.expired_503.to_string(),
-                    format!("{:.0}", c.throughput_rps),
-                    format!("{:.2}", c.p50_ms),
-                    format!("{:.2}", c.p99_ms),
-                    format!("{:.2}", c.shed_rate * 100.0),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        cells.iter().map(|c| {
+            [
+                c.gpus.to_string(),
+                c.process.clone(),
+                c.offered.to_string(),
+                c.admitted_200.to_string(),
+                c.shed_429.to_string(),
+                c.expired_503.to_string(),
+                format!("{:.0}", c.throughput_rps),
+                format!("{:.2}", c.p50_ms),
+                format!("{:.2}", c.p99_ms),
+                format!("{:.2}", c.shed_rate * 100.0),
+            ]
+            .join(" | ")
+        }),
     );
+    print!("{table}");
     println!(
         "\ntotal replayed: {total} (floor {volume_floor}); keep-alive {:.0} rps at {} connections",
         keepalive.rps, keepalive.connections

@@ -1,37 +1,38 @@
-//! # nshard-bench — experiment harness for every table and figure
+//! # nshard-bench — the reproduction driver and the replay load test
 //!
-//! One binary per experiment of the paper (see `src/bin/`). This library
-//! holds the shared plumbing: evaluating a sharding method over a task set
-//! under the paper's protocol, formatting result tables, and a tiny
-//! CLI-argument helper.
+//! Two binaries live in `src/bin/`:
 //!
-//! ## Experiment binaries
+//! * `repro <experiment>… | all [--check] [--out-dir DIR]` regenerates the
+//!   paper's tables and figures ([`repro::run`]). Every experiment is a
+//!   plain function listed in one table under the stem of its result
+//!   file; it takes the shared context (table pools, one pre-trained
+//!   bundle per setting) and returns its result document plus the tables
+//!   it prints. Without `--check` the driver writes
+//!   `<out-dir>/<name>.json` and prints the tables; with it, it
+//!   regenerates in memory and compares against the committed file
+//!   ([`check`]). The invocation behind each committed file lives in the
+//!   experiment's code, so there are no per-experiment flags.
+//! * `bench_replay` replays open-loop request streams against the daemon.
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `fig3_dimension` | Figure 3 (left) + Figure 10: cost vs. dimension |
-//! | `fig3_multitable` | Figure 3 (right): multi-table vs. sum of singles |
-//! | `fig4_comm` | Figure 4: max comm cost vs. max device dimension |
-//! | `table1_main` | Table 1: the main method comparison grid |
-//! | `table2_mse` | Table 2: cost-model test MSEs |
-//! | `fig8_scatter` | Figure 8 (left): simulated vs. real plan costs |
-//! | `fig8_samples` | Figure 8 (middle/right): sample-efficiency sweeps |
-//! | `table3_ablation` | Table 3 + Table 7: component ablations |
-//! | `fig9_hyperparams` | Figure 9: N/K/L/M hyperparameter sweeps |
-//! | `table4_production` | Table 4: 128-GPU production-scale sharding |
-//! | `table5_dataset` | Table 5 + Table 6: task grid and dataset stats |
-//!
-//! Every binary accepts `--key value` overrides and writes machine-readable
-//! JSON when `--out <path>` is given.
+//! This file holds the one shard → evaluate → average loop of the paper's
+//! protocol, table formatting and a tiny CLI-argument helper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod check;
+mod extensions;
+mod observations;
+pub mod repro;
+mod tables;
+
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use nshard_core::{evaluate_plan, ShardingAlgorithm};
+use nshard_core::{
+    evaluate_plan, NeuroShard, PlanError, SearchPhaseStats, ShardingAlgorithm, ShardingPlan,
+};
 use nshard_data::ShardingTask;
 use nshard_sim::GpuSpec;
 
@@ -39,103 +40,124 @@ use nshard_sim::GpuSpec;
 /// paper's evaluation protocol (§4): per-task plans are evaluated on the
 /// ground-truth cluster; the mean max-device cost is reported only when
 /// *every* task succeeds, otherwise the method "cannot scale" ("-").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MethodRow {
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub(crate) struct MethodRow {
     /// Method name.
-    pub name: String,
+    pub(crate) name: String,
     /// Mean embedding cost in ms across tasks — `None` when any task
     /// failed (the "-" cells of Table 1).
-    pub mean_cost_ms: Option<f64>,
+    pub(crate) mean_cost_ms: Option<f64>,
     /// Mean cost over the tasks that did succeed (reported by the ablation
     /// tables even when the success rate is below 100%).
-    pub mean_cost_valid_ms: Option<f64>,
+    pub(crate) mean_cost_valid_ms: Option<f64>,
     /// Number of tasks that produced a valid plan.
-    pub successes: usize,
+    pub(crate) successes: usize,
     /// Number of tasks attempted.
-    pub total: usize,
+    pub(crate) total: usize,
     /// Mean wall-clock sharding time per task, seconds.
-    pub mean_time_s: f64,
+    pub(crate) mean_time_s: f64,
+    /// Prediction-cache counters summed over the tasks whose search
+    /// returned a plan; `Some` only for [`evaluate_neuroshard`] rows.
+    pub(crate) phases: Option<SearchPhaseStats>,
 }
 
 impl MethodRow {
-    /// Success rate in `[0, 1]`.
-    pub fn success_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.total as f64
-        }
+    /// The cost for display: `"-"` when the method cannot scale.
+    pub(crate) fn cost_display(&self) -> String {
+        cost_cell(self.mean_cost_ms)
     }
 
-    /// Formats the cost for display: `"-"` when the method cannot scale.
-    pub fn cost_display(&self) -> String {
-        match self.mean_cost_ms {
-            Some(c) => format!("{c:.2}"),
-            None => "-".to_string(),
-        }
+    /// `successes/total`.
+    pub(crate) fn success_display(&self) -> String {
+        format!("{}/{}", self.successes, self.total)
     }
 }
 
-/// Runs `algo` on every task, evaluating successful plans on the
-/// ground-truth cluster, and aggregates per the paper's protocol.
-pub fn evaluate_method(
+/// A cost with two decimals, `"-"` when there is none.
+pub(crate) fn cost_cell(cost_ms: Option<f64>) -> String {
+    cost_ms.map_or("-".to_string(), |c| format!("{c:.2}"))
+}
+
+/// The one shard → evaluate → average loop: runs `shard` on every task,
+/// evaluates each returned plan on the ground-truth cluster (task `i`
+/// under noise seed `eval_seed ^ i`) and aggregates per the paper's
+/// protocol. Also returns the plans that evaluated successfully, in task
+/// order.
+pub(crate) fn evaluate_with(
+    name: &str,
+    tasks: &[ShardingTask],
+    spec: &GpuSpec,
+    eval_seed: u64,
+    mut shard: impl FnMut(&ShardingTask) -> Result<ShardingPlan, PlanError>,
+) -> (MethodRow, Vec<ShardingPlan>) {
+    let mut plans = Vec::with_capacity(tasks.len());
+    let mut cost_sum = 0.0f64;
+    let mut total_time = 0.0f64;
+    for (i, task) in tasks.iter().enumerate() {
+        let start = Instant::now();
+        let plan = shard(task);
+        total_time += start.elapsed().as_secs_f64();
+        let Ok(plan) = plan else { continue };
+        if let Ok(costs) = evaluate_plan(task, &plan, spec, eval_seed ^ (i as u64)) {
+            cost_sum += costs.max_total_ms();
+            plans.push(plan);
+        }
+    }
+    let mean_valid = (!plans.is_empty()).then(|| cost_sum / plans.len() as f64);
+    let row = MethodRow {
+        name: name.to_string(),
+        mean_cost_ms: mean_valid.filter(|_| plans.len() == tasks.len()),
+        mean_cost_valid_ms: mean_valid,
+        successes: plans.len(),
+        total: tasks.len(),
+        mean_time_s: total_time / tasks.len().max(1) as f64,
+        phases: None,
+    };
+    (row, plans)
+}
+
+/// [`evaluate_with`] for any sharding algorithm.
+pub(crate) fn evaluate(
     algo: &dyn ShardingAlgorithm,
     tasks: &[ShardingTask],
     spec: &GpuSpec,
     eval_seed: u64,
 ) -> MethodRow {
-    let mut costs = Vec::with_capacity(tasks.len());
-    let mut successes = 0usize;
-    let mut total_time = 0.0f64;
-    for (i, task) in tasks.iter().enumerate() {
-        let start = Instant::now();
-        let plan = algo.shard(task);
-        total_time += start.elapsed().as_secs_f64();
-        let cost = plan
-            .ok()
-            .and_then(|p| evaluate_plan(task, &p, spec, eval_seed ^ (i as u64)).ok())
-            .map(|c| c.max_total_ms());
-        if let Some(c) = cost {
-            successes += 1;
-            costs.push(c);
-        }
-    }
-    let mean_valid = if costs.is_empty() {
-        None
-    } else {
-        Some(costs.iter().sum::<f64>() / costs.len() as f64)
-    };
-    MethodRow {
-        name: algo.name().to_string(),
-        mean_cost_ms: if successes == tasks.len() {
-            mean_valid
-        } else {
-            None
-        },
-        mean_cost_valid_ms: mean_valid,
-        successes,
-        total: tasks.len(),
-        mean_time_s: if tasks.is_empty() {
-            0.0
-        } else {
-            total_time / tasks.len() as f64
-        },
-    }
+    evaluate_with(algo.name(), tasks, spec, eval_seed, |task| algo.shard(task)).0
 }
 
-/// Prints a GitHub-flavoured markdown table.
-pub fn print_markdown_table(headers: &[&str], rows: &[Vec<String>]) {
-    println!("| {} |", headers.join(" | "));
-    println!(
-        "|{}|",
-        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
+/// [`evaluate_with`] for NeuroShard under `name`, also summing each
+/// search's per-phase cache counters into [`MethodRow::phases`].
+pub(crate) fn evaluate_neuroshard(
+    name: &str,
+    sharder: &NeuroShard,
+    tasks: &[ShardingTask],
+    spec: &GpuSpec,
+    eval_seed: u64,
+) -> MethodRow {
+    let mut phases = SearchPhaseStats::default();
+    let (mut row, _) = evaluate_with(name, tasks, spec, eval_seed, |task| {
+        let outcome = sharder.shard_with_stats(task)?;
+        phases.candidate.absorb(&outcome.phase_stats.candidate);
+        phases.inner.absorb(&outcome.phase_stats.inner);
+        Ok(outcome.plan)
+    });
+    row.phases = Some(phases);
+    row
+}
+
+/// Formats a GitHub-flavoured markdown table, one line per row; a row is
+/// its cells joined by `" | "`.
+pub fn markdown_table(headers: &[&str], rows: impl IntoIterator<Item = String>) -> String {
+    let mut out = format!("| {} |\n", headers.join(" | "));
+    out.push_str(&format!("|{}|\n", vec!["---"; headers.len()].join("|")));
     for row in rows {
-        println!("| {} |", row.join(" | "));
+        out.push_str(&format!("| {row} |\n"));
     }
+    out
 }
 
-/// Minimal `--key value` CLI parser shared by the experiment binaries.
+/// Minimal `--key value` CLI parser shared by the binaries.
 #[derive(Debug, Clone)]
 pub struct Args {
     raw: Vec<String>,
@@ -147,11 +169,6 @@ impl Args {
         Self {
             raw: std::env::args().skip(1).collect(),
         }
-    }
-
-    /// Builds from an explicit vector (for tests).
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Self { raw }
     }
 
     /// Returns the value after `--name`, parsed, or `default`.
@@ -204,7 +221,7 @@ pub fn maybe_write_json<T: Serialize>(args: &Args, value: &T) {
 /// # Panics
 ///
 /// Panics if lengths differ or are zero.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "series must have equal lengths");
     assert!(!xs.is_empty(), "series must be non-empty");
     let n = xs.len() as f64;
@@ -231,20 +248,21 @@ mod tests {
     use nshard_data::{DevicePool, TablePool};
 
     #[test]
-    fn evaluate_method_counts_successes() {
+    fn evaluate_counts_successes() {
         let pool = TablePool::synthetic_dlrm(40, 1);
         let tasks: Vec<ShardingTask> = (0..3)
             .map(|i| ShardingTask::sample(&pool, 2, 4..=8, 16, i))
             .collect();
-        let row = evaluate_method(&DimGreedy, &tasks, &GpuSpec::rtx_2080_ti(), 0);
+        let row = evaluate(&DimGreedy, &tasks, &GpuSpec::rtx_2080_ti(), 0);
         assert_eq!(row.total, 3);
         assert_eq!(row.successes, 3);
         assert!(row.mean_cost_ms.is_some());
-        assert_eq!(row.success_rate(), 1.0);
+        assert_eq!(row.success_display(), "3/3");
+        assert_eq!(row.phases, None);
     }
 
     #[test]
-    fn failed_tasks_clear_the_mean() {
+    fn failed_tasks_clear_the_mean_and_return_no_plan() {
         let pool = TablePool::synthetic_dlrm(40, 1);
         let mut tasks: Vec<ShardingTask> = (0..2)
             .map(|i| ShardingTask::sample(&pool, 2, 4..=8, 16, i))
@@ -253,16 +271,27 @@ mod tests {
         tasks.push(
             ShardingTask::sample(&pool, 2, 4..=8, 16, 9).with_devices(DevicePool::uniform(2, 1)),
         );
-        let row = evaluate_method(&DimGreedy, &tasks, &GpuSpec::rtx_2080_ti(), 0);
+        let (row, plans) = evaluate_with("dim", &tasks, &GpuSpec::rtx_2080_ti(), 0, |t| {
+            DimGreedy.shard(t)
+        });
         assert_eq!(row.successes, 2);
+        assert_eq!(plans.len(), 2);
         assert!(row.mean_cost_ms.is_none());
         assert!(row.mean_cost_valid_ms.is_some());
         assert_eq!(row.cost_display(), "-");
     }
 
     #[test]
+    fn markdown_table_has_a_header_a_rule_and_one_line_per_row() {
+        let table = markdown_table(&["a", "b"], ["1 | 2".to_string()]);
+        assert_eq!(table, "| a | b |\n|---|---|\n| 1 | 2 |\n");
+    }
+
+    #[test]
     fn args_parse_values_and_flags() {
-        let args = Args::from_vec(vec!["--tasks".into(), "25".into(), "--fast".into()]);
+        let args = Args {
+            raw: vec!["--tasks".into(), "25".into(), "--fast".into()],
+        };
         assert_eq!(args.get("tasks", 10usize), 25);
         assert_eq!(args.get("missing", 7u32), 7);
         assert!(args.has("fast"));

@@ -24,7 +24,14 @@ use nshard_sim::{CommParams, KernelParams, NoiseModel};
 
 use crate::features::{comm_features, table_features};
 
-/// Configuration of the data-collection run.
+/// Measurement repeats per label (the median is taken).
+const REPEATS: u32 = 11;
+/// Relative measurement noise.
+const NOISE_SIGMA: f64 = 0.02;
+
+/// Configuration of the data-collection run. Tables are augmented over
+/// [`PAPER_DIMS`] (Algorithm 3) and placements start at random timestamps
+/// of up to 20 ms (the [`PlacementGenerator`] default, the paper's value).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CollectConfig {
     /// Number of computation-cost samples (paper default 100 K; the crate
@@ -33,21 +40,13 @@ pub struct CollectConfig {
     pub compute_samples: usize,
     /// Number of communication-cost samples.
     pub comm_samples: usize,
-    /// Dimension set for table augmentation (Algorithm 3).
-    pub augment_dims: Vec<u32>,
     /// Min/max tables per combination (Algorithm 4; paper: 1–15).
     pub combo_tables: (usize, usize),
     /// Min/max tables per placement (Algorithm 5; paper: 10–60 for 4 GPUs,
     /// 20–120 for 8 GPUs). When `None`, scaled from the device count.
     pub placement_tables: Option<(usize, usize)>,
-    /// Max random start-timestamp in ms (paper: 20).
-    pub max_start_ms: f64,
     /// Batch size of the simulated workload.
     pub batch_size: u32,
-    /// Measurement repeats per label (median is taken).
-    pub repeats: u32,
-    /// Relative measurement noise.
-    pub noise_sigma: f64,
     /// Worker threads for label collection; `0` = auto (the
     /// `NSHARD_THREADS` environment variable, then available parallelism,
     /// via [`nshard_pool::resolve_threads`]). Collected datasets are
@@ -60,13 +59,9 @@ impl Default for CollectConfig {
         Self {
             compute_samples: 8_000,
             comm_samples: 6_000,
-            augment_dims: PAPER_DIMS.to_vec(),
             combo_tables: (1, 15),
             placement_tables: None,
-            max_start_ms: 20.0,
             batch_size: nshard_sim::DEFAULT_BATCH_SIZE,
-            repeats: 11,
-            noise_sigma: 0.02,
             threads: 0,
         }
     }
@@ -178,18 +173,17 @@ pub fn collect_compute_data(
     config: &CollectConfig,
     seed: u64,
 ) -> ComputeDataset {
-    let augmented = augment_pool(pool, &config.augment_dims);
+    let augmented = augment_pool(pool, &PAPER_DIMS);
     let generator =
         CombinationGenerator::new(augmented, config.combo_tables.0, config.combo_tables.1);
-    let noise = NoiseModel::new(seed ^ 0xC0FFEE, config.noise_sigma);
+    let noise = NoiseModel::new(seed ^ 0xC0FFEE, NOISE_SIGMA);
     let workers = WorkPool::new(config.threads);
     let indices: Vec<u64> = (0..config.compute_samples as u64).collect();
     let samples = workers.map(&indices, |&i| {
         let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
         let combo = generator.generate_one(&mut rng);
         let profiles = combo.profiles(config.batch_size);
-        let cost =
-            kernel.measure_multi_cost_ms(&profiles, config.batch_size, &noise, config.repeats);
+        let cost = kernel.measure_multi_cost_ms(&profiles, config.batch_size, &noise, REPEATS);
         ComputeSample {
             tables: profiles
                 .iter()
@@ -230,24 +224,18 @@ pub fn collect_comm_data(
     seed: u64,
 ) -> CommDataset {
     assert!(config.comm_samples > 0, "comm_samples must be positive");
-    let augmented = augment_pool(pool, &config.augment_dims);
+    let augmented = augment_pool(pool, &PAPER_DIMS);
     let (t_min, t_max) = config.placement_range(num_devices);
-    let generator = PlacementGenerator::new(augmented, num_devices, t_min, t_max)
-        .with_max_start_ms(config.max_start_ms);
-    let noise = NoiseModel::new(seed ^ 0xBEEF, config.noise_sigma);
+    let generator = PlacementGenerator::new(augmented, num_devices, t_min, t_max);
+    let noise = NoiseModel::new(seed ^ 0xBEEF, NOISE_SIGMA);
     let workers = WorkPool::new(config.threads);
     let indices: Vec<u64> = (0..config.comm_samples as u64).collect();
     let rows = workers.map(&indices, |&i| {
         let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
         let p = generator.generate_one(&mut rng);
         let dims = p.device_dims();
-        let costs = comm.measure_costs_ms(
-            &dims,
-            &p.start_ts_ms,
-            config.batch_size,
-            &noise,
-            config.repeats,
-        );
+        let costs =
+            comm.measure_costs_ms(&dims, &p.start_ts_ms, config.batch_size, &noise, REPEATS);
         (
             comm_features(&dims, &p.start_ts_ms, config.batch_size),
             costs.max_fwd_ms() as f32,
