@@ -39,18 +39,20 @@ pub use rl::{RlSharder, RlVariant};
 
 use nshard_core::{PlanError, ShardingPlan};
 use nshard_data::ShardingTask;
+use nshard_sim::GpuSpec;
 
-/// Returns every Table 1 baseline (without NeuroShard), boxed, in the
-/// paper's row order. RL baselines receive the given `seed`.
-pub fn all_baselines(seed: u64) -> Vec<Box<dyn ShardingAlgorithm>> {
+/// Returns every baseline of Tables 1 and 4 (without NeuroShard), boxed,
+/// in the paper's row order. The random and RL baselines receive `seed`;
+/// the RL stand-ins query rewards on `spec`.
+pub fn all_baselines(seed: u64, spec: GpuSpec) -> Vec<Box<dyn ShardingAlgorithm>> {
     vec![
         Box::new(RandomSharding::new(seed)),
         Box::new(SizeGreedy),
         Box::new(DimGreedy),
         Box::new(LookupGreedy),
         Box::new(SizeLookupGreedy),
-        Box::new(RlSharder::new(RlVariant::AutoShardLike, seed)),
-        Box::new(RlSharder::new(RlVariant::DreamShardLike, seed)),
+        Box::new(RlSharder::new(RlVariant::AutoShardLike, seed).with_spec(spec)),
+        Box::new(RlSharder::new(RlVariant::DreamShardLike, seed).with_spec(spec)),
         Box::new(TorchRecLikePlanner::default()),
     ]
 }
@@ -76,7 +78,7 @@ mod tests {
 
     #[test]
     fn all_baselines_returns_the_table1_row_order() {
-        let algos = all_baselines(7);
+        let algos = all_baselines(7, GpuSpec::rtx_2080_ti());
         let names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
         assert_eq!(
             names,
@@ -97,7 +99,7 @@ mod tests {
     fn all_baselines_are_usable_as_trait_objects() {
         let pool = TablePool::synthetic_dlrm(30, 1);
         let task = ShardingTask::sample(&pool, 2, 4..=6, 8, 3);
-        for algo in all_baselines(1) {
+        for algo in all_baselines(1, GpuSpec::rtx_2080_ti()) {
             if algo.name().contains("like") && algo.name() != "torchrec_like" {
                 continue; // RL agents are exercised (slowly) in their own tests
             }

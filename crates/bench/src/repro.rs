@@ -6,11 +6,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use nshard_baselines::{
-    DimGreedy, LookupGreedy, RandomSharding, RlSharder, RlVariant, SizeGreedy, SizeLookupGreedy,
-    TorchRecLikePlanner,
-};
-use nshard_core::{NeuroShard, NeuroShardConfig, ShardingAlgorithm};
+use nshard_core::{NeuroShard, NeuroShardConfig};
 use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
 use nshard_data::{ShardingTask, TablePool};
 use nshard_sim::GpuSpec;
@@ -158,21 +154,6 @@ impl Ctx {
             .map(|i| ShardingTask::sample(&self.dlrm, gpus, tables.clone(), max_dim, seed ^ i))
             .collect()
     }
-}
-
-/// The baseline roster of Tables 1 and 4, in the paper's row order; the RL
-/// stand-ins query rewards on `spec`.
-pub(crate) fn baselines(seed: u64, spec: GpuSpec) -> Vec<Box<dyn ShardingAlgorithm>> {
-    vec![
-        Box::new(RandomSharding::new(seed)),
-        Box::new(SizeGreedy),
-        Box::new(DimGreedy),
-        Box::new(LookupGreedy),
-        Box::new(SizeLookupGreedy),
-        Box::new(RlSharder::new(RlVariant::AutoShardLike, seed).with_spec(spec)),
-        Box::new(RlSharder::new(RlVariant::DreamShardLike, seed).with_spec(spec)),
-        Box::new(TorchRecLikePlanner::default()),
-    ]
 }
 
 /// Runs the named experiments (`all` = every one) in order over one

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use nshard_baselines::{RandomSharding, ShardingAlgorithm};
+use nshard_baselines::{all_baselines, RandomSharding, ShardingAlgorithm};
 use nshard_core::{
     cluster_for, estimate_for_task, evaluate_plan, NeuroShard, NeuroShardConfig, ShardingPlan,
 };
@@ -16,7 +16,7 @@ use nshard_cost::{BundleReport, CollectConfig, CostSimulator};
 use nshard_data::{ShardingTask, TaskGrid};
 use nshard_sim::{TraceSimulator, DEFAULT_BATCH_SIZE};
 
-use crate::repro::{baselines, Ctx, Report, PRODUCTION_GPUS};
+use crate::repro::{Ctx, Report, PRODUCTION_GPUS};
 use crate::{
     cost_cell, evaluate, evaluate_neuroshard, evaluate_with, markdown_table, pearson, MethodRow,
 };
@@ -58,7 +58,7 @@ pub(crate) fn table1(ctx: &mut Ctx) -> Report {
         let spec = Ctx::spec(gpus);
         let task_seed = SEED ^ (u64::from(max_dim) << 32) ^ ((gpus as u64) << 24);
         let tasks = ctx.dlrm_tasks(gpus, max_dim, TASKS, task_seed);
-        let mut rows: Vec<MethodRow> = baselines(SEED, spec)
+        let mut rows: Vec<MethodRow> = all_baselines(SEED, spec)
             .iter()
             .map(|algo| evaluate(algo.as_ref(), &tasks, &spec, SEED))
             .collect();
@@ -444,7 +444,7 @@ pub(crate) fn table4(ctx: &mut Ctx) -> Report {
     let presplit = task
         .clone()
         .with_tables(column_plan.sharded_tables().to_vec());
-    let mut measured: Vec<(MethodRow, Option<f64>)> = baselines(SEED, spec)
+    let mut measured: Vec<(MethodRow, Option<f64>)> = all_baselines(SEED, spec)
         .iter()
         .map(|algo| {
             // TorchRec plans its own column-wise sharding.

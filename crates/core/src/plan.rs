@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use nshard_data::task::MAX_WIRE_DEVICES;
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_sim::TableProfile;
 
@@ -239,11 +240,45 @@ pub fn apply_split_plan(
 /// # Ok::<(), nshard_core::PlanError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "PlanWire")]
 pub struct ShardingPlan {
     split_plan: SplitPlan,
     sharded_tables: Vec<TableConfig>,
     device_of: Vec<usize>,
     num_devices: usize,
+}
+
+/// The JSON form of a [`ShardingPlan`] as read (a stored plan file, a
+/// replicated log value): the conversion goes through
+/// [`ShardingPlan::with_split_plan`], so a decoded plan holds what a built
+/// one does, and bounds the device count the per-device accessors
+/// allocate for.
+#[derive(Deserialize)]
+struct PlanWire {
+    split_plan: SplitPlan,
+    sharded_tables: Vec<TableConfig>,
+    device_of: Vec<usize>,
+    num_devices: usize,
+}
+
+impl TryFrom<PlanWire> for ShardingPlan {
+    type Error = String;
+
+    fn try_from(wire: PlanWire) -> Result<Self, String> {
+        if wire.num_devices > MAX_WIRE_DEVICES {
+            return Err(format!(
+                "a plan names at most {MAX_WIRE_DEVICES} devices, got {}",
+                wire.num_devices
+            ));
+        }
+        Self::with_split_plan(
+            wire.split_plan,
+            wire.sharded_tables,
+            wire.device_of,
+            wire.num_devices,
+        )
+        .map_err(|e| e.to_string())
+    }
 }
 
 impl ShardingPlan {

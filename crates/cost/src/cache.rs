@@ -284,11 +284,6 @@ impl PredictionCache {
         }
     }
 
-    /// Number of shards (always a power of two).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard(&self, key: u64) -> &Mutex<Shard> {
         // Keys are avalanche-mixed, so the low bits are uniform.
         &self.shards[(key as usize) & (self.shards.len() - 1)]

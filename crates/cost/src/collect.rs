@@ -28,10 +28,13 @@ use crate::features::{comm_features, table_features};
 const REPEATS: u32 = 11;
 /// Relative measurement noise.
 const NOISE_SIGMA: f64 = 0.02;
+/// Min/max tables per combination (Algorithm 4; the paper's 1–15).
+const COMBO_TABLES: (usize, usize) = (1, 15);
 
 /// Configuration of the data-collection run. Tables are augmented over
-/// [`PAPER_DIMS`] (Algorithm 3) and placements start at random timestamps
-/// of up to 20 ms (the [`PlacementGenerator`] default, the paper's value).
+/// [`PAPER_DIMS`] (Algorithm 3), combinations hold 1–15 of them
+/// (Algorithm 4) and placements start at random timestamps of up to 20 ms
+/// (the [`PlacementGenerator`] default) — the paper's values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CollectConfig {
     /// Number of computation-cost samples (paper default 100 K; the crate
@@ -40,8 +43,6 @@ pub struct CollectConfig {
     pub compute_samples: usize,
     /// Number of communication-cost samples.
     pub comm_samples: usize,
-    /// Min/max tables per combination (Algorithm 4; paper: 1–15).
-    pub combo_tables: (usize, usize),
     /// Min/max tables per placement (Algorithm 5; paper: 10–60 for 4 GPUs,
     /// 20–120 for 8 GPUs). When `None`, scaled from the device count.
     pub placement_tables: Option<(usize, usize)>,
@@ -59,7 +60,6 @@ impl Default for CollectConfig {
         Self {
             compute_samples: 8_000,
             comm_samples: 6_000,
-            combo_tables: (1, 15),
             placement_tables: None,
             batch_size: nshard_sim::DEFAULT_BATCH_SIZE,
             threads: 0,
@@ -174,8 +174,7 @@ pub fn collect_compute_data(
     seed: u64,
 ) -> ComputeDataset {
     let augmented = augment_pool(pool, &PAPER_DIMS);
-    let generator =
-        CombinationGenerator::new(augmented, config.combo_tables.0, config.combo_tables.1);
+    let generator = CombinationGenerator::new(augmented, COMBO_TABLES.0, COMBO_TABLES.1);
     let noise = NoiseModel::new(seed ^ 0xC0FFEE, NOISE_SIGMA);
     let workers = WorkPool::new(config.threads);
     let indices: Vec<u64> = (0..config.compute_samples as u64).collect();

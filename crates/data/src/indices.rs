@@ -1,158 +1,12 @@
-//! Zipfian lookup-index generation and distribution statistics.
+//! The indices distribution, analytically.
 //!
 //! The paper identifies the **indices distribution** as one of the four
 //! cost-relevant table factors (§2.1): skewed access patterns cache well,
 //! and the number of unique embeddings touched per batch drives memory
-//! pressure. This module provides:
-//!
-//! * an empirical batch-index generator ([`IndexGenerator`]) producing
-//!   Zipf-distributed lookup streams like the benchmark dataset's, and
-//! * an analytic estimator ([`expected_distinct_fraction`]) of the expected
-//!   fraction of unique indices in a batch, used to lower a table to a
-//!   [`nshard_sim::TableProfile`] without materializing millions of indices.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// Summary statistics of a lookup-index stream, used both as cost-model
-/// features and for dataset reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DistributionStats {
-    /// Number of lookups in the stream.
-    pub num_lookups: usize,
-    /// Fraction of lookups that hit a distinct index, in `(0, 1]`.
-    pub unique_frac: f64,
-    /// Share of lookups landing on the hottest 1% of touched indices.
-    pub top1pct_share: f64,
-    /// Maximum index value observed.
-    pub max_index: u64,
-}
-
-impl DistributionStats {
-    /// Computes statistics from a raw index stream.
-    ///
-    /// Returns `None` for an empty stream.
-    pub fn from_indices(indices: &[u64]) -> Option<Self> {
-        if indices.is_empty() {
-            return None;
-        }
-        let mut sorted = indices.to_vec();
-        sorted.sort_unstable();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut run = 1usize;
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                run += 1;
-            } else {
-                counts.push(run);
-                run = 1;
-            }
-        }
-        counts.push(run);
-        let distinct = counts.len();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let top = distinct.div_ceil(100);
-        let top_hits: usize = counts.iter().take(top).sum();
-        Some(Self {
-            num_lookups: indices.len(),
-            unique_frac: distinct as f64 / indices.len() as f64,
-            top1pct_share: top_hits as f64 / indices.len() as f64,
-            max_index: *sorted.last().expect("non-empty"),
-        })
-    }
-}
-
-/// Generates Zipf-distributed lookup indices for one embedding table.
-///
-/// A lookup of a batch touches `batch_size × pooling_factor` indices drawn
-/// from `Zipf(alpha)` over `hash_size` rows, with ranks randomly permuted
-/// into the index space via a multiplicative hash (real tables do not store
-/// hot rows contiguously).
-///
-/// # Example
-///
-/// ```
-/// use nshard_data::IndexGenerator;
-///
-/// let generator = IndexGenerator::new(1 << 20, 1.1);
-/// let indices = generator.generate(4096, 5.0, 42);
-/// assert!(indices.len() >= 4096 * 4);
-/// assert!(indices.iter().all(|&i| i < 1 << 20));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IndexGenerator {
-    hash_size: u64,
-    alpha: f64,
-}
-
-impl IndexGenerator {
-    /// Creates a generator over `hash_size` rows with Zipf exponent `alpha`
-    /// (clamped to `[0, 8]`; `alpha = 0` is uniform).
-    pub fn new(hash_size: u64, alpha: f64) -> Self {
-        Self {
-            hash_size: hash_size.max(1),
-            alpha: alpha.clamp(0.0, 8.0),
-        }
-    }
-
-    /// The table's hash size.
-    pub fn hash_size(&self) -> u64 {
-        self.hash_size
-    }
-
-    /// The Zipf exponent.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Generates the index stream for one batch: `batch_size` lookups with
-    /// a per-lookup count drawn around `pooling_factor`.
-    pub fn generate(&self, batch_size: u32, pooling_factor: f64, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = (f64::from(batch_size) * pooling_factor).round().max(1.0) as usize;
-        (0..total).map(|_| self.sample_index(&mut rng)).collect()
-    }
-
-    /// Samples a single index.
-    fn sample_index(&self, rng: &mut StdRng) -> u64 {
-        let rank = if self.alpha < 1e-9 {
-            rng.random_range(0..self.hash_size)
-        } else {
-            zipf_rank(rng, self.hash_size, self.alpha)
-        };
-        // Scatter ranks across the index space deterministically.
-        scatter(rank, self.hash_size)
-    }
-
-    /// Empirical distribution statistics from a freshly generated stream.
-    pub fn stats(&self, batch_size: u32, pooling_factor: f64, seed: u64) -> DistributionStats {
-        DistributionStats::from_indices(&self.generate(batch_size, pooling_factor, seed))
-            .expect("generate always returns at least one index")
-    }
-}
-
-/// Samples a 0-based Zipf rank by inverse-CDF on the continuous
-/// approximation (bounded Pareto), which is accurate for large `n` and
-/// avoids per-sample harmonic sums.
-fn zipf_rank(rng: &mut StdRng, n: u64, alpha: f64) -> u64 {
-    let u: f64 = rng.random::<f64>().max(1e-15);
-    let n_f = n as f64;
-    let rank = if (alpha - 1.0).abs() < 1e-9 {
-        // CDF(x) ∝ ln(x); invert: x = exp(u * ln(n))
-        (u * n_f.ln()).exp()
-    } else {
-        // CDF(x) ∝ x^(1-a) - 1; invert.
-        let one_minus = 1.0 - alpha;
-        ((u * (n_f.powf(one_minus) - 1.0)) + 1.0).powf(1.0 / one_minus)
-    };
-    (rank.floor() as u64).min(n - 1)
-}
-
-/// Deterministic rank→index scatter (Fibonacci hashing within the table).
-fn scatter(rank: u64, n: u64) -> u64 {
-    rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % n
-}
+//! pressure. [`expected_distinct_fraction`] estimates the expected fraction
+//! of unique indices in a batch, which lowers a table to a
+//! [`nshard_sim::TableProfile`] without materializing millions of indices;
+//! the unit tests hold it to a generated Zipf lookup stream.
 
 /// Analytic estimate of the expected fraction of **distinct** indices among
 /// `lookups` draws from `Zipf(alpha)` over `hash_size` rows.
@@ -240,57 +94,56 @@ fn expected_distinct_fraction_uncached(hash_size: u64, alpha: f64, lookups: f64)
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn generate_is_deterministic() {
-        let g = IndexGenerator::new(1 << 16, 1.1);
-        assert_eq!(g.generate(128, 4.0, 7), g.generate(128, 4.0, 7));
-        assert_ne!(g.generate(128, 4.0, 7), g.generate(128, 4.0, 8));
+    /// The estimator's oracle: the measured fraction of distinct indices
+    /// among `lookups` draws from `Zipf(alpha)` over `hash_size` rows, like
+    /// the benchmark dataset's lookup streams (`alpha = 0` is uniform).
+    /// Ranks come from inverse-CDF on the continuous approximation (bounded
+    /// Pareto) and are scattered across the index space, as real tables do
+    /// not store hot rows contiguously.
+    fn empirical_distinct_fraction(hash_size: u64, alpha: f64, lookups: usize, seed: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = hash_size as f64;
+        let mut indices: Vec<u64> = (0..lookups)
+            .map(|_| {
+                let rank = if alpha < 1e-9 {
+                    rng.random_range(0..hash_size)
+                } else {
+                    let u: f64 = rng.random::<f64>().max(1e-15);
+                    let rank = if (alpha - 1.0).abs() < 1e-9 {
+                        // CDF(x) ∝ ln(x); invert: x = exp(u * ln(n))
+                        (u * n.ln()).exp()
+                    } else {
+                        // CDF(x) ∝ x^(1-a) - 1; invert.
+                        let one_minus = 1.0 - alpha;
+                        ((u * (n.powf(one_minus) - 1.0)) + 1.0).powf(1.0 / one_minus)
+                    };
+                    (rank.floor() as u64).min(hash_size - 1)
+                };
+                // Fibonacci hashing within the table.
+                rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % hash_size
+            })
+            .collect();
+        indices.sort_unstable();
+        indices.dedup();
+        indices.len() as f64 / lookups as f64
     }
 
     #[test]
-    fn indices_stay_in_range() {
-        let g = IndexGenerator::new(1000, 1.2);
-        for &i in &g.generate(256, 8.0, 3) {
-            assert!(i < 1000);
-        }
-    }
-
-    #[test]
-    fn skew_reduces_unique_fraction() {
+    fn skew_reduces_the_measured_unique_fraction() {
         let n = 1 << 20;
-        let uniform = IndexGenerator::new(n, 0.0).stats(1024, 8.0, 1);
-        let skewed = IndexGenerator::new(n, 1.5).stats(1024, 8.0, 1);
-        assert!(skewed.unique_frac < uniform.unique_frac);
-        assert!(skewed.top1pct_share > uniform.top1pct_share);
-    }
-
-    #[test]
-    fn stats_of_constant_stream() {
-        let s = DistributionStats::from_indices(&[5, 5, 5, 5]).unwrap();
-        assert_eq!(s.num_lookups, 4);
-        assert_eq!(s.unique_frac, 0.25);
-        assert_eq!(s.max_index, 5);
-        assert_eq!(s.top1pct_share, 1.0);
-    }
-
-    #[test]
-    fn stats_of_distinct_stream() {
-        let s = DistributionStats::from_indices(&[1, 2, 3, 4]).unwrap();
-        assert_eq!(s.unique_frac, 1.0);
-    }
-
-    #[test]
-    fn stats_of_empty_stream_is_none() {
-        assert!(DistributionStats::from_indices(&[]).is_none());
+        let uniform = empirical_distinct_fraction(n, 0.0, 8192, 1);
+        let skewed = empirical_distinct_fraction(n, 1.5, 8192, 1);
+        assert!(skewed < uniform);
     }
 
     #[test]
     fn analytic_distinct_matches_empirical_uniform() {
         let n: u64 = 1 << 14;
-        let lookups = 8192.0;
-        let analytic = expected_distinct_fraction(n, 0.0, lookups);
-        let empirical = IndexGenerator::new(n, 0.0).stats(1024, 8.0, 42).unique_frac;
+        let analytic = expected_distinct_fraction(n, 0.0, 8192.0);
+        let empirical = empirical_distinct_fraction(n, 0.0, 8192, 42);
         assert!(
             (analytic - empirical).abs() < 0.05,
             "analytic {analytic} vs empirical {empirical}"
@@ -301,11 +154,8 @@ mod tests {
     fn analytic_distinct_matches_empirical_zipf() {
         let n: u64 = 1 << 20;
         let alpha = 1.1;
-        let lookups = 16384.0;
-        let analytic = expected_distinct_fraction(n, alpha, lookups);
-        let empirical = IndexGenerator::new(n, alpha)
-            .stats(2048, 8.0, 11)
-            .unique_frac;
+        let analytic = expected_distinct_fraction(n, alpha, 16384.0);
+        let empirical = empirical_distinct_fraction(n, alpha, 16384, 11);
         assert!(
             (analytic - empirical).abs() < 0.12,
             "analytic {analytic} vs empirical {empirical}"
@@ -341,14 +191,6 @@ mod tests {
             let f = expected_distinct_fraction(1u64 << n_pow, alpha, lookups);
             prop_assert!(f.is_finite());
             prop_assert!(f > 0.0 && f <= 1.0);
-        }
-
-        #[test]
-        fn generated_lengths_track_pooling(batch in 1u32..1024, pf in 0.5f64..32.0) {
-            let g = IndexGenerator::new(1 << 12, 1.0);
-            let len = g.generate(batch, pf, 1).len();
-            let expect = (f64::from(batch) * pf).round() as usize;
-            prop_assert_eq!(len, expect.max(1));
         }
     }
 }

@@ -45,7 +45,7 @@ pub mod task;
 
 pub use augment::augment_pool;
 pub use combination::{CombinationGenerator, TableCombination};
-pub use indices::{expected_distinct_fraction, DistributionStats, IndexGenerator};
+pub use indices::expected_distinct_fraction;
 pub use placement::{Placement, PlacementGenerator};
 pub use pool::{PoolStats, TablePool};
 pub use table::{TableConfig, TableId, MIN_ROW_SHARD};

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use nshard_sim::TableProfile;
 
-use crate::indices::{expected_distinct_fraction, IndexGenerator};
+use crate::indices::expected_distinct_fraction;
 
 /// Identifier of a table within a pool or a sharding task.
 ///
@@ -25,7 +25,7 @@ impl std::fmt::Display for TableId {
 ///
 /// Unlike the simulator's [`TableProfile`] (pure numbers), a `TableConfig`
 /// carries the dataset identity and the generative description of its index
-/// distribution, and can produce lookup-index streams for micro-benchmarks.
+/// distribution.
 ///
 /// # Example
 ///
@@ -39,6 +39,7 @@ impl std::fmt::Display for TableId {
 /// assert!(profile.unique_frac() > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "TableWire")]
 pub struct TableConfig {
     id: TableId,
     dim: u32,
@@ -49,17 +50,52 @@ pub struct TableConfig {
     /// the (hot) table is replicated onto `R` holders. Each replica stores
     /// the **full** rows but answers only `1/R` of the batch's lookups, so
     /// replicas carry full memory and a `1/R` communication share.
-    #[serde(default = "default_replicas")]
     replicas: u32,
     /// First logical row this shard covers, for row-wise splits: a shard
     /// holds rows `[row_offset, row_offset + hash_size)` of the original
     /// table's id space. `0` for unsplit tables.
+    row_offset: u64,
+}
+
+/// The JSON form of a [`TableConfig`] as read. Wherever a table is decoded
+/// — a task, the tables of a stored or replicated plan — the conversion
+/// runs the checks [`TableConfig::new`] asserts, so a table that would
+/// panic [`TableConfig::profile`] is a decode error instead.
+#[derive(Deserialize)]
+struct TableWire {
+    id: TableId,
+    dim: u32,
+    hash_size: u64,
+    pooling_factor: f64,
+    zipf_alpha: f64,
+    /// Absent in files from before replication.
+    #[serde(default = "default_replicas")]
+    replicas: u32,
+    /// Absent in files from before row-wise splits.
     #[serde(default)]
     row_offset: u64,
 }
 
 fn default_replicas() -> u32 {
     1
+}
+
+impl TryFrom<TableWire> for TableConfig {
+    type Error = String;
+
+    fn try_from(wire: TableWire) -> Result<Self, String> {
+        let table = Self {
+            id: wire.id,
+            dim: wire.dim,
+            hash_size: wire.hash_size,
+            pooling_factor: wire.pooling_factor,
+            zipf_alpha: wire.zipf_alpha,
+            replicas: wire.replicas,
+            row_offset: wire.row_offset,
+        };
+        table.check()?;
+        Ok(table)
+    }
 }
 
 impl TableConfig {
@@ -91,9 +127,8 @@ impl TableConfig {
     }
 
     /// The conditions [`TableConfig::new`] asserts, as an error — also run
-    /// by the task decoder (`crate::task`), because a deserialized table
-    /// never went through `new`.
-    pub(crate) fn check(&self) -> Result<(), String> {
+    /// on every decoded table, which never went through `new`.
+    fn check(&self) -> Result<(), String> {
         if self.dim == 0 {
             return Err("dimension must be positive".into());
         }
@@ -223,11 +258,6 @@ impl TableConfig {
         } else {
             profile
         }
-    }
-
-    /// An index generator producing this table's lookup streams.
-    pub fn index_generator(&self) -> IndexGenerator {
-        IndexGenerator::new(self.hash_size, self.zipf_alpha)
     }
 
     /// Returns the two column-wise halves of this table (both keep the
@@ -442,6 +472,35 @@ mod tests {
         assert_eq!(t.replicas(), 1);
         assert_eq!(t.row_offset(), 0);
         assert!(!t.is_replicated());
+    }
+
+    #[test]
+    fn decoding_refuses_what_new_refuses() {
+        let json = serde_json::to_string(&table()).unwrap();
+        assert_eq!(serde_json::from_str::<TableConfig>(&json).unwrap(), table());
+        for (field, hostile, reason) in [
+            ("\"dim\":64", "\"dim\":0", "dimension must be positive"),
+            (
+                "\"hash_size\":4194304",
+                "\"hash_size\":0",
+                "hash size must be positive",
+            ),
+            (
+                "\"pooling_factor\":15.0",
+                "\"pooling_factor\":1e999",
+                "pooling factor must be positive",
+            ),
+            (
+                "\"pooling_factor\":15.0",
+                "\"pooling_factor\":-1.0",
+                "pooling factor must be positive",
+            ),
+        ] {
+            assert!(json.contains(field), "{json}");
+            let err = serde_json::from_str::<TableConfig>(&json.replace(field, hostile))
+                .expect_err(hostile);
+            assert!(err.to_string().contains(reason), "{hostile}: {err}");
+        }
     }
 
     #[test]

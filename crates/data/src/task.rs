@@ -64,10 +64,10 @@ struct TaskWire {
     devices: Option<DevicePool>,
 }
 
-/// Most devices a JSON task may name: `"devices":null` expands to one
-/// profile per device, so the count must be bounded before it is allocated.
-/// The largest fleet any bench drives has 128.
-const MAX_WIRE_DEVICES: usize = 1 << 16;
+/// Most devices a JSON task (or plan) may name: `"devices":null` expands to
+/// one profile per device, so the count must be bounded before it is
+/// allocated. The largest fleet any bench drives has 128.
+pub const MAX_WIRE_DEVICES: usize = 1 << 16;
 
 impl TryFrom<TaskWire> for ShardingTask {
     type Error = String;
@@ -76,7 +76,6 @@ impl TryFrom<TaskWire> for ShardingTask {
         if wire.tables.is_empty() {
             return Err("a task needs at least one table".into());
         }
-        wire.tables.iter().try_for_each(TableConfig::check)?;
         // `memory_bytes` and `total_bytes` multiply and sum unchecked.
         wire.tables
             .iter()

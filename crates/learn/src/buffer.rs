@@ -284,11 +284,6 @@ impl ObservationBuffer {
         Self::ordered(&self.train)
     }
 
-    /// The held-back validation observations in insert order.
-    pub fn validation_observations(&self) -> Vec<&Observation> {
-        Self::ordered(&self.validation)
-    }
-
     fn ordered(entries: &[Entry]) -> Vec<&Observation> {
         let mut refs: Vec<&Entry> = entries.iter().collect();
         refs.sort_by_key(|e| e.index);

@@ -21,6 +21,10 @@ use nshard_nn::Dataset;
 
 use crate::buffer::LearnDatasets;
 
+/// Comm-MLP layer indices kept bitwise frozen while fine-tuning: the
+/// input layer.
+const FROZEN_COMM_LAYERS: [usize; 1] = [0];
+
 /// Fine-tuning hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FineTuneSettings {
@@ -34,9 +38,6 @@ pub struct FineTuneSettings {
     /// Keep the DeepSets table encoder bitwise frozen and adapt only the
     /// cost head (default `true`).
     pub freeze_encoder: bool,
-    /// Comm-MLP layer indices kept bitwise frozen (default `[0]`, the
-    /// input layer).
-    pub frozen_comm_layers: Vec<usize>,
     /// Gradient worker threads; `0` = auto (`NSHARD_THREADS`). Results
     /// are bit-identical at any setting.
     pub threads: usize,
@@ -52,7 +53,6 @@ impl Default for FineTuneSettings {
             batch_size: 32,
             learning_rate: 1e-4,
             freeze_encoder: true,
-            frozen_comm_layers: vec![0],
             threads: 0,
             min_samples: 24,
         }
@@ -132,13 +132,7 @@ impl FineTuner {
                 return None;
             }
             let valid_ds = valid_ds.as_ref().unwrap_or(train_ds);
-            let tune = model.fine_tune(
-                train_ds,
-                valid_ds,
-                &ts,
-                &settings.frozen_comm_layers,
-                seed ^ salt,
-            );
+            let tune = model.fine_tune(train_ds, valid_ds, &ts, &FROZEN_COMM_LAYERS, seed ^ salt);
             Some(tune.valid_mse)
         };
         let mut comm_samples = 0usize;

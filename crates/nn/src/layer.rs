@@ -221,21 +221,6 @@ impl Dense {
             .gemm_sum_into(dy.as_slice(), dy.rows(), dx.as_mut_slice());
     }
 
-    /// Applies a parameter update: `W += dw_scaled`, `b += db_scaled`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn apply_update(&mut self, dw: &Matrix, db: &[f32]) {
-        self.packed.invalidate();
-        self.packed_t.invalidate();
-        self.w.add_scaled(dw, 1.0);
-        assert_eq!(db.len(), self.b.len(), "bias update length mismatch");
-        for (b, &d) in self.b.iter_mut().zip(db) {
-            *b += d;
-        }
-    }
-
     /// Direct mutable access to the parameters (weights buffer then bias),
     /// used by the optimizer.
     pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {

@@ -59,8 +59,8 @@ pub use layer::Dense;
 pub use loss::{mse, mse_grad};
 pub use mlp::{Gradients, Mlp, MlpScratch, MlpWorkspace};
 pub use serialize::{
-    envelope_from_json, envelope_to_json, load_envelope, save_envelope, Checkpoint,
-    CheckpointError, Envelope, CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,
+    envelope_from_json, envelope_to_json, Checkpoint, CheckpointError, Envelope,
+    CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,
 };
 pub use tensor::Matrix;
 pub use train::{Dataset, Split, TrainConfig, TrainReport, Trainer, GRAD_SHARD_ROWS};

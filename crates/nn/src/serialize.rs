@@ -10,11 +10,11 @@
 //! * [`Checkpoint`] — the concrete single-[`Mlp`] checkpoint used by the
 //!   training binaries;
 //! * the **versioned envelope** ([`envelope_to_json`] /
-//!   [`envelope_from_json`] / [`save_envelope`] / [`load_envelope`]) — a
-//!   generic wrapper putting the same version header around *any*
-//!   serializable payload. The `nshard-serve` daemon persists whole
-//!   cost-model bundles and adopted plans through it, so every artifact on
-//!   disk is self-describing and version-checked at load time.
+//!   [`envelope_from_json`]) — a generic wrapper putting the same version
+//!   header around *any* serializable payload. The `nshard-serve` daemon
+//!   persists whole cost-model bundles and adopted plans through it
+//!   (checksum-framed, which is why the file I/O lives there), so every
+//!   artifact on disk is self-describing and version-checked at load time.
 //!
 //! **Version policy.** The current format is [`CHECKPOINT_VERSION`]; every
 //! version down to [`MIN_SUPPORTED_CHECKPOINT_VERSION`] still loads and is
@@ -323,43 +323,6 @@ pub fn envelope_from_json<T: Deserialize>(json: &str) -> Result<Envelope<T>, Che
         created_by,
         payload,
     })
-}
-
-/// Writes an envelope-wrapped payload to a file.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] when the file cannot be written.
-pub fn save_envelope<T: Serialize>(
-    path: impl AsRef<std::path::Path>,
-    name: &str,
-    created_by: &str,
-    payload: &T,
-) -> Result<(), CheckpointError> {
-    let path = path.as_ref();
-    std::fs::write(path, envelope_to_json(name, created_by, payload)).map_err(|e| {
-        CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        }
-    })
-}
-
-/// Loads an envelope-wrapped payload from a file.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] when the file cannot be read, otherwise the
-/// errors of [`envelope_from_json`].
-pub fn load_envelope<T: Deserialize>(
-    path: impl AsRef<std::path::Path>,
-) -> Result<Envelope<T>, CheckpointError> {
-    let path = path.as_ref();
-    let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
-        path: path.display().to_string(),
-        error: e.to_string(),
-    })?;
-    envelope_from_json(&json)
 }
 
 #[cfg(test)]

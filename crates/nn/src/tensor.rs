@@ -164,7 +164,7 @@ impl Matrix {
 
     /// `self · other`, via the cache-blocked kernel in [`crate::gemm`].
     ///
-    /// Bit-identical to [`Matrix::matmul_ref`] (the kernels accumulate each
+    /// Bit-identical to [`crate::gemm::gemm_ref_into`] (the kernels accumulate each
     /// output element over `k` in the same ascending order).
     ///
     /// # Panics
@@ -193,28 +193,6 @@ impl Matrix {
             other.cols,
             &mut out.data,
         );
-    }
-
-    /// `self · other` through the scalar reference kernel.
-    ///
-    /// This is the historical scalar loop nest the blocked kernels are
-    /// conformance-tested against; use [`Matrix::matmul`] in real code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_ref(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        crate::gemm::gemm_ref_into(
-            &self.data,
-            &other.data,
-            self.rows,
-            self.cols,
-            other.cols,
-            &mut out.data,
-        );
-        out
     }
 
     /// Reshapes to `rows × cols` and zero-fills, reusing the allocation.

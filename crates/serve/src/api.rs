@@ -15,9 +15,11 @@ use serde::{Deserialize, Serialize};
 use nshard_core::{PlanProvenance, PlanSource, ShardingPlan};
 use nshard_data::ShardingTask;
 
+use crate::http::HttpResponse;
+
 /// `POST /v1/plan` — plan a task from scratch.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlanRequest {
+pub(crate) struct PlanRequest {
     /// The task to shard.
     pub task: ShardingTask,
     /// Per-request deadline in ms; defaults to 30 s. Expired in queue ⇒
@@ -42,7 +44,7 @@ impl Deserialize for PlanRequest {
 
 /// `POST /v1/replan` — replan warm-started from a stored incumbent.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReplanRequest {
+pub(crate) struct ReplanRequest {
     /// The (drifted) task to shard.
     pub task: ShardingTask,
     /// Incumbent plan id; defaults to the most recently adopted plan.
@@ -82,7 +84,7 @@ fn opt_field<T: Deserialize>(
 
 /// Body of a successful `POST /v1/plan`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PlanResponse {
+pub(crate) struct PlanResponse {
     /// Content-addressed plan id.
     pub id: String,
     /// Store adoption version (`0` when `adopt` was `false`).
@@ -102,7 +104,7 @@ pub struct PlanResponse {
 
 /// Body of a successful `POST /v1/replan`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ReplanResponse {
+pub(crate) struct ReplanResponse {
     /// Content-addressed plan id.
     pub id: String,
     /// Store adoption version (`0` when `adopt` was `false`).
@@ -146,7 +148,7 @@ pub struct ObservationWire {
 
 /// `POST /v1/observations` — report a batch of ground-truth observations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObservationsRequest {
+pub(crate) struct ObservationsRequest {
     /// The batch; empty batches are accepted (and ack `accepted: 0`).
     pub observations: Vec<ObservationWire>,
 }
@@ -164,7 +166,7 @@ impl Deserialize for ObservationsRequest {
 
 /// Body of a successful `POST /v1/observations`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ObservationsAck {
+pub(crate) struct ObservationsAck {
     /// Observations admitted into the buffer by this request.
     pub accepted: u64,
     /// Total observations currently buffered (after bounded eviction).
@@ -176,7 +178,7 @@ pub struct ObservationsAck {
 
 /// Body of every error response.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ErrorBody {
+struct ErrorBody {
     /// Short stable error kind (`"queue_full"`, `"deadline_expired"`,
     /// `"bad_request"`, `"not_found"`, `"infeasible"`, ...).
     pub error: String,
@@ -184,25 +186,23 @@ pub struct ErrorBody {
     pub detail: String,
 }
 
-impl ErrorBody {
-    /// Serializes the body, with a hand-rolled fallback that cannot fail.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self)
-            .unwrap_or_else(|_| "{\"error\":\"internal\",\"detail\":\"\"}".to_string())
-    }
-
-    /// A new error body.
-    pub fn new(error: impl Into<String>, detail: impl Into<String>) -> Self {
-        Self {
-            error: error.into(),
-            detail: detail.into(),
-        }
-    }
+/// An error response: `status` with an [`ErrorBody`] of `kind` and
+/// `detail`, serialized with a hand-rolled fallback that cannot fail.
+pub(crate) fn error_response(status: u16, kind: &str, detail: String) -> HttpResponse {
+    let body = ErrorBody {
+        error: kind.to_string(),
+        detail,
+    };
+    HttpResponse::json(
+        status,
+        serde_json::to_string(&body)
+            .unwrap_or_else(|_| "{\"error\":\"internal\",\"detail\":\"\"}".to_string()),
+    )
 }
 
 /// Body of `GET /health`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct HealthResponse {
+pub(crate) struct HealthResponse {
     /// Always `"ok"` when the daemon can respond at all.
     pub status: String,
     /// Number of adopted plans in the store.
@@ -222,7 +222,7 @@ pub struct HealthResponse {
 
 /// Body of `GET /v1/repl/status` — a replica's replication facts.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ReplStatus {
+pub(crate) struct ReplStatus {
     /// The node's configured name.
     pub node: String,
     /// Current role label.
@@ -241,7 +241,7 @@ pub struct ReplStatus {
 
 /// Short stable label for a [`PlanSource`], used in responses and metric
 /// labels.
-pub fn source_label(source: &PlanSource) -> String {
+pub(crate) fn source_label(source: &PlanSource) -> String {
     match source {
         PlanSource::Primary { algorithm } => format!("primary:{algorithm}"),
         PlanSource::Repaired {

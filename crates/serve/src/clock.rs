@@ -17,22 +17,16 @@ pub trait Clock: Send + Sync {
 
 /// The production clock: milliseconds since construction.
 #[derive(Debug)]
-pub struct WallClock {
+pub(crate) struct WallClock {
     origin: Instant,
 }
 
 impl WallClock {
     /// A clock anchored at now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             origin: Instant::now(),
         }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -47,7 +41,7 @@ impl Clock for WallClock {
 /// # Example
 ///
 /// ```
-/// use nshard_serve::clock::{Clock, ManualClock};
+/// use nshard_serve::{Clock, ManualClock};
 ///
 /// let clock = ManualClock::new();
 /// assert_eq!(clock.now_ms(), 0);

@@ -48,7 +48,7 @@ pub struct PlanOutput {
 
 /// A replan: a [`PlanOutput`] plus migration accounting.
 #[derive(Debug, Clone)]
-pub struct ReplanOutput {
+pub(crate) struct ReplanOutput {
     /// The plan and its provenance.
     pub output: PlanOutput,
     /// Bytes that must move from the incumbent to adopt the new plan.
@@ -73,7 +73,9 @@ struct EngineCore {
     version: u64,
 }
 
-/// The shared planning engine. See the [module documentation](self).
+/// The planning engine shared by every worker thread: per cost-model
+/// generation, the planning stack, the greedy degraded chain and the model
+/// version.
 pub struct PlanningEngine {
     core: RwLock<Arc<EngineCore>>,
     search: NeuroShardConfig,
@@ -131,7 +133,7 @@ impl PlanningEngine {
     /// and degraded chain built around it — and returns the new model
     /// version. The fresh simulator starts with empty prediction/encoding
     /// caches, so no stale predictions survive the promotion.
-    pub fn swap_bundle(&self, bundle: CostModelBundle) -> u64 {
+    pub(crate) fn swap_bundle(&self, bundle: CostModelBundle) -> u64 {
         let mut guard = self.core.write().expect("engine core lock poisoned");
         let version = guard.version + 1;
         *guard = Arc::new(Self::build_core(
@@ -146,7 +148,7 @@ impl PlanningEngine {
 
     /// The active model version (starts at 1, +1 per
     /// [`PlanningEngine::swap_bundle`]).
-    pub fn model_version(&self) -> u64 {
+    pub(crate) fn model_version(&self) -> u64 {
         self.current().version
     }
 
@@ -156,7 +158,7 @@ impl PlanningEngine {
     /// # Errors
     ///
     /// A message naming both counts.
-    pub fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
+    pub(crate) fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
         let core = self.current();
         core.stack
             .simulator()
@@ -166,7 +168,7 @@ impl PlanningEngine {
 
     /// Cumulative prediction-cache statistics of the **active** model
     /// generation, for `/metrics` (a swap resets them with the caches).
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.current().stack.simulator().cache().stats()
     }
 
@@ -203,7 +205,7 @@ impl PlanningEngine {
     ///
     /// [`ResilientError`] when the full-search fallback also failed; see
     /// [`PlanningEngine::plan`].
-    pub fn replan(
+    pub(crate) fn replan(
         &self,
         task: &ShardingTask,
         incumbent: &ShardingPlan,
@@ -274,7 +276,7 @@ fn finish(
 /// chars. Identical (task, plan) pairs — the only thing a deterministic
 /// engine can produce for identical requests — get identical ids, which
 /// makes store adoption idempotent and responses bit-identical.
-pub fn plan_id(task: &ShardingTask, plan: &ShardingPlan) -> String {
+pub(crate) fn plan_id(task: &ShardingTask, plan: &ShardingPlan) -> String {
     let task = serde_json::to_string(task).unwrap_or_default();
     let plan = serde_json::to_string(plan).unwrap_or_default();
     let hash = fnv64_extend(fnv64(task.as_bytes()), b"|");

@@ -3,17 +3,17 @@
 //!
 //! The types both sides of the wire share ([`HttpRequest`],
 //! [`HttpResponse`] and its one serializer, [`HttpResponse::to_bytes`])
-//! plus two blocking clients: the one-shot [`http_call`] and the
-//! connection-reusing [`KeepAliveClient`], shared by the integration
-//! tests, the load-generator benches, and the demos' self-checks. The
-//! server side of the wire — the request parser and the socket I/O — is
-//! [`crate::net`].
+//! plus the one blocking client, the connection-reusing
+//! [`KeepAliveClient`] ([`http_call`] is one used once), shared by the
+//! replication tailer, the integration tests, the load generators and the
+//! demos' self-checks. The server side of the wire — the request parser
+//! and the socket I/O — is [`crate::net`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on request bodies; larger requests get `413`.
-pub const MAX_BODY_BYTES: usize = 8 << 20;
+pub(crate) const MAX_BODY_BYTES: usize = 8 << 20;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,20 +67,20 @@ impl HttpResponse {
 
     /// Attaches a `Retry-After` header (builder-style).
     #[must_use]
-    pub fn with_retry_after(mut self, seconds: u32) -> Self {
+    pub(crate) fn with_retry_after(mut self, seconds: u32) -> Self {
         self.retry_after_s = Some(seconds);
         self
     }
 
     /// Attaches an extra response header (builder-style).
     #[must_use]
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
 
     /// The standard reason phrase for the status code.
-    pub fn reason(&self) -> &'static str {
+    fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
             400 => "Bad Request",
@@ -127,49 +127,19 @@ impl HttpResponse {
     }
 }
 
-/// A blocking one-shot HTTP call: connect, send, read the full response.
-/// Returns `(status, body)`.
+/// A blocking one-shot HTTP call: a [`KeepAliveClient`] used once and
+/// dropped. Returns `(status, body)`.
 ///
 /// # Errors
 ///
-/// I/O errors connecting or reading; `InvalidData` when the response is
-/// not parseable HTTP.
+/// As for [`KeepAliveClient::call`].
 pub fn http_call(
     addr: &str,
     method: &str,
     path: &str,
     body: &[u8],
 ) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let mut lines = text.splitn(2, "\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line: {status_line:?}"),
-            )
-        })?;
-    let rest = lines.next().unwrap_or_default();
-    let body = rest
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+    KeepAliveClient::new(addr).call(method, path, body)
 }
 
 /// A blocking HTTP/1.1 client that keeps one connection open across

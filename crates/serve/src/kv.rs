@@ -47,7 +47,7 @@ pub enum MatchSeq {
 impl MatchSeq {
     /// Whether a key currently at `seq` (`0` when absent) satisfies the
     /// condition.
-    pub fn matches(&self, seq: u64) -> bool {
+    fn matches(&self, seq: u64) -> bool {
         match self {
             MatchSeq::Any => true,
             MatchSeq::Exact(want) => seq == *want,
@@ -98,12 +98,11 @@ impl std::fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// A stored value with the sequence of the mutation that wrote it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeqEntry {
+struct SeqEntry {
     /// Sequence of the writing mutation.
-    pub seq: u64,
+    seq: u64,
     /// The value (JSON in practice; the KV is payload-agnostic).
-    pub value: String,
+    value: String,
 }
 
 /// One sequenced mutation — the unit of the replication log.
@@ -276,16 +275,6 @@ impl PlanKv {
         }
     }
 
-    /// Looks up one key.
-    pub fn get(&self, key: &str) -> Option<SeqEntry> {
-        self.inner
-            .lock()
-            .expect("plan kv poisoned")
-            .entries
-            .get(key)
-            .cloned()
-    }
-
     /// The sequence of the last applied mutation (`0` when pristine).
     pub fn applied_seq(&self) -> u64 {
         self.inner.lock().expect("plan kv poisoned").applied_seq
@@ -307,7 +296,7 @@ impl PlanKv {
     }
 
     /// The retained log window: `(oldest retained sequence, length)`.
-    pub fn log_window(&self) -> (u64, usize) {
+    pub(crate) fn log_window(&self) -> (u64, usize) {
         let inner = self.inner.lock().expect("plan kv poisoned");
         (inner.log_start, inner.log.len())
     }
@@ -357,7 +346,7 @@ impl PlanKv {
     /// as soon as their predecessors stream in — unless the snapshot is
     /// *behind* this replica, which means the leader restarted its
     /// sequence space and everything buffered belongs to the dead one.
-    pub fn restore(&self, snapshot: &KvSnapshot) {
+    pub(crate) fn restore(&self, snapshot: &KvSnapshot) {
         let mut inner = self.inner.lock().expect("plan kv poisoned");
         inner.pending = if snapshot.applied_seq < inner.applied_seq {
             BTreeMap::new()
@@ -420,8 +409,8 @@ mod tests {
         let err = kv.upsert("plans/a", "A1", MatchSeq::Exact(0)).unwrap_err();
         assert!(matches!(err, KvError::SeqConflict { found: 1, .. }));
         assert_eq!(
-            kv.get("plans/a").unwrap().value,
-            "A1",
+            kv.dump(),
+            "applied_seq=1\nplans/a\t1\tA1\n",
             "conflict mutates nothing"
         );
         // Replace exactly revision 1.
@@ -433,17 +422,6 @@ mod tests {
         let s3 = kv.upsert("plans/a", "A3", MatchSeq::GE(1)).unwrap();
         assert_eq!(s3, 3);
         assert_eq!(kv.applied_seq(), 3);
-    }
-
-    #[test]
-    fn get_finds_present_keys_and_len_counts_them() {
-        let kv = PlanKv::new(64);
-        kv.upsert("plans/b", "B", MatchSeq::Any).unwrap();
-        kv.upsert("plans/a", "A", MatchSeq::Any).unwrap();
-        kv.upsert("models/m", "M", MatchSeq::Any).unwrap();
-        assert_eq!(kv.get("plans/a").unwrap().value, "A");
-        assert!(kv.get("plans/zz").is_none());
-        assert_eq!(kv.len(), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A long-running, dependency-free HTTP/1.1 JSON daemon around the
 //! NeuroShard planner: the deployment story for the paper's "pre-train
 //! once, search per task" workflow. Pre-trained cost models load at
-//! startup (optionally from a [`store::ModelStore`] checkpoint) and every
+//! startup (optionally from a [`ModelStore`] checkpoint) and every
 //! request is an online search.
 //!
 //! ## Endpoints
@@ -15,10 +15,25 @@
 //! | `POST /v1/observations` | Report ground-truth costs for continual learning |
 //! | `GET /v1/plans/{id}` | Fetch a stored plan with provenance |
 //! | `GET /health` | Liveness + store/queue facts + replication role |
-//! | `GET /metrics` | Prometheus exposition ([`metrics`]) |
+//! | `GET /metrics` | Prometheus exposition |
 //! | `GET /v1/repl/status` | Replication role, applied sequence, staleness |
 //! | `GET /v1/repl/log/{from}` | Sequenced op log for tailing followers ([`repl`]) |
 //! | `GET /v1/repl/snapshot` | Full KV snapshot for cold/lagging catch-up |
+//!
+//! ## Module map
+//!
+//! The public surface is what the crate's callers name: the modules
+//! [`http`], [`kv`], [`net`], [`repl`] and [`server`], and the items
+//! re-exported below. Everything else is private.
+//!
+//! | Module | Holds |
+//! |---|---|
+//! | [`server`] | A facade over `config`, `service`, `routes`, `admission`, `cache`, `respond`, `daemon`: [`ServeConfig`], [`Service`], [`Server`] |
+//! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, timers, syscall bindings |
+//! | [`repl`] | Roles, the [`Replicator`], its transports, and the service's replication hooks and endpoints |
+//! | [`kv`] | The sequenced [`PlanKv`] and its wire types |
+//! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
+//! | `api`, `engine`, `store`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], [`PlanStore`] / [`ModelStore`], the metrics registry, [`Clock`] |
 //!
 //! ## Replication
 //!
@@ -54,26 +69,22 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
-pub mod clock;
-pub mod engine;
+mod api;
+mod clock;
+mod engine;
 pub mod http;
 pub mod kv;
-pub mod metrics;
+mod metrics;
 pub mod net;
 pub mod repl;
 pub mod server;
-pub mod store;
+mod store;
 
-pub use api::{
-    source_label, ErrorBody, HealthResponse, ObservationWire, ObservationsAck, ObservationsRequest,
-    PlanRequest, PlanResponse, ReplStatus, ReplanRequest, ReplanResponse,
-};
-pub use clock::{Clock, ManualClock, WallClock};
-pub use engine::{plan_id, PlanOutput, PlanningEngine, ReplanOutput};
+pub use api::ObservationWire;
+pub use clock::{Clock, ManualClock};
+pub use engine::{PlanOutput, PlanningEngine};
 pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
-pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SeqEntry, SnapshotEntry};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SnapshotEntry};
 pub use net::ConnConfig;
 pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
 pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service};

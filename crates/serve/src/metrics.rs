@@ -1,7 +1,7 @@
 //! A small lock-sharded metrics registry with Prometheus text exposition.
 //!
-//! The daemon (and the bench binaries) need counters, gauges and latency
-//! histograms that are cheap to update from many worker threads at once.
+//! The daemon needs counters, gauges and latency histograms that are
+//! cheap to update from many worker threads at once.
 //! The registry shards its name → metric maps across a fixed set of
 //! mutexes, so *registration* (a rare, name-hashed lookup) takes one shard
 //! lock while *updates* (the hot path) are plain atomic operations on the
@@ -28,46 +28,46 @@ const REGISTRY_SHARDS: usize = 8;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
     /// Increments by one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.value.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Increments by `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A settable gauge holding a non-negative integer (e.g. a queue depth).
 #[derive(Debug, Default)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     value: AtomicU64,
 }
 
 impl Gauge {
     /// Sets the gauge.
-    pub fn set(&self, v: u64) {
+    pub(crate) fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
     }
 
     /// Increments by one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.value.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Decrements by one (saturating at zero).
-    pub fn dec(&self) {
+    pub(crate) fn dec(&self) {
         let _ = self
             .value
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -76,7 +76,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -84,27 +84,14 @@ impl Gauge {
 /// Default histogram bucket upper bounds, in milliseconds: exponential
 /// from 0.25 ms to ~128 s. Values above the last bound land in the
 /// implicit `+Inf` bucket.
-pub const DEFAULT_BUCKETS_MS: [f64; 20] = [
+pub(crate) const DEFAULT_BUCKETS_MS: [f64; 20] = [
     0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
     8192.0, 16384.0, 32768.0, 65536.0, 131072.0,
 ];
 
 /// A fixed-bucket latency histogram with atomic bucket counters.
-///
-/// # Example
-///
-/// ```
-/// use nshard_serve::metrics::Histogram;
-///
-/// let h = Histogram::default_ms();
-/// for v in [1.0, 2.0, 3.0, 100.0] {
-///     h.observe(v);
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert!(h.quantile(0.5) <= h.quantile(0.99));
-/// ```
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     bounds: Vec<f64>,
     /// `buckets[i]` counts observations `<= bounds[i]`; the last slot is
     /// the `+Inf` bucket.
@@ -121,7 +108,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -136,12 +123,12 @@ impl Histogram {
     }
 
     /// A histogram with the default millisecond bounds.
-    pub fn default_ms() -> Self {
+    pub(crate) fn default_ms() -> Self {
         Self::new(&DEFAULT_BUCKETS_MS)
     }
 
     /// Records one observation.
-    pub fn observe(&self, value: f64) {
+    pub(crate) fn observe(&self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -154,19 +141,19 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0
     }
 
     /// The `q`-quantile (`0 < q <= 1`), linearly interpolated within the
     /// containing bucket; 0 when empty. Values in the `+Inf` bucket report
     /// the last finite bound.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         let total = self.count();
         if total == 0 {
             return 0.0;
@@ -190,7 +177,7 @@ impl Histogram {
     }
 
     /// A `(count, sum, p50, p95, p99)` snapshot.
-    pub fn snapshot(&self) -> (u64, f64, f64, f64, f64) {
+    pub(crate) fn snapshot(&self) -> (u64, f64, f64, f64, f64) {
         (
             self.count(),
             self.sum(),
@@ -218,31 +205,13 @@ struct Entry {
 /// Metric names may carry inline Prometheus labels
 /// (`requests_total{code="200"}`); the family name before the brace is
 /// what `# HELP` / `# TYPE` comments are grouped by.
-///
-/// # Example
-///
-/// ```
-/// use nshard_serve::metrics::MetricsRegistry;
-///
-/// let reg = MetricsRegistry::new();
-/// reg.counter("requests_total{code=\"200\"}", "Requests served").inc();
-/// let text = reg.render();
-/// assert!(text.contains("# TYPE requests_total counter"));
-/// assert!(text.contains("requests_total{code=\"200\"} 1"));
-/// ```
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     shards: Vec<Mutex<BTreeMap<String, Entry>>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             shards: (0..REGISTRY_SHARDS)
                 .map(|_| Mutex::new(BTreeMap::new()))
@@ -260,7 +229,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
         let mut shard = self.shard(name).lock().expect("registry shard poisoned");
         let entry = shard.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
@@ -277,7 +246,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
         let mut shard = self.shard(name).lock().expect("registry shard poisoned");
         let entry = shard.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
@@ -294,7 +263,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
         let mut shard = self.shard(name).lock().expect("registry shard poisoned");
         let entry = shard.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
@@ -308,7 +277,7 @@ impl MetricsRegistry {
 
     /// Renders every metric in Prometheus text exposition format, sorted
     /// by name (deterministic for fixed counter values).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut all: BTreeMap<String, (String, String)> = BTreeMap::new();
         // (name -> (family, rendered lines)); collected under shard locks,
         // formatted outside them.
@@ -356,6 +325,121 @@ impl MetricsRegistry {
             out.push_str(lines);
         }
         out
+    }
+}
+
+/// The service's metric handles: one registry (shared with the event
+/// loop's [`crate::net`] series, so `/metrics` is one exposition for the
+/// whole daemon) and a handle per fixed series; per-endpoint and
+/// per-reason counters register on first use.
+pub(crate) struct ServiceMetrics {
+    pub(crate) registry: MetricsRegistry,
+    pub(crate) queue_depth: Arc<Gauge>,
+    pub(crate) search_latency: Arc<Histogram>,
+    pub(crate) degraded: Arc<Counter>,
+    pub(crate) fallbacks: Arc<Counter>,
+    pub(crate) repairs: Arc<Counter>,
+    pub(crate) replica_role: Arc<Gauge>,
+    pub(crate) replication_lag: Arc<Gauge>,
+    pub(crate) snapshot_catchup: Arc<Counter>,
+    pub(crate) seq_conflicts: Arc<Counter>,
+    pub(crate) response_cache_hits: Arc<Counter>,
+    pub(crate) response_cache_misses: Arc<Counter>,
+    pub(crate) observations: Arc<Counter>,
+    pub(crate) model_promotions: Arc<Counter>,
+    pub(crate) model_rollbacks: Arc<Counter>,
+    pub(crate) model_version: Arc<Gauge>,
+    pub(crate) store_quarantined: Arc<Gauge>,
+}
+
+impl ServiceMetrics {
+    pub(crate) fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        Self {
+            queue_depth: registry.gauge(
+                "nshard_serve_queue_depth",
+                "Planning jobs waiting in the admission queue",
+            ),
+            search_latency: registry.histogram(
+                "nshard_serve_search_latency_ms",
+                "Wall-clock latency of admitted planning jobs, ms",
+            ),
+            degraded: registry.counter(
+                "nshard_serve_degraded_total",
+                "Requests answered with a degraded (non-primary) plan",
+            ),
+            fallbacks: registry.counter(
+                "nshard_serve_fallback_total",
+                "Plans produced by a fallback stage or the size-balanced last resort",
+            ),
+            repairs: registry.counter(
+                "nshard_serve_repair_total",
+                "Plans that needed the repair engine",
+            ),
+            replica_role: registry.gauge(
+                "nshard_serve_replica_role",
+                "This node's replication role: 0 follower, 1 candidate, 2 leader",
+            ),
+            replication_lag: registry.gauge(
+                "nshard_serve_replication_lag",
+                "Sequence delta between the last observed leader op and this replica",
+            ),
+            snapshot_catchup: registry.counter(
+                "nshard_serve_snapshot_catchup_total",
+                "Times this replica caught up by full snapshot instead of log tailing",
+            ),
+            seq_conflicts: registry.counter(
+                "nshard_serve_seq_conflict_total",
+                "Conditional KV upserts refused by their MatchSeq condition",
+            ),
+            response_cache_hits: registry.counter(
+                "nshard_serve_response_cache_hits_total",
+                "Planning jobs answered from the identical-request response cache",
+            ),
+            response_cache_misses: registry.counter(
+                "nshard_serve_response_cache_misses_total",
+                "Planning jobs that missed the response cache (cache enabled only)",
+            ),
+            observations: registry.counter(
+                "nshard_serve_observations_total",
+                "Ground-truth cost observations accepted via POST /v1/observations",
+            ),
+            model_promotions: registry.counter(
+                "nshard_serve_model_promotions_total",
+                "Fine-tuned cost-model bundles promoted into the serving engine",
+            ),
+            model_rollbacks: registry.counter(
+                "nshard_serve_model_rollbacks_total",
+                "Candidate cost-model bundles rejected by shadow evaluation (incumbent kept)",
+            ),
+            model_version: registry.gauge(
+                "nshard_serve_model_version",
+                "Version of the cost-model bundle currently serving predictions",
+            ),
+            store_quarantined: registry.gauge(
+                "nshard_serve_store_quarantined",
+                "Unreadable plan files the store set aside when it opened",
+            ),
+            registry,
+        }
+    }
+
+    pub(crate) fn count_request(&self, endpoint: &str, code: u16) {
+        self.registry
+            .counter(
+                &format!("nshard_serve_requests_total{{endpoint=\"{endpoint}\",code=\"{code}\"}}"),
+                "Requests by endpoint and status code",
+            )
+            .inc();
+    }
+
+    pub(crate) fn count_rejection(&self, reason: &str) {
+        self.registry
+            .counter(
+                &format!("nshard_serve_rejected_total{{reason=\"{reason}\"}}"),
+                "Requests shed by admission control",
+            )
+            .inc();
     }
 }
 

@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::api::error_response;
 use crate::http::{HttpRequest, HttpResponse};
 
 use super::parser::{ParseFault, ParseStep, RequestParser};
@@ -82,7 +83,7 @@ pub enum TimeoutKind {
 
 impl TimeoutKind {
     /// Stable label for the timeout counter on `/metrics`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TimeoutKind::Idle => "idle",
             TimeoutKind::Read => "read",
@@ -173,7 +174,7 @@ impl ConnState {
     /// Pops parsed requests while the pipeline has room — also called
     /// after completions free pipeline slots, since bytes may already be
     /// buffered.
-    pub fn drain_parser(&mut self, cfg: &ConnConfig) -> ReadOutcome {
+    pub(crate) fn drain_parser(&mut self, cfg: &ConnConfig) -> ReadOutcome {
         let mut outcome = ReadOutcome::default();
         while !self.closing && self.inflight < cfg.max_pipeline {
             match self.parser.step() {
@@ -197,10 +198,7 @@ impl ConnState {
                     outcome.requests.push((seq, parsed.request));
                 }
                 ParseStep::Fault(fault) => {
-                    let response = HttpResponse::json(
-                        fault.status(),
-                        crate::api::ErrorBody::new(fault.kind(), fault.to_string()).to_json(),
-                    );
+                    let response = error_response(fault.status(), fault.kind(), fault.to_string());
                     self.write_buf.extend_from_slice(&response.to_bytes(false));
                     self.closing = true;
                     outcome.fault = Some(fault);
@@ -214,7 +212,7 @@ impl ConnState {
 
     /// Records that the peer closed its read half; the connection still
     /// flushes buffered responses, then closes.
-    pub fn on_peer_closed(&mut self) {
+    pub(crate) fn on_peer_closed(&mut self) {
         self.peer_closed = true;
         self.closing = true;
         if self.inflight == 0 {
@@ -244,13 +242,10 @@ impl ConnState {
     /// Buffers a `408 Request Timeout` for a stalled partial request and
     /// marks the connection closing (the read-timeout expiry action).
     pub fn timeout_request(&mut self) {
-        let response = HttpResponse::json(
+        let response = error_response(
             408,
-            crate::api::ErrorBody::new(
-                "request_timeout",
-                "request not completed within the read timeout".to_string(),
-            )
-            .to_json(),
+            "request_timeout",
+            "request not completed within the read timeout".to_string(),
         );
         self.write_buf.extend_from_slice(&response.to_bytes(false));
         self.closing = true;
@@ -275,7 +270,7 @@ impl ConnState {
     }
 
     /// Whether the reactor should keep read interest registered.
-    pub fn want_read(&self, cfg: &ConnConfig) -> bool {
+    pub(crate) fn want_read(&self, cfg: &ConnConfig) -> bool {
         !self.closing
             && !self.peer_closed
             && self.inflight < cfg.max_pipeline
@@ -283,23 +278,18 @@ impl ConnState {
     }
 
     /// Whether unsent response bytes are waiting on the socket.
-    pub fn want_write(&self) -> bool {
+    pub(crate) fn want_write(&self) -> bool {
         self.write_pos < self.write_buf.len()
     }
 
     /// Unsent response bytes currently buffered.
-    pub fn pending_write_bytes(&self) -> usize {
+    fn pending_write_bytes(&self) -> usize {
         self.write_buf.len() - self.write_pos
     }
 
     /// Requests parsed but not yet answered.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight
-    }
-
-    /// Requests fully served over this connection's lifetime.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     /// Whether the connection is done: closing, nothing in flight, and
@@ -361,7 +351,6 @@ mod tests {
         let n = conn.writable().len();
         conn.advance_write(n, 1);
         assert!(!conn.should_close(), "keep-alive stays open");
-        assert_eq!(conn.served(), 1);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A single reactor thread multiplexes every connection over a
 //! level-triggered readiness poller (`epoll(7)` on Linux, `poll(2)`
 //! portable fallback — `sys`), with per-connection state machines
-//! ([`conn`]) doing incremental HTTP/1.1 parsing ([`parser`]), keep-alive
+//! (`conn`) doing incremental HTTP/1.1 parsing (`parser`), keep-alive
 //! and pipelined request handling over reusable buffers, write
-//! backpressure, and idle/read/write timeouts ([`timer`]).
+//! backpressure, and idle/read/write timeouts (`timer`).
 //!
 //! The reactor is the daemon's only **I/O edge**: every byte reaches
 //! [`crate::server::Service`] through it, and everything behind it — the
@@ -19,11 +19,11 @@
 //! completion queue and nudge the reactor through a self-pipe waker;
 //! the reactor serializes responses in request order per connection.
 
-pub mod conn;
-pub mod parser;
+mod conn;
+mod parser;
 pub(crate) mod reactor;
 pub(crate) mod sys;
-pub mod timer;
+mod timer;
 
 pub use conn::{ConnConfig, ConnState, ReadOutcome, TimeoutKind};
 pub use parser::{ParseFault, ParseStep, ParsedRequest, RequestParser, MAX_HEADER_BYTES};
@@ -36,19 +36,19 @@ use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 /// Event-loop series registered into the service's shared
 /// [`MetricsRegistry`], so `/metrics` exposes the connection plane next
 /// to the admission plane.
-pub struct NetMetrics {
+pub(crate) struct NetMetrics {
     /// Currently open connections.
-    pub open_connections: Arc<Gauge>,
+    pub(crate) open_connections: Arc<Gauge>,
     /// Connections accepted over the daemon's lifetime.
-    pub accepted_total: Arc<Counter>,
+    pub(crate) accepted_total: Arc<Counter>,
     /// Requests served over an already-used keep-alive connection.
-    pub keepalive_reuse_total: Arc<Counter>,
+    pub(crate) keepalive_reuse_total: Arc<Counter>,
     /// Requests parsed while earlier requests on the same connection
     /// were still in flight (HTTP/1.1 pipelining).
-    pub pipelined_requests_total: Arc<Counter>,
+    pub(crate) pipelined_requests_total: Arc<Counter>,
     /// Accept→parse→admit→respond wall-clock per request, ms (measured
     /// from request fully parsed to response serialized).
-    pub request_lifecycle: Arc<Histogram>,
+    pub(crate) request_lifecycle: Arc<Histogram>,
     timeouts: [Arc<Counter>; 3],
     parse_faults: [Arc<Counter>; 3],
 }
@@ -56,7 +56,7 @@ pub struct NetMetrics {
 impl NetMetrics {
     /// Registers (or re-attaches to) the event-loop series in
     /// `registry`.
-    pub fn new(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
         let timeout = |kind: TimeoutKind| {
             registry.counter(
                 &format!("nshard_net_timeouts_total{{kind=\"{}\"}}", kind.label()),
@@ -104,7 +104,7 @@ impl NetMetrics {
     }
 
     /// Counts one connection timeout of `kind` (idle/read/write).
-    pub fn count_timeout(&self, kind: TimeoutKind) {
+    pub(crate) fn count_timeout(&self, kind: TimeoutKind) {
         let i = match kind {
             TimeoutKind::Idle => 0,
             TimeoutKind::Read => 1,
@@ -114,7 +114,7 @@ impl NetMetrics {
     }
 
     /// Counts one connection torn down by a parse fault (400/413/431).
-    pub fn count_parse_fault(&self, fault: &ParseFault) {
+    pub(crate) fn count_parse_fault(&self, fault: &ParseFault) {
         let i = match fault {
             ParseFault::Malformed(_) => 0,
             ParseFault::HeadersTooLarge { .. } => 1,

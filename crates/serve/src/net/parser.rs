@@ -49,8 +49,7 @@ pub enum ParseFault {
         /// Bytes buffered without finding the end of the headers.
         buffered: usize,
     },
-    /// The declared `Content-Length` exceeds
-    /// [`crate::http::MAX_BODY_BYTES`] (`413`).
+    /// The declared `Content-Length` exceeds the 8 MiB body bound (`413`).
     BodyTooLarge {
         /// Declared `Content-Length`.
         declared: usize,
@@ -59,7 +58,7 @@ pub enum ParseFault {
 
 impl ParseFault {
     /// The HTTP status the reactor answers before closing.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             ParseFault::Malformed(_) => 400,
             ParseFault::HeadersTooLarge { .. } => 431,
@@ -68,7 +67,7 @@ impl ParseFault {
     }
 
     /// The stable error kind for the JSON error body.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             ParseFault::Malformed(_) => "bad_request",
             ParseFault::HeadersTooLarge { .. } => "headers_too_large",
@@ -101,7 +100,7 @@ pub enum ParseStep {
     Incomplete,
     /// One complete request was consumed from the buffer.
     Request(ParsedRequest),
-    /// The stream is unparseable; answer [`ParseFault::status`] and close.
+    /// The stream is unparseable; answer the fault's status and close.
     Fault(ParseFault),
 }
 
@@ -131,14 +130,14 @@ impl RequestParser {
     }
 
     /// Unconsumed bytes currently buffered.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buf.len() - self.start
     }
 
     /// Whether the buffer holds the start of a not-yet-complete request —
     /// the "mid-request" state the read timeout (slow-loris defence)
     /// applies to.
-    pub fn mid_request(&self) -> bool {
+    pub(crate) fn mid_request(&self) -> bool {
         self.buffered() > 0 && self.fault.is_none()
     }
 

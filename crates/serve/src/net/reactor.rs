@@ -89,7 +89,7 @@ struct ConnEntry {
 }
 
 /// Handle to the running reactor thread.
-pub struct Reactor {
+pub(crate) struct Reactor {
     shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
 }
@@ -101,7 +101,7 @@ impl Reactor {
     ///
     /// I/O errors creating the poller or the self-pipe, or registering
     /// the initial fds.
-    pub fn spawn(service: Arc<Service>, listener: TcpListener) -> io::Result<Self> {
+    pub(crate) fn spawn(service: Arc<Service>, listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let (waker_rx, waker_tx) = UnixStream::pair()?;
         waker_rx.set_nonblocking(true)?;
@@ -116,7 +116,7 @@ impl Reactor {
             waker_tx,
             stop: AtomicBool::new(false),
         });
-        let metrics = NetMetrics::new(service.metrics_registry());
+        let metrics = NetMetrics::new(&service.metrics.registry);
 
         let thread = {
             let shared = Arc::clone(&shared);
@@ -150,7 +150,7 @@ impl Reactor {
 
     /// Stops accepting, force-closes idle connections, flushes what can
     /// be flushed, and joins the thread.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.wake();
         if let Some(thread) = self.thread.take() {

@@ -22,7 +22,7 @@ use std::os::fd::RawFd;
 
 /// What readiness a registration cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the fd is readable (or the peer hung up).
     pub read: bool,
     /// Wake when the fd is writable.
@@ -31,7 +31,7 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Self = Self {
+    pub(crate) const READ: Self = Self {
         read: true,
         write: false,
     };
@@ -39,7 +39,7 @@ impl Interest {
 
 /// One readiness event out of `Poller::wait`.
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the fd was registered with.
     pub token: usize,
     /// Readable now (includes peer hang-up: the next read returns 0).
@@ -53,10 +53,10 @@ pub struct Event {
 
 /// The platform's readiness poller: `epoll(7)` on Linux.
 #[cfg(target_os = "linux")]
-pub type Poller = Epoll;
+pub(crate) type Poller = Epoll;
 /// The platform's readiness poller: `poll(2)` off Linux.
 #[cfg(not(target_os = "linux"))]
-pub type Poller = PollSet;
+pub(crate) type Poller = PollSet;
 
 /// `timeout_ms` as both syscalls take it: negative means "block forever".
 fn timeout_arg(timeout_ms: Option<u64>) -> c_int {
@@ -118,7 +118,7 @@ extern "C" {
 /// The `epoll(7)` instance.
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     epfd: RawFd,
     buf: Vec<EpollEventRaw>,
 }
@@ -138,7 +138,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The underlying `epoll_create1` failure.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         // SAFETY: epoll_create1 takes a flags integer and returns a new
         // fd or -1; no pointers are involved.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -156,7 +156,12 @@ impl Epoll {
     /// # Errors
     ///
     /// The underlying `epoll_ctl` failure.
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(
+        &mut self,
+        fd: RawFd,
+        token: usize,
+        interest: Interest,
+    ) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
@@ -165,7 +170,7 @@ impl Epoll {
     /// # Errors
     ///
     /// As for [`Epoll::register`].
-    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
@@ -174,7 +179,7 @@ impl Epoll {
     /// # Errors
     ///
     /// As for [`Epoll::register`].
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
@@ -208,7 +213,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The underlying `epoll_wait` failure.
-    pub fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
+    pub(crate) fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
         out.clear();
         // SAFETY: `buf` is a live, properly sized allocation of
         // epoll_event; the kernel writes at most `len` entries.
@@ -289,18 +294,23 @@ extern "C" {
 /// the epoll backend; only `wait` can fail here.
 #[cfg(any(test, not(target_os = "linux")))]
 #[derive(Debug, Default)]
-pub struct PollSet {
+pub(crate) struct PollSet {
     entries: Vec<(RawFd, usize, Interest)>,
     index: std::collections::HashMap<RawFd, usize>,
 }
 
 #[cfg(any(test, not(target_os = "linux")))]
 impl PollSet {
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         Ok(Self::default())
     }
 
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(
+        &mut self,
+        fd: RawFd,
+        token: usize,
+        interest: Interest,
+    ) -> io::Result<()> {
         match self.index.get(&fd) {
             Some(&i) => self.entries[i] = (fd, token, interest),
             None => {
@@ -311,11 +321,11 @@ impl PollSet {
         Ok(())
     }
 
-    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+    pub(crate) fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         self.register(fd, token, interest)
     }
 
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         if let Some(i) = self.index.remove(&fd) {
             self.entries.swap_remove(i);
             if let Some(&(moved_fd, _, _)) = self.entries.get(i) {
@@ -328,7 +338,7 @@ impl PollSet {
     /// # Errors
     ///
     /// The underlying `poll` failure.
-    pub fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
+    pub(crate) fn wait(&mut self, timeout_ms: Option<u64>, out: &mut Vec<Event>) -> io::Result<()> {
         out.clear();
         let timeout = timeout_arg(timeout_ms);
         if self.entries.is_empty() {

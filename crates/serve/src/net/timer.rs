@@ -56,7 +56,7 @@ impl TimerWheel {
 
     /// When the next (possibly stale) entry fires, ms — the poll timeout
     /// bound. `None` when nothing is armed.
-    pub fn next_deadline_ms(&self) -> Option<u64> {
+    pub(crate) fn next_deadline_ms(&self) -> Option<u64> {
         self.heap.peek().map(|&(Reverse(deadline), _, _)| deadline)
     }
 
@@ -76,17 +76,6 @@ impl TimerWheel {
             });
         }
         due
-    }
-
-    /// Entries currently in the heap (stale ones included) — a test and
-    /// debugging aid.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is armed.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 

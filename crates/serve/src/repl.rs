@@ -22,18 +22,27 @@
 //! fetches and `stale` in `/v1/repl/status` — and new plans carry a
 //! failover [`nshard_core::FailoverAttribution`] in their provenance.
 //!
+//! **The service's side** — what a leader logs, how a follower
+//! materializes what it tailed, the role transitions, the `/v1/repl/*`
+//! endpoints and the KV key layout — is the `impl Service` block at the
+//! end of this module.
+//!
 //! **Determinism.** Reconnect pacing comes from the shared seeded
 //! [`Backoff`] helper and is *recorded, not slept* — the chaos suite
 //! drives every schedule with a manual clock and zero sleeps.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use nshard_cost::CostModelBundle;
+use nshard_nn::serialize::{envelope_from_json, envelope_to_json};
 use nshard_pool::Backoff;
 
-use crate::http::http_call;
-use crate::kv::{KvSnapshot, LogFetch};
+use crate::api::{error_response, ReplStatus};
+use crate::http::{HttpResponse, KeepAliveClient};
+use crate::kv::{KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv};
 use crate::server::Service;
+use crate::store::{PlanStore, StoredPlan};
 
 /// Base reconnect backoff, ms (seeded decorrelated jitter on top).
 const BACKOFF_BASE_MS: u64 = 50;
@@ -54,7 +63,7 @@ pub enum Role {
 
 impl Role {
     /// Short stable label (`"leader"` / `"follower"` / `"candidate"`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Role::Follower => "follower",
             Role::Candidate => "candidate",
@@ -63,7 +72,7 @@ impl Role {
     }
 
     /// Numeric gauge encoding: follower 0, candidate 1, leader 2.
-    pub fn gauge_value(&self) -> u64 {
+    pub(crate) fn gauge_value(&self) -> u64 {
         match self {
             Role::Follower => 0,
             Role::Candidate => 1,
@@ -82,7 +91,7 @@ pub struct RoleCell {
 
 impl RoleCell {
     /// A cell starting in `role`.
-    pub fn new(role: Role) -> Self {
+    pub(crate) fn new(role: Role) -> Self {
         Self {
             role: AtomicU8::new(role.gauge_value() as u8),
             stale: AtomicBool::new(false),
@@ -101,7 +110,7 @@ impl RoleCell {
     }
 
     /// Sets the role.
-    pub fn set_role(&self, role: Role) {
+    fn set_role(&self, role: Role) {
         self.role.store(role.gauge_value() as u8, Ordering::SeqCst);
     }
 
@@ -112,13 +121,13 @@ impl RoleCell {
 
     /// Whether this node is serving in degraded stale-read mode (promoted
     /// while known to be behind the dead leader).
-    pub fn stale(&self) -> bool {
+    pub(crate) fn stale(&self) -> bool {
         self.stale.load(Ordering::SeqCst)
     }
 
     /// Records a warm failover: leadership taken over at `applied_seq`,
     /// `stale` when the dead leader was known to be ahead.
-    pub fn mark_promoted(&self, applied_seq: u64, stale: bool) {
+    fn mark_promoted(&self, applied_seq: u64, stale: bool) {
         self.promoted_at_seq.store(applied_seq, Ordering::SeqCst);
         self.stale.store(stale, Ordering::SeqCst);
         self.promoted.store(true, Ordering::SeqCst);
@@ -127,7 +136,7 @@ impl RoleCell {
 
     /// The sequence this node held when it promoted itself, if it ever
     /// did.
-    pub fn promoted_at(&self) -> Option<u64> {
+    pub(crate) fn promoted_at(&self) -> Option<u64> {
         self.promoted
             .load(Ordering::SeqCst)
             .then(|| self.promoted_at_seq.load(Ordering::SeqCst))
@@ -174,19 +183,23 @@ pub trait ReplTransport: Send {
     fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError>;
 }
 
-/// The real-TCP transport: polls the leader's `/v1/repl/*` endpoints.
+/// The real-TCP transport: polls the leader's `/v1/repl/*` endpoints
+/// over one kept-alive connection.
 pub struct HttpTransport {
-    addr: String,
+    client: Mutex<KeepAliveClient>,
 }
 
 impl HttpTransport {
     /// A transport polling the leader at `addr` (`host:port`).
     pub fn new(addr: impl Into<String>) -> Self {
-        Self { addr: addr.into() }
+        Self {
+            client: Mutex::new(KeepAliveClient::new(addr)),
+        }
     }
 
     fn get_json(&self, path: &str) -> Result<String, ReplError> {
-        match http_call(&self.addr, "GET", path, b"") {
+        let mut client = self.client.lock().expect("replication client poisoned");
+        match client.call("GET", path, b"") {
             Err(e) => Err(ReplError::Unreachable(e.to_string())),
             Ok((200, body)) => Ok(body),
             Ok((status, body)) => Err(ReplError::Protocol(format!(
@@ -296,7 +309,7 @@ impl Replicator {
                     self.last_leader_seq = self.last_leader_seq.max(max);
                 }
                 let applied = self.service.apply_replicated(ops);
-                self.service.note_replication_lag(
+                self.service.metrics.replication_lag.set(
                     self.last_leader_seq
                         .saturating_sub(self.service.kv().applied_seq()),
                 );
@@ -319,7 +332,7 @@ impl Replicator {
                         let applied_seq = snapshot.applied_seq;
                         self.last_leader_seq = applied_seq;
                         self.service.restore_snapshot(&snapshot);
-                        self.service.note_replication_lag(0);
+                        self.service.metrics.replication_lag.set(0);
                         PollOutcome::SnapshotRestored { applied_seq }
                     }
                     Err(e) => self.note_failure(e),
@@ -345,9 +358,255 @@ impl Replicator {
     }
 }
 
+/// Ops retained in the replication log before compaction; followers
+/// lagging beyond the window catch up by snapshot.
+const LOG_KEEP: usize = 1_024;
+
+/// The KV key under which the promoted cost-model bundle replicates.
+/// A single key — promotion is last-writer-wins by design: the lifecycle
+/// serializes promotions, and followers always want the newest bundle.
+const MODEL_KEY: &str = "models/active";
+
+/// The KV key under which an adopted plan replicates.
+fn plan_key(id: &str) -> String {
+    format!("plans/{id}")
+}
+
+/// The KV a node boots with. A leader replays its warm-restarted plans
+/// into it in adoption order, so it immediately serves its log to
+/// followers; a follower starts empty and tails.
+pub(crate) fn boot_kv(plans: &PlanStore, follower: bool) -> PlanKv {
+    let kv = PlanKv::new(LOG_KEEP);
+    if !follower {
+        for id in plans.ids() {
+            if let Some(record) = plans.get(&id) {
+                let value = serde_json::to_string(&record).unwrap_or_default();
+                let _ = kv.upsert(&plan_key(&id), value, MatchSeq::Any);
+            }
+        }
+    }
+    kv
+}
+
+/// The service's side of replication: what a leader appends to its log,
+/// what a follower does with the ops it tailed, the role transitions the
+/// [`Replicator`] drives, and the three `/v1/repl/*` endpoints.
+impl Service {
+    /// Appends a newly adopted plan to the replication log as a
+    /// create-only (`MatchSeq::Exact(0)`) conditional upsert. A sequence
+    /// conflict means a concurrent identical adoption already logged it —
+    /// counted, not an error.
+    pub(crate) fn log_adoption(&self, stored: &StoredPlan) {
+        let value = serde_json::to_string(stored).unwrap_or_default();
+        if self
+            .kv
+            .upsert(&plan_key(&stored.id), value, MatchSeq::Exact(0))
+            .is_err()
+        {
+            self.metrics.seq_conflicts.inc();
+        }
+    }
+
+    /// Replicates a promoted bundle to followers under [`MODEL_KEY`].
+    pub(crate) fn log_model(&self, bundle: &CostModelBundle) {
+        let value = envelope_to_json("cost-bundle", "nshard", bundle);
+        let _ = self.kv.upsert(MODEL_KEY, value, MatchSeq::Any);
+    }
+
+    /// Applies replicated ops through the sequence-gated KV and
+    /// materializes newly applied plans into the local store — the
+    /// follower ingest path. Returns how many ops actually applied.
+    pub fn apply_replicated(&self, ops: Vec<LogOp>) -> usize {
+        let mut applied = 0usize;
+        for op in ops {
+            for done in self.kv.apply(op) {
+                applied += 1;
+                self.materialize(&done.key, &done.value);
+            }
+        }
+        applied
+    }
+
+    /// Replaces this replica's KV with a full snapshot and materializes
+    /// every plan in it — the cold/lagging catch-up path.
+    fn restore_snapshot(&self, snapshot: &KvSnapshot) {
+        self.kv.restore(snapshot);
+        for entry in &snapshot.entries {
+            self.materialize(&entry.key, &entry.value);
+        }
+        self.metrics.snapshot_catchup.inc();
+    }
+
+    /// Materializes one replicated KV value into the typed stores.
+    fn materialize(&self, key: &str, value: &str) {
+        if key.strip_prefix("plans/").is_some() {
+            if let Ok(record) = serde_json::from_str::<StoredPlan>(value) {
+                // Persist errors surface via store metrics on the leader;
+                // a replica keeps the in-memory copy serving either way.
+                let _ = self.plans.insert_replica(record);
+            }
+        } else if key == MODEL_KEY {
+            // A promoted cost-model bundle replicating from the leader:
+            // swap it into this replica's engine so a failover promotes a
+            // node already serving the fine-tuned models.
+            if let Ok(envelope) = envelope_from_json::<CostModelBundle>(value) {
+                let version = self.engine.swap_bundle(envelope.payload);
+                self.metrics.model_version.set(version);
+            }
+        }
+    }
+
+    /// Promotes this node to leader after failover detection — the store
+    /// it caught up keeps serving, now accepting writes. `stale` marks
+    /// degraded-mode reads (the dead leader was known to be ahead).
+    fn promote(&self, at_seq: u64, stale: bool) {
+        self.role.mark_promoted(at_seq, stale);
+        self.metrics.replica_role.set(Role::Leader.gauge_value());
+    }
+
+    /// Moves a follower to candidate while failures accumulate (visible
+    /// in the role gauge and `/v1/repl/status`).
+    fn set_candidate_if_follower(&self) {
+        if matches!(self.role.role(), Role::Follower) {
+            self.role.set_role(Role::Candidate);
+            self.metrics.replica_role.set(Role::Candidate.gauge_value());
+        }
+    }
+
+    /// Drops a candidate back to follower once the leader answers again
+    /// (a blip, not a death).
+    fn reaffirm_follower(&self) {
+        if matches!(self.role.role(), Role::Candidate) {
+            self.role.set_role(Role::Follower);
+            self.metrics.replica_role.set(Role::Follower.gauge_value());
+        }
+    }
+
+    pub(crate) fn repl_status(&self) -> HttpResponse {
+        self.metrics.count_request("repl_status", 200);
+        let (log_earliest, log_len) = self.kv.log_window();
+        let body = ReplStatus {
+            node: self.config.replica.node.clone(),
+            role: self.role.role().label().to_string(),
+            applied_seq: self.kv.applied_seq(),
+            stale: self.role.stale(),
+            log_earliest,
+            log_len: log_len as u64,
+            plans: self.plans.len() as u64,
+        };
+        HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
+    }
+
+    pub(crate) fn repl_snapshot(&self) -> HttpResponse {
+        self.metrics.count_request("repl_snapshot", 200);
+        let snapshot = self.kv.snapshot();
+        HttpResponse::json(200, serde_json::to_string(&snapshot).unwrap_or_default())
+    }
+
+    pub(crate) fn repl_log(&self, from: &str) -> HttpResponse {
+        let Ok(from_seq) = from.parse::<u64>() else {
+            self.metrics.count_request("repl_log", 400);
+            return error_response(
+                400,
+                "bad_request",
+                format!("log position {from:?} is not a sequence number"),
+            );
+        };
+        self.metrics.count_request("repl_log", 200);
+        let fetch = self.kv.log_since(from_seq);
+        HttpResponse::json(200, serde_json::to_string(&fetch).unwrap_or_default())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ReplicaConfig, ServeConfig, Server};
+    use nshard_cost::{CollectConfig, TrainSettings};
+    use nshard_data::{ShardingTask, TableConfig, TableId, TablePool};
+
+    fn service(follower: bool) -> Arc<Service> {
+        let pool = TablePool::synthetic_dlrm(40, 3);
+        let bundle = CostModelBundle::pretrain(
+            &pool,
+            2,
+            &CollectConfig::smoke(),
+            &TrainSettings::smoke(),
+            7,
+        );
+        let config = ServeConfig {
+            workers: 1,
+            replica: ReplicaConfig {
+                follower,
+                ..ReplicaConfig::default()
+            },
+            ..ServeConfig::smoke()
+        };
+        Arc::new(Service::new(bundle, config).unwrap())
+    }
+
+    #[test]
+    fn http_transport_tails_over_one_kept_alive_connection() {
+        const POLLS: u64 = 6;
+        let leader = Server::start(service(false), "127.0.0.1:0").unwrap();
+        let transport = HttpTransport::new(leader.addr().to_string());
+        let mut replicator = Replicator::new(service(true), Box::new(transport));
+        for _ in 0..POLLS {
+            assert_eq!(replicator.poll_once(), PollOutcome::UpToDate);
+        }
+        let metrics = leader.service().render_metrics();
+        let reused: u64 = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix("nshard_net_keepalive_reuse_total "))
+            .expect("the reactor exports its reuse counter")
+            .parse()
+            .unwrap();
+        assert!(reused >= POLLS - 1, "{POLLS} polls reused {reused} times");
+        leader.shutdown();
+    }
+
+    #[test]
+    fn a_replicated_plan_with_a_zero_dim_table_is_not_materialized() {
+        let tables = vec![TableConfig::new(TableId(0), 32, 4096, 8.0, 1.0)];
+        let task = ShardingTask::new(tables.clone(), 1, 1 << 30, 1024);
+        let record = StoredPlan {
+            id: "bad".into(),
+            version: 1,
+            plan: nshard_core::ShardingPlan::new(vec![], tables, vec![0], 1).unwrap(),
+            task,
+            provenance: nshard_core::PlanProvenance {
+                source: nshard_core::PlanSource::SizeBalanced,
+                events: Vec::new(),
+                total_retries: 0,
+                total_backoff_ms: 0,
+                replan: None,
+                failover: None,
+            },
+            predicted_ms: 1.0,
+            degraded: false,
+        };
+        let value = serde_json::to_string(&record).unwrap();
+        let (head, plan) = value.split_once("\"plan\":").unwrap();
+        assert!(plan.contains("\"dim\":32"), "{plan}");
+        let op = |seq, key: &str, value: String| LogOp {
+            seq,
+            key: key.into(),
+            value,
+        };
+        let follower = service(true);
+        // The task's table stays legal; only the plan's copy is hostile.
+        let hostile = format!("{head}\"plan\":{}", plan.replace("\"dim\":32", "\"dim\":0"));
+        assert_eq!(
+            follower.apply_replicated(vec![op(1, "plans/bad", hostile)]),
+            1
+        );
+        assert_eq!(follower.plans().len(), 0);
+        assert_eq!(
+            follower.apply_replicated(vec![op(2, "plans/bad", value)]),
+            1
+        );
+        assert_eq!(follower.plans().len(), 1);
+    }
 
     #[test]
     fn role_labels_and_gauges_are_stable() {

@@ -1,0 +1,98 @@
+//! The identical-request response cache and the key that scopes an entry
+//! to the model and store generation that produced it.
+
+use std::collections::{HashMap, VecDeque};
+
+use crate::http::HttpResponse;
+use crate::store::{fnv64, fnv64_extend};
+
+use super::admission::JobKind;
+use super::Service;
+
+/// A bounded FIFO cache of `200` responses for byte-identical request
+/// bodies. Correctness rests on the daemon's determinism contract —
+/// identical bodies already yield byte-identical responses (plan ids are
+/// content-addressed, adoption is idempotent) — so a hit only skips
+/// redundant search work, never changes an answer. Every entry folds the
+/// serving model version into the key (replan entries also the store
+/// generation), so a model promotion or plan adoption invalidates it —
+/// a response priced by a retired model is never replayed.
+pub(super) struct ResponseCache {
+    capacity: usize,
+    map: HashMap<u64, HttpResponse>,
+    order: VecDeque<u64>,
+}
+
+impl ResponseCache {
+    pub(super) fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            map: HashMap::with_capacity(capacity),
+            order: VecDeque::with_capacity(capacity),
+        }
+    }
+
+    pub(super) fn get(&self, key: u64) -> Option<HttpResponse> {
+        self.map.get(&key).cloned()
+    }
+
+    pub(super) fn put(&mut self, key: u64, response: HttpResponse) {
+        if self.map.contains_key(&key) {
+            return;
+        }
+        if self.order.len() >= self.capacity {
+            if let Some(evicted) = self.order.pop_front() {
+                self.map.remove(&evicted);
+            }
+        }
+        self.order.push_back(key);
+        self.map.insert(key, response);
+    }
+}
+
+/// FNV-1a over the facts that determine a cached response.
+pub(super) fn response_cache_key(
+    kind: JobKind,
+    degrade: bool,
+    generation: u64,
+    body: &[u8],
+) -> u64 {
+    let kind = match kind {
+        JobKind::Plan => 1,
+        JobKind::Replan => 2,
+    };
+    let hash = fnv64(&[kind, u8::from(degrade)]);
+    fnv64_extend(fnv64_extend(hash, &generation.to_le_bytes()), body)
+}
+
+impl Service {
+    /// Response-cache generation for `kind`: every cached response was
+    /// priced by a specific model version (a promotion must invalidate
+    /// it), and replans additionally depend on the plan-store generation
+    /// (an adoption changes the incumbent a replan warm-starts from).
+    pub(super) fn cache_generation(&self, kind: JobKind) -> u64 {
+        let version = self.engine.model_version() << 32;
+        match kind {
+            JobKind::Plan => version,
+            JobKind::Replan => version | (self.plans.len() as u64 & 0xffff_ffff),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn response_cache_keys_do_not_move() {
+        // The value this input hashed to before the crate's FNV copies
+        // were merged.
+        let key = response_cache_key(
+            JobKind::Replan,
+            true,
+            0x0102_0304_0506_0708,
+            b"{\"task\":1}",
+        );
+        assert_eq!(key, 0x40e9_da07_77fd_0f02);
+    }
+}

@@ -214,7 +214,7 @@ pub struct PlanStore {
 
 impl PlanStore {
     /// A store that lives only in memory.
-    pub fn in_memory() -> Self {
+    pub(crate) fn in_memory() -> Self {
         Self {
             inner: Mutex::new(PlanStoreInner {
                 plans: HashMap::new(),
@@ -238,7 +238,7 @@ impl PlanStore {
     /// be read or renamed, or a persisted plan carries an unsupported
     /// format version (a build problem, not file damage — never
     /// quarantined silently).
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+    pub(crate) fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let root = dir.as_ref().join("plans");
         std::fs::create_dir_all(&root).map_err(|e| StoreError::Io {
             path: root.display().to_string(),
@@ -290,41 +290,22 @@ impl PlanStore {
 
     /// How many persisted entries the last [`PlanStore::open`] quarantined
     /// as corrupt (always `0` for in-memory stores).
-    pub fn quarantined(&self) -> usize {
+    pub(crate) fn quarantined(&self) -> usize {
         self.quarantined
     }
 
     /// Adopts a plan: stamps the next version, stores and (when
     /// disk-backed) persists it. Adoption is **idempotent by id** — an id
     /// already in the store returns the existing record unchanged, so
-    /// duplicate identical requests never fork versions.
+    /// duplicate identical requests never fork versions. The flag reports
+    /// whether this call created the record (`true`) or hit the duplicate
+    /// path (`false`) — the replication layer only logs the former.
     ///
     /// # Errors
     ///
     /// [`StoreError`] when persisting to disk fails; the in-memory record
     /// is kept consistent either way.
-    pub fn adopt(
-        &self,
-        id: &str,
-        task: ShardingTask,
-        plan: ShardingPlan,
-        provenance: PlanProvenance,
-        predicted_ms: f64,
-        degraded: bool,
-    ) -> Result<StoredPlan, StoreError> {
-        self.adopt_new(id, task, plan, provenance, predicted_ms, degraded)
-            .map(|(record, _)| record)
-    }
-
-    /// Like [`PlanStore::adopt`], but also reports whether this call
-    /// actually created the record (`true`) or hit the idempotent
-    /// duplicate path (`false`) — the replication layer only logs the
-    /// former.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PlanStore::adopt`].
-    pub fn adopt_new(
+    pub(crate) fn adopt(
         &self,
         id: &str,
         task: ShardingTask,
@@ -365,7 +346,7 @@ impl PlanStore {
     /// # Errors
     ///
     /// [`StoreError`] when persisting to disk fails.
-    pub fn insert_replica(&self, record: StoredPlan) -> Result<(), StoreError> {
+    pub(crate) fn insert_replica(&self, record: StoredPlan) -> Result<(), StoreError> {
         {
             let mut inner = self.inner.lock().expect("plan store poisoned");
             if inner.plans.contains_key(&record.id) {
@@ -469,25 +450,6 @@ impl ModelStore {
         let path = self.dir.join(format!("{name}.json"));
         Ok(read_checked::<CostModelBundle>(&path)?.payload)
     }
-
-    /// Names of every stored checkpoint, sorted.
-    pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|e| {
-                let p = e.path();
-                if p.extension().and_then(|x| x.to_str()) == Some("json") {
-                    p.file_stem().and_then(|s| s.to_str()).map(String::from)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -537,17 +499,17 @@ mod tests {
         let store = PlanStore::in_memory();
         let t = task();
         let p = plan(&t);
-        let a = store
+        let (a, a_new) = store
             .adopt("aaaa", t.clone(), p.clone(), provenance(), 1.0, false)
             .unwrap();
-        let b = store
+        let (b, b_new) = store
             .adopt("bbbb", t.clone(), p.clone(), provenance(), 2.0, false)
             .unwrap();
-        assert_eq!(a.version, 1);
-        assert_eq!(b.version, 2);
+        assert_eq!((a.version, a_new), (1, true));
+        assert_eq!((b.version, b_new), (2, true));
         // Re-adopting an existing id returns the original record.
         let a2 = store.adopt("aaaa", t, p, provenance(), 99.0, true).unwrap();
-        assert_eq!(a2, a);
+        assert_eq!(a2, (a, false));
         assert_eq!(store.len(), 2);
         assert_eq!(store.latest().unwrap().id, "bbbb");
         assert_eq!(store.ids(), vec!["aaaa".to_string(), "bbbb".to_string()]);
@@ -573,7 +535,7 @@ mod tests {
         assert_eq!(reopened.latest().unwrap().id, "p2");
         assert_eq!(reopened.get("p1").unwrap().predicted_ms, 1.5);
         // Versions continue from where they left off.
-        let third = reopened
+        let (third, _) = reopened
             .adopt("p3", t, p, provenance(), 3.5, false)
             .unwrap();
         assert_eq!(third.version, 3);
@@ -657,10 +619,33 @@ mod tests {
     }
 
     #[test]
+    fn unframed_plan_with_a_zero_dim_table_is_quarantined() {
+        let dir = tmp("zero_dim");
+        let t = task();
+        let p = plan(&t);
+        {
+            let store = PlanStore::open(&dir).unwrap();
+            store.adopt("bad", t, p, provenance(), 1.0, false).unwrap();
+        }
+        // Hand-edited and unframed: no checksum stands between the edit
+        // and the decoder. The task's tables stay legal; only the plan's
+        // copies are hostile.
+        let path = dir.join("plans").join("bad.json");
+        let framed = std::fs::read_to_string(&path).unwrap();
+        let bare = framed.split_once('\n').unwrap().1;
+        let (head, plan) = bare.split_once("\"plan\":").unwrap();
+        assert!(plan.contains("\"dim\":32"), "{plan}");
+        let hostile = format!("{head}\"plan\":{}", plan.replace("\"dim\":32", "\"dim\":0"));
+        std::fs::write(&path, hostile).unwrap();
+        let reopened = PlanStore::open(&dir).unwrap();
+        assert_eq!((reopened.quarantined(), reopened.len()), (1, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn missing_model_is_a_typed_error() {
         let dir = tmp("models");
         let store = ModelStore::open(&dir).unwrap();
-        assert!(store.list().is_empty());
         match store.load("nope") {
             Err(StoreError::Checkpoint(CheckpointError::Io { .. })) => {}
             other => panic!("expected typed I/O checkpoint error, got {other:?}"),

@@ -104,14 +104,6 @@ impl PlanCosts {
             .map(DeviceCost::compute_ms)
             .fold(0.0, f64::max)
     }
-
-    /// Max communication cost across devices, ms.
-    pub fn max_comm_ms(&self) -> f64 {
-        self.devices
-            .iter()
-            .map(DeviceCost::comm_ms)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A cluster of `D` GPUs evaluating embedding sharding plans.

@@ -172,11 +172,6 @@ impl TableProfile {
         self.hash_size * u64::from(self.dim) * BYTES_PER_ELEM
     }
 
-    /// Whether the dimension satisfies the FBGEMM lane constraint.
-    pub fn dim_is_legal(&self) -> bool {
-        self.dim.is_multiple_of(DIM_LANE)
-    }
-
     /// Returns the two column-wise halves of this table, mirroring the
     /// paper's column-wise sharding step: each half keeps the rows, pooling
     /// factor and indices distribution, with half the columns.

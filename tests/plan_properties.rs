@@ -131,6 +131,41 @@ proptest! {
         }
     }
 
+    /// The same overwrites on a plan's JSON — what a hand-edited store
+    /// file or a replicated log value can hold: whatever still decodes is a
+    /// plan the per-device accessors can walk, tables that lower to
+    /// simulator profiles included.
+    #[test]
+    fn plan_decoder_survives_any_one_field_overwritten(
+        tables in arbitrary_tables(),
+        devices in 1usize..5,
+        split_first in any::<bool>(),
+    ) {
+        let steps = if split_first { vec![SplitStep::column(0)] } else { vec![] };
+        let (steps, sharded) = match apply_split_plan(&tables, &steps) {
+            Ok(sharded) => (steps, sharded),
+            Err(_) => (vec![], tables),
+        };
+        let device_of = (0..sharded.len()).map(|i| i % devices).collect();
+        let plan = ShardingPlan::with_split_plan(steps, sharded, device_of, devices).unwrap();
+        let json = serde_json::to_string(&plan).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<ShardingPlan>(&json).unwrap(), &plan);
+        for span in field_value_spans(&json) {
+            for value in HOSTILE_VALUES {
+                let mut edited = json.clone();
+                edited.replace_range(span.clone(), value);
+                if let Ok(decoded) = serde_json::from_str::<ShardingPlan>(&edited) {
+                    let profiles = decoded.device_profiles(1024);
+                    prop_assert!(profiles.len() == decoded.num_devices(), "{}", edited);
+                    prop_assert_eq!(
+                        profiles.iter().map(Vec::len).sum::<usize>(),
+                        decoded.sharded_tables().len()
+                    );
+                }
+            }
+        }
+    }
+
     /// Any legal split plan conserves total memory exactly and grows the
     /// table count by exactly the number of steps.
     #[test]
