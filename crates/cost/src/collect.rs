@@ -125,37 +125,14 @@ impl ComputeDataset {
         self.samples.is_empty()
     }
 
-    /// Shuffled 80/10/10 split by sample index. As in
-    /// [`Dataset::split_with_ratios`], every part receives at least one
-    /// sample when the dataset is large enough (≥ 3 samples) — rounding
-    /// alone leaves up to seven samples without a validation or test part,
-    /// and a fit cannot select a checkpoint on an empty one.
+    /// Shuffled 80/10/10 split, seeded: the samples [`nshard_nn::partition`]
+    /// picks, as [`Dataset::split`] does for rows.
     pub fn split(&self, seed: u64) -> (ComputeDataset, ComputeDataset, ComputeDataset) {
-        use rand::Rng;
-        let n = self.samples.len();
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..=i);
-            idx.swap(i, j);
-        }
-        let mut n_train = ((n as f64) * 0.8).round() as usize;
-        let mut n_valid = ((n as f64) * 0.1).round() as usize;
-        if n >= 3 {
-            n_train = n_train.clamp(1, n - 2);
-            n_valid = n_valid.clamp(1, n - n_train - 1);
-        } else {
-            n_train = n_train.min(n);
-            n_valid = n_valid.min(n - n_train);
-        }
-        let pick = |range: &[usize]| ComputeDataset {
-            samples: range.iter().map(|&i| self.samples[i].clone()).collect(),
-        };
-        (
-            pick(&idx[..n_train]),
-            pick(&idx[n_train..n_train + n_valid]),
-            pick(&idx[n_train + n_valid..]),
-        )
+        let [train, valid, test] = nshard_nn::partition(self.len(), seed).map(|picked| {
+            let samples = picked.iter().map(|&i| self.samples[i].clone()).collect();
+            ComputeDataset { samples }
+        });
+        (train, valid, test)
     }
 }
 
@@ -336,6 +313,29 @@ mod tests {
                 (n_train, n_valid, n - n_train - n_valid),
                 "n = {n}"
             );
+        }
+    }
+
+    #[test]
+    fn compute_and_row_splits_pick_the_same_indices() {
+        for (n, seed) in [(1, 0), (2, 7), (3, 1), (7, 2), (100, 9), (257, u64::MAX)] {
+            let labels = (0..n).map(|i| i as f32);
+            let compute = ComputeDataset {
+                samples: labels
+                    .clone()
+                    .map(|cost_ms| ComputeSample {
+                        tables: Vec::new(),
+                        cost_ms,
+                    })
+                    .collect(),
+            };
+            let rows = Matrix::from_rows(labels.map(|v| vec![v]));
+            let rows = Dataset::new(rows.clone(), rows).expect("n > 0");
+            let (train, valid, test) = compute.split(seed);
+            for (samples, rows) in [train, valid, test].iter().zip(rows.split(seed).parts()) {
+                let picked: Vec<f32> = samples.samples.iter().map(|s| s.cost_ms).collect();
+                assert_eq!(picked, rows.y().as_slice(), "n = {n}, seed = {seed}");
+            }
         }
     }
 

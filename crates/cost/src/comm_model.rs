@@ -7,11 +7,10 @@
 
 use std::cell::RefCell;
 
-use nshard_nn::{Dataset, Matrix, Mlp, MlpScratch, TrainConfig, TrainReport, Trainer};
+use nshard_nn::{Dataset, Matrix, Mlp, MlpScratch, TrainReport, TrainSettings};
 use serde::{Deserialize, Serialize};
 
 use crate::features::{comm_feature_dim, comm_features_into};
-use crate::simulator::TrainSettings;
 
 /// The paper's communication model architecture: input → 128-64-32-16 → 1.
 const COMM_HIDDEN: [usize; 4] = [128, 64, 32, 16];
@@ -107,36 +106,21 @@ impl CommCostModel {
     /// Trains on a collected dataset (80/10/10 split from `seed`), keeping
     /// the best-on-validation checkpoint, and returns the report.
     ///
-    /// Training runs the data-parallel [`Trainer`] with
-    /// [`TrainSettings::threads`] workers; the trained model is
-    /// bit-identical at any thread count.
+    /// Training is [`nshard_nn::fit`] with [`TrainSettings::threads`]
+    /// workers; the trained model is bit-identical at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if the dataset's feature width does not match this model.
     pub fn train(&mut self, data: &Dataset, settings: &TrainSettings, seed: u64) -> TrainReport {
-        assert_eq!(
-            data.x().cols(),
-            comm_feature_dim(self.num_devices),
-            "dataset feature width does not match the model's device count"
-        );
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: settings.epochs,
-            batch_size: settings.batch_size,
-            learning_rate: settings.learning_rate,
-            threads: settings.threads,
-        });
-        let report = trainer.fit(self.mlp.clone(), data, seed);
-        self.mlp = trainer.into_best_model().expect("fit always sets a model");
-        report
+        self.check_width(data);
+        nshard_nn::fit(&mut self.mlp, data.split(seed).parts(), &[], settings, seed)
     }
 
     /// Fine-tunes on explicit train/valid partitions (no internal split),
     /// keeping the best-on-validation checkpoint. `frozen_layers` indices
-    /// are left bitwise untouched (their gradients are never formed, so
-    /// every optimizer step sees zeros — see
-    /// [`Trainer::with_frozen_layers`]). The reported `test_mse` is the
-    /// selected checkpoint's MSE on `valid`.
+    /// are left bitwise untouched (see [`nshard_nn::fit`]). The reported
+    /// `test_mse` is the selected checkpoint's MSE on `valid`.
     ///
     /// Same determinism contract as [`CommCostModel::train`]: weights are
     /// bit-identical at any [`TrainSettings::threads`] setting.
@@ -152,37 +136,24 @@ impl CommCostModel {
         frozen_layers: &[usize],
         seed: u64,
     ) -> TrainReport {
-        let width = comm_feature_dim(self.num_devices);
-        assert_eq!(
-            train.x().cols(),
-            width,
-            "dataset feature width does not match the model's device count"
-        );
-        assert_eq!(
-            valid.x().cols(),
-            width,
-            "dataset feature width does not match the model's device count"
-        );
-        let split = nshard_nn::Split {
-            train: train.clone(),
-            valid: valid.clone(),
-            test: valid.clone(),
-        };
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: settings.epochs,
-            batch_size: settings.batch_size,
-            learning_rate: settings.learning_rate,
-            threads: settings.threads,
-        })
-        .with_frozen_layers(frozen_layers.to_vec());
-        let report = trainer.fit_split(self.mlp.clone(), &split, seed);
-        self.mlp = trainer.into_best_model().expect("fit always sets a model");
-        report
+        self.check_width(train);
+        self.check_width(valid);
+        let parts = [train, valid, valid];
+        nshard_nn::fit(&mut self.mlp, parts, frozen_layers, settings, seed)
     }
 
-    /// MSE over an arbitrary dataset (e.g. a held-out split).
+    fn check_width(&self, data: &Dataset) {
+        assert_eq!(
+            data.x().cols(),
+            comm_feature_dim(self.num_devices),
+            "dataset feature width does not match the model's device count"
+        );
+    }
+
+    /// MSE over an arbitrary dataset (e.g. a held-out split); `NaN` when
+    /// it is empty.
     pub fn evaluate_mse(&self, data: &Dataset) -> f32 {
-        nshard_nn::mse(&self.mlp.forward(data.x()), data.y())
+        data.mse(&self.mlp)
     }
 }
 

@@ -12,30 +12,18 @@ use std::cell::RefCell;
 use nshard_pool::WorkPool;
 use serde::{Deserialize, Serialize};
 
-use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpScratch, MlpWorkspace};
+use nshard_nn::{
+    fit_epochs, Adam, Gradients, Matrix, Mlp, MlpScratch, MlpWorkspace, TrainReport, TrainSettings,
+};
 
 use crate::collect::ComputeDataset;
 use crate::features::TABLE_FEATURE_DIM;
-use crate::simulator::TrainSettings;
 
 /// The paper's encoder architecture: table features → 128 → 32.
 const ENCODER_HIDDEN: [usize; 1] = [128];
 const ENCODER_OUT: usize = 32;
 /// The paper's head architecture: 32 → 64 → 1.
 const HEAD_HIDDEN: [usize; 1] = [64];
-
-/// Training report of the computation cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ComputeTrainReport {
-    /// MSE on the training partition (best-validation checkpoint).
-    pub train_mse: f32,
-    /// Best validation MSE.
-    pub valid_mse: f32,
-    /// MSE on the held-out test partition.
-    pub test_mse: f32,
-    /// Per-epoch validation MSE.
-    pub valid_history: Vec<f32>,
-}
 
 /// The pre-trained computation cost model.
 ///
@@ -236,9 +224,9 @@ impl ComputeCostModel {
         data: &ComputeDataset,
         settings: &TrainSettings,
         seed: u64,
-    ) -> ComputeTrainReport {
+    ) -> TrainReport {
         let (train, valid, test) = data.split(seed);
-        self.fit_partitions(&train, &valid, &test, settings, false, seed)
+        self.fit_partitions([&train, &valid, &test], settings, false, seed)
     }
 
     /// Fine-tunes the model on explicit train/valid partitions (no internal
@@ -262,54 +250,27 @@ impl ComputeCostModel {
         settings: &TrainSettings,
         freeze_encoder: bool,
         seed: u64,
-    ) -> ComputeTrainReport {
-        self.fit_partitions(train, valid, valid, settings, freeze_encoder, seed)
+    ) -> TrainReport {
+        self.fit_partitions([train, valid, valid], settings, freeze_encoder, seed)
     }
 
     fn fit_partitions(
         &mut self,
-        train: &ComputeDataset,
-        valid: &ComputeDataset,
-        test: &ComputeDataset,
+        parts: [&ComputeDataset; 3],
         settings: &TrainSettings,
         freeze_encoder: bool,
         seed: u64,
-    ) -> ComputeTrainReport {
-        use rand::Rng;
-        use rand::{rngs::StdRng, SeedableRng};
-
-        if train.is_empty() {
-            return ComputeTrainReport {
-                train_mse: f32::NAN,
-                valid_mse: self.evaluate_mse(valid),
-                test_mse: self.evaluate_mse(test),
-                valid_history: Vec::new(),
-            };
-        }
-        // A validation set that cannot rank checkpoints (empty, or a
-        // non-finite label) would leave the untrained weights selected
-        // after every epoch ran: select on the training data instead.
-        let select_on = if self.evaluate_mse(valid).is_finite() {
-            valid
-        } else {
-            train
-        };
+    ) -> TrainReport {
+        let train = parts[0];
         let pool = WorkPool::new(settings.threads);
         let mut adam_enc = Adam::new(&self.encoder, settings.learning_rate);
         let mut adam_head = Adam::new(&self.head, settings.learning_rate);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A57);
-
-        let n = train.len();
-        let batch_size = settings.batch_size.clamp(1, n);
-        let mut best = (self.encoder.clone(), self.head.clone());
-        let mut best_valid = f32::INFINITY;
-        let mut valid_history = Vec::with_capacity(settings.epochs);
-        let mut order: Vec<usize> = (0..n).collect();
 
         // With the encoder frozen each sample's pooled row never changes.
         let frozen_pooled = freeze_encoder.then(|| self.pooled_rows(train));
         // One block of the mini-batch per thread: on one thread the encoder
         // forward is a single GEMM over all its table rows.
+        let batch_size = settings.batch_for(train.len());
         let n_blocks = pool.threads().min(batch_size);
         let mut blocks: Vec<FitBlock> = (0..n_blocks)
             .map(|_| FitBlock::new(self, batch_size.div_ceil(n_blocks), freeze_encoder))
@@ -317,55 +278,43 @@ impl ComputeCostModel {
         let mut grad_enc = Gradients::zeros_like(&self.encoder);
         let mut grad_head = Gradients::zeros_like(&self.head);
 
-        for _epoch in 0..settings.epochs {
-            for i in (1..n).rev() {
-                let j = rng.random_range(0..=i);
-                order.swap(i, j);
-            }
-            for chunk in order.chunks(batch_size) {
-                // Contiguous blocks of the mini-batch; each sample's gradient
-                // lands in its own slot of its block.
-                let len = chunk.len().div_ceil(n_blocks);
-                pool.for_each_mut(&mut blocks, |b, block| {
-                    let samples = chunk.chunks(len).nth(b).unwrap_or(&[]);
-                    block.run(self, train, samples, frozen_pooled.as_ref());
-                });
-                // The numerical contract: sample gradients are formed
-                // first, then folded serially in sample order.
-                grad_enc.zero();
-                grad_head.zero();
-                let scale = 1.0 / chunk.len() as f32;
-                for slot in blocks.iter().flat_map(|b| &b.grads[..b.filled]) {
-                    if slot.has_enc {
-                        grad_enc.accumulate(&slot.enc, scale);
-                    }
-                    grad_head.accumulate(&slot.head, scale);
+        let step = |model: &mut Self, chunk: &[usize]| {
+            // Contiguous blocks of the mini-batch; each sample's gradient
+            // lands in its own slot of its block.
+            let len = chunk.len().div_ceil(n_blocks);
+            pool.for_each_mut(&mut blocks, |b, block| {
+                let samples = chunk.chunks(len).nth(b).unwrap_or(&[]);
+                block.run(model, train, samples, frozen_pooled.as_ref());
+            });
+            // The numerical contract: sample gradients are formed first,
+            // then folded serially in sample order.
+            grad_enc.zero();
+            grad_head.zero();
+            let scale = 1.0 / chunk.len() as f32;
+            for slot in blocks.iter().flat_map(|b| &b.grads[..b.filled]) {
+                if slot.has_enc {
+                    grad_enc.accumulate(&slot.enc, scale);
                 }
-                // Exact encoder freeze: equivalent to zeroing the encoder
-                // gradients (Adam with perpetually-zero gradients keeps
-                // zero moments, so the update is exactly zero) — skipping
-                // the step makes the bitwise invariant free.
-                if !freeze_encoder {
-                    adam_enc.step(&mut self.encoder, &grad_enc);
-                }
-                adam_head.step(&mut self.head, &grad_head);
+                grad_head.accumulate(&slot.head, scale);
             }
-            let valid_mse = self.evaluate_mse(select_on);
-            valid_history.push(valid_mse);
-            if valid_mse < best_valid {
-                best_valid = valid_mse;
-                best = (self.encoder.clone(), self.head.clone());
+            // Exact encoder freeze: equivalent to zeroing the encoder
+            // gradients (Adam with perpetually-zero gradients keeps zero
+            // moments, so the update is exactly zero) — skipping the step
+            // makes the bitwise invariant free.
+            if !freeze_encoder {
+                adam_enc.step(&mut model.encoder, &grad_enc);
             }
-        }
-
-        self.encoder = best.0;
-        self.head = best.1;
-        ComputeTrainReport {
-            train_mse: self.evaluate_mse(train),
-            valid_mse: best_valid,
-            test_mse: self.evaluate_mse(test),
-            valid_history,
-        }
+            adam_head.step(&mut model.head, &grad_head);
+        };
+        fit_epochs(
+            self,
+            parts,
+            train.len(),
+            settings,
+            seed ^ 0x7A57,
+            Self::evaluate_mse,
+            step,
+        )
     }
 
     /// The sum-pooled encoding of every sample of `data`, one per row.
@@ -497,6 +446,7 @@ impl FitBlock {
 mod tests {
     use super::*;
     use crate::collect::{collect_compute_data, CollectConfig, ComputeSample};
+    use crate::comm_model::CommCostModel;
     use nshard_data::TablePool;
     use nshard_sim::KernelParams;
 
@@ -808,20 +758,63 @@ mod tests {
 
     #[test]
     fn a_validation_set_that_cannot_rank_falls_back_to_the_training_data() {
-        let data = small_dataset(40);
+        use crate::collect::collect_comm_data;
+        use nshard_nn::Dataset;
+        use nshard_sim::CommParams;
+
         let settings = TrainSettings {
             epochs: 4,
             ..TrainSettings::smoke()
         };
-        let mut poisoned = data.clone();
+        // (validation, whether it can rank checkpoints), per model kind.
+        let compute_train = small_dataset(40);
+        let mut poisoned = compute_train.clone();
         poisoned.samples[0].cost_ms = f32::NAN;
-        for valid in [ComputeDataset::default(), poisoned] {
+        let compute_cases = [
+            (ComputeDataset::default(), false),
+            (poisoned, false),
+            (small_dataset(12), true),
+        ];
+        let pool = TablePool::synthetic_dlrm(40, 5);
+        let comm = |n: usize, seed: u64| {
+            let cfg = CollectConfig {
+                comm_samples: n,
+                ..CollectConfig::smoke()
+            };
+            collect_comm_data(&pool, &CommParams::pcie_server(), 2, &cfg, seed).forward
+        };
+        let comm_train = comm(40, 1);
+        let mut labels = comm_train.y().clone();
+        labels.set(0, 0, f32::NAN);
+        let comm_cases = [
+            (comm_train.select(&[]), false),
+            (Dataset::new(comm_train.x().clone(), labels).unwrap(), false),
+            (comm(12, 2), true),
+        ];
+
+        let check = |kind: &str, report: TrainReport, ranks: bool, valid_of_fitted: f32| {
+            assert_eq!(report.valid_history.len(), 4, "{kind}: {report:?}");
+            assert!(report.valid_mse.is_finite(), "{kind}: {report:?}");
+            // Selected, and reported, on validation when it can rank and on
+            // the training data when it cannot.
+            let selected_on = if ranks {
+                valid_of_fitted
+            } else {
+                report.train_mse
+            };
+            assert_eq!(report.valid_mse.to_bits(), selected_on.to_bits(), "{kind}");
+        };
+        for (valid, ranks) in compute_cases {
             let mut model = ComputeCostModel::new(6);
-            let report = model.fine_tune(&data, &valid, &settings, false, 2);
+            let report = model.fine_tune(&compute_train, &valid, &settings, false, 2);
             assert_ne!(model, ComputeCostModel::new(6));
-            // Selected, and reported, on the training data.
-            assert!(report.valid_mse.is_finite());
-            assert_eq!(report.valid_mse.to_bits(), report.train_mse.to_bits());
+            check("compute", report, ranks, model.evaluate_mse(&valid));
+        }
+        for (valid, ranks) in comm_cases {
+            let mut model = CommCostModel::new(2, 6);
+            let report = model.fine_tune(&comm_train, &valid, &settings, &[], 2);
+            assert_ne!(model, CommCostModel::new(2, 6));
+            check("comm", report, ranks, model.evaluate_mse(&valid));
         }
     }
 
@@ -837,7 +830,7 @@ mod tests {
         settings: &TrainSettings,
         freeze_encoder: bool,
         seed: u64,
-    ) -> ComputeTrainReport {
+    ) -> TrainReport {
         use rand::Rng;
         use rand::{rngs::StdRng, SeedableRng};
 
@@ -912,7 +905,7 @@ mod tests {
             }
         }
         *model = best;
-        ComputeTrainReport {
+        TrainReport {
             train_mse: model.evaluate_mse(train),
             valid_mse: best_valid,
             test_mse: model.evaluate_mse(valid),
@@ -984,7 +977,7 @@ mod tests {
                     "weights diverged at {} threads",
                     threads
                 );
-                let bits = |r: &ComputeTrainReport| {
+                let bits = |r: &TrainReport| {
                     [r.train_mse, r.valid_mse, r.test_mse]
                         .iter()
                         .chain(&r.valid_history)

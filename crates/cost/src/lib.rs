@@ -51,11 +51,12 @@ pub use collect::{
     ComputeSample,
 };
 pub use comm_model::CommCostModel;
-pub use compute::{ComputeCostModel, ComputeTrainReport};
+pub use compute::ComputeCostModel;
 pub use features::{
     comm_feature_dim, comm_features, comm_features_into, table_features, TABLE_FEATURE_DIM,
 };
+pub use nshard_nn::{TrainReport, TrainSettings};
 pub use simulator::{
     BundleReport, CostModelBundle, CostSimulator, DeviceLoads, DeviceScales, EstimatedCost,
-    TrainSettings, FWD_FRACTION,
+    FWD_FRACTION,
 };

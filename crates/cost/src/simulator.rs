@@ -12,8 +12,8 @@ use std::cell::RefCell;
 use serde::{Deserialize, Serialize};
 
 use nshard_data::TablePool;
-use nshard_nn::Matrix;
-use nshard_sim::{CommParams, GpuSpec, KernelParams, TableProfile};
+use nshard_nn::{Matrix, TrainSettings};
+use nshard_sim::{GpuSpec, TableProfile};
 
 use crate::cache::{
     add_encoding, table_key, table_set_key, EncodingCache, PreMixedMap, PredictionCache,
@@ -104,45 +104,6 @@ impl DeviceScales {
     }
 }
 
-/// Training hyperparameters for all three cost models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrainSettings {
-    /// Training epochs (the paper uses 1000; the smooth simulator labels
-    /// converge far faster).
-    pub epochs: usize,
-    /// Mini-batch size (paper: 512).
-    pub batch_size: usize,
-    /// Adam learning rate (paper: 0.001).
-    pub learning_rate: f32,
-    /// Worker threads for gradient computation; `0` = auto (the
-    /// `NSHARD_THREADS` environment variable, then available parallelism).
-    /// Trained models are bit-identical at any setting.
-    pub threads: usize,
-}
-
-impl Default for TrainSettings {
-    fn default() -> Self {
-        Self {
-            epochs: 30,
-            batch_size: 128,
-            learning_rate: 1e-3,
-            threads: 0,
-        }
-    }
-}
-
-impl TrainSettings {
-    /// A reduced setting for tests and smoke runs.
-    pub fn smoke() -> Self {
-        Self {
-            epochs: 10,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            threads: 0,
-        }
-    }
-}
-
 /// Quality report of a pre-training run (the numbers behind Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BundleReport {
@@ -202,29 +163,8 @@ impl CostModelBundle {
         train: &TrainSettings,
         seed: u64,
     ) -> Self {
-        Self::pretrain_with_laws(
-            pool,
-            num_devices,
-            spec.kernel(),
-            spec.comm(),
-            collect,
-            train,
-            seed,
-        )
-    }
-
-    /// Pre-trains against explicit cost laws.
-    pub fn pretrain_with_laws(
-        pool: &TablePool,
-        num_devices: usize,
-        kernel: &KernelParams,
-        comm: &CommParams,
-        collect: &CollectConfig,
-        train: &TrainSettings,
-        seed: u64,
-    ) -> Self {
-        let compute_data = collect_compute_data(pool, kernel, collect, seed);
-        let comm_data = collect_comm_data(pool, comm, num_devices, collect, seed ^ 0x1234);
+        let compute_data = collect_compute_data(pool, spec.kernel(), collect, seed);
+        let comm_data = collect_comm_data(pool, spec.comm(), num_devices, collect, seed ^ 0x1234);
 
         let mut compute = ComputeCostModel::new(seed);
         let compute_report = compute.train(&compute_data, train, seed ^ 0x1);
@@ -820,6 +760,32 @@ mod tests {
             rows.add_to(i, &mut acc);
         }
         acc
+    }
+
+    #[test]
+    fn pretrain_on_two_samples_a_model_trains_instead_of_panicking() {
+        // Two samples split 2/0/0: no validation row for any of the three
+        // models, so each ranks its checkpoints on its training rows.
+        let pool = TablePool::synthetic_dlrm(40, 1);
+        let collect = CollectConfig {
+            compute_samples: 2,
+            comm_samples: 2,
+            ..CollectConfig::smoke()
+        };
+        let bundle = CostModelBundle::pretrain(&pool, 2, &collect, &TrainSettings::smoke(), 0);
+        let untrained = CommCostModel::new(2, 0x2);
+        assert_ne!(bundle.comm_fwd_model(), &untrained);
+        // A non-finite weight serializes as `null`.
+        let weights = [
+            serde_json::to_string(bundle.compute_model()),
+            serde_json::to_string(bundle.comm_fwd_model()),
+            serde_json::to_string(bundle.comm_bwd_model()),
+        ];
+        for json in weights {
+            assert!(!json.expect("models serialize").contains("null"));
+        }
+        // Nothing was held out, and the report says so.
+        assert!(bundle.report().fwd_comm_test_mse.is_nan());
     }
 
     #[test]

@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use nshard_cost::{ComputeDataset, ComputeSample};
 use nshard_nn::{Dataset, Matrix};
+use nshard_pool::splitmix64;
 
 /// Which cost model an observation feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,14 +110,6 @@ impl Default for BufferConfig {
             seed: 0,
         }
     }
-}
-
-/// splitmix64: the workspace's standard cheap seeded hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Uniform `[0, 1)` from a hash (53-bit mantissa path).
@@ -215,12 +208,14 @@ impl ObservationBuffer {
         let index = self.inserted;
         self.inserted += 1;
         let stride = self.config.validation_stride.max(1);
-        let to_validation =
-            mix(self.config.seed ^ VALIDATION_SALT ^ mix(index)).is_multiple_of(stride);
+        let to_validation = splitmix64(self.config.seed ^ VALIDATION_SALT ^ splitmix64(index))
+            .is_multiple_of(stride);
         if to_validation {
             // Uniform retention: weight 1 for every sample, so the slice
             // estimates the true observation distribution.
-            let key = unit(mix(self.config.seed ^ mix(index ^ 0x0bad_cafe)));
+            let key = unit(splitmix64(
+                self.config.seed ^ splitmix64(index ^ 0x0bad_cafe),
+            ));
             Self::reservoir_insert(
                 &mut self.validation,
                 self.config.validation_capacity,
@@ -233,7 +228,7 @@ impl ObservationBuffer {
         } else {
             // Error-weighted retention: key = u^(1/w) (A-Res), so high
             // |predicted − observed| samples dominate under pressure.
-            let u = unit(mix(self.config.seed ^ mix(index)));
+            let u = unit(splitmix64(self.config.seed ^ splitmix64(index)));
             let key = u.powf(1.0 / observation.weight());
             Self::reservoir_insert(
                 &mut self.train,

@@ -15,6 +15,7 @@
 
 use nshard_cost::{comm_features, table_features, CostModelBundle};
 use nshard_online::{EpochHook, EpochObservation, HookAction};
+use nshard_pool::splitmix64;
 use nshard_serve::{ObservationWire, StoreError};
 use nshard_sim::{Cluster, DeviceCost};
 
@@ -64,15 +65,6 @@ impl ContinualConfig {
             ..Self::default()
         }
     }
-}
-
-/// splitmix64 (same mixer as the buffer's — local copy keeps the crate
-/// graph acyclic).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The closed-loop learner: buffers ground truth, fine-tunes on drift,
@@ -232,7 +224,7 @@ impl ContinualLearner {
             &train,
             &valid,
             &self.config.settings,
-            self.config.seed ^ mix(epoch),
+            self.config.seed ^ splitmix64(epoch),
         )?;
         let proposed = self
             .lifecycle

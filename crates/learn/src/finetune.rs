@@ -25,22 +25,17 @@ use crate::buffer::LearnDatasets;
 /// input layer.
 const FROZEN_COMM_LAYERS: [usize; 1] = [0];
 
+/// The DeepSets table encoder stays bitwise frozen; only the cost head
+/// adapts.
+const FREEZE_ENCODER: bool = true;
+
 /// Fine-tuning hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FineTuneSettings {
-    /// Adam epochs over the buffered observations.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Learning rate — low by design; defaults to 10× below the
-    /// pre-training default so fine-tuning nudges rather than rewrites.
-    pub learning_rate: f32,
-    /// Keep the DeepSets table encoder bitwise frozen and adapt only the
-    /// cost head (default `true`).
-    pub freeze_encoder: bool,
-    /// Gradient worker threads; `0` = auto (`NSHARD_THREADS`). Results
-    /// are bit-identical at any setting.
-    pub threads: usize,
+    /// Epochs, mini-batch size, learning rate and gradient threads of each
+    /// fit. The learning rate is low by design: it defaults to 10× below
+    /// the pre-training default so fine-tuning nudges rather than rewrites.
+    pub train: TrainSettings,
     /// A model is only fine-tuned when its dataset has at least this
     /// many samples; smaller datasets leave the model untouched.
     pub min_samples: usize,
@@ -49,11 +44,12 @@ pub struct FineTuneSettings {
 impl Default for FineTuneSettings {
     fn default() -> Self {
         Self {
-            epochs: 12,
-            batch_size: 32,
-            learning_rate: 1e-4,
-            freeze_encoder: true,
-            threads: 0,
+            train: TrainSettings {
+                epochs: 12,
+                batch_size: 32,
+                learning_rate: 1e-4,
+                threads: 0,
+            },
             min_samples: 24,
         }
     }
@@ -63,19 +59,12 @@ impl FineTuneSettings {
     /// A reduced setting for tests and smoke runs.
     pub fn smoke() -> Self {
         Self {
-            epochs: 6,
-            batch_size: 16,
+            train: TrainSettings {
+                epochs: 6,
+                batch_size: 16,
+                ..Self::default().train
+            },
             min_samples: 8,
-            ..Self::default()
-        }
-    }
-
-    fn as_train_settings(&self) -> TrainSettings {
-        TrainSettings {
-            epochs: self.epochs,
-            batch_size: self.batch_size,
-            learning_rate: self.learning_rate,
-            threads: self.threads,
         }
     }
 }
@@ -91,9 +80,9 @@ impl FineTuner {
     /// enough data — there is nothing to propose.
     ///
     /// `valid` is the held-back validation slice; models select their
-    /// best epoch against it (falling back to the training data when the
-    /// slice is empty for that model). Deterministic per `seed` at any
-    /// thread count.
+    /// best epoch against it (a fit falls back to its training data when
+    /// the slice has nothing for that model). Deterministic per `seed` at
+    /// any thread count.
     pub fn fine_tune(
         incumbent: &CostModelBundle,
         train: &LearnDatasets,
@@ -101,21 +90,14 @@ impl FineTuner {
         settings: &FineTuneSettings,
         seed: u64,
     ) -> Option<CostModelBundle> {
-        let ts = settings.as_train_settings();
+        let ts = &settings.train;
         let mut tuned_any = false;
         let mut report = *incumbent.report();
 
         let mut compute = incumbent.compute_model().clone();
         if train.compute.len() >= settings.min_samples {
-            let fallback = &train.compute;
-            let valid_ds = if valid.compute.is_empty() {
-                fallback
-            } else {
-                &valid.compute
-            };
-            let tune =
-                compute.fine_tune(&train.compute, valid_ds, &ts, settings.freeze_encoder, seed);
-            report.compute_test_mse = tune.test_mse;
+            let tune = compute.fine_tune(&train.compute, &valid.compute, ts, FREEZE_ENCODER, seed);
+            report.compute_test_mse = tune.valid_mse;
             report.compute_samples = train.compute.len();
             tuned_any = true;
         }
@@ -131,8 +113,11 @@ impl FineTuner {
             if train_ds.len() < settings.min_samples {
                 return None;
             }
-            let valid_ds = valid_ds.as_ref().unwrap_or(train_ds);
-            let tune = model.fine_tune(train_ds, valid_ds, &ts, &FROZEN_COMM_LAYERS, seed ^ salt);
+            // Nothing held back for this model: an empty validation part,
+            // which the fit answers by ranking on its training rows.
+            let no_rows = train_ds.select(&[]);
+            let valid_ds = valid_ds.as_ref().unwrap_or(&no_rows);
+            let tune = model.fine_tune(train_ds, valid_ds, ts, &FROZEN_COMM_LAYERS, seed ^ salt);
             Some(tune.valid_mse)
         };
         let mut comm_samples = 0usize;

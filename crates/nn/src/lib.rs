@@ -14,9 +14,9 @@
 //! * [`mlp::Mlp`] — an MLP container with `forward` / `backward`,
 //! * [`adam::Adam`] — the Adam optimizer,
 //! * [`loss`] — mean-squared-error and its gradient,
-//! * [`train`] — a mini-batch trainer with train/valid/test splits and
-//!   best-on-validation model selection (the paper trains 1000 epochs and
-//!   keeps the best validation checkpoint),
+//! * [`train`] — the one training protocol: seeded train/valid/test
+//!   partition, mini-batch epochs, best-on-validation model selection (the
+//!   paper trains 1000 epochs and keeps the best validation checkpoint),
 //! * [`serialize`] — serde round-tripping for model checkpoints.
 //!
 //! Everything is deterministic given explicit seeds.
@@ -26,17 +26,16 @@
 //! Fit `y = 2x₀ - x₁`:
 //!
 //! ```
-//! use nshard_nn::{Dataset, Matrix, Mlp, TrainConfig, Trainer};
+//! use nshard_nn::{fit, Dataset, Matrix, Mlp, TrainSettings};
 //!
 //! let xs: Vec<[f32; 2]> = (0..200).map(|i| [i as f32 / 200.0, (i % 7) as f32 / 7.0]).collect();
 //! let x = Matrix::from_rows(xs.iter().map(|r| r.to_vec()));
 //! let y = Matrix::from_rows(xs.iter().map(|r| vec![2.0 * r[0] - r[1]]));
 //! let dataset = Dataset::new(x, y).unwrap();
 //!
-//! let mlp = Mlp::new(2, &[16], 1, 0);
-//! let config = TrainConfig { epochs: 300, batch_size: 32, ..TrainConfig::default() };
-//! let mut trainer = Trainer::new(config);
-//! let report = trainer.fit(mlp, &dataset, 42);
+//! let mut mlp = Mlp::new(2, &[16], 1, 0);
+//! let settings = TrainSettings { epochs: 300, batch_size: 32, ..TrainSettings::default() };
+//! let report = fit(&mut mlp, dataset.split(42).parts(), &[], &settings, 42);
 //! assert!(report.test_mse < 0.05, "test MSE {}", report.test_mse);
 //! ```
 
@@ -63,4 +62,6 @@ pub use serialize::{
     CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,
 };
 pub use tensor::Matrix;
-pub use train::{Dataset, Split, TrainConfig, TrainReport, Trainer, GRAD_SHARD_ROWS};
+pub use train::{
+    fit, fit_epochs, partition, Dataset, Split, TrainReport, TrainSettings, GRAD_SHARD_ROWS,
+};

@@ -19,7 +19,7 @@ use crate::layer::Dense;
 use crate::loss::{mse, mse_grad_scaled_into};
 use crate::mlp::{Gradients, Mlp, MlpWorkspace};
 use crate::tensor::Matrix;
-use crate::train::{Dataset, Split, TrainConfig, TrainReport, Trainer, GRAD_SHARD_ROWS};
+use crate::train::{fit, Dataset, Split, TrainReport, TrainSettings, GRAD_SHARD_ROWS};
 
 /// `a · bᵀ`, one scalar `.sum()` dot per element.
 fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
@@ -157,7 +157,7 @@ fn zero_layers(grads: &mut Gradients, layers: &[usize]) {
 }
 
 fn fit_split(
-    config: &TrainConfig,
+    config: &TrainSettings,
     frozen: &[usize],
     mut mlp: Mlp,
     split: &Split,
@@ -193,7 +193,6 @@ fn fit_split(
         train_mse: mse(&best.forward(split.train.x()), split.train.y()),
         valid_mse: best_valid,
         test_mse: mse(&best.forward(split.test.x()), split.test.y()),
-        epochs_run: config.epochs,
         valid_history,
     };
     (report, best)
@@ -325,13 +324,12 @@ proptest! {
         .expect("non-empty dataset");
         let split = data.split(seed);
         let init = mlp_of(&dims, seed ^ 0x51);
-        let base = TrainConfig { epochs: 3, batch_size: batch, learning_rate: 2e-3, threads: 1 };
+        let base = TrainSettings { epochs: 3, batch_size: batch, learning_rate: 2e-3, threads: 1 };
         let (want_report, want_model) = fit_split(&base, &frozen, init.clone(), &split, seed);
         for threads in [1, 2, 3, 8] {
-            let mut trainer = Trainer::new(TrainConfig { threads, ..base })
-                .with_frozen_layers(frozen.clone());
-            let report = trainer.fit_split(init.clone(), &split, seed);
-            let model = trainer.into_best_model().expect("fit sets a model");
+            let mut model = init.clone();
+            let settings = TrainSettings { threads, ..base };
+            let report = fit(&mut model, split.parts(), &frozen, &settings, seed);
             prop_assert!(
                 weight_bits(&model) == weight_bits(&want_model),
                 "weights diverged at {} threads",
@@ -388,19 +386,15 @@ fn slot_tree_reduction_is_the_reference_tree() {
             test: data,
         };
         let init = Mlp::new(3, &[5], 1, 2);
-        let config = TrainConfig {
+        let config = TrainSettings {
             epochs: 1,
             batch_size: n,
             learning_rate: 1e-2,
             threads: 2,
         };
         let (_, want) = fit_split(&config, &[], init.clone(), &split, 3);
-        let mut trainer = Trainer::new(config);
-        trainer.fit_split(init, &split, 3);
-        assert_eq!(
-            weight_bits(trainer.best_model().expect("fit sets a model")),
-            weight_bits(&want),
-            "{shards} shards"
-        );
+        let mut model = init;
+        fit(&mut model, split.parts(), &[], &config, 3);
+        assert_eq!(weight_bits(&model), weight_bits(&want), "{shards} shards");
     }
 }

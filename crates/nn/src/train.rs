@@ -1,8 +1,12 @@
-//! Mini-batch training loop with train/valid/test splits.
+//! The pre-training protocol, once: seeded 80/10/10 partition, mini-batch
+//! Adam on MSE for a fixed number of epochs, keep the best-on-validation
+//! checkpoint (the paper's Appendix C/F, for all three cost models).
 //!
-//! Mirrors the paper's training protocol (Appendix C/F): 80/10/10 split,
-//! batch size 512, Adam at lr 0.001, a fixed number of epochs, keeping the
-//! checkpoint with the best validation MSE.
+//! [`fit_epochs`] owns what every model kind shares — the shuffle stream,
+//! the chunking, the checkpoint bookkeeping and the rule for which
+//! partition ranks checkpoints — and is generic over what a mini-batch step
+//! does to the model and how the model scores a partition. [`fit`] is the
+//! plain-[`Mlp`] instance.
 //!
 //! ## Data-parallel gradients
 //!
@@ -12,7 +16,7 @@
 //! them, and a single Adam step applies the sum. The shard decomposition
 //! and the reduction order are pure functions of the batch — never of the
 //! thread count — so trained weights are **bit-identical** at any
-//! [`TrainConfig::threads`] setting, including the serial `threads = 1`.
+//! [`TrainSettings::threads`] setting, including the serial `threads = 1`.
 //!
 //! Every shard of a mini-batch runs in its own slot of a workspace built
 //! once per fit (input rows, activations, layer gradients, the shard's
@@ -103,39 +107,19 @@ impl Dataset {
         }
     }
 
-    /// Shuffled 80/10/10 split, seeded.
+    /// Shuffled 80/10/10 split, seeded: the rows [`partition`] picks.
     pub fn split(&self, seed: u64) -> Split {
-        self.split_with_ratios(0.8, 0.1, seed)
+        let [train, valid, test] = partition(self.len(), seed).map(|rows| self.select(&rows));
+        Split { train, valid, test }
     }
 
-    /// Shuffled split with explicit train/valid ratios (test gets the rest).
-    /// Every part receives at least one sample when the dataset is large
-    /// enough (≥ 3 samples).
-    pub fn split_with_ratios(&self, train: f64, valid: f64, seed: u64) -> Split {
-        let n = self.len();
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..=i);
-            idx.swap(i, j);
+    /// Mean squared error of `mlp`'s predictions over this dataset; `NaN`
+    /// when the dataset is empty.
+    pub fn mse(&self, mlp: &Mlp) -> f32 {
+        if self.is_empty() {
+            return f32::NAN;
         }
-        let mut n_train = ((n as f64) * train).round() as usize;
-        let mut n_valid = ((n as f64) * valid).round() as usize;
-        if n >= 3 {
-            n_train = n_train.clamp(1, n - 2);
-            n_valid = n_valid.clamp(1, n - n_train - 1);
-        } else {
-            n_train = n_train.min(n);
-            n_valid = n_valid.min(n - n_train);
-        }
-        let train_set = self.select(&idx[..n_train]);
-        let valid_set = self.select(&idx[n_train..n_train + n_valid]);
-        let test_set = self.select(&idx[n_train + n_valid..]);
-        Split {
-            train: train_set,
-            valid: valid_set,
-            test: test_set,
-        }
+        mse(&mlp.forward(&self.x), &self.y)
     }
 }
 
@@ -150,164 +134,192 @@ pub struct Split {
     pub test: Dataset,
 }
 
-/// Trainer configuration.
+impl Split {
+    /// The parts in the order [`fit`] takes them: train, valid, test.
+    pub fn parts(&self) -> [&Dataset; 3] {
+        [&self.train, &self.valid, &self.test]
+    }
+}
+
+/// Fisher–Yates over `order`, drawing from `rng`.
+fn shuffle(order: &mut [usize], rng: &mut StdRng) {
+    for i in (1..order.len()).rev() {
+        let j = rng.random_range(0..=i);
+        order.swap(i, j);
+    }
+}
+
+/// The seeded 80/10/10 partition of `0..n` into train, valid and test
+/// indices. Every part receives at least one index when there are enough
+/// (`n >= 3`) — rounding alone leaves up to seven samples without a
+/// validation or test part.
+pub fn partition(n: usize, seed: u64) -> [Vec<usize>; 3] {
+    let mut train: Vec<usize> = (0..n).collect();
+    shuffle(&mut train, &mut StdRng::seed_from_u64(seed));
+    let mut n_train = ((n as f64) * 0.8).round() as usize;
+    let mut n_valid = ((n as f64) * 0.1).round() as usize;
+    if n >= 3 {
+        n_train = n_train.clamp(1, n - 2);
+        n_valid = n_valid.clamp(1, n - n_train - 1);
+    } else {
+        n_train = n_train.min(n);
+        n_valid = n_valid.min(n - n_train);
+    }
+    let test = train.split_off(n_train + n_valid);
+    let valid = train.split_off(n_train);
+    [train, valid, test]
+}
+
+/// Training hyperparameters for all three cost models.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrainConfig {
-    /// Number of passes over the training partition.
+pub struct TrainSettings {
+    /// Training epochs (the paper uses 1000; the smooth simulator labels
+    /// converge far faster).
     pub epochs: usize,
-    /// Mini-batch size (the paper uses 512).
+    /// Mini-batch size (paper: 512).
     pub batch_size: usize,
-    /// Adam learning rate (the paper uses 0.001).
+    /// Adam learning rate (paper: 0.001).
     pub learning_rate: f32,
-    /// Worker threads for per-shard gradient computation; `0` = auto (the
+    /// Worker threads for gradient computation; `0` = auto (the
     /// `NSHARD_THREADS` environment variable, then available parallelism,
-    /// via [`nshard_pool::resolve_threads`]). Trained weights are
+    /// via [`nshard_pool::resolve_threads`]). Trained models are
     /// bit-identical at any setting.
     pub threads: usize,
 }
 
-impl Default for TrainConfig {
+impl Default for TrainSettings {
     fn default() -> Self {
         Self {
-            epochs: 100,
-            batch_size: 512,
+            epochs: 30,
+            batch_size: 128,
             learning_rate: 1e-3,
             threads: 0,
         }
     }
 }
 
+impl TrainSettings {
+    /// A reduced setting for tests and smoke runs.
+    pub fn smoke() -> Self {
+        Self {
+            epochs: 10,
+            batch_size: 64,
+            learning_rate: 2e-3,
+            threads: 0,
+        }
+    }
+
+    /// Rows per mini-batch when the training partition has `n` rows: a
+    /// fit's workspace is sized by it and [`fit_epochs`] chunks by it.
+    pub fn batch_for(&self, n: usize) -> usize {
+        self.batch_size.min(n).max(1)
+    }
+}
+
 /// Result of a training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// Final MSE on the training partition (best-validation checkpoint).
+    /// MSE of the selected checkpoint on the training partition.
     pub train_mse: f32,
-    /// Best validation MSE observed.
+    /// Best per-epoch selection score (see [`fit_epochs`]).
     pub valid_mse: f32,
     /// MSE of the selected checkpoint on the held-out test partition.
     pub test_mse: f32,
-    /// Number of epochs actually run.
-    pub epochs_run: usize,
-    /// Per-epoch validation MSE history.
+    /// Per-epoch selection score, one entry per epoch.
     pub valid_history: Vec<f32>,
 }
 
-/// Mini-batch MSE trainer with best-on-validation checkpointing.
-#[derive(Debug, Clone)]
-pub struct Trainer {
-    config: TrainConfig,
-    /// Layer indices whose gradients are never formed, so every optimizer
-    /// step sees them as zero (exact freeze; see
-    /// [`Trainer::with_frozen_layers`]).
-    frozen_layers: Vec<usize>,
-    /// The best model found (set by [`Trainer::fit`]).
-    best_model: Option<Mlp>,
+/// The epoch loop every cost model trains through: `settings.epochs` times,
+/// shuffle the training indices (one stream seeded with `shuffle_seed`, so
+/// each model kind passes its own salt), hand `step` one mini-batch of them
+/// at a time, `score` the model, and keep the best-scoring checkpoint,
+/// which `model` holds on return.
+///
+/// Checkpoints are ranked on `valid` — unless it cannot rank them (`score`
+/// of the untrained model is not finite: an empty partition, for which
+/// `score` must return `NaN`, or a non-finite label), which would leave the
+/// untrained weights selected after every epoch ran; then they are ranked,
+/// and `valid_mse` reported, on `train`. With `train_len == 0` nothing
+/// runs and the report scores the unchanged model.
+pub fn fit_epochs<M: Clone, D>(
+    model: &mut M,
+    [train, valid, test]: [&D; 3],
+    train_len: usize,
+    settings: &TrainSettings,
+    shuffle_seed: u64,
+    score: impl Fn(&M, &D) -> f32,
+    mut step: impl FnMut(&mut M, &[usize]),
+) -> TrainReport {
+    if train_len == 0 {
+        return TrainReport {
+            train_mse: f32::NAN,
+            valid_mse: score(model, valid),
+            test_mse: score(model, test),
+            valid_history: Vec::new(),
+        };
+    }
+    let select_on = if score(model, valid).is_finite() {
+        valid
+    } else {
+        train
+    };
+    let mut rng = StdRng::seed_from_u64(shuffle_seed);
+    let mut order: Vec<usize> = (0..train_len).collect();
+    let mut best = model.clone();
+    let mut best_valid = f32::INFINITY;
+    let mut valid_history = Vec::with_capacity(settings.epochs);
+    let batch = settings.batch_for(train_len);
+    for _epoch in 0..settings.epochs {
+        shuffle(&mut order, &mut rng);
+        for chunk in order.chunks(batch) {
+            step(model, chunk);
+        }
+        let valid_mse = score(model, select_on);
+        valid_history.push(valid_mse);
+        if valid_mse < best_valid {
+            best_valid = valid_mse;
+            best = model.clone();
+        }
+    }
+    *model = best;
+    TrainReport {
+        train_mse: score(model, train),
+        valid_mse: best_valid,
+        test_mse: score(model, test),
+        valid_history,
+    }
 }
 
-impl Trainer {
-    /// Creates a trainer with the given configuration.
-    pub fn new(config: TrainConfig) -> Self {
-        Self {
-            config,
-            frozen_layers: Vec::new(),
-            best_model: None,
-        }
-    }
-
-    /// Freezes the given layer indices for subsequent fits: their gradients
-    /// stay zero at every Adam step, which leaves the layer parameters
-    /// bitwise unchanged (zero gradients keep Adam's moments at zero, so
-    /// the update is exactly `lr·0/(√0+ε) = 0`, from any fresh optimizer
-    /// state).
-    pub fn with_frozen_layers(mut self, layers: Vec<usize>) -> Self {
-        self.frozen_layers = layers;
-        self
-    }
-
-    /// The frozen layer indices.
-    pub fn frozen_layers(&self) -> &[usize] {
-        &self.frozen_layers
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
-    /// The best model from the last [`Trainer::fit`] call, if any.
-    pub fn best_model(&self) -> Option<&Mlp> {
-        self.best_model.as_ref()
-    }
-
-    /// Consumes the trainer and returns the best model.
-    pub fn into_best_model(self) -> Option<Mlp> {
-        self.best_model
-    }
-
-    /// Trains `mlp` on `dataset` (80/10/10 split derived from `seed`) and
-    /// returns the report. The best-on-validation checkpoint is kept and
-    /// used for the reported train/test MSE.
-    pub fn fit(&mut self, mlp: Mlp, dataset: &Dataset, seed: u64) -> TrainReport {
-        let split = dataset.split(seed);
-        self.fit_split(mlp, &split, seed)
-    }
-
-    /// Trains on an explicit split.
-    pub fn fit_split(&mut self, mut mlp: Mlp, split: &Split, seed: u64) -> TrainReport {
-        let pool = WorkPool::new(self.config.threads);
-        let mut adam = Adam::new(&mlp, self.config.learning_rate);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-        let n = split.train.len();
-        let batch = self.config.batch_size.clamp(1, n);
-
-        let mut best = mlp.clone();
-        let mut best_valid = f32::INFINITY;
-        let mut valid_history = Vec::with_capacity(self.config.epochs);
-
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut slots: Vec<ShardSlot> = (0..batch.div_ceil(GRAD_SHARD_ROWS))
-            .map(|_| ShardSlot::new(&mlp))
-            .collect();
-        for _epoch in 0..self.config.epochs {
-            // Shuffle sample order.
-            for i in (1..n).rev() {
-                let j = rng.random_range(0..=i);
-                order.swap(i, j);
-            }
-            for chunk in order.chunks(batch) {
-                let grads = batch_gradients(
-                    &mlp,
-                    &split.train,
-                    chunk,
-                    &self.frozen_layers,
-                    &pool,
-                    &mut slots,
-                );
-                adam.step(&mut mlp, grads);
-            }
-            let valid_mse = mse(&mlp.forward(split.valid.x()), split.valid.y());
-            valid_history.push(valid_mse);
-            if valid_mse < best_valid {
-                best_valid = valid_mse;
-                best = mlp.clone();
-            }
-        }
-
-        let train_mse = mse(&best.forward(split.train.x()), split.train.y());
-        let test_mse = if !split.test.is_empty() {
-            mse(&best.forward(split.test.x()), split.test.y())
-        } else {
-            f32::NAN
-        };
-        self.best_model = Some(best);
-        TrainReport {
-            train_mse,
-            valid_mse: best_valid,
-            test_mse,
-            epochs_run: self.config.epochs,
-            valid_history,
-        }
-    }
+/// Trains `mlp` on the `[train, valid, test]` partitions through
+/// [`fit_epochs`], leaving the selected checkpoint in it.
+///
+/// Layers listed in `frozen` stay bitwise untouched: their gradients are
+/// never formed, so every Adam step sees zeros, which keeps the moments at
+/// zero and the update exactly `lr·0/(√0+ε) = 0`.
+pub fn fit(
+    mlp: &mut Mlp,
+    parts: [&Dataset; 3],
+    frozen: &[usize],
+    settings: &TrainSettings,
+    seed: u64,
+) -> TrainReport {
+    let train = parts[0];
+    let pool = WorkPool::new(settings.threads);
+    let mut adam = Adam::new(mlp, settings.learning_rate);
+    let shards = settings.batch_for(train.len()).div_ceil(GRAD_SHARD_ROWS);
+    let mut slots: Vec<ShardSlot> = (0..shards).map(|_| ShardSlot::new(mlp)).collect();
+    fit_epochs(
+        mlp,
+        parts,
+        train.len(),
+        settings,
+        seed ^ 0xA5A5_5A5A,
+        |mlp, data| data.mse(mlp),
+        |mlp, chunk| {
+            let grads = batch_gradients(mlp, train, chunk, frozen, &pool, &mut slots);
+            adam.step(mlp, grads);
+        },
+    )
 }
 
 /// Everything one gradient shard needs, kept from mini-batch to mini-batch:
@@ -403,6 +415,27 @@ mod tests {
         Dataset::new(Matrix::from_rows(xs), Matrix::from_rows(ys)).unwrap()
     }
 
+    fn settings(epochs: usize, batch_size: usize, learning_rate: f32) -> TrainSettings {
+        TrainSettings {
+            epochs,
+            batch_size,
+            learning_rate,
+            ..TrainSettings::default()
+        }
+    }
+
+    /// Splits `d` by `seed` and fits `mlp` on the parts.
+    fn fit_on(
+        d: &Dataset,
+        mut mlp: Mlp,
+        frozen: &[usize],
+        settings: &TrainSettings,
+        seed: u64,
+    ) -> (TrainReport, Mlp) {
+        let report = fit(&mut mlp, d.split(seed).parts(), frozen, settings, seed);
+        (report, mlp)
+    }
+
     #[test]
     fn split_partitions_everything() {
         let d = linear_dataset(100);
@@ -422,28 +455,21 @@ mod tests {
     #[test]
     fn trainer_fits_linear_function() {
         let d = linear_dataset(300);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 150,
-            batch_size: 32,
-            learning_rate: 3e-3,
-            ..TrainConfig::default()
-        });
-        let report = trainer.fit(Mlp::new(2, &[16], 1, 0), &d, 7);
+        let (report, _) = fit_on(
+            &d,
+            Mlp::new(2, &[16], 1, 0),
+            &[],
+            &settings(150, 32, 3e-3),
+            7,
+        );
         assert!(report.test_mse < 0.02, "test MSE {}", report.test_mse);
-        assert!(trainer.best_model().is_some());
         assert_eq!(report.valid_history.len(), 150);
     }
 
     #[test]
     fn validation_mse_improves_over_training() {
         let d = linear_dataset(200);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 50,
-            batch_size: 32,
-            learning_rate: 3e-3,
-            ..TrainConfig::default()
-        });
-        let report = trainer.fit(Mlp::new(2, &[8], 1, 1), &d, 3);
+        let (report, _) = fit_on(&d, Mlp::new(2, &[8], 1, 1), &[], &settings(50, 32, 3e-3), 3);
         let first = report.valid_history[0];
         let last = *report.valid_history.last().unwrap();
         assert!(
@@ -467,6 +493,25 @@ mod tests {
     }
 
     #[test]
+    fn one_and_two_row_datasets_train_on_what_they_have() {
+        // Neither leaves a validation row: checkpoints are ranked on the
+        // training rows instead of `mse` meeting an empty matrix.
+        for n in [1, 2] {
+            let d = linear_dataset(n);
+            assert!(d.split(4).valid.is_empty());
+            let init = Mlp::new(2, &[8], 1, 5);
+            let (report, fitted) = fit_on(&d, init.clone(), &[], &settings(6, 32, 3e-3), 4);
+            assert_ne!(fitted, init, "n = {n}: untrained");
+            assert_eq!(report.valid_history.len(), 6);
+            assert!(report.valid_history.iter().all(|v| v.is_finite()));
+            assert_eq!(report.valid_mse.to_bits(), report.train_mse.to_bits());
+            assert!(report.test_mse.is_nan(), "n = {n}: there is no test row");
+            let weights = fitted.layers().iter().flat_map(|l| l.weights().as_slice());
+            assert!(weights.into_iter().all(|w| w.is_finite()));
+        }
+    }
+
+    #[test]
     fn serde_round_trip_and_validation() {
         let d = linear_dataset(10);
         let json = serde_json::to_string(&d).unwrap();
@@ -481,14 +526,9 @@ mod tests {
     #[test]
     fn fit_is_deterministic() {
         let d = linear_dataset(100);
-        let cfg = TrainConfig {
-            epochs: 10,
-            batch_size: 16,
-            learning_rate: 1e-3,
-            ..TrainConfig::default()
-        };
-        let r1 = Trainer::new(cfg).fit(Mlp::new(2, &[8], 1, 2), &d, 5);
-        let r2 = Trainer::new(cfg).fit(Mlp::new(2, &[8], 1, 2), &d, 5);
+        let cfg = settings(10, 16, 1e-3);
+        let r1 = fit_on(&d, Mlp::new(2, &[8], 1, 2), &[], &cfg, 5);
+        let r2 = fit_on(&d, Mlp::new(2, &[8], 1, 2), &[], &cfg, 5);
         assert_eq!(r1, r2);
     }
 
@@ -497,27 +537,18 @@ mod tests {
         // Batch of 256 rows = 4 shards of GRAD_SHARD_ROWS, so the parallel
         // path genuinely fans out and must still match the serial run.
         let d = linear_dataset(320);
-        let base = TrainConfig {
+        let base = TrainSettings {
             epochs: 8,
             batch_size: 256,
             learning_rate: 1e-3,
             threads: 1,
         };
-        let serial = Trainer::new(base).fit(Mlp::new(2, &[16], 1, 9), &d, 11);
-        let serial_model = {
-            let mut t = Trainer::new(base);
-            t.fit(Mlp::new(2, &[16], 1, 9), &d, 11);
-            t.into_best_model().unwrap()
-        };
+        let (serial, serial_model) = fit_on(&d, Mlp::new(2, &[16], 1, 9), &[], &base, 11);
         for threads in [2, 3, 8] {
-            let mut t = Trainer::new(TrainConfig { threads, ..base });
-            let report = t.fit(Mlp::new(2, &[16], 1, 9), &d, 11);
+            let cfg = TrainSettings { threads, ..base };
+            let (report, model) = fit_on(&d, Mlp::new(2, &[16], 1, 9), &[], &cfg, 11);
             assert_eq!(report, serial, "report diverged at {threads} threads");
-            assert_eq!(
-                t.into_best_model().unwrap(),
-                serial_model,
-                "weights diverged at {threads} threads"
-            );
+            assert_eq!(model, serial_model, "weights diverged at {threads} threads");
         }
     }
 
@@ -526,18 +557,8 @@ mod tests {
         // Convergence smoke: 32 samples, capacity to memorize them, and
         // enough epochs must drive the training MSE to ~zero.
         let d = linear_dataset(32);
-        let split = Split {
-            train: d.clone(),
-            valid: d.clone(),
-            test: d.clone(),
-        };
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 800,
-            batch_size: 32,
-            learning_rate: 5e-3,
-            ..TrainConfig::default()
-        });
-        let report = trainer.fit_split(Mlp::new(2, &[32], 1, 0), &split, 13);
+        let mut mlp = Mlp::new(2, &[32], 1, 0);
+        let report = fit(&mut mlp, [&d, &d, &d], &[], &settings(800, 32, 5e-3), 13);
         assert!(
             report.train_mse < 1e-4,
             "failed to overfit 32 samples: train MSE {}",
@@ -549,34 +570,26 @@ mod tests {
     fn frozen_layers_are_bitwise_untouched() {
         let d = linear_dataset(120);
         let init = Mlp::new(2, &[8, 8], 1, 6);
-        let cfg = TrainConfig {
-            epochs: 12,
-            batch_size: 32,
-            learning_rate: 3e-3,
-            ..TrainConfig::default()
-        };
-        let mut trainer = Trainer::new(cfg).with_frozen_layers(vec![0]);
-        trainer.fit(init.clone(), &d, 9);
-        let fitted = trainer.into_best_model().unwrap();
+        let cfg = settings(12, 32, 3e-3);
+        let (_, fitted) = fit_on(&d, init.clone(), &[0], &cfg, 9);
         // Layer 0 never moved; the unfrozen layers did.
         assert_eq!(init.layers()[0], fitted.layers()[0]);
         assert_ne!(init.layers()[1], fitted.layers()[1]);
         // Freezing everything is an exact no-op on all parameters.
-        let mut all = Trainer::new(cfg).with_frozen_layers(vec![0, 1, 2]);
-        all.fit(init.clone(), &d, 9);
-        assert_eq!(init, all.into_best_model().unwrap());
+        let (_, all) = fit_on(&d, init.clone(), &[0, 1, 2], &cfg, 9);
+        assert_eq!(init, all);
     }
 
     #[test]
     fn best_checkpoint_is_min_of_validation_history() {
         let d = linear_dataset(200);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 60,
-            batch_size: 32,
-            learning_rate: 3e-3,
-            ..TrainConfig::default()
-        });
-        let report = trainer.fit(Mlp::new(2, &[8], 1, 4), &d, 21);
+        let (report, _) = fit_on(
+            &d,
+            Mlp::new(2, &[8], 1, 4),
+            &[],
+            &settings(60, 32, 3e-3),
+            21,
+        );
         let min = report
             .valid_history
             .iter()
@@ -590,44 +603,23 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn split_with_ratios_partitions_any_dataset(
-            n in 1usize..200,
-            train in 0.0f64..1.0,
-            valid in 0.0f64..1.0,
-            seed in 0u64..1000,
-        ) {
-            let d = linear_dataset(n);
-            let s = d.split_with_ratios(train, valid, seed);
-            // Exhaustive: every sample lands in exactly one part.
-            proptest::prop_assert_eq!(s.train.len() + s.valid.len() + s.test.len(), n);
-            // Disjoint: recombining the parts recovers the multiset of rows.
-            let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
-            for part in [&s.train, &s.valid, &s.test] {
-                for r in 0..part.len() {
-                    let xr = part.x().row(r);
-                    let yr = part.y().row(r);
-                    rows.push(
-                        xr.iter().chain(yr.iter()).map(|v| v.to_bits()).collect(),
-                    );
-                }
-            }
-            rows.sort_unstable();
-            let mut expected: Vec<Vec<u32>> = (0..n)
-                .map(|r| {
-                    d.x().row(r)
-                        .iter()
-                        .chain(d.y().row(r).iter())
-                        .map(|v| v.to_bits())
-                        .collect()
-                })
-                .collect();
-            expected.sort_unstable();
-            proptest::prop_assert_eq!(rows, expected);
-            // Non-degenerate parts whenever the dataset can afford them.
+        fn partition_is_disjoint_covering_and_non_degenerate(n in 0usize..=200, seed: u64) {
+            let parts = partition(n, seed);
+            // Disjoint and covering: the parts together are `0..n`, each once.
+            let mut all: Vec<usize> = parts.concat();
+            all.sort_unstable();
+            proptest::prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
+            // Non-degenerate parts whenever there are rows to afford them.
             if n >= 3 {
-                proptest::prop_assert!(!s.train.is_empty());
-                proptest::prop_assert!(!s.valid.is_empty());
-                proptest::prop_assert!(!s.test.is_empty());
+                proptest::prop_assert!(parts.iter().all(|part| !part.is_empty()));
+            }
+            // `Dataset::split` is these rows, in this order.
+            if n > 0 {
+                let d = linear_dataset(n);
+                let s = d.split(seed);
+                for (part, rows) in s.parts().into_iter().zip(&parts) {
+                    proptest::prop_assert_eq!(part, &d.select(rows));
+                }
             }
         }
     }

@@ -36,10 +36,11 @@ use nshard_core::{
 };
 use nshard_cost::{CostModelBundle, EstimatedCost};
 use nshard_data::ShardingTask;
+use nshard_pool::splitmix64;
 use nshard_sim::{GpuSpec, PlanCosts, TableProfile};
 
 use crate::detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
-use crate::drift::{mix, WorkloadDrift};
+use crate::drift::WorkloadDrift;
 use crate::incremental::{IncrementalConfig, PlanDelta};
 use crate::stack::{PlanningStack, ReplanOutcome, ReplanRoute};
 
@@ -565,7 +566,7 @@ impl OnlineController {
         plan: &ShardingPlan,
         epoch: u64,
     ) -> Option<PlanCosts> {
-        let seed = mix(self.config.seed ^ mix(epoch.wrapping_add(0x9e37_79b9)));
+        let seed = splitmix64(self.config.seed ^ splitmix64(epoch.wrapping_add(0x9e37_79b9)));
         evaluate_plan(task, plan, &GpuSpec::default(), seed).ok()
     }
 }

@@ -18,6 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use nshard_data::{ShardingTask, TableConfig};
+use nshard_pool::splitmix64;
 
 /// Multiplicative / additive adjustments one epoch applies to one table.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,17 +99,9 @@ pub enum DriftModel {
     },
 }
 
-/// SplitMix64 finalizer: a well-mixed pure hash of one `u64`.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A deterministic uniform in `[0, 1)` from `(seed, tag, index)`.
 fn hash01(seed: u64, tag: u64, index: u64) -> f64 {
-    let h = mix(seed ^ mix(tag) ^ mix(index).rotate_left(17));
+    let h = splitmix64(seed ^ splitmix64(tag) ^ splitmix64(index).rotate_left(17));
     // 53 mantissa bits — exactly representable, bit-deterministic.
     (h >> 11) as f64 / (1u64 << 53) as f64
 }

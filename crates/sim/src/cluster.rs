@@ -74,14 +74,6 @@ impl PlanCosts {
             .fold(0.0, f64::max)
     }
 
-    /// Mean per-device total, ms.
-    pub fn mean_total_ms(&self) -> f64 {
-        if self.devices.is_empty() {
-            return 0.0;
-        }
-        self.devices.iter().map(DeviceCost::total_ms).sum::<f64>() / self.devices.len() as f64
-    }
-
     /// Balance ratio in `(0, 1]`: min device total / max device total.
     /// 1.0 means perfectly balanced.
     pub fn balance(&self) -> f64 {
@@ -123,7 +115,7 @@ impl PlanCosts {
 /// let t = |d| TableProfile::new(d, 1 << 20, 12.0, 0.3, 1.0);
 /// let plan = vec![vec![t(64)], vec![t(64)], vec![t(32), t(32)], vec![t(128)]];
 /// let costs = cluster.evaluate(&plan, 42)?;
-/// assert!(costs.max_total_ms() >= costs.mean_total_ms());
+/// assert!(costs.max_total_ms() > 0.0);
 /// # Ok::<(), nshard_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -618,7 +610,6 @@ mod tests {
         let plan = vec![vec![t(64)], vec![t(64)], vec![t(64)], vec![t(64)]];
         let costs = c.evaluate_exact(&plan).unwrap();
         assert_eq!(costs.devices().len(), 4);
-        assert!(costs.max_total_ms() >= costs.mean_total_ms());
         assert!(costs.balance() > 0.0 && costs.balance() <= 1.0);
         let d0 = costs.devices()[0];
         assert!((d0.total_ms() - (d0.compute_ms() + d0.comm_ms())).abs() < 1e-12);

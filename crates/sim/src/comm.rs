@@ -81,14 +81,14 @@ impl CommParams {
 
     /// Effective per-GPU bandwidth in bytes/ms for a collective of `d`
     /// participants.
-    pub fn effective_bw_bytes_per_ms(&self, d: usize) -> f64 {
+    fn effective_bw_bytes_per_ms(&self, d: usize) -> f64 {
         let gbps = self.base_bw_gbps / (1.0 + self.congestion_coeff * (d.saturating_sub(1)) as f64);
         gbps * 1e9 / 1e3
     }
 
     /// Bytes a GPU with device dimension `device_dim` contributes to one
     /// all-to-all (what it sends to its `D-1` peers).
-    pub fn bytes_for_device(&self, device_dim: f64, batch_size: u32, d: usize) -> f64 {
+    fn bytes_for_device(&self, device_dim: f64, batch_size: u32, d: usize) -> f64 {
         if d <= 1 {
             return 0.0;
         }
@@ -203,7 +203,7 @@ impl CommParams {
     /// # Panics
     ///
     /// Panics if the three slices have different lengths.
-    pub fn forward_costs_ms_tiered(
+    fn forward_costs_ms_tiered(
         &self,
         device_dims: &[f64],
         start_ts_ms: &[f64],
@@ -225,7 +225,7 @@ impl CommParams {
     /// # Panics
     ///
     /// Panics if the three slices have different lengths.
-    pub fn backward_costs_ms_tiered(
+    fn backward_costs_ms_tiered(
         &self,
         device_dims: &[f64],
         start_ts_ms: &[f64],

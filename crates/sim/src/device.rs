@@ -80,18 +80,6 @@ impl GpuSpec {
         self.mem_budget_bytes = bytes;
         self
     }
-
-    /// Returns a copy with a different kernel law.
-    pub fn with_kernel(mut self, kernel: KernelParams) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Returns a copy with a different communication law.
-    pub fn with_comm(mut self, comm: CommParams) -> Self {
-        self.comm = comm;
-        self
-    }
 }
 
 impl Default for GpuSpec {
@@ -110,14 +98,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_methods_replace_fields() {
-        let spec = GpuSpec::rtx_2080_ti()
-            .with_mem_budget(123)
-            .with_kernel(KernelParams::datacenter_a100_like())
-            .with_comm(CommParams::rdma_cluster());
+    fn with_mem_budget_replaces_the_budget_only() {
+        let spec = GpuSpec::rtx_2080_ti().with_mem_budget(123);
         assert_eq!(spec.mem_budget_bytes(), 123);
-        assert_eq!(spec.kernel(), &KernelParams::datacenter_a100_like());
-        assert_eq!(spec.comm(), &CommParams::rdma_cluster());
+        assert_eq!(spec.kernel(), GpuSpec::rtx_2080_ti().kernel());
+        assert_eq!(spec.comm(), GpuSpec::rtx_2080_ti().comm());
     }
 
     #[test]

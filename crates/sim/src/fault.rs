@@ -47,6 +47,7 @@
 
 use crate::cluster::{Cluster, PlanCosts};
 use crate::error::SimError;
+use crate::noise::splitmix64;
 use crate::profile::TableProfile;
 
 /// One injected fault condition.
@@ -470,13 +471,6 @@ impl FaultyCluster {
         self.cluster
             .evaluate_exact_with_faults(assignment, &self.faults)
     }
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -104,7 +104,7 @@ impl KernelParams {
 
     /// Fused-kernel efficiency factor for `t` tables; 1.0 for a single
     /// table, decreasing towards [`KernelParams::occupancy_floor`].
-    pub fn efficiency(&self, t: usize) -> f64 {
+    fn efficiency(&self, t: usize) -> f64 {
         if t <= 1 {
             1.0
         } else {
@@ -114,7 +114,7 @@ impl KernelParams {
 
     /// Cache/memory-hierarchy penalty for one table: ≥ 1, growing with the
     /// unique working set and the hash size.
-    pub fn cache_penalty(&self, table: &TableProfile, batch_size: u32) -> f64 {
+    fn cache_penalty(&self, table: &TableProfile, batch_size: u32) -> f64 {
         let lookups = f64::from(batch_size) * table.pooling_factor();
         // Skewed access patterns concentrate on a hot head; the effective
         // working set shrinks as the Zipf exponent grows past uniform.
@@ -128,7 +128,7 @@ impl KernelParams {
     }
 
     /// Raw (pre-fusion) forward work of one table in milliseconds.
-    pub fn table_work_ms(&self, table: &TableProfile, batch_size: u32) -> f64 {
+    fn table_work_ms(&self, table: &TableProfile, batch_size: u32) -> f64 {
         let lookups = f64::from(batch_size) * table.pooling_factor();
         let row_ns = self.c_row_ns + self.c_elem_ns * f64::from(table.dim()).powf(self.gamma);
         lookups * row_ns * self.cache_penalty(table, batch_size) * 1e-6

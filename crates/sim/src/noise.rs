@@ -109,8 +109,10 @@ impl Default for NoiseModel {
     }
 }
 
-/// SplitMix64: tiny, high-quality 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64: tiny, high-quality 64-bit mixer. `nshard-sim` has no
+/// workspace dependency, so this is its one copy of
+/// `nshard_pool::splitmix64`.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -40,13 +40,6 @@ pub struct Span {
     pub end_ms: f64,
 }
 
-impl Span {
-    /// Duration of the span in ms.
-    pub fn duration_ms(&self) -> f64 {
-        self.end_ms - self.start_ms
-    }
-}
-
 /// Per-GPU timeline of the final simulated iteration.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct IterationTrace {
@@ -291,7 +284,7 @@ mod tests {
                 assert!(w[0].end_ms <= w[1].start_ms + 1e-9);
             }
             for sp in spans {
-                assert!(sp.duration_ms() >= 0.0);
+                assert!(sp.end_ms >= sp.start_ms);
             }
         }
     }
@@ -311,7 +304,7 @@ mod tests {
                     Phase::EmbeddingForward | Phase::DenseCompute | Phase::EmbeddingBackward
                 )
             })
-            .map(Span::duration_ms)
+            .map(|sp| sp.end_ms - sp.start_ms)
             .sum();
         assert!(summary.iteration_ms > own);
     }

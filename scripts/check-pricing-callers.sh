@@ -1,5 +1,5 @@
 #!/bin/sh
-# One task->pricing translation (DESIGN.md §15): outside nshard-core a plan
+# One task->pricing translation (DESIGN.md §13): outside nshard-core a plan
 # is priced through `nshard_core::estimate_for_task`, and a fleet is lowered
 # to `DeviceScales` by exactly two callers (the search and that function).
 #

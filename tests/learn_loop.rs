@@ -176,7 +176,10 @@ fn hooked_run(
     };
     let learn_config = ContinualConfig {
         settings: FineTuneSettings {
-            threads,
+            train: TrainSettings {
+                threads,
+                ..FineTuneSettings::smoke().train
+            },
             ..FineTuneSettings::smoke()
         },
         seed: 29,
@@ -249,10 +252,12 @@ fn drift_run_promotes_a_finetuned_candidate() {
         // Enough optimization to actually close a stale incumbent's gap
         // — the smoke settings only nudge (see the thread-count test).
         settings: FineTuneSettings {
-            epochs: 30,
-            learning_rate: 1e-3,
+            train: TrainSettings {
+                epochs: 30,
+                learning_rate: 1e-3,
+                ..FineTuneSettings::default().train
+            },
             min_samples: 12,
-            ..FineTuneSettings::default()
         },
         ..ContinualConfig::smoke()
     };
@@ -329,10 +334,12 @@ fn continual_final_cost_at_most_0_97x_frozen() {
     let dir = TempDir::new("gate");
     let learn_config = ContinualConfig {
         settings: FineTuneSettings {
-            epochs: 30,
-            learning_rate: 1e-3,
+            train: TrainSettings {
+                epochs: 30,
+                learning_rate: 1e-3,
+                ..FineTuneSettings::default().train
+            },
             min_samples: 12,
-            ..FineTuneSettings::default()
         },
         min_observations: 24,
         cooldown_epochs: 3,

@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use neuroshard::cost::{ComputeCostModel, ComputeDataset, ComputeSample, TrainSettings};
-use neuroshard::nn::{Dataset, Matrix, Mlp, TrainConfig, Trainer};
+use neuroshard::nn::{fit, Dataset, Matrix, Mlp};
 
 thread_local! {
     /// Allocations made by this thread (each test fits on its own thread at
@@ -103,13 +103,14 @@ fn comm_trainer_steps_allocate_nothing() {
     let ys: Vec<Vec<f32>> = xs.iter().map(|r| vec![r[0] * 3.0 - r[4] + r[8]]).collect();
     let data = Dataset::new(Matrix::from_rows(&xs), Matrix::from_rows(&ys)).unwrap();
     let per_epoch = per_epoch(|epochs| {
-        let mut trainer = Trainer::new(TrainConfig {
+        let settings = TrainSettings {
             epochs,
             batch_size: 16,
             learning_rate: 1e-3,
             threads: 1,
-        });
-        trainer.fit(Mlp::new(9, &[128, 64, 32, 16], 1, 3), &data, 5);
+        };
+        let mut mlp = Mlp::new(9, &[128, 64, 32, 16], 1, 3);
+        fit(&mut mlp, data.split(5).parts(), &[], &settings, 5);
     });
     assert_eq!(data.split(5).train.len(), 16 * STEPS_PER_EPOCH);
     assert!(

@@ -15,7 +15,7 @@ use neuroshard::cost::{
     CostModelBundle, TrainSettings,
 };
 use neuroshard::data::TablePool;
-use neuroshard::nn::{Mlp, TrainConfig, Trainer, GRAD_SHARD_ROWS};
+use neuroshard::nn::{fit, Mlp, GRAD_SHARD_ROWS};
 use neuroshard::sim::{CommParams, KernelParams};
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -75,26 +75,30 @@ fn trainer_is_bit_identical_across_thread_counts() {
     .unwrap();
     assert!(data.len() > 2 * GRAD_SHARD_ROWS, "batches must multi-shard");
 
-    let config = |threads: usize| TrainConfig {
+    let config = |threads: usize| TrainSettings {
         epochs: 12,
         batch_size: 160,
         learning_rate: 1e-3,
         threads,
     };
-    let mut reference = Trainer::new(config(1));
-    let report_ref = reference.fit(Mlp::new(2, &[16, 8], 1, 3), &data, 17);
-    let model_ref = reference.into_best_model().unwrap();
+    let mut model_ref = Mlp::new(2, &[16, 8], 1, 3);
+    let report_ref = fit(&mut model_ref, data.split(17).parts(), &[], &config(1), 17);
 
     for threads in THREAD_SWEEP {
-        let mut trainer = Trainer::new(config(threads));
-        let report = trainer.fit(Mlp::new(2, &[16, 8], 1, 3), &data, 17);
+        let mut model = Mlp::new(2, &[16, 8], 1, 3);
+        let report = fit(
+            &mut model,
+            data.split(17).parts(),
+            &[],
+            &config(threads),
+            17,
+        );
         assert_eq!(
             report, report_ref,
             "train report diverged at {threads} threads"
         );
         assert_eq!(
-            trainer.into_best_model().unwrap(),
-            model_ref,
+            model, model_ref,
             "trained weights diverged at {threads} threads"
         );
     }
