@@ -13,7 +13,7 @@ use nshard_cost::{CostSimulator, DeviceScales, EstimatedCost};
 use nshard_data::ShardingTask;
 use nshard_sim::{Cluster, GpuSpec, PlanCosts, SimError};
 
-use crate::plan::{PlanError, ShardingPlan};
+use crate::plan::{finite_cost, PlanError, ShardingPlan};
 
 /// The ground-truth cluster for `task`: `spec`'s kernel and interconnect
 /// laws on the task's device fleet and batch size. The task's per-device
@@ -78,7 +78,11 @@ pub fn estimate_for_task(
 /// [`PlanError::Invalid`] when the task's device count is not the one the
 /// cost models were trained for
 /// ([`nshard_cost::CostModelBundle::check_device_count`]), or a plan was
-/// built for a different device count than the task.
+/// built for a different device count than the task;
+/// [`PlanError::NonFiniteCost`] when a device's compute estimate or a
+/// plan's total is NaN or an infinity — the one guard every consumer
+/// outside the search prices through, so nothing downstream compares a
+/// NaN.
 pub fn estimate_batch_for_task<'p>(
     sim: &CostSimulator,
     task: &ShardingTask,
@@ -94,7 +98,15 @@ pub fn estimate_batch_for_task<'p>(
         assignments.push(plan.device_profiles(task.batch_size()));
     }
     let scales = DeviceScales::from_pool(task.devices());
-    Ok(sim.estimate_plan_batch_scaled(&assignments, scales.as_ref()))
+    let estimates = sim.estimate_plan_batch_scaled(&assignments, scales.as_ref());
+    for estimate in &estimates {
+        // `total_ms` folds the devices with `f64::max`, which skips NaN.
+        for &ms in &estimate.compute_per_device {
+            finite_cost("device cost", ms)?;
+        }
+        finite_cost("plan estimate", estimate.total_ms())?;
+    }
+    Ok(estimates)
 }
 
 #[cfg(test)]

@@ -499,17 +499,25 @@ impl ShardingPlan {
                 reason: "sharded tables do not match the column plan applied to the task".into(),
             });
         }
-        for (d, &bytes) in self.device_bytes().iter().enumerate() {
-            let budget = task.budget_of(d);
-            if bytes > budget {
-                return Err(PlanError::Invalid {
-                    reason: format!(
-                        "device {d} holds {bytes} bytes, exceeding its {budget} byte budget"
-                    ),
-                });
-            }
+        if let Some((d, bytes, budget)) = self.first_over_budget(task) {
+            return Err(PlanError::Invalid {
+                reason: format!(
+                    "device {d} holds {bytes} bytes, exceeding its {budget} byte budget"
+                ),
+            });
         }
         Ok(())
+    }
+
+    /// The first device holding more bytes than `task` budgets for it, as
+    /// `(device, bytes, budget)` — the one memory-fit scan validation,
+    /// the replan gate and the drift detector share.
+    pub fn first_over_budget(&self, task: &ShardingTask) -> Option<(usize, u64, u64)> {
+        self.device_bytes()
+            .into_iter()
+            .enumerate()
+            .map(|(d, bytes)| (d, bytes, task.budget_of(d)))
+            .find(|&(_, bytes, budget)| bytes > budget)
     }
 }
 

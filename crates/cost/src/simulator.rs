@@ -102,6 +102,25 @@ impl DeviceScales {
     pub fn bandwidth_scale(&self, g: usize) -> f64 {
         self.bandwidth[g]
     }
+
+    /// Scales one plan's raw loads in place: compute × class, dimension ÷
+    /// bandwidth — the learned twin of the ground truth's
+    /// [`nshard_sim::DevicePool::lowered_dims`], and the first thing
+    /// [`CostSimulator::estimate_from_loads`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `load` covers a different number of devices.
+    pub fn apply(&self, load: &mut DeviceLoads) {
+        assert!(
+            load.compute_ms.len() == self.len() && load.comm_dims.len() == self.len(),
+            "device scales do not match the plan's device count"
+        );
+        for g in 0..self.len() {
+            load.compute_ms[g] *= self.compute[g];
+            load.comm_dims[g] /= self.bandwidth[g];
+        }
+    }
 }
 
 /// Quality report of a pre-training run (the numbers behind Table 2).
@@ -681,16 +700,7 @@ impl CostSimulator {
             );
         }
         if let Some(s) = scales {
-            assert_eq!(s.len(), d, "device scales do not match the bundle");
-            for load in &mut loads {
-                for g in 0..d {
-                    load.compute_ms[g] *= s.compute_scale(g);
-                    // Replicated shards contribute their comm share of the
-                    // dimension; a slow link inflates the effective
-                    // dimension proportionally.
-                    load.comm_dims[g] /= s.bandwidth_scale(g);
-                }
-            }
+            loads.iter_mut().for_each(|load| s.apply(load));
         }
         // Forward comm starts when each device's forward kernel ends.
         let fwd_starts_all: Vec<Vec<f64>> = loads

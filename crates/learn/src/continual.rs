@@ -17,7 +17,7 @@ use nshard_cost::{comm_features, table_features, CostModelBundle};
 use nshard_online::{EpochHook, EpochObservation, HookAction};
 use nshard_pool::splitmix64;
 use nshard_serve::{ObservationWire, StoreError};
-use nshard_sim::{Cluster, DeviceCost};
+use nshard_sim::DeviceCost;
 
 use crate::buffer::{BufferConfig, Observation, ObservationBuffer, ObservationKind};
 use crate::finetune::{FineTuneSettings, FineTuner};
@@ -146,11 +146,18 @@ impl ContinualLearner {
     /// compute sample plus one forward and one backward comm sample,
     /// each pairing the models' prediction with the simulated ground
     /// truth. Epochs without ground truth contribute nothing.
+    ///
+    /// Every sample is in the models' own units, so replaying its features
+    /// through the incumbent gives back its prediction: compute times are
+    /// divided by the device's compute class (the models price baseline
+    /// hardware and `estimate_for_task` multiplies the class in), comm
+    /// rows carry the fleet's lowered dimensions.
     fn ingest_epoch(&mut self, observation: &EpochObservation<'_>) {
         let Some(truth) = observation.ground_truth else {
             return;
         };
         let batch = observation.task.batch_size();
+        let fleet = observation.task.devices();
         let devices = truth.devices();
         for (d, tables) in observation.assignment.iter().enumerate() {
             if tables.is_empty() {
@@ -164,18 +171,19 @@ impl ContinualLearner {
                 .get(d)
                 .copied()
                 .unwrap_or_default();
+            let class = fleet.compute_scale_of(d);
             self.buffer.insert(Observation {
                 kind: ObservationKind::Compute,
                 features,
-                predicted_ms: predicted,
-                observed_ms: cost.compute_ms(),
+                predicted_ms: predicted / class,
+                observed_ms: cost.compute_ms() / class,
             });
         }
         // Comm observations: rebuild exactly the feature rows the
-        // simulator fed the comm models (same dims, same start offsets),
-        // labeled with the observed max across devices — the quantity
-        // the models are trained to predict.
-        let dims = Cluster::device_dims(observation.assignment);
+        // simulator fed the comm models (same lowered dims, same start
+        // offsets), labeled with the observed max across devices — the
+        // quantity the models are trained to predict.
+        let dims = fleet.lowered_dims(observation.assignment);
         let fwd_starts = observation.estimated.fwd_comm_starts();
         let max_fwd = devices
             .iter()
@@ -322,6 +330,77 @@ mod tests {
             "hooked observation stream must be bit-deterministic"
         );
         assert!(!bytes_a.is_empty());
+    }
+
+    /// An observation is a training row for the model that made its
+    /// prediction: on a two-tier, mixed-class fleet too, the incumbent
+    /// answers a buffered row with the prediction stored beside it — comm
+    /// rows bit for bit, compute rows to the last place of an f32 sum.
+    #[test]
+    fn buffered_rows_replay_to_their_predictions_on_a_two_tier_fleet() {
+        use nshard_data::DevicePool;
+        use nshard_nn::{Dataset, Matrix};
+
+        let pool = TablePool::synthetic_dlrm(64, 21);
+        let bundle = CostModelBundle::pretrain(
+            &pool,
+            4,
+            &CollectConfig::smoke(),
+            &TrainSettings::smoke(),
+            21,
+        );
+        let budget = nshard_sim::DEFAULT_MEM_BYTES;
+        let fleet = DevicePool::two_tier(3, budget, 1, budget, 1.5, 0.25);
+        let base = ShardingTask::sample(&pool, 4, 10..=14, 64, 21).with_devices(fleet);
+        let dir = TempDir::new("replay");
+        let config = ContinualConfig {
+            buffer: BufferConfig {
+                validation_stride: u64::MAX,
+                ..BufferConfig::default()
+            },
+            // Never fine-tune: every row is the first incumbent's.
+            min_observations: usize::MAX,
+            ..ContinualConfig::smoke()
+        };
+        let mut learner = ContinualLearner::new(bundle.clone(), dir.path(), config).unwrap();
+        let online = OnlineConfig {
+            epochs: 5,
+            strategy: ReplanStrategy::Incremental,
+            ..OnlineConfig::default()
+        };
+        OnlineController::new(bundle.clone(), WorkloadDrift::standard(base, 3), online)
+            .run_hooked(&mut learner)
+            .expect("run succeeds");
+
+        let rows = learner.buffer().training_observations();
+        assert!(rows.len() >= 5 * 3, "one comm pair and a device per epoch");
+        for obs in rows {
+            let comm = |model: &nshard_cost::CommCostModel| {
+                // The squared f32 error against the stored prediction is
+                // zero only if the model answers the row with those bits
+                // (a prediction clamped at zero has nothing to compare).
+                let x = Matrix::from_rows(obs.features.clone());
+                let y = Matrix::from_rows([vec![obs.predicted_ms as f32]]);
+                obs.predicted_ms == 0.0 || model.evaluate_mse(&Dataset::new(x, y).unwrap()) == 0.0
+            };
+            let replayed = match obs.kind {
+                // A device's prediction comes out of the simulator's cache,
+                // pooled in the order its first asker (the search) placed
+                // the tables; the row lists them in table order, so the
+                // f32 sum may round differently in its last place.
+                ObservationKind::Compute => {
+                    let replay = bundle.compute_model().predict(&obs.features);
+                    (replay - obs.predicted_ms).abs() <= 1e-6 * replay.abs()
+                }
+                ObservationKind::CommForward => comm(bundle.comm_fwd_model()),
+                ObservationKind::CommBackward => comm(bundle.comm_bwd_model()),
+            };
+            assert!(
+                replayed,
+                "{:?} row does not replay to its prediction {}",
+                obs.kind, obs.predicted_ms
+            );
+        }
     }
 
     #[test]

@@ -338,8 +338,9 @@ impl OnlineController {
     ///
     /// # Panics
     ///
-    /// Panics when the cost models were trained for a different device
-    /// count than the drift's fleet.
+    /// Panics when the cost models cannot price a deployment: they were
+    /// trained for a different device count than the drift's fleet, or
+    /// they predict a non-finite cost.
     pub fn run_hooked(
         &mut self,
         hook: &mut dyn EpochHook,
@@ -391,14 +392,17 @@ impl OnlineController {
             let rebased = incumbent.rebase(&task);
             let (report, reference) = match &rebased {
                 Ok(r) => {
-                    let report = self.detector.observe(
-                        self.stack.simulator(),
-                        r,
-                        &task,
-                        &deployed_task,
-                        baseline_ms,
-                        epoch,
-                    );
+                    let report = self
+                        .detector
+                        .observe(
+                            self.stack.simulator(),
+                            r,
+                            &task,
+                            &deployed_task,
+                            baseline_ms,
+                            epoch,
+                        )
+                        .unwrap_or_else(|e| panic!("the detector cannot price the incumbent: {e}"));
                     (Some(report), r.clone())
                 }
                 // A recorded split became illegal after drift: detection

@@ -25,7 +25,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_core::{estimate_for_task, ShardingPlan};
+use nshard_core::{estimate_for_task, PlanError, ShardingPlan};
 use nshard_cost::CostSimulator;
 use nshard_data::ShardingTask;
 use nshard_sim::TableProfile;
@@ -151,10 +151,11 @@ impl DriftDetector {
     /// * `baseline_cost_ms` — the predicted cost the incumbent was
     ///   accepted with at deploy time.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `sim`'s cost models cannot price `rebased` for `task`
-    /// (the device counts differ; see [`estimate_for_task`]).
+    /// Whatever [`estimate_for_task`] refuses: the device counts differ,
+    /// or the cost models price `rebased` at NaN or an infinity — a
+    /// threshold compared against such a value would mean nothing.
     pub fn observe(
         &self,
         sim: &CostSimulator,
@@ -163,7 +164,7 @@ impl DriftDetector {
         deployed_task: &ShardingTask,
         baseline_cost_ms: f64,
         epoch: u64,
-    ) -> DriftReport {
+    ) -> Result<DriftReport, PlanError> {
         // Feature drift: per-table workload deltas vs. deploy time.
         let max_feature_delta = task
             .tables()
@@ -177,8 +178,7 @@ impl DriftDetector {
             .fold(0.0, f64::max);
 
         // Price the incumbent under the current workload.
-        let est = estimate_for_task(sim, task, rebased)
-            .unwrap_or_else(|e| panic!("the detector cannot price the incumbent: {e}"));
+        let est = estimate_for_task(sim, task, rebased)?;
         let predicted_cost_ms = est.total_ms();
         let mean_compute =
             est.compute_per_device.iter().sum::<f64>() / est.compute_per_device.len().max(1) as f64;
@@ -190,15 +190,12 @@ impl DriftDetector {
 
         // Priority 1: memory. An invalid plan always triggers.
         let mut trigger = rebased
-            .device_bytes()
-            .iter()
-            .enumerate()
-            .find(|&(device, &bytes)| bytes > task.budget_of(device))
-            .map(|(device, &bytes)| ReplanTrigger::MemoryViolation {
+            .first_over_budget(task)
+            .map(|(device, bytes, budget)| ReplanTrigger::MemoryViolation {
                 epoch,
                 device,
                 bytes,
-                budget: task.budget_of(device),
+                budget,
             });
 
         // Priority 2: cost regression vs. the deploy-time prediction.
@@ -222,14 +219,14 @@ impl DriftDetector {
             });
         }
 
-        DriftReport {
+        Ok(DriftReport {
             epoch,
             predicted_cost_ms,
             baseline_cost_ms,
             imbalance,
             max_feature_delta,
             trigger,
-        }
+        })
     }
 }
 
@@ -281,7 +278,9 @@ mod tests {
         let task = task((0..6).map(|i| t(i, 32)).collect());
         let plan = balanced_plan(&task);
         let baseline = estimate_for_task(&sim, &task, &plan).unwrap().total_ms();
-        let report = DriftDetector::default().observe(&sim, &plan, &task, &task, baseline, 3);
+        let report = DriftDetector::default()
+            .observe(&sim, &plan, &task, &task, baseline, 3)
+            .unwrap();
         assert_eq!(report.trigger, None);
         assert_eq!(report.epoch, 3);
         assert!(report.max_feature_delta.abs() < 1e-12);
@@ -309,7 +308,8 @@ mod tests {
             max_cost_regression: 0.05,
             imbalance_ratio: 100.0,
         })
-        .observe(&sim, &rebased, &drifted, &deployed, baseline, 9);
+        .observe(&sim, &rebased, &drifted, &deployed, baseline, 9)
+        .unwrap();
         match report.trigger {
             Some(ReplanTrigger::CostRegression {
                 epoch, regression, ..
@@ -340,7 +340,9 @@ mod tests {
             1024,
         );
         let rebased = plan.rebase(&drifted).unwrap();
-        let report = DriftDetector::default().observe(&sim, &rebased, &drifted, &deployed, 1e-6, 2);
+        let report = DriftDetector::default()
+            .observe(&sim, &rebased, &drifted, &deployed, 1e-6, 2)
+            .unwrap();
         assert!(matches!(
             report.trigger,
             Some(ReplanTrigger::MemoryViolation { device: 0, .. })
@@ -375,7 +377,8 @@ mod tests {
             max_cost_regression: f64::INFINITY,
             imbalance_ratio: 1.2,
         })
-        .observe(&sim, &rebased, &drifted, &deployed, 1.0, 5);
+        .observe(&sim, &rebased, &drifted, &deployed, 1.0, 5)
+        .unwrap();
         assert!(matches!(
             report.trigger,
             Some(ReplanTrigger::Imbalance { ratio, .. }) if ratio > 1.2
@@ -387,8 +390,12 @@ mod tests {
         let sim = sim(2);
         let task = task((0..6).map(|i| t(i, 32)).collect());
         let plan = balanced_plan(&task);
-        let a = DriftDetector::default().observe(&sim, &plan, &task, &task, 1.0, 1);
-        let b = DriftDetector::default().observe(&sim, &plan, &task, &task, 1.0, 1);
+        let a = DriftDetector::default()
+            .observe(&sim, &plan, &task, &task, 1.0, 1)
+            .unwrap();
+        let b = DriftDetector::default()
+            .observe(&sim, &plan, &task, &task, 1.0, 1)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -407,7 +414,9 @@ mod tests {
             .unwrap();
         assert_eq!(hottest, 1, "the 3x device must be the predicted straggler");
 
-        let report = DriftDetector::default().observe(&sim, &plan, &task, &task, 1.0, 1);
+        let report = DriftDetector::default()
+            .observe(&sim, &plan, &task, &task, 1.0, 1)
+            .unwrap();
         assert_eq!(report.predicted_cost_ms.to_bits(), est.total_ms().to_bits());
         let mean = est.compute_per_device.iter().sum::<f64>() / 2.0;
         assert_eq!(

@@ -265,9 +265,10 @@ impl IncrementalPlanner {
     /// # Errors
     ///
     /// [`PlanError`] when the task's device count is not the one `sim`'s
-    /// cost models were trained for, or the incumbent cannot be rebased
+    /// cost models were trained for, a plan prices at a non-finite cost
+    /// ([`PlanError::NonFiniteCost`]), or the incumbent cannot be rebased
     /// onto `task` (table-count mismatch, or a recorded split no longer
-    /// legal after drift). In the second case the caller should fall back
+    /// legal after drift). In the last case the caller should fall back
     /// to a full replan.
     pub fn replan(
         &self,

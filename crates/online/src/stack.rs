@@ -125,12 +125,8 @@ impl PlanningStack {
         task: &ShardingTask,
         incumbent: &ShardingPlan,
     ) -> Result<ReplanOutcome, ResilientError> {
-        let within_budgets = |plan: &ShardingPlan| {
-            let bytes = plan.device_bytes();
-            bytes.iter().zip(task.budgets()).all(|(&b, cap)| b <= cap)
-        };
         let reason = match self.planner.replan(self.simulator(), task, incumbent) {
-            Ok(out) if within_budgets(&out.plan) => {
+            Ok(out) if out.plan.first_over_budget(task).is_none() => {
                 return Ok(ReplanOutcome {
                     plan: out.plan,
                     provenance: PlanProvenance {

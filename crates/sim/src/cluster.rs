@@ -6,10 +6,16 @@
 //! all-to-all, backward all-to-all and backward computation — taking the
 //! **max across devices** as the plan's cost, since the slowest device is
 //! the bottleneck of synchronous training.
+//!
+//! Evaluation never branches on the fleet's shape: compute classes, fault
+//! slowdowns and link speeds become per-device inputs first
+//! (`Cluster::phase_inputs` — kernel times scaled, communication
+//! dimensions lowered), then the one kernel law and the one all-to-all law
+//! run on them. Every factor is exactly `1.0` on a healthy uniform fleet.
 
 use serde::{Deserialize, Serialize};
 
-use crate::comm::{CommCosts, CommParams};
+use crate::comm::CommParams;
 use crate::device::GpuSpec;
 use crate::devices::DevicePool;
 use crate::error::SimError;
@@ -88,14 +94,6 @@ impl PlanCosts {
             .fold(f64::INFINITY, f64::min);
         min / max
     }
-
-    /// Max computation cost across devices, ms.
-    pub fn max_compute_ms(&self) -> f64 {
-        self.devices
-            .iter()
-            .map(DeviceCost::compute_ms)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A cluster of `D` GPUs evaluating embedding sharding plans.
@@ -153,7 +151,7 @@ impl Cluster {
     /// Replaces the fleet description (builder-style): the pool's
     /// per-device memory budgets stand in for the spec's budget, kernel
     /// times scale by each device's compute multiplier, and the two-tier
-    /// network reshapes the all-to-all.
+    /// network enlarges the dimensions the all-to-all moves.
     ///
     /// # Panics
     ///
@@ -171,21 +169,6 @@ impl Cluster {
     /// The fleet description.
     pub fn devices(&self) -> &DevicePool {
         &self.devices
-    }
-
-    /// The memory budget of device `g`.
-    pub fn budget_of(&self, g: usize) -> u64 {
-        self.devices.budget_of(g)
-    }
-
-    /// The compute-time multiplier of device `g` (`1.0` = baseline).
-    pub fn compute_scale_of(&self, g: usize) -> f64 {
-        self.devices.compute_scale_of(g)
-    }
-
-    /// The node of device `g`.
-    pub fn node_of(&self, g: usize) -> usize {
-        self.devices.node_of(g)
     }
 
     /// The device specification.
@@ -214,13 +197,9 @@ impl Cluster {
         self.check_memory_with_faults(assignment, &FaultPlan::default())
     }
 
-    /// Like [`Cluster::check_memory`], but against the *effective* budgets
-    /// under `faults` (memory pressure shrinks individual devices).
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::check_memory`].
-    pub fn check_memory_with_faults(
+    /// [`Cluster::check_memory`] against the *effective* budgets under
+    /// `faults` (memory pressure shrinks individual devices).
+    pub(crate) fn check_memory_with_faults(
         &self,
         assignment: &[Vec<TableProfile>],
         faults: &FaultPlan,
@@ -236,7 +215,7 @@ impl Cluster {
         }
         for (g, tables) in assignment.iter().enumerate() {
             let required: u64 = tables.iter().map(TableProfile::memory_bytes).sum();
-            let budget = faults.effective_budget_bytes(g, self.budget_of(g));
+            let budget = faults.effective_budget_bytes(g, self.devices.budget_of(g));
             if required > budget {
                 return Err(SimError::OutOfMemory {
                     device: g,
@@ -246,16 +225,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    /// Device dimension (sum of communication-effective table dimensions)
-    /// of each device. Replicated shards count at `dim × comm_share`; for
-    /// ordinary shards this is exactly the dimension sum it always was.
-    pub fn device_dims(assignment: &[Vec<TableProfile>]) -> Vec<f64> {
-        assignment
-            .iter()
-            .map(|tables| tables.iter().map(TableProfile::comm_dim).sum())
-            .collect()
     }
 
     /// Evaluates a sharding plan with measurement noise (median of repeated
@@ -273,7 +242,7 @@ impl Cluster {
         assignment: &[Vec<TableProfile>],
         seed: u64,
     ) -> Result<PlanCosts, SimError> {
-        self.evaluate_inner(assignment, Some(seed), &FaultPlan::default())
+        self.evaluate_with_faults(assignment, Some(seed), &FaultPlan::default())
     }
 
     /// Evaluates a plan with the exact analytic law (no measurement noise).
@@ -282,43 +251,44 @@ impl Cluster {
     ///
     /// See [`Cluster::check_memory`].
     pub fn evaluate_exact(&self, assignment: &[Vec<TableProfile>]) -> Result<PlanCosts, SimError> {
-        self.evaluate_inner(assignment, None, &FaultPlan::default())
+        self.evaluate_with_faults(assignment, None, &FaultPlan::default())
     }
 
-    /// Like [`Cluster::evaluate`], but under injected `faults`: stragglers
-    /// slow their device's kernels, degraded links cut the all-to-all
-    /// bandwidth, memory pressure shrinks budgets, and transient faults can
-    /// abort the measurement for some seeds.
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::check_memory`], plus [`SimError::TransientFailure`]
-    /// when a transient fault fires for this `seed`.
-    pub fn evaluate_with_faults(
-        &self,
-        assignment: &[Vec<TableProfile>],
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<PlanCosts, SimError> {
-        self.evaluate_inner(assignment, Some(seed), faults)
-    }
-
-    /// Like [`Cluster::evaluate_exact`], but under injected `faults`.
-    /// Transient faults never fire: they model *measurement* flakiness, and
-    /// the exact path is the analytic law.
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::check_memory`].
-    pub fn evaluate_exact_with_faults(
+    /// The exact per-device inputs of one iteration's four phases, before
+    /// any measurement noise: what the fleet and `faults` make of
+    /// `assignment`. [`Cluster`] evaluation and the
+    /// [`crate::TraceSimulator`] both start here, so a fleet is never
+    /// priced one way and traced another.
+    pub(crate) fn phase_inputs(
         &self,
         assignment: &[Vec<TableProfile>],
         faults: &FaultPlan,
-    ) -> Result<PlanCosts, SimError> {
-        self.evaluate_inner(assignment, None, faults)
+    ) -> PhaseInputs {
+        let kernel = self.spec.kernel();
+        let pool = &self.devices;
+        let mut fwd_ms = Vec::with_capacity(assignment.len());
+        let mut bwd_ms = Vec::with_capacity(assignment.len());
+        for (g, tables) in assignment.iter().enumerate() {
+            // Injected straggler faults × the device's hardware class ×
+            // slow-node-class faults. Every factor is exactly 1.0 on a
+            // healthy uniform cluster, and `x * 1.0` is a bitwise identity.
+            let slowdown = faults.compute_slowdown(g)
+                * pool.compute_scale_of(g)
+                * faults.node_slowdown(pool.node_of(g));
+            fwd_ms.push(kernel.multi_forward_ms(tables, self.batch_size) * slowdown);
+            bwd_ms.push(kernel.multi_backward_ms(tables, self.batch_size) * slowdown);
+        }
+        PhaseInputs {
+            fwd_ms,
+            bwd_ms,
+            dims: pool.lowered_dims_under(assignment, |node| faults.node_link_scale(node)),
+        }
     }
 
-    fn evaluate_inner(
+    /// Evaluation under injected `faults` — [`crate::FaultyCluster`] is the
+    /// public door. `seed: None` is the exact analytic law; transient
+    /// faults model *measurement* flakiness and fire only for a seed.
+    pub(crate) fn evaluate_with_faults(
         &self,
         assignment: &[Vec<TableProfile>],
         seed: Option<u64>,
@@ -333,113 +303,62 @@ impl Cluster {
                 });
             }
         }
-        let kernel = self.spec.kernel();
         let comm = degraded_comm(self.spec.comm(), faults);
-        let comm = &comm;
-
         let noise = match seed {
             Some(s) => NoiseModel::new(s ^ self.noise.seed(), self.noise.sigma()),
             None => NoiseModel::disabled(),
         };
 
-        // Per-device kernel slowdown: injected straggler faults × the
-        // device's hardware class × slow-node-class faults. Every factor is
-        // exactly 1.0 on a healthy uniform cluster, and `x * 1.0` is a
-        // bitwise identity.
-        let slowdown = |g: usize| {
-            faults.compute_slowdown(g)
-                * self.compute_scale_of(g)
-                * faults.node_slowdown(self.node_of(g))
+        let PhaseInputs {
+            fwd_ms,
+            bwd_ms,
+            dims,
+        } = self.phase_inputs(assignment, faults);
+        let measure_kernels = |exact: Vec<f64>, stream_bit: u64| -> Vec<f64> {
+            exact
+                .into_iter()
+                .zip(assignment)
+                .map(|(base, tables)| {
+                    let stream = profile_stream(tables) ^ stream_bit;
+                    noise.median_measurement(base, MEASURE_REPEATS, stream)
+                })
+                .collect()
         };
-        let fwd_compute: Vec<f64> = assignment
-            .iter()
-            .enumerate()
-            .map(|(g, tables)| {
-                let base = kernel.multi_forward_ms(tables, self.batch_size) * slowdown(g);
-                noise.median_measurement(base, MEASURE_REPEATS, profile_stream(tables))
-            })
-            .collect();
-        let bwd_compute: Vec<f64> = assignment
-            .iter()
-            .enumerate()
-            .map(|(g, tables)| {
-                let base = kernel.multi_backward_ms(tables, self.batch_size) * slowdown(g);
-                noise.median_measurement(base, MEASURE_REPEATS, profile_stream(tables) ^ 0x1)
-            })
-            .collect();
+        let fwd_compute = measure_kernels(fwd_ms, 0x0);
+        let bwd_compute = measure_kernels(bwd_ms, 0x1);
 
-        let dims = Self::device_dims(assignment);
-        // Backward comm starts synchronously (the dense backward between the
-        // two collectives is data-parallel and identical across devices).
-        let bwd_starts = vec![0.0; dims.len()];
-        let (comm_costs, bwd_comm): (CommCosts, Vec<f64>) = match self.tiered_bw_scales(faults) {
-            // Two-tier network (or asymmetric link faults): per-device
-            // bandwidth scales through the tiered comm law.
-            Some(scales) => {
-                // Forward comm starts when each device's forward kernel
-                // completes.
-                let fwd = comm.measure_costs_ms_tiered(
-                    &dims,
-                    &fwd_compute,
-                    &scales,
-                    self.batch_size,
-                    &noise,
-                    MEASURE_REPEATS,
-                );
-                let bwd = comm
-                    .measure_costs_ms_tiered(
-                        &dims,
-                        &bwd_starts,
-                        &scales,
-                        self.batch_size,
-                        &noise,
-                        MEASURE_REPEATS,
-                    )
-                    .bwd;
-                (fwd, bwd)
-            }
-            // Flat network: the original (fixture-pinned) code path.
-            None => {
-                let fwd = comm.measure_costs_ms(
-                    &dims,
-                    &fwd_compute,
-                    self.batch_size,
-                    &noise,
-                    MEASURE_REPEATS,
-                );
-                let bwd = comm
-                    .measure_costs_ms(&dims, &bwd_starts, self.batch_size, &noise, MEASURE_REPEATS)
-                    .bwd;
-                (fwd, bwd)
-            }
+        // Forward comm starts when each device's forward kernel completes;
+        // backward comm starts synchronously (the dense backward between
+        // the two collectives is data-parallel and identical across
+        // devices).
+        let measure = |starts: &[f64]| {
+            comm.measure_costs_ms(&dims, starts, self.batch_size, &noise, MEASURE_REPEATS)
         };
+        let comm_fwd = measure(&fwd_compute).fwd;
+        let comm_bwd = measure(&vec![0.0; dims.len()]).bwd;
 
         let devices = (0..self.num_devices())
             .map(|g| DeviceCost {
                 compute_fwd_ms: fwd_compute[g],
                 compute_bwd_ms: bwd_compute[g],
-                comm_fwd_ms: comm_costs.fwd[g],
-                comm_bwd_ms: bwd_comm[g],
+                comm_fwd_ms: comm_fwd[g],
+                comm_bwd_ms: comm_bwd[g],
             })
             .collect();
         Ok(PlanCosts { devices })
     }
+}
 
-    /// Per-device bandwidth scales when the network is *not* flat — from
-    /// the pool's two-tier topology and/or asymmetric inter-node link
-    /// faults. `None` on a flat healthy network, which evaluates through
-    /// the flat comm law (the two laws differ in the last ulp, and the
-    /// committed fixtures pin the flat one).
-    fn tiered_bw_scales(&self, faults: &FaultPlan) -> Option<Vec<f64>> {
-        if self.devices.has_uniform_bandwidth() && !faults.has_node_link_faults() {
-            return None;
-        }
-        Some(
-            (0..self.num_devices())
-                .map(|g| self.devices.bw_scale_of(g) * faults.node_link_scale(self.node_of(g)))
-                .collect(),
-        )
-    }
+/// One placement's exact per-device phase inputs on one fleet (see
+/// [`Cluster::phase_inputs`]).
+pub(crate) struct PhaseInputs {
+    /// Forward kernel time × compute class × fault slowdowns, ms.
+    pub fwd_ms: Vec<f64>,
+    /// Backward kernel time, scaled the same way, ms.
+    pub bwd_ms: Vec<f64>,
+    /// Communication dimensions lowered onto the flat all-to-all law
+    /// ([`DevicePool::lowered_dims`], link faults included).
+    pub dims: Vec<f64>,
 }
 
 /// The communication parameters with the fault plan's bandwidth cut
@@ -582,9 +501,9 @@ mod tests {
     }
 
     #[test]
-    fn device_dims_sums_dimensions() {
+    fn flat_fleets_lower_to_plain_dimension_sums() {
         let plan = vec![vec![t(64), t(32)], vec![]];
-        assert_eq!(Cluster::device_dims(&plan), vec![96.0, 0.0]);
+        assert_eq!(cluster(2).devices().lowered_dims(&plan), vec![96.0, 0.0]);
     }
 
     #[test]
@@ -661,6 +580,107 @@ mod tests {
         }
     }
 
+    fn same_bits(a: &PlanCosts, b: &PlanCosts) -> bool {
+        let bits = |c: &PlanCosts| -> Vec<u64> {
+            c.devices()
+                .iter()
+                .flat_map(|d| {
+                    [
+                        d.compute_fwd_ms,
+                        d.compute_bwd_ms,
+                        d.comm_fwd_ms,
+                        d.comm_bwd_ms,
+                    ]
+                })
+                .map(f64::to_bits)
+                .collect()
+        };
+        bits(a) == bits(b)
+    }
+
+    #[test]
+    fn every_flat_baseline_fleet_is_the_uniform_fleet_bit_for_bit() {
+        let budget = GpuSpec::rtx_2080_ti().mem_budget_bytes();
+        let plan = vec![
+            vec![t(64), t(32)],
+            vec![t(32)],
+            vec![t(16), t(8)],
+            vec![t(128)],
+        ];
+        let uniform = cluster(4);
+        // One node behind a slow uplink it never uses, and two nodes joined
+        // at full bandwidth: both lower every dimension by exactly 1.0.
+        let single_node = DevicePool::two_tier(4, budget, 0, budget, 1.0, 0.25);
+        let all_ones = DevicePool::two_tier(2, budget, 2, budget, 1.0, 1.0);
+        for pool in [single_node, all_ones] {
+            let c = cluster(4).with_devices(pool);
+            assert!(same_bits(
+                &c.evaluate_exact(&plan).unwrap(),
+                &uniform.evaluate_exact(&plan).unwrap()
+            ));
+            assert!(same_bits(
+                &c.evaluate(&plan, 5).unwrap(),
+                &uniform.evaluate(&plan, 5).unwrap()
+            ));
+        }
+    }
+
+    /// Three devices on node 0, one alone on node 1 behind links at
+    /// `inter`: bandwidth scales `3/(2 + 1/inter)` and `inter`.
+    fn three_and_one(inter: f64) -> Cluster {
+        let budget = GpuSpec::rtx_2080_ti().mem_budget_bytes();
+        cluster(4).with_devices(DevicePool::two_tier(3, budget, 1, budget, 1.0, inter))
+    }
+
+    #[test]
+    fn slow_links_raise_everyones_latency() {
+        let plan = vec![vec![t(64); 3]; 4];
+        let flat = cluster(4).evaluate_exact(&plan).unwrap();
+        let tiered = three_and_one(0.25).evaluate_exact(&plan).unwrap();
+        // The lone device pays its own slow transfer; the others pay the
+        // straggler share of it (backward comm: everyone starts together).
+        for (s, f) in tiered.devices().iter().zip(flat.devices()) {
+            assert!(s.comm_bwd_ms > f.comm_bwd_ms);
+        }
+        assert!(tiered.devices()[3].comm_bwd_ms > tiered.devices()[0].comm_bwd_ms);
+    }
+
+    #[test]
+    fn a_small_shard_on_a_slow_link_can_still_be_the_straggler() {
+        // Device 3 moves half the bytes over a tenth of the bandwidth
+        // (192 / 0.1 against 384 / 0.25): its transfer gates the collective.
+        let plan = vec![
+            vec![t(128); 3],
+            vec![t(128); 3],
+            vec![t(128); 3],
+            vec![t(64); 3],
+        ];
+        let costs = three_and_one(0.1).evaluate_exact(&plan).unwrap();
+        let max = costs
+            .devices()
+            .iter()
+            .map(|d| d.comm_bwd_ms)
+            .fold(0.0, f64::max);
+        assert_eq!(max.to_bits(), costs.devices()[3].comm_bwd_ms.to_bits());
+    }
+
+    #[test]
+    fn two_tier_measurements_are_a_function_of_assignment_fleet_and_seed() {
+        let plan = vec![vec![t(64)], vec![t(32)], vec![t(16)], vec![t(128)]];
+        let c = three_and_one(0.5);
+        assert_eq!(c.evaluate(&plan, 9).unwrap(), c.evaluate(&plan, 9).unwrap());
+        assert_ne!(
+            c.evaluate(&plan, 9).unwrap(),
+            c.evaluate(&plan, 10).unwrap()
+        );
+        // Another topology hashes other lowered dimensions: other noise.
+        let noise_of = |c: &Cluster| {
+            let exact = c.evaluate_exact(&plan).unwrap().devices()[0].comm_bwd_ms;
+            c.evaluate(&plan, 9).unwrap().devices()[0].comm_bwd_ms / exact
+        };
+        assert_ne!(noise_of(&c), noise_of(&three_and_one(0.25)));
+    }
+
     #[test]
     fn per_device_budgets_are_enforced() {
         let table = t(64);
@@ -672,7 +692,7 @@ mod tests {
             1.0,
         );
         let c = cluster(2).with_devices(pool);
-        assert_eq!(c.budget_of(0), 2 * table.memory_bytes());
+        assert_eq!(c.devices().budget_of(0), 2 * table.memory_bytes());
         // The same load fits the roomy device and overflows the tight one.
         c.check_memory(&[vec![table], vec![]]).unwrap();
         match c.check_memory(&[vec![], vec![table]]) {
@@ -683,10 +703,12 @@ mod tests {
 
     #[test]
     fn replicated_shards_shrink_comm_dims_only() {
-        // comm_share weights device_dims but leaves memory accounting alone.
+        // comm_share weights the dimensions but leaves memory accounting alone.
         let full = t(64);
         let replica = t(64).with_comm_share(0.5);
-        let dims = Cluster::device_dims(&[vec![replica], vec![full]]);
+        let dims = cluster(2)
+            .devices()
+            .lowered_dims(&[vec![replica], vec![full]]);
         assert_eq!(dims, vec![32.0, 64.0]);
         assert_eq!(replica.memory_bytes(), full.memory_bytes());
     }

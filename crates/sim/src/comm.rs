@@ -3,7 +3,8 @@
 //! Models the forward (embedding exchange) and backward (gradient exchange)
 //! all-to-all collectives of distributed DLRM training (§2.2 of the paper).
 //!
-//! Two properties are built in:
+//! There is **one** law, [`CommParams`]'s private `costs_ms`, and two
+//! properties are built into it:
 //!
 //! * **Observation 3** — the max communication cost across GPUs grows with
 //!   the max *device dimension* (the sum of the embedding dimensions placed
@@ -13,6 +14,12 @@
 //!   different timestamps; early joiners pay the wait for the last one, so
 //!   the locally measured communication latency differs per GPU even for a
 //!   perfectly balanced placement.
+//!
+//! A two-tier network or a degraded node link is not a second law: the
+//! fleet is *lowered* before the law runs ([`crate::DevicePool::lowered_dims`]
+//! — a device behind a `b ×` link brings `dim / b`), so the slowest
+//! *transfer* gates the collective and a device can move fewer bytes yet
+//! be the one everyone waits for.
 
 use serde::{Deserialize, Serialize};
 
@@ -136,140 +143,6 @@ impl CommParams {
                 wait + setup + xfer
             })
             .collect()
-    }
-
-    /// The two-tier variant of [`CommParams::costs_ms`]: device `g`'s link
-    /// runs at `bw_scales[g] ×` the collective's effective bandwidth (a
-    /// device whose peers are mostly on other nodes has a small scale — see
-    /// [`crate::DevicePool::bw_scale_of`]). The straggler term is gated by
-    /// the slowest *transfer* (bytes over the device's own bandwidth), not
-    /// the largest byte count: on a two-tier network a device can move
-    /// fewer bytes yet still be the one everyone waits for.
-    ///
-    /// This is a separate code path from the uniform law on purpose:
-    /// `(sw·max_bytes + (1-sw)·bytes_g) / bw` and
-    /// `sw·(max_bytes/bw) + (1-sw)·(bytes_g/bw)` differ in the last ulp,
-    /// and the uniform path's bits are pinned by golden fixtures.
-    fn costs_ms_tiered(
-        &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        bw_scales: &[f64],
-        batch_size: u32,
-        alpha_ms: f64,
-        bw_scale: f64,
-    ) -> Vec<f64> {
-        let d = device_dims.len();
-        assert_eq!(
-            d,
-            start_ts_ms.len(),
-            "device_dims and start_ts_ms must have the same length"
-        );
-        assert_eq!(
-            d,
-            bw_scales.len(),
-            "device_dims and bw_scales must have the same length"
-        );
-        if d == 0 {
-            return Vec::new();
-        }
-        if d == 1 {
-            return vec![0.0];
-        }
-        let ready = start_ts_ms.iter().cloned().fold(f64::MIN, f64::max);
-        let bw = self.effective_bw_bytes_per_ms(d) * bw_scale;
-        let xfer_ms: Vec<f64> = device_dims
-            .iter()
-            .zip(bw_scales)
-            .map(|(&dim, &s)| self.bytes_for_device(dim, batch_size, d) / (bw * s))
-            .collect();
-        let max_xfer = xfer_ms.iter().cloned().fold(0.0, f64::max);
-        let setup = alpha_ms * (d as f64 - 1.0);
-        xfer_ms
-            .iter()
-            .enumerate()
-            .map(|(g, &t)| {
-                let wait = ready - start_ts_ms[g];
-                wait + setup + self.straggler_weight * max_xfer + (1.0 - self.straggler_weight) * t
-            })
-            .collect()
-    }
-
-    /// Per-GPU forward all-to-all latency on a two-tier network: device
-    /// `g`'s link runs at `bw_scales[g] ×` the collective's bandwidth, and
-    /// the straggler term is gated by the slowest *transfer*, not the
-    /// largest byte count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices have different lengths.
-    fn forward_costs_ms_tiered(
-        &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        bw_scales: &[f64],
-        batch_size: u32,
-    ) -> Vec<f64> {
-        self.costs_ms_tiered(
-            device_dims,
-            start_ts_ms,
-            bw_scales,
-            batch_size,
-            self.alpha_ms,
-            1.0,
-        )
-    }
-
-    /// Per-GPU backward all-to-all latency on a two-tier network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices have different lengths.
-    fn backward_costs_ms_tiered(
-        &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        bw_scales: &[f64],
-        batch_size: u32,
-    ) -> Vec<f64> {
-        self.costs_ms_tiered(
-            device_dims,
-            start_ts_ms,
-            bw_scales,
-            batch_size,
-            self.bwd_alpha_ms,
-            self.bwd_bw_scale,
-        )
-    }
-
-    /// Noisy "measured" two-tier forward and backward latencies, median
-    /// over `repeats` runs. The noise stream folds the bandwidth scales in
-    /// so distinct topologies draw distinct noise.
-    pub fn measure_costs_ms_tiered(
-        &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        bw_scales: &[f64],
-        batch_size: u32,
-        noise: &NoiseModel,
-        repeats: u32,
-    ) -> CommCosts {
-        let stream = comm_stream(device_dims, start_ts_ms) ^ comm_stream(bw_scales, &[]);
-        let fwd = self
-            .forward_costs_ms_tiered(device_dims, start_ts_ms, bw_scales, batch_size)
-            .into_iter()
-            .enumerate()
-            .map(|(g, c)| noise.median_measurement(c, repeats, stream ^ (g as u64)))
-            .collect();
-        let bwd = self
-            .backward_costs_ms_tiered(device_dims, start_ts_ms, bw_scales, batch_size)
-            .into_iter()
-            .enumerate()
-            .map(|(g, c)| {
-                noise.median_measurement(c, repeats, stream ^ (g as u64) ^ 0x8000_0000_0000_0000)
-            })
-            .collect();
-        CommCosts { fwd, bwd }
     }
 
     /// Per-GPU forward all-to-all latency in ms, as observed locally by each
@@ -454,60 +327,6 @@ mod tests {
     fn mismatched_lengths_panic() {
         let p = CommParams::pcie_server();
         let _ = p.forward_costs_ms(&[1.0, 2.0], &[0.0], 65_536);
-    }
-
-    #[test]
-    fn tiered_with_unit_scales_matches_uniform_to_an_ulp() {
-        let p = CommParams::pcie_server();
-        let dims = [300.0, 450.0, 280.0, 320.0];
-        let starts = [0.0, 1.5, 0.2, 0.0];
-        let uniform = p.forward_costs_ms(&dims, &starts, 65_536);
-        let tiered = p.forward_costs_ms_tiered(&dims, &starts, &[1.0; 4], 65_536);
-        for (a, b) in uniform.iter().zip(&tiered) {
-            assert!((a - b).abs() < 1e-9, "uniform {a} vs tiered {b}");
-        }
-    }
-
-    #[test]
-    fn slow_links_raise_everyones_latency() {
-        let p = CommParams::pcie_server();
-        let dims = [300.0; 4];
-        let flat = p.forward_costs_ms_tiered(&dims, &[0.0; 4], &[1.0; 4], 65_536);
-        // Devices 2 and 3 sit behind a 4x slower inter-node link.
-        let tiered = p.forward_costs_ms_tiered(&dims, &[0.0; 4], &[1.0, 1.0, 0.25, 0.25], 65_536);
-        // The slow devices pay their own transfer; the fast devices pay the
-        // straggler share of it.
-        for g in 0..4 {
-            assert!(
-                tiered[g] > flat[g],
-                "device {g}: {} !> {}",
-                tiered[g],
-                flat[g]
-            );
-        }
-        assert!(tiered[2] > tiered[0]);
-    }
-
-    #[test]
-    fn a_small_shard_on_a_slow_link_can_still_be_the_straggler() {
-        let p = CommParams::pcie_server();
-        // Device 3 moves a third of the bytes over a tenth of the bandwidth:
-        // its transfer dominates the collective.
-        let dims = [600.0, 600.0, 600.0, 200.0];
-        let costs = p.forward_costs_ms_tiered(&dims, &[0.0; 4], &[1.0, 1.0, 1.0, 0.1], 65_536);
-        let max = costs.iter().cloned().fold(0.0, f64::max);
-        assert_eq!(max.to_bits(), costs[3].to_bits());
-    }
-
-    #[test]
-    fn tiered_measurements_are_deterministic() {
-        let p = CommParams::pcie_server();
-        let noise = NoiseModel::new(3, 0.02);
-        let dims = [300.0, 400.0];
-        let scales = [1.0, 0.5];
-        let a = p.measure_costs_ms_tiered(&dims, &[0.0, 1.0], &scales, 65_536, &noise, 11);
-        let b = p.measure_costs_ms_tiered(&dims, &[0.0, 1.0], &scales, 65_536, &noise, 11);
-        assert_eq!(a, b);
     }
 
     #[test]

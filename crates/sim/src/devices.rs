@@ -16,11 +16,14 @@
 //! `(local + remote) / (local + remote / inter_node_bw_scale)`.
 //! When the network is flat (`inter_node_bw_scale = 1.0`, or a single
 //! node) the scale is exactly `1.0`, and multiplying or dividing by it
-//! changes no bits.
+//! changes no bits. [`DevicePool::lowered_dims`] applies the scale: the
+//! flat all-to-all law then prices the fleet, and the learned side divides
+//! the same dimensions by the same scales.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
+use crate::profile::TableProfile;
 
 /// One device of a heterogeneous fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -243,6 +246,37 @@ impl DevicePool {
         }
         let (local, remote) = (local as f64, remote as f64);
         (local + remote) / (local + remote / self.inter_node_bw_scale)
+    }
+
+    /// Lowers a placement on this fleet onto the flat all-to-all law:
+    /// device `g`'s communication dimension is its tables'
+    /// [`TableProfile::comm_dim`]s summed, over [`DevicePool::bw_scale_of`]
+    /// — moving bytes at `b ×` bandwidth is moving `1/b ×` the bytes at
+    /// full bandwidth. `x / 1.0` is a bitwise identity, so a flat fleet's
+    /// dimensions are the plain sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment` covers more devices than the pool.
+    pub fn lowered_dims(&self, assignment: &[Vec<TableProfile>]) -> Vec<f64> {
+        self.lowered_dims_under(assignment, |_| 1.0)
+    }
+
+    /// [`DevicePool::lowered_dims`] with each node's links further scaled
+    /// by `link_scale(node)` (asymmetric link faults).
+    pub(crate) fn lowered_dims_under(
+        &self,
+        assignment: &[Vec<TableProfile>],
+        link_scale: impl Fn(usize) -> f64,
+    ) -> Vec<f64> {
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(g, tables)| {
+                let dim: f64 = tables.iter().map(TableProfile::comm_dim).sum();
+                dim / (self.bw_scale_of(g) * link_scale(self.node_of(g)))
+            })
+            .collect()
     }
 
     /// Per-device effective bandwidth scales, in device order.

@@ -24,7 +24,9 @@
 //!
 //! [`FaultyCluster`] bundles a [`Cluster`] with a [`FaultPlan`] and exposes
 //! the same evaluation API, so everything written against `Cluster` can be
-//! re-run under faults.
+//! re-run under faults. It is the only public door to faulted evaluation:
+//! a fault is a factor on a device's inputs (kernel slowdown, link scale,
+//! budget fraction), never another cost law.
 //!
 //! # Example
 //!
@@ -350,15 +352,6 @@ impl FaultPlan {
             .product()
     }
 
-    /// `true` when any [`Fault::NodeLinkDegradation`] is injected — the
-    /// signal for [`Cluster`] to switch to the per-device tiered
-    /// communication law even on an otherwise flat fabric.
-    pub fn has_node_link_faults(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::NodeLinkDegradation { .. }))
-    }
-
     /// Samples a random fault scenario for chaos testing: up to two
     /// stragglers, an optional link degradation, optional memory pressure
     /// and an optional transient failure rate, all drawn deterministically
@@ -429,8 +422,8 @@ impl FaultyCluster {
     pub fn effective_budgets(&self) -> Vec<u64> {
         (0..self.cluster.num_devices())
             .map(|d| {
-                self.faults
-                    .effective_budget_bytes(d, self.cluster.budget_of(d))
+                let budget = self.cluster.devices().budget_of(d);
+                self.faults.effective_budget_bytes(d, budget)
             })
             .collect()
     }
@@ -457,7 +450,7 @@ impl FaultyCluster {
         seed: u64,
     ) -> Result<PlanCosts, SimError> {
         self.cluster
-            .evaluate_with_faults(assignment, seed, &self.faults)
+            .evaluate_with_faults(assignment, Some(seed), &self.faults)
     }
 
     /// Evaluates a plan with the exact analytic law under the injected
@@ -469,7 +462,7 @@ impl FaultyCluster {
     /// See [`Cluster::check_memory`].
     pub fn evaluate_exact(&self, assignment: &[Vec<TableProfile>]) -> Result<PlanCosts, SimError> {
         self.cluster
-            .evaluate_exact_with_faults(assignment, &self.faults)
+            .evaluate_with_faults(assignment, None, &self.faults)
     }
 }
 
@@ -706,7 +699,6 @@ mod tests {
             node: 1,
             bandwidth_scale: 0.25,
         });
-        assert!(faults.has_node_link_faults());
         assert!((faults.node_link_scale(1) - 0.25).abs() < 1e-12);
         assert!((faults.node_link_scale(0) - 1.0).abs() < 1e-12);
         let cut = FaultyCluster::new(cluster, faults)

@@ -16,7 +16,9 @@
 //! 3. **Observation 3** — the max all-to-all communication cost across GPUs
 //!    is positively correlated with the max device dimension ([`comm`]:
 //!    collective barrier plus a bandwidth term proportional to the data the
-//!    slowest participant moves).
+//!    slowest participant moves). That is the only communication law: a
+//!    two-tier fleet ([`devices`]) or a degraded node link ([`fault`])
+//!    enlarges a device's dimension before the law runs.
 //!
 //! The rest of the system treats this crate exactly the way the paper treats
 //! a GPU cluster: micro-benchmarks are run against it to produce training

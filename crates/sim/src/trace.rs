@@ -10,8 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, PhaseInputs};
 use crate::error::SimError;
+use crate::fault::FaultPlan;
 use crate::profile::TableProfile;
 
 /// The phases of one training iteration on one GPU.
@@ -110,19 +111,16 @@ impl TraceSimulator {
     ) -> Result<TraceSummary, SimError> {
         self.cluster.check_memory(assignment)?;
         let d = self.cluster.num_devices();
-        let kernel = self.cluster.spec().kernel();
         let comm = self.cluster.spec().comm();
         let batch = self.cluster.batch_size();
-
-        let fwd: Vec<f64> = assignment
-            .iter()
-            .map(|t| kernel.multi_forward_ms(t, batch))
-            .collect();
-        let bwd: Vec<f64> = assignment
-            .iter()
-            .map(|t| kernel.multi_backward_ms(t, batch))
-            .collect();
-        let dims = Cluster::device_dims(assignment);
+        // The same exact per-device inputs `Cluster::evaluate_exact` runs
+        // its laws on: kernels at each device's compute class, dimensions
+        // lowered for its links.
+        let PhaseInputs {
+            fwd_ms: fwd,
+            bwd_ms: bwd,
+            dims,
+        } = self.cluster.phase_inputs(assignment, &FaultPlan::default());
 
         // Per-GPU time cursors: when each GPU becomes free.
         let mut cursor = vec![0.0f64; d];
@@ -307,6 +305,48 @@ mod tests {
             .map(|sp| sp.end_ms - sp.start_ms)
             .sum();
         assert!(summary.iteration_ms > own);
+    }
+
+    #[test]
+    fn a_two_tier_mixed_class_fleet_is_traced_as_itself() {
+        use crate::devices::DevicePool;
+        let budget = GpuSpec::rtx_2080_ti().mem_budget_bytes();
+        let plan = vec![vec![t(64), t(32)], vec![t(32)], vec![t(16)], vec![t(128)]];
+        let flat = sim(4);
+        let cluster = flat
+            .cluster()
+            .clone()
+            .with_devices(DevicePool::two_tier(3, budget, 1, budget, 1.5, 0.25));
+        let hetero = TraceSimulator::new(cluster.clone(), 8.0);
+        let one = hetero.simulate(&plan, 1).unwrap();
+        assert!(one.iteration_ms > flat.simulate(&plan, 1).unwrap().iteration_ms);
+
+        // One iteration from a cold start is `evaluate_exact`'s four phases
+        // per device (the backward collective also waits for the last
+        // device out of the dense layers, which the cluster starts level).
+        let exact = cluster.evaluate_exact(&plan).unwrap();
+        let spans = &one.last_iteration.spans;
+        let span = |g: usize, phase: Phase| {
+            let sp = spans[g].iter().find(|sp| sp.phase == phase).unwrap();
+            (sp.start_ms, sp.end_ms - sp.start_ms)
+        };
+        let last_join = (0..4)
+            .map(|g| span(g, Phase::BackwardComm).0)
+            .fold(f64::MIN, f64::max);
+        for (g, cost) in exact.devices().iter().enumerate() {
+            let (join, bwd_comm) = span(g, Phase::BackwardComm);
+            for (traced, priced) in [
+                (span(g, Phase::EmbeddingForward).1, cost.compute_fwd_ms),
+                (span(g, Phase::ForwardComm).1, cost.comm_fwd_ms),
+                (bwd_comm - (last_join - join), cost.comm_bwd_ms),
+                (span(g, Phase::EmbeddingBackward).1, cost.compute_bwd_ms),
+            ] {
+                assert!(
+                    (traced - priced).abs() < 1e-9,
+                    "device {g}: {traced} vs {priced}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=197
-MAX_TOTAL_LINES=15400
+MAX_TOTAL_LINES=15250
 MAX_TOTAL_ITEMS=950
 
 counts=$(scripts/count-lines.sh)

@@ -8,6 +8,10 @@
 # one exception is the daemon's greedy degraded chain in `serve::engine` —
 # so "incremental, else the full chain" cannot be written a second time.
 #
+# One communication law (DESIGN.md §3, §13): nothing under crates/ is named
+# `*_tiered` again, and the learner builds comm rows from
+# `DevicePool::lowered_dims`, never from a raw `device_dims` sum.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -29,6 +33,15 @@ fi
 lowerings=$(code crates/*/src | grep -v '^crates/cost/src/simulator.rs:' | grep -c 'from_pool(' || true)
 if [ "$lowerings" -gt 2 ]; then
     echo "error: $lowerings callers of DeviceScales::from_pool, at most 2 allowed" >&2
+    exit 1
+fi
+
+if grep -rn '_tiered' crates; then
+    echo "error: one all-to-all law; lower the fleet instead of forking it (lines above)" >&2
+    exit 1
+fi
+if code crates/learn/src | grep -E 'device_dims\('; then
+    echo "error: learn builds comm rows from DevicePool::lowered_dims (lines above)" >&2
     exit 1
 fi
 

@@ -268,6 +268,66 @@ fn non_finite_predictions_reach_the_fallback_chain() {
     );
 }
 
+/// Outside the search every plan is priced through `estimate_for_task`,
+/// and that is where a non-finite estimate stops: the incremental planner,
+/// the drift detector and the daemon's engine return the typed error
+/// instead of comparing a NaN against a threshold (always false) or
+/// shipping `predicted_ms: NaN`.
+#[test]
+fn non_finite_estimates_stop_at_the_task_level_guard() {
+    use neuroshard::baselines::SizeGreedy;
+    use neuroshard::core::PlanError;
+    use neuroshard::cost::CostSimulator;
+    use neuroshard::online::{DriftDetector, IncrementalConfig, IncrementalPlanner};
+    use neuroshard::serve::PlanningEngine;
+
+    let pool = TablePool::synthetic_dlrm(100, 13);
+    let healthy = CostModelBundle::pretrain(
+        &pool,
+        2,
+        &CollectConfig::smoke(),
+        &TrainSettings::smoke(),
+        3,
+    );
+    let task = ShardingTask::sample(&pool, 2, 8..=16, 64, 5_000);
+    let incumbent = SizeGreedy.shard(&task).expect("greedy plan fits");
+
+    // NaN compute predictions (which `f64::max` folds away, so the total
+    // alone looks finite) and an infinite backward-comm prediction.
+    for (marker, what) in [
+        ("\"head\"", "device cost"),
+        ("\"comm_bwd\"", "plan estimate"),
+    ] {
+        let poisoned = poisoned_before(&healthy, marker);
+        let sim = CostSimulator::new(poisoned.clone());
+        let refused = |err: &PlanError| {
+            matches!(err, PlanError::NonFiniteCost { what: w, value }
+                if w == what && !value.is_finite())
+        };
+
+        let err = IncrementalPlanner::new(IncrementalConfig::default())
+            .replan(&sim, &task, &incumbent)
+            .expect_err("the planner cannot rank against a non-finite incumbent");
+        assert!(refused(&err), "{what}: {err}");
+
+        let err = DriftDetector::default()
+            .observe(&sim, &incumbent, &task, &task, 1.0, 1)
+            .expect_err("the detector cannot hold a non-finite cost to a threshold");
+        assert!(refused(&err), "{what}: {err}");
+
+        let engine = PlanningEngine::new(
+            poisoned,
+            NeuroShardConfig::smoke(),
+            IncrementalConfig::default(),
+            7,
+        );
+        let err = engine
+            .plan(&task, false)
+            .expect_err("a plan is not shipped with a non-finite predicted_ms");
+        assert!(refused(&err.cause), "{what}: {err}");
+    }
+}
+
 /// The full pipeline tolerates degenerate tasks: a single table on a
 /// single device.
 #[test]

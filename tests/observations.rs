@@ -1,8 +1,13 @@
 //! Integration tests pinning the paper's three cost observations (§2) at
 //! the public-API level — the properties the whole search design rests on.
 
-use neuroshard::data::{augment_pool, PlacementGenerator, TablePool, PAPER_DIMS};
-use neuroshard::sim::{CommParams, KernelParams, TableProfile};
+use proptest::prelude::*;
+
+use neuroshard::cost::{DeviceLoads, DeviceScales};
+use neuroshard::data::{
+    augment_pool, DevicePool, PlacementGenerator, TableConfig, TableId, TablePool, PAPER_DIMS,
+};
+use neuroshard::sim::{Cluster, CommParams, GpuSpec, KernelParams, TableProfile};
 
 const BATCH: u32 = 65_536;
 
@@ -97,4 +102,141 @@ fn figure_1_imbalance_accumulates_idle_time() {
     let s = sim.simulate(&skewed, 30).unwrap();
     assert!(s.mean_idle_ms > b.mean_idle_ms * 2.0);
     assert!(s.iteration_ms > b.iteration_ms);
+}
+
+/// A random two-tier fleet: 1–3 baseline devices on node 0, 1–3 devices of
+/// a slower class on node 1, inter-node links at 5–100% of full bandwidth.
+fn two_tier_pools() -> impl Strategy<Value = DevicePool> {
+    (1usize..=3, 1usize..=3, 1.0f64..=4.0, 0.05f64..=1.0).prop_map(|(fast, slow, class, inter)| {
+        DevicePool::two_tier(fast, 1 << 40, slow, 1 << 40, class, inter)
+    })
+}
+
+/// Random tables, each left whole, split row-wise or replicated (where the
+/// table allows it), lowered to simulator profiles.
+fn shards() -> impl Strategy<Value = Vec<TableProfile>> {
+    let table = (2u32..8, 12u32..24, 2.0f64..40.0, 0.6f64..1.6, 0u8..3);
+    proptest::collection::vec(table, 2..12).prop_map(|tables| {
+        let mut out = Vec::new();
+        for (i, (dim_pow, rows_pow, pooling, zipf, shape)) in tables.into_iter().enumerate() {
+            let t = TableConfig::new(
+                TableId(i as u32),
+                1 << dim_pow,
+                1 << rows_pow,
+                pooling,
+                zipf,
+            );
+            let halves = match shape {
+                1 => t.split_rows(),
+                2 => t.replicate(),
+                _ => None,
+            };
+            match halves {
+                Some((a, b)) => out.extend([a.profile(BATCH), b.profile(BATCH)]),
+                None => out.push(t.profile(BATCH)),
+            }
+        }
+        out
+    })
+}
+
+/// `shards` dealt onto `devices` devices by `deal` (cycled).
+fn dealt(shards: &[TableProfile], deal: &[usize], devices: usize) -> Vec<Vec<TableProfile>> {
+    let mut assignment = vec![Vec::new(); devices];
+    for (shard, d) in shards.iter().zip(deal.iter().cycle()) {
+        assignment[d % devices].push(*shard);
+    }
+    assignment
+}
+
+fn cluster_on(pool: DevicePool) -> Cluster {
+    Cluster::new(GpuSpec::rtx_2080_ti(), pool.len(), BATCH).with_devices(pool)
+}
+
+proptest! {
+    /// Observation 3 on a two-tier fleet: of two placements of the same
+    /// shards, the one with the larger max *lowered* device dimension has
+    /// the larger max communication cost (backward all-to-all: everyone
+    /// joins together, so nothing but the transfer differs).
+    #[test]
+    fn observation_3_holds_in_lowered_dimensions_on_two_tier_fleets(
+        pool in two_tier_pools(),
+        shards in shards(),
+        deal_a in proptest::collection::vec(0usize..6, 1..12),
+        deal_b in proptest::collection::vec(0usize..6, 1..12),
+    ) {
+        let cluster = cluster_on(pool);
+        let measure = |deal: &[usize]| {
+            let assignment = dealt(&shards, deal, cluster.num_devices());
+            let max_dim = cluster.devices().lowered_dims(&assignment).into_iter().fold(0.0, f64::max);
+            let costs = cluster.evaluate_exact(&assignment).unwrap();
+            let max_comm = costs.devices().iter().map(|d| d.comm_bwd_ms).fold(0.0, f64::max);
+            (max_dim, max_comm)
+        };
+        let (a, b) = (measure(&deal_a), measure(&deal_b));
+        let (low, high) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        prop_assert!(low.1 <= high.1, "dims {} <= {} but comm {} > {}", low.0, high.0, low.1, high.1);
+    }
+
+    /// A class-`s` device runs its kernels in exactly `s ×` the baseline
+    /// time, so Observations 1 and 2 hold on it as they do on the baseline:
+    /// a column half costs more than half its table and less than all of
+    /// it, and a fused set costs less than its tables one by one.
+    #[test]
+    fn observations_1_and_2_survive_a_compute_class(
+        pool in two_tier_pools(),
+        shards in shards(),
+        deal in proptest::collection::vec(0usize..6, 1..12),
+    ) {
+        let scaled = cluster_on(pool.clone());
+        let baseline = cluster_on(DevicePool::uniform(pool.len(), 1 << 40));
+        let assignment = dealt(&shards, &deal, pool.len());
+        let at_class = scaled.evaluate_exact(&assignment).unwrap();
+        let at_baseline = baseline.evaluate_exact(&assignment).unwrap();
+        for (g, (s, b)) in at_class.devices().iter().zip(at_baseline.devices()).enumerate() {
+            let class = pool.compute_scale_of(g);
+            prop_assert_eq!(s.compute_fwd_ms.to_bits(), (b.compute_fwd_ms * class).to_bits());
+            prop_assert_eq!(s.compute_bwd_ms.to_bits(), (b.compute_bwd_ms * class).to_bits());
+        }
+
+        // The last device is of the slow class; it computes alone.
+        let slow = pool.len() - 1;
+        let alone = |tables: &[TableProfile]| {
+            let mut assignment = vec![Vec::new(); pool.len()];
+            assignment[slow] = tables.to_vec();
+            scaled.evaluate_exact(&assignment).unwrap().devices()[slow].compute_ms()
+        };
+        let one_by_one: f64 = shards.iter().map(|t| alone(std::slice::from_ref(t))).sum();
+        prop_assert!(alone(&shards) < one_by_one);
+        for table in &shards {
+            if let Some((half, _)) = table.split_columns() {
+                let (half, full) = (alone(&[half]), alone(&[*table]));
+                prop_assert!(half > full / 2.0 && half < full, "half {half} vs full {full}");
+            }
+        }
+    }
+
+    /// Ground truth and estimate share one definition of a slow link: the
+    /// dimensions `Cluster` runs the all-to-all law on are, bit for bit,
+    /// the `comm_dims` `estimate_from_loads` hands the comm models.
+    #[test]
+    fn truth_and_estimate_lower_a_fleet_to_the_same_dimensions(
+        pool in two_tier_pools(),
+        shards in shards(),
+        deal in proptest::collection::vec(0usize..6, 1..12),
+    ) {
+        let assignment = dealt(&shards, &deal, pool.len());
+        let mut load = DeviceLoads {
+            compute_ms: vec![0.0; pool.len()],
+            comm_dims: assignment
+                .iter()
+                .map(|tables| tables.iter().map(TableProfile::comm_dim).sum())
+                .collect(),
+        };
+        if let Some(scales) = DeviceScales::from_pool(&pool) {
+            scales.apply(&mut load);
+        }
+        let bits = |dims: &[f64]| dims.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&load.comm_dims), bits(&pool.lowered_dims(&assignment)));
+    }
 }

@@ -248,7 +248,9 @@ fn tight_devices_are_held_to_their_own_budget() {
     grown[1] = grown[1].with_hash_size(grown[1].hash_size() * 2);
     let grown = task_of(grown);
     let rebased = incumbent.rebase(&grown).unwrap();
-    let report = DriftDetector::default().observe(&sim, &rebased, &grown, &deployed, 1e9, 1);
+    let report = DriftDetector::default()
+        .observe(&sim, &rebased, &grown, &deployed, 1e9, 1)
+        .unwrap();
     assert_eq!(
         report.trigger,
         Some(ReplanTrigger::MemoryViolation {
