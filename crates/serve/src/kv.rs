@@ -1,14 +1,23 @@
-//! The sequenced plan KV — the replication substrate of the control plane.
+//! The sequenced plan KV — the one record of adopted plans, and the
+//! replication substrate of the control plane.
 //!
-//! [`PlanKv`] is a typed key/value layer over the daemon's stores in which
-//! **every mutation carries a monotonic sequence number**. Writers express
-//! their expectation with a [`MatchSeq`] condition (the classic
-//! conditional-upsert discipline of metadata stores): `Exact(0)` means
-//! "create only", `Exact(n)` means "replace exactly revision *n*", `GE(n)`
-//! means "replace any revision at least *n*", `Any` is unconditional. A
-//! failed condition is a typed [`KvError::SeqConflict`], never a silent
-//! overwrite — which makes *retrying* an upsert idempotent: the retry that
-//! lost the race conflicts instead of double-writing.
+//! [`PlanKv`] is a key/value map in which **every mutation carries a
+//! monotonic sequence number**. Writers express their expectation with a
+//! [`MatchSeq`] condition (the classic conditional-upsert discipline of
+//! metadata stores): `Exact(0)` means "create only", `Exact(n)` means
+//! "replace exactly revision *n*", `GE(n)` means "replace any revision at
+//! least *n*", `Any` is unconditional. A failed condition is a typed
+//! [`KvError::SeqConflict`], never a silent overwrite — which makes
+//! *retrying* an upsert idempotent: the retry that lost the race conflicts
+//! instead of double-writing.
+//!
+//! The daemon's plan store is one `PlanKv`: an adopted plan is the entry
+//! under `plans/<id>` (its `version` is the sequence of the write that
+//! created it), the promoted cost-model bundle the entry under
+//! `models/active`. An entry whose value decodes as the plan its key names
+//! keeps that decoded plan beside the value, so reads never re-parse;
+//! anything else (a hostile replicated value included) is held, sequenced
+//! and replicated, but is not a plan.
 //!
 //! Mutations append to a bounded **op log** ([`LogOp`]) that followers
 //! tail. The follower side ([`PlanKv::apply`]) accepts ops in any order,
@@ -23,13 +32,18 @@
 //! leader's, i.e. in the sequence space of a leader that has since
 //! restarted — catches up from a full [`KvSnapshot`] instead
 //! ([`LogFetch::NeedSnapshot`]).
+//!
+//! The sequence space is `1..u64::MAX`: an op numbered `u64::MAX` is
+//! refused, a snapshot must be current through less, and all sequence
+//! arithmetic saturates — so no number read off the network can panic
+//! the store.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
-use crate::store::fnv64;
+use crate::store::{decode_plan, fnv64, StoredPlan};
 
 /// The sequence condition of a conditional upsert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +92,9 @@ pub enum KvError {
         /// The sequence actually found (`0` = key absent).
         found: u64,
     },
+    /// The next write would be numbered `u64::MAX`, outside the sequence
+    /// space (reachable only after replicating a hostile position).
+    Exhausted,
 }
 
 impl std::fmt::Display for KvError {
@@ -91,18 +108,19 @@ impl std::fmt::Display for KvError {
                 f,
                 "sequence conflict on {key}: expected seq {expected}, found {found}"
             ),
+            KvError::Exhausted => write!(f, "the sequence space is exhausted"),
         }
     }
 }
 
 impl std::error::Error for KvError {}
 
-/// A stored value with the sequence of the mutation that wrote it.
+/// A live entry: the mutation that last wrote its key, and that value
+/// decoded as the adopted plan the key names ([`decode_plan`]) — `None`
+/// for every other key or value.
 struct SeqEntry {
-    /// Sequence of the writing mutation.
-    seq: u64,
-    /// The value (JSON in practice; the KV is payload-agnostic).
-    value: String,
+    written: SnapshotEntry,
+    plan: Option<Arc<StoredPlan>>,
 }
 
 /// One sequenced mutation — the unit of the replication log.
@@ -128,13 +146,74 @@ pub struct SnapshotEntry {
 }
 
 /// A full materialized copy of the KV — the catch-up path for replicas
-/// whose lag exceeds the leader's retained log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// whose lag exceeds the leader's retained log, and the form a store's
+/// files take at boot. Decoding refuses what a restore would: a
+/// position of `u64::MAX`, keys out of order or repeated, an entry's
+/// sequence outside `1..=applied_seq` or shared with another entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "SnapshotWire")]
 pub struct KvSnapshot {
     /// The sequence the snapshot is current through.
     pub applied_seq: u64,
     /// Every entry, in key order.
     pub entries: Vec<SnapshotEntry>,
+}
+
+/// The JSON form of a [`KvSnapshot`] as read.
+#[derive(Deserialize)]
+struct SnapshotWire {
+    applied_seq: u64,
+    entries: Vec<SnapshotEntry>,
+}
+
+impl TryFrom<SnapshotWire> for KvSnapshot {
+    type Error = String;
+
+    fn try_from(wire: SnapshotWire) -> Result<Self, String> {
+        let snapshot = Self {
+            applied_seq: wire.applied_seq,
+            entries: wire.entries,
+        };
+        snapshot.check().map(|()| snapshot)
+    }
+}
+
+impl KvSnapshot {
+    /// Whether this can be the state of one store: the check every
+    /// snapshot passes before it is restored, whether it came off the wire
+    /// or out of the store's files.
+    ///
+    /// # Errors
+    ///
+    /// The first defect found, rendered.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        match self.faults().first().map(|&i| &self.entries[i]) {
+            None if self.applied_seq < u64::MAX => Ok(()),
+            fault => Err(format!(
+                "no store current through seq {} holds {fault:?}",
+                self.applied_seq
+            )),
+        }
+    }
+
+    /// Indices of the entries that cannot belong to a store current
+    /// through `applied_seq`: a sequence outside `1..=applied_seq` or
+    /// claimed by another entry too, or a key not strictly after the one
+    /// before it.
+    pub(crate) fn faults(&self) -> Vec<usize> {
+        let mut claims: HashMap<u64, usize> = HashMap::new();
+        for e in &self.entries {
+            *claims.entry(e.seq).or_default() += 1;
+        }
+        (0..self.entries.len())
+            .filter(|&i| {
+                let e = &self.entries[i];
+                !(1..=self.applied_seq).contains(&e.seq)
+                    || claims[&e.seq] > 1
+                    || (i > 0 && self.entries[i - 1].key >= e.key)
+            })
+            .collect()
+    }
 }
 
 /// A follower's log-fetch result.
@@ -162,6 +241,26 @@ struct KvInner {
     pending: BTreeMap<u64, LogOp>,
 }
 
+impl KvInner {
+    /// Installs `op` as the newest mutation: its entry, the applied
+    /// sequence and the log tail (compacted to `keep` ops).
+    fn install(&mut self, op: LogOp, plan: Option<Arc<StoredPlan>>, keep: usize) {
+        let LogOp { seq, key, value } = op.clone();
+        let written = SnapshotEntry { key, seq, value };
+        self.entries
+            .insert(written.key.clone(), SeqEntry { written, plan });
+        self.applied_seq = op.seq;
+        if self.log.is_empty() {
+            self.log_start = op.seq;
+        }
+        self.log.push_back(op);
+        while self.log.len() > keep {
+            self.log.pop_front();
+            self.log_start = self.log_start.saturating_add(1);
+        }
+    }
+}
+
 /// The sequenced, replicable KV. See the [module docs](self).
 pub struct PlanKv {
     inner: Mutex<KvInner>,
@@ -185,6 +284,14 @@ impl PlanKv {
         }
     }
 
+    /// The KV's state. Invariant: nothing panics while it is held
+    /// (sequence arithmetic saturates; decoders, file saves and the
+    /// closures handed to `write`/`with_plans` return errors), so the lock
+    /// is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, KvInner> {
+        self.inner.lock().expect("plan kv poisoned")
+    }
+
     /// Conditionally upserts `key` — the **leader** write path. On success
     /// the mutation is stamped with the next global sequence, logged for
     /// followers, and the new sequence returned.
@@ -193,96 +300,86 @@ impl PlanKv {
     ///
     /// [`KvError::SeqConflict`] when the key's current sequence does not
     /// satisfy `expect`. Conflicts mutate nothing, which is what makes
-    /// retried upserts idempotent.
+    /// retried upserts idempotent. [`KvError::Exhausted`] past the end of
+    /// the sequence space.
     pub fn upsert(
         &self,
         key: &str,
         value: impl Into<String>,
         expect: MatchSeq,
     ) -> Result<u64, KvError> {
-        let mut inner = self.inner.lock().expect("plan kv poisoned");
-        let found = inner.entries.get(key).map(|e| e.seq).unwrap_or(0);
+        let value = value.into();
+        self.write(key, expect, |seq| {
+            let plan = decode_plan(key, seq, &value);
+            Ok::<_, KvError>((value, plan))
+        })
+    }
+
+    /// [`PlanKv::upsert`] with the value built for the sequence the write
+    /// receives — how an adoption stamps its `version` — and handed over
+    /// already decoded. `make` runs under the lock, before the op reaches
+    /// the log (the store saves the write's file there); its error writes
+    /// nothing.
+    pub(crate) fn write<E: From<KvError>>(
+        &self,
+        key: &str,
+        expect: MatchSeq,
+        make: impl FnOnce(u64) -> Result<(String, Option<Arc<StoredPlan>>), E>,
+    ) -> Result<u64, E> {
+        let mut inner = self.lock();
+        let found = inner.entries.get(key).map_or(0, |e| e.written.seq);
         if !expect.matches(found) {
-            return Err(KvError::SeqConflict {
+            return Err(E::from(KvError::SeqConflict {
                 key: key.to_string(),
                 expected: expect.to_string(),
                 found,
-            });
+            }));
         }
-        let seq = inner.applied_seq + 1;
-        let value = value.into();
-        inner.applied_seq = seq;
-        inner.entries.insert(
-            key.to_string(),
-            SeqEntry {
-                seq,
-                value: value.clone(),
-            },
-        );
-        let op = LogOp {
-            seq,
-            key: key.to_string(),
-            value,
-        };
-        Self::append_log(&mut inner, op, self.log_keep);
+        let seq = inner.applied_seq.saturating_add(1);
+        if seq == u64::MAX {
+            return Err(E::from(KvError::Exhausted));
+        }
+        let ((value, plan), key) = (make(seq)?, key.to_string());
+        inner.install(LogOp { seq, key, value }, plan, self.log_keep);
         Ok(seq)
     }
 
     /// Applies a replicated op — the **follower** write path. Returns the
     /// ops actually applied this call, in order (empty when `op` was a
-    /// duplicate or had to be buffered; more than one when it unblocked
-    /// buffered successors). Applied ops re-enter this replica's own log,
-    /// so a promoted follower can serve followers of its own.
+    /// duplicate, numbered `u64::MAX`, or had to be buffered; more than one
+    /// when it unblocked buffered successors). Applied ops re-enter this
+    /// replica's own log, so a promoted follower can serve followers of its
+    /// own.
     pub fn apply(&self, op: LogOp) -> Vec<LogOp> {
-        let mut inner = self.inner.lock().expect("plan kv poisoned");
-        if op.seq <= inner.applied_seq {
-            return Vec::new(); // duplicate delivery
+        let mut inner = self.lock();
+        let want = inner.applied_seq.saturating_add(1);
+        if op.seq < want || op.seq == u64::MAX {
+            return Vec::new(); // duplicate delivery, or outside the space
         }
-        if op.seq > inner.applied_seq + 1 {
+        if op.seq > want {
             inner.pending.insert(op.seq, op); // future op: hold it
             return Vec::new();
         }
         let mut applied = Vec::new();
-        let mut next = op;
-        loop {
-            inner.applied_seq = next.seq;
-            inner.entries.insert(
-                next.key.clone(),
-                SeqEntry {
-                    seq: next.seq,
-                    value: next.value.clone(),
-                },
-            );
-            Self::append_log(&mut inner, next.clone(), self.log_keep);
-            applied.push(next);
-            let want = inner.applied_seq + 1;
-            match inner.pending.remove(&want) {
-                Some(op) => next = op,
-                None => break,
-            }
+        let mut next = Some(op);
+        while let Some(op) = next {
+            let plan = decode_plan(&op.key, op.seq, &op.value);
+            inner.install(op.clone(), plan, self.log_keep);
+            applied.push(op);
+            let want = inner.applied_seq.saturating_add(1);
+            next = inner.pending.remove(&want);
         }
         applied
     }
 
-    fn append_log(inner: &mut KvInner, op: LogOp, keep: usize) {
-        if inner.log.is_empty() {
-            inner.log_start = op.seq;
-        }
-        inner.log.push_back(op);
-        while inner.log.len() > keep {
-            inner.log.pop_front();
-            inner.log_start += 1;
-        }
-    }
-
     /// The sequence of the last applied mutation (`0` when pristine).
     pub fn applied_seq(&self) -> u64 {
-        self.inner.lock().expect("plan kv poisoned").applied_seq
+        self.lock().applied_seq
     }
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan kv poisoned").entries.len()
+        self.lock().entries.len()
     }
 
     /// Whether the KV holds no keys.
@@ -292,13 +389,33 @@ impl PlanKv {
 
     /// Number of out-of-order ops buffered awaiting predecessors.
     pub fn pending_len(&self) -> usize {
-        self.inner.lock().expect("plan kv poisoned").pending.len()
+        self.lock().pending.len()
     }
 
     /// The retained log window: `(oldest retained sequence, length)`.
     pub(crate) fn log_window(&self) -> (u64, usize) {
-        let inner = self.inner.lock().expect("plan kv poisoned");
+        let inner = self.lock();
         (inner.log_start, inner.log.len())
+    }
+
+    /// The adopted plan stored under `key`, if its value is one.
+    pub(crate) fn plan(&self, key: &str) -> Option<Arc<StoredPlan>> {
+        self.lock().entries.get(key).and_then(|e| e.plan.clone())
+    }
+
+    /// `f` over every adopted plan, in key order, under the lock (so `f`
+    /// must not panic).
+    pub(crate) fn with_plans<R>(
+        &self,
+        f: impl FnOnce(&mut dyn Iterator<Item = &StoredPlan>) -> R,
+    ) -> R {
+        let inner = self.lock();
+        f(&mut inner.entries.values().filter_map(|e| e.plan.as_deref()))
+    }
+
+    /// `key`'s entry, if it has one.
+    pub(crate) fn entry(&self, key: &str) -> Option<SnapshotEntry> {
+        self.lock().entries.get(key).map(|e| e.written.clone())
     }
 
     /// Ops strictly after `from_seq` for a tailing follower, or the
@@ -307,8 +424,9 @@ impl PlanKv {
     /// sequence space is gone (restarted without its log), and would
     /// otherwise drop this store's next ops as duplicates.
     pub fn log_since(&self, from_seq: u64) -> LogFetch {
-        let inner = self.inner.lock().expect("plan kv poisoned");
-        let compacted = from_seq + 1 < inner.log_start && inner.applied_seq > from_seq;
+        let inner = self.lock();
+        let compacted =
+            from_seq.saturating_add(1) < inner.log_start && inner.applied_seq > from_seq;
         if compacted || from_seq > inner.applied_seq {
             return LogFetch::NeedSnapshot {
                 earliest: inner.log_start,
@@ -326,58 +444,68 @@ impl PlanKv {
 
     /// A full copy of the KV for cold/lagging replicas.
     pub fn snapshot(&self) -> KvSnapshot {
-        let inner = self.inner.lock().expect("plan kv poisoned");
+        let inner = self.lock();
         KvSnapshot {
             applied_seq: inner.applied_seq,
-            entries: inner
-                .entries
-                .iter()
-                .map(|(k, e)| SnapshotEntry {
-                    key: k.clone(),
-                    seq: e.seq,
-                    value: e.value.clone(),
-                })
-                .collect(),
+            entries: inner.entries.values().map(|e| e.written.clone()).collect(),
         }
     }
 
-    /// Replaces this replica's contents with `snapshot` (the catch-up
-    /// path). Buffered future ops beyond the snapshot are kept and drain
-    /// as soon as their predecessors stream in — unless the snapshot is
-    /// *behind* this replica, which means the leader restarted its
-    /// sequence space and everything buffered belongs to the dead one.
-    pub(crate) fn restore(&self, snapshot: &KvSnapshot) {
-        let mut inner = self.inner.lock().expect("plan kv poisoned");
+    /// Replaces this replica's contents with `snapshot` (catch-up, and
+    /// boot from the store's files). Buffered future ops beyond the
+    /// snapshot are kept and drain as soon as their predecessors stream
+    /// in — unless the snapshot is *behind* this replica, which means the
+    /// leader restarted its sequence space and everything buffered
+    /// belongs to the dead one.
+    ///
+    /// Returns the keys whose entry changed — written by another sequence
+    /// or value, or dropped — so a caller materializes each write once,
+    /// however often the same snapshot arrives.
+    ///
+    /// # Errors
+    ///
+    /// Why `snapshot` fails [`KvSnapshot::check`]; a refused snapshot
+    /// changes nothing.
+    pub(crate) fn restore(&self, snapshot: &KvSnapshot) -> Result<Vec<String>, String> {
+        snapshot.check()?;
+        let mut inner = self.lock();
         inner.pending = if snapshot.applied_seq < inner.applied_seq {
             BTreeMap::new()
         } else {
-            inner.pending.split_off(&(snapshot.applied_seq + 1))
+            inner
+                .pending
+                .split_off(&snapshot.applied_seq.saturating_add(1))
         };
-        inner.entries = snapshot
-            .entries
-            .iter()
-            .map(|e| {
-                (
-                    e.key.clone(),
+        let mut dropped = std::mem::take(&mut inner.entries);
+        let mut changed = Vec::new();
+        for e in &snapshot.entries {
+            let entry = match dropped.remove(&e.key) {
+                Some(kept) if kept.written == *e => kept,
+                _ => {
+                    changed.push(e.key.clone());
+                    let plan = decode_plan(&e.key, e.seq, &e.value);
                     SeqEntry {
-                        seq: e.seq,
-                        value: e.value.clone(),
-                    },
-                )
-            })
-            .collect();
+                        written: e.clone(),
+                        plan,
+                    }
+                }
+            };
+            inner.entries.insert(e.key.clone(), entry);
+        }
+        changed.extend(dropped.into_keys());
         inner.applied_seq = snapshot.applied_seq;
         inner.log.clear();
-        inner.log_start = snapshot.applied_seq + 1;
+        inner.log_start = snapshot.applied_seq.saturating_add(1);
+        Ok(changed)
     }
 
     /// Canonical dump of the live entries (`key\tseq\tvalue` lines in key
     /// order) — two converged replicas dump **byte-identical** strings.
     pub fn dump(&self) -> String {
-        let inner = self.inner.lock().expect("plan kv poisoned");
+        let inner = self.lock();
         let mut out = format!("applied_seq={}\n", inner.applied_seq);
-        for (k, e) in &inner.entries {
-            out.push_str(&format!("{k}\t{}\t{}\n", e.seq, e.value));
+        for SnapshotEntry { key, seq, value } in inner.entries.values().map(|e| &e.written) {
+            out.push_str(&format!("{key}\t{seq}\t{value}\n"));
         }
         out
     }
@@ -474,7 +602,7 @@ mod tests {
 
         // Snapshot restore catches the laggard up byte-identically...
         let lagging = PlanKv::new(4);
-        lagging.restore(&kv.snapshot());
+        lagging.restore(&kv.snapshot()).unwrap();
         assert_eq!(lagging.dump(), kv.dump());
         assert_eq!(lagging.applied_seq(), 10);
         // ...and it keeps tailing from there.
@@ -514,7 +642,7 @@ mod tests {
         );
         assert_eq!(leader.log_since(1), LogFetch::Ops(Vec::new()));
 
-        follower.restore(&leader.snapshot());
+        follower.restore(&leader.snapshot()).unwrap();
         assert_eq!(follower.dump(), leader.dump());
         assert_eq!(follower.pending_len(), 0, "seq 7 of the dead space is gone");
         // Seven new ops cross the old position without being mistaken for
@@ -531,6 +659,93 @@ mod tests {
             follower.apply(op);
         }
         assert_eq!(follower.dump(), leader.dump());
+    }
+
+    #[test]
+    fn positions_at_the_end_of_the_sequence_space_are_refused() {
+        let kv = PlanKv::new(8);
+        kv.upsert("a", "1", MatchSeq::Any).unwrap();
+        assert_eq!(
+            kv.log_since(u64::MAX),
+            LogFetch::NeedSnapshot { earliest: 1 }
+        );
+        let last = LogOp {
+            seq: u64::MAX,
+            key: "b".into(),
+            value: "2".into(),
+        };
+        assert!(kv.apply(last).is_empty());
+        assert_eq!(kv.pending_len(), 0, "not even buffered");
+        let mut end = kv.snapshot();
+        end.applied_seq = u64::MAX;
+        assert!(kv.restore(&end).is_err());
+        let json = serde_json::to_string(&end).unwrap();
+        assert!(serde_json::from_str::<KvSnapshot>(&json).is_err());
+        // A replica one short of the end refuses the write past it.
+        let edge = PlanKv::new(8);
+        let eve = KvSnapshot {
+            applied_seq: u64::MAX - 1,
+            entries: Vec::new(),
+        };
+        edge.restore(&eve).unwrap();
+        assert_eq!(
+            edge.upsert("a", "1", MatchSeq::Any),
+            Err(KvError::Exhausted)
+        );
+        assert_eq!(kv.upsert("a", "2", MatchSeq::Any), Ok(2), "still writable");
+    }
+
+    #[test]
+    fn snapshots_no_store_could_hold_are_refused() {
+        let entry = |key: &str, seq| SnapshotEntry {
+            key: key.into(),
+            seq,
+            value: "v".into(),
+        };
+        let cases = [
+            (vec![entry("a", 1), entry("b", 2)], vec![]),
+            (vec![entry("a", 1), entry("b", 1)], vec![0, 1]),
+            (vec![entry("b", 1), entry("a", 2)], vec![1]),
+            (vec![entry("a", 1), entry("a", 2)], vec![1]),
+            (vec![entry("a", 0), entry("b", 3)], vec![0, 1]),
+        ];
+        for (entries, faults) in cases {
+            let snapshot = KvSnapshot {
+                applied_seq: 2,
+                entries,
+            };
+            assert_eq!(snapshot.faults(), faults, "{snapshot:?}");
+            let json = serde_json::to_string(&snapshot).unwrap();
+            let decoded = serde_json::from_str::<KvSnapshot>(&json);
+            assert_eq!(decoded.is_ok(), faults.is_empty(), "{json}");
+            let replica = PlanKv::new(8);
+            if replica.restore(&snapshot).is_err() {
+                assert_eq!(
+                    replica.dump(),
+                    "applied_seq=0\n",
+                    "a refusal changes nothing"
+                );
+            }
+            assert_eq!(replica.applied_seq() == 2, faults.is_empty());
+        }
+    }
+
+    #[test]
+    fn restore_reports_each_write_once() {
+        let leader = PlanKv::new(8);
+        leader.upsert("a", "1", MatchSeq::Any).unwrap();
+        leader.upsert("b", "1", MatchSeq::Any).unwrap();
+        let replica = PlanKv::new(8);
+        assert_eq!(replica.restore(&leader.snapshot()).unwrap(), ["a", "b"]);
+        assert!(replica.restore(&leader.snapshot()).unwrap().is_empty());
+        leader.upsert("b", "2", MatchSeq::Any).unwrap();
+        assert_eq!(replica.restore(&leader.snapshot()).unwrap(), ["b"]);
+        // Keys the snapshot no longer holds changed too.
+        let restarted = PlanKv::new(8);
+        restarted.upsert("c", "1", MatchSeq::Any).unwrap();
+        let changed = replica.restore(&restarted.snapshot()).unwrap();
+        assert_eq!(changed, ["c", "a", "b"]);
+        assert_eq!(replica.dump(), restarted.dump());
     }
 
     #[test]

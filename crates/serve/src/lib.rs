@@ -31,16 +31,18 @@
 //! | [`server`] | A facade over `config`, `service`, `routes`, `admission`, `cache`, `respond`, `daemon`: [`ServeConfig`], [`Service`], [`Server`] |
 //! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, timers, syscall bindings |
 //! | [`repl`] | Roles, the [`Replicator`], its transports, and the service's replication hooks and endpoints |
-//! | [`kv`] | The sequenced [`PlanKv`] and its wire types |
+//! | [`kv`] | The sequenced [`PlanKv`] — the one record of adopted plans — and its wire types |
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
-//! | `api`, `engine`, `store`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], [`PlanStore`] / [`ModelStore`], the metrics registry, [`Clock`] |
+//! | `api`, `engine`, `store`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], [`PlanStore`] (one [`PlanKv`] mirrored to disk) / [`ModelStore`], the metrics registry, [`Clock`] |
 //!
 //! ## Replication
 //!
-//! N daemons form a serve tier sharing one logical plan store: a leader
-//! adopts plans through sequence-checked conditional upserts in the
-//! [`kv::PlanKv`], followers tail its op log and promote themselves on
-//! leader death ([`repl`] has the full story).
+//! N daemons form a serve tier sharing one logical plan store. A node's
+//! store *is* its [`kv::PlanKv`]: a leader adopts a plan with one
+//! create-only upsert (the plan's `version` is that write's sequence
+//! number), followers tail its op log and promote themselves on leader
+//! death, and a restarted node restores the snapshot its files hold
+//! ([`repl`] has the full story).
 //!
 //! ## Admission control
 //!

@@ -1,16 +1,17 @@
 //! Leader/follower replication of the plan control plane.
 //!
-//! A serve tier is N daemons sharing one logical plan/model store. One
-//! node is the **leader**: it runs searches, adopts plans, and appends
-//! every adoption to the sequenced op log of its [`crate::kv::PlanKv`].
-//! The others are **followers**: they poll the leader's
-//! `/v1/repl/log/{from}` endpoint, apply the ops through the same
-//! sequence-gated [`crate::kv::PlanKv::apply`] path, and materialize
-//! replicated plans into their local [`crate::store::PlanStore`] — so
-//! every replica can answer `GET /v1/plans/{id}` warm at all times. A
-//! cold or lagging follower whose position predates the leader's
-//! retained log — or lies ahead of it, because the leader restarted its
-//! sequence space — catches up from `/v1/repl/snapshot` instead.
+//! A serve tier is N daemons sharing one logical plan/model store. Each
+//! node's store is one sequenced [`crate::kv::PlanKv`], so every mutation
+//! is already an entry of its replication log. One node is the
+//! **leader**: it runs searches and adopts plans (each adoption one
+//! create-only upsert). The others are **followers**: they poll the
+//! leader's `/v1/repl/log/{from}` endpoint and apply the ops through the
+//! sequence-gated [`crate::kv::PlanKv::apply`] — so every replica answers
+//! `GET /v1/plans/{id}` warm, with the leader's bytes and versions. A cold
+//! or lagging follower whose position predates the leader's retained log
+//! — or lies ahead of it, because the leader restarted its sequence space
+//! — catches up from `/v1/repl/snapshot` instead. A disk-backed node boots
+//! the same way, restoring the snapshot its own files hold.
 //!
 //! **Failover.** The [`Replicator`] counts *consecutive* transport
 //! failures; at `failure_threshold` it promotes its service to leader
@@ -22,10 +23,11 @@
 //! fetches and `stale` in `/v1/repl/status` — and new plans carry a
 //! failover [`nshard_core::FailoverAttribution`] in their provenance.
 //!
-//! **The service's side** — what a leader logs, how a follower
-//! materializes what it tailed, the role transitions, the `/v1/repl/*`
-//! endpoints and the KV key layout — is the `impl Service` block at the
-//! end of this module.
+//! **The service's side** — the promoted bundle's log entry, the one
+//! ingest path that boot, tailing and catch-up share (persist each changed
+//! key, install a changed `models/active` once), the role transitions and
+//! the `/v1/repl/*` endpoints — is the `impl Service` block at the end of
+//! this module.
 //!
 //! **Determinism.** Reconnect pacing comes from the shared seeded
 //! [`Backoff`] helper and is *recorded, not slept* — the chaos suite
@@ -40,9 +42,9 @@ use nshard_pool::Backoff;
 
 use crate::api::{error_response, ReplStatus};
 use crate::http::{HttpResponse, KeepAliveClient};
-use crate::kv::{KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv};
+use crate::kv::{KvSnapshot, LogFetch, LogOp, MatchSeq};
 use crate::server::Service;
-use crate::store::{PlanStore, StoredPlan};
+use crate::store::MODEL_KEY;
 
 /// Base reconnect backoff, ms (seeded decorrelated jitter on top).
 const BACKOFF_BASE_MS: u64 = 50;
@@ -50,15 +52,16 @@ const BACKOFF_BASE_MS: u64 = 50;
 /// Reconnect backoff cap, ms.
 const BACKOFF_CAP_MS: u64 = 2_000;
 
-/// A node's role in the serve tier.
+/// A node's role in the serve tier; the discriminant is its gauge value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Role {
     /// Tails the leader's log; rejects writes with `503 not_leader`.
-    Follower,
+    Follower = 0,
     /// Mid-promotion (failure threshold reached, takeover in progress).
-    Candidate,
+    Candidate = 1,
     /// Accepts writes and serves the op log.
-    Leader,
+    Leader = 2,
 }
 
 impl Role {
@@ -321,18 +324,24 @@ impl Replicator {
             }
             Ok(LogFetch::NeedSnapshot { earliest }) => {
                 self.last_leader_seq = self.last_leader_seq.max(earliest.saturating_sub(1));
-                match self.transport.fetch_snapshot() {
-                    Ok(snapshot) => {
+                // A refused snapshot changes nothing.
+                let restored = self.transport.fetch_snapshot().and_then(|snapshot| {
+                    let changed = self.service.kv().restore(&snapshot);
+                    self.service
+                        .ingest(changed.map_err(ReplError::Protocol)?, true);
+                    Ok(snapshot.applied_seq)
+                });
+                match restored {
+                    Ok(applied_seq) => {
                         self.failures = 0;
                         self.service.reaffirm_follower();
                         // Not `max`: a snapshot behind the watermark means
                         // the leader restarted its sequence space, and the
                         // old space's watermark would misreport lag and
                         // staleness forever.
-                        let applied_seq = snapshot.applied_seq;
                         self.last_leader_seq = applied_seq;
-                        self.service.restore_snapshot(&snapshot);
                         self.service.metrics.replication_lag.set(0);
+                        self.service.metrics.snapshot_catchup.inc();
                         PollOutcome::SnapshotRestored { applied_seq }
                     }
                     Err(e) => self.note_failure(e),
@@ -343,7 +352,7 @@ impl Replicator {
     }
 
     fn note_failure(&mut self, _error: ReplError) -> PollOutcome {
-        self.failures += 1;
+        self.failures = self.failures.saturating_add(1);
         if self.failures >= self.failure_threshold {
             let at_seq = self.service.kv().applied_seq();
             let stale = self.last_leader_seq > at_seq;
@@ -358,98 +367,66 @@ impl Replicator {
     }
 }
 
-/// Ops retained in the replication log before compaction; followers
-/// lagging beyond the window catch up by snapshot.
-const LOG_KEEP: usize = 1_024;
-
-/// The KV key under which the promoted cost-model bundle replicates.
-/// A single key — promotion is last-writer-wins by design: the lifecycle
-/// serializes promotions, and followers always want the newest bundle.
-const MODEL_KEY: &str = "models/active";
-
-/// The KV key under which an adopted plan replicates.
-fn plan_key(id: &str) -> String {
-    format!("plans/{id}")
-}
-
-/// The KV a node boots with. A leader replays its warm-restarted plans
-/// into it in adoption order, so it immediately serves its log to
-/// followers; a follower starts empty and tails.
-pub(crate) fn boot_kv(plans: &PlanStore, follower: bool) -> PlanKv {
-    let kv = PlanKv::new(LOG_KEEP);
-    if !follower {
-        for id in plans.ids() {
-            if let Some(record) = plans.get(&id) {
-                let value = serde_json::to_string(&record).unwrap_or_default();
-                let _ = kv.upsert(&plan_key(&id), value, MatchSeq::Any);
-            }
-        }
-    }
-    kv
-}
-
 /// The service's side of replication: what a leader appends to its log,
-/// what a follower does with the ops it tailed, the role transitions the
+/// the one way anything else reaches the store, the role transitions the
 /// [`Replicator`] drives, and the three `/v1/repl/*` endpoints.
 impl Service {
-    /// Appends a newly adopted plan to the replication log as a
-    /// create-only (`MatchSeq::Exact(0)`) conditional upsert. A sequence
-    /// conflict means a concurrent identical adoption already logged it —
-    /// counted, not an error.
-    pub(crate) fn log_adoption(&self, stored: &StoredPlan) {
-        let value = serde_json::to_string(stored).unwrap_or_default();
-        if self
-            .kv
-            .upsert(&plan_key(&stored.id), value, MatchSeq::Exact(0))
-            .is_err()
-        {
-            self.metrics.seq_conflicts.inc();
-        }
-    }
-
     /// Replicates a promoted bundle to followers under [`MODEL_KEY`].
     pub(crate) fn log_model(&self, bundle: &CostModelBundle) {
         let value = envelope_to_json("cost-bundle", "nshard", bundle);
-        let _ = self.kv.upsert(MODEL_KEY, value, MatchSeq::Any);
+        let _ = self
+            .plans
+            .write(MODEL_KEY, MatchSeq::Any, |_| (value, None));
     }
 
-    /// Applies replicated ops through the sequence-gated KV and
-    /// materializes newly applied plans into the local store — the
-    /// follower ingest path. Returns how many ops actually applied.
+    /// Applies replicated ops through the sequence-gated KV — the
+    /// follower's tailing path. Returns how many ops actually applied.
     pub fn apply_replicated(&self, ops: Vec<LogOp>) -> usize {
         let mut applied = 0usize;
         for op in ops {
-            for done in self.kv.apply(op) {
-                applied += 1;
-                self.materialize(&done.key, &done.value);
-            }
+            let done = self.kv().apply(op);
+            applied += done.len();
+            self.ingest(done.into_iter().map(|op| op.key), true);
         }
         applied
     }
 
-    /// Replaces this replica's KV with a full snapshot and materializes
-    /// every plan in it — the cold/lagging catch-up path.
-    fn restore_snapshot(&self, snapshot: &KvSnapshot) {
-        self.kv.restore(snapshot);
-        for entry in &snapshot.entries {
-            self.materialize(&entry.key, &entry.value);
+    /// Boot: restores the snapshot this node's `files` hold, reading them
+    /// without writing them back. A store that quarantined a file cannot
+    /// vouch for its position, so a leader moves one past it (every
+    /// follower that tailed it is sent to a snapshot) and a follower
+    /// starts over from its leader.
+    pub(crate) fn boot(&self, mut files: KvSnapshot) {
+        if self.plans.quarantined() > 0 {
+            files.applied_seq = files.applied_seq.saturating_add(1).min(u64::MAX - 1);
+            if !self.role.is_leader() {
+                files = KvSnapshot::default();
+            }
         }
-        self.metrics.snapshot_catchup.inc();
+        // Never refused: `PlanStore::open` set aside every file the
+        // snapshot check faults.
+        if let Ok(changed) = self.kv().restore(&files) {
+            self.ingest(changed, false);
+        }
     }
 
-    /// Materializes one replicated KV value into the typed stores.
-    fn materialize(&self, key: &str, value: &str) {
-        if key.strip_prefix("plans/").is_some() {
-            if let Ok(record) = serde_json::from_str::<StoredPlan>(value) {
-                // Persist errors surface via store metrics on the leader;
-                // a replica keeps the in-memory copy serving either way.
-                let _ = self.plans.insert_replica(record);
+    /// Where boot, tailing and catch-up meet: each key whose entry changed
+    /// is persisted (unless it was read from the files, at boot) — a failed
+    /// file write leaves the in-memory record serving — and a changed
+    /// `models/active` is installed into the engine: once per write,
+    /// however often it is re-sent.
+    fn ingest(&self, changed: impl IntoIterator<Item = String>, persist: bool) {
+        for key in changed {
+            let _ = persist.then(|| self.plans.persist(&key));
+            if key != MODEL_KEY {
+                continue;
             }
-        } else if key == MODEL_KEY {
-            // A promoted cost-model bundle replicating from the leader:
-            // swap it into this replica's engine so a failover promotes a
-            // node already serving the fine-tuned models.
-            if let Ok(envelope) = envelope_from_json::<CostModelBundle>(value) {
+            // A promoted cost-model bundle: swap it into this node's
+            // engine so a failover promotes a node already serving it.
+            let entry = self.kv().entry(MODEL_KEY);
+            if let Some(Ok(envelope)) =
+                entry.map(|e| envelope_from_json::<CostModelBundle>(&e.value))
+            {
                 let version = self.engine.swap_bundle(envelope.payload);
                 self.metrics.model_version.set(version);
             }
@@ -484,11 +461,11 @@ impl Service {
 
     pub(crate) fn repl_status(&self) -> HttpResponse {
         self.metrics.count_request("repl_status", 200);
-        let (log_earliest, log_len) = self.kv.log_window();
+        let (log_earliest, log_len) = self.kv().log_window();
         let body = ReplStatus {
             node: self.config.replica.node.clone(),
             role: self.role.role().label().to_string(),
-            applied_seq: self.kv.applied_seq(),
+            applied_seq: self.kv().applied_seq(),
             stale: self.role.stale(),
             log_earliest,
             log_len: log_len as u64,
@@ -499,7 +476,7 @@ impl Service {
 
     pub(crate) fn repl_snapshot(&self) -> HttpResponse {
         self.metrics.count_request("repl_snapshot", 200);
-        let snapshot = self.kv.snapshot();
+        let snapshot = self.kv().snapshot();
         HttpResponse::json(200, serde_json::to_string(&snapshot).unwrap_or_default())
     }
 
@@ -513,7 +490,7 @@ impl Service {
             );
         };
         self.metrics.count_request("repl_log", 200);
-        let fetch = self.kv.log_since(from_seq);
+        let fetch = self.kv().log_since(from_seq);
         HttpResponse::json(200, serde_json::to_string(&fetch).unwrap_or_default())
     }
 }
@@ -522,6 +499,7 @@ impl Service {
 mod tests {
     use super::*;
     use crate::server::{ReplicaConfig, ServeConfig, Server};
+    use crate::store::StoredPlan;
     use nshard_cost::{CollectConfig, TrainSettings};
     use nshard_data::{ShardingTask, TableConfig, TableId, TablePool};
 
@@ -571,7 +549,7 @@ mod tests {
         let task = ShardingTask::new(tables.clone(), 1, 1 << 30, 1024);
         let record = StoredPlan {
             id: "bad".into(),
-            version: 1,
+            version: 2,
             plan: nshard_core::ShardingPlan::new(vec![], tables, vec![0], 1).unwrap(),
             task,
             provenance: nshard_core::PlanProvenance {

@@ -14,8 +14,8 @@ use super::Service;
 /// identical bodies already yield byte-identical responses (plan ids are
 /// content-addressed, adoption is idempotent) — so a hit only skips
 /// redundant search work, never changes an answer. Every entry folds the
-/// serving model version into the key (replan entries also the store
-/// generation), so a model promotion or plan adoption invalidates it —
+/// serving model version into the key (replan entries also the store's
+/// applied sequence), so a model promotion or plan adoption invalidates it —
 /// a response priced by a retired model is never replayed.
 pub(super) struct ResponseCache {
     capacity: usize,
@@ -68,13 +68,14 @@ pub(super) fn response_cache_key(
 impl Service {
     /// Response-cache generation for `kind`: every cached response was
     /// priced by a specific model version (a promotion must invalidate
-    /// it), and replans additionally depend on the plan-store generation
-    /// (an adoption changes the incumbent a replan warm-starts from).
+    /// it), and replans additionally depend on the store's applied
+    /// sequence (an adoption changes the incumbent a replan warm-starts
+    /// from).
     pub(super) fn cache_generation(&self, kind: JobKind) -> u64 {
         let version = self.engine.model_version() << 32;
         match kind {
             JobKind::Plan => version,
-            JobKind::Replan => version | (self.plans.len() as u64 & 0xffff_ffff),
+            JobKind::Replan => version | (self.plans.kv().applied_seq() & 0xffff_ffff),
         }
     }
 }

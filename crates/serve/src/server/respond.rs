@@ -1,19 +1,20 @@
 //! What a worker does with an admitted job: deadline check, degradation
 //! decision, response-cache lookup, plan or replan through the engine,
-//! failover attribution, adoption into the store and the replication
-//! log, and the response body.
+//! failover attribution, adoption into the store (one sequenced write,
+//! which is also the replication log's entry), and the response body.
 //!
 //! A worker that pops an already-expired job answers `503` without
 //! searching, and a job whose remaining budget is below
 //! [`DEGRADE_BELOW_MS`] takes the **degraded** (greedy) chain rather than
 //! erroring — the `FallbackChain` discipline applied to deadlines.
 
-use nshard_core::{PlanProvenance, PlanSource, ShardingPlan};
+use nshard_core::{PlanProvenance, PlanSource};
 use nshard_data::ShardingTask;
 
 use crate::api::{
     error_response, source_label, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse,
 };
+use crate::engine::PlanOutput;
 use crate::http::HttpResponse;
 use crate::store::StoreError;
 
@@ -35,10 +36,11 @@ enum Parsed {
 }
 
 impl Parsed {
-    fn task(&self) -> &ShardingTask {
+    /// The task and the deadline the request names.
+    fn task_and_deadline(&self) -> (&ShardingTask, Option<u64>) {
         match self {
-            Parsed::Plan(request) => &request.task,
-            Parsed::Replan(request) => &request.task,
+            Parsed::Plan(request) => (&request.task, request.deadline_ms),
+            Parsed::Replan(request) => (&request.task, request.deadline_ms),
         }
     }
 }
@@ -58,31 +60,23 @@ impl Service {
     /// Produces the response for one job: deadline check, degradation
     /// decision, parse, plan, adopt, serialize.
     fn respond(&self, job: &Job, now_ms: u64) -> HttpResponse {
-        let parsed_deadline = match job.kind {
-            JobKind::Plan => {
-                serde_json::from_str::<PlanRequest>(&String::from_utf8_lossy(&job.body)).map(|r| {
-                    let deadline = r.deadline_ms;
-                    (Parsed::Plan(r), deadline)
-                })
-            }
-            JobKind::Replan => serde_json::from_str::<ReplanRequest>(&String::from_utf8_lossy(
-                &job.body,
-            ))
-            .map(|r| {
-                let deadline = r.deadline_ms;
-                (Parsed::Replan(r), deadline)
-            }),
+        let body = String::from_utf8_lossy(&job.body);
+        let parsed = match job.kind {
+            JobKind::Plan => serde_json::from_str(&body).map(Parsed::Plan),
+            JobKind::Replan => serde_json::from_str(&body).map(Parsed::Replan),
         };
-        let (parsed, deadline_ms) = match parsed_deadline {
-            Ok((parsed, deadline)) => (parsed, deadline.unwrap_or(DEFAULT_DEADLINE_MS)),
+        let parsed = match parsed {
+            Ok(parsed) => parsed,
             Err(e) => {
                 return error_response(400, "bad_request", format!("invalid request body: {e}"))
             }
         };
+        let (task, deadline_ms) = parsed.task_and_deadline();
+        let deadline_ms = deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS);
         // A device count the models cannot price is the client's error:
         // answered here, ahead of deadline, cache and engine (which would
         // return it as a typed `Invalid`).
-        if let Err(detail) = self.engine.check_device_count(parsed.task().num_devices()) {
+        if let Err(detail) = self.engine.check_device_count(task.num_devices()) {
             return error_response(400, "unsupported_device_count", detail);
         }
 
@@ -103,15 +97,14 @@ impl Service {
         // Cache lookup happens only after the deadline check: an expired
         // request answers 503 whether or not its twin is cached — the
         // shed/degrade semantics are identical with the cache on or off.
-        let cache_key = self.response_cache.as_ref().map(|_| {
-            response_cache_key(
-                job.kind,
-                degrade,
-                self.cache_generation(job.kind),
-                &job.body,
+        let cached = self.response_cache.as_ref().map(|cache| {
+            let generation = self.cache_generation(job.kind);
+            (
+                cache,
+                response_cache_key(job.kind, degrade, generation, &job.body),
             )
         });
-        if let (Some(cache), Some(key)) = (&self.response_cache, cache_key) {
+        if let Some((cache, key)) = cached {
             if let Some(hit) = cache.lock().expect("cache poisoned").get(key) {
                 self.metrics.response_cache_hits.inc();
                 return hit;
@@ -123,49 +116,60 @@ impl Service {
             Parsed::Plan(request) => self.respond_plan(request, degrade),
             Parsed::Replan(request) => self.respond_replan(request, degrade),
         };
-        if let (Some(cache), Some(key)) = (&self.response_cache, cache_key) {
-            if response.status == 200 {
-                cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .put(key, response.clone());
-            }
+        if let Some((cache, key)) = cached.filter(|_| response.status == 200) {
+            cache
+                .lock()
+                .expect("cache poisoned")
+                .put(key, response.clone());
         }
         response
     }
 
-    /// Stamps failover attribution onto new plans produced after this
-    /// node promoted itself — every plan records *which* node took over,
-    /// at what sequence, and whether it was known stale.
-    fn attribute_failover(&self, provenance: PlanProvenance) -> PlanProvenance {
-        match self.role.promoted_at() {
-            Some(at_seq) => provenance.attributed_to_failover(
+    /// What both planning answers do with the engine's output: stamp the
+    /// failover attribution (a plan minted after this node promoted itself
+    /// records which node took over, at what sequence, and whether it was
+    /// known stale), count the outcome, and adopt it when asked. Returns
+    /// the store version (`0` when not adopted) and the stamped
+    /// provenance, or the `500` a failed store write answers.
+    fn settle(
+        &self,
+        task: ShardingTask,
+        output: &PlanOutput,
+        adopt: bool,
+    ) -> Result<(u64, PlanProvenance), HttpResponse> {
+        let provenance = match self.role.promoted_at() {
+            Some(at_seq) => output.provenance.clone().attributed_to_failover(
                 self.config.replica.node.clone(),
                 at_seq,
                 self.role.stale(),
             ),
-            None => provenance,
+            None => output.provenance.clone(),
+        };
+        if output.degraded {
+            self.metrics.degraded.inc();
         }
-    }
-
-    /// Adopts into the plan store and, when the adoption is new, appends
-    /// it to the replication log.
-    fn adopt_and_log(
-        &self,
-        id: &str,
-        task: ShardingTask,
-        plan: ShardingPlan,
-        provenance: PlanProvenance,
-        predicted_ms: f64,
-        degraded: bool,
-    ) -> Result<u64, StoreError> {
-        let (stored, newly_adopted) =
-            self.plans
-                .adopt(id, task, plan, provenance, predicted_ms, degraded)?;
-        if newly_adopted {
-            self.log_adoption(&stored);
+        match &provenance.source {
+            PlanSource::Repaired { .. } => self.metrics.repairs.inc(),
+            PlanSource::Fallback { .. } | PlanSource::SizeBalanced => self.metrics.fallbacks.inc(),
+            PlanSource::Primary { .. } => {}
         }
-        Ok(stored.version)
+        if !adopt {
+            return Ok((0, provenance));
+        }
+        let adopted = self.plans.adopt(
+            &output.id,
+            task,
+            output.plan.clone(),
+            provenance.clone(),
+            output.predicted_ms,
+            output.degraded,
+        );
+        adopted.map(|version| (version, provenance)).map_err(|e| {
+            if matches!(e, StoreError::Conflict(_)) {
+                self.metrics.seq_conflicts.inc();
+            }
+            error_response(500, "store_failed", e.to_string())
+        })
     }
 
     fn respond_plan(&self, request: PlanRequest, degrade: bool) -> HttpResponse {
@@ -173,22 +177,9 @@ impl Service {
             Ok(output) => output,
             Err(e) => return error_response(422, "infeasible", e.to_string()),
         };
-        let provenance = self.attribute_failover(output.provenance);
-        self.observe_outcome(&provenance, output.degraded);
-        let version = if request.adopt {
-            match self.adopt_and_log(
-                &output.id,
-                request.task,
-                output.plan.clone(),
-                provenance.clone(),
-                output.predicted_ms,
-                output.degraded,
-            ) {
-                Ok(version) => version,
-                Err(e) => return error_response(500, "store_failed", e.to_string()),
-            }
-        } else {
-            0
+        let (version, provenance) = match self.settle(request.task, &output, request.adopt) {
+            Ok(settled) => settled,
+            Err(response) => return response,
         };
         let body = PlanResponse {
             id: output.id,
@@ -221,22 +212,9 @@ impl Service {
             Ok(re) => re,
             Err(e) => return error_response(422, "infeasible", e.to_string()),
         };
-        let provenance = self.attribute_failover(re.output.provenance.clone());
-        self.observe_outcome(&provenance, re.output.degraded);
-        let version = if request.adopt {
-            match self.adopt_and_log(
-                &re.output.id,
-                request.task,
-                re.output.plan.clone(),
-                provenance.clone(),
-                re.output.predicted_ms,
-                re.output.degraded,
-            ) {
-                Ok(version) => version,
-                Err(e) => return error_response(500, "store_failed", e.to_string()),
-            }
-        } else {
-            0
+        let (version, provenance) = match self.settle(request.task, &re.output, request.adopt) {
+            Ok(settled) => settled,
+            Err(response) => return response,
         };
         let body = ReplanResponse {
             id: re.output.id,
@@ -251,16 +229,5 @@ impl Service {
             provenance,
         };
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
-    }
-
-    fn observe_outcome(&self, provenance: &PlanProvenance, degraded: bool) {
-        if degraded {
-            self.metrics.degraded.inc();
-        }
-        match &provenance.source {
-            PlanSource::Repaired { .. } => self.metrics.repairs.inc(),
-            PlanSource::Fallback { .. } | PlanSource::SizeBalanced => self.metrics.fallbacks.inc(),
-            PlanSource::Primary { .. } => {}
-        }
     }
 }

@@ -159,24 +159,15 @@ impl Service {
             .len()
     }
 
+    /// `GET /v1/plans/{id}`; a degraded-mode (stale) read after a
+    /// promotion known to be behind the dead leader is flagged.
     fn get_plan(&self, id: &str) -> HttpResponse {
-        match self.plans.get(id) {
-            Some(stored) => {
-                self.metrics.count_request("plans_get", 200);
-                let response =
-                    HttpResponse::json(200, serde_json::to_string(&stored).unwrap_or_default());
-                self.mark_stale(response)
-            }
-            None => {
-                self.metrics.count_request("plans_get", 404);
-                error_response(404, "not_found", format!("no stored plan with id {id}"))
-            }
-        }
-    }
-
-    /// Flags degraded-mode (stale) reads after a promotion that is known
-    /// to be behind the dead leader.
-    fn mark_stale(&self, response: HttpResponse) -> HttpResponse {
+        let Some(stored) = self.plans.get(id) else {
+            self.metrics.count_request("plans_get", 404);
+            return error_response(404, "not_found", format!("no stored plan with id {id}"));
+        };
+        self.metrics.count_request("plans_get", 200);
+        let response = HttpResponse::json(200, serde_json::to_string(&stored).unwrap_or_default());
         if self.role.stale() {
             response.with_header("X-Nshard-Stale", "true")
         } else {
@@ -193,22 +184,14 @@ impl Service {
         let mut out = self.metrics.registry.render();
         let stats = self.engine.cache_stats();
         let version = self.engine.model_version();
-        out.push_str(
-            "# HELP nshard_serve_cache_hits_total Prediction-cache hits across all searches\n\
-             # TYPE nshard_serve_cache_hits_total counter\n",
-        );
-        out.push_str(&format!(
-            "nshard_serve_cache_hits_total{{model_version=\"{version}\"}} {}\n",
-            stats.hits
-        ));
-        out.push_str(
-            "# HELP nshard_serve_cache_misses_total Prediction-cache misses across all searches\n\
-             # TYPE nshard_serve_cache_misses_total counter\n",
-        );
-        out.push_str(&format!(
-            "nshard_serve_cache_misses_total{{model_version=\"{version}\"}} {}\n",
-            stats.misses
-        ));
+        for (outcome, count) in [("hits", stats.hits), ("misses", stats.misses)] {
+            let family = format!("nshard_serve_cache_{outcome}_total");
+            out.push_str(&format!(
+                "# HELP {family} Prediction-cache {outcome} across all searches\n\
+                 # TYPE {family} counter\n\
+                 {family}{{model_version=\"{version}\"}} {count}\n"
+            ));
+        }
         out
     }
 }

@@ -12,7 +12,7 @@ use crate::clock::{Clock, WallClock};
 use crate::engine::PlanningEngine;
 use crate::kv::PlanKv;
 use crate::metrics::ServiceMetrics;
-use crate::repl::{boot_kv, Role, RoleCell};
+use crate::repl::{Role, RoleCell};
 use crate::store::{PlanStore, StoreError};
 
 use super::admission::AdmissionQueue;
@@ -31,7 +31,6 @@ pub struct Service {
     pub(crate) config: ServeConfig,
     pub(crate) engine: PlanningEngine,
     pub(crate) plans: PlanStore,
-    pub(crate) kv: PlanKv,
     pub(crate) role: RoleCell,
     pub(super) clock: Arc<dyn Clock>,
     pub(super) queue: AdmissionQueue,
@@ -71,10 +70,7 @@ impl Service {
             .search
             .validate()
             .map_err(StoreError::InvalidConfig)?;
-        let plans = match &config.store_dir {
-            Some(dir) => PlanStore::open(dir)?,
-            None => PlanStore::in_memory(),
-        };
+        let (plans, boot) = PlanStore::open(config.store_dir.as_deref())?;
         let engine = PlanningEngine::new(bundle, config.search, config.incremental, config.seed);
         let metrics = ServiceMetrics::new();
         metrics.model_version.set(engine.model_version());
@@ -87,14 +83,12 @@ impl Service {
             Role::Leader
         });
         metrics.replica_role.set(role.role().gauge_value());
-        let kv = boot_kv(&plans, config.replica.follower);
         let response_cache = (config.response_cache_entries > 0)
             .then(|| Mutex::new(ResponseCache::new(config.response_cache_entries)));
-        Ok(Self {
+        let service = Self {
             config,
             engine,
             plans,
-            kv,
             role,
             clock,
             queue,
@@ -102,7 +96,10 @@ impl Service {
             workers,
             response_cache,
             observations: Mutex::new(VecDeque::new()),
-        })
+        };
+        // Boot is a catch-up from the store's own files.
+        service.boot(boot);
+        Ok(service)
     }
 
     /// The plan store (tests and the demo inspect it directly).
@@ -110,9 +107,9 @@ impl Service {
         &self.plans
     }
 
-    /// The sequenced KV behind replication.
+    /// The sequenced KV behind replication: the plan store's record.
     pub fn kv(&self) -> &PlanKv {
-        &self.kv
+        self.plans.kv()
     }
 
     /// This node's replication role cell.

@@ -1,43 +1,50 @@
-//! The versioned plan & model store behind the daemon.
-//!
-//! Two registries live here, both persisted as versioned-envelope JSON
-//! documents (see `nshard_nn::serialize`) so a restarted daemon boots warm
-//! and refuses artifacts from unsupported format versions with a typed
-//! error instead of undefined behavior:
+//! The plan & model store behind the daemon.
 //!
 //! * [`PlanStore`] — every **adopted** [`ShardingPlan`] with its
-//!   [`PlanProvenance`], keyed by a deterministic content-addressed id and
-//!   stamped with a monotonically increasing adoption `version`. Adoption
-//!   is idempotent by id, which keeps concurrent identical requests
-//!   bit-deterministic: the first adoption wins and every duplicate maps
-//!   to the same stored record.
+//!   [`PlanProvenance`], keyed by a deterministic content-addressed id. Its
+//!   one in-memory record is a [`PlanKv`]: an adoption is a create-only
+//!   upsert of `plans/<id>`, so a plan's `version` is the sequence number
+//!   of the write that created it, and a duplicate adoption — concurrent
+//!   identical requests included — finds its twin instead of forking a
+//!   version. The promoted cost-model bundle lives in the same sequence
+//!   space under `models/active`. What the store adds is the disk: a
+//!   leader's write saves its key's file before the op reaches the log
+//!   ([`PlanStore::write`]), a follower persists each op it applies
+//!   ([`PlanStore::persist`]), and [`PlanStore::open`] reads the files
+//!   back into one [`KvSnapshot`], which the daemon restores — reading,
+//!   not rewriting — the way a lagging follower restores its leader's.
 //! * [`ModelStore`] — named cost-model checkpoints ([`CostModelBundle`]s)
 //!   the planning engine loads at startup.
 //!
-//! On-disk layout under the store directory:
+//! Both persist versioned-envelope JSON documents (see
+//! `nshard_nn::serialize`), so unsupported format versions are a typed
+//! error instead of undefined behavior. On-disk layout under the store
+//! directory — a KV key's file is `<key>.json`:
 //!
 //! ```text
 //! store/
 //!   plans/<id>.json      (checksummed envelope; payload = StoredPlan)
+//!   models/active.json   (checksummed envelope; payload = its SnapshotEntry)
 //!   models/<name>.json   (checksummed envelope; payload = CostModelBundle)
 //! ```
 //!
 //! ## Torn-write hardening
 //!
-//! Every file this module writes is framed with a leading checksum line
-//! (`#nshard-checksum: <fnv64 hex>` over the rest of the file) so a write
-//! torn by a crash — truncation, a half-flushed page, a bit flip — is
-//! *detected* instead of parsed into garbage. On warm restart,
-//! [`PlanStore::open`] **quarantines** corrupt entries (renames them to
-//! `*.json.quarantined`) and keeps booting with the surviving plans rather
-//! than refusing to start; [`PlanStore::quarantined`] reports how many were
-//! set aside (the daemon's `nshard_serve_store_quarantined` gauge). Files
-//! written by pre-checksum builds carry no magic line and still load
-//! unchanged.
+//! Every file this module writes goes through a temporary file and a
+//! rename, and is framed with a leading checksum line
+//! (`#nshard-checksum: <fnv64 hex>` over the rest of the file) so damage
+//! — truncation, a half-flushed page, a bit flip — is *detected* instead
+//! of parsed into garbage. At boot, [`PlanStore::open`]
+//! **quarantines** damaged entries (renames them to `*.json.quarantined`)
+//! — and entries no store could hold: two files claiming one sequence
+//! number, or a number outside the sequence space ([`KvSnapshot::faults`])
+//! — and keeps booting with the rest rather than refusing to start;
+//! [`PlanStore::quarantined`] reports how many were set aside (the
+//! daemon's `nshard_serve_store_quarantined` gauge). Files written by
+//! pre-checksum builds carry no magic line and still load unchanged.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -46,11 +53,25 @@ use nshard_cost::CostModelBundle;
 use nshard_data::ShardingTask;
 use nshard_nn::serialize::{envelope_from_json, envelope_to_json, CheckpointError, Envelope};
 
+use crate::kv::{KvError, KvSnapshot, MatchSeq, PlanKv, SnapshotEntry};
+
 /// The producer tag written into envelope headers.
 const CREATED_BY: &str = "nshard-serve";
 
 /// Magic prefix of the checksum line framing every persisted artifact.
 const CHECKSUM_MAGIC: &str = "#nshard-checksum: ";
+
+/// Ops retained in the replication log before compaction; followers
+/// lagging beyond the window catch up by snapshot.
+const LOG_KEEP: usize = 1_024;
+
+/// The key prefix of an adopted plan: `plans/<id>`.
+const PLAN_PREFIX: &str = "plans/";
+
+/// The key under which the promoted cost-model bundle replicates. A
+/// single key — promotion is last-writer-wins by design: the lifecycle
+/// serializes promotions, and followers always want the newest bundle.
+pub(crate) const MODEL_KEY: &str = "models/active";
 
 /// FNV-1a over a byte string — the crate's one cheap, dependency-free
 /// digest: store checksums, content-addressed plan ids, response-cache
@@ -88,6 +109,9 @@ pub enum StoreError {
         /// What the detector saw.
         reason: String,
     },
+    /// An adoption found its key holding something that is not its plan
+    /// (a replicated value that never decoded).
+    Conflict(KvError),
     /// The daemon configuration is internally inconsistent — rejected at
     /// construction with the typed search-config error instead of
     /// panicking on the first request.
@@ -102,6 +126,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Corrupt { path, reason } => {
                 write!(f, "store artifact {path} is corrupt: {reason}")
             }
+            StoreError::Conflict(e) => write!(f, "plan store conflict: {e}"),
             StoreError::InvalidConfig(e) => write!(f, "invalid serve configuration: {e}"),
         }
     }
@@ -115,16 +140,33 @@ impl From<CheckpointError> for StoreError {
     }
 }
 
+impl From<KvError> for StoreError {
+    fn from(e: KvError) -> Self {
+        StoreError::Conflict(e)
+    }
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> StoreError {
+    StoreError::Io {
+        path: path.display().to_string(),
+        error: e.to_string(),
+    }
+}
+
 /// Writes `payload` as a checksum-framed versioned envelope: the first
 /// line is `#nshard-checksum: <fnv64 hex of the remainder>`, the rest the
-/// envelope JSON.
+/// envelope JSON. The bytes go to `<path>.tmp` first and are renamed over
+/// `path`, so a crash leaves the old file or the new one, never a torn
+/// mix.
 fn write_checked<T: Serialize>(path: &Path, name: &str, payload: &T) -> Result<(), StoreError> {
     let body = envelope_to_json(name, CREATED_BY, payload);
     let framed = format!("{CHECKSUM_MAGIC}{:016x}\n{body}", fnv64(body.as_bytes()));
-    std::fs::write(path, framed).map_err(|e| StoreError::Io {
-        path: path.display().to_string(),
-        error: e.to_string(),
-    })
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent).map_err(|e| io_error(parent, e))?;
+    }
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, framed).map_err(|e| io_error(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| io_error(path, e))
 }
 
 /// Reads a checksum-framed envelope written by [`write_checked`]. Files
@@ -133,33 +175,34 @@ fn write_checked<T: Serialize>(path: &Path, name: &str, payload: &T) -> Result<(
 ///
 /// # Errors
 ///
-/// [`StoreError::Corrupt`] on a checksum mismatch or an unparseable
-/// checksum line; [`StoreError::Checkpoint`] / [`StoreError::Io`] as for
-/// any envelope load.
+/// [`StoreError::Corrupt`] on a checksum mismatch, a checksum line
+/// without its newline or bytes that are not UTF-8;
+/// [`StoreError::Checkpoint`] as for any envelope load.
 fn read_checked<T: Deserialize>(path: &Path) -> Result<Envelope<T>, StoreError> {
-    let raw = std::fs::read_to_string(path).map_err(|e| {
+    let corrupt = |reason: String| StoreError::Corrupt {
+        path: path.display().to_string(),
+        reason,
+    };
+    let raw = std::fs::read(path).map_err(|e| {
         StoreError::Checkpoint(CheckpointError::Io {
             path: path.display().to_string(),
             error: e.to_string(),
         })
     })?;
+    let raw = String::from_utf8(raw).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
     let body = match raw.strip_prefix(CHECKSUM_MAGIC) {
         None => raw.as_str(),
         Some(rest) => {
-            let (stamp, body) = rest.split_once('\n').ok_or_else(|| StoreError::Corrupt {
-                path: path.display().to_string(),
-                reason: "checksum line is not newline-terminated (truncated write)".into(),
+            let (stamp, body) = rest.split_once('\n').ok_or_else(|| {
+                corrupt("checksum line is not newline-terminated (truncated write)".into())
             })?;
-            let want = u64::from_str_radix(stamp.trim(), 16).map_err(|_| StoreError::Corrupt {
-                path: path.display().to_string(),
-                reason: format!("unparseable checksum stamp {stamp:?}"),
-            })?;
-            let got = fnv64(body.as_bytes());
-            if got != want {
-                return Err(StoreError::Corrupt {
-                    path: path.display().to_string(),
-                    reason: format!("checksum mismatch: stamped {want:016x}, computed {got:016x}"),
-                });
+            // Compared as text: any flipped byte of the stamp — a hex
+            // digit's case included — is damage too.
+            let got = format!("{:016x}", fnv64(body.as_bytes()));
+            if stamp.trim() != got {
+                return Err(corrupt(format!(
+                    "checksum mismatch: stamped {stamp:?}, computed {got}"
+                )));
             }
             body
         }
@@ -184,7 +227,8 @@ fn is_damage(err: &StoreError) -> bool {
 pub struct StoredPlan {
     /// Content-addressed id (hex of the task+plan fingerprint).
     pub id: String,
-    /// Adoption sequence number (1-based, monotonic per store).
+    /// The sequence number of the write that adopted it (1-based,
+    /// monotonic per store; shared with `models/active` writes).
     pub version: u64,
     /// The task the plan was produced for.
     pub task: ShardingTask,
@@ -198,39 +242,73 @@ pub struct StoredPlan {
     pub degraded: bool,
 }
 
-struct PlanStoreInner {
-    plans: HashMap<String, StoredPlan>,
-    /// Adoption order (ids), oldest first; parallel to `version` stamps.
-    order: Vec<String>,
-    next_version: u64,
+/// The KV key of the plan adopted as `id`.
+fn plan_key(id: &str) -> String {
+    format!("{PLAN_PREFIX}{id}")
 }
 
-/// The versioned, optionally disk-backed registry of adopted plans.
+/// Whether `id` can name a plan file: ASCII letters, digits, `-` and `_`
+/// (content-addressed ids are hex), so no key read off the wire reaches
+/// outside `plans/`.
+fn is_plan_id(id: &str) -> bool {
+    !id.is_empty()
+        && id
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+}
+
+/// `value` as the plan adopted under `key` by the write numbered `seq`:
+/// it must decode, and name that key's id and that sequence as its
+/// version. Anything else under `plans/` is held by the KV but is not a
+/// plan — never served, persisted or warm-started from.
+pub(crate) fn decode_plan(key: &str, seq: u64, value: &str) -> Option<Arc<StoredPlan>> {
+    let id = key.strip_prefix(PLAN_PREFIX).filter(|id| is_plan_id(id))?;
+    let record: StoredPlan = serde_json::from_str(value).ok()?;
+    (record.id == id && record.version == seq).then(|| Arc::new(record))
+}
+
+/// The snapshot entry the store file at `path` holds, or `None` when the
+/// file is damaged: a torn or flipped write, or a plan whose id is not
+/// its file name.
+fn read_entry(path: &Path) -> Result<Option<SnapshotEntry>, StoreError> {
+    let is_model = path.ends_with(format!("{MODEL_KEY}.json"));
+    let entry = if is_model {
+        read_checked::<SnapshotEntry>(path).map(|e| Some(e.payload).filter(|e| e.key == MODEL_KEY))
+    } else {
+        read_checked::<StoredPlan>(path).map(|e| {
+            let record = e.payload;
+            (path.file_stem() == Some(record.id.as_ref())).then(|| SnapshotEntry {
+                key: plan_key(&record.id),
+                seq: record.version,
+                value: serde_json::to_string(&record).unwrap_or_default(),
+            })
+        })
+    };
+    match entry {
+        Err(e) if is_damage(&e) => Ok(None),
+        other => other,
+    }
+}
+
+/// The adopted plans: one [`PlanKv`], optionally mirrored to disk — its
+/// entries under `plans/` are the plans, each `version` the sequence
+/// number of the write that adopted it.
 pub struct PlanStore {
-    inner: Mutex<PlanStoreInner>,
+    kv: PlanKv,
     dir: Option<PathBuf>,
     quarantined: usize,
 }
 
 impl PlanStore {
-    /// A store that lives only in memory.
-    pub(crate) fn in_memory() -> Self {
-        Self {
-            inner: Mutex::new(PlanStoreInner {
-                plans: HashMap::new(),
-                order: Vec::new(),
-                next_version: 1,
-            }),
-            dir: None,
-            quarantined: 0,
-        }
-    }
-
-    /// Opens (creating if needed) a disk-backed store rooted at `dir`,
-    /// loading every persisted plan so the daemon restarts warm. Entries
-    /// that fail their checksum or do not parse — torn writes from a crash
-    /// mid-persist — are renamed to `*.json.quarantined` and skipped, so
-    /// one damaged file never blocks the whole store from booting.
+    /// Opens the store — in memory when `dir` is `None`, else rooted at
+    /// `dir` (created if needed) — and returns it with its KV empty, beside
+    /// the snapshot its files hold: every intact plan file and
+    /// `models/active`, at the sequence each was written with, current
+    /// through the highest. Files that fail their checksum or do not parse
+    /// — damaged on disk — and files the snapshot check faults are renamed
+    /// to `*.json.quarantined` and left out, so one damaged file never
+    /// blocks the whole store from booting (`Service::boot` decides where
+    /// such a store resumes).
     ///
     /// # Errors
     ///
@@ -238,73 +316,78 @@ impl PlanStore {
     /// be read or renamed, or a persisted plan carries an unsupported
     /// format version (a build problem, not file damage — never
     /// quarantined silently).
-    pub(crate) fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let root = dir.as_ref().join("plans");
-        std::fs::create_dir_all(&root).map_err(|e| StoreError::Io {
-            path: root.display().to_string(),
-            error: e.to_string(),
-        })?;
-        let mut plans: Vec<StoredPlan> = Vec::new();
-        let mut quarantined = 0usize;
-        let entries = std::fs::read_dir(&root).map_err(|e| StoreError::Io {
-            path: root.display().to_string(),
-            error: e.to_string(),
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::Io {
-                path: root.display().to_string(),
-                error: e.to_string(),
-            })?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
+    pub(crate) fn open(dir: Option<&Path>) -> Result<(Self, KvSnapshot), StoreError> {
+        let mut store = Self {
+            kv: PlanKv::new(LOG_KEEP),
+            dir: dir.map(Path::to_path_buf),
+            quarantined: 0,
+        };
+        let mut found = Vec::new();
+        if let Some(dir) = dir {
+            let root = dir.join("plans");
+            std::fs::create_dir_all(&root).map_err(|e| io_error(&root, e))?;
+            let mut paths = vec![dir.join(format!("{MODEL_KEY}.json"))];
+            for entry in std::fs::read_dir(&root).map_err(|e| io_error(&root, e))? {
+                paths.push(entry.map_err(|e| io_error(&root, e))?.path());
             }
-            match read_checked::<StoredPlan>(&path) {
-                Ok(envelope) => plans.push(envelope.payload),
-                Err(e) if is_damage(&e) => {
-                    let aside = path.with_extension("json.quarantined");
-                    std::fs::rename(&path, &aside).map_err(|e| StoreError::Io {
-                        path: path.display().to_string(),
-                        error: e.to_string(),
-                    })?;
-                    quarantined += 1;
+            paths.retain(|p| p.extension() == Some("json".as_ref()) && p.exists());
+            for path in paths {
+                match read_entry(&path)? {
+                    Some(entry) => found.push((path, entry)),
+                    None => store.quarantine(&path)?,
                 }
-                Err(e) => return Err(e),
             }
         }
-        // Replaying in stamped-version order reconstructs the adoption
-        // sequence regardless of directory iteration order.
-        plans.sort_by_key(|p| p.version);
-        let next_version = plans.iter().map(|p| p.version).max().unwrap_or(0) + 1;
-        let order: Vec<String> = plans.iter().map(|p| p.id.clone()).collect();
-        Ok(Self {
-            inner: Mutex::new(PlanStoreInner {
-                plans: plans.into_iter().map(|p| (p.id.clone(), p)).collect(),
-                order,
-                next_version,
-            }),
-            dir: Some(dir.as_ref().to_path_buf()),
-            quarantined,
-        })
+        found.sort_by(|a, b| a.1.key.cmp(&b.1.key));
+        let (paths, entries): (Vec<PathBuf>, Vec<SnapshotEntry>) = found.into_iter().unzip();
+        let applied_seq = entries
+            .iter()
+            .map(|e| e.seq)
+            .filter(|&s| s < u64::MAX)
+            .max();
+        let mut snapshot = KvSnapshot {
+            applied_seq: applied_seq.unwrap_or(0),
+            entries,
+        };
+        // The check a leader's snapshot passes on the wire: a file whose
+        // sequence number another file claims, or that no store could
+        // have written, is set aside (every claimant of a shared number).
+        for i in snapshot.faults().into_iter().rev() {
+            store.quarantine(&paths[i])?;
+            snapshot.entries.remove(i);
+        }
+        Ok((store, snapshot))
     }
 
-    /// How many persisted entries the last [`PlanStore::open`] quarantined
-    /// as corrupt (always `0` for in-memory stores).
+    /// Renames a damaged store file to `*.json.quarantined` and counts it.
+    fn quarantine(&mut self, path: &Path) -> Result<(), StoreError> {
+        let aside = path.with_extension("json.quarantined");
+        std::fs::rename(path, aside).map_err(|e| io_error(path, e))?;
+        self.quarantined += 1;
+        Ok(())
+    }
+
+    /// How many persisted entries [`PlanStore::open`] quarantined (always
+    /// `0` for in-memory stores).
     pub(crate) fn quarantined(&self) -> usize {
         self.quarantined
     }
 
-    /// Adopts a plan: stamps the next version, stores and (when
-    /// disk-backed) persists it. Adoption is **idempotent by id** — an id
-    /// already in the store returns the existing record unchanged, so
-    /// duplicate identical requests never fork versions. The flag reports
-    /// whether this call created the record (`true`) or hit the duplicate
-    /// path (`false`) — the replication layer only logs the former.
+    /// The sequenced KV that is this store's record.
+    pub(crate) fn kv(&self) -> &PlanKv {
+        &self.kv
+    }
+
+    /// Adopts a plan: one create-only write of `plans/<id>` whose sequence
+    /// number becomes the record's `version`. Adoption is **idempotent by
+    /// id** — an id already adopted returns the existing version
+    /// unchanged, so duplicate identical requests never fork versions.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when persisting to disk fails; the in-memory record
-    /// is kept consistent either way.
+    /// [`StoreError::Conflict`] when the key holds a value that is not a
+    /// plan; [`StoreError`] when its file cannot be saved (nothing is
+    /// adopted then).
     pub(crate) fn adopt(
         &self,
         id: &str,
@@ -313,83 +396,108 @@ impl PlanStore {
         provenance: PlanProvenance,
         predicted_ms: f64,
         degraded: bool,
-    ) -> Result<(StoredPlan, bool), StoreError> {
-        let record = {
-            let mut inner = self.inner.lock().expect("plan store poisoned");
-            if let Some(existing) = inner.plans.get(id) {
-                return Ok((existing.clone(), false));
-            }
+    ) -> Result<u64, StoreError> {
+        let key = plan_key(id);
+        let written = self.write(&key, MatchSeq::Exact(0), |version| {
             let record = StoredPlan {
                 id: id.to_string(),
-                version: inner.next_version,
+                version,
                 task,
                 plan,
                 provenance,
                 predicted_ms,
                 degraded,
             };
-            inner.next_version += 1;
-            inner.plans.insert(id.to_string(), record.clone());
-            inner.order.push(id.to_string());
-            record
-        };
-        self.persist(&record)?;
-        Ok((record, true))
+            let value = serde_json::to_string(&record).unwrap_or_default();
+            (value, Some(Arc::new(record)))
+        });
+        match written {
+            Err(StoreError::Conflict(conflict)) => match self.kv.plan(&key) {
+                Some(twin) => Ok(twin.version),
+                None => Err(StoreError::Conflict(conflict)),
+            },
+            written => written,
+        }
     }
 
-    /// Installs a leader-stamped record as-is — the follower's apply path.
-    /// The record keeps the **leader's** version (replicas must agree
-    /// byte-for-byte); the local version counter advances past it so a
-    /// promoted follower stamps fresh adoptions above everything it
-    /// replicated. Idempotent by id, like [`PlanStore::adopt`].
+    /// One leader write of `key` (see [`PlanKv::write`]). Its file is
+    /// saved before the op reaches the log, so no follower tails a write
+    /// that a restart could lose; a failed save writes nothing.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when persisting to disk fails.
-    pub(crate) fn insert_replica(&self, record: StoredPlan) -> Result<(), StoreError> {
-        {
-            let mut inner = self.inner.lock().expect("plan store poisoned");
-            if inner.plans.contains_key(&record.id) {
-                return Ok(());
-            }
-            inner.next_version = inner.next_version.max(record.version + 1);
-            inner.order.push(record.id.clone());
-            inner.plans.insert(record.id.clone(), record.clone());
-        }
-        self.persist(&record)
+    /// [`StoreError::Conflict`] when `expect` fails; [`StoreError`] when
+    /// the file cannot be saved.
+    pub(crate) fn write(
+        &self,
+        key: &str,
+        expect: MatchSeq,
+        make: impl FnOnce(u64) -> (String, Option<Arc<StoredPlan>>),
+    ) -> Result<u64, StoreError> {
+        self.kv.write(key, expect, |seq| {
+            let (value, plan) = make(seq);
+            let entry = SnapshotEntry {
+                key: key.to_string(),
+                seq,
+                value,
+            };
+            self.save(key, Some(&entry), plan.as_deref())?;
+            Ok((entry.value, plan))
+        })
     }
 
-    fn persist(&self, record: &StoredPlan) -> Result<(), StoreError> {
-        if let Some(dir) = &self.dir {
-            let path = dir.join("plans").join(format!("{}.json", record.id));
-            write_checked(&path, &record.id, record)?;
+    /// Makes `key`'s file agree with its entry — how a follower's applied
+    /// ops and snapshot restores reach the disk.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when the file cannot be written or removed.
+    pub(crate) fn persist(&self, key: &str) -> Result<(), StoreError> {
+        self.save(
+            key,
+            self.kv.entry(key).as_ref(),
+            self.kv.plan(key).as_deref(),
+        )
+    }
+
+    /// Writes `key`'s file: an adopted plan's envelope, the `models/active`
+    /// entry, or no file when the key holds neither. Other keys have no
+    /// file.
+    fn save(
+        &self,
+        key: &str,
+        entry: Option<&SnapshotEntry>,
+        plan: Option<&StoredPlan>,
+    ) -> Result<(), StoreError> {
+        let has_file = key == MODEL_KEY || key.strip_prefix(PLAN_PREFIX).is_some_and(is_plan_id);
+        let Some(dir) = self.dir.as_ref().filter(|_| has_file) else {
+            return Ok(());
+        };
+        let path = dir.join(format!("{key}.json"));
+        match (plan, entry.filter(|_| key == MODEL_KEY)) {
+            (Some(record), _) => write_checked(&path, &record.id, record),
+            (None, Some(entry)) => write_checked(&path, key, entry),
+            (None, None) => match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_error(&path, e)),
+                _ => Ok(()),
+            },
         }
-        Ok(())
     }
 
     /// Looks up a plan by id.
     pub fn get(&self, id: &str) -> Option<StoredPlan> {
-        self.inner
-            .lock()
-            .expect("plan store poisoned")
-            .plans
-            .get(id)
-            .cloned()
+        self.kv.plan(&plan_key(id)).map(|record| (*record).clone())
     }
 
     /// The most recently adopted plan.
     pub fn latest(&self) -> Option<StoredPlan> {
-        let inner = self.inner.lock().expect("plan store poisoned");
-        inner
-            .order
-            .last()
-            .and_then(|id| inner.plans.get(id))
-            .cloned()
+        self.kv
+            .with_plans(|plans| plans.max_by_key(|p| p.version).cloned())
     }
 
     /// Number of stored plans.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan store poisoned").plans.len()
+        self.kv.with_plans(|plans| plans.count())
     }
 
     /// Whether the store holds no plans.
@@ -399,11 +507,11 @@ impl PlanStore {
 
     /// All stored ids in adoption order.
     pub fn ids(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("plan store poisoned")
-            .order
-            .clone()
+        let mut plans = self
+            .kv
+            .with_plans(|plans| plans.map(|p| (p.version, p.id.clone())).collect::<Vec<_>>());
+        plans.sort_unstable();
+        plans.into_iter().map(|(_, id)| id).collect()
     }
 }
 
@@ -420,10 +528,7 @@ impl ModelStore {
     /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let root = dir.as_ref().join("models");
-        std::fs::create_dir_all(&root).map_err(|e| StoreError::Io {
-            path: root.display().to_string(),
-            error: e.to_string(),
-        })?;
+        std::fs::create_dir_all(&root).map_err(|e| io_error(&root, e))?;
         Ok(Self { dir: root })
     }
 
@@ -494,25 +599,50 @@ mod tests {
         dir
     }
 
+    /// Opens `dir` and restores what its files hold (the boot path minus
+    /// the service).
+    fn reopen(dir: &Path) -> PlanStore {
+        let (store, boot) = PlanStore::open(Some(dir)).unwrap();
+        store.kv().restore(&boot).unwrap();
+        store
+    }
+
     #[test]
     fn adoption_is_versioned_and_idempotent() {
-        let store = PlanStore::in_memory();
+        let (store, _) = PlanStore::open(None).unwrap();
         let t = task();
         let p = plan(&t);
-        let (a, a_new) = store
+        let a = store
             .adopt("aaaa", t.clone(), p.clone(), provenance(), 1.0, false)
             .unwrap();
-        let (b, b_new) = store
+        let b = store
             .adopt("bbbb", t.clone(), p.clone(), provenance(), 2.0, false)
             .unwrap();
-        assert_eq!((a.version, a_new), (1, true));
-        assert_eq!((b.version, b_new), (2, true));
+        assert_eq!((a, b), (1, 2));
         // Re-adopting an existing id returns the original record.
-        let a2 = store.adopt("aaaa", t, p, provenance(), 99.0, true).unwrap();
-        assert_eq!(a2, (a, false));
+        let before = store.get("aaaa").unwrap();
+        assert_eq!(
+            store.adopt("aaaa", t, p, provenance(), 99.0, true).unwrap(),
+            1
+        );
+        assert_eq!(store.get("aaaa").unwrap(), before);
+        assert_eq!(store.kv().applied_seq(), 2, "the duplicate wrote nothing");
         assert_eq!(store.len(), 2);
         assert_eq!(store.latest().unwrap().id, "bbbb");
         assert_eq!(store.ids(), vec!["aaaa".to_string(), "bbbb".to_string()]);
+    }
+
+    #[test]
+    fn an_adoption_over_a_value_that_is_not_a_plan_is_a_conflict() {
+        let (store, _) = PlanStore::open(None).unwrap();
+        store.kv().upsert("plans/x", "{}", MatchSeq::Any).unwrap();
+        let t = task();
+        let p = plan(&t);
+        match store.adopt("x", t, p, provenance(), 1.0, false) {
+            Err(StoreError::Conflict(KvError::SeqConflict { found: 1, .. })) => {}
+            other => panic!("expected a typed conflict, got {other:?}"),
+        }
+        assert!(store.is_empty());
     }
 
     #[test]
@@ -521,7 +651,7 @@ mod tests {
         let t = task();
         let p = plan(&t);
         {
-            let store = PlanStore::open(&dir).unwrap();
+            let store = reopen(&dir);
             store
                 .adopt("p1", t.clone(), p.clone(), provenance(), 1.5, false)
                 .unwrap();
@@ -530,15 +660,15 @@ mod tests {
                 .unwrap();
         }
         // A fresh process opens the same directory and sees everything.
-        let reopened = PlanStore::open(&dir).unwrap();
+        let reopened = reopen(&dir);
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.latest().unwrap().id, "p2");
         assert_eq!(reopened.get("p1").unwrap().predicted_ms, 1.5);
         // Versions continue from where they left off.
-        let (third, _) = reopened
+        let third = reopened
             .adopt("p3", t, p, provenance(), 3.5, false)
             .unwrap();
-        assert_eq!(third.version, 3);
+        assert_eq!(third, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -548,7 +678,7 @@ mod tests {
         let t = task();
         let p = plan(&t);
         {
-            let store = PlanStore::open(&dir).unwrap();
+            let store = reopen(&dir);
             store
                 .adopt("good", t.clone(), p.clone(), provenance(), 1.0, false)
                 .unwrap();
@@ -561,7 +691,7 @@ mod tests {
         let full = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, &full[..full.len() / 2]).unwrap();
 
-        let reopened = PlanStore::open(&dir).unwrap();
+        let reopened = reopen(&dir);
         assert_eq!(reopened.len(), 1, "the intact plan survives");
         assert!(reopened.get("good").is_some());
         assert!(reopened.get("torn").is_none());
@@ -569,7 +699,7 @@ mod tests {
         assert!(!victim.exists(), "damaged file moved aside");
         assert!(dir.join("plans").join("torn.json.quarantined").exists());
         // A third open sees a clean directory: quarantine is sticky.
-        let again = PlanStore::open(&dir).unwrap();
+        let again = reopen(&dir);
         assert_eq!(again.quarantined(), 0);
         assert_eq!(again.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -581,7 +711,7 @@ mod tests {
         let t = task();
         let p = plan(&t);
         {
-            let store = PlanStore::open(&dir).unwrap();
+            let store = reopen(&dir);
             store.adopt("flip", t, p, provenance(), 1.0, false).unwrap();
         }
         let victim = dir.join("plans").join("flip.json");
@@ -591,9 +721,39 @@ mod tests {
         let tampered = full.replacen("\"degraded\":false", "\"degraded\":true ", 1);
         assert_ne!(full, tampered, "fixture must contain the degraded flag");
         std::fs::write(&victim, tampered).unwrap();
-        let reopened = PlanStore::open(&dir).unwrap();
+        let reopened = reopen(&dir);
         assert_eq!(reopened.quarantined(), 1);
         assert!(reopened.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_recased_stamp_and_non_utf8_bytes_are_damage() {
+        let dir = tmp("stamp");
+        let t = task();
+        {
+            let store = reopen(&dir);
+            for id in ["recased", "binary"] {
+                store
+                    .adopt(id, t.clone(), plan(&t), provenance(), 1.0, false)
+                    .unwrap();
+            }
+        }
+        // 'a'..='f' -> 'A'..='F': the same number, but not the stamp written.
+        let recased = dir.join("plans").join("recased.json");
+        let mut bytes = std::fs::read(&recased).unwrap();
+        let stamp = CHECKSUM_MAGIC.len()..CHECKSUM_MAGIC.len() + 16;
+        let letter = bytes[stamp.clone()]
+            .iter()
+            .position(|b| b.is_ascii_lowercase());
+        bytes[stamp.start + letter.expect("the stamp has a hex letter")] ^= 0x20;
+        std::fs::write(&recased, bytes).unwrap();
+        let binary = dir.join("plans").join("binary.json");
+        let mut bytes = std::fs::read(&binary).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x80;
+        std::fs::write(&binary, bytes).unwrap();
+        let reopened = reopen(&dir);
+        assert_eq!((reopened.quarantined(), reopened.len()), (2, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -603,7 +763,7 @@ mod tests {
         let t = task();
         let p = plan(&t);
         {
-            let store = PlanStore::open(&dir).unwrap();
+            let store = reopen(&dir);
             store.adopt("old", t, p, provenance(), 4.5, false).unwrap();
         }
         // Strip the checksum line, leaving the bare envelope a
@@ -612,7 +772,7 @@ mod tests {
         let framed = std::fs::read_to_string(&path).unwrap();
         let bare = framed.split_once('\n').unwrap().1;
         std::fs::write(&path, bare).unwrap();
-        let reopened = PlanStore::open(&dir).unwrap();
+        let reopened = reopen(&dir);
         assert_eq!(reopened.quarantined(), 0);
         assert_eq!(reopened.get("old").unwrap().predicted_ms, 4.5);
         std::fs::remove_dir_all(&dir).ok();
@@ -624,7 +784,7 @@ mod tests {
         let t = task();
         let p = plan(&t);
         {
-            let store = PlanStore::open(&dir).unwrap();
+            let store = reopen(&dir);
             store.adopt("bad", t, p, provenance(), 1.0, false).unwrap();
         }
         // Hand-edited and unframed: no checksum stands between the edit
@@ -637,8 +797,56 @@ mod tests {
         assert!(plan.contains("\"dim\":32"), "{plan}");
         let hostile = format!("{head}\"plan\":{}", plan.replace("\"dim\":32", "\"dim\":0"));
         std::fs::write(&path, hostile).unwrap();
-        let reopened = PlanStore::open(&dir).unwrap();
+        let reopened = reopen(&dir);
         assert_eq!((reopened.quarantined(), reopened.len()), (1, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plan_files_that_share_a_version_are_both_quarantined() {
+        let dir = tmp("collide");
+        let t = task();
+        let p = plan(&t);
+        {
+            let store = reopen(&dir);
+            for (id, ms) in [("one", 1.0), ("two", 2.0), ("three", 3.0)] {
+                store
+                    .adopt(id, t.clone(), p.clone(), provenance(), ms, false)
+                    .unwrap();
+            }
+        }
+        // Re-stamp plan three with plan one's version, unframed so only
+        // the sequence check stands in the way.
+        let path = dir.join("plans").join("three.json");
+        let framed = std::fs::read_to_string(&path).unwrap();
+        let bare = framed.split_once('\n').unwrap().1;
+        std::fs::write(&path, bare.replacen("\"version\":3", "\"version\":1", 1)).unwrap();
+        let reopened = reopen(&dir);
+        assert_eq!(reopened.quarantined(), 2, "neither claimant of seq 1 loads");
+        assert_eq!(reopened.ids(), ["two"]);
+        assert_eq!(reopened.kv().applied_seq(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_write_whose_file_cannot_be_saved_is_not_logged() {
+        let dir = tmp("unsaved");
+        let store = reopen(&dir);
+        // A directory where the plan's file belongs: the rename fails.
+        std::fs::create_dir_all(dir.join("plans").join("x.json")).unwrap();
+        let t = task();
+        match store.adopt("x", t.clone(), plan(&t), provenance(), 1.0, false) {
+            Err(StoreError::Io { .. }) => {}
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        assert_eq!(
+            store.kv().log_since(0),
+            crate::kv::LogFetch::Ops(Vec::new())
+        );
+        assert_eq!((store.kv().applied_seq(), store.len()), (0, 0));
+        // The next adoption takes seq 1: no follower ever saw another.
+        let y = store.adopt("y", t.clone(), plan(&t), provenance(), 1.0, false);
+        assert_eq!(y.unwrap(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

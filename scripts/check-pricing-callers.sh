@@ -12,6 +12,11 @@
 # `*_tiered` again, and the learner builds comm rows from
 # `DevicePool::lowered_dims`, never from a raw `device_dims` sum.
 #
+# One record of adopted plans (DESIGN.md §9): the store module builds the
+# daemon's one `PlanKv`, and the second representation's roads in — the
+# replica insert, the boot re-log, the adopt-then-log pair and the store's
+# own map — stay deleted.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -42,6 +47,15 @@ if grep -rn '_tiered' crates; then
 fi
 if code crates/learn/src | grep -E 'device_dims\('; then
     echo "error: learn builds comm rows from DevicePool::lowered_dims (lines above)" >&2
+    exit 1
+fi
+
+if code crates/serve/src | grep 'PlanKv::new(' | grep -v '^crates/serve/src/store.rs:'; then
+    echo "error: only serve::store builds a PlanKv (lines above)" >&2
+    exit 1
+fi
+if grep -rnE 'PlanStoreInner|insert_replica|boot_kv|log_adoption|adopt_and_log' crates/serve/src; then
+    echo "error: a plan reaches the store through the one sequenced KV (lines above)" >&2
     exit 1
 fi
 

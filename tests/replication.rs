@@ -5,8 +5,9 @@
 //! chaos scenario ending in a warm follower promotion. Zero sleeps —
 //! manual clocks and synchronous queue draining throughout.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
 
@@ -570,4 +571,542 @@ fn replication_metrics_contract() {
     assert!(health.contains("\"role\":\"leader\""), "{health}");
     let (_, health, _) = get_inline(&follower, "/health");
     assert!(health.contains("\"role\":\"follower\""), "{health}");
+}
+
+/// A log position read off the network cannot poison the store: the
+/// largest `u64` is one past any sequence this leader wrote, so it is
+/// redirected to the snapshot, and the leader still answers and adopts.
+#[test]
+fn the_largest_log_position_is_redirected_not_a_panic() {
+    let leader = leader_service(23);
+    let get = |path: String| {
+        let response = leader.handle_blocking(&HttpRequest {
+            method: "GET".into(),
+            path,
+            body: Vec::new(),
+        });
+        (
+            response.status,
+            String::from_utf8_lossy(&response.body).to_string(),
+        )
+    };
+    let (status, body) = get(format!("/v1/repl/log/{}", u64::MAX));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        serde_json::from_str::<LogFetch>(&body).unwrap(),
+        LogFetch::NeedSnapshot { earliest: 1 }
+    );
+    assert_eq!(get("/v1/repl/status".into()).0, 200);
+    let (status, body) = post_drained(
+        &leader,
+        "/v1/plan",
+        format!("{{\"task\":{}}}", task_json(0)),
+    );
+    assert_eq!(status, 200, "the store still adopts: {body}");
+    assert_eq!(leader.kv().applied_seq(), 1);
+}
+
+/// A transport that always redirects to the leader's snapshot.
+struct SnapshotsOnly(Arc<Mutex<Arc<Service>>>);
+
+impl ReplTransport for SnapshotsOnly {
+    fn fetch_log(&self, _from_seq: u64) -> Result<LogFetch, ReplError> {
+        Ok(LogFetch::NeedSnapshot { earliest: 1 })
+    }
+    fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
+        Ok(self.0.lock().unwrap().kv().snapshot())
+    }
+}
+
+/// Snapshot catch-up installs a replicated bundle once per write: the
+/// same snapshot restored twice leaves the follower at the leader's model
+/// version, and a newer `models/active` write bumps it exactly once.
+#[test]
+fn repeated_snapshot_restores_install_the_bundle_once() {
+    let leader = leader_service(29);
+    let promoted = quick_bundle(31);
+    assert_eq!(leader.promote_model(&promoted), 2);
+    let follower = follower_service(29, 10);
+    let transport = SnapshotsOnly(Arc::new(Mutex::new(Arc::clone(&leader))));
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(transport));
+    for _ in 0..2 {
+        assert_eq!(
+            repl.poll_once(),
+            PollOutcome::SnapshotRestored { applied_seq: 1 }
+        );
+        assert_eq!(follower.model_version(), 2, "the leader's version");
+    }
+    // The same bundle promoted again is a new write.
+    assert_eq!(leader.promote_model(&promoted), 3);
+    assert_eq!(
+        repl.poll_once(),
+        PollOutcome::SnapshotRestored { applied_seq: 2 }
+    );
+    assert_eq!(follower.model_version(), 3);
+    assert!(follower
+        .render_metrics()
+        .contains("nshard_serve_snapshot_catchup_total 3"));
+}
+
+/// A disk-backed leader restarted on its own files keeps its sequence
+/// space: the same record (promotion included), the same model version
+/// and predictions, and a follower that tailed it stays up to date.
+#[test]
+fn a_restarted_leader_keeps_its_sequence_space() {
+    let dir = std::env::temp_dir().join(format!("nshard_repl_restart_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let original = quick_bundle(41);
+    let boot = || {
+        let mut config = ServeConfig::smoke();
+        config.seed = 41;
+        config.store_dir = Some(dir.clone());
+        let clock = Arc::new(ManualClock::new());
+        Arc::new(Service::with_clock(original.clone(), config, clock).expect("leader boots"))
+    };
+    let plan = |salt| format!("{{\"task\":{}}}", task_json(salt));
+    let leader = Arc::new(Mutex::new(boot()));
+    let first = leader.lock().unwrap().clone();
+    assert_eq!(post_drained(&first, "/v1/plan", plan(0)).0, 200);
+    assert_eq!(first.promote_model(&quick_bundle(43)), 2);
+    let (status, adopted) = post_drained(&first, "/v1/plan", plan(1));
+    assert_eq!(status, 200, "{adopted}");
+    let follower = follower_service(41, 10);
+    let transport = Restartable(Arc::clone(&leader));
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(transport));
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
+    let (dump, files) = (first.kv().dump(), store_files(&dir));
+    assert_eq!(files.len(), 3, "two plans and models/active");
+    drop(first);
+
+    *leader.lock().unwrap() = boot();
+    let restarted = leader.lock().unwrap().clone();
+    assert_eq!(restarted.kv().dump(), dump);
+    assert_eq!(
+        store_files(&dir),
+        files,
+        "boot reads its files, never writes"
+    );
+    assert_eq!(restarted.model_version(), 2, "models/active was restored");
+    let (status, again) = post_drained(&restarted, "/v1/plan", plan(1));
+    assert_eq!(status, 200);
+    let predicted = |body: &str| {
+        let value = serde_json::parse_value(body).unwrap();
+        let field = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .find(|(k, _)| k == "predicted_ms");
+        match field.map(|(_, v)| v) {
+            Some(serde_json::Value::Float(ms)) => ms.to_bits(),
+            other => panic!("predicted_ms is {other:?}"),
+        }
+    };
+    assert_eq!(predicted(&again), predicted(&adopted));
+    assert_eq!(
+        again, adopted,
+        "the idempotent re-adoption answers the same bytes"
+    );
+    assert_eq!(repl.poll_once(), PollOutcome::UpToDate);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon on a manual clock whose store lives in `dir`.
+fn disk_service(bundle: &CostModelBundle, dir: &std::path::Path, follower: bool) -> Arc<Service> {
+    let mut config = ServeConfig::smoke();
+    config.store_dir = Some(dir.to_path_buf());
+    config.replica.follower = follower;
+    let clock = Arc::new(ManualClock::new());
+    Arc::new(Service::with_clock(bundle.clone(), config, clock).expect("the daemon boots"))
+}
+
+/// A fresh store directory for one test.
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nshard_repl_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Adopts the plan for `task_json(salt)`.
+fn adopt(service: &Service, salt: u32) {
+    let body = format!("{{\"task\":{}}}", task_json(salt));
+    assert_eq!(post_drained(service, "/v1/plan", body).0, 200);
+}
+
+/// Damages the file of the plan `service` adopted first (seq 1).
+fn tear_first_plan(service: &Service, dir: &std::path::Path) {
+    let first = service.plans().ids()[0].clone();
+    let path = dir.join("plans").join(format!("{first}.json"));
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+}
+
+/// A leader restarted on files missing a write its follower tailed cannot
+/// vouch for its position: it resumes one past its highest file, so the
+/// follower is sent to a snapshot instead of being told it is up to date.
+#[test]
+fn a_leader_that_lost_a_file_sends_its_followers_to_a_snapshot() {
+    let dir = store_dir("lost_leader");
+    let bundle = quick_bundle(53);
+    let leader = Arc::new(Mutex::new(disk_service(&bundle, &dir, false)));
+    for salt in 0..3 {
+        adopt(&leader.lock().unwrap(), salt);
+    }
+    let follower = follower_service(53, 10);
+    let transport = Restartable(Arc::clone(&leader));
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(transport));
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
+    tear_first_plan(&leader.lock().unwrap(), &dir);
+
+    *leader.lock().unwrap() = disk_service(&bundle, &dir, false);
+    let restarted = leader.lock().unwrap().clone();
+    let metrics = restarted.render_metrics();
+    assert!(metrics.contains("nshard_serve_store_quarantined 1\n"));
+    assert_eq!(restarted.kv().applied_seq(), 4, "one past its highest file");
+    assert_eq!(
+        repl.poll_once(),
+        PollOutcome::SnapshotRestored { applied_seq: 4 }
+    );
+    assert_eq!(follower.kv().dump(), restarted.kv().dump());
+    adopt(&restarted, 3);
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(1));
+    assert_eq!(follower.kv().dump(), restarted.kv().dump());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A follower restarted on files it lost one of starts over from its
+/// leader rather than tailing on from a position it no longer holds.
+#[test]
+fn a_follower_that_lost_a_file_starts_over_from_its_leader() {
+    let dir = store_dir("lost_follower");
+    let leader = leader_service(59);
+    for salt in 0..3 {
+        adopt(&leader, salt);
+    }
+    let bundle = quick_bundle(59);
+    let follower = disk_service(&bundle, &dir, true);
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(Direct(Arc::clone(&leader))));
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
+    tear_first_plan(&follower, &dir);
+    drop(repl);
+
+    let follower = disk_service(&bundle, &dir, true);
+    assert_eq!(follower.kv().dump(), "applied_seq=0\n");
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(Direct(Arc::clone(&leader))));
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
+    assert_eq!(follower.kv().dump(), leader.kv().dump());
+    let plan_files = std::fs::read_dir(dir.join("plans")).unwrap();
+    let json =
+        plan_files.filter(|f| f.as_ref().unwrap().path().extension() == Some("json".as_ref()));
+    assert_eq!(json.count(), 3, "every plan's file is written again");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A follower mirrors its leader: when the leader restarts without the
+/// plans it had (an in-memory store), a disk-backed follower's snapshot
+/// catch-up drops them from memory and from disk, and stops serving them.
+#[test]
+fn a_follower_drops_what_a_restarted_leader_lost() {
+    let dir = store_dir("dropped");
+    let leader = Arc::new(Mutex::new(leader_service(61)));
+    for salt in 0..2 {
+        adopt(&leader.lock().unwrap(), salt);
+    }
+    let old = leader.lock().unwrap().plans().ids();
+    let follower = disk_service(&quick_bundle(61), &dir, true);
+    let transport = Restartable(Arc::clone(&leader));
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(transport));
+    assert_eq!(repl.poll_once(), PollOutcome::Applied(2));
+    assert_eq!(
+        get_inline(&follower, &format!("/v1/plans/{}", old[0])).0,
+        200
+    );
+
+    *leader.lock().unwrap() = leader_service(61);
+    adopt(&leader.lock().unwrap(), 2);
+    assert_eq!(
+        repl.poll_once(),
+        PollOutcome::SnapshotRestored { applied_seq: 1 }
+    );
+    let new = leader.lock().unwrap().plans().ids();
+    for id in &old {
+        assert_eq!(get_inline(&follower, &format!("/v1/plans/{id}")).0, 404);
+    }
+    assert_eq!(
+        get_inline(&follower, &format!("/v1/plans/{}", new[0])).0,
+        200
+    );
+    let files: Vec<_> = store_files(&dir).into_iter().map(|f| f.0).collect();
+    assert_eq!(files, [dir.join("plans").join(format!("{}.json", new[0]))]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Polls one fixed leader in process.
+struct Direct(Arc<Service>);
+
+impl ReplTransport for Direct {
+    fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
+        Ok(self.0.kv().log_since(from_seq))
+    }
+    fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
+        Ok(self.0.kv().snapshot())
+    }
+}
+
+/// Every file of the store rooted at `dir`, sorted: `(path, bytes, last
+/// modification)` — a rewrite with the same bytes still moves the time.
+fn store_files(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>, std::time::SystemTime)> {
+    let mut files: Vec<_> = ["plans", "models"]
+        .iter()
+        .flat_map(|sub| std::fs::read_dir(dir.join(sub)).into_iter().flatten())
+        .map(|entry| entry.unwrap().path())
+        .map(|path| {
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (path.clone(), std::fs::read(path).unwrap(), modified)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Polls a leader that can be swapped for a restarted one.
+struct Restartable(Arc<Mutex<Arc<Service>>>);
+
+impl ReplTransport for Restartable {
+    fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
+        Ok(self.0.lock().unwrap().kv().log_since(from_seq))
+    }
+    fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
+        Ok(self.0.lock().unwrap().kv().snapshot())
+    }
+}
+
+/// What a hostile peer writes where a field's value belongs (the table
+/// `tests/plan_properties.rs` uses, plus `u64::MAX`).
+const HOSTILE_VALUES: [&str; 10] = [
+    "0",
+    "1",
+    "9223372036854775808",
+    "18446744073709551615",
+    "-1",
+    "1e308",
+    "null",
+    "\"x\"",
+    "[]",
+    "{}",
+];
+
+/// One smoke bundle shared by the property cases (pre-training per case
+/// would dominate them).
+fn shared_bundle() -> CostModelBundle {
+    static BUNDLE: OnceLock<CostModelBundle> = OnceLock::new();
+    BUNDLE.get_or_init(|| quick_bundle(47)).clone()
+}
+
+/// A follower that never promotes itself, on the shared bundle.
+fn patient_follower() -> Arc<Service> {
+    let mut config = ServeConfig::smoke();
+    config.replica.follower = true;
+    config.replica.failure_threshold = u32::MAX;
+    let clock = Arc::new(ManualClock::new());
+    Arc::new(Service::with_clock(shared_bundle(), config, clock).expect("follower boots"))
+}
+
+/// A leader's frames as JSON — its log from 0, a snapshot redirect and its
+/// snapshot — after two adoptions and a promotion.
+fn leader_frames() -> &'static [String; 3] {
+    static FRAMES: OnceLock<[String; 3]> = OnceLock::new();
+    FRAMES.get_or_init(|| {
+        let leader = leader_service(47);
+        for salt in [0, 1] {
+            let body = format!("{{\"task\":{}}}", task_json(salt));
+            assert_eq!(post_drained(&leader, "/v1/plan", body).0, 200);
+        }
+        leader.promote_model(&shared_bundle());
+        [
+            serde_json::to_string(&leader.kv().log_since(0)).unwrap(),
+            serde_json::to_string(&LogFetch::NeedSnapshot { earliest: 1 }).unwrap(),
+            serde_json::to_string(&leader.kv().snapshot()).unwrap(),
+        ]
+    })
+}
+
+/// `json` with its `n`-th object field (depth first, modulo the field
+/// count) overwritten by `value`.
+fn overwrite_field(json: &str, n: usize, value: &str) -> String {
+    fn count(v: &serde_json::Value) -> usize {
+        match v {
+            serde_json::Value::Map(m) => m.iter().map(|(_, x)| 1 + count(x)).sum(),
+            serde_json::Value::Seq(s) => s.iter().map(count).sum(),
+            _ => 0,
+        }
+    }
+    fn replace(v: &mut serde_json::Value, k: &mut usize, with: &serde_json::Value) -> bool {
+        match v {
+            serde_json::Value::Map(m) => m.iter_mut().any(|(_, x)| {
+                if *k == 0 {
+                    *x = with.clone();
+                    return true;
+                }
+                *k -= 1;
+                replace(x, k, with)
+            }),
+            serde_json::Value::Seq(s) => s.iter_mut().any(|x| replace(x, k, with)),
+            _ => false,
+        }
+    }
+    let mut tree = serde_json::parse_value(json).unwrap();
+    let mut k = n % count(&tree);
+    assert!(replace(
+        &mut tree,
+        &mut k,
+        &serde_json::parse_value(value).unwrap()
+    ));
+    serde_json::to_string(&tree).unwrap()
+}
+
+/// Serves fixed JSON bodies and decodes them the way [`HttpTransport`]
+/// does.
+///
+/// [`HttpTransport`]: neuroshard::serve::HttpTransport
+struct Frames {
+    log: String,
+    snapshot: String,
+}
+
+impl ReplTransport for Frames {
+    fn fetch_log(&self, _from_seq: u64) -> Result<LogFetch, ReplError> {
+        serde_json::from_str(&self.log).map_err(|e| ReplError::Protocol(e.to_string()))
+    }
+    fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
+        serde_json::from_str(&self.snapshot).map_err(|e| ReplError::Protocol(e.to_string()))
+    }
+}
+
+/// The leader's store files after two adoptions and a promotion:
+/// `(path under the store, bytes, sequence number)`.
+fn store_fixture() -> &'static Vec<(PathBuf, Vec<u8>, u64)> {
+    static FILES: OnceLock<Vec<(PathBuf, Vec<u8>, u64)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("nshard_repl_files_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut config = ServeConfig::smoke();
+        config.store_dir = Some(dir.clone());
+        let leader = Service::with_clock(shared_bundle(), config, Arc::new(ManualClock::new()))
+            .expect("leader boots");
+        let body = |salt| format!("{{\"task\":{}}}", task_json(salt));
+        assert_eq!(post_drained(&leader, "/v1/plan", body(0)).0, 200);
+        leader.promote_model(&shared_bundle());
+        assert_eq!(post_drained(&leader, "/v1/plan", body(1)).0, 200);
+        let mut files: Vec<_> = leader
+            .plans()
+            .ids()
+            .into_iter()
+            .map(|id| {
+                let version = leader.plans().get(&id).unwrap().version;
+                (PathBuf::from(format!("plans/{id}.json")), version)
+            })
+            .chain([(PathBuf::from("models/active.json"), 2)])
+            .map(|(path, seq)| (path.clone(), std::fs::read(dir.join(&path)).unwrap(), seq))
+            .collect();
+        files.sort_by_key(|f| f.2);
+        assert_eq!(files.iter().map(|f| f.2).collect::<Vec<_>>(), [1, 2, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+        files
+    })
+}
+
+/// `file` (framed, with sequence `seq`) unframed and re-stamped to `to`.
+fn restamp(file: &[u8], seq: u64, to: u64) -> Vec<u8> {
+    let text = String::from_utf8(file.to_vec()).unwrap();
+    let bare = text.split_once('\n').unwrap().1;
+    let (head, payload) = bare.split_once("\"payload\":").unwrap();
+    let field = if payload.starts_with("{\"key\"") {
+        "seq"
+    } else {
+        "version"
+    };
+    let stamped = payload.replacen(
+        &format!("\"{field}\":{seq},"),
+        &format!("\"{field}\":{to},"),
+        1,
+    );
+    assert_ne!(stamped, payload, "the payload carries its sequence");
+    format!("{head}\"payload\":{stamped}").into_bytes()
+}
+
+proptest! {
+    /// Any one field of a leader's log, redirect or snapshot frame
+    /// overwritten with a hostile value is a typed decode error, or is
+    /// applied or refused without a panic; a refused frame leaves the
+    /// follower's store unchanged.
+    #[test]
+    fn hostile_replication_frames_are_refused_or_applied(
+        frame in 0usize..3,
+        edits in proptest::collection::vec((0usize..4096, 0usize..10), 1..6),
+    ) {
+        let [log, redirect, snapshot] = leader_frames();
+        let follower = patient_follower();
+        for (field, value) in edits {
+            let (log, snapshot) = match frame {
+                0 => (overwrite_field(log, field, HOSTILE_VALUES[value]), snapshot.clone()),
+                1 => (overwrite_field(redirect, field, HOSTILE_VALUES[value]), snapshot.clone()),
+                _ => (redirect.clone(), overwrite_field(snapshot, field, HOSTILE_VALUES[value])),
+            };
+            let before = follower.kv().dump();
+            let frames = Frames { log: log.clone(), snapshot: snapshot.clone() };
+            let outcome = Replicator::new(Arc::clone(&follower), Box::new(frames)).poll_once();
+            if matches!(outcome, PollOutcome::TransportError { .. }) {
+                prop_assert!(follower.kv().dump() == before, "refused yet changed: {} / {}", log, snapshot);
+            }
+        }
+        let (status, _, _) = get_inline(&follower, "/v1/repl/status");
+        prop_assert_eq!(status, 200);
+    }
+
+    /// A truncated, bit-flipped or re-stamped (colliding sequence) plan or
+    /// model file is quarantined at boot — a collision takes both
+    /// claimants — and the daemon still comes up and answers.
+    #[test]
+    fn damaged_store_files_are_quarantined_at_boot(
+        victim in 0usize..3,
+        damage in 0usize..3,
+        at in 0usize..1_000_000,
+        bit in 0u32..8,
+    ) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::SeqCst);
+        let dir = std::env::temp_dir()
+            .join(format!("nshard_repl_damage_{}_{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let files = store_fixture();
+        for (path, bytes, _) in files {
+            std::fs::create_dir_all(dir.join(path).parent().unwrap()).unwrap();
+            std::fs::write(dir.join(path), bytes).unwrap();
+        }
+        let (path, bytes, seq) = &files[victim];
+        let (damaged, lost) = match damage {
+            0 => (bytes[..at % bytes.len()].to_vec(), 1),
+            1 => {
+                let mut flipped = bytes.clone();
+                flipped[at % bytes.len()] ^= 1 << bit;
+                (flipped, 1)
+            }
+            _ => {
+                let others: Vec<u64> = files.iter().map(|f| f.2).filter(|s| s != seq).collect();
+                (restamp(bytes, *seq, others[at % others.len()]), 2)
+            }
+        };
+        std::fs::write(dir.join(path), damaged).unwrap();
+        let mut config = ServeConfig::smoke();
+        config.store_dir = Some(dir.clone());
+        let booted = Service::with_clock(shared_bundle(), config, Arc::new(ManualClock::new()));
+        prop_assert!(booted.is_ok(), "boot failed: {:?}", booted.err());
+        let service = booted.unwrap();
+        let metrics = service.render_metrics();
+        let gauge = format!("nshard_serve_store_quarantined {lost}\n");
+        prop_assert!(metrics.contains(&gauge), "{}", metrics);
+        prop_assert!(!dir.join(path).exists());
+        prop_assert_eq!(get_inline(&service, "/health").0, 200);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
