@@ -103,7 +103,6 @@ impl ImitationSharder {
 
         let mut order: Vec<usize> = (0..log.entries.len()).collect();
         let mut ws = MlpWorkspace::new();
-        let mut step_grads = Gradients::zeros_like(&policy);
         let mut grads = Gradients::zeros_like(&policy);
         let mut scaled = Gradients::zeros_like(&policy);
         for _epoch in 0..epochs {
@@ -116,7 +115,7 @@ impl ImitationSharder {
                 grads.zero();
                 let steps = replay(entry, |inputs, label| {
                     *ws.input_mut() = Matrix::from_rows(inputs);
-                    let scores = policy.forward_train(&mut ws);
+                    let scores = policy.forward_in(&mut ws);
                     let probs = softmax(scores.as_slice());
                     // Cross-entropy gradient: p - onehot(label).
                     let mut dy = Matrix::zeros(inputs.len(), 1);
@@ -124,8 +123,8 @@ impl ImitationSharder {
                         let indicator = if g == label { 1.0 } else { 0.0 };
                         dy.set(g, 0, (p - indicator) as f32);
                     }
-                    policy.backward(&mut ws, 0..inputs.len(), &dy, &[], &mut step_grads);
-                    grads.accumulate(&step_grads, 1.0);
+                    policy.backward(&mut ws, &dy, None, &[]);
+                    policy.fold_into(&ws, &[], 1.0, &mut grads);
                 });
                 if steps > 0 {
                     // Average per decision so long tasks don't dominate.

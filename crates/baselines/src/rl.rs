@@ -226,7 +226,6 @@ impl ShardingAlgorithm for RlSharder {
         // the trained policy's deterministic rollout.
         let mut best_sampled: Option<(f64, Vec<usize>)> = None;
         let mut ws = MlpWorkspace::new();
-        let mut step_grads = Gradients::zeros_like(&policy);
         let mut grads = Gradients::zeros_like(&policy);
         while episodes_done < self.episodes {
             grads.zero();
@@ -250,15 +249,15 @@ impl ShardingAlgorithm for RlSharder {
                 // REINFORCE: accumulate -(advantage) * ∇ log π(a).
                 for step in &steps {
                     *ws.input_mut() = Matrix::from_rows(&step.inputs);
-                    policy.forward_train(&mut ws);
+                    policy.forward_in(&mut ws);
                     // d(-logp)/d(score_g) = p_g - 1[g == a]
                     let mut dy = Matrix::zeros(step.inputs.len(), 1);
                     for g in 0..step.inputs.len() {
                         let indicator = if g == step.action { 1.0 } else { 0.0 };
                         dy.set(g, 0, (step.probs[g] as f32 - indicator) * advantage as f32);
                     }
-                    policy.backward(&mut ws, 0..step.inputs.len(), &dy, &[], &mut step_grads);
-                    grads.accumulate(&step_grads, 1.0 / batch as f32);
+                    policy.backward(&mut ws, &dy, None, &[]);
+                    policy.fold_into(&ws, &[], 1.0 / batch as f32, &mut grads);
                 }
             }
             adam.step(&mut policy, &grads);

@@ -7,7 +7,7 @@
 
 use std::cell::RefCell;
 
-use nshard_nn::{Dataset, Matrix, Mlp, MlpScratch, TrainReport, TrainSettings};
+use nshard_nn::{Dataset, Mlp, MlpWorkspace, TrainReport, TrainSettings};
 use serde::{Deserialize, Serialize};
 
 use crate::features::{comm_feature_dim, comm_features_into};
@@ -32,15 +32,9 @@ pub struct CommCostModel {
     mlp: Mlp,
 }
 
-/// Reusable per-thread buffers for `predict`/`predict_batch`.
-#[derive(Debug, Default)]
-struct CommScratch {
-    x: Matrix,
-    mlp: MlpScratch,
-}
-
 thread_local! {
-    static COMM_SCRATCH: RefCell<CommScratch> = RefCell::new(CommScratch::default());
+    /// Reusable per-thread buffers for `predict`/`predict_batch`.
+    static COMM_SCRATCH: RefCell<MlpWorkspace> = RefCell::new(MlpWorkspace::new());
 }
 
 impl CommCostModel {
@@ -55,6 +49,15 @@ impl CommCostModel {
             num_devices,
             mlp: Mlp::new(comm_feature_dim(num_devices), &COMM_HIDDEN, 1, seed),
         }
+    }
+
+    /// Whether the network reads the features of the device count and
+    /// prices. A decoded layer's widths are bounded by its data, so the
+    /// width formula cannot overflow once the count is.
+    pub(crate) fn fits(&self) -> bool {
+        let (devices, inputs) = (self.num_devices, self.mlp.input_dim());
+        let reads = (1..=inputs).contains(&devices) && comm_feature_dim(devices) == inputs;
+        reads && self.mlp.output_dim() == 1
     }
 
     /// The device count this model was built for.
@@ -86,17 +89,18 @@ impl CommCostModel {
             return Vec::new();
         }
         COMM_SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.x.reset(placements.len(), comm_feature_dim(self.num_devices));
+            let ws = &mut *scratch.borrow_mut();
+            let x = ws.input_mut();
+            x.reset(placements.len(), comm_feature_dim(self.num_devices));
             for (i, (dims, starts)) in placements.iter().enumerate() {
                 assert_eq!(
                     dims.len(),
                     self.num_devices,
                     "placement has the wrong number of devices for this model"
                 );
-                comm_features_into(dims, starts, batch_size, s.x.row_mut(i));
+                comm_features_into(dims, starts, batch_size, x.row_mut(i));
             }
-            let y = self.mlp.forward_scratch(&s.x, &mut s.mlp);
+            let y = self.mlp.forward_in(ws);
             (0..placements.len())
                 .map(|i| f64::from(y.get(i, 0)))
                 .collect()

@@ -13,7 +13,7 @@ use nshard_pool::WorkPool;
 use serde::{Deserialize, Serialize};
 
 use nshard_nn::{
-    fit_epochs, Adam, Gradients, Matrix, Mlp, MlpScratch, MlpWorkspace, TrainReport, TrainSettings,
+    fit_epochs, Adam, Gradients, Matrix, Mlp, MlpWorkspace, TrainReport, TrainSettings,
 };
 
 use crate::collect::ComputeDataset;
@@ -45,16 +45,14 @@ pub struct ComputeCostModel {
     head: Mlp,
 }
 
-/// Reusable per-thread buffers for `predict`/`predict_batch`: the batch
-/// input, the pooled per-set encodings, and the two MLPs' activation
-/// ping-pongs. Thread-local because models are shared `&self` across
-/// search worker threads.
+/// Reusable per-thread buffers for `predict`/`predict_batch`: the two
+/// networks' passes, the encoder's input being the batch of table rows and
+/// the head's the pooled per-set encodings. Thread-local because models
+/// are shared `&self` across search worker threads.
 #[derive(Debug, Default)]
 struct ComputeScratch {
-    x: Matrix,
-    pooled: Matrix,
-    enc: MlpScratch,
-    head: MlpScratch,
+    enc: MlpWorkspace,
+    head: MlpWorkspace,
 }
 
 thread_local! {
@@ -110,28 +108,28 @@ impl ComputeCostModel {
         COMPUTE_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
             self.pool_encodings(sets, s);
-            let y = self.head.forward_scratch(&s.pooled, &mut s.head);
+            let y = self.head.forward_in(&mut s.head);
             (0..sets.len()).map(|i| f64::from(y.get(i, 0))).collect()
         })
     }
 
     /// Encodes every table row of every set as one matrix and sum-pools
-    /// each set's rows, in order, into row `i` of `s.pooled`.
+    /// each set's rows, in order, into row `i` of the head's input.
     fn pool_encodings<S: AsRef<[Vec<f32>]>>(&self, sets: &[S], s: &mut ComputeScratch) {
         let total_rows: usize = sets.iter().map(|s| s.as_ref().len()).sum();
-        s.pooled.reset(sets.len(), ENCODER_OUT);
+        s.head.input_mut().reset(sets.len(), self.encoding_dim());
         if total_rows == 0 {
             return;
         }
-        s.x.reset(total_rows, self.encoder.input_dim());
-        let rows = sets.iter().flat_map(|set| set.as_ref());
-        for (r, row) in rows.enumerate() {
-            s.x.row_mut(r).copy_from_slice(row);
+        let x = s.enc.input_mut();
+        x.reset(total_rows, self.encoder.input_dim());
+        for (r, row) in sets.iter().flat_map(|set| set.as_ref()).enumerate() {
+            x.row_mut(r).copy_from_slice(row);
         }
-        let encoded = self.encoder.forward_scratch(&s.x, &mut s.enc);
+        let encoded = self.encoder.forward_in(&mut s.enc);
         let mut r = 0;
         for (i, set) in sets.iter().enumerate() {
-            let pooled = s.pooled.row_mut(i);
+            let pooled = s.head.input_mut().row_mut(i);
             for _ in 0..set.as_ref().len() {
                 for (p, &v) in pooled.iter_mut().zip(encoded.row(r)) {
                     *p += v;
@@ -139,6 +137,14 @@ impl ComputeCostModel {
                 r += 1;
             }
         }
+    }
+
+    /// Whether the networks fit the model: the encoder reads table
+    /// features, feeds the head, and the head prices.
+    pub(crate) fn fits(&self) -> bool {
+        let (enc, head) = (&self.encoder, &self.head);
+        let widths = [enc.input_dim(), enc.output_dim(), head.output_dim()];
+        widths == [TABLE_FEATURE_DIM, head.input_dim(), 1]
     }
 
     /// Width of one per-table encoding (the pooled-representation
@@ -160,11 +166,12 @@ impl ComputeCostModel {
         }
         COMPUTE_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            s.x.reset(features.len(), self.encoder.input_dim());
+            let x = s.enc.input_mut();
+            x.reset(features.len(), self.encoder.input_dim());
             for (i, row) in features.iter().enumerate() {
-                s.x.row_mut(i).copy_from_slice(row);
+                x.row_mut(i).copy_from_slice(row);
             }
-            let encoded = self.encoder.forward_scratch(&s.x, &mut s.enc);
+            let encoded = self.encoder.forward_in(&mut s.enc);
             (0..features.len())
                 .map(|i| encoded.row(i).to_vec())
                 .collect()
@@ -176,11 +183,14 @@ impl ComputeCostModel {
     /// and a left-to-right fold of the encodings, this reproduces
     /// [`ComputeCostModel::predict_batch`] bit for bit.
     ///
+    /// `pooled` is lent to the head's pass, not copied, and handed back
+    /// unchanged.
+    ///
     /// # Panics
     ///
     /// Panics if `pooled`'s width differs from
     /// [`ComputeCostModel::encoding_dim`].
-    pub fn head_costs(&self, pooled: &Matrix) -> Vec<f64> {
+    pub fn head_costs(&self, pooled: &mut Matrix) -> Vec<f64> {
         assert_eq!(
             pooled.cols(),
             self.encoding_dim(),
@@ -188,8 +198,11 @@ impl ComputeCostModel {
         );
         COMPUTE_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            let y = self.head.forward_scratch(pooled, &mut s.head);
-            (0..pooled.rows()).map(|i| f64::from(y.get(i, 0))).collect()
+            std::mem::swap(s.head.input_mut(), pooled);
+            let y = self.head.forward_in(&mut s.head);
+            let costs = (0..y.rows()).map(|i| f64::from(y.get(i, 0))).collect();
+            std::mem::swap(s.head.input_mut(), pooled);
+            costs
         })
     }
 
@@ -215,10 +228,11 @@ impl ComputeCostModel {
     /// best-on-validation checkpoint. Mirrors the paper's protocol:
     /// mini-batch Adam on an MSE loss.
     ///
-    /// Per-sample gradients are pure functions of the current weights, so
-    /// they fan out over a [`WorkPool`] sized by [`TrainSettings::threads`]
-    /// while the mini-batch accumulation stays a serial in-order fold —
-    /// trained weights are bit-identical at any thread count.
+    /// Per-sample deltas are pure functions of the current weights, so they
+    /// fan out over a [`WorkPool`] sized by [`TrainSettings::threads`], and
+    /// so does the fold, by parameter tile; every gradient element still
+    /// folds its samples in mini-batch order — trained weights are
+    /// bit-identical at any thread count.
     pub fn train(
         &mut self,
         data: &ComputeDataset,
@@ -269,34 +283,39 @@ impl ComputeCostModel {
         // With the encoder frozen each sample's pooled row never changes.
         let frozen_pooled = freeze_encoder.then(|| self.pooled_rows(train));
         // One block of the mini-batch per thread: on one thread the encoder
-        // forward is a single GEMM over all its table rows.
-        let batch_size = settings.batch_for(train.len());
-        let n_blocks = pool.threads().min(batch_size);
-        let mut blocks: Vec<FitBlock> = (0..n_blocks)
-            .map(|_| FitBlock::new(self, batch_size.div_ceil(n_blocks), freeze_encoder))
-            .collect();
+        // and head forwards are a single GEMM each over the whole batch.
+        let n_blocks = pool.threads().min(settings.batch_for(train.len()));
+        let mut blocks: Vec<FitBlock> = (0..n_blocks).map(|_| FitBlock::default()).collect();
         let mut grad_enc = Gradients::zeros_like(&self.encoder);
         let mut grad_head = Gradients::zeros_like(&self.head);
-
         let step = |model: &mut Self, chunk: &[usize]| {
-            // Contiguous blocks of the mini-batch; each sample's gradient
-            // lands in its own slot of its block.
+            // Contiguous blocks of the mini-batch form their samples'
+            // forward passes and backward deltas side by side.
             let len = chunk.len().div_ceil(n_blocks);
             pool.for_each_mut(&mut blocks, |b, block| {
                 let samples = chunk.chunks(len).nth(b).unwrap_or(&[]);
                 block.run(model, train, samples, frozen_pooled.as_ref());
             });
-            // The numerical contract: sample gradients are formed first,
-            // then folded serially in sample order.
+            // Then the fold, cut by parameter tile — one layer's `dW` and
+            // `db` each: a tile walks every sample in mini-batch order,
+            // forming the sample's gradient and folding it at once — the
+            // chain each element had when whole sample gradients were formed
+            // first and then folded.
             grad_enc.zero();
             grad_head.zero();
             let scale = 1.0 / chunk.len() as f32;
-            for slot in blocks.iter().flat_map(|b| &b.grads[..b.filled]) {
-                if slot.has_enc {
-                    grad_enc.accumulate(&slot.enc, scale);
+            let (nets, blocks) = ((&model.encoder, &model.head), &blocks);
+            let enc = grad_enc.layers.iter_mut().enumerate();
+            let enc = enc.filter(|_| !freeze_encoder).map(|g| (true, g));
+            let head = grad_head.layers.iter_mut().enumerate();
+            let layers = enc.chain(head.map(|g| (false, g)));
+            pool.for_each_mut(layers, |_, (encoder, (l, g))| {
+                let mlp = if encoder { nets.0 } else { nets.1 };
+                for b in blocks {
+                    let ws = if encoder { &b.enc } else { &b.head };
+                    mlp.fold_layer(ws, l, scale, g);
                 }
-                grad_head.accumulate(&slot.head, scale);
-            }
+            });
             // Exact encoder freeze: equivalent to zeroing the encoder
             // gradients (Adam with perpetually-zero gradients keeps zero
             // moments, so the update is exactly zero) — skipping the step
@@ -323,67 +342,35 @@ impl ComputeCostModel {
         COMPUTE_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
             self.pool_encodings(&sets, s);
-            s.pooled.clone()
+            s.head.input_mut().clone()
         })
     }
 }
 
-/// One sample's gradient under the squared-error loss, formed in full
-/// before the mini-batch fold reads it.
-struct SampleGrad {
-    enc: Gradients,
-    head: Gradients,
-    /// Whether `enc` belongs to this sample: a sample without tables, or
-    /// any sample under a frozen encoder, has no encoder gradient and the
-    /// fold must skip it rather than add zeros.
-    has_enc: bool,
-}
-
-/// One block's share of a fit's workspace, built once per fit: the network
-/// buffers for a contiguous run of a mini-batch's samples and one gradient
-/// slot per sample, reused from mini-batch to mini-batch.
+/// One block's share of a fit's workspace, built once per fit and reused
+/// from mini-batch to mini-batch: the network buffers of a contiguous run
+/// of a mini-batch's samples, where the fold finds each sample's
+/// activations and deltas.
+#[derive(Default)]
 struct FitBlock {
-    /// Encoder pass over every table row of the block at once.
+    /// Encoder pass over every table row of the block at once; sample `s`
+    /// is group `s` of its backward pass.
     enc: MlpWorkspace,
-    /// Head pass over one sample's pooled row.
+    /// Head pass over every pooled row of the block at once, one group per
+    /// sample.
     head: MlpWorkspace,
     dy: Matrix,
-    d_encoded: Matrix,
-    grads: Vec<SampleGrad>,
-    /// Slots of `grads` the last block filled.
-    filled: usize,
+    table_ends: Vec<usize>,
+    sample_ends: Vec<usize>,
 }
 
 impl FitBlock {
-    fn new(model: &ComputeCostModel, samples: usize, freeze_encoder: bool) -> Self {
-        let slot = || SampleGrad {
-            enc: if freeze_encoder {
-                Gradients { layers: Vec::new() }
-            } else {
-                Gradients::zeros_like(&model.encoder)
-            },
-            head: Gradients::zeros_like(&model.head),
-            has_enc: false,
-        };
-        Self {
-            enc: MlpWorkspace::new(),
-            head: MlpWorkspace::new(),
-            dy: Matrix::zeros(1, 1),
-            d_encoded: Matrix::default(),
-            grads: (0..samples).map(|_| slot()).collect(),
-            filled: 0,
-        }
-    }
-
-    /// Forward + backward of the block's samples (`block` indexes
-    /// `train.samples`), one gradient slot per sample.
-    ///
-    /// The encoder forward is one pass over all table rows of the block —
-    /// encoder rows do not depend on what shares their batch — while every
-    /// backward product stays per sample: merging two samples' `xᵀ·dy`
-    /// would re-associate the sum the fold is defined over. With
-    /// `frozen_pooled` (row `i` = sample `i`'s pooled encoding) the encoder
-    /// is not run at all.
+    /// Forward and backward passes of the block's samples (`block` indexes
+    /// `train.samples`), each network once over the whole block — rows do
+    /// not depend on what shares their batch. Sum pooling hands every table
+    /// of a sample the same gradient, so the encoder's backward pass takes
+    /// one `d_pooled` row per sample. With `frozen_pooled` (row `i` =
+    /// sample `i`'s pooled encoding) the encoder is not run at all.
     fn run(
         &mut self,
         model: &ComputeCostModel,
@@ -391,7 +378,6 @@ impl FitBlock {
         block: &[usize],
         frozen_pooled: Option<&Matrix>,
     ) {
-        self.filled = block.len();
         if frozen_pooled.is_none() {
             let tables = block.iter().flat_map(|&i| &train.samples[i].tables);
             let x = self.enc.input_mut();
@@ -399,45 +385,43 @@ impl FitBlock {
             for (r, row) in tables.enumerate() {
                 x.row_mut(r).copy_from_slice(row);
             }
-            model.encoder.forward_train(&mut self.enc);
+            model.encoder.forward_in(&mut self.enc);
         }
-        let mut first_row = 0;
-        for (&i, slot) in block.iter().zip(&mut self.grads) {
-            let sample = &train.samples[i];
-            let rows = first_row..first_row + sample.tables.len();
-            first_row = rows.end;
-
-            let pooled = self.head.input_mut();
-            pooled.reset(1, ENCODER_OUT);
+        let pooled = self.head.input_mut();
+        pooled.reset(block.len(), model.encoding_dim());
+        self.table_ends.clear();
+        let mut end = 0;
+        for (s, &i) in block.iter().enumerate() {
             match frozen_pooled {
-                Some(constant) => pooled.row_mut(0).copy_from_slice(constant.row(i)),
+                Some(constant) => pooled.row_mut(s).copy_from_slice(constant.row(i)),
                 None => {
-                    for r in rows.clone() {
-                        for (p, &v) in pooled.row_mut(0).iter_mut().zip(self.enc.output().row(r)) {
+                    let rows = end..end + train.samples[i].tables.len();
+                    end = rows.end;
+                    self.table_ends.push(end);
+                    for r in rows {
+                        for (p, &v) in pooled.row_mut(s).iter_mut().zip(self.enc.output().row(r)) {
                             *p += v;
                         }
                     }
                 }
             }
-            let pred = model.head.forward_train(&mut self.head).get(0, 0);
-            self.dy.set(0, 0, 2.0 * (pred - sample.cost_ms));
+        }
+        let pred = model.head.forward_in(&mut self.head);
+        self.dy.reset(block.len(), 1);
+        for (s, &i) in block.iter().enumerate() {
+            self.dy
+                .set(s, 0, 2.0 * (pred.get(s, 0) - train.samples[i].cost_ms));
+        }
+        self.sample_ends.clear();
+        self.sample_ends.extend(1..=block.len());
+        model
+            .head
+            .backward(&mut self.head, &self.dy, Some(&self.sample_ends), &[]);
+        if frozen_pooled.is_none() {
+            let d_pooled = model.head.input_gradient(&mut self.head);
             model
-                .head
-                .backward(&mut self.head, 0..1, &self.dy, &[], &mut slot.head);
-
-            slot.has_enc = frozen_pooled.is_none() && !rows.is_empty();
-            if slot.has_enc {
-                // Sum pooling broadcasts the gradient to every table's
-                // encoding.
-                let d_pooled = model.head.input_gradient(&mut self.head);
-                self.d_encoded.reset(rows.len(), ENCODER_OUT);
-                for r in 0..rows.len() {
-                    self.d_encoded.row_mut(r).copy_from_slice(d_pooled.row(0));
-                }
-                model
-                    .encoder
-                    .backward(&mut self.enc, rows, &self.d_encoded, &[], &mut slot.enc);
-            }
+                .encoder
+                .backward(&mut self.enc, d_pooled, Some(&self.table_ends), &[]);
         }
     }
 }
@@ -510,7 +494,7 @@ mod tests {
                     *p += v;
                 }
             }
-            let via_parts = model.head_costs(&pooled)[0];
+            let via_parts = model.head_costs(&mut pooled)[0];
             let direct = model.predict(&s.tables);
             assert_eq!(via_parts.to_bits(), direct.to_bits());
         }
@@ -818,11 +802,13 @@ mod tests {
         }
     }
 
-    /// The fit as it stood before the per-fit workspace, kept as the oracle:
-    /// one forward + backward per sample in fresh buffers, a fresh
-    /// `Gradients` pair per sample, the encoder run (and its gradient folded)
-    /// even when frozen. It stands on `nshard-nn`'s step, which that crate's
-    /// own oracle holds to the old scalar step bit for bit.
+    /// The fit as it stood before the fold-as-formed step, kept as the
+    /// oracle: one forward + backward per sample in fresh buffers, the
+    /// pooled gradient copied to every table row and pushed through the
+    /// encoder's top layer row by row, a whole `Gradients` pair formed per
+    /// sample and only then folded, serially, in sample order. It stands on
+    /// `nshard-nn`'s step, which that crate's own oracle holds to the old
+    /// scalar step bit for bit.
     fn reference_fit(
         model: &mut ComputeCostModel,
         train: &ComputeDataset,
@@ -834,20 +820,23 @@ mod tests {
         use rand::Rng;
         use rand::{rngs::StdRng, SeedableRng};
 
+        let gradient = |mlp: &Mlp, ws: &mut MlpWorkspace, dy: &Matrix| {
+            let mut g = Gradients::zeros_like(mlp);
+            mlp.backward(ws, dy, None, &[]);
+            mlp.fold_into(ws, &[], 1.0, &mut g);
+            g
+        };
         let sample_gradients = |model: &ComputeCostModel, sample: &ComputeSample| {
             let mut head = MlpWorkspace::new();
-            let mut g_head = Gradients::zeros_like(&model.head);
             if sample.tables.is_empty() {
                 *head.input_mut() = Matrix::zeros(1, ENCODER_OUT);
-                let pred = model.head.forward_train(&mut head).get(0, 0);
+                let pred = model.head.forward_in(&mut head).get(0, 0);
                 let dy = Matrix::from_rows([vec![2.0 * (pred - sample.cost_ms)]]);
-                model.head.backward(&mut head, 0..1, &dy, &[], &mut g_head);
-                return (None, g_head);
+                return (None, gradient(&model.head, &mut head, &dy));
             }
             let mut enc = MlpWorkspace::new();
-            let mut g_enc = Gradients::zeros_like(&model.encoder);
             *enc.input_mut() = Matrix::from_rows(&sample.tables);
-            let encoded = model.encoder.forward_train(&mut enc);
+            let encoded = model.encoder.forward_in(&mut enc);
             let mut pooled = Matrix::zeros(1, ENCODER_OUT);
             for r in 0..encoded.rows() {
                 for (p, &v) in pooled.row_mut(0).iter_mut().zip(encoded.row(r)) {
@@ -855,16 +844,12 @@ mod tests {
                 }
             }
             *head.input_mut() = pooled;
-            let pred = model.head.forward_train(&mut head).get(0, 0);
+            let pred = model.head.forward_in(&mut head).get(0, 0);
             let dy = Matrix::from_rows([vec![2.0 * (pred - sample.cost_ms)]]);
-            model.head.backward(&mut head, 0..1, &dy, &[], &mut g_head);
+            let g_head = gradient(&model.head, &mut head, &dy);
             let d_pooled = model.head.input_gradient(&mut head).row(0).to_vec();
-            let rows = sample.tables.len();
-            let d_encoded = Matrix::from_rows(vec![d_pooled; rows]);
-            model
-                .encoder
-                .backward(&mut enc, 0..rows, &d_encoded, &[], &mut g_enc);
-            (Some(g_enc), g_head)
+            let d_encoded = Matrix::from_rows(vec![d_pooled; sample.tables.len()]);
+            (Some(gradient(&model.encoder, &mut enc, &d_encoded)), g_head)
         };
 
         let mut adam_enc = Adam::new(&model.encoder, settings.learning_rate);
@@ -945,18 +930,35 @@ mod tests {
     proptest::proptest! {
         /// Whole fits against the old one: weights and reports, frozen and
         /// unfrozen encoder, mini-batches of one to all samples, any thread
-        /// count (so any cut of a mini-batch into blocks).
+        /// count (so any cut of a mini-batch into blocks, and of the fold
+        /// into tiles) — half the cases with mini-batches of at least eight
+        /// samples, so eight threads cut them into eight blocks. Labels
+        /// equal to the untrained prediction (every other sample) make the
+        /// first step's `d_pooled` rows signed zeros; a NaN label poisons
+        /// the fit from its first mini-batch on.
         #[test]
         fn fit_matches_the_reference(
             n in 1usize..40,
             batch_size in 1usize..40,
+            wide: bool,
             freeze_encoder: bool,
+            label: u8,
             seed in 0u64..1_000_000,
         ) {
             use rand::SeedableRng;
+            let (n, batch_size) = if wide { (n + 24, batch_size.max(8)) } else { (n, batch_size) };
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let train = random_dataset(&mut rng, n);
+            let mut train = random_dataset(&mut rng, n);
             let valid = random_dataset(&mut rng, 5);
+            match label % 4 {
+                0 => {
+                    for s in train.samples.iter_mut().step_by(2) {
+                        s.cost_ms = ComputeCostModel::new(seed).predict(&s.tables) as f32;
+                    }
+                }
+                1 => train.samples[n - 1].cost_ms = f32::NAN,
+                _ => {}
+            }
             let base = TrainSettings { epochs: 2, batch_size, learning_rate: 2e-3, threads: 1 };
             let mut want = ComputeCostModel::new(seed);
             let want_report = reference_fit(&mut want, &train, &valid, &base, freeze_encoder, seed);

@@ -140,6 +140,7 @@ pub struct BundleReport {
 
 /// The three pre-trained neural cost models for one cluster setting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "BundleParts")]
 pub struct CostModelBundle {
     compute: ComputeCostModel,
     comm_fwd: CommCostModel,
@@ -147,6 +148,37 @@ pub struct CostModelBundle {
     num_devices: usize,
     batch_size: u32,
     report: BundleReport,
+}
+
+/// A [`CostModelBundle`] as stored; decoding checks that each network fits
+/// its model and both comm models price the bundle's device count.
+#[derive(Deserialize)]
+struct BundleParts {
+    compute: ComputeCostModel,
+    comm_fwd: CommCostModel,
+    comm_bwd: CommCostModel,
+    num_devices: usize,
+    batch_size: u32,
+    report: BundleReport,
+}
+
+impl TryFrom<BundleParts> for CostModelBundle {
+    type Error = String;
+
+    fn try_from(p: BundleParts) -> Result<Self, String> {
+        let (n, fwd, bwd) = (p.num_devices, &p.comm_fwd, &p.comm_bwd);
+        let devices = [fwd.num_devices(), bwd.num_devices()] == [n; 2];
+        if !(p.compute.fits() && fwd.fits() && bwd.fits() && devices) {
+            return Err(format!("the {n}-device bundle's networks do not fit"));
+        }
+        Ok(Self::from_parts(
+            p.compute,
+            p.comm_fwd,
+            p.comm_bwd,
+            p.batch_size,
+            p.report,
+        ))
+    }
 }
 
 impl CostModelBundle {

@@ -17,9 +17,10 @@ use crate::mlp::{Gradients, Mlp};
 /// let mut ws = MlpWorkspace::new();
 /// let mut grads = Gradients::zeros_like(&mlp);
 /// *ws.input_mut() = Matrix::from_rows([vec![1.0, 2.0]]);
-/// let y = mlp.forward_train(&mut ws).get(0, 0);
+/// let y = mlp.forward_in(&mut ws).get(0, 0);
 /// let dy = Matrix::from_rows([vec![y - 3.0]]); // pull output to 3
-/// mlp.backward(&mut ws, 0..1, &dy, &[], &mut grads);
+/// mlp.backward(&mut ws, &dy, None, &[]);
+/// mlp.fold_into(&ws, &[], 1.0, &mut grads);
 /// adam.step(&mut mlp, &grads);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,21 +60,6 @@ impl Adam {
             m: shape(mlp),
             v: shape(mlp),
         }
-    }
-
-    /// The learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Number of steps taken.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Applies one Adam update to `mlp` using `grads`.
@@ -167,9 +153,11 @@ mod tests {
         ws.input_mut().copy_from(&x);
         // Target: y = 5. Loss = (y-5)^2, dL/dy = 2(y-5).
         for _ in 0..500 {
-            let y = mlp.forward_train(&mut ws).get(0, 0);
+            let y = mlp.forward_in(&mut ws).get(0, 0);
             let dy = Matrix::from_rows([vec![2.0 * (y - 5.0)]]);
-            mlp.backward(&mut ws, 0..1, &dy, &[], &mut grads);
+            mlp.backward(&mut ws, &dy, None, &[]);
+            grads.zero();
+            mlp.fold_into(&ws, &[], 1.0, &mut grads);
             adam.step(&mut mlp, &grads);
         }
         let y = mlp.forward(&x).get(0, 0);
@@ -180,28 +168,15 @@ mod tests {
     fn step_counter_increments() {
         let mut mlp = Mlp::new(1, &[], 1, 0);
         let mut adam = Adam::new(&mlp, 0.01);
-        assert_eq!(adam.steps(), 0);
+        assert_eq!(adam.t, 0);
         let mut ws = MlpWorkspace::new();
         let mut grads = Gradients::zeros_like(&mlp);
         *ws.input_mut() = Matrix::from_rows([vec![1.0]]);
-        mlp.forward_train(&mut ws);
-        mlp.backward(
-            &mut ws,
-            0..1,
-            &Matrix::from_rows([vec![1.0]]),
-            &[],
-            &mut grads,
-        );
+        mlp.forward_in(&mut ws);
+        mlp.backward(&mut ws, &Matrix::from_rows([vec![1.0]]), None, &[]);
+        mlp.fold_into(&ws, &[], 1.0, &mut grads);
         adam.step(&mut mlp, &grads);
-        assert_eq!(adam.steps(), 1);
-    }
-
-    #[test]
-    fn learning_rate_is_adjustable() {
-        let mlp = Mlp::new(1, &[], 1, 0);
-        let mut adam = Adam::new(&mlp, 0.01);
-        adam.set_learning_rate(0.1);
-        assert_eq!(adam.learning_rate(), 0.1);
+        assert_eq!(adam.t, 1);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! `PackedGemm::gemm_sum_into` over a transposed pack is bitwise the scalar
 //! dot `Σₖ dy[k]·w[k]` folded the way `Iterator::sum::<f32>` folds (from
 //! `-0.0`), and `at_b_into` accumulates `aᵀ·b` over rows in ascending
-//! order, skipping zero entries of `a`.
+//! order in an `MR × NR` register tile, skipping zero entries of `a`,
+//! before one scaled fold into its output.
 
 /// Rows of the output register tile.
 pub const MR: usize = 4;
@@ -159,34 +160,101 @@ pub fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [
     }
 }
 
-/// `out = aᵀ · b` with `a: rows × m` and `b: rows × n`, both row-major —
-/// the weight gradient `xᵀ · dy` of a dense layer, without materializing
-/// the transpose.
+/// One operand of [`at_b_into`]: `(data, stride)`, row `r` starting at
+/// `data[r * stride]` — a stride of `0` lets one row stand for every row.
+pub(crate) type Rows<'a> = (&'a [f32], usize);
+
+/// `out[i][j] += scale · Σᵣ a[r][i]·b[r][j]` over `rows` rows, with `out`
+/// `m × n` row-major (`m = out.len() / n`) — a dense layer's weight
+/// gradient `xᵀ · dy`, formed without the transpose and folded into an
+/// accumulator as soon as it exists.
 ///
-/// Each `out[i][j]` accumulates `a[r][i] * b[r][j]` from `+0.0` over `r` in
-/// ascending order, and a term whose `a[r][i]` is zero is skipped rather
-/// than added (ReLU makes about half of a hidden layer's inputs zero). The
-/// order and the skip are part of the trainers' numerical contract.
+/// Each sum runs over `r` in ascending order in a register accumulator
+/// that starts at `+0.0`, skipping every term whose `a[r][i]` is zero
+/// (ReLU makes about half of a hidden layer's inputs zero); then comes one
+/// multiply-add per element into `out`. The order, the skip and that last
+/// step are part of the trainers' numerical contract.
+///
+/// The skip is free when `b` is finite: a zero `a` then adds a signed zero,
+/// which keeps an accumulator that started at `+0.0` (it can never hold
+/// `-0.0`). So the product runs in `MR × NR` register tiles, then
+/// single-row ones, with no test in the loop — a data-dependent branch
+/// there mispredicts on every other ReLU output, and LLVM lowers a select
+/// on a scalar condition to exactly that branch. What the tiles leave (the
+/// columns past the last `NR`-wide tile, or everything when `b` holds an
+/// infinity or a NaN, which a zero `a` must not turn into a NaN) runs one
+/// element at a time, testing each term.
 ///
 /// # Panics
 ///
-/// Panics if slice lengths do not match the given dimensions.
-pub(crate) fn at_b_into(a: &[f32], b: &[f32], rows: usize, m: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), rows * m, "at_b_into: lhs length mismatch");
-    assert_eq!(b.len(), rows * n, "at_b_into: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "at_b_into: out length mismatch");
-    out.fill(0.0);
-    if m == 0 || n == 0 {
+/// Panics if an operand is too short for `rows` rows.
+pub(crate) fn at_b_into(a: Rows, b: Rows, rows: usize, n: usize, scale: f32, out: &mut [f32]) {
+    if rows == 0 || n == 0 {
         return;
     }
-    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        for (out_row, &av) in out.chunks_exact_mut(n).zip(a_row) {
-            if av == 0.0 {
-                continue;
+    let m = out.len() / n;
+    let all_finite = |row: &[f32]| row.iter().fold(true, |ok, v| ok & v.is_finite());
+    let finite = (0..rows).all(|r| all_finite(&b.0[r * b.1..][..n]));
+    let tiled = if finite { n - n % NR } else { 0 };
+    let mut i = 0;
+    while tiled > 0 && i + MR <= m {
+        for j in (0..tiled).step_by(NR) {
+            fold_tile(&at_b_tile::<MR>(a, b, rows, i, j), i, j, n, scale, out);
+        }
+        i += MR;
+    }
+    while tiled > 0 && i < m {
+        for j in (0..tiled).step_by(NR) {
+            fold_tile(&at_b_tile::<1>(a, b, rows, i, j), i, j, n, scale, out);
+        }
+        i += 1;
+    }
+    for (i, out) in out.chunks_exact_mut(n).enumerate() {
+        for (j, out) in out.iter_mut().enumerate().skip(tiled) {
+            let mut acc = 0.0f32;
+            for r in 0..rows {
+                let av = a.0[r * a.1 + i];
+                if finite || av != 0.0 {
+                    acc += av * b.0[r * b.1 + j];
+                }
             }
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+            *out += acc * scale;
+        }
+    }
+}
+
+/// The `R × NR` tile of [`at_b_into`]'s sums at rows `i..`, columns `j..`
+/// (finite `b`). Kept apart from the loops over tiles and from the fold:
+/// fused with either, LLVM vectorizes the tile across the wrong axis and
+/// runs it several times slower.
+#[inline(always)]
+fn at_b_tile<const R: usize>(a: Rows, b: Rows, rows: usize, i: usize, j: usize) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    for r in 0..rows {
+        let av: &[f32; R] = a.0[r * a.1 + i..][..R].try_into().expect("R rows");
+        let bk: &[f32; NR] = b.0[r * b.1 + j..][..NR].try_into().expect("NR columns");
+        for ii in 0..R {
+            for c in 0..NR {
+                acc[ii][c] += av[ii] * bk[c];
             }
+        }
+    }
+    acc
+}
+
+/// `out[i + ii][j..j + NR] += scale · acc[ii]` in an `n`-wide `out`.
+#[inline(always)]
+fn fold_tile<const R: usize>(
+    acc: &[[f32; NR]; R],
+    i: usize,
+    j: usize,
+    n: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    for (ii, acc) in acc.iter().enumerate() {
+        for (o, &v) in out[(i + ii) * n + j..][..NR].iter_mut().zip(acc) {
+            *o += v * scale;
         }
     }
 }
@@ -263,16 +331,6 @@ impl PackedGemm {
         self.n = n;
         self.panels.clear();
         self.panels.resize(n.div_ceil(NR) * k * NR, 0.0);
-    }
-
-    /// Inner (contraction) dimension `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output dimension `n`.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// `out = a · B` where `a` is row-major `m × k` and `B` is the packed
@@ -422,16 +480,15 @@ mod tests {
 
     #[test]
     fn at_b_is_the_transposed_product_with_the_zero_skip() {
-        // a: 2x3, b: 2x2 → aᵀ·b: 3x2.
+        // a: 2x3, b: 2x2 → aᵀ·b: 3x2, folded into `out` at scale 2.
         let a = [1.0, 2.0, 0.0, 4.0, 5.0, 0.0];
-        let b = [1.0, 0.0, 0.0, 1.0];
-        let mut out = [9.0f32; 6];
-        at_b_into(&a, &b, 2, 3, 2, &mut out);
-        assert_eq!(out, [1.0, 4.0, 2.0, 5.0, 0.0, 0.0]);
+        let mut out = [1.0f32; 6];
+        at_b_into((&a, 3), (&[1.0, 0.0, 0.0, 1.0], 2), 2, 2, 2.0, &mut out);
+        assert_eq!(out, [3.0, 9.0, 5.0, 11.0, 1.0, 1.0]);
         // A zero entry of `a` is skipped, not multiplied: its row of the
-        // product stays `+0.0` even against a non-finite `b`.
-        at_b_into(&a, &[f32::INFINITY; 4], 2, 3, 2, &mut out);
-        assert_eq!(out[4..], [0.0, 0.0]);
+        // product stays put even against a non-finite `b`.
+        at_b_into((&a, 3), (&[f32::INFINITY; 2], 0), 2, 2, 1.0, &mut out);
+        assert_eq!(out[4..], [1.0, 1.0]);
     }
 
     #[test]
@@ -441,7 +498,7 @@ mod tests {
             let (a, w) = dummy(m, k, n);
             let mut packed = PackedGemm::default();
             packed.repack_transposed(&w, n, k);
-            assert_eq!((packed.k(), packed.n()), (k, n));
+            assert_eq!((packed.k, packed.n), (k, n));
             let mut got = vec![0.0f32; m * n];
             packed.gemm_sum_into(&a, m, &mut got);
             for i in 0..m {

@@ -205,7 +205,7 @@ impl Dense {
     /// folds from — computed sixteen `i` at a time over the packed `Wᵀ`
     /// (`PackedGemm::gemm_sum_into`). The parameter gradients of a layer do
     /// not involve its weights — they are `xᵀ · dy` and the column sums of
-    /// `dy` — so [`crate::Mlp::backward`] forms them itself.
+    /// `dy` — so [`crate::Mlp::fold_layer`] forms them itself.
     ///
     /// # Panics
     ///
@@ -324,8 +324,9 @@ mod tests {
         let dy = Matrix::from_rows([vec![1.0, 1.0], vec![1.0, 1.0]]);
         let (mut dx, mut dw, mut db) = (Matrix::default(), Matrix::zeros(3, 2), [0.0; 2]);
         layer.input_grad_into(&dy, &mut dx);
-        crate::gemm::at_b_into(x.as_slice(), dy.as_slice(), 2, 3, 2, dw.as_mut_slice());
-        dy.col_sums_into(&mut db);
+        let (x_rows, dy_rows) = ((x.as_slice(), 3), (dy.as_slice(), 2));
+        crate::gemm::at_b_into(x_rows, dy_rows, 2, 2, 1.0, dw.as_mut_slice());
+        crate::gemm::at_b_into((&[1.0], 0), dy_rows, 2, 2, 1.0, &mut db);
 
         let loss = |layer: &Dense, x: &Matrix| -> f32 { layer.forward(x).as_slice().iter().sum() };
         let eps = 1e-3;

@@ -55,8 +55,8 @@ pub mod train;
 
 pub use adam::Adam;
 pub use layer::Dense;
-pub use loss::{mse, mse_grad};
-pub use mlp::{Gradients, Mlp, MlpScratch, MlpWorkspace};
+pub use loss::mse;
+pub use mlp::{Gradients, Mlp, MlpWorkspace};
 pub use serialize::{
     envelope_from_json, envelope_to_json, Checkpoint, CheckpointError, Envelope,
     CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,

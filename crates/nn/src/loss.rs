@@ -29,18 +29,6 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> f32 {
         / n as f32
 }
 
-/// Gradient of [`mse`] with respect to the predictions:
-/// `2 (pred - target) / n`.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn mse_grad(pred: &Matrix, target: &Matrix) -> Matrix {
-    let mut grad = Matrix::default();
-    mse_grad_scaled_into(pred, target, pred.rows() * pred.cols(), &mut grad);
-    grad
-}
-
 /// Gradient of the squared error summed over this shard and divided by
 /// `total_elems`, written into `grad` (reusing its allocation):
 /// `2 (pred - target) / total_elems`.
@@ -48,10 +36,10 @@ pub fn mse_grad(pred: &Matrix, target: &Matrix) -> Matrix {
 /// This is the per-shard building block of the data-parallel trainer: each
 /// row shard of a mini-batch computes its gradient against the *whole*
 /// batch's element count, so the fixed-order sum over shards equals the
-/// full-batch [`mse_grad`] (up to float re-association — which is why the
-/// shard decomposition is fixed and never depends on the thread count).
-/// With `total_elems == pred.rows() * pred.cols()` this is exactly
-/// [`mse_grad`].
+/// full-batch gradient of [`mse`] (up to float re-association — which is
+/// why the shard decomposition is fixed and never depends on the thread
+/// count). With `total_elems == pred.rows() * pred.cols()` this is exactly
+/// that gradient.
 ///
 /// # Panics
 ///
@@ -93,7 +81,8 @@ mod tests {
     fn grad_matches_finite_difference() {
         let pred = Matrix::from_rows([vec![1.0, -2.0], vec![0.5, 3.0]]);
         let target = Matrix::from_rows([vec![0.0, 1.0], vec![0.5, 2.0]]);
-        let g = mse_grad(&pred, &target);
+        let mut g = Matrix::default();
+        mse_grad_scaled_into(&pred, &target, 4, &mut g);
         let eps = 1e-3;
         let base = mse(&pred, &target);
         for r in 0..2 {

@@ -271,8 +271,9 @@ proptest! {
     }
 
     /// One forward + backward pass against the old step — predictions,
-    /// parameter gradients, input gradient — and the row-range form against
-    /// whole passes over each range's rows.
+    /// parameter gradients, input gradient — and the grouped form (one `dy`
+    /// row per group) against whole passes over each group's rows, folded
+    /// in turn at a scale.
     #[test]
     fn step_matches_the_reference(rows in 1usize..7, cut in 0usize..7, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -284,25 +285,77 @@ proptest! {
         let mut ws = MlpWorkspace::new();
         let mut grads = Gradients::zeros_like(&mlp);
         ws.input_mut().copy_from(&x);
-        let pred = mlp.forward_train(&mut ws).clone();
+        let pred = mlp.forward_in(&mut ws).clone();
         let (want_pred, cache) = forward_cached(&mlp, &x);
         prop_assert_eq!(bits(pred.as_slice()), bits(want_pred.as_slice()));
 
-        mlp.backward(&mut ws, 0..rows, &dy, &[], &mut grads);
+        mlp.backward(&mut ws, &dy, None, &[]);
+        mlp.fold_into(&ws, &[], 1.0, &mut grads);
         let (want_dx, want) = backward(&mlp, &cache, &dy);
         prop_assert_eq!(grad_bits(&grads), grad_bits(&want));
         let dx = mlp.input_gradient(&mut ws);
         prop_assert_eq!(bits(dx.as_slice()), bits(want_dx.as_slice()));
 
+        // One `dy` row per group, standing for every row of it.
         let cut = cut.min(rows);
-        for range in [0..cut, cut..rows] {
-            let picked: Vec<usize> = range.clone().collect();
-            let (x, dy) = (x.select_rows(&picked), dy.select_rows(&picked));
-            mlp.backward(&mut ws, range, &dy, &[], &mut grads);
-            let (_, cache) = forward_cached(&mlp, &x);
-            let (_, want) = backward(&mlp, &cache, &dy);
-            prop_assert_eq!(grad_bits(&grads), grad_bits(&want));
+        let per_group = matrix(&mut rng, 2, dims[dims.len() - 1]);
+        mlp.backward(&mut ws, &per_group, Some(&[cut, rows]), &[]);
+        let mut got = Gradients::zeros_like(&mlp);
+        mlp.fold_into(&ws, &[], 0.37, &mut got);
+        let mut want = Gradients::zeros_like(&mlp);
+        for (g, range) in [0..cut, cut..rows].into_iter().enumerate() {
+            if range.is_empty() {
+                continue;
+            }
+            let picked: Vec<usize> = range.collect();
+            let dy = Matrix::from_rows(vec![per_group.row(g); picked.len()]);
+            let (_, cache) = forward_cached(&mlp, &x.select_rows(&picked));
+            want.accumulate(&backward(&mlp, &cache, &dy).1, 0.37);
         }
+        prop_assert_eq!(grad_bits(&got), grad_bits(&want));
+    }
+
+    /// The register-tiled `aᵀ·b` against the old loop by bits: odd shapes,
+    /// signed zeros in `a`, infinities and NaNs in `b` on rows where `a` is
+    /// all zero, any tile of rows `i0..` of the product, a `b` row standing
+    /// for every row, and a scaled fold onto a live accumulator.
+    #[test]
+    fn tiled_at_b_is_the_reference_loop(
+        rows in 0usize..9,
+        m in 1usize..40,
+        n in 1usize..40,
+        broadcast: bool,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = matrix(&mut rng, rows, m);
+        let mut b = matrix(&mut rng, if broadcast { 1 } else { rows }, n);
+        for r in 0..rows {
+            if rng.random_range(0..3u32) == 0 {
+                a.row_mut(r).iter_mut().for_each(|v| *v = [0.0, -0.0][r % 2]);
+                if !broadcast {
+                    let odd = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                    b.row_mut(r).iter_mut().for_each(|v| *v = odd[rng.random_range(0..3usize)]);
+                }
+            }
+        }
+        let full_b = if broadcast { b.row(0).repeat(rows) } else { b.as_slice().to_vec() };
+        let product = t_matmul(&a, &Matrix::from_flat(rows, n, full_b));
+        let i0 = rng.random_range(0..m);
+        let tile = i0 * n..rng.random_range(i0 + 1..=m) * n;
+        // Accumulators never hold `-0.0` (they start at `+0.0`).
+        let start: Vec<f32> = (0..tile.len()).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect();
+        let scale = [1.0f32, 0.37, -2.0, 1.0 / 3.0][rng.random_range(0..4usize)];
+        let mut got = start.clone();
+        let a_rows = (a.as_slice().get(i0..).unwrap_or(&[]), m);
+        let b_rows = (b.as_slice(), if broadcast { 0 } else { n });
+        crate::gemm::at_b_into(a_rows, b_rows, rows, n, scale, &mut got);
+        let want: Vec<f32> = start
+            .iter()
+            .zip(&product.as_slice()[tile])
+            .map(|(s, p)| s + p * scale)
+            .collect();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     /// Whole fits against the old trainer: weights and reports, frozen and

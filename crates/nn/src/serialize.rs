@@ -72,6 +72,14 @@ pub enum CheckpointError {
         /// What was wrong.
         reason: String,
     },
+    /// The header is sound but the payload does not decode into its type:
+    /// a missing or mistyped field, or a failed shape check — a matrix
+    /// whose data does not fill it, a bias of the wrong length, layers that
+    /// do not chain, a network whose widths do not fit its model.
+    Invalid {
+        /// What was wrong, and where.
+        reason: String,
+    },
     /// Reading or writing the checkpoint file failed.
     Io {
         /// The file path involved.
@@ -97,9 +105,20 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::MalformedHeader { reason } => {
                 write!(f, "malformed checkpoint header: {reason}")
             }
+            CheckpointError::Invalid { reason } => {
+                write!(f, "invalid checkpoint payload: {reason}")
+            }
             CheckpointError::Io { path, error } => {
                 write!(f, "checkpoint I/O failed for {path}: {error}")
             }
+        }
+    }
+}
+
+impl CheckpointError {
+    fn invalid(e: serde::de::Error) -> Self {
+        CheckpointError::Invalid {
+            reason: e.to_string(),
         }
     }
 }
@@ -131,32 +150,46 @@ pub fn check_version(found: u32) -> Result<(), CheckpointError> {
 }
 
 /// Reads the `version` header out of a parsed envelope.
-fn header_version(map: &[(String, Value)]) -> Result<u32, CheckpointError> {
-    match map.iter().find(|(k, _)| k == "version") {
-        Some((_, Value::UInt(v))) => {
-            u32::try_from(*v).map_err(|_| CheckpointError::MalformedHeader {
-                reason: format!("version {v} out of range"),
-            })
+fn header_version(map: &[(String, Value)]) -> Result<u32, String> {
+    let version = match map.iter().find(|(k, _)| k == "version").map(|(_, v)| v) {
+        Some(Value::UInt(v)) => *v,
+        Some(Value::Int(v)) if *v >= 0 => v.unsigned_abs(),
+        Some(other) => {
+            return Err(format!(
+                "version header is {}, expected an integer",
+                other.kind()
+            ))
         }
-        Some((_, Value::Int(v))) if *v >= 0 => {
-            u32::try_from(*v).map_err(|_| CheckpointError::MalformedHeader {
-                reason: format!("version {v} out of range"),
-            })
+        None => return Err("missing version header".into()),
+    };
+    u32::try_from(version).map_err(|_| format!("version {version} out of range"))
+}
+
+/// Parses `json` as an object — a checkpoint or an envelope (`what`) —
+/// and migrates its header, returning the fields and the version written.
+fn parse_object(json: &str, what: &str) -> Result<(Vec<(String, Value)>, u32), CheckpointError> {
+    let mut map = match serde_json::parse_value(json).map_err(CheckpointError::Parse)? {
+        Value::Map(m) => m,
+        other => {
+            return Err(malformed(format!(
+                "{what} is {}, expected an object",
+                other.kind()
+            )))
         }
-        Some((_, other)) => Err(CheckpointError::MalformedHeader {
-            reason: format!("version header is {}, expected an integer", other.kind()),
-        }),
-        None => Err(CheckpointError::MalformedHeader {
-            reason: "missing version header".into(),
-        }),
-    }
+    };
+    let written = migrate_header(&mut map)?;
+    Ok((map, written))
+}
+
+fn malformed(reason: String) -> CheckpointError {
+    CheckpointError::MalformedHeader { reason }
 }
 
 /// Migrates a parsed envelope map to the current version in place:
 /// version 1 predates `created_by`, which is defaulted to the empty
 /// string. Returns the (already validated) version it migrated from.
 fn migrate_header(map: &mut Vec<(String, Value)>) -> Result<u32, CheckpointError> {
-    let found = header_version(map)?;
+    let found = header_version(map).map_err(malformed)?;
     check_version(found)?;
     if found < 2 && !map.iter().any(|(k, _)| k == "created_by") {
         map.push(("created_by".to_string(), Value::Str(String::new())));
@@ -205,47 +238,11 @@ impl Checkpoint {
     /// [`CheckpointError::Parse`] on malformed JSON,
     /// [`CheckpointError::UnsupportedVersion`] on a version outside the
     /// supported range, [`CheckpointError::MalformedHeader`] when the
-    /// version header is absent or not an integer.
+    /// version header is absent or not an integer, and
+    /// [`CheckpointError::Invalid`] when the model does not decode.
     pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
-        let value = serde_json::parse_value(json).map_err(CheckpointError::Parse)?;
-        let mut map = match value {
-            Value::Map(m) => m,
-            other => {
-                return Err(CheckpointError::MalformedHeader {
-                    reason: format!("checkpoint is {}, expected an object", other.kind()),
-                })
-            }
-        };
-        migrate_header(&mut map)?;
-        Checkpoint::from_value(&Value::Map(map)).map_err(|e| CheckpointError::Parse(e.into()))
-    }
-
-    /// Writes the checkpoint to a file.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when the file cannot be written.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CheckpointError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_json()).map_err(|e| CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        })
-    }
-
-    /// Loads and version-checks a checkpoint from a file.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when the file cannot be read, otherwise the
-    /// errors of [`Checkpoint::from_json`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, CheckpointError> {
-        let path = path.as_ref();
-        let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        })?;
-        Self::from_json(&json)
+        let (map, _) = parse_object(json, "checkpoint")?;
+        Checkpoint::from_value(&Value::Map(map)).map_err(CheckpointError::invalid)
     }
 }
 
@@ -286,37 +283,17 @@ pub struct Envelope<T> {
 ///
 /// The same typed errors as [`Checkpoint::from_json`].
 pub fn envelope_from_json<T: Deserialize>(json: &str) -> Result<Envelope<T>, CheckpointError> {
-    let value = serde_json::parse_value(json).map_err(CheckpointError::Parse)?;
-    let mut map = match value {
-        Value::Map(m) => m,
-        other => {
-            return Err(CheckpointError::MalformedHeader {
-                reason: format!("envelope is {}, expected an object", other.kind()),
-            })
-        }
+    let (map, written) = parse_object(json, "envelope")?;
+    let field = |key: &str| {
+        let value = map.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        value.ok_or_else(|| malformed(format!("missing `{key}` field")))
     };
-    let written = migrate_header(&mut map)?;
-    let field = |key: &str| -> Result<&Value, CheckpointError> {
-        map.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| CheckpointError::MalformedHeader {
-                reason: format!("missing `{key}` field"),
-            })
+    let text = |key: &str| match field(key)? {
+        Value::Str(s) => Ok(s.clone()),
+        _ => Err(malformed(format!("`{key}` is not a string"))),
     };
-    let name = field("name")?
-        .as_str()
-        .ok_or_else(|| CheckpointError::MalformedHeader {
-            reason: "`name` is not a string".into(),
-        })?
-        .to_string();
-    let created_by = field("created_by")?
-        .as_str()
-        .ok_or_else(|| CheckpointError::MalformedHeader {
-            reason: "`created_by` is not a string".into(),
-        })?
-        .to_string();
-    let payload = T::from_value(field("payload")?).map_err(|e| CheckpointError::Parse(e.into()))?;
+    let (name, created_by) = (text("name")?, text("created_by")?);
+    let payload = T::from_value(field("payload")?).map_err(CheckpointError::invalid)?;
     Ok(Envelope {
         version: written,
         name,
@@ -425,22 +402,6 @@ mod tests {
             error: "denied".into(),
         };
         assert!(io.to_string().contains("/tmp/x.json"));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("nshard_nn_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let ckpt = Checkpoint::new("disk", Mlp::new(2, &[3], 1, 1)).with_created_by("test");
-        ckpt.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(back, ckpt);
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(matches!(
-            Checkpoint::load(dir.join("missing.json")),
-            Err(CheckpointError::Io { .. })
-        ));
     }
 
     #[test]

@@ -4,9 +4,10 @@ use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32` values.
 ///
-/// This is deliberately minimal: just what dense-layer forward/backward
-/// passes require (matmul with optional transposes, element-wise maps,
-/// column sums). No broadcasting, no views, no BLAS.
+/// This is deliberately minimal: the buffers dense-layer forward/backward
+/// passes fill (the products themselves are [`crate::gemm`]'s), with
+/// row access, element-wise maps and row selection. No broadcasting, no
+/// views, no BLAS.
 ///
 /// # Example
 ///
@@ -14,14 +15,34 @@ use serde::{Deserialize, Serialize};
 /// use nshard_nn::Matrix;
 ///
 /// let a = Matrix::from_rows([vec![1.0, 2.0], vec![3.0, 4.0]]);
-/// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// assert_eq!((a.rows(), a.cols(), a.get(1, 0)), (2, 2, 3.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "MatrixRepr")]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// A [`Matrix`] as stored; decoding checks that its data fills its shape.
+#[derive(Deserialize)]
+struct MatrixRepr {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl TryFrom<MatrixRepr> for Matrix {
+    type Error = String;
+
+    fn try_from(m: MatrixRepr) -> Result<Self, String> {
+        let (rows, cols, len) = (m.rows, m.cols, m.data.len());
+        if rows.checked_mul(cols) != Some(len) {
+            return Err(format!("a {rows}×{cols} matrix holds {len} values"));
+        }
+        Ok(Self::from_flat(rows, cols, m.data))
+    }
 }
 
 impl Default for Matrix {
@@ -39,15 +60,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Builds a matrix from a flat row-major buffer.
@@ -129,19 +141,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Borrow of the contiguous rows `rows` as one flat row-major slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub(crate) fn row_range(&self, rows: std::ops::Range<usize>) -> &[f32] {
-        assert!(
-            rows.start <= rows.end && rows.end <= self.rows,
-            "rows out of bounds"
-        );
-        &self.data[rows.start * self.cols..rows.end * self.cols]
-    }
-
     /// Borrow of row `r`.
     ///
     /// # Panics
@@ -160,39 +159,6 @@ impl Matrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// `self · other`, via the cache-blocked kernel in [`crate::gemm`].
-    ///
-    /// Bit-identical to [`crate::gemm::gemm_ref_into`] (the kernels accumulate each
-    /// output element over `k` in the same ascending order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// `self · other` into a caller-provided output matrix, reusing its
-    /// allocation. The output is reshaped to `self.rows × other.cols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        out.reset(self.rows, other.cols);
-        crate::gemm::gemm_into(
-            &self.data,
-            &other.data,
-            self.rows,
-            self.cols,
-            other.cols,
-            &mut out.data,
-        );
     }
 
     /// Reshapes to `rows × cols` and zero-fills, reusing the allocation.
@@ -221,22 +187,6 @@ impl Matrix {
         for r in 0..self.rows {
             for (v, &b) in self.row_mut(r).iter_mut().zip(bias) {
                 *v += b;
-            }
-        }
-    }
-
-    /// Column sums (a layer's bias gradient) into a caller-provided buffer:
-    /// each sum starts at `+0.0` and adds its column top to bottom.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sums.len() != self.cols`.
-    pub(crate) fn col_sums_into(&self, sums: &mut [f32]) {
-        assert_eq!(sums.len(), self.cols, "column sum length mismatch");
-        sums.fill(0.0);
-        for r in 0..self.rows {
-            for (s, &v) in sums.iter_mut().zip(self.row(r)) {
-                *s += v;
             }
         }
     }
@@ -284,11 +234,6 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(self.row(r));
         }
     }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -296,11 +241,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `a · b` through the blocked kernel every layer's forward pass uses.
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        crate::gemm::gemm_into(a.as_slice(), b.as_slice(), m, k, n, out.as_mut_slice());
+        out
+    }
+
     #[test]
     fn matmul_known_values() {
         let a = Matrix::from_rows([vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows([vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c, Matrix::from_rows([vec![19.0, 22.0], vec![43.0, 50.0]]));
     }
 
@@ -308,9 +261,27 @@ mod tests {
     fn bias_and_col_sums() {
         let mut m = Matrix::zeros(3, 2);
         m.add_row_bias(&[1.0, -2.0]);
-        let mut sums = [9.0; 2];
-        m.col_sums_into(&mut sums);
+        assert_eq!(m, Matrix::from_flat(3, 2, [1.0, -2.0].repeat(3)));
+        // A layer's bias gradient: `1ᵀ · m`, one stride-0 row of ones.
+        let mut sums = [0.0; 2];
+        crate::gemm::at_b_into((&[1.0], 0), (m.as_slice(), 2), 3, 2, 1.0, &mut sums);
         assert_eq!(sums, [3.0, -6.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn matmul_mismatch_panics() {
+        let a = Matrix::zeros(2, 3);
+        let b = Matrix::zeros(2, 3);
+        let _ = matmul(&a, &b);
+    }
+
+    #[test]
+    fn identity_is_neutral() {
+        let a = Matrix::from_rows([vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let mut eye = Matrix::zeros(3, 3);
+        (0..3).for_each(|i| eye.set(i, i, 1.0));
+        assert_eq!(matmul(&a, &eye), a);
     }
 
     #[test]
@@ -328,23 +299,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn matmul_mismatch_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
-    }
-
-    #[test]
     #[should_panic(expected = "equal lengths")]
     fn ragged_rows_panic() {
         let _ = Matrix::from_rows([vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let a = Matrix::from_rows([vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
     }
 
     #[test]
@@ -353,6 +310,9 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
+        // Data that does not fill the shape is refused, not decoded.
+        let short = r#"{"rows":2,"cols":3,"data":[1.0]}"#;
+        assert!(serde_json::from_str::<Matrix>(short).is_err());
     }
 
     proptest! {

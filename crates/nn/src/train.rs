@@ -40,28 +40,10 @@ use crate::tensor::Matrix;
 pub const GRAD_SHARD_ROWS: usize = 64;
 
 /// A supervised regression dataset: feature rows `x` and target rows `y`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "DatasetRepr")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     x: Matrix,
     y: Matrix,
-}
-
-/// Raw serialized form of [`Dataset`]; conversion re-validates the row
-/// counts so a hand-edited file cannot produce an inconsistent dataset.
-#[derive(Deserialize)]
-struct DatasetRepr {
-    x: Matrix,
-    y: Matrix,
-}
-
-impl TryFrom<DatasetRepr> for Dataset {
-    type Error = String;
-
-    fn try_from(repr: DatasetRepr) -> Result<Self, Self::Error> {
-        Dataset::new(repr.x, repr.y)
-            .ok_or_else(|| "dataset features and targets must have equal, non-zero rows".into())
-    }
 }
 
 impl Dataset {
@@ -353,7 +335,7 @@ impl ShardSlot {
 /// MSE gradient. Both the shard boundaries ([`GRAD_SHARD_ROWS`]) and the
 /// reduction order depend only on the batch itself, making the result
 /// bit-identical at any worker count. Gradients of `frozen` layers are
-/// never written: they stay the zeros the slots were built with.
+/// never formed: they stay zero.
 fn batch_gradients<'s>(
     mlp: &Mlp,
     train: &Dataset,
@@ -364,20 +346,17 @@ fn batch_gradients<'s>(
 ) -> &'s Gradients {
     let total_elems = chunk.len() * train.y().cols();
     let slots = &mut slots[..chunk.len().div_ceil(GRAD_SHARD_ROWS)];
-    pool.for_each_mut(slots, |s, slot| {
+    pool.for_each_mut(&mut *slots, |s, slot| {
         let end = ((s + 1) * GRAD_SHARD_ROWS).min(chunk.len());
         let shard = &chunk[s * GRAD_SHARD_ROWS..end];
         train.x().select_rows_into(shard, slot.ws.input_mut());
         train.y().select_rows_into(shard, &mut slot.target);
-        let pred = mlp.forward_train(&mut slot.ws);
+        let pred = mlp.forward_in(&mut slot.ws);
         mse_grad_scaled_into(pred, &slot.target, total_elems, &mut slot.dy);
-        mlp.backward(
-            &mut slot.ws,
-            0..shard.len(),
-            &slot.dy,
-            frozen,
-            &mut slot.grads,
-        );
+        // The whole shard is one term: its gradient, folded into zeros.
+        mlp.backward(&mut slot.ws, &slot.dy, None, frozen);
+        slot.grads.zero();
+        mlp.fold_into(&slot.ws, frozen, 1.0, &mut slot.grads);
     });
     tree_reduce(slots);
     &slots[0].grads
@@ -509,18 +488,6 @@ mod tests {
             let weights = fitted.layers().iter().flat_map(|l| l.weights().as_slice());
             assert!(weights.into_iter().all(|w| w.is_finite()));
         }
-    }
-
-    #[test]
-    fn serde_round_trip_and_validation() {
-        let d = linear_dataset(10);
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Dataset = serde_json::from_str(&json).unwrap();
-        assert_eq!(d, back);
-        // Tampered row counts are rejected at deserialization time.
-        let bad =
-            r#"{"x":{"rows":2,"cols":1,"data":[1.0,2.0]},"y":{"rows":1,"cols":1,"data":[3.0]}}"#;
-        assert!(serde_json::from_str::<Dataset>(bad).is_err());
     }
 
     #[test]

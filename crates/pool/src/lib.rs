@@ -1,7 +1,7 @@
 //! # nshard-pool — the workspace's scoped-thread work pool
 //!
 //! All external dependencies are vendored offline stand-ins, so there is no
-//! rayon here — just [`std::thread::scope`] and an atomic work counter.
+//! rayon here — just [`std::thread::scope`] and a shared work queue.
 //! The pool's one operation, [`WorkPool::map`], evaluates a function over a
 //! slice and returns the results **in input order**, regardless of which
 //! worker ran which item or in what order they finished. Callers build
@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer (public-domain constants).
@@ -224,70 +223,54 @@ impl WorkPool {
 
     /// Applies `f` to every item and returns the results in input order.
     ///
-    /// Work is claimed from a shared atomic counter, so threads stay busy
-    /// even when item costs are skewed. With one worker (or one item) no
-    /// thread is spawned. A panic in `f` propagates to the caller.
+    /// [`WorkPool::for_each_mut`] over the items paired with their output
+    /// slots: the calling thread works alongside `threads - 1` spawned
+    /// workers, and each result lands in its item's slot, whichever thread
+    /// ran it. With one worker (or one item) no thread is spawned. A panic
+    /// in `f` propagates to the caller.
     pub fn map<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
     where
         T: Sync,
         O: Send,
         F: Fn(&T) -> O + Sync,
     {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
+        if self.threads.min(items.len()) <= 1 {
             return items.iter().map(f).collect();
         }
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, O)> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(usize, O)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                collected.extend(h.join().expect("worker panicked"));
-            }
+        let mut out: Vec<Option<O>> = items.iter().map(|_| None).collect();
+        self.for_each_mut(out.iter_mut().zip(items), |_, (slot, item)| {
+            *slot = Some(f(item));
         });
-        collected.sort_by_key(|(i, _)| *i);
-        collected.into_iter().map(|(_, o)| o).collect()
+        out.into_iter()
+            .map(|o| o.expect("every item ran"))
+            .collect()
     }
 
-    /// Runs `f(index, &mut item)` once for every item, each item on exactly
+    /// Runs `f(index, item)` once for every item of `items`, each on exactly
     /// one thread.
     ///
-    /// The in-place twin of [`WorkPool::map`]: results land in the items
-    /// themselves, so a caller that keeps its items across calls (the
-    /// trainers' per-fit workspaces) fans out without allocating an output
-    /// per item. Items are claimed one at a time from a shared queue; the
-    /// calling thread works alongside `threads - 1` spawned workers. With
-    /// one worker (or one item) no thread is spawned. A panic in `f`
-    /// propagates to the caller.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    /// The in-place twin of [`WorkPool::map`]: the items are typically
+    /// disjoint `&mut` borrows (a slice's elements, the tiles of a gradient),
+    /// so a caller that keeps its buffers across calls (the trainers'
+    /// per-fit workspaces) fans out without allocating an output per item.
+    /// Items are claimed one at a time from a shared queue; the calling
+    /// thread works alongside `threads - 1` spawned workers (fewer when the
+    /// iterator bounds its length lower). With one worker (or one item) no
+    /// thread is spawned. A panic in `f` propagates to the caller.
+    pub fn for_each_mut<I, F>(&self, items: I, f: F)
     where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        I: IntoIterator,
+        I::IntoIter: Send,
+        I::Item: Send,
+        F: Fn(usize, I::Item) + Sync,
     {
-        let workers = self.threads.min(items.len());
+        let items = items.into_iter();
+        let workers = self.threads.min(items.size_hint().1.unwrap_or(usize::MAX));
         if workers <= 1 {
-            items
-                .iter_mut()
-                .enumerate()
-                .for_each(|(i, item)| f(i, item));
+            items.enumerate().for_each(|(i, item)| f(i, item));
             return;
         }
-        let queue = Mutex::new(items.iter_mut().enumerate());
+        let queue = Mutex::new(items.enumerate());
         let work = || loop {
             // The guard is dropped before `f` runs, so a panicking `f` never
             // poisons the queue; an iterator is valid in any state anyway.
@@ -333,6 +316,28 @@ mod tests {
             assert_eq!(items, expected, "at {threads} threads");
         }
         WorkPool::new(4).for_each_mut(&mut [] as &mut [usize], |_, _| unreachable!());
+    }
+
+    #[test]
+    fn map_works_on_the_calling_thread_and_propagates_panics() {
+        let caller = std::thread::current().id();
+        let ran_here = std::sync::atomic::AtomicBool::new(false);
+        let items: Vec<usize> = (0..64).collect();
+        let out = WorkPool::new(2).map(&items, |&x| {
+            if std::thread::current().id() == caller {
+                ran_here.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+            // Long enough that the caller claims an item before the worker
+            // has drained the queue.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            x + 1
+        });
+        assert_eq!(out, (1..=64).collect::<Vec<_>>());
+        assert!(ran_here.into_inner(), "the caller only joined");
+        let panicked = std::panic::catch_unwind(|| {
+            WorkPool::new(3).map(&items, |&x| assert_ne!(x, 40, "item 40"))
+        });
+        assert!(panicked.is_err());
     }
 
     #[test]

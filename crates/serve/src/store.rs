@@ -219,6 +219,7 @@ fn is_damage(err: &StoreError) -> bool {
         StoreError::Corrupt { .. }
             | StoreError::Checkpoint(CheckpointError::Parse(_))
             | StoreError::Checkpoint(CheckpointError::MalformedHeader { .. })
+            | StoreError::Checkpoint(CheckpointError::Invalid { .. })
     )
 }
 

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=137
 MAX_TOTAL_LINES=15250
-MAX_TOTAL_ITEMS=950
+MAX_TOTAL_ITEMS=900
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

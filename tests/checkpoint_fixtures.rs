@@ -19,9 +19,14 @@
 
 use std::path::PathBuf;
 
+use neuroshard::cost::{table_features, CostModelBundle, CostSimulator};
 use neuroshard::nn::{
-    envelope_from_json, envelope_to_json, Checkpoint, Envelope, Matrix, Mlp, CHECKPOINT_VERSION,
+    envelope_from_json, envelope_to_json, Checkpoint, CheckpointError, Envelope, Matrix, Mlp,
+    CHECKPOINT_VERSION,
 };
+use neuroshard::sim::TableProfile;
+use proptest::prelude::*;
+use serde_json::Value;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -154,4 +159,131 @@ fn v1_envelope_fixture_migrates_forward() {
     assert_eq!(env.version, 1, "reports the version it was written with");
     assert_eq!(env.created_by, "", "defaulted by migration");
     assert_eq!(env.payload, ENVELOPE_PAYLOAD.to_vec());
+}
+
+/// The paths (child indices) of every integer and every array under `v` —
+/// the shape fields and the arrays a damaged or hand-edited envelope can
+/// get wrong. Arrays of numbers are sites but are not descended into.
+fn edit_sites(v: &Value, path: &mut Vec<usize>, sites: &mut Vec<Vec<usize>>) {
+    let children: Vec<&Value> = match v {
+        Value::UInt(_) | Value::Int(_) => return sites.push(path.clone()),
+        Value::Map(m) => m.iter().map(|(_, v)| v).collect(),
+        Value::Seq(s) => {
+            sites.push(path.clone());
+            s.iter().filter(|v| v.as_map().is_some()).collect()
+        }
+        _ => return,
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        edit_sites(child, path, sites);
+        path.pop();
+    }
+}
+
+fn at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
+    path.iter().fold(v, |v, &i| match v {
+        Value::Map(m) => &mut m[i].1,
+        Value::Seq(s) => &mut s[i],
+        _ => unreachable!("sites hold maps and arrays only"),
+    })
+}
+
+/// Edit number `edit` of the site at `path`: an integer becomes one of a
+/// few widths (zero, off by one, a neighbouring layer's, the largest); an
+/// array loses its last, first or every element, or repeats its first.
+fn edited(base: &Value, path: &[usize], edit: usize) -> Value {
+    let mut doc = base.clone();
+    let site = at(&mut doc, path);
+    match site {
+        Value::UInt(n) => {
+            let widths = [0, 1, 2, 3, 4, 8, 9, 11, 16, 31, 32, 33, 64, 128, u64::MAX];
+            *n = match edit % (widths.len() + 2) {
+                0 => n.saturating_add(1),
+                1 => n.saturating_sub(1),
+                k => widths[k - 2],
+            };
+        }
+        Value::Seq(items) => match edit % 4 {
+            0 => drop(items.pop()),
+            1 if !items.is_empty() => drop(items.remove(0)),
+            2 => items.clear(),
+            _ => {
+                if let Some(first) = items.first().cloned() {
+                    items.insert(0, first);
+                }
+            }
+        },
+        _ => {}
+    }
+    doc
+}
+
+/// Every edit site of an envelope's payload, as paths from the document.
+fn payload_sites(doc: &Value) -> Vec<Vec<usize>> {
+    let map = doc.as_map().expect("an envelope is an object");
+    let payload = map.iter().position(|(k, _)| k == "payload" || k == "model");
+    let payload = payload.expect("an envelope carries a payload");
+    let mut sites = Vec::new();
+    edit_sites(&map[payload].1, &mut vec![payload], &mut sites);
+    sites
+}
+
+/// Whatever fails to decode must fail as a typed payload error.
+fn assert_invalid(err: CheckpointError, json: &str) {
+    let head = &json[..json.len().min(200)];
+    assert!(
+        matches!(err, CheckpointError::Invalid { .. }),
+        "{err} for {head}"
+    );
+}
+
+#[test]
+fn every_edited_checkpoint_errors_or_runs() {
+    // Every site of the small fixture, every edit: a decoded network must
+    // run forward on a row of its own input width.
+    let base = serde_json::parse_value(&read_fixture("checkpoint_v2.json")).unwrap();
+    let sites = payload_sites(&base);
+    assert!(sites.len() > 10, "{} sites", sites.len());
+    for path in &sites {
+        for edit in 0..17 {
+            let json = serde_json::to_string(&edited(&base, path, edit)).unwrap();
+            match Checkpoint::from_json(&json) {
+                Ok(ckpt) => {
+                    let y = ckpt
+                        .model
+                        .forward(&Matrix::zeros(1, ckpt.model.input_dim()));
+                    assert_eq!(y.cols(), ckpt.model.output_dim());
+                }
+                Err(err) => assert_invalid(err, &json),
+            }
+        }
+    }
+}
+
+proptest! {
+    /// One edit of the committed trained bundle's envelope: it decodes to a
+    /// bundle whose three networks predict and whose simulator prices a
+    /// plan on its device count — or it is refused with a typed error.
+    /// Never a panic.
+    #[test]
+    fn an_edited_bundle_envelope_errors_or_runs(site in 0usize..1_000, edit in 0usize..1_000) {
+        let base = serde_json::parse_value(&read_fixture("conformance_bundle.json")).unwrap();
+        let sites = payload_sites(&base);
+        let json = serde_json::to_string(&edited(&base, &sites[site % sites.len()], edit)).unwrap();
+        match envelope_from_json::<CostModelBundle>(&json) {
+            Ok(env) => {
+                let bundle = env.payload;
+                let d = bundle.num_devices();
+                let table = TableProfile::new(64, 1 << 20, 15.0, 0.3, 1.1);
+                let features = vec![table_features(&table, 1024)];
+                prop_assert!(bundle.compute_model().predict(&features).is_finite());
+                for comm in [bundle.comm_fwd_model(), bundle.comm_bwd_model()] {
+                    comm.predict(&vec![300.0; d], &vec![0.0; d], 1024);
+                }
+                CostSimulator::new(bundle).estimate_plan(&vec![vec![table]; d]);
+            }
+            Err(err) => assert_invalid(err, &json),
+        }
+    }
 }
