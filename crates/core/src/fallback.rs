@@ -27,8 +27,8 @@ use nshard_data::ShardingTask;
 use nshard_sim::{GpuSpec, SimError};
 use serde::{Deserialize, Serialize};
 
+use crate::local::{RepairConfig, RepairEngine};
 use crate::plan::{PlanError, ShardingPlan};
-use crate::repair::{RepairConfig, RepairEngine};
 use crate::ShardingAlgorithm;
 
 /// Bounded retry with exponential backoff for transient failures.
@@ -439,10 +439,10 @@ impl FallbackChain {
                     Ok(report) => {
                         trail.events.push(ProvenanceEvent::Repaired {
                             algorithm: name.to_string(),
-                            steps: report.steps.len(),
+                            steps: report.delta.steps.len(),
                         });
                         match self.verify_with_retries(task, &report.plan, name, trail) {
-                            Ok(()) => Ok((report.plan, Some(report.steps.len()))),
+                            Ok(()) => Ok((report.plan, Some(report.delta.steps.len()))),
                             Err(e) => {
                                 trail.events.push(ProvenanceEvent::VerifyFailed {
                                     algorithm: name.to_string(),
@@ -560,8 +560,9 @@ fn default_verifier(task: &ShardingTask, plan: &ShardingPlan) -> Result<(), SimE
     cluster.check_memory(&plan.device_profiles(task.batch_size()))
 }
 
-/// Errors the repair engine can act on (the `SimError::OutOfMemory` /
-/// `SimError::DeviceOutOfRange` failure classes).
+/// Errors handed to the repair engine: memory overflow it can fix, and
+/// device-range or shape failures it rejects with a typed [`PlanError`]
+/// (recorded as `RepairFailed`) so the chain moves to the next stage.
 fn is_repairable(err: &SimError) -> bool {
     matches!(
         err,
@@ -720,6 +721,43 @@ mod tests {
             outcome.provenance.source,
             PlanSource::Repaired { ref algorithm, repair_steps } if algorithm == "pile_on_zero" && repair_steps > 0
         ));
+        assert!(outcome.plan.validate(&task).is_ok());
+    }
+
+    /// A sharder that plans for a four-device cluster whatever the task.
+    struct FourDevices;
+
+    impl ShardingAlgorithm for FourDevices {
+        fn name(&self) -> &str {
+            "four_devices"
+        }
+
+        fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
+            ShardingPlan::new(
+                Vec::new(),
+                task.tables().to_vec(),
+                (0..task.num_tables()).map(|i| i % 4).collect(),
+                4,
+            )
+        }
+    }
+
+    #[test]
+    fn a_plan_for_another_device_count_fails_repair_and_falls_back() {
+        let task = small_task();
+        let chain = FallbackChain::new(Box::new(FourDevices)).with_fallback(Box::new(RoundRobin));
+        let outcome = chain.shard_with_provenance(&task).unwrap();
+        assert_eq!(
+            outcome.provenance.source,
+            PlanSource::Fallback {
+                algorithm: "round_robin".into()
+            }
+        );
+        assert!(outcome.provenance.events.iter().any(|e| matches!(
+            e,
+            ProvenanceEvent::RepairFailed { algorithm, reason }
+                if algorithm == "four_devices" && reason.contains("plan has 4 devices, task wants 2")
+        )));
         assert!(outcome.plan.validate(&task).is_ok());
     }
 

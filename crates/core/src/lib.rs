@@ -22,8 +22,11 @@
 //! * [`eval`] — pricing a finished plan for its task's fleet: ground truth
 //!   (the paper's "collect real costs from GPUs" step) and its learned
 //!   twin, the one place outside the search that lowers a fleet to scales,
-//! * [`repair`] — self-healing of memory-infeasible plans
-//!   (evict-and-replace onto the least-loaded device that fits),
+//! * [`local`] — local search over plans in one step vocabulary
+//!   ([`DeltaStep`], [`PlanDelta`]): [`RepairEngine`] makes an infeasible
+//!   plan fit (evict-and-replace onto the least-loaded device that fits)
+//!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
+//!   migration-regularized cost,
 //! * [`fallback`] — the graceful-degradation chain with bounded retries
 //!   and full [`PlanProvenance`] attribution.
 //!
@@ -51,9 +54,9 @@ pub mod beam;
 pub mod eval;
 pub mod fallback;
 pub mod greedy_grid;
+pub mod local;
 pub mod neuroshard;
 pub mod plan;
-pub mod repair;
 
 pub use beam::{BeamSearch, BeamSearchResult, SearchPhaseStats};
 pub use eval::{
@@ -64,13 +67,16 @@ pub use fallback::{
     ProvenanceEvent, ReplanAttribution, ResilientError, ResilientOutcome, RetryPolicy,
 };
 pub use greedy_grid::{GreedyGridSearch, GridSearchResult};
+pub use local::{
+    DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta, RepairConfig,
+    RepairEngine, RepairReport,
+};
 pub use neuroshard::{ConfigError, NeuroShard, NeuroShardConfig, ShardOutcome};
 pub use nshard_pool::{resolve_threads, WorkPool};
 pub use plan::{
     apply_column_plan, apply_split_plan, migration_bytes, ColumnPlan, PlanError, ShardingPlan,
     SplitKind, SplitPlan, SplitStep,
 };
-pub use repair::{RepairConfig, RepairEngine, RepairReport, RepairStep};
 
 use nshard_data::ShardingTask;
 

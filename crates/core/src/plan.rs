@@ -197,28 +197,41 @@ pub fn apply_split_plan(
     plan: &[SplitStep],
 ) -> Result<Vec<TableConfig>, PlanError> {
     let mut list = tables.to_vec();
-    for (step, &SplitStep { index, kind }) in plan.iter().enumerate() {
-        if index >= list.len() {
-            return Err(PlanError::ColumnIndexOutOfRange {
-                step,
-                index,
-                len: list.len(),
-            });
-        }
-        let halves = match kind {
-            SplitKind::Column => list[index].split_columns(),
-            SplitKind::Row => list[index].split_rows(),
-            SplitKind::Replicate => list[index].replicate(),
-        };
-        let (a, b) = halves.ok_or(PlanError::UnsplittableTable {
-            step,
-            index,
-            dim: list[index].dim(),
-        })?;
-        list[index] = a;
-        list.push(b);
+    for (step, &split) in plan.iter().enumerate() {
+        split_in_place(&mut list, step, split)?;
     }
     Ok(list)
+}
+
+/// Splits `list[index]` along `kind`: the first half replaces it and the
+/// second is appended. The one halving rule that split plans and plan
+/// deltas ([`crate::PlanDelta::apply`]) both go through; `step` numbers
+/// the split in errors.
+pub(crate) fn split_in_place(
+    list: &mut Vec<TableConfig>,
+    step: usize,
+    SplitStep { index, kind }: SplitStep,
+) -> Result<(), PlanError> {
+    let Some(table) = list.get(index) else {
+        return Err(PlanError::ColumnIndexOutOfRange {
+            step,
+            index,
+            len: list.len(),
+        });
+    };
+    let (a, b) = match kind {
+        SplitKind::Column => table.split_columns(),
+        SplitKind::Row => table.split_rows(),
+        SplitKind::Replicate => table.replicate(),
+    }
+    .ok_or(PlanError::UnsplittableTable {
+        step,
+        index,
+        dim: table.dim(),
+    })?;
+    list[index] = a;
+    list.push(b);
+    Ok(())
 }
 
 /// A complete sharding plan: the column-wise sharded table list plus the

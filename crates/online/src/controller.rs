@@ -31,8 +31,8 @@
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{
-    estimate_for_task, evaluate_plan, migration_bytes, NeuroShardConfig, PlanProvenance,
-    ShardingPlan,
+    estimate_for_task, evaluate_plan, migration_bytes, IncrementalConfig, NeuroShardConfig,
+    PlanDelta, PlanProvenance, ShardingPlan,
 };
 use nshard_cost::{CostModelBundle, EstimatedCost};
 use nshard_data::ShardingTask;
@@ -41,7 +41,6 @@ use nshard_sim::{GpuSpec, PlanCosts, TableProfile};
 
 use crate::detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
 use crate::drift::WorkloadDrift;
-use crate::incremental::{IncrementalConfig, PlanDelta};
 use crate::stack::{PlanningStack, ReplanOutcome, ReplanRoute};
 
 /// How the controller reacts to a fired trigger.

@@ -17,10 +17,12 @@
 //!   the current workload with the same pre-trained cost models used by
 //!   the search, firing a typed [`ReplanTrigger`] when the plan's
 //!   deploy-time assumptions break.
-//! * [`incremental`] — a **migration-aware incremental planner** that
-//!   warm-starts from the incumbent and hill-climbs over local moves
+//! * [`IncrementalPlanner`] — the **migration-aware incremental planner**
+//!   that warm-starts from the incumbent and hill-climbs over local moves
 //!   (move / swap / split), minimizing predicted cost plus a
-//!   λ·migration-bytes penalty, and emits a replayable [`PlanDelta`].
+//!   λ·migration-bytes penalty, and emits a replayable [`PlanDelta`]. It
+//!   is `nshard_core::local`'s, the local search it shares with plan
+//!   repair, re-exported here with its config, outcome and step type.
 //! * [`PlanningStack`] — one sharder (one simulator, one
 //!   pair of caches), the full fallback chain around it and the
 //!   incremental planner, for one cost-model bundle. Its `replan` is the
@@ -63,7 +65,6 @@
 pub mod controller;
 pub mod detect;
 pub mod drift;
-pub mod incremental;
 mod stack;
 
 pub use controller::{
@@ -72,7 +73,7 @@ pub use controller::{
 };
 pub use detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
 pub use drift::{DriftFactors, DriftModel, WorkloadDrift};
-pub use incremental::{
+pub use nshard_core::{
     DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta,
 };
 pub use stack::{PlanningStack, ReplanOutcome, ReplanRoute};

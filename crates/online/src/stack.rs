@@ -4,13 +4,11 @@ use std::sync::Arc;
 
 use nshard_baselines::SizeGreedy;
 use nshard_core::{
-    FallbackChain, NeuroShard, NeuroShardConfig, PlanProvenance, PlanSource, ResilientError,
-    ResilientOutcome, ShardingPlan,
+    FallbackChain, IncrementalConfig, IncrementalPlanner, NeuroShard, NeuroShardConfig, PlanDelta,
+    PlanProvenance, PlanSource, ResilientError, ResilientOutcome, ShardingPlan,
 };
 use nshard_cost::{CostModelBundle, CostSimulator};
 use nshard_data::ShardingTask;
-
-use crate::incremental::{IncrementalConfig, IncrementalPlanner, PlanDelta};
 
 /// Which path of [`PlanningStack::replan`] produced the plan.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,15 +1,15 @@
 #!/bin/sh
 # The round's subtraction gates (ROADMAP item 5), held on every PR:
 # `nshard-serve` public items, and non-test lines and public items under
-# crates/, no higher than the last PR left them (serve items exactly, the
-# totals rounded up to the next 50), all as count-lines.sh counts them.
+# crates/, no higher than the last PR left them (each lowered to the counts
+# the PR ends at), all as count-lines.sh counts them.
 # Prints the table, then fails naming the gate that broke.
 set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=137
-MAX_TOTAL_LINES=15250
-MAX_TOTAL_ITEMS=900
+MAX_TOTAL_LINES=15121
+MAX_TOTAL_ITEMS=886
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -12,6 +12,12 @@
 # `*_tiered` again, and the learner builds comm rows from
 # `DevicePool::lowered_dims`, never from a raw `device_dims` sum.
 #
+# One local search (DESIGN.md §8): repair and the incremental planner live
+# in `core::local` and edit plans only through `PlanDelta::apply`; one
+# `SplitKind` halving (`plan::split_in_place`) serves split plans and
+# deltas alike; the repair-only step type, the device remap and the online
+# copy of the planner stay deleted.
+#
 # One record of adopted plans (DESIGN.md §9): the store module builds the
 # daemon's one `PlanKv`, and the second representation's roads in — the
 # replica insert, the boot re-log, the adopt-then-log pair and the store's
@@ -59,12 +65,29 @@ if grep -rnE 'PlanStoreInner|insert_replica|boot_kv|log_adoption|adopt_and_log' 
     exit 1
 fi
 
+halvings=$(code crates/*/src |
+    grep -E 'SplitKind::[A-Za-z]+[[:space:]]*=>.*\.(split_columns|split_rows|replicate)\(' || true)
+if printf '%s\n' "$halvings" | grep -v '^crates/core/src/plan.rs:' | grep . ||
+    [ "$(printf '%s\n' "$halvings" | grep -c .)" -gt 3 ]; then
+    echo "error: one SplitKind halving, plan::split_in_place (lines above)" >&2
+    exit 1
+fi
+if grep -rnwE 'RepairStep|remapped_devices' crates src tests examples; then
+    echo "error: repair records DeltaSteps and rejects a foreign device count (lines above)" >&2
+    exit 1
+fi
+if [ -e crates/online/src/incremental.rs ]; then
+    echo "error: the incremental planner lives in crates/core/src/local.rs" >&2
+    exit 1
+fi
+
 stack=crates/online/src/stack.rs
+planner=crates/core/src/local.rs
 consumers="crates/online/src crates/serve/src crates/learn/src"
 fail=0
 # shellcheck disable=SC2086
-if code $consumers | grep -E 'IncrementalPlanner::(new|default)\(' |
-    grep -v -e "^$stack:" -e '^crates/online/src/incremental.rs:'; then
+if code $consumers crates/core/src | grep -E 'IncrementalPlanner::(new|default)\(' |
+    grep -v -e "^$stack:" -e "^$planner:"; then
     echo "error: replan through nshard_online::PlanningStack (lines above)" >&2
     fail=1
 fi

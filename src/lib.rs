@@ -70,8 +70,7 @@ pub mod prelude {
 pub mod resilient {
     pub use nshard_core::{
         size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
-        RepairConfig, RepairEngine, RepairReport, RepairStep, ResilientError, ResilientOutcome,
-        RetryPolicy,
+        RepairConfig, RepairEngine, RepairReport, ResilientError, ResilientOutcome, RetryPolicy,
     };
     pub use nshard_sim::{Fault, FaultPlan, FaultyCluster};
 }
