@@ -30,8 +30,6 @@ pub struct ContinualConfig {
     pub buffer: BufferConfig,
     /// Fine-tuning hyperparameters.
     pub settings: FineTuneSettings,
-    /// Shadow-evaluation thresholds.
-    pub lifecycle: LifecycleConfig,
     /// Fine-tuning is only attempted once the training reservoir holds
     /// at least this many observations.
     pub min_observations: usize,
@@ -47,7 +45,6 @@ impl Default for ContinualConfig {
         Self {
             buffer: BufferConfig::default(),
             settings: FineTuneSettings::default(),
-            lifecycle: LifecycleConfig::default(),
             min_observations: 64,
             cooldown_epochs: 5,
             seed: 0,
@@ -90,7 +87,7 @@ impl ContinualLearner {
         store_dir: impl AsRef<std::path::Path>,
         config: ContinualConfig,
     ) -> Result<Self, StoreError> {
-        let lifecycle = ModelLifecycle::open(store_dir, &incumbent, config.lifecycle.clone())?;
+        let lifecycle = ModelLifecycle::open(store_dir, &incumbent, LifecycleConfig::default())?;
         let buffer = ObservationBuffer::new(config.buffer);
         Ok(Self {
             config,

@@ -33,31 +33,19 @@ use nshard_sim::GpuSpec;
 
 use crate::buffer::LearnDatasets;
 
-/// Shadow-evaluation thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LifecycleConfig {
-    /// Allowed estimated-vs-exact disagreement on the probe search:
-    /// `max(est/exact, exact/est)` must stay at or below this. Mirrors
-    /// the train→search conformance band.
-    pub conformance_band: f64,
-    /// Slack on the validation-MSE gate: the candidate passes when
-    /// `candidate_mse ≤ incumbent_mse × mse_tolerance`. `1.0` = strictly
-    /// no worse.
-    pub mse_tolerance: f32,
-    /// Search knobs for the probe search (smoke-sized by default — the
-    /// probe is a conformance check, not a production search).
-    pub probe_search: NeuroShardConfig,
-}
+/// Allowed estimated-vs-exact disagreement on the probe search:
+/// `max(est/exact, exact/est)` must stay at or below this. Mirrors the
+/// train→search conformance band.
+const CONFORMANCE_BAND: f64 = 1.5;
 
-impl Default for LifecycleConfig {
-    fn default() -> Self {
-        Self {
-            conformance_band: 1.5,
-            mse_tolerance: 1.05,
-            probe_search: NeuroShardConfig::smoke(),
-        }
-    }
-}
+/// Slack on the validation-MSE gate: the candidate passes when
+/// `candidate_mse ≤ incumbent_mse × MSE_TOLERANCE`.
+const MSE_TOLERANCE: f32 = 1.05;
+
+/// The lifecycle's settings, of which there are none: both gates use the
+/// fixed thresholds above and a smoke-sized probe search.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LifecycleConfig {}
 
 /// The recorded outcome of one promotion decision — serialized into the
 /// golden fixtures, so field order and content must stay deterministic.
@@ -87,7 +75,6 @@ pub struct PromotionRecord {
 /// The versioned promote-or-rollback state machine over a [`ModelStore`].
 pub struct ModelLifecycle {
     store: ModelStore,
-    config: LifecycleConfig,
     version: u64,
     proposals: u64,
     active_path: PathBuf,
@@ -106,14 +93,13 @@ impl ModelLifecycle {
     pub fn open(
         dir: impl AsRef<std::path::Path>,
         incumbent: &CostModelBundle,
-        config: LifecycleConfig,
+        _config: LifecycleConfig,
     ) -> Result<Self, StoreError> {
         let store = ModelStore::open(dir)?;
         store.save("cost-bundle-v1", incumbent)?;
         let active_path = store.save(ACTIVE_NAME, incumbent)?;
         Ok(Self {
             store,
-            config,
             version: 1,
             proposals: 0,
             active_path,
@@ -178,13 +164,12 @@ impl ModelLifecycle {
                 incumbent.compute_model().evaluate_mse(&validation.compute),
             )
         };
-        let mse_ok =
-            candidate_mse.is_nan() || candidate_mse <= incumbent_mse * self.config.mse_tolerance;
+        let mse_ok = candidate_mse.is_nan() || candidate_mse <= incumbent_mse * MSE_TOLERANCE;
 
         // Gate 2: the candidate must still search well — feasible probe
         // plan, estimate within the conformance band of the exact oracle.
         let (feasible, ratio) = self.probe_conformance(&candidate, probe);
-        let conformance_ok = feasible && ratio <= self.config.conformance_band;
+        let conformance_ok = feasible && ratio <= CONFORMANCE_BAND;
 
         let reason = if !mse_ok {
             "validation_regression"
@@ -228,7 +213,9 @@ impl ModelLifecycle {
     /// the exact oracle. Returns `(feasible, ratio)`; an infeasible or
     /// failed search yields `(false, NaN)`.
     fn probe_conformance(&self, bundle: &CostModelBundle, probe: &ShardingTask) -> (bool, f64) {
-        let Ok(sharder) = NeuroShard::try_new(bundle.clone(), self.config.probe_search) else {
+        // Smoke-sized: the probe is a conformance check, not a production
+        // search.
+        let Ok(sharder) = NeuroShard::try_new(bundle.clone(), NeuroShardConfig::smoke()) else {
             return (false, f64::NAN);
         };
         let Ok(outcome) = sharder.shard_with_stats(probe) else {

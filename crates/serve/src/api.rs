@@ -1,15 +1,14 @@
 //! Wire types of the JSON API.
 //!
-//! Requests are deserialized with hand-written impls so optional fields
-//! (`deadline_ms`, `incumbent_id`, `adopt`) may simply be omitted — the
-//! vendored serde derive requires every field to be present. Responses
-//! use the derive; field order is declaration order, and the vendored
-//! serializer is deterministic, so identical planning results serialize
-//! to **byte-identical** response bodies (the property the 8-thread
+//! Requests and responses use the derive; a request's optional fields
+//! (`deadline_ms`, `incumbent_id`, `adopt`) are `#[serde(default)]`
+//! options, so omitting one and sending `null` both mean "not given".
+//! Field order is declaration order, and the vendored serializer is
+//! deterministic, so identical planning results serialize to
+//! **byte-identical** response bodies (the property the 8-thread
 //! integration test pins down). No timestamps or other request-scoped
 //! entropy may ever enter these types.
 
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{PlanProvenance, PlanSource, ShardingPlan};
@@ -18,68 +17,34 @@ use nshard_data::ShardingTask;
 use crate::http::HttpResponse;
 
 /// `POST /v1/plan` — plan a task from scratch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub(crate) struct PlanRequest {
     /// The task to shard.
     pub task: ShardingTask,
     /// Per-request deadline in ms; defaults to 30 s. Expired in queue ⇒
     /// `503`; nearly expired ⇒ degraded (greedy) search.
+    #[serde(default)]
     pub deadline_ms: Option<u64>,
-    /// Store the plan on success (default `true`). Idempotent by plan id.
-    pub adopt: bool,
-}
-
-impl Deserialize for PlanRequest {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::custom("plan request must be a JSON object"))?;
-        Ok(Self {
-            task: serde::__field(map, "task")?,
-            deadline_ms: opt_field(map, "deadline_ms")?,
-            adopt: opt_field(map, "adopt")?.unwrap_or(true),
-        })
-    }
+    /// Store the plan on success (`None` means `true`). Idempotent by
+    /// plan id.
+    #[serde(default)]
+    pub adopt: Option<bool>,
 }
 
 /// `POST /v1/replan` — replan warm-started from a stored incumbent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub(crate) struct ReplanRequest {
     /// The (drifted) task to shard.
     pub task: ShardingTask,
     /// Incumbent plan id; defaults to the most recently adopted plan.
+    #[serde(default)]
     pub incumbent_id: Option<String>,
     /// Per-request deadline in ms (see [`PlanRequest::deadline_ms`]).
+    #[serde(default)]
     pub deadline_ms: Option<u64>,
-    /// Store the plan on success (default `true`).
-    pub adopt: bool,
-}
-
-impl Deserialize for ReplanRequest {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::custom("replan request must be a JSON object"))?;
-        Ok(Self {
-            task: serde::__field(map, "task")?,
-            incumbent_id: opt_field(map, "incumbent_id")?,
-            deadline_ms: opt_field(map, "deadline_ms")?,
-            adopt: opt_field(map, "adopt")?.unwrap_or(true),
-        })
-    }
-}
-
-/// Looks up an optional field: absent or `null` ⇒ `None`.
-fn opt_field<T: Deserialize>(
-    map: &[(String, Value)],
-    key: &str,
-) -> Result<Option<T>, serde::de::Error> {
-    match map.iter().find(|(k, _)| k == key) {
-        None | Some((_, Value::Null)) => Ok(None),
-        Some((_, v)) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| serde::de::Error::custom(format!("field `{key}`: {e}"))),
-    }
+    /// Store the plan on success (`None` means `true`).
+    #[serde(default)]
+    pub adopt: Option<bool>,
 }
 
 /// Body of a successful `POST /v1/plan`.
@@ -147,21 +112,10 @@ pub struct ObservationWire {
 }
 
 /// `POST /v1/observations` — report a batch of ground-truth observations.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub(crate) struct ObservationsRequest {
     /// The batch; empty batches are accepted (and ack `accepted: 0`).
     pub observations: Vec<ObservationWire>,
-}
-
-impl Deserialize for ObservationsRequest {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let map = v.as_map().ok_or_else(|| {
-            serde::de::Error::custom("observations request must be a JSON object")
-        })?;
-        Ok(Self {
-            observations: serde::__field(map, "observations")?,
-        })
-    }
 }
 
 /// Body of a successful `POST /v1/observations`.
@@ -270,7 +224,7 @@ mod tests {
         let body = format!("{{\"task\":{}}}", task_json());
         let req: PlanRequest = serde_json::from_str(&body).unwrap();
         assert_eq!(req.deadline_ms, None);
-        assert!(req.adopt);
+        assert_eq!(req.adopt, None);
         assert_eq!(req.task.num_devices(), 2);
     }
 
@@ -282,7 +236,7 @@ mod tests {
         );
         let req: PlanRequest = serde_json::from_str(&body).unwrap();
         assert_eq!(req.deadline_ms, Some(1500));
-        assert!(!req.adopt);
+        assert_eq!(req.adopt, Some(false));
     }
 
     #[test]
@@ -290,7 +244,7 @@ mod tests {
         let body = format!("{{\"task\":{},\"incumbent_id\":\"abc123\"}}", task_json());
         let req: ReplanRequest = serde_json::from_str(&body).unwrap();
         assert_eq!(req.incumbent_id.as_deref(), Some("abc123"));
-        assert!(req.adopt);
+        assert_eq!(req.adopt, None);
     }
 
     #[test]
@@ -319,6 +273,96 @@ mod tests {
     fn observations_request_requires_the_field() {
         let err = serde_json::from_str::<ObservationsRequest>("{}").unwrap_err();
         assert!(err.to_string().contains("observations"));
+    }
+
+    use serde::de::Error;
+    use serde::value::Value;
+
+    /// A decoded plan or replan request: task, incumbent id, deadline and
+    /// whether to adopt.
+    type Decoded = (ShardingTask, Option<String>, Option<u64>, bool);
+
+    /// The hand-written decoders the derive replaced, kept as the wire
+    /// reference: absent or `null` is `None`, `adopt` defaults to `true`.
+    fn reference_decode(v: &Value, replan: bool) -> Result<Decoded, Error> {
+        fn opt_field<T: Deserialize>(
+            map: &[(String, Value)],
+            key: &str,
+        ) -> Result<Option<T>, Error> {
+            match map.iter().find(|(k, _)| k == key) {
+                None | Some((_, Value::Null)) => Ok(None),
+                Some((_, v)) => T::from_value(v)
+                    .map(Some)
+                    .map_err(|e| Error::custom(format!("field `{key}`: {e}"))),
+            }
+        }
+        let map = v
+            .as_map()
+            .ok_or_else(|| Error::custom("request must be a JSON object"))?;
+        let incumbent_id = if replan {
+            opt_field(map, "incumbent_id")?
+        } else {
+            None
+        };
+        Ok((
+            serde::__field(map, "task")?,
+            incumbent_id,
+            opt_field(map, "deadline_ms")?,
+            opt_field(map, "adopt")?.unwrap_or(true),
+        ))
+    }
+
+    fn derived_decode(body: &str, replan: bool) -> Result<Decoded, serde_json::Error> {
+        if replan {
+            let r: ReplanRequest = serde_json::from_str(body)?;
+            Ok((
+                r.task,
+                r.incumbent_id,
+                r.deadline_ms,
+                r.adopt.unwrap_or(true),
+            ))
+        } else {
+            let r: PlanRequest = serde_json::from_str(body)?;
+            Ok((r.task, None, r.deadline_ms, r.adopt.unwrap_or(true)))
+        }
+    }
+
+    #[test]
+    fn derived_request_decoders_accept_and_reject_as_the_hand_written_ones() {
+        let task = task_json();
+        let mut bodies = vec![
+            "[]".to_string(),
+            "\"plan\"".into(),
+            "7".into(),
+            "null".into(),
+        ];
+        for (field, explicit, wrong) in [
+            ("deadline_ms", "1500", "\"soon\""),
+            ("deadline_ms", "0", "-1"),
+            ("incumbent_id", "\"abc123\"", "7"),
+            ("adopt", "false", "\"yes\""),
+            ("adopt", "true", "1"),
+        ] {
+            bodies.push(format!("{{\"task\":{task}}}"));
+            for value in ["null", explicit, wrong] {
+                bodies.push(format!("{{\"task\":{task},\"{field}\":{value}}}"));
+            }
+        }
+        for replan in [false, true] {
+            for body in &bodies {
+                let want = reference_decode(&serde_json::parse_value(body).unwrap(), replan);
+                let got = derived_decode(body, replan);
+                assert_eq!(got.is_ok(), want.is_ok(), "{body}: {got:?} vs {want:?}");
+                if let (Ok(got), Ok(want)) = (got, want) {
+                    assert_eq!(got, want, "{body}");
+                }
+            }
+        }
+        let adopt_null = format!("{{\"task\":{task},\"adopt\":null}}");
+        assert!(derived_decode(&adopt_null, false).unwrap().3);
+        for body in ["[]", "\"observations\"", "null"] {
+            assert!(serde_json::from_str::<ObservationsRequest>(body).is_err());
+        }
     }
 
     #[test]

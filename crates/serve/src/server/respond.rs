@@ -177,10 +177,11 @@ impl Service {
             Ok(output) => output,
             Err(e) => return error_response(422, "infeasible", e.to_string()),
         };
-        let (version, provenance) = match self.settle(request.task, &output, request.adopt) {
-            Ok(settled) => settled,
-            Err(response) => return response,
-        };
+        let (version, provenance) =
+            match self.settle(request.task, &output, request.adopt.unwrap_or(true)) {
+                Ok(settled) => settled,
+                Err(response) => return response,
+            };
         let body = PlanResponse {
             id: output.id,
             version,
@@ -212,10 +213,11 @@ impl Service {
             Ok(re) => re,
             Err(e) => return error_response(422, "infeasible", e.to_string()),
         };
-        let (version, provenance) = match self.settle(request.task, &re.output, request.adopt) {
-            Ok(settled) => settled,
-            Err(response) => return response,
-        };
+        let (version, provenance) =
+            match self.settle(request.task, &re.output, request.adopt.unwrap_or(true)) {
+                Ok(settled) => settled,
+                Err(response) => return response,
+            };
         let body = ReplanResponse {
             id: re.output.id,
             version,

@@ -7,19 +7,18 @@
 //! **max across devices** as the plan's cost, since the slowest device is
 //! the bottleneck of synchronous training.
 //!
-//! Evaluation never branches on the fleet's shape: compute classes, fault
-//! slowdowns and link speeds become per-device inputs first
-//! (`Cluster::phase_inputs` — kernel times scaled, communication
-//! dimensions lowered), then the one kernel law and the one all-to-all law
-//! run on them. Every factor is exactly `1.0` on a healthy uniform fleet.
+//! Evaluation never branches on the fleet's shape: the fleet is lowered
+//! once, when it is set, to per-device memory budgets, kernel-time
+//! multipliers and bandwidth scales (a [`crate::FaultyCluster`] edits the
+//! same vectors), and every evaluation runs the one kernel law and the one
+//! all-to-all law on them (`Cluster::phase_inputs`). Every factor is
+//! exactly `1.0` on a healthy uniform fleet.
 
 use serde::{Deserialize, Serialize};
 
-use crate::comm::CommParams;
 use crate::device::GpuSpec;
-use crate::devices::DevicePool;
+use crate::devices::{lower_dims, DevicePool};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
 use crate::kernel::profile_stream;
 use crate::noise::NoiseModel;
 use crate::profile::TableProfile;
@@ -27,7 +26,7 @@ use crate::profile::TableProfile;
 /// Number of repeated measurements used for the median, mirroring the
 /// paper's 100-run protocol (kept smaller here because the median of our
 /// noise model converges quickly).
-const MEASURE_REPEATS: u32 = 21;
+pub(crate) const MEASURE_REPEATS: u32 = 21;
 
 /// The embedding cost breakdown of one GPU for one training iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -116,12 +115,17 @@ impl PlanCosts {
 /// assert!(costs.max_total_ms() > 0.0);
 /// # Ok::<(), nshard_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
-    spec: GpuSpec,
+    pub(crate) spec: GpuSpec,
     batch_size: u32,
-    noise: NoiseModel,
+    pub(crate) noise: NoiseModel,
     devices: DevicePool,
+    // `devices` lowered to what evaluation reads, one entry per device.
+    // `FaultyCluster::new` is their only other writer.
+    pub(crate) budgets: Vec<u64>,
+    pub(crate) compute_scales: Vec<f64>,
+    pub(crate) bw_scales: Vec<f64>,
 }
 
 impl Cluster {
@@ -134,11 +138,20 @@ impl Cluster {
     /// Panics if `num_devices == 0` or the spec's memory budget is zero.
     pub fn new(spec: GpuSpec, num_devices: usize, batch_size: u32) -> Self {
         assert!(num_devices > 0, "a cluster needs at least one device");
+        let pool = DevicePool::uniform(num_devices, spec.mem_budget_bytes());
+        Self::on(spec, batch_size, NoiseModel::default(), pool)
+    }
+
+    /// The cluster of `devices`, lowered.
+    fn on(spec: GpuSpec, batch_size: u32, noise: NoiseModel, devices: DevicePool) -> Self {
         Self {
             spec,
             batch_size,
-            noise: NoiseModel::default(),
-            devices: DevicePool::uniform(num_devices, spec.mem_budget_bytes()),
+            noise,
+            budgets: devices.budgets(),
+            compute_scales: devices.compute_scales(),
+            bw_scales: devices.bw_scales(),
+            devices,
         }
     }
 
@@ -156,14 +169,13 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics when the pool's size differs from the cluster's device count.
-    pub fn with_devices(mut self, pool: DevicePool) -> Self {
+    pub fn with_devices(self, pool: DevicePool) -> Self {
         assert_eq!(
             pool.len(),
             self.num_devices(),
             "device pool size must match the cluster's device count"
         );
-        self.devices = pool;
-        self
+        Self::on(self.spec, self.batch_size, self.noise, pool)
     }
 
     /// The fleet description.
@@ -194,16 +206,6 @@ impl Cluster {
     /// devices; [`SimError::OutOfMemory`] for the first device whose tables
     /// exceed the budget.
     pub fn check_memory(&self, assignment: &[Vec<TableProfile>]) -> Result<(), SimError> {
-        self.check_memory_with_faults(assignment, &FaultPlan::default())
-    }
-
-    /// [`Cluster::check_memory`] against the *effective* budgets under
-    /// `faults` (memory pressure shrinks individual devices).
-    pub(crate) fn check_memory_with_faults(
-        &self,
-        assignment: &[Vec<TableProfile>],
-        faults: &FaultPlan,
-    ) -> Result<(), SimError> {
         if assignment.len() != self.num_devices() {
             return Err(SimError::InvalidPlan {
                 reason: format!(
@@ -213,9 +215,8 @@ impl Cluster {
                 ),
             });
         }
-        for (g, tables) in assignment.iter().enumerate() {
+        for (g, (tables, &budget)) in assignment.iter().zip(&self.budgets).enumerate() {
             let required: u64 = tables.iter().map(TableProfile::memory_bytes).sum();
-            let budget = faults.effective_budget_bytes(g, self.devices.budget_of(g));
             if required > budget {
                 return Err(SimError::OutOfMemory {
                     device: g,
@@ -242,7 +243,7 @@ impl Cluster {
         assignment: &[Vec<TableProfile>],
         seed: u64,
     ) -> Result<PlanCosts, SimError> {
-        self.evaluate_with_faults(assignment, Some(seed), &FaultPlan::default())
+        self.measure(assignment, Some(seed))
     }
 
     /// Evaluates a plan with the exact analytic law (no measurement noise).
@@ -251,59 +252,38 @@ impl Cluster {
     ///
     /// See [`Cluster::check_memory`].
     pub fn evaluate_exact(&self, assignment: &[Vec<TableProfile>]) -> Result<PlanCosts, SimError> {
-        self.evaluate_with_faults(assignment, None, &FaultPlan::default())
+        self.measure(assignment, None)
     }
 
     /// The exact per-device inputs of one iteration's four phases, before
-    /// any measurement noise: what the fleet and `faults` make of
-    /// `assignment`. [`Cluster`] evaluation and the
-    /// [`crate::TraceSimulator`] both start here, so a fleet is never
-    /// priced one way and traced another.
-    pub(crate) fn phase_inputs(
-        &self,
-        assignment: &[Vec<TableProfile>],
-        faults: &FaultPlan,
-    ) -> PhaseInputs {
+    /// any measurement noise: what the lowered fleet makes of `assignment`.
+    /// [`Cluster`] evaluation and the [`crate::TraceSimulator`] both start
+    /// here, so a fleet is never priced one way and traced another.
+    pub(crate) fn phase_inputs(&self, assignment: &[Vec<TableProfile>]) -> PhaseInputs {
         let kernel = self.spec.kernel();
-        let pool = &self.devices;
         let mut fwd_ms = Vec::with_capacity(assignment.len());
         let mut bwd_ms = Vec::with_capacity(assignment.len());
         for (g, tables) in assignment.iter().enumerate() {
-            // Injected straggler faults × the device's hardware class ×
-            // slow-node-class faults. Every factor is exactly 1.0 on a
-            // healthy uniform cluster, and `x * 1.0` is a bitwise identity.
-            let slowdown = faults.compute_slowdown(g)
-                * pool.compute_scale_of(g)
-                * faults.node_slowdown(pool.node_of(g));
-            fwd_ms.push(kernel.multi_forward_ms(tables, self.batch_size) * slowdown);
-            bwd_ms.push(kernel.multi_backward_ms(tables, self.batch_size) * slowdown);
+            // `x * 1.0` is a bitwise identity, so a healthy uniform
+            // device keeps its kernel time.
+            let scale = self.compute_scales[g];
+            fwd_ms.push(kernel.multi_forward_ms(tables, self.batch_size) * scale);
+            bwd_ms.push(kernel.multi_backward_ms(tables, self.batch_size) * scale);
         }
         PhaseInputs {
             fwd_ms,
             bwd_ms,
-            dims: pool.lowered_dims_under(assignment, |node| faults.node_link_scale(node)),
+            dims: lower_dims(assignment, &self.bw_scales),
         }
     }
 
-    /// Evaluation under injected `faults` — [`crate::FaultyCluster`] is the
-    /// public door. `seed: None` is the exact analytic law; transient
-    /// faults model *measurement* flakiness and fire only for a seed.
-    pub(crate) fn evaluate_with_faults(
+    /// The one evaluation path: `seed: None` is the exact analytic law.
+    fn measure(
         &self,
         assignment: &[Vec<TableProfile>],
         seed: Option<u64>,
-        faults: &FaultPlan,
     ) -> Result<PlanCosts, SimError> {
-        self.check_memory_with_faults(assignment, faults)?;
-        if let Some(s) = seed {
-            if let Some(device) = faults.transient_failure(s, self.num_devices()) {
-                return Err(SimError::TransientFailure {
-                    device,
-                    reason: "injected measurement fault".into(),
-                });
-            }
-        }
-        let comm = degraded_comm(self.spec.comm(), faults);
+        self.check_memory(assignment)?;
         let noise = match seed {
             Some(s) => NoiseModel::new(s ^ self.noise.seed(), self.noise.sigma()),
             None => NoiseModel::disabled(),
@@ -313,7 +293,7 @@ impl Cluster {
             fwd_ms,
             bwd_ms,
             dims,
-        } = self.phase_inputs(assignment, faults);
+        } = self.phase_inputs(assignment);
         let measure_kernels = |exact: Vec<f64>, stream_bit: u64| -> Vec<f64> {
             exact
                 .into_iter()
@@ -331,6 +311,7 @@ impl Cluster {
         // backward comm starts synchronously (the dense backward between
         // the two collectives is data-parallel and identical across
         // devices).
+        let comm = self.spec.comm();
         let measure = |starts: &[f64]| {
             comm.measure_costs_ms(&dims, starts, self.batch_size, &noise, MEASURE_REPEATS)
         };
@@ -352,23 +333,13 @@ impl Cluster {
 /// One placement's exact per-device phase inputs on one fleet (see
 /// [`Cluster::phase_inputs`]).
 pub(crate) struct PhaseInputs {
-    /// Forward kernel time × compute class × fault slowdowns, ms.
+    /// Forward kernel time × the device's lowered compute scale, ms.
     pub fwd_ms: Vec<f64>,
     /// Backward kernel time, scaled the same way, ms.
     pub bwd_ms: Vec<f64>,
     /// Communication dimensions lowered onto the flat all-to-all law
-    /// ([`DevicePool::lowered_dims`], link faults included).
+    /// (over the device's lowered bandwidth scale).
     pub dims: Vec<f64>,
-}
-
-/// The communication parameters with the fault plan's bandwidth cut
-/// applied (identity for a healthy fabric).
-fn degraded_comm(comm: &CommParams, faults: &FaultPlan) -> CommParams {
-    let scale = faults.bandwidth_scale();
-    CommParams {
-        base_bw_gbps: comm.base_bw_gbps * scale,
-        ..*comm
-    }
 }
 
 #[cfg(test)]

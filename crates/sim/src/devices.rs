@@ -259,24 +259,7 @@ impl DevicePool {
     ///
     /// Panics if `assignment` covers more devices than the pool.
     pub fn lowered_dims(&self, assignment: &[Vec<TableProfile>]) -> Vec<f64> {
-        self.lowered_dims_under(assignment, |_| 1.0)
-    }
-
-    /// [`DevicePool::lowered_dims`] with each node's links further scaled
-    /// by `link_scale(node)` (asymmetric link faults).
-    pub(crate) fn lowered_dims_under(
-        &self,
-        assignment: &[Vec<TableProfile>],
-        link_scale: impl Fn(usize) -> f64,
-    ) -> Vec<f64> {
-        assignment
-            .iter()
-            .enumerate()
-            .map(|(g, tables)| {
-                let dim: f64 = tables.iter().map(TableProfile::comm_dim).sum();
-                dim / (self.bw_scale_of(g) * link_scale(self.node_of(g)))
-            })
-            .collect()
+        lower_dims(assignment, &self.bw_scales())
     }
 
     /// Per-device effective bandwidth scales, in device order.
@@ -307,6 +290,21 @@ impl DevicePool {
         self.inter_node_bw_scale == 1.0
             || self.devices.iter().all(|d| d.node == self.devices[0].node)
     }
+}
+
+/// Device `g`'s tables' [`TableProfile::comm_dim`]s summed, over
+/// `bw_scales[g]`: the one lowering of a placement onto the flat
+/// all-to-all law, for a pool's own scales or a cluster's faulted ones.
+///
+/// # Panics
+///
+/// Panics if `assignment` covers more devices than `bw_scales`.
+pub(crate) fn lower_dims(assignment: &[Vec<TableProfile>], bw_scales: &[f64]) -> Vec<f64> {
+    assignment
+        .iter()
+        .enumerate()
+        .map(|(g, tables)| tables.iter().map(TableProfile::comm_dim).sum::<f64>() / bw_scales[g])
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,15 +18,17 @@
 //! * [`Fault::TransientFailures`] — measured evaluations fail with some
 //!   probability (deterministic in the evaluation seed), modelling flaky
 //!   profiling runs,
-//! * [`Fault::Partition`] / [`Fault::NodeCrash`] — *control-plane* faults
-//!   consumed by the `nshard-serve` replication chaos harness; they never
-//!   perturb plan evaluation.
+//! * [`Fault::SlowNodeClass`] / [`Fault::NodeLinkDegradation`] — every
+//!   device of one training-cluster node computes slower, or sits behind
+//!   slower links.
 //!
-//! [`FaultyCluster`] bundles a [`Cluster`] with a [`FaultPlan`] and exposes
-//! the same evaluation API, so everything written against `Cluster` can be
-//! re-run under faults. It is the only public door to faulted evaluation:
-//! a fault is a factor on a device's inputs (kernel slowdown, link scale,
-//! budget fraction), never another cost law.
+//! A fault plan lowers onto the cluster once: [`FaultyCluster::new`]
+//! multiplies each fault into the per-device inputs the [`Cluster`]
+//! already evaluates from (kernel-time scale, bandwidth scale, memory
+//! budget) and into the spec's bandwidth, so a faulted fleet is priced by
+//! the same one evaluation path as a healthy one. The seeded transient
+//! failure is the one fault that is not a fleet edit; it stays a check
+//! between the memory check and the measurement.
 //!
 //! # Example
 //!
@@ -48,6 +50,8 @@
 //! ```
 
 use crate::cluster::{Cluster, PlanCosts};
+use crate::comm::CommParams;
+use crate::device::GpuSpec;
 use crate::error::SimError;
 use crate::noise::splitmix64;
 use crate::profile::TableProfile;
@@ -85,25 +89,6 @@ pub enum Fault {
     TransientFailures {
         /// Per-evaluation failure probability, in `[0, 1)`.
         rate: f64,
-    },
-    /// The network between **control-plane nodes** `a` and `b` is cut
-    /// (both directions). Partitions model the serving tier's replication
-    /// fabric, not the training cluster's all-to-all: plan *evaluation*
-    /// ignores them, while the `nshard-serve` replication harness consults
-    /// [`FaultPlan::is_partitioned`] before delivering any message.
-    Partition {
-        /// One endpoint of the severed link (node index).
-        a: usize,
-        /// The other endpoint (node index); must differ from `a`.
-        b: usize,
-    },
-    /// Control-plane node `node` has crashed: it answers nothing and sends
-    /// nothing. Like [`Fault::Partition`], this is consumed by the
-    /// replication chaos harness ([`FaultPlan::is_crashed`]) and ignored by
-    /// plan evaluation — it models a dead daemon, not a dead GPU.
-    NodeCrash {
-        /// Index of the crashed node.
-        node: usize,
     },
     /// Every device in **training-cluster node** `node` computes
     /// `slowdown`× slower (a whole host throttling: shared power cap,
@@ -189,13 +174,6 @@ impl FaultPlan {
                     "transient failure rate must be in [0, 1), got {rate}"
                 );
             }
-            Fault::Partition { a, b } => {
-                assert!(
-                    a != b,
-                    "a partition needs two distinct nodes, got {a} twice"
-                );
-            }
-            Fault::NodeCrash { .. } => {}
             Fault::SlowNodeClass { slowdown, .. } => {
                 assert!(
                     slowdown.is_finite() && *slowdown >= 1.0,
@@ -217,11 +195,6 @@ impl FaultPlan {
         self
     }
 
-    /// The fault seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The injected faults, in insertion order.
     pub fn faults(&self) -> &[Fault] {
         &self.faults
@@ -232,68 +205,34 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Combined kernel-time multiplier for `device` (product of all
-    /// matching stragglers; `1.0` when the device is healthy).
-    pub fn compute_slowdown(&self, device: usize) -> f64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Straggler {
-                    device: d,
-                    slowdown,
-                } if *d == device => Some(*slowdown),
-                _ => None,
-            })
-            .product()
-    }
-
-    /// Combined bandwidth multiplier across all link degradations
-    /// (`1.0` when the fabric is healthy).
-    pub fn bandwidth_scale(&self) -> f64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::DegradedLinks { bandwidth_scale } => Some(*bandwidth_scale),
-                _ => None,
-            })
-            .product()
+    /// The product of `factor` over the faults it matches, in insertion
+    /// order (`1.0` when none does).
+    fn product(&self, factor: impl Fn(&Fault) -> Option<f64>) -> f64 {
+        self.faults.iter().filter_map(factor).product()
     }
 
     /// Effective memory budget of `device` given a nominal `budget_bytes`
     /// (product of all matching memory-pressure fractions).
     pub fn effective_budget_bytes(&self, device: usize, budget_bytes: u64) -> u64 {
-        let fraction: f64 = self
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::MemoryPressure {
-                    device: d,
-                    usable_fraction,
-                } if *d == device => Some(*usable_fraction),
-                _ => None,
-            })
-            .product();
+        let fraction = self.product(|f| match *f {
+            Fault::MemoryPressure {
+                device: d,
+                usable_fraction,
+            } if d == device => Some(usable_fraction),
+            _ => None,
+        });
         (budget_bytes as f64 * fraction).floor() as u64
-    }
-
-    /// Combined per-evaluation transient failure probability.
-    pub fn transient_rate(&self) -> f64 {
-        let survive: f64 = self
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::TransientFailures { rate } => Some(1.0 - *rate),
-                _ => None,
-            })
-            .product();
-        1.0 - survive
     }
 
     /// Decides (deterministically in `eval_seed`) whether a measured
     /// evaluation fails transiently, and if so on which device the failure
     /// is attributed. Returns `None` when the evaluation proceeds.
-    pub fn transient_failure(&self, eval_seed: u64, num_devices: usize) -> Option<usize> {
-        let rate = self.transient_rate();
+    pub(crate) fn transient_failure(&self, eval_seed: u64, num_devices: usize) -> Option<usize> {
+        let survive = self.product(|f| match *f {
+            Fault::TransientFailures { rate } => Some(1.0 - rate),
+            _ => None,
+        });
+        let rate = 1.0 - survive;
         if rate <= 0.0 || num_devices == 0 {
             return None;
         }
@@ -304,52 +243,6 @@ impl FaultPlan {
         } else {
             None
         }
-    }
-
-    /// `true` when a [`Fault::Partition`] severs the link between
-    /// control-plane nodes `a` and `b` (in either orientation).
-    pub fn is_partitioned(&self, a: usize, b: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::Partition { a: x, b: y }
-                if (*x == a && *y == b) || (*x == b && *y == a))
-        })
-    }
-
-    /// `true` when a [`Fault::NodeCrash`] has taken control-plane
-    /// `node` down.
-    pub fn is_crashed(&self, node: usize) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::NodeCrash { node: n } if *n == node))
-    }
-
-    /// Combined kernel-time multiplier for every device of training-cluster
-    /// `node` (product of all matching [`Fault::SlowNodeClass`] faults;
-    /// `1.0` when the node is healthy).
-    pub fn node_slowdown(&self, node: usize) -> f64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::SlowNodeClass { node: n, slowdown } if *n == node => Some(*slowdown),
-                _ => None,
-            })
-            .product()
-    }
-
-    /// Combined link-bandwidth multiplier for training-cluster `node`
-    /// (product of all matching [`Fault::NodeLinkDegradation`] faults;
-    /// `1.0` when the node's links are healthy).
-    pub fn node_link_scale(&self, node: usize) -> f64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::NodeLinkDegradation {
-                    node: n,
-                    bandwidth_scale,
-                } if *n == node => Some(*bandwidth_scale),
-                _ => None,
-            })
-            .product()
     }
 
     /// Samples a random fault scenario for chaos testing: up to two
@@ -392,7 +285,7 @@ impl FaultPlan {
     }
 }
 
-/// A [`Cluster`] evaluated under a [`FaultPlan`]: same API, degraded
+/// A [`Cluster`] with a [`FaultPlan`] lowered onto it: same API, degraded
 /// behaviour. See the [module documentation](self) for an example.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultyCluster {
@@ -401,31 +294,46 @@ pub struct FaultyCluster {
 }
 
 impl FaultyCluster {
-    /// Bundles a cluster with a fault plan.
-    pub fn new(cluster: Cluster, faults: FaultPlan) -> Self {
+    /// Lowers `faults` onto `cluster`: each device's kernel-time scale
+    /// becomes `straggler × class × node slowdown`, its bandwidth scale
+    /// `fleet scale × node link scale`, its budget
+    /// [`FaultPlan::effective_budget_bytes`] of its own, and the spec's
+    /// bandwidth `base × link degradation`.
+    pub fn new(mut cluster: Cluster, faults: FaultPlan) -> Self {
+        for g in 0..cluster.num_devices() {
+            let node = cluster.devices().node_of(g);
+            let straggler = faults.product(|f| match *f {
+                Fault::Straggler { device, slowdown } if device == g => Some(slowdown),
+                _ => None,
+            });
+            let slow_node = faults.product(|f| match *f {
+                Fault::SlowNodeClass { node: n, slowdown } if n == node => Some(slowdown),
+                _ => None,
+            });
+            let link = faults.product(|f| match *f {
+                Fault::NodeLinkDegradation {
+                    node: n,
+                    bandwidth_scale,
+                } if n == node => Some(bandwidth_scale),
+                _ => None,
+            });
+            // Each product's operand order is part of the ground truth's
+            // bits (`sim::reference` holds it); a healthy factor is 1.0.
+            cluster.compute_scales[g] = straggler * cluster.compute_scales[g] * slow_node;
+            cluster.bw_scales[g] *= link;
+            cluster.budgets[g] = faults.effective_budget_bytes(g, cluster.budgets[g]);
+        }
+        let scale = faults.product(|f| match *f {
+            Fault::DegradedLinks { bandwidth_scale } => Some(bandwidth_scale),
+            _ => None,
+        });
+        let (kernel, comm) = (*cluster.spec.kernel(), *cluster.spec.comm());
+        let comm = CommParams {
+            base_bw_gbps: comm.base_bw_gbps * scale,
+            ..comm
+        };
+        cluster.spec = GpuSpec::new(kernel, comm, cluster.spec.mem_budget_bytes());
         Self { cluster, faults }
-    }
-
-    /// The underlying (healthy) cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// The injected faults.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Per-device *effective* memory budgets under memory pressure,
-    /// starting from each device's own budget (heterogeneous pools keep
-    /// their per-device profiles).
-    pub fn effective_budgets(&self) -> Vec<u64> {
-        (0..self.cluster.num_devices())
-            .map(|d| {
-                let budget = self.cluster.devices().budget_of(d);
-                self.faults.effective_budget_bytes(d, budget)
-            })
-            .collect()
     }
 
     /// Validates `assignment` against the *effective* per-device budgets.
@@ -434,8 +342,7 @@ impl FaultyCluster {
     ///
     /// See [`Cluster::check_memory`]; budgets reflect memory pressure.
     pub fn check_memory(&self, assignment: &[Vec<TableProfile>]) -> Result<(), SimError> {
-        self.cluster
-            .check_memory_with_faults(assignment, &self.faults)
+        self.cluster.check_memory(assignment)
     }
 
     /// Evaluates a plan with measurement noise under the injected faults.
@@ -449,8 +356,15 @@ impl FaultyCluster {
         assignment: &[Vec<TableProfile>],
         seed: u64,
     ) -> Result<PlanCosts, SimError> {
-        self.cluster
-            .evaluate_with_faults(assignment, Some(seed), &self.faults)
+        self.cluster.check_memory(assignment)?;
+        let devices = self.cluster.num_devices();
+        if let Some(device) = self.faults.transient_failure(seed, devices) {
+            return Err(SimError::TransientFailure {
+                device,
+                reason: "injected measurement fault".into(),
+            });
+        }
+        self.cluster.evaluate(assignment, seed)
     }
 
     /// Evaluates a plan with the exact analytic law under the injected
@@ -461,8 +375,7 @@ impl FaultyCluster {
     ///
     /// See [`Cluster::check_memory`].
     pub fn evaluate_exact(&self, assignment: &[Vec<TableProfile>]) -> Result<PlanCosts, SimError> {
-        self.cluster
-            .evaluate_with_faults(assignment, None, &self.faults)
+        self.cluster.evaluate_exact(assignment)
     }
 }
 
@@ -532,12 +445,12 @@ mod tests {
             device: 1,
             usable_fraction: 0.01,
         }));
-        let budgets = f.effective_budgets();
-        assert_eq!(budgets[0], f.cluster().spec().mem_budget_bytes());
+        let budgets = &f.cluster.budgets;
+        assert_eq!(budgets[0], GpuSpec::rtx_2080_ti().mem_budget_bytes());
         assert!(budgets[1] < budgets[0] / 50);
         // A plan that fits the healthy budget overflows the squeezed device.
         let plan = vec![vec![t(64)], vec![t(64)]];
-        assert!(f.cluster().check_memory(&plan).is_ok());
+        assert!(faulty(FaultPlan::new(0)).check_memory(&plan).is_ok());
         match f.check_memory(&plan) {
             Err(SimError::OutOfMemory { device, .. }) => assert_eq!(device, 1),
             other => panic!("expected OutOfMemory on device 1, got {other:?}"),
@@ -586,9 +499,10 @@ mod tests {
             .with_fault(Fault::DegradedLinks {
                 bandwidth_scale: 0.5,
             });
-        assert!((faults.compute_slowdown(0) - 3.0).abs() < 1e-12);
-        assert!((faults.compute_slowdown(1) - 1.0).abs() < 1e-12);
-        assert!((faults.bandwidth_scale() - 0.25).abs() < 1e-12);
+        let lowered = faulty(faults).cluster;
+        assert_eq!(lowered.compute_scales, vec![3.0, 1.0]);
+        let base = GpuSpec::rtx_2080_ti().comm().base_bw_gbps;
+        assert_eq!(lowered.spec.comm().base_bw_gbps, base * 0.25);
     }
 
     #[test]
@@ -614,12 +528,6 @@ mod tests {
                     Fault::TransientFailures { rate } => {
                         assert!((0.0..1.0).contains(rate));
                     }
-                    Fault::Partition { a, b } => {
-                        panic!("sampled() never draws control-plane faults, got Partition {a}-{b}")
-                    }
-                    Fault::NodeCrash { node } => {
-                        panic!("sampled() never draws control-plane faults, got NodeCrash {node}")
-                    }
                     Fault::SlowNodeClass { node, .. } => {
                         panic!("sampled() never draws node-class faults, got SlowNodeClass {node}")
                     }
@@ -629,26 +537,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn control_plane_faults_are_queryable_and_inert_for_evaluation() {
-        let faults = FaultPlan::new(0)
-            .with_fault(Fault::Partition { a: 0, b: 2 })
-            .with_fault(Fault::NodeCrash { node: 1 });
-        assert!(faults.is_partitioned(0, 2));
-        assert!(faults.is_partitioned(2, 0), "partitions are symmetric");
-        assert!(!faults.is_partitioned(0, 1));
-        assert!(faults.is_crashed(1));
-        assert!(!faults.is_crashed(0));
-        // Evaluation semantics are untouched: these faults live in the
-        // control plane, not the training cluster.
-        let plan = vec![vec![t(64)], vec![t(32)]];
-        let clean = Cluster::new(GpuSpec::rtx_2080_ti(), 2, 65_536);
-        assert_eq!(
-            clean.evaluate_exact(&plan),
-            faulty(faults).evaluate_exact(&plan)
-        );
     }
 
     #[test]
@@ -699,11 +587,9 @@ mod tests {
             node: 1,
             bandwidth_scale: 0.25,
         });
-        assert!((faults.node_link_scale(1) - 0.25).abs() < 1e-12);
-        assert!((faults.node_link_scale(0) - 1.0).abs() < 1e-12);
-        let cut = FaultyCluster::new(cluster, faults)
-            .evaluate_exact(&plan)
-            .unwrap();
+        let cut = FaultyCluster::new(cluster, faults);
+        assert_eq!(cut.cluster.bw_scales, vec![1.0, 1.0, 0.25, 0.25]);
+        let cut = cut.evaluate_exact(&plan).unwrap();
         // Compute untouched everywhere; node-1 devices move their bytes on
         // a 4x slower link, so their own transfers dominate the collective
         // and every participant's comm rises (the straggler gates the
@@ -757,10 +643,13 @@ mod tests {
                 node: 1,
                 bandwidth_scale: 0.5,
             });
-        assert!((faults.node_slowdown(0) - 3.0).abs() < 1e-12);
-        assert!((faults.node_slowdown(1) - 1.0).abs() < 1e-12);
-        assert!((faults.node_link_scale(1) - 0.25).abs() < 1e-12);
-        assert!((faults.node_link_scale(0) - 1.0).abs() < 1e-12);
+        let budget = GpuSpec::rtx_2080_ti().mem_budget_bytes();
+        let cluster = Cluster::new(GpuSpec::rtx_2080_ti(), 2, 65_536).with_devices(
+            crate::devices::DevicePool::two_tier(1, budget, 1, budget, 1.0, 1.0),
+        );
+        let lowered = FaultyCluster::new(cluster, faults).cluster;
+        assert_eq!(lowered.compute_scales, vec![3.0, 1.0]);
+        assert_eq!(lowered.bw_scales, vec![1.0, 0.25]);
     }
 
     #[test]
@@ -775,9 +664,7 @@ mod tests {
                 usable_fraction: 0.5,
             }),
         );
-        let budgets = f.effective_budgets();
-        assert_eq!(budgets[0], 4 << 30);
-        assert_eq!(budgets[1], 512 << 20);
+        assert_eq!(f.cluster.budgets, vec![4 << 30, 512 << 20]);
     }
 
     #[test]
@@ -796,12 +683,6 @@ mod tests {
             node: 0,
             bandwidth_scale: 1.5,
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "partition needs two distinct nodes")]
-    fn degenerate_partition_rejected() {
-        let _ = FaultPlan::new(0).with_fault(Fault::Partition { a: 3, b: 3 });
     }
 
     #[test]

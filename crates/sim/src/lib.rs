@@ -20,6 +20,11 @@
 //!    two-tier fleet ([`devices`]) or a degraded node link ([`fault`])
 //!    enlarges a device's dimension before the law runs.
 //!
+//! A [`Cluster`] is evaluated from one input, its fleet, lowered once to
+//! per-device budgets, kernel-time scales and bandwidth scales; a
+//! [`FaultPlan`] is an edit of that fleet ([`FaultyCluster::new`]), not an
+//! argument of every evaluation.
+//!
 //! The rest of the system treats this crate exactly the way the paper treats
 //! a GPU cluster: micro-benchmarks are run against it to produce training
 //! labels for the neural cost models, and final sharding plans are evaluated
@@ -74,3 +79,6 @@ pub const DEFAULT_MEM_BYTES: u64 = 4 * 1024 * 1024 * 1024;
 
 /// Default training batch size, matching the `bs65536` benchmark dataset.
 pub const DEFAULT_BATCH_SIZE: u32 = 65_536;
+
+#[cfg(test)]
+mod reference;

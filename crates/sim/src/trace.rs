@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, PhaseInputs};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
 use crate::profile::TableProfile;
 
 /// The phases of one training iteration on one GPU.
@@ -78,7 +77,7 @@ pub struct TraceSummary {
 /// assert!(summary.throughput_samples_per_sec > 0.0);
 /// # Ok::<(), nshard_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSimulator {
     cluster: Cluster,
     /// Duration of the dense (fully connected) forward+backward per
@@ -120,7 +119,7 @@ impl TraceSimulator {
             fwd_ms: fwd,
             bwd_ms: bwd,
             dims,
-        } = self.cluster.phase_inputs(assignment, &FaultPlan::default());
+        } = self.cluster.phase_inputs(assignment);
 
         // Per-GPU time cursors: when each GPU becomes free.
         let mut cursor = vec![0.0f64; d];

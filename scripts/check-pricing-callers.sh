@@ -18,6 +18,12 @@
 # deltas alike; the repair-only step type, the device remap and the online
 # copy of the planner stay deleted.
 #
+# One ground truth (DESIGN.md §7): a fault plan lowers onto the cluster
+# once, in `FaultyCluster::new`; the cluster, its fleet and the trace
+# simulator never see a `FaultPlan`, the fault-threading evaluation path
+# stays deleted (its copy lives only in the test-only `sim::reference`),
+# and control-plane faults stay out of the simulator.
+#
 # One record of adopted plans (DESIGN.md §9): the store module builds the
 # daemon's one `PlanKv`, and the second representation's roads in — the
 # replica insert, the boot re-log, the adopt-then-log pair and the store's
@@ -53,6 +59,19 @@ if grep -rn '_tiered' crates; then
 fi
 if code crates/learn/src | grep -E 'device_dims\('; then
     echo "error: learn builds comm rows from DevicePool::lowered_dims (lines above)" >&2
+    exit 1
+fi
+
+if grep -n 'FaultPlan' crates/sim/src/cluster.rs crates/sim/src/devices.rs crates/sim/src/trace.rs; then
+    echo "error: a fault plan is a fleet edit in FaultyCluster::new, not an evaluation input (lines above)" >&2
+    exit 1
+fi
+if code crates/*/src | grep -E '_with_faults|degraded_comm|lowered_dims_under'; then
+    echo "error: one evaluation path; lower faults onto the cluster instead (lines above)" >&2
+    exit 1
+fi
+if grep -rnwE 'Partition|NodeCrash' crates; then
+    echo "error: control-plane faults live with the replication harness, not under crates/ (lines above)" >&2
     exit 1
 fi
 

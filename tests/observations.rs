@@ -2,11 +2,13 @@
 //! the public-API level — the properties the whole search design rests on.
 
 use proptest::prelude::*;
+use serde_json::Value;
 
-use neuroshard::cost::{DeviceLoads, DeviceScales};
+use neuroshard::cost::{CostModelBundle, CostSimulator, DeviceLoads, DeviceScales};
 use neuroshard::data::{
     augment_pool, DevicePool, PlacementGenerator, TableConfig, TableId, TablePool, PAPER_DIMS,
 };
+use neuroshard::nn::envelope_from_json;
 use neuroshard::sim::{Cluster, CommParams, GpuSpec, KernelParams, TableProfile};
 
 const BATCH: u32 = 65_536;
@@ -239,4 +241,157 @@ proptest! {
         let bits = |dims: &[f64]| dims.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&load.comm_dims), bits(&pool.lowered_dims(&assignment)));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The observations on the learned models: what the search consults.
+// ---------------------------------------------------------------------------
+
+/// Random draws the learned-observation oracle checks.
+const LEARNED_CASES: u32 = 2048;
+
+/// Violation rates of the committed conformance bundle, recorded: a column
+/// split predicted no dearer than its table (Observation 1: 0 of 12,972),
+/// a fused set predicted no cheaper than its tables one by one
+/// (Observation 2: 0 of 2,048), and the placement with the larger max
+/// device dimension predicted cheaper (Observation 3: 14 of 2,734).
+const RECORDED_RATES: [f64; 3] = [0.0, 0.0, 14.0 / 2734.0];
+
+/// `(violations, checks)` per observation.
+type Tally = [(usize, usize); 3];
+
+/// The committed conformance bundle's JSON envelope (pre-trained on 4
+/// devices over the pool of [`learned_pool`]).
+fn conformance_json() -> String {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/conformance_bundle.json"
+    );
+    std::fs::read_to_string(path).expect("committed conformance bundle")
+}
+
+fn bundle_from(json: &str) -> CostModelBundle {
+    envelope_from_json::<CostModelBundle>(json)
+        .expect("conformance bundle loads")
+        .payload
+}
+
+/// The tables the conformance bundle was pre-trained on.
+fn learned_pool() -> Vec<TableProfile> {
+    TablePool::synthetic_dlrm(80, 0xA11CE)
+        .iter()
+        .map(|t| t.profile(BATCH))
+        .collect()
+}
+
+/// Tallies the bundle's violations of Observations 1–3 over random sets of
+/// pool tables, each dealt two ways onto the bundle's devices.
+fn learned_violations(bundle: CostModelBundle) -> Tally {
+    let pool = learned_pool();
+    let devices = bundle.num_devices();
+    let comm = [
+        bundle.comm_fwd_model().clone(),
+        bundle.comm_bwd_model().clone(),
+    ];
+    let sim = CostSimulator::new(bundle);
+    let cost = |tables: &[TableProfile]| sim.device_compute_cost(tables);
+    let mut tally: Tally = [(0, 0); 3];
+    let draw = (
+        proptest::collection::vec(0..pool.len(), 2..12),
+        proptest::collection::vec(0..devices, 1..12),
+        proptest::collection::vec(0..devices, 1..12),
+    );
+    proptest::run_cases("learned_observations", LEARNED_CASES, |rng| {
+        let (picks, deal_a, deal_b) = draw.generate(rng);
+        let set: Vec<TableProfile> = picks.iter().map(|&i| pool[i]).collect();
+        for table in &set {
+            if let Some((a, b)) = table.split_columns() {
+                tally[0].0 += usize::from(cost(&[a]) + cost(&[b]) <= cost(&[*table]));
+                tally[0].1 += 1;
+            }
+        }
+        let singles: f64 = set.iter().map(|t| cost(std::slice::from_ref(t))).sum();
+        tally[1].0 += usize::from(cost(&set) >= singles);
+        tally[1].1 += 1;
+        let dims = |deal: &[usize]| {
+            let mut dims = vec![0.0; devices];
+            for (t, &d) in set.iter().zip(deal.iter().cycle()) {
+                dims[d] += t.comm_dim();
+            }
+            dims
+        };
+        let (a, b) = (dims(&deal_a), dims(&deal_b));
+        let max = |dims: &[f64]| dims.iter().cloned().fold(0.0, f64::max);
+        let (low, high) = match max(&a).partial_cmp(&max(&b)) {
+            Some(std::cmp::Ordering::Less) => (a, b),
+            Some(std::cmp::Ordering::Greater) => (b, a),
+            _ => return Ok(()),
+        };
+        let starts = vec![0.0; devices];
+        for model in &comm {
+            let predicted = |dims: &[f64]| model.predict(dims, &starts, BATCH);
+            tally[2].0 += usize::from(predicted(&low) > predicted(&high));
+            tally[2].1 += 1;
+        }
+        Ok(())
+    });
+    tally
+}
+
+fn rates(tally: &Tally) -> [f64; 3] {
+    tally.map(|(violations, checks)| violations as f64 / checks.max(1) as f64)
+}
+
+/// The learned cost models inherit the paper's three observations — the
+/// argument for a neural over a linear model (§4.2). The conformance
+/// bundle's violation rates never exceed the recorded ones.
+#[test]
+fn learned_models_inherit_observations_1_to_3_at_the_recorded_rates() {
+    let tally = learned_violations(bundle_from(&conformance_json()));
+    let observed = rates(&tally);
+    println!("learned observation violations (violated, checked): {tally:?}, rates {observed:?}");
+    for (k, (seen, recorded)) in observed.iter().zip(RECORDED_RATES).enumerate() {
+        assert!(
+            *seen <= recorded,
+            "observation {}: violation rate {seen} above the recorded {recorded} ({tally:?})",
+            k + 1
+        );
+    }
+}
+
+/// The oracle can fail: with the weights of its compute head's output
+/// layer negated, the same bundle breaks Observations 1 and 2 beyond the
+/// recorded rates. (Negating every head layer does not: the poisoned model
+/// still predicts positive, monotone, subadditive costs.)
+#[test]
+fn a_poisoned_compute_head_breaks_the_learned_observations() {
+    let mut envelope = serde_json::parse_value(&conformance_json()).unwrap();
+    let head = ["payload", "compute", "head", "layers"]
+        .iter()
+        .fold(&mut envelope, |v, key| field(v, key));
+    let Value::Seq(layers) = head else {
+        panic!("head layers")
+    };
+    let output = layers.last_mut().expect("the head has an output layer");
+    let Value::Seq(weights) = field(field(output, "w"), "data") else {
+        panic!("weights")
+    };
+    for w in weights {
+        if let Value::Float(x) = w {
+            *x = -*x;
+        }
+    }
+    let poisoned = bundle_from(&serde_json::to_string(&envelope).unwrap());
+    let observed = rates(&learned_violations(poisoned));
+    println!("poisoned compute head: rates {observed:?}");
+    assert!(observed[0] > RECORDED_RATES[0] && observed[1] > RECORDED_RATES[1]);
+}
+
+/// The value under `key` of a JSON object.
+fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(entries) = v else {
+        panic!("`{key}`: not an object")
+    };
+    let (_, value) = entries.iter_mut().find(|(k, _)| k == key).expect(key);
+    value
 }

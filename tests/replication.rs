@@ -18,7 +18,6 @@ use neuroshard::serve::kv::{LogFetch, MatchSeq, PlanKv};
 use neuroshard::serve::repl::{PollOutcome, ReplError, ReplTransport, Replicator, Role};
 use neuroshard::serve::server::Routed;
 use neuroshard::serve::{KvSnapshot, ManualClock, ReplicaConfig, ServeConfig, Service};
-use neuroshard::sim::{Fault, FaultPlan};
 
 fn quick_bundle(seed: u64) -> CostModelBundle {
     let pool = TablePool::synthetic_dlrm(40, 3);
@@ -96,14 +95,31 @@ fn get_inline(service: &Service, path: &str) -> (u16, String, Vec<(String, Strin
     )
 }
 
-/// An in-process transport wired through a seeded [`FaultPlan`]:
-/// partitions and crashes gate delivery, and `drop_head` models a stream
-/// losing its oldest undelivered op mid-flight (the "leader dies
-/// mid-stream" shape — later ops were observed, earlier ones never
-/// arrive).
+/// Control-plane faults between replication nodes: a severed link (both
+/// directions) and a crashed node that answers nothing.
+#[derive(Default)]
+struct ControlFaults {
+    partition: Option<(usize, usize)>,
+    crashed: Option<usize>,
+}
+
+impl ControlFaults {
+    fn is_partitioned(&self, a: usize, b: usize) -> bool {
+        self.partition == Some((a, b)) || self.partition == Some((b, a))
+    }
+
+    fn is_crashed(&self, node: usize) -> bool {
+        self.crashed == Some(node)
+    }
+}
+
+/// An in-process transport wired through [`ControlFaults`]: partitions
+/// and crashes gate delivery, and `drop_head` models a stream losing its
+/// oldest undelivered op mid-flight (the "leader dies mid-stream" shape —
+/// later ops were observed, earlier ones never arrive).
 struct ChaosTransport {
     leader: Arc<Service>,
-    faults: Arc<Mutex<FaultPlan>>,
+    faults: Arc<Mutex<ControlFaults>>,
     leader_node: usize,
     follower_node: usize,
     drop_head: Arc<AtomicBool>,
@@ -202,7 +218,7 @@ proptest! {
 fn follower_tails_through_partition_and_heals() {
     let leader = leader_service(7);
     let follower = follower_service(7, 10);
-    let faults = Arc::new(Mutex::new(FaultPlan::new(5)));
+    let faults = Arc::new(Mutex::new(ControlFaults::default()));
     let mut repl = Replicator::new(
         Arc::clone(&follower),
         Box::new(ChaosTransport {
@@ -229,7 +245,10 @@ fn follower_tails_through_partition_and_heals() {
     assert_eq!(repl.poll_once(), PollOutcome::UpToDate);
 
     // Partition the link: polls fail with recorded, bounded backoff.
-    *faults.lock().unwrap() = FaultPlan::new(5).with_fault(Fault::Partition { a: 0, b: 1 });
+    *faults.lock().unwrap() = ControlFaults {
+        partition: Some((0, 1)),
+        crashed: None,
+    };
     for want in 1..=3u32 {
         match repl.poll_once() {
             PollOutcome::TransportError {
@@ -261,7 +280,7 @@ fn follower_tails_through_partition_and_heals() {
     assert_eq!(leader.plans().len(), 2);
 
     // Heal: the follower catches up and drops back to follower.
-    *faults.lock().unwrap() = FaultPlan::new(5);
+    *faults.lock().unwrap() = ControlFaults::default();
     assert_eq!(repl.poll_once(), PollOutcome::Applied(1));
     assert_eq!(follower.role().role(), Role::Follower);
     assert_eq!(follower.kv().dump(), leader.kv().dump());
@@ -404,7 +423,7 @@ fn run_leader_kill_scenario() -> Vec<String> {
     let mut transcript = Vec::new();
     let leader = leader_service(11);
     let follower = follower_service(11, 3);
-    let faults = Arc::new(Mutex::new(FaultPlan::new(11)));
+    let faults = Arc::new(Mutex::new(ControlFaults::default()));
     let drop_head = Arc::new(AtomicBool::new(false));
     let mut repl = Replicator::new(
         Arc::clone(&follower),
@@ -458,7 +477,10 @@ fn run_leader_kill_scenario() -> Vec<String> {
     );
 
     // The leader dies. Three consecutive failures reach the threshold.
-    *faults.lock().unwrap() = FaultPlan::new(11).with_fault(Fault::NodeCrash { node: 0 });
+    *faults.lock().unwrap() = ControlFaults {
+        partition: None,
+        crashed: Some(0),
+    };
     let mut promoted = None;
     for _ in 0..3 {
         let outcome = repl.poll_once();
