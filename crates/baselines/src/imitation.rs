@@ -18,13 +18,10 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{apply_split_plan, PlanError, ShardingAlgorithm, ShardingPlan, SplitStep};
-use nshard_cost::table_features;
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
 
-/// Number of device-state features appended to each table's features
-/// (relative bytes, dimension and lookup load).
-const DEVICE_FEATURES: usize = 3;
+use crate::policy::{placement_order, softmax, DeviceState, INPUT_DIM};
 
 /// A log of solved sharding tasks — the training data of Appendix H's
 /// self-imitation strategy.
@@ -96,8 +93,7 @@ impl ImitationSharder {
     /// Panics if the log is empty.
     pub fn fit(log: &SystemLog, epochs: usize, seed: u64) -> Self {
         assert!(!log.is_empty(), "cannot imitate an empty log");
-        let input_dim = nshard_cost::TABLE_FEATURE_DIM + DEVICE_FEATURES;
-        let mut policy = Mlp::new(input_dim, &[64, 32], 1, seed);
+        let mut policy = Mlp::new(INPUT_DIM, &[64, 32], 1, seed);
         let mut adam = Adam::new(&policy, 2e-3);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1417);
 
@@ -147,8 +143,7 @@ impl ImitationSharder {
 /// invoking `visit(per-device inputs, expert device)` per step, and
 /// returns the number of steps.
 fn replay(entry: &LogEntry, mut visit: impl FnMut(&[Vec<f32>], usize)) -> usize {
-    let mut order: Vec<usize> = (0..entry.sharded_tables.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(entry.sharded_tables[i].memory_bytes()));
+    let order = placement_order(&entry.sharded_tables);
     let mut state = DeviceState::new(&entry.sharded_tables, entry.num_devices);
     for &i in &order {
         let table = &entry.sharded_tables[i];
@@ -158,55 +153,6 @@ fn replay(entry: &LogEntry, mut visit: impl FnMut(&[Vec<f32>], usize)) -> usize 
         state.place(table, label);
     }
     order.len()
-}
-
-/// Mutable device-load state shared by training replay and inference.
-struct DeviceState {
-    bytes: Vec<f64>,
-    dims: Vec<f64>,
-    lookups: Vec<f64>,
-    per_dev_bytes: f64,
-    per_dev_dim: f64,
-    per_dev_lookup: f64,
-}
-
-impl DeviceState {
-    fn new(tables: &[TableConfig], num_devices: usize) -> Self {
-        let d = num_devices as f64;
-        let total_bytes: f64 = tables.iter().map(|t| t.memory_bytes() as f64).sum();
-        let total_dim: f64 = tables.iter().map(|t| f64::from(t.dim())).sum();
-        let total_lookup: f64 = tables
-            .iter()
-            .map(|t| f64::from(t.dim()) * t.pooling_factor())
-            .sum();
-        Self {
-            bytes: vec![0.0; num_devices],
-            dims: vec![0.0; num_devices],
-            lookups: vec![0.0; num_devices],
-            per_dev_bytes: (total_bytes / d).max(1.0),
-            per_dev_dim: (total_dim / d).max(1.0),
-            per_dev_lookup: (total_lookup / d).max(1.0),
-        }
-    }
-
-    fn inputs(&self, table: &TableConfig, batch_size: u32) -> Vec<Vec<f32>> {
-        let tf = table_features(&table.profile(batch_size), batch_size);
-        (0..self.bytes.len())
-            .map(|g| {
-                let mut x = tf.clone();
-                x.push((self.bytes[g] / self.per_dev_bytes) as f32);
-                x.push((self.dims[g] / self.per_dev_dim) as f32);
-                x.push((self.lookups[g] / self.per_dev_lookup) as f32);
-                x
-            })
-            .collect()
-    }
-
-    fn place(&mut self, table: &TableConfig, device: usize) {
-        self.bytes[device] += table.memory_bytes() as f64;
-        self.dims[device] += f64::from(table.dim());
-        self.lookups[device] += f64::from(table.dim()) * table.pooling_factor();
-    }
 }
 
 impl ShardingAlgorithm for ImitationSharder {
@@ -235,8 +181,7 @@ impl ShardingAlgorithm for ImitationSharder {
             Ok(&tables[..])
         );
 
-        let mut order: Vec<usize> = (0..tables.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(tables[i].memory_bytes()));
+        let order = placement_order(&tables);
         let mut state = DeviceState::new(&tables, task.num_devices());
         let mut placed_bytes = vec![0u64; task.num_devices()];
         let mut device_of = vec![0usize; tables.len()];
@@ -265,13 +210,6 @@ impl ShardingAlgorithm for ImitationSharder {
         }
         ShardingPlan::with_split_plan(split_plan, tables, device_of, task.num_devices())
     }
-}
-
-fn softmax(scores: &[f32]) -> Vec<f64> {
-    let max = scores.iter().cloned().fold(f32::MIN, f32::max);
-    let exps: Vec<f64> = scores.iter().map(|&s| f64::from(s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 pub mod greedy;
 pub mod imitation;
 pub mod planner;
+mod policy;
 pub mod rl;
 
 pub use greedy::{DimGreedy, LookupGreedy, RandomSharding, SizeGreedy, SizeLookupGreedy};

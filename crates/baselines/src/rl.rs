@@ -20,12 +20,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use nshard_core::{PlanError, ShardingAlgorithm, ShardingPlan};
-use nshard_cost::table_features;
 use nshard_data::ShardingTask;
 use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
 use nshard_sim::{Cluster, GpuSpec, TableProfile};
 
 use crate::plan_from_assignment;
+use crate::policy::{placement_order, softmax, DeviceState, INPUT_DIM};
 
 /// Which published RL system the agent emulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,9 +38,6 @@ pub enum RlVariant {
     /// for memory overflow.
     DreamShardLike,
 }
-
-/// Number of device-state features appended to the table features.
-const DEVICE_FEATURES: usize = 3;
 
 /// A REINFORCE sharding agent trained per task.
 #[derive(Debug, Clone)]
@@ -83,51 +80,23 @@ impl RlSharder {
         self.variant
     }
 
-    /// Rolls out one episode; `explore` controls sampling vs. argmax.
-    /// Returns the assignment and the per-step (input, action, probs).
-    #[allow(clippy::too_many_arguments)]
+    /// Rolls out one episode, placing tables in `order`; `explore`
+    /// controls sampling vs. argmax. Returns the assignment and the
+    /// per-step (input, action, probs).
     fn rollout(
-        &self,
         policy: &Mlp,
-        profiles: &[TableProfile],
-        order: &[usize],
-        num_devices: usize,
         task: &ShardingTask,
+        order: &[usize],
         rng: &mut StdRng,
         explore: bool,
     ) -> (Vec<usize>, Vec<Step>) {
-        let total_bytes: f64 = profiles.iter().map(|p| p.memory_bytes() as f64).sum();
-        let total_dim: f64 = profiles.iter().map(|p| f64::from(p.dim())).sum();
-        let per_dev_bytes = (total_bytes / num_devices as f64).max(1.0);
-        let per_dev_dim = (total_dim / num_devices as f64).max(1.0);
-
-        let mut dev_bytes = vec![0.0f64; num_devices];
-        let mut dev_dim = vec![0.0f64; num_devices];
-        let mut dev_lookup = vec![0.0f64; num_devices];
-        let total_lookup: f64 = profiles
-            .iter()
-            .map(|p| f64::from(p.dim()) * p.pooling_factor())
-            .sum();
-        let per_dev_lookup = (total_lookup / num_devices as f64).max(1.0);
-
-        let mut device_of = vec![0usize; profiles.len()];
+        let mut state = DeviceState::new(task.tables(), task.num_devices());
+        let mut device_of = vec![0usize; task.num_tables()];
         let mut steps = Vec::with_capacity(order.len());
         for &i in order {
-            let p = &profiles[i];
-            let tf = table_features(p, task.batch_size());
-            // Score each device.
-            let rows: Vec<Vec<f32>> = (0..num_devices)
-                .map(|g| {
-                    let mut x = tf.clone();
-                    x.push((dev_bytes[g] / per_dev_bytes) as f32);
-                    x.push((dev_dim[g] / per_dev_dim) as f32);
-                    x.push((dev_lookup[g] / per_dev_lookup) as f32);
-                    x
-                })
-                .collect();
-            let x = Matrix::from_rows(&rows);
-            let scores = policy.forward(&x);
-            let probs = softmax(scores.as_slice());
+            let table = &task.tables()[i];
+            let rows = state.inputs(table, task.batch_size());
+            let probs = softmax(policy.forward(&Matrix::from_rows(&rows)).as_slice());
             let action = if explore {
                 sample_categorical(&probs, rng)
             } else {
@@ -136,12 +105,10 @@ impl RlSharder {
             steps.push(Step {
                 inputs: rows,
                 action,
-                probs: probs.clone(),
+                probs,
             });
             device_of[i] = action;
-            dev_bytes[action] += p.memory_bytes() as f64;
-            dev_dim[action] += f64::from(p.dim());
-            dev_lookup[action] += f64::from(p.dim()) * p.pooling_factor();
+            state.place(table, action);
         }
         (device_of, steps)
     }
@@ -211,11 +178,8 @@ impl ShardingAlgorithm for RlSharder {
     fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
         let profiles: Vec<TableProfile> = task.profiles();
         // Assign in descending size order (both systems sort tables first).
-        let mut order: Vec<usize> = (0..profiles.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(profiles[i].memory_bytes()));
-
-        let input_dim = nshard_cost::TABLE_FEATURE_DIM + DEVICE_FEATURES;
-        let mut policy = Mlp::new(input_dim, &[32, 16], 1, self.seed);
+        let order = placement_order(task.tables());
+        let mut policy = Mlp::new(INPUT_DIM, &[32, 16], 1, self.seed);
         let mut adam = Adam::new(&policy, self.learning_rate);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD0D0);
 
@@ -231,15 +195,7 @@ impl ShardingAlgorithm for RlSharder {
             grads.zero();
             let batch = self.batch_episodes.min(self.episodes - episodes_done);
             for _ in 0..batch {
-                let (device_of, steps) = self.rollout(
-                    &policy,
-                    &profiles,
-                    &order,
-                    task.num_devices(),
-                    task,
-                    &mut rng,
-                    true,
-                );
+                let (device_of, steps) = Self::rollout(&policy, task, &order, &mut rng, true);
                 let reward = self.reward(task, &profiles, &device_of);
                 if best_sampled.as_ref().is_none_or(|(r, _)| reward > *r) {
                     best_sampled = Some((reward, device_of.clone()));
@@ -266,15 +222,7 @@ impl ShardingAlgorithm for RlSharder {
 
         // Final deterministic rollout, compared against the best sampled
         // episode.
-        let (greedy_of, _) = self.rollout(
-            &policy,
-            &profiles,
-            &order,
-            task.num_devices(),
-            task,
-            &mut rng,
-            false,
-        );
+        let (greedy_of, _) = Self::rollout(&policy, task, &order, &mut rng, false);
         let greedy_reward = self.reward(task, &profiles, &greedy_of);
         let device_of = match best_sampled {
             Some((r, sampled)) if r > greedy_reward => sampled,
@@ -282,13 +230,6 @@ impl ShardingAlgorithm for RlSharder {
         };
         plan_from_assignment(task, device_of)
     }
-}
-
-fn softmax(scores: &[f32]) -> Vec<f64> {
-    let max = scores.iter().cloned().fold(f32::MIN, f32::max);
-    let exps: Vec<f64> = scores.iter().map(|&s| f64::from(s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {

@@ -13,51 +13,29 @@
 //!    repaired likewise if needed,
 //! 4. a built-in **size-balanced** last resort ([`size_balanced_plan`]).
 //!
-//! Verification failures that are *transient* (see
-//! [`SimError::is_transient`], e.g. injected measurement faults) are
-//! retried a bounded number of times with exponential backoff. Backoff
-//! delays are **recorded, not slept**, keeping the chain deterministic and
-//! instant under test; a production caller can replay them.
+//! A plan is checked on the task's fleet, faulted or not: each call lowers
+//! the chain's [`FaultPlan`] (empty unless [`FallbackChain::with_faults`]
+//! set one) onto the task's ground-truth cluster once, and accepts a plan
+//! when [`FaultyCluster::verify`] passes — the memory check, then the
+//! seeded transient check. A *transient* failure (see
+//! [`SimError::is_transient`]) is retried up to five times, each retry on
+//! the next attempt's seed.
 //!
 //! Every decision — attempts, failures, retries, repairs, downgrades — is
 //! recorded in a [`PlanProvenance`] attached to the returned plan, so a
 //! degraded plan is always attributable.
 
 use nshard_data::ShardingTask;
-use nshard_sim::{GpuSpec, SimError};
+use nshard_sim::{FaultPlan, FaultyCluster, GpuSpec, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::local::{RepairConfig, RepairEngine};
+use crate::local::RepairEngine;
 use crate::plan::{PlanError, ShardingPlan};
 use crate::ShardingAlgorithm;
 
-/// Bounded retry with exponential backoff for transient failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries per verification (on top of the first attempt).
-    pub max_retries: u32,
-    /// Backoff before the first retry, in ms; doubles each retry.
-    pub base_backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff_ms: 50,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The recorded backoff before retry `attempt` (1-based), in ms —
-    /// the plain exponential schedule of the shared
-    /// [`nshard_pool::Backoff`] helper (the same helper whose jittered
-    /// mode paces replication reconnects in `nshard-serve`).
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        nshard_pool::Backoff::exponential(self.base_backoff_ms).delay_ms(attempt)
-    }
-}
+/// Retries of one verification after a transient failure, on top of the
+/// first attempt.
+const MAX_RETRIES: u32 = 5;
 
 /// Which stage of the chain produced the accepted plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,8 +90,6 @@ pub enum ProvenanceEvent {
         algorithm: String,
         /// 1-based retry number.
         attempt: u32,
-        /// Recorded (not slept) backoff before this retry, ms.
-        backoff_ms: u64,
         /// The transient error, rendered.
         reason: String,
     },
@@ -189,10 +165,6 @@ pub struct PlanProvenance {
     pub source: PlanSource,
     /// Every decision, in order.
     pub events: Vec<ProvenanceEvent>,
-    /// Total transient retries across all stages.
-    pub total_retries: u32,
-    /// Total recorded backoff across all stages, ms.
-    pub total_backoff_ms: u64,
     /// Drift attribution when this plan replaced an incumbent in response
     /// to a workload-drift trigger; `None` for one-shot plans.
     pub replan: Option<ReplanAttribution>,
@@ -273,14 +245,6 @@ impl std::fmt::Display for ResilientError {
 
 impl std::error::Error for ResilientError {}
 
-/// Verifies a candidate plan for a task. The `u64` is a per-attempt seed so
-/// retries of flaky verifiers re-measure rather than repeat the failure.
-///
-/// `Send + Sync` so a chain can be shared by reference across the worker
-/// threads of a serving daemon (see `nshard-serve`).
-pub type PlanVerifier =
-    dyn Fn(&ShardingTask, &ShardingPlan, u64) -> Result<(), SimError> + Send + Sync;
-
 /// The degradation chain. See the [module documentation](self).
 ///
 /// The chain is `Send + Sync` (all stages must be too), so one chain can
@@ -289,21 +253,17 @@ pub type PlanVerifier =
 pub struct FallbackChain {
     primary: Box<dyn ShardingAlgorithm + Send + Sync>,
     fallbacks: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>,
-    retry: RetryPolicy,
-    verifier: Option<Box<PlanVerifier>>,
-    seed: u64,
+    faults: FaultPlan,
 }
 
 impl FallbackChain {
     /// A chain with only the primary algorithm and the built-in
-    /// size-balanced last resort.
+    /// size-balanced last resort, verifying on the healthy fleet.
     pub fn new(primary: Box<dyn ShardingAlgorithm + Send + Sync>) -> Self {
         Self {
             primary,
             fallbacks: Vec::new(),
-            retry: RetryPolicy::default(),
-            verifier: None,
-            seed: 0,
+            faults: FaultPlan::default(),
         }
     }
 
@@ -314,24 +274,10 @@ impl FallbackChain {
         self
     }
 
-    /// Replaces the retry policy (builder-style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces the plan verifier (builder-style). The default verifier
-    /// checks memory feasibility on a healthy cluster; supply one backed by
-    /// a `FaultyCluster` to verify under injected faults.
-    pub fn with_verifier(mut self, verifier: Box<PlanVerifier>) -> Self {
-        self.verifier = Some(verifier);
-        self
-    }
-
-    /// Sets the base seed mixed into per-attempt verifier seeds
-    /// (builder-style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    /// Verifies every plan on the task's fleet with `faults` lowered onto
+    /// it (builder-style); the plan's seed drives its transient failures.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -345,27 +291,24 @@ impl FallbackChain {
         &self,
         task: &ShardingTask,
     ) -> Result<ResilientOutcome, ResilientError> {
-        let mut trail = Trail::default();
+        let cluster = crate::eval::cluster_for(task, &GpuSpec::rtx_2080_ti());
+        let mut run = Run {
+            task,
+            fleet: FaultyCluster::new(cluster, self.faults.clone()),
+            events: Vec::new(),
+        };
 
-        let stages: Vec<&dyn ShardingAlgorithm> =
-            std::iter::once(self.primary.as_ref() as &dyn ShardingAlgorithm)
-                .chain(
-                    self.fallbacks
-                        .iter()
-                        .map(|b| b.as_ref() as &dyn ShardingAlgorithm),
-                )
-                .collect();
-
+        let stages = std::iter::once(&self.primary).chain(&self.fallbacks);
         let mut last_error = None;
-        for (rank, algo) in stages.iter().enumerate() {
+        for (rank, algo) in stages.enumerate() {
             let name = algo.name().to_string();
-            trail.events.push(ProvenanceEvent::Attempt {
+            run.events.push(ProvenanceEvent::Attempt {
                 algorithm: name.clone(),
             });
             let plan = match algo.shard(task) {
                 Ok(plan) => plan,
                 Err(e) => {
-                    trail.events.push(ProvenanceEvent::SearchFailed {
+                    run.events.push(ProvenanceEvent::SearchFailed {
                         algorithm: name.clone(),
                         reason: e.to_string(),
                     });
@@ -373,7 +316,7 @@ impl FallbackChain {
                     continue;
                 }
             };
-            match self.verify_and_repair(task, plan, &name, &mut trail) {
+            match run.verify_and_repair(plan, &name) {
                 Ok((plan, repair_steps)) => {
                     let source = match (rank, repair_steps) {
                         (0, None) => PlanSource::Primary { algorithm: name },
@@ -385,7 +328,7 @@ impl FallbackChain {
                     };
                     return Ok(ResilientOutcome {
                         plan,
-                        provenance: trail.into_provenance(source),
+                        provenance: run.into_provenance(source),
                     });
                 }
                 Err(e) => last_error = Some(e),
@@ -393,171 +336,123 @@ impl FallbackChain {
         }
 
         // Last resort: size-balanced placement, never search-fails but may
-        // still be infeasible (or rejected by a faulty verifier).
-        trail.events.push(ProvenanceEvent::Attempt {
+        // still be infeasible (or rejected on a faulted fleet).
+        run.events.push(ProvenanceEvent::Attempt {
             algorithm: "size_balanced".into(),
         });
-        match size_balanced_plan(task, RepairConfig::default()) {
-            Ok(plan) => match self.verify_and_repair(task, plan, "size_balanced", &mut trail) {
+        match size_balanced_plan(task) {
+            Ok(plan) => match run.verify_and_repair(plan, "size_balanced") {
                 Ok((plan, _)) => Ok(ResilientOutcome {
                     plan,
-                    provenance: trail.into_provenance(PlanSource::SizeBalanced),
+                    provenance: run.into_provenance(PlanSource::SizeBalanced),
                 }),
                 Err(e) => Err(ResilientError {
                     cause: e,
-                    provenance: Box::new(trail.into_provenance(PlanSource::SizeBalanced)),
+                    provenance: Box::new(run.into_provenance(PlanSource::SizeBalanced)),
                 }),
             },
             Err(e) => {
-                trail.events.push(ProvenanceEvent::SearchFailed {
+                run.events.push(ProvenanceEvent::SearchFailed {
                     algorithm: "size_balanced".into(),
                     reason: e.to_string(),
                 });
                 let cause = last_error.unwrap_or(e);
                 Err(ResilientError {
                     cause,
-                    provenance: Box::new(trail.into_provenance(PlanSource::SizeBalanced)),
+                    provenance: Box::new(run.into_provenance(PlanSource::SizeBalanced)),
                 })
             }
         }
     }
+}
 
+/// One [`FallbackChain::shard_with_provenance`] call: the task, its fleet
+/// with the chain's faults lowered onto it, and the decisions so far.
+struct Run<'a> {
+    task: &'a ShardingTask,
+    fleet: FaultyCluster,
+    events: Vec<ProvenanceEvent>,
+}
+
+impl Run<'_> {
     /// Verifies `plan`, retrying transient failures and repairing
     /// persistent memory failures once. Returns the accepted plan and the
     /// repair step count if repair was needed.
     fn verify_and_repair(
-        &self,
-        task: &ShardingTask,
+        &mut self,
         plan: ShardingPlan,
         name: &str,
-        trail: &mut Trail,
     ) -> Result<(ShardingPlan, Option<usize>), PlanError> {
-        match self.verify_with_retries(task, &plan, name, trail) {
-            Ok(()) => Ok((plan, None)),
-            Err(err) if is_repairable(&err) => {
-                match RepairEngine::new(RepairConfig::default()).repair(task, &plan) {
-                    Ok(report) => {
-                        trail.events.push(ProvenanceEvent::Repaired {
-                            algorithm: name.to_string(),
-                            steps: report.delta.steps.len(),
-                        });
-                        match self.verify_with_retries(task, &report.plan, name, trail) {
-                            Ok(()) => Ok((report.plan, Some(report.delta.steps.len()))),
-                            Err(e) => {
-                                trail.events.push(ProvenanceEvent::VerifyFailed {
-                                    algorithm: name.to_string(),
-                                    reason: e.to_string(),
-                                });
-                                Err(PlanError::Infeasible {
-                                    reason: format!("repaired plan still rejected: {e}"),
-                                })
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        trail.events.push(ProvenanceEvent::RepairFailed {
-                            algorithm: name.to_string(),
-                            reason: e.to_string(),
-                        });
-                        Err(e)
-                    }
-                }
-            }
-            Err(err) => {
-                trail.events.push(ProvenanceEvent::VerifyFailed {
+        let err = match self.verify(&plan, name) {
+            Ok(()) => return Ok((plan, None)),
+            Err(err) => err,
+        };
+        if !is_repairable(&err) {
+            self.events.push(ProvenanceEvent::VerifyFailed {
+                algorithm: name.to_string(),
+                reason: err.to_string(),
+            });
+            return Err(PlanError::Invalid {
+                reason: err.to_string(),
+            });
+        }
+        let report = match RepairEngine::default().repair(self.task, &plan) {
+            Ok(report) => report,
+            Err(e) => {
+                self.events.push(ProvenanceEvent::RepairFailed {
                     algorithm: name.to_string(),
-                    reason: err.to_string(),
+                    reason: e.to_string(),
                 });
-                Err(PlanError::Invalid {
-                    reason: err.to_string(),
+                return Err(e);
+            }
+        };
+        let steps = report.delta.steps.len();
+        self.events.push(ProvenanceEvent::Repaired {
+            algorithm: name.to_string(),
+            steps,
+        });
+        match self.verify(&report.plan, name) {
+            Ok(()) => Ok((report.plan, Some(steps))),
+            Err(e) => {
+                self.events.push(ProvenanceEvent::VerifyFailed {
+                    algorithm: name.to_string(),
+                    reason: e.to_string(),
+                });
+                Err(PlanError::Infeasible {
+                    reason: format!("repaired plan still rejected: {e}"),
                 })
             }
         }
     }
 
-    /// Runs the verifier, retrying transient failures per the policy.
-    fn verify_with_retries(
-        &self,
-        task: &ShardingTask,
-        plan: &ShardingPlan,
-        name: &str,
-        trail: &mut Trail,
-    ) -> Result<(), SimError> {
+    /// [`FaultyCluster::verify`], retrying transient failures up to
+    /// [`MAX_RETRIES`] times.
+    fn verify(&mut self, plan: &ShardingPlan, name: &str) -> Result<(), SimError> {
+        let profiles = plan.device_profiles(self.task.batch_size());
         let mut attempt = 0u32;
         loop {
-            let attempt_seed = self
-                .seed
-                .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            match self.run_verifier(task, plan, attempt_seed) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
+            match self.fleet.verify(&profiles, attempt) {
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
-                    let backoff_ms = self.retry.backoff_ms(attempt);
-                    trail.total_retries += 1;
-                    trail.total_backoff_ms += backoff_ms;
-                    trail.events.push(ProvenanceEvent::TransientRetry {
+                    self.events.push(ProvenanceEvent::TransientRetry {
                         algorithm: name.to_string(),
                         attempt,
-                        backoff_ms,
                         reason: e.to_string(),
                     });
                 }
-                Err(e) => return Err(e),
+                verdict => return verdict,
             }
         }
     }
 
-    fn run_verifier(
-        &self,
-        task: &ShardingTask,
-        plan: &ShardingPlan,
-        seed: u64,
-    ) -> Result<(), SimError> {
-        match &self.verifier {
-            Some(v) => v(task, plan, seed),
-            None => default_verifier(task, plan),
-        }
-    }
-}
-
-impl ShardingAlgorithm for FallbackChain {
-    fn name(&self) -> &str {
-        "fallback_chain"
-    }
-
-    fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
-        self.shard_with_provenance(task)
-            .map(|outcome| outcome.plan)
-            .map_err(|e| e.cause)
-    }
-}
-
-/// Running provenance state while the chain executes.
-#[derive(Default)]
-struct Trail {
-    events: Vec<ProvenanceEvent>,
-    total_retries: u32,
-    total_backoff_ms: u64,
-}
-
-impl Trail {
     fn into_provenance(self, source: PlanSource) -> PlanProvenance {
         PlanProvenance {
             source,
             events: self.events,
-            total_retries: self.total_retries,
-            total_backoff_ms: self.total_backoff_ms,
             replan: None,
             failover: None,
         }
     }
-}
-
-/// Memory feasibility on a healthy cluster: the minimum bar any plan must
-/// clear. Heterogeneous tasks verify against their per-device budgets.
-fn default_verifier(task: &ShardingTask, plan: &ShardingPlan) -> Result<(), SimError> {
-    let cluster = crate::eval::cluster_for(task, &GpuSpec::rtx_2080_ti());
-    cluster.check_memory(&plan.device_profiles(task.batch_size()))
 }
 
 /// Errors handed to the repair engine: memory overflow it can fix, and
@@ -580,10 +475,7 @@ fn is_repairable(err: &SimError) -> bool {
 ///
 /// [`PlanError::Infeasible`] when even with splitting the tables cannot
 /// fit the cluster.
-pub fn size_balanced_plan(
-    task: &ShardingTask,
-    repair: RepairConfig,
-) -> Result<ShardingPlan, PlanError> {
+pub fn size_balanced_plan(task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
     let tables = task.tables().to_vec();
     let mut order: Vec<usize> = (0..tables.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(tables[i].memory_bytes()), i));
@@ -606,13 +498,26 @@ pub fn size_balanced_plan(
         load[target] += tables[i].memory_bytes();
     }
     let plan = ShardingPlan::new(Vec::new(), tables, device_of, task.num_devices())?;
-    Ok(RepairEngine::new(repair).repair(task, &plan)?.plan)
+    Ok(RepairEngine::default().repair(task, &plan)?.plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nshard_data::{TableConfig, TableId};
+    use nshard_sim::Fault;
+
+    /// The `attempt` of every transient retry, in order.
+    fn retries(provenance: &PlanProvenance) -> Vec<u32> {
+        provenance
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                ProvenanceEvent::TransientRetry { attempt, .. } => Some(*attempt),
+                _ => None,
+            })
+            .collect()
+    }
 
     fn t(id: u32, dim: u32, rows: u64) -> TableConfig {
         TableConfig::new(TableId(id), dim, rows, 8.0, 1.0)
@@ -687,7 +592,7 @@ mod tests {
             }
         );
         assert!(!outcome.provenance.is_degraded());
-        assert_eq!(outcome.provenance.total_retries, 0);
+        assert!(retries(&outcome.provenance).is_empty());
     }
 
     #[test]
@@ -770,32 +675,13 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_are_retried_with_recorded_backoff() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
-        let calls = Arc::new(AtomicU32::new(0));
-        let calls_in = calls.clone();
-        let chain = FallbackChain::new(Box::new(RoundRobin))
-            .with_retry(RetryPolicy {
-                max_retries: 3,
-                base_backoff_ms: 10,
-            })
-            .with_verifier(Box::new(move |_task, _plan, _seed| {
-                let n = calls_in.fetch_add(1, Ordering::SeqCst);
-                if n < 2 {
-                    Err(SimError::TransientFailure {
-                        device: 0,
-                        reason: "flaky".into(),
-                    })
-                } else {
-                    Ok(())
-                }
-            }));
+    fn transient_failures_are_retried_and_recorded() {
+        // At plan seed 25 a 50% failure rate fails attempts 0 and 1 and
+        // passes attempt 2.
+        let flaky = FaultPlan::new(25).with_fault(Fault::TransientFailures { rate: 0.5 });
+        let chain = FallbackChain::new(Box::new(RoundRobin)).with_faults(flaky);
         let outcome = chain.shard_with_provenance(&small_task()).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert_eq!(outcome.provenance.total_retries, 2);
-        // Exponential: 10 then 20 ms, recorded but never slept.
-        assert_eq!(outcome.provenance.total_backoff_ms, 30);
+        assert_eq!(retries(&outcome.provenance), vec![1, 2]);
         assert_eq!(
             outcome.provenance.source,
             PlanSource::Primary {
@@ -806,25 +692,13 @@ mod tests {
 
     #[test]
     fn exhausted_retries_downgrade() {
-        let chain = FallbackChain::new(Box::new(RoundRobin))
-            .with_retry(RetryPolicy {
-                max_retries: 1,
-                base_backoff_ms: 5,
-            })
-            .with_verifier(Box::new(|_task, plan, _seed| {
-                // Reject everything that is not size-balanced output by
-                // failing transiently forever; accept plans with splits or
-                // non-round-robin shape. Simplest: always transient-fail.
-                let _ = plan;
-                Err(SimError::TransientFailure {
-                    device: 1,
-                    reason: "permanently flaky".into(),
-                })
-            }));
+        // At plan seed 0 a 90% failure rate fails all six attempts, for
+        // the primary and the last resort alike.
+        let storm = FaultPlan::new(0).with_fault(Fault::TransientFailures { rate: 0.9 });
+        let chain = FallbackChain::new(Box::new(RoundRobin)).with_faults(storm);
         let err = chain.shard_with_provenance(&small_task()).unwrap_err();
         // Even the last resort cannot verify: typed error with provenance.
-        assert!(err.provenance.total_retries >= 2);
-        assert!(!err.provenance.events.is_empty());
+        assert_eq!(retries(&err.provenance), [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]);
         assert!(err.to_string().contains("fallback chain"));
     }
 
@@ -907,18 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_uses_the_shared_helper() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff_ms: 10,
-        };
-        let helper = nshard_pool::Backoff::exponential(10);
-        for attempt in 1..20 {
-            assert_eq!(policy.backoff_ms(attempt), helper.delay_ms(attempt));
-        }
-    }
-
-    #[test]
     fn chain_is_shareable_across_threads() {
         // The serving daemon shares one chain behind an Arc across its
         // worker pool; a missing auto-trait bound would break that.
@@ -965,7 +827,7 @@ mod tests {
             1.0,
         );
         let task = ShardingTask::new(tables, 2, each * 3, 1024).with_devices(pool);
-        let plan = size_balanced_plan(&task, RepairConfig::default()).unwrap();
+        let plan = size_balanced_plan(&task).unwrap();
         assert!(plan.validate(&task).is_ok());
         assert!(plan.device_bytes()[1] <= each);
     }
@@ -974,7 +836,7 @@ mod tests {
     fn size_balanced_plan_splits_oversized_tables() {
         let big = t(0, 128, 8192);
         let task = ShardingTask::new(vec![big], 2, big.memory_bytes() * 3 / 4, 1024);
-        let plan = size_balanced_plan(&task, RepairConfig::default()).unwrap();
+        let plan = size_balanced_plan(&task).unwrap();
         assert!(plan.validate(&task).is_ok());
         assert!(plan.num_column_splits() >= 1);
     }

@@ -27,8 +27,8 @@
 //!   plan fit (evict-and-replace onto the least-loaded device that fits)
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
 //!   migration-regularized cost,
-//! * [`fallback`] — the graceful-degradation chain with bounded retries
-//!   and full [`PlanProvenance`] attribution.
+//! * [`fallback`] — the graceful-degradation chain, verifying on the
+//!   task's (faulted) fleet, with full [`PlanProvenance`] attribution.
 //!
 //! ## Example
 //!
@@ -64,7 +64,7 @@ pub use eval::{
 };
 pub use fallback::{
     size_balanced_plan, FailoverAttribution, FallbackChain, PlanProvenance, PlanSource,
-    ProvenanceEvent, ReplanAttribution, ResilientError, ResilientOutcome, RetryPolicy,
+    ProvenanceEvent, ReplanAttribution, ResilientError, ResilientOutcome,
 };
 pub use greedy_grid::{GreedyGridSearch, GridSearchResult};
 pub use local::{

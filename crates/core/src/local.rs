@@ -210,8 +210,7 @@ fn heaviest_first<K: PartialOrd>(
 }
 
 /// Limits of the repair loop. It has none left to set; the type stays so
-/// [`RepairEngine::new`] and [`crate::size_balanced_plan`] keep their
-/// signatures.
+/// [`RepairEngine::new`] keeps its signature.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairConfig {}
 

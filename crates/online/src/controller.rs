@@ -313,7 +313,7 @@ impl OnlineController {
     /// swap replaces the simulator and with it every prediction/encoding
     /// cache.
     fn stack_for(bundle: CostModelBundle, config: &OnlineConfig) -> PlanningStack {
-        PlanningStack::new(bundle, config.search, config.incremental, config.seed)
+        PlanningStack::new(bundle, config.search, config.incremental)
     }
 
     /// Runs the full epoch loop and returns the per-epoch history.

@@ -64,10 +64,9 @@ pub struct PlanningStack {
 }
 
 impl PlanningStack {
-    /// Builds the stack for `bundle`. `seed` is mixed into the chain's
-    /// verifier seeds; `incremental.row_wise` is taken from
-    /// `search.use_row_wise`, so a disabled setting disables row splits on
-    /// both paths.
+    /// Builds the stack for `bundle`. `incremental.row_wise` is taken
+    /// from `search.use_row_wise`, so a disabled setting disables row
+    /// splits on both paths.
     ///
     /// # Panics
     ///
@@ -77,12 +76,10 @@ impl PlanningStack {
         bundle: CostModelBundle,
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
-        seed: u64,
     ) -> Self {
         let neuro = Arc::new(NeuroShard::new(bundle, search));
-        let chain = FallbackChain::new(Box::new(Arc::clone(&neuro)))
-            .with_fallback(Box::new(SizeGreedy))
-            .with_seed(seed);
+        let chain =
+            FallbackChain::new(Box::new(Arc::clone(&neuro))).with_fallback(Box::new(SizeGreedy));
         let planner = IncrementalPlanner::new(IncrementalConfig {
             row_wise: search.use_row_wise,
             ..incremental
@@ -132,8 +129,6 @@ impl PlanningStack {
                             algorithm: "incremental_planner".into(),
                         },
                         events: Vec::new(),
-                        total_retries: 0,
-                        total_backoff_ms: 0,
                         replan: None,
                         failover: None,
                     },
@@ -174,7 +169,6 @@ mod tests {
             bundle,
             NeuroShardConfig::smoke(),
             IncrementalConfig::default(),
-            7,
         )
     }
 
@@ -272,7 +266,7 @@ mod tests {
             use_row_wise: true,
             ..NeuroShardConfig::smoke()
         };
-        let stack = PlanningStack::new(bundle, search, IncrementalConfig::default(), 7);
+        let stack = PlanningStack::new(bundle, search, IncrementalConfig::default());
         assert!(stack.planner.config().row_wise);
     }
 }

@@ -76,24 +76,19 @@ pub fn resolve_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Deterministic retry backoff shared by every reconnect/retry loop in the
-/// workspace: the [`nshard_core` fallback chain's] transient-verification
-/// retries and the `nshard-serve` replication reconnects both derive their
-/// delays here instead of keeping ad-hoc constants.
+/// Deterministic retry backoff: the `nshard-serve` replication reconnects
+/// derive their delays here instead of keeping ad-hoc constants.
 ///
 /// Two schedules are supported:
 ///
 /// * **exponential** (the default): `base · 2^(attempt−1)`, shift-clamped
-///   and saturating — exactly the schedule the fallback chain has always
-///   recorded;
+///   and saturating;
 /// * **decorrelated jitter** ([`Backoff::with_jitter`]): attempt `n` draws
 ///   uniformly from `[base, min(cap, base · 3^(n−1))]`, with the draw a
 ///   *pure function* of `(seed, attempt)` via [`splitmix64`] — so jittered
 ///   delays de-synchronize a fleet of reconnecting followers yet stay
 ///   bit-reproducible and instant under a manual clock (delays are
 ///   recorded or stepped, never slept, in tests).
-///
-/// [`nshard_core` fallback chain's]: https://docs.rs/nshard-core
 ///
 /// # Example
 ///
@@ -390,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn exponential_backoff_matches_the_chain_schedule() {
+    fn exponential_backoff_doubles_from_its_base_and_saturates() {
         let b = Backoff::exponential(50);
         assert_eq!(b.delay_ms(0), 50, "attempt 0 is treated as the first");
         assert_eq!(b.delay_ms(1), 50);

@@ -4,7 +4,7 @@
 //! its deadline. Behind a trait, the daemon runs on [`WallClock`] while
 //! tests drive a [`ManualClock`] — deadlines expire exactly when the test
 //! says so, with no sleeps and no flakiness (the same recorded-not-slept
-//! discipline as `RetryPolicy` backoff in `nshard-core`).
+//! discipline as the replicator's reconnect backoff).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

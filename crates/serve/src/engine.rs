@@ -80,7 +80,6 @@ pub struct PlanningEngine {
     core: RwLock<Arc<EngineCore>>,
     search: NeuroShardConfig,
     incremental_config: IncrementalConfig,
-    seed: u64,
 }
 
 impl PlanningEngine {
@@ -89,19 +88,20 @@ impl PlanningEngine {
     /// `threads = 0` in `search` resolves through the single
     /// [`nshard_pool::THREADS_ENV`] path, so the daemon honors
     /// `NSHARD_THREADS` exactly like the offline binaries. The initial
-    /// model version is `1`.
+    /// model version is `1`. `_seed` is read by nothing: the chains verify
+    /// on the healthy fleet, where no seed is drawn. It stays until the
+    /// benchmark surface, which passes it, is next changed.
     pub fn new(
         bundle: CostModelBundle,
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
-        seed: u64,
+        _seed: u64,
     ) -> Self {
-        let core = Arc::new(Self::build_core(bundle, search, incremental, seed, 1));
+        let core = Arc::new(Self::build_core(bundle, search, incremental, 1));
         Self {
             core: RwLock::new(core),
             search,
             incremental_config: incremental,
-            seed,
         }
     }
 
@@ -109,15 +109,11 @@ impl PlanningEngine {
         bundle: CostModelBundle,
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
-        seed: u64,
         version: u64,
     ) -> EngineCore {
-        let degraded = FallbackChain::new(Box::new(SizeGreedy))
-            .with_fallback(Box::new(DimGreedy))
-            .with_seed(seed);
         EngineCore {
-            stack: PlanningStack::new(bundle, search, incremental, seed),
-            degraded,
+            stack: PlanningStack::new(bundle, search, incremental),
+            degraded: FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy)),
             version,
         }
     }
@@ -140,7 +136,6 @@ impl PlanningEngine {
             bundle,
             self.search,
             self.incremental_config,
-            self.seed,
             version,
         ));
         version

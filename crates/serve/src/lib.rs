@@ -87,7 +87,6 @@ pub use clock::{Clock, ManualClock};
 pub use engine::{PlanOutput, PlanningEngine};
 pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
 pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SnapshotEntry};
-pub use net::ConnConfig;
 pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
 pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service};
 pub use store::{ModelStore, PlanStore, StoreError, StoredPlan};

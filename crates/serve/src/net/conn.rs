@@ -18,11 +18,11 @@
 //! # Backpressure
 //!
 //! A connection stops being read (`want_read() == false`) while it has
-//! [`ConnConfig::max_pipeline`] requests in flight or more than
-//! [`ConnConfig::write_buf_limit`] unsent response bytes — the client
-//! cannot force unbounded daemon memory by pipelining faster than it
-//! reads responses. The bytes stay in the kernel socket buffer, which
-//! pushes TCP flow control back to the sender.
+//! [`MAX_PIPELINE`] requests in flight or more than [`WRITE_BUF_LIMIT`]
+//! unsent response bytes — the client cannot force unbounded daemon
+//! memory by pipelining faster than it reads responses. The bytes stay in
+//! the kernel socket buffer, which pushes TCP flow control back to the
+//! sender.
 //!
 //! # Timeouts
 //!
@@ -40,35 +40,18 @@ use crate::http::{HttpRequest, HttpResponse};
 
 use super::parser::{ParseFault, ParseStep, RequestParser};
 
-/// Tuning knobs for the event-driven connection handling.
-#[derive(Debug, Clone)]
-pub struct ConnConfig {
-    /// Close a keep-alive connection idle this long, ms.
-    pub idle_timeout_ms: u64,
-    /// Answer `408` when a started request stalls this long without a
-    /// byte of progress, ms (slow-loris defence).
-    pub read_timeout_ms: u64,
-    /// Close a connection that accepts no response bytes for this long,
-    /// ms.
-    pub write_timeout_ms: u64,
-    /// Requests admitted per connection before parsing pauses
-    /// (pipelining depth bound).
-    pub max_pipeline: usize,
-    /// Unsent response bytes buffered before reading pauses.
-    pub write_buf_limit: usize,
-}
-
-impl Default for ConnConfig {
-    fn default() -> Self {
-        Self {
-            idle_timeout_ms: 60_000,
-            read_timeout_ms: 10_000,
-            write_timeout_ms: 10_000,
-            max_pipeline: 32,
-            write_buf_limit: 1 << 20,
-        }
-    }
-}
+/// Close a keep-alive connection idle this long, ms.
+pub const IDLE_TIMEOUT_MS: u64 = 60_000;
+/// Answer `408` when a started request stalls this long without a byte of
+/// progress, ms (slow-loris defence).
+pub const READ_TIMEOUT_MS: u64 = 10_000;
+/// Close a connection that accepts no response bytes for this long, ms.
+const WRITE_TIMEOUT_MS: u64 = 10_000;
+/// Requests admitted per connection before parsing pauses (pipelining
+/// depth bound).
+const MAX_PIPELINE: usize = 32;
+/// Unsent response bytes buffered before reading pauses.
+const WRITE_BUF_LIMIT: usize = 1 << 20;
 
 /// Which timeout a deadline belongs to — determines the expiry action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,18 +148,18 @@ impl ConnState {
     /// Feeds freshly read bytes, extracting complete requests up to the
     /// pipeline bound. A parse fault buffers its error response
     /// immediately and marks the connection closing.
-    pub fn on_bytes(&mut self, bytes: &[u8], cfg: &ConnConfig, now_ms: u64) -> ReadOutcome {
+    pub fn on_bytes(&mut self, bytes: &[u8], now_ms: u64) -> ReadOutcome {
         self.touch_read(now_ms);
         self.parser.feed(bytes);
-        self.drain_parser(cfg)
+        self.drain_parser()
     }
 
     /// Pops parsed requests while the pipeline has room — also called
     /// after completions free pipeline slots, since bytes may already be
     /// buffered.
-    pub(crate) fn drain_parser(&mut self, cfg: &ConnConfig) -> ReadOutcome {
+    pub(crate) fn drain_parser(&mut self) -> ReadOutcome {
         let mut outcome = ReadOutcome::default();
-        while !self.closing && self.inflight < cfg.max_pipeline {
+        while !self.closing && self.inflight < MAX_PIPELINE {
             match self.parser.step() {
                 ParseStep::Incomplete => break,
                 ParseStep::Request(parsed) => {
@@ -270,11 +253,11 @@ impl ConnState {
     }
 
     /// Whether the reactor should keep read interest registered.
-    pub(crate) fn want_read(&self, cfg: &ConnConfig) -> bool {
+    pub(crate) fn want_read(&self) -> bool {
         !self.closing
             && !self.peer_closed
-            && self.inflight < cfg.max_pipeline
-            && self.pending_write_bytes() < cfg.write_buf_limit
+            && self.inflight < MAX_PIPELINE
+            && self.pending_write_bytes() < WRITE_BUF_LIMIT
     }
 
     /// Whether unsent response bytes are waiting on the socket.
@@ -299,23 +282,20 @@ impl ConnState {
             || (self.peer_closed && !self.want_write() && self.inflight == 0)
     }
 
-    /// The single effective deadline and its kind, under `cfg`.
-    pub fn deadline(&self, cfg: &ConnConfig) -> (u64, TimeoutKind) {
+    /// The single effective deadline and its kind.
+    pub fn deadline(&self) -> (u64, TimeoutKind) {
         if self.want_write() {
             (
-                self.last_write_progress_ms + cfg.write_timeout_ms,
+                self.last_write_progress_ms + WRITE_TIMEOUT_MS,
                 TimeoutKind::Write,
             )
         } else if self.parser.mid_request() {
             (
-                self.last_read_progress_ms + cfg.read_timeout_ms,
+                self.last_read_progress_ms + READ_TIMEOUT_MS,
                 TimeoutKind::Read,
             )
         } else {
-            (
-                self.last_activity_ms + cfg.idle_timeout_ms,
-                TimeoutKind::Idle,
-            )
+            (self.last_activity_ms + IDLE_TIMEOUT_MS, TimeoutKind::Idle)
         }
     }
 
@@ -329,10 +309,6 @@ impl ConnState {
 mod tests {
     use super::*;
 
-    fn cfg() -> ConnConfig {
-        ConnConfig::default()
-    }
-
     fn get(path: &str) -> Vec<u8> {
         format!("GET {path} HTTP/1.1\r\n\r\n").into_bytes()
     }
@@ -340,7 +316,7 @@ mod tests {
     #[test]
     fn single_request_round_trip_keeps_alive() {
         let mut conn = ConnState::new(0);
-        let out = conn.on_bytes(&get("/health"), &cfg(), 0);
+        let out = conn.on_bytes(&get("/health"), 0);
         assert_eq!(out.requests.len(), 1);
         assert_eq!(out.requests[0].0, 0);
         assert_eq!(conn.inflight(), 1);
@@ -359,7 +335,7 @@ mod tests {
         let mut raw = get("/a");
         raw.extend_from_slice(&get("/b"));
         raw.extend_from_slice(&get("/c"));
-        let out = conn.on_bytes(&raw, &cfg(), 0);
+        let out = conn.on_bytes(&raw, 0);
         assert_eq!(out.requests.len(), 3);
         assert_eq!(out.pipelined, 2, "second and third arrived pipelined");
 
@@ -383,7 +359,7 @@ mod tests {
         let mut conn = ConnState::new(0);
         let mut raw = b"GET /a HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec();
         raw.extend_from_slice(&get("/never-answered"));
-        let out = conn.on_bytes(&raw, &cfg(), 0);
+        let out = conn.on_bytes(&raw, 0);
         assert_eq!(out.requests.len(), 1, "nothing after a close request");
         conn.complete(0, HttpResponse::text(200, "bye".into()));
         let text = String::from_utf8_lossy(conn.writable()).to_string();
@@ -396,72 +372,66 @@ mod tests {
     #[test]
     fn pipeline_bound_pauses_parsing_until_completions_free_slots() {
         let mut conn = ConnState::new(0);
-        let small = ConnConfig {
-            max_pipeline: 2,
-            ..cfg()
-        };
-        let mut raw = Vec::new();
-        for p in ["/1", "/2", "/3", "/4"] {
-            raw.extend_from_slice(&get(p));
-        }
-        let out = conn.on_bytes(&raw, &small, 0);
-        assert_eq!(out.requests.len(), 2, "parsing pauses at the bound");
-        assert!(!conn.want_read(&small), "backpressure: reads pause");
+        let raw: Vec<u8> = (0..=MAX_PIPELINE)
+            .flat_map(|i| get(&format!("/{i}")))
+            .collect();
+        let out = conn.on_bytes(&raw, 0);
+        assert_eq!(
+            out.requests.len(),
+            MAX_PIPELINE,
+            "parsing pauses at the bound"
+        );
+        assert!(!conn.want_read(), "backpressure: reads pause");
 
         conn.complete(0, HttpResponse::text(200, "ok".into()));
-        let out = conn.drain_parser(&small);
+        let out = conn.drain_parser();
         assert_eq!(out.requests.len(), 1, "a freed slot resumes parsing");
-        assert_eq!(out.requests[0].0, 2);
+        assert_eq!(out.requests[0].0, MAX_PIPELINE as u64);
     }
 
     #[test]
     fn write_buffer_backpressure_pauses_reading() {
         let mut conn = ConnState::new(0);
-        let tight = ConnConfig {
-            write_buf_limit: 64,
-            ..cfg()
-        };
-        conn.on_bytes(&get("/big"), &tight, 0);
-        conn.complete(0, HttpResponse::text(200, "x".repeat(256)));
-        assert!(conn.pending_write_bytes() > 64);
-        assert!(!conn.want_read(&tight));
+        conn.on_bytes(&get("/big"), 0);
+        conn.complete(0, HttpResponse::text(200, "x".repeat(WRITE_BUF_LIMIT)));
+        assert!(conn.pending_write_bytes() > WRITE_BUF_LIMIT);
+        assert!(!conn.want_read());
         let n = conn.writable().len();
         conn.advance_write(n, 1);
-        assert!(conn.want_read(&tight), "flushing resumes reads");
+        assert!(conn.want_read(), "flushing resumes reads");
     }
 
     #[test]
     fn deadline_tracks_connection_phase() {
-        let c = cfg();
         let mut conn = ConnState::new(1_000);
         // Fresh: idle deadline.
         assert_eq!(
-            conn.deadline(&c),
-            (1_000 + c.idle_timeout_ms, TimeoutKind::Idle)
+            conn.deadline(),
+            (1_000 + IDLE_TIMEOUT_MS, TimeoutKind::Idle)
         );
         // Partial request at t=2000: read deadline from last progress.
-        conn.on_bytes(b"GET /slow HTT", &c, 2_000);
+        conn.on_bytes(b"GET /slow HTT", 2_000);
         assert_eq!(
-            conn.deadline(&c),
-            (2_000 + c.read_timeout_ms, TimeoutKind::Read)
+            conn.deadline(),
+            (2_000 + READ_TIMEOUT_MS, TimeoutKind::Read)
         );
         // Complete it; an unflushed response means a write deadline.
-        conn.on_bytes(b"P/1.1\r\n\r\n", &c, 3_000);
+        conn.on_bytes(b"P/1.1\r\n\r\n", 3_000);
         conn.complete(0, HttpResponse::text(200, "ok".into()));
-        assert_eq!(conn.deadline(&c).1, TimeoutKind::Write);
+        assert_eq!(conn.deadline().1, TimeoutKind::Write);
         // Flushed: idle again, from the flush time.
         let n = conn.writable().len();
         conn.advance_write(n, 4_000);
         assert_eq!(
-            conn.deadline(&c),
-            (4_000 + c.idle_timeout_ms, TimeoutKind::Idle)
+            conn.deadline(),
+            (4_000 + IDLE_TIMEOUT_MS, TimeoutKind::Idle)
         );
     }
 
     #[test]
     fn read_timeout_answers_408_and_closes() {
         let mut conn = ConnState::new(0);
-        conn.on_bytes(b"POST /v1/plan HTTP/1.1\r\nContent-Le", &cfg(), 0);
+        conn.on_bytes(b"POST /v1/plan HTTP/1.1\r\nContent-Le", 0);
         conn.timeout_request();
         let text = String::from_utf8_lossy(conn.writable()).to_string();
         assert!(text.starts_with("HTTP/1.1 408 Request Timeout\r\n"));
@@ -474,7 +444,7 @@ mod tests {
     #[test]
     fn parse_fault_buffers_the_error_response_and_closes() {
         let mut conn = ConnState::new(0);
-        let out = conn.on_bytes(b"\r\n", &cfg(), 0);
+        let out = conn.on_bytes(b"\r\n", 0);
         assert!(out.fault.is_some());
         let text = String::from_utf8_lossy(conn.writable()).to_string();
         assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"));
@@ -486,12 +456,12 @@ mod tests {
     #[test]
     fn keepalive_reuse_counts_second_request() {
         let mut conn = ConnState::new(0);
-        let out = conn.on_bytes(&get("/a"), &cfg(), 0);
+        let out = conn.on_bytes(&get("/a"), 0);
         assert_eq!(out.keepalive_reuse, 0);
         conn.complete(0, HttpResponse::text(200, "ok".into()));
         let n = conn.writable().len();
         conn.advance_write(n, 1);
-        let out = conn.on_bytes(&get("/b"), &cfg(), 2);
+        let out = conn.on_bytes(&get("/b"), 2);
         assert_eq!(out.keepalive_reuse, 1);
     }
 }

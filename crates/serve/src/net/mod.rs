@@ -25,7 +25,7 @@ pub(crate) mod reactor;
 pub(crate) mod sys;
 mod timer;
 
-pub use conn::{ConnConfig, ConnState, ReadOutcome, TimeoutKind};
+pub use conn::{ConnState, ReadOutcome, TimeoutKind, IDLE_TIMEOUT_MS, READ_TIMEOUT_MS};
 pub use parser::{ParseFault, ParseStep, ParsedRequest, RequestParser, MAX_HEADER_BYTES};
 pub use timer::{Expiry, TimerWheel};
 

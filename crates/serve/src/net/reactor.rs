@@ -42,7 +42,7 @@ use std::time::Instant;
 use crate::http::HttpResponse;
 use crate::server::Service;
 
-use super::conn::{ConnConfig, ConnState, ReadOutcome, TimeoutKind};
+use super::conn::{ConnState, ReadOutcome, TimeoutKind};
 use super::sys::{Event, Interest, Poller};
 use super::timer::TimerWheel;
 use super::NetMetrics;
@@ -323,13 +323,12 @@ impl EventLoop {
     /// Reads until `WouldBlock`, feeding the parser and dispatching any
     /// complete requests.
     fn read_ready(&mut self, token: usize) {
-        let cfg = ConnConfig::default();
         let mut buf = [0u8; 64 * 1024];
         loop {
             let Some(entry) = self.entry_mut(token) else {
                 return;
             };
-            if !entry.state.want_read(&cfg) {
+            if !entry.state.want_read() {
                 break;
             }
             match entry.stream.read(&mut buf) {
@@ -342,7 +341,7 @@ impl EventLoop {
                     let Some(entry) = self.entry_mut(token) else {
                         return;
                     };
-                    let outcome = entry.state.on_bytes(&buf[..n], &cfg, now);
+                    let outcome = entry.state.on_bytes(&buf[..n], now);
                     self.dispatch(token, outcome, now);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -441,15 +440,14 @@ impl EventLoop {
     /// After any activity on a connection: resume paused parsing, close
     /// if finished, otherwise refresh poller interest and the timer.
     fn finish_conn_turn(&mut self, token: usize) {
-        let cfg = ConnConfig::default();
         // Completions may have freed pipeline slots with bytes already
         // buffered in the parser.
         let pending = {
             let Some(entry) = self.entry_mut(token) else {
                 return;
             };
-            if entry.state.want_read(&cfg) && entry.state.inflight() < cfg.max_pipeline {
-                let outcome = entry.state.drain_parser(&cfg);
+            if entry.state.want_read() {
+                let outcome = entry.state.drain_parser();
                 (!outcome.requests.is_empty() || outcome.fault.is_some()).then_some(outcome)
             } else {
                 None
@@ -468,7 +466,7 @@ impl EventLoop {
             return;
         }
         let desired = Interest {
-            read: entry.state.want_read(&cfg),
+            read: entry.state.want_read(),
             write: entry.state.want_write(),
         };
         if desired != entry.registered {
@@ -482,7 +480,6 @@ impl EventLoop {
     /// Arms the connection's current deadline in the wheel (keyed by
     /// connection id, validated by generation on expiry).
     fn rearm(&mut self, token: usize) {
-        let cfg = ConnConfig::default();
         let Some(entry) = self.entry_mut(token) else {
             return;
         };
@@ -491,7 +488,7 @@ impl EventLoop {
             return;
         }
         entry.armed_generation = Some(generation);
-        let (deadline, _kind) = entry.state.deadline(&cfg);
+        let (deadline, _kind) = entry.state.deadline();
         let id = entry.id;
         self.wheel.arm(id as usize, generation, deadline);
     }
@@ -524,7 +521,6 @@ impl EventLoop {
 
     fn fire_timers(&mut self) {
         let now = self.now_ms();
-        let cfg = ConnConfig::default();
         for expiry in self.wheel.pop_due(now) {
             let conn_id = expiry.token as u64;
             let Some(&token) = self.by_id.get(&conn_id) else {
@@ -537,7 +533,7 @@ impl EventLoop {
                 if entry.state.timer_generation != expiry.generation {
                     continue; // stale entry; the live one is still armed
                 }
-                let (deadline, kind) = entry.state.deadline(&cfg);
+                let (deadline, kind) = entry.state.deadline();
                 if deadline > now {
                     // The deadline moved without a generation-visible
                     // state change; re-arm the real one.

@@ -555,8 +555,6 @@ mod tests {
             provenance: nshard_core::PlanProvenance {
                 source: nshard_core::PlanSource::SizeBalanced,
                 events: Vec::new(),
-                total_retries: 0,
-                total_backoff_ms: 0,
                 replan: None,
                 failover: None,
             },

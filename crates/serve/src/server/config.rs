@@ -13,7 +13,8 @@ pub struct ServeConfig {
     pub search: NeuroShardConfig,
     /// Warm-start knobs for `POST /v1/replan`.
     pub incremental: IncrementalConfig,
-    /// Seed mixed into chain verifier seeds.
+    /// Seed of the replication reconnect jitter (`repl.rs`); planning
+    /// draws no seed.
     pub seed: u64,
     /// Bounded admission-queue capacity; a full queue answers `429`.
     pub queue_capacity: usize,

@@ -587,8 +587,6 @@ mod tests {
                 algorithm: "test".into(),
             },
             events: Vec::new(),
-            total_retries: 0,
-            total_backoff_ms: 0,
             replan: None,
             failover: None,
         }
@@ -777,6 +775,54 @@ mod tests {
         assert_eq!(reopened.quarantined(), 0);
         assert_eq!(reopened.get("old").unwrap().predicted_ms, 4.5);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A provenance as builds that recorded retry backoff wrote it:
+    /// `total_retries`, `total_backoff_ms` and a retry's `backoff_ms`.
+    const RETRY_TOTALS_PROVENANCE: &str = r#"{"source":{"Primary":{"algorithm":"size_greedy"}},"events":[{"Attempt":{"algorithm":"size_greedy"}},{"TransientRetry":{"algorithm":"size_greedy","attempt":1,"backoff_ms":50,"reason":"transient measurement failure on device 1: injected measurement fault"}}],"total_retries":1,"total_backoff_ms":50,"replan":null,"failover":null}"#;
+
+    #[test]
+    fn a_plan_record_with_retry_totals_loads_from_disk_and_from_the_log() {
+        use nshard_core::ProvenanceEvent;
+        let dir = tmp("totals");
+        let t = task();
+        {
+            let store = reopen(&dir);
+            store
+                .adopt("old", t.clone(), plan(&t), provenance(), 4.5, false)
+                .unwrap();
+        }
+        let path = dir.join("plans").join("old.json");
+        let framed = std::fs::read_to_string(&path).unwrap();
+        let current = serde_json::to_string(&provenance()).unwrap();
+        let body = framed.split_once('\n').unwrap().1;
+        let old = body.replacen(&current, RETRY_TOTALS_PROVENANCE, 1);
+        assert_ne!(old, body, "the file holds the provenance verbatim");
+        let stamp = format!("{:016x}", fnv64(old.as_bytes()));
+        std::fs::write(&path, format!("{CHECKSUM_MAGIC}{stamp}\n{old}")).unwrap();
+        let from_disk = reopen(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(from_disk.quarantined(), 0);
+        let record = from_disk.get("old").expect("the old record loads");
+        assert!(matches!(
+            &record.provenance.events[..],
+            [
+                ProvenanceEvent::Attempt { .. },
+                ProvenanceEvent::TransientRetry { attempt: 1, .. }
+            ]
+        ));
+
+        // A follower receives the same record as a replicated write.
+        let (follower, _) = PlanStore::open(None).unwrap();
+        let value = serde_json::to_string(&record).unwrap().replacen(
+            &serde_json::to_string(&record.provenance).unwrap(),
+            RETRY_TOTALS_PROVENANCE,
+            1,
+        );
+        assert!(value.contains("\"total_backoff_ms\":50"));
+        let key = plan_key("old");
+        follower.kv().apply(crate::kv::LogOp { seq: 1, key, value });
+        assert_eq!(follower.get("old"), Some(record));
     }
 
     #[test]

@@ -221,6 +221,9 @@ impl FaultPlan {
             } if d == device => Some(usable_fraction),
             _ => None,
         });
+        if fraction == 1.0 {
+            return budget_bytes; // exact past 2^53, where `as f64` rounds
+        }
         (budget_bytes as f64 * fraction).floor() as u64
     }
 
@@ -345,6 +348,34 @@ impl FaultyCluster {
         self.cluster.check_memory(assignment)
     }
 
+    /// Accepts or rejects `assignment` on verification attempt `attempt`
+    /// (0-based) exactly as [`FaultyCluster::evaluate`] would at seed
+    /// `plan seed + attempt × 0x9E37_79B9_7F4A_7C15` (wrapping), without
+    /// measuring: the memory check, then the seeded transient check.
+    ///
+    /// # Errors
+    ///
+    /// See [`FaultyCluster::evaluate`].
+    pub fn verify(&self, assignment: &[Vec<TableProfile>], attempt: u32) -> Result<(), SimError> {
+        let step = u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.admit(assignment, self.faults.seed.wrapping_add(step))
+    }
+
+    /// The two checks [`FaultyCluster::evaluate`] runs before it measures.
+    fn admit(&self, assignment: &[Vec<TableProfile>], seed: u64) -> Result<(), SimError> {
+        self.cluster.check_memory(assignment)?;
+        match self
+            .faults
+            .transient_failure(seed, self.cluster.num_devices())
+        {
+            Some(device) => Err(SimError::TransientFailure {
+                device,
+                reason: "injected measurement fault".into(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Evaluates a plan with measurement noise under the injected faults.
     ///
     /// # Errors
@@ -356,14 +387,7 @@ impl FaultyCluster {
         assignment: &[Vec<TableProfile>],
         seed: u64,
     ) -> Result<PlanCosts, SimError> {
-        self.cluster.check_memory(assignment)?;
-        let devices = self.cluster.num_devices();
-        if let Some(device) = self.faults.transient_failure(seed, devices) {
-            return Err(SimError::TransientFailure {
-                device,
-                reason: "injected measurement fault".into(),
-            });
-        }
+        self.admit(assignment, seed)?;
         self.cluster.evaluate(assignment, seed)
     }
 
@@ -479,6 +503,39 @@ mod tests {
         match f.evaluate(&plan, seed) {
             Err(SimError::TransientFailure { device, .. }) => assert!(device < 2),
             other => panic!("expected TransientFailure, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// `verify` is `evaluate`'s accept/reject decision at the chain's
+        /// attempt seed: the same `Ok`/`Err`, the same `OutOfMemory`
+        /// device and bytes, the same `TransientFailure` device. A
+        /// transient rate of its own on top of `sampled`'s makes the
+        /// transient check decide about half the plans that fit.
+        #[test]
+        fn verify_decides_as_evaluate_does(
+            pool in crate::reference::fleets(),
+            tables in crate::reference::tables(),
+            deal in proptest::collection::vec(0usize..8, 1..12),
+            fault_seed in 0u64..1_000_000,
+            stacked in proptest::collection::vec((0usize..3, 1.0f64..4.0, 0.05f64..=1.0), 0..3),
+            rate in 0.0f64..0.9,
+            attempt in 0u32..6,
+        ) {
+            let n = pool.len();
+            let cluster = Cluster::new(GpuSpec::rtx_2080_ti(), n, 4096).with_devices(pool);
+            let mut assignment = vec![Vec::new(); n];
+            for (t, d) in tables.iter().zip(deal.iter().cycle()) {
+                assignment[d % n].push(*t);
+            }
+            let faults = crate::reference::faults_for(fault_seed, n, &stacked)
+                .with_fault(Fault::TransientFailures { rate });
+            let faulty = FaultyCluster::new(cluster, faults);
+            let step = u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            proptest::prop_assert_eq!(
+                faulty.verify(&assignment, attempt),
+                faulty.evaluate(&assignment, fault_seed.wrapping_add(step)).map(|_| ())
+            );
         }
     }
 
@@ -650,6 +707,21 @@ mod tests {
         let lowered = FaultyCluster::new(cluster, faults).cluster;
         assert_eq!(lowered.compute_scales, vec![3.0, 1.0]);
         assert_eq!(lowered.bw_scales, vec![1.0, 0.25]);
+    }
+
+    #[test]
+    fn an_unpressured_budget_past_2_pow_53_keeps_every_byte() {
+        let budget = (1u64 << 53) + 1;
+        let cluster = Cluster::new(GpuSpec::rtx_2080_ti(), 2, 65_536)
+            .with_devices(crate::devices::DevicePool::uniform(2, budget));
+        let slow = FaultPlan::new(0).with_fault(Fault::Straggler {
+            device: 0,
+            slowdown: 2.0,
+        });
+        assert_eq!(
+            FaultyCluster::new(cluster, slow).cluster.budgets,
+            vec![budget; 2]
+        );
     }
 
     #[test]

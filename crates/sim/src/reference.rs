@@ -251,7 +251,7 @@ fn differ(
 
 /// A fleet of `n` devices: uniform, two-tier or fully heterogeneous, with
 /// budgets small enough that some placements overflow.
-fn fleets() -> impl Strategy<Value = DevicePool> {
+pub(crate) fn fleets() -> impl Strategy<Value = DevicePool> {
     let profile = (1u64..(1 << 24), 0.5f64..3.0, 0usize..3);
     (
         0u8..3,
@@ -278,7 +278,7 @@ fn fleets() -> impl Strategy<Value = DevicePool> {
 }
 
 /// Tables of at most a few MB each, replicated now and then.
-fn tables() -> impl Strategy<Value = Vec<TableProfile>> {
+pub(crate) fn tables() -> impl Strategy<Value = Vec<TableProfile>> {
     let table = (2u32..8, 6u32..14, 1.0f64..40.0, 0.6f64..1.6, 0u8..4);
     proptest::collection::vec(table, 0..12).prop_map(|tables| {
         tables
@@ -297,7 +297,7 @@ fn tables() -> impl Strategy<Value = Vec<TableProfile>> {
 
 /// `FaultPlan::sampled`, stacked with node-class slowdowns and node link
 /// cuts (`sampled` never draws those).
-fn faults_for(seed: u64, devices: usize, stacked: &[(usize, f64, f64)]) -> FaultPlan {
+pub(crate) fn faults_for(seed: u64, devices: usize, stacked: &[(usize, f64, f64)]) -> FaultPlan {
     let mut faults = FaultPlan::sampled(seed, devices);
     for &(node, slowdown, scale) in stacked {
         faults = faults

@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=137
-MAX_TOTAL_LINES=14979
-MAX_TOTAL_ITEMS=874
+MAX_TOTAL_LINES=14828
+MAX_TOTAL_ITEMS=870
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -22,7 +22,11 @@
 # once, in `FaultyCluster::new`; the cluster, its fleet and the trace
 # simulator never see a `FaultPlan`, the fault-threading evaluation path
 # stays deleted (its copy lives only in the test-only `sim::reference`),
-# and control-plane faults stay out of the simulator.
+# and control-plane faults stay out of the simulator. The fallback chain
+# checks a plan only through `FaultyCluster::verify` on its task's fleet;
+# the verifier closure, the retry policy, the chain seed, the recorded
+# backoff and the connection-config struct stay deleted (outside tests,
+# which may spell an old record's fields).
 #
 # One record of adopted plans (DESIGN.md §9): the store module builds the
 # daemon's one `PlanKv`, and the second representation's roads in — the
@@ -72,6 +76,14 @@ if code crates/*/src | grep -E '_with_faults|degraded_comm|lowered_dims_under'; 
 fi
 if grep -rnwE 'Partition|NodeCrash' crates; then
     echo "error: control-plane faults live with the replication harness, not under crates/ (lines above)" >&2
+    exit 1
+fi
+if code crates/*/src | grep -E -e '\b(PlanVerifier|RetryPolicy|with_verifier|with_retry|total_backoff_ms|ConnConfig)\b' -e 'with_seed\('; then
+    echo "error: a chain is set by its fallbacks and its faults, a connection by constants (lines above)" >&2
+    exit 1
+fi
+if code crates/core/src/fallback.rs | grep -E 'check_memory|\.evaluate(_exact)?\(|first_over_budget|\.validate\('; then
+    echo "error: the fallback chain checks memory only through FaultyCluster::verify (lines above)" >&2
     exit 1
 fi
 

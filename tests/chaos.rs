@@ -13,7 +13,7 @@ use neuroshard::baselines::{DimGreedy, SizeGreedy};
 use neuroshard::data::{ShardingTask, TablePool};
 use neuroshard::resilient::{
     FallbackChain, FaultPlan, FaultyCluster, PlanSource, ProvenanceEvent, ResilientError,
-    ResilientOutcome, RetryPolicy,
+    ResilientOutcome,
 };
 use neuroshard::sim::GpuSpec;
 
@@ -31,23 +31,13 @@ fn faulty_cluster(task: &ShardingTask, faults: FaultPlan) -> FaultyCluster {
     )
 }
 
-/// Builds the chain under test: greedy primary, greedy fallback, verifier
-/// backed by the faulted cluster (so memory checks see *effective* budgets
-/// and measurements can fail transiently).
-fn chain_for(task: &ShardingTask, faults: FaultPlan, seed: u64) -> FallbackChain {
-    let faulty = faulty_cluster(task, faults);
+/// Builds the chain under test: greedy primary, greedy fallback, plans
+/// verified on the task's fleet with `faults` lowered onto it (so memory
+/// checks see *effective* budgets and verification can fail transiently).
+fn chain_for(faults: FaultPlan) -> FallbackChain {
     FallbackChain::new(Box::new(SizeGreedy))
         .with_fallback(Box::new(DimGreedy))
-        .with_retry(RetryPolicy {
-            max_retries: 5,
-            base_backoff_ms: 10,
-        })
-        .with_seed(seed)
-        .with_verifier(Box::new(move |task, plan, attempt_seed| {
-            faulty
-                .evaluate(&plan.device_profiles(task.batch_size()), attempt_seed)
-                .map(|_| ())
-        }))
+        .with_faults(faults)
 }
 
 /// The baseline task for `seed`: paper-default 4 GB budget.
@@ -84,7 +74,7 @@ fn run_scenario(seed: u64, conservative: bool) -> Result<ResilientOutcome, Resil
     } else {
         task_for(seed)
     };
-    chain_for(&task, faults, seed).shard_with_provenance(&task)
+    chain_for(faults).shard_with_provenance(&task)
 }
 
 #[test]
@@ -254,11 +244,7 @@ fn hetero_task(seed: u64) -> ShardingTask {
 #[test]
 fn node_faults_bite_only_the_faulted_node() {
     let task = hetero_task(5);
-    let plan = neuroshard::resilient::size_balanced_plan(
-        &task,
-        neuroshard::resilient::RepairConfig::default(),
-    )
-    .expect("task is feasible");
+    let plan = neuroshard::resilient::size_balanced_plan(&task).expect("task is feasible");
     let profiles = plan.device_profiles(task.batch_size());
 
     let clean = faulty_cluster(&task, FaultPlan::new(0))
@@ -364,7 +350,7 @@ fn hetero_fault_sweep_recovers_profile_respecting_plans() {
                 node: 1,
                 bandwidth_scale: 0.2 + 0.1 * (seed % 4) as f64,
             });
-        let run = || chain_for(&task, faults.clone(), seed).shard_with_provenance(&task);
+        let run = || chain_for(faults.clone()).shard_with_provenance(&task);
         let outcome = run();
         assert_eq!(
             outcome,

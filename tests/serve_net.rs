@@ -12,7 +12,8 @@ use std::sync::Arc;
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::serve::net::{
-    ConnConfig, ConnState, ParseStep, RequestParser, TimeoutKind, TimerWheel, MAX_HEADER_BYTES,
+    ConnState, ParseStep, RequestParser, TimeoutKind, TimerWheel, IDLE_TIMEOUT_MS,
+    MAX_HEADER_BYTES, READ_TIMEOUT_MS,
 };
 use neuroshard::serve::{
     http_call, HttpRequest, HttpResponse, KeepAliveClient, ServeConfig, Server, Service,
@@ -326,15 +327,14 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
 /// manual clock.
 #[test]
 fn slow_loris_expires_with_408_after_the_read_timeout() {
-    let cfg = ConnConfig::default();
     let mut wheel = TimerWheel::new();
     let mut conn = ConnState::new(0);
 
     // One byte of a request arrives, then nothing.
-    conn.on_bytes(b"P", &cfg, 0);
-    let (deadline, kind) = conn.deadline(&cfg);
+    conn.on_bytes(b"P", 0);
+    let (deadline, kind) = conn.deadline();
     assert_eq!(kind, TimeoutKind::Read);
-    assert_eq!(deadline, cfg.read_timeout_ms);
+    assert_eq!(deadline, READ_TIMEOUT_MS);
     wheel.arm(1, conn.timer_generation, deadline);
 
     // Just before the deadline: nothing fires.
@@ -344,7 +344,7 @@ fn slow_loris_expires_with_408_after_the_read_timeout() {
     let due = wheel.pop_due(deadline);
     assert_eq!(due.len(), 1);
     assert_eq!(due[0].generation, conn.timer_generation);
-    let (actual, kind) = conn.deadline(&cfg);
+    let (actual, kind) = conn.deadline();
     assert!(actual <= deadline, "deadline did not move: really due");
     assert_eq!(kind, TimeoutKind::Read);
 
@@ -363,28 +363,27 @@ fn slow_loris_expires_with_408_after_the_read_timeout() {
 /// re-arms — until it finally stalls and expires.
 #[test]
 fn trickling_bytes_push_the_deadline_until_the_stall() {
-    let cfg = ConnConfig::default();
     let mut wheel = TimerWheel::new();
     let mut conn = ConnState::new(0);
 
-    conn.on_bytes(b"G", &cfg, 0);
-    wheel.arm(1, conn.timer_generation, conn.deadline(&cfg).0);
+    conn.on_bytes(b"G", 0);
+    wheel.arm(1, conn.timer_generation, conn.deadline().0);
 
     // Trickle: one byte at 9s — one ms before the 10s read deadline.
-    let t1 = cfg.read_timeout_ms - 1_000;
-    conn.on_bytes(b"E", &cfg, t1);
+    let t1 = READ_TIMEOUT_MS - 1_000;
+    conn.on_bytes(b"E", t1);
 
     // The old entry fires at 10s but is stale (generation moved).
-    let due = wheel.pop_due(cfg.read_timeout_ms);
+    let due = wheel.pop_due(READ_TIMEOUT_MS);
     assert_eq!(due.len(), 1);
     assert_ne!(
         due[0].generation, conn.timer_generation,
         "trickled progress invalidated the armed entry"
     );
     // Reactor behaviour: re-check the live deadline and re-arm.
-    let (deadline, kind) = conn.deadline(&cfg);
+    let (deadline, kind) = conn.deadline();
     assert_eq!(kind, TimeoutKind::Read);
-    assert_eq!(deadline, t1 + cfg.read_timeout_ms);
+    assert_eq!(deadline, t1 + READ_TIMEOUT_MS);
     wheel.arm(1, conn.timer_generation, deadline);
 
     // No more progress: the re-armed entry is genuinely due.
@@ -397,17 +396,16 @@ fn trickling_bytes_push_the_deadline_until_the_stall() {
 /// idle timeout, silently.
 #[test]
 fn idle_keepalive_connection_expires_on_the_idle_timeout() {
-    let cfg = ConnConfig::default();
     let mut conn = ConnState::new(100);
     // Serve one full request so the connection is idle, not fresh.
-    conn.on_bytes(b"GET /health HTTP/1.1\r\n\r\n", &cfg, 100);
+    conn.on_bytes(b"GET /health HTTP/1.1\r\n\r\n", 100);
     conn.complete(0, HttpResponse::text(200, "ok".into()));
     let n = conn.writable().len();
     conn.advance_write(n, 200);
 
-    let (deadline, kind) = conn.deadline(&cfg);
+    let (deadline, kind) = conn.deadline();
     assert_eq!(kind, TimeoutKind::Idle);
-    assert_eq!(deadline, 200 + cfg.idle_timeout_ms);
+    assert_eq!(deadline, 200 + IDLE_TIMEOUT_MS);
     assert!(!conn.should_close(), "not closed until the reactor acts");
 }
 
