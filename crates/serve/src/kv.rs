@@ -5,11 +5,10 @@
 //! monotonic sequence number**. Writers express their expectation with a
 //! [`MatchSeq`] condition (the classic conditional-upsert discipline of
 //! metadata stores): `Exact(0)` means "create only", `Exact(n)` means
-//! "replace exactly revision *n*", `GE(n)` means "replace any revision at
-//! least *n*", `Any` is unconditional. A failed condition is a typed
-//! [`KvError::SeqConflict`], never a silent overwrite — which makes
-//! *retrying* an upsert idempotent: the retry that lost the race conflicts
-//! instead of double-writing.
+//! "replace exactly revision *n*", `Any` is unconditional. A failed
+//! condition is a typed [`KvError::SeqConflict`], never a silent
+//! overwrite — which makes *retrying* an upsert idempotent: the retry that
+//! lost the race conflicts instead of double-writing.
 //!
 //! The daemon's plan store is one `PlanKv`: an adopted plan is the entry
 //! under `plans/<id>` (its `version` is the sequence of the write that
@@ -53,9 +52,6 @@ pub enum MatchSeq {
     /// The key must currently be at exactly this sequence (`0` = absent,
     /// so `Exact(0)` is *create-only*).
     Exact(u64),
-    /// The key's current sequence must be at least this (`GE(1)` =
-    /// "must exist").
-    GE(u64),
 }
 
 impl MatchSeq {
@@ -65,7 +61,6 @@ impl MatchSeq {
         match self {
             MatchSeq::Any => true,
             MatchSeq::Exact(want) => seq == *want,
-            MatchSeq::GE(min) => seq >= *min,
         }
     }
 }
@@ -75,7 +70,6 @@ impl std::fmt::Display for MatchSeq {
         match self {
             MatchSeq::Any => write!(f, "any"),
             MatchSeq::Exact(s) => write!(f, "== {s}"),
-            MatchSeq::GE(s) => write!(f, ">= {s}"),
         }
     }
 }
@@ -524,8 +518,9 @@ mod tests {
     fn match_seq_semantics() {
         assert!(MatchSeq::Any.matches(0) && MatchSeq::Any.matches(7));
         assert!(MatchSeq::Exact(0).matches(0) && !MatchSeq::Exact(0).matches(1));
-        assert!(MatchSeq::GE(1).matches(1) && MatchSeq::GE(1).matches(9));
-        assert!(!MatchSeq::GE(1).matches(0));
+        assert!(MatchSeq::Exact(3).matches(3) && !MatchSeq::Exact(3).matches(4));
+        assert_eq!(MatchSeq::Any.to_string(), "any");
+        assert_eq!(MatchSeq::Exact(2).to_string(), "== 2");
     }
 
     #[test]
@@ -546,8 +541,8 @@ mod tests {
         assert_eq!(s2, 2);
         // A writer still holding revision 1 loses cleanly.
         assert!(kv.upsert("plans/a", "stale", MatchSeq::Exact(1)).is_err());
-        // GE accepts anything current-or-later.
-        let s3 = kv.upsert("plans/a", "A3", MatchSeq::GE(1)).unwrap();
+        // Any accepts whatever revision is current.
+        let s3 = kv.upsert("plans/a", "A3", MatchSeq::Any).unwrap();
         assert_eq!(s3, 3);
         assert_eq!(kv.applied_seq(), 3);
     }

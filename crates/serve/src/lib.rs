@@ -2,9 +2,12 @@
 //!
 //! A long-running, dependency-free HTTP/1.1 JSON daemon around the
 //! NeuroShard planner: the deployment story for the paper's "pre-train
-//! once, search per task" workflow. Pre-trained cost models load at
-//! startup (optionally from a [`ModelStore`] checkpoint) and every
-//! request is an online search.
+//! once, search per task" workflow. The caller hands the daemon its
+//! pre-trained cost models at startup and every request is an online
+//! search. The daemon reads no [`ModelStore`] checkpoint itself:
+//! `nshard-learn`'s `ModelLifecycle` is that store's only caller, and
+//! a promoted bundle reaches a running daemon through
+//! [`Service::promote_model`].
 //!
 //! ## Endpoints
 //!
@@ -29,7 +32,7 @@
 //! | Module | Holds |
 //! |---|---|
 //! | [`server`] | A facade over `config`, `service`, `routes`, `admission`, `cache`, `respond`, `daemon`: [`ServeConfig`], [`Service`], [`Server`] |
-//! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, timers, syscall bindings |
+//! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, syscall bindings |
 //! | [`repl`] | Roles, the [`Replicator`], its transports, and the service's replication hooks and endpoints |
 //! | [`kv`] | The sequenced [`PlanKv`] — the one record of adopted plans — and its wire types |
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |

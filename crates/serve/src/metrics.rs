@@ -1,15 +1,15 @@
-//! A small lock-sharded metrics registry with Prometheus text exposition.
+//! A small metrics registry with Prometheus text exposition.
 //!
 //! The daemon needs counters, gauges and latency histograms that are
 //! cheap to update from many worker threads at once.
-//! The registry shards its name → metric maps across a fixed set of
-//! mutexes, so *registration* (a rare, name-hashed lookup) takes one shard
-//! lock while *updates* (the hot path) are plain atomic operations on the
+//! The registry keeps one name → metric map behind one mutex:
+//! *registration* and the per-request labelled lookups take that lock,
+//! while *updates* (the hot path) are plain atomic operations on the
 //! `Arc`-shared metric — no lock is held while counting.
 //!
-//! Rendering ([`MetricsRegistry::render`]) walks every shard, sorts by
-//! metric name and emits the Prometheus text format, so scrapes are
-//! deterministic byte-for-byte for a given set of counter values.
+//! Rendering ([`MetricsRegistry::render`]) walks the map in name order and
+//! emits the Prometheus text format, so scrapes are deterministic
+//! byte-for-byte for a given set of counter values.
 //!
 //! Histograms use fixed exponential bucket bounds and expose
 //! summary-style `quantile` lines (p50/p95/p99 interpolated from bucket
@@ -19,12 +19,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::store::fnv64;
-
-/// Number of registry shards; a power of two so the name hash maps with a
-/// mask. Contention on registration is negligible at this size.
-const REGISTRY_SHARDS: usize = 8;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -200,27 +194,21 @@ struct Entry {
     metric: Metric,
 }
 
-/// A lock-sharded registry of named metrics rendering to Prometheus text.
+/// A registry of named metrics rendering to Prometheus text.
 ///
 /// Metric names may carry inline Prometheus labels
 /// (`requests_total{code="200"}`); the family name before the brace is
 /// what `# HELP` / `# TYPE` comments are grouped by.
 pub(crate) struct MetricsRegistry {
-    shards: Vec<Mutex<BTreeMap<String, Entry>>>,
+    entries: Mutex<BTreeMap<String, Entry>>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub(crate) fn new() -> Self {
         Self {
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
+            entries: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    fn shard(&self, name: &str) -> &Mutex<BTreeMap<String, Entry>> {
-        &self.shards[(fnv64(name.as_bytes()) as usize) & (REGISTRY_SHARDS - 1)]
     }
 
     /// Gets or creates a counter. The help text of the first registration
@@ -230,8 +218,8 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut shard = self.shard(name).lock().expect("registry shard poisoned");
-        let entry = shard.entry(name.to_string()).or_insert_with(|| Entry {
+        let mut entries = self.entries.lock().expect("registry poisoned");
+        let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             metric: Metric::Counter(Arc::new(Counter::default())),
         });
@@ -247,8 +235,8 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name).lock().expect("registry shard poisoned");
-        let entry = shard.entry(name.to_string()).or_insert_with(|| Entry {
+        let mut entries = self.entries.lock().expect("registry poisoned");
+        let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             metric: Metric::Gauge(Arc::new(Gauge::default())),
         });
@@ -264,8 +252,8 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut shard = self.shard(name).lock().expect("registry shard poisoned");
-        let entry = shard.entry(name.to_string()).or_insert_with(|| Entry {
+        let mut entries = self.entries.lock().expect("registry poisoned");
+        let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             metric: Metric::Histogram(Arc::new(Histogram::default_ms())),
         });
@@ -278,51 +266,35 @@ impl MetricsRegistry {
     /// Renders every metric in Prometheus text exposition format, sorted
     /// by name (deterministic for fixed counter values).
     pub(crate) fn render(&self) -> String {
-        let mut all: BTreeMap<String, (String, String)> = BTreeMap::new();
-        // (name -> (family, rendered lines)); collected under shard locks,
-        // formatted outside them.
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard poisoned");
-            for (name, entry) in shard.iter() {
-                let family = name.split('{').next().unwrap_or(name).to_string();
-                let lines = match &entry.metric {
-                    Metric::Counter(c) => format!("{name} {}\n", c.get()),
-                    Metric::Gauge(g) => format!("{name} {}\n", g.get()),
-                    Metric::Histogram(h) => {
-                        let (count, sum, p50, p95, p99) = h.snapshot();
-                        format!(
-                            "{family}{{quantile=\"0.5\"}} {p50}\n\
-                             {family}{{quantile=\"0.95\"}} {p95}\n\
-                             {family}{{quantile=\"0.99\"}} {p99}\n\
-                             {family}_sum {sum}\n\
-                             {family}_count {count}\n"
-                        )
-                    }
-                };
-                all.insert(
-                    name.clone(),
-                    (family, format!("{}\u{0}{lines}", entry.help)),
-                );
-            }
-        }
+        let entries = self.entries.lock().expect("registry poisoned");
         let mut out = String::new();
-        let mut last_family = String::new();
-        for (_, (family, help_and_lines)) in all {
-            let (help, lines) = help_and_lines
-                .split_once('\u{0}')
-                .expect("separator is always present");
+        let mut last_family = "";
+        for (name, entry) in entries.iter() {
+            let family = name.split('{').next().unwrap_or(name);
             if family != last_family {
-                let kind = if lines.contains("quantile=") {
-                    "summary"
-                } else if family.ends_with("_total") {
-                    "counter"
-                } else {
-                    "gauge"
+                let kind = match entry.metric {
+                    Metric::Histogram(_) => "summary",
+                    _ if family.ends_with("_total") => "counter",
+                    _ => "gauge",
                 };
+                let help = &entry.help;
                 out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
                 last_family = family;
             }
-            out.push_str(lines);
+            match &entry.metric {
+                Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
+                Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
+                Metric::Histogram(h) => {
+                    let (count, sum, p50, p95, p99) = h.snapshot();
+                    out.push_str(&format!(
+                        "{family}{{quantile=\"0.5\"}} {p50}\n\
+                         {family}{{quantile=\"0.95\"}} {p95}\n\
+                         {family}{{quantile=\"0.99\"}} {p99}\n\
+                         {family}_sum {sum}\n\
+                         {family}_count {count}\n"
+                    ));
+                }
+            }
         }
         out
     }

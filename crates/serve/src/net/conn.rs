@@ -30,8 +30,8 @@
 //! ([`ConnState::deadline`]): write-stalled connections expire on the
 //! write timeout, mid-request connections on the read timeout (answered
 //! `408` — the slow-loris defence), idle keep-alive connections on the
-//! idle timeout. A generation counter makes stale timer entries
-//! detectable ([`super::timer::TimerWheel`]).
+//! idle timeout. The deadline is a pure function of the state, so the
+//! reactor reads it afresh each turn instead of tracking when it moves.
 
 use std::collections::BTreeMap;
 
@@ -118,9 +118,6 @@ pub struct ConnState {
     last_read_progress_ms: u64,
     last_write_progress_ms: u64,
     last_activity_ms: u64,
-    /// Bumped whenever the effective deadline may have moved; stale
-    /// timer entries carry an older value.
-    pub timer_generation: u64,
 }
 
 impl ConnState {
@@ -141,7 +138,6 @@ impl ConnState {
             last_read_progress_ms: now_ms,
             last_write_progress_ms: now_ms,
             last_activity_ms: now_ms,
-            timer_generation: 0,
         }
     }
 
@@ -189,7 +185,6 @@ impl ConnState {
                 }
             }
         }
-        self.timer_generation += 1;
         outcome
     }
 
@@ -203,7 +198,6 @@ impl ConnState {
             // fires as soon as the buffer flushes.
             self.parked.clear();
         }
-        self.timer_generation += 1;
     }
 
     /// Delivers the response for request `seq`; serializes every
@@ -219,7 +213,6 @@ impl ConnState {
             self.inflight -= 1;
             self.served += 1;
         }
-        self.timer_generation += 1;
     }
 
     /// Buffers a `408 Request Timeout` for a stalled partial request and
@@ -232,7 +225,6 @@ impl ConnState {
         );
         self.write_buf.extend_from_slice(&response.to_bytes(false));
         self.closing = true;
-        self.timer_generation += 1;
     }
 
     /// The unsent portion of the write buffer.
@@ -249,7 +241,6 @@ impl ConnState {
         }
         self.last_write_progress_ms = now_ms;
         self.last_activity_ms = now_ms;
-        self.timer_generation += 1;
     }
 
     /// Whether the reactor should keep read interest registered.

@@ -5,7 +5,9 @@
 //! portable fallback — `sys`), with per-connection state machines
 //! (`conn`) doing incremental HTTP/1.1 parsing (`parser`), keep-alive
 //! and pipelined request handling over reusable buffers, write
-//! backpressure, and idle/read/write timeouts (`timer`).
+//! backpressure, and idle/read/write timeouts (each connection's one
+//! deadline, which the reactor reads off its connection table every
+//! turn).
 //!
 //! The reactor is the daemon's only **I/O edge**: every byte reaches
 //! [`crate::server::Service`] through it, and everything behind it — the
@@ -23,11 +25,9 @@ mod conn;
 mod parser;
 pub(crate) mod reactor;
 pub(crate) mod sys;
-mod timer;
 
 pub use conn::{ConnState, ReadOutcome, TimeoutKind, IDLE_TIMEOUT_MS, READ_TIMEOUT_MS};
 pub use parser::{ParseFault, ParseStep, ParsedRequest, RequestParser, MAX_HEADER_BYTES};
-pub use timer::{Expiry, TimerWheel};
 
 use std::sync::Arc;
 

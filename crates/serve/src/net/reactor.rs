@@ -23,11 +23,13 @@
 //! responses in request order per connection ([`super::conn`]) and
 //! handles all reads, writes, accepts, and timeouts itself.
 //!
-//! Connections are identified two ways: a slab **token** (poller
-//! registration, reused after close) and a monotonically increasing
-//! **connection id** (completion routing and timer entries, never
-//! reused) — a late completion or stale timer for a closed connection
-//! resolves to nothing instead of hitting a recycled slot.
+//! Connections live in one table keyed by a **token** that counts up and
+//! is never reused: it is the poller registration, the completion key and
+//! the timeout key, so a late completion or a stale event for a closed
+//! connection finds no entry instead of a recycled one. Each turn ends by
+//! reading every live connection's [`ConnState::deadline`] off the table
+//! ([`scan_deadlines`]): due connections expire, and the earliest pending
+//! deadline bounds the next wait.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -44,7 +46,6 @@ use crate::server::Service;
 
 use super::conn::{ConnState, ReadOutcome, TimeoutKind};
 use super::sys::{Event, Interest, Poller};
-use super::timer::TimerWheel;
 use super::NetMetrics;
 
 const LISTENER_TOKEN: usize = 0;
@@ -53,7 +54,7 @@ const FIRST_CONN_TOKEN: usize = 2;
 
 /// A finished job routed back to the reactor.
 struct Completion {
-    conn_id: u64,
+    token: usize,
     seq: u64,
     response: HttpResponse,
 }
@@ -74,18 +75,14 @@ impl Shared {
     }
 }
 
-/// One live connection in the slab.
+/// One live connection in the table.
 struct ConnEntry {
-    id: u64,
     stream: TcpStream,
     state: ConnState,
     /// Parse timestamp per in-flight sequence (lifecycle histogram).
     started_ms: HashMap<u64, u64>,
     /// Interest currently registered with the poller.
     registered: Interest,
-    /// `timer_generation` value last armed in the wheel — avoids
-    /// flooding the wheel with an entry per state change.
-    armed_generation: Option<u64>,
 }
 
 /// Handle to the running reactor thread.
@@ -130,11 +127,8 @@ impl Reactor {
                         poller,
                         shared,
                         metrics,
-                        conns: Vec::new(),
-                        by_id: HashMap::new(),
-                        free_tokens: Vec::new(),
-                        wheel: TimerWheel::new(),
-                        next_conn_id: 0,
+                        conns: HashMap::new(),
+                        next_token: FIRST_CONN_TOKEN,
                         epoch: Instant::now(),
                         accepting: true,
                     };
@@ -166,15 +160,30 @@ struct EventLoop {
     poller: Poller,
     shared: Arc<Shared>,
     metrics: NetMetrics,
-    /// Slab: index = token − [`FIRST_CONN_TOKEN`].
-    conns: Vec<Option<ConnEntry>>,
-    /// Connection id → token, for completion and timer routing.
-    by_id: HashMap<u64, usize>,
-    free_tokens: Vec<usize>,
-    wheel: TimerWheel,
-    next_conn_id: u64,
+    /// Live connections by token.
+    conns: HashMap<usize, ConnEntry>,
+    /// The next connection's token; tokens are never reused.
+    next_token: usize,
     epoch: Instant,
     accepting: bool,
+}
+
+/// Reads the deadline of every `(token, state)` pair at `now_ms`: the
+/// connections due (a deadline equal to `now_ms` is due), each with its
+/// timeout kind, and the earliest deadline still pending.
+fn scan_deadlines<'a>(
+    conns: impl IntoIterator<Item = (usize, &'a ConnState)>,
+    now_ms: u64,
+) -> (Vec<(usize, TimeoutKind)>, Option<u64>) {
+    let mut due = Vec::new();
+    let mut pending: Option<u64> = None;
+    for (token, state) in conns {
+        match state.deadline() {
+            (deadline, kind) if deadline <= now_ms => due.push((token, kind)),
+            (deadline, _) => pending = Some(pending.map_or(deadline, |p| p.min(deadline))),
+        }
+    }
+    (due, pending)
 }
 
 impl EventLoop {
@@ -184,24 +193,22 @@ impl EventLoop {
 
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
+        let mut next_deadline: Option<u64> = None;
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 self.begin_shutdown();
-                if self.by_id.is_empty() {
+                if self.conns.is_empty() {
                     break;
                 }
             }
-            let timeout = self
-                .wheel
-                .next_deadline_ms()
-                .map(|deadline| deadline.saturating_sub(self.now_ms()).min(1_000))
-                .or(Some(1_000));
-            if let Err(e) = self.poller.wait(timeout, &mut events) {
+            let timeout = next_deadline.map_or(1_000, |deadline| {
+                deadline.saturating_sub(self.now_ms()).min(1_000)
+            });
+            if let Err(e) = self.poller.wait(Some(timeout), &mut events) {
                 eprintln!("nshard-serve reactor: poll failed: {e}");
                 break;
             }
-            let batch: Vec<Event> = events.clone();
-            for event in batch {
+            for &event in &events {
                 match event.token {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKER_TOKEN => self.drain_waker(),
@@ -209,7 +216,7 @@ impl EventLoop {
                 }
             }
             self.drain_completions();
-            self.fire_timers();
+            next_deadline = self.fire_timers();
         }
     }
 
@@ -221,71 +228,44 @@ impl EventLoop {
             let _ = self.poller.deregister(self.listener.as_raw_fd());
             self.accepting = false;
         }
-        let ids: Vec<u64> = self.by_id.keys().copied().collect();
-        for id in ids {
-            let Some(&token) = self.by_id.get(&id) else {
-                continue;
-            };
-            let done = {
-                let Some(entry) = self.entry_mut(token) else {
-                    continue;
-                };
-                entry.state.inflight() == 0 && !entry.state.want_write()
-            };
-            if done {
-                self.close_conn(token);
-            }
+        let done: Vec<usize> = self
+            .conns
+            .iter()
+            .filter(|(_, entry)| entry.state.inflight() == 0 && !entry.state.want_write())
+            .map(|(&token, _)| token)
+            .collect();
+        for token in done {
+            self.close_conn(token);
         }
-    }
-
-    fn entry_mut(&mut self, token: usize) -> Option<&mut ConnEntry> {
-        self.conns
-            .get_mut(token.checked_sub(FIRST_CONN_TOKEN)?)?
-            .as_mut()
     }
 
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if !self.accepting {
-                        continue; // drained and dropped during shutdown
-                    }
-                    if stream.set_nonblocking(true).is_err() {
+                    // Drained and dropped during shutdown, or if unusable.
+                    if !self.accepting || stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let now = self.now_ms();
-                    let id = self.next_conn_id;
-                    self.next_conn_id += 1;
-                    let token = match self.free_tokens.pop() {
-                        Some(token) => token,
-                        None => {
-                            self.conns.push(None);
-                            self.conns.len() - 1 + FIRST_CONN_TOKEN
-                        }
-                    };
-                    let entry = ConnEntry {
-                        id,
-                        stream,
-                        state: ConnState::new(now),
-                        started_ms: HashMap::new(),
-                        registered: Interest::READ,
-                        armed_generation: None,
-                    };
+                    let token = self.next_token;
+                    self.next_token += 1;
                     if self
                         .poller
-                        .register(entry.stream.as_raw_fd(), token, Interest::READ)
+                        .register(stream.as_raw_fd(), token, Interest::READ)
                         .is_err()
                     {
-                        self.free_tokens.push(token);
                         continue;
                     }
-                    self.conns[token - FIRST_CONN_TOKEN] = Some(entry);
-                    self.by_id.insert(id, token);
+                    let entry = ConnEntry {
+                        stream,
+                        state: ConnState::new(self.now_ms()),
+                        started_ms: HashMap::new(),
+                        registered: Interest::READ,
+                    };
+                    self.conns.insert(token, entry);
                     self.metrics.accepted_total.inc();
                     self.metrics.open_connections.inc();
-                    self.rearm(token);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -303,10 +283,9 @@ impl EventLoop {
         }
     }
 
+    /// Every step below finds no entry, and does nothing, for a
+    /// connection closed earlier in this batch.
     fn conn_ready(&mut self, token: usize, event: Event) {
-        if self.entry_mut(token).is_none() {
-            return; // already closed earlier in this batch
-        }
         if event.error && !event.readable && !event.writable {
             self.close_conn(token);
             return;
@@ -314,7 +293,7 @@ impl EventLoop {
         if event.readable {
             self.read_ready(token);
         }
-        if self.entry_mut(token).is_some() && event.writable {
+        if event.writable {
             self.write_ready(token);
         }
         self.finish_conn_turn(token);
@@ -325,7 +304,7 @@ impl EventLoop {
     fn read_ready(&mut self, token: usize) {
         let mut buf = [0u8; 64 * 1024];
         loop {
-            let Some(entry) = self.entry_mut(token) else {
+            let Some(entry) = self.conns.get_mut(&token) else {
                 return;
             };
             if !entry.state.want_read() {
@@ -338,7 +317,7 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     let now = self.now_ms();
-                    let Some(entry) = self.entry_mut(token) else {
+                    let Some(entry) = self.conns.get_mut(&token) else {
                         return;
                     };
                     let outcome = entry.state.on_bytes(&buf[..n], now);
@@ -366,12 +345,8 @@ impl EventLoop {
         for _ in 0..outcome.pipelined {
             self.metrics.pipelined_requests_total.inc();
         }
-        let Some(entry) = self.entry_mut(token) else {
-            return;
-        };
-        let conn_id = entry.id;
         for (seq, request) in outcome.requests {
-            let Some(entry) = self.entry_mut(token) else {
+            let Some(entry) = self.conns.get_mut(&token) else {
                 return;
             };
             entry.started_ms.insert(seq, now);
@@ -382,7 +357,7 @@ impl EventLoop {
                     .lock()
                     .expect("completions poisoned")
                     .push(Completion {
-                        conn_id,
+                        token,
                         seq,
                         response,
                     });
@@ -398,7 +373,7 @@ impl EventLoop {
     /// Delivers one response into its connection's ordered pipeline.
     fn complete_on(&mut self, token: usize, seq: u64, response: HttpResponse) {
         let now = self.now_ms();
-        let Some(entry) = self.entry_mut(token) else {
+        let Some(entry) = self.conns.get_mut(&token) else {
             return;
         };
         entry.state.complete(seq, response);
@@ -413,7 +388,7 @@ impl EventLoop {
     fn write_ready(&mut self, token: usize) {
         loop {
             let now = self.now_ms();
-            let Some(entry) = self.entry_mut(token) else {
+            let Some(entry) = self.conns.get_mut(&token) else {
                 return;
             };
             if !entry.state.want_write() {
@@ -438,12 +413,12 @@ impl EventLoop {
     }
 
     /// After any activity on a connection: resume paused parsing, close
-    /// if finished, otherwise refresh poller interest and the timer.
+    /// if finished, otherwise refresh poller interest.
     fn finish_conn_turn(&mut self, token: usize) {
         // Completions may have freed pipeline slots with bytes already
         // buffered in the parser.
         let pending = {
-            let Some(entry) = self.entry_mut(token) else {
+            let Some(entry) = self.conns.get_mut(&token) else {
                 return;
             };
             if entry.state.want_read() {
@@ -458,7 +433,7 @@ impl EventLoop {
             self.dispatch(token, outcome, now);
         }
 
-        let Some(entry) = self.entry_mut(token) else {
+        let Some(entry) = self.conns.get_mut(&token) else {
             return;
         };
         if entry.state.should_close() {
@@ -474,23 +449,6 @@ impl EventLoop {
             entry.registered = desired;
             let _ = self.poller.modify(fd, token, desired);
         }
-        self.rearm(token);
-    }
-
-    /// Arms the connection's current deadline in the wheel (keyed by
-    /// connection id, validated by generation on expiry).
-    fn rearm(&mut self, token: usize) {
-        let Some(entry) = self.entry_mut(token) else {
-            return;
-        };
-        let generation = entry.state.timer_generation;
-        if entry.armed_generation == Some(generation) {
-            return;
-        }
-        entry.armed_generation = Some(generation);
-        let (deadline, _kind) = entry.state.deadline();
-        let id = entry.id;
-        self.wheel.arm(id as usize, generation, deadline);
     }
 
     fn drain_completions(&mut self) {
@@ -503,9 +461,8 @@ impl EventLoop {
         );
         let mut touched: Vec<usize> = Vec::new();
         for completion in completions {
-            let Some(&token) = self.by_id.get(&completion.conn_id) else {
-                continue; // connection closed before its job finished
-            };
+            // A connection closed before its job finished has no entry.
+            let token = completion.token;
             self.complete_on(token, completion.seq, completion.response);
             if !touched.contains(&token) {
                 touched.push(token);
@@ -513,68 +470,140 @@ impl EventLoop {
         }
         for token in touched {
             self.write_ready(token);
-            if self.entry_mut(token).is_some() {
-                self.finish_conn_turn(token);
-            }
+            self.finish_conn_turn(token);
         }
     }
 
-    fn fire_timers(&mut self) {
+    /// Expires every due connection: `Idle`/`Write` close, `Read` answers
+    /// `408`. Returns the earliest deadline still pending.
+    fn fire_timers(&mut self) -> Option<u64> {
         let now = self.now_ms();
-        for expiry in self.wheel.pop_due(now) {
-            let conn_id = expiry.token as u64;
-            let Some(&token) = self.by_id.get(&conn_id) else {
-                continue; // connection already closed
-            };
-            let action = {
-                let Some(entry) = self.entry_mut(token) else {
-                    continue;
-                };
-                if entry.state.timer_generation != expiry.generation {
-                    continue; // stale entry; the live one is still armed
-                }
-                let (deadline, kind) = entry.state.deadline();
-                if deadline > now {
-                    // The deadline moved without a generation-visible
-                    // state change; re-arm the real one.
-                    entry.armed_generation = None;
-                    None
-                } else {
-                    Some(kind)
-                }
-            };
-            match action {
-                None => self.rearm(token),
-                Some(kind @ (TimeoutKind::Idle | TimeoutKind::Write)) => {
-                    self.metrics.count_timeout(kind);
-                    self.close_conn(token);
-                }
-                Some(TimeoutKind::Read) => {
-                    self.metrics.count_timeout(TimeoutKind::Read);
-                    if let Some(entry) = self.entry_mut(token) {
-                        entry.state.timeout_request();
-                    }
-                    self.write_ready(token);
-                    if self.entry_mut(token).is_some() {
-                        self.finish_conn_turn(token);
-                    }
-                }
-            }
+        let states = self
+            .conns
+            .iter()
+            .map(|(&token, entry)| (token, &entry.state));
+        let (due, pending) = scan_deadlines(states, now);
+        if due.is_empty() {
+            return pending;
         }
+        for (token, kind) in due {
+            self.metrics.count_timeout(kind);
+            if kind != TimeoutKind::Read {
+                self.close_conn(token);
+                continue;
+            }
+            if let Some(entry) = self.conns.get_mut(&token) {
+                entry.state.timeout_request();
+            }
+            self.write_ready(token);
+            self.finish_conn_turn(token);
+        }
+        // A `408` the peer does not read can leave a write deadline that
+        // is already due: look again without blocking.
+        Some(now)
     }
 
     fn close_conn(&mut self, token: usize) {
-        let Some(entry) = self
-            .conns
-            .get_mut(token - FIRST_CONN_TOKEN)
-            .and_then(Option::take)
-        else {
+        let Some(entry) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.poller.deregister(entry.stream.as_raw_fd());
-        self.by_id.remove(&entry.id);
-        self.free_tokens.push(token);
         self.metrics.open_connections.dec();
         // entry.stream drops here, closing the socket.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{IDLE_TIMEOUT_MS, READ_TIMEOUT_MS};
+
+    /// A keep-alive connection with nothing in progress since `at`.
+    fn idle(at: u64) -> ConnState {
+        ConnState::new(at)
+    }
+
+    /// A connection whose last request byte arrived at `at`.
+    fn mid_request(at: u64) -> ConnState {
+        let mut conn = ConnState::new(at);
+        conn.on_bytes(b"GET /slow HTT", at);
+        conn
+    }
+
+    /// A connection accepted at `at` whose answer was never written.
+    fn write_stalled(at: u64) -> ConnState {
+        let mut conn = ConnState::new(at);
+        conn.on_bytes(b"GET /health HTTP/1.1\r\n\r\n", at);
+        conn.complete(0, HttpResponse::text(200, "ok".into()));
+        conn
+    }
+
+    fn scan(
+        conns: &[(usize, &ConnState)],
+        now_ms: u64,
+    ) -> (Vec<(usize, TimeoutKind)>, Option<u64>) {
+        scan_deadlines(conns.iter().copied(), now_ms)
+    }
+
+    #[test]
+    fn only_due_connections_are_returned_each_with_its_kind() {
+        let (a, b, c) = (idle(0), mid_request(1_000), write_stalled(2_000));
+        let write_deadline = c.deadline().0;
+        assert_eq!(c.deadline().1, TimeoutKind::Write);
+        let conns = [(2, &a), (3, &b), (4, &c)];
+
+        let (due, pending) = scan(&conns, 1_000 + READ_TIMEOUT_MS);
+        assert_eq!(due, vec![(3, TimeoutKind::Read)]);
+        assert_eq!(pending, Some(write_deadline));
+
+        let (due, pending) = scan(&conns, write_deadline);
+        assert_eq!(due, vec![(3, TimeoutKind::Read), (4, TimeoutKind::Write)]);
+        assert_eq!(pending, Some(IDLE_TIMEOUT_MS));
+
+        let (due, pending) = scan(&conns, IDLE_TIMEOUT_MS);
+        assert_eq!(due.len(), 3);
+        assert_eq!(due[0], (2, TimeoutKind::Idle));
+        assert_eq!(pending, None, "nothing left pending");
+    }
+
+    #[test]
+    fn a_deadline_equal_to_now_is_due() {
+        let conn = mid_request(500);
+        let deadline = 500 + READ_TIMEOUT_MS;
+        assert_eq!(scan(&[(7, &conn)], deadline - 1), (vec![], Some(deadline)));
+        assert_eq!(
+            scan(&[(7, &conn)], deadline),
+            (vec![(7, TimeoutKind::Read)], None)
+        );
+    }
+
+    #[test]
+    fn a_trickled_byte_moves_a_read_deadline_out() {
+        let mut conn = mid_request(0);
+        let trickle = READ_TIMEOUT_MS - 1;
+        conn.on_bytes(b"P", trickle);
+        let (due, pending) = scan(&[(2, &conn)], READ_TIMEOUT_MS);
+        assert!(due.is_empty(), "the trickle pushed the deadline out");
+        assert_eq!(pending, Some(trickle + READ_TIMEOUT_MS));
+        // No more progress: due exactly one read timeout after the trickle.
+        let (due, _) = scan(&[(2, &conn)], trickle + READ_TIMEOUT_MS);
+        assert_eq!(due, vec![(2, TimeoutKind::Read)]);
+    }
+
+    #[test]
+    fn the_pending_minimum_is_the_earliest_of_the_rest() {
+        let (a, b, c, d) = (idle(3_000), mid_request(4_000), idle(0), write_stalled(100));
+        let conns = [(2, &a), (3, &b), (4, &c), (5, &d)];
+        let (due, pending) = scan(&conns, d.deadline().0);
+        assert_eq!(due, vec![(5, TimeoutKind::Write)]);
+        assert_eq!(
+            pending,
+            Some(4_000 + READ_TIMEOUT_MS),
+            "earliest of the rest"
+        );
+        let (due, pending) = scan(&conns, 0);
+        assert!(due.is_empty());
+        assert_eq!(pending, Some(d.deadline().0));
+        assert_eq!(scan(&[], 0), (vec![], None));
     }
 }

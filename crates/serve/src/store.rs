@@ -75,7 +75,7 @@ pub(crate) const MODEL_KEY: &str = "models/active";
 
 /// FNV-1a over a byte string — the crate's one cheap, dependency-free
 /// digest: store checksums, content-addressed plan ids, response-cache
-/// keys and metric-registry shards.
+/// keys and the KV digest.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
 }

@@ -7,9 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-MAX_SERVE_ITEMS=137
-MAX_TOTAL_LINES=14828
-MAX_TOTAL_ITEMS=870
+MAX_SERVE_ITEMS=131
+MAX_TOTAL_LINES=14685
+MAX_TOTAL_ITEMS=864
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -33,6 +33,11 @@
 # replica insert, the boot re-log, the adopt-then-log pair and the store's
 # own map — stay deleted.
 #
+# One connection table (DESIGN.md §9): the reactor keys each connection by
+# a token it never reuses and reads deadlines off that table each turn;
+# the timer heap and its module, the generation counter, the recycled-token
+# list, the sharded metrics registry and `MatchSeq::GE` stay deleted.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -93,6 +98,14 @@ if code crates/serve/src | grep 'PlanKv::new(' | grep -v '^crates/serve/src/stor
 fi
 if grep -rnE 'PlanStoreInner|insert_replica|boot_kv|log_adoption|adopt_and_log' crates/serve/src; then
     echo "error: a plan reaches the store through the one sequenced KV (lines above)" >&2
+    exit 1
+fi
+if grep -rnE -e '\b(TimerWheel|timer_generation|free_tokens|REGISTRY_SHARDS)\b' -e 'MatchSeq::GE\b' crates; then
+    echo "error: one connection table and one metrics map; no timer heap (lines above)" >&2
+    exit 1
+fi
+if [ -e crates/serve/src/net/timer.rs ]; then
+    echo "error: connection deadlines are read off the reactor's table, not a net/timer.rs heap" >&2
     exit 1
 fi
 

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::serve::net::{
-    ConnState, ParseStep, RequestParser, TimeoutKind, TimerWheel, IDLE_TIMEOUT_MS,
-    MAX_HEADER_BYTES, READ_TIMEOUT_MS,
+    ConnState, ParseStep, RequestParser, TimeoutKind, IDLE_TIMEOUT_MS, MAX_HEADER_BYTES,
+    READ_TIMEOUT_MS,
 };
 use neuroshard::serve::{
     http_call, HttpRequest, HttpResponse, KeepAliveClient, ServeConfig, Server, Service,
@@ -323,11 +323,10 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
 // ---------------------------------------------------------------------------
 
 /// A partial request that stalls past the read timeout answers `408` and
-/// closes; driven entirely at the state-machine + wheel level with a
-/// manual clock.
+/// closes; driven entirely at the state-machine level with a manual
+/// clock.
 #[test]
 fn slow_loris_expires_with_408_after_the_read_timeout() {
-    let mut wheel = TimerWheel::new();
     let mut conn = ConnState::new(0);
 
     // One byte of a request arrives, then nothing.
@@ -335,15 +334,8 @@ fn slow_loris_expires_with_408_after_the_read_timeout() {
     let (deadline, kind) = conn.deadline();
     assert_eq!(kind, TimeoutKind::Read);
     assert_eq!(deadline, READ_TIMEOUT_MS);
-    wheel.arm(1, conn.timer_generation, deadline);
 
-    // Just before the deadline: nothing fires.
-    assert!(wheel.pop_due(deadline - 1).is_empty());
-
-    // At the deadline the entry fires and is still current.
-    let due = wheel.pop_due(deadline);
-    assert_eq!(due.len(), 1);
-    assert_eq!(due[0].generation, conn.timer_generation);
+    // Nothing moved the deadline: it is really due.
     let (actual, kind) = conn.deadline();
     assert!(actual <= deadline, "deadline did not move: really due");
     assert_eq!(kind, TimeoutKind::Read);
@@ -359,37 +351,23 @@ fn slow_loris_expires_with_408_after_the_read_timeout() {
 }
 
 /// A slow-loris that trickles a byte just before each deadline keeps
-/// moving the deadline — the lazy wheel drops the stale entry and
-/// re-arms — until it finally stalls and expires.
+/// moving the deadline — the reactor reads the moved one on its next
+/// turn — until it finally stalls and expires.
 #[test]
 fn trickling_bytes_push_the_deadline_until_the_stall() {
-    let mut wheel = TimerWheel::new();
     let mut conn = ConnState::new(0);
 
     conn.on_bytes(b"G", 0);
-    wheel.arm(1, conn.timer_generation, conn.deadline().0);
+    assert_eq!(conn.deadline(), (READ_TIMEOUT_MS, TimeoutKind::Read));
 
-    // Trickle: one byte at 9s — one ms before the 10s read deadline.
+    // Trickle: one byte at 9s — one second before the 10s read deadline.
     let t1 = READ_TIMEOUT_MS - 1_000;
     conn.on_bytes(b"E", t1);
 
-    // The old entry fires at 10s but is stale (generation moved).
-    let due = wheel.pop_due(READ_TIMEOUT_MS);
-    assert_eq!(due.len(), 1);
-    assert_ne!(
-        due[0].generation, conn.timer_generation,
-        "trickled progress invalidated the armed entry"
-    );
-    // Reactor behaviour: re-check the live deadline and re-arm.
+    // The deadline moved out from the trickle.
     let (deadline, kind) = conn.deadline();
     assert_eq!(kind, TimeoutKind::Read);
     assert_eq!(deadline, t1 + READ_TIMEOUT_MS);
-    wheel.arm(1, conn.timer_generation, deadline);
-
-    // No more progress: the re-armed entry is genuinely due.
-    let due = wheel.pop_due(deadline);
-    assert_eq!(due.len(), 1);
-    assert_eq!(due[0].generation, conn.timer_generation);
 }
 
 /// An idle keep-alive connection (no request in progress) expires on the
