@@ -15,7 +15,7 @@ use nshard_data::{ShardingTask, TableConfig};
 use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
-use crate::greedy_grid::{GreedyGridSearch, GridSearchResult};
+use crate::greedy_grid::GreedyGridSearch;
 use crate::neuroshard::NeuroShardConfig;
 use crate::plan::{
     apply_split_plan, finite_cost, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep,
@@ -102,7 +102,8 @@ impl<'a> BeamSearch<'a> {
     /// ranking plans by a meaningless number.
     pub fn search(&self, task: &ShardingTask) -> Result<BeamSearchResult, PlanError> {
         // The one fan-out level: a beam level's candidate plans spread over
-        // the pool, each evaluated by one serial inner search.
+        // the pool in contiguous chunks, each chunk's inner searches walked
+        // in lockstep by one thread; the root plan is a one-job batch.
         let pool = WorkPool::new(self.config.threads);
         let inner = self.inner();
         let cache = self.sim.cache();
@@ -111,7 +112,8 @@ impl<'a> BeamSearch<'a> {
 
         // Fleet context, shared by every inner search of this run. `scales`
         // is `None` on fleets with baseline compute and a flat network.
-        let budgets = task.budgets();
+        let (budgets, num_devices) = (task.budgets(), task.num_devices());
+        let batch_size = task.batch_size();
         let scales = DeviceScales::from_pool(task.devices());
         let scales = scales.as_ref();
 
@@ -127,70 +129,29 @@ impl<'a> BeamSearch<'a> {
         let root_tables = apply_split_plan(task.tables(), &root)
             .expect("presplit steps are constructed to be applicable");
 
-        // Evaluate the root plan first (line 4's initial beam).
+        // Line 4's initial beam is the root plan alone; every level then
+        // evaluates the jobs the beam before it expands to.
         let mut best: Option<(SplitPlan, f64, Vec<usize>)> = None;
-        evaluated += 1;
-        let before = cache.stats();
-        match inner.search_with_devices(
-            &root_tables,
-            task.num_devices(),
-            &budgets,
-            scales,
-            task.batch_size(),
-        ) {
-            Ok(result) => {
-                best = Some((root.clone(), result.estimated_cost_ms, result.device_of));
-            }
-            Err(e @ PlanError::NonFiniteCost { .. }) => return Err(e),
-            Err(_) => {} // infeasible unsplit: the beam may split its way out
-        }
-        phase_stats.inner.absorb(&cache.stats().since(&before));
-
-        // Beam entries carry (plan, cost) — infeasible plans carry +inf so
-        // they sort last but can still be extended toward feasibility.
-        let mut beam: Vec<(SplitPlan, f64)> =
-            vec![(root, best.as_ref().map_or(f64::INFINITY, |b| b.1))];
-
-        for _level in 0..self.levels() {
-            // Expand every beam entry's candidates serially, building the
-            // level's evaluation jobs in a deterministic order.
-            let before = cache.stats();
-            let mut jobs: Vec<(SplitPlan, Vec<TableConfig>)> = Vec::new();
-            for (col_plan, _) in &beam {
-                let sharded = apply_split_plan(task.tables(), col_plan)
-                    .expect("beam plans are constructed to be applicable");
-                for cand in self.candidates(&sharded, task.batch_size())? {
-                    let mut new_plan = col_plan.clone();
-                    new_plan.push(cand);
-                    match apply_split_plan(task.tables(), &new_plan) {
-                        Ok(s) => jobs.push((new_plan, s)),
-                        Err(_) => continue, // unsplittable candidate
-                    }
-                }
-            }
-            phase_stats.candidate.absorb(&cache.stats().since(&before));
-            if jobs.is_empty() {
-                break; // nothing splittable left anywhere in the beam
-            }
+        let mut jobs: Vec<(SplitPlan, Vec<TableConfig>)> = vec![(root, root_tables)];
+        for level in 0..=self.levels() {
             evaluated += jobs.len();
-
-            // Evaluate the K×2N jobs of this level concurrently. The pool
-            // returns results in job order, so the fold below visits them
-            // exactly as the serial loop would.
+            // Evaluate the level's jobs concurrently: each worker takes one
+            // contiguous chunk (siblings stay together) and walks its inner
+            // searches in lockstep. Results come back in job order, so the
+            // fold below visits them as the serial loop would.
             let before = cache.stats();
-            let results: Vec<Result<GridSearchResult, PlanError>> =
-                pool.map(&jobs, |(_, sharded)| {
-                    inner.search_with_devices(
-                        sharded,
-                        task.num_devices(),
-                        &budgets,
-                        scales,
-                        task.batch_size(),
-                    )
-                });
+            let chunks: Vec<_> = jobs.chunks(jobs.len().div_ceil(pool.threads())).collect();
+            let results: Vec<_> = pool
+                .map(&chunks, |chunk| {
+                    let tables: Vec<&[TableConfig]> = chunk.iter().map(|(_, s)| &s[..]).collect();
+                    inner.search_batch(&tables, num_devices, &budgets, scales, batch_size)
+                })
+                .into_iter()
+                .flatten()
+                .collect();
             phase_stats.inner.absorb(&cache.stats().since(&before));
 
-            let mut next: Vec<(SplitPlan, f64)> = Vec::with_capacity(jobs.len());
+            let mut beam: Vec<(SplitPlan, f64)> = Vec::with_capacity(jobs.len());
             for ((new_plan, new_sharded), result) in jobs.into_iter().zip(results) {
                 match result {
                     Ok(result) => {
@@ -204,7 +165,7 @@ impl<'a> BeamSearch<'a> {
                                 result.device_of,
                             ));
                         }
-                        next.push((new_plan, result.estimated_cost_ms));
+                        beam.push((new_plan, result.estimated_cost_ms));
                     }
                     Err(e @ PlanError::NonFiniteCost { .. }) => return Err(e),
                     Err(_) => {
@@ -219,16 +180,39 @@ impl<'a> BeamSearch<'a> {
                             .map(|t| t.memory_bytes())
                             .max()
                             .unwrap_or(0);
-                        next.push((new_plan, INFEASIBLE_BASE + max_bytes as f64));
+                        beam.push((new_plan, INFEASIBLE_BASE + max_bytes as f64));
                     }
                 }
             }
-            next.sort_by(|a, b| {
+            beam.sort_by(|a, b| {
                 a.1.partial_cmp(&b.1)
                     .expect("inner searches return finite estimates")
             });
-            next.truncate(self.config.k.max(1));
-            beam = next;
+            beam.truncate(self.config.k.max(1));
+            if level == self.levels() {
+                break;
+            }
+
+            // Expand every beam entry's candidates serially, building the
+            // next level's jobs in a deterministic order.
+            let before = cache.stats();
+            jobs = Vec::new();
+            for (col_plan, _) in &beam {
+                let sharded = apply_split_plan(task.tables(), col_plan)
+                    .expect("beam plans are constructed to be applicable");
+                for cand in self.candidates(&sharded, batch_size)? {
+                    let mut new_plan = col_plan.clone();
+                    new_plan.push(cand);
+                    match apply_split_plan(task.tables(), &new_plan) {
+                        Ok(s) => jobs.push((new_plan, s)),
+                        Err(_) => continue, // unsplittable candidate
+                    }
+                }
+            }
+            phase_stats.candidate.absorb(&cache.stats().since(&before));
+            if jobs.is_empty() {
+                break; // nothing splittable left anywhere in the beam
+            }
         }
 
         let (split_plan, cost, device_of) = best.ok_or_else(|| PlanError::Infeasible {
@@ -238,8 +222,7 @@ impl<'a> BeamSearch<'a> {
             ),
         })?;
         let sharded = apply_split_plan(task.tables(), &split_plan)?;
-        let plan =
-            ShardingPlan::with_split_plan(split_plan, sharded, device_of, task.num_devices())?;
+        let plan = ShardingPlan::with_split_plan(split_plan, sharded, device_of, num_devices)?;
         Ok(BeamSearchResult {
             plan,
             estimated_cost_ms: cost,
@@ -346,22 +329,13 @@ impl<'a> BeamSearch<'a> {
         let mut out = Vec::with_capacity(picked.len() * 2);
         for &i in &picked {
             if tables[i].split_columns().is_some() {
-                out.push(SplitStep {
-                    index: i,
-                    kind: SplitKind::Column,
-                });
+                out.push(SplitStep::column(i));
             }
             if row_wise && tables[i].split_rows().is_some() {
-                out.push(SplitStep {
-                    index: i,
-                    kind: SplitKind::Row,
-                });
+                out.push(SplitStep::row(i));
             }
             if replication && tables[i].replicate().is_some() {
-                out.push(SplitStep {
-                    index: i,
-                    kind: SplitKind::Replicate,
-                });
+                out.push(SplitStep::replicate(i));
             }
         }
         Ok(out)

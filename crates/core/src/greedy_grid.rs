@@ -150,6 +150,120 @@ fn first_lowest(candidates: &[Candidate], cap: Option<f64>) -> Option<usize> {
     best.map(|(j, _)| j)
 }
 
+/// One inner search in progress, resumable between placements: its tables,
+/// the order they are placed in, its threshold grid and the passes still
+/// placing, and the fleet it places them on.
+/// [`GreedyGridSearch::walk`] advances many walks in lockstep.
+struct Walk<'f> {
+    budgets: &'f [u64],
+    scales: Option<&'f DeviceScales>,
+    profiles: Vec<TableProfile>,
+    order: Vec<usize>,
+    thresholds: Vec<Option<f64>>,
+    encodings: TableEncodings,
+    /// The live passes, ascending by threshold.
+    live: Vec<Pass>,
+    /// The current step's probes, one per (live pass, device its loosest
+    /// cap allows): the pass's index in `live`, the device, and the
+    /// effective dimension the device would reach.
+    probes: Vec<(usize, usize, f64)>,
+}
+
+/// Buffers every step reuses (candidates, forks, the next live passes):
+/// apart from the probe answers and a fork's clone, a step allocates
+/// nothing.
+type StepBuffers = (Vec<Candidate>, Vec<(Range<usize>, usize)>, Vec<Pass>);
+
+impl Walk<'_> {
+    /// States step `step`'s probes — per live pass, the devices its
+    /// loosest cap allows, with the table added — and appends their keys
+    /// to `keys`. Returns whether the walk places a table this step.
+    fn state_probes(&mut self, step: usize, keys: &mut Vec<u64>) -> bool {
+        self.probes.clear();
+        let Some(&i) = self.order.get(step) else {
+            return false;
+        };
+        let p = &self.profiles[i];
+        let bytes = p.memory_bytes();
+        for (k, pass) in self.live.iter().enumerate() {
+            let loosest = self.thresholds[pass.grid.end - 1];
+            for (g, device) in pass.devices.iter().enumerate() {
+                // The table's traffic share, inflated by the device's link
+                // slowness: bitwise `dim` on homogeneous fleets.
+                let eff = self
+                    .scales
+                    .map_or(p.comm_dim(), |s| p.comm_dim() / s.bandwidth_scale(g));
+                let dim = device.dim + eff;
+                if device.bytes + bytes <= self.budgets[g] && loosest.is_none_or(|cap| dim <= cap) {
+                    self.probes.push((k, g, dim));
+                    keys.push(device.key.with(p).key());
+                }
+            }
+        }
+        !self.live.is_empty()
+    }
+
+    /// Makes step `step`'s choices from `costs`, the answers to this
+    /// walk's own probes: each threshold chooses over its own feasible
+    /// subset, consecutive thresholds that agree stay one pass, one with
+    /// no feasible device drops out, and a pass is cloned only where its
+    /// thresholds' choices differ. Compute scales are applied *after* the
+    /// (raw, cacheable) prediction, mirroring the simulator.
+    fn advance(
+        &mut self,
+        step: usize,
+        costs: &[f64],
+        buffers: &mut StepBuffers,
+    ) -> Result<(), PlanError> {
+        let Some(&i) = self.order.get(step) else {
+            return Ok(());
+        };
+        let (p, (candidates, forks, next)) = (self.profiles[i], buffers);
+        next.clear(); // a walk that failed mid-step may have left passes
+        let mut answers = self.probes.iter().zip(costs).peekable();
+        for (k, mut pass) in self.live.drain(..).enumerate() {
+            candidates.clear();
+            while let Some((&(_, device, dim), &cost)) =
+                answers.next_if(|((owner, _, _), _)| *owner == k)
+            {
+                let scaled = self.scales.map_or(cost, |s| cost * s.compute_scale(device));
+                let cost = finite_cost("device cost", cost)?;
+                candidates.push(Candidate {
+                    device,
+                    dim,
+                    cost,
+                    scaled,
+                });
+            }
+            if candidates.is_empty() {
+                continue; // no threshold of this pass can place the table
+            }
+            forks.clear();
+            for t in pass.grid.clone() {
+                let Some(j) = first_lowest(candidates, self.thresholds[t]) else {
+                    continue;
+                };
+                match forks.last_mut() {
+                    Some((grid, slot)) if *slot == j && grid.end == t => grid.end = t + 1,
+                    _ => forks.push((t..t + 1, j)),
+                }
+            }
+            // The loosest cap allows every candidate, so it chose; its
+            // group takes the state over, the others copy it.
+            let (last_grid, last) = forks.pop().expect("the loosest threshold chose");
+            for (grid, j) in forks.drain(..) {
+                let mut fork = pass.clone();
+                fork.place(grid, i, &p, &candidates[j], &self.encodings);
+                next.push(fork);
+            }
+            pass.place(last_grid, i, &p, &candidates[last], &self.encodings);
+            next.push(pass);
+        }
+        std::mem::swap(&mut self.live, next);
+        Ok(())
+    }
+}
+
 impl<'a> GreedyGridSearch<'a> {
     /// Creates an inner-loop searcher over the given cost simulator with
     /// grid granularity `m_steps`.
@@ -178,10 +292,11 @@ impl<'a> GreedyGridSearch<'a> {
 
     /// Searches for the best table-wise plan of `tables` (already
     /// column-wise sharded) on `num_devices` devices with per-device memory
-    /// `budgets`. `scales`, when given, are per-device compute/bandwidth
-    /// multipliers applied to every prediction during allocation and
-    /// scoring; `None` prices every device at baseline (unit scales give
-    /// the same bits: `x * 1.0` and `x / 1.0` are bitwise identities).
+    /// `budgets`: the one-job form of [`GreedyGridSearch::search_batch`].
+    /// `scales`, when given, are per-device compute/bandwidth multipliers
+    /// applied to every prediction during allocation and scoring; `None`
+    /// prices every device at baseline (unit scales give the same bits:
+    /// `x * 1.0` and `x / 1.0` are bitwise identities).
     ///
     /// # Errors
     ///
@@ -199,39 +314,76 @@ impl<'a> GreedyGridSearch<'a> {
         scales: Option<&DeviceScales>,
         batch_size: u32,
     ) -> Result<GridSearchResult, PlanError> {
-        if num_devices == 0 {
-            return Err(PlanError::Invalid {
-                reason: "need at least one device".into(),
-            });
+        self.search_batch(&[tables], num_devices, budgets, scales, batch_size)
+            .pop()
+            .expect("one job in, one result out")
+    }
+
+    /// Searches every job — a table list for the one fleet that `budgets`
+    /// and `scales` describe — and returns one result per job, in job
+    /// order, each bit for bit what
+    /// [`GreedyGridSearch::search_with_devices`] returns for that job
+    /// alone, errors included. The jobs' walks run in lockstep
+    /// (one placement per step across every job), so each step prices the
+    /// probes of every job with one cache batch and one head forward.
+    pub fn search_batch<T: AsRef<[TableConfig]>>(
+        &self,
+        jobs: &[T],
+        num_devices: usize,
+        budgets: &[u64],
+        scales: Option<&DeviceScales>,
+        batch_size: u32,
+    ) -> Vec<Result<GridSearchResult, PlanError>> {
+        let (n, s) = (budgets.len(), scales.map_or(num_devices, DeviceScales::len));
+        if num_devices == 0 || n != num_devices || s != num_devices {
+            let reason = format!("{n} budgets and {s} scales for {num_devices} devices");
+            let invalid = PlanError::Invalid { reason };
+            return jobs.iter().map(|_| Err(invalid.clone())).collect();
         }
-        if budgets.len() != num_devices {
-            return Err(PlanError::Invalid {
-                reason: format!(
-                    "{} per-device budgets for {num_devices} devices",
-                    budgets.len()
-                ),
-            });
-        }
-        if let Some(s) = scales {
-            if s.len() != num_devices {
-                return Err(PlanError::Invalid {
-                    reason: format!("{} device scales for {num_devices} devices", s.len()),
-                });
-            }
-        }
-        let profiles: Vec<TableProfile> = tables.iter().map(|t| t.profile(batch_size)).collect();
+        let mut walks: Vec<_> = jobs
+            .iter()
+            .map(|tables| {
+                let profiles = tables.as_ref().iter().map(|t| t.profile(batch_size));
+                self.start(profiles.collect(), budgets, scales)
+            })
+            .collect();
+        self.walk(&mut walks);
+        walks.into_iter().map(|walk| self.finish(walk?)).collect()
+    }
+
+    /// A job's walk before its first placement: its placement order, its
+    /// threshold grid, its tables' encoder rows (fetched once per inner
+    /// search) and one root pass that the whole grid shares.
+    fn start<'f>(
+        &self,
+        profiles: Vec<TableProfile>,
+        budgets: &'f [u64],
+        scales: Option<&'f DeviceScales>,
+    ) -> Result<Walk<'f>, PlanError> {
         let order = self.placement_order(&profiles, budgets)?;
-        let thresholds = self.thresholds(&profiles, num_devices, scales);
+        let thresholds = self.thresholds(&profiles, budgets.len(), scales);
+        let encodings = self.sim.table_encodings(&profiles);
+        let (grid, width) = (0..thresholds.len(), encodings.width());
+        Ok(Walk {
+            live: vec![Pass::root(grid, budgets.len(), width, profiles.len())],
+            budgets,
+            scales,
+            profiles,
+            order,
+            thresholds,
+            encodings,
+            probes: Vec::new(),
+        })
+    }
 
-        // Phase 1: one walk over the sorted tables makes every grid
-        // point's greedy choices, sharing their common prefix.
-        let passes = self.walk(&profiles, &order, budgets, scales, &thresholds)?;
-
-        // Phase 2: price each distinct finished pass — a threshold whose
-        // pass equals a tighter one's can never win the strict-`<` fold
-        // below — from the per-device costs the walk already holds. A
-        // device some pass left empty was never probed; the empty set is
-        // priced now, once, and only then.
+    /// Phase 2 of a finished walk: prices each distinct finished pass — a
+    /// threshold whose pass equals a tighter one's can never win the
+    /// strict-`<` fold — from the per-device costs the walk already holds,
+    /// then folds in grid order, the first strict improvement winning. A
+    /// device some pass left empty was never probed; the empty set is
+    /// priced now, once, and only then.
+    fn finish(&self, walk: Walk) -> Result<GridSearchResult, PlanError> {
+        let (profiles, budgets, passes) = (&walk.profiles, walk.budgets, walk.live);
         let mut empty_cost: Option<f64> = None;
         let loads: Vec<DeviceLoads> = passes
             .iter()
@@ -245,7 +397,7 @@ impl<'a> GreedyGridSearch<'a> {
                         })
                     })
                     .collect(),
-                comm_dims: (0..num_devices)
+                comm_dims: (0..budgets.len())
                     .map(|g| {
                         // Summed in table order, as a plan estimate would.
                         (0..profiles.len())
@@ -256,9 +408,8 @@ impl<'a> GreedyGridSearch<'a> {
                     .collect(),
             })
             .collect();
-        let estimates = self.sim.estimate_from_loads(loads, scales);
+        let estimates = self.sim.estimate_from_loads(loads, walk.scales);
 
-        // Fold in grid order: first strict improvement wins.
         let mut best: Option<GridSearchResult> = None;
         for (pass, est) in passes.into_iter().zip(estimates) {
             let cost = finite_cost("plan estimate", est.total_ms())?;
@@ -266,16 +417,16 @@ impl<'a> GreedyGridSearch<'a> {
                 best = Some(GridSearchResult {
                     estimated_cost_ms: cost,
                     device_of: pass.device_of,
-                    max_dim_used: thresholds[pass.grid.start],
+                    max_dim_used: walk.thresholds[pass.grid.start],
                 });
             }
         }
-
         best.ok_or_else(|| PlanError::Infeasible {
             reason: format!(
-                "no greedy assignment of {} tables to {num_devices} devices fits \
+                "no greedy assignment of {} tables to {} devices fits \
                  the per-device memory budgets (max {} bytes)",
-                tables.len(),
+                profiles.len(),
+                budgets.len(),
                 budgets.iter().copied().max().unwrap_or(0)
             ),
         })
@@ -329,10 +480,8 @@ impl<'a> GreedyGridSearch<'a> {
         scales: Option<&DeviceScales>,
     ) -> Vec<Option<f64>> {
         let total_dim: f64 = profiles.iter().map(TableProfile::comm_dim).sum();
-        let total_bw: f64 = match scales {
-            Some(s) => (0..num_devices).map(|g| s.bandwidth_scale(g)).sum(),
-            None => (0..num_devices).map(|_| 1.0).sum(),
-        };
+        let bw = |g| scales.map_or(1.0, |s| s.bandwidth_scale(g));
+        let total_bw: f64 = (0..num_devices).map(bw).sum();
         let m_s = total_dim / total_bw;
         let m_e = 1.5 * m_s;
         let mut thresholds: Vec<Option<f64>> = Vec::with_capacity(self.m_steps + 1);
@@ -350,140 +499,73 @@ impl<'a> GreedyGridSearch<'a> {
         thresholds
     }
 
-    /// One walk over the tables in `order` that runs the greedy allocator
-    /// (lines 8-22: each table goes to the feasible device with the lowest
-    /// predicted cost after the assignment, first device on ties) for
-    /// **every** threshold at once. Returns the finished passes, ascending
-    /// by threshold; a threshold in none of them has no feasible
-    /// assignment.
+    /// Runs `walks` in lockstep: step `s` places each walk's `s`-th table
+    /// in its sorted order, with the greedy allocator (lines 8-22: each
+    /// table goes to the feasible device with the lowest predicted cost
+    /// after the assignment, first device on ties) for **every** threshold
+    /// of the walk at once. Every live pass of every walk states its probes
+    /// ([`Walk::state_probes`]), one
+    /// [`CostSimulator::pooled_probe_costs`] call prices them all, and each
+    /// walk then chooses and forks on its own slice of the answers
+    /// ([`Walk::advance`]) exactly as it would alone. A walk that meets a
+    /// non-finite cost becomes that error and stops; the others go on. A
+    /// finished walk holds its passes ascending by threshold; a threshold
+    /// in none of them has no feasible assignment.
     ///
-    /// Caps are nested — `thresholds` ascends and `None` is loosest — so a
+    /// Caps are nested — thresholds ascend and `None` is loosest — so a
     /// device feasible under one cap is feasible under every looser one,
     /// and a pass under a tight cap makes exactly a looser pass's choices
     /// until the first placement the tight cap forbids. Thresholds
     /// therefore travel as one [`Pass`] while their choices agree: each
     /// (pass, table) is probed **once**, over the devices the group's
-    /// loosest cap allows; every threshold then takes its first-lowest
-    /// cost over its own feasible subset, and the state is cloned only
-    /// where choices differ. The keys probed are exactly the keys the
+    /// loosest cap allows, and the keys probed are exactly the keys the
     /// loosest member's stand-alone greedy pass would probe, so the walk
     /// asks the cost model no question `M + 1` independent passes would
-    /// not — it only stops repeating them.
+    /// not — it only stops repeating them. Batching changes no count
+    /// either: a key two probes of one step share is one miss and one hit,
+    /// as it would be asked one after the other.
     ///
-    /// A probe reads the pass's own state: device `g` with the table
-    /// added is `pooled[g] + encoding(table)`, the last step of the fold
-    /// the whole-set path performs over that set in placement order
-    /// ([`CostSimulator::pooled_probe_costs`]), so cached and computed
-    /// values are bit-identical to pricing the set from its table list.
-    fn walk(
-        &self,
-        profiles: &[TableProfile],
-        order: &[usize],
-        budgets: &[u64],
-        scales: Option<&DeviceScales>,
-        thresholds: &[Option<f64>],
-    ) -> Result<Vec<Pass>, PlanError> {
-        let num_devices = budgets.len();
-        let encodings = self.sim.table_encodings(profiles);
-        // Effective dimension of a table on device `g`: its traffic share,
-        // inflated by the device's link slowness. On homogeneous fleets
-        // both factors are exact 1.0s, so this is bitwise `dim`.
-        let eff_dim = |p: &TableProfile, g: usize| match scales {
-            Some(s) => p.comm_dim() / s.bandwidth_scale(g),
-            None => p.comm_dim(),
-        };
-
-        let mut live = vec![Pass::root(
-            0..thresholds.len(),
-            num_devices,
-            encodings.width(),
-            profiles.len(),
-        )];
-        let mut next: Vec<Pass> = Vec::new();
-        // Reused across all placements — apart from the probe's result and
-        // a fork's clone, the loop allocates nothing.
-        let mut feasible: Vec<(usize, f64)> = Vec::with_capacity(num_devices);
-        let mut keys: Vec<u64> = Vec::with_capacity(num_devices);
-        let mut candidates: Vec<Candidate> = Vec::with_capacity(num_devices);
-        let mut forks: Vec<(Range<usize>, usize)> = Vec::with_capacity(thresholds.len());
-
-        for &i in order {
-            let p = &profiles[i];
-            let bytes = p.memory_bytes();
-            for mut pass in live.drain(..) {
-                // Devices the loosest cap allows, each with the effective
-                // dimension it would reach.
-                let loosest = thresholds[pass.grid.end - 1];
-                feasible.clear();
-                feasible.extend((0..num_devices).filter_map(|g| {
-                    let device = &pass.devices[g];
-                    let dim = device.dim + eff_dim(p, g);
-                    (device.bytes + bytes <= budgets[g] && loosest.is_none_or(|cap| dim <= cap))
-                        .then_some((g, dim))
-                }));
-                if feasible.is_empty() {
-                    continue; // no threshold of this pass can place the table
-                }
-                // Predicted device cost with the table added, all of them
-                // scored in one batched call straight off the pass's
-                // state. Compute scales are applied *after* the (raw,
-                // cacheable) prediction, mirroring the simulator.
-                keys.clear();
-                keys.extend(
-                    feasible
-                        .iter()
-                        .map(|&(g, _)| pass.devices[g].key.with(p).key()),
-                );
-                let costs = self.sim.pooled_probe_costs(
-                    &keys,
-                    |j| pass.pooled(feasible[j].0),
-                    encodings.row(i),
-                );
-                candidates.clear();
-                for (&(device, dim), cost) in feasible.iter().zip(costs) {
-                    candidates.push(Candidate {
-                        device,
-                        dim,
-                        cost: finite_cost("device cost", cost)?,
-                        scaled: match scales {
-                            Some(s) => cost * s.compute_scale(device),
-                            None => cost,
-                        },
-                    });
-                }
-                // Each threshold chooses over its own feasible subset;
-                // consecutive thresholds that agree stay one pass, and one
-                // with no feasible device drops out.
-                forks.clear();
-                for t in pass.grid.clone() {
-                    let Some(j) = first_lowest(&candidates, thresholds[t]) else {
-                        continue;
-                    };
-                    match forks.last_mut() {
-                        Some((grid, slot)) if *slot == j && grid.end == t => grid.end = t + 1,
-                        _ => forks.push((t..t + 1, j)),
-                    }
-                }
-                // The loosest cap allows every candidate, so it chose; its
-                // group takes the state over, the others copy it.
-                let (last_grid, last) = forks.pop().expect("the loosest threshold chose");
-                for (grid, j) in forks.drain(..) {
-                    let mut fork = pass.clone();
-                    fork.place(grid, i, p, &candidates[j], &encodings);
-                    next.push(fork);
-                }
-                pass.place(last_grid, i, p, &candidates[last], &encodings);
-                next.push(pass);
+    /// A probe reads the pass's own state: device `g` with the table added
+    /// is `pooled[g] + encoding(table)`, the last step of the fold the
+    /// whole-set path performs over that set in placement order, so cached
+    /// and computed values are bit-identical to pricing the set from its
+    /// table list.
+    fn walk(&self, walks: &mut [Result<Walk, PlanError>]) {
+        let (mut keys, mut buffers) = (Vec::new(), StepBuffers::default());
+        for step in 0.. {
+            keys.clear();
+            let placing = walks
+                .iter_mut()
+                .flatten()
+                .map(|w| w.state_probes(step, &mut keys));
+            if placing.filter(|&p| p).count() == 0 {
+                return;
             }
-            std::mem::swap(&mut live, &mut next);
+            let rows: Vec<(&[f32], &[f32])> = walks
+                .iter()
+                .flatten()
+                .flat_map(|w| w.probes.iter().map(move |&(k, g, _)| (w, k, g)))
+                .map(|(w, k, g)| (w.live[k].pooled(g), w.encodings.row(w.order[step])))
+                .collect();
+            let costs = self.sim.pooled_probe_costs(&keys, |j| rows[j]);
+            let mut answers = costs.as_slice();
+            for slot in walks.iter_mut() {
+                let Ok(walk) = slot else { continue };
+                let (own, rest) = answers.split_at(walk.probes.len());
+                answers = rest;
+                if let Err(e) = walk.advance(step, own, &mut buffers) {
+                    *slot = Err(e);
+                }
+            }
         }
-        Ok(live)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{apply_split_plan, SplitKind, SplitStep};
+    use nshard_cost::cache::BatchMisses;
     use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
     use nshard_data::{TableConfig, TableId, TablePool};
     use proptest::prelude::*;
@@ -560,6 +642,16 @@ mod tests {
         BUNDLES.get_or_init(|| (2..=8).map(bundle).collect())[d - 2].clone()
     }
 
+    /// The grid a proptest case draws: none, `M` = 1, 3 or 11.
+    fn searcher(sim: &CostSimulator, grid: usize) -> GreedyGridSearch<'_> {
+        match grid {
+            0 => GreedyGridSearch::new(sim, 11).without_grid(),
+            1 => GreedyGridSearch::new(sim, 1),
+            2 => GreedyGridSearch::new(sim, 3),
+            _ => GreedyGridSearch::new(sim, 11),
+        }
+    }
+
     proptest! {
         /// The walk against `M + 1` independent passes: for every grid
         /// threshold the same assignment or the same infeasibility. Tables
@@ -604,23 +696,17 @@ mod tests {
             let scales = scales.as_ref();
 
             let sim = CostSimulator::new(shared_bundle(num_devices));
-            let search = match grid {
-                0 => GreedyGridSearch::new(&sim, 11).without_grid(),
-                1 => GreedyGridSearch::new(&sim, 1),
-                2 => GreedyGridSearch::new(&sim, 3),
-                _ => GreedyGridSearch::new(&sim, 11),
-            };
-            let order = search.placement_order(&profiles, &budgets).unwrap();
-            let thresholds = search.thresholds(&profiles, num_devices, scales);
-            let passes = search
-                .walk(&profiles, &order, &budgets, scales, &thresholds)
-                .unwrap();
+            let search = searcher(&sim, grid);
+            let mut walks = [search.start(profiles.clone(), &budgets, scales)];
+            search.walk(&mut walks);
+            let walk = walks[0].as_ref().unwrap();
+            let (order, thresholds, passes) = (&walk.order, &walk.thresholds, &walk.live);
             prop_assert!(passes.windows(2).all(|w| w[0].grid.end <= w[1].grid.start));
 
             let reference = CostSimulator::new(shared_bundle(num_devices));
             for (t, &max_dim) in thresholds.iter().enumerate() {
                 let expected =
-                    greedy_assign(&reference, &profiles, &order, &budgets, scales, max_dim);
+                    greedy_assign(&reference, &profiles, order, &budgets, scales, max_dim);
                 let walked = passes
                     .iter()
                     .find(|pass| pass.grid.contains(&t))
@@ -629,6 +715,152 @@ mod tests {
                     walked == expected,
                     "threshold {t} ({max_dim:?}): walk {walked:?}, stand-alone pass {expected:?}"
                 );
+            }
+        }
+    }
+
+    /// From now on `sim`'s cache answers NaN for `key`, as a poisoned
+    /// checkpoint would for one table set.
+    fn poison(sim: &CostSimulator, key: u64) {
+        let (mut out, mut misses) = ([0.0], BatchMisses::default());
+        sim.cache().probe_batch(&[key], &mut out, &mut misses);
+        sim.cache()
+            .insert_misses(&[key], &misses, &[f64::NAN], &mut out);
+    }
+
+    /// Job by job, a batch result against a stand-alone one: the same
+    /// assignment, threshold and cost bits, or the same error variant.
+    fn same_result(
+        batch: &Result<GridSearchResult, PlanError>,
+        alone: &Result<GridSearchResult, PlanError>,
+    ) -> bool {
+        match (batch, alone) {
+            (Ok(b), Ok(a)) => {
+                b.device_of == a.device_of
+                    && b.max_dim_used.map(f64::to_bits) == a.max_dim_used.map(f64::to_bits)
+                    && b.estimated_cost_ms.to_bits() == a.estimated_cost_ms.to_bits()
+            }
+            (Err(b), Err(a)) => std::mem::discriminant(b) == std::mem::discriminant(a),
+            _ => false,
+        }
+    }
+
+    proptest! {
+        /// The batch entry point against `search_with_devices` per job on a
+        /// fresh simulator. Jobs are beam siblings — prefixes of one table
+        /// list, of different lengths, each with one column, row or
+        /// replicate split — and one of them carries a table no device can
+        /// hold. In half the cases a poisoned cache entry (NaN) makes the
+        /// walks that probe it meet a non-finite cost in mid-walk, and in
+        /// half the scales are heterogeneous.
+        #[test]
+        fn a_lockstep_batch_equals_one_search_per_job(
+            // (dim / 4, rows, pooling factor)
+            tables in proptest::collection::vec(
+                (1u32..=32, 1u64..(1 << 16), 1.0f64..40.0),
+                2..14,
+            ),
+            // Per job: (prefix length, table to split, split kind).
+            jobs in proptest::collection::vec((1usize..14, 0usize..14, 0usize..3), 1..=6),
+            // Per device: (budget as a share of all bytes, compute scale,
+            // bandwidth scale).
+            devices in proptest::collection::vec((0.2f64..0.9, 0.5f64..3.0, 0.25f64..2.0), 2..=6),
+            infeasible in 0usize..6,
+            poisoned_job in 0usize..6,
+            poison_one: bool,
+            grid in 0usize..4,
+            hetero: bool,
+        ) {
+            const BATCH: u32 = 4_096;
+            let base: Vec<TableConfig> = tables
+                .iter()
+                .enumerate()
+                .map(|(i, &(dim4, rows, pooling))| {
+                    TableConfig::new(TableId(i as u32), dim4 * 4, rows, pooling, 1.05)
+                })
+                .collect();
+            let total_bytes: u64 = base.iter().map(TableConfig::memory_bytes).sum();
+            let mut job_tables: Vec<Vec<TableConfig>> = jobs
+                .iter()
+                .map(|&(len, index, kind)| {
+                    let prefix = &base[..len.min(base.len())];
+                    let kind = [SplitKind::Column, SplitKind::Row, SplitKind::Replicate][kind];
+                    let step = SplitStep { index: index % prefix.len(), kind };
+                    apply_split_plan(prefix, &[step]).unwrap_or_else(|_| prefix.to_vec())
+                })
+                .collect();
+            let too_big = TableConfig::new(TableId(99), 128, total_bytes / 512 + 1, 4.0, 1.0);
+            job_tables[infeasible % jobs.len()].push(too_big);
+            let num_devices = devices.len();
+            let budgets: Vec<u64> = devices
+                .iter()
+                .map(|&(share, _, _)| (share * total_bytes as f64) as u64)
+                .collect();
+            let scales = hetero.then(|| {
+                DeviceScales::new(
+                    devices.iter().map(|d| d.1).collect(),
+                    devices.iter().map(|d| d.2).collect(),
+                )
+            });
+            let scales = scales.as_ref();
+            // The poisoned set: the first two tables a job places.
+            let scratch = CostSimulator::new(shared_bundle(num_devices));
+            let poisoned = poison_one.then_some(poisoned_job).and_then(|j| {
+                let tables = &job_tables[j % jobs.len()];
+                let profiles = tables.iter().map(|t| t.profile(BATCH)).collect();
+                let walk = searcher(&scratch, grid).start(profiles, &budgets, scales).ok()?;
+                let first_two = walk.order.get(..2)?.iter().map(|&i| walk.profiles[i]);
+                Some(TableSetKey::of(&first_two.collect::<Vec<_>>()).key())
+            });
+            let fresh = || {
+                let sim = CostSimulator::new(shared_bundle(num_devices));
+                if let Some(key) = poisoned {
+                    poison(&sim, key);
+                }
+                sim
+            };
+
+            let sim = fresh();
+            let batch = searcher(&sim, grid).search_batch(&job_tables, num_devices, &budgets, scales, BATCH);
+            prop_assert_eq!(batch.len(), job_tables.len());
+            for (j, (tables, batched)) in job_tables.iter().zip(&batch).enumerate() {
+                let sim = fresh();
+                let alone = searcher(&sim, grid).search_with_devices(tables, num_devices, &budgets, scales, BATCH);
+                prop_assert!(
+                    same_result(batched, &alone),
+                    "job {j}: batch {batched:?}, alone {alone:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_that_meets_a_non_finite_cost_stops_alone() {
+        let sim = || CostSimulator::new(shared_bundle(2));
+        let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
+        let poisoned: Vec<TableConfig> = (0..4).map(|i| t(i, 32)).collect();
+        let healthy: Vec<TableConfig> = (4..10).map(|i| t(i, 64)).collect();
+        // The poisoned job's second placement probes the device holding
+        // its first table: two of its (identical) tables.
+        let pair = poisoned[0].profile(65_536);
+        let key = TableSetKey::of(&[pair, pair]).key();
+        let alone = GreedyGridSearch::new(&sim(), 11)
+            .search_with_devices(&healthy, 2, &budgets, None, 65_536);
+        for jobs in [[&poisoned, &healthy], [&healthy, &poisoned]] {
+            let sim = sim();
+            poison(&sim, key);
+            let results =
+                GreedyGridSearch::new(&sim, 11).search_batch(&jobs, 2, &budgets, None, 65_536);
+            for (tables, result) in jobs.iter().zip(&results) {
+                if *tables == &poisoned {
+                    assert!(
+                        matches!(result, Err(PlanError::NonFiniteCost { what, value })
+                            if what == "device cost" && value.is_nan()),
+                        "{result:?}"
+                    );
+                } else {
+                    assert!(same_result(result, &alone), "{result:?} vs {alone:?}");
+                }
             }
         }
     }

@@ -9,10 +9,11 @@
 //!
 //! Two properties matter for the parallel search runtime:
 //!
-//! * the cache is **sharded** into a power-of-two number of mutex-guarded
-//!   segments selected by key bits, so concurrent search threads rarely
-//!   contend on the same lock; hit/miss statistics are kept per shard and
-//!   summed on read, so global accounting survives sharding;
+//! * the cache is resolved **a batch at a time**: one map behind one
+//!   reader-writer lock, read under one shared lock per batch and written
+//!   under one exclusive lock per batch's misses, with the hit/miss
+//!   counters in atomics — a search thread takes two locks per batch of a
+//!   few hundred probes, not one per probe;
 //! * the set fingerprint is built by **commutative addition** of per-table
 //!   hashes, which makes it incrementally updatable: [`TableSetKey`] adds
 //!   or removes one table in O(1), so the greedy allocator never rehashes
@@ -20,8 +21,9 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use nshard_nn::Matrix;
@@ -68,11 +70,6 @@ pub type PreMixedMap<V> = HashMap<u64, V, BuildPreMixed>;
 
 /// Accumulator seed of the empty set.
 const KEY_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-/// Number of mutex-guarded cache segments. Must be a power of two; 16 is
-/// plenty for the ≤ 64 search threads we expect while keeping the stats
-/// sweep (one lock per shard) cheap.
-const NUM_SHARDS: usize = 16;
 
 /// FNV-style hash of one table profile (the per-table term of the set key).
 /// Folds every cost-relevant field, including the communication share, so a
@@ -190,7 +187,7 @@ impl Default for TableSetKey {
     }
 }
 
-/// A hit/miss counter snapshot, summed across cache shards.
+/// A hit/miss counter snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -230,115 +227,125 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe memoization cache with hit-rate accounting, sharded into
-/// 16 independently locked segments selected by key bits.
+/// A thread-safe memoization cache with hit-rate accounting: one map
+/// behind one reader-writer lock, resolved a batch at a time. A batch reads
+/// every key under one shared lock ([`PredictionCache::probe_batch`]) and
+/// stores its misses under one exclusive lock
+/// ([`PredictionCache::insert_misses`]). The counters are atomics; they
+/// are statistics that publish no other data, hence `Relaxed`.
+///
+/// Accounting is the serial path's: every probed key is one lookup, the
+/// first position of a batch to ask for an absent key is its miss, and
+/// every later position asking for it is a hit.
 ///
 /// # Example
 ///
 /// ```
-/// use nshard_cost::PredictionCache;
+/// use nshard_cost::cache::{BatchMisses, PredictionCache};
 ///
 /// let cache = PredictionCache::new();
-/// assert_eq!(cache.get_counted(42), None);
-/// assert_eq!(cache.insert_miss(42, 3.5), 3.5);
-/// assert_eq!(cache.get_counted(42), Some(3.5));
-/// assert_eq!(cache.hits(), 1);
-/// assert_eq!(cache.misses(), 1);
+/// let (keys, mut out, mut misses) = ([42, 7, 42], [0.0; 3], BatchMisses::default());
+/// cache.probe_batch(&keys, &mut out, &mut misses);
+/// assert_eq!(misses.firsts(), [0, 1]); // 42 and 7 must be computed...
+/// cache.insert_misses(&keys, &misses, &[3.5, 1.0], &mut out);
+/// assert_eq!(out, [3.5, 1.0, 3.5]); // ...and the second 42 is a hit
+/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
 /// ```
-#[derive(Debug)]
-pub struct PredictionCache {
-    shards: Vec<Mutex<Shard>>,
-}
-
 #[derive(Debug, Default)]
-struct Shard {
-    map: PreMixedMap<f64>,
-    hits: u64,
-    misses: u64,
+pub struct PredictionCache {
+    map: RwLock<PreMixedMap<f64>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-impl Default for PredictionCache {
-    fn default() -> Self {
-        Self::new()
+/// The keys one [`PredictionCache::probe_batch`] did not find: each
+/// distinct key once, at the first batch position that asked for it, and
+/// every later position asking again. Reusable; each probe starts afresh.
+#[derive(Debug, Default)]
+pub struct BatchMisses {
+    /// Absent key → its index in `firsts`.
+    pending: PreMixedMap<usize>,
+    firsts: Vec<usize>,
+    /// (position, index in `firsts`) of each repeat.
+    repeats: Vec<(usize, usize)>,
+}
+
+impl BatchMisses {
+    /// The first position asking for each absent key, in batch order: the
+    /// queries to compute, and the order their values are stored in.
+    pub fn firsts(&self) -> &[usize] {
+        &self.firsts
     }
 }
 
 impl PredictionCache {
-    /// Creates an empty cache with the default shard count.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_shards(NUM_SHARDS)
+        Self::default()
     }
 
-    /// Creates an empty cache with an explicit shard count.
+    /// Looks every key up under one shared lock and writes each cached
+    /// value into `out` (one slot per key) at the key's position. The rest
+    /// are recorded in `misses`; counts a hit for every position but the
+    /// [`BatchMisses::firsts`], whose misses
+    /// [`PredictionCache::insert_misses`] counts.
+    pub fn probe_batch(&self, keys: &[u64], out: &mut [f64], misses: &mut BatchMisses) {
+        misses.pending.clear();
+        misses.firsts.clear();
+        misses.repeats.clear();
+        let map = self.map.read();
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(&v) = map.get(&key) {
+                out[i] = v;
+                continue;
+            }
+            let first = *misses.pending.entry(key).or_insert(misses.firsts.len());
+            if first == misses.firsts.len() {
+                misses.firsts.push(i);
+            } else {
+                misses.repeats.push((i, first));
+            }
+        }
+        drop(map);
+        let hits = keys.len() - misses.firsts.len();
+        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
+    }
+
+    /// Stores `values[k]`, computed for the key at `misses.firsts()[k]`,
+    /// under one exclusive lock, counting one miss each, and writes what
+    /// the cache then holds into `out` at every position that asked for
+    /// the key. A value another thread stored first wins, keeping reads
+    /// stable.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or not a power of two.
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(
-            shards > 0 && shards.is_power_of_two(),
-            "shard count must be a nonzero power of two, got {shards}"
-        );
-        Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+    /// Panics if `values` does not hold one value per missing key.
+    pub fn insert_misses(
+        &self,
+        keys: &[u64],
+        misses: &BatchMisses,
+        values: &[f64],
+        out: &mut [f64],
+    ) {
+        assert_eq!(values.len(), misses.firsts.len(), "one value per miss");
+        let mut map = self.map.write();
+        for (&i, &value) in misses.firsts.iter().zip(values) {
+            out[i] = *map.entry(keys[i]).or_insert(value);
+        }
+        drop(map);
+        self.misses
+            .fetch_add(values.len() as u64, Ordering::Relaxed);
+        for &(i, first) in &misses.repeats {
+            out[i] = out[misses.firsts[first]];
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // Keys are avalanche-mixed, so the low bits are uniform.
-        &self.shards[(key as usize) & (self.shards.len() - 1)]
-    }
-
-    /// Returns the cached value for `key`, counting a hit if present. A
-    /// miss is *not* counted — batch callers pair this with
-    /// [`PredictionCache::insert_miss`] once they have computed the value.
-    pub fn get_counted(&self, key: u64) -> Option<f64> {
-        let mut shard = self.shard(key).lock();
-        match shard.map.get(&key) {
-            Some(&v) => {
-                shard.hits += 1;
-                Some(v)
-            }
-            None => None,
-        }
-    }
-
-    /// Counts one hit against `key`'s shard without touching the map —
-    /// used for in-batch duplicate keys, which the serial path would have
-    /// answered from the cache.
-    pub fn record_hit(&self, key: u64) {
-        self.shard(key).lock().hits += 1;
-    }
-
-    /// Counts one miss against `key` and stores its computed `value`, under
-    /// one lock. Returns the value the cache now holds: `value`, unless
-    /// another thread stored one first (the first value wins, keeping reads
-    /// stable).
-    pub fn insert_miss(&self, key: u64, value: f64) -> f64 {
-        let mut shard = self.shard(key).lock();
-        shard.misses += 1;
-        *shard.map.entry(key).or_insert(value)
-    }
-
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().hits).sum()
-    }
-
-    /// Number of cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().misses).sum()
-    }
-
-    /// One coherent snapshot of the summed hit/miss counters.
+    /// A snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        let mut out = CacheStats::default();
-        for s in &self.shards {
-            let s = s.lock();
-            out.hits += s.hits;
-            out.misses += s.misses;
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
         }
-        out
     }
 
     /// Hit rate in `[0, 1]`; 0 when the cache has not been queried.
@@ -348,38 +355,18 @@ impl PredictionCache {
 
     /// Number of distinct entries stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.map.read().len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().map.is_empty())
+        self.map.read().is_empty()
     }
 
-    /// Clears entries and statistics.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.lock();
-            s.map.clear();
-            s.hits = 0;
-            s.misses = 0;
-        }
-    }
-
-    /// Records a miss without storing an entry — used when caching is
+    /// Records `n` misses without storing an entry — used when caching is
     /// disabled (the "w/o caching" ablation) so hit rates report as 0%.
-    pub fn count_miss(&self) {
-        self.shards[0].lock().misses += 1;
-    }
-
-    /// Resets only the hit/miss statistics, keeping the entries (used
-    /// between experiment phases so hit rates are attributable).
-    pub fn reset_stats(&self) {
-        for s in &self.shards {
-            let mut s = s.lock();
-            s.hits = 0;
-            s.misses = 0;
-        }
+    pub fn count_misses(&self, n: usize) {
+        self.misses.fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -500,12 +487,20 @@ mod tests {
         TableProfile::new(dim, rows, 10.0, 0.5, 1.0)
     }
 
-    /// One lookup the way `CostSimulator` resolves it: a counted probe,
-    /// then on a miss the computed value is stored and the miss counted.
+    /// One batch the way `CostSimulator` resolves it: a counted probe,
+    /// then every miss computed (as `compute(key)`) and stored. Returns
+    /// what each position reads.
+    fn resolve(cache: &PredictionCache, keys: &[u64], compute: impl Fn(u64) -> f64) -> Vec<f64> {
+        let (mut out, mut misses) = (vec![f64::NAN; keys.len()], BatchMisses::default());
+        cache.probe_batch(keys, &mut out, &mut misses);
+        let values: Vec<f64> = misses.firsts().iter().map(|&i| compute(keys[i])).collect();
+        cache.insert_misses(keys, &misses, &values, &mut out);
+        out
+    }
+
+    /// A one-key batch.
     fn lookup(cache: &PredictionCache, key: u64, computed: f64) -> f64 {
-        cache
-            .get_counted(key)
-            .unwrap_or_else(|| cache.insert_miss(key, computed))
+        resolve(cache, &[key], |_| computed)[0]
     }
 
     #[test]
@@ -551,8 +546,7 @@ mod tests {
         lookup(&cache, 1, 1.0);
         lookup(&cache, 1, 2.0);
         lookup(&cache, 2, 3.0);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 2);
     }
@@ -567,43 +561,21 @@ mod tests {
     #[test]
     fn batch_primitives_account_consistently() {
         let cache = PredictionCache::new();
-        assert_eq!(cache.get_counted(7), None);
-        assert_eq!(cache.insert_miss(7, 1.5), 1.5);
-        // A racing thread's miss on the same key: counted, first value wins.
-        assert_eq!(cache.insert_miss(7, 9.9), 1.5);
-        assert_eq!(cache.get_counted(7), Some(1.5));
-        cache.record_hit(7);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn clear_and_reset_stats() {
-        let cache = PredictionCache::new();
-        lookup(&cache, 1, 1.0);
-        lookup(&cache, 1, 1.0);
-        cache.reset_stats();
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn stats_sum_over_all_shards() {
-        let cache = PredictionCache::with_shards(4);
-        // Keys 0..16 cover every shard index at least once.
-        for k in 0..16u64 {
-            lookup(&cache, k, k as f64);
-            assert_eq!(cache.get_counted(k), Some(k as f64));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 16);
-        assert_eq!(stats.misses, 16);
-        assert_eq!(stats.total(), 32);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(cache.len(), 16);
+        let (keys, mut out, mut misses) = ([7, 8, 7, 7], [0.0; 4], BatchMisses::default());
+        cache.probe_batch(&keys, &mut out, &mut misses);
+        assert_eq!(misses.firsts(), [0, 1]);
+        // A racing thread stores key 7 between this batch's two locks: it
+        // wins, and the batch's repeats read its value too.
+        assert_eq!(lookup(&cache, 7, 9.9), 9.9);
+        cache.insert_misses(&keys, &misses, &[1.5, 2.5], &mut out);
+        assert_eq!(out, [9.9, 2.5, 9.9, 9.9]);
+        // Both racers counted their miss; the batch's repeats are hits.
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3 });
+        assert_eq!(cache.len(), 2);
+        // A batch that finds every key counts only hits.
+        cache.probe_batch(&keys, &mut out, &mut misses);
+        assert!(misses.firsts().is_empty());
+        assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 3 });
     }
 
     #[test]
@@ -622,12 +594,6 @@ mod tests {
         acc.absorb(&d);
         acc.absorb(&d);
         assert_eq!(acc.total(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_shards_panics() {
-        let _ = PredictionCache::with_shards(3);
     }
 
     #[test]
@@ -672,34 +638,54 @@ mod tests {
     #[test]
     fn concurrent_hammer_keeps_stats_consistent() {
         // Many threads released together onto the same 64 keys, each
-        // running the simulator's probe / record / insert sequence: every
-        // lookup must be counted exactly once, so hits + misses equals the
-        // number of calls regardless of interleaving, and every read sees
-        // the one value its key can hold.
-        const THREADS: usize = 8;
-        const OPS: u64 = 2_000;
+        // resolving batches of 16 probes with repeats, and each computing
+        // its own value for a miss: every probe is counted exactly once, so
+        // hits + misses equals the keys probed regardless of interleaving;
+        // the first value stored for a key is the one every thread reads;
+        // and the cache keeps one entry per distinct key.
+        const THREADS: u64 = 8;
+        const BATCHES: u64 = 250;
+        const BATCH: u64 = 16;
         let cache = PredictionCache::new();
-        let start = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    start.wait();
-                    for i in 0..OPS {
-                        let key = avalanche(i % 64);
-                        if i % 3 == 0 {
-                            // An in-batch duplicate: answered without a probe.
-                            cache.record_hit(key);
-                        } else {
-                            assert_eq!(lookup(&cache, key, key as f64), key as f64);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let seen: Vec<Vec<(u64, f64)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (cache, start) = (&cache, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut seen = Vec::new();
+                        for b in 0..BATCHES {
+                            let keys: Vec<u64> = (0..BATCH)
+                                .map(|i| avalanche((b * 7 + i * i) % 64))
+                                .collect();
+                            let out = resolve(cache, &keys, |key| (key % 1000) as f64 + t as f64);
+                            seen.extend(keys.into_iter().zip(out));
                         }
-                    }
-                });
-            }
+                        seen
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         let stats = cache.stats();
-        assert_eq!(stats.total(), THREADS as u64 * OPS);
+        assert_eq!(stats.total(), THREADS * BATCHES * BATCH);
         assert_eq!(cache.len(), 64);
         assert!(stats.hits > stats.misses, "repeated keys should mostly hit");
+        let mut stored = PreMixedMap::default();
+        for &(key, value) in seen.iter().flatten() {
+            let first = *stored.entry(key).or_insert(value);
+            assert_eq!(
+                first.to_bits(),
+                value.to_bits(),
+                "key {key} read two values"
+            );
+        }
+        let keys: Vec<u64> = stored.keys().copied().collect();
+        let now = resolve(&cache, &keys, |_| f64::NAN);
+        for (key, value) in keys.iter().zip(now) {
+            assert_eq!(value.to_bits(), stored[key].to_bits());
+        }
     }
 
     proptest! {

@@ -16,7 +16,7 @@ use nshard_nn::{Matrix, TrainSettings};
 use nshard_sim::{GpuSpec, TableProfile};
 
 use crate::cache::{
-    add_encoding, table_key, table_set_key, EncodingCache, PreMixedMap, PredictionCache,
+    add_encoding, table_key, table_set_key, BatchMisses, EncodingCache, PredictionCache,
     TableEncodings, TableSetKey,
 };
 use crate::collect::{collect_comm_data, collect_compute_data, CollectConfig};
@@ -387,15 +387,13 @@ pub struct CostSimulator {
 }
 
 /// Reusable per-thread buffers for the batched cache-resolution path:
-/// the pooled encoding rows of the current miss batch and the miss
-/// bookkeeping containers. Thread-local because simulators are shared
-/// `&self` across search worker threads.
+/// the pooled encoding rows of the current miss batch and its miss
+/// bookkeeping. Thread-local because simulators are shared `&self` across
+/// search worker threads.
 #[derive(Debug, Default)]
 struct SimScratch {
     pooled: Matrix,
-    pending: PreMixedMap<usize>,
-    miss_items: Vec<usize>,
-    dups: Vec<(usize, usize)>,
+    misses: BatchMisses,
 }
 
 thread_local! {
@@ -430,8 +428,9 @@ impl CostSimulator {
         &self.cache
     }
 
-    /// Resolves many keyed compute-cost queries against the cache, running
-    /// the model's head once over all misses. Within one batch the
+    /// Resolves many keyed compute-cost queries against the cache — one
+    /// shared lock to probe, one exclusive lock to store the misses —
+    /// running the model's head once over all misses. Within one batch the
     /// accounting matches the serial path exactly: the first occurrence of
     /// a missing key is a miss, every later duplicate is a hit.
     ///
@@ -460,40 +459,18 @@ impl CostSimulator {
         };
         SIM_SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            s.miss_items.clear();
             if !self.cache_enabled {
                 // Every lookup computes; still count them so ablation hit
                 // rates read 0%.
-                for _ in 0..n {
-                    self.cache.count_miss();
-                }
-                s.miss_items.extend(0..n);
-                return score(&s.miss_items, &mut s.pooled);
+                self.cache.count_misses(n);
+                let all: Vec<usize> = (0..n).collect();
+                return score(&all, &mut s.pooled);
             }
             let mut out = vec![f64::NAN; n];
-            // First-occurrence slot of each key this batch must compute.
-            s.pending.clear();
-            s.dups.clear();
-            for (i, &key) in keys.iter().enumerate() {
-                if let Some(v) = self.cache.get_counted(key) {
-                    out[i] = v;
-                } else if let Some(&slot) = s.pending.get(&key) {
-                    // The serial path would answer this from the cache.
-                    self.cache.record_hit(key);
-                    s.dups.push((i, slot));
-                } else {
-                    s.pending.insert(key, s.miss_items.len());
-                    s.miss_items.push(i);
-                }
-            }
-            if !s.miss_items.is_empty() {
-                let preds = score(&s.miss_items, &mut s.pooled);
-                for (&i, &pred) in s.miss_items.iter().zip(&preds) {
-                    out[i] = self.cache.insert_miss(keys[i], pred);
-                }
-                for &(i, slot) in &s.dups {
-                    out[i] = out[s.miss_items[slot]];
-                }
+            self.cache.probe_batch(keys, &mut out, &mut s.misses);
+            if !s.misses.firsts().is_empty() {
+                let preds = score(s.misses.firsts(), &mut s.pooled);
+                self.cache.insert_misses(keys, &s.misses, &preds, &mut out);
             }
             out
         })
@@ -591,32 +568,32 @@ impl CostSimulator {
         self.cached_set_costs(&keys, |i| sets[i].1)
     }
 
-    /// The greedy walk's probe — "what would each candidate device cost
-    /// with this table added?" — answered from the state the walk carries
-    /// instead of from table lists. Candidate `j` holds a set whose pooled
-    /// encoding (the left fold of its tables' encoder rows, in placement
-    /// order, from all zeros) is `pooled_of(j)`; `extra` is the encoder row
-    /// of the table being placed and `keys[j]` fingerprints the set with
-    /// that table added.
+    /// The greedy walk's probe — "what would this device cost with this
+    /// table added?" — answered from the state the walk carries instead of
+    /// from table lists. Probe `j` is `parts(j) = (pooled, extra)`: the
+    /// pooled encoding of a device's set (the left fold of its tables'
+    /// encoder rows, in placement order, from all zeros) and the encoder
+    /// row of the table being placed; `keys[j]` fingerprints the set with
+    /// that table added. One batch may hold the probes of many walks, each
+    /// placing its own table.
     ///
-    /// A miss is pooled as `pooled_of(j) + extra` — the last step of the
-    /// very fold the whole-set path performs over that set in placement
-    /// order — so the result equals
-    /// [`CostSimulator::device_compute_cost`] of the set with the table
-    /// appended bit for bit, and the two paths can share cache entries.
-    /// Resolves through the same private batch routine as every other
-    /// compute lookup: one head forward over the misses, serial hit/miss
-    /// accounting.
+    /// A miss is pooled as `pooled + extra` — the last step of the very
+    /// fold the whole-set path performs over that set in placement order —
+    /// so the result equals [`CostSimulator::device_compute_cost`] of the
+    /// set with the table appended bit for bit, and the two paths can share
+    /// cache entries. Resolves through the same private batch routine as
+    /// every other compute lookup: one head forward over the misses, serial
+    /// hit/miss accounting.
     pub fn pooled_probe_costs<'a>(
         &self,
         keys: &[u64],
-        pooled_of: impl Fn(usize) -> &'a [f32],
-        extra: &[f32],
+        parts: impl Fn(usize) -> (&'a [f32], &'a [f32]),
     ) -> Vec<f64> {
         self.cached_compute_batch(keys, |items, pooled| {
             for (row, &j) in items.iter().enumerate() {
+                let (set, extra) = parts(j);
                 let acc = pooled.row_mut(row);
-                acc.copy_from_slice(pooled_of(j));
+                acc.copy_from_slice(set);
                 add_encoding(acc, extra);
             }
         })
@@ -847,10 +824,10 @@ mod tests {
         let est = sim.estimate_plan(&plan);
         assert_eq!(est.compute_per_device.len(), 2);
         assert!(est.total_ms().is_finite());
-        assert_eq!(sim.cache().misses(), 2);
+        assert_eq!(sim.cache().stats(), CacheStats { hits: 0, misses: 2 });
         // Second estimate hits the cache for both devices.
         let _ = sim.estimate_plan(&plan);
-        assert_eq!(sim.cache().hits(), 2);
+        assert_eq!(sim.cache().stats(), CacheStats { hits: 2, misses: 2 });
     }
 
     #[test]
@@ -859,7 +836,7 @@ mod tests {
         let plan = vec![vec![t(64)], vec![t(16)]];
         let _ = sim.estimate_plan(&plan);
         let _ = sim.estimate_plan(&plan);
-        assert_eq!(sim.cache().hits(), 0);
+        assert_eq!(sim.cache().stats(), CacheStats { hits: 0, misses: 4 });
         assert_eq!(sim.cache().hit_rate(), 0.0);
     }
 
@@ -911,7 +888,7 @@ mod tests {
             .map(|&g| keys[g].with(&extra).key())
             .collect();
         let extra_row = sim.table_encodings([&extra]);
-        let probed = sim.pooled_probe_costs(&probe_keys, |j| &folds[j], extra_row.row(0));
+        let probed = sim.pooled_probe_costs(&probe_keys, |j| (&folds[j], extra_row.row(0)));
         for (&g, &c) in candidates.iter().zip(&probed) {
             let mut appended = sets[g].clone();
             appended.push(extra);
@@ -1033,8 +1010,7 @@ mod tests {
             .collect();
         let _ = sim.device_compute_cost_batch(&keyed);
         // Serial replay: miss(a), miss(b), hit(a), hit(a).
-        assert_eq!(sim.cache().misses(), 2);
-        assert_eq!(sim.cache().hits(), 2);
+        assert_eq!(sim.cache().stats(), CacheStats { hits: 2, misses: 2 });
     }
 
     #[test]
@@ -1103,11 +1079,9 @@ mod tests {
             let mut pooled = vec![0.0f32; 4 * width];
             for (i, p) in profiles.iter().enumerate() {
                 let probe_keys: Vec<u64> = keys.iter().map(|k| k.with(p).key()).collect();
-                let probed = walk.pooled_probe_costs(
-                    &probe_keys,
-                    |g| &pooled[g * width..(g + 1) * width],
-                    rows.row(i),
-                );
+                let probed = walk.pooled_probe_costs(&probe_keys, |g| {
+                    (&pooled[g * width..(g + 1) * width], rows.row(i))
+                });
                 for (g, set) in sets.iter().enumerate() {
                     let mut appended = set.clone();
                     appended.push(*p);

@@ -38,6 +38,10 @@
 # the timer heap and its module, the generation counter, the recycled-token
 # list, the sharded metrics registry and `MatchSeq::GE` stay deleted.
 #
+# One prediction-cache lock per batch (DESIGN.md §6.5): `PredictionCache`
+# is one map behind one `RwLock`, probed and filled a batch at a time; the
+# per-key mutex shards, their count and the per-key hit path stay deleted.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -106,6 +110,12 @@ if grep -rnE -e '\b(TimerWheel|timer_generation|free_tokens|REGISTRY_SHARDS)\b' 
 fi
 if [ -e crates/serve/src/net/timer.rs ]; then
     echo "error: connection deadlines are read off the reactor's table, not a net/timer.rs heap" >&2
+    exit 1
+fi
+
+if code crates/*/src | grep -wE 'NUM_SHARDS|with_shards|record_hit' ||
+    grep -nw 'Mutex' crates/cost/src/cache.rs; then
+    echo "error: the prediction cache takes one lock per batch, not a shard lock per key (lines above)" >&2
     exit 1
 fi
 
