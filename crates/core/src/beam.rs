@@ -112,7 +112,8 @@ impl<'a> BeamSearch<'a> {
 
         // Fleet context, shared by every inner search of this run. `scales`
         // is `None` on fleets with baseline compute and a flat network.
-        let (budgets, num_devices) = (task.budgets(), task.num_devices());
+        let budgets = task.budgets();
+        let num_devices = task.num_devices();
         let batch_size = task.batch_size();
         let scales = DeviceScales::from_pool(task.devices());
         let scales = scales.as_ref();
@@ -329,13 +330,22 @@ impl<'a> BeamSearch<'a> {
         let mut out = Vec::with_capacity(picked.len() * 2);
         for &i in &picked {
             if tables[i].split_columns().is_some() {
-                out.push(SplitStep::column(i));
+                out.push(SplitStep {
+                    index: i,
+                    kind: SplitKind::Column,
+                });
             }
             if row_wise && tables[i].split_rows().is_some() {
-                out.push(SplitStep::row(i));
+                out.push(SplitStep {
+                    index: i,
+                    kind: SplitKind::Row,
+                });
             }
             if replication && tables[i].replicate().is_some() {
-                out.push(SplitStep::replicate(i));
+                out.push(SplitStep {
+                    index: i,
+                    kind: SplitKind::Replicate,
+                });
             }
         }
         Ok(out)

@@ -213,12 +213,12 @@ impl Walk<'_> {
         &mut self,
         step: usize,
         costs: &[f64],
-        buffers: &mut StepBuffers,
+        (candidates, forks, next): &mut StepBuffers,
     ) -> Result<(), PlanError> {
         let Some(&i) = self.order.get(step) else {
             return Ok(());
         };
-        let (p, (candidates, forks, next)) = (self.profiles[i], buffers);
+        let p = self.profiles[i];
         next.clear(); // a walk that failed mid-step may have left passes
         let mut answers = self.probes.iter().zip(costs).peekable();
         for (k, mut pass) in self.live.drain(..).enumerate() {
@@ -334,9 +334,14 @@ impl<'a> GreedyGridSearch<'a> {
         scales: Option<&DeviceScales>,
         batch_size: u32,
     ) -> Vec<Result<GridSearchResult, PlanError>> {
-        let (n, s) = (budgets.len(), scales.map_or(num_devices, DeviceScales::len));
-        if num_devices == 0 || n != num_devices || s != num_devices {
-            let reason = format!("{n} budgets and {s} scales for {num_devices} devices");
+        let scale_count = scales.map_or(num_devices, DeviceScales::len);
+        let reason = match (num_devices, budgets.len(), scale_count) {
+            (0, _, _) => Some("need at least one device".to_string()),
+            (d, n, _) if n != d => Some(format!("{n} per-device budgets for {d} devices")),
+            (d, _, s) if s != d => Some(format!("{s} device scales for {d} devices")),
+            _ => None,
+        };
+        if let Some(reason) = reason {
             let invalid = PlanError::Invalid { reason };
             return jobs.iter().map(|_| Err(invalid.clone())).collect();
         }
@@ -363,9 +368,13 @@ impl<'a> GreedyGridSearch<'a> {
         let order = self.placement_order(&profiles, budgets)?;
         let thresholds = self.thresholds(&profiles, budgets.len(), scales);
         let encodings = self.sim.table_encodings(&profiles);
-        let (grid, width) = (0..thresholds.len(), encodings.width());
         Ok(Walk {
-            live: vec![Pass::root(grid, budgets.len(), width, profiles.len())],
+            live: vec![Pass::root(
+                0..thresholds.len(),
+                budgets.len(),
+                encodings.width(),
+                profiles.len(),
+            )],
             budgets,
             scales,
             profiles,
@@ -383,7 +392,7 @@ impl<'a> GreedyGridSearch<'a> {
     /// device some pass left empty was never probed; the empty set is
     /// priced now, once, and only then.
     fn finish(&self, walk: Walk) -> Result<GridSearchResult, PlanError> {
-        let (profiles, budgets, passes) = (&walk.profiles, walk.budgets, walk.live);
+        let passes = walk.live;
         let mut empty_cost: Option<f64> = None;
         let loads: Vec<DeviceLoads> = passes
             .iter()
@@ -397,12 +406,12 @@ impl<'a> GreedyGridSearch<'a> {
                         })
                     })
                     .collect(),
-                comm_dims: (0..budgets.len())
+                comm_dims: (0..walk.budgets.len())
                     .map(|g| {
                         // Summed in table order, as a plan estimate would.
-                        (0..profiles.len())
+                        (0..walk.profiles.len())
                             .filter(|&i| pass.device_of[i] == g)
-                            .map(|i| profiles[i].comm_dim())
+                            .map(|i| walk.profiles[i].comm_dim())
                             .sum()
                     })
                     .collect(),
@@ -425,9 +434,9 @@ impl<'a> GreedyGridSearch<'a> {
             reason: format!(
                 "no greedy assignment of {} tables to {} devices fits \
                  the per-device memory budgets (max {} bytes)",
-                profiles.len(),
-                budgets.len(),
-                budgets.iter().copied().max().unwrap_or(0)
+                walk.profiles.len(),
+                walk.budgets.len(),
+                walk.budgets.iter().copied().max().unwrap_or(0)
             ),
         })
     }
@@ -480,8 +489,10 @@ impl<'a> GreedyGridSearch<'a> {
         scales: Option<&DeviceScales>,
     ) -> Vec<Option<f64>> {
         let total_dim: f64 = profiles.iter().map(TableProfile::comm_dim).sum();
-        let bw = |g| scales.map_or(1.0, |s| s.bandwidth_scale(g));
-        let total_bw: f64 = (0..num_devices).map(bw).sum();
+        let total_bw: f64 = match scales {
+            Some(s) => (0..num_devices).map(|g| s.bandwidth_scale(g)).sum(),
+            None => (0..num_devices).map(|_| 1.0).sum(),
+        };
         let m_s = total_dim / total_bw;
         let m_e = 1.5 * m_s;
         let mut thresholds: Vec<Option<f64>> = Vec::with_capacity(self.m_steps + 1);
@@ -531,14 +542,15 @@ impl<'a> GreedyGridSearch<'a> {
     /// and computed values are bit-identical to pricing the set from its
     /// table list.
     fn walk(&self, walks: &mut [Result<Walk, PlanError>]) {
-        let (mut keys, mut buffers) = (Vec::new(), StepBuffers::default());
+        let mut keys = Vec::new();
+        let mut buffers = StepBuffers::default();
         for step in 0.. {
             keys.clear();
-            let placing = walks
-                .iter_mut()
-                .flatten()
-                .map(|w| w.state_probes(step, &mut keys));
-            if placing.filter(|&p| p).count() == 0 {
+            let mut placing = false;
+            for walk in walks.iter_mut().flatten() {
+                placing |= walk.state_probes(step, &mut keys);
+            }
+            if !placing {
                 return;
             }
             let rows: Vec<(&[f32], &[f32])> = walks
@@ -565,7 +577,6 @@ impl<'a> GreedyGridSearch<'a> {
 mod tests {
     use super::*;
     use crate::plan::{apply_split_plan, SplitKind, SplitStep};
-    use nshard_cost::cache::BatchMisses;
     use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
     use nshard_data::{TableConfig, TableId, TablePool};
     use proptest::prelude::*;
@@ -722,10 +733,7 @@ mod tests {
     /// From now on `sim`'s cache answers NaN for `key`, as a poisoned
     /// checkpoint would for one table set.
     fn poison(sim: &CostSimulator, key: u64) {
-        let (mut out, mut misses) = ([0.0], BatchMisses::default());
-        sim.cache().probe_batch(&[key], &mut out, &mut misses);
-        sim.cache()
-            .insert_misses(&[key], &misses, &[f64::NAN], &mut out);
+        sim.cache().resolve(&[key], |_| vec![f64::NAN]);
     }
 
     /// Job by job, a batch result against a stand-alone one: the same

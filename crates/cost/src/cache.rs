@@ -19,6 +19,7 @@
 //!   or removes one table in O(1), so the greedy allocator never rehashes
 //!   a device's whole table set per probe.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,11 +229,9 @@ impl CacheStats {
 }
 
 /// A thread-safe memoization cache with hit-rate accounting: one map
-/// behind one reader-writer lock, resolved a batch at a time. A batch reads
-/// every key under one shared lock ([`PredictionCache::probe_batch`]) and
-/// stores its misses under one exclusive lock
-/// ([`PredictionCache::insert_misses`]). The counters are atomics; they
-/// are statistics that publish no other data, hence `Relaxed`.
+/// behind one reader-writer lock, resolved a batch at a time
+/// ([`PredictionCache::resolve`]). The counters are atomics; they are
+/// statistics that publish no other data, hence `Relaxed`.
 ///
 /// Accounting is the serial path's: every probed key is one lookup, the
 /// first position of a batch to ask for an absent key is its miss, and
@@ -241,134 +240,43 @@ impl CacheStats {
 /// # Example
 ///
 /// ```
-/// use nshard_cost::cache::{BatchMisses, PredictionCache};
+/// use nshard_cost::PredictionCache;
 ///
 /// let cache = PredictionCache::new();
-/// let (keys, mut out, mut misses) = ([42, 7, 42], [0.0; 3], BatchMisses::default());
-/// cache.probe_batch(&keys, &mut out, &mut misses);
-/// assert_eq!(misses.firsts(), [0, 1]); // 42 and 7 must be computed...
-/// cache.insert_misses(&keys, &misses, &[3.5, 1.0], &mut out);
+/// let out = cache.resolve(&[42, 7, 42], |firsts| {
+///     assert_eq!(firsts, [0, 1]); // 42 and 7 must be computed...
+///     vec![3.5, 1.0]
+/// });
 /// assert_eq!(out, [3.5, 1.0, 3.5]); // ...and the second 42 is a hit
-/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+/// assert_eq!((cache.hits(), cache.misses()), (1, 2));
 /// ```
 #[derive(Debug, Default)]
 pub struct PredictionCache {
-    map: RwLock<PreMixedMap<f64>>,
+    map: BatchMap<f64>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// The keys one [`PredictionCache::probe_batch`] did not find: each
-/// distinct key once, at the first batch position that asked for it, and
-/// every later position asking again. Reusable; each probe starts afresh.
+/// The positions of one batch whose keys a map did not hold: the first
+/// position asking for each absent key, in batch order, and every position
+/// asking for one with the index of its key in `firsts`. Reused per
+/// thread; each batch starts afresh.
 #[derive(Debug, Default)]
-pub struct BatchMisses {
+struct BatchMisses {
     /// Absent key → its index in `firsts`.
     pending: PreMixedMap<usize>,
     firsts: Vec<usize>,
-    /// (position, index in `firsts`) of each repeat.
-    repeats: Vec<(usize, usize)>,
+    slots: Vec<(usize, usize)>,
 }
 
-impl BatchMisses {
-    /// The first position asking for each absent key, in batch order: the
-    /// queries to compute, and the order their values are stored in.
-    pub fn firsts(&self) -> &[usize] {
-        &self.firsts
-    }
+thread_local! {
+    static BATCH_MISSES: Cell<BatchMisses> = Cell::default();
 }
 
-impl PredictionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks every key up under one shared lock and writes each cached
-    /// value into `out` (one slot per key) at the key's position. The rest
-    /// are recorded in `misses`; counts a hit for every position but the
-    /// [`BatchMisses::firsts`], whose misses
-    /// [`PredictionCache::insert_misses`] counts.
-    pub fn probe_batch(&self, keys: &[u64], out: &mut [f64], misses: &mut BatchMisses) {
-        misses.pending.clear();
-        misses.firsts.clear();
-        misses.repeats.clear();
-        let map = self.map.read();
-        for (i, &key) in keys.iter().enumerate() {
-            if let Some(&v) = map.get(&key) {
-                out[i] = v;
-                continue;
-            }
-            let first = *misses.pending.entry(key).or_insert(misses.firsts.len());
-            if first == misses.firsts.len() {
-                misses.firsts.push(i);
-            } else {
-                misses.repeats.push((i, first));
-            }
-        }
-        drop(map);
-        let hits = keys.len() - misses.firsts.len();
-        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
-    }
-
-    /// Stores `values[k]`, computed for the key at `misses.firsts()[k]`,
-    /// under one exclusive lock, counting one miss each, and writes what
-    /// the cache then holds into `out` at every position that asked for
-    /// the key. A value another thread stored first wins, keeping reads
-    /// stable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not hold one value per missing key.
-    pub fn insert_misses(
-        &self,
-        keys: &[u64],
-        misses: &BatchMisses,
-        values: &[f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!(values.len(), misses.firsts.len(), "one value per miss");
-        let mut map = self.map.write();
-        for (&i, &value) in misses.firsts.iter().zip(values) {
-            out[i] = *map.entry(keys[i]).or_insert(value);
-        }
-        drop(map);
-        self.misses
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        for &(i, first) in &misses.repeats {
-            out[i] = out[misses.firsts[first]];
-        }
-    }
-
-    /// A snapshot of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Hit rate in `[0, 1]`; 0 when the cache has not been queried.
-    pub fn hit_rate(&self) -> f64 {
-        self.stats().hit_rate()
-    }
-
-    /// Number of distinct entries stored.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
-
-    /// Records `n` misses without storing an entry — used when caching is
-    /// disabled (the "w/o caching" ablation) so hit rates report as 0%.
-    pub fn count_misses(&self, n: usize) {
-        self.misses.fetch_add(n as u64, Ordering::Relaxed);
-    }
-}
+/// A life-long map from pre-mixed keys, resolved a batch at a time: the
+/// store behind both caches.
+#[derive(Debug, Default)]
+pub struct BatchMap<V>(RwLock<PreMixedMap<V>>);
 
 /// Life-long cache of per-table *encoder outputs*.
 ///
@@ -379,55 +287,146 @@ impl PredictionCache {
 /// inside any batch — so the search caches them life-long and rebuilds a
 /// set's pooled representation by folding cached rows, skipping the
 /// encoder (the bulk of the inference FLOPs) for every table it has seen
-/// before. Keyed by [`table_key`]. A batch of reads takes the shared lock
-/// once ([`EncodingCache::read_rows`]); inserting a newly seen table takes
-/// the write lock.
-#[derive(Debug, Default)]
-pub struct EncodingCache {
-    map: RwLock<PreMixedMap<Box<[f32]>>>,
+/// before. Keyed by [`table_key`]; the first encoding stored for a table
+/// wins, and every computed encoding of it is bit-identical anyway.
+pub type EncodingCache = BatchMap<Box<[f32]>>;
+
+impl<V: Clone> BatchMap<V> {
+    /// Resolves one batch of keys. Looks every key up under one shared
+    /// lock, handing each value found to `hit(position, value)`. Unless all
+    /// were found, `compute` then gets the first position asking for each
+    /// absent key, in batch order, and returns their values in that order;
+    /// they are stored under one exclusive lock and, once it is released,
+    /// handed to `hit` for every position asking for them. No lock is held
+    /// while `compute` or `hit` on a computed value runs, and a value
+    /// another thread stored first wins, keeping reads stable. Returns how
+    /// many values `compute` returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute` does not return one value per position it got.
+    pub fn resolve(
+        &self,
+        keys: &[u64],
+        mut hit: impl FnMut(usize, &V),
+        compute: impl FnOnce(&[usize]) -> Vec<V>,
+    ) -> usize {
+        let mut misses = BATCH_MISSES.take();
+        misses.pending.clear();
+        misses.firsts.clear();
+        misses.slots.clear();
+        let found = self.0.read();
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(value) = found.get(key) {
+                hit(i, value);
+                continue;
+            }
+            let first = *misses.pending.entry(*key).or_insert(misses.firsts.len());
+            if first == misses.firsts.len() {
+                misses.firsts.push(i);
+            }
+            misses.slots.push((i, first));
+        }
+        drop(found);
+        let computed = misses.firsts.len();
+        if computed > 0 {
+            let values = compute(&misses.firsts);
+            assert_eq!(values.len(), computed, "one value per miss");
+            let mut stored = self.0.write();
+            let served: Vec<V> = (misses.firsts.iter().zip(values))
+                .map(|(&i, value)| stored.entry(keys[i]).or_insert(value).clone())
+                .collect();
+            drop(stored);
+            for &(i, first) in &misses.slots {
+                hit(i, &served[first]);
+            }
+        }
+        BATCH_MISSES.set(misses);
+        computed
+    }
+
+    /// Number of distinct entries stored.
+    pub(crate) fn len(&self) -> usize {
+        self.0.read().len()
+    }
 }
 
-impl EncodingCache {
-    /// An empty cache.
+impl PredictionCache {
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Inserts an encoding unless one is already present (the first value
-    /// wins; every computed encoding for a key is bit-identical anyway).
-    pub fn insert_if_absent(&self, key: u64, encoding: Box<[f32]>) {
-        self.map.write().entry(key).or_insert(encoding);
-    }
-
-    /// Copies the cached encoding of `keys[i]` into row `i` of `rows`, all
-    /// under one shared lock. Returns the positions whose key has no
-    /// encoding yet; their rows are left untouched.
+    /// Resolves one batch of keys and returns the value the cache holds
+    /// for each, in key order: one shared lock to look them up, then —
+    /// unless all were found — `compute` for the first position asking for
+    /// each absent key, in batch order, and one exclusive lock to store
+    /// what it returns in that order. No lock is held while `compute`
+    /// runs, and a value another thread stored first wins, keeping reads
+    /// stable.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` does not have one row per key or a cached
-    /// encoding's width differs from the rows'.
-    pub fn read_rows(&self, keys: &[u64], rows: &mut Matrix) -> Vec<usize> {
-        assert_eq!(rows.rows(), keys.len(), "one row per key");
-        let map = self.map.read();
-        let mut missing = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match map.get(key) {
-                Some(enc) => rows.row_mut(i).copy_from_slice(enc),
-                None => missing.push(i),
-            }
+    /// Panics if `compute` does not return one value per position it got.
+    pub fn resolve(&self, keys: &[u64], compute: impl FnOnce(&[usize]) -> Vec<f64>) -> Vec<f64> {
+        let mut out = vec![f64::NAN; keys.len()];
+        let computed = self.map.resolve(keys, |i, &v| out[i] = v, compute);
+        self.hits
+            .fetch_add((keys.len() - computed) as u64, Ordering::Relaxed);
+        self.misses.fetch_add(computed as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// Number of cache hits so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Number of cache misses so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// A snapshot of the hit/miss counters.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits(),
+            misses: self.misses(),
         }
-        missing
     }
 
-    /// Number of distinct table encodings stored.
+    /// Hit rate in `[0, 1]`; 0 when the cache has not been queried.
+    pub fn hit_rate(&self) -> f64 {
+        self.stats().hit_rate()
+    }
+
+    /// Number of distinct entries stored.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.map.len()
     }
 
-    /// Whether the cache holds no encodings.
+    /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.len() == 0
+    }
+
+    /// Clears entries and statistics.
+    pub fn clear(&self) {
+        self.map.0.write().clear();
+        self.reset_stats();
+    }
+
+    /// Records `n` misses without storing an entry — used when caching is
+    /// disabled (the "w/o caching" ablation) so hit rates report as 0%.
+    pub fn count_misses(&self, n: usize) {
+        self.misses.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Resets only the hit/miss statistics, keeping the entries (used
+    /// between experiment phases so hit rates are attributable).
+    pub fn reset_stats(&self) {
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -487,15 +486,11 @@ mod tests {
         TableProfile::new(dim, rows, 10.0, 0.5, 1.0)
     }
 
-    /// One batch the way `CostSimulator` resolves it: a counted probe,
-    /// then every miss computed (as `compute(key)`) and stored. Returns
-    /// what each position reads.
+    /// One batch with every miss computed as `compute(key)`.
     fn resolve(cache: &PredictionCache, keys: &[u64], compute: impl Fn(u64) -> f64) -> Vec<f64> {
-        let (mut out, mut misses) = (vec![f64::NAN; keys.len()], BatchMisses::default());
-        cache.probe_batch(keys, &mut out, &mut misses);
-        let values: Vec<f64> = misses.firsts().iter().map(|&i| compute(keys[i])).collect();
-        cache.insert_misses(keys, &misses, &values, &mut out);
-        out
+        cache.resolve(keys, |firsts| {
+            firsts.iter().map(|&i| compute(keys[i])).collect()
+        })
     }
 
     /// A one-key batch.
@@ -546,7 +541,8 @@ mod tests {
         lookup(&cache, 1, 1.0);
         lookup(&cache, 1, 2.0);
         lookup(&cache, 2, 3.0);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 2);
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 2);
     }
@@ -561,21 +557,32 @@ mod tests {
     #[test]
     fn batch_primitives_account_consistently() {
         let cache = PredictionCache::new();
-        let (keys, mut out, mut misses) = ([7, 8, 7, 7], [0.0; 4], BatchMisses::default());
-        cache.probe_batch(&keys, &mut out, &mut misses);
-        assert_eq!(misses.firsts(), [0, 1]);
-        // A racing thread stores key 7 between this batch's two locks: it
-        // wins, and the batch's repeats read its value too.
-        assert_eq!(lookup(&cache, 7, 9.9), 9.9);
-        cache.insert_misses(&keys, &misses, &[1.5, 2.5], &mut out);
+        let out = cache.resolve(&[7, 8, 7, 7], |firsts| {
+            assert_eq!(firsts, [0, 1]);
+            // A racing batch stores key 7 while this one computes (no lock
+            // is held): it wins, and this batch's repeats read its value too.
+            assert_eq!(lookup(&cache, 7, 9.9), 9.9);
+            vec![1.5, 2.5]
+        });
         assert_eq!(out, [9.9, 2.5, 9.9, 9.9]);
         // Both racers counted their miss; the batch's repeats are hits.
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3 });
         assert_eq!(cache.len(), 2);
-        // A batch that finds every key counts only hits.
-        cache.probe_batch(&keys, &mut out, &mut misses);
-        assert!(misses.firsts().is_empty());
+        // A batch that finds every key counts only hits and computes nothing.
+        cache.resolve(&[7, 8, 7, 7], |_| unreachable!("every key is cached"));
         assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 3 });
+    }
+
+    #[test]
+    fn clear_and_reset_stats() {
+        let cache = PredictionCache::new();
+        lookup(&cache, 1, 1.0);
+        lookup(&cache, 1, 1.0);
+        cache.reset_stats();
+        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.len(), 1);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -614,17 +621,31 @@ mod tests {
 
     #[test]
     fn encoding_cache_reads_rows_and_first_value_wins() {
-        let cache = EncodingCache::new();
-        assert!(cache.is_empty());
+        let cache = EncodingCache::default();
+        assert_eq!(cache.len(), 0);
+        let boxed = |v: [f32; 2]| Box::<[f32]>::from(v);
+        let mut rows = Matrix::from_flat(3, 2, vec![7.0; 6]);
+        cache.resolve(
+            &[5, 6, 5],
+            |i, encoding| rows.row_mut(i).copy_from_slice(encoding),
+            |firsts| {
+                assert_eq!(firsts, [0, 1]);
+                // A racing batch stores table 5 while this one encodes:
+                // it wins, and this batch's repeat of 5 reads it too.
+                cache.resolve(&[5], |_, _| {}, |_| vec![boxed([0.5, 0.25])]);
+                vec![boxed([9.0, 9.0]), boxed([1.0, 2.0])]
+            },
+        );
+        assert_eq!(cache.len(), 2);
+        assert_eq!(rows.as_slice(), [0.5, 0.25, 1.0, 2.0, 0.5, 0.25]);
+        // Known tables are read back without encoding anything.
         let mut rows = Matrix::from_flat(2, 2, vec![7.0; 4]);
-        assert_eq!(cache.read_rows(&[5, 6], &mut rows), [0, 1]);
-        assert_eq!(rows.as_slice(), [7.0; 4]);
-
-        cache.insert_if_absent(5, vec![0.5, 0.25].into_boxed_slice());
-        cache.insert_if_absent(5, vec![9.0, 9.0].into_boxed_slice());
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.read_rows(&[6, 5], &mut rows), [0]);
-        assert_eq!(rows.as_slice(), [7.0, 7.0, 0.5, 0.25]);
+        cache.resolve(
+            &[6, 5],
+            |i, encoding| rows.row_mut(i).copy_from_slice(encoding),
+            |_| unreachable!("every table is known"),
+        );
+        assert_eq!(rows.as_slice(), [1.0, 2.0, 0.5, 0.25]);
 
         let encodings = TableEncodings::new(rows);
         assert_eq!(encodings.width(), 2);

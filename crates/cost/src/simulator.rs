@@ -16,8 +16,8 @@ use nshard_nn::{Matrix, TrainSettings};
 use nshard_sim::{GpuSpec, TableProfile};
 
 use crate::cache::{
-    add_encoding, table_key, table_set_key, BatchMisses, EncodingCache, PredictionCache,
-    TableEncodings, TableSetKey,
+    add_encoding, table_key, table_set_key, EncodingCache, PredictionCache, TableEncodings,
+    TableSetKey,
 };
 use crate::collect::{collect_comm_data, collect_compute_data, CollectConfig};
 use crate::comm_model::CommCostModel;
@@ -387,13 +387,13 @@ pub struct CostSimulator {
 }
 
 /// Reusable per-thread buffers for the batched cache-resolution path:
-/// the pooled encoding rows of the current miss batch and its miss
-/// bookkeeping. Thread-local because simulators are shared `&self` across
-/// search worker threads.
+/// the pooled encoding rows of the current miss batch and, with caching
+/// disabled, the indices of every query. Thread-local because simulators
+/// are shared `&self` across search worker threads.
 #[derive(Debug, Default)]
 struct SimScratch {
     pooled: Matrix,
-    misses: BatchMisses,
+    all: Vec<usize>,
 }
 
 thread_local! {
@@ -406,7 +406,7 @@ impl CostSimulator {
         Self {
             bundle,
             cache: PredictionCache::new(),
-            encodings: EncodingCache::new(),
+            encodings: EncodingCache::default(),
             cache_enabled: true,
         }
     }
@@ -448,9 +448,6 @@ impl CostSimulator {
         pool_misses: impl FnOnce(&[usize], &mut Matrix),
     ) -> Vec<f64> {
         let n = keys.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let model = self.bundle.compute_model();
         let score = |items: &[usize], pooled: &mut Matrix| {
             pooled.reset(items.len(), model.encoding_dim());
@@ -463,16 +460,12 @@ impl CostSimulator {
                 // Every lookup computes; still count them so ablation hit
                 // rates read 0%.
                 self.cache.count_misses(n);
-                let all: Vec<usize> = (0..n).collect();
-                return score(&all, &mut s.pooled);
+                s.all.clear();
+                s.all.extend(0..n);
+                return score(&s.all, &mut s.pooled);
             }
-            let mut out = vec![f64::NAN; n];
-            self.cache.probe_batch(keys, &mut out, &mut s.misses);
-            if !s.misses.firsts().is_empty() {
-                let preds = score(s.misses.firsts(), &mut s.pooled);
-                self.cache.insert_misses(keys, &s.misses, &preds, &mut out);
-            }
-            out
+            self.cache
+                .resolve(keys, |firsts| score(firsts, &mut s.pooled))
         })
     }
 
@@ -527,30 +520,19 @@ impl CostSimulator {
         }
         let keys: Vec<u64> = tables.iter().map(|t| table_key(t)).collect();
         let mut rows = Matrix::zeros(keys.len(), width);
-        let missing = self.encodings.read_rows(&keys, &mut rows);
-        if !missing.is_empty() {
-            // Encode each unknown table once, however often it occurs (the
-            // list of distinct unknowns stays short: a table is unknown at
-            // most once in a simulator's life).
-            let mut unknown: Vec<usize> = Vec::new();
-            let mut slot_of: Vec<usize> = Vec::with_capacity(missing.len());
-            for &i in &missing {
-                let known = unknown.iter().position(|&u| keys[u] == keys[i]);
-                slot_of.push(known.unwrap_or_else(|| {
-                    unknown.push(i);
-                    unknown.len() - 1
-                }));
-            }
-            let firsts: Vec<&TableProfile> = unknown.iter().map(|&i| tables[i]).collect();
-            let encoded = encode(&firsts);
-            for (&i, &slot) in missing.iter().zip(&slot_of) {
-                rows.row_mut(i).copy_from_slice(&encoded[slot]);
-            }
-            for (&i, row) in unknown.iter().zip(encoded) {
-                self.encodings
-                    .insert_if_absent(keys[i], row.into_boxed_slice());
-            }
-        }
+        self.encodings.resolve(
+            &keys,
+            |i, encoding| rows.row_mut(i).copy_from_slice(encoding),
+            |firsts| {
+                // Each unknown table is encoded once, however often it
+                // occurs.
+                let firsts: Vec<&TableProfile> = firsts.iter().map(|&i| tables[i]).collect();
+                encode(&firsts)
+                    .into_iter()
+                    .map(Vec::into_boxed_slice)
+                    .collect()
+            },
+        );
         TableEncodings::new(rows)
     }
 
@@ -824,10 +806,10 @@ mod tests {
         let est = sim.estimate_plan(&plan);
         assert_eq!(est.compute_per_device.len(), 2);
         assert!(est.total_ms().is_finite());
-        assert_eq!(sim.cache().stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(sim.cache().misses(), 2);
         // Second estimate hits the cache for both devices.
         let _ = sim.estimate_plan(&plan);
-        assert_eq!(sim.cache().stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(sim.cache().hits(), 2);
     }
 
     #[test]
@@ -836,8 +818,20 @@ mod tests {
         let plan = vec![vec![t(64)], vec![t(16)]];
         let _ = sim.estimate_plan(&plan);
         let _ = sim.estimate_plan(&plan);
-        assert_eq!(sim.cache().stats(), CacheStats { hits: 0, misses: 4 });
+        assert_eq!(sim.cache().hits(), 0);
         assert_eq!(sim.cache().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn an_empty_batch_prices_nothing_with_the_cache_on_or_off() {
+        for sim in [
+            CostSimulator::new(quick_bundle(2)),
+            CostSimulator::new(quick_bundle(2)).with_cache_disabled(),
+        ] {
+            assert!(sim.device_compute_cost_batch(&[]).is_empty());
+            assert!(sim.pooled_probe_costs(&[], |_| unreachable!()).is_empty());
+            assert_eq!(sim.cache().stats(), CacheStats::default());
+        }
     }
 
     #[test]
@@ -1010,7 +1004,8 @@ mod tests {
             .collect();
         let _ = sim.device_compute_cost_batch(&keyed);
         // Serial replay: miss(a), miss(b), hit(a), hit(a).
-        assert_eq!(sim.cache().stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(sim.cache().misses(), 2);
+        assert_eq!(sim.cache().hits(), 2);
     }
 
     #[test]

@@ -39,8 +39,9 @@
 # list, the sharded metrics registry and `MatchSeq::GE` stay deleted.
 #
 # One prediction-cache lock per batch (DESIGN.md §6.5): `PredictionCache`
-# is one map behind one `RwLock`, probed and filled a batch at a time; the
-# per-key mutex shards, their count and the per-key hit path stay deleted.
+# stores into one `BatchMap` (one map behind one `RwLock`), resolved a batch
+# at a time; the per-key mutex shards, their count and the per-key hit path
+# stay deleted.
 #
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
