@@ -51,7 +51,9 @@ pub struct CollectConfig {
     /// Worker threads for label collection; `0` = auto (the
     /// `NSHARD_THREADS` environment variable, then available parallelism,
     /// via [`nshard_pool::resolve_threads`]). Collected datasets are
-    /// bit-identical at any setting.
+    /// bit-identical at any setting. A pre-train collects its compute
+    /// labels over these workers and its comm labels on one thread, beside
+    /// the compute fit ([`crate::CostModelBundle::pretrain_with_spec`]).
     pub threads: usize,
 }
 

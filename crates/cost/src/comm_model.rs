@@ -110,8 +110,7 @@ impl CommCostModel {
     /// Trains on a collected dataset (80/10/10 split from `seed`), keeping
     /// the best-on-validation checkpoint, and returns the report.
     ///
-    /// Training is [`nshard_nn::fit`] with [`TrainSettings::threads`]
-    /// workers; the trained model is bit-identical at any thread count.
+    /// Training is [`nshard_nn::fit`], serial on the calling thread.
     ///
     /// # Panics
     ///
@@ -126,8 +125,7 @@ impl CommCostModel {
     /// are left bitwise untouched (see [`nshard_nn::fit`]). The reported
     /// `test_mse` is the selected checkpoint's MSE on `valid`.
     ///
-    /// Same determinism contract as [`CommCostModel::train`]: weights are
-    /// bit-identical at any [`TrainSettings::threads`] setting.
+    /// Serial, like [`CommCostModel::train`].
     ///
     /// # Panics
     ///

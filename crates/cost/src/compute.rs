@@ -9,7 +9,6 @@
 
 use std::cell::RefCell;
 
-use nshard_pool::WorkPool;
 use serde::{Deserialize, Serialize};
 
 use nshard_nn::{
@@ -228,11 +227,10 @@ impl ComputeCostModel {
     /// best-on-validation checkpoint. Mirrors the paper's protocol:
     /// mini-batch Adam on an MSE loss.
     ///
-    /// Per-sample deltas are pure functions of the current weights, so they
-    /// fan out over a [`WorkPool`] sized by [`TrainSettings::threads`], and
-    /// so does the fold, by parameter tile; every gradient element still
-    /// folds its samples in mini-batch order — trained weights are
-    /// bit-identical at any thread count.
+    /// The fit is serial ([`TrainSettings::threads`] sizes the pre-train's
+    /// lanes, not a fit): each network runs once over the whole
+    /// mini-batch, and every gradient element folds its samples in
+    /// mini-batch order.
     pub fn train(
         &mut self,
         data: &ComputeDataset,
@@ -254,9 +252,8 @@ impl ComputeCostModel {
     /// encoder also costs nothing: every sample's pooled encoding is a
     /// constant of the fit, computed once.
     ///
-    /// Returns an unchanged-model report when `train` is empty. Same
-    /// determinism contract as [`ComputeCostModel::train`]: bit-identical
-    /// weights at any thread count.
+    /// Returns an unchanged-model report when `train` is empty. Serial,
+    /// like [`ComputeCostModel::train`].
     pub fn fine_tune(
         &mut self,
         train: &ComputeDataset,
@@ -276,54 +273,34 @@ impl ComputeCostModel {
         seed: u64,
     ) -> TrainReport {
         let train = parts[0];
-        let pool = WorkPool::new(settings.threads);
         let mut adam_enc = Adam::new(&self.encoder, settings.learning_rate);
         let mut adam_head = Adam::new(&self.head, settings.learning_rate);
 
         // With the encoder frozen each sample's pooled row never changes.
         let frozen_pooled = freeze_encoder.then(|| self.pooled_rows(train));
-        // One block of the mini-batch per thread: on one thread the encoder
-        // and head forwards are a single GEMM each over the whole batch.
-        let n_blocks = pool.threads().min(settings.batch_for(train.len()));
-        let mut blocks: Vec<FitBlock> = (0..n_blocks).map(|_| FitBlock::default()).collect();
+        let mut block = FitBlock::default();
         let mut grad_enc = Gradients::zeros_like(&self.encoder);
         let mut grad_head = Gradients::zeros_like(&self.head);
         let step = |model: &mut Self, chunk: &[usize]| {
-            // Contiguous blocks of the mini-batch form their samples'
-            // forward passes and backward deltas side by side.
-            let len = chunk.len().div_ceil(n_blocks);
-            pool.for_each_mut(&mut blocks, |b, block| {
-                let samples = chunk.chunks(len).nth(b).unwrap_or(&[]);
-                block.run(model, train, samples, frozen_pooled.as_ref());
-            });
-            // Then the fold, cut by parameter tile — one layer's `dW` and
-            // `db` each: a tile walks every sample in mini-batch order,
-            // forming the sample's gradient and folding it at once — the
-            // chain each element had when whole sample gradients were formed
-            // first and then folded.
-            grad_enc.zero();
-            grad_head.zero();
+            block.run(model, train, chunk, frozen_pooled.as_ref());
+            // Then the fold, one layer's `dW` and `db` at a time: a layer
+            // walks every sample in mini-batch order, forming the sample's
+            // gradient and folding it at once — the chain each element had
+            // when whole sample gradients were formed first and then folded.
             let scale = 1.0 / chunk.len() as f32;
-            let (nets, blocks) = ((&model.encoder, &model.head), &blocks);
-            let enc = grad_enc.layers.iter_mut().enumerate();
-            let enc = enc.filter(|_| !freeze_encoder).map(|g| (true, g));
-            let head = grad_head.layers.iter_mut().enumerate();
-            let layers = enc.chain(head.map(|g| (false, g)));
-            pool.for_each_mut(layers, |_, (encoder, (l, g))| {
-                let mlp = if encoder { nets.0 } else { nets.1 };
-                for b in blocks {
-                    let ws = if encoder { &b.enc } else { &b.head };
-                    mlp.fold_layer(ws, l, scale, g);
-                }
-            });
             // Exact encoder freeze: equivalent to zeroing the encoder
             // gradients (Adam with perpetually-zero gradients keeps zero
             // moments, so the update is exactly zero) — skipping the step
             // makes the bitwise invariant free.
+            let Self { encoder, head } = model;
             if !freeze_encoder {
-                adam_enc.step(&mut model.encoder, &grad_enc);
+                grad_enc.zero();
+                encoder.fold_into(&block.enc, &[], scale, &mut grad_enc);
+                adam_enc.step(encoder, &grad_enc);
             }
-            adam_head.step(&mut model.head, &grad_head);
+            grad_head.zero();
+            head.fold_into(&block.head, &[], scale, &mut grad_head);
+            adam_head.step(head, &grad_head);
         };
         fit_epochs(
             self,
@@ -347,17 +324,16 @@ impl ComputeCostModel {
     }
 }
 
-/// One block's share of a fit's workspace, built once per fit and reused
-/// from mini-batch to mini-batch: the network buffers of a contiguous run
-/// of a mini-batch's samples, where the fold finds each sample's
-/// activations and deltas.
+/// A fit's workspace, built once per fit and reused from mini-batch to
+/// mini-batch: the network buffers of a mini-batch's samples, where the
+/// fold finds each sample's activations and deltas.
 #[derive(Default)]
 struct FitBlock {
-    /// Encoder pass over every table row of the block at once; sample `s`
-    /// is group `s` of its backward pass.
+    /// Encoder pass over every table row of the mini-batch at once; sample
+    /// `s` is group `s` of its backward pass.
     enc: MlpWorkspace,
-    /// Head pass over every pooled row of the block at once, one group per
-    /// sample.
+    /// Head pass over every pooled row of the mini-batch at once, one group
+    /// per sample.
     head: MlpWorkspace,
     dy: Matrix,
     table_ends: Vec<usize>,
@@ -365,21 +341,21 @@ struct FitBlock {
 }
 
 impl FitBlock {
-    /// Forward and backward passes of the block's samples (`block` indexes
-    /// `train.samples`), each network once over the whole block — rows do
-    /// not depend on what shares their batch. Sum pooling hands every table
-    /// of a sample the same gradient, so the encoder's backward pass takes
-    /// one `d_pooled` row per sample. With `frozen_pooled` (row `i` =
-    /// sample `i`'s pooled encoding) the encoder is not run at all.
+    /// Forward and backward passes of the mini-batch's samples (`batch`
+    /// indexes `train.samples`), each network once over all of them. Sum
+    /// pooling hands every table of a sample the same gradient, so the
+    /// encoder's backward pass takes one `d_pooled` row per sample. With
+    /// `frozen_pooled` (row `i` = sample `i`'s pooled encoding) the encoder
+    /// is not run at all.
     fn run(
         &mut self,
         model: &ComputeCostModel,
         train: &ComputeDataset,
-        block: &[usize],
+        batch: &[usize],
         frozen_pooled: Option<&Matrix>,
     ) {
         if frozen_pooled.is_none() {
-            let tables = block.iter().flat_map(|&i| &train.samples[i].tables);
+            let tables = batch.iter().flat_map(|&i| &train.samples[i].tables);
             let x = self.enc.input_mut();
             x.reset(tables.clone().count(), model.encoder.input_dim());
             for (r, row) in tables.enumerate() {
@@ -388,10 +364,10 @@ impl FitBlock {
             model.encoder.forward_in(&mut self.enc);
         }
         let pooled = self.head.input_mut();
-        pooled.reset(block.len(), model.encoding_dim());
+        pooled.reset(batch.len(), model.encoding_dim());
         self.table_ends.clear();
         let mut end = 0;
-        for (s, &i) in block.iter().enumerate() {
+        for (s, &i) in batch.iter().enumerate() {
             match frozen_pooled {
                 Some(constant) => pooled.row_mut(s).copy_from_slice(constant.row(i)),
                 None => {
@@ -407,13 +383,13 @@ impl FitBlock {
             }
         }
         let pred = model.head.forward_in(&mut self.head);
-        self.dy.reset(block.len(), 1);
-        for (s, &i) in block.iter().enumerate() {
+        self.dy.reset(batch.len(), 1);
+        for (s, &i) in batch.iter().enumerate() {
             self.dy
                 .set(s, 0, 2.0 * (pred.get(s, 0) - train.samples[i].cost_ms));
         }
         self.sample_ends.clear();
-        self.sample_ends.extend(1..=block.len());
+        self.sample_ends.extend(1..=batch.len());
         model
             .head
             .backward(&mut self.head, &self.dy, Some(&self.sample_ends), &[]);
@@ -929,13 +905,11 @@ mod tests {
 
     proptest::proptest! {
         /// Whole fits against the old one: weights and reports, frozen and
-        /// unfrozen encoder, mini-batches of one to all samples, any thread
-        /// count (so any cut of a mini-batch into blocks, and of the fold
-        /// into tiles) — half the cases with mini-batches of at least eight
-        /// samples, so eight threads cut them into eight blocks. Labels
-        /// equal to the untrained prediction (every other sample) make the
-        /// first step's `d_pooled` rows signed zeros; a NaN label poisons
-        /// the fit from its first mini-batch on.
+        /// unfrozen encoder, mini-batches of one to all samples — half the
+        /// cases with mini-batches of at least eight samples. Labels equal
+        /// to the untrained prediction (every other sample) make the first
+        /// step's `d_pooled` rows signed zeros; a NaN label poisons the fit
+        /// from its first mini-batch on.
         #[test]
         fn fit_matches_the_reference(
             n in 1usize..40,
@@ -959,35 +933,28 @@ mod tests {
                 1 => train.samples[n - 1].cost_ms = f32::NAN,
                 _ => {}
             }
-            let base = TrainSettings { epochs: 2, batch_size, learning_rate: 2e-3, threads: 1 };
+            let settings = TrainSettings { epochs: 2, batch_size, learning_rate: 2e-3, threads: 1 };
             let mut want = ComputeCostModel::new(seed);
-            let want_report = reference_fit(&mut want, &train, &valid, &base, freeze_encoder, seed);
-            for threads in [1, 2, 3, 8] {
-                let mut model = ComputeCostModel::new(seed);
-                let settings = TrainSettings { threads, ..base };
-                let report = model.fine_tune(&train, &valid, &settings, freeze_encoder, seed);
-                let weights = |m: &ComputeCostModel| {
-                    [&m.encoder, &m.head]
-                        .iter()
-                        .flat_map(|mlp| mlp.layers())
-                        .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()))
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>()
-                };
-                proptest::prop_assert!(
-                    weights(&model) == weights(&want),
-                    "weights diverged at {} threads",
-                    threads
-                );
-                let bits = |r: &TrainReport| {
-                    [r.train_mse, r.valid_mse, r.test_mse]
-                        .iter()
-                        .chain(&r.valid_history)
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>()
-                };
-                proptest::prop_assert_eq!(bits(&report), bits(&want_report));
-            }
+            let want_report = reference_fit(&mut want, &train, &valid, &settings, freeze_encoder, seed);
+            let mut model = ComputeCostModel::new(seed);
+            let report = model.fine_tune(&train, &valid, &settings, freeze_encoder, seed);
+            let weights = |m: &ComputeCostModel| {
+                [&m.encoder, &m.head]
+                    .iter()
+                    .flat_map(|mlp| mlp.layers())
+                    .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()))
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            proptest::prop_assert!(weights(&model) == weights(&want), "weights diverged");
+            let bits = |r: &TrainReport| {
+                [r.train_mse, r.valid_mse, r.test_mse]
+                    .iter()
+                    .chain(&r.valid_history)
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            proptest::prop_assert_eq!(bits(&report), bits(&want_report));
         }
     }
 }

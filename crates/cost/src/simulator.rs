@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use nshard_data::TablePool;
 use nshard_nn::{Matrix, TrainSettings};
+use nshard_pool::WorkPool;
 use nshard_sim::{GpuSpec, TableProfile};
 
 use crate::cache::{
@@ -206,6 +207,14 @@ impl CostModelBundle {
 
     /// Pre-trains a bundle against an explicit hardware spec (e.g.
     /// [`GpuSpec::datacenter`] for the production experiments).
+    ///
+    /// The compute labels are collected over [`CollectConfig::threads`]
+    /// workers; then two lanes run side by side on a [`WorkPool`] of
+    /// [`TrainSettings::threads`] (one after the other on one thread):
+    /// lane 1 fits the compute model, lane 2 collects the comm labels on
+    /// its own thread and fits the forward and then the backward comm
+    /// model. Each fit is serial and each model has its own data and seed,
+    /// so the bundle is bit-identical at any thread count.
     pub fn pretrain_with_spec(
         pool: &TablePool,
         num_devices: usize,
@@ -215,15 +224,26 @@ impl CostModelBundle {
         seed: u64,
     ) -> Self {
         let compute_data = collect_compute_data(pool, spec.kernel(), collect, seed);
-        let comm_data = collect_comm_data(pool, spec.comm(), num_devices, collect, seed ^ 0x1234);
-
-        let mut compute = ComputeCostModel::new(seed);
-        let compute_report = compute.train(&compute_data, train, seed ^ 0x1);
-
-        let mut comm_fwd = CommCostModel::new(num_devices, seed ^ 0x2);
-        let fwd_report = comm_fwd.train(&comm_data.forward, train, seed ^ 0x3);
-        let mut comm_bwd = CommCostModel::new(num_devices, seed ^ 0x4);
-        let bwd_report = comm_bwd.train(&comm_data.backward, train, seed ^ 0x5);
+        let fit_compute = || {
+            let mut compute = ComputeCostModel::new(seed);
+            let report = compute.train(&compute_data, train, seed ^ 0x1);
+            (compute, report)
+        };
+        let fit_comm = || {
+            let serial = CollectConfig {
+                threads: 1,
+                ..collect.clone()
+            };
+            let data = collect_comm_data(pool, spec.comm(), num_devices, &serial, seed ^ 0x1234);
+            let fit = |data, init, salt| {
+                let mut model = CommCostModel::new(num_devices, seed ^ init);
+                let report = model.train(data, train, seed ^ salt);
+                (model, report)
+            };
+            (fit(&data.forward, 0x2, 0x3), fit(&data.backward, 0x4, 0x5))
+        };
+        let ((compute, compute_report), ((comm_fwd, fwd_report), (comm_bwd, bwd_report))) =
+            WorkPool::new(train.threads).join(fit_compute, fit_comm);
 
         Self {
             compute,

@@ -16,8 +16,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_cost::{CostModelBundle, TrainSettings};
+use nshard_cost::{CommCostModel, CostModelBundle, TrainSettings};
 use nshard_nn::Dataset;
+use nshard_pool::WorkPool;
 
 use crate::buffer::LearnDatasets;
 
@@ -32,9 +33,10 @@ const FREEZE_ENCODER: bool = true;
 /// Fine-tuning hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FineTuneSettings {
-    /// Epochs, mini-batch size, learning rate and gradient threads of each
-    /// fit. The learning rate is low by design: it defaults to 10× below
-    /// the pre-training default so fine-tuning nudges rather than rewrites.
+    /// Epochs, mini-batch size and learning rate of each fit, and the
+    /// threads of the two fine-tuning lanes (see [`FineTuner::fine_tune`]).
+    /// The learning rate is low by design: it defaults to 10× below the
+    /// pre-training default so fine-tuning nudges rather than rewrites.
     pub train: TrainSettings,
     /// A model is only fine-tuned when its dataset has at least this
     /// many samples; smaller datasets leave the model untouched.
@@ -81,8 +83,11 @@ impl FineTuner {
     ///
     /// `valid` is the held-back validation slice; models select their
     /// best epoch against it (a fit falls back to its training data when
-    /// the slice has nothing for that model). Deterministic per `seed` at
-    /// any thread count.
+    /// the slice has nothing for that model). The fits run in the
+    /// pre-train's two lanes ([`CostModelBundle::pretrain_with_spec`]):
+    /// the compute model beside the forward and then the backward comm
+    /// model, on a [`WorkPool`] of the settings' threads. Deterministic
+    /// per `seed` at any thread count.
     pub fn fine_tune(
         incumbent: &CostModelBundle,
         train: &LearnDatasets,
@@ -91,24 +96,13 @@ impl FineTuner {
         seed: u64,
     ) -> Option<CostModelBundle> {
         let ts = &settings.train;
-        let mut tuned_any = false;
-        let mut report = *incumbent.report();
-
         let mut compute = incumbent.compute_model().clone();
-        if train.compute.len() >= settings.min_samples {
-            let tune = compute.fine_tune(&train.compute, &valid.compute, ts, FREEZE_ENCODER, seed);
-            report.compute_test_mse = tune.valid_mse;
-            report.compute_samples = train.compute.len();
-            tuned_any = true;
-        }
-
-        let mut comm_fwd = incumbent.comm_fwd_model().clone();
-        let mut comm_bwd = incumbent.comm_bwd_model().clone();
-        let tune_comm = |model: &mut nshard_cost::CommCostModel,
+        let mut comm = [incumbent.comm_fwd_model(), incumbent.comm_bwd_model()].map(Clone::clone);
+        let tune_comm = |model: &mut CommCostModel,
                          train_ds: &Option<Dataset>,
                          valid_ds: &Option<Dataset>,
                          salt: u64|
-         -> Option<f32> {
+         -> Option<(f32, usize)> {
             let train_ds = train_ds.as_ref()?;
             if train_ds.len() < settings.min_samples {
                 return None;
@@ -118,23 +112,43 @@ impl FineTuner {
             let no_rows = train_ds.select(&[]);
             let valid_ds = valid_ds.as_ref().unwrap_or(&no_rows);
             let tune = model.fine_tune(train_ds, valid_ds, ts, &FROZEN_COMM_LAYERS, seed ^ salt);
-            Some(tune.valid_mse)
+            Some((tune.valid_mse, train_ds.len()))
         };
-        let mut comm_samples = 0usize;
-        if let Some(mse) = tune_comm(&mut comm_fwd, &train.comm_fwd, &valid.comm_fwd, 0x0f0d) {
+        let (compute_mse, [fwd, bwd]) = WorkPool::new(ts.threads).join(
+            || {
+                (train.compute.len() >= settings.min_samples).then(|| {
+                    let tune =
+                        compute.fine_tune(&train.compute, &valid.compute, ts, FREEZE_ENCODER, seed);
+                    tune.valid_mse
+                })
+            },
+            || {
+                let [fwd, bwd] = &mut comm;
+                [
+                    tune_comm(fwd, &train.comm_fwd, &valid.comm_fwd, 0x0f0d),
+                    tune_comm(bwd, &train.comm_bwd, &valid.comm_bwd, 0x0b0d),
+                ]
+            },
+        );
+
+        let mut report = *incumbent.report();
+        if let Some(mse) = compute_mse {
+            report.compute_test_mse = mse;
+            report.compute_samples = train.compute.len();
+        }
+        if let Some((mse, _)) = fwd {
             report.fwd_comm_test_mse = mse;
-            comm_samples += train.comm_fwd.as_ref().map_or(0, Dataset::len);
-            tuned_any = true;
         }
-        if let Some(mse) = tune_comm(&mut comm_bwd, &train.comm_bwd, &valid.comm_bwd, 0x0b0d) {
+        if let Some((mse, _)) = bwd {
             report.bwd_comm_test_mse = mse;
-            comm_samples += train.comm_bwd.as_ref().map_or(0, Dataset::len);
-            tuned_any = true;
         }
+        let comm_samples: usize = [fwd, bwd].iter().flatten().map(|&(_, n)| n).sum();
         if comm_samples > 0 {
             report.comm_samples = comm_samples;
         }
 
+        let [comm_fwd, comm_bwd] = comm;
+        let tuned_any = compute_mse.is_some() || fwd.is_some() || bwd.is_some();
         tuned_any.then(|| {
             CostModelBundle::from_parts(compute, comm_fwd, comm_bwd, incumbent.batch_size(), report)
         })

@@ -15,7 +15,7 @@
 //! * [`finetune`] — a conservative [`FineTuner`]: low learning rate,
 //!   exact (bitwise) frozen-encoder option for the DeepSets compute
 //!   model, frozen input layers for the comm MLPs — built on the same
-//!   data-parallel trainer as pre-training.
+//!   trainer as pre-training, in the same two lanes.
 //! * [`lifecycle`] — a versioned [`ModelLifecycle`] over the serve
 //!   crate's checksum-framed `ModelStore`: every candidate is
 //!   shadow-evaluated (held-back validation MSE + train→search

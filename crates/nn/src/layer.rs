@@ -205,7 +205,7 @@ impl Dense {
     /// folds from — computed sixteen `i` at a time over the packed `Wᵀ`
     /// (`PackedGemm::gemm_sum_into`). The parameter gradients of a layer do
     /// not involve its weights — they are `xᵀ · dy` and the column sums of
-    /// `dy` — so [`crate::Mlp::fold_layer`] forms them itself.
+    /// `dy` — so [`crate::Mlp::fold_into`] forms them itself.
     ///
     /// # Panics
     ///

@@ -33,13 +33,13 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> f32 {
 /// `total_elems`, written into `grad` (reusing its allocation):
 /// `2 (pred - target) / total_elems`.
 ///
-/// This is the per-shard building block of the data-parallel trainer: each
-/// row shard of a mini-batch computes its gradient against the *whole*
-/// batch's element count, so the fixed-order sum over shards equals the
-/// full-batch gradient of [`mse`] (up to float re-association — which is
-/// why the shard decomposition is fixed and never depends on the thread
-/// count). With `total_elems == pred.rows() * pred.cols()` this is exactly
-/// that gradient.
+/// This is the per-shard building block of the sharded trainer: each row
+/// shard of a mini-batch computes its gradient against the *whole* batch's
+/// element count, so the fixed-order sum over shards equals the full-batch
+/// gradient of [`mse`] (up to float re-association — which is why the
+/// shard decomposition is fixed). With
+/// `total_elems == pred.rows() * pred.cols()` this is exactly that
+/// gradient.
 ///
 /// # Panics
 ///

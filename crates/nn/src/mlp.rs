@@ -58,7 +58,7 @@ impl TryFrom<MlpRepr> for Mlp {
 /// The caller writes the input batch into [`MlpWorkspace::input_mut`],
 /// [`Mlp::forward_in`] writes every layer's post-activation output
 /// once, and [`Mlp::backward`] writes every layer's pre-activation
-/// gradient once, where [`Mlp::fold_layer`] finds both. ReLU's
+/// gradient once, where [`Mlp::fold_into`] finds both. ReLU's
 /// backward mask is read off the post-activations, so pre-activations are
 /// not kept.
 #[derive(Debug, Default)]
@@ -98,7 +98,7 @@ impl MlpWorkspace {
     }
 }
 
-/// Per-layer parameter gradients, folded by [`Mlp::fold_layer`].
+/// Per-layer parameter gradients, folded by [`Mlp::fold_into`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gradients {
     /// `(dW, db)` per layer, in layer order.
@@ -222,7 +222,7 @@ impl Mlp {
     /// Backward pass of the last [`Mlp::forward_in`] on `ws`, given the
     /// upstream gradient `dy` on its outputs: forms every layer's
     /// pre-activation gradient down to the lowest layer `frozen` does not
-    /// name, for [`Mlp::fold_layer`] to turn into parameter gradients.
+    /// name, for [`Mlp::fold_into`] to turn into parameter gradients.
     ///
     /// Each group of batch rows contributes one term to the fold. With
     /// `ends` `None` the whole batch is one group and `dy` has one row per
@@ -258,7 +258,7 @@ impl Mlp {
         assert_eq!(dy.rows(), want, "batch mismatch in backward");
         // `dy` has one row per group, standing for all the group's rows —
         // or no groups were given and the batch is one row, which reads the
-        // same either way. `fold_layer` reads it off the same shapes.
+        // same either way. `fold_into` reads it off the same shapes.
         let broadcast = dy.rows() == ws.ends.len();
         ws.ds.resize_with(depth, Matrix::default);
         ws.d_layer = None;
@@ -296,44 +296,37 @@ impl Mlp {
         &ws.spare
     }
 
-    /// Folds layer `l`'s parameter gradient from the last
-    /// [`Mlp::backward`] on `ws` into its `(dW, db)` accumulator `g`, group
-    /// by group in order:
-    /// every element does `acc += g · scale` once per group, where `g` is
-    /// the group's term — its rows summed in ascending order in registers
-    /// (`gemm::at_b_into`), zero inputs skipped — folded as soon as it is
-    /// formed. No group's term is ever added to another's first; that chain
-    /// is the trainers' numerical contract, and it is the same whichever
-    /// worker folds which layer.
+    /// Folds the parameter gradients that the last [`Mlp::backward`] on
+    /// `ws` formed into `acc`, for every layer `frozen` does not name, group
+    /// by group in order: every element does `acc += g · scale` once per
+    /// group, where `g` is the group's term — its rows summed in ascending
+    /// order in registers (`gemm::at_b_into`), zero inputs skipped — folded
+    /// as soon as it is formed. No group's term is ever added to another's
+    /// first; that chain is the trainers' numerical contract.
     ///
     /// # Panics
     ///
-    /// Panics unless that pass formed the layer's gradient, or if `dw` and
-    /// `db` are not shaped like the layer.
-    pub fn fold_layer(&self, ws: &MlpWorkspace, l: usize, scale: f32, g: &mut (Matrix, Vec<f32>)) {
-        let (dw, db) = (g.0.as_mut_slice(), &mut g.1);
-        let reached = ws.d_layer.is_some_and(|lowest| lowest <= l);
-        assert!(reached, "no backward pass reached layer {l}");
-        let x = if l == 0 { &ws.x } else { &ws.acts[l - 1] };
-        let (d, m, n) = (&ws.ds[l], x.cols(), ws.ds[l].cols());
-        assert_eq!((dw.len(), db.len()), (m * n, n), "gradient shape mismatch");
-        let broadcast = l + 1 == self.layers.len() && d.rows() == ws.ends.len();
-        for (k, rows) in groups(&ws.ends).enumerate() {
-            // Group `k`'s upstream rows: its own, or its one standing-in row.
-            let (first, stride) = if broadcast { (k, 0) } else { (rows.start, n) };
-            let b = (&d.as_slice()[first * n..], stride);
-            let a = (&x.as_slice()[rows.start * m..], m);
-            at_b_into(a, b, rows.len(), n, scale, dw);
-            at_b_into((&[1.0], 0), b, rows.len(), n, scale, db);
-        }
-    }
-
-    /// [`Mlp::fold_layer`] for every layer `frozen` does not name:
-    /// `acc += scale · g` for each group of the last backward in turn.
+    /// Panics unless that pass formed the gradient of every layer folded,
+    /// or if `acc` is not shaped like the network.
     pub fn fold_into(&self, ws: &MlpWorkspace, frozen: &[usize], scale: f32, acc: &mut Gradients) {
-        for (l, layer) in acc.layers.iter_mut().enumerate() {
-            if !frozen.contains(&l) {
-                self.fold_layer(ws, l, scale, layer);
+        for (l, (dw, db)) in acc.layers.iter_mut().enumerate() {
+            if frozen.contains(&l) {
+                continue;
+            }
+            let dw = dw.as_mut_slice();
+            let reached = ws.d_layer.is_some_and(|lowest| lowest <= l);
+            assert!(reached, "no backward pass reached layer {l}");
+            let x = if l == 0 { &ws.x } else { &ws.acts[l - 1] };
+            let (d, m, n) = (&ws.ds[l], x.cols(), ws.ds[l].cols());
+            assert_eq!((dw.len(), db.len()), (m * n, n), "gradient shape mismatch");
+            let broadcast = l + 1 == self.layers.len() && d.rows() == ws.ends.len();
+            for (k, rows) in groups(&ws.ends).enumerate() {
+                // Group `k`'s upstream rows: its own, or its one standing-in row.
+                let (first, stride) = if broadcast { (k, 0) } else { (rows.start, n) };
+                let b = (&d.as_slice()[first * n..], stride);
+                let a = (&x.as_slice()[rows.start * m..], m);
+                at_b_into(a, b, rows.len(), n, scale, dw);
+                at_b_into((&[1.0], 0), b, rows.len(), n, scale, db);
             }
         }
     }

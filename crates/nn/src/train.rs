@@ -8,22 +8,22 @@
 //! does to the model and how the model scores a partition. [`fit`] is the
 //! plain-[`Mlp`] instance.
 //!
-//! ## Data-parallel gradients
+//! ## Sharded gradients
 //!
 //! Each mini-batch is decomposed into fixed-width row shards of
-//! [`GRAD_SHARD_ROWS`]; workers compute per-shard gradients against the
-//! whole batch's element count, a fixed-order pairwise tree reduction sums
-//! them, and a single Adam step applies the sum. The shard decomposition
-//! and the reduction order are pure functions of the batch — never of the
-//! thread count — so trained weights are **bit-identical** at any
-//! [`TrainSettings::threads`] setting, including the serial `threads = 1`.
+//! [`GRAD_SHARD_ROWS`]; each shard's gradient is computed against the whole
+//! batch's element count, a fixed-order pairwise tree reduction sums them,
+//! and a single Adam step applies the sum. The shard decomposition and the
+//! reduction order are pure functions of the batch, and they fix the
+//! float order of every trained weight. A fit runs on the calling thread:
+//! the three cost models fit side by side instead (see
+//! [`TrainSettings::threads`]).
 //!
-//! Every shard of a mini-batch runs in its own slot of a workspace built
-//! once per fit (input rows, activations, layer gradients, the shard's
-//! parameter gradients), so after the first mini-batch a step allocates
-//! nothing.
+//! The shards of a mini-batch run one after another through one pass
+//! workspace (input rows, activations, layer gradients), each into its own
+//! parameter-gradient slot; both are built once per fit, so after the first
+//! mini-batch a step allocates nothing.
 
-use nshard_pool::WorkPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -162,10 +162,11 @@ pub struct TrainSettings {
     pub batch_size: usize,
     /// Adam learning rate (paper: 0.001).
     pub learning_rate: f32,
-    /// Worker threads for gradient computation; `0` = auto (the
-    /// `NSHARD_THREADS` environment variable, then available parallelism,
-    /// via [`nshard_pool::resolve_threads`]). Trained models are
-    /// bit-identical at any setting.
+    /// Worker threads of a pre-train or fine-tune: with two or more, the
+    /// compute model's fit runs beside the two comm models' (two lanes);
+    /// `0` = auto (the `NSHARD_THREADS` environment variable, then
+    /// available parallelism). A single fit is serial and never reads this.
+    /// Trained models are bit-identical at any setting.
     pub threads: usize,
 }
 
@@ -286,10 +287,10 @@ pub fn fit(
     seed: u64,
 ) -> TrainReport {
     let train = parts[0];
-    let pool = WorkPool::new(settings.threads);
     let mut adam = Adam::new(mlp, settings.learning_rate);
     let shards = settings.batch_for(train.len()).div_ceil(GRAD_SHARD_ROWS);
-    let mut slots: Vec<ShardSlot> = (0..shards).map(|_| ShardSlot::new(mlp)).collect();
+    let mut grads: Vec<Gradients> = (0..shards).map(|_| Gradients::zeros_like(mlp)).collect();
+    let mut pass = ShardPass::default();
     fit_epochs(
         mlp,
         parts,
@@ -298,84 +299,69 @@ pub fn fit(
         seed ^ 0xA5A5_5A5A,
         |mlp, data| data.mse(mlp),
         |mlp, chunk| {
-            let grads = batch_gradients(mlp, train, chunk, frozen, &pool, &mut slots);
+            let grads = batch_gradients(mlp, train, chunk, frozen, &mut pass, &mut grads);
             adam.step(mlp, grads);
         },
     )
 }
 
-/// Everything one gradient shard needs, kept from mini-batch to mini-batch:
-/// the network workspace (the shard's input rows live in it), its target
-/// rows, the loss gradient, and the shard's parameter gradients.
-struct ShardSlot {
+/// One gradient shard's pass, kept from shard to shard and mini-batch to
+/// mini-batch: the network workspace (the shard's input rows live in it),
+/// its target rows and the loss gradient.
+#[derive(Default)]
+struct ShardPass {
     ws: MlpWorkspace,
     target: Matrix,
     dy: Matrix,
-    grads: Gradients,
-}
-
-impl ShardSlot {
-    fn new(mlp: &Mlp) -> Self {
-        Self {
-            ws: MlpWorkspace::new(),
-            target: Matrix::default(),
-            dy: Matrix::default(),
-            grads: Gradients::zeros_like(mlp),
-        }
-    }
 }
 
 /// Computes the gradient of one mini-batch (`chunk` of row indices into
-/// `train`) by fanning fixed-width row shards over `pool`, one per slot,
-/// and summing the per-shard gradients with [`tree_reduce`]; the sum is
-/// returned out of the first slot.
+/// `train`) one fixed-width row shard at a time, each into its own slot of
+/// `grads`, and sums the per-shard gradients with [`tree_reduce`]; the sum
+/// is returned out of the first slot.
 ///
 /// Each shard's upstream gradient is scaled by the *whole* batch's element
 /// count ([`mse_grad_scaled_into`]), so the reduced sum is the mini-batch
 /// MSE gradient. Both the shard boundaries ([`GRAD_SHARD_ROWS`]) and the
-/// reduction order depend only on the batch itself, making the result
-/// bit-identical at any worker count. Gradients of `frozen` layers are
-/// never formed: they stay zero.
-fn batch_gradients<'s>(
+/// reduction order depend only on the batch itself. Gradients of `frozen`
+/// layers are never formed: they stay zero.
+fn batch_gradients<'g>(
     mlp: &Mlp,
     train: &Dataset,
     chunk: &[usize],
     frozen: &[usize],
-    pool: &WorkPool,
-    slots: &'s mut [ShardSlot],
-) -> &'s Gradients {
+    pass: &mut ShardPass,
+    grads: &'g mut [Gradients],
+) -> &'g Gradients {
     let total_elems = chunk.len() * train.y().cols();
-    let slots = &mut slots[..chunk.len().div_ceil(GRAD_SHARD_ROWS)];
-    pool.for_each_mut(&mut *slots, |s, slot| {
-        let end = ((s + 1) * GRAD_SHARD_ROWS).min(chunk.len());
-        let shard = &chunk[s * GRAD_SHARD_ROWS..end];
-        train.x().select_rows_into(shard, slot.ws.input_mut());
-        train.y().select_rows_into(shard, &mut slot.target);
-        let pred = mlp.forward_in(&mut slot.ws);
-        mse_grad_scaled_into(pred, &slot.target, total_elems, &mut slot.dy);
+    let grads = &mut grads[..chunk.len().div_ceil(GRAD_SHARD_ROWS)];
+    for (g, shard) in grads.iter_mut().zip(chunk.chunks(GRAD_SHARD_ROWS)) {
+        train.x().select_rows_into(shard, pass.ws.input_mut());
+        train.y().select_rows_into(shard, &mut pass.target);
+        let pred = mlp.forward_in(&mut pass.ws);
+        mse_grad_scaled_into(pred, &pass.target, total_elems, &mut pass.dy);
         // The whole shard is one term: its gradient, folded into zeros.
-        mlp.backward(&mut slot.ws, &slot.dy, None, frozen);
-        slot.grads.zero();
-        mlp.fold_into(&slot.ws, frozen, 1.0, &mut slot.grads);
-    });
-    tree_reduce(slots);
-    &slots[0].grads
+        mlp.backward(&mut pass.ws, &pass.dy, None, frozen);
+        g.zero();
+        mlp.fold_into(&pass.ws, frozen, 1.0, g);
+    }
+    tree_reduce(grads);
+    &grads[0]
 }
 
-/// Sums the slots' gradients into the first slot with a fixed-order
-/// pairwise tree reduction: level by level, slot `2k` of the survivors
-/// absorbs slot `2k + 1`.
+/// Sums the shards' gradients into the first with a fixed-order pairwise
+/// tree reduction: level by level, slot `2k` of the survivors absorbs slot
+/// `2k + 1`.
 ///
-/// The reduction order is a pure function of `slots.len()`, never of which
-/// thread filled which slot — the property that lets the data-parallel
-/// trainer produce bit-identical weights at any worker count.
-fn tree_reduce(slots: &mut [ShardSlot]) {
+/// The reduction order is a pure function of `grads.len()`: it is part of
+/// the trainer's numerical contract, like [`GRAD_SHARD_ROWS`].
+fn tree_reduce(grads: &mut [Gradients]) {
     let mut stride = 1;
-    while stride < slots.len() {
-        for pair in slots.chunks_mut(2 * stride) {
+    while stride < grads.len() {
+        for pair in grads.chunks_mut(2 * stride) {
             let (left, right) = pair.split_at_mut(stride.min(pair.len()));
             if let Some(right) = right.first() {
-                left[0].grads.accumulate(&right.grads, 1.0);
+                left[0].accumulate(right, 1.0);
             }
         }
         stride *= 2;
@@ -501,8 +487,9 @@ mod tests {
 
     #[test]
     fn fit_is_bit_identical_across_thread_counts() {
-        // Batch of 256 rows = 4 shards of GRAD_SHARD_ROWS, so the parallel
-        // path genuinely fans out and must still match the serial run.
+        // Batch of 256 rows = 4 shards of GRAD_SHARD_ROWS. A fit is serial
+        // whatever `threads` says (the pre-train's lanes read it), so every
+        // setting must train the same bits.
         let d = linear_dataset(320);
         let base = TrainSettings {
             epochs: 8,

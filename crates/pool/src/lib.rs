@@ -2,19 +2,21 @@
 //!
 //! All external dependencies are vendored offline stand-ins, so there is no
 //! rayon here — just [`std::thread::scope`] and a shared work queue.
-//! The pool's one operation, [`WorkPool::map`], evaluates a function over a
+//! The pool's main operation, [`WorkPool::map`], evaluates a function over a
 //! slice and returns the results **in input order**, regardless of which
 //! worker ran which item or in what order they finished. Callers build
 //! their work list serially, map over it, and fold the results in input
 //! order — which is what makes every parallel pipeline in the workspace
-//! (the search, the micro-benchmark collectors, the trainer) bit-for-bit
-//! identical to its serial counterpart at any thread count.
+//! (the search, the micro-benchmark collectors) bit-for-bit identical to
+//! its serial counterpart at any thread count. [`WorkPool::join`] runs two
+//! independent closures side by side.
 //!
 //! This crate sits at the bottom of the dependency graph so both halves of
-//! the paper's *pre-train, and search* pipeline share one pool: `nshard-nn`
-//! and `nshard-cost` parallelize training and label collection with it,
-//! `nshard-core` parallelizes the plan search, and `nshard-serve` sizes
-//! its request worker pool through [`resolve_threads`].
+//! the paper's *pre-train, and search* pipeline share one pool: `nshard-cost`
+//! parallelizes label collection with `map` and fits its three cost models
+//! in two `join` lanes (a single fit is serial), `nshard-learn` fine-tunes
+//! in the same two lanes, `nshard-core` parallelizes the plan search, and
+//! `nshard-serve` sizes its request worker pool through [`resolve_threads`].
 //!
 //! [`splitmix64`] / [`sample_seed`] live here too: deterministic fan-out
 //! needs per-item seeds that are a pure function of `(seed, index)`, so a
@@ -218,60 +220,29 @@ impl WorkPool {
 
     /// Applies `f` to every item and returns the results in input order.
     ///
-    /// [`WorkPool::for_each_mut`] over the items paired with their output
-    /// slots: the calling thread works alongside `threads - 1` spawned
-    /// workers, and each result lands in its item's slot, whichever thread
-    /// ran it. With one worker (or one item) no thread is spawned. A panic
-    /// in `f` propagates to the caller.
+    /// Items are claimed one at a time from a shared queue; the calling
+    /// thread works alongside `threads - 1` spawned workers (fewer when
+    /// there are fewer items), and each result lands in its item's slot,
+    /// whichever thread ran it. With one worker (or one item) no thread is
+    /// spawned. A panic in `f` propagates to the caller.
     pub fn map<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
     where
         T: Sync,
         O: Send,
         F: Fn(&T) -> O + Sync,
     {
-        if self.threads.min(items.len()) <= 1 {
+        let workers = self.threads.min(items.len());
+        if workers <= 1 {
             return items.iter().map(f).collect();
         }
         let mut out: Vec<Option<O>> = items.iter().map(|_| None).collect();
-        self.for_each_mut(out.iter_mut().zip(items), |_, (slot, item)| {
-            *slot = Some(f(item));
-        });
-        out.into_iter()
-            .map(|o| o.expect("every item ran"))
-            .collect()
-    }
-
-    /// Runs `f(index, item)` once for every item of `items`, each on exactly
-    /// one thread.
-    ///
-    /// The in-place twin of [`WorkPool::map`]: the items are typically
-    /// disjoint `&mut` borrows (a slice's elements, the tiles of a gradient),
-    /// so a caller that keeps its buffers across calls (the trainers'
-    /// per-fit workspaces) fans out without allocating an output per item.
-    /// Items are claimed one at a time from a shared queue; the calling
-    /// thread works alongside `threads - 1` spawned workers (fewer when the
-    /// iterator bounds its length lower). With one worker (or one item) no
-    /// thread is spawned. A panic in `f` propagates to the caller.
-    pub fn for_each_mut<I, F>(&self, items: I, f: F)
-    where
-        I: IntoIterator,
-        I::IntoIter: Send,
-        I::Item: Send,
-        F: Fn(usize, I::Item) + Sync,
-    {
-        let items = items.into_iter();
-        let workers = self.threads.min(items.size_hint().1.unwrap_or(usize::MAX));
-        if workers <= 1 {
-            items.enumerate().for_each(|(i, item)| f(i, item));
-            return;
-        }
-        let queue = Mutex::new(items.enumerate());
+        let queue = Mutex::new(out.iter_mut().zip(items));
         let work = || loop {
             // The guard is dropped before `f` runs, so a panicking `f` never
             // poisons the queue; an iterator is valid in any state anyway.
             let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some((i, item)) = next else { break };
-            f(i, item);
+            let Some((slot, item)) = next else { break };
+            *slot = Some(f(item));
         };
         std::thread::scope(|scope| {
             for _ in 1..workers {
@@ -279,6 +250,30 @@ impl WorkPool {
             }
             work();
         });
+        out.into_iter()
+            .map(|o| o.expect("every item ran"))
+            .collect()
+    }
+
+    /// Runs `a` and `b` side by side and returns both results: `a` on one
+    /// spawned worker while the calling thread runs `b`. With one worker
+    /// no thread is spawned: `a` runs, then `b`. A panic in either
+    /// propagates to the caller (after the other has finished).
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB,
+        RA: Send,
+    {
+        if self.threads <= 1 {
+            return (a(), b());
+        }
+        std::thread::scope(|scope| {
+            let a = scope.spawn(a);
+            let rb = b();
+            let ra = a.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            (ra, rb)
+        })
     }
 }
 
@@ -303,14 +298,28 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_visits_every_item_once_with_its_index() {
-        for threads in [1, 2, 3, 8, 64] {
-            let mut items = vec![0usize; 100];
-            WorkPool::new(threads).for_each_mut(&mut items, |i, item| *item += i + 1);
-            let expected: Vec<usize> = (1..=100).collect();
-            assert_eq!(items, expected, "at {threads} threads");
+    fn join_returns_both_results_and_propagates_panics() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 8] {
+            let pool = WorkPool::new(threads);
+            let (a, b) = pool.join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            assert_eq!(b, caller, "b runs on the caller");
+            assert_eq!(
+                a == caller,
+                threads == 1,
+                "a is spawned from two workers up"
+            );
+            let mut order = Vec::new();
+            let (x, y) = pool.join(|| 6 * 7, || order.push("b"));
+            assert_eq!((x, y, order), (42, (), vec!["b"]));
+            let panicked = std::panic::catch_unwind(|| pool.join(|| panic!("lane a"), || 1));
+            assert!(panicked.is_err(), "at {threads} threads");
+            let panicked = std::panic::catch_unwind(|| pool.join(|| 1, || panic!("lane b")));
+            assert!(panicked.is_err(), "at {threads} threads");
         }
-        WorkPool::new(4).for_each_mut(&mut [] as &mut [usize], |_, _| unreachable!());
     }
 
     #[test]

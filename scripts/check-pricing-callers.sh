@@ -43,6 +43,10 @@
 # at a time; the per-key mutex shards, their count and the per-key hit path
 # stay deleted.
 #
+# A fit takes no pool (DESIGN.md §10): the three cost models fit side by
+# side in the pre-train's two lanes, so the trainer, the compute fit and the
+# comm model name neither `WorkPool` nor the deleted per-item fan-out.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -117,6 +121,12 @@ fi
 if code crates/*/src | grep -wE 'NUM_SHARDS|with_shards|record_hit' ||
     grep -nw 'Mutex' crates/cost/src/cache.rs; then
     echo "error: the prediction cache takes one lock per batch, not a shard lock per key (lines above)" >&2
+    exit 1
+fi
+
+if code crates/nn/src/train.rs crates/cost/src/compute.rs crates/cost/src/comm_model.rs |
+    grep -wE 'WorkPool|for_each_mut'; then
+    echo "error: a fit takes no pool; models fit side by side in the pre-train's lanes (lines above)" >&2
     exit 1
 fi
 

@@ -2,9 +2,10 @@
 //! mini-batch a training step allocates nothing.
 //!
 //! Both loops run in workspaces built once per fit (`nn::train`'s shard
-//! slots, `ComputeCostModel`'s blocks), and the layers recycle their packed
-//! panels across optimizer steps. A clone creeping back into the step would
-//! cost wall-clock nobody can bound on a shared VM; here it costs a count.
+//! pass and gradient slots, `ComputeCostModel`'s one `FitBlock`), and the
+//! layers recycle their packed panels across optimizer steps. A clone
+//! creeping back into the step would cost wall-clock nobody can bound on a
+//! shared VM; here it costs a count.
 //!
 //! The count is taken as a difference: the same fit at 2 and at 6 epochs
 //! differs by four epochs of steady state, whatever the set-up and the

@@ -1,24 +1,28 @@
-//! Determinism of the parallel pre-training pipeline: collected datasets,
-//! trained weights, and training reports must be bit-identical at any
-//! worker-thread count.
+//! Determinism of the pre-training pipeline: collected datasets, trained
+//! weights, and training reports must be bit-identical at any worker-thread
+//! count.
 //!
 //! Collection owes this to per-sample seeding (`sample_seed(seed, i)` gives
 //! every sample its own RNG, so results do not depend on which worker ran
-//! it), and training owes it to the fixed shard decomposition plus the
-//! fixed-order tree reduction of per-shard gradients. This suite sweeps
-//! explicit thread counts {1, 2, 8}; CI additionally runs it under
+//! it). A single fit is serial — its float order is fixed by the shard
+//! decomposition and the fixed-order tree reduction — and the only
+//! training fan-out is the pre-train's and the fine-tuner's two lanes (the
+//! compute model beside the two comm models), which the two lane sweeps
+//! below hold to the three fits made one after another. This suite sweeps
+//! explicit thread counts {1, 2, 3, 8}; CI additionally runs it under
 //! `NSHARD_THREADS=8` so the `threads: 0` (auto) paths resolve to an
 //! oversubscribed worker count.
 
 use neuroshard::cost::{
-    collect_comm_data, collect_compute_data, CollectConfig, CommCostModel, ComputeCostModel,
-    CostModelBundle, TrainSettings,
+    collect_comm_data, collect_compute_data, BundleReport, CollectConfig, CommCostModel,
+    ComputeCostModel, CostModelBundle, TrainSettings,
 };
 use neuroshard::data::TablePool;
+use neuroshard::learn::{FineTuneSettings, FineTuner, LearnDatasets};
 use neuroshard::nn::{fit, Mlp, GRAD_SHARD_ROWS};
-use neuroshard::sim::{CommParams, KernelParams};
+use neuroshard::sim::{CommParams, GpuSpec, KernelParams};
 
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
+const THREAD_SWEEP: [usize; 4] = [1, 2, 3, 8];
 
 fn pool() -> TablePool {
     TablePool::synthetic_dlrm(60, 0xD17E)
@@ -62,8 +66,9 @@ fn collectors_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn trainer_is_bit_identical_across_thread_counts() {
-    // 200 training rows at batch 160 = shards of 64/64/32 per batch: the
-    // sharded gradient path genuinely fans out.
+    // 200 training rows at batch 160 = shards of 64/64/32 per batch. A fit
+    // is serial whatever `threads` says; the lane sweeps below cover the
+    // training fan-out.
     let xs: Vec<Vec<f32>> = (0..250)
         .map(|i| vec![(i % 23) as f32 / 23.0, (i % 7) as f32 / 7.0])
         .collect();
@@ -147,30 +152,135 @@ fn cost_model_training_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// Every number a bundle serializes (weights, report), as bits, in order.
+fn bundle_bits(bundle: &CostModelBundle) -> Vec<u64> {
+    fn walk(value: &serde_json::Value, out: &mut Vec<u64>) {
+        match value {
+            serde_json::Value::Float(f) => out.push(f.to_bits()),
+            serde_json::Value::Int(i) => out.push(*i as u64),
+            serde_json::Value::UInt(u) => out.push(*u),
+            serde_json::Value::Seq(items) => items.iter().for_each(|v| walk(v, out)),
+            serde_json::Value::Map(entries) => entries.iter().for_each(|(_, v)| walk(v, out)),
+            _ => {}
+        }
+    }
+    let json = serde_json::to_string(bundle).unwrap();
+    let mut out = Vec::new();
+    walk(&serde_json::parse_value(&json).unwrap(), &mut out);
+    out
+}
+
 #[test]
 fn pretrained_bundle_is_bit_identical_across_thread_counts() {
     // End to end: collect + train all three models through the public
-    // pre-training entry point, sweeping the thread knob on both stages.
+    // pre-training entry point, sweeping the thread knob on both stages,
+    // against the three fits made one after another on one thread.
     let pool = pool();
+    let (seed, settings) = (41, |threads| TrainSettings {
+        epochs: 3,
+        threads,
+        ..TrainSettings::smoke()
+    });
     let bundle = |threads: usize| {
-        CostModelBundle::pretrain(
-            &pool,
-            2,
-            &collect_config(threads),
-            &TrainSettings {
-                epochs: 3,
-                threads,
-                ..TrainSettings::smoke()
-            },
-            41,
-        )
+        CostModelBundle::pretrain(&pool, 2, &collect_config(threads), &settings(threads), seed)
     };
-    let reference = bundle(1);
+    let spec = GpuSpec::rtx_2080_ti();
+    let cfg = collect_config(1);
+    let compute_data = collect_compute_data(&pool, spec.kernel(), &cfg, seed);
+    let comm_data = collect_comm_data(&pool, spec.comm(), 2, &cfg, seed ^ 0x1234);
+    let mut compute = ComputeCostModel::new(seed);
+    let compute_report = compute.train(&compute_data, &settings(1), seed ^ 0x1);
+    let mut comm_fwd = CommCostModel::new(2, seed ^ 0x2);
+    let fwd_report = comm_fwd.train(&comm_data.forward, &settings(1), seed ^ 0x3);
+    let mut comm_bwd = CommCostModel::new(2, seed ^ 0x4);
+    let bwd_report = comm_bwd.train(&comm_data.backward, &settings(1), seed ^ 0x5);
+    let report = BundleReport {
+        compute_test_mse: compute_report.test_mse,
+        fwd_comm_test_mse: fwd_report.test_mse,
+        bwd_comm_test_mse: bwd_report.test_mse,
+        compute_samples: cfg.compute_samples,
+        comm_samples: cfg.comm_samples,
+    };
+    let serial = CostModelBundle::from_parts(compute, comm_fwd, comm_bwd, cfg.batch_size, report);
     for threads in THREAD_SWEEP {
-        assert_eq!(
-            bundle(threads),
-            reference,
-            "pre-trained bundle diverged at {threads} threads"
+        assert!(
+            bundle_bits(&bundle(threads)) == bundle_bits(&serial),
+            "pre-trained bundle diverged from the serial fits at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn fine_tuned_bundle_is_bit_identical_across_thread_counts() {
+    // All three models have enough rows, so both lanes fit; the reference
+    // fine-tunes them one after another, frozen as the tuner freezes them
+    // (the compute encoder, the comm input layer).
+    let pool = pool();
+    let incumbent = CostModelBundle::pretrain(
+        &pool,
+        2,
+        &collect_config(1),
+        &TrainSettings {
+            epochs: 2,
+            threads: 1,
+            ..TrainSettings::smoke()
+        },
+        43,
+    );
+    let learn = |seed: u64| {
+        let cfg = CollectConfig {
+            compute_samples: 60,
+            comm_samples: 60,
+            threads: 1,
+            ..CollectConfig::smoke()
+        };
+        let comm = collect_comm_data(&pool, &CommParams::pcie_server(), 2, &cfg, seed);
+        LearnDatasets {
+            compute: collect_compute_data(&pool, &KernelParams::rtx_2080_ti(), &cfg, seed),
+            comm_fwd: Some(comm.forward),
+            comm_bwd: Some(comm.backward),
+        }
+    };
+    let (train, valid, seed) = (learn(51), learn(52), 53);
+    let settings = |threads| {
+        let mut settings = FineTuneSettings::smoke();
+        settings.train.threads = threads;
+        settings
+    };
+    let tuned =
+        |threads| FineTuner::fine_tune(&incumbent, &train, &valid, &settings(threads), seed);
+    let ts = settings(1).train;
+    let mut report = *incumbent.report();
+    let mut compute = incumbent.compute_model().clone();
+    let tune = compute.fine_tune(&train.compute, &valid.compute, &ts, true, seed);
+    (report.compute_test_mse, report.compute_samples) = (tune.valid_mse, train.compute.len());
+    let comm = |model: &CommCostModel, train: &Option<_>, valid: &Option<_>, salt| {
+        let mut model = model.clone();
+        let (train, valid) = (train.as_ref().unwrap(), valid.as_ref().unwrap());
+        let tune = model.fine_tune(train, valid, &ts, &[0], seed ^ salt);
+        (model, tune.valid_mse)
+    };
+    let (comm_fwd, fwd_mse) = comm(
+        incumbent.comm_fwd_model(),
+        &train.comm_fwd,
+        &valid.comm_fwd,
+        0x0f0d,
+    );
+    let (comm_bwd, bwd_mse) = comm(
+        incumbent.comm_bwd_model(),
+        &train.comm_bwd,
+        &valid.comm_bwd,
+        0x0b0d,
+    );
+    (report.fwd_comm_test_mse, report.bwd_comm_test_mse) = (fwd_mse, bwd_mse);
+    report.comm_samples = 2 * train.comm_fwd.as_ref().unwrap().len();
+    let batch_size = incumbent.batch_size();
+    let serial = CostModelBundle::from_parts(compute, comm_fwd, comm_bwd, batch_size, report);
+    for threads in THREAD_SWEEP {
+        let bundle = tuned(threads).expect("every model has enough rows");
+        assert!(
+            bundle_bits(&bundle) == bundle_bits(&serial),
+            "fine-tuned bundle diverged from the serial fits at {threads} threads"
         );
     }
 }
