@@ -152,7 +152,8 @@ fn cost_model_training_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Every number a bundle serializes (weights, report), as bits, in order.
+/// Every number a bundle serializes (weights, report), as bits, in order; a
+/// non-finite value, which JSON writes as `null`, is left out.
 fn bundle_bits(bundle: &CostModelBundle) -> Vec<u64> {
     fn walk(value: &serde_json::Value, out: &mut Vec<u64>) {
         match value {
