@@ -7,8 +7,8 @@
 //! step by step:
 //!
 //! 1. the **primary** algorithm (normally NeuroShard),
-//! 2. the primary's plan **repaired** by the [`RepairEngine`] when it was
-//!    rejected for memory reasons,
+//! 2. the primary's plan **repaired** by [`repair`] when it was rejected
+//!    for memory reasons,
 //! 3. each registered **fallback** algorithm (normally a greedy baseline),
 //!    repaired likewise if needed,
 //! 4. a built-in **size-balanced** last resort ([`size_balanced_plan`]).
@@ -29,7 +29,7 @@ use nshard_data::ShardingTask;
 use nshard_sim::{FaultPlan, FaultyCluster, GpuSpec, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::local::RepairEngine;
+use crate::local::repair;
 use crate::plan::{PlanError, ShardingPlan};
 use crate::ShardingAlgorithm;
 
@@ -396,7 +396,7 @@ impl Run<'_> {
                 reason: err.to_string(),
             });
         }
-        let report = match RepairEngine::default().repair(self.task, &plan) {
+        let report = match repair(self.task, &plan) {
             Ok(report) => report,
             Err(e) => {
                 self.events.push(ProvenanceEvent::RepairFailed {
@@ -498,7 +498,7 @@ pub fn size_balanced_plan(task: &ShardingTask) -> Result<ShardingPlan, PlanError
         load[target] += tables[i].memory_bytes();
     }
     let plan = ShardingPlan::new(Vec::new(), tables, device_of, task.num_devices())?;
-    Ok(RepairEngine::default().repair(task, &plan)?.plan)
+    Ok(repair(task, &plan)?.plan)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //!   (the paper's "collect real costs from GPUs" step) and its learned
 //!   twin, the one place outside the search that lowers a fleet to scales,
 //! * [`local`] — local search over plans in one step vocabulary
-//!   ([`DeltaStep`], [`PlanDelta`]): [`RepairEngine`] makes an infeasible
+//!   ([`DeltaStep`], [`PlanDelta`]): [`repair`] makes an infeasible
 //!   plan fit (evict-and-replace onto the least-loaded device that fits)
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
 //!   migration-regularized cost,
@@ -68,11 +68,10 @@ pub use fallback::{
 };
 pub use greedy_grid::{GreedyGridSearch, GridSearchResult};
 pub use local::{
-    DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta, RepairConfig,
-    RepairEngine, RepairReport,
+    repair, DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta,
+    RepairReport,
 };
 pub use neuroshard::{ConfigError, NeuroShard, NeuroShardConfig, ShardOutcome};
-pub use nshard_pool::{resolve_threads, WorkPool};
 pub use plan::{
     apply_column_plan, apply_split_plan, migration_bytes, ColumnPlan, PlanError, ShardingPlan,
     SplitKind, SplitPlan, SplitStep,

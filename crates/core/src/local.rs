@@ -7,7 +7,7 @@
 //! device furthest over its own budget is the one to relieve, and its
 //! tables are offered heaviest first.
 //!
-//! * [`RepairEngine`] salvages a memory-infeasible plan. It evicts tables
+//! * [`repair`] salvages a memory-infeasible plan. It evicts tables
 //!   from the worst device, heaviest first, onto the device with the
 //!   lightest memory load among those the table fits on (ties to the lower
 //!   index), and column-splits a table in place when no table of the device
@@ -39,13 +39,13 @@ use serde::{Deserialize, Serialize};
 
 use nshard_cost::{CostSimulator, EstimatedCost};
 use nshard_data::{ShardingTask, TableConfig};
+use nshard_pool::WorkPool;
 
 use crate::eval::{estimate_batch_for_task, estimate_for_task};
 use crate::neuroshard::NeuroShardConfig;
 use crate::plan::{migration_bytes, split_in_place, PlanError, ShardingPlan, SplitKind, SplitStep};
-use crate::WorkPool;
 
-/// Maximum number of repair steps (moves + splits) before the engine gives
+/// Maximum number of repair steps (moves + splits) before repair gives
 /// up. Bounds the loop on adversarial inputs.
 const MAX_REPAIR_STEPS: usize = 256;
 
@@ -209,11 +209,6 @@ fn heaviest_first<K: PartialOrd>(
     on_device
 }
 
-/// Limits of the repair loop. It has none left to set; the type stays so
-/// [`RepairEngine::new`] keeps its signature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairConfig {}
-
 /// The outcome of a successful repair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairReport {
@@ -226,114 +221,99 @@ pub struct RepairReport {
     pub initial_overflow_bytes: u64,
 }
 
-/// Evicts-and-replaces tables of infeasible plans until they fit.
-/// See the [module documentation](self).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RepairEngine {}
+/// Repairs `plan` for `task` by evicting and re-placing tables until they
+/// fit (see the [module documentation](self)): after this returns `Ok`,
+/// the reported plan validates against the task (in particular, every
+/// device is within the memory budget).
+///
+/// # Errors
+///
+/// [`PlanError::Infeasible`] when no sequence of moves and splits within
+/// the step limit makes the plan fit; [`PlanError::Invalid`] when the plan
+/// was built for another device count or its tables are not derivable
+/// from the task's tables.
+pub fn repair(task: &ShardingTask, plan: &ShardingPlan) -> Result<RepairReport, PlanError> {
+    plan.check_device_count(task)?;
+    let num_devices = task.num_devices();
+    let budgets = task.budgets();
+    let initial_overflow_bytes = overflow_bytes(&plan.device_bytes(), &budgets);
 
-impl RepairEngine {
-    /// An engine with the given limits.
-    pub fn new(_config: RepairConfig) -> Self {
-        Self {}
+    let total: u64 = plan.sharded_tables().iter().map(|t| t.memory_bytes()).sum();
+    let capacity: u64 = budgets.iter().fold(0u64, |acc, &b| acc.saturating_add(b));
+    if total > capacity {
+        return Err(PlanError::Infeasible {
+            reason: format!(
+                "tables need {total} bytes but the cluster holds {capacity} \
+                 across {num_devices} devices"
+            ),
+        });
     }
 
-    /// Repairs `plan` for `task`: after this returns `Ok`, the reported
-    /// plan validates against the task (in particular, every device is
-    /// within the memory budget).
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::Infeasible`] when no sequence of moves and splits
-    /// within the step limit makes the plan fit;
-    /// [`PlanError::Invalid`] when the plan was built for another device
-    /// count or its tables are not derivable from the task's tables.
-    pub fn repair(
-        &self,
-        task: &ShardingTask,
-        plan: &ShardingPlan,
-    ) -> Result<RepairReport, PlanError> {
-        plan.check_device_count(task)?;
-        let num_devices = task.num_devices();
-        let budgets = task.budgets();
-        let initial_overflow_bytes = overflow_bytes(&plan.device_bytes(), &budgets);
-
-        let total: u64 = plan.sharded_tables().iter().map(|t| t.memory_bytes()).sum();
-        let capacity: u64 = budgets.iter().fold(0u64, |acc, &b| acc.saturating_add(b));
-        if total > capacity {
+    let mut current = plan.clone();
+    let mut steps = Vec::new();
+    loop {
+        let load = current.device_bytes();
+        let Some(offender) = worst_device(&load, &budgets) else {
+            break;
+        };
+        if steps.len() >= MAX_REPAIR_STEPS {
             return Err(PlanError::Infeasible {
                 reason: format!(
-                    "tables need {total} bytes but the cluster holds {capacity} \
-                     across {num_devices} devices"
+                    "repair did not converge within {MAX_REPAIR_STEPS} steps \
+                     (device {offender} still over budget)"
                 ),
             });
         }
-
-        let mut current = plan.clone();
-        let mut steps = Vec::new();
-        loop {
-            let load = current.device_bytes();
-            let Some(offender) = worst_device(&load, &budgets) else {
-                break;
-            };
-            if steps.len() >= MAX_REPAIR_STEPS {
+        let tables = current.sharded_tables();
+        let on_device = heaviest_first(&current, offender, TableConfig::memory_bytes);
+        let moved = on_device.iter().find_map(|&table| {
+            pick_target(&load, &budgets, offender, tables[table].memory_bytes()).map(|to| {
+                DeltaStep::Move {
+                    table,
+                    from: offender,
+                    to,
+                }
+            })
+        });
+        // Nothing fits anywhere whole: split the heaviest splittable
+        // table on the offender so smaller pieces can migrate.
+        let step = match moved {
+            Some(step) => step,
+            None if num_devices == 1 => {
                 return Err(PlanError::Infeasible {
                     reason: format!(
-                        "repair did not converge within {MAX_REPAIR_STEPS} steps \
-                         (device {offender} still over budget)"
+                        "device {offender} is over budget and no table can be \
+                         moved (single-device cluster)"
                     ),
-                });
-            }
-            let tables = current.sharded_tables();
-            let on_device = heaviest_first(&current, offender, TableConfig::memory_bytes);
-            let moved = on_device.iter().find_map(|&table| {
-                pick_target(&load, &budgets, offender, tables[table].memory_bytes()).map(|to| {
-                    DeltaStep::Move {
-                        table,
-                        from: offender,
-                        to,
-                    }
                 })
-            });
-            // Nothing fits anywhere whole: split the heaviest splittable
-            // table on the offender so smaller pieces can migrate.
-            let step = match moved {
-                Some(step) => step,
-                None if num_devices == 1 => {
-                    return Err(PlanError::Infeasible {
+            }
+            None => DeltaStep::Split {
+                table: on_device
+                    .into_iter()
+                    .find(|&i| tables[i].split_columns().is_some())
+                    .ok_or_else(|| PlanError::Infeasible {
                         reason: format!(
-                            "device {offender} is over budget and no table can be \
-                             moved (single-device cluster)"
+                            "device {offender} is over budget but none of its \
+                             tables can be moved or split further"
                         ),
-                    })
-                }
-                None => DeltaStep::Split {
-                    table: on_device
-                        .into_iter()
-                        .find(|&i| tables[i].split_columns().is_some())
-                        .ok_or_else(|| PlanError::Infeasible {
-                            reason: format!(
-                                "device {offender} is over budget but none of its \
-                                 tables can be moved or split further"
-                            ),
-                        })?,
-                    kind: SplitKind::Column,
-                    second_device: offender,
-                },
-            };
-            current = step.applied_to(&current)?;
-            steps.push(step);
-        }
-
-        current.validate(task)?;
-        Ok(RepairReport {
-            delta: PlanDelta {
-                steps,
-                migration_bytes: migration_bytes(plan, &current),
+                    })?,
+                kind: SplitKind::Column,
+                second_device: offender,
             },
-            plan: current,
-            initial_overflow_bytes,
-        })
+        };
+        current = step.applied_to(&current)?;
+        steps.push(step);
     }
+
+    current.validate(task)?;
+    Ok(RepairReport {
+        delta: PlanDelta {
+            steps,
+            migration_bytes: migration_bytes(plan, &current),
+        },
+        plan: current,
+        initial_overflow_bytes,
+    })
 }
 
 /// The device to receive `bytes` evicted from device `from`: the lightest
@@ -660,7 +640,7 @@ mod tests {
     fn feasible_plan_is_a_noop() {
         let (task, _) = overloaded();
         let plan = ShardingPlan::new(vec![], task.tables().to_vec(), vec![0, 1, 0], 2).unwrap();
-        let report = RepairEngine::default().repair(&task, &plan).unwrap();
+        let report = repair(&task, &plan).unwrap();
         assert!(report.delta.is_empty());
         assert_eq!(report.delta.migration_bytes, 0);
         assert_eq!(report.initial_overflow_bytes, 0);
@@ -671,7 +651,7 @@ mod tests {
     fn oom_plan_is_repaired_by_moving_tables() {
         let (task, plan) = overloaded();
         assert!(plan.validate(&task).is_err());
-        let report = RepairEngine::default().repair(&task, &plan).unwrap();
+        let report = repair(&task, &plan).unwrap();
         assert!(report.plan.validate(&task).is_ok());
         assert!(report.initial_overflow_bytes > 0);
         assert!(matches!(
@@ -688,8 +668,8 @@ mod tests {
     #[test]
     fn repair_is_deterministic() {
         let (task, plan) = overloaded();
-        let a = RepairEngine::default().repair(&task, &plan).unwrap();
-        let b = RepairEngine::default().repair(&task, &plan).unwrap();
+        let a = repair(&task, &plan).unwrap();
+        let b = repair(&task, &plan).unwrap();
         assert_eq!(a, b);
     }
 
@@ -699,7 +679,7 @@ mod tests {
         let big = t(0, 128, 8192);
         let task = ShardingTask::new(vec![big], 2, big.memory_bytes() * 3 / 4, 1024);
         let plan = ShardingPlan::new(vec![], vec![big], vec![0], 2).unwrap();
-        let report = RepairEngine::default().repair(&task, &plan).unwrap();
+        let report = repair(&task, &plan).unwrap();
         assert!(report.plan.validate(&task).is_ok());
         assert!(report
             .delta
@@ -715,7 +695,7 @@ mod tests {
         let tables = vec![t(0, 64, 4096), t(1, 64, 4096)];
         let task = ShardingTask::new(tables.clone(), 2, tables[0].memory_bytes() / 2, 1024);
         let plan = ShardingPlan::new(vec![], tables, vec![0, 1], 2).unwrap();
-        let err = RepairEngine::default().repair(&task, &plan).unwrap_err();
+        let err = repair(&task, &plan).unwrap_err();
         assert!(matches!(err, PlanError::Infeasible { .. }));
     }
 
@@ -734,7 +714,7 @@ mod tests {
         let task = ShardingTask::new(tables.clone(), 2, each * 2, 1024).with_devices(pool);
         let plan = ShardingPlan::new(vec![], tables, vec![1, 1, 1], 2).unwrap();
         assert!(plan.validate(&task).is_err());
-        let report = RepairEngine::default().repair(&task, &plan).unwrap();
+        let report = repair(&task, &plan).unwrap();
         assert!(report.plan.validate(&task).is_ok());
         let bytes = report.plan.device_bytes();
         assert!(bytes[0] <= each * 2);
@@ -747,7 +727,7 @@ mod tests {
         let task = ShardingTask::new(vec![big], 1, big.memory_bytes() / 2, 1024);
         let plan = ShardingPlan::new(vec![], vec![big], vec![0], 1).unwrap();
         assert!(matches!(
-            RepairEngine::default().repair(&task, &plan),
+            repair(&task, &plan),
             Err(PlanError::Infeasible { .. })
         ));
     }
@@ -923,7 +903,7 @@ mod tests {
             }
             let plan = ShardingPlan::new(vec![], tables, device_of, num_devices).unwrap();
 
-            let got = RepairEngine::default().repair(&task, &plan);
+            let got = repair(&task, &plan);
             if let Ok(report) = &got {
                 prop_assert_eq!(&report.delta.apply(&plan).unwrap(), &report.plan);
             }

@@ -14,14 +14,14 @@
 //! the epoch simulator and live traffic.
 
 use nshard_cost::{comm_features, table_features, CostModelBundle};
-use nshard_online::{EpochHook, EpochObservation, HookAction};
+use nshard_nn::serialize::CheckpointError;
+use nshard_online::{EpochHook, EpochObservation, HookAction, ObservationWire};
 use nshard_pool::splitmix64;
-use nshard_serve::{ObservationWire, StoreError};
 use nshard_sim::DeviceCost;
 
 use crate::buffer::{BufferConfig, Observation, ObservationBuffer, ObservationKind};
 use crate::finetune::{FineTuneSettings, FineTuner};
-use crate::lifecycle::{LifecycleConfig, ModelLifecycle, PromotionRecord};
+use crate::lifecycle::{ModelLifecycle, PromotionRecord};
 
 /// Knobs of the continual-learning loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,13 +81,14 @@ impl ContinualLearner {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the checkpoint store cannot be created.
+    /// [`CheckpointError::Io`] when the incumbent's checkpoints cannot be
+    /// written.
     pub fn new(
         incumbent: CostModelBundle,
         store_dir: impl AsRef<std::path::Path>,
         config: ContinualConfig,
-    ) -> Result<Self, StoreError> {
-        let lifecycle = ModelLifecycle::open(store_dir, &incumbent, LifecycleConfig::default())?;
+    ) -> Result<Self, CheckpointError> {
+        let lifecycle = ModelLifecycle::open(store_dir, &incumbent)?;
         let buffer = ObservationBuffer::new(config.buffer);
         Ok(Self {
             config,

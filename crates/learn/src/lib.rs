@@ -16,16 +16,19 @@
 //!   exact (bitwise) frozen-encoder option for the DeepSets compute
 //!   model, frozen input layers for the comm MLPs — built on the same
 //!   trainer as pre-training, in the same two lanes.
-//! * [`lifecycle`] — a versioned [`ModelLifecycle`] over the serve
-//!   crate's checksum-framed `ModelStore`: every candidate is
-//!   shadow-evaluated (held-back validation MSE + train→search
-//!   conformance probe) and atomically **promoted or rolled back**; a
-//!   rejected candidate leaves the active checkpoint byte-identical.
+//! * [`lifecycle`] — a versioned [`ModelLifecycle`] writing
+//!   checksum-framed checkpoints (`nshard_nn::serialize`): every
+//!   candidate is shadow-evaluated (held-back validation MSE +
+//!   train→search conformance probe) and atomically **promoted or rolled
+//!   back**; a rejected candidate leaves the active checkpoint
+//!   byte-identical.
 //! * [`continual`] — the [`ContinualLearner`] tying it together as an
 //!   `nshard_online::EpochHook`: observe every epoch, fine-tune when the
 //!   drift detector fires, hot-swap the serving models only on
-//!   promotion. It also ingests wire observations drained from a serve
-//!   daemon's `POST /v1/observations` buffer.
+//!   promotion. It also ingests wire observations
+//!   ([`nshard_online::ObservationWire`]) drained from a serve daemon's
+//!   `POST /v1/observations` buffer; the crate does not depend on the
+//!   daemon.
 //!
 //! Everything is bit-deterministic per seed at any thread count — the
 //! same contract as the rest of the workspace, extended to the learning
@@ -42,4 +45,4 @@ pub mod lifecycle;
 pub use buffer::{BufferConfig, LearnDatasets, Observation, ObservationBuffer, ObservationKind};
 pub use continual::{ContinualConfig, ContinualLearner};
 pub use finetune::{FineTuneSettings, FineTuner};
-pub use lifecycle::{LifecycleConfig, ModelLifecycle, PromotionRecord, ACTIVE_NAME};
+pub use lifecycle::{ModelLifecycle, PromotionRecord, ACTIVE_NAME};

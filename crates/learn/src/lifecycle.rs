@@ -15,20 +15,20 @@
 //!    broken cost surface (e.g. a collapsed head) fails here.
 //!
 //! Promotion is atomic from the caller's perspective: the versioned
-//! checkpoint and the `active` checkpoint are written through the
-//! checksum-framed [`ModelStore`], and only then is the bundle handed
-//! back for installation. A rejected candidate leaves the active
-//! checkpoint **byte-identical** — the rollback guarantee — while still
-//! being archived under a `rejected` name for post-mortems.
+//! checkpoint and the `active` checkpoint are written as checksum-framed
+//! envelopes ([`write_checked`]) under `<dir>/models/`, and only then is
+//! the bundle handed back for installation. A rejected candidate leaves
+//! the active checkpoint **byte-identical** — the rollback guarantee —
+//! while still being archived under a `rejected` name for post-mortems.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{evaluate_plan_exact, NeuroShard, NeuroShardConfig};
 use nshard_cost::CostModelBundle;
 use nshard_data::ShardingTask;
-use nshard_serve::{ModelStore, StoreError};
+use nshard_nn::serialize::{read_checked, write_checked, CheckpointError};
 use nshard_sim::GpuSpec;
 
 use crate::buffer::LearnDatasets;
@@ -42,10 +42,9 @@ const CONFORMANCE_BAND: f64 = 1.5;
 /// `candidate_mse ≤ incumbent_mse × MSE_TOLERANCE`.
 const MSE_TOLERANCE: f32 = 1.05;
 
-/// The lifecycle's settings, of which there are none: both gates use the
-/// fixed thresholds above and a smoke-sized probe search.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LifecycleConfig {}
+/// The producer tag written into checkpoint headers — the daemon's, so a
+/// checkpoint reads the same whichever side wrote it.
+const CREATED_BY: &str = "nshard-serve";
 
 /// The recorded outcome of one promotion decision — serialized into the
 /// golden fixtures, so field order and content must stay deterministic.
@@ -72,9 +71,11 @@ pub struct PromotionRecord {
     pub feasible: bool,
 }
 
-/// The versioned promote-or-rollback state machine over a [`ModelStore`].
+/// The versioned promote-or-rollback state machine over a directory of
+/// checkpoints. Both gates use the fixed thresholds above and a
+/// smoke-sized probe search.
 pub struct ModelLifecycle {
-    store: ModelStore,
+    models: PathBuf,
     version: u64,
     proposals: u64,
     active_path: PathBuf,
@@ -85,25 +86,32 @@ pub const ACTIVE_NAME: &str = "cost-bundle-active";
 
 impl ModelLifecycle {
     /// Opens the lifecycle over `dir` and persists `incumbent` as the
-    /// version-1 active checkpoint.
+    /// version-1 active checkpoint, `<dir>/models/<name>.json`.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the store cannot be created or written.
+    /// [`CheckpointError::Io`] when the directory or a checkpoint cannot be
+    /// written.
     pub fn open(
-        dir: impl AsRef<std::path::Path>,
+        dir: impl AsRef<Path>,
         incumbent: &CostModelBundle,
-        _config: LifecycleConfig,
-    ) -> Result<Self, StoreError> {
-        let store = ModelStore::open(dir)?;
-        store.save("cost-bundle-v1", incumbent)?;
-        let active_path = store.save(ACTIVE_NAME, incumbent)?;
-        Ok(Self {
-            store,
+    ) -> Result<Self, CheckpointError> {
+        let models = dir.as_ref().join("models");
+        let lifecycle = Self {
+            active_path: models.join(format!("{ACTIVE_NAME}.json")),
+            models,
             version: 1,
             proposals: 0,
-            active_path,
-        })
+        };
+        lifecycle.save("cost-bundle-v1", incumbent)?;
+        lifecycle.save(ACTIVE_NAME, incumbent)?;
+        Ok(lifecycle)
+    }
+
+    /// Writes `bundle` as the checkpoint `name`.
+    fn save(&self, name: &str, bundle: &CostModelBundle) -> Result<(), CheckpointError> {
+        let path = self.models.join(format!("{name}.json"));
+        write_checked(&path, name, CREATED_BY, bundle)
     }
 
     /// The active model version (1 = the pre-trained incumbent).
@@ -118,22 +126,18 @@ impl ModelLifecycle {
 
     /// Path of the active checkpoint file — the byte-identity anchor for
     /// rollback tests.
-    pub fn active_path(&self) -> &std::path::Path {
+    pub fn active_path(&self) -> &Path {
         &self.active_path
-    }
-
-    /// The underlying checkpoint registry.
-    pub fn store(&self) -> &ModelStore {
-        &self.store
     }
 
     /// Reloads the active checkpoint from disk.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the checkpoint is missing or corrupt.
-    pub fn load_active(&self) -> Result<CostModelBundle, StoreError> {
-        self.store.load(ACTIVE_NAME)
+    /// [`CheckpointError`] when the checkpoint is missing, corrupt or of an
+    /// unsupported version.
+    pub fn load_active(&self) -> Result<CostModelBundle, CheckpointError> {
+        Ok(read_checked(&self.active_path)?.payload)
     }
 
     /// Shadow-evaluates `candidate` against `incumbent` and either
@@ -142,8 +146,8 @@ impl ModelLifecycle {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when a checkpoint write fails. Evaluation failures
-    /// are not errors — they are rejections, recorded in the
+    /// [`CheckpointError::Io`] when a checkpoint write fails. Evaluation
+    /// failures are not errors — they are rejections, recorded in the
     /// [`PromotionRecord`].
     pub fn propose(
         &mut self,
@@ -151,7 +155,7 @@ impl ModelLifecycle {
         candidate: CostModelBundle,
         validation: &LearnDatasets,
         probe: &ShardingTask,
-    ) -> Result<(PromotionRecord, Option<CostModelBundle>), StoreError> {
+    ) -> Result<(PromotionRecord, Option<CostModelBundle>), CheckpointError> {
         self.proposals += 1;
         let proposal = self.proposals;
 
@@ -184,15 +188,13 @@ impl ModelLifecycle {
 
         let installed = if promoted {
             self.version += 1;
-            self.store
-                .save(&format!("cost-bundle-v{}", self.version), &candidate)?;
-            self.active_path = self.store.save(ACTIVE_NAME, &candidate)?;
+            self.save(&format!("cost-bundle-v{}", self.version), &candidate)?;
+            self.save(ACTIVE_NAME, &candidate)?;
             Some(candidate)
         } else {
             // Archive for post-mortems; the active checkpoint stays
             // byte-identical.
-            self.store
-                .save(&format!("cost-bundle-rejected-p{proposal}"), &candidate)?;
+            self.save(&format!("cost-bundle-rejected-p{proposal}"), &candidate)?;
             None
         };
 
@@ -276,8 +278,7 @@ mod tests {
     #[test]
     fn healthy_incumbent_copy_promotes() {
         let (bundle, task, dir) = setup("promote");
-        let mut lifecycle =
-            ModelLifecycle::open(dir.path(), &bundle, LifecycleConfig::default()).unwrap();
+        let mut lifecycle = ModelLifecycle::open(dir.path(), &bundle).unwrap();
         let validation =
             crate::buffer::ObservationBuffer::new(Default::default()).validation_data();
         let (record, installed) = lifecycle
@@ -290,10 +291,29 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_are_framed_under_the_daemons_producer_tag() {
+        let (bundle, _, dir) = setup("framed");
+        let lifecycle = ModelLifecycle::open(dir.path(), &bundle).unwrap();
+        let models = dir.path().join("models");
+        for name in ["cost-bundle-v1", ACTIVE_NAME] {
+            let path = models.join(format!("{name}.json"));
+            let env = read_checked::<CostModelBundle>(&path).unwrap();
+            assert_eq!(
+                (env.name.as_str(), env.created_by.as_str()),
+                (name, "nshard-serve")
+            );
+            assert_eq!(env.payload, bundle);
+        }
+        assert_eq!(
+            lifecycle.active_path(),
+            models.join("cost-bundle-active.json")
+        );
+    }
+
+    #[test]
     fn broken_candidate_rolls_back_with_active_bytes_untouched() {
         let (bundle, task, dir) = setup("rollback");
-        let mut lifecycle =
-            ModelLifecycle::open(dir.path(), &bundle, LifecycleConfig::default()).unwrap();
+        let mut lifecycle = ModelLifecycle::open(dir.path(), &bundle).unwrap();
         let before = std::fs::read(lifecycle.active_path()).unwrap();
         // A freshly-initialized (untrained) compute model: predicts
         // garbage, so the probe search disagrees with the oracle far

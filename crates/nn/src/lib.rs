@@ -17,7 +17,8 @@
 //! * [`train`] — the one training protocol: seeded train/valid/test
 //!   partition, mini-batch epochs, best-on-validation model selection (the
 //!   paper trains 1000 epochs and keeps the best validation checkpoint),
-//! * [`serialize`] — serde round-tripping for model checkpoints.
+//! * [`serialize`] — the one on-disk artifact format: a versioned envelope
+//!   in a checksum frame.
 //!
 //! Everything is deterministic given explicit seeds.
 //!
@@ -58,7 +59,7 @@ pub use layer::Dense;
 pub use loss::mse;
 pub use mlp::{Gradients, Mlp, MlpWorkspace};
 pub use serialize::{
-    envelope_from_json, envelope_to_json, Checkpoint, CheckpointError, Envelope,
+    envelope_from_json, envelope_to_json, read_checked, write_checked, CheckpointError, Envelope,
     CHECKPOINT_VERSION, MIN_SUPPORTED_CHECKPOINT_VERSION,
 };
 pub use tensor::Matrix;

@@ -1,20 +1,23 @@
-//! Model checkpoint (de)serialization.
+//! The one on-disk artifact format: a versioned envelope in a checksum
+//! frame.
 //!
 //! The paper's deployment section (§3.2) stresses strict version control of
 //! cost-model checkpoints so a training job resumes with the same sharding
-//! plan. Checkpoints here are JSON documents with an explicit format version
-//! and a human-readable header.
+//! plan. Every artifact the workspace persists — a cost-model bundle, an
+//! adopted plan, the daemon's `models/active` entry — is written here, in
+//! two layers:
 //!
-//! Two layers live here:
-//!
-//! * [`Checkpoint`] — the concrete single-[`Mlp`] checkpoint used by the
-//!   training binaries;
 //! * the **versioned envelope** ([`envelope_to_json`] /
-//!   [`envelope_from_json`]) — a generic wrapper putting the same version
-//!   header around *any* serializable payload. The `nshard-serve` daemon
-//!   persists whole cost-model bundles and adopted plans through it
-//!   (checksum-framed, which is why the file I/O lives there), so every
-//!   artifact on disk is self-describing and version-checked at load time.
+//!   [`envelope_from_json`]) — a JSON header (`version`, `name`,
+//!   `created_by`) around *any* serializable payload, so every artifact is
+//!   self-describing and version-checked at load time;
+//! * the **checksum frame** ([`write_checked`] / [`read_checked`]) — a
+//!   first line `#nshard-checksum: <fnv64 hex>` over the envelope that
+//!   follows, written to a temporary file and renamed into place. A torn
+//!   write, a half-flushed page or a bit flip loads as
+//!   [`CheckpointError::Corrupt`] instead of parsing into garbage; files
+//!   without the line (written before the frame existed) load as plain
+//!   envelopes.
 //!
 //! **Version policy.** The current format is [`CHECKPOINT_VERSION`]; every
 //! version down to [`MIN_SUPPORTED_CHECKPOINT_VERSION`] still loads and is
@@ -24,10 +27,10 @@
 //! never a bare parse failure — so a daemon refusing to boot can say
 //! exactly which version it found and which range it supports.
 
+use std::path::Path;
+
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-
-use crate::mlp::Mlp;
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 2;
@@ -35,21 +38,6 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// Oldest checkpoint format version this build still loads (migrating it
 /// forward in memory).
 pub const MIN_SUPPORTED_CHECKPOINT_VERSION: u32 = 1;
-
-/// A versioned, self-describing model checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Checkpoint format version; see the module docs for the policy.
-    pub version: u32,
-    /// Free-form model name (e.g. `"compute_cost"`).
-    pub name: String,
-    /// Free-form producer tag (e.g. a binary name or a daemon instance);
-    /// empty for checkpoints migrated from version 1, which predates the
-    /// field.
-    pub created_by: String,
-    /// The serialized network.
-    pub model: Mlp,
-}
 
 /// Errors arising from checkpoint handling.
 #[derive(Debug)]
@@ -80,6 +68,14 @@ pub enum CheckpointError {
         /// What was wrong, and where.
         reason: String,
     },
+    /// A framed file failed its checksum — a torn, truncated or tampered
+    /// write — or is not UTF-8.
+    Corrupt {
+        /// The file involved.
+        path: String,
+        /// What the check saw.
+        reason: String,
+    },
     /// Reading or writing the checkpoint file failed.
     Io {
         /// The file path involved.
@@ -108,6 +104,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Invalid { reason } => {
                 write!(f, "invalid checkpoint payload: {reason}")
             }
+            CheckpointError::Corrupt { path, reason } => {
+                write!(f, "checkpoint {path} is corrupt: {reason}")
+            }
             CheckpointError::Io { path, error } => {
                 write!(f, "checkpoint I/O failed for {path}: {error}")
             }
@@ -119,6 +118,13 @@ impl CheckpointError {
     fn invalid(e: serde::de::Error) -> Self {
         CheckpointError::Invalid {
             reason: e.to_string(),
+        }
+    }
+
+    fn io(path: &Path, e: std::io::Error) -> Self {
+        CheckpointError::Io {
+            path: path.display().to_string(),
+            error: e.to_string(),
         }
     }
 }
@@ -138,7 +144,7 @@ impl std::error::Error for CheckpointError {
 ///
 /// [`CheckpointError::UnsupportedVersion`] when outside
 /// `[MIN_SUPPORTED_CHECKPOINT_VERSION, CHECKPOINT_VERSION]`.
-pub fn check_version(found: u32) -> Result<(), CheckpointError> {
+fn check_version(found: u32) -> Result<(), CheckpointError> {
     if !(MIN_SUPPORTED_CHECKPOINT_VERSION..=CHECKPOINT_VERSION).contains(&found) {
         return Err(CheckpointError::UnsupportedVersion {
             found,
@@ -165,14 +171,14 @@ fn header_version(map: &[(String, Value)]) -> Result<u32, String> {
     u32::try_from(version).map_err(|_| format!("version {version} out of range"))
 }
 
-/// Parses `json` as an object — a checkpoint or an envelope (`what`) —
-/// and migrates its header, returning the fields and the version written.
-fn parse_object(json: &str, what: &str) -> Result<(Vec<(String, Value)>, u32), CheckpointError> {
+/// Parses `json` as an envelope object and migrates its header, returning
+/// the fields and the version written.
+fn parse_object(json: &str) -> Result<(Vec<(String, Value)>, u32), CheckpointError> {
     let mut map = match serde_json::parse_value(json).map_err(CheckpointError::Parse)? {
         Value::Map(m) => m,
         other => {
             return Err(malformed(format!(
-                "{what} is {}, expected an object",
+                "envelope is {}, expected an object",
                 other.kind()
             )))
         }
@@ -201,52 +207,6 @@ fn migrate_header(map: &mut Vec<(String, Value)>) -> Result<u32, CheckpointError
     }
     Ok(found)
 }
-
-impl Checkpoint {
-    /// Wraps a model into a versioned checkpoint.
-    pub fn new(name: impl Into<String>, model: Mlp) -> Self {
-        Self {
-            version: CHECKPOINT_VERSION,
-            name: name.into(),
-            created_by: String::new(),
-            model,
-        }
-    }
-
-    /// Sets the producer tag (builder-style).
-    #[must_use]
-    pub fn with_created_by(mut self, created_by: impl Into<String>) -> Self {
-        self.created_by = created_by.into();
-        self
-    }
-
-    /// Serializes to a JSON string.
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice: the checkpoint contains only serializable
-    /// plain data.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoints are always serializable")
-    }
-
-    /// Parses a checkpoint from JSON, validating the format version and
-    /// migrating supported prior versions forward.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Parse`] on malformed JSON,
-    /// [`CheckpointError::UnsupportedVersion`] on a version outside the
-    /// supported range, [`CheckpointError::MalformedHeader`] when the
-    /// version header is absent or not an integer, and
-    /// [`CheckpointError::Invalid`] when the model does not decode.
-    pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
-        let (map, _) = parse_object(json, "checkpoint")?;
-        Checkpoint::from_value(&Value::Map(map)).map_err(CheckpointError::invalid)
-    }
-}
-
-// ---- generic versioned envelope -------------------------------------------
 
 /// Wraps any serializable payload in the versioned checkpoint envelope:
 /// `{"version": .., "name": .., "created_by": .., "payload": ..}`.
@@ -281,9 +241,13 @@ pub struct Envelope<T> {
 ///
 /// # Errors
 ///
-/// The same typed errors as [`Checkpoint::from_json`].
+/// [`CheckpointError::Parse`] on malformed JSON,
+/// [`CheckpointError::UnsupportedVersion`] on a version outside the
+/// supported range, [`CheckpointError::MalformedHeader`] when a header
+/// field is absent or mistyped, and [`CheckpointError::Invalid`] when the
+/// payload does not decode into `T`.
 pub fn envelope_from_json<T: Deserialize>(json: &str) -> Result<Envelope<T>, CheckpointError> {
-    let (map, written) = parse_object(json, "envelope")?;
+    let (map, written) = parse_object(json)?;
     let field = |key: &str| {
         let value = map.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         value.ok_or_else(|| malformed(format!("missing `{key}` field")))
@@ -302,22 +266,104 @@ pub fn envelope_from_json<T: Deserialize>(json: &str) -> Result<Envelope<T>, Che
     })
 }
 
+/// Magic prefix of the checksum line framing every persisted artifact.
+const CHECKSUM_MAGIC: &str = "#nshard-checksum: ";
+
+/// FNV-1a over a byte string — the workspace's one cheap, dependency-free
+/// digest: the frame's checksum here, and the daemon's content-addressed
+/// plan ids, response-cache keys and KV digest.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a digest `h` over more bytes:
+/// `fnv64_extend(fnv64(a), b)` is `fnv64` of `a` followed by `b`.
+pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Writes `payload` to `path` as a checksum-framed envelope: the first
+/// line is `#nshard-checksum: <fnv64 hex of the remainder>`, the rest the
+/// [`envelope_to_json`] document. Missing parent directories are created.
+/// The bytes go to `<path>.tmp` first and are renamed over `path`, so a
+/// crash leaves the old file or the new one, never a torn mix.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] when a directory or the file cannot be written.
+pub fn write_checked<T: Serialize>(
+    path: &Path,
+    name: &str,
+    created_by: &str,
+    payload: &T,
+) -> Result<(), CheckpointError> {
+    let body = envelope_to_json(name, created_by, payload);
+    let framed = format!("{CHECKSUM_MAGIC}{:016x}\n{body}", fnv64(body.as_bytes()));
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent).map_err(|e| CheckpointError::io(parent, e))?;
+    }
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, framed).map_err(|e| CheckpointError::io(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::io(path, e))
+}
+
+/// Reads an envelope written by [`write_checked`]. A file without the
+/// checksum line (written before the frame existed) parses as a plain
+/// envelope.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] when the file cannot be read;
+/// [`CheckpointError::Corrupt`] on a checksum mismatch, a checksum line
+/// without its newline, or bytes that are not UTF-8; otherwise the errors
+/// of [`envelope_from_json`].
+pub fn read_checked<T: Deserialize>(path: &Path) -> Result<Envelope<T>, CheckpointError> {
+    let corrupt = |reason: String| CheckpointError::Corrupt {
+        path: path.display().to_string(),
+        reason,
+    };
+    let raw = std::fs::read(path).map_err(|e| CheckpointError::io(path, e))?;
+    let raw = String::from_utf8(raw).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
+    let body = match raw.strip_prefix(CHECKSUM_MAGIC) {
+        None => raw.as_str(),
+        Some(rest) => {
+            let (stamp, body) = rest.split_once('\n').ok_or_else(|| {
+                corrupt("checksum line is not newline-terminated (truncated write)".into())
+            })?;
+            // Compared as text: any flipped byte of the stamp — a hex
+            // digit's case included — is damage too.
+            let got = format!("{:016x}", fnv64(body.as_bytes()));
+            if stamp.trim() != got {
+                return Err(corrupt(format!(
+                    "checksum mismatch: stamped {stamp:?}, computed {got}"
+                )));
+            }
+            body
+        }
+    };
+    envelope_from_json(body)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::Mlp;
     use crate::tensor::Matrix;
 
     #[test]
     fn round_trip_preserves_predictions() {
         let mlp = Mlp::new(3, &[8, 4], 1, 9);
-        let ckpt = Checkpoint::new("compute_cost", mlp.clone()).with_created_by("unit_test");
-        let json = ckpt.to_json();
-        let back = Checkpoint::from_json(&json).unwrap();
+        let json = envelope_to_json("compute_cost", "unit_test", &mlp);
+        let back: Envelope<Mlp> = envelope_from_json(&json).unwrap();
         assert_eq!(back.name, "compute_cost");
         assert_eq!(back.created_by, "unit_test");
         assert_eq!(back.version, CHECKPOINT_VERSION);
         let x = Matrix::from_rows([vec![0.1, 0.2, 0.3]]);
-        assert_eq!(mlp.forward(&x), back.model.forward(&x));
+        assert_eq!(mlp.forward(&x), back.payload.forward(&x));
     }
 
     #[test]
@@ -326,9 +372,7 @@ mod tests {
         // exactly what a pre-upgrade binary wrote to disk. It must load,
         // migrate forward, and predict identically.
         let mlp = Mlp::new(2, &[4], 1, 3);
-        let current = Checkpoint::new("legacy", mlp.clone());
-        let v1_json = current
-            .to_json()
+        let v1_json = envelope_to_json("legacy", "", &mlp)
             .replacen(
                 &format!("\"version\":{CHECKPOINT_VERSION}"),
                 "\"version\":1",
@@ -336,23 +380,25 @@ mod tests {
             )
             .replace(",\"created_by\":\"\"", "");
         assert!(!v1_json.contains("created_by"), "fixture must be v1-shaped");
-        let back = Checkpoint::from_json(&v1_json).unwrap();
-        assert_eq!(back.version, CHECKPOINT_VERSION, "migrated forward");
+        let back: Envelope<Mlp> = envelope_from_json(&v1_json).unwrap();
+        assert_eq!(back.version, 1, "reports the version it was written with");
         assert_eq!(back.created_by, "", "defaulted by migration");
         assert_eq!(back.name, "legacy");
         let x = Matrix::from_rows([vec![0.5, -0.25]]);
-        assert_eq!(mlp.forward(&x), back.model.forward(&x));
+        assert_eq!(mlp.forward(&x), back.payload.forward(&x));
         // Re-serializing writes the current version.
-        let rewritten = back.to_json();
+        let rewritten = envelope_to_json(&back.name, &back.created_by, &back.payload);
         assert!(rewritten.contains(&format!("\"version\":{CHECKPOINT_VERSION}")));
     }
 
     #[test]
     fn rejects_unsupported_version_with_typed_error() {
-        let mut ckpt = Checkpoint::new("m", Mlp::new(1, &[], 1, 0));
-        ckpt.version = 999;
-        let json = serde_json::to_string(&ckpt).unwrap();
-        match Checkpoint::from_json(&json) {
+        let json = envelope_to_json("m", "", &Mlp::new(1, &[], 1, 0)).replacen(
+            &format!("\"version\":{CHECKPOINT_VERSION}"),
+            "\"version\":999",
+            1,
+        );
+        match envelope_from_json::<Mlp>(&json) {
             Err(CheckpointError::UnsupportedVersion {
                 found,
                 min_supported,
@@ -367,7 +413,7 @@ mod tests {
         // Version 0 predates the format entirely.
         let json0 = json.replacen("\"version\":999", "\"version\":0", 1);
         assert!(matches!(
-            Checkpoint::from_json(&json0),
+            envelope_from_json::<Mlp>(&json0),
             Err(CheckpointError::UnsupportedVersion { found: 0, .. })
         ));
     }
@@ -375,15 +421,15 @@ mod tests {
     #[test]
     fn rejects_garbage_and_missing_header() {
         assert!(matches!(
-            Checkpoint::from_json("not json"),
+            envelope_from_json::<Mlp>("not json"),
             Err(CheckpointError::Parse(_))
         ));
         assert!(matches!(
-            Checkpoint::from_json("{\"name\":\"x\"}"),
+            envelope_from_json::<Mlp>("{\"name\":\"x\"}"),
             Err(CheckpointError::MalformedHeader { .. })
         ));
         assert!(matches!(
-            Checkpoint::from_json("[1,2,3]"),
+            envelope_from_json::<Mlp>("[1,2,3]"),
             Err(CheckpointError::MalformedHeader { .. })
         ));
     }
@@ -402,6 +448,11 @@ mod tests {
             error: "denied".into(),
         };
         assert!(io.to_string().contains("/tmp/x.json"));
+        let corrupt = CheckpointError::Corrupt {
+            path: "/tmp/y.json".into(),
+            reason: "checksum mismatch".into(),
+        };
+        assert!(corrupt.to_string().contains("/tmp/y.json"));
     }
 
     #[test]
@@ -428,5 +479,30 @@ mod tests {
         assert_eq!(env.version, 1, "reports the version it was written with");
         assert_eq!(env.created_by, "");
         assert_eq!(env.payload, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_framed_file_round_trips_and_a_cut_stamp_line_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("nshard_frame_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("nested").join("w.json");
+        let payload = vec![0.5f64, -1.0];
+        write_checked(&path, "w", "unit_test", &payload).unwrap();
+        assert!(!path.with_extension("json.tmp").exists());
+        let env: Envelope<Vec<f64>> = read_checked(&path).unwrap();
+        assert_eq!((env.name.as_str(), env.payload), ("w", payload));
+        // A write torn inside the checksum line.
+        let raw = std::fs::read(&path).unwrap();
+        let newline = raw.iter().position(|&b| b == b'\n').unwrap();
+        std::fs::write(&path, &raw[..newline]).unwrap();
+        assert!(matches!(
+            read_checked::<Vec<f64>>(&path),
+            Err(CheckpointError::Corrupt { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(
+            read_checked::<Vec<f64>>(&path),
+            Err(CheckpointError::Io { .. })
+        ));
     }
 }

@@ -29,7 +29,9 @@
 //!   one place that decides *incremental, else the full chain*.
 //! * [`controller`] — the [`OnlineController`] epoch loop: observe →
 //!   detect → replan (through its stack) → apply → ground-truth evaluate,
-//!   recording a full [`ReplanHistory`].
+//!   recording a full [`ReplanHistory`]. Beside it, [`ObservationWire`]:
+//!   one ground-truth observation as a deployment reports it, which the
+//!   serve daemon buffers and the continual learner ingests.
 //!
 //! Everything is bit-deterministic per seed at any thread count.
 //!
@@ -68,8 +70,8 @@ pub mod drift;
 mod stack;
 
 pub use controller::{
-    EpochHook, EpochObservation, EpochRecord, HookAction, NoopHook, OnlineConfig, OnlineController,
-    ReplanAction, ReplanHistory, ReplanStrategy,
+    EpochHook, EpochObservation, EpochRecord, HookAction, NoopHook, ObservationWire, OnlineConfig,
+    OnlineController, ReplanAction, ReplanHistory, ReplanStrategy,
 };
 pub use detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
 pub use drift::{DriftFactors, DriftModel, WorkloadDrift};

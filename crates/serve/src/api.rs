@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use nshard_core::{PlanProvenance, PlanSource, ShardingPlan};
 use nshard_data::ShardingTask;
+use nshard_online::ObservationWire;
 
 use crate::http::HttpResponse;
 
@@ -90,25 +91,6 @@ pub(crate) struct ReplanResponse {
     pub plan: ShardingPlan,
     /// Full decision record.
     pub provenance: PlanProvenance,
-}
-
-/// One ground-truth cost observation reported by a deployment —
-/// `(model input features, predicted cost, observed cost)` for exactly
-/// one of the three cost models. The serve daemon buffers these verbatim
-/// (`POST /v1/observations`); the continual-learning loop drains them
-/// with `Service::take_observations` and owns sampling and fine-tuning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObservationWire {
-    /// Which cost model the sample feeds: `"compute"`, `"comm_forward"`
-    /// or `"comm_backward"`.
-    pub kind: String,
-    /// Model input rows: per-table feature rows for `"compute"`, a single
-    /// wrapped feature row for the comm kinds.
-    pub features: Vec<Vec<f32>>,
-    /// What the currently-served model predicted, ms.
-    pub predicted_ms: f64,
-    /// What the deployment actually measured, ms.
-    pub observed_ms: f64,
 }
 
 /// `POST /v1/observations` — report a batch of ground-truth observations.

@@ -25,9 +25,8 @@ use nshard_core::{
 };
 use nshard_cost::{CacheStats, CostModelBundle};
 use nshard_data::ShardingTask;
+use nshard_nn::serialize::{fnv64, fnv64_extend};
 use nshard_online::{IncrementalConfig, PlanningStack, ReplanRoute};
-
-use crate::store::{fnv64, fnv64_extend};
 
 /// One planned (or replanned) task, ready to store and serialize.
 #[derive(Debug, Clone)]

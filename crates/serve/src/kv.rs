@@ -42,7 +42,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
-use crate::store::{decode_plan, fnv64, StoredPlan};
+use nshard_nn::serialize::fnv64;
+
+use crate::store::{decode_plan, StoredPlan};
 
 /// The sequence condition of a conditional upsert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

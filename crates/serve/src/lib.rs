@@ -4,10 +4,10 @@
 //! NeuroShard planner: the deployment story for the paper's "pre-train
 //! once, search per task" workflow. The caller hands the daemon its
 //! pre-trained cost models at startup and every request is an online
-//! search. The daemon reads no [`ModelStore`] checkpoint itself:
-//! `nshard-learn`'s `ModelLifecycle` is that store's only caller, and
-//! a promoted bundle reaches a running daemon through
-//! [`Service::promote_model`].
+//! search. The daemon reads no model checkpoint itself: a bundle reaches
+//! it through [`Service::new`] or [`Service::promote_model`] (the caller
+//! loads a checkpoint with `nshard_nn::serialize::read_checked`, and
+//! `nshard-learn`'s `ModelLifecycle` writes them).
 //!
 //! ## Endpoints
 //!
@@ -36,7 +36,7 @@
 //! | [`repl`] | Roles, the [`Replicator`], its transports, and the service's replication hooks and endpoints |
 //! | [`kv`] | The sequenced [`PlanKv`] — the one record of adopted plans — and its wire types |
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
-//! | `api`, `engine`, `store`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], [`PlanStore`] (one [`PlanKv`] mirrored to disk) / [`ModelStore`], the metrics registry, [`Clock`] |
+//! | `api`, `engine`, `store`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], [`PlanStore`] (one [`PlanKv`] mirrored to disk), the metrics registry, [`Clock`] |
 //!
 //! ## Replication
 //!
@@ -63,7 +63,7 @@
 //! ids are content-addressed, store adoption is idempotent by id, the
 //! vendored serializer has a fixed field order, and response bodies carry
 //! no timestamps. The worker-pool size (like every other parallel knob in
-//! the workspace) resolves through [`nshard_core::resolve_threads`], so
+//! the workspace) resolves through [`nshard_pool::resolve_threads`], so
 //! `NSHARD_THREADS` ([`nshard_pool::THREADS_ENV`]) is the single
 //! thread-count control.
 
@@ -85,11 +85,13 @@ pub mod repl;
 pub mod server;
 mod store;
 
-pub use api::ObservationWire;
 pub use clock::{Clock, ManualClock};
 pub use engine::{PlanOutput, PlanningEngine};
 pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
 pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SnapshotEntry};
+// The `POST /v1/observations` item, named here by the benchmark's
+// `surface.rs`.
+pub use nshard_online::ObservationWire;
 pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
 pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service};
-pub use store::{ModelStore, PlanStore, StoreError, StoredPlan};
+pub use store::{PlanStore, StoreError, StoredPlan};

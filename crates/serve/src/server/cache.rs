@@ -3,8 +3,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use nshard_nn::serialize::{fnv64, fnv64_extend};
+
 use crate::http::HttpResponse;
-use crate::store::{fnv64, fnv64_extend};
 
 use super::admission::JobKind;
 use super::Service;

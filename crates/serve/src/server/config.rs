@@ -19,7 +19,7 @@ pub struct ServeConfig {
     /// Bounded admission-queue capacity; a full queue answers `429`.
     pub queue_capacity: usize,
     /// Worker threads draining the queue; `0` = auto via
-    /// [`nshard_core::resolve_threads`] (the `NSHARD_THREADS` path).
+    /// [`nshard_pool::resolve_threads`] (the `NSHARD_THREADS` path).
     pub workers: usize,
     /// Persist adopted plans under this directory; `None` = memory only.
     pub store_dir: Option<PathBuf>,

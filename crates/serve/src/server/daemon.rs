@@ -2,7 +2,7 @@
 //! listener plus the worker threads draining the admission queue.
 //!
 //! The worker pool size resolves through the same
-//! [`nshard_core::resolve_threads`] path as every other parallel
+//! [`nshard_pool::resolve_threads`] path as every other parallel
 //! component, so `NSHARD_THREADS` is the single thread-count knob
 //! (see [`nshard_pool::THREADS_ENV`]).
 

@@ -6,9 +6,9 @@
 
 use std::sync::Arc;
 
-use crate::api::{
-    error_response, HealthResponse, ObservationWire, ObservationsAck, ObservationsRequest,
-};
+use nshard_online::ObservationWire;
+
+use crate::api::{error_response, HealthResponse, ObservationsAck, ObservationsRequest};
 use crate::http::{HttpRequest, HttpResponse};
 
 use super::admission::{JobKind, OnResponse, ResponseSlot, Routed};

@@ -4,10 +4,10 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use nshard_core::resolve_threads;
 use nshard_cost::CostModelBundle;
+use nshard_online::ObservationWire;
+use nshard_pool::resolve_threads;
 
-use crate::api::ObservationWire;
 use crate::clock::{Clock, WallClock};
 use crate::engine::PlanningEngine;
 use crate::kv::PlanKv;

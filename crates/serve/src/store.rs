@@ -1,4 +1,4 @@
-//! The plan & model store behind the daemon.
+//! The plan store behind the daemon.
 //!
 //! * [`PlanStore`] — every **adopted** [`ShardingPlan`] with its
 //!   [`PlanProvenance`], keyed by a deterministic content-addressed id. Its
@@ -13,35 +13,34 @@
 //!   ([`PlanStore::persist`]), and [`PlanStore::open`] reads the files
 //!   back into one [`KvSnapshot`], which the daemon restores — reading,
 //!   not rewriting — the way a lagging follower restores its leader's.
-//! * [`ModelStore`] — named cost-model checkpoints ([`CostModelBundle`]s)
-//!   the planning engine loads at startup.
 //!
-//! Both persist versioned-envelope JSON documents (see
-//! `nshard_nn::serialize`), so unsupported format versions are a typed
-//! error instead of undefined behavior. On-disk layout under the store
-//! directory — a KV key's file is `<key>.json`:
+//! Every file is a checksum-framed envelope written and read by
+//! `nshard_nn::serialize` ([`write_checked`] / [`read_checked`]), so an
+//! unsupported format version is a typed error instead of undefined
+//! behavior. On-disk layout under the store directory — a KV key's file is
+//! `<key>.json`:
 //!
 //! ```text
 //! store/
-//!   plans/<id>.json      (checksummed envelope; payload = StoredPlan)
-//!   models/active.json   (checksummed envelope; payload = its SnapshotEntry)
-//!   models/<name>.json   (checksummed envelope; payload = CostModelBundle)
+//!   plans/<id>.json      (payload = StoredPlan)
+//!   models/active.json   (payload = its SnapshotEntry)
 //! ```
+//!
+//! The daemon reads no other model file: a bundle reaches it through
+//! `Service::new` or `Service::promote_model`, and `models/active` is how a
+//! promotion replicates.
 //!
 //! ## Torn-write hardening
 //!
-//! Every file this module writes goes through a temporary file and a
-//! rename, and is framed with a leading checksum line
-//! (`#nshard-checksum: <fnv64 hex>` over the rest of the file) so damage
-//! — truncation, a half-flushed page, a bit flip — is *detected* instead
-//! of parsed into garbage. At boot, [`PlanStore::open`]
-//! **quarantines** damaged entries (renames them to `*.json.quarantined`)
-//! — and entries no store could hold: two files claiming one sequence
-//! number, or a number outside the sequence space ([`KvSnapshot::faults`])
-//! — and keeps booting with the rest rather than refusing to start;
-//! [`PlanStore::quarantined`] reports how many were set aside (the
-//! daemon's `nshard_serve_store_quarantined` gauge). Files written by
-//! pre-checksum builds carry no magic line and still load unchanged.
+//! The frame makes damage — truncation, a half-flushed page, a bit flip —
+//! a [`CheckpointError::Corrupt`] instead of a parse into garbage, and
+//! every write goes through a temporary file and a rename. At boot,
+//! [`PlanStore::open`] **quarantines** damaged entries (renames them to
+//! `*.json.quarantined`) — and entries no store could hold: two files
+//! claiming one sequence number, or a number outside the sequence space
+//! ([`KvSnapshot::faults`]) — and keeps booting with the rest rather than
+//! refusing to start; [`PlanStore::quarantined`] reports how many were set
+//! aside (the daemon's `nshard_serve_store_quarantined` gauge).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -49,17 +48,13 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{PlanProvenance, ShardingPlan};
-use nshard_cost::CostModelBundle;
 use nshard_data::ShardingTask;
-use nshard_nn::serialize::{envelope_from_json, envelope_to_json, CheckpointError, Envelope};
+use nshard_nn::serialize::{read_checked, write_checked, CheckpointError};
 
 use crate::kv::{KvError, KvSnapshot, MatchSeq, PlanKv, SnapshotEntry};
 
 /// The producer tag written into envelope headers.
 const CREATED_BY: &str = "nshard-serve";
-
-/// Magic prefix of the checksum line framing every persisted artifact.
-const CHECKSUM_MAGIC: &str = "#nshard-checksum: ";
 
 /// Ops retained in the replication log before compaction; followers
 /// lagging beyond the window catch up by snapshot.
@@ -73,24 +68,7 @@ const PLAN_PREFIX: &str = "plans/";
 /// serializes promotions, and followers always want the newest bundle.
 pub(crate) const MODEL_KEY: &str = "models/active";
 
-/// FNV-1a over a byte string — the crate's one cheap, dependency-free
-/// digest: store checksums, content-addressed plan ids, response-cache
-/// keys and the KV digest.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a digest `h` over more bytes:
-/// `fnv64_extend(fnv64(a), b)` is `fnv64` of `a` followed by `b`.
-pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Errors of the plan/model store.
+/// Errors of the plan store.
 #[derive(Debug)]
 pub enum StoreError {
     /// Filesystem trouble outside an envelope read/write.
@@ -100,15 +78,9 @@ pub enum StoreError {
         /// Rendered I/O error.
         error: String,
     },
-    /// A persisted artifact failed to load or save (parse, version or I/O).
+    /// A persisted artifact failed to load or save (checksum, parse,
+    /// version or I/O).
     Checkpoint(CheckpointError),
-    /// A persisted artifact failed its checksum — a torn or tampered write.
-    Corrupt {
-        /// The file involved.
-        path: String,
-        /// What the detector saw.
-        reason: String,
-    },
     /// An adoption found its key holding something that is not its plan
     /// (a replicated value that never decoded).
     Conflict(KvError),
@@ -123,9 +95,6 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io { path, error } => write!(f, "store I/O failed for {path}: {error}"),
             StoreError::Checkpoint(e) => write!(f, "store artifact error: {e}"),
-            StoreError::Corrupt { path, reason } => {
-                write!(f, "store artifact {path} is corrupt: {reason}")
-            }
             StoreError::Conflict(e) => write!(f, "plan store conflict: {e}"),
             StoreError::InvalidConfig(e) => write!(f, "invalid serve configuration: {e}"),
         }
@@ -153,73 +122,16 @@ fn io_error(path: &Path, e: std::io::Error) -> StoreError {
     }
 }
 
-/// Writes `payload` as a checksum-framed versioned envelope: the first
-/// line is `#nshard-checksum: <fnv64 hex of the remainder>`, the rest the
-/// envelope JSON. The bytes go to `<path>.tmp` first and are renamed over
-/// `path`, so a crash leaves the old file or the new one, never a torn
-/// mix.
-fn write_checked<T: Serialize>(path: &Path, name: &str, payload: &T) -> Result<(), StoreError> {
-    let body = envelope_to_json(name, CREATED_BY, payload);
-    let framed = format!("{CHECKSUM_MAGIC}{:016x}\n{body}", fnv64(body.as_bytes()));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(|e| io_error(parent, e))?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, framed).map_err(|e| io_error(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| io_error(path, e))
-}
-
-/// Reads a checksum-framed envelope written by [`write_checked`]. Files
-/// without the magic first line (pre-checksum builds) parse as plain
-/// envelopes, so old stores keep loading.
-///
-/// # Errors
-///
-/// [`StoreError::Corrupt`] on a checksum mismatch, a checksum line
-/// without its newline or bytes that are not UTF-8;
-/// [`StoreError::Checkpoint`] as for any envelope load.
-fn read_checked<T: Deserialize>(path: &Path) -> Result<Envelope<T>, StoreError> {
-    let corrupt = |reason: String| StoreError::Corrupt {
-        path: path.display().to_string(),
-        reason,
-    };
-    let raw = std::fs::read(path).map_err(|e| {
-        StoreError::Checkpoint(CheckpointError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        })
-    })?;
-    let raw = String::from_utf8(raw).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
-    let body = match raw.strip_prefix(CHECKSUM_MAGIC) {
-        None => raw.as_str(),
-        Some(rest) => {
-            let (stamp, body) = rest.split_once('\n').ok_or_else(|| {
-                corrupt("checksum line is not newline-terminated (truncated write)".into())
-            })?;
-            // Compared as text: any flipped byte of the stamp — a hex
-            // digit's case included — is damage too.
-            let got = format!("{:016x}", fnv64(body.as_bytes()));
-            if stamp.trim() != got {
-                return Err(corrupt(format!(
-                    "checksum mismatch: stamped {stamp:?}, computed {got}"
-                )));
-            }
-            body
-        }
-    };
-    Ok(envelope_from_json(body)?)
-}
-
 /// Whether a load failure means the *file* is damaged (quarantine it)
 /// rather than the build being incompatible or the filesystem failing
 /// (surface those).
-fn is_damage(err: &StoreError) -> bool {
+fn is_damage(err: &CheckpointError) -> bool {
     matches!(
         err,
-        StoreError::Corrupt { .. }
-            | StoreError::Checkpoint(CheckpointError::Parse(_))
-            | StoreError::Checkpoint(CheckpointError::MalformedHeader { .. })
-            | StoreError::Checkpoint(CheckpointError::Invalid { .. })
+        CheckpointError::Corrupt { .. }
+            | CheckpointError::Parse(_)
+            | CheckpointError::MalformedHeader { .. }
+            | CheckpointError::Invalid { .. }
     )
 }
 
@@ -287,7 +199,7 @@ fn read_entry(path: &Path) -> Result<Option<SnapshotEntry>, StoreError> {
     };
     match entry {
         Err(e) if is_damage(&e) => Ok(None),
-        other => other,
+        other => Ok(other?),
     }
 }
 
@@ -476,8 +388,8 @@ impl PlanStore {
         };
         let path = dir.join(format!("{key}.json"));
         match (plan, entry.filter(|_| key == MODEL_KEY)) {
-            (Some(record), _) => write_checked(&path, &record.id, record),
-            (None, Some(entry)) => write_checked(&path, key, entry),
+            (Some(record), _) => Ok(write_checked(&path, &record.id, CREATED_BY, record)?),
+            (None, Some(entry)) => Ok(write_checked(&path, key, CREATED_BY, entry)?),
             (None, None) => match std::fs::remove_file(&path) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_error(&path, e)),
                 _ => Ok(()),
@@ -513,48 +425,6 @@ impl PlanStore {
             .with_plans(|plans| plans.map(|p| (p.version, p.id.clone())).collect::<Vec<_>>());
         plans.sort_unstable();
         plans.into_iter().map(|(_, id)| id).collect()
-    }
-}
-
-/// The named cost-model checkpoint registry.
-pub struct ModelStore {
-    dir: PathBuf,
-}
-
-impl ModelStore {
-    /// Opens (creating if needed) a model store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the directory cannot be created.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let root = dir.as_ref().join("models");
-        std::fs::create_dir_all(&root).map_err(|e| io_error(&root, e))?;
-        Ok(Self { dir: root })
-    }
-
-    /// Persists a bundle checkpoint under `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] when the envelope cannot be written.
-    pub fn save(&self, name: &str, bundle: &CostModelBundle) -> Result<PathBuf, StoreError> {
-        let path = self.dir.join(format!("{name}.json"));
-        write_checked(&path, name, bundle)?;
-        Ok(path)
-    }
-
-    /// Loads and version-checks the bundle checkpoint named `name` — the
-    /// daemon's warm-start path.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Checkpoint`] with a typed cause: I/O (missing file),
-    /// unsupported version, or parse failure — or [`StoreError::Corrupt`]
-    /// when the checkpoint fails its checksum.
-    pub fn load(&self, name: &str) -> Result<CostModelBundle, StoreError> {
-        let path = self.dir.join(format!("{name}.json"));
-        Ok(read_checked::<CostModelBundle>(&path)?.payload)
     }
 }
 
@@ -741,7 +611,8 @@ mod tests {
         // 'a'..='f' -> 'A'..='F': the same number, but not the stamp written.
         let recased = dir.join("plans").join("recased.json");
         let mut bytes = std::fs::read(&recased).unwrap();
-        let stamp = CHECKSUM_MAGIC.len()..CHECKSUM_MAGIC.len() + 16;
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let stamp = newline - 16..newline;
         let letter = bytes[stamp.clone()]
             .iter()
             .position(|b| b.is_ascii_lowercase());
@@ -798,8 +669,9 @@ mod tests {
         let body = framed.split_once('\n').unwrap().1;
         let old = body.replacen(&current, RETRY_TOTALS_PROVENANCE, 1);
         assert_ne!(old, body, "the file holds the provenance verbatim");
-        let stamp = format!("{:016x}", fnv64(old.as_bytes()));
-        std::fs::write(&path, format!("{CHECKSUM_MAGIC}{stamp}\n{old}")).unwrap();
+        let magic = framed.split_once(": ").unwrap().0;
+        let stamp = format!("{:016x}", nshard_nn::serialize::fnv64(old.as_bytes()));
+        std::fs::write(&path, format!("{magic}: {stamp}\n{old}")).unwrap();
         let from_disk = reopen(&dir);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(from_disk.quarantined(), 0);
@@ -883,7 +755,7 @@ mod tests {
         std::fs::create_dir_all(dir.join("plans").join("x.json")).unwrap();
         let t = task();
         match store.adopt("x", t.clone(), plan(&t), provenance(), 1.0, false) {
-            Err(StoreError::Io { .. }) => {}
+            Err(StoreError::Checkpoint(CheckpointError::Io { .. })) => {}
             other => panic!("expected an I/O error, got {other:?}"),
         }
         assert_eq!(
@@ -894,17 +766,6 @@ mod tests {
         // The next adoption takes seq 1: no follower ever saw another.
         let y = store.adopt("y", t.clone(), plan(&t), provenance(), 1.0, false);
         assert_eq!(y.unwrap(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_model_is_a_typed_error() {
-        let dir = tmp("models");
-        let store = ModelStore::open(&dir).unwrap();
-        match store.load("nope") {
-            Err(StoreError::Checkpoint(CheckpointError::Io { .. })) => {}
-            other => panic!("expected typed I/O checkpoint error, got {other:?}"),
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

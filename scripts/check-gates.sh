@@ -7,9 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-MAX_SERVE_ITEMS=131
-MAX_TOTAL_LINES=14678
-MAX_TOTAL_ITEMS=858
+MAX_SERVE_ITEMS=126
+MAX_TOTAL_LINES=14620
+MAX_TOTAL_ITEMS=846
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

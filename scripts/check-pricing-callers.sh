@@ -47,6 +47,11 @@
 # side in the pre-train's two lanes, so the trainer, the compute fit and the
 # comm model name neither `WorkPool` nor the deleted per-item fan-out.
 #
+# One artifact format with one owner (DESIGN.md §9): `nn::serialize` alone
+# defines the FNV digest and the checksum frame; the single-MLP checkpoint,
+# the model store and the field-less config shims stay deleted, and the
+# continual learner does not depend on the daemon.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -127,6 +132,17 @@ fi
 if code crates/nn/src/train.rs crates/cost/src/compute.rs crates/cost/src/comm_model.rs |
     grep -wE 'WorkPool|for_each_mut'; then
     echo "error: a fit takes no pool; models fit side by side in the pre-train's lanes (lines above)" >&2
+    exit 1
+fi
+
+if grep -n 'nshard-serve' crates/learn/Cargo.toml; then
+    echo "error: nshard-learn does not depend on the daemon (line above)" >&2
+    exit 1
+fi
+if code crates/*/src | grep -v '^crates/nn/src/serialize.rs:' | grep -E \
+    -e '\bfn fnv64' -e 'nshard-checksum' \
+    -e '\bstruct (ModelStore|Checkpoint)\b' -e '\b(LifecycleConfig|RepairConfig)\b'; then
+    echo "error: nn::serialize owns the one artifact format; the deleted store, checkpoint and config shims stay deleted (lines above)" >&2
     exit 1
 fi
 

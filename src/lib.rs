@@ -69,8 +69,8 @@ pub mod prelude {
 /// [`nshard_online::PlanningStack`].
 pub mod resilient {
     pub use nshard_core::{
-        size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
-        RepairConfig, RepairEngine, RepairReport, ResilientError, ResilientOutcome,
+        repair, size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
+        RepairReport, ResilientError, ResilientOutcome,
     };
     pub use nshard_sim::{Fault, FaultPlan, FaultyCluster};
 }

@@ -177,7 +177,7 @@ fn sweep_exercises_the_degradation_machinery() {
 fn oom_greedy_plan_is_repaired_into_feasibility() {
     use neuroshard::baselines::ShardingAlgorithm;
     use neuroshard::data::{TableConfig, TableId};
-    use neuroshard::resilient::{RepairConfig, RepairEngine};
+    use neuroshard::resilient::repair;
     use neuroshard::sim::SimError;
 
     // One 6 GB table (plus small companions) on 4 GB devices: no
@@ -197,9 +197,7 @@ fn oom_greedy_plan_is_repaired_into_feasibility() {
     assert!(matches!(err, SimError::OutOfMemory { .. }));
 
     // Direct repair: the previously-OOM plan becomes feasible.
-    let report = RepairEngine::new(RepairConfig::default())
-        .repair(&task, &oom_plan)
-        .expect("repair must salvage the plan");
+    let report = repair(&task, &oom_plan).expect("repair must salvage the plan");
     assert!(report.plan.validate(&task).is_ok());
     assert!(report.initial_overflow_bytes > 0);
     cluster
@@ -290,12 +288,12 @@ fn node_faults_bite_only_the_faulted_node() {
     }
 }
 
-/// RepairEngine recovers a node-skewed plan on a heterogeneous fleet to
+/// `repair` recovers a node-skewed plan on a heterogeneous fleet to
 /// feasibility under the *per-device* memory profiles, not merely the
 /// aggregate budget.
 #[test]
 fn repair_respects_device_profiles_under_node_faults() {
-    use neuroshard::resilient::{RepairConfig, RepairEngine};
+    use neuroshard::resilient::repair;
 
     use neuroshard::data::{TableConfig, TableId};
 
@@ -316,9 +314,7 @@ fn repair_respects_device_profiles_under_node_faults() {
         "the pile must start infeasible"
     );
 
-    let report = RepairEngine::new(RepairConfig::default())
-        .repair(&task, &plan)
-        .expect("repair must salvage the pile");
+    let report = repair(&task, &plan).expect("repair must salvage the pile");
     report
         .plan
         .validate(&task)

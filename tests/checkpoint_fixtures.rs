@@ -1,7 +1,8 @@
-//! Golden-fixture tests for the checkpoint envelope format.
+//! Golden-fixture tests for the one artifact format: the versioned
+//! envelope and its checksum frame.
 //!
-//! The JSON documents under `tests/fixtures/` are committed artifacts: they
-//! pin the exact bytes the serializer produces (v2, the current format) and
+//! The documents under `tests/fixtures/` are committed artifacts: they pin
+//! the exact bytes the serializer produces (v2, the current format) and
 //! the exact bytes a pre-upgrade binary wrote (v1, which predates the
 //! `created_by` header field). Loading them must keep working — and keep
 //! producing identical results — across refactors of `nshard-nn`'s
@@ -21,8 +22,8 @@ use std::path::PathBuf;
 
 use neuroshard::cost::{table_features, CostModelBundle, CostSimulator};
 use neuroshard::nn::{
-    envelope_from_json, envelope_to_json, Checkpoint, CheckpointError, Envelope, Matrix, Mlp,
-    CHECKPOINT_VERSION,
+    envelope_from_json, envelope_to_json, read_checked, write_checked, CheckpointError, Envelope,
+    Matrix, Mlp, CHECKPOINT_VERSION,
 };
 use neuroshard::sim::TableProfile;
 use proptest::prelude::*;
@@ -55,16 +56,15 @@ fn fixture_mlp() -> Mlp {
     Mlp::new(3, &[8, 4], 1, 0xF1C5)
 }
 
-/// The current-format checkpoint whose serialization is pinned.
-fn v2_checkpoint() -> Checkpoint {
-    Checkpoint::new("compute_cost", fixture_mlp()).with_created_by("fixture_writer")
+/// The current-format MLP checkpoint whose serialization is pinned.
+fn v2_checkpoint() -> String {
+    envelope_to_json("compute_cost", "fixture_writer", &fixture_mlp())
 }
 
-/// The v1-shaped document: version header 1, no `created_by` field —
-/// exactly what a pre-upgrade binary wrote to disk.
-fn v1_json() -> String {
-    let json = v2_checkpoint()
-        .to_json()
+/// `json` re-headed as version 1: version header 1, no `created_by`
+/// field — exactly what a pre-upgrade binary wrote to disk.
+fn as_v1(json: &str) -> String {
+    let json = json
         .replacen(
             &format!("\"version\":{CHECKPOINT_VERSION}"),
             "\"version\":1",
@@ -79,43 +79,44 @@ const ENVELOPE_PAYLOAD: [f64; 4] = [1.5, -2.25, 0.0, 1e-3];
 
 #[test]
 fn v2_checkpoint_fixture_is_byte_exact() {
-    let json = v2_checkpoint().to_json();
-    if maybe_write("checkpoint_v2.json", &json) {
+    let json = v2_checkpoint();
+    if maybe_write("mlp_envelope_v2.json", &json) {
         return;
     }
-    let committed = read_fixture("checkpoint_v2.json");
+    let committed = read_fixture("mlp_envelope_v2.json");
     assert_eq!(
         json, committed,
         "serializer output drifted from the committed v2 fixture; if the \
          format change is intentional, regenerate with NSHARD_WRITE_FIXTURES=1"
     );
-    // And the committed bytes load back to exactly the original checkpoint.
-    let loaded = Checkpoint::from_json(&committed).expect("v2 fixture loads");
-    assert_eq!(loaded, v2_checkpoint());
+    // And the committed bytes load back to exactly the original network.
+    let loaded: Envelope<Mlp> = envelope_from_json(&committed).expect("v2 fixture loads");
+    assert_eq!(loaded.version, CHECKPOINT_VERSION);
+    assert_eq!(loaded.name, "compute_cost");
+    assert_eq!(loaded.created_by, "fixture_writer");
+    assert_eq!(loaded.payload, fixture_mlp());
 }
 
 #[test]
 fn v1_checkpoint_fixture_migrates_forward() {
-    let json = v1_json();
-    if maybe_write("checkpoint_v1.json", &json) {
-        return;
-    }
-    let committed = read_fixture("checkpoint_v1.json");
-    assert_eq!(json, committed, "v1 fixture generator drifted");
-
-    let loaded = Checkpoint::from_json(&committed).expect("v1 fixture loads");
-    // Migration output, field by field: current version, defaulted
-    // `created_by`, untouched name and weights.
-    let expected = Checkpoint::new("compute_cost", fixture_mlp());
-    assert_eq!(loaded, expected);
-    assert_eq!(loaded.version, CHECKPOINT_VERSION);
+    // The committed v2 fixture re-headed the way `envelope_v1.json` is.
+    let v1 = as_v1(&read_fixture("mlp_envelope_v2.json"));
+    let loaded: Envelope<Mlp> = envelope_from_json(&v1).expect("v1 document loads");
+    // Migration output, field by field: the version it was written with,
+    // defaulted `created_by`, untouched name and weights.
+    assert_eq!(loaded.version, 1);
     assert_eq!(loaded.created_by, "");
+    assert_eq!(loaded.name, "compute_cost");
+    assert_eq!(loaded.payload, fixture_mlp());
     // The migrated model predicts bit-identically to the fixture's source.
     let x = Matrix::from_rows([vec![0.25, -1.0, 3.5]]);
-    assert_eq!(loaded.model.forward(&x), fixture_mlp().forward(&x));
+    assert_eq!(loaded.payload.forward(&x), fixture_mlp().forward(&x));
     // Re-serializing the migrated checkpoint is byte-exact too: migration
     // is deterministic, not best-effort.
-    assert_eq!(loaded.to_json(), expected.to_json());
+    assert_eq!(
+        envelope_to_json(&loaded.name, &loaded.created_by, &loaded.payload),
+        envelope_to_json("compute_cost", "", &fixture_mlp())
+    );
 }
 
 #[test]
@@ -139,17 +140,11 @@ fn v2_envelope_fixture_is_byte_exact() {
 
 #[test]
 fn v1_envelope_fixture_migrates_forward() {
-    let json = envelope_to_json(
+    let json = as_v1(&envelope_to_json(
         "bench_payload",
         "fixture_writer",
         &ENVELOPE_PAYLOAD.to_vec(),
-    )
-    .replacen(
-        &format!("\"version\":{CHECKPOINT_VERSION}"),
-        "\"version\":1",
-        1,
-    )
-    .replace(",\"created_by\":\"fixture_writer\"", "");
+    ));
     if maybe_write("envelope_v1.json", &json) {
         return;
     }
@@ -159,6 +154,67 @@ fn v1_envelope_fixture_migrates_forward() {
     assert_eq!(env.version, 1, "reports the version it was written with");
     assert_eq!(env.created_by, "", "defaulted by migration");
     assert_eq!(env.payload, ENVELOPE_PAYLOAD.to_vec());
+}
+
+/// A scratch path for a framed file, unique per test and process.
+fn scratch_file(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "nshard_checkpoint_fixtures_{tag}_{}.json",
+        std::process::id()
+    ))
+}
+
+/// The framed fixture was written by the checksum writer as it stood in
+/// `serve::store` before it moved to `nn::serialize` (commit c0840ce:
+/// `write_checked(path, "framed_payload", &vec![1.5, -2.25, 0.0, 1e-3])`,
+/// producer tag `nshard-serve`); today's writer must reproduce it byte for
+/// byte, and the reader must load it.
+#[test]
+fn framed_fixture_is_byte_exact() {
+    let path = scratch_file("framed");
+    write_checked(
+        &path,
+        "framed_payload",
+        "nshard-serve",
+        &ENVELOPE_PAYLOAD.to_vec(),
+    )
+    .expect("framed write");
+    let written = std::fs::read_to_string(&path).expect("framed file");
+    std::fs::remove_file(&path).ok();
+    if maybe_write("framed_envelope_v2.json", &written) {
+        return;
+    }
+    let committed = read_fixture("framed_envelope_v2.json");
+    assert!(committed.starts_with("#nshard-checksum: "), "{committed}");
+    assert_eq!(written, committed, "frame writer drifted");
+    let env: Envelope<Vec<f64>> =
+        read_checked(&fixture_path("framed_envelope_v2.json")).expect("framed fixture loads");
+    assert_eq!(env.version, CHECKPOINT_VERSION);
+    assert_eq!(env.name, "framed_payload");
+    assert_eq!(env.created_by, "nshard-serve");
+    assert_eq!(env.payload, ENVELOPE_PAYLOAD.to_vec());
+}
+
+/// Every one-byte flip of the framed fixture after its magic — in the
+/// stamp, the newline or the envelope, a low bit or the high bit — loads
+/// as `CheckpointError::Corrupt`, never as a payload.
+#[test]
+fn a_flipped_byte_in_the_framed_fixture_is_corrupt() {
+    let committed = read_fixture("framed_envelope_v2.json").into_bytes();
+    let magic = "#nshard-checksum: ".len();
+    let path = scratch_file("flip");
+    for at in magic..committed.len() {
+        for mask in [0x01, 0x80] {
+            let mut bytes = committed.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
+            match read_checked::<Vec<f64>>(&path) {
+                Err(CheckpointError::Corrupt { .. }) => {}
+                other => panic!("byte {at} ^ {mask:#04x} loaded as {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The paths (child indices) of every integer and every array under `v` —
@@ -222,7 +278,7 @@ fn edited(base: &Value, path: &[usize], edit: usize) -> Value {
 /// Every edit site of an envelope's payload, as paths from the document.
 fn payload_sites(doc: &Value) -> Vec<Vec<usize>> {
     let map = doc.as_map().expect("an envelope is an object");
-    let payload = map.iter().position(|(k, _)| k == "payload" || k == "model");
+    let payload = map.iter().position(|(k, _)| k == "payload");
     let payload = payload.expect("an envelope carries a payload");
     let mut sites = Vec::new();
     edit_sites(&map[payload].1, &mut vec![payload], &mut sites);
@@ -242,18 +298,17 @@ fn assert_invalid(err: CheckpointError, json: &str) {
 fn every_edited_checkpoint_errors_or_runs() {
     // Every site of the small fixture, every edit: a decoded network must
     // run forward on a row of its own input width.
-    let base = serde_json::parse_value(&read_fixture("checkpoint_v2.json")).unwrap();
+    let base = serde_json::parse_value(&read_fixture("mlp_envelope_v2.json")).unwrap();
     let sites = payload_sites(&base);
     assert!(sites.len() > 10, "{} sites", sites.len());
     for path in &sites {
         for edit in 0..17 {
             let json = serde_json::to_string(&edited(&base, path, edit)).unwrap();
-            match Checkpoint::from_json(&json) {
-                Ok(ckpt) => {
-                    let y = ckpt
-                        .model
-                        .forward(&Matrix::zeros(1, ckpt.model.input_dim()));
-                    assert_eq!(y.cols(), ckpt.model.output_dim());
+            match envelope_from_json::<Mlp>(&json) {
+                Ok(env) => {
+                    let mlp = env.payload;
+                    let y = mlp.forward(&Matrix::zeros(1, mlp.input_dim()));
+                    assert_eq!(y.cols(), mlp.output_dim());
                 }
                 Err(err) => assert_invalid(err, &json),
             }

@@ -5,7 +5,7 @@
 use neuroshard::core::{NeuroShard, NeuroShardConfig, PlanError};
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
-use neuroshard::nn::serialize::{Checkpoint, CheckpointError};
+use neuroshard::nn::serialize::{envelope_from_json, envelope_to_json, CheckpointError, Envelope};
 use neuroshard::nn::Mlp;
 
 fn quick_bundle(pool: &TablePool, gpus: usize, seed: u64) -> CostModelBundle {
@@ -54,16 +54,15 @@ fn reloaded_bundle_reproduces_the_same_plan() {
 fn checkpoint_version_control() {
     use neuroshard::nn::serialize::CHECKPOINT_VERSION;
 
-    let ckpt = Checkpoint::new("compute_cost", Mlp::new(4, &[8], 1, 0));
-    let json = ckpt.to_json();
-    assert!(Checkpoint::from_json(&json).is_ok());
+    let json = envelope_to_json("compute_cost", "", &Mlp::new(4, &[8], 1, 0));
+    assert!(envelope_from_json::<Mlp>(&json).is_ok());
 
     let tampered = json.replace(
         &format!("\"version\":{CHECKPOINT_VERSION}"),
         "\"version\":7",
     );
     assert!(matches!(
-        Checkpoint::from_json(&tampered),
+        envelope_from_json::<Mlp>(&tampered),
         Err(CheckpointError::UnsupportedVersion { found: 7, .. })
     ));
 
@@ -74,8 +73,12 @@ fn checkpoint_version_control() {
             "\"version\":1",
         )
         .replace(",\"created_by\":\"\"", "");
-    let migrated = Checkpoint::from_json(&legacy).expect("prior version migrates");
-    assert_eq!(migrated.version, CHECKPOINT_VERSION);
+    let migrated: Envelope<Mlp> = envelope_from_json(&legacy).expect("prior version migrates");
+    assert_eq!(
+        migrated.version, 1,
+        "reports the version it was written with"
+    );
+    assert_eq!(migrated.created_by, "", "defaulted by migration");
 }
 
 /// Re-training on shifted data (different pooling factors ≈ shifted index

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use neuroshard::cost::{table_features, CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TablePool};
 use neuroshard::learn::{
-    BufferConfig, FineTuneSettings, FineTuner, LifecycleConfig, ModelLifecycle, Observation,
-    ObservationBuffer, ObservationKind, PromotionRecord,
+    BufferConfig, FineTuneSettings, FineTuner, ModelLifecycle, Observation, ObservationBuffer,
+    ObservationKind, PromotionRecord,
 };
 use neuroshard::nn::{envelope_from_json, envelope_to_json, Envelope, CHECKPOINT_VERSION};
 
@@ -169,8 +169,7 @@ fn promotion_decision_fixture_is_byte_exact() {
     let probe = ShardingTask::sample(&pool(), 2, 10..=14, 64, SEED);
 
     let dir = TempDir::new("decision");
-    let mut lifecycle = ModelLifecycle::open(dir.path(), &incumbent, LifecycleConfig::default())
-        .expect("store opens");
+    let mut lifecycle = ModelLifecycle::open(dir.path(), &incumbent).expect("store opens");
     let (record, installed) = lifecycle
         .propose(&incumbent, candidate, &buffer.validation_data(), &probe)
         .expect("proposal evaluates");

@@ -10,7 +10,7 @@ use neuroshard::cost::{
     CollectConfig, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, TrainSettings,
 };
 use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId, TablePool};
-use neuroshard::resilient::{RepairConfig, RepairEngine};
+use neuroshard::resilient::repair;
 
 /// One smoke-trained two-device simulator shared by every pricing case.
 fn pricing_sim() -> &'static CostSimulator {
@@ -247,8 +247,7 @@ proptest! {
             .map(|i| ((assignment_seed >> (i % 60)) as usize) % devices)
             .collect();
         let plan = ShardingPlan::new(vec![], tables.clone(), device_of, devices).unwrap();
-        let engine = RepairEngine::new(RepairConfig::default());
-        match engine.repair(&task, &plan) {
+        match repair(&task, &plan) {
             Ok(report) => {
                 prop_assert!(report.plan.validate(&task).is_ok());
                 for &bytes in &report.plan.device_bytes() {
