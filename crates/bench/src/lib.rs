@@ -1,21 +1,18 @@
-//! # nshard-bench — the reproduction driver and the replay load test
+//! # nshard-bench — the reproduction driver
 //!
-//! Two binaries live in `src/bin/`:
-//!
-//! * `repro <experiment>… | all [--check] [--out-dir DIR]` regenerates the
-//!   paper's tables and figures ([`repro::run`]). Every experiment is a
-//!   plain function listed in one table under the stem of its result
-//!   file; it takes the shared context (table pools, one pre-trained
-//!   bundle per setting) and returns its result document plus the tables
-//!   it prints. Without `--check` the driver writes
-//!   `<out-dir>/<name>.json` and prints the tables; with it, it
-//!   regenerates in memory and compares against the committed file
-//!   ([`check`]). The invocation behind each committed file lives in the
-//!   experiment's code, so there are no per-experiment flags.
-//! * `bench_replay` replays open-loop request streams against the daemon.
+//! One binary lives in `src/bin/`: `repro <experiment>… | all [--check]
+//! [--out-dir DIR]` regenerates the paper's tables and figures
+//! ([`repro::run`]). Every experiment is a plain function listed in one
+//! table under the stem of its result file; it takes the shared context
+//! (table pools, one pre-trained bundle per setting) and returns its
+//! result document plus the tables it prints. Without `--check` the
+//! driver writes `<out-dir>/<name>.json` and prints the tables; with it,
+//! it regenerates in memory and compares against the committed file
+//! ([`check`]). The invocation behind each committed file lives in the
+//! experiment's code, so there are no per-experiment flags.
 //!
 //! This file holds the one shard → evaluate → average loop of the paper's
-//! protocol, table formatting and a tiny CLI-argument helper.
+//! protocol and table formatting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,72 +145,13 @@ pub(crate) fn evaluate_neuroshard(
 
 /// Formats a GitHub-flavoured markdown table, one line per row; a row is
 /// its cells joined by `" | "`.
-pub fn markdown_table(headers: &[&str], rows: impl IntoIterator<Item = String>) -> String {
+pub(crate) fn markdown_table(headers: &[&str], rows: impl IntoIterator<Item = String>) -> String {
     let mut out = format!("| {} |\n", headers.join(" | "));
     out.push_str(&format!("|{}|\n", vec!["---"; headers.len()].join("|")));
     for row in rows {
         out.push_str(&format!("| {row} |\n"));
     }
     out
-}
-
-/// Minimal `--key value` CLI parser shared by the binaries.
-#[derive(Debug, Clone)]
-pub struct Args {
-    raw: Vec<String>,
-}
-
-impl Args {
-    /// Captures the process arguments.
-    pub fn from_env() -> Self {
-        Self {
-            raw: std::env::args().skip(1).collect(),
-        }
-    }
-
-    /// Returns the value after `--name`, parsed, or `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message when the value fails to parse.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Display,
-    {
-        let flag = format!("--{name}");
-        for w in self.raw.windows(2) {
-            if w[0] == flag {
-                return w[1]
-                    .parse()
-                    .unwrap_or_else(|e| panic!("invalid value for {flag}: {e}"));
-            }
-        }
-        default
-    }
-
-    /// Whether a bare `--name` flag is present.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.raw.iter().any(|a| a == &flag)
-    }
-
-    /// Optional string value.
-    pub fn get_opt(&self, name: &str) -> Option<String> {
-        let flag = format!("--{name}");
-        self.raw
-            .windows(2)
-            .find(|w| w[0] == flag)
-            .map(|w| w[1].clone())
-    }
-}
-
-/// Writes a serializable result document to `--out <path>` if requested.
-pub fn maybe_write_json<T: Serialize>(args: &Args, value: &T) {
-    if let Some(path) = args.get_opt("out") {
-        let json = serde_json::to_string_pretty(value).expect("results are serializable");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
 }
 
 /// Pearson correlation coefficient of two equal-length series.
@@ -285,18 +223,6 @@ mod tests {
     fn markdown_table_has_a_header_a_rule_and_one_line_per_row() {
         let table = markdown_table(&["a", "b"], ["1 | 2".to_string()]);
         assert_eq!(table, "| a | b |\n|---|---|\n| 1 | 2 |\n");
-    }
-
-    #[test]
-    fn args_parse_values_and_flags() {
-        let args = Args {
-            raw: vec!["--tasks".into(), "25".into(), "--fast".into()],
-        };
-        assert_eq!(args.get("tasks", 10usize), 25);
-        assert_eq!(args.get("missing", 7u32), 7);
-        assert!(args.has("fast"));
-        assert!(!args.has("slow"));
-        assert_eq!(args.get_opt("tasks").as_deref(), Some("25"));
     }
 
     #[test]

@@ -143,9 +143,8 @@ pub fn http_call(
 }
 
 /// A blocking HTTP/1.1 client that keeps one connection open across
-/// calls — the load-generation counterpart of the event loop's
-/// keep-alive serving path (`bench_replay` and the replication tailer
-/// use it to avoid a connect per request).
+/// calls — the client side of the event loop's keep-alive serving path
+/// (the replication tailer uses it to avoid a connect per request).
 ///
 /// Responses are framed by `Content-Length`, so the client reads exactly
 /// one response per call and leaves the connection ready for the next.

@@ -32,9 +32,9 @@ pub struct ServeConfig {
     /// keys on the serving model version (replans additionally on the
     /// store generation), so a model promotion or plan adoption
     /// invalidates it. Hits are answered inline at admission without
-    /// consuming queue capacity. `bench_replay` turns this on to push
-    /// request volume into HTTP-path territory instead of re-running
-    /// identical searches.
+    /// consuming queue capacity, so repeated bodies measure the HTTP path
+    /// rather than re-run identical searches (the open-loop test in
+    /// `tests/serve_net.rs` turns it on).
     pub response_cache_entries: usize,
 }
 

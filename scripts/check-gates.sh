@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=126
-MAX_TOTAL_LINES=14620
-MAX_TOTAL_ITEMS=846
+MAX_TOTAL_LINES=14075
+MAX_TOTAL_ITEMS=839
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

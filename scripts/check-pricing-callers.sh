@@ -52,6 +52,10 @@
 # the model store and the field-less config shims stay deleted, and the
 # continual learner does not depend on the daemon.
 #
+# The reproduction driver does not depend on the daemon (DESIGN.md §2):
+# `nshard-bench` names no `nshard-serve`, and `repro` is its one binary —
+# load tests are `#[test]`s and timing lives in `benchmark/`.
+#
 # Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
 # and lines starting with `//` are dropped.
 set -eu
@@ -143,6 +147,15 @@ if code crates/*/src | grep -v '^crates/nn/src/serialize.rs:' | grep -E \
     -e '\bfn fnv64' -e 'nshard-checksum' \
     -e '\bstruct (ModelStore|Checkpoint)\b' -e '\b(LifecycleConfig|RepairConfig)\b'; then
     echo "error: nn::serialize owns the one artifact format; the deleted store, checkpoint and config shims stay deleted (lines above)" >&2
+    exit 1
+fi
+
+if grep -n 'nshard-serve' crates/bench/Cargo.toml; then
+    echo "error: nshard-bench does not depend on the daemon (line above)" >&2
+    exit 1
+fi
+if find crates/bench/src/bin -mindepth 1 ! -name repro.rs | grep .; then
+    echo "error: repro is nshard-bench's one binary; load tests are #[test]s (paths above)" >&2
     exit 1
 fi
 

@@ -195,26 +195,49 @@ fn framed_fixture_is_byte_exact() {
     assert_eq!(env.payload, ENVELOPE_PAYLOAD.to_vec());
 }
 
-/// Every one-byte flip of the framed fixture after its magic — in the
-/// stamp, the newline or the envelope, a low bit or the high bit — loads
-/// as `CheckpointError::Corrupt`, never as a payload.
-#[test]
-fn a_flipped_byte_in_the_framed_fixture_is_corrupt() {
-    let committed = read_fixture("framed_envelope_v2.json").into_bytes();
-    let magic = "#nshard-checksum: ".len();
-    let path = scratch_file("flip");
-    for at in magic..committed.len() {
-        for mask in [0x01, 0x80] {
-            let mut bytes = committed.clone();
-            bytes[at] ^= mask;
-            std::fs::write(&path, &bytes).unwrap();
-            match read_checked::<Vec<f64>>(&path) {
-                Err(CheckpointError::Corrupt { .. }) => {}
-                other => panic!("byte {at} ^ {mask:#04x} loaded as {other:?}"),
+proptest! {
+    /// Hostile bytes at the framed file: the committed fixture with a byte
+    /// flipped, the file cut short, or bytes inserted, at every position
+    /// for a drawn mask and insertion. `read_checked` answers each with a
+    /// typed error or the exact original envelope, never a panic, and a
+    /// flip never loads: after the magic it is `Corrupt`.
+    #[test]
+    fn a_damaged_framed_fixture_errors_or_loads_its_payload(
+        mask in 1u8..=255,
+        inserted in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let committed = read_fixture("framed_envelope_v2.json").into_bytes();
+        let magic = "#nshard-checksum: ".len();
+        let path = scratch_file(&format!("damage_{mask}"));
+        for at in 0..=committed.len() {
+            let mut flipped = committed.clone();
+            let mut extended = committed.clone();
+            extended.splice(at..at, inserted.iter().copied());
+            let mut damaged = vec![("cut", committed[..at].to_vec()), ("insert", extended)];
+            if at < committed.len() {
+                flipped[at] ^= mask;
+                damaged.push(("flip", flipped));
+            }
+            for (edit, bytes) in damaged {
+                std::fs::write(&path, &bytes).unwrap();
+                match read_checked::<Vec<f64>>(&path) {
+                    Ok(env) => {
+                        prop_assert!(edit != "flip", "flip {mask:#04x} at {at} loaded");
+                        prop_assert_eq!(
+                            (env.name.as_str(), env.created_by.as_str(), &env.payload),
+                            ("framed_payload", "nshard-serve", &ENVELOPE_PAYLOAD.to_vec()),
+                        );
+                    }
+                    Err(CheckpointError::Corrupt { .. }) => {}
+                    Err(e) => prop_assert!(
+                        edit != "flip" || at < magic,
+                        "flip {mask:#04x} at {at} after the magic gave {e:?}"
+                    ),
+                }
             }
         }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// The paths (child indices) of every integer and every array under `v` —

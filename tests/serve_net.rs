@@ -1,19 +1,20 @@
 //! Event-driven serving core tests: incremental-parser conformance under
-//! arbitrary byte fragmentation (proptest), pipelining and keep-alive
-//! over real TCP, malformed-request handling (400/431), slow-loris
-//! timeout semantics driven by a manual clock (zero sleeps), and byte
-//! identity between the daemon's answers and the socket-free
-//! `Service::handle_blocking` route.
+//! arbitrary byte fragmentation and hostile bytes (proptests), pipelining
+//! and keep-alive over real TCP, malformed-request handling (400/431),
+//! slow-loris timeout semantics driven by a manual clock (zero sleeps),
+//! byte identity between the daemon's answers and the socket-free
+//! `Service::handle_blocking` route, and admission under open-loop
+//! steady and burst traffic.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::serve::net::{
-    ConnState, ParseStep, RequestParser, TimeoutKind, IDLE_TIMEOUT_MS, MAX_HEADER_BYTES,
-    READ_TIMEOUT_MS,
+    ConnState, ParseFault, ParseStep, RequestParser, TimeoutKind, IDLE_TIMEOUT_MS,
+    MAX_HEADER_BYTES, READ_TIMEOUT_MS,
 };
 use neuroshard::serve::{
     http_call, HttpRequest, HttpResponse, KeepAliveClient, ServeConfig, Server, Service,
@@ -167,6 +168,107 @@ fn canonical_requests_parse_to_their_literal_meaning() {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile bytes: the parser answers every input with a typed step
+// ---------------------------------------------------------------------------
+
+/// Feeds `raw` in fragments cut at `splits` and steps after each, the way
+/// the reactor does; returns every step. A fault must stay put: the same
+/// fault on every later step, whatever arrives next.
+fn step_hostile(raw: &[u8], splits: &[usize]) -> Result<Vec<ParseStep>, TestCaseError> {
+    let mut parser = RequestParser::new();
+    let mut steps = Vec::new();
+    let mut boundaries: Vec<usize> = splits.iter().map(|&s| s % (raw.len() + 1)).collect();
+    boundaries.sort_unstable();
+    boundaries.push(raw.len());
+    let mut start = 0usize;
+    for end in boundaries {
+        parser.feed(&raw[start..end]);
+        start = end;
+        // A request consumes at least its blank line, so the buffer
+        // cannot yield more requests than it holds bytes.
+        for _ in 0..=raw.len() {
+            let step = parser.step();
+            let more = matches!(step, ParseStep::Request(_));
+            steps.push(step);
+            if !more {
+                break;
+            }
+        }
+    }
+    if let Some(first) = steps.iter().position(|s| matches!(s, ParseStep::Fault(_))) {
+        let fault = steps[first].clone();
+        prop_assert!(steps[first..].iter().all(|s| *s == fault), "a fault moved");
+        parser.feed(b"GET /health HTTP/1.1\r\n\r\n");
+        prop_assert_eq!(parser.step(), fault);
+    }
+    Ok(steps)
+}
+
+proptest! {
+    /// Arbitrary bytes, whole or in fragments, step to requests,
+    /// `Incomplete` or a fault that stays put — never a panic.
+    #[test]
+    fn arbitrary_bytes_step_to_a_typed_outcome(
+        raw in proptest::collection::vec(any::<u8>(), 0..512),
+        splits in proptest::collection::vec(0usize..512, 0..8),
+    ) {
+        step_hostile(&raw, &splits)?;
+    }
+
+    /// A canonical request cut at any byte is `Incomplete` — neither a
+    /// request nor a fault — and its remaining bytes complete it.
+    #[test]
+    fn a_cut_request_is_incomplete_until_its_last_byte(
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        cut in 0usize..4096,
+    ) {
+        let raw = request_bytes("POST", "/v1/plan", &body, "Host: x");
+        let cut = cut % raw.len();
+        let mut parser = RequestParser::new();
+        parser.feed(&raw[..cut]);
+        prop_assert_eq!(parser.step(), ParseStep::Incomplete);
+        parser.feed(&raw[cut..]);
+        let ParseStep::Request(parsed) = parser.step() else {
+            return Err(TestCaseError::fail(format!("no request after cut {cut}")));
+        };
+        prop_assert_eq!(parsed.request.body, body);
+        prop_assert_eq!(parser.step(), ParseStep::Incomplete);
+    }
+
+    /// An over-long header line faults `HeadersTooLarge` whether or not
+    /// its header block ever ends; a valid request followed by garbage
+    /// yields that request first, then typed steps only.
+    #[test]
+    fn an_overlong_header_or_trailing_garbage_faults_typed(
+        overflow in 1usize..4096,
+        terminated: bool,
+        garbage in proptest::collection::vec(any::<u8>(), 1..256),
+        splits in proptest::collection::vec(0usize..40_000, 0..8),
+    ) {
+        let mut raw = b"GET /health HTTP/1.1\r\nX-Fill: ".to_vec();
+        raw.resize(MAX_HEADER_BYTES + overflow, b'a');
+        if terminated {
+            raw.extend_from_slice(b"\r\n\r\n");
+        }
+        let steps = step_hostile(&raw, &splits)?;
+        prop_assert!(
+            matches!(steps.last(), Some(ParseStep::Fault(ParseFault::HeadersTooLarge { .. }))),
+            "an over-long header ended in {:?}",
+            steps.last()
+        );
+        prop_assert!(!steps.iter().any(|s| matches!(s, ParseStep::Request(_))));
+
+        let mut raw = request_bytes("GET", "/health", b"", "");
+        raw.extend_from_slice(&garbage);
+        let steps = step_hostile(&raw, &[])?;
+        let Some(ParseStep::Request(first)) = steps.first() else {
+            return Err(TestCaseError::fail(format!("no request first: {:?}", steps.first())));
+        };
+        prop_assert_eq!(first.request.path.as_str(), "/health");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Malformed requests over the live event loop
 // ---------------------------------------------------------------------------
 
@@ -194,8 +296,11 @@ fn plan_body() -> String {
 }
 
 fn start_server() -> (Server, String) {
-    let service =
-        Arc::new(Service::new(quick_bundle(7), ServeConfig::smoke()).expect("service boots"));
+    start_server_with(ServeConfig::smoke())
+}
+
+fn start_server_with(config: ServeConfig) -> (Server, String) {
+    let service = Arc::new(Service::new(quick_bundle(7), config).expect("service boots"));
     let server = Server::start(service, "127.0.0.1:0").expect("server binds");
     let addr = server.addr().to_string();
     (server, addr)
@@ -431,4 +536,226 @@ fn daemon_answers_equal_the_socket_free_route() {
     }
     server.shutdown();
     oracle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Open-loop overload: steady and burst windows over pipelined keep-alive
+// ---------------------------------------------------------------------------
+
+/// Pipelining keep-alive connections per cell.
+const CELL_CONNS: usize = 8;
+
+/// The daemon's admission queue. A steady window of 8 holds two churn
+/// plans and at most two replans, so eight connections keep at most 32
+/// requests queued; a burst slams far more.
+const OPEN_LOOP_QUEUE: usize = 32;
+
+/// An open-loop arrival process, in requests rather than wall time.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    Steady,
+    Burst,
+}
+
+impl Arrival {
+    /// The windows one connection offers: each is written back to back
+    /// before any of its responses is read. A constant trickle, or three
+    /// quiet steps and then a slam, twice.
+    fn windows(self) -> Vec<usize> {
+        match self {
+            Arrival::Steady => vec![8; 10],
+            Arrival::Burst => [4, 4, 4, 64].repeat(2),
+        }
+    }
+}
+
+/// One request of the wire sequence, framed for pipelining.
+struct Offered {
+    raw: Vec<u8>,
+    churn: bool,
+}
+
+/// Reads one `Content-Length`-framed response; returns its status.
+fn read_status(reader: &mut BufReader<TcpStream>) -> std::io::Result<u16> {
+    let malformed = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| malformed(format!("bad status line {line:?}")))?;
+    let mut content_length = 0usize;
+    loop {
+        line.clear();
+        reader.read_line(&mut line)?;
+        let header = line.trim_end().to_ascii_lowercase();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length:") {
+            content_length = value
+                .trim()
+                .parse()
+                .map_err(|_| malformed(format!("bad header {header:?}")))?;
+        }
+    }
+    reader.read_exact(&mut vec![0u8; content_length])?;
+    Ok(status)
+}
+
+/// Writes the next `window` requests of the wire sequence back to back,
+/// then reads their answers as `(index into requests, status)`.
+fn offer_window(
+    reader: &mut BufReader<TcpStream>,
+    requests: &[Offered],
+    window: usize,
+    answers: &mut Vec<(usize, u16)>,
+) -> std::io::Result<()> {
+    let sent = answers.len();
+    let indices: Vec<usize> = (sent..sent + window).map(|i| i % requests.len()).collect();
+    let batch: Vec<u8> = indices
+        .iter()
+        .flat_map(|&i| requests[i].raw.iter().copied())
+        .collect();
+    reader.get_mut().write_all(&batch)?;
+    for i in indices {
+        answers.push((i, read_status(reader)?));
+    }
+    Ok(())
+}
+
+/// Offers `arrival`'s windows over one keep-alive connection, in step
+/// with the cell's other connections; returns every answer.
+fn replay_connection(
+    addr: &str,
+    requests: &[Offered],
+    arrival: Arrival,
+    barrier: &Barrier,
+) -> std::io::Result<Vec<(usize, u16)>> {
+    let mut connection = TcpStream::connect(addr).and_then(|stream| {
+        stream.set_nodelay(true)?;
+        Ok(BufReader::new(stream))
+    });
+    let mut answers = Vec::new();
+    for window in arrival.windows() {
+        // Every connection writes its window at once; a broken one keeps
+        // stepping, so the others never wait on it.
+        barrier.wait();
+        if let Ok(reader) = &mut connection {
+            if let Err(e) = offer_window(reader, requests, window, &mut answers) {
+                connection = Err(e);
+            }
+        }
+    }
+    connection.map(|_| answers)
+}
+
+/// The daemon's deployment shape under open-loop load: six planned bodies
+/// (two of them replans) repeat from the response cache, and every fourth
+/// request is a fresh plan under a 1 ms deadline ("churn"), which the
+/// cache never answers and which mostly expires in the queue. Steady
+/// windows stay under the queue and shed (`429`) at most 1%; every burst
+/// sheds; no connection breaks; and because each answer is matched to its
+/// request, every `503` must be churn — a warm body is never expired.
+#[test]
+fn open_loop_overload_sheds_bursts_and_expires_only_churn() {
+    let (server, addr) = start_server_with(ServeConfig {
+        queue_capacity: OPEN_LOOP_QUEUE,
+        // One worker: these 2-GPU tasks are cheap enough that two drain
+        // a slam almost as fast as the reactor admits it.
+        workers: 1,
+        response_cache_entries: 1024,
+        ..ServeConfig::smoke()
+    });
+    let pool = TablePool::synthetic_dlrm(40, 3);
+    let task_body = |tables: usize, seed: u64| {
+        let task = ShardingTask::sample(&pool, 2, tables..=tables, 32, seed);
+        serde_json::to_string(&task).expect("tasks serialize")
+    };
+    let warm: Vec<(&str, String)> = (0..6)
+        .map(|i| {
+            let path = if i % 3 == 2 { "/v1/replan" } else { "/v1/plan" };
+            (path, format!("{{\"task\":{}}}", task_body(20, 2023 + i)))
+        })
+        .collect();
+    // Two passes: a replan's cache key folds the store's applied
+    // sequence, which settles only once the first pass has adopted
+    // every distinct plan.
+    for _ in 0..2 {
+        for (path, body) in &warm {
+            let (status, answer) = http_call(&addr, "POST", path, body.as_bytes()).unwrap();
+            assert_eq!(status, 200, "warm-up {path}: {answer}");
+        }
+    }
+    let requests: Arc<Vec<Offered>> = Arc::new(
+        (0..256u64)
+            .map(|j| {
+                let churn = j % 4 == 3;
+                let (path, body) = if churn {
+                    let task = task_body(32, 0xD81F + j);
+                    ("/v1/plan", format!("{{\"task\":{task},\"deadline_ms\":1}}"))
+                } else {
+                    let (path, body) = &warm[j as usize % warm.len()];
+                    (*path, body.clone())
+                };
+                let raw = format!(
+                    "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                Offered {
+                    raw: raw.into_bytes(),
+                    churn,
+                }
+            })
+            .collect(),
+    );
+
+    for arrival in [Arrival::Steady, Arrival::Burst] {
+        let barrier = Arc::new(Barrier::new(CELL_CONNS));
+        let connections: Vec<_> = (0..CELL_CONNS)
+            .map(|_| {
+                let (addr, requests) = (addr.clone(), Arc::clone(&requests));
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || replay_connection(&addr, &requests, arrival, &barrier))
+            })
+            .collect();
+        let answers: Vec<(usize, u16)> = connections
+            .into_iter()
+            .flat_map(|c| {
+                c.join()
+                    .unwrap()
+                    .unwrap_or_else(|e| panic!("{arrival:?}: transport error {e}"))
+            })
+            .collect();
+        let count = |churn: bool, status: u16| {
+            answers
+                .iter()
+                .filter(|&&(i, s)| requests[i].churn == churn && s == status)
+                .count()
+        };
+        let shed = count(false, 429) + count(true, 429);
+        eprintln!(
+            "{arrival:?}: {} offered; warm 200/429/503 {}/{}/{}, churn {}/{}/{}",
+            answers.len(),
+            count(false, 200),
+            count(false, 429),
+            count(false, 503),
+            count(true, 200),
+            count(true, 429),
+            count(true, 503),
+        );
+        assert_eq!(count(false, 503), 0, "{arrival:?}: a warm request expired");
+        match arrival {
+            Arrival::Steady => assert!(
+                shed * 100 <= answers.len(),
+                "steady traffic shed {shed} of {}",
+                answers.len()
+            ),
+            Arrival::Burst => assert!(shed > 0, "a burst far over the queue shed nothing"),
+        }
+    }
+    server.shutdown();
 }
