@@ -68,8 +68,8 @@
 //! thread-count control.
 
 // `deny` (not `forbid`) so the one syscall-wrapper module can opt back
-// in: `net::sys` carries a scoped `#![allow(unsafe_code)]` for its raw
-// epoll/poll FFI, with a safety comment on every unsafe block. All other
+// in: `net::sys` carries a scoped `#![allow(unsafe_code)]` for its one
+// unsafe block, the `poll(2)` call, with its safety comment. All other
 // modules remain unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

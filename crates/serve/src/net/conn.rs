@@ -243,7 +243,7 @@ impl ConnState {
         self.last_activity_ms = now_ms;
     }
 
-    /// Whether the reactor should keep read interest registered.
+    /// Whether the reactor should wait for this connection to be readable.
     pub(crate) fn want_read(&self) -> bool {
         !self.closing
             && !self.peer_closed

@@ -1,13 +1,12 @@
 //! `serve::net` — the event-driven serving core.
 //!
-//! A single reactor thread multiplexes every connection over a
-//! level-triggered readiness poller (`epoll(7)` on Linux, `poll(2)`
-//! portable fallback — `sys`), with per-connection state machines
-//! (`conn`) doing incremental HTTP/1.1 parsing (`parser`), keep-alive
-//! and pipelined request handling over reusable buffers, write
-//! backpressure, and idle/read/write timeouts (each connection's one
-//! deadline, which the reactor reads off its connection table every
-//! turn).
+//! A single reactor thread multiplexes every connection with one
+//! level-triggered `poll(2)` call per turn (`sys`), with per-connection
+//! state machines (`conn`) doing incremental HTTP/1.1 parsing (`parser`),
+//! keep-alive and pipelined request handling over reusable buffers, write
+//! backpressure, and idle/read/write timeouts. Each turn the reactor reads
+//! both its wait list and every connection's one deadline off its
+//! connection table.
 //!
 //! The reactor is the daemon's only **I/O edge**: every byte reaches
 //! [`crate::server::Service`] through it, and everything behind it — the

@@ -1,5 +1,5 @@
 //! The reactor: one thread multiplexing the listener, a self-pipe
-//! waker, and every connection over the readiness [`super::sys::Poller`].
+//! waker, and every connection over `poll(2)` ([`super::sys::Poller`]).
 //!
 //! # Shape
 //!
@@ -24,12 +24,15 @@
 //! handles all reads, writes, accepts, and timeouts itself.
 //!
 //! Connections live in one table keyed by a **token** that counts up and
-//! is never reused: it is the poller registration, the completion key and
-//! the timeout key, so a late completion or a stale event for a closed
-//! connection finds no entry instead of a recycled one. Each turn ends by
-//! reading every live connection's [`ConnState::deadline`] off the table
-//! ([`scan_deadlines`]): due connections expire, and the earliest pending
-//! deadline bounds the next wait.
+//! is never reused: it is the event key, the completion key and the
+//! timeout key, so a late completion or a stale event for a closed
+//! connection finds no entry instead of a recycled one. The table is the
+//! only record of what to wait on: each turn starts by reading the wait
+//! list off it (the listener while accepting, the waker, and every
+//! connection with [`ConnState::want_read`] / [`ConnState::want_write`] as
+//! its interest), and ends by reading every live connection's
+//! [`ConnState::deadline`] off it ([`scan_deadlines`]): due connections
+//! expire, and the earliest pending deadline bounds the next wait.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -81,8 +84,6 @@ struct ConnEntry {
     state: ConnState,
     /// Parse timestamp per in-flight sequence (lifecycle histogram).
     started_ms: HashMap<u64, u64>,
-    /// Interest currently registered with the poller.
-    registered: Interest,
 }
 
 /// Handle to the running reactor thread.
@@ -96,17 +97,12 @@ impl Reactor {
     ///
     /// # Errors
     ///
-    /// I/O errors creating the poller or the self-pipe, or registering
-    /// the initial fds.
+    /// I/O errors setting up the listener or creating the self-pipe.
     pub(crate) fn spawn(service: Arc<Service>, listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let (waker_rx, waker_tx) = UnixStream::pair()?;
         waker_rx.set_nonblocking(true)?;
         waker_tx.set_nonblocking(true)?;
-
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        poller.register(waker_rx.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
 
         let shared = Arc::new(Shared {
             completions: Mutex::new(Vec::new()),
@@ -124,7 +120,7 @@ impl Reactor {
                         service,
                         listener,
                         waker_rx,
-                        poller,
+                        poller: Poller::default(),
                         shared,
                         metrics,
                         conns: HashMap::new(),
@@ -204,7 +200,8 @@ impl EventLoop {
             let timeout = next_deadline.map_or(1_000, |deadline| {
                 deadline.saturating_sub(self.now_ms()).min(1_000)
             });
-            if let Err(e) = self.poller.wait(Some(timeout), &mut events) {
+            self.watch_table();
+            if let Err(e) = self.poller.wait(timeout, &mut events) {
                 eprintln!("nshard-serve reactor: poll failed: {e}");
                 break;
             }
@@ -220,14 +217,29 @@ impl EventLoop {
         }
     }
 
+    /// This turn's wait list, read off the table.
+    fn watch_table(&mut self) {
+        self.poller.clear();
+        if self.accepting {
+            let fd = self.listener.as_raw_fd();
+            self.poller.watch(fd, LISTENER_TOKEN, Interest::READ);
+        }
+        self.poller
+            .watch(self.waker_rx.as_raw_fd(), WAKER_TOKEN, Interest::READ);
+        for (&token, entry) in &self.conns {
+            let interest = Interest {
+                read: entry.state.want_read(),
+                write: entry.state.want_write(),
+            };
+            self.poller.watch(entry.stream.as_raw_fd(), token, interest);
+        }
+    }
+
     /// Stop accepting and force-close every connection with nothing left
     /// to deliver; connections with in-flight jobs or unflushed bytes
     /// drain first (admitted work still gets its response).
     fn begin_shutdown(&mut self) {
-        if self.accepting {
-            let _ = self.poller.deregister(self.listener.as_raw_fd());
-            self.accepting = false;
-        }
+        self.accepting = false;
         let done: Vec<usize> = self
             .conns
             .iter()
@@ -243,25 +255,16 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    // Drained and dropped during shutdown, or if unusable.
-                    if !self.accepting || stream.set_nonblocking(true).is_err() {
+                    if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
                     let entry = ConnEntry {
                         stream,
                         state: ConnState::new(self.now_ms()),
                         started_ms: HashMap::new(),
-                        registered: Interest::READ,
                     };
                     self.conns.insert(token, entry);
                     self.metrics.accepted_total.inc();
@@ -286,10 +289,6 @@ impl EventLoop {
     /// Every step below finds no entry, and does nothing, for a
     /// connection closed earlier in this batch.
     fn conn_ready(&mut self, token: usize, event: Event) {
-        if event.error && !event.readable && !event.writable {
-            self.close_conn(token);
-            return;
-        }
         if event.readable {
             self.read_ready(token);
         }
@@ -412,8 +411,8 @@ impl EventLoop {
         }
     }
 
-    /// After any activity on a connection: resume paused parsing, close
-    /// if finished, otherwise refresh poller interest.
+    /// After any activity on a connection: resume paused parsing, and
+    /// close it if finished.
     fn finish_conn_turn(&mut self, token: usize) {
         // Completions may have freed pipeline slots with bytes already
         // buffered in the parser.
@@ -433,21 +432,12 @@ impl EventLoop {
             self.dispatch(token, outcome, now);
         }
 
-        let Some(entry) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if entry.state.should_close() {
+        if self
+            .conns
+            .get(&token)
+            .is_some_and(|entry| entry.state.should_close())
+        {
             self.close_conn(token);
-            return;
-        }
-        let desired = Interest {
-            read: entry.state.want_read(),
-            write: entry.state.want_write(),
-        };
-        if desired != entry.registered {
-            let fd = entry.stream.as_raw_fd();
-            entry.registered = desired;
-            let _ = self.poller.modify(fd, token, desired);
         }
     }
 
@@ -504,12 +494,10 @@ impl EventLoop {
     }
 
     fn close_conn(&mut self, token: usize) {
-        let Some(entry) = self.conns.remove(&token) else {
-            return;
-        };
-        let _ = self.poller.deregister(entry.stream.as_raw_fd());
-        self.metrics.open_connections.dec();
-        // entry.stream drops here, closing the socket.
+        // The entry's stream drops here, closing the socket.
+        if self.conns.remove(&token).is_some() {
+            self.metrics.open_connections.dec();
+        }
     }
 }
 

@@ -29,8 +29,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// I/O errors binding the listener or creating the reactor's poller
-    /// and waker.
+    /// I/O errors binding the listener or creating the reactor's waker.
     pub fn start(service: Arc<Service>, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;

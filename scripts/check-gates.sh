@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=126
-MAX_TOTAL_LINES=14075
+MAX_TOTAL_LINES=13874
 MAX_TOTAL_ITEMS=839
 
 counts=$(scripts/count-lines.sh)

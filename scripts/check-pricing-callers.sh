@@ -36,7 +36,9 @@
 # One connection table (DESIGN.md §9): the reactor keys each connection by
 # a token it never reuses and reads deadlines off that table each turn;
 # the timer heap and its module, the generation counter, the recycled-token
-# list, the sharded metrics registry and `MatchSeq::GE` stay deleted.
+# list, the sharded metrics registry and `MatchSeq::GE` stay deleted. Each
+# turn reads its `poll(2)` wait list off the same table: the epoll backend
+# stays deleted, and `net::sys` keeps one unsafe block, the `poll` call.
 #
 # One prediction-cache lock per batch (DESIGN.md §6.5): `PredictionCache`
 # stores into one `BatchMap` (one map behind one `RwLock`), resolved a batch
@@ -124,6 +126,15 @@ if grep -rnE -e '\b(TimerWheel|timer_generation|free_tokens|REGISTRY_SHARDS)\b' 
 fi
 if [ -e crates/serve/src/net/timer.rs ]; then
     echo "error: connection deadlines are read off the reactor's table, not a net/timer.rs heap" >&2
+    exit 1
+fi
+if grep -rn 'epoll' crates/serve/src; then
+    echo "error: one readiness path, poll(2) on every platform (lines above)" >&2
+    exit 1
+fi
+unsafe_blocks=$(code crates/serve/src/net/sys.rs | grep -c 'unsafe {' || true)
+if [ "$unsafe_blocks" -gt 1 ]; then
+    echo "error: net::sys holds $unsafe_blocks unsafe blocks; the poll call is the one allowed" >&2
     exit 1
 fi
 

@@ -3,14 +3,15 @@
 use proptest::prelude::*;
 
 use neuroshard::core::{
-    apply_split_plan, estimate_batch_for_task, estimate_for_task, migration_bytes, ShardingPlan,
-    SplitStep,
+    apply_split_plan, estimate_batch_for_task, estimate_for_task, evaluate_plan_exact,
+    migration_bytes, ShardingPlan, SplitStep,
 };
 use neuroshard::cost::{
     CollectConfig, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, TrainSettings,
 };
 use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::resilient::repair;
+use neuroshard::sim::{DeviceCost, GpuSpec};
 
 /// One smoke-trained two-device simulator shared by every pricing case.
 fn pricing_sim() -> &'static CostSimulator {
@@ -33,6 +34,17 @@ fn estimate_bits(e: &EstimatedCost) -> Vec<u64> {
         .chain([&e.max_compute_ms, &e.fwd_comm_ms, &e.bwd_comm_ms])
         .map(|x| x.to_bits())
         .collect()
+}
+
+/// Every float of a device's ground-truth cost, as bits.
+fn device_cost_bits(cost: &DeviceCost) -> [u64; 4] {
+    [
+        cost.compute_fwd_ms,
+        cost.compute_bwd_ms,
+        cost.comm_fwd_ms,
+        cost.comm_bwd_ms,
+    ]
+    .map(f64::to_bits)
 }
 
 fn arbitrary_tables() -> impl Strategy<Value = Vec<TableConfig>> {
@@ -452,6 +464,52 @@ proptest! {
                     estimate_bits(&sim.estimate_plan(&profiles))
                 );
             }
+        }
+    }
+
+    /// The truth half of the relabelling oracle: on a uniform fleet a
+    /// device's label carries no meaning, so moving every table of a
+    /// sampled table-wise plan from device `d` to `relabel[d]` leaves the
+    /// ground truth's plan cost bit-identical and permutes its per-device
+    /// costs the same way.
+    #[test]
+    fn relabelling_devices_permutes_the_ground_truth_exactly(
+        devices in 2usize..=8,
+        tables in 1usize..=40,
+        max_dim_log in 2u32..=7,
+        task_seed in any::<u64>(),
+        placement in proptest::collection::vec(0usize..8, 40),
+        label_keys in proptest::collection::vec(any::<u64>(), 8),
+    ) {
+        let pool = TablePool::synthetic_dlrm(40, 3);
+        // A budget nothing exceeds, so every plan is priced.
+        let max_dim = 1 << max_dim_log;
+        let task = ShardingTask::sample(&pool, devices, tables..=tables, max_dim, task_seed)
+            .with_devices(DevicePool::uniform(devices, u64::MAX / 16));
+        let device_of: Vec<usize> = placement[..tables].iter().map(|d| d % devices).collect();
+        let mut order: Vec<usize> = (0..devices).collect();
+        order.sort_by_key(|&d| (label_keys[d], d));
+        let mut relabel = vec![0; devices];
+        for (label, &d) in order.iter().enumerate() {
+            relabel[d] = label;
+        }
+        let relabelled: Vec<usize> = device_of.iter().map(|&d| relabel[d]).collect();
+
+        let spec = GpuSpec::rtx_2080_ti();
+        let price = |device_of: Vec<usize>| {
+            let plan =
+                ShardingPlan::new(vec![], task.tables().to_vec(), device_of, devices).unwrap();
+            evaluate_plan_exact(&task, &plan, &spec).unwrap()
+        };
+        let (truth, moved) = (price(device_of), price(relabelled));
+        prop_assert_eq!(truth.max_total_ms().to_bits(), moved.max_total_ms().to_bits());
+        for (d, cost) in truth.devices().iter().enumerate() {
+            let after = &moved.devices()[relabel[d]];
+            prop_assert!(
+                device_cost_bits(cost) == device_cost_bits(after),
+                "device {d} relabelled {}: {cost:?} vs {after:?}",
+                relabel[d]
+            );
         }
     }
 }

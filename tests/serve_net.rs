@@ -1,6 +1,7 @@
 //! Event-driven serving core tests: incremental-parser conformance under
-//! arbitrary byte fragmentation and hostile bytes (proptests), pipelining
-//! and keep-alive over real TCP, malformed-request handling (400/431),
+//! arbitrary byte fragmentation and hostile bytes (proptests), pipelining,
+//! keep-alive and write backpressure over real TCP, malformed-request
+//! handling (400/431),
 //! slow-loris timeout semantics driven by a manual clock (zero sleeps),
 //! byte identity between the daemon's answers and the socket-free
 //! `Service::handle_blocking` route, and admission under open-loop
@@ -9,6 +10,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
@@ -420,6 +422,35 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
     );
     // The pipelining counter saw the back-to-back requests.
     assert!(text.contains("nshard_net_pipelined_requests_total"));
+    server.shutdown();
+}
+
+/// Write backpressure through the reactor: one connection pipelines
+/// about 31 MB of `/metrics` answers, far more than the loopback buffers
+/// hold, and reads nothing for a while. The daemon must stop reading once
+/// its write buffer fills, wait for the socket to take bytes again, and
+/// still answer every request once the client reads.
+#[test]
+fn a_reader_that_stalls_gets_every_pipelined_answer_once_it_reads() {
+    const REQUESTS: usize = 6_000;
+    let (server, addr) = start_server();
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut write_half = stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        write_half.write_all(&b"GET /metrics HTTP/1.1\r\n\r\n".repeat(REQUESTS))
+    });
+    std::thread::sleep(Duration::from_millis(1_500));
+    let mut reader = BufReader::new(stream);
+    for i in 0..REQUESTS {
+        match read_status(&mut reader) {
+            Ok(status) => assert_eq!(status, 200, "response {i}"),
+            Err(e) => panic!("response {i}: {:?}", e.kind()),
+        }
+    }
+    writer.join().unwrap().unwrap();
     server.shutdown();
 }
 
