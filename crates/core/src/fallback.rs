@@ -13,29 +13,23 @@
 //!    repaired likewise if needed,
 //! 4. a built-in **size-balanced** last resort ([`size_balanced_plan`]).
 //!
-//! A plan is checked on the task's fleet, faulted or not: each call lowers
-//! the chain's [`FaultPlan`] (empty unless [`FallbackChain::with_faults`]
-//! set one) onto the task's ground-truth cluster once, and accepts a plan
-//! when [`FaultyCluster::verify`] passes — the memory check, then the
-//! seeded transient check. A *transient* failure (see
-//! [`SimError::is_transient`]) is retried up to five times, each retry on
-//! the next attempt's seed.
+//! A plan is checked on the fleet its task describes: each call builds the
+//! task's ground-truth cluster once ([`crate::cluster_for`]) and accepts a
+//! plan when [`Cluster::check_memory`] passes. A hostile fleet — a
+//! squeezed budget, a slow compute class, a slow node behind slow links —
+//! is a [`nshard_data::DevicePool`] on the task.
 //!
-//! Every decision — attempts, failures, retries, repairs, downgrades — is
-//! recorded in a [`PlanProvenance`] attached to the returned plan, so a
-//! degraded plan is always attributable.
+//! Every decision — attempts, failures, repairs, downgrades — is recorded
+//! in a [`PlanProvenance`] attached to the returned plan, so a degraded
+//! plan is always attributable.
 
 use nshard_data::ShardingTask;
-use nshard_sim::{FaultPlan, FaultyCluster, GpuSpec, SimError};
+use nshard_sim::{Cluster, GpuSpec, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::local::repair;
 use crate::plan::{PlanError, ShardingPlan};
 use crate::ShardingAlgorithm;
-
-/// Retries of one verification after a transient failure, on top of the
-/// first attempt.
-const MAX_RETRIES: u32 = 5;
 
 /// Which stage of the chain produced the accepted plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,7 +78,9 @@ pub enum ProvenanceEvent {
         /// The search error, rendered.
         reason: String,
     },
-    /// A transient verification failure triggered a retry.
+    /// A transient verification failure triggered a retry. No build
+    /// records it any more; plan records from older builds, on disk or
+    /// replicated, must still decode.
     TransientRetry {
         /// Algorithm name.
         algorithm: String,
@@ -123,7 +119,7 @@ pub enum ProvenanceEvent {
 /// The `trigger_kind` is the short stable name of the drift trigger (e.g.
 /// `"cost_regression"`, `"imbalance"`, `"memory"`), so a degraded or
 /// migrated plan is attributable to the drift event that caused it, just
-/// like fault-driven fallbacks are attributable through
+/// like the chain's fallbacks are attributable through
 /// [`ProvenanceEvent`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplanAttribution {
@@ -253,17 +249,15 @@ impl std::error::Error for ResilientError {}
 pub struct FallbackChain {
     primary: Box<dyn ShardingAlgorithm + Send + Sync>,
     fallbacks: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>,
-    faults: FaultPlan,
 }
 
 impl FallbackChain {
     /// A chain with only the primary algorithm and the built-in
-    /// size-balanced last resort, verifying on the healthy fleet.
+    /// size-balanced last resort, verifying on the task's fleet.
     pub fn new(primary: Box<dyn ShardingAlgorithm + Send + Sync>) -> Self {
         Self {
             primary,
             fallbacks: Vec::new(),
-            faults: FaultPlan::default(),
         }
     }
 
@@ -271,13 +265,6 @@ impl FallbackChain {
     /// order after the primary).
     pub fn with_fallback(mut self, algo: Box<dyn ShardingAlgorithm + Send + Sync>) -> Self {
         self.fallbacks.push(algo);
-        self
-    }
-
-    /// Verifies every plan on the task's fleet with `faults` lowered onto
-    /// it (builder-style); the plan's seed drives its transient failures.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
         self
     }
 
@@ -291,10 +278,9 @@ impl FallbackChain {
         &self,
         task: &ShardingTask,
     ) -> Result<ResilientOutcome, ResilientError> {
-        let cluster = crate::eval::cluster_for(task, &GpuSpec::rtx_2080_ti());
         let mut run = Run {
             task,
-            fleet: FaultyCluster::new(cluster, self.faults.clone()),
+            fleet: crate::eval::cluster_for(task, &GpuSpec::rtx_2080_ti()),
             events: Vec::new(),
         };
 
@@ -336,7 +322,7 @@ impl FallbackChain {
         }
 
         // Last resort: size-balanced placement, never search-fails but may
-        // still be infeasible (or rejected on a faulted fleet).
+        // still be infeasible.
         run.events.push(ProvenanceEvent::Attempt {
             algorithm: "size_balanced".into(),
         });
@@ -367,23 +353,22 @@ impl FallbackChain {
 }
 
 /// One [`FallbackChain::shard_with_provenance`] call: the task, its fleet
-/// with the chain's faults lowered onto it, and the decisions so far.
+/// and the decisions so far.
 struct Run<'a> {
     task: &'a ShardingTask,
-    fleet: FaultyCluster,
+    fleet: Cluster,
     events: Vec<ProvenanceEvent>,
 }
 
 impl Run<'_> {
-    /// Verifies `plan`, retrying transient failures and repairing
-    /// persistent memory failures once. Returns the accepted plan and the
-    /// repair step count if repair was needed.
+    /// Verifies `plan`, repairing memory failures once. Returns the
+    /// accepted plan and the repair step count if repair was needed.
     fn verify_and_repair(
         &mut self,
         plan: ShardingPlan,
         name: &str,
     ) -> Result<(ShardingPlan, Option<usize>), PlanError> {
-        let err = match self.verify(&plan, name) {
+        let err = match self.verify(&plan) {
             Ok(()) => return Ok((plan, None)),
             Err(err) => err,
         };
@@ -411,7 +396,7 @@ impl Run<'_> {
             algorithm: name.to_string(),
             steps,
         });
-        match self.verify(&report.plan, name) {
+        match self.verify(&report.plan) {
             Ok(()) => Ok((report.plan, Some(steps))),
             Err(e) => {
                 self.events.push(ProvenanceEvent::VerifyFailed {
@@ -425,24 +410,11 @@ impl Run<'_> {
         }
     }
 
-    /// [`FaultyCluster::verify`], retrying transient failures up to
-    /// [`MAX_RETRIES`] times.
-    fn verify(&mut self, plan: &ShardingPlan, name: &str) -> Result<(), SimError> {
-        let profiles = plan.device_profiles(self.task.batch_size());
-        let mut attempt = 0u32;
-        loop {
-            match self.fleet.verify(&profiles, attempt) {
-                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
-                    attempt += 1;
-                    self.events.push(ProvenanceEvent::TransientRetry {
-                        algorithm: name.to_string(),
-                        attempt,
-                        reason: e.to_string(),
-                    });
-                }
-                verdict => return verdict,
-            }
-        }
+    /// The chain's one verification: [`Cluster::check_memory`] on the
+    /// task's fleet.
+    fn verify(&self, plan: &ShardingPlan) -> Result<(), SimError> {
+        self.fleet
+            .check_memory(&plan.device_profiles(self.task.batch_size()))
     }
 
     fn into_provenance(self, source: PlanSource) -> PlanProvenance {
@@ -505,19 +477,6 @@ pub fn size_balanced_plan(task: &ShardingTask) -> Result<ShardingPlan, PlanError
 mod tests {
     use super::*;
     use nshard_data::{TableConfig, TableId};
-    use nshard_sim::Fault;
-
-    /// The `attempt` of every transient retry, in order.
-    fn retries(provenance: &PlanProvenance) -> Vec<u32> {
-        provenance
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                ProvenanceEvent::TransientRetry { attempt, .. } => Some(*attempt),
-                _ => None,
-            })
-            .collect()
-    }
 
     fn t(id: u32, dim: u32, rows: u64) -> TableConfig {
         TableConfig::new(TableId(id), dim, rows, 8.0, 1.0)
@@ -592,7 +551,12 @@ mod tests {
             }
         );
         assert!(!outcome.provenance.is_degraded());
-        assert!(retries(&outcome.provenance).is_empty());
+        assert_eq!(
+            outcome.provenance.events,
+            [ProvenanceEvent::Attempt {
+                algorithm: "round_robin".into()
+            }]
+        );
     }
 
     #[test]
@@ -672,34 +636,6 @@ mod tests {
         let outcome = chain.shard_with_provenance(&small_task()).unwrap();
         assert_eq!(outcome.provenance.source, PlanSource::SizeBalanced);
         assert!(outcome.plan.validate(&small_task()).is_ok());
-    }
-
-    #[test]
-    fn transient_failures_are_retried_and_recorded() {
-        // At plan seed 25 a 50% failure rate fails attempts 0 and 1 and
-        // passes attempt 2.
-        let flaky = FaultPlan::new(25).with_fault(Fault::TransientFailures { rate: 0.5 });
-        let chain = FallbackChain::new(Box::new(RoundRobin)).with_faults(flaky);
-        let outcome = chain.shard_with_provenance(&small_task()).unwrap();
-        assert_eq!(retries(&outcome.provenance), vec![1, 2]);
-        assert_eq!(
-            outcome.provenance.source,
-            PlanSource::Primary {
-                algorithm: "round_robin".into()
-            }
-        );
-    }
-
-    #[test]
-    fn exhausted_retries_downgrade() {
-        // At plan seed 0 a 90% failure rate fails all six attempts, for
-        // the primary and the last resort alike.
-        let storm = FaultPlan::new(0).with_fault(Fault::TransientFailures { rate: 0.9 });
-        let chain = FallbackChain::new(Box::new(RoundRobin)).with_faults(storm);
-        let err = chain.shard_with_provenance(&small_task()).unwrap_err();
-        // Even the last resort cannot verify: typed error with provenance.
-        assert_eq!(retries(&err.provenance), [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]);
-        assert!(err.to_string().contains("fallback chain"));
     }
 
     #[test]

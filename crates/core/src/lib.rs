@@ -28,7 +28,7 @@
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
 //!   migration-regularized cost,
 //! * [`fallback`] — the graceful-degradation chain, verifying on the
-//!   task's (faulted) fleet, with full [`PlanProvenance`] attribution.
+//!   fleet its task describes, with full [`PlanProvenance`] attribution.
 //!
 //! ## Example
 //!

@@ -550,8 +550,8 @@ mod tests {
         let pooled = plain.clone().with_devices(DevicePool::uniform(2, 16 << 20));
         assert_eq!(serde_json::to_string(&plain).unwrap(), null_pool_json());
         assert_eq!(serde_json::to_string(&pooled).unwrap(), null_pool_json());
-        // Equal budgets on two nodes is not `DevicePool::uniform`: faults
-        // address nodes, so the pool is written out.
+        // Equal budgets on two nodes is not `DevicePool::uniform`: a
+        // device's node is part of the fleet, so the pool is written out.
         let two_nodes =
             plain.with_devices(DevicePool::two_tier(1, 16 << 20, 1, 16 << 20, 1.0, 1.0));
         let json = serde_json::to_string(&two_nodes).unwrap();

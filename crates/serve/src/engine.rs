@@ -88,7 +88,7 @@ impl PlanningEngine {
     /// [`nshard_pool::THREADS_ENV`] path, so the daemon honors
     /// `NSHARD_THREADS` exactly like the offline binaries. The initial
     /// model version is `1`. `_seed` is read by nothing: the chains verify
-    /// on the healthy fleet, where no seed is drawn. It stays until the
+    /// a plan on its task's fleet, which draws no seed. It stays until the
     /// benchmark surface, which passes it, is next changed.
     pub fn new(
         bundle: CostModelBundle,

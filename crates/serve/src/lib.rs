@@ -54,7 +54,7 @@
 //! building unbounded latency. Every job carries a deadline: expired jobs answer
 //! `503` without searching, and deadline-pressed jobs degrade to the
 //! greedy chain — a fast plan beats no plan, the same philosophy as the
-//! fault-driven [`nshard_core::FallbackChain`].
+//! [`nshard_core::FallbackChain`]'s downgrades.
 //!
 //! ## Determinism
 //!

@@ -168,8 +168,8 @@ impl std::fmt::Display for ReplError {
 impl std::error::Error for ReplError {}
 
 /// How a follower reaches its leader. The HTTP implementation is
-/// [`HttpTransport`]; the chaos suite substitutes in-process transports
-/// wired through seeded fault plans.
+/// [`HttpTransport`]; the replication suite substitutes in-process
+/// transports that partition and crash nodes on command.
 pub trait ReplTransport: Send {
     /// Fetches ops strictly after `from_seq`, or a snapshot redirect.
     ///

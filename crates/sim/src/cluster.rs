@@ -9,10 +9,9 @@
 //!
 //! Evaluation never branches on the fleet's shape: the fleet is lowered
 //! once, when it is set, to per-device memory budgets, kernel-time
-//! multipliers and bandwidth scales (a [`crate::FaultyCluster`] edits the
-//! same vectors), and every evaluation runs the one kernel law and the one
-//! all-to-all law on them (`Cluster::phase_inputs`). Every factor is
-//! exactly `1.0` on a healthy uniform fleet.
+//! multipliers and bandwidth scales, and every evaluation runs the one
+//! kernel law and the one all-to-all law on them (`Cluster::phase_inputs`).
+//! Every factor is exactly `1.0` on a uniform fleet.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +25,7 @@ use crate::profile::TableProfile;
 /// Number of repeated measurements used for the median, mirroring the
 /// paper's 100-run protocol (kept smaller here because the median of our
 /// noise model converges quickly).
-pub(crate) const MEASURE_REPEATS: u32 = 21;
+const MEASURE_REPEATS: u32 = 21;
 
 /// The embedding cost breakdown of one GPU for one training iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -117,15 +116,14 @@ impl PlanCosts {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
-    pub(crate) spec: GpuSpec,
+    spec: GpuSpec,
     batch_size: u32,
-    pub(crate) noise: NoiseModel,
+    noise: NoiseModel,
     devices: DevicePool,
     // `devices` lowered to what evaluation reads, one entry per device.
-    // `FaultyCluster::new` is their only other writer.
-    pub(crate) budgets: Vec<u64>,
-    pub(crate) compute_scales: Vec<f64>,
-    pub(crate) bw_scales: Vec<f64>,
+    budgets: Vec<u64>,
+    compute_scales: Vec<f64>,
+    bw_scales: Vec<f64>,
 }
 
 impl Cluster {

@@ -294,7 +294,7 @@ impl DevicePool {
 
 /// Device `g`'s tables' [`TableProfile::comm_dim`]s summed, over
 /// `bw_scales[g]`: the one lowering of a placement onto the flat
-/// all-to-all law, for a pool's own scales or a cluster's faulted ones.
+/// all-to-all law, for a pool's own scales or the copy a cluster caches.
 ///
 /// # Panics
 ///

@@ -38,24 +38,6 @@ pub enum SimError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// A cost measurement failed transiently (injected via
-    /// `Fault::TransientFailures`, modelling flaky profiling runs).
-    /// Retrying the same operation with a different seed may succeed.
-    TransientFailure {
-        /// Device the failure is attributed to.
-        device: usize,
-        /// Human-readable description of the failure.
-        reason: String,
-    },
-}
-
-impl SimError {
-    /// `true` for errors that may clear on retry (currently only
-    /// [`SimError::TransientFailure`]); `false` for persistent conditions
-    /// like out-of-memory.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SimError::TransientFailure { .. })
-    }
 }
 
 impl fmt::Display for SimError {
@@ -79,10 +61,6 @@ impl fmt::Display for SimError {
             ),
             SimError::InvalidTable { reason } => write!(f, "invalid table profile: {reason}"),
             SimError::InvalidPlan { reason } => write!(f, "invalid sharding plan: {reason}"),
-            SimError::TransientFailure { device, reason } => write!(
-                f,
-                "transient measurement failure on device {device}: {reason}"
-            ),
         }
     }
 }
@@ -136,40 +114,10 @@ mod tests {
                 },
                 "invalid sharding plan: no devices",
             ),
-            (
-                SimError::TransientFailure {
-                    device: 2,
-                    reason: "injected fault".into(),
-                },
-                "transient measurement failure on device 2: injected fault",
-            ),
         ];
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);
         }
-    }
-
-    #[test]
-    fn only_transient_failures_are_transient() {
-        assert!(SimError::TransientFailure {
-            device: 0,
-            reason: "flaky".into(),
-        }
-        .is_transient());
-        let persistent = [
-            SimError::OutOfMemory {
-                device: 0,
-                required_bytes: 2,
-                budget_bytes: 1,
-            },
-            SimError::DeviceOutOfRange {
-                device: 1,
-                num_devices: 1,
-            },
-            SimError::InvalidTable { reason: "x".into() },
-            SimError::InvalidPlan { reason: "x".into() },
-        ];
-        assert!(persistent.iter().all(|e| !e.is_transient()));
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //!    is positively correlated with the max device dimension ([`comm`]:
 //!    collective barrier plus a bandwidth term proportional to the data the
 //!    slowest participant moves). That is the only communication law: a
-//!    two-tier fleet ([`devices`]) or a degraded node link ([`fault`])
-//!    enlarges a device's dimension before the law runs.
+//!    two-tier fleet ([`devices`]) enlarges a device's dimension before the
+//!    law runs.
 //!
 //! A [`Cluster`] is evaluated from one input, its fleet, lowered once to
-//! per-device budgets, kernel-time scales and bandwidth scales; a
-//! [`FaultPlan`] is an edit of that fleet ([`FaultyCluster::new`]), not an
-//! argument of every evaluation.
+//! per-device budgets, kernel-time scales and bandwidth scales. A hostile
+//! fleet — a squeezed budget, a slow compute class, a slow node behind slow
+//! links — is just another [`DevicePool`].
 //!
 //! The rest of the system treats this crate exactly the way the paper treats
 //! a GPU cluster: micro-benchmarks are run against it to produce training
@@ -56,7 +56,6 @@ pub mod comm;
 pub mod device;
 pub mod devices;
 pub mod error;
-pub mod fault;
 pub mod kernel;
 pub mod noise;
 pub mod profile;
@@ -67,7 +66,6 @@ pub use comm::{CommCosts, CommParams};
 pub use device::GpuSpec;
 pub use devices::{DevicePool, DeviceProfile};
 pub use error::SimError;
-pub use fault::{Fault, FaultPlan, FaultyCluster};
 pub use kernel::KernelParams;
 pub use noise::NoiseModel;
 pub use profile::TableProfile;
@@ -79,6 +77,3 @@ pub const DEFAULT_MEM_BYTES: u64 = 4 * 1024 * 1024 * 1024;
 
 /// Default training batch size, matching the `bs65536` benchmark dataset.
 pub const DEFAULT_BATCH_SIZE: u32 = 65_536;
-
-#[cfg(test)]
-mod reference;

@@ -18,15 +18,16 @@
 # deltas alike; the repair-only step type, the device remap and the online
 # copy of the planner stay deleted.
 #
-# One ground truth (DESIGN.md §7): a fault plan lowers onto the cluster
-# once, in `FaultyCluster::new`; the cluster, its fleet and the trace
-# simulator never see a `FaultPlan`, the fault-threading evaluation path
-# stays deleted (its copy lives only in the test-only `sim::reference`),
-# and control-plane faults stay out of the simulator. The fallback chain
-# checks a plan only through `FaultyCluster::verify` on its task's fleet;
-# the verifier closure, the retry policy, the chain seed, the recorded
-# backoff and the connection-config struct stay deleted (outside tests,
-# which may spell an old record's fields).
+# One ground truth (DESIGN.md §7): a hostile fleet is a `DevicePool` on
+# the task, never a second fleet beside it. The fault injector, its seeded
+# transient failure and the chain's retry loop stay deleted (no new
+# `TransientRetry` is written; old records still decode), as do the
+# fault-threading evaluation path and control-plane faults in the
+# simulator. The fallback chain checks a plan with exactly one
+# `Cluster::check_memory` call on its task's fleet; the verifier closure,
+# the retry policy, the chain seed, the recorded backoff and the
+# connection-config struct stay deleted (outside tests, which may spell an
+# old record's fields).
 #
 # One record of adopted plans (DESIGN.md §9): the store module builds the
 # daemon's one `PlanKv`, and the second representation's roads in — the
@@ -91,12 +92,13 @@ if code crates/learn/src | grep -E 'device_dims\('; then
     exit 1
 fi
 
-if grep -n 'FaultPlan' crates/sim/src/cluster.rs crates/sim/src/devices.rs crates/sim/src/trace.rs; then
-    echo "error: a fault plan is a fleet edit in FaultyCluster::new, not an evaluation input (lines above)" >&2
+if code crates/*/src src | grep -E -e '\b(FaultPlan|FaultyCluster|with_faults|TransientFailure|is_transient)\b' \
+    -e 'ProvenanceEvent::TransientRetry'; then
+    echo "error: a hostile fleet is a DevicePool on the task; no fault injector, no transient retry (lines above)" >&2
     exit 1
 fi
 if code crates/*/src | grep -E '_with_faults|degraded_comm|lowered_dims_under'; then
-    echo "error: one evaluation path; lower faults onto the cluster instead (lines above)" >&2
+    echo "error: one evaluation path; a hostile fleet is a DevicePool on the task (lines above)" >&2
     exit 1
 fi
 if grep -rnwE 'Partition|NodeCrash' crates; then
@@ -104,11 +106,14 @@ if grep -rnwE 'Partition|NodeCrash' crates; then
     exit 1
 fi
 if code crates/*/src | grep -E -e '\b(PlanVerifier|RetryPolicy|with_verifier|with_retry|total_backoff_ms|ConnConfig)\b' -e 'with_seed\('; then
-    echo "error: a chain is set by its fallbacks and its faults, a connection by constants (lines above)" >&2
+    echo "error: a chain is set by its fallbacks, a connection by constants (lines above)" >&2
     exit 1
 fi
-if code crates/core/src/fallback.rs | grep -E 'check_memory|\.evaluate(_exact)?\(|first_over_budget|\.validate\('; then
-    echo "error: the fallback chain checks memory only through FaultyCluster::verify (lines above)" >&2
+checks=$(code crates/core/src/fallback.rs | grep -c 'check_memory(' || true)
+if code crates/core/src/fallback.rs | grep -E '\.evaluate(_exact)?\(|first_over_budget|\.validate\(' ||
+    [ "$checks" -ne 1 ]; then
+    echo "error: the fallback chain verifies through exactly one Cluster::check_memory call" \
+        "($checks found) and never evaluates or validates (lines above)" >&2
     exit 1
 fi
 

@@ -59,18 +59,18 @@ pub mod prelude {
         OnlineConfig, OnlineController, PlanDelta, ReplanHistory, ReplanStrategy, WorkloadDrift,
     };
     pub use nshard_serve::{ServeConfig, Server, Service};
-    pub use nshard_sim::{Cluster, Fault, FaultPlan, FaultyCluster, GpuSpec, TableProfile};
+    pub use nshard_sim::{Cluster, GpuSpec, TableProfile};
 }
 
-/// Resilience: fault injection, plan repair and graceful degradation.
+/// Resilience: plan repair and graceful degradation.
 ///
-/// Re-exports the fault layer of [`nshard_sim`] and the repair / fallback
-/// machinery of [`nshard_core`]. The wired-up NeuroShard chain lives in
-/// [`nshard_online::PlanningStack`].
+/// Re-exports the repair / fallback machinery of [`nshard_core`]: a chain
+/// checks each plan on the fleet its task describes, so a hostile fleet is
+/// a [`nshard_data::DevicePool`] on the task. The wired-up NeuroShard chain
+/// lives in [`nshard_online::PlanningStack`].
 pub mod resilient {
     pub use nshard_core::{
         repair, size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
         RepairReport, ResilientError, ResilientOutcome,
     };
-    pub use nshard_sim::{Fault, FaultPlan, FaultyCluster};
 }

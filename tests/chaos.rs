@@ -1,80 +1,64 @@
-//! Chaos harness: the planner under injected faults.
+//! Chaos harness: the planner on hostile fleets.
 //!
-//! Sweeps seeded fault scenarios — stragglers, degraded links, memory
-//! pressure, transient measurement failures — against the fallback chain
-//! and asserts the resilience contract:
+//! Sweeps seeded fleets — squeezed memory budgets, slow compute classes,
+//! a slow node behind slow links — against the fallback chain. Each fleet
+//! is a [`DevicePool`] on the task, so a plan is made and checked on the
+//! same fleet, and the sweep asserts the resilience contract:
 //!
 //! * the planner never panics,
-//! * it returns either a plan that verifies under the faulted cluster or a
-//!   typed [`ResilientError`] with full provenance attribution,
+//! * it returns either a plan that fits every device of the task's fleet
+//!   or a typed [`ResilientError`] with full provenance attribution,
 //! * every outcome is bit-for-bit deterministic per scenario seed.
 
 use neuroshard::baselines::{DimGreedy, SizeGreedy};
-use neuroshard::data::{ShardingTask, TablePool};
+use neuroshard::data::{DevicePool, DeviceProfile, ShardingTask, TablePool};
 use neuroshard::resilient::{
-    FallbackChain, FaultPlan, FaultyCluster, PlanSource, ProvenanceEvent, ResilientError,
-    ResilientOutcome,
+    FallbackChain, PlanSource, ProvenanceEvent, ResilientError, ResilientOutcome,
 };
 use neuroshard::sim::GpuSpec;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const SCENARIOS: u64 = 24;
 const DEVICES: usize = 4;
 
-/// A faulted ground-truth cluster for `task` under `faults`. When the task
-/// describes a heterogeneous fleet the cluster inherits its per-device
-/// memory, compute and interconnect profiles, so faults compose with
-/// heterogeneity.
-fn faulty_cluster(task: &ShardingTask, faults: FaultPlan) -> FaultyCluster {
-    FaultyCluster::new(
-        neuroshard::core::cluster_for(task, &GpuSpec::rtx_2080_ti()),
-        faults,
-    )
-}
-
 /// Builds the chain under test: greedy primary, greedy fallback, plans
-/// verified on the task's fleet with `faults` lowered onto it (so memory
-/// checks see *effective* budgets and verification can fail transiently).
-fn chain_for(faults: FaultPlan) -> FallbackChain {
-    FallbackChain::new(Box::new(SizeGreedy))
-        .with_fallback(Box::new(DimGreedy))
-        .with_faults(faults)
+/// verified on the task's fleet.
+fn chain() -> FallbackChain {
+    FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy))
 }
 
-/// The baseline task for `seed`: paper-default 4 GB budget.
-fn base_task(seed: u64) -> ShardingTask {
-    let pool = TablePool::synthetic_dlrm(120, seed);
-    ShardingTask::sample(&pool, DEVICES, 12..=30, 64, seed)
+/// The hostile fleet for `task` at `seed`: each device holds 80–140% of
+/// its share of a 115% even split of the task's bytes and computes 1–3×
+/// slower than the baseline, and the devices sit on two nodes joined by
+/// links at 0.25–1.0 of full bandwidth.
+fn hostile_pool(task: &ShardingTask, seed: u64) -> DevicePool {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A0_5C4A_05C4_A05C);
+    let share = (task.total_bytes() * 115 / (100 * DEVICES as u64)) as f64;
+    let devices = (0..DEVICES)
+        .map(|_| {
+            let budget = (share * rng.random_range(0.8..1.4)) as u64;
+            DeviceProfile::new(
+                budget,
+                rng.random_range(1.0..3.0),
+                rng.random_range(0..2usize),
+            )
+        })
+        .collect();
+    DevicePool::new(devices, rng.random_range(0.25..1.0))
 }
 
-/// The sweep's task for `seed`. Every third scenario gets a tight budget
-/// (15% headroom over perfect balance) so memory-pressure faults actually
-/// bite and the degradation machinery fires.
+/// The sweep's task for `seed`, on its hostile fleet.
 fn task_for(seed: u64) -> ShardingTask {
-    let task = base_task(seed);
-    if seed % 3 == 2 {
-        let tight = task.total_bytes() * 115 / (100 * DEVICES as u64);
-        task.with_devices(DevicePool::uniform(DEVICES, tight))
-    } else {
-        task
-    }
+    let pool = TablePool::synthetic_dlrm(120, seed);
+    let task = ShardingTask::sample(&pool, DEVICES, 12..=30, 64, seed);
+    let fleet = hostile_pool(&task, seed);
+    task.with_devices(fleet)
 }
 
 /// Runs one seeded scenario end to end.
-fn run_scenario(seed: u64, conservative: bool) -> Result<ResilientOutcome, ResilientError> {
-    let faults = FaultPlan::sampled(seed, DEVICES);
-    let task = if conservative {
-        // A budget-aware planner starts from the roomy default budget and
-        // targets the squeezed (effective) one.
-        let task = base_task(seed);
-        let min_budget = (0..DEVICES)
-            .map(|d| faults.effective_budget_bytes(d, task.budget_of(d)))
-            .min()
-            .unwrap();
-        task.with_devices(DevicePool::uniform(DEVICES, min_budget))
-    } else {
-        task_for(seed)
-    };
-    chain_for(faults).shard_with_provenance(&task)
+fn run_scenario(seed: u64) -> Result<ResilientOutcome, ResilientError> {
+    chain().shard_with_provenance(&task_for(seed))
 }
 
 #[test]
@@ -82,15 +66,14 @@ fn sweep_never_panics_and_outcomes_are_typed() {
     let mut plans = 0usize;
     let mut typed_errors = 0usize;
     for seed in 0..SCENARIOS {
-        match run_scenario(seed, false) {
+        match run_scenario(seed) {
             Ok(outcome) => {
                 plans += 1;
-                // The accepted plan verifies under the *faulted* cluster.
+                // The accepted plan fits the fleet it was planned for.
                 let task = task_for(seed);
-                let faulty = faulty_cluster(&task, FaultPlan::sampled(seed, DEVICES));
-                faulty
+                neuroshard::core::cluster_for(&task, &GpuSpec::rtx_2080_ti())
                     .check_memory(&outcome.plan.device_profiles(task.batch_size()))
-                    .expect("accepted plan must fit the effective budgets");
+                    .expect("accepted plan must fit every device's budget");
             }
             Err(err) => {
                 typed_errors += 1;
@@ -119,54 +102,36 @@ fn sweep_never_panics_and_outcomes_are_typed() {
 #[test]
 fn sweep_is_bit_for_bit_deterministic() {
     for seed in 0..SCENARIOS {
-        let a = run_scenario(seed, false);
-        let b = run_scenario(seed, false);
-        assert_eq!(a, b, "scenario {seed} is not deterministic");
+        assert_eq!(
+            run_scenario(seed),
+            run_scenario(seed),
+            "scenario {seed} is not deterministic"
+        );
     }
-}
-
-#[test]
-fn conservative_planning_mostly_survives_faults() {
-    let mut plans = 0usize;
-    for seed in 0..SCENARIOS {
-        if run_scenario(seed, true).is_ok() {
-            plans += 1;
-        }
-    }
-    // Budget-aware planning should survive the large majority of fault
-    // scenarios (transient-failure storms may still exhaust retries).
-    assert!(
-        plans * 4 >= SCENARIOS as usize * 3,
-        "only {plans}/{SCENARIOS} conservative scenarios produced a plan"
-    );
 }
 
 #[test]
 fn sweep_exercises_the_degradation_machinery() {
-    let mut saw_retry = false;
-    let mut saw_degraded = false;
-    for seed in 0..SCENARIOS {
-        let provenance = match run_scenario(seed, false) {
-            Ok(outcome) => outcome.provenance,
-            Err(err) => *err.provenance,
-        };
-        saw_retry |= provenance
-            .events
-            .iter()
-            .any(|e| matches!(e, ProvenanceEvent::TransientRetry { .. }));
-        saw_degraded |= provenance.is_degraded()
-            || provenance.events.iter().any(|e| {
-                matches!(
-                    e,
-                    ProvenanceEvent::VerifyFailed { .. }
-                        | ProvenanceEvent::Repaired { .. }
-                        | ProvenanceEvent::RepairFailed { .. }
-                        | ProvenanceEvent::SearchFailed { .. }
-                )
-            });
-    }
-    assert!(saw_retry, "no scenario exercised transient retries");
-    assert!(saw_degraded, "no scenario exercised a downgrade");
+    let degraded = (0..SCENARIOS)
+        .filter(|&seed| {
+            let provenance = match run_scenario(seed) {
+                Ok(outcome) => outcome.provenance,
+                Err(err) => *err.provenance,
+            };
+            provenance.is_degraded()
+                || provenance.events.iter().any(|e| {
+                    matches!(
+                        e,
+                        ProvenanceEvent::VerifyFailed { .. }
+                            | ProvenanceEvent::Repaired { .. }
+                            | ProvenanceEvent::RepairFailed { .. }
+                            | ProvenanceEvent::SearchFailed { .. }
+                    )
+                })
+        })
+        .count();
+    println!("{degraded}/{SCENARIOS} scenarios degraded");
+    assert!(degraded > 0, "no scenario exercised a downgrade");
 }
 
 /// The acceptance-criteria integration test: a plan the simulator rejects
@@ -216,73 +181,57 @@ fn oom_greedy_plan_is_repaired_into_feasibility() {
 }
 
 // ---------------------------------------------------------------------------
-// Heterogeneity chaos: node-class faults on two-tier fleets.
+// Heterogeneity chaos: slow nodes on two-tier fleets.
 // ---------------------------------------------------------------------------
 
-use neuroshard::data::DevicePool;
-use neuroshard::sim::Fault;
-
 /// A two-node fleet: node 0 holds two fast/large devices, node 1 two
-/// slower devices with half the memory, joined by a 2× slower inter-node
-/// fabric.
-fn two_tier_pool() -> DevicePool {
-    DevicePool::two_tier(2, 1 << 30, 2, 512 << 20, 1.5, 0.5)
+/// devices with half the memory computing `slow_scale`× slower, joined by
+/// an inter-node fabric at `inter` of full bandwidth.
+fn two_tier_pool(slow_scale: f64, inter: f64) -> DevicePool {
+    DevicePool::two_tier(2, 1 << 30, 2, 512 << 20, slow_scale, inter)
 }
 
 /// A heterogeneous task for `seed`, sized so the small node's budget is a
 /// real constraint.
-fn hetero_task(seed: u64) -> ShardingTask {
+fn hetero_task(seed: u64, fleet: DevicePool) -> ShardingTask {
     let pool = TablePool::synthetic_dlrm(120, seed);
-    ShardingTask::sample(&pool, DEVICES, 10..=18, 64, seed).with_devices(two_tier_pool())
+    ShardingTask::sample(&pool, DEVICES, 10..=18, 64, seed).with_devices(fleet)
 }
 
-/// A whole node class slowing down and its links degrading hits only the
-/// devices of that node: the other node's ground-truth costs are
-/// unchanged bit for bit.
+/// A slower class and slower links on node 1 bite only the devices of
+/// node 1: node 0's ground-truth compute is unchanged bit for bit.
 #[test]
-fn node_faults_bite_only_the_faulted_node() {
-    let task = hetero_task(5);
+fn a_slow_node_slows_only_its_own_devices() {
+    let task = hetero_task(5, two_tier_pool(1.5, 0.5));
     let plan = neuroshard::resilient::size_balanced_plan(&task).expect("task is feasible");
     let profiles = plan.device_profiles(task.batch_size());
+    let cost_on = |fleet: DevicePool| {
+        let task = task.clone().with_devices(fleet);
+        neuroshard::core::cluster_for(&task, &GpuSpec::rtx_2080_ti())
+            .evaluate_exact(&profiles)
+            .unwrap()
+    };
+    let base = cost_on(two_tier_pool(1.5, 0.5));
+    let slow = cost_on(two_tier_pool(4.5, 0.125));
 
-    let clean = faulty_cluster(&task, FaultPlan::new(0))
-        .evaluate_exact(&profiles)
-        .unwrap();
-    let faulted = faulty_cluster(
-        &task,
-        FaultPlan::new(0)
-            .with_fault(Fault::SlowNodeClass {
-                node: 1,
-                slowdown: 3.0,
-            })
-            .with_fault(Fault::NodeLinkDegradation {
-                node: 1,
-                bandwidth_scale: 0.25,
-            }),
-    )
-    .evaluate_exact(&profiles)
-    .unwrap();
-
-    for d in 0..DEVICES {
-        let clean_d = &clean.devices()[d];
-        let fault_d = &faulted.devices()[d];
+    for (d, (base_d, slow_d)) in base.devices().iter().zip(slow.devices()).enumerate() {
         if d < 2 {
-            // Node 0: compute untouched (asymmetric link cuts still slow
-            // its *conversations with* node 1, so only compute is exactly
+            // Node 0: compute untouched (the slower links still slow its
+            // *conversations with* node 1, so only compute is exactly
             // preserved).
             assert_eq!(
-                clean_d.compute_ms().to_bits(),
-                fault_d.compute_ms().to_bits(),
-                "device {d} on the healthy node changed compute cost"
+                base_d.compute_ms().to_bits(),
+                slow_d.compute_ms().to_bits(),
+                "device {d} on the fast node changed compute cost"
             );
         } else {
             assert!(
-                fault_d.compute_ms() > clean_d.compute_ms(),
+                slow_d.compute_ms() > base_d.compute_ms(),
                 "device {d} on the slow node must compute slower"
             );
             assert!(
-                fault_d.comm_ms() > clean_d.comm_ms(),
-                "device {d} behind the bad links must communicate slower"
+                slow_d.comm_ms() > base_d.comm_ms(),
+                "device {d} behind the slow links must communicate slower"
             );
         }
     }
@@ -302,8 +251,8 @@ fn repair_respects_device_profiles_under_node_faults() {
     let tables: Vec<TableConfig> = (0..6)
         .map(|i| TableConfig::new(TableId(i), 64, 1 << 19, 8.0, 1.0))
         .collect();
-    let task =
-        ShardingTask::new(tables.clone(), DEVICES, 1 << 30, 64).with_devices(two_tier_pool());
+    let task = ShardingTask::new(tables.clone(), DEVICES, 1 << 30, 64)
+        .with_devices(two_tier_pool(1.5, 0.5));
     // Adversarial start: everything piled onto device 2 — a *small*
     // device, so the pile violates its profile long before the fleet
     // aggregate.
@@ -328,25 +277,18 @@ fn repair_respects_device_profiles_under_node_faults() {
     }
 }
 
-/// The full chain under combined heterogeneity faults: for every seeded
-/// scenario the planner returns either a plan respecting each device's
-/// memory profile under the faulted cluster, or a typed error with
+/// The full chain on two-tier fleets whose slow node is slower still and
+/// whose links are cut further: for every seed the planner returns either
+/// a plan respecting each device's memory profile or a typed error with
 /// provenance — and the outcome is deterministic.
 #[test]
 fn hetero_fault_sweep_recovers_profile_respecting_plans() {
     let mut plans = 0usize;
     for seed in 0..8u64 {
-        let task = hetero_task(seed);
-        let faults = FaultPlan::new(seed)
-            .with_fault(Fault::SlowNodeClass {
-                node: 1,
-                slowdown: 2.0 + (seed % 3) as f64,
-            })
-            .with_fault(Fault::NodeLinkDegradation {
-                node: 1,
-                bandwidth_scale: 0.2 + 0.1 * (seed % 4) as f64,
-            });
-        let run = || chain_for(faults.clone()).shard_with_provenance(&task);
+        let slow_scale = 1.5 * (2.0 + (seed % 3) as f64);
+        let inter = 0.5 * (0.2 + 0.1 * (seed % 4) as f64);
+        let task = hetero_task(seed, two_tier_pool(slow_scale, inter));
+        let run = || chain().shard_with_provenance(&task);
         let outcome = run();
         assert_eq!(
             outcome,
