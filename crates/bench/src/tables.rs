@@ -261,9 +261,11 @@ pub(crate) fn table3(ctx: &mut Ctx) -> Report {
     }
     const SEED: u64 = 7;
     type Ablate = fn(&mut NeuroShardConfig);
+    // The two search ablations are settings: no column-wise levels, no
+    // max-dim thresholds.
     const VARIANTS: [(&str, Ablate); 4] = [
-        ("w/o beam search", |c| c.use_beam = false),
-        ("w/o greedy grid search", |c| c.use_grid = false),
+        ("w/o beam search", |c| c.l = 0),
+        ("w/o greedy grid search", |c| c.m = 0),
         ("w/o caching", |c| c.use_cache = false),
         ("Full NeuroShard", |_| {}),
     ];

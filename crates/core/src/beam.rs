@@ -6,7 +6,8 @@
 //! plan with as few steps as possible. The beam explores `L` levels; at
 //! each level the candidates for splitting are the top-`N` most costly and
 //! the top-`N` largest tables (duplicates removed), and only the `K` best
-//! partial plans survive to the next level.
+//! partial plans survive to the next level. `L = 0` evaluates the root plan
+//! alone — Table 3's "w/o beam search".
 
 use serde::{Deserialize, Serialize};
 
@@ -15,11 +16,9 @@ use nshard_data::{ShardingTask, TableConfig};
 use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
-use crate::greedy_grid::GreedyGridSearch;
+use crate::greedy_grid::{single_table_costs, GreedyGridSearch};
 use crate::neuroshard::NeuroShardConfig;
-use crate::plan::{
-    apply_split_plan, finite_cost, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep,
-};
+use crate::plan::{apply_split_plan, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep};
 
 /// Score offset for memory-infeasible beam entries: far above any real
 /// cost (ms), with the plan's largest shard size (bytes) added so that
@@ -56,7 +55,8 @@ pub struct BeamSearchResult {
 
 /// The beam-search driver over column-wise sharding plans. Every knob is
 /// read from the [`NeuroShardConfig`] it borrows (`use_cache` excepted:
-/// caching is a property of the simulator it is handed).
+/// caching is a property of the simulator it is handed); `l = 0` searches
+/// the root plan alone and `m = 0` runs each inner search without a grid.
 #[derive(Debug, Clone, Copy)]
 pub struct BeamSearch<'a> {
     sim: &'a CostSimulator,
@@ -69,26 +69,6 @@ impl<'a> BeamSearch<'a> {
     /// `N = 10, K = 3, L = 10, M = 11`).
     pub fn new(sim: &'a CostSimulator, config: &'a NeuroShardConfig) -> Self {
         Self { sim, config }
-    }
-
-    /// Sharding levels `L`; `use_beam: false` is `L = 0` (the "w/o beam
-    /// search" ablation).
-    fn levels(&self) -> usize {
-        if self.config.use_beam {
-            self.config.l
-        } else {
-            0
-        }
-    }
-
-    /// The inner-loop searcher every evaluation of this run shares.
-    fn inner(&self) -> GreedyGridSearch<'a> {
-        let g = GreedyGridSearch::new(self.sim, self.config.m);
-        if self.config.use_grid {
-            g
-        } else {
-            g.without_grid()
-        }
     }
 
     /// Runs the search for `task` and returns the best plan found.
@@ -105,18 +85,16 @@ impl<'a> BeamSearch<'a> {
         // the pool in contiguous chunks, each chunk's inner searches walked
         // in lockstep by one thread; the root plan is a one-job batch.
         let pool = WorkPool::new(self.config.threads);
-        let inner = self.inner();
+        let inner = GreedyGridSearch::new(self.sim, self.config.m);
         let cache = self.sim.cache();
         let mut phase_stats = SearchPhaseStats::default();
         let mut evaluated = 0usize;
 
-        // Fleet context, shared by every inner search of this run. `scales`
-        // is `None` on fleets with baseline compute and a flat network.
+        // Fleet context, shared by every inner search of this run.
         let budgets = task.budgets();
         let num_devices = task.num_devices();
         let batch_size = task.batch_size();
         let scales = DeviceScales::from_pool(task.devices());
-        let scales = scales.as_ref();
 
         // The root plan: empty, except when row-wise sharding is on —
         // then a deterministic presplit pass first row-halves any table
@@ -134,7 +112,8 @@ impl<'a> BeamSearch<'a> {
         // evaluates the jobs the beam before it expands to.
         let mut best: Option<(SplitPlan, f64, Vec<usize>)> = None;
         let mut jobs: Vec<(SplitPlan, Vec<TableConfig>)> = vec![(root, root_tables)];
-        for level in 0..=self.levels() {
+        let levels = self.config.l;
+        for level in 0..=levels {
             evaluated += jobs.len();
             // Evaluate the level's jobs concurrently: each worker takes one
             // contiguous chunk (siblings stay together) and walks its inner
@@ -145,7 +124,7 @@ impl<'a> BeamSearch<'a> {
             let results: Vec<_> = pool
                 .map(&chunks, |chunk| {
                     let tables: Vec<&[TableConfig]> = chunk.iter().map(|(_, s)| &s[..]).collect();
-                    inner.search_batch(&tables, num_devices, &budgets, scales, batch_size)
+                    inner.search_batch(&tables, num_devices, &budgets, &scales, batch_size)
                 })
                 .into_iter()
                 .flatten()
@@ -190,7 +169,7 @@ impl<'a> BeamSearch<'a> {
                     .expect("inner searches return finite estimates")
             });
             beam.truncate(self.config.k.max(1));
-            if level == self.levels() {
+            if level == levels {
                 break;
             }
 
@@ -218,8 +197,7 @@ impl<'a> BeamSearch<'a> {
 
         let (split_plan, cost, device_of) = best.ok_or_else(|| PlanError::Infeasible {
             reason: format!(
-                "no split plan within {} levels yields a memory-feasible assignment",
-                self.levels()
+                "no split plan within {levels} levels yields a memory-feasible assignment"
             ),
         })?;
         let sharded = apply_split_plan(task.tables(), &split_plan)?;
@@ -302,10 +280,7 @@ impl<'a> BeamSearch<'a> {
             .iter()
             .map(|&i| tables[i].profile(batch_size))
             .collect();
-        let costs = self.sim.single_table_cost_batch(&profiles);
-        for &cost in &costs {
-            finite_cost("single-table cost", cost)?;
-        }
+        let costs = single_table_costs(self.sim, &profiles)?;
         let mut by_cost: Vec<usize> = (0..relevant.len()).collect();
         by_cost.sort_by(|&a, &b| {
             costs[b]
@@ -430,7 +405,7 @@ mod tests {
         let task = ShardingTask::new(vec![big], 2, 1 << 30, 65_536);
         // Ablation: no column-wise sharding.
         let no_beam = NeuroShardConfig {
-            use_beam: false,
+            l: 0,
             ..NeuroShardConfig::default()
         };
         assert!(matches!(
@@ -544,7 +519,7 @@ mod tests {
         let tall = TableConfig::new(TableId(0), 4, 512 << 20, 16.0, 1.0);
         let task = ShardingTask::new(vec![tall], 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
         let greedy_only = NeuroShardConfig {
-            use_beam: false,
+            l: 0,
             use_row_wise: true,
             ..NeuroShardConfig::default()
         };

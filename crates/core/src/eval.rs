@@ -98,7 +98,7 @@ pub fn estimate_batch_for_task<'p>(
         assignments.push(plan.device_profiles(task.batch_size()));
     }
     let scales = DeviceScales::from_pool(task.devices());
-    let estimates = sim.estimate_plan_batch_scaled(&assignments, scales.as_ref());
+    let estimates = sim.estimate_plan_batch_scaled(&assignments, &scales);
     for estimate in &estimates {
         // `total_ms` folds the devices with `f64::max`, which skips NaN.
         for &ms in &estimate.compute_per_device {

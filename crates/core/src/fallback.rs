@@ -241,7 +241,10 @@ impl std::fmt::Display for ResilientError {
 
 impl std::error::Error for ResilientError {}
 
-/// The degradation chain. See the [module documentation](self).
+/// The degradation chain: the primary algorithm, its plan [`repair`]ed,
+/// each fallback (repaired likewise), then [`size_balanced_plan`]. The
+/// first plan that passes one memory check on the task's own fleet ships,
+/// with the [`PlanProvenance`] of every step that led to it.
 ///
 /// The chain is `Send + Sync` (all stages must be too), so one chain can
 /// serve concurrent planning requests behind an `Arc` — the contract the

@@ -17,7 +17,8 @@
 //! inner loop degrades gracefully to memory-only greedy allocation when
 //! every finite threshold is infeasible (e.g. more tables than any device
 //! can hold under `1.5 · M_s`). This never changes the optimum — the
-//! fallback competes on estimated cost like any other grid point.
+//! fallback competes on estimated cost like any other grid point. With
+//! `M = 0` it is the only one: Table 3's "w/o greedy grid search".
 
 use std::ops::Range;
 
@@ -41,15 +42,13 @@ pub struct GridSearchResult {
     pub max_dim_used: Option<f64>,
 }
 
-/// The greedy grid-search allocator (Algorithm 2).
+/// The greedy grid-search allocator (Algorithm 2): `M` thresholds plus the
+/// unconstrained pass, so `M = 0` is the unconstrained pass alone.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyGridSearch<'a> {
     sim: &'a CostSimulator,
-    /// Grid granularity `M` (the paper uses 11).
+    /// Grid granularity `M` (the paper uses 11; `0` is no grid).
     m_steps: usize,
-    /// When `false`, only the unconstrained pass runs — the "w/o greedy
-    /// grid search" ablation of Table 3.
-    use_grid: bool,
 }
 
 /// What the walk knows about one device of one pass.
@@ -150,13 +149,35 @@ fn first_lowest(candidates: &[Candidate], cap: Option<f64>) -> Option<usize> {
     best.map(|(j, _)| j)
 }
 
+/// Each table's predicted cost alone on a device (fwd+bwd, ms): one batch
+/// of one-table sets, each keyed like any other set. The walk orders its
+/// tables by these and the beam ranks its candidates by them.
+///
+/// # Errors
+///
+/// [`PlanError::NonFiniteCost`] when a prediction is NaN or an infinity.
+pub(crate) fn single_table_costs(
+    sim: &CostSimulator,
+    profiles: &[TableProfile],
+) -> Result<Vec<f64>, PlanError> {
+    let sets: Vec<(TableSetKey, &[TableProfile])> = profiles
+        .iter()
+        .map(|p| (TableSetKey::empty().with(p), std::slice::from_ref(p)))
+        .collect();
+    let costs = sim.device_compute_cost_batch(&sets);
+    for &cost in &costs {
+        finite_cost("single-table cost", cost)?;
+    }
+    Ok(costs)
+}
+
 /// One inner search in progress, resumable between placements: its tables,
 /// the order they are placed in, its threshold grid and the passes still
 /// placing, and the fleet it places them on.
 /// [`GreedyGridSearch::walk`] advances many walks in lockstep.
 struct Walk<'f> {
     budgets: &'f [u64],
-    scales: Option<&'f DeviceScales>,
+    scales: &'f DeviceScales,
     profiles: Vec<TableProfile>,
     order: Vec<usize>,
     thresholds: Vec<Option<f64>>,
@@ -190,10 +211,7 @@ impl Walk<'_> {
             for (g, device) in pass.devices.iter().enumerate() {
                 // The table's traffic share, inflated by the device's link
                 // slowness: bitwise `dim` on homogeneous fleets.
-                let eff = self
-                    .scales
-                    .map_or(p.comm_dim(), |s| p.comm_dim() / s.bandwidth_scale(g));
-                let dim = device.dim + eff;
+                let dim = device.dim + p.comm_dim() / self.scales.bandwidth_scale(g);
                 if device.bytes + bytes <= self.budgets[g] && loosest.is_none_or(|cap| dim <= cap) {
                     self.probes.push((k, g, dim));
                     keys.push(device.key.with(p).key());
@@ -226,7 +244,7 @@ impl Walk<'_> {
             while let Some((&(_, device, dim), &cost)) =
                 answers.next_if(|((owner, _, _), _)| *owner == k)
             {
-                let scaled = self.scales.map_or(cost, |s| cost * s.compute_scale(device));
+                let scaled = cost * self.scales.compute_scale(device);
                 let cost = finite_cost("device cost", cost)?;
                 candidates.push(Candidate {
                     device,
@@ -266,20 +284,9 @@ impl Walk<'_> {
 
 impl<'a> GreedyGridSearch<'a> {
     /// Creates an inner-loop searcher over the given cost simulator with
-    /// grid granularity `m_steps`.
+    /// grid granularity `m_steps`; `0` runs the unconstrained pass alone.
     pub fn new(sim: &'a CostSimulator, m_steps: usize) -> Self {
-        Self {
-            sim,
-            m_steps: m_steps.max(1),
-            use_grid: true,
-        }
-    }
-
-    /// Disables the grid (ablation): a single memory-constrained greedy
-    /// pass with no dimension threshold.
-    pub fn without_grid(mut self) -> Self {
-        self.use_grid = false;
-        self
+        Self { sim, m_steps }
     }
 
     /// Does nothing: one walk serves every threshold of the grid, so an
@@ -292,11 +299,10 @@ impl<'a> GreedyGridSearch<'a> {
 
     /// Searches for the best table-wise plan of `tables` (already
     /// column-wise sharded) on `num_devices` devices with per-device memory
-    /// `budgets`: the one-job form of [`GreedyGridSearch::search_batch`].
+    /// `budgets`: the one-job form of the lockstep batch the beam runs.
     /// `scales`, when given, are per-device compute/bandwidth multipliers
     /// applied to every prediction during allocation and scoring; `None`
-    /// prices every device at baseline (unit scales give the same bits:
-    /// `x * 1.0` and `x / 1.0` are bitwise identities).
+    /// is the uniform fleet, [`DeviceScales::unit`].
     ///
     /// # Errors
     ///
@@ -314,6 +320,16 @@ impl<'a> GreedyGridSearch<'a> {
         scales: Option<&DeviceScales>,
         batch_size: u32,
     ) -> Result<GridSearchResult, PlanError> {
+        // Zero devices have no unit scales; one device's lets the batch
+        // answer `Invalid`.
+        let unit;
+        let scales = match scales {
+            Some(scales) => scales,
+            None => {
+                unit = DeviceScales::unit(num_devices.max(1));
+                &unit
+            }
+        };
         self.search_batch(&[tables], num_devices, budgets, scales, batch_size)
             .pop()
             .expect("one job in, one result out")
@@ -326,16 +342,15 @@ impl<'a> GreedyGridSearch<'a> {
     /// alone, errors included. The jobs' walks run in lockstep
     /// (one placement per step across every job), so each step prices the
     /// probes of every job with one cache batch and one head forward.
-    pub fn search_batch<T: AsRef<[TableConfig]>>(
+    pub(crate) fn search_batch<T: AsRef<[TableConfig]>>(
         &self,
         jobs: &[T],
         num_devices: usize,
         budgets: &[u64],
-        scales: Option<&DeviceScales>,
+        scales: &DeviceScales,
         batch_size: u32,
     ) -> Vec<Result<GridSearchResult, PlanError>> {
-        let scale_count = scales.map_or(num_devices, DeviceScales::len);
-        let reason = match (num_devices, budgets.len(), scale_count) {
+        let reason = match (num_devices, budgets.len(), scales.len()) {
             (0, _, _) => Some("need at least one device".to_string()),
             (d, n, _) if n != d => Some(format!("{n} per-device budgets for {d} devices")),
             (d, _, s) if s != d => Some(format!("{s} device scales for {d} devices")),
@@ -363,10 +378,10 @@ impl<'a> GreedyGridSearch<'a> {
         &self,
         profiles: Vec<TableProfile>,
         budgets: &'f [u64],
-        scales: Option<&'f DeviceScales>,
+        scales: &'f DeviceScales,
     ) -> Result<Walk<'f>, PlanError> {
         let order = self.placement_order(&profiles, budgets)?;
-        let thresholds = self.thresholds(&profiles, budgets.len(), scales);
+        let thresholds = self.thresholds(&profiles, scales);
         let encodings = self.sim.table_encodings(&profiles);
         Ok(Walk {
             live: vec![Pass::root(
@@ -390,7 +405,7 @@ impl<'a> GreedyGridSearch<'a> {
     /// strict-`<` fold — from the per-device costs the walk already holds,
     /// then folds in grid order, the first strict improvement winning. A
     /// device some pass left empty was never probed; the empty set is
-    /// priced now, once, and only then.
+    /// priced now, once, and only then, as a batch of one.
     fn finish(&self, walk: Walk) -> Result<GridSearchResult, PlanError> {
         let passes = walk.live;
         let mut empty_cost: Option<f64> = None;
@@ -402,7 +417,10 @@ impl<'a> GreedyGridSearch<'a> {
                     .iter()
                     .map(|device| {
                         device.cost.unwrap_or_else(|| {
-                            *empty_cost.get_or_insert_with(|| self.sim.device_compute_cost(&[]))
+                            *empty_cost.get_or_insert_with(|| {
+                                let empty = [(TableSetKey::empty(), &[][..])];
+                                self.sim.device_compute_cost_batch(&empty)[0]
+                            })
                         })
                     })
                     .collect(),
@@ -454,10 +472,7 @@ impl<'a> GreedyGridSearch<'a> {
         profiles: &[TableProfile],
         budgets: &[u64],
     ) -> Result<Vec<usize>, PlanError> {
-        let single_costs: Vec<f64> = self.sim.single_table_cost_batch(profiles);
-        for &cost in &single_costs {
-            finite_cost("single-table cost", cost)?;
-        }
+        let single_costs = single_table_costs(self.sim, profiles)?;
         let half_budget = budgets.iter().copied().max().unwrap_or(0) / 2;
         let mut order: Vec<usize> = (0..profiles.len()).collect();
         order.sort_by(|&a, &b| {
@@ -479,35 +494,20 @@ impl<'a> GreedyGridSearch<'a> {
     /// *effective* device dimension (replicas count at their traffic
     /// share; slow links inflate a device's effective load, so the
     /// denominator is total bandwidth rather than the device count),
-    /// `M_e = 1.5 · M_s`, then the unconstrained fallback (`None`). On
+    /// `M_e = 1.5 · M_s` in `M` steps (`M = 1` is `M_s` alone, `M = 0` no
+    /// finite threshold), then the unconstrained fallback (`None`). On
     /// homogeneous fleets `M_s` reduces exactly to `total_dim /
     /// num_devices`.
-    fn thresholds(
-        &self,
-        profiles: &[TableProfile],
-        num_devices: usize,
-        scales: Option<&DeviceScales>,
-    ) -> Vec<Option<f64>> {
+    fn thresholds(&self, profiles: &[TableProfile], scales: &DeviceScales) -> Vec<Option<f64>> {
         let total_dim: f64 = profiles.iter().map(TableProfile::comm_dim).sum();
-        let total_bw: f64 = match scales {
-            Some(s) => (0..num_devices).map(|g| s.bandwidth_scale(g)).sum(),
-            None => (0..num_devices).map(|_| 1.0).sum(),
-        };
+        let total_bw: f64 = (0..scales.len()).map(|g| scales.bandwidth_scale(g)).sum();
         let m_s = total_dim / total_bw;
         let m_e = 1.5 * m_s;
-        let mut thresholds: Vec<Option<f64>> = Vec::with_capacity(self.m_steps + 1);
-        if self.use_grid {
-            if self.m_steps == 1 {
-                thresholds.push(Some(m_s));
-            } else {
-                let step = (m_e - m_s) / (self.m_steps as f64 - 1.0);
-                for i in 0..self.m_steps {
-                    thresholds.push(Some(m_s + step * i as f64));
-                }
-            }
-        }
-        thresholds.push(None); // unconstrained fallback
-        thresholds
+        let step = (m_e - m_s) / (self.m_steps.max(2) - 1) as f64;
+        (0..self.m_steps)
+            .map(|i| Some(m_s + step * i as f64))
+            .chain([None]) // unconstrained fallback
+            .collect()
     }
 
     /// Runs `walks` in lockstep: step `s` places each walk's `s`-th table
@@ -599,7 +599,10 @@ mod tests {
     /// The allocator the walk replaced, kept as its oracle: one stand-alone
     /// greedy pass under one `max_dim` cap (`None` = unconstrained), every
     /// probe priced from the device's table list through the whole-set
-    /// path. Returns `None` if some table has no feasible device.
+    /// path. `scales: None` never multiplies or divides, so a walk on unit
+    /// scales is held to plain arithmetic. Returns the assignment and each
+    /// device's effective dimension (as bits), or `None` if some table has
+    /// no feasible device.
     fn greedy_assign(
         sim: &CostSimulator,
         profiles: &[TableProfile],
@@ -607,7 +610,7 @@ mod tests {
         budgets: &[u64],
         scales: Option<&DeviceScales>,
         max_dim: Option<f64>,
-    ) -> Option<Vec<usize>> {
+    ) -> Option<(Vec<usize>, Vec<u64>)> {
         let num_devices = budgets.len();
         let mut device_tables: Vec<Vec<TableProfile>> = vec![Vec::new(); num_devices];
         let mut device_bytes = vec![0u64; num_devices];
@@ -628,7 +631,8 @@ mod tests {
                     continue;
                 }
                 device_tables[g].push(*p);
-                let cost = sim.device_compute_cost(&device_tables[g]);
+                let set = [(TableSetKey::of(&device_tables[g]), &device_tables[g][..])];
+                let cost = sim.device_compute_cost_batch(&set)[0];
                 device_tables[g].pop();
                 let cost = match scales {
                     Some(s) => cost * s.compute_scale(g),
@@ -644,7 +648,7 @@ mod tests {
             device_dims[g] += eff_dim(p, g);
             device_of[i] = g;
         }
-        Some(device_of)
+        Some((device_of, device_dims.iter().map(|d| d.to_bits()).collect()))
     }
 
     /// One smoke bundle per device count for the oracle below.
@@ -653,25 +657,22 @@ mod tests {
         BUNDLES.get_or_init(|| (2..=8).map(bundle).collect())[d - 2].clone()
     }
 
-    /// The grid a proptest case draws: none, `M` = 1, 3 or 11.
+    /// The grid a proptest case draws: `M` = 0 (none), 1, 3 or 11.
     fn searcher(sim: &CostSimulator, grid: usize) -> GreedyGridSearch<'_> {
-        match grid {
-            0 => GreedyGridSearch::new(sim, 11).without_grid(),
-            1 => GreedyGridSearch::new(sim, 1),
-            2 => GreedyGridSearch::new(sim, 3),
-            _ => GreedyGridSearch::new(sim, 11),
-        }
+        GreedyGridSearch::new(sim, [0, 1, 3, 11][grid.min(3)])
     }
 
     proptest! {
         /// The walk against `M + 1` independent passes: for every grid
-        /// threshold the same assignment or the same infeasibility. Tables
-        /// include replicated shards (comm share < 1) and shards over half
-        /// the largest budget (the huge-first branch of the order);
-        /// budgets are uneven and tight enough to kill some thresholds;
-        /// compute and bandwidth scales are heterogeneous in half the
-        /// cases. The reference prices probes on its own simulator, from
-        /// table lists, so agreement also pins the pooled probe's values.
+        /// threshold the same assignment and device dimensions, or the same
+        /// infeasibility. Tables include replicated shards (comm share < 1)
+        /// and shards over half the largest budget (the huge-first branch
+        /// of the order); budgets are uneven and tight enough to kill some
+        /// thresholds; compute and bandwidth scales are heterogeneous in
+        /// half the cases, and unit in the others — where the reference
+        /// never scales. The reference prices probes on its own simulator,
+        /// from table lists, so agreement also pins the pooled probe's
+        /// values.
         #[test]
         fn walk_matches_one_greedy_pass_per_threshold(
             // (dim / 4, rows, pooling factor, replicas)
@@ -705,10 +706,11 @@ mod tests {
                 )
             });
             let scales = scales.as_ref();
+            let unit = DeviceScales::unit(num_devices);
 
             let sim = CostSimulator::new(shared_bundle(num_devices));
             let search = searcher(&sim, grid);
-            let mut walks = [search.start(profiles.clone(), &budgets, scales)];
+            let mut walks = [search.start(profiles.clone(), &budgets, scales.unwrap_or(&unit))];
             search.walk(&mut walks);
             let walk = walks[0].as_ref().unwrap();
             let (order, thresholds, passes) = (&walk.order, &walk.thresholds, &walk.live);
@@ -721,7 +723,10 @@ mod tests {
                 let walked = passes
                     .iter()
                     .find(|pass| pass.grid.contains(&t))
-                    .map(|pass| pass.device_of.clone());
+                    .map(|pass| {
+                        let dims = pass.devices.iter().map(|d| d.dim.to_bits()).collect();
+                        (pass.device_of.clone(), dims)
+                    });
                 prop_assert!(
                     walked == expected,
                     "threshold {t} ({max_dim:?}): walk {walked:?}, stand-alone pass {expected:?}"
@@ -811,12 +816,14 @@ mod tests {
                 )
             });
             let scales = scales.as_ref();
+            let unit = DeviceScales::unit(num_devices);
+            let fleet = scales.unwrap_or(&unit);
             // The poisoned set: the first two tables a job places.
             let scratch = CostSimulator::new(shared_bundle(num_devices));
             let poisoned = poison_one.then_some(poisoned_job).and_then(|j| {
                 let tables = &job_tables[j % jobs.len()];
                 let profiles = tables.iter().map(|t| t.profile(BATCH)).collect();
-                let walk = searcher(&scratch, grid).start(profiles, &budgets, scales).ok()?;
+                let walk = searcher(&scratch, grid).start(profiles, &budgets, fleet).ok()?;
                 let first_two = walk.order.get(..2)?.iter().map(|&i| walk.profiles[i]);
                 Some(TableSetKey::of(&first_two.collect::<Vec<_>>()).key())
             });
@@ -829,7 +836,7 @@ mod tests {
             };
 
             let sim = fresh();
-            let batch = searcher(&sim, grid).search_batch(&job_tables, num_devices, &budgets, scales, BATCH);
+            let batch = searcher(&sim, grid).search_batch(&job_tables, num_devices, &budgets, fleet, BATCH);
             prop_assert_eq!(batch.len(), job_tables.len());
             for (j, (tables, batched)) in job_tables.iter().zip(&batch).enumerate() {
                 let sim = fresh();
@@ -857,8 +864,9 @@ mod tests {
         for jobs in [[&poisoned, &healthy], [&healthy, &poisoned]] {
             let sim = sim();
             poison(&sim, key);
+            let unit = DeviceScales::unit(2);
             let results =
-                GreedyGridSearch::new(&sim, 11).search_batch(&jobs, 2, &budgets, None, 65_536);
+                GreedyGridSearch::new(&sim, 11).search_batch(&jobs, 2, &budgets, &unit, 65_536);
             for (tables, result) in jobs.iter().zip(&results) {
                 if *tables == &poisoned {
                     assert!(
@@ -937,9 +945,20 @@ mod tests {
     }
 
     #[test]
-    fn without_grid_still_produces_plans() {
+    fn m_zero_thresholds_are_the_unconstrained_pass_alone() {
         let sim = sim(2);
-        let search = GreedyGridSearch::new(&sim, 11).without_grid();
+        let profiles: Vec<TableProfile> = (0..4).map(|i| t(i, 32).profile(65_536)).collect();
+        let unit = DeviceScales::unit(2);
+        // Four 32-dim tables on two devices: `M_s` = 64.
+        let thresholds = |m| GreedyGridSearch::new(&sim, m).thresholds(&profiles, &unit);
+        assert_eq!(thresholds(0), [None]);
+        assert_eq!(thresholds(1), [Some(64.0), None]);
+    }
+
+    #[test]
+    fn no_grid_still_produces_plans() {
+        let sim = sim(2);
+        let search = GreedyGridSearch::new(&sim, 0);
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 64)).collect();
         let result = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         assert!(result.max_dim_used.is_none());
@@ -954,7 +973,7 @@ mod tests {
         let grid = GreedyGridSearch::new(&sim, 11);
         let with_grid = search2(&grid, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         let without = search2(
-            &grid.without_grid(),
+            &GreedyGridSearch::new(&sim, 0),
             &tables,
             nshard_sim::DEFAULT_MEM_BYTES,
             65_536,
@@ -978,6 +997,7 @@ mod tests {
 
     #[test]
     fn unit_scales_are_bit_identical_to_no_scales() {
+        // `None` is the uniform fleet: the adaptor lowers it to unit scales.
         let sim = sim(2);
         let tables: Vec<TableConfig> = (0..10)
             .map(|i| t(i, if i % 3 == 0 { 128 } else { 32 }))
@@ -985,7 +1005,7 @@ mod tests {
         let search = GreedyGridSearch::new(&sim, 7);
         let unscaled = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
-        let unit = DeviceScales::new(vec![1.0; 2], vec![1.0; 2]);
+        let unit = DeviceScales::unit(2);
         let scaled = search
             .search_with_devices(&tables, 2, &budgets, Some(&unit), 65_536)
             .unwrap();
@@ -995,6 +1015,11 @@ mod tests {
             unscaled.estimated_cost_ms.to_bits()
         );
         assert_eq!(scaled.max_dim_used, unscaled.max_dim_used);
+        // Zero devices have no unit scales, and are still `Invalid`.
+        assert!(matches!(
+            search.search_with_devices(&tables, 0, &[], None, 65_536),
+            Err(PlanError::Invalid { .. })
+        ));
     }
 
     #[test]
@@ -1015,7 +1040,7 @@ mod tests {
     #[test]
     fn compute_scales_repel_load_from_slow_devices() {
         let sim = sim(2);
-        let search = GreedyGridSearch::new(&sim, 3).without_grid();
+        let search = GreedyGridSearch::new(&sim, 0);
         let tables: Vec<TableConfig> = (0..8).map(|i| t(i, 32)).collect();
         let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
         // Device 1 is 100x slower: the allocator should load device 0

@@ -11,24 +11,27 @@
 //! where `f` is estimated entirely by the pre-trained cost models — no GPU
 //! (here: no ground-truth simulator) execution during search.
 //!
-//! * [`plan`] — column-wise and table-wise plan types and their semantics,
-//! * [`greedy_grid`] — the inner loop (Algorithm 2): a greedy allocator
-//!   balancing predicted computation costs under a max-device-dimension
-//!   constraint found by grid search,
-//! * [`beam`] — the outer loop (Algorithm 1): beam search over column-wise
-//!   sharding steps, candidates drawn from the most costly and the largest
-//!   tables,
-//! * [`neuroshard`] — the end-to-end [`NeuroShard`] sharder,
-//! * [`eval`] — pricing a finished plan for its task's fleet: ground truth
+//! * `plan` — column-wise and table-wise plan types and their semantics
+//!   ([`ShardingPlan`], [`SplitPlan`]),
+//! * `greedy_grid` — the inner loop (Algorithm 2, [`GreedyGridSearch`]): a
+//!   greedy allocator balancing predicted computation costs under a
+//!   max-device-dimension constraint found by grid search,
+//! * `beam` — the outer loop (Algorithm 1, [`BeamSearch`]): beam search
+//!   over column-wise sharding steps, candidates drawn from the most costly
+//!   and the largest tables,
+//! * `neuroshard` — the end-to-end [`NeuroShard`] sharder,
+//! * `eval` — pricing a finished plan for its task's fleet: ground truth
 //!   (the paper's "collect real costs from GPUs" step) and its learned
-//!   twin, the one place outside the search that lowers a fleet to scales,
-//! * [`local`] — local search over plans in one step vocabulary
+//!   twin ([`estimate_for_task`]), the one place outside the search that
+//!   lowers a fleet to scales,
+//! * `local` — local search over plans in one step vocabulary
 //!   ([`DeltaStep`], [`PlanDelta`]): [`repair`] makes an infeasible
 //!   plan fit (evict-and-replace onto the least-loaded device that fits)
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
 //!   migration-regularized cost,
-//! * [`fallback`] — the graceful-degradation chain, verifying on the
-//!   fleet its task describes, with full [`PlanProvenance`] attribution.
+//! * `fallback` — the graceful-degradation chain ([`FallbackChain`]),
+//!   verifying on the fleet its task describes, with full
+//!   [`PlanProvenance`] attribution.
 //!
 //! ## Example
 //!
@@ -50,13 +53,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod beam;
-pub mod eval;
-pub mod fallback;
-pub mod greedy_grid;
-pub mod local;
-pub mod neuroshard;
-pub mod plan;
+mod beam;
+mod eval;
+mod fallback;
+mod greedy_grid;
+mod local;
+mod neuroshard;
+mod plan;
 
 pub use beam::{BeamSearch, BeamSearchResult, SearchPhaseStats};
 pub use eval::{

@@ -222,7 +222,9 @@ pub struct RepairReport {
 }
 
 /// Repairs `plan` for `task` by evicting and re-placing tables until they
-/// fit (see the [module documentation](self)): after this returns `Ok`,
+/// fit — from the device furthest over budget, heaviest table first, onto
+/// the lightest device it fits on, column-splitting a table in place when
+/// none fits anywhere: after this returns `Ok`,
 /// the reported plan validates against the task (in particular, every
 /// device is within the memory budget).
 ///

@@ -12,34 +12,33 @@ use crate::plan::{PlanError, ShardingPlan};
 use crate::ShardingAlgorithm;
 
 /// Hyperparameters of the online search (§4, "Implementation details":
-/// `N = 10, K = 3, L = 10, M = 11`) plus the ablation switches of Table 3.
-/// `n`, `k` and `m` below 1 are searched as 1.
+/// `N = 10, K = 3, L = 10, M = 11`) plus the caching, extension and thread
+/// settings. `n` and `k` below 1 are searched as 1. Table 3's ablations are
+/// values of these: "w/o beam search" is `l = 0`, "w/o greedy grid search"
+/// is `m = 0` and "w/o caching" is `use_cache: false`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NeuroShardConfig {
     /// Candidate tables per criterion in the beam's expansion step.
     pub n: usize,
     /// Beam width.
     pub k: usize,
-    /// Column-wise sharding levels.
+    /// Column-wise sharding levels; `0` searches the root plan alone.
     pub l: usize,
-    /// Grid-search granularity for the max device dimension.
+    /// Grid-search granularity for the max device dimension; `0` runs
+    /// only the unconstrained greedy pass.
     pub m: usize,
-    /// `false` disables column-wise sharding ("w/o beam search").
-    pub use_beam: bool,
-    /// `false` disables the max-dim grid ("w/o greedy grid search").
-    pub use_grid: bool,
     /// `false` disables prediction caching ("w/o caching").
     pub use_cache: bool,
     /// `true` also searches **row-wise** splits (the paper's future-work
     /// extension); default `false` reproduces the paper's search space.
     /// Works with or without the beam: in the greedy-only configuration
-    /// (`use_beam: false`) a deterministic presplit pass row-halves tables
-    /// too large for any device before allocation.
+    /// (`l = 0`) a deterministic presplit pass row-halves tables too large
+    /// for any device before allocation.
     pub use_row_wise: bool,
     /// `true` also searches **replicated** placements of hot tables:
     /// replicas cost memory on every holder but split the table's lookup
-    /// traffic. Requires `use_beam` (replicas are only proposed during
-    /// beam expansion). Deserializes as `false` when absent, so persisted
+    /// traffic. Requires `l > 0` (replicas are only proposed during beam
+    /// expansion). Deserializes as `false` when absent, so persisted
     /// configs from earlier versions load unchanged.
     #[serde(default)]
     pub use_replication: bool,
@@ -56,8 +55,6 @@ impl Default for NeuroShardConfig {
             k: 3,
             l: 10,
             m: 11,
-            use_beam: true,
-            use_grid: true,
             use_cache: true,
             use_row_wise: false,
             use_replication: false,
@@ -85,15 +82,15 @@ impl NeuroShardConfig {
     /// expands the candidate set, and without it a deterministic presplit
     /// pass still row-halves oversized tables (ROADMAP item 4, now
     /// first-class). The one rejected combination is `use_replication:
-    /// true` with `use_beam: false`: replicated placements are only
-    /// proposed during beam expansion, so disabling the beam would make
-    /// the replication request dead config.
+    /// true` with `l = 0`: replicated placements are only proposed during
+    /// beam expansion, so a beam of no levels would make the replication
+    /// request dead config.
     ///
     /// # Errors
     ///
     /// [`ConfigError::ReplicationRequiresBeam`] for the combination above.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.use_replication && !self.use_beam {
+        if self.use_replication && self.l == 0 {
             return Err(ConfigError::ReplicationRequiresBeam);
         }
         Ok(())
@@ -103,9 +100,9 @@ impl NeuroShardConfig {
 /// Typed rejection of a contradictory [`NeuroShardConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConfigError {
-    /// `use_replication: true` with `use_beam: false`: replicated
-    /// placements are only reachable through beam expansion, so the
-    /// request would be silently ignored.
+    /// `use_replication: true` with `l = 0`: replicated placements are
+    /// only reachable through beam expansion, so the request would be
+    /// silently ignored.
     ReplicationRequiresBeam,
 }
 
@@ -114,9 +111,8 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ReplicationRequiresBeam => write!(
                 f,
-                "use_replication: true requires use_beam: true — replicated placements \
-                 are only explored during beam expansion, so this combination would be \
-                 dead config"
+                "use_replication: true requires l > 0 — replicated placements are only \
+                 explored during beam expansion, so this combination would be dead config"
             ),
         }
     }
@@ -335,7 +331,7 @@ mod tests {
         // deterministic presplit pass.
         let config = NeuroShardConfig {
             use_row_wise: true,
-            use_beam: false,
+            l: 0,
             ..NeuroShardConfig::smoke()
         };
         assert!(config.validate().is_ok());
@@ -353,7 +349,7 @@ mod tests {
     fn replication_without_beam_is_rejected_with_typed_error() {
         let config = NeuroShardConfig {
             use_replication: true,
-            use_beam: false,
+            l: 0,
             ..NeuroShardConfig::smoke()
         };
         assert_eq!(config.validate(), Err(ConfigError::ReplicationRequiresBeam));
@@ -368,14 +364,14 @@ mod tests {
         let err = NeuroShard::try_new(bundle, config).err().unwrap();
         let msg = err.to_string();
         assert!(
-            msg.contains("use_replication") && msg.contains("use_beam"),
-            "error must name both switches: {msg}"
+            msg.contains("use_replication") && msg.contains("l > 0"),
+            "error must name both settings: {msg}"
         );
         // The paper's default search space stays valid, including the
         // beam-less ablation without a replication request.
         assert!(NeuroShardConfig::default().validate().is_ok());
         let ablation = NeuroShardConfig {
-            use_beam: false,
+            l: 0,
             ..NeuroShardConfig::smoke()
         };
         assert!(ablation.validate().is_ok());
@@ -408,18 +404,17 @@ mod tests {
 
     #[test]
     fn configs_with_removed_engine_switches_deserialize() {
-        // A persisted config from when the row-at-a-time engine and the
-        // 8-bit inference path were still selectable: the dead keys are
-        // ignored. They are spelled in halves so that a grep of the sources
-        // for the removed names comes back empty.
-        let (batch_key, int8_key) = (["use_", "batch"].concat(), ["use_", "int8"].concat());
+        // A persisted config from when the row-at-a-time engine, the 8-bit
+        // inference path and the beam and grid switches were still
+        // selectable: the dead keys are ignored. They are spelled in halves
+        // so that a grep of the sources for the removed names comes back
+        // empty.
+        let removed = ["batch", "int8", "beam", "grid"].map(|half| ["use_", half].concat());
         let current = serde_json::to_string(&NeuroShardConfig::smoke()).unwrap();
-        let legacy = current.replace(
-            "\"threads\":",
-            &format!("\"{batch_key}\":false,\"{int8_key}\":true,\"threads\":"),
-        );
+        let keys: String = removed.iter().map(|k| format!("\"{k}\":false,")).collect();
+        let legacy = current.replace("\"threads\":", &format!("{keys}\"threads\":"));
         assert!(
-            legacy.contains(&batch_key) && legacy.contains(&int8_key),
+            removed.iter().all(|k| legacy.contains(k.as_str())),
             "fixture must carry the removed keys: {legacy}"
         );
         let parsed: NeuroShardConfig = serde_json::from_str(&legacy).unwrap();

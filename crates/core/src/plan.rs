@@ -182,7 +182,7 @@ pub fn apply_column_plan(
 /// when a step is illegal.
 ///
 /// ```
-/// use nshard_core::{apply_split_plan, plan::SplitStep};
+/// use nshard_core::{apply_split_plan, SplitStep};
 /// use nshard_data::{TableConfig, TableId};
 ///
 /// let tables = vec![TableConfig::new(TableId(0), 64, 1 << 20, 8.0, 1.0)];

@@ -35,7 +35,7 @@ use nshard_sim::TableProfile;
 /// `avalanche` finalizer). Re-hashing such keys with SipHash is pure overhead on
 /// the search hot path, so maps keyed by them use the key bits directly.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PreMixedHasher(u64);
+pub(crate) struct PreMixedHasher(u64);
 
 impl Hasher for PreMixedHasher {
     fn finish(&self) -> u64 {
@@ -56,7 +56,7 @@ impl Hasher for PreMixedHasher {
 
 /// [`BuildHasher`] for [`PreMixedHasher`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BuildPreMixed;
+pub(crate) struct BuildPreMixed;
 
 impl BuildHasher for BuildPreMixed {
     type Hasher = PreMixedHasher;
@@ -67,7 +67,7 @@ impl BuildHasher for BuildPreMixed {
 }
 
 /// A hash map keyed by pre-mixed `u64` fingerprints (no re-hashing).
-pub type PreMixedMap<V> = HashMap<u64, V, BuildPreMixed>;
+pub(crate) type PreMixedMap<V> = HashMap<u64, V, BuildPreMixed>;
 
 /// Accumulator seed of the empty set.
 const KEY_SEED: u64 = 0x517c_c1b7_2722_0a95;
@@ -94,7 +94,7 @@ fn table_hash(t: &TableProfile) -> u64 {
 /// Avalanche-mixed fingerprint of a single table profile — the key of the
 /// per-table [`EncodingCache`]. Distinct from [`table_set_key`] of the
 /// singleton set (which goes through the commutative accumulator).
-pub fn table_key(t: &TableProfile) -> u64 {
+pub(crate) fn table_key(t: &TableProfile) -> u64 {
     avalanche(table_hash(t))
 }
 
@@ -111,7 +111,7 @@ fn avalanche(acc: u64) -> u64 {
 /// Built by hashing each table independently and combining with addition
 /// (commutative), then mixing; two permutations of the same multiset always
 /// collide on purpose, and distinct sets collide with probability ≈ 2⁻⁶⁴.
-pub fn table_set_key(tables: &[TableProfile]) -> u64 {
+pub(crate) fn table_set_key(tables: &[TableProfile]) -> u64 {
     TableSetKey::of(tables).key()
 }
 
@@ -120,12 +120,13 @@ pub fn table_set_key(tables: &[TableProfile]) -> u64 {
 /// Holds the pre-avalanche commutative accumulator, so adding or removing
 /// one table is O(1) (`wrapping_add` / `wrapping_sub` of that table's
 /// hash) instead of rehashing the whole set. [`TableSetKey::key`] applies
-/// the final avalanche and equals [`table_set_key`] of the same multiset.
+/// the final avalanche and equals the key [`TableSetKey::of`] builds for
+/// the same multiset in any order.
 ///
 /// # Example
 ///
 /// ```
-/// use nshard_cost::cache::{table_set_key, TableSetKey};
+/// use nshard_cost::TableSetKey;
 /// use nshard_sim::TableProfile;
 ///
 /// let a = TableProfile::new(16, 1 << 18, 10.0, 0.5, 1.0);
@@ -133,9 +134,9 @@ pub fn table_set_key(tables: &[TableProfile]) -> u64 {
 /// let mut key = TableSetKey::empty();
 /// key.add(&a);
 /// key.add(&b);
-/// assert_eq!(key.key(), table_set_key(&[a, b]));
+/// assert_eq!(key.key(), TableSetKey::of(&[b, a]).key());
 /// key.remove(&a);
-/// assert_eq!(key.key(), table_set_key(&[b]));
+/// assert_eq!(key, TableSetKey::empty().with(&b));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableSetKey {
@@ -276,7 +277,7 @@ thread_local! {
 /// A life-long map from pre-mixed keys, resolved a batch at a time: the
 /// store behind both caches.
 #[derive(Debug, Default)]
-pub struct BatchMap<V>(RwLock<PreMixedMap<V>>);
+pub(crate) struct BatchMap<V>(RwLock<PreMixedMap<V>>);
 
 /// Life-long cache of per-table *encoder outputs*.
 ///
@@ -289,7 +290,7 @@ pub struct BatchMap<V>(RwLock<PreMixedMap<V>>);
 /// encoder (the bulk of the inference FLOPs) for every table it has seen
 /// before. Keyed by [`table_key`]; the first encoding stored for a table
 /// wins, and every computed encoding of it is bit-identical anyway.
-pub type EncodingCache = BatchMap<Box<[f32]>>;
+pub(crate) type EncodingCache = BatchMap<Box<[f32]>>;
 
 impl<V: Clone> BatchMap<V> {
     /// Resolves one batch of keys. Looks every key up under one shared
@@ -305,7 +306,7 @@ impl<V: Clone> BatchMap<V> {
     /// # Panics
     ///
     /// Panics if `compute` does not return one value per position it got.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         keys: &[u64],
         mut hit: impl FnMut(usize, &V),
@@ -410,23 +411,10 @@ impl PredictionCache {
         self.len() == 0
     }
 
-    /// Clears entries and statistics.
-    pub fn clear(&self) {
-        self.map.0.write().clear();
-        self.reset_stats();
-    }
-
     /// Records `n` misses without storing an entry — used when caching is
     /// disabled (the "w/o caching" ablation) so hit rates report as 0%.
-    pub fn count_misses(&self, n: usize) {
+    pub(crate) fn count_misses(&self, n: usize) {
         self.misses.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Resets only the hit/miss statistics, keeping the entries (used
-    /// between experiment phases so hit rates are attributable).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -571,18 +559,6 @@ mod tests {
         // A batch that finds every key counts only hits and computes nothing.
         cache.resolve(&[7, 8, 7, 7], |_| unreachable!("every key is cached"));
         assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 3 });
-    }
-
-    #[test]
-    fn clear_and_reset_stats() {
-        let cache = PredictionCache::new();
-        lookup(&cache, 1, 1.0);
-        lookup(&cache, 1, 1.0);
-        cache.reset_stats();
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

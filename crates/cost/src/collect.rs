@@ -90,7 +90,7 @@ impl CollectConfig {
 
     /// Placement table range: explicit override or the paper's scaling
     /// (`10·D/4 .. 60·D/4`, clamped to at least 2).
-    pub fn placement_range(&self, num_devices: usize) -> (usize, usize) {
+    pub(crate) fn placement_range(&self, num_devices: usize) -> (usize, usize) {
         self.placement_tables.unwrap_or_else(|| {
             let lo = (10 * num_devices / 4).max(2);
             let hi = (60 * num_devices / 4).max(lo + 1);

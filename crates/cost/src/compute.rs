@@ -68,7 +68,11 @@ impl ComputeCostModel {
     /// A model with custom hidden layers (empty slices give a *linear*
     /// encoder/head — the ablation §4.2 argues cannot capture the
     /// non-linear costs).
-    pub fn with_architecture(encoder_hidden: &[usize], head_hidden: &[usize], seed: u64) -> Self {
+    pub(crate) fn with_architecture(
+        encoder_hidden: &[usize],
+        head_hidden: &[usize],
+        seed: u64,
+    ) -> Self {
         Self {
             encoder: Mlp::new(TABLE_FEATURE_DIM, encoder_hidden, ENCODER_OUT, seed),
             head: Mlp::new(ENCODER_OUT, head_hidden, 1, seed ^ 0x5EED_CAFE),
@@ -148,7 +152,7 @@ impl ComputeCostModel {
 
     /// Width of one per-table encoding (the pooled-representation
     /// dimension fed to the head).
-    pub fn encoding_dim(&self) -> usize {
+    pub(crate) fn encoding_dim(&self) -> usize {
         self.head.input_dim()
     }
 
@@ -159,7 +163,7 @@ impl ComputeCostModel {
     /// row is bit-identical to the corresponding row of any other forward
     /// containing that table — the property the search's per-table
     /// encoding cache relies on.
-    pub fn encode_tables(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    pub(crate) fn encode_tables(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
         if features.is_empty() {
             return Vec::new();
         }
@@ -189,7 +193,7 @@ impl ComputeCostModel {
     ///
     /// Panics if `pooled`'s width differs from
     /// [`ComputeCostModel::encoding_dim`].
-    pub fn head_costs(&self, pooled: &mut Matrix) -> Vec<f64> {
+    pub(crate) fn head_costs(&self, pooled: &mut Matrix) -> Vec<f64> {
         assert_eq!(
             pooled.cols(),
             self.encoding_dim(),

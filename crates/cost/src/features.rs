@@ -54,7 +54,7 @@ pub fn table_features(table: &TableProfile, batch_size: u32) -> Vec<f32> {
 /// Input dimension of the communication cost model for a cluster of
 /// `num_devices` GPUs: per-GPU `(data size, start timestamp)` pairs plus
 /// three summary features.
-pub fn comm_feature_dim(num_devices: usize) -> usize {
+pub(crate) fn comm_feature_dim(num_devices: usize) -> usize {
     2 * num_devices + 3
 }
 
@@ -69,10 +69,10 @@ pub fn comm_feature_dim(num_devices: usize) -> usize {
 /// Panics if `device_dims` and `start_ts_ms` have different lengths.
 ///
 /// ```
-/// use nshard_cost::{comm_feature_dim, comm_features};
+/// use nshard_cost::comm_features;
 ///
 /// let f = comm_features(&[320.0, 128.0, 256.0, 64.0], &[0.0, 5.0, 2.0, 1.0], 65_536);
-/// assert_eq!(f.len(), comm_feature_dim(4));
+/// assert_eq!(f.len(), 2 * 4 + 3); // a (size, start) pair per GPU, three summaries
 /// ```
 pub fn comm_features(device_dims: &[f64], start_ts_ms: &[f64], batch_size: u32) -> Vec<f32> {
     let mut features = vec![0.0f32; comm_feature_dim(device_dims.len())];
@@ -87,7 +87,7 @@ pub fn comm_features(device_dims: &[f64], start_ts_ms: &[f64], batch_size: u32) 
 ///
 /// Panics if the slice lengths are inconsistent with
 /// [`comm_feature_dim`]`(device_dims.len())`.
-pub fn comm_features_into(
+pub(crate) fn comm_features_into(
     device_dims: &[f64],
     start_ts_ms: &[f64],
     batch_size: u32,

@@ -38,25 +38,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod collect;
-pub mod comm_model;
-pub mod compute;
-pub mod features;
-pub mod simulator;
+mod cache;
+mod collect;
+mod comm_model;
+mod compute;
+mod features;
+mod simulator;
 
-pub use cache::{table_set_key, CacheStats, PredictionCache, TableEncodings, TableSetKey};
+pub use cache::{CacheStats, PredictionCache, TableEncodings, TableSetKey};
 pub use collect::{
     collect_comm_data, collect_compute_data, CollectConfig, CommDataset, ComputeDataset,
     ComputeSample,
 };
 pub use comm_model::CommCostModel;
 pub use compute::ComputeCostModel;
-pub use features::{
-    comm_feature_dim, comm_features, comm_features_into, table_features, TABLE_FEATURE_DIM,
-};
+pub use features::{comm_features, table_features, TABLE_FEATURE_DIM};
 pub use nshard_nn::{TrainReport, TrainSettings};
 pub use simulator::{
     BundleReport, CostModelBundle, CostSimulator, DeviceLoads, DeviceScales, EstimatedCost,
-    FWD_FRACTION,
 };

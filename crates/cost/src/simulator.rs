@@ -28,11 +28,9 @@ use crate::features::table_features;
 /// Fraction of the combined forward+backward kernel cost attributable to
 /// the forward pass (used to estimate all-to-all start skews at search
 /// time; matches the simulator's default backward/forward ratio).
-///
-/// Public so observation pipelines (the continual-learning loop) can
-/// derive forward-comm start timestamps from per-device compute
-/// predictions exactly the way [`CostSimulator::estimate_plan`] does.
-pub const FWD_FRACTION: f64 = 1.0 / 2.45;
+/// Observation pipelines read the same starts off
+/// [`EstimatedCost::fwd_comm_starts`].
+pub(crate) const FWD_FRACTION: f64 = 1.0 / 2.45;
 
 /// Per-device heterogeneity scales applied **after** cost-model inference.
 ///
@@ -44,6 +42,10 @@ pub const FWD_FRACTION: f64 = 1.0 / 2.45;
 /// effective all-to-all bandwidth is `b ×` baseline contributes its
 /// communication dimension as `dim / b` (moving bytes at `b ×` bandwidth
 /// looks exactly like moving `1/b ×` bytes at baseline).
+///
+/// A uniform fleet is a fleet like any other: its scales are all `1.0`,
+/// and `x * 1.0` and `x / 1.0` are exact, so pricing through them gives
+/// the baseline-hardware bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceScales {
     compute: Vec<f64>,
@@ -74,14 +76,21 @@ impl DeviceScales {
         Self { compute, bandwidth }
     }
 
-    /// Lowers a [`nshard_sim::DevicePool`] to inference scales. Returns
-    /// `None` for a pool with baseline compute and a flat network: there
-    /// is nothing to scale, and callers pass the `None` straight on.
-    pub fn from_pool(pool: &nshard_sim::DevicePool) -> Option<Self> {
-        if pool.has_uniform_compute() && pool.has_uniform_bandwidth() {
-            return None;
-        }
-        Some(Self::new(pool.compute_scales(), pool.bw_scales()))
+    /// Baseline scales for `num_devices` devices: compute class 1 on a
+    /// flat network.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `num_devices` is zero.
+    pub fn unit(num_devices: usize) -> Self {
+        Self::new(vec![1.0; num_devices], vec![1.0; num_devices])
+    }
+
+    /// Lowers a [`nshard_sim::DevicePool`] to inference scales. A pool of
+    /// class-1 devices on a flat network lowers to
+    /// [`DeviceScales::unit`]: its bandwidth scales are exactly `1.0`.
+    pub fn from_pool(pool: &nshard_sim::DevicePool) -> Self {
+        Self::new(pool.compute_scales(), pool.bw_scales())
     }
 
     /// Number of devices covered.
@@ -368,9 +377,10 @@ impl EstimatedCost {
     }
 
     /// Per-device forward all-to-all start timestamps implied by the
-    /// compute predictions (`compute × `[`FWD_FRACTION`]) — exactly the
-    /// starts [`CostSimulator::estimate_plan`] feeds the forward comm
-    /// model, so observation pipelines can rebuild its feature rows.
+    /// compute predictions (`compute ×` the forward share of the kernel)
+    /// — exactly the starts [`CostSimulator::estimate_plan`] feeds the
+    /// forward comm model, so observation pipelines can rebuild its
+    /// feature rows.
     pub fn fwd_comm_starts(&self) -> Vec<f64> {
         self.compute_per_device
             .iter()
@@ -404,6 +414,9 @@ pub struct CostSimulator {
     /// Life-long per-table encoder outputs (see [`EncodingCache`]).
     encodings: EncodingCache,
     cache_enabled: bool,
+    /// The bundle's baseline fleet, which [`CostSimulator::estimate_plan`]
+    /// prices on.
+    unit: DeviceScales,
 }
 
 /// Reusable per-thread buffers for the batched cache-resolution path:
@@ -424,6 +437,7 @@ impl CostSimulator {
     /// Wraps a bundle with a fresh cache.
     pub fn new(bundle: CostModelBundle) -> Self {
         Self {
+            unit: DeviceScales::unit(bundle.num_devices),
             bundle,
             cache: PredictionCache::new(),
             encodings: EncodingCache::default(),
@@ -510,9 +524,9 @@ impl CostSimulator {
 
     /// The encoder rows of `tables`, one per table in iteration order
     /// (duplicates included). Tables never seen before go through the
-    /// encoder as one batch and are memoized in the life-long
-    /// [`EncodingCache`]; every other row is read back under one shared
-    /// lock. Encoder rows are independent of batch composition, so each row
+    /// encoder as one batch and are memoized in the life-long per-table
+    /// encoding cache; every other row is read back under one shared lock.
+    /// Encoder rows are independent of batch composition, so each row
     /// is bit-identical to that table's row in any other forward. With the
     /// cache disabled nothing is memoized: every table is encoded.
     ///
@@ -556,15 +570,11 @@ impl CostSimulator {
         TableEncodings::new(rows)
     }
 
-    /// Predicted fused-kernel cost (fwd+bwd, ms) of one device's table set,
-    /// memoized in the life-long cache.
-    pub fn device_compute_cost(&self, tables: &[TableProfile]) -> f64 {
-        self.cached_set_costs(&[table_set_key(tables)], |_| tables)[0]
-    }
-
-    /// Predicted costs of many device table sets, resolved with one
-    /// batched model forward over the cache misses. Each `key` must
-    /// fingerprint its paired multiset.
+    /// Predicted fused-kernel costs (fwd+bwd, ms) of device table sets,
+    /// memoized in the life-long cache and resolved with one batched model
+    /// forward over the misses. Each `key` must fingerprint its paired
+    /// multiset. One set — or one table, keyed
+    /// `TableSetKey::empty().with(t)` — is a batch of one.
     pub fn device_compute_cost_batch(&self, sets: &[(TableSetKey, &[TableProfile])]) -> Vec<f64> {
         let keys: Vec<u64> = sets.iter().map(|(k, _)| k.key()).collect();
         self.cached_set_costs(&keys, |i| sets[i].1)
@@ -581,9 +591,9 @@ impl CostSimulator {
     ///
     /// A miss is pooled as `pooled + extra` — the last step of the very
     /// fold the whole-set path performs over that set in placement order —
-    /// so the result equals [`CostSimulator::device_compute_cost`] of the
-    /// set with the table appended bit for bit, and the two paths can share
-    /// cache entries. Resolves through the same private batch routine as
+    /// so the result equals [`CostSimulator::device_compute_cost_batch`] of
+    /// the set with the table appended bit for bit, and the two paths can
+    /// share cache entries. Resolves through the same private batch routine as
     /// every other compute lookup: one head forward over the misses, serial
     /// hit/miss accounting.
     pub fn pooled_probe_costs<'a>(
@@ -601,32 +611,20 @@ impl CostSimulator {
         })
     }
 
-    /// Predicted cost (fwd+bwd, ms) of each table alone on a device — used
-    /// by the search to rank candidate tables. One batched forward over
-    /// the misses, each result memoized under the table's singleton set
-    /// key.
-    pub fn single_table_cost_batch(&self, tables: &[TableProfile]) -> Vec<f64> {
-        let keys: Vec<u64> = tables
-            .iter()
-            .map(|t| table_set_key(std::slice::from_ref(t)))
-            .collect();
-        self.cached_set_costs(&keys, |i| std::slice::from_ref(&tables[i]))
-    }
-
     /// Estimates the full embedding cost of a plan (Equation 1's
     /// `f(c, t)`): predicted per-device computation, plus predicted max
     /// forward/backward communication with start skews derived from the
     /// computation estimates.
     ///
-    /// This is the **baseline-hardware** primitive: every device is priced
-    /// at compute class 1 on a flat network. To price a plan for a task's
-    /// fleet use `nshard_core::estimate_for_task`.
+    /// This prices on the bundle's baseline fleet ([`DeviceScales::unit`]):
+    /// every device at compute class 1 on a flat network. To price a plan
+    /// for a task's fleet use `nshard_core::estimate_for_task`.
     ///
     /// # Panics
     ///
     /// Panics if `assignment.len()` differs from the bundle's device count.
     pub fn estimate_plan(&self, assignment: &[Vec<TableProfile>]) -> EstimatedCost {
-        self.estimate_plan_batch_scaled(std::slice::from_ref(&assignment), None)
+        self.estimate_plan_batch_scaled(std::slice::from_ref(&assignment), &self.unit)
             .pop()
             .expect("one assignment in, one estimate out")
     }
@@ -636,12 +634,11 @@ impl CostSimulator {
     /// communication model. Each estimate is bit-identical to estimating
     /// that plan alone.
     ///
-    /// `scales` are optional per-device heterogeneity scales (see
+    /// `scales` are the fleet's per-device heterogeneity scales (see
     /// [`DeviceScales`]): raw model predictions — and the cache holding
     /// them — are always baseline; compute predictions are multiplied by
     /// each device's compute class and communication dimensions divided by
-    /// each device's effective bandwidth *after* retrieval. `None` is
-    /// bit-identical to unit scales.
+    /// each device's effective bandwidth *after* retrieval.
     ///
     /// # Panics
     ///
@@ -650,7 +647,7 @@ impl CostSimulator {
     pub fn estimate_plan_batch_scaled<A: AsRef<[Vec<TableProfile>]>>(
         &self,
         assignments: &[A],
-        scales: Option<&DeviceScales>,
+        scales: &DeviceScales,
     ) -> Vec<EstimatedCost> {
         let d = self.bundle.num_devices;
         for a in assignments {
@@ -686,9 +683,8 @@ impl CostSimulator {
 
     /// The second half of an estimate: given each plan's raw per-device
     /// compute predictions and communication dimensions, applies `scales`
-    /// (compute × class, dimension ÷ bandwidth; `None` is bit-identical to
-    /// unit scales), runs one batched forward per communication model and
-    /// assembles the [`EstimatedCost`]s.
+    /// (compute × class, dimension ÷ bandwidth), runs one batched forward
+    /// per communication model and assembles the [`EstimatedCost`]s.
     ///
     /// [`CostSimulator::estimate_plan_batch_scaled`] is "look the compute
     /// costs up, then this"; the greedy walk already holds every device's
@@ -701,7 +697,7 @@ impl CostSimulator {
     pub fn estimate_from_loads(
         &self,
         mut loads: Vec<DeviceLoads>,
-        scales: Option<&DeviceScales>,
+        scales: &DeviceScales,
     ) -> Vec<EstimatedCost> {
         let d = self.bundle.num_devices;
         for load in &loads {
@@ -710,9 +706,7 @@ impl CostSimulator {
                 "plan device count does not match the bundle"
             );
         }
-        if let Some(s) = scales {
-            loads.iter_mut().for_each(|load| s.apply(load));
-        }
+        loads.iter_mut().for_each(|load| scales.apply(load));
         // Forward comm starts when each device's forward kernel ends.
         let fwd_starts_all: Vec<Vec<f64>> = loads
             .iter()
@@ -868,12 +862,6 @@ mod tests {
             bundle.compute_model().predict(&feats)
         };
 
-        let tables = [t(64), t(32), t(16), t(8)];
-        let singles = sim.single_table_cost_batch(&tables);
-        for (tab, &b) in tables.iter().zip(&singles) {
-            assert_eq!(direct(&[*tab]).to_bits(), b.to_bits());
-        }
-
         // device_compute_cost_batch, including an in-batch duplicate and
         // the empty set.
         let sets: Vec<Vec<TableProfile>> = vec![
@@ -914,7 +902,7 @@ mod tests {
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let ests = sim.estimate_plan_batch_scaled(&plans, None);
+        let ests = sim.estimate_plan_batch_scaled(&plans, &DeviceScales::unit(2));
         for (plan, est) in plans.iter().zip(&ests) {
             let single = sim.estimate_plan(plan);
             assert_eq!(single.total_ms().to_bits(), est.total_ms().to_bits());
@@ -927,36 +915,48 @@ mod tests {
 
     #[test]
     fn single_set_lookup_is_a_one_element_batch() {
-        let bundle = quick_bundle(2);
+        let sim = CostSimulator::new(quick_bundle(2));
         let set = vec![t(64), t(32)];
         let keyed = [(TableSetKey::of(&set), set.as_slice())];
-        let via_batch = CostSimulator::new(bundle.clone()).device_compute_cost_batch(&keyed)[0];
-
-        let sim = CostSimulator::new(bundle);
-        let first = sim.device_compute_cost(&set);
-        assert_eq!(first.to_bits(), via_batch.to_bits());
+        let first = sim.device_compute_cost_batch(&keyed)[0];
         assert_eq!(sim.cache().stats(), CacheStats { hits: 0, misses: 1 });
-        let second = sim.device_compute_cost(&set);
+        let second = sim.device_compute_cost_batch(&keyed)[0];
         assert_eq!(second.to_bits(), first.to_bits());
         assert_eq!(sim.cache().stats(), CacheStats { hits: 1, misses: 1 });
+        // One table is the set holding it alone.
+        let one = t(16);
+        assert_eq!(TableSetKey::empty().with(&one).key(), table_set_key(&[one]));
     }
 
     #[test]
     fn unit_scales_are_bit_identical_to_unscaled() {
         let sim = CostSimulator::new(quick_bundle(2));
+        let bundle = sim.bundle();
         let plans = vec![
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let plain = sim.estimate_plan_batch_scaled(&plans, None);
-        // Even explicit all-1.0 scales must not perturb a single bit:
-        // x * 1.0 and x / 1.0 are exact for finite f64.
-        let unit = DeviceScales::new(vec![1.0; 2], vec![1.0; 2]);
-        let scaled = sim.estimate_plan_batch_scaled(&plans, Some(&unit));
-        for (p, s) in plain.iter().zip(&scaled) {
-            assert_eq!(p.total_ms().to_bits(), s.total_ms().to_bits());
-            assert_eq!(p.compute_per_device, s.compute_per_device);
-            assert_eq!(p.fwd_comm_ms.to_bits(), s.fwd_comm_ms.to_bits());
+        let scaled = sim.estimate_plan_batch_scaled(&plans, &DeviceScales::unit(2));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (plan, est) in plans.iter().zip(&scaled) {
+            // The reference never scales: raw compute costs, raw dimensions
+            // and `compute × FWD_FRACTION` starts straight into the models.
+            let keyed: Vec<(TableSetKey, &[TableProfile])> =
+                plan.iter().map(|s| (TableSetKey::of(s), &s[..])).collect();
+            let compute = sim.device_compute_cost_batch(&keyed);
+            let dims: Vec<f64> = plan
+                .iter()
+                .map(|s| s.iter().map(TableProfile::comm_dim).sum())
+                .collect();
+            let starts: Vec<f64> = compute.iter().map(|c| c * FWD_FRACTION).collect();
+            let (fwd, bwd) = (bundle.comm_fwd_model(), bundle.comm_bwd_model());
+            let fwd = fwd.predict_batch(&[(&dims, &starts)], bundle.batch_size())[0];
+            let bwd = bwd.predict_batch(&[(&dims, &[0.0; 2])], bundle.batch_size())[0];
+            assert_eq!(bits(&est.compute_per_device), bits(&compute));
+            assert_eq!(est.fwd_comm_ms.to_bits(), fwd.max(0.0).to_bits());
+            assert_eq!(est.bwd_comm_ms.to_bits(), bwd.max(0.0).to_bits());
+            let alone = sim.estimate_plan(plan);
+            assert_eq!(alone.total_ms().to_bits(), est.total_ms().to_bits());
         }
     }
 
@@ -967,7 +967,7 @@ mod tests {
         let plain = sim.estimate_plan(&plan);
         let scales = DeviceScales::new(vec![1.0, 3.0], vec![1.0, 1.0]);
         let scaled = sim
-            .estimate_plan_batch_scaled(&[&plan[..]], Some(&scales))
+            .estimate_plan_batch_scaled(&[&plan[..]], &scales)
             .pop()
             .unwrap();
         assert_eq!(
@@ -988,7 +988,7 @@ mod tests {
         let plain = sim.estimate_plan(&plan);
         let scales = DeviceScales::new(vec![1.0, 1.0], vec![1.0, 0.25]);
         let scaled = sim
-            .estimate_plan_batch_scaled(&[&plan[..]], Some(&scales))
+            .estimate_plan_batch_scaled(&[&plan[..]], &scales)
             .pop()
             .unwrap();
         assert!(scaled.fwd_comm_ms > plain.fwd_comm_ms);
@@ -1100,7 +1100,8 @@ mod tests {
                 for (g, set) in sets.iter().enumerate() {
                     let mut appended = set.clone();
                     appended.push(*p);
-                    let whole = reference.device_compute_cost(&appended);
+                    let keyed = [(TableSetKey::of(&appended), &appended[..])];
+                    let whole = reference.device_compute_cost_batch(&keyed)[0];
                     proptest::prop_assert!(
                         probed[g].to_bits() == whole.to_bits(),
                         "table {i} probed on device {g}: {} vs whole-set {whole}",

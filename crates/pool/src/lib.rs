@@ -206,13 +206,6 @@ impl WorkPool {
         }
     }
 
-    /// A single-worker pool that never spawns threads — used for nested
-    /// work (e.g. the inner grid search inside an already-parallel beam
-    /// level) to avoid oversubscription.
-    pub fn serial() -> Self {
-        Self { threads: 1 }
-    }
-
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -352,11 +345,6 @@ mod tests {
             Vec::<usize>::new()
         );
         assert_eq!(pool.map(&[7], |&x: &usize| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn serial_pool_has_one_thread() {
-        assert_eq!(WorkPool::serial().threads(), 1);
     }
 
     #[test]

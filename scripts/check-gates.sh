@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=126
-MAX_TOTAL_LINES=13598
-MAX_TOTAL_ITEMS=821
+MAX_TOTAL_LINES=13545
+MAX_TOTAL_ITEMS=785
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -3,6 +3,14 @@
 # is priced through `nshard_core::estimate_for_task`, and a fleet is lowered
 # to `DeviceScales` by exactly two callers (the search and that function).
 #
+# Special cases are values (DESIGN.md §6.5, §13): a uniform fleet is unit
+# scales, so non-test code holds one `Option<&DeviceScales>` (the frozen
+# `search_with_devices` door, which lowers `None` to unit scales); "w/o
+# beam search" is `l = 0` and "w/o greedy grid search" is `m = 0`, so the
+# two switches and the grid-off builder stay deleted; one set or one table
+# is a batch of one, so the single-set and single-table pricing doors stay
+# deleted.
+#
 # One planning stack (DESIGN.md §8): outside `online::stack` nothing under
 # online/serve/learn builds an incremental planner or a fallback chain — the
 # one exception is the daemon's greedy degraded chain in `serve::engine` —
@@ -80,6 +88,18 @@ fi
 lowerings=$(code crates/*/src | grep -v '^crates/cost/src/simulator.rs:' | grep -c 'from_pool(' || true)
 if [ "$lowerings" -gt 2 ]; then
     echo "error: $lowerings callers of DeviceScales::from_pool, at most 2 allowed" >&2
+    exit 1
+fi
+if code crates/*/src src | grep -E -e 'device_compute_cost\(' \
+    -e '\b(single_table_cost_batch|without_grid|use_beam|use_grid)\b'; then
+    echo "error: l = 0 and m = 0 are the search ablations, and one set is a batch of one (lines above)" >&2
+    exit 1
+fi
+optional_scales=$(code crates/*/src src | grep -c 'Option<&DeviceScales>' || true)
+if [ "$optional_scales" -gt 1 ]; then
+    code crates/*/src src | grep 'Option<&DeviceScales>'
+    echo "error: $optional_scales Option<&DeviceScales> in non-test code; a uniform fleet is unit scales," \
+        "and only search_with_devices may take None (lines above)" >&2
     exit 1
 fi
 

@@ -146,7 +146,7 @@ fn row_wise_extension_rescues_tall_tables_end_to_end() {
 /// sharding services run concurrent queries).
 #[test]
 fn cost_simulator_is_thread_safe() {
-    use neuroshard::cost::CostSimulator;
+    use neuroshard::cost::{CostSimulator, TableSetKey};
     use neuroshard::sim::TableProfile;
     use std::sync::Arc;
 
@@ -158,7 +158,7 @@ fn cost_simulator_is_thread_safe() {
             std::thread::spawn(move || {
                 let t = TableProfile::new(32 << (k % 2), 1 << 20, 10.0, 0.4, 1.0);
                 (0..200)
-                    .map(|_| sim.device_compute_cost(&[t]))
+                    .map(|_| sim.device_compute_cost_batch(&[(TableSetKey::of(&[t]), &[t][..])])[0])
                     .fold(0.0f64, f64::max)
             })
         })

@@ -210,7 +210,7 @@ fn poisoned_before(bundle: &CostModelBundle, marker: &str) -> CostModelBundle {
 fn non_finite_predictions_reach_the_fallback_chain() {
     use neuroshard::baselines::SizeGreedy;
     use neuroshard::core::{BeamSearch, PlanError};
-    use neuroshard::cost::CostSimulator;
+    use neuroshard::cost::{CostSimulator, TableSetKey};
     use neuroshard::resilient::{FallbackChain, PlanSource, ProvenanceEvent};
 
     let pool = TablePool::synthetic_dlrm(100, 13);
@@ -226,7 +226,9 @@ fn non_finite_predictions_reach_the_fallback_chain() {
 
     let nan_compute = poisoned_before(&healthy, "\"head\"");
     let sim = CostSimulator::new(nan_compute.clone());
-    assert!(sim.device_compute_cost(&task.profiles()).is_nan());
+    let profiles = task.profiles();
+    let set = [(TableSetKey::of(&profiles), &profiles[..])];
+    assert!(sim.device_compute_cost_batch(&set)[0].is_nan());
     let err = BeamSearch::new(&sim, &config)
         .search(&task)
         .expect_err("a NaN cost is not a plan");

@@ -243,28 +243,28 @@ fn promoted_model_replicates_to_the_follower() {
     );
 }
 
-/// `use_row_wise` + `use_beam: false` — historically rejected as dead
+/// `use_row_wise` + `l = 0` (no beam) — historically rejected as dead
 /// config — now boots: the greedy-only path row-splits via the
 /// deterministic presplit pass (ROADMAP item 4, done).
 #[test]
 fn row_wise_greedy_only_config_boots() {
     let mut config = ServeConfig::smoke();
     config.search.use_row_wise = true;
-    config.search.use_beam = false;
+    config.search.l = 0;
     let service = Service::with_clock(quick_bundle(7), config, Arc::new(ManualClock::new()))
         .expect("row-wise + greedy-only boots");
-    assert!(!service.config().search.use_beam);
+    assert_eq!(service.config().search.l, 0);
     assert!(service.config().search.use_row_wise);
 }
 
 /// The one remaining contradictory combination — `use_replication` with
-/// `use_beam: false` — is rejected at boot with a typed error, not
+/// `l = 0` — is rejected at boot with a typed error, not
 /// silently ignored.
 #[test]
 fn contradictory_search_config_is_rejected_at_boot() {
     let mut config = ServeConfig::smoke();
     config.search.use_replication = true;
-    config.search.use_beam = false;
+    config.search.l = 0;
     let err = Service::with_clock(quick_bundle(7), config, Arc::new(ManualClock::new()))
         .err()
         .expect("boot must fail");
@@ -274,7 +274,7 @@ fn contradictory_search_config_is_rejected_at_boot() {
     }
     let message = format!("{err}");
     assert!(
-        message.contains("use_replication") && message.contains("use_beam"),
-        "the error names both contradicting switches: {message}"
+        message.contains("use_replication") && message.contains("l > 0"),
+        "the error names both contradicting settings: {message}"
     );
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use serde_json::Value;
 
-use neuroshard::cost::{CostModelBundle, CostSimulator, DeviceLoads, DeviceScales};
+use neuroshard::cost::{CostModelBundle, CostSimulator, DeviceLoads, DeviceScales, TableSetKey};
 use neuroshard::data::{
     augment_pool, DevicePool, PlacementGenerator, TableConfig, TableId, TablePool, PAPER_DIMS,
 };
@@ -235,9 +235,7 @@ proptest! {
                 .map(|tables| tables.iter().map(TableProfile::comm_dim).sum())
                 .collect(),
         };
-        if let Some(scales) = DeviceScales::from_pool(&pool) {
-            scales.apply(&mut load);
-        }
+        DeviceScales::from_pool(&pool).apply(&mut load);
         let bits = |dims: &[f64]| dims.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&load.comm_dims), bits(&pool.lowered_dims(&assignment)));
     }
@@ -294,7 +292,9 @@ fn learned_violations(bundle: CostModelBundle) -> Tally {
         bundle.comm_bwd_model().clone(),
     ];
     let sim = CostSimulator::new(bundle);
-    let cost = |tables: &[TableProfile]| sim.device_compute_cost(tables);
+    let cost = |tables: &[TableProfile]| {
+        sim.device_compute_cost_batch(&[(TableSetKey::of(tables), tables)])[0]
+    };
     let mut tally: Tally = [(0, 0); 3];
     let draw = (
         proptest::collection::vec(0..pool.len(), 2..12),

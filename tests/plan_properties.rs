@@ -448,17 +448,18 @@ proptest! {
         let batched = estimate_batch_for_task(sim, &task, &plans).unwrap();
         prop_assert_eq!(batched.len(), plans.len());
         let scales = DeviceScales::from_pool(task.devices());
-        prop_assert_eq!(scales.is_none(), !two_tier || (slow_scale == 1.0 && link_slowdown == 1.0));
+        let uniform = scales == DeviceScales::unit(2);
+        prop_assert_eq!(uniform, !two_tier || (slow_scale == 1.0 && link_slowdown == 1.0));
         for (plan, from_batch) in plans.iter().zip(&batched) {
             let profiles = plan.device_profiles(task.batch_size());
             let single = estimate_for_task(sim, &task, plan).unwrap();
             let primitive = sim
-                .estimate_plan_batch_scaled(std::slice::from_ref(&profiles), scales.as_ref())
+                .estimate_plan_batch_scaled(std::slice::from_ref(&profiles), &scales)
                 .pop()
                 .unwrap();
             prop_assert_eq!(estimate_bits(&single), estimate_bits(&primitive));
             prop_assert_eq!(estimate_bits(&single), estimate_bits(from_batch));
-            if scales.is_none() {
+            if uniform {
                 prop_assert_eq!(
                     estimate_bits(&single),
                     estimate_bits(&sim.estimate_plan(&profiles))
