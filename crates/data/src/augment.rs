@@ -36,13 +36,6 @@ pub fn augment_pool(pool: &TablePool, dims: &[u32]) -> TablePool {
     TablePool::from_tables(tables)
 }
 
-/// Convenience: checks whether every augmented dimension appears in the
-/// output pool for every source table — used by tests and sanity checks.
-pub fn covers_dims(pool: &TablePool, dims: &[u32]) -> bool {
-    dims.iter()
-        .all(|&d| d == 0 || pool.iter().any(|t| t.dim() == d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +47,7 @@ mod tests {
         let pool = TablePool::synthetic_dlrm(5, 3);
         let aug = augment_pool(&pool, &PAPER_DIMS);
         assert_eq!(aug.len(), 5 * 6);
-        assert!(covers_dims(&aug, &PAPER_DIMS));
+        assert!(PAPER_DIMS.iter().all(|&d| aug.iter().any(|t| t.dim() == d)));
         // Each source table contributes exactly PAPER_DIMS.len() copies.
         for src in &pool {
             let copies = aug.iter().filter(|t| t.id() == src.id()).count();

@@ -172,11 +172,6 @@ impl TableConfig {
         self.replicas
     }
 
-    /// Whether this shard is one replica of a replicated table.
-    pub fn is_replicated(&self) -> bool {
-        self.replicas > 1
-    }
-
     /// Communication-effective dimension: each of `R` replicas carries only
     /// `1/R` of the table's all-to-all traffic. Exactly `dim` for ordinary
     /// shards (no floating-point perturbation on the `replicas == 1` path).
@@ -435,7 +430,6 @@ mod tests {
         let (a, b) = t.replicate().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.replicas(), 2);
-        assert!(a.is_replicated());
         // Every holder pays the table's full memory...
         assert_eq!(a.memory_bytes(), t.memory_bytes());
         assert_eq!(a.hash_size(), t.hash_size());
@@ -471,7 +465,6 @@ mod tests {
         let t: TableConfig = serde_json::from_str(json).unwrap();
         assert_eq!(t.replicas(), 1);
         assert_eq!(t.row_offset(), 0);
-        assert!(!t.is_replicated());
     }
 
     #[test]

@@ -213,12 +213,6 @@ impl ShardingTask {
         self.batch_size
     }
 
-    /// Returns a copy with a different batch size (builder-style).
-    pub fn with_batch_size(mut self, batch: u32) -> Self {
-        self.batch_size = batch;
-        self
-    }
-
     /// Returns a copy with different tables on the same fleet
     /// (builder-style) — how a workload drifts.
     ///
@@ -273,14 +267,6 @@ impl ShardingTask {
     pub fn total_bytes(&self) -> u64 {
         self.tables.iter().map(TableConfig::memory_bytes).sum()
     }
-
-    /// Whether the task can possibly fit: total bytes vs. aggregate budget.
-    /// (A `true` here does not guarantee a feasible plan exists, but a
-    /// `false` guarantees it does not without column-wise sharding of
-    /// oversized tables.)
-    pub fn aggregate_memory_feasible(&self) -> bool {
-        self.total_bytes() <= self.devices.total_budget()
-    }
 }
 
 /// The paper's evaluation grid (Table 5): `(num_gpus, table-count range,
@@ -321,58 +307,9 @@ impl TaskGrid {
         Self { cells }
     }
 
-    /// A reduced grid for quick experiments (both GPU counts, dims 4..128,
-    /// fewer tables).
-    pub fn smoke() -> Self {
-        Self {
-            cells: vec![
-                GridCell {
-                    num_devices: 2,
-                    t_min: 4,
-                    t_max: 10,
-                    max_dim: 32,
-                },
-                GridCell {
-                    num_devices: 4,
-                    t_min: 10,
-                    t_max: 20,
-                    max_dim: 128,
-                },
-            ],
-        }
-    }
-
     /// The grid cells.
     pub fn cells(&self) -> &[GridCell] {
         &self.cells
-    }
-
-    /// Samples `count` tasks for each cell; `tasks[i]` corresponds to
-    /// `cells()[i]`. Seeds are derived per cell and per task, so the same
-    /// grid + seed reproduces the same task set.
-    pub fn sample_tasks(
-        &self,
-        pool: &TablePool,
-        count: usize,
-        seed: u64,
-    ) -> Vec<Vec<ShardingTask>> {
-        self.cells
-            .iter()
-            .enumerate()
-            .map(|(c, cell)| {
-                (0..count)
-                    .map(|i| {
-                        ShardingTask::sample(
-                            pool,
-                            cell.num_devices,
-                            cell.t_min..=cell.t_max,
-                            cell.max_dim,
-                            seed ^ ((c as u64) << 32) ^ i as u64,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -429,34 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn grid_task_sampling_shape() {
-        let grid = TaskGrid::smoke();
-        let tasks = grid.sample_tasks(&pool(), 3, 7);
-        assert_eq!(tasks.len(), grid.cells().len());
-        for (cell, cell_tasks) in grid.cells().iter().zip(&tasks) {
-            assert_eq!(cell_tasks.len(), 3);
-            for t in cell_tasks {
-                assert_eq!(t.num_devices(), cell.num_devices);
-                assert!((cell.t_min..=cell.t_max).contains(&t.num_tables()));
-            }
-        }
-    }
-
-    #[test]
     fn profiles_and_memory_are_consistent() {
         let task = ShardingTask::sample(&pool(), 4, 10..=20, 64, 2);
         assert_eq!(task.profiles().len(), task.num_tables());
         let by_hand: u64 = task.tables().iter().map(|t| t.memory_bytes()).sum();
         assert_eq!(task.total_bytes(), by_hand);
-    }
-
-    #[test]
-    fn with_batch_size_changes_only_the_batch() {
-        let base = ShardingTask::sample(&pool(), 2, 4..=6, 8, 0);
-        let task = base.clone().with_batch_size(256);
-        assert_eq!(task.batch_size(), 256);
-        assert_eq!(task.devices(), base.devices());
-        assert_eq!(task.tables(), base.tables());
     }
 
     #[test]
@@ -468,23 +382,6 @@ mod tests {
         assert_eq!(task.budget_of(0), 4 << 30);
         assert_eq!(task.budget_of(3), 1 << 30);
         assert_eq!(task.budgets(), vec![4 << 30, 4 << 30, 1 << 30, 1 << 30]);
-    }
-
-    #[test]
-    fn aggregate_feasibility_uses_pool_budgets() {
-        let tables = vec![TableConfig::new(
-            crate::table::TableId(0),
-            64,
-            1 << 22, // 1 GB
-            8.0,
-            1.0,
-        )];
-        // 2 devices x 256 MB < 1 GB -> infeasible.
-        let uniform = ShardingTask::new(tables.clone(), 2, 256 << 20, 65_536);
-        assert!(!uniform.aggregate_memory_feasible());
-        // One roomy device makes the aggregate feasible.
-        let pooled = uniform.with_devices(DevicePool::two_tier(1, 2 << 30, 1, 256 << 20, 1.0, 1.0));
-        assert!(pooled.aggregate_memory_feasible());
     }
 
     #[test]

@@ -238,26 +238,6 @@ impl WorkloadDrift {
             })
     }
 
-    /// A skew-dominated trace for heterogeneous-placement experiments: a
-    /// narrow, slowly rotating hotspot with a strongly sharpened Zipf
-    /// exponent concentrates most lookup traffic on a few tables — the
-    /// regime where replicated placements of hot tables pay off. Slow
-    /// background growth keeps the rest of the pool moving. Deterministic
-    /// per seed.
-    pub fn zipf_skew(base: ShardingTask, seed: u64) -> Self {
-        Self::new(base, seed)
-            .with_model(DriftModel::HotspotShift {
-                period: 32,
-                boost: 6.0,
-                width: 0.1,
-                skew_shift: 0.4,
-            })
-            .with_model(DriftModel::GradualGrowth {
-                pooling_rate: 0.01,
-                rows_rate: 0.0,
-            })
-    }
-
     /// The base (epoch-0 reference) task.
     pub fn base(&self) -> &ShardingTask {
         &self.base
@@ -440,31 +420,6 @@ mod tests {
                 pooled.devices(),
                 "epoch {epoch} changed the fleet"
             );
-        }
-    }
-
-    #[test]
-    fn zipf_skew_concentrates_traffic_on_a_few_tables() {
-        let drift = WorkloadDrift::zipf_skew(base(), 11);
-        let t = drift.task_at(2);
-        let boosted: Vec<usize> = t
-            .tables()
-            .iter()
-            .zip(drift.base().tables())
-            .enumerate()
-            .filter(|(_, (now, then))| now.pooling_factor() > then.pooling_factor() * 2.0)
-            .map(|(i, _)| i)
-            .collect();
-        assert!(!boosted.is_empty(), "a hot subset must exist");
-        assert!(
-            boosted.len() * 4 <= t.num_tables(),
-            "the hot subset must be narrow: {} of {}",
-            boosted.len(),
-            t.num_tables()
-        );
-        // And the skew sharpens on exactly the hot subset.
-        for &i in &boosted {
-            assert!(t.tables()[i].zipf_alpha() > drift.base().tables()[i].zipf_alpha());
         }
     }
 

@@ -21,7 +21,8 @@
 //! [`splitmix64`] / [`sample_seed`] live here too: deterministic fan-out
 //! needs per-item seeds that are a pure function of `(seed, index)`, so a
 //! dataset or gradient computed by worker 7 is the same one the serial
-//! loop would have produced.
+//! loop would have produced (and a replica's reconnect delay is the same
+//! in every run).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,109 +77,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// Deterministic retry backoff: the `nshard-serve` replication reconnects
-/// derive their delays here instead of keeping ad-hoc constants.
-///
-/// Two schedules are supported:
-///
-/// * **exponential** (the default): `base · 2^(attempt−1)`, shift-clamped
-///   and saturating;
-/// * **decorrelated jitter** ([`Backoff::with_jitter`]): attempt `n` draws
-///   uniformly from `[base, min(cap, base · 3^(n−1))]`, with the draw a
-///   *pure function* of `(seed, attempt)` via [`splitmix64`] — so jittered
-///   delays de-synchronize a fleet of reconnecting followers yet stay
-///   bit-reproducible and instant under a manual clock (delays are
-///   recorded or stepped, never slept, in tests).
-///
-/// # Example
-///
-/// ```
-/// use nshard_pool::Backoff;
-///
-/// let plain = Backoff::exponential(50);
-/// assert_eq!(plain.delay_ms(1), 50);
-/// assert_eq!(plain.delay_ms(2), 100);
-/// assert_eq!(plain.delay_ms(3), 200);
-///
-/// let jittered = Backoff::exponential(50).with_cap(10_000).with_jitter(7);
-/// let d = jittered.delay_ms(4);
-/// assert!((50..=1350).contains(&d)); // [base, base·3^3]
-/// assert_eq!(d, jittered.delay_ms(4), "pure in (seed, attempt)");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    base_ms: u64,
-    cap_ms: u64,
-    jitter_seed: Option<u64>,
-}
-
-impl Backoff {
-    /// A plain exponential schedule starting at `base_ms` (no cap, no
-    /// jitter).
-    pub fn exponential(base_ms: u64) -> Self {
-        Self {
-            base_ms,
-            cap_ms: u64::MAX,
-            jitter_seed: None,
-        }
-    }
-
-    /// Caps every delay at `cap_ms` (builder-style).
-    #[must_use]
-    pub fn with_cap(mut self, cap_ms: u64) -> Self {
-        self.cap_ms = cap_ms;
-        self
-    }
-
-    /// Switches to seeded decorrelated jitter (builder-style): attempt `n`
-    /// draws uniformly from `[base, min(cap, base · 3^(n−1))]`,
-    /// deterministically in `(seed, attempt)`.
-    #[must_use]
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// The base delay, ms.
-    pub fn base_ms(&self) -> u64 {
-        self.base_ms
-    }
-
-    /// The recorded delay before retry `attempt` (1-based), in ms.
-    /// `attempt = 0` is treated as the first retry.
-    pub fn delay_ms(&self, attempt: u32) -> u64 {
-        let n = attempt.max(1);
-        match self.jitter_seed {
-            None => {
-                // base · 2^(n−1), shift clamped so huge attempt counts
-                // saturate instead of overflowing.
-                self.base_ms
-                    .saturating_mul(1u64 << (n - 1).min(16))
-                    .min(self.cap_ms)
-            }
-            Some(seed) => {
-                // Upper bound base · 3^(n−1), capped; then a seeded
-                // uniform draw over [base, hi].
-                let mut hi = self.base_ms;
-                for _ in 1..n.min(24) {
-                    hi = hi.saturating_mul(3);
-                    if hi >= self.cap_ms {
-                        hi = self.cap_ms;
-                        break;
-                    }
-                }
-                hi = hi.min(self.cap_ms).max(self.base_ms);
-                let span = hi - self.base_ms;
-                if span == 0 {
-                    return self.base_ms;
-                }
-                let draw = splitmix64(splitmix64(seed) ^ u64::from(n));
-                self.base_ms + draw % (span + 1)
-            }
-        }
-    }
 }
 
 /// An order-preserving scoped-thread work pool.
@@ -379,41 +277,6 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 2000, "per-item seeds collided");
-    }
-
-    #[test]
-    fn exponential_backoff_doubles_from_its_base_and_saturates() {
-        let b = Backoff::exponential(50);
-        assert_eq!(b.delay_ms(0), 50, "attempt 0 is treated as the first");
-        assert_eq!(b.delay_ms(1), 50);
-        assert_eq!(b.delay_ms(2), 100);
-        assert_eq!(b.delay_ms(5), 800);
-        // Shift-clamped and saturating far out.
-        assert_eq!(b.delay_ms(17), 50 * (1 << 16));
-        assert_eq!(b.delay_ms(400), 50 * (1 << 16));
-        assert_eq!(Backoff::exponential(u64::MAX).delay_ms(9), u64::MAX);
-        // Cap applies.
-        assert_eq!(Backoff::exponential(50).with_cap(120).delay_ms(3), 120);
-    }
-
-    #[test]
-    fn jittered_backoff_is_pure_bounded_and_spread() {
-        let b = Backoff::exponential(100).with_cap(5_000).with_jitter(42);
-        for attempt in 1..10 {
-            let d = b.delay_ms(attempt);
-            assert_eq!(d, b.delay_ms(attempt), "pure in (seed, attempt)");
-            assert!((100..=5_000).contains(&d), "attempt {attempt} gave {d}");
-        }
-        // First retry has no room to jitter: span is [base, base].
-        assert_eq!(b.delay_ms(1), 100);
-        // Different seeds de-synchronize.
-        let other = Backoff::exponential(100).with_cap(5_000).with_jitter(43);
-        assert!(
-            (2..12).any(|a| b.delay_ms(a) != other.delay_ms(a)),
-            "two seeds should not produce identical schedules"
-        );
-        // Degenerate zero-base schedule stays sane.
-        assert_eq!(Backoff::exponential(0).with_jitter(1).delay_ms(1), 0);
     }
 
     #[test]

@@ -21,31 +21,31 @@
 //! | `GET /metrics` | Prometheus exposition |
 //! | `GET /v1/repl/status` | Replication role, applied sequence, staleness |
 //! | `GET /v1/repl/log/{from}` | Sequenced op log for tailing followers ([`repl`]) |
-//! | `GET /v1/repl/snapshot` | Full KV snapshot for cold/lagging catch-up |
+//! | `GET /v1/repl/snapshot` | Full store snapshot for cold/lagging catch-up |
 //!
 //! ## Module map
 //!
 //! The public surface is what the crate's callers name: the modules
-//! [`http`], [`kv`], [`net`], [`repl`] and [`server`], and the items
-//! re-exported below. Everything else is private.
+//! [`http`], [`net`], [`repl`] and [`server`], and the items re-exported
+//! below. Everything else is private.
 //!
 //! | Module | Holds |
 //! |---|---|
 //! | [`server`] | A facade over `config`, `service`, `routes`, `admission`, `cache`, `respond`, `daemon`: [`ServeConfig`], [`Service`], [`Server`] |
 //! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, syscall bindings |
 //! | [`repl`] | Roles, the [`Replicator`], its transports, and the service's replication hooks and endpoints |
-//! | [`kv`] | The sequenced [`PlanKv`] — the one record of adopted plans — and its wire types |
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
-//! | `api`, `engine`, `store`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], [`PlanStore`] (one [`PlanKv`] mirrored to disk), the metrics registry, [`Clock`] |
+//! | `store` | [`PlanStore`] — the one sequenced record of adopted plans, its op log, snapshots and files — and the wire types [`LogOp`], [`LogFetch`], [`KvSnapshot`] |
+//! | `api`, `engine`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], the metrics registry, [`Clock`] |
 //!
 //! ## Replication
 //!
 //! N daemons form a serve tier sharing one logical plan store. A node's
-//! store *is* its [`kv::PlanKv`]: a leader adopts a plan with one
-//! create-only upsert (the plan's `version` is that write's sequence
-//! number), followers tail its op log and promote themselves on leader
-//! death, and a restarted node restores the snapshot its files hold
-//! ([`repl`] has the full story).
+//! [`PlanStore`] sequences every write: a leader adopts a plan with one
+//! write (the plan's `version` is its sequence number), followers tail
+//! its op log, applying only the next op, and promote themselves on
+//! leader death, and a restarted node restores the snapshot its files
+//! hold ([`repl`] has the full story).
 //!
 //! ## Admission control
 //!
@@ -78,7 +78,6 @@ mod api;
 mod clock;
 mod engine;
 pub mod http;
-pub mod kv;
 mod metrics;
 pub mod net;
 pub mod repl;
@@ -88,10 +87,9 @@ mod store;
 pub use clock::{Clock, ManualClock};
 pub use engine::{PlanOutput, PlanningEngine};
 pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
-pub use kv::{KvError, KvSnapshot, LogFetch, LogOp, MatchSeq, PlanKv, SnapshotEntry};
 // The `POST /v1/observations` item, named here by the benchmark's
 // `surface.rs`.
 pub use nshard_online::ObservationWire;
 pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
 pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service};
-pub use store::{PlanStore, StoreError, StoredPlan};
+pub use store::{KvSnapshot, LogFetch, LogOp, PlanStore, SnapshotEntry, StoreError, StoredPlan};

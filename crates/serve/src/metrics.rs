@@ -362,7 +362,7 @@ impl ServiceMetrics {
             ),
             seq_conflicts: registry.counter(
                 "nshard_serve_seq_conflict_total",
-                "Conditional KV upserts refused by their MatchSeq condition",
+                "Plan adoptions the store refused",
             ),
             response_cache_hits: registry.counter(
                 "nshard_serve_response_cache_hits_total",

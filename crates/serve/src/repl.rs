@@ -1,12 +1,12 @@
 //! Leader/follower replication of the plan control plane.
 //!
 //! A serve tier is N daemons sharing one logical plan/model store. Each
-//! node's store is one sequenced [`crate::kv::PlanKv`], so every mutation
+//! node's store is one sequenced [`crate::PlanStore`], so every mutation
 //! is already an entry of its replication log. One node is the
 //! **leader**: it runs searches and adopts plans (each adoption one
-//! create-only upsert). The others are **followers**: they poll the
-//! leader's `/v1/repl/log/{from}` endpoint and apply the ops through the
-//! sequence-gated [`crate::kv::PlanKv::apply`] — so every replica answers
+//! sequenced write). The others are **followers**: they poll the
+//! leader's `/v1/repl/log/{from}` endpoint and apply each op that is the
+//! next one ([`crate::PlanStore::apply`]) — so every replica answers
 //! `GET /v1/plans/{id}` warm, with the leader's bytes and versions. A cold
 //! or lagging follower whose position predates the leader's retained log
 //! — or lies ahead of it, because the leader restarted its sequence space
@@ -29,28 +29,41 @@
 //! the `/v1/repl/*` endpoints — is the `impl Service` block at the end of
 //! this module.
 //!
-//! **Determinism.** Reconnect pacing comes from the shared seeded
-//! [`Backoff`] helper and is *recorded, not slept* — the chaos suite
-//! drives every schedule with a manual clock and zero sleeps.
+//! **Determinism.** Reconnect pacing is a seeded decorrelated jitter, a
+//! pure function of the daemon's seed and the attempt, and is *recorded,
+//! not slept* — the chaos suite drives every schedule with a manual clock
+//! and zero sleeps.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nshard_cost::CostModelBundle;
 use nshard_nn::serialize::{envelope_from_json, envelope_to_json};
-use nshard_pool::Backoff;
+use nshard_pool::sample_seed;
 
 use crate::api::{error_response, ReplStatus};
 use crate::http::{HttpResponse, KeepAliveClient};
-use crate::kv::{KvSnapshot, LogFetch, LogOp, MatchSeq};
 use crate::server::Service;
-use crate::store::MODEL_KEY;
+use crate::store::{KvSnapshot, LogFetch, LogOp, MODEL_KEY};
 
 /// Base reconnect backoff, ms (seeded decorrelated jitter on top).
 const BACKOFF_BASE_MS: u64 = 50;
 
 /// Reconnect backoff cap, ms.
 const BACKOFF_CAP_MS: u64 = 2_000;
+
+/// The recorded delay before reconnect `attempt` (1-based; `0` counts as
+/// the first), ms: a draw from `[base, min(cap, base · 3^(n−1))]` that is
+/// a pure function of `(seed, attempt)`, so a fleet of reconnecting
+/// followers de-synchronizes yet every schedule replays bit for bit.
+fn backoff_ms(seed: u64, attempt: u32) -> u64 {
+    let n = attempt.max(1);
+    let hi = (1..n.min(24)).fold(BACKOFF_BASE_MS, |hi, _| {
+        hi.saturating_mul(3).min(BACKOFF_CAP_MS)
+    });
+    let draw = sample_seed(seed ^ 0x5EED_4E91_1CA7_0157, u64::from(n));
+    BACKOFF_BASE_MS + draw % (hi - BACKOFF_BASE_MS + 1)
+}
 
 /// A node's role in the serve tier; the discriminant is its gauge value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,7 +276,6 @@ pub enum PollOutcome {
 pub struct Replicator {
     service: Arc<Service>,
     transport: Box<dyn ReplTransport>,
-    backoff: Backoff,
     failures: u32,
     failure_threshold: u32,
     /// Highest sequence *observed* in the leader's current sequence space
@@ -273,18 +285,14 @@ pub struct Replicator {
 }
 
 impl Replicator {
-    /// A replicator driving `service` from `transport`. Backoff pacing is
-    /// seeded from the service's replica config, so two runs with the
-    /// same seed record identical schedules.
+    /// A replicator driving `service` from `transport`. Reconnect pacing is
+    /// seeded from the service's config, so two runs with the same seed
+    /// record identical schedules.
     pub fn new(service: Arc<Service>, transport: Box<dyn ReplTransport>) -> Self {
-        let backoff = Backoff::exponential(BACKOFF_BASE_MS)
-            .with_cap(BACKOFF_CAP_MS)
-            .with_jitter(service.config().seed ^ 0x5EED_4E91_1CA7_0157);
         let failure_threshold = service.config().replica.failure_threshold.max(1);
         Self {
             service,
             transport,
-            backoff,
             failures: 0,
             failure_threshold,
             last_leader_seq: 0,
@@ -303,7 +311,7 @@ impl Replicator {
         if self.service.role().is_leader() {
             return PollOutcome::AlreadyLeader;
         }
-        let from = self.service.kv().applied_seq();
+        let from = self.service.plans.applied_seq();
         match self.transport.fetch_log(from) {
             Ok(LogFetch::Ops(ops)) => {
                 self.failures = 0;
@@ -314,7 +322,7 @@ impl Replicator {
                 let applied = self.service.apply_replicated(ops);
                 self.service.metrics.replication_lag.set(
                     self.last_leader_seq
-                        .saturating_sub(self.service.kv().applied_seq()),
+                        .saturating_sub(self.service.plans.applied_seq()),
                 );
                 if applied == 0 {
                     PollOutcome::UpToDate
@@ -326,7 +334,7 @@ impl Replicator {
                 self.last_leader_seq = self.last_leader_seq.max(earliest.saturating_sub(1));
                 // A refused snapshot changes nothing.
                 let restored = self.transport.fetch_snapshot().and_then(|snapshot| {
-                    let changed = self.service.kv().restore(&snapshot);
+                    let changed = self.service.plans.restore(&snapshot);
                     self.service
                         .ingest(changed.map_err(ReplError::Protocol)?, true);
                     Ok(snapshot.applied_seq)
@@ -354,7 +362,7 @@ impl Replicator {
     fn note_failure(&mut self, _error: ReplError) -> PollOutcome {
         self.failures = self.failures.saturating_add(1);
         if self.failures >= self.failure_threshold {
-            let at_seq = self.service.kv().applied_seq();
+            let at_seq = self.service.plans.applied_seq();
             let stale = self.last_leader_seq > at_seq;
             self.service.promote(at_seq, stale);
             return PollOutcome::Promoted { at_seq, stale };
@@ -362,7 +370,7 @@ impl Replicator {
         self.service.set_candidate_if_follower();
         PollOutcome::TransportError {
             consecutive: self.failures,
-            backoff_ms: self.backoff.delay_ms(self.failures),
+            backoff_ms: backoff_ms(self.service.config().seed, self.failures),
         }
     }
 }
@@ -374,19 +382,16 @@ impl Service {
     /// Replicates a promoted bundle to followers under [`MODEL_KEY`].
     pub(crate) fn log_model(&self, bundle: &CostModelBundle) {
         let value = envelope_to_json("cost-bundle", "nshard", bundle);
-        let _ = self
-            .plans
-            .write(MODEL_KEY, MatchSeq::Any, |_| (value, None));
+        let _ = self.plans.write_model(value);
     }
 
-    /// Applies replicated ops through the sequence-gated KV — the
-    /// follower's tailing path. Returns how many ops actually applied.
+    /// Applies each replicated op that is the store's next one — the
+    /// follower's tailing path. Returns how many ops applied.
     pub fn apply_replicated(&self, ops: Vec<LogOp>) -> usize {
-        let mut applied = 0usize;
-        for op in ops {
-            let done = self.kv().apply(op);
-            applied += done.len();
-            self.ingest(done.into_iter().map(|op| op.key), true);
+        let mut applied = 0;
+        for op in ops.into_iter().filter_map(|op| self.plans.apply(op)) {
+            self.ingest([op.key], true);
+            applied += 1;
         }
         applied
     }
@@ -405,7 +410,7 @@ impl Service {
         }
         // Never refused: `PlanStore::open` set aside every file the
         // snapshot check faults.
-        if let Ok(changed) = self.kv().restore(&files) {
+        if let Ok(changed) = self.plans.restore(&files) {
             self.ingest(changed, false);
         }
     }
@@ -423,7 +428,7 @@ impl Service {
             }
             // A promoted cost-model bundle: swap it into this node's
             // engine so a failover promotes a node already serving it.
-            let entry = self.kv().entry(MODEL_KEY);
+            let entry = self.plans.entry(MODEL_KEY);
             if let Some(Ok(envelope)) =
                 entry.map(|e| envelope_from_json::<CostModelBundle>(&e.value))
             {
@@ -461,11 +466,11 @@ impl Service {
 
     pub(crate) fn repl_status(&self) -> HttpResponse {
         self.metrics.count_request("repl_status", 200);
-        let (log_earliest, log_len) = self.kv().log_window();
+        let (log_earliest, log_len) = self.plans.log_window();
         let body = ReplStatus {
             node: self.config.replica.node.clone(),
             role: self.role.role().label().to_string(),
-            applied_seq: self.kv().applied_seq(),
+            applied_seq: self.plans.applied_seq(),
             stale: self.role.stale(),
             log_earliest,
             log_len: log_len as u64,
@@ -476,7 +481,7 @@ impl Service {
 
     pub(crate) fn repl_snapshot(&self) -> HttpResponse {
         self.metrics.count_request("repl_snapshot", 200);
-        let snapshot = self.kv().snapshot();
+        let snapshot = self.plans.snapshot();
         HttpResponse::json(200, serde_json::to_string(&snapshot).unwrap_or_default())
     }
 
@@ -490,7 +495,7 @@ impl Service {
             );
         };
         self.metrics.count_request("repl_log", 200);
-        let fetch = self.kv().log_since(from_seq);
+        let fetch = self.plans.log_since(from_seq);
         HttpResponse::json(200, serde_json::to_string(&fetch).unwrap_or_default())
     }
 }
@@ -582,6 +587,28 @@ mod tests {
             1
         );
         assert_eq!(follower.plans().len(), 1);
+    }
+
+    #[test]
+    fn backoff_replays_the_recorded_schedule() {
+        // Recorded schedules replay bit for bit: the README's demo output
+        // and every chaos transcript name these delays.
+        let seed = ServeConfig::default().seed;
+        let schedule: Vec<u64> = (0..12).map(|a| backoff_ms(seed, a)).collect();
+        assert_eq!(
+            schedule,
+            [50, 50, 87, 132, 1329, 568, 142, 394, 1259, 747, 88, 1012]
+        );
+        for seed in [0, 1, seed] {
+            for attempt in (0..30).chain([u32::MAX]) {
+                let delay = backoff_ms(seed, attempt);
+                assert!((BACKOFF_BASE_MS..=BACKOFF_CAP_MS).contains(&delay));
+                assert_eq!(delay, backoff_ms(seed, attempt), "pure in (seed, attempt)");
+            }
+            assert_eq!(backoff_ms(seed, 1), BACKOFF_BASE_MS, "no room to jitter");
+        }
+        // Different seeds de-synchronize.
+        assert!((2..12).any(|a| backoff_ms(1, a) != backoff_ms(2, a)));
     }
 
     #[test]

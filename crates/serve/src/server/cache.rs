@@ -76,7 +76,7 @@ impl Service {
         let version = self.engine.model_version() << 32;
         match kind {
             JobKind::Plan => version,
-            JobKind::Replan => version | (self.plans.kv().applied_seq() & 0xffff_ffff),
+            JobKind::Replan => version | (self.plans.applied_seq() & 0xffff_ffff),
         }
     }
 }

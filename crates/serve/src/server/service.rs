@@ -10,7 +10,6 @@ use nshard_pool::resolve_threads;
 
 use crate::clock::{Clock, WallClock};
 use crate::engine::PlanningEngine;
-use crate::kv::PlanKv;
 use crate::metrics::ServiceMetrics;
 use crate::repl::{Role, RoleCell};
 use crate::store::{PlanStore, StoreError};
@@ -102,14 +101,10 @@ impl Service {
         Ok(service)
     }
 
-    /// The plan store (tests and the demo inspect it directly).
+    /// The plan store, the record replication tails (tests and the demo
+    /// inspect it directly).
     pub fn plans(&self) -> &PlanStore {
         &self.plans
-    }
-
-    /// The sequenced KV behind replication: the plan store's record.
-    pub fn kv(&self) -> &PlanKv {
-        self.plans.kv()
     }
 
     /// This node's replication role cell.

@@ -1,23 +1,42 @@
-//! The plan store behind the daemon.
+//! The plan store behind the daemon: the one record of adopted plans, and
+//! the replication substrate of the control plane.
 //!
-//! * [`PlanStore`] — every **adopted** [`ShardingPlan`] with its
-//!   [`PlanProvenance`], keyed by a deterministic content-addressed id. Its
-//!   one in-memory record is a [`PlanKv`]: an adoption is a create-only
-//!   upsert of `plans/<id>`, so a plan's `version` is the sequence number
-//!   of the write that created it, and a duplicate adoption — concurrent
-//!   identical requests included — finds its twin instead of forking a
-//!   version. The promoted cost-model bundle lives in the same sequence
-//!   space under `models/active`. What the store adds is the disk: a
-//!   leader's write saves its key's file before the op reaches the log
-//!   ([`PlanStore::write`]), a follower persists each op it applies
-//!   ([`PlanStore::persist`]), and [`PlanStore::open`] reads the files
-//!   back into one [`KvSnapshot`], which the daemon restores — reading,
-//!   not rewriting — the way a lagging follower restores its leader's.
+//! [`PlanStore`] holds every **adopted** [`ShardingPlan`] with its
+//! [`PlanProvenance`], keyed by a deterministic content-addressed id, in a
+//! key/value map in which **every mutation carries the next sequence
+//! number**. An adopted plan is the entry under `plans/<id>`, its `version`
+//! the sequence of the write that created it; the promoted cost-model
+//! bundle is the entry under `models/active`, in the same sequence space.
+//! An entry whose value decodes as the plan its key names keeps that
+//! decoded plan beside the value, so reads never re-parse; anything else
+//! (a hostile replicated value included) is held, sequenced and
+//! replicated, but is not a plan.
+//!
+//! A leader has one write path: an adoption checks its key under the
+//! store's lock — a duplicate adoption, concurrent identical requests
+//! included, finds its twin instead of forking a version — and a write
+//! saves its key's file before the op reaches the bounded **op log**
+//! ([`LogOp`]) that followers tail. A follower applies only the op
+//! numbered `applied_seq + 1` ([`PlanStore::apply`]); its ops come from
+//! [`PlanStore::log_since`], a contiguous run after its position, so two
+//! replicas fed the same log converge to **byte-identical** stores
+//! ([`PlanStore::dump`] / [`PlanStore::digest`] make that checkable). A
+//! replica whose position lies outside the leader's retained window —
+//! behind it, or ahead of it in the sequence space of a leader that has
+//! since restarted — catches up from a full [`KvSnapshot`] instead
+//! ([`LogFetch::NeedSnapshot`]). [`PlanStore::open`] reads the files back
+//! into one such snapshot, which the daemon restores — reading, not
+//! rewriting — the way a lagging follower restores its leader's.
+//!
+//! The sequence space is `1..u64::MAX`: an op numbered `u64::MAX` is
+//! refused, a snapshot must be current through less, and all sequence
+//! arithmetic saturates — so no number read off the network can panic
+//! the store.
 //!
 //! Every file is a checksum-framed envelope written and read by
 //! `nshard_nn::serialize` ([`write_checked`] / [`read_checked`]), so an
 //! unsupported format version is a typed error instead of undefined
-//! behavior. On-disk layout under the store directory — a KV key's file is
+//! behavior. On-disk layout under the store directory — a key's file is
 //! `<key>.json`:
 //!
 //! ```text
@@ -38,20 +57,19 @@
 //! [`PlanStore::open`] **quarantines** damaged entries (renames them to
 //! `*.json.quarantined`) — and entries no store could hold: two files
 //! claiming one sequence number, or a number outside the sequence space
-//! ([`KvSnapshot::faults`]) — and keeps booting with the rest rather than
-//! refusing to start; [`PlanStore::quarantined`] reports how many were set
-//! aside (the daemon's `nshard_serve_store_quarantined` gauge).
+//! ([`KvSnapshot`]'s check) — and keeps booting with the rest rather than
+//! refusing to start; the daemon's `nshard_serve_store_quarantined` gauge
+//! reports how many were set aside.
 
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{PlanProvenance, ShardingPlan};
 use nshard_data::ShardingTask;
-use nshard_nn::serialize::{read_checked, write_checked, CheckpointError};
-
-use crate::kv::{KvError, KvSnapshot, MatchSeq, PlanKv, SnapshotEntry};
+use nshard_nn::serialize::{fnv64, read_checked, write_checked, CheckpointError};
 
 /// The producer tag written into envelope headers.
 const CREATED_BY: &str = "nshard-serve";
@@ -81,9 +99,10 @@ pub enum StoreError {
     /// A persisted artifact failed to load or save (checksum, parse,
     /// version or I/O).
     Checkpoint(CheckpointError),
-    /// An adoption found its key holding something that is not its plan
-    /// (a replicated value that never decoded).
-    Conflict(KvError),
+    /// The store refused an adoption: its key holds something that is not
+    /// its plan (a replicated value that never decoded), or the write
+    /// would be numbered `u64::MAX`, outside the sequence space.
+    Conflict(String),
     /// The daemon configuration is internally inconsistent — rejected at
     /// construction with the typed search-config error instead of
     /// panicking on the first request.
@@ -106,12 +125,6 @@ impl std::error::Error for StoreError {}
 impl From<CheckpointError> for StoreError {
     fn from(e: CheckpointError) -> Self {
         StoreError::Checkpoint(e)
-    }
-}
-
-impl From<KvError> for StoreError {
-    fn from(e: KvError) -> Self {
-        StoreError::Conflict(e)
     }
 }
 
@@ -155,7 +168,115 @@ pub struct StoredPlan {
     pub degraded: bool,
 }
 
-/// The KV key of the plan adopted as `id`.
+/// One sequenced mutation — the unit of the replication log.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LogOp {
+    /// Global sequence number (1-based, gapless per store).
+    pub seq: u64,
+    /// The key written.
+    pub key: String,
+    /// The value written.
+    pub value: String,
+}
+
+/// One entry of a [`KvSnapshot`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SnapshotEntry {
+    /// The key.
+    pub key: String,
+    /// Sequence of the mutation that wrote it.
+    pub seq: u64,
+    /// The value.
+    pub value: String,
+}
+
+/// A full materialized copy of a store's record — the catch-up path for
+/// replicas whose position lies outside the leader's retained log, and the
+/// form a store's files take at boot. Decoding refuses what a restore
+/// would: a position of `u64::MAX`, keys out of order or repeated, an
+/// entry's sequence outside `1..=applied_seq` or shared with another
+/// entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "SnapshotWire")]
+pub struct KvSnapshot {
+    /// The sequence the snapshot is current through.
+    pub applied_seq: u64,
+    /// Every entry, in key order.
+    pub entries: Vec<SnapshotEntry>,
+}
+
+/// The JSON form of a [`KvSnapshot`] as read.
+#[derive(Deserialize)]
+struct SnapshotWire {
+    applied_seq: u64,
+    entries: Vec<SnapshotEntry>,
+}
+
+impl TryFrom<SnapshotWire> for KvSnapshot {
+    type Error = String;
+
+    fn try_from(wire: SnapshotWire) -> Result<Self, String> {
+        let snapshot = Self {
+            applied_seq: wire.applied_seq,
+            entries: wire.entries,
+        };
+        snapshot.check().map(|()| snapshot)
+    }
+}
+
+impl KvSnapshot {
+    /// Whether this can be the state of one store: the check every
+    /// snapshot passes before it is restored, whether it came off the wire
+    /// or out of the store's files.
+    ///
+    /// # Errors
+    ///
+    /// The first defect found, rendered.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        match self.faults().first().map(|&i| &self.entries[i]) {
+            None if self.applied_seq < u64::MAX => Ok(()),
+            fault => Err(format!(
+                "no store current through seq {} holds {fault:?}",
+                self.applied_seq
+            )),
+        }
+    }
+
+    /// Indices of the entries that cannot belong to a store current
+    /// through `applied_seq`: a sequence outside `1..=applied_seq` or
+    /// claimed by another entry too, or a key not strictly after the one
+    /// before it.
+    pub(crate) fn faults(&self) -> Vec<usize> {
+        let mut claims: HashMap<u64, usize> = HashMap::new();
+        for e in &self.entries {
+            *claims.entry(e.seq).or_default() += 1;
+        }
+        (0..self.entries.len())
+            .filter(|&i| {
+                let e = &self.entries[i];
+                !(1..=self.applied_seq).contains(&e.seq)
+                    || claims[&e.seq] > 1
+                    || (i > 0 && self.entries[i - 1].key >= e.key)
+            })
+            .collect()
+    }
+}
+
+/// A follower's log-fetch result.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum LogFetch {
+    /// Ops strictly after the requested sequence, in order.
+    Ops(Vec<LogOp>),
+    /// The requested sequence predates the retained log, or lies beyond
+    /// anything this store ever sequenced — fetch a [`KvSnapshot`]
+    /// instead.
+    NeedSnapshot {
+        /// Oldest sequence still in the retained log.
+        earliest: u64,
+    },
+}
+
+/// The key of the plan adopted as `id`.
 fn plan_key(id: &str) -> String {
     format!("{PLAN_PREFIX}{id}")
 }
@@ -172,9 +293,9 @@ fn is_plan_id(id: &str) -> bool {
 
 /// `value` as the plan adopted under `key` by the write numbered `seq`:
 /// it must decode, and name that key's id and that sequence as its
-/// version. Anything else under `plans/` is held by the KV but is not a
+/// version. Anything else under `plans/` is held by the store but is not a
 /// plan — never served, persisted or warm-started from.
-pub(crate) fn decode_plan(key: &str, seq: u64, value: &str) -> Option<Arc<StoredPlan>> {
+fn decode_plan(key: &str, seq: u64, value: &str) -> Option<Arc<StoredPlan>> {
     let id = key.strip_prefix(PLAN_PREFIX).filter(|id| is_plan_id(id))?;
     let record: StoredPlan = serde_json::from_str(value).ok()?;
     (record.id == id && record.version == seq).then(|| Arc::new(record))
@@ -203,19 +324,59 @@ fn read_entry(path: &Path) -> Result<Option<SnapshotEntry>, StoreError> {
     }
 }
 
-/// The adopted plans: one [`PlanKv`], optionally mirrored to disk — its
-/// entries under `plans/` are the plans, each `version` the sequence
-/// number of the write that adopted it.
+/// A live entry: the mutation that last wrote its key, and that value
+/// decoded as the adopted plan the key names ([`decode_plan`]) — `None`
+/// for every other key or value.
+struct SeqEntry {
+    written: SnapshotEntry,
+    plan: Option<Arc<StoredPlan>>,
+}
+
+/// The sequenced map and the retained tail of its op log.
+struct Record {
+    entries: BTreeMap<String, SeqEntry>,
+    applied_seq: u64,
+    /// Retained tail of the op log, oldest first.
+    log: VecDeque<LogOp>,
+    /// Sequence of `log.front()`; `applied_seq + 1` when the log is empty.
+    log_start: u64,
+}
+
+impl Record {
+    /// Installs `op` as the newest mutation: its entry, the applied
+    /// sequence and the log tail (compacted to [`LOG_KEEP`] ops).
+    fn install(&mut self, op: LogOp, plan: Option<Arc<StoredPlan>>) {
+        let LogOp { seq, key, value } = op.clone();
+        let written = SnapshotEntry { key, seq, value };
+        self.entries
+            .insert(written.key.clone(), SeqEntry { written, plan });
+        self.applied_seq = op.seq;
+        if self.log.is_empty() {
+            self.log_start = op.seq;
+        }
+        self.log.push_back(op);
+        while self.log.len() > LOG_KEEP {
+            self.log.pop_front();
+            self.log_start = self.log_start.saturating_add(1);
+        }
+    }
+}
+
+/// The adopted plans: one sequenced record, optionally mirrored to disk.
+/// Every mutation carries the next sequence number — an adopted plan's
+/// `version`, shared with `models/active` — and enters a bounded op log;
+/// a follower applies only the next op ([`PlanStore::apply`]) and catches
+/// up from a [`KvSnapshot`] when its position is outside that log.
 pub struct PlanStore {
-    kv: PlanKv,
+    record: Mutex<Record>,
     dir: Option<PathBuf>,
     quarantined: usize,
 }
 
 impl PlanStore {
     /// Opens the store — in memory when `dir` is `None`, else rooted at
-    /// `dir` (created if needed) — and returns it with its KV empty, beside
-    /// the snapshot its files hold: every intact plan file and
+    /// `dir` (created if needed) — and returns it with its record empty,
+    /// beside the snapshot its files hold: every intact plan file and
     /// `models/active`, at the sequence each was written with, current
     /// through the highest. Files that fail their checksum or do not parse
     /// — damaged on disk — and files the snapshot check faults are renamed
@@ -229,9 +390,14 @@ impl PlanStore {
     /// be read or renamed, or a persisted plan carries an unsupported
     /// format version (a build problem, not file damage — never
     /// quarantined silently).
-    pub(crate) fn open(dir: Option<&Path>) -> Result<(Self, KvSnapshot), StoreError> {
+    pub fn open(dir: Option<&Path>) -> Result<(Self, KvSnapshot), StoreError> {
         let mut store = Self {
-            kv: PlanKv::new(LOG_KEEP),
+            record: Mutex::new(Record {
+                entries: BTreeMap::new(),
+                applied_seq: 0,
+                log: VecDeque::new(),
+                log_start: 1,
+            }),
             dir: dir.map(Path::to_path_buf),
             quarantined: 0,
         };
@@ -286,21 +452,24 @@ impl PlanStore {
         self.quarantined
     }
 
-    /// The sequenced KV that is this store's record.
-    pub(crate) fn kv(&self) -> &PlanKv {
-        &self.kv
+    /// The record. Invariant: nothing panics while it is held (sequence
+    /// arithmetic saturates, decoders and file saves return errors, and
+    /// the closures handed to `write`/`with_plans` do not panic), so the
+    /// lock is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, Record> {
+        self.record.lock().expect("plan store poisoned")
     }
 
-    /// Adopts a plan: one create-only write of `plans/<id>` whose sequence
-    /// number becomes the record's `version`. Adoption is **idempotent by
-    /// id** — an id already adopted returns the existing version
-    /// unchanged, so duplicate identical requests never fork versions.
+    /// Adopts a plan: one write of `plans/<id>` whose sequence number
+    /// becomes the record's `version`. Adoption is **idempotent by id** —
+    /// an id already adopted returns its twin's version unchanged, so
+    /// duplicate identical requests never fork versions.
     ///
     /// # Errors
     ///
     /// [`StoreError::Conflict`] when the key holds a value that is not a
-    /// plan; [`StoreError`] when its file cannot be saved (nothing is
-    /// adopted then).
+    /// plan, or the sequence space is exhausted; [`StoreError`] when its
+    /// file cannot be saved (nothing is adopted then).
     pub(crate) fn adopt(
         &self,
         id: &str,
@@ -311,8 +480,21 @@ impl PlanStore {
         degraded: bool,
     ) -> Result<u64, StoreError> {
         let key = plan_key(id);
-        let written = self.write(&key, MatchSeq::Exact(0), |version| {
-            let record = StoredPlan {
+        let mut record = self.lock();
+        match record.entries.get(&key) {
+            Some(SeqEntry {
+                plan: Some(twin), ..
+            }) => return Ok(twin.version),
+            Some(SeqEntry { written, .. }) => {
+                return Err(StoreError::Conflict(format!(
+                    "{key} holds seq {}, which is not a plan",
+                    written.seq
+                )))
+            }
+            None => {}
+        }
+        self.write(&mut record, &key, |version| {
+            let adopted = StoredPlan {
                 id: id.to_string(),
                 version,
                 task,
@@ -321,42 +503,167 @@ impl PlanStore {
                 predicted_ms,
                 degraded,
             };
-            let value = serde_json::to_string(&record).unwrap_or_default();
-            (value, Some(Arc::new(record)))
-        });
-        match written {
-            Err(StoreError::Conflict(conflict)) => match self.kv.plan(&key) {
-                Some(twin) => Ok(twin.version),
-                None => Err(StoreError::Conflict(conflict)),
-            },
-            written => written,
-        }
+            let value = serde_json::to_string(&adopted).unwrap_or_default();
+            (value, Some(Arc::new(adopted)))
+        })
     }
 
-    /// One leader write of `key` (see [`PlanKv::write`]). Its file is
-    /// saved before the op reaches the log, so no follower tails a write
-    /// that a restart could lose; a failed save writes nothing.
+    /// Writes a promoted bundle's `value` under `models/active`,
+    /// unconditionally.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Conflict`] when `expect` fails; [`StoreError`] when
-    /// the file cannot be saved.
-    pub(crate) fn write(
+    /// As for [`PlanStore::adopt`], bar the twin check.
+    pub(crate) fn write_model(&self, value: String) -> Result<u64, StoreError> {
+        self.write(&mut self.lock(), MODEL_KEY, |_| (value, None))
+    }
+
+    /// The leader's one write path: stamps `key`'s write with the next
+    /// sequence number (`make` builds the value for it), saves its file,
+    /// then logs it — so no follower tails a write that a restart could
+    /// lose, and a failed save writes nothing.
+    fn write(
         &self,
+        record: &mut Record,
         key: &str,
-        expect: MatchSeq,
         make: impl FnOnce(u64) -> (String, Option<Arc<StoredPlan>>),
     ) -> Result<u64, StoreError> {
-        self.kv.write(key, expect, |seq| {
-            let (value, plan) = make(seq);
-            let entry = SnapshotEntry {
-                key: key.to_string(),
-                seq,
-                value,
+        let seq = record.applied_seq.saturating_add(1);
+        if seq == u64::MAX {
+            return Err(StoreError::Conflict(
+                "the sequence space is exhausted".into(),
+            ));
+        }
+        let (value, plan) = make(seq);
+        let key = key.to_string();
+        let entry = SnapshotEntry { key, seq, value };
+        self.save(&entry.key, Some(&entry), plan.as_deref())?;
+        let SnapshotEntry { key, value, .. } = entry;
+        record.install(LogOp { seq, key, value }, plan);
+        Ok(seq)
+    }
+
+    /// Applies a replicated op — the **follower** write path — if it is
+    /// the next one, numbered `applied_seq + 1` (and not `u64::MAX`), and
+    /// returns it; any other op is a duplicate or lies past a gap, and
+    /// changes nothing. Applied ops re-enter this replica's own log, so a
+    /// promoted follower can serve followers of its own.
+    pub fn apply(&self, op: LogOp) -> Option<LogOp> {
+        let mut record = self.lock();
+        if op.seq != record.applied_seq.saturating_add(1) || op.seq == u64::MAX {
+            return None;
+        }
+        let plan = decode_plan(&op.key, op.seq, &op.value);
+        record.install(op.clone(), plan);
+        Some(op)
+    }
+
+    /// The sequence of the last applied mutation (`0` when pristine).
+    pub fn applied_seq(&self) -> u64 {
+        self.lock().applied_seq
+    }
+
+    /// The retained log window: `(oldest retained sequence, length)`.
+    pub(crate) fn log_window(&self) -> (u64, usize) {
+        let record = self.lock();
+        (record.log_start, record.log.len())
+    }
+
+    /// `f` over every adopted plan, in key order, under the lock (so `f`
+    /// must not panic).
+    fn with_plans<R>(&self, f: impl FnOnce(&mut dyn Iterator<Item = &StoredPlan>) -> R) -> R {
+        let record = self.lock();
+        f(&mut record.entries.values().filter_map(|e| e.plan.as_deref()))
+    }
+
+    /// `key`'s entry, if it has one.
+    pub(crate) fn entry(&self, key: &str) -> Option<SnapshotEntry> {
+        self.lock().entries.get(key).map(|e| e.written.clone())
+    }
+
+    /// Ops strictly after `from_seq` for a tailing follower, or the
+    /// snapshot redirect when `from_seq` predates the retained log — or
+    /// is ahead of this store: that follower tailed a leader whose
+    /// sequence space is gone (restarted without its log), and would
+    /// otherwise drop this store's next ops as duplicates.
+    pub fn log_since(&self, from_seq: u64) -> LogFetch {
+        let record = self.lock();
+        let compacted =
+            from_seq.saturating_add(1) < record.log_start && record.applied_seq > from_seq;
+        if compacted || from_seq > record.applied_seq {
+            return LogFetch::NeedSnapshot {
+                earliest: record.log_start,
             };
-            self.save(key, Some(&entry), plan.as_deref())?;
-            Ok((entry.value, plan))
-        })
+        }
+        LogFetch::Ops(
+            record
+                .log
+                .iter()
+                .filter(|op| op.seq > from_seq)
+                .cloned()
+                .collect(),
+        )
+    }
+
+    /// A full copy of the record for cold or lagging replicas.
+    pub fn snapshot(&self) -> KvSnapshot {
+        let record = self.lock();
+        KvSnapshot {
+            applied_seq: record.applied_seq,
+            entries: record.entries.values().map(|e| e.written.clone()).collect(),
+        }
+    }
+
+    /// Replaces this replica's contents with `snapshot` (catch-up, and
+    /// boot from the store's files).
+    ///
+    /// Returns the keys whose entry changed — written by another sequence
+    /// or value, or dropped — so a caller materializes each write once,
+    /// however often the same snapshot arrives.
+    ///
+    /// # Errors
+    ///
+    /// Why `snapshot` fails its check; a refused snapshot changes nothing.
+    pub(crate) fn restore(&self, snapshot: &KvSnapshot) -> Result<Vec<String>, String> {
+        snapshot.check()?;
+        let mut record = self.lock();
+        let mut dropped = std::mem::take(&mut record.entries);
+        let mut changed = Vec::new();
+        for e in &snapshot.entries {
+            let entry = match dropped.remove(&e.key) {
+                Some(kept) if kept.written == *e => kept,
+                _ => {
+                    changed.push(e.key.clone());
+                    let plan = decode_plan(&e.key, e.seq, &e.value);
+                    SeqEntry {
+                        written: e.clone(),
+                        plan,
+                    }
+                }
+            };
+            record.entries.insert(e.key.clone(), entry);
+        }
+        changed.extend(dropped.into_keys());
+        record.applied_seq = snapshot.applied_seq;
+        record.log.clear();
+        record.log_start = snapshot.applied_seq.saturating_add(1);
+        Ok(changed)
+    }
+
+    /// Canonical dump of the live entries (`key\tseq\tvalue` lines in key
+    /// order) — two converged replicas dump **byte-identical** strings.
+    pub fn dump(&self) -> String {
+        let record = self.lock();
+        let mut out = format!("applied_seq={}\n", record.applied_seq);
+        for SnapshotEntry { key, seq, value } in record.entries.values().map(|e| &e.written) {
+            out.push_str(&format!("{key}\t{seq}\t{value}\n"));
+        }
+        out
+    }
+
+    /// FNV-1a digest of [`PlanStore::dump`] — the cheap convergence check.
+    pub fn digest(&self) -> u64 {
+        fnv64(self.dump().as_bytes())
     }
 
     /// Makes `key`'s file agree with its entry — how a follower's applied
@@ -366,10 +673,12 @@ impl PlanStore {
     ///
     /// [`StoreError`] when the file cannot be written or removed.
     pub(crate) fn persist(&self, key: &str) -> Result<(), StoreError> {
+        let record = self.lock();
+        let entry = record.entries.get(key);
         self.save(
             key,
-            self.kv.entry(key).as_ref(),
-            self.kv.plan(key).as_deref(),
+            entry.map(|e| &e.written),
+            entry.and_then(|e| e.plan.as_deref()),
         )
     }
 
@@ -399,18 +708,18 @@ impl PlanStore {
 
     /// Looks up a plan by id.
     pub fn get(&self, id: &str) -> Option<StoredPlan> {
-        self.kv.plan(&plan_key(id)).map(|record| (*record).clone())
+        let plan = self.lock().entries.get(&plan_key(id))?.plan.clone();
+        plan.map(|record| (*record).clone())
     }
 
     /// The most recently adopted plan.
     pub fn latest(&self) -> Option<StoredPlan> {
-        self.kv
-            .with_plans(|plans| plans.max_by_key(|p| p.version).cloned())
+        self.with_plans(|plans| plans.max_by_key(|p| p.version).cloned())
     }
 
     /// Number of stored plans.
     pub fn len(&self) -> usize {
-        self.kv.with_plans(|plans| plans.count())
+        self.with_plans(|plans| plans.count())
     }
 
     /// Whether the store holds no plans.
@@ -420,9 +729,8 @@ impl PlanStore {
 
     /// All stored ids in adoption order.
     pub fn ids(&self) -> Vec<String> {
-        let mut plans = self
-            .kv
-            .with_plans(|plans| plans.map(|p| (p.version, p.id.clone())).collect::<Vec<_>>());
+        let mut plans =
+            self.with_plans(|plans| plans.map(|p| (p.version, p.id.clone())).collect::<Vec<_>>());
         plans.sort_unstable();
         plans.into_iter().map(|(_, id)| id).collect()
     }
@@ -433,6 +741,7 @@ mod tests {
     use super::*;
     use nshard_core::PlanSource;
     use nshard_data::{TableConfig, TableId};
+    use proptest::prelude::*;
 
     fn task() -> ShardingTask {
         let tables: Vec<TableConfig> = (0..4)
@@ -472,8 +781,33 @@ mod tests {
     /// the service).
     fn reopen(dir: &Path) -> PlanStore {
         let (store, boot) = PlanStore::open(Some(dir)).unwrap();
-        store.kv().restore(&boot).unwrap();
+        store.restore(&boot).unwrap();
         store
+    }
+
+    fn op(seq: u64, key: &str, value: &str) -> LogOp {
+        LogOp {
+            seq,
+            key: key.into(),
+            value: value.into(),
+        }
+    }
+
+    /// An in-memory store that applied `writes` as ops `1..`.
+    fn replica(writes: &[(&str, &str)]) -> PlanStore {
+        let (store, _) = PlanStore::open(None).unwrap();
+        for (i, (key, value)) in writes.iter().enumerate() {
+            assert!(store.apply(op(i as u64 + 1, key, value)).is_some());
+        }
+        store
+    }
+
+    /// The store's whole retained log.
+    fn ops(store: &PlanStore) -> Vec<LogOp> {
+        match store.log_since(0) {
+            LogFetch::Ops(ops) => ops,
+            other => panic!("log retained, got {other:?}"),
+        }
     }
 
     #[test]
@@ -495,7 +829,7 @@ mod tests {
             1
         );
         assert_eq!(store.get("aaaa").unwrap(), before);
-        assert_eq!(store.kv().applied_seq(), 2, "the duplicate wrote nothing");
+        assert_eq!(store.applied_seq(), 2, "the duplicate wrote nothing");
         assert_eq!(store.len(), 2);
         assert_eq!(store.latest().unwrap().id, "bbbb");
         assert_eq!(store.ids(), vec!["aaaa".to_string(), "bbbb".to_string()]);
@@ -503,15 +837,15 @@ mod tests {
 
     #[test]
     fn an_adoption_over_a_value_that_is_not_a_plan_is_a_conflict() {
-        let (store, _) = PlanStore::open(None).unwrap();
-        store.kv().upsert("plans/x", "{}", MatchSeq::Any).unwrap();
+        let store = replica(&[("plans/x", "{}")]);
         let t = task();
         let p = plan(&t);
         match store.adopt("x", t, p, provenance(), 1.0, false) {
-            Err(StoreError::Conflict(KvError::SeqConflict { found: 1, .. })) => {}
+            Err(StoreError::Conflict(why)) => assert!(why.contains("plans/x holds seq 1"), "{why}"),
             other => panic!("expected a typed conflict, got {other:?}"),
         }
         assert!(store.is_empty());
+        assert_eq!(store.applied_seq(), 1, "a conflict writes nothing");
     }
 
     #[test]
@@ -692,8 +1026,7 @@ mod tests {
             1,
         );
         assert!(value.contains("\"total_backoff_ms\":50"));
-        let key = plan_key("old");
-        follower.kv().apply(crate::kv::LogOp { seq: 1, key, value });
+        follower.apply(op(1, &plan_key("old"), &value));
         assert_eq!(follower.get("old"), Some(record));
     }
 
@@ -743,7 +1076,7 @@ mod tests {
         let reopened = reopen(&dir);
         assert_eq!(reopened.quarantined(), 2, "neither claimant of seq 1 loads");
         assert_eq!(reopened.ids(), ["two"]);
-        assert_eq!(reopened.kv().applied_seq(), 2);
+        assert_eq!(reopened.applied_seq(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -758,14 +1091,222 @@ mod tests {
             Err(StoreError::Checkpoint(CheckpointError::Io { .. })) => {}
             other => panic!("expected an I/O error, got {other:?}"),
         }
-        assert_eq!(
-            store.kv().log_since(0),
-            crate::kv::LogFetch::Ops(Vec::new())
-        );
-        assert_eq!((store.kv().applied_seq(), store.len()), (0, 0));
+        assert_eq!(store.log_since(0), LogFetch::Ops(Vec::new()));
+        assert_eq!((store.applied_seq(), store.len()), (0, 0));
         // The next adoption takes seq 1: no follower ever saw another.
         let y = store.adopt("y", t.clone(), plan(&t), provenance(), 1.0, false);
         assert_eq!(y.unwrap(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest! {
+        /// Adoption is idempotent by id: a repeated id returns its twin's
+        /// version and writes nothing, so the sequence advances once per
+        /// distinct plan.
+        #[test]
+        fn adoption_never_double_writes(ids in proptest::collection::vec(0u8..5, 1..30)) {
+            let (store, _) = PlanStore::open(None).unwrap();
+            let t = task();
+            let mut versions = HashMap::new();
+            for id in ids {
+                let version = store
+                    .adopt(&format!("id{id}"), t.clone(), plan(&t), provenance(), 1.0, false)
+                    .unwrap();
+                prop_assert_eq!(*versions.entry(id).or_insert(version), version);
+            }
+            prop_assert_eq!(store.len(), versions.len());
+            prop_assert_eq!(store.applied_seq(), store.len() as u64);
+        }
+    }
+
+    #[test]
+    fn apply_takes_only_the_next_op() {
+        let leader = replica(&[
+            ("k1", "v1"),
+            ("k2", "v2"),
+            ("k3", "v3"),
+            ("k4", "v4"),
+            ("k5", "v5"),
+        ]);
+        let ops = ops(&leader);
+        let (follower, _) = PlanStore::open(None).unwrap();
+        // Out of order with duplicates: only op 1 is ever the next one.
+        for seq in [4, 2, 2, 5, 3, 1, 1, 4] {
+            follower.apply(ops[seq - 1].clone());
+        }
+        assert_eq!(follower.applied_seq(), 1, "nothing past the gap is held");
+        // One pass over the log from its position converges it.
+        let LogFetch::Ops(rest) = leader.log_since(follower.applied_seq()) else {
+            panic!("inside the window")
+        };
+        let applied: Vec<_> = rest
+            .into_iter()
+            .filter_map(|op| follower.apply(op))
+            .collect();
+        assert_eq!(applied, ops[1..]);
+        assert_eq!(follower.dump(), leader.dump(), "byte-identical convergence");
+        assert_eq!(follower.digest(), leader.digest());
+    }
+
+    #[test]
+    fn compaction_redirects_laggards_to_snapshot() {
+        let (leader, _) = PlanStore::open(None).unwrap();
+        for i in 0..LOG_KEEP + 6 {
+            leader.write_model(format!("v{i}")).unwrap();
+        }
+        // Seqs 1..=6 are compacted away (the window retains 7..=1030).
+        assert_eq!(leader.log_since(2), LogFetch::NeedSnapshot { earliest: 7 });
+        // A follower inside the window tails normally.
+        let LogFetch::Ops(tail) = leader.log_since(1028) else {
+            panic!("inside the window")
+        };
+        assert_eq!(tail.iter().map(|o| o.seq).collect::<Vec<_>>(), [1029, 1030]);
+        // Fully caught up: empty fetch, not a snapshot.
+        assert_eq!(leader.log_since(1030), LogFetch::Ops(Vec::new()));
+
+        // Snapshot restore catches the laggard up byte-identically...
+        let (lagging, _) = PlanStore::open(None).unwrap();
+        lagging.restore(&leader.snapshot()).unwrap();
+        assert_eq!(lagging.dump(), leader.dump());
+        assert_eq!(lagging.applied_seq(), 1030);
+        // ...and it keeps tailing from there.
+        leader.write_model("v1030".into()).unwrap();
+        let LogFetch::Ops(ops) = leader.log_since(lagging.applied_seq()) else {
+            panic!("inside the window")
+        };
+        for op in ops {
+            lagging.apply(op);
+        }
+        assert_eq!(lagging.dump(), leader.dump());
+    }
+
+    #[test]
+    fn a_follower_ahead_of_the_leader_is_redirected_to_the_snapshot() {
+        // The follower tailed a leader through seq 5; that leader then
+        // restarted with an empty log.
+        let old: Vec<String> = (0..5).map(|i| format!("plans/k{i}")).collect();
+        let follower = replica(&old.iter().map(|k| (k.as_str(), "old")).collect::<Vec<_>>());
+        let leader = replica(&[("plans/k0", "new")]);
+        assert_eq!(
+            leader.log_since(follower.applied_seq()),
+            LogFetch::NeedSnapshot { earliest: 1 },
+            "seq 5 was never sequenced here: an empty fetch would read as caught up"
+        );
+        assert_eq!(leader.log_since(1), LogFetch::Ops(Vec::new()));
+
+        follower.restore(&leader.snapshot()).unwrap();
+        assert_eq!(follower.dump(), leader.dump());
+        // Seven new ops cross the old position without being mistaken for
+        // duplicates.
+        for i in 0..7 {
+            leader.apply(op(i + 2, &format!("plans/k{i}"), "new"));
+        }
+        let LogFetch::Ops(ops) = leader.log_since(follower.applied_seq()) else {
+            panic!("the follower is inside the window")
+        };
+        for op in ops {
+            follower.apply(op);
+        }
+        assert_eq!(follower.dump(), leader.dump());
+    }
+
+    #[test]
+    fn positions_at_the_end_of_the_sequence_space_are_refused() {
+        let store = replica(&[("a", "1")]);
+        assert_eq!(
+            store.log_since(u64::MAX),
+            LogFetch::NeedSnapshot { earliest: 1 }
+        );
+        let mut end = store.snapshot();
+        end.applied_seq = u64::MAX;
+        assert!(store.restore(&end).is_err());
+        let json = serde_json::to_string(&end).unwrap();
+        assert!(serde_json::from_str::<KvSnapshot>(&json).is_err());
+        // A replica one short of the end refuses the op and the writes
+        // past it.
+        let (edge, _) = PlanStore::open(None).unwrap();
+        let eve = KvSnapshot {
+            applied_seq: u64::MAX - 1,
+            entries: Vec::new(),
+        };
+        edge.restore(&eve).unwrap();
+        assert_eq!(edge.apply(op(u64::MAX, "b", "2")), None);
+        assert!(matches!(
+            edge.write_model("1".into()),
+            Err(StoreError::Conflict(_))
+        ));
+        let t = task();
+        let adopted = edge.adopt("p", t.clone(), plan(&t), provenance(), 1.0, false);
+        assert!(matches!(adopted, Err(StoreError::Conflict(_))));
+        assert_eq!(edge.dump(), format!("applied_seq={}\n", u64::MAX - 1));
+        assert_eq!(store.write_model("2".into()).unwrap(), 2, "still writable");
+    }
+
+    #[test]
+    fn snapshots_no_store_could_hold_are_refused() {
+        let entry = |key: &str, seq| SnapshotEntry {
+            key: key.into(),
+            seq,
+            value: "v".into(),
+        };
+        let cases = [
+            (vec![entry("a", 1), entry("b", 2)], vec![]),
+            (vec![entry("a", 1), entry("b", 1)], vec![0, 1]),
+            (vec![entry("b", 1), entry("a", 2)], vec![1]),
+            (vec![entry("a", 1), entry("a", 2)], vec![1]),
+            (vec![entry("a", 0), entry("b", 3)], vec![0, 1]),
+        ];
+        for (entries, faults) in cases {
+            let snapshot = KvSnapshot {
+                applied_seq: 2,
+                entries,
+            };
+            assert_eq!(snapshot.faults(), faults, "{snapshot:?}");
+            let json = serde_json::to_string(&snapshot).unwrap();
+            let decoded = serde_json::from_str::<KvSnapshot>(&json);
+            assert_eq!(decoded.is_ok(), faults.is_empty(), "{json}");
+            let (replica, _) = PlanStore::open(None).unwrap();
+            if replica.restore(&snapshot).is_err() {
+                assert_eq!(
+                    replica.dump(),
+                    "applied_seq=0\n",
+                    "a refusal changes nothing"
+                );
+            }
+            assert_eq!(replica.applied_seq() == 2, faults.is_empty());
+        }
+    }
+
+    #[test]
+    fn restore_reports_each_write_once() {
+        let leader = replica(&[("a", "1"), ("b", "1")]);
+        let (follower, _) = PlanStore::open(None).unwrap();
+        assert_eq!(follower.restore(&leader.snapshot()).unwrap(), ["a", "b"]);
+        assert!(follower.restore(&leader.snapshot()).unwrap().is_empty());
+        leader.apply(op(3, "b", "2"));
+        assert_eq!(follower.restore(&leader.snapshot()).unwrap(), ["b"]);
+        // Keys the snapshot no longer holds changed too.
+        let restarted = replica(&[("c", "1")]);
+        let changed = follower.restore(&restarted.snapshot()).unwrap();
+        assert_eq!(changed, ["c", "a", "b"]);
+        assert_eq!(follower.dump(), restarted.dump());
+    }
+
+    #[test]
+    fn wire_types_round_trip_as_json() {
+        let op = op(3, "plans/x", "{\"id\":\"x\"}");
+        let back: LogOp = serde_json::from_str(&serde_json::to_string(&op).unwrap()).unwrap();
+        assert_eq!(back, op);
+        let fetch = LogFetch::Ops(vec![op]);
+        let back: LogFetch = serde_json::from_str(&serde_json::to_string(&fetch).unwrap()).unwrap();
+        assert_eq!(back, fetch);
+        let redirect = LogFetch::NeedSnapshot { earliest: 9 };
+        let back: LogFetch =
+            serde_json::from_str(&serde_json::to_string(&redirect).unwrap()).unwrap();
+        assert_eq!(back, redirect);
+        let snap = replica(&[("a", "1")]).snapshot();
+        let back: KvSnapshot =
+            serde_json::from_str(&serde_json::to_string(&snap).unwrap()).unwrap();
+        assert_eq!(back, snap);
     }
 }

@@ -219,13 +219,6 @@ impl DevicePool {
             .unwrap_or(0)
     }
 
-    /// Sum of all device budgets (the aggregate feasibility bound).
-    pub fn total_budget(&self) -> u64 {
-        self.devices
-            .iter()
-            .fold(0u64, |acc, d| acc.saturating_add(d.mem_budget_bytes))
-    }
-
     /// Effective all-to-all bandwidth scale of device `g` (see the module
     /// docs for the harmonic blend). Exactly `1.0` on a flat network.
     pub fn bw_scale_of(&self, g: usize) -> f64 {
@@ -317,7 +310,6 @@ mod tests {
         assert!(pool.has_uniform_compute() && pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.budget_of(3), 1 << 30);
-        assert_eq!(pool.total_budget(), 4 << 30);
         for g in 0..4 {
             assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
             assert_eq!(pool.compute_scale_of(g), 1.0);

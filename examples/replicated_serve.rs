@@ -117,8 +117,8 @@ fn main() {
         }
     }
     assert_eq!(
-        follower_service.kv().digest(),
-        leader_service.kv().digest(),
+        follower_service.plans().digest(),
+        leader_service.plans().digest(),
         "replica stores must converge byte-identically"
     );
     println!("follower caught up (store digests match)");

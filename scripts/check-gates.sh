@@ -7,9 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-MAX_SERVE_ITEMS=126
-MAX_TOTAL_LINES=13545
-MAX_TOTAL_ITEMS=785
+MAX_SERVE_ITEMS=116
+MAX_TOTAL_LINES=13280
+MAX_TOTAL_ITEMS=761
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -37,15 +37,18 @@
 # connection-config struct stay deleted (outside tests, which may spell an
 # old record's fields).
 #
-# One record of adopted plans (DESIGN.md §9): the store module builds the
-# daemon's one `PlanKv`, and the second representation's roads in — the
-# replica insert, the boot re-log, the adopt-then-log pair and the store's
-# own map — stay deleted.
+# One record of adopted plans (DESIGN.md §9): `serve::store::PlanStore` owns
+# it, with one leader write path, and a follower applies only the next op.
+# The wrapped KV and its module, the conditional-upsert enum and its error
+# (all `MatchSeq` variants), the out-of-order op buffer and the pool's
+# backoff builder (reconnect pacing is `repl`'s one function) stay deleted,
+# as do the second representation's roads in — the replica insert, the
+# boot re-log, the adopt-then-log pair and the store's own map.
 #
 # One connection table (DESIGN.md §9): the reactor keys each connection by
 # a token it never reuses and reads deadlines off that table each turn;
 # the timer heap and its module, the generation counter, the recycled-token
-# list, the sharded metrics registry and `MatchSeq::GE` stay deleted. Each
+# list and the sharded metrics registry stay deleted. Each
 # turn reads its `poll(2)` wait list off the same table: the epoll backend
 # stays deleted, and `net::sys` keeps one unsafe block, the `poll` call.
 #
@@ -137,15 +140,17 @@ if code crates/core/src/fallback.rs | grep -E '\.evaluate(_exact)?\(|first_over_
     exit 1
 fi
 
-if code crates/serve/src | grep 'PlanKv::new(' | grep -v '^crates/serve/src/store.rs:'; then
-    echo "error: only serve::store builds a PlanKv (lines above)" >&2
+if code crates/*/src src | grep -wE 'PlanKv|MatchSeq|KvError|pending_len|Backoff' ||
+    [ -e crates/serve/src/kv.rs ]; then
+    echo "error: PlanStore is the one record of adopted plans; the wrapped KV, its" \
+        "upsert conditions, the op buffer and the backoff builder stay deleted (lines above)" >&2
     exit 1
 fi
 if grep -rnE 'PlanStoreInner|insert_replica|boot_kv|log_adoption|adopt_and_log' crates/serve/src; then
     echo "error: a plan reaches the store through the one sequenced KV (lines above)" >&2
     exit 1
 fi
-if grep -rnE -e '\b(TimerWheel|timer_generation|free_tokens|REGISTRY_SHARDS)\b' -e 'MatchSeq::GE\b' crates; then
+if grep -rnwE 'TimerWheel|timer_generation|free_tokens|REGISTRY_SHARDS' crates; then
     echo "error: one connection table and one metrics map; no timer heap (lines above)" >&2
     exit 1
 fi

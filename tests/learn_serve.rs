@@ -232,7 +232,7 @@ fn promoted_model_replicates_to_the_follower() {
     let promoted = quick_bundle(9);
     assert_eq!(leader.promote_model(&promoted), 2);
 
-    let neuroshard::serve::kv::LogFetch::Ops(ops) = leader.kv().log_since(0) else {
+    let neuroshard::serve::LogFetch::Ops(ops) = leader.plans().log_since(0) else {
         panic!("leader log is retained")
     };
     assert!(follower.apply_replicated(ops) > 0);

@@ -14,10 +14,11 @@ use proptest::prelude::*;
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::serve::http::HttpRequest;
-use neuroshard::serve::kv::{LogFetch, MatchSeq, PlanKv};
 use neuroshard::serve::repl::{PollOutcome, ReplError, ReplTransport, Replicator, Role};
 use neuroshard::serve::server::Routed;
-use neuroshard::serve::{KvSnapshot, ManualClock, ReplicaConfig, ServeConfig, Service};
+use neuroshard::serve::{
+    KvSnapshot, LogFetch, LogOp, ManualClock, PlanStore, ReplicaConfig, ServeConfig, Service,
+};
 
 fn quick_bundle(seed: u64) -> CostModelBundle {
     let pool = TablePool::synthetic_dlrm(40, 3);
@@ -141,7 +142,7 @@ impl ChaosTransport {
 impl ReplTransport for ChaosTransport {
     fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
         self.reachable()?;
-        let mut fetch = self.leader.kv().log_since(from_seq);
+        let mut fetch = self.leader.plans().log_since(from_seq);
         if self.drop_head.load(Ordering::SeqCst) {
             if let LogFetch::Ops(ops) = &mut fetch {
                 if !ops.is_empty() {
@@ -154,7 +155,7 @@ impl ReplTransport for ChaosTransport {
 
     fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
         self.reachable()?;
-        Ok(self.leader.kv().snapshot())
+        Ok(self.leader.plans().snapshot())
     }
 }
 
@@ -168,16 +169,13 @@ proptest! {
         order_a in proptest::collection::vec(0usize..4096, 0..120),
         order_b in proptest::collection::vec(0usize..4096, 0..120),
     ) {
-        let leader = PlanKv::new(256);
-        for (k, v) in &writes {
-            leader.upsert(&format!("plans/k{k}"), format!("v{v}"), MatchSeq::Any).unwrap();
-        }
+        let leader = store_of(writes.iter().map(|(k, v)| (format!("plans/k{k}"), format!("v{v}"))));
         let LogFetch::Ops(ops) = leader.log_since(0) else { panic!("log retained") };
 
         // Each replica sees the ops in its own order with duplicates,
         // then one final in-order pass (the stream eventually delivers).
         for order in [&order_a, &order_b] {
-            let replica = PlanKv::new(256);
+            let (replica, _) = PlanStore::open(None).unwrap();
             for idx in order {
                 replica.apply(ops[idx % ops.len()].clone());
             }
@@ -186,29 +184,17 @@ proptest! {
             }
             prop_assert_eq!(replica.dump(), leader.dump());
             prop_assert_eq!(replica.digest(), leader.digest());
-            prop_assert_eq!(replica.pending_len(), 0);
         }
     }
+}
 
-    /// Conditional create-only upserts are idempotent: replaying any
-    /// subset of them can never fork the store — duplicates conflict
-    /// instead of double-writing.
-    #[test]
-    fn conditional_upserts_never_double_write(
-        keys in proptest::collection::vec(0u8..5, 1..30),
-    ) {
-        let kv = PlanKv::new(64);
-        let mut created = 0u64;
-        for k in &keys {
-            match kv.upsert(&format!("plans/{k}"), "once", MatchSeq::Exact(0)) {
-                Ok(_) => created += 1,
-                Err(e) => prop_assert!(e.to_string().contains("sequence conflict")),
-            }
-        }
-        prop_assert_eq!(created as usize, kv.len());
-        // Sequence numbers advanced only for the writes that landed.
-        prop_assert_eq!(kv.applied_seq(), created);
+/// An in-memory store that applied `writes` as ops `1..`.
+fn store_of(writes: impl IntoIterator<Item = (String, String)>) -> PlanStore {
+    let (store, _) = PlanStore::open(None).unwrap();
+    for (seq, (key, value)) in (1..).zip(writes) {
+        assert!(store.apply(LogOp { seq, key, value }).is_some());
     }
+    store
 }
 
 /// A follower tails the leader through a partition: recorded (never
@@ -241,7 +227,7 @@ fn follower_tails_through_partition_and_heals() {
     // First poll replicates the adoption.
     assert_eq!(repl.poll_once(), PollOutcome::Applied(1));
     assert_eq!(follower.plans().len(), 1);
-    assert_eq!(follower.kv().dump(), leader.kv().dump());
+    assert_eq!(follower.plans().dump(), leader.plans().dump());
     assert_eq!(repl.poll_once(), PollOutcome::UpToDate);
 
     // Partition the link: polls fail with recorded, bounded backoff.
@@ -283,8 +269,8 @@ fn follower_tails_through_partition_and_heals() {
     *faults.lock().unwrap() = ControlFaults::default();
     assert_eq!(repl.poll_once(), PollOutcome::Applied(1));
     assert_eq!(follower.role().role(), Role::Follower);
-    assert_eq!(follower.kv().dump(), leader.kv().dump());
-    assert_eq!(follower.kv().digest(), leader.kv().digest());
+    assert_eq!(follower.plans().dump(), leader.plans().dump());
+    assert_eq!(follower.plans().digest(), leader.plans().digest());
     assert_eq!(follower.plans().len(), leader.plans().len());
 
     // Both replicas answer the same stored-plan bytes.
@@ -304,20 +290,15 @@ fn follower_tails_through_partition_and_heals() {
 /// keeps tailing normally afterwards.
 #[test]
 fn lagging_replica_catches_up_by_snapshot() {
-    // Tiny retained window: a brand-new follower is already beyond it.
-    let leader_kv = PlanKv::new(2);
-    for i in 0..6 {
-        leader_kv
-            .upsert(&format!("plans/warm{i}"), "{}", MatchSeq::Any)
-            .unwrap();
-    }
+    // Six ops past the 1,024-op window: a brand-new follower is beyond it.
+    let leader = store_of((0..1_030).map(|i| (format!("plans/warm{}", i % 6), "{}".to_string())));
     assert_eq!(
-        leader_kv.log_since(0),
-        LogFetch::NeedSnapshot { earliest: 5 },
-        "seqs 1..=4 were compacted away"
+        leader.log_since(0),
+        LogFetch::NeedSnapshot { earliest: 7 },
+        "seqs 1..=6 were compacted away"
     );
 
-    struct SnapshotOnly(PlanKv);
+    struct SnapshotOnly(PlanStore);
     impl ReplTransport for SnapshotOnly {
         fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
             Ok(self.0.log_since(from_seq))
@@ -328,12 +309,12 @@ fn lagging_replica_catches_up_by_snapshot() {
     }
 
     let follower = follower_service(9, 10);
-    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(SnapshotOnly(leader_kv)));
+    let mut repl = Replicator::new(Arc::clone(&follower), Box::new(SnapshotOnly(leader)));
     match repl.poll_once() {
-        PollOutcome::SnapshotRestored { applied_seq } => assert_eq!(applied_seq, 6),
+        PollOutcome::SnapshotRestored { applied_seq } => assert_eq!(applied_seq, 1_030),
         other => panic!("expected snapshot catch-up, got {other:?}"),
     }
-    assert_eq!(follower.kv().applied_seq(), 6);
+    assert_eq!(follower.plans().applied_seq(), 1_030);
     assert_eq!(repl.poll_once(), PollOutcome::UpToDate);
     let metrics = follower.render_metrics();
     assert!(
@@ -351,10 +332,10 @@ fn follower_ahead_of_a_restarted_leader_resyncs_by_snapshot() {
     struct Restartable(Arc<Mutex<Arc<Service>>>);
     impl ReplTransport for Restartable {
         fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
-            Ok(self.0.lock().unwrap().kv().log_since(from_seq))
+            Ok(self.0.lock().unwrap().plans().log_since(from_seq))
         }
         fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
-            Ok(self.0.lock().unwrap().kv().snapshot())
+            Ok(self.0.lock().unwrap().plans().snapshot())
         }
     }
     let adopt = |leader: &Service, salt: u32| {
@@ -381,7 +362,10 @@ fn follower_ahead_of_a_restarted_leader_resyncs_by_snapshot() {
         PollOutcome::SnapshotRestored { applied_seq: 1 },
         "position 3 does not exist in the new leader's log"
     );
-    assert_eq!(follower.kv().dump(), leader.lock().unwrap().kv().dump());
+    assert_eq!(
+        follower.plans().dump(),
+        leader.lock().unwrap().plans().dump()
+    );
     assert_eq!(
         repl.last_leader_seq(),
         1,
@@ -399,7 +383,10 @@ fn follower_ahead_of_a_restarted_leader_resyncs_by_snapshot() {
     adopt(&leader.lock().unwrap(), 0);
     adopt(&leader.lock().unwrap(), 1);
     assert_eq!(repl.poll_once(), PollOutcome::Applied(2));
-    assert_eq!(follower.kv().dump(), leader.lock().unwrap().kv().dump());
+    assert_eq!(
+        follower.plans().dump(),
+        leader.lock().unwrap().plans().dump()
+    );
     assert_eq!(repl.poll_once(), PollOutcome::UpToDate);
 }
 
@@ -448,7 +435,7 @@ fn run_leader_kill_scenario() -> Vec<String> {
 
     // Mid-stream: the leader adopts two more plans, but the stream loses
     // the older one (seq 2) permanently — the follower *observes* seq 3
-    // exists yet can never apply it (contiguity gate).
+    // exists yet can never apply it (only the next op applies).
     for salt in [1, 2] {
         let (status, _) = post_drained(
             &leader,
@@ -457,18 +444,13 @@ fn run_leader_kill_scenario() -> Vec<String> {
         );
         assert_eq!(status, 200);
     }
-    assert_eq!(leader.kv().applied_seq(), 3);
+    assert_eq!(leader.plans().applied_seq(), 3);
     drop_head.store(true, Ordering::SeqCst);
     transcript.push(format!("gapped:{:?}", repl.poll_once()));
     assert_eq!(
-        follower.kv().applied_seq(),
+        follower.plans().applied_seq(),
         1,
         "the gapped op cannot apply without its predecessor"
-    );
-    assert_eq!(
-        follower.kv().pending_len(),
-        1,
-        "seq 3 is buffered, seq 2 lost"
     );
     assert_eq!(
         repl.last_leader_seq(),
@@ -625,7 +607,7 @@ fn the_largest_log_position_is_redirected_not_a_panic() {
         format!("{{\"task\":{}}}", task_json(0)),
     );
     assert_eq!(status, 200, "the store still adopts: {body}");
-    assert_eq!(leader.kv().applied_seq(), 1);
+    assert_eq!(leader.plans().applied_seq(), 1);
 }
 
 /// A transport that always redirects to the leader's snapshot.
@@ -636,7 +618,7 @@ impl ReplTransport for SnapshotsOnly {
         Ok(LogFetch::NeedSnapshot { earliest: 1 })
     }
     fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
-        Ok(self.0.lock().unwrap().kv().snapshot())
+        Ok(self.0.lock().unwrap().plans().snapshot())
     }
 }
 
@@ -696,13 +678,13 @@ fn a_restarted_leader_keeps_its_sequence_space() {
     let transport = Restartable(Arc::clone(&leader));
     let mut repl = Replicator::new(Arc::clone(&follower), Box::new(transport));
     assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
-    let (dump, files) = (first.kv().dump(), store_files(&dir));
+    let (dump, files) = (first.plans().dump(), store_files(&dir));
     assert_eq!(files.len(), 3, "two plans and models/active");
     drop(first);
 
     *leader.lock().unwrap() = boot();
     let restarted = leader.lock().unwrap().clone();
-    assert_eq!(restarted.kv().dump(), dump);
+    assert_eq!(restarted.plans().dump(), dump);
     assert_eq!(
         store_files(&dir),
         files,
@@ -783,15 +765,19 @@ fn a_leader_that_lost_a_file_sends_its_followers_to_a_snapshot() {
     let restarted = leader.lock().unwrap().clone();
     let metrics = restarted.render_metrics();
     assert!(metrics.contains("nshard_serve_store_quarantined 1\n"));
-    assert_eq!(restarted.kv().applied_seq(), 4, "one past its highest file");
+    assert_eq!(
+        restarted.plans().applied_seq(),
+        4,
+        "one past its highest file"
+    );
     assert_eq!(
         repl.poll_once(),
         PollOutcome::SnapshotRestored { applied_seq: 4 }
     );
-    assert_eq!(follower.kv().dump(), restarted.kv().dump());
+    assert_eq!(follower.plans().dump(), restarted.plans().dump());
     adopt(&restarted, 3);
     assert_eq!(repl.poll_once(), PollOutcome::Applied(1));
-    assert_eq!(follower.kv().dump(), restarted.kv().dump());
+    assert_eq!(follower.plans().dump(), restarted.plans().dump());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -812,10 +798,10 @@ fn a_follower_that_lost_a_file_starts_over_from_its_leader() {
     drop(repl);
 
     let follower = disk_service(&bundle, &dir, true);
-    assert_eq!(follower.kv().dump(), "applied_seq=0\n");
+    assert_eq!(follower.plans().dump(), "applied_seq=0\n");
     let mut repl = Replicator::new(Arc::clone(&follower), Box::new(Direct(Arc::clone(&leader))));
     assert_eq!(repl.poll_once(), PollOutcome::Applied(3));
-    assert_eq!(follower.kv().dump(), leader.kv().dump());
+    assert_eq!(follower.plans().dump(), leader.plans().dump());
     let plan_files = std::fs::read_dir(dir.join("plans")).unwrap();
     let json =
         plan_files.filter(|f| f.as_ref().unwrap().path().extension() == Some("json".as_ref()));
@@ -867,10 +853,10 @@ struct Direct(Arc<Service>);
 
 impl ReplTransport for Direct {
     fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
-        Ok(self.0.kv().log_since(from_seq))
+        Ok(self.0.plans().log_since(from_seq))
     }
     fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
-        Ok(self.0.kv().snapshot())
+        Ok(self.0.plans().snapshot())
     }
 }
 
@@ -895,10 +881,10 @@ struct Restartable(Arc<Mutex<Arc<Service>>>);
 
 impl ReplTransport for Restartable {
     fn fetch_log(&self, from_seq: u64) -> Result<LogFetch, ReplError> {
-        Ok(self.0.lock().unwrap().kv().log_since(from_seq))
+        Ok(self.0.lock().unwrap().plans().log_since(from_seq))
     }
     fn fetch_snapshot(&self) -> Result<KvSnapshot, ReplError> {
-        Ok(self.0.lock().unwrap().kv().snapshot())
+        Ok(self.0.lock().unwrap().plans().snapshot())
     }
 }
 
@@ -945,9 +931,9 @@ fn leader_frames() -> &'static [String; 3] {
         }
         leader.promote_model(&shared_bundle());
         [
-            serde_json::to_string(&leader.kv().log_since(0)).unwrap(),
+            serde_json::to_string(&leader.plans().log_since(0)).unwrap(),
             serde_json::to_string(&LogFetch::NeedSnapshot { earliest: 1 }).unwrap(),
-            serde_json::to_string(&leader.kv().snapshot()).unwrap(),
+            serde_json::to_string(&leader.plans().snapshot()).unwrap(),
         ]
     })
 }
@@ -1074,11 +1060,11 @@ proptest! {
                 1 => (overwrite_field(redirect, field, HOSTILE_VALUES[value]), snapshot.clone()),
                 _ => (redirect.clone(), overwrite_field(snapshot, field, HOSTILE_VALUES[value])),
             };
-            let before = follower.kv().dump();
+            let before = follower.plans().dump();
             let frames = Frames { log: log.clone(), snapshot: snapshot.clone() };
             let outcome = Replicator::new(Arc::clone(&follower), Box::new(frames)).poll_once();
             if matches!(outcome, PollOutcome::TransportError { .. }) {
-                prop_assert!(follower.kv().dump() == before, "refused yet changed: {} / {}", log, snapshot);
+                prop_assert!(follower.plans().dump() == before, "refused yet changed: {} / {}", log, snapshot);
             }
         }
         let (status, _, _) = get_inline(&follower, "/v1/repl/status");
