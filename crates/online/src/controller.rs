@@ -37,11 +37,23 @@ use nshard_core::{
 use nshard_cost::{CostModelBundle, EstimatedCost};
 use nshard_data::ShardingTask;
 use nshard_pool::splitmix64;
-use nshard_sim::{GpuSpec, PlanCosts, TableProfile};
+use nshard_sim::{GpuSpec, PlanCosts};
 
 use crate::detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
 use crate::drift::WorkloadDrift;
+use crate::learn::ContinualLearner;
 use crate::stack::{PlanningStack, ReplanOutcome, ReplanRoute};
+
+/// Relative predicted-cost excess over the last unconstrained
+/// (full-chain) deployment's quality above which an incremental replan
+/// counts as stalled. A trace that ends stalled — some incremental replan
+/// left the predicted cost this far above that reference and no later
+/// replan recovered — replans once through the full chain on its final
+/// epoch, clearing the drift debt the patches could not; its migration
+/// bytes are charged like any other replan's. Drift can make the
+/// workload intrinsically costlier, so the reference is a lower bound,
+/// not an entitlement: a false stall costs at most the one cleanup replan.
+const STALL_IMPROVEMENT: f64 = 0.05;
 
 /// How the controller reacts to a fired trigger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,7 +65,9 @@ pub enum ReplanStrategy {
     /// fallback chain. Best cost, pays full migration.
     Full,
     /// Warm-start the migration-aware incremental planner; the fallback
-    /// chain is the safety net when the incremental result is unusable.
+    /// chain is the safety net when the incremental result is unusable,
+    /// and a trace that ends stalled replans its final epoch through the
+    /// chain (see `STALL_IMPROVEMENT`).
     Incremental,
 }
 
@@ -87,23 +101,6 @@ pub struct OnlineConfig {
     /// Base seed for ground-truth evaluation noise (mixed with the epoch
     /// so every epoch re-measures).
     pub seed: u64,
-    /// End-of-trace escape hatch for [`ReplanStrategy::Incremental`]:
-    /// when the λ-objective has stalled — some incremental replan left
-    /// the predicted cost more than
-    /// [`stall_improvement`](Self::stall_improvement) above the last
-    /// unconstrained (full-chain) deployment's quality, and no later
-    /// replan recovered — the final epoch runs one full-chain replan to
-    /// clear the accumulated drift debt. Off by default; migration
-    /// bytes for the cleanup replan are charged like any other.
-    pub final_full_replan_on_stall: bool,
-    /// Relative predicted-cost excess over the last unconstrained
-    /// deployment's quality above which an incremental replan counts as
-    /// stalled (see
-    /// [`final_full_replan_on_stall`](Self::final_full_replan_on_stall)).
-    /// Drift can make the workload intrinsically costlier, so the
-    /// reference is a lower bound, not an entitlement: a false stall
-    /// costs at most the one cleanup replan.
-    pub stall_improvement: f64,
 }
 
 impl Default for OnlineConfig {
@@ -115,8 +112,6 @@ impl Default for OnlineConfig {
             incremental: IncrementalConfig::default(),
             search: NeuroShardConfig::default(),
             seed: 0,
-            final_full_replan_on_stall: false,
-            stall_improvement: 0.05,
         }
     }
 }
@@ -233,21 +228,21 @@ impl ReplanHistory {
 }
 
 /// Everything one epoch of the loop observed about the deployed plan,
-/// handed to an [`EpochHook`] after the epoch's record is finalized.
+/// handed to the [`ContinualLearner`] after the epoch's record is
+/// finalized.
 ///
 /// `estimated` and `ground_truth` describe the **same** deployment priced
 /// two ways — by the neural cost models and by the cluster-simulator
 /// oracle — which is exactly the `(predicted, observed)` pairing the
 /// continual-learning observation buffer accumulates.
 #[derive(Debug)]
-pub struct EpochObservation<'a> {
+pub(crate) struct EpochObservation<'a> {
     /// The epoch index (0 = initial deployment).
     pub epoch: u64,
     /// The epoch's drifted task.
     pub task: &'a ShardingTask,
-    /// Per-device feature profiles of the deployed plan under `task`
-    /// (index = device).
-    pub assignment: &'a [Vec<TableProfile>],
+    /// The deployed plan, placed onto `task`.
+    pub plan: &'a ShardingPlan,
     /// The cost models' estimate of the deployed plan.
     pub estimated: &'a EstimatedCost,
     /// The oracle's per-device cost breakdown, `None` when the plan is
@@ -255,56 +250,6 @@ pub struct EpochObservation<'a> {
     pub ground_truth: Option<&'a PlanCosts>,
     /// The drift trigger that fired this epoch, if any.
     pub trigger: Option<&'a ReplanTrigger>,
-}
-
-/// One ground-truth cost observation reported by a deployment —
-/// `(model input features, predicted cost, observed cost)` for exactly
-/// one of the three cost models. The serve daemon buffers these verbatim
-/// (`POST /v1/observations`); the continual-learning loop drains them
-/// with `Service::take_observations` and owns sampling and fine-tuning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObservationWire {
-    /// Which cost model the sample feeds: `"compute"`, `"comm_forward"`
-    /// or `"comm_backward"`.
-    pub kind: String,
-    /// Model input rows: per-table feature rows for `"compute"`, a single
-    /// wrapped feature row for the comm kinds.
-    pub features: Vec<Vec<f32>>,
-    /// What the currently-served model predicted, ms.
-    pub predicted_ms: f64,
-    /// What the deployment actually measured, ms.
-    pub observed_ms: f64,
-}
-
-/// What an [`EpochHook`] asks the controller to do next.
-#[derive(Debug)]
-pub enum HookAction {
-    /// Keep running with the current cost models.
-    Continue,
-    /// Swap in a new cost-model bundle before the next epoch: the
-    /// controller builds a new [`PlanningStack`] from it and re-prices the
-    /// detector baseline so subsequent regression ratios compare like with
-    /// like.
-    SwapModels(Box<CostModelBundle>),
-}
-
-/// Observer of the epoch loop — the seam the continual-learning subsystem
-/// plugs into. Called once per epoch after the [`EpochRecord`] is
-/// finalized; returning [`HookAction::SwapModels`] hot-swaps the cost
-/// models the loop plans with.
-pub trait EpochHook {
-    /// Observes one finished epoch.
-    fn on_epoch(&mut self, observation: &EpochObservation<'_>) -> HookAction;
-}
-
-/// The do-nothing hook: [`OnlineController::run`] uses it.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopHook;
-
-impl EpochHook for NoopHook {
-    fn on_epoch(&mut self, _observation: &EpochObservation<'_>) -> HookAction {
-        HookAction::Continue
-    }
 }
 
 /// The epoch loop. See the [module documentation](self).
@@ -328,26 +273,13 @@ impl OnlineController {
     }
 
     /// The planning stack for `bundle` under `config` — built at
-    /// construction and again on every [`HookAction::SwapModels`], so a
-    /// swap replaces the simulator and with it every prediction/encoding
-    /// cache.
+    /// construction and again on every promotion, so a swap replaces the
+    /// simulator and with it every prediction/encoding cache.
     fn stack_for(bundle: CostModelBundle, config: &OnlineConfig) -> PlanningStack {
         PlanningStack::new(bundle, config.search, config.incremental)
     }
 
     /// Runs the full epoch loop and returns the per-epoch history.
-    ///
-    /// # Errors
-    ///
-    /// [`nshard_core::ResilientError`] when even the initial deployment
-    /// cannot be planned (every stage of the fallback chain failed).
-    pub fn run(&mut self) -> Result<ReplanHistory, nshard_core::ResilientError> {
-        self.run_hooked(&mut NoopHook)
-    }
-
-    /// [`OnlineController::run`] with an [`EpochHook`] observing every
-    /// epoch; [`HookAction::SwapModels`] hot-swaps the cost models between
-    /// epochs (the continual-learning loop's entry point).
     ///
     /// # Errors
     ///
@@ -359,9 +291,31 @@ impl OnlineController {
     /// Panics when the cost models cannot price a deployment: they were
     /// trained for a different device count than the drift's fleet, or
     /// they predict a non-finite cost.
-    pub fn run_hooked(
+    pub fn run(&mut self) -> Result<ReplanHistory, nshard_core::ResilientError> {
+        self.run_with(None)
+    }
+
+    /// [`OnlineController::run`] with a [`ContinualLearner`] observing
+    /// every epoch: a bundle it promotes replaces the cost models the
+    /// loop plans with from the next epoch on.
+    ///
+    /// # Errors
+    ///
+    /// As [`OnlineController::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`OnlineController::run`].
+    pub fn run_learning(
         &mut self,
-        hook: &mut dyn EpochHook,
+        learner: &mut ContinualLearner,
+    ) -> Result<ReplanHistory, nshard_core::ResilientError> {
+        self.run_with(Some(learner))
+    }
+
+    fn run_with(
+        &mut self,
+        mut learner: Option<&mut ContinualLearner>,
     ) -> Result<ReplanHistory, nshard_core::ResilientError> {
         let mut epochs = Vec::with_capacity(self.config.epochs as usize);
 
@@ -370,7 +324,6 @@ impl OnlineController {
         let deployed = self.stack.plan(&task0)?;
         let mut incumbent = deployed.plan;
         let mut deployed_task = task0.clone();
-        let profiles0 = incumbent.device_profiles(task0.batch_size());
         let estimated0 = self.price(&task0, &incumbent);
         let truth0 = self.ground_truth(&task0, &incumbent, 0);
         let mut baseline_ms = estimated0.total_ms();
@@ -382,16 +335,18 @@ impl OnlineController {
             ground_truth_ms: truth0.as_ref().map(PlanCosts::max_total_ms),
             migration_bytes: 0,
         });
-        let hook_action = hook.on_epoch(&EpochObservation {
-            epoch: 0,
-            task: &task0,
-            assignment: &profiles0,
-            estimated: &estimated0,
-            ground_truth: truth0.as_ref(),
-            trigger: None,
+        let promoted = learner.as_deref_mut().and_then(|l| {
+            l.on_epoch(&EpochObservation {
+                epoch: 0,
+                task: &task0,
+                plan: &incumbent,
+                estimated: &estimated0,
+                ground_truth: truth0.as_ref(),
+                trigger: None,
+            })
         });
-        if let HookAction::SwapModels(bundle) = hook_action {
-            self.stack = Self::stack_for(*bundle, &self.config);
+        if let Some(bundle) = promoted {
+            self.stack = Self::stack_for(bundle, &self.config);
             baseline_ms = self.price(&task0, &incumbent).total_ms();
         }
 
@@ -432,8 +387,7 @@ impl OnlineController {
             // The end-of-trace escape hatch: a stalled incremental trace
             // replans through the full chain on its final epoch, trigger
             // or not, clearing the debt the patches could not.
-            let escape = self.config.final_full_replan_on_stall
-                && self.config.strategy == ReplanStrategy::Incremental
+            let escape = self.config.strategy == ReplanStrategy::Incremental
                 && epoch + 1 == self.config.epochs
                 && stalled_replans > 0;
             let must_replan = trigger.is_some() || rebased.is_err() || escape;
@@ -489,7 +443,7 @@ impl OnlineController {
                         } else {
                             let debt =
                                 (after - full_quality_ms) / full_quality_ms.max(f64::MIN_POSITIVE);
-                            if debt > self.config.stall_improvement {
+                            if debt > STALL_IMPROVEMENT {
                                 stalled_replans += 1;
                             } else {
                                 stalled_replans = 0;
@@ -529,7 +483,6 @@ impl OnlineController {
                     incumbent = r;
                 }
             }
-            let profiles = incumbent.device_profiles(task.batch_size());
             let estimated = self.price(&task, &incumbent);
             let truth = self.ground_truth(&task, &incumbent, epoch);
             let predicted_ms = estimated.total_ms();
@@ -543,20 +496,22 @@ impl OnlineController {
                 migration_bytes: moved,
             });
 
-            let hook_action = hook.on_epoch(&EpochObservation {
-                epoch,
-                task: &task,
-                assignment: &profiles,
-                estimated: &estimated,
-                ground_truth: truth.as_ref(),
-                trigger: trigger.as_ref(),
+            let promoted = learner.as_deref_mut().and_then(|l| {
+                l.on_epoch(&EpochObservation {
+                    epoch,
+                    task: &task,
+                    plan: &incumbent,
+                    estimated: &estimated,
+                    ground_truth: truth.as_ref(),
+                    trigger: trigger.as_ref(),
+                })
             });
 
             // Future detection compares against this epoch's deployment.
             deployed_task = task;
             baseline_ms = predicted_ms;
-            if let HookAction::SwapModels(bundle) = hook_action {
-                self.stack = Self::stack_for(*bundle, &self.config);
+            if let Some(bundle) = promoted {
+                self.stack = Self::stack_for(bundle, &self.config);
                 // Re-price the baseline (and the stall reference) with the
                 // new models so next epoch's regression ratio is not an
                 // artifact of the swap itself.
@@ -672,8 +627,14 @@ mod tests {
             let replan = prov.replan.as_ref().expect("replan must be attributed");
             assert_eq!(replan.epoch, e.epoch);
             assert!(
-                ["cost_regression", "imbalance", "memory", "rebase_failed"]
-                    .contains(&replan.trigger_kind.as_str()),
+                [
+                    "cost_regression",
+                    "imbalance",
+                    "memory",
+                    "rebase_failed",
+                    "stall_escape"
+                ]
+                .contains(&replan.trigger_kind.as_str()),
                 "unexpected trigger kind {}",
                 replan.trigger_kind
             );
@@ -681,17 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn stall_escape_forces_a_final_epoch_full_replan() {
-        let mut config = small_config(ReplanStrategy::Incremental);
-        config.final_full_replan_on_stall = true;
-        // Any predicted cost counts as debt, so the first incremental
-        // replan arms the hatch and the final epoch must go through the
-        // full chain.
-        config.stall_improvement = f64::NEG_INFINITY;
-        let mut controller = OnlineController::new(bundle(2), drift(), config);
+    fn a_stalled_incremental_trace_ends_in_a_full_replan() {
+        let mut controller = OnlineController::new(
+            bundle(2),
+            drift(),
+            small_config(ReplanStrategy::Incremental),
+        );
         let history = controller.run().unwrap();
         let last = history.epochs.last().expect("history is nonempty");
-        let action = last.action.as_ref().expect("escape hatch must replan");
+        let action = last.action.as_ref().expect("the stall escape must replan");
         assert!(
             matches!(action, ReplanAction::Full { .. }),
             "final epoch must replan through the full chain, got {action:?}"
@@ -701,23 +660,6 @@ mod tests {
             .and_then(|p| p.replan.as_ref())
             .expect("escape replan must be attributed");
         assert_eq!(replan.epoch, last.epoch);
-
-        // Off by default: the plain incremental run does not end in a
-        // forced full replan on this trace.
-        let plain = OnlineController::new(
-            bundle(2),
-            drift(),
-            small_config(ReplanStrategy::Incremental),
-        )
-        .run()
-        .unwrap();
-        assert!(
-            !matches!(
-                plain.epochs.last().unwrap().action,
-                Some(ReplanAction::Full { .. })
-            ),
-            "hatch must not fire unless armed"
-        );
     }
 
     #[test]

@@ -6,98 +6,50 @@
 //! campaigns move hotspots across tables, and diurnal cycles swing lookup
 //! volume — so a plan that was optimal at deploy time slowly becomes a
 //! straggler magnet. This module substitutes that missing real traffic
-//! with **composable, seeded drift models** that evolve a
-//! [`ShardingTask`]'s per-table workload over discrete epochs, the same
-//! band-2 substitution rationale as the ground-truth simulator itself (see
-//! DESIGN.md §1 and §8).
+//! with **one seeded drift trace** that evolves a [`ShardingTask`]'s
+//! per-table workload over discrete epochs, the same band-2 substitution
+//! rationale as the ground-truth simulator itself (see DESIGN.md §1 and
+//! §8).
 //!
-//! Every model is a *pure function* of `(seed, epoch, table index)` — no
-//! RNG streams, no mutable state — so `task_at(e)` is bit-deterministic
-//! for any call order, any thread count and any subset of epochs queried.
+//! The trace composes four effects — gradual growth, a rotating hotspot,
+//! a diurnal swing and a sudden spike — each a *pure function* of
+//! `(seed, epoch, table index)`: no RNG streams, no mutable state, so
+//! `task_at(e)` is bit-deterministic for any call order, any thread count
+//! and any subset of epochs queried.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_pool::splitmix64;
 
-/// Multiplicative / additive adjustments one epoch applies to one table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DriftFactors {
-    /// Multiplier on the mean pooling factor (indices per lookup).
-    pub pooling_mul: f64,
-    /// Multiplier on the hash size (rows of the id space).
-    pub rows_mul: f64,
-    /// Additive shift of the Zipf exponent (access-skew sharpening).
-    pub alpha_add: f64,
-}
+/// Gradual growth: pooling factors and id spaces compound by these
+/// fractions per epoch (new users, new items).
+const GROWTH_POOLING: f64 = 0.03;
+const GROWTH_ROWS: f64 = 0.015;
 
-impl DriftFactors {
-    /// The identity adjustment (no drift).
-    pub fn identity() -> Self {
-        Self {
-            pooling_mul: 1.0,
-            rows_mul: 1.0,
-            alpha_add: 0.0,
-        }
-    }
+/// A hot window of tables sweeps the pool once per `HOTSPOT_PERIOD`
+/// epochs (a campaign moving through the catalog): the `HOTSPOT_WIDTH`
+/// fraction of tables inside it sees its pooling multiplied by
+/// `HOTSPOT_BOOST` and its Zipf exponent shifted by `HOTSPOT_SKEW`.
+const HOTSPOT_PERIOD: u64 = 16;
+const HOTSPOT_WIDTH: f64 = 0.2;
+const HOTSPOT_BOOST: f64 = 2.5;
+const HOTSPOT_SKEW: f64 = 0.15;
 
-    /// Composes two adjustments (multipliers multiply, shifts add).
-    #[must_use]
-    pub fn compose(self, other: Self) -> Self {
-        Self {
-            pooling_mul: self.pooling_mul * other.pooling_mul,
-            rows_mul: self.rows_mul * other.rows_mul,
-            alpha_add: self.alpha_add + other.alpha_add,
-        }
-    }
-}
+/// A diurnal swing: pooling moves by up to ±`DIURNAL_AMPLITUDE` over a
+/// `DIURNAL_PERIOD`-epoch cycle, at a seeded phase per table (day/night
+/// hitting geographic table groups at offset times).
+const DIURNAL_AMPLITUDE: f64 = 0.25;
+const DIURNAL_PERIOD: f64 = 8.0;
 
-/// One composable drift model. A [`WorkloadDrift`] applies a stack of
-/// these; their per-table [`DriftFactors`] compose multiplicatively.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DriftModel {
-    /// Compounding growth: pooling factors and id spaces grow by a fixed
-    /// fraction per epoch (new users, new items).
-    GradualGrowth {
-        /// Fractional pooling-factor growth per epoch (e.g. `0.03`).
-        pooling_rate: f64,
-        /// Fractional hash-size growth per epoch (e.g. `0.02`).
-        rows_rate: f64,
-    },
-    /// A hot window of tables that rotates across the pool: tables inside
-    /// the window see boosted pooling and sharpened skew (a campaign or
-    /// product surface moving through the catalog).
-    HotspotShift {
-        /// Epochs for the hotspot to sweep the whole pool once.
-        period: u64,
-        /// Pooling-factor multiplier inside the hot window (e.g. `2.5`).
-        boost: f64,
-        /// Fraction of the pool inside the window, in `(0, 1]`.
-        width: f64,
-        /// Zipf-exponent shift inside the window (e.g. `0.2`).
-        skew_shift: f64,
-    },
-    /// A smooth sinusoidal swing of pooling factors with a per-table phase
-    /// (day/night cycles hitting geographic table groups at offset times).
-    Diurnal {
-        /// Peak fractional swing (e.g. `0.3` for ±30%).
-        amplitude: f64,
-        /// Epochs per full cycle.
-        period: f64,
-    },
-    /// A sudden, temporary spike on a seeded subset of tables (a flash
-    /// event): pooling factors jump by `factor` for `duration` epochs.
-    SuddenSpike {
-        /// First epoch of the spike.
-        at_epoch: u64,
-        /// Number of epochs the spike lasts.
-        duration: u64,
-        /// Pooling-factor multiplier during the spike (e.g. `4.0`).
-        factor: f64,
-        /// Fraction of tables affected, chosen by seeded hash.
-        fraction: f64,
-    },
-}
+/// A sudden spike (a flash event): during `SPIKE_EPOCHS` a seeded
+/// `SPIKE_FRACTION` of tables sees its pooling multiplied by
+/// `SPIKE_FACTOR`.
+const SPIKE_EPOCHS: Range<u64> = 10..13;
+const SPIKE_FACTOR: f64 = 3.0;
+const SPIKE_FRACTION: f64 = 0.15;
 
 /// A deterministic uniform in `[0, 1)` from `(seed, tag, index)`.
 fn hash01(seed: u64, tag: u64, index: u64) -> f64 {
@@ -106,84 +58,29 @@ fn hash01(seed: u64, tag: u64, index: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl DriftModel {
-    /// The adjustment this model applies to table `index` (of `n_tables`)
-    /// at `epoch`, under `seed`. Pure: same arguments, same bits.
-    pub fn factors_at(&self, seed: u64, epoch: u64, index: usize, n_tables: usize) -> DriftFactors {
-        let mut f = DriftFactors::identity();
-        match *self {
-            DriftModel::GradualGrowth {
-                pooling_rate,
-                rows_rate,
-            } => {
-                f.pooling_mul = (1.0 + pooling_rate).powi(epoch as i32);
-                f.rows_mul = (1.0 + rows_rate).powi(epoch as i32);
-            }
-            DriftModel::HotspotShift {
-                period,
-                boost,
-                width,
-                skew_shift,
-            } => {
-                let n = n_tables.max(1) as f64;
-                let period = period.max(1) as f64;
-                // Window center sweeps the pool once per `period` epochs.
-                let center = (epoch as f64 / period).fract() * n;
-                let half_width = (width.clamp(0.0, 1.0) * n) / 2.0;
-                // Circular distance from the window center.
-                let d = (index as f64 - center).abs();
-                let d = d.min(n - d);
-                if d <= half_width {
-                    f.pooling_mul = boost;
-                    f.alpha_add = skew_shift;
-                }
-            }
-            DriftModel::Diurnal { amplitude, period } => {
-                let phase = hash01(seed, 0xD1_0B_1A_57, index as u64);
-                let angle =
-                    std::f64::consts::TAU * (epoch as f64 / period.max(f64::EPSILON) + phase);
-                f.pooling_mul = 1.0 + amplitude * angle.sin();
-            }
-            DriftModel::SuddenSpike {
-                at_epoch,
-                duration,
-                factor,
-                fraction,
-            } => {
-                let active = epoch >= at_epoch && epoch < at_epoch.saturating_add(duration);
-                if active && hash01(seed, 0x5B_1C_E5_17, index as u64) < fraction {
-                    f.pooling_mul = factor;
-                }
-            }
-        }
-        f
-    }
-}
-
-/// A seeded drift trace: a base task plus a stack of drift models.
+/// A seeded drift trace over a base task: slow compounding growth, a
+/// rotating hotspot, a diurnal swing and one mid-trace spike.
 ///
-/// `task_at(0)` returns the base task unchanged only if every model is
-/// neutral at epoch 0 (gradual growth is; a diurnal term generally is
-/// not) — the *deployment* workload is whatever `task_at(0)` says.
+/// `task_at(0)` is not the base task in general (a diurnal term is not
+/// neutral at epoch 0) — the *deployment* workload is whatever
+/// `task_at(0)` says.
 ///
 /// # Example
 ///
 /// ```
 /// use nshard_data::{ShardingTask, TablePool};
-/// use nshard_online::drift::{DriftModel, WorkloadDrift};
+/// use nshard_online::WorkloadDrift;
 ///
 /// let pool = TablePool::synthetic_dlrm(64, 7);
 /// let base = ShardingTask::sample(&pool, 4, 16..=16, 64, 7);
-/// let drift = WorkloadDrift::new(base, 42)
-///     .with_model(DriftModel::GradualGrowth { pooling_rate: 0.05, rows_rate: 0.01 });
+/// let drift = WorkloadDrift::standard(base.clone(), 42);
 /// let later = drift.task_at(10);
-/// assert_eq!(later.num_tables(), drift.base().num_tables());
-/// assert!(later.tables()[0].pooling_factor() > drift.base().tables()[0].pooling_factor());
+/// assert_eq!(later.num_tables(), base.num_tables());
+/// assert!(later.tables()[0].hash_size() > base.tables()[0].hash_size());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadDrift {
     base: ShardingTask,
-    models: Vec<DriftModel>,
     seed: u64,
 }
 
@@ -195,79 +92,47 @@ const POOLING_CLAMP: (f64, f64) = (0.5, 512.0);
 const MIN_ROWS: u64 = 64;
 
 impl WorkloadDrift {
-    /// A drift trace over `base` with no models (every epoch identical).
-    pub fn new(base: ShardingTask, seed: u64) -> Self {
-        Self {
-            base,
-            models: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Appends a drift model (builder-style; factors compose).
-    #[must_use]
-    pub fn with_model(mut self, model: DriftModel) -> Self {
-        self.models.push(model);
-        self
-    }
-
-    /// The canonical mixed trace used by the example and benchmark: slow
-    /// compounding growth, a rotating hotspot, a diurnal swing, and one
-    /// mid-trace spike. Deterministic per seed.
+    /// The drift trace over `base`, deterministic per seed.
     pub fn standard(base: ShardingTask, seed: u64) -> Self {
-        Self::new(base, seed)
-            .with_model(DriftModel::GradualGrowth {
-                pooling_rate: 0.03,
-                rows_rate: 0.015,
-            })
-            .with_model(DriftModel::HotspotShift {
-                period: 16,
-                boost: 2.5,
-                width: 0.2,
-                skew_shift: 0.15,
-            })
-            .with_model(DriftModel::Diurnal {
-                amplitude: 0.25,
-                period: 8.0,
-            })
-            .with_model(DriftModel::SuddenSpike {
-                at_epoch: 10,
-                duration: 3,
-                factor: 3.0,
-                fraction: 0.15,
-            })
+        Self { base, seed }
     }
 
-    /// The base (epoch-0 reference) task.
-    pub fn base(&self) -> &ShardingTask {
-        &self.base
-    }
+    /// Table `index`'s adjustment at `epoch`: (pooling multiplier,
+    /// hash-size multiplier, Zipf-exponent shift). The pooling multiplier
+    /// is growth × hotspot × diurnal × spike, in that order — the
+    /// product's rounding is part of the trace.
+    fn factors(&self, epoch: u64, index: usize) -> (f64, f64, f64) {
+        let growth = (1.0 + GROWTH_POOLING).powi(epoch as i32);
+        let rows = (1.0 + GROWTH_ROWS).powi(epoch as i32);
 
-    /// The drift models, in composition order.
-    pub fn models(&self) -> &[DriftModel] {
-        &self.models
-    }
+        let n = self.base.num_tables().max(1) as f64;
+        // The window center sweeps the pool once per period; the distance
+        // to it is circular.
+        let center = (epoch as f64 / HOTSPOT_PERIOD as f64).fract() * n;
+        let half_width = (HOTSPOT_WIDTH * n) / 2.0;
+        let d = (index as f64 - center).abs();
+        let (hotspot, skew) = if d.min(n - d) <= half_width {
+            (HOTSPOT_BOOST, HOTSPOT_SKEW)
+        } else {
+            (1.0, 0.0)
+        };
 
-    /// The seed behind every stochastic choice.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
+        let phase = hash01(self.seed, 0xD1_0B_1A_57, index as u64);
+        let angle = std::f64::consts::TAU * (epoch as f64 / DIURNAL_PERIOD + phase);
+        let diurnal = 1.0 + DIURNAL_AMPLITUDE * angle.sin();
 
-    /// The composed adjustment for table `index` at `epoch`.
-    pub fn factors_at(&self, epoch: u64, index: usize) -> DriftFactors {
-        let n = self.base.num_tables();
-        self.models
-            .iter()
-            .fold(DriftFactors::identity(), |acc, model| {
-                acc.compose(model.factors_at(self.seed, epoch, index, n))
-            })
+        let spiked = SPIKE_EPOCHS.contains(&epoch)
+            && hash01(self.seed, 0x5B_1C_E5_17, index as u64) < SPIKE_FRACTION;
+        let spike = if spiked { SPIKE_FACTOR } else { 1.0 };
+
+        (growth * hotspot * diurnal * spike, rows, skew)
     }
 
     /// The workload at `epoch`: the base task with every table's pooling
-    /// factor, hash size and Zipf skew adjusted by the composed drift
-    /// factors. Table count, ids, dimensions, batch size and the device
-    /// fleet never change — drift evolves traffic, not the fleet.
-    /// Bit-deterministic per `(base, models, seed, epoch)`.
+    /// factor, hash size and Zipf skew adjusted by the trace. Table count,
+    /// ids, dimensions, batch size and the device fleet never change —
+    /// drift evolves traffic, not the fleet. Bit-deterministic per
+    /// `(base, seed, epoch)`.
     pub fn task_at(&self, epoch: u64) -> ShardingTask {
         let tables: Vec<TableConfig> = self
             .base
@@ -275,11 +140,11 @@ impl WorkloadDrift {
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let f = self.factors_at(epoch, i);
+                let (pooling_mul, rows_mul, alpha_add) = self.factors(epoch, i);
                 let pooling =
-                    (t.pooling_factor() * f.pooling_mul).clamp(POOLING_CLAMP.0, POOLING_CLAMP.1);
-                let rows = ((t.hash_size() as f64 * f.rows_mul) as u64).max(MIN_ROWS);
-                let alpha = t.zipf_alpha() + f.alpha_add;
+                    (t.pooling_factor() * pooling_mul).clamp(POOLING_CLAMP.0, POOLING_CLAMP.1);
+                let rows = ((t.hash_size() as f64 * rows_mul) as u64).max(MIN_ROWS);
+                let alpha = t.zipf_alpha() + alpha_add;
                 t.with_pooling_factor(pooling)
                     .with_hash_size(rows)
                     .with_zipf_alpha(alpha)
@@ -300,100 +165,119 @@ mod tests {
         ShardingTask::sample(&pool, 2, 12..=12, 64, 3)
     }
 
+    /// `task_at`'s JSON over three pools, five seeds and sixteen epochs
+    /// (the spike included), hashed; the digest was recorded when the
+    /// trace was a stack of four composable models. Multiplying the spike
+    /// before the diurnal swing moves it (to `9f96226c24ee6c4d`).
     #[test]
-    fn no_models_means_no_drift() {
-        let drift = WorkloadDrift::new(base(), 1);
-        assert_eq!(drift.task_at(0), *drift.base());
-        assert_eq!(drift.task_at(17), *drift.base());
+    fn standard_trace_keeps_the_parent_bits() {
+        let mut digest = nshard_nn::serialize::fnv64(&[]);
+        for (pool_seed, gpus) in [(3u64, 2usize), (11, 4), (29, 8)] {
+            let pool = TablePool::synthetic_dlrm(120, pool_seed);
+            let base = ShardingTask::sample(&pool, gpus, 24..=40, 64, pool_seed);
+            for seed in 0..5 {
+                let drift = WorkloadDrift::standard(base.clone(), seed);
+                for epoch in 0..16 {
+                    let json = serde_json::to_string(&drift.task_at(epoch)).unwrap();
+                    digest = nshard_nn::serialize::fnv64_extend(digest, json.as_bytes());
+                }
+            }
+        }
+        assert_eq!(format!("{digest:016x}"), "6ef008e0c8be65cb");
     }
 
+    /// Growth is the only effect on hash sizes, and it compounds; sixteen
+    /// epochs apart outside the spike, the hotspot window and the diurnal
+    /// phase repeat, so pooling grows by the compounded rate alone.
     #[test]
     fn gradual_growth_compounds() {
-        let drift = WorkloadDrift::new(base(), 1).with_model(DriftModel::GradualGrowth {
-            pooling_rate: 0.1,
-            rows_rate: 0.05,
-        });
-        let t0 = drift.task_at(0);
-        let t5 = drift.task_at(5);
-        for (a, b) in t0.tables().iter().zip(t5.tables()) {
-            assert!(b.pooling_factor() > a.pooling_factor());
-            assert!(b.hash_size() >= a.hash_size());
-            assert_eq!(a.dim(), b.dim());
-            assert_eq!(a.id(), b.id());
+        let drift = WorkloadDrift::standard(base(), 1);
+        for (i, t) in base().tables().iter().enumerate() {
+            assert_eq!(drift.factors(0, i).1, 1.0, "epoch 0 is the base id space");
+            assert_eq!(drift.task_at(0).tables()[i].hash_size(), t.hash_size());
+            let rows: Vec<u64> = (0..8)
+                .map(|e| drift.task_at(e).tables()[i].hash_size())
+                .collect();
+            assert!(rows.windows(2).all(|w| w[0] <= w[1]), "table {i}: {rows:?}");
+            assert!(rows[7] > rows[0]);
+            let ratio = drift.factors(17, i).0 / drift.factors(1, i).0;
+            let expected = (1.0 + GROWTH_POOLING).powi(16);
+            assert!((ratio / expected - 1.0).abs() < 1e-9, "table {i}: {ratio}");
         }
-        // Epoch 0 of gradual growth is the identity.
-        assert_eq!(t0, *drift.base());
     }
 
+    /// The tables whose Zipf exponent moved at `epoch`: the hotspot is the
+    /// only effect on skew, and it shifts it by exactly `HOTSPOT_SKEW`.
+    fn hot_tables(drift: &WorkloadDrift, epoch: u64) -> Vec<usize> {
+        let task = drift.task_at(epoch);
+        let mut hot = Vec::new();
+        for (i, (now, then)) in task.tables().iter().zip(base().tables()).enumerate() {
+            if now.zipf_alpha() != then.zipf_alpha() {
+                assert_eq!(now.zipf_alpha(), then.zipf_alpha() + HOTSPOT_SKEW);
+                hot.push(i);
+            }
+        }
+        hot
+    }
+
+    /// Eight epochs apart the diurnal phase repeats and the window has
+    /// moved half the pool, so a table hot only at the earlier epoch
+    /// loses exactly the boost.
     #[test]
     fn hotspot_window_boosts_a_subset() {
-        let drift = WorkloadDrift::new(base(), 1).with_model(DriftModel::HotspotShift {
-            period: 10,
-            boost: 3.0,
-            width: 0.25,
-            skew_shift: 0.2,
-        });
-        let t = drift.task_at(4);
-        let boosted = t
-            .tables()
-            .iter()
-            .zip(drift.base().tables())
-            .filter(|(now, then)| now.pooling_factor() > then.pooling_factor())
-            .count();
-        assert!(boosted > 0, "some window must be hot");
-        assert!(boosted < t.num_tables(), "the window must not cover all");
+        let drift = WorkloadDrift::standard(base(), 1);
+        let unboosted = (1.0 + GROWTH_POOLING).powi(8) / HOTSPOT_BOOST;
+        for epoch in [0, 1, 9] {
+            let hot = hot_tables(&drift, epoch);
+            assert!(!hot.is_empty(), "epoch {epoch}: some window must be hot");
+            assert!(
+                hot.len() < base().num_tables(),
+                "the window must not cover all"
+            );
+            let later = hot_tables(&drift, epoch + 8);
+            for &i in &hot {
+                assert!(!later.contains(&i));
+                let ratio = drift.factors(epoch + 8, i).0 / drift.factors(epoch, i).0;
+                assert!((ratio / unboosted - 1.0).abs() < 1e-9, "table {i}: {ratio}");
+            }
+        }
     }
 
     #[test]
     fn hotspot_rotates_over_time() {
-        let drift = WorkloadDrift::new(base(), 1).with_model(DriftModel::HotspotShift {
-            period: 8,
-            boost: 3.0,
-            width: 0.2,
-            skew_shift: 0.0,
-        });
-        let hot = |epoch: u64| -> Vec<usize> {
-            drift
-                .task_at(epoch)
-                .tables()
-                .iter()
-                .zip(drift.base().tables())
-                .enumerate()
-                .filter(|(_, (now, then))| now.pooling_factor() > then.pooling_factor())
-                .map(|(i, _)| i)
-                .collect()
-        };
-        assert_ne!(hot(0), hot(3), "the hot window must move");
+        let drift = WorkloadDrift::standard(base(), 1);
+        assert_ne!(
+            hot_tables(&drift, 0),
+            hot_tables(&drift, 3),
+            "the hot window must move"
+        );
+        assert_eq!(
+            hot_tables(&drift, 3),
+            hot_tables(&drift, 19),
+            "and sweep once per period"
+        );
     }
 
+    /// Sixteen epochs apart, pooling differs by growth alone — unless the
+    /// spike is on at the earlier epoch.
     #[test]
     fn spike_is_temporary_and_partial() {
-        let drift = WorkloadDrift::new(base(), 9).with_model(DriftModel::SuddenSpike {
-            at_epoch: 5,
-            duration: 2,
-            factor: 4.0,
-            fraction: 0.3,
-        });
-        assert_eq!(drift.task_at(4), *drift.base());
-        assert_eq!(drift.task_at(7), *drift.base());
-        let spiked: Vec<bool> = drift
-            .task_at(5)
-            .tables()
-            .iter()
-            .zip(drift.base().tables())
-            .map(|(now, then)| now.pooling_factor() > then.pooling_factor())
-            .collect();
-        assert!(spiked.iter().any(|&s| s));
-        assert!(!spiked.iter().all(|&s| s));
-        // The same subset spikes on both epochs of the window.
-        let spiked6: Vec<bool> = drift
-            .task_at(6)
-            .tables()
-            .iter()
-            .zip(drift.base().tables())
-            .map(|(now, then)| now.pooling_factor() > then.pooling_factor())
-            .collect();
-        assert_eq!(spiked, spiked6);
+        let drift = WorkloadDrift::standard(base(), 9);
+        let growth = (1.0 + GROWTH_POOLING).powi(16);
+        let spiked = |epoch: u64| -> Vec<bool> {
+            (0..base().num_tables())
+                .map(|i| drift.factors(epoch + 16, i).0 / drift.factors(epoch, i).0 < growth / 2.0)
+                .collect()
+        };
+        assert!(spiked(SPIKE_EPOCHS.start - 1).iter().all(|&s| !s));
+        assert!(spiked(SPIKE_EPOCHS.end).iter().all(|&s| !s));
+        let first = spiked(SPIKE_EPOCHS.start);
+        assert!(first.iter().any(|&s| s));
+        assert!(!first.iter().all(|&s| s));
+        // The same subset spikes on every epoch of the window.
+        for epoch in SPIKE_EPOCHS {
+            assert_eq!(spiked(epoch), first, "epoch {epoch}");
+        }
     }
 
     #[test]
@@ -444,7 +328,7 @@ mod tests {
         fn drifted_tasks_are_always_constructible(seed: u64, epoch in 0u64..200) {
             let drift = WorkloadDrift::standard(base(), seed);
             let task = drift.task_at(epoch);
-            prop_assert_eq!(task.num_tables(), drift.base().num_tables());
+            prop_assert_eq!(task.num_tables(), base().num_tables());
             for t in task.tables() {
                 prop_assert!(t.pooling_factor() >= POOLING_CLAMP.0);
                 prop_assert!(t.pooling_factor() <= POOLING_CLAMP.1);

@@ -33,7 +33,7 @@ use nshard_nn::{Dataset, Matrix};
 use nshard_pool::splitmix64;
 
 /// Which cost model an observation feeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservationKind {
     /// Per-device fused-kernel computation cost (DeepSets model input:
     /// one feature row per table on the device).
@@ -56,7 +56,7 @@ impl ObservationKind {
 
     /// Parses a wire label; `None` for unknown kinds (ignored, so old
     /// daemons interoperate with newer reporters).
-    pub fn from_label(label: &str) -> Option<Self> {
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
         match label {
             "compute" => Some(ObservationKind::Compute),
             "comm_forward" => Some(ObservationKind::CommForward),
@@ -66,21 +66,26 @@ impl ObservationKind {
     }
 }
 
-/// One `(model input, predicted, observed)` triple.
+/// One ground-truth cost observation reported by a deployment —
+/// `(model input features, predicted cost, observed cost)` for exactly
+/// one of the three cost models. The serve daemon buffers these verbatim
+/// (`POST /v1/observations`), the continual learner ingests them, and the
+/// [`ObservationBuffer`] retains them as they arrived.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Observation {
-    /// Which cost model the sample feeds.
-    pub kind: ObservationKind,
-    /// Model input rows: per-table rows for [`ObservationKind::Compute`],
-    /// a single wrapped row for the comm kinds.
+pub struct ObservationWire {
+    /// Which cost model the sample feeds: an [`ObservationKind`] label,
+    /// `"compute"`, `"comm_forward"` or `"comm_backward"`.
+    pub kind: String,
+    /// Model input rows: per-table feature rows for `"compute"`, a single
+    /// wrapped feature row for the comm kinds.
     pub features: Vec<Vec<f32>>,
-    /// What the serving model predicted, ms.
+    /// What the currently-served model predicted, ms.
     pub predicted_ms: f64,
-    /// What was actually measured, ms.
+    /// What the deployment actually measured, ms.
     pub observed_ms: f64,
 }
 
-impl Observation {
+impl ObservationWire {
     /// The sampling weight: absolute prediction error, floored so
     /// perfectly-predicted samples still have a nonzero keep chance.
     pub fn weight(&self) -> f64 {
@@ -128,7 +133,7 @@ struct Entry {
     /// Global insert index — the deterministic tie-breaker and the
     /// dataset-ordering key.
     index: u64,
-    observation: Observation,
+    observation: ObservationWire,
 }
 
 /// The bounded, seeded, error-prioritized observation buffer.
@@ -177,11 +182,6 @@ impl ObservationBuffer {
         }
     }
 
-    /// The sizing/seed configuration.
-    pub fn config(&self) -> &BufferConfig {
-        &self.config
-    }
-
     /// Observations currently retained for training.
     pub fn len(&self) -> usize {
         self.train.len()
@@ -204,7 +204,7 @@ impl ObservationBuffer {
 
     /// Offers one observation. Routing (train vs validation) and
     /// retention depend only on `(seed, insert index, weight)`.
-    pub fn insert(&mut self, observation: Observation) {
+    pub fn insert(&mut self, observation: ObservationWire) {
         let index = self.inserted;
         self.inserted += 1;
         let stride = self.config.validation_stride.max(1);
@@ -242,13 +242,6 @@ impl ObservationBuffer {
         }
     }
 
-    /// Offers a batch in order.
-    pub fn extend(&mut self, observations: impl IntoIterator<Item = Observation>) {
-        for observation in observations {
-            self.insert(observation);
-        }
-    }
-
     /// Keeps the top-`capacity` entries by `(key, index)`: scan for the
     /// minimum and replace it when the newcomer's key is larger. O(cap)
     /// per insert — capacities here are thousands, and the scan's
@@ -275,11 +268,11 @@ impl ObservationBuffer {
     }
 
     /// The retained training observations in insert order.
-    pub fn training_observations(&self) -> Vec<&Observation> {
+    pub fn training_observations(&self) -> Vec<&ObservationWire> {
         Self::ordered(&self.train)
     }
 
-    fn ordered(entries: &[Entry]) -> Vec<&Observation> {
+    fn ordered(entries: &[Entry]) -> Vec<&ObservationWire> {
         let mut refs: Vec<&Entry> = entries.iter().collect();
         refs.sort_by_key(|e| e.index);
         refs.into_iter().map(|e| &e.observation).collect()
@@ -295,25 +288,26 @@ impl ObservationBuffer {
         Self::datasets(&Self::ordered(&self.validation))
     }
 
-    fn datasets(observations: &[&Observation]) -> LearnDatasets {
+    fn datasets(observations: &[&ObservationWire]) -> LearnDatasets {
         let mut compute = ComputeDataset::default();
         let mut fwd_rows: Vec<Vec<f32>> = Vec::new();
         let mut fwd_y: Vec<f32> = Vec::new();
         let mut bwd_rows: Vec<Vec<f32>> = Vec::new();
         let mut bwd_y: Vec<f32> = Vec::new();
         for obs in observations {
-            match obs.kind {
-                ObservationKind::Compute => compute.samples.push(ComputeSample {
+            match ObservationKind::from_label(&obs.kind) {
+                None => {}
+                Some(ObservationKind::Compute) => compute.samples.push(ComputeSample {
                     tables: obs.features.clone(),
                     cost_ms: obs.observed_ms as f32,
                 }),
-                ObservationKind::CommForward => {
+                Some(ObservationKind::CommForward) => {
                     if let Some(row) = obs.features.first() {
                         fwd_rows.push(row.clone());
                         fwd_y.push(obs.observed_ms as f32);
                     }
                 }
-                ObservationKind::CommBackward => {
+                Some(ObservationKind::CommBackward) => {
                     if let Some(row) = obs.features.first() {
                         bwd_rows.push(row.clone());
                         bwd_y.push(obs.observed_ms as f32);
@@ -347,9 +341,9 @@ impl ObservationBuffer {
 mod tests {
     use super::*;
 
-    fn obs(kind: ObservationKind, v: f32, predicted: f64, observed: f64) -> Observation {
-        Observation {
-            kind,
+    fn obs(kind: ObservationKind, v: f32, predicted: f64, observed: f64) -> ObservationWire {
+        ObservationWire {
+            kind: kind.label().into(),
             features: vec![vec![v; 4]],
             predicted_ms: predicted,
             observed_ms: observed,

@@ -1,27 +1,29 @@
 //! The closed continual-learning loop: observe → buffer → fine-tune →
 //! shadow-evaluate → promote or roll back.
 //!
-//! [`ContinualLearner`] implements the online controller's
-//! [`EpochHook`]: every epoch it converts the controller's
-//! `(estimated, ground-truth)` pair into per-model observations and, when
-//! the drift detector fires (and enough observations accumulated and the
-//! cooldown elapsed), fine-tunes the incumbent, runs the candidate
-//! through the [`ModelLifecycle`] shadow evaluation, and — only on
-//! promotion — asks the controller to hot-swap the serving models.
+//! [`OnlineController::run_learning`](crate::OnlineController::run_learning)
+//! hands the [`ContinualLearner`] every finished epoch: the learner
+//! converts the controller's `(estimated, ground-truth)` pair into
+//! per-model observations and, when the drift detector fires (and enough
+//! observations accumulated and the cooldown elapsed), fine-tunes the
+//! incumbent, runs the candidate through the [`ModelLifecycle`] shadow
+//! evaluation, and — only on promotion — hands the controller the bundle
+//! to plan with.
 //!
-//! The same learner also ingests wire observations drained from a serve
+//! The same learner also ingests observations drained from a serve
 //! daemon (`Service::take_observations`), so one loop can learn from both
-//! the epoch simulator and live traffic.
+//! the epoch simulator and live traffic. Both roads end in one check: a
+//! row the incumbent's models cannot read is skipped, never buffered.
 
-use nshard_cost::{comm_features, table_features, CostModelBundle};
+use nshard_cost::{comm_features, table_features, CostModelBundle, TABLE_FEATURE_DIM};
 use nshard_nn::serialize::CheckpointError;
-use nshard_online::{EpochHook, EpochObservation, HookAction, ObservationWire};
 use nshard_pool::splitmix64;
 use nshard_sim::DeviceCost;
 
-use crate::buffer::{BufferConfig, Observation, ObservationBuffer, ObservationKind};
-use crate::finetune::{FineTuneSettings, FineTuner};
-use crate::lifecycle::{ModelLifecycle, PromotionRecord};
+use super::buffer::{BufferConfig, ObservationBuffer, ObservationKind, ObservationWire};
+use super::finetune::{FineTuneSettings, FineTuner};
+use super::lifecycle::{ModelLifecycle, PromotionRecord};
+use crate::controller::EpochObservation;
 
 /// Knobs of the continual-learning loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,22 +123,34 @@ impl ContinualLearner {
     }
 
     /// Ingests observations reported over the wire
-    /// (`POST /v1/observations` → `Service::take_observations`). Unknown
-    /// kinds and empty feature sets are skipped, not errors.
+    /// (`POST /v1/observations` → `Service::take_observations`). A row
+    /// the incumbent's models cannot read — an unknown kind, no features,
+    /// a non-finite value, or rows of the wrong width — is skipped, not
+    /// an error.
     pub fn ingest_wire(&mut self, wires: &[ObservationWire]) {
         for wire in wires {
-            let Some(kind) = ObservationKind::from_label(&wire.kind) else {
-                continue;
-            };
-            if wire.features.is_empty() {
-                continue;
-            }
-            self.buffer.insert(Observation {
-                kind,
-                features: wire.features.clone(),
-                predicted_ms: wire.predicted_ms,
-                observed_ms: wire.observed_ms,
-            });
+            self.offer(wire.clone());
+        }
+    }
+
+    /// The one way into the buffer: an observation enters only if the
+    /// incumbent can train on it — a known kind, finite values, and
+    /// [`TABLE_FEATURE_DIM`]-wide table rows for compute or one
+    /// `2 · devices + 3`-wide row for comm. Buffered, any other row
+    /// would panic the next fine-tune.
+    fn offer(&mut self, observation: ObservationWire) {
+        let width = match ObservationKind::from_label(&observation.kind) {
+            Some(ObservationKind::Compute) => TABLE_FEATURE_DIM,
+            Some(_) if observation.features.len() == 1 => 2 * self.incumbent.num_devices() + 3,
+            _ => return,
+        };
+        let readable = !observation.features.is_empty()
+            && observation.features.iter().all(|row| row.len() == width)
+            && observation.features.iter().flatten().all(|v| v.is_finite())
+            && observation.predicted_ms.is_finite()
+            && observation.observed_ms.is_finite();
+        if readable {
+            self.buffer.insert(observation);
         }
     }
 
@@ -157,7 +171,8 @@ impl ContinualLearner {
         let batch = observation.task.batch_size();
         let fleet = observation.task.devices();
         let devices = truth.devices();
-        for (d, tables) in observation.assignment.iter().enumerate() {
+        let assignment = observation.plan.device_profiles(batch);
+        for (d, tables) in assignment.iter().enumerate() {
             if tables.is_empty() {
                 continue;
             }
@@ -170,8 +185,8 @@ impl ContinualLearner {
                 .copied()
                 .unwrap_or_default();
             let class = fleet.compute_scale_of(d);
-            self.buffer.insert(Observation {
-                kind: ObservationKind::Compute,
+            self.offer(ObservationWire {
+                kind: ObservationKind::Compute.label().into(),
                 features,
                 predicted_ms: predicted / class,
                 observed_ms: cost.compute_ms() / class,
@@ -181,14 +196,14 @@ impl ContinualLearner {
         // simulator fed the comm models (same lowered dims, same start
         // offsets), labeled with the observed max across devices — the
         // quantity the models are trained to predict.
-        let dims = fleet.lowered_dims(observation.assignment);
+        let dims = fleet.lowered_dims(&assignment);
         let fwd_starts = observation.estimated.fwd_comm_starts();
         let max_fwd = devices
             .iter()
             .map(|c: &DeviceCost| c.comm_fwd_ms)
             .fold(0.0f64, f64::max);
-        self.buffer.insert(Observation {
-            kind: ObservationKind::CommForward,
+        self.offer(ObservationWire {
+            kind: ObservationKind::CommForward.label().into(),
             features: vec![comm_features(&dims, &fwd_starts, batch)],
             predicted_ms: observation.estimated.fwd_comm_ms,
             observed_ms: max_fwd,
@@ -198,8 +213,8 @@ impl ContinualLearner {
             .iter()
             .map(|c: &DeviceCost| c.comm_bwd_ms)
             .fold(0.0f64, f64::max);
-        self.buffer.insert(Observation {
-            kind: ObservationKind::CommBackward,
+        self.offer(ObservationWire {
+            kind: ObservationKind::CommBackward.label().into(),
             features: vec![comm_features(&dims, &bwd_starts, batch)],
             predicted_ms: observation.estimated.bwd_comm_ms,
             observed_ms: max_bwd,
@@ -213,11 +228,9 @@ impl ContinualLearner {
         }
     }
 
-    /// Fine-tunes and shadow-evaluates now, regardless of triggers —
-    /// the explicit entry point for driving the loop outside the
-    /// [`EpochHook`] (e.g. from a serve-daemon control thread). Returns
-    /// the promoted bundle when the candidate won.
-    pub fn fine_tune_now(
+    /// Fine-tunes and shadow-evaluates now, regardless of triggers.
+    /// Returns the promoted bundle when the candidate won.
+    fn fine_tune_now(
         &mut self,
         epoch: u64,
         probe: &nshard_data::ShardingTask,
@@ -245,30 +258,32 @@ impl ContinualLearner {
         }
         None
     }
-}
 
-impl EpochHook for ContinualLearner {
-    fn on_epoch(&mut self, observation: &EpochObservation<'_>) -> HookAction {
+    /// Observes one finished epoch of the online loop; fine-tunes when
+    /// its trigger fired, enough observations accumulated and the
+    /// cooldown elapsed. Returns the promoted bundle the loop must plan
+    /// with from the next epoch on.
+    pub(crate) fn on_epoch(
+        &mut self,
+        observation: &EpochObservation<'_>,
+    ) -> Option<CostModelBundle> {
         self.ingest_epoch(observation);
         let should_try = observation.trigger.is_some()
             && self.buffer.len() >= self.config.min_observations
             && self.cooldown_elapsed(observation.epoch);
         if !should_try {
-            return HookAction::Continue;
+            return None;
         }
-        match self.fine_tune_now(observation.epoch, observation.task) {
-            Some(bundle) => HookAction::SwapModels(Box::new(bundle)),
-            None => HookAction::Continue,
-        }
+        self.fine_tune_now(observation.epoch, observation.task)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OnlineConfig, OnlineController, ReplanStrategy, WorkloadDrift};
     use nshard_cost::{CollectConfig, TrainSettings};
     use nshard_data::{ShardingTask, TablePool};
-    use nshard_online::{OnlineConfig, OnlineController, ReplanStrategy, WorkloadDrift};
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {
@@ -290,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn hooked_run_buffers_observations_and_stays_deterministic() {
+    fn learning_run_buffers_observations_and_stays_deterministic() {
         let pool = TablePool::synthetic_dlrm(64, 21);
         let bundle = CostModelBundle::pretrain(
             &pool,
@@ -312,7 +327,7 @@ mod tests {
                 ContinualLearner::new(bundle.clone(), dir.path(), ContinualConfig::smoke())
                     .expect("store opens");
             let history = OnlineController::new(bundle.clone(), drift, config)
-                .run_hooked(&mut learner)
+                .run_learning(&mut learner)
                 .expect("run succeeds");
             (history.epochs.len(), learner.buffer.to_bytes())
         };
@@ -325,7 +340,7 @@ mod tests {
         assert_eq!(epochs_a, epochs_b);
         assert_eq!(
             bytes_a, bytes_b,
-            "hooked observation stream must be bit-deterministic"
+            "the learning run's observation stream must be bit-deterministic"
         );
         assert!(!bytes_a.is_empty());
     }
@@ -367,7 +382,7 @@ mod tests {
             ..OnlineConfig::default()
         };
         OnlineController::new(bundle.clone(), WorkloadDrift::standard(base, 3), online)
-            .run_hooked(&mut learner)
+            .run_learning(&mut learner)
             .expect("run succeeds");
 
         let rows = learner.buffer().training_observations();
@@ -381,7 +396,8 @@ mod tests {
                 let y = Matrix::from_rows([vec![obs.predicted_ms as f32]]);
                 obs.predicted_ms == 0.0 || model.evaluate_mse(&Dataset::new(x, y).unwrap()) == 0.0
             };
-            let replayed = match obs.kind {
+            let kind = ObservationKind::from_label(&obs.kind).expect("buffered kinds are known");
+            let replayed = match kind {
                 // A device's prediction comes out of the simulator's cache,
                 // pooled in the order its first asker (the search) placed
                 // the tables; the row lists them in table order, so the
@@ -395,8 +411,8 @@ mod tests {
             };
             assert!(
                 replayed,
-                "{:?} row does not replay to its prediction {}",
-                obs.kind, obs.predicted_ms
+                "{kind:?} row does not replay to its prediction {}",
+                obs.predicted_ms
             );
         }
     }
@@ -435,5 +451,46 @@ mod tests {
             },
         ]);
         assert_eq!(learner.buffer().inserted(), 1);
+    }
+
+    /// A row the incumbent cannot read is skipped at the door. Buffered,
+    /// 64 of them made the next fine-tune panic: a 3-wide or empty
+    /// compute row in the DeepSets encoder's row copy, a 3-wide comm row
+    /// in the comm trainer's width check.
+    #[test]
+    fn malformed_wire_rows_are_skipped_before_they_reach_the_fine_tuner() {
+        let pool = TablePool::synthetic_dlrm(32, 2);
+        let bundle = CostModelBundle::pretrain(
+            &pool,
+            2,
+            &CollectConfig::smoke(),
+            &TrainSettings::smoke(),
+            2,
+        );
+        let probe = ShardingTask::sample(&pool, 2, 8..=8, 64, 2);
+        let row = |kind: &str, features: Vec<Vec<f32>>, observed_ms: f64| ObservationWire {
+            kind: kind.into(),
+            features,
+            predicted_ms: 1.0,
+            observed_ms,
+        };
+        // A 2-GPU bundle reads 8-wide compute rows and one 7-wide comm row.
+        let cases = [
+            row("compute", vec![vec![1.0; 3]], 2.0),
+            row("comm_forward", vec![vec![1.0; 3]], 2.0),
+            row("compute", vec![vec![]], 2.0),
+            row("comm_backward", vec![vec![1.0; 7]; 2], 2.0),
+            row("compute", vec![vec![f32::NAN; 8]], 2.0),
+            row("comm_forward", vec![vec![1.0; 7]], f64::INFINITY),
+        ];
+        for (i, case) in cases.into_iter().enumerate() {
+            let dir = TempDir::new(&format!("malformed_{i}"));
+            let mut learner =
+                ContinualLearner::new(bundle.clone(), dir.path(), ContinualConfig::smoke())
+                    .unwrap();
+            learner.ingest_wire(&vec![case; 64]);
+            assert!(learner.fine_tune_now(1, &probe).is_none(), "case {i}");
+            assert_eq!(learner.buffer().inserted(), 0, "case {i} was buffered");
+        }
     }
 }

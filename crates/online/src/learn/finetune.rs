@@ -12,7 +12,7 @@
 //! representation it keeps.
 //!
 //! Every produced bundle is a candidate only — promotion is the model
-//! lifecycle's decision ([`crate::lifecycle`]), never the tuner's.
+//! lifecycle's decision ([`super::lifecycle`]), never the tuner's.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +20,7 @@ use nshard_cost::{CommCostModel, CostModelBundle, TrainSettings};
 use nshard_nn::Dataset;
 use nshard_pool::WorkPool;
 
-use crate::buffer::LearnDatasets;
+use super::buffer::LearnDatasets;
 
 /// Comm-MLP layer indices kept bitwise frozen while fine-tuning: the
 /// input layer.
@@ -158,7 +158,7 @@ impl FineTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{BufferConfig, Observation, ObservationBuffer, ObservationKind};
+    use crate::learn::{BufferConfig, ObservationBuffer, ObservationWire};
     use nshard_cost::{table_features, CollectConfig};
     use nshard_data::{TableConfig, TablePool};
 
@@ -173,12 +173,12 @@ mod tests {
         )
     }
 
-    fn compute_obs(bundle: &CostModelBundle, table: &TableConfig, scale: f64) -> Observation {
+    fn compute_obs(bundle: &CostModelBundle, table: &TableConfig, scale: f64) -> ObservationWire {
         let profile = table.profile(bundle.batch_size());
         let features = vec![table_features(&profile, bundle.batch_size())];
         let predicted = bundle.compute_model().predict(&features);
-        Observation {
-            kind: ObservationKind::Compute,
+        ObservationWire {
+            kind: "compute".into(),
             features,
             predicted_ms: predicted,
             observed_ms: predicted * scale,

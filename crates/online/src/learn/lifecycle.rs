@@ -31,7 +31,7 @@ use nshard_data::ShardingTask;
 use nshard_nn::serialize::{read_checked, write_checked, CheckpointError};
 use nshard_sim::GpuSpec;
 
-use crate::buffer::LearnDatasets;
+use super::buffer::LearnDatasets;
 
 /// Allowed estimated-vs-exact disagreement on the probe search:
 /// `max(est/exact, exact/est)` must stay at or below this. Mirrors the
@@ -82,7 +82,7 @@ pub struct ModelLifecycle {
 }
 
 /// Checkpoint name of the bundle currently serving.
-pub const ACTIVE_NAME: &str = "cost-bundle-active";
+pub(crate) const ACTIVE_NAME: &str = "cost-bundle-active";
 
 impl ModelLifecycle {
     /// Opens the lifecycle over `dir` and persists `incumbent` as the
@@ -122,12 +122,6 @@ impl ModelLifecycle {
     /// Proposals evaluated so far (promoted or not).
     pub fn proposals(&self) -> u64 {
         self.proposals
-    }
-
-    /// Path of the active checkpoint file — the byte-identity anchor for
-    /// rollback tests.
-    pub fn active_path(&self) -> &Path {
-        &self.active_path
     }
 
     /// Reloads the active checkpoint from disk.
@@ -279,8 +273,7 @@ mod tests {
     fn healthy_incumbent_copy_promotes() {
         let (bundle, task, dir) = setup("promote");
         let mut lifecycle = ModelLifecycle::open(dir.path(), &bundle).unwrap();
-        let validation =
-            crate::buffer::ObservationBuffer::new(Default::default()).validation_data();
+        let validation = crate::learn::ObservationBuffer::new(Default::default()).validation_data();
         let (record, installed) = lifecycle
             .propose(&bundle, bundle.clone(), &validation, &task)
             .unwrap();
@@ -305,7 +298,7 @@ mod tests {
             assert_eq!(env.payload, bundle);
         }
         assert_eq!(
-            lifecycle.active_path(),
+            lifecycle.active_path,
             models.join("cost-bundle-active.json")
         );
     }
@@ -314,7 +307,7 @@ mod tests {
     fn broken_candidate_rolls_back_with_active_bytes_untouched() {
         let (bundle, task, dir) = setup("rollback");
         let mut lifecycle = ModelLifecycle::open(dir.path(), &bundle).unwrap();
-        let before = std::fs::read(lifecycle.active_path()).unwrap();
+        let before = std::fs::read(&lifecycle.active_path).unwrap();
         // A freshly-initialized (untrained) compute model: predicts
         // garbage, so the probe search disagrees with the oracle far
         // beyond the band.
@@ -325,15 +318,14 @@ mod tests {
             bundle.batch_size(),
             *bundle.report(),
         );
-        let validation =
-            crate::buffer::ObservationBuffer::new(Default::default()).validation_data();
+        let validation = crate::learn::ObservationBuffer::new(Default::default()).validation_data();
         let (record, installed) = lifecycle
             .propose(&bundle, broken, &validation, &task)
             .unwrap();
         assert!(!record.promoted);
         assert!(installed.is_none());
         assert_eq!(record.version, 1);
-        let after = std::fs::read(lifecycle.active_path()).unwrap();
+        let after = std::fs::read(&lifecycle.active_path).unwrap();
         assert_eq!(
             before, after,
             "rollback must leave the active checkpoint byte-identical"

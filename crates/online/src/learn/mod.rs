@@ -1,17 +1,18 @@
-//! # nshard-learn — continual learning for the cost models
+//! Continual learning for the cost models.
 //!
 //! The paper pre-trains its neural cost models once and searches forever.
 //! Production drifts: the workload the models were pre-trained on slowly
 //! stops resembling the workload being served, and every prediction
-//! inherits the gap. This crate closes the *training* loop the way
-//! `nshard-online` closes the *planning* loop:
+//! inherits the gap. This module closes the *training* loop the way the
+//! [`OnlineController`](crate::OnlineController) closes the *planning*
+//! loop:
 //!
 //! * [`buffer`] — a bounded [`ObservationBuffer`] of
-//!   `(model input, predicted, observed)` triples with **error-weighted
-//!   reservoir sampling**: samples the current models mispredict worst
-//!   are kept preferentially, and a deterministic held-back validation
-//!   slice never trains. Bit-deterministic per `(seed, insert sequence)`
-//!   at any thread count.
+//!   [`ObservationWire`] records, `(model input, predicted, observed)`,
+//!   with **error-weighted reservoir sampling**: samples the current
+//!   models mispredict worst are kept preferentially, and a deterministic
+//!   held-back validation slice never trains. Bit-deterministic per
+//!   `(seed, insert sequence)` at any thread count.
 //! * [`finetune`] — a conservative [`FineTuner`]: low learning rate,
 //!   exact (bitwise) frozen-encoder option for the DeepSets compute
 //!   model, frozen input layers for the comm MLPs — built on the same
@@ -22,27 +23,25 @@
 //!   train→search conformance probe) and atomically **promoted or rolled
 //!   back**; a rejected candidate leaves the active checkpoint
 //!   byte-identical.
-//! * [`continual`] — the [`ContinualLearner`] tying it together as an
-//!   `nshard_online::EpochHook`: observe every epoch, fine-tune when the
-//!   drift detector fires, hot-swap the serving models only on
-//!   promotion. It also ingests wire observations
-//!   ([`nshard_online::ObservationWire`]) drained from a serve daemon's
-//!   `POST /v1/observations` buffer; the crate does not depend on the
-//!   daemon.
+//! * [`continual`] — the [`ContinualLearner`] tying it together, driven by
+//!   [`OnlineController::run_learning`](crate::OnlineController::run_learning):
+//!   observe every epoch, fine-tune when the drift detector fires,
+//!   hot-swap the serving models only on promotion. It also ingests
+//!   observations drained from a serve daemon's `POST /v1/observations`
+//!   buffer; this crate does not depend on the daemon.
 //!
 //! Everything is bit-deterministic per seed at any thread count — the
 //! same contract as the rest of the workspace, extended to the learning
 //! loop.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod buffer;
 pub mod continual;
 pub mod finetune;
 pub mod lifecycle;
 
-pub use buffer::{BufferConfig, LearnDatasets, Observation, ObservationBuffer, ObservationKind};
+pub use buffer::{
+    BufferConfig, LearnDatasets, ObservationBuffer, ObservationKind, ObservationWire,
+};
 pub use continual::{ContinualConfig, ContinualLearner};
 pub use finetune::{FineTuneSettings, FineTuner};
-pub use lifecycle::{ModelLifecycle, PromotionRecord, ACTIVE_NAME};
+pub use lifecycle::{ModelLifecycle, PromotionRecord};

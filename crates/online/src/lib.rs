@@ -1,4 +1,4 @@
-//! # nshard-online — workload drift and migration-aware re-sharding
+//! # nshard-online — workload drift, migration-aware re-sharding and continual learning
 //!
 //! The paper shards a *static* task: table features are measured once and
 //! the plan ships. Production recommendation workloads are not static —
@@ -7,12 +7,12 @@
 //!
 //! This crate closes the loop:
 //!
-//! * [`drift`] — a seeded, bit-deterministic **workload drift generator**
+//! * [`drift`] — a seeded, bit-deterministic **workload drift trace**
 //!   evolving a task's pooling factors, hash sizes and skew over discrete
-//!   epochs via composable [`DriftModel`]s (gradual growth, hotspot
-//!   shift, diurnal sinusoid, sudden spike). Synthetic drift stands in
-//!   for real traffic traces the same way the cluster simulator stands in
-//!   for real GPUs.
+//!   epochs: [`WorkloadDrift::standard`] composes gradual growth, a
+//!   rotating hotspot, a diurnal swing and a sudden spike. Synthetic
+//!   drift stands in for real traffic traces the same way the cluster
+//!   simulator stands in for real GPUs.
 //! * [`detect`] — a **drift detector** pricing the incumbent plan under
 //!   the current workload with the same pre-trained cost models used by
 //!   the search, firing a typed [`ReplanTrigger`] when the plan's
@@ -29,9 +29,14 @@
 //!   one place that decides *incremental, else the full chain*.
 //! * [`controller`] — the [`OnlineController`] epoch loop: observe →
 //!   detect → replan (through its stack) → apply → ground-truth evaluate,
-//!   recording a full [`ReplanHistory`]. Beside it, [`ObservationWire`]:
-//!   one ground-truth observation as a deployment reports it, which the
-//!   serve daemon buffers and the continual learner ingests.
+//!   recording a full [`ReplanHistory`].
+//! * [`learn`] — continual learning of the cost models: the
+//!   [`ContinualLearner`](learn::ContinualLearner) that
+//!   [`OnlineController::run_learning`] hands every epoch buffers ground
+//!   truth, fine-tunes on drift and promotes or rolls back each candidate
+//!   through a versioned lifecycle. Its [`ObservationWire`] is one
+//!   ground-truth observation as a deployment reports it, which the serve
+//!   daemon buffers and the learner ingests.
 //!
 //! Everything is bit-deterministic per seed at any thread count.
 //!
@@ -67,14 +72,15 @@
 pub mod controller;
 pub mod detect;
 pub mod drift;
+pub mod learn;
 mod stack;
 
 pub use controller::{
-    EpochHook, EpochObservation, EpochRecord, HookAction, NoopHook, ObservationWire, OnlineConfig,
-    OnlineController, ReplanAction, ReplanHistory, ReplanStrategy,
+    EpochRecord, OnlineConfig, OnlineController, ReplanAction, ReplanHistory, ReplanStrategy,
 };
 pub use detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
-pub use drift::{DriftFactors, DriftModel, WorkloadDrift};
+pub use drift::WorkloadDrift;
+pub use learn::ObservationWire;
 pub use nshard_core::{
     DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta,
 };

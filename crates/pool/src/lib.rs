@@ -14,9 +14,10 @@
 //! This crate sits at the bottom of the dependency graph so both halves of
 //! the paper's *pre-train, and search* pipeline share one pool: `nshard-cost`
 //! parallelizes label collection with `map` and fits its three cost models
-//! in two `join` lanes (a single fit is serial), `nshard-learn` fine-tunes
-//! in the same two lanes, `nshard-core` parallelizes the plan search, and
-//! `nshard-serve` sizes its request worker pool through [`resolve_threads`].
+//! in two `join` lanes (a single fit is serial), `nshard-online`'s learner
+//! fine-tunes in the same two lanes, `nshard-core` parallelizes the plan
+//! search, and `nshard-serve` sizes its request worker pool through
+//! [`resolve_threads`].
 //!
 //! [`splitmix64`] / [`sample_seed`] live here too: deterministic fan-out
 //! needs per-item seeds that are a pure function of `(seed, index)`, so a

@@ -7,7 +7,7 @@
 //! search. The daemon reads no model checkpoint itself: a bundle reaches
 //! it through [`Service::new`] or [`Service::promote_model`] (the caller
 //! loads a checkpoint with `nshard_nn::serialize::read_checked`, and
-//! `nshard-learn`'s `ModelLifecycle` writes them).
+//! `nshard_online::learn::ModelLifecycle` writes them).
 //!
 //! ## Endpoints
 //!

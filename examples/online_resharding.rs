@@ -6,7 +6,8 @@
 //!   drift trigger (best cost, most bytes moved),
 //! * **incremental replan** — warm-start from the incumbent and apply a
 //!   migration-aware local-move delta (near-full-replan cost, a fraction
-//!   of the bytes).
+//!   of the bytes); a trace whose predicted cost stalled above the last
+//!   full replan's ends in one full replan.
 //!
 //! Run with:
 //! ```sh

@@ -12,7 +12,7 @@
 # deleted.
 #
 # One planning stack (DESIGN.md §8): outside `online::stack` nothing under
-# online/serve/learn builds an incremental planner or a fallback chain — the
+# online/serve builds an incremental planner or a fallback chain — the
 # one exception is the daemon's greedy degraded chain in `serve::engine` —
 # so "incremental, else the full chain" cannot be written a second time.
 #
@@ -64,7 +64,14 @@
 # One artifact format with one owner (DESIGN.md §9): `nn::serialize` alone
 # defines the FNV digest and the checksum frame; the single-MLP checkpoint,
 # the model store and the field-less config shims stay deleted, and the
-# continual learner does not depend on the daemon.
+# continual learner (`nshard_online::learn`) does not depend on the daemon.
+#
+# One online loop (DESIGN.md §8, §12): the continual learner lives in
+# `nshard-online` and the controller calls it directly, so the
+# `nshard-learn` crate, the epoch-hook seam, the composable drift-model
+# algebra (the standard trace is the one trace) and the off-by-default
+# stall switches (the stall escape is part of the incremental strategy)
+# stay deleted.
 #
 # The reproduction driver does not depend on the daemon (DESIGN.md §2):
 # `nshard-bench` names no `nshard-serve`, and `repro` is its one binary —
@@ -83,7 +90,7 @@ code() {
         { print FILENAME ":" FNR ": " $0 }'
 }
 
-if code crates/online/src crates/serve/src crates/learn/src |
+if code crates/online/src crates/serve/src |
     grep -E '\.estimate_plan\(|estimate_plan_batch_scaled\('; then
     echo "error: price plans through nshard_core::estimate_for_task (lines above)" >&2
     exit 1
@@ -110,7 +117,7 @@ if grep -rn '_tiered' crates; then
     echo "error: one all-to-all law; lower the fleet instead of forking it (lines above)" >&2
     exit 1
 fi
-if code crates/learn/src | grep -E 'device_dims\('; then
+if code crates/online/src | grep -E 'device_dims\('; then
     echo "error: learn builds comm rows from DevicePool::lowered_dims (lines above)" >&2
     exit 1
 fi
@@ -180,8 +187,18 @@ if code crates/nn/src/train.rs crates/cost/src/compute.rs crates/cost/src/comm_m
     exit 1
 fi
 
-if grep -n 'nshard-serve' crates/learn/Cargo.toml; then
-    echo "error: nshard-learn does not depend on the daemon (line above)" >&2
+if grep -n 'nshard-serve' crates/online/Cargo.toml; then
+    echo "error: nshard-online, and with it the continual learner, does not depend on the daemon (line above)" >&2
+    exit 1
+fi
+if [ -e crates/learn ]; then
+    echo "error: the continual learner is nshard_online::learn; crates/learn stays deleted" >&2
+    exit 1
+fi
+if code crates/*/src src examples | grep -wE \
+    'EpochHook|HookAction|NoopHook|DriftModel|DriftFactors|final_full_replan_on_stall|stall_improvement'; then
+    echo "error: one online loop: the controller calls its learner, the standard trace is the one" \
+        "drift, and the stall escape is part of the incremental strategy (lines above)" >&2
     exit 1
 fi
 if code crates/*/src | grep -v '^crates/nn/src/serialize.rs:' | grep -E \
@@ -218,7 +235,7 @@ fi
 
 stack=crates/online/src/stack.rs
 planner=crates/core/src/local.rs
-consumers="crates/online/src crates/serve/src crates/learn/src"
+consumers="crates/online/src crates/serve/src"
 fail=0
 # shellcheck disable=SC2086
 if code $consumers crates/core/src | grep -E 'IncrementalPlanner::(new|default)\(' |

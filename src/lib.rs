@@ -11,12 +11,14 @@
 //! * [`cost`] — the pre-trained neural cost models and data collection.
 //! * [`core`] — the NeuroShard online search (beam + greedy grid search).
 //! * [`baselines`] — every comparator of the paper's Table 1 / Table 4.
-//! * [`online`] — workload drift, drift detection and migration-aware
-//!   incremental re-sharding (the deployed-plan maintenance loop).
+//! * [`online`] — workload drift, drift detection, migration-aware
+//!   incremental re-sharding (the deployed-plan maintenance loop) and
+//!   continual learning of the cost models.
 //! * [`serve`] — sharding-as-a-service daemon: HTTP/1.1 JSON API with
 //!   admission control, a versioned plan/model store, and `/metrics`.
-//! * [`learn`] — continual learning: observation buffering, drift-triggered
-//!   fine-tuning and the versioned promote-or-rollback model lifecycle.
+//! * [`learn`] — `online`'s continual learning: observation buffering,
+//!   drift-triggered fine-tuning and the versioned promote-or-rollback
+//!   model lifecycle.
 //!
 //! See the repository README for a quickstart, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-vs-measured record.
@@ -43,9 +45,9 @@ pub use nshard_baselines as baselines;
 pub use nshard_core as core;
 pub use nshard_cost as cost;
 pub use nshard_data as data;
-pub use nshard_learn as learn;
 pub use nshard_nn as nn;
 pub use nshard_online as online;
+pub use nshard_online::learn;
 pub use nshard_serve as serve;
 pub use nshard_sim as sim;
 

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use neuroshard::cost::{table_features, CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TablePool};
 use neuroshard::learn::{
-    BufferConfig, FineTuneSettings, FineTuner, ModelLifecycle, Observation, ObservationBuffer,
-    ObservationKind, PromotionRecord,
+    BufferConfig, FineTuneSettings, FineTuner, ModelLifecycle, ObservationBuffer, ObservationKind,
+    ObservationWire, PromotionRecord,
 };
 use neuroshard::nn::{envelope_from_json, envelope_to_json, Envelope, CHECKPOINT_VERSION};
 
@@ -99,8 +99,8 @@ fn filled_buffer(incumbent: &CostModelBundle) -> ObservationBuffer {
     for table in pool().tables() {
         let features = vec![table_features(&table.profile(batch), batch)];
         let predicted = incumbent.compute_model().predict(&features);
-        buffer.insert(Observation {
-            kind: ObservationKind::Compute,
+        buffer.insert(ObservationWire {
+            kind: ObservationKind::Compute.label().into(),
             features,
             predicted_ms: predicted,
             observed_ms: predicted * TRUTH_SCALE,

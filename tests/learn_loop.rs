@@ -1,6 +1,6 @@
 //! Continual-learning loop integration tests: the observation buffer is
 //! a **pure function of `(seed, insert sequence)`** (proptest), the
-//! hooked epoch loop produces byte-identical buffers and identical
+//! learning epoch loop produces byte-identical buffers and identical
 //! promotion decisions at every worker thread count, an end-to-end
 //! drift run against a stale incumbent promotes at least one fine-tuned
 //! candidate through the shadow evaluation, and — the subsystem's quality
@@ -17,8 +17,8 @@ use neuroshard::core::NeuroShardConfig;
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TablePool};
 use neuroshard::learn::{
-    BufferConfig, ContinualConfig, ContinualLearner, FineTuneSettings, Observation,
-    ObservationBuffer, ObservationKind,
+    BufferConfig, ContinualConfig, ContinualLearner, FineTuneSettings, ObservationBuffer,
+    ObservationKind, ObservationWire,
 };
 use neuroshard::online::{
     DriftThresholds, IncrementalConfig, OnlineConfig, OnlineController, ReplanHistory,
@@ -45,14 +45,14 @@ impl Drop for TempDir {
     }
 }
 
-fn observation(kind_tag: u8, feature: f32, error: f64) -> Observation {
+fn observation(kind_tag: u8, feature: f32, error: f64) -> ObservationWire {
     let kind = match kind_tag % 3 {
         0 => ObservationKind::Compute,
         1 => ObservationKind::CommForward,
         _ => ObservationKind::CommBackward,
     };
-    Observation {
-        kind,
+    ObservationWire {
+        kind: kind.label().into(),
         features: vec![vec![feature; 4]],
         predicted_ms: 1.0,
         observed_ms: 1.0 + error,
@@ -152,7 +152,7 @@ fn stale_setup() -> (CostModelBundle, ShardingTask, TablePool) {
     (bundle, base, pool)
 }
 
-fn hooked_run(
+fn learning_run(
     bundle: &CostModelBundle,
     base: &ShardingTask,
     threads: usize,
@@ -188,7 +188,7 @@ fn hooked_run(
     let mut learner =
         ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
     let history = OnlineController::new(bundle.clone(), drift, config)
-        .run_hooked(&mut learner)
+        .run_learning(&mut learner)
         .expect("the deployment is feasible");
     (
         learner.buffer().to_bytes(),
@@ -197,15 +197,15 @@ fn hooked_run(
     )
 }
 
-/// The whole hooked loop — observation stream, reservoir eviction,
+/// The whole learning loop — observation stream, reservoir eviction,
 /// fine-tuning and every promotion decision — is bit-identical at 1, 2
 /// and 8 worker threads.
 #[test]
 fn hooked_loop_is_bit_identical_across_thread_counts() {
     let (bundle, base, _pool) = stale_setup();
-    let (bytes_1, records_1, epochs_1) = hooked_run(&bundle, &base, 1, "threads_1");
-    let (bytes_2, records_2, epochs_2) = hooked_run(&bundle, &base, 2, "threads_2");
-    let (bytes_8, records_8, epochs_8) = hooked_run(&bundle, &base, 8, "threads_8");
+    let (bytes_1, records_1, epochs_1) = learning_run(&bundle, &base, 1, "threads_1");
+    let (bytes_2, records_2, epochs_2) = learning_run(&bundle, &base, 2, "threads_2");
+    let (bytes_8, records_8, epochs_8) = learning_run(&bundle, &base, 8, "threads_8");
     assert_eq!(epochs_1, epochs_2);
     assert_eq!(epochs_1, epochs_8);
     assert_eq!(
@@ -264,7 +264,7 @@ fn drift_run_promotes_a_finetuned_candidate() {
     let mut learner =
         ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
     OnlineController::new(bundle.clone(), drift, config)
-        .run_hooked(&mut learner)
+        .run_learning(&mut learner)
         .expect("the deployment is feasible");
     let promoted: Vec<_> = learner.records().iter().filter(|r| r.promoted).collect();
     assert!(
@@ -349,7 +349,7 @@ fn continual_final_cost_at_most_0_97x_frozen() {
     let mut learner =
         ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
     let continual = controller()
-        .run_hooked(&mut learner)
+        .run_learning(&mut learner)
         .expect("the deployment is feasible");
 
     let ratio = final_ms(&continual) / final_ms(&frozen);

@@ -92,7 +92,7 @@ fn observations_flow_from_the_wire_into_the_learner() {
     .expect("service boots");
     let body = r#"{"observations":[
         {"kind":"compute","features":[[1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0]],"predicted_ms":1.5,"observed_ms":2.0},
-        {"kind":"comm_forward","features":[[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5]],"predicted_ms":0.4,"observed_ms":0.6},
+        {"kind":"comm_forward","features":[[0.5,0.5,0.5,0.5,0.5,0.5,0.5]],"predicted_ms":0.4,"observed_ms":0.6},
         {"kind":"mystery","features":[[1.0]],"predicted_ms":0.0,"observed_ms":0.0}
     ]}"#;
     let Routed::Inline(ack) = post(&service, "/v1/observations", body) else {

@@ -284,10 +284,10 @@ fn tight_devices_are_held_to_their_own_budget() {
     }
 }
 
-/// Runs the 20-epoch standard drift trace under `strategy`, with the
-/// end-of-trace escape hatch armed: when the λ-objective stalls the final
-/// epoch replans once through the full chain, and those bytes are charged
-/// to the strategy like any other replan.
+/// Runs the 20-epoch standard drift trace under `strategy`. When the
+/// incremental strategy's λ-objective stalls, its final epoch replans
+/// once through the full chain, and those bytes are charged to the
+/// strategy like any other replan.
 fn run_trace(
     bundle: &CostModelBundle,
     drift: &WorkloadDrift,
@@ -297,7 +297,6 @@ fn run_trace(
         epochs: 20,
         strategy,
         seed: 7,
-        final_full_replan_on_stall: true,
         ..OnlineConfig::default()
     };
     OnlineController::new(bundle.clone(), drift.clone(), config)
