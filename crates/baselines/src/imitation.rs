@@ -191,7 +191,7 @@ impl ShardingAlgorithm for ImitationSharder {
             let scores = self.policy.forward(&Matrix::from_rows(&inputs));
             // Argmax over memory-feasible devices.
             let chosen = (0..task.num_devices())
-                .filter(|&g| placed_bytes[g] + table.memory_bytes() <= task.budget_of(g))
+                .filter(|&g| placed_bytes[g] + table.memory_bytes() <= task.budgets()[g])
                 .max_by(|&a, &b| {
                     scores
                         .get(a, 0)

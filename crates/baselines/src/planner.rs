@@ -70,7 +70,7 @@ impl TorchRecLikePlanner {
         shards: &[TableConfig],
         budgets: &[u64],
         heuristic: Heuristic,
-    ) -> Option<(Vec<usize>, f64)> {
+    ) -> Option<Vec<usize>> {
         let num_devices = budgets.len();
         let costs: Vec<f64> = shards.iter().map(|t| heuristic.cost(t)).collect();
         let mut order: Vec<usize> = (0..shards.len()).collect();
@@ -92,8 +92,7 @@ impl TorchRecLikePlanner {
             device_cost[g] += costs[i];
             device_bytes[g] += bytes;
         }
-        let max_cost = device_cost.iter().cloned().fold(0.0, f64::max);
-        Some((device_of, max_cost))
+        Some(device_of)
     }
 }
 
@@ -115,20 +114,17 @@ impl ShardingAlgorithm for TorchRecLikePlanner {
         for &threshold in &thresholds {
             let (col_plan, shards) = Self::split_until_fits(task.tables(), threshold);
             for &h in &heuristics {
-                let Some((device_of, max_cost)) = Self::partition(&shards, &budgets, h) else {
+                let Some(device_of) = Self::partition(&shards, budgets, h) else {
                     continue;
                 };
                 // Normalize the heuristic score so proposals from different
                 // heuristics are comparable: use the lookup heuristic as the
                 // planner's global objective (TorchRec's perf estimate).
-                let score: f64 = {
-                    let mut per_dev = vec![0.0f64; task.num_devices()];
-                    for (i, &d) in device_of.iter().enumerate() {
-                        per_dev[d] += Heuristic::Lookup.cost(&shards[i]);
-                    }
-                    let _ = max_cost;
-                    per_dev.iter().cloned().fold(0.0, f64::max)
-                };
+                let mut per_dev = vec![0.0f64; task.num_devices()];
+                for (i, &d) in device_of.iter().enumerate() {
+                    per_dev[d] += Heuristic::Lookup.cost(&shards[i]);
+                }
+                let score = per_dev.iter().cloned().fold(0.0, f64::max);
                 if best.as_ref().is_none_or(|(s, ..)| score < *s) {
                     best = Some((score, col_plan.clone(), shards.clone(), device_of));
                 }

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use nshard_core::{PlanError, ShardingAlgorithm, ShardingPlan};
 use nshard_data::ShardingTask;
 use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
-use nshard_sim::{Cluster, GpuSpec, TableProfile};
+use nshard_sim::{Cluster, DevicePool, DeviceProfile, GpuSpec, TableProfile};
 
 use crate::plan_from_assignment;
 use crate::policy::{placement_order, softmax, DeviceState, INPUT_DIM};
@@ -113,8 +113,8 @@ impl RlSharder {
         (device_of, steps)
     }
 
-    /// Reward of an assignment under the variant's objective. Higher is
-    /// better.
+    /// Reward of an assignment under the variant's objective, priced on
+    /// the task's own fleet. Higher is better.
     fn reward(&self, task: &ShardingTask, profiles: &[TableProfile], device_of: &[usize]) -> f64 {
         let mut assignment: Vec<Vec<TableProfile>> = vec![Vec::new(); task.num_devices()];
         for (i, &d) in device_of.iter().enumerate() {
@@ -122,11 +122,13 @@ impl RlSharder {
         }
         match self.variant {
             RlVariant::AutoShardLike => {
-                // Computation balance: min/max fused-kernel cost.
+                // Computation balance: min/max fused-kernel cost, each
+                // device's at its compute class.
                 let kernel = self.spec.kernel();
                 let costs: Vec<f64> = assignment
                     .iter()
-                    .map(|t| kernel.multi_cost_ms(t, task.batch_size()))
+                    .zip(task.devices().compute_scales())
+                    .map(|(t, class)| kernel.multi_cost_ms(t, task.batch_size()) * class)
                     .collect();
                 let max = costs.iter().cloned().fold(0.0, f64::max);
                 let min = costs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -138,18 +140,21 @@ impl RlSharder {
             }
             RlVariant::DreamShardLike => {
                 // Negative max embedding cost, normalized, with a memory
-                // penalty so the policy learns to avoid overflow.
-                let cluster = Cluster::new(
-                    self.spec.with_mem_budget(u64::MAX),
-                    task.num_devices(),
-                    task.batch_size(),
-                );
-                let costs = cluster
+                // penalty so the policy learns to avoid overflow. The
+                // penalty is the only memory check: the fleet is evaluated
+                // with every budget unbounded.
+                let fleet = task.devices();
+                let unbounded = fleet
+                    .devices()
+                    .iter()
+                    .map(|d| DeviceProfile::new(u64::MAX, d.compute_scale(), d.node()));
+                let unbounded = DevicePool::new(unbounded.collect(), fleet.inter_node_bw_scale());
+                let costs = Cluster::new(self.spec, task.num_devices(), task.batch_size())
+                    .with_devices(unbounded)
                     .evaluate_exact(&assignment)
                     .expect("memory disabled for reward query");
                 let mut r = -costs.max_total_ms() / 10.0;
-                for (g, tables) in assignment.iter().enumerate() {
-                    let budget = task.budget_of(g);
+                for (tables, &budget) in assignment.iter().zip(fleet.budgets()) {
                     let bytes: u64 = tables.iter().map(TableProfile::memory_bytes).sum();
                     if bytes > budget {
                         r -= 5.0 * (bytes - budget) as f64 / budget as f64;
@@ -316,6 +321,28 @@ mod tests {
         let agent = RlSharder::new(RlVariant::DreamShardLike, 0).with_episodes(4);
         let plan = agent.shard(&t).unwrap();
         assert!(plan.validate(&t).is_err());
+    }
+
+    #[test]
+    fn rewards_price_the_tasks_own_fleet() {
+        // Device 1 runs kernels 100x slower: loading it must not pay what
+        // loading device 0 pays, under either variant.
+        let t = task(2);
+        let budget = t.budgets()[0];
+        let slow = DevicePool::two_tier(1, budget, 1, budget, 100.0, 1.0);
+        let t = t.with_devices(slow);
+        let profiles = t.profiles();
+        let device_of: Vec<usize> = (0..t.num_tables()).map(|i| usize::from(i < 2)).collect();
+        let mirrored: Vec<usize> = device_of.iter().map(|d| 1 - d).collect();
+        for variant in [RlVariant::AutoShardLike, RlVariant::DreamShardLike] {
+            let agent = RlSharder::new(variant, 0);
+            let (a, b) = (
+                agent.reward(&t, &profiles, &device_of),
+                agent.reward(&t, &profiles, &mirrored),
+            );
+            println!("{variant:?}: {a} vs {b}");
+            assert!(a != b, "{variant:?}: mirrored assignments both reward {a}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_cost::{CacheStats, CostSimulator, DeviceScales};
+use nshard_cost::{CacheStats, CostSimulator};
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
@@ -91,10 +91,8 @@ impl<'a> BeamSearch<'a> {
         let mut evaluated = 0usize;
 
         // Fleet context, shared by every inner search of this run.
-        let budgets = task.budgets();
-        let num_devices = task.num_devices();
+        let fleet = task.devices();
         let batch_size = task.batch_size();
-        let scales = DeviceScales::from_pool(task.devices());
 
         // The root plan: empty, except when row-wise sharding is on —
         // then a deterministic presplit pass first row-halves any table
@@ -124,7 +122,7 @@ impl<'a> BeamSearch<'a> {
             let results: Vec<_> = pool
                 .map(&chunks, |chunk| {
                     let tables: Vec<&[TableConfig]> = chunk.iter().map(|(_, s)| &s[..]).collect();
-                    inner.search_batch(&tables, num_devices, &budgets, &scales, batch_size)
+                    inner.search_batch(&tables, fleet, batch_size)
                 })
                 .into_iter()
                 .flatten()
@@ -201,7 +199,8 @@ impl<'a> BeamSearch<'a> {
             ),
         })?;
         let sharded = apply_split_plan(task.tables(), &split_plan)?;
-        let plan = ShardingPlan::with_split_plan(split_plan, sharded, device_of, num_devices)?;
+        let plan =
+            ShardingPlan::with_split_plan(split_plan, sharded, device_of, task.num_devices())?;
         Ok(BeamSearchResult {
             plan,
             estimated_cost_ms: cost,
@@ -216,7 +215,7 @@ impl<'a> BeamSearch<'a> {
     /// break on the lowest index, so the step sequence is a pure function
     /// of the task. Returns an empty plan when every table already fits.
     fn presplit_steps(&self, task: &ShardingTask) -> SplitPlan {
-        let max_budget = task.budgets().into_iter().max().unwrap_or(0);
+        let max_budget = task.devices().max_budget();
         let mut steps: SplitPlan = Vec::new();
         let mut tables = task.tables().to_vec();
         while let Some(worst) = (0..tables.len()).max_by(|&a, &b| {

@@ -9,7 +9,7 @@
 //! the same price from the search that proposed it and from everything
 //! that judges it afterwards.
 
-use nshard_cost::{CostSimulator, DeviceScales, EstimatedCost};
+use nshard_cost::{CostSimulator, EstimatedCost};
 use nshard_data::ShardingTask;
 use nshard_sim::{Cluster, GpuSpec, PlanCosts, SimError};
 
@@ -69,9 +69,9 @@ pub fn estimate_for_task(
     Ok(estimates.pop().expect("one plan in, one estimate out"))
 }
 
-/// [`estimate_for_task`] for many plans of one task: the fleet is lowered
-/// once and every plan priced in one batched call, each estimate
-/// bit-identical to pricing that plan alone.
+/// [`estimate_for_task`] for many plans of one task: every plan priced on
+/// the task's fleet in one batched call, each estimate bit-identical to
+/// pricing that plan alone.
 ///
 /// # Errors
 ///
@@ -97,8 +97,7 @@ pub fn estimate_batch_for_task<'p>(
         plan.check_device_count(task)?;
         assignments.push(plan.device_profiles(task.batch_size()));
     }
-    let scales = DeviceScales::from_pool(task.devices());
-    let estimates = sim.estimate_plan_batch_scaled(&assignments, &scales);
+    let estimates = sim.estimate_plan_batch_scaled(&assignments, task.devices());
     for estimate in &estimates {
         // `total_ms` folds the devices with `f64::max`, which skips NaN.
         for &ms in &estimate.compute_per_device {

@@ -464,7 +464,7 @@ pub fn size_balanced_plan(task: &ShardingTask) -> Result<ShardingPlan, PlanError
     for i in order {
         let target = load
             .iter()
-            .zip(&budgets)
+            .zip(budgets)
             .enumerate()
             .max_by_key(|&(d, (&b, &cap))| (cap.saturating_sub(b), std::cmp::Reverse(d)))
             .map(|(d, _)| d)

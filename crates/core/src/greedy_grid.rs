@@ -24,9 +24,9 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use nshard_cost::{CostSimulator, DeviceLoads, DeviceScales, TableEncodings, TableSetKey};
+use nshard_cost::{CostSimulator, DeviceLoads, TableEncodings, TableSetKey};
 use nshard_data::TableConfig;
-use nshard_sim::TableProfile;
+use nshard_sim::{DevicePool, DeviceProfile, TableProfile};
 
 use crate::plan::{finite_cost, PlanError};
 
@@ -176,8 +176,7 @@ pub(crate) fn single_table_costs(
 /// placing, and the fleet it places them on.
 /// [`GreedyGridSearch::walk`] advances many walks in lockstep.
 struct Walk<'f> {
-    budgets: &'f [u64],
-    scales: &'f DeviceScales,
+    fleet: &'f DevicePool,
     profiles: Vec<TableProfile>,
     order: Vec<usize>,
     thresholds: Vec<Option<f64>>,
@@ -206,13 +205,14 @@ impl Walk<'_> {
         };
         let p = &self.profiles[i];
         let bytes = p.memory_bytes();
+        let (budgets, bandwidth) = (self.fleet.budgets(), self.fleet.bw_scales());
         for (k, pass) in self.live.iter().enumerate() {
             let loosest = self.thresholds[pass.grid.end - 1];
             for (g, device) in pass.devices.iter().enumerate() {
                 // The table's traffic share, inflated by the device's link
                 // slowness: bitwise `dim` on homogeneous fleets.
-                let dim = device.dim + p.comm_dim() / self.scales.bandwidth_scale(g);
-                if device.bytes + bytes <= self.budgets[g] && loosest.is_none_or(|cap| dim <= cap) {
+                let dim = device.dim + p.comm_dim() / bandwidth[g];
+                if device.bytes + bytes <= budgets[g] && loosest.is_none_or(|cap| dim <= cap) {
                     self.probes.push((k, g, dim));
                     keys.push(device.key.with(p).key());
                 }
@@ -244,7 +244,7 @@ impl Walk<'_> {
             while let Some((&(_, device, dim), &cost)) =
                 answers.next_if(|((owner, _, _), _)| *owner == k)
             {
-                let scaled = cost * self.scales.compute_scale(device);
+                let scaled = cost * self.fleet.compute_scales()[device];
                 let cost = finite_cost("device cost", cost)?;
                 candidates.push(Candidate {
                     device,
@@ -300,14 +300,16 @@ impl<'a> GreedyGridSearch<'a> {
     /// Searches for the best table-wise plan of `tables` (already
     /// column-wise sharded) on `num_devices` devices with per-device memory
     /// `budgets`: the one-job form of the lockstep batch the beam runs.
-    /// `scales`, when given, are per-device compute/bandwidth multipliers
-    /// applied to every prediction during allocation and scoring; `None`
-    /// is the uniform fleet, [`DeviceScales::unit`].
+    /// `fleet`, when given, is the pool those budgets belong to, whose
+    /// compute classes and bandwidth scales price every prediction during
+    /// allocation and scoring; `None` is the one-node, class-1 fleet of
+    /// `budgets`.
     ///
     /// # Errors
     ///
-    /// [`PlanError::Invalid`] when `num_devices` is zero or `budgets` /
-    /// `scales` do not cover `num_devices` devices;
+    /// [`PlanError::Invalid`] when `num_devices` is zero, `budgets` does
+    /// not cover `num_devices` devices or holds a zero, or `fleet`'s
+    /// budgets are not `budgets`;
     /// [`PlanError::Infeasible`] when even the unconstrained greedy pass
     /// cannot satisfy the per-device memory budgets;
     /// [`PlanError::NonFiniteCost`] when a cost model predicts NaN or an
@@ -317,27 +319,37 @@ impl<'a> GreedyGridSearch<'a> {
         tables: &[TableConfig],
         num_devices: usize,
         budgets: &[u64],
-        scales: Option<&DeviceScales>,
+        fleet: Option<&DevicePool>,
         batch_size: u32,
     ) -> Result<GridSearchResult, PlanError> {
-        // Zero devices have no unit scales; one device's lets the batch
-        // answer `Invalid`.
-        let unit;
-        let scales = match scales {
-            Some(scales) => scales,
+        let reason = match (num_devices, budgets.len()) {
+            (0, _) => Some("need at least one device".to_string()),
+            (d, n) if n != d => Some(format!("{n} per-device budgets for {d} devices")),
+            _ if budgets.contains(&0) => Some("device memory budgets must be positive".into()),
+            _ if fleet.is_some_and(|fleet| fleet.budgets() != budgets) => {
+                Some("the fleet's budgets are not the given budgets".into())
+            }
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            return Err(PlanError::Invalid { reason });
+        }
+        let flat;
+        let fleet = match fleet {
+            Some(fleet) => fleet,
             None => {
-                unit = DeviceScales::unit(num_devices.max(1));
-                &unit
+                let devices = budgets.iter().map(|&b| DeviceProfile::new(b, 1.0, 0));
+                flat = DevicePool::new(devices.collect(), 1.0);
+                &flat
             }
         };
-        self.search_batch(&[tables], num_devices, budgets, scales, batch_size)
+        self.search_batch(&[tables], fleet, batch_size)
             .pop()
             .expect("one job in, one result out")
     }
 
-    /// Searches every job — a table list for the one fleet that `budgets`
-    /// and `scales` describe — and returns one result per job, in job
-    /// order, each bit for bit what
+    /// Searches every job — a table list for `fleet` — and returns one
+    /// result per job, in job order, each bit for bit what
     /// [`GreedyGridSearch::search_with_devices`] returns for that job
     /// alone, errors included. The jobs' walks run in lockstep
     /// (one placement per step across every job), so each step prices the
@@ -345,26 +357,14 @@ impl<'a> GreedyGridSearch<'a> {
     pub(crate) fn search_batch<T: AsRef<[TableConfig]>>(
         &self,
         jobs: &[T],
-        num_devices: usize,
-        budgets: &[u64],
-        scales: &DeviceScales,
+        fleet: &DevicePool,
         batch_size: u32,
     ) -> Vec<Result<GridSearchResult, PlanError>> {
-        let reason = match (num_devices, budgets.len(), scales.len()) {
-            (0, _, _) => Some("need at least one device".to_string()),
-            (d, n, _) if n != d => Some(format!("{n} per-device budgets for {d} devices")),
-            (d, _, s) if s != d => Some(format!("{s} device scales for {d} devices")),
-            _ => None,
-        };
-        if let Some(reason) = reason {
-            let invalid = PlanError::Invalid { reason };
-            return jobs.iter().map(|_| Err(invalid.clone())).collect();
-        }
         let mut walks: Vec<_> = jobs
             .iter()
             .map(|tables| {
                 let profiles = tables.as_ref().iter().map(|t| t.profile(batch_size));
-                self.start(profiles.collect(), budgets, scales)
+                self.start(profiles.collect(), fleet)
             })
             .collect();
         self.walk(&mut walks);
@@ -377,21 +377,19 @@ impl<'a> GreedyGridSearch<'a> {
     fn start<'f>(
         &self,
         profiles: Vec<TableProfile>,
-        budgets: &'f [u64],
-        scales: &'f DeviceScales,
+        fleet: &'f DevicePool,
     ) -> Result<Walk<'f>, PlanError> {
-        let order = self.placement_order(&profiles, budgets)?;
-        let thresholds = self.thresholds(&profiles, scales);
+        let order = self.placement_order(&profiles, fleet.max_budget())?;
+        let thresholds = self.thresholds(&profiles, fleet);
         let encodings = self.sim.table_encodings(&profiles);
         Ok(Walk {
             live: vec![Pass::root(
                 0..thresholds.len(),
-                budgets.len(),
+                fleet.len(),
                 encodings.width(),
                 profiles.len(),
             )],
-            budgets,
-            scales,
+            fleet,
             profiles,
             order,
             thresholds,
@@ -424,7 +422,7 @@ impl<'a> GreedyGridSearch<'a> {
                         })
                     })
                     .collect(),
-                comm_dims: (0..walk.budgets.len())
+                comm_dims: (0..walk.fleet.len())
                     .map(|g| {
                         // Summed in table order, as a plan estimate would.
                         (0..walk.profiles.len())
@@ -435,7 +433,7 @@ impl<'a> GreedyGridSearch<'a> {
                     .collect(),
             })
             .collect();
-        let estimates = self.sim.estimate_from_loads(loads, walk.scales);
+        let estimates = self.sim.estimate_from_loads(loads, walk.fleet);
 
         let mut best: Option<GridSearchResult> = None;
         for (pass, est) in passes.into_iter().zip(estimates) {
@@ -453,8 +451,8 @@ impl<'a> GreedyGridSearch<'a> {
                 "no greedy assignment of {} tables to {} devices fits \
                  the per-device memory budgets (max {} bytes)",
                 walk.profiles.len(),
-                walk.budgets.len(),
-                walk.budgets.iter().copied().max().unwrap_or(0)
+                walk.fleet.len(),
+                walk.fleet.max_budget()
             ),
         })
     }
@@ -470,10 +468,10 @@ impl<'a> GreedyGridSearch<'a> {
     fn placement_order(
         &self,
         profiles: &[TableProfile],
-        budgets: &[u64],
+        max_budget: u64,
     ) -> Result<Vec<usize>, PlanError> {
         let single_costs = single_table_costs(self.sim, profiles)?;
-        let half_budget = budgets.iter().copied().max().unwrap_or(0) / 2;
+        let half_budget = max_budget / 2;
         let mut order: Vec<usize> = (0..profiles.len()).collect();
         order.sort_by(|&a, &b| {
             let huge_a = profiles[a].memory_bytes() > half_budget;
@@ -498,9 +496,9 @@ impl<'a> GreedyGridSearch<'a> {
     /// finite threshold), then the unconstrained fallback (`None`). On
     /// homogeneous fleets `M_s` reduces exactly to `total_dim /
     /// num_devices`.
-    fn thresholds(&self, profiles: &[TableProfile], scales: &DeviceScales) -> Vec<Option<f64>> {
+    fn thresholds(&self, profiles: &[TableProfile], fleet: &DevicePool) -> Vec<Option<f64>> {
         let total_dim: f64 = profiles.iter().map(TableProfile::comm_dim).sum();
-        let total_bw: f64 = (0..scales.len()).map(|g| scales.bandwidth_scale(g)).sum();
+        let total_bw: f64 = fleet.bw_scales().iter().sum();
         let m_s = total_dim / total_bw;
         let m_e = 1.5 * m_s;
         let step = (m_e - m_s) / (self.m_steps.max(2) - 1) as f64;
@@ -599,16 +597,16 @@ mod tests {
     /// The allocator the walk replaced, kept as its oracle: one stand-alone
     /// greedy pass under one `max_dim` cap (`None` = unconstrained), every
     /// probe priced from the device's table list through the whole-set
-    /// path. `scales: None` never multiplies or divides, so a walk on unit
-    /// scales is held to plain arithmetic. Returns the assignment and each
-    /// device's effective dimension (as bits), or `None` if some table has
-    /// no feasible device.
+    /// path. `fleet: None` never multiplies or divides, so a walk on a
+    /// flat class-1 fleet is held to plain arithmetic. Returns the
+    /// assignment and each device's effective dimension (as bits), or
+    /// `None` if some table has no feasible device.
     fn greedy_assign(
         sim: &CostSimulator,
         profiles: &[TableProfile],
         order: &[usize],
         budgets: &[u64],
-        scales: Option<&DeviceScales>,
+        fleet: Option<&DevicePool>,
         max_dim: Option<f64>,
     ) -> Option<(Vec<usize>, Vec<u64>)> {
         let num_devices = budgets.len();
@@ -616,8 +614,8 @@ mod tests {
         let mut device_bytes = vec![0u64; num_devices];
         let mut device_dims = vec![0.0f64; num_devices];
         let mut device_of = vec![usize::MAX; profiles.len()];
-        let eff_dim = |p: &TableProfile, g: usize| match scales {
-            Some(s) => p.comm_dim() / s.bandwidth_scale(g),
+        let eff_dim = |p: &TableProfile, g: usize| match fleet {
+            Some(f) => p.comm_dim() / f.bw_scales()[g],
             None => p.comm_dim(),
         };
         for &i in order {
@@ -634,8 +632,8 @@ mod tests {
                 let set = [(TableSetKey::of(&device_tables[g]), &device_tables[g][..])];
                 let cost = sim.device_compute_cost_batch(&set)[0];
                 device_tables[g].pop();
-                let cost = match scales {
-                    Some(s) => cost * s.compute_scale(g),
+                let cost = match fleet {
+                    Some(f) => cost * f.compute_scales()[g],
                     None => cost,
                 };
                 if best_dev.is_none_or(|(_, c)| cost < c) {
@@ -662,17 +660,35 @@ mod tests {
         GreedyGridSearch::new(sim, [0, 1, 3, 11][grid.min(3)])
     }
 
+    /// A proptest case's fleet: per device a budget (as a share of
+    /// `total_bytes`), a compute class and a node, with links between
+    /// nodes at `inter` — or, unless `hetero`, the same budgets on one
+    /// node at class 1.
+    fn drawn_fleet(
+        devices: &[(f64, f64, usize)],
+        inter: f64,
+        total_bytes: u64,
+        hetero: bool,
+    ) -> DevicePool {
+        let budget = |share: f64| ((share * total_bytes as f64) as u64).max(1);
+        let profiles = devices.iter().map(|&(share, class, node)| match hetero {
+            true => DeviceProfile::new(budget(share), class, node),
+            false => DeviceProfile::new(budget(share), 1.0, 0),
+        });
+        DevicePool::new(profiles.collect(), if hetero { inter } else { 1.0 })
+    }
+
     proptest! {
         /// The walk against `M + 1` independent passes: for every grid
         /// threshold the same assignment and device dimensions, or the same
         /// infeasibility. Tables include replicated shards (comm share < 1)
         /// and shards over half the largest budget (the huge-first branch
         /// of the order); budgets are uneven and tight enough to kill some
-        /// thresholds; compute and bandwidth scales are heterogeneous in
-        /// half the cases, and unit in the others — where the reference
-        /// never scales. The reference prices probes on its own simulator,
-        /// from table lists, so agreement also pins the pooled probe's
-        /// values.
+        /// thresholds; the fleet mixes compute classes and nodes in half
+        /// the cases, and is one class-1 node in the others — where the
+        /// reference never scales. The reference prices probes on its own
+        /// simulator, from table lists, so agreement also pins the pooled
+        /// probe's values.
         #[test]
         fn walk_matches_one_greedy_pass_per_threshold(
             // (dim / 4, rows, pooling factor, replicas)
@@ -680,9 +696,10 @@ mod tests {
                 (1u32..=32, 1u64..(1 << 20), 1.0f64..40.0, 1u32..=3),
                 1..20,
             ),
-            // Per device: (budget as a share of all bytes, compute scale,
-            // bandwidth scale).
-            devices in proptest::collection::vec((0.15f64..0.9, 0.5f64..3.0, 0.25f64..2.0), 2..=8),
+            // Per device: (budget as a share of all bytes, compute class,
+            // node); then the inter-node bandwidth scale.
+            devices in proptest::collection::vec((0.15f64..0.9, 0.5f64..3.0, 0usize..3), 2..=8),
+            inter in 0.1f64..=1.0,
             grid in 0usize..6,
             hetero: bool,
         ) {
@@ -695,22 +712,12 @@ mod tests {
                 })
                 .collect();
             let total_bytes: u64 = profiles.iter().map(TableProfile::memory_bytes).sum();
-            let budgets: Vec<u64> = devices
-                .iter()
-                .map(|&(share, _, _)| (share * total_bytes as f64) as u64)
-                .collect();
-            let scales = hetero.then(|| {
-                DeviceScales::new(
-                    devices.iter().map(|d| d.1).collect(),
-                    devices.iter().map(|d| d.2).collect(),
-                )
-            });
-            let scales = scales.as_ref();
-            let unit = DeviceScales::unit(num_devices);
+            let fleet = drawn_fleet(&devices, inter, total_bytes, hetero);
+            let scaled = hetero.then_some(&fleet);
 
             let sim = CostSimulator::new(shared_bundle(num_devices));
             let search = searcher(&sim, grid);
-            let mut walks = [search.start(profiles.clone(), &budgets, scales.unwrap_or(&unit))];
+            let mut walks = [search.start(profiles.clone(), &fleet)];
             search.walk(&mut walks);
             let walk = walks[0].as_ref().unwrap();
             let (order, thresholds, passes) = (&walk.order, &walk.thresholds, &walk.live);
@@ -719,7 +726,7 @@ mod tests {
             let reference = CostSimulator::new(shared_bundle(num_devices));
             for (t, &max_dim) in thresholds.iter().enumerate() {
                 let expected =
-                    greedy_assign(&reference, &profiles, order, &budgets, scales, max_dim);
+                    greedy_assign(&reference, &profiles, order, fleet.budgets(), scaled, max_dim);
                 let walked = passes
                     .iter()
                     .find(|pass| pass.grid.contains(&t))
@@ -765,7 +772,7 @@ mod tests {
         /// replicate split — and one of them carries a table no device can
         /// hold. In half the cases a poisoned cache entry (NaN) makes the
         /// walks that probe it meet a non-finite cost in mid-walk, and in
-        /// half the scales are heterogeneous.
+        /// half the fleet mixes compute classes and nodes.
         #[test]
         fn a_lockstep_batch_equals_one_search_per_job(
             // (dim / 4, rows, pooling factor)
@@ -775,9 +782,10 @@ mod tests {
             ),
             // Per job: (prefix length, table to split, split kind).
             jobs in proptest::collection::vec((1usize..14, 0usize..14, 0usize..3), 1..=6),
-            // Per device: (budget as a share of all bytes, compute scale,
-            // bandwidth scale).
-            devices in proptest::collection::vec((0.2f64..0.9, 0.5f64..3.0, 0.25f64..2.0), 2..=6),
+            // Per device: (budget as a share of all bytes, compute class,
+            // node); then the inter-node bandwidth scale.
+            devices in proptest::collection::vec((0.2f64..0.9, 0.5f64..3.0, 0usize..3), 2..=6),
+            inter in 0.1f64..=1.0,
             infeasible in 0usize..6,
             poisoned_job in 0usize..6,
             poison_one: bool,
@@ -805,25 +813,13 @@ mod tests {
             let too_big = TableConfig::new(TableId(99), 128, total_bytes / 512 + 1, 4.0, 1.0);
             job_tables[infeasible % jobs.len()].push(too_big);
             let num_devices = devices.len();
-            let budgets: Vec<u64> = devices
-                .iter()
-                .map(|&(share, _, _)| (share * total_bytes as f64) as u64)
-                .collect();
-            let scales = hetero.then(|| {
-                DeviceScales::new(
-                    devices.iter().map(|d| d.1).collect(),
-                    devices.iter().map(|d| d.2).collect(),
-                )
-            });
-            let scales = scales.as_ref();
-            let unit = DeviceScales::unit(num_devices);
-            let fleet = scales.unwrap_or(&unit);
+            let fleet = drawn_fleet(&devices, inter, total_bytes, hetero);
             // The poisoned set: the first two tables a job places.
             let scratch = CostSimulator::new(shared_bundle(num_devices));
             let poisoned = poison_one.then_some(poisoned_job).and_then(|j| {
                 let tables = &job_tables[j % jobs.len()];
                 let profiles = tables.iter().map(|t| t.profile(BATCH)).collect();
-                let walk = searcher(&scratch, grid).start(profiles, &budgets, fleet).ok()?;
+                let walk = searcher(&scratch, grid).start(profiles, &fleet).ok()?;
                 let first_two = walk.order.get(..2)?.iter().map(|&i| walk.profiles[i]);
                 Some(TableSetKey::of(&first_two.collect::<Vec<_>>()).key())
             });
@@ -836,11 +832,12 @@ mod tests {
             };
 
             let sim = fresh();
-            let batch = searcher(&sim, grid).search_batch(&job_tables, num_devices, &budgets, fleet, BATCH);
+            let batch = searcher(&sim, grid).search_batch(&job_tables, &fleet, BATCH);
             prop_assert_eq!(batch.len(), job_tables.len());
             for (j, (tables, batched)) in job_tables.iter().zip(&batch).enumerate() {
                 let sim = fresh();
-                let alone = searcher(&sim, grid).search_with_devices(tables, num_devices, &budgets, scales, BATCH);
+                let given = hetero.then_some(&fleet);
+                let alone = searcher(&sim, grid).search_with_devices(tables, num_devices, fleet.budgets(), given, BATCH);
                 prop_assert!(
                     same_result(batched, &alone),
                     "job {j}: batch {batched:?}, alone {alone:?}"
@@ -864,9 +861,8 @@ mod tests {
         for jobs in [[&poisoned, &healthy], [&healthy, &poisoned]] {
             let sim = sim();
             poison(&sim, key);
-            let unit = DeviceScales::unit(2);
-            let results =
-                GreedyGridSearch::new(&sim, 11).search_batch(&jobs, 2, &budgets, &unit, 65_536);
+            let fleet = DevicePool::uniform(2, budgets[0]);
+            let results = GreedyGridSearch::new(&sim, 11).search_batch(&jobs, &fleet, 65_536);
             for (tables, result) in jobs.iter().zip(&results) {
                 if *tables == &poisoned {
                     assert!(
@@ -948,9 +944,9 @@ mod tests {
     fn m_zero_thresholds_are_the_unconstrained_pass_alone() {
         let sim = sim(2);
         let profiles: Vec<TableProfile> = (0..4).map(|i| t(i, 32).profile(65_536)).collect();
-        let unit = DeviceScales::unit(2);
+        let fleet = DevicePool::uniform(2, 1);
         // Four 32-dim tables on two devices: `M_s` = 64.
-        let thresholds = |m| GreedyGridSearch::new(&sim, m).thresholds(&profiles, &unit);
+        let thresholds = |m| GreedyGridSearch::new(&sim, m).thresholds(&profiles, &fleet);
         assert_eq!(thresholds(0), [None]);
         assert_eq!(thresholds(1), [Some(64.0), None]);
     }
@@ -997,7 +993,7 @@ mod tests {
 
     #[test]
     fn unit_scales_are_bit_identical_to_no_scales() {
-        // `None` is the uniform fleet: the adaptor lowers it to unit scales.
+        // `None` is the uniform fleet of the budgets.
         let sim = sim(2);
         let tables: Vec<TableConfig> = (0..10)
             .map(|i| t(i, if i % 3 == 0 { 128 } else { 32 }))
@@ -1005,9 +1001,9 @@ mod tests {
         let search = GreedyGridSearch::new(&sim, 7);
         let unscaled = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
-        let unit = DeviceScales::unit(2);
+        let uniform = DevicePool::uniform(2, budgets[0]);
         let scaled = search
-            .search_with_devices(&tables, 2, &budgets, Some(&unit), 65_536)
+            .search_with_devices(&tables, 2, &budgets, Some(&uniform), 65_536)
             .unwrap();
         assert_eq!(scaled.device_of, unscaled.device_of);
         assert_eq!(
@@ -1015,7 +1011,7 @@ mod tests {
             unscaled.estimated_cost_ms.to_bits()
         );
         assert_eq!(scaled.max_dim_used, unscaled.max_dim_used);
-        // Zero devices have no unit scales, and are still `Invalid`.
+        // Zero devices are no fleet, and are `Invalid`.
         assert!(matches!(
             search.search_with_devices(&tables, 0, &[], None, 65_536),
             Err(PlanError::Invalid { .. })
@@ -1045,7 +1041,13 @@ mod tests {
         let budgets = [nshard_sim::DEFAULT_MEM_BYTES; 2];
         // Device 1 is 100x slower: the allocator should load device 0
         // strictly more heavily than device 1.
-        let slow = DeviceScales::new(vec![1.0, 100.0], vec![1.0, 1.0]);
+        let slow = DevicePool::new(
+            vec![
+                DeviceProfile::new(budgets[0], 1.0, 0),
+                DeviceProfile::new(budgets[1], 100.0, 0),
+            ],
+            1.0,
+        );
         let result = search
             .search_with_devices(&tables, 2, &budgets, Some(&slow), 65_536)
             .unwrap();
@@ -1066,6 +1068,19 @@ mod tests {
             search.search_with_devices(&[t(0, 8)], 2, &[1 << 30], None, 1024),
             Err(PlanError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn a_fleet_of_other_budgets_or_a_zero_budget_is_invalid() {
+        let sim = sim(2);
+        let search = GreedyGridSearch::new(&sim, 3);
+        let other = DevicePool::uniform(2, 1 << 20);
+        for (budgets, fleet) in [([1 << 30; 2], Some(&other)), ([1 << 30, 0], None)] {
+            assert!(matches!(
+                search.search_with_devices(&[t(0, 8)], 2, &budgets, fleet, 1024),
+                Err(PlanError::Invalid { .. })
+            ));
+        }
     }
 
     #[test]

@@ -238,7 +238,7 @@ pub fn repair(task: &ShardingTask, plan: &ShardingPlan) -> Result<RepairReport, 
     plan.check_device_count(task)?;
     let num_devices = task.num_devices();
     let budgets = task.budgets();
-    let initial_overflow_bytes = overflow_bytes(&plan.device_bytes(), &budgets);
+    let initial_overflow_bytes = overflow_bytes(&plan.device_bytes(), budgets);
 
     let total: u64 = plan.sharded_tables().iter().map(|t| t.memory_bytes()).sum();
     let capacity: u64 = budgets.iter().fold(0u64, |acc, &b| acc.saturating_add(b));
@@ -255,7 +255,7 @@ pub fn repair(task: &ShardingTask, plan: &ShardingPlan) -> Result<RepairReport, 
     let mut steps = Vec::new();
     loop {
         let load = current.device_bytes();
-        let Some(offender) = worst_device(&load, &budgets) else {
+        let Some(offender) = worst_device(&load, budgets) else {
             break;
         };
         if steps.len() >= MAX_REPAIR_STEPS {
@@ -269,7 +269,7 @@ pub fn repair(task: &ShardingTask, plan: &ShardingPlan) -> Result<RepairReport, 
         let tables = current.sharded_tables();
         let on_device = heaviest_first(&current, offender, TableConfig::memory_bytes);
         let moved = on_device.iter().find_map(|&table| {
-            pick_target(&load, &budgets, offender, tables[table].memory_bytes()).map(|to| {
+            pick_target(&load, budgets, offender, tables[table].memory_bytes()).map(|to| {
                 DeltaStep::Move {
                     table,
                     from: offender,
@@ -432,13 +432,13 @@ impl IncrementalPlanner {
 
         let mut current = base.clone();
         let mut current_est = estimate_for_task(sim, task, &current)?;
-        let mut current_score = self.score(&base, &current, &current_est, &budgets);
+        let mut current_score = self.score(&base, &current, &current_est, budgets);
         let mut steps: Vec<DeltaStep> = Vec::new();
         let mut evaluated = 1usize;
         let mut rounds = 0usize;
 
         for _ in 0..MAX_ROUNDS {
-            let candidates = self.candidate_steps(&current, &current_est, &budgets, batch);
+            let candidates = self.candidate_steps(&current, &current_est, budgets, batch);
             if candidates.is_empty() {
                 break;
             }
@@ -461,7 +461,7 @@ impl IncrementalPlanner {
             // First strict improvement in candidate order wins ties.
             let mut best: Option<(usize, Score)> = None;
             for (i, ((_, plan), est)) in viable.iter().zip(&estimates).enumerate() {
-                let score = self.score(&base, plan, est, &budgets);
+                let score = self.score(&base, plan, est, budgets);
                 if score.better_than(&best.map_or(current_score, |(_, s)| s)) {
                     best = Some((i, score));
                 }
@@ -790,7 +790,7 @@ mod tests {
         }
         let initial_overflow_bytes: u64 = bytes_of_device
             .iter()
-            .zip(&budgets)
+            .zip(budgets)
             .map(|(&b, &cap)| b.saturating_sub(cap))
             .sum();
         let total: u64 = tables.iter().map(|t| t.memory_bytes()).sum();
@@ -804,7 +804,7 @@ mod tests {
             });
         }
         let mut steps = 0usize;
-        while let Some(offender) = worst_device(&bytes_of_device, &budgets) {
+        while let Some(offender) = worst_device(&bytes_of_device, budgets) {
             if steps >= MAX_REPAIR_STEPS {
                 return Err(PlanError::Infeasible {
                     reason: format!(
@@ -819,7 +819,7 @@ mod tests {
             on_device.sort_by_key(|&i| (std::cmp::Reverse(tables[i].memory_bytes()), i));
             let moved = on_device.iter().copied().find_map(|i| {
                 let bytes = tables[i].memory_bytes();
-                pick_target(&bytes_of_device, &budgets, offender, bytes).map(|to| (i, to, bytes))
+                pick_target(&bytes_of_device, budgets, offender, bytes).map(|to| (i, to, bytes))
             });
             if let Some((i, to, bytes)) = moved {
                 device_of[i] = to;

@@ -529,7 +529,7 @@ impl ShardingPlan {
         self.device_bytes()
             .into_iter()
             .enumerate()
-            .map(|(d, bytes)| (d, bytes, task.budget_of(d)))
+            .map(|(d, bytes)| (d, bytes, task.budgets()[d]))
             .find(|&(_, bytes, budget)| bytes > budget)
     }
 }

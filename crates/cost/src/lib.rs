@@ -54,6 +54,4 @@ pub use comm_model::CommCostModel;
 pub use compute::ComputeCostModel;
 pub use features::{comm_features, table_features, TABLE_FEATURE_DIM};
 pub use nshard_nn::{TrainReport, TrainSettings};
-pub use simulator::{
-    BundleReport, CostModelBundle, CostSimulator, DeviceLoads, DeviceScales, EstimatedCost,
-};
+pub use simulator::{BundleReport, CostModelBundle, CostSimulator, DeviceLoads, EstimatedCost};

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use nshard_data::TablePool;
 use nshard_nn::{Matrix, TrainSettings};
 use nshard_pool::WorkPool;
-use nshard_sim::{GpuSpec, TableProfile};
+use nshard_sim::{DevicePool, GpuSpec, TableProfile, DEFAULT_MEM_BYTES};
 
 use crate::cache::{
     add_encoding, table_key, table_set_key, EncodingCache, PredictionCache, TableEncodings,
@@ -31,107 +31,6 @@ use crate::features::table_features;
 /// Observation pipelines read the same starts off
 /// [`EstimatedCost::fwd_comm_starts`].
 pub(crate) const FWD_FRACTION: f64 = 1.0 / 2.45;
-
-/// Per-device heterogeneity scales applied **after** cost-model inference.
-///
-/// The pre-trained models (and their caches) always see the *baseline*
-/// hardware: the feature schema is frozen at [`crate::TABLE_FEATURE_DIM`]
-/// and checkpoints are shared across fleets. Heterogeneity is priced on
-/// top of the raw predictions instead — a device of compute class `s`
-/// multiplies its predicted kernel cost by `s`, and a device whose
-/// effective all-to-all bandwidth is `b ×` baseline contributes its
-/// communication dimension as `dim / b` (moving bytes at `b ×` bandwidth
-/// looks exactly like moving `1/b ×` bytes at baseline).
-///
-/// A uniform fleet is a fleet like any other: its scales are all `1.0`,
-/// and `x * 1.0` and `x / 1.0` are exact, so pricing through them gives
-/// the baseline-hardware bits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceScales {
-    compute: Vec<f64>,
-    bandwidth: Vec<f64>,
-}
-
-impl DeviceScales {
-    /// Creates scales from per-device compute-time multipliers and
-    /// effective bandwidth scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the vectors' lengths differ, are empty, or any scale is
-    /// not finite and positive.
-    pub fn new(compute: Vec<f64>, bandwidth: Vec<f64>) -> Self {
-        assert_eq!(
-            compute.len(),
-            bandwidth.len(),
-            "compute and bandwidth scales must cover the same devices"
-        );
-        assert!(!compute.is_empty(), "device scales cannot be empty");
-        for s in compute.iter().chain(&bandwidth) {
-            assert!(
-                s.is_finite() && *s > 0.0,
-                "device scales must be finite and positive, got {s}"
-            );
-        }
-        Self { compute, bandwidth }
-    }
-
-    /// Baseline scales for `num_devices` devices: compute class 1 on a
-    /// flat network.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `num_devices` is zero.
-    pub fn unit(num_devices: usize) -> Self {
-        Self::new(vec![1.0; num_devices], vec![1.0; num_devices])
-    }
-
-    /// Lowers a [`nshard_sim::DevicePool`] to inference scales. A pool of
-    /// class-1 devices on a flat network lowers to
-    /// [`DeviceScales::unit`]: its bandwidth scales are exactly `1.0`.
-    pub fn from_pool(pool: &nshard_sim::DevicePool) -> Self {
-        Self::new(pool.compute_scales(), pool.bw_scales())
-    }
-
-    /// Number of devices covered.
-    pub fn len(&self) -> usize {
-        self.compute.len()
-    }
-
-    /// Whether the scales are empty (never true for constructed scales).
-    pub fn is_empty(&self) -> bool {
-        self.compute.is_empty()
-    }
-
-    /// Compute-time multiplier of device `g`.
-    pub fn compute_scale(&self, g: usize) -> f64 {
-        self.compute[g]
-    }
-
-    /// Effective bandwidth scale of device `g`.
-    pub fn bandwidth_scale(&self, g: usize) -> f64 {
-        self.bandwidth[g]
-    }
-
-    /// Scales one plan's raw loads in place: compute × class, dimension ÷
-    /// bandwidth — the learned twin of the ground truth's
-    /// [`nshard_sim::DevicePool::lowered_dims`], and the first thing
-    /// [`CostSimulator::estimate_from_loads`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` covers a different number of devices.
-    pub fn apply(&self, load: &mut DeviceLoads) {
-        assert!(
-            load.compute_ms.len() == self.len() && load.comm_dims.len() == self.len(),
-            "device scales do not match the plan's device count"
-        );
-        for g in 0..self.len() {
-            load.compute_ms[g] *= self.compute[g];
-            load.comm_dims[g] /= self.bandwidth[g];
-        }
-    }
-}
 
 /// Quality report of a pre-training run (the numbers behind Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -415,8 +314,8 @@ pub struct CostSimulator {
     encodings: EncodingCache,
     cache_enabled: bool,
     /// The bundle's baseline fleet, which [`CostSimulator::estimate_plan`]
-    /// prices on.
-    unit: DeviceScales,
+    /// prices on. Pricing never reads a budget: any positive one will do.
+    baseline: DevicePool,
 }
 
 /// Reusable per-thread buffers for the batched cache-resolution path:
@@ -437,7 +336,7 @@ impl CostSimulator {
     /// Wraps a bundle with a fresh cache.
     pub fn new(bundle: CostModelBundle) -> Self {
         Self {
-            unit: DeviceScales::unit(bundle.num_devices),
+            baseline: DevicePool::uniform(bundle.num_devices, DEFAULT_MEM_BYTES),
             bundle,
             cache: PredictionCache::new(),
             encodings: EncodingCache::default(),
@@ -616,7 +515,7 @@ impl CostSimulator {
     /// forward/backward communication with start skews derived from the
     /// computation estimates.
     ///
-    /// This prices on the bundle's baseline fleet ([`DeviceScales::unit`]):
+    /// This prices on the bundle's baseline fleet ([`DevicePool::uniform`]):
     /// every device at compute class 1 on a flat network. To price a plan
     /// for a task's fleet use `nshard_core::estimate_for_task`.
     ///
@@ -624,7 +523,7 @@ impl CostSimulator {
     ///
     /// Panics if `assignment.len()` differs from the bundle's device count.
     pub fn estimate_plan(&self, assignment: &[Vec<TableProfile>]) -> EstimatedCost {
-        self.estimate_plan_batch_scaled(std::slice::from_ref(&assignment), &self.unit)
+        self.estimate_plan_batch_scaled(std::slice::from_ref(&assignment), &self.baseline)
             .pop()
             .expect("one assignment in, one estimate out")
     }
@@ -634,20 +533,28 @@ impl CostSimulator {
     /// communication model. Each estimate is bit-identical to estimating
     /// that plan alone.
     ///
-    /// `scales` are the fleet's per-device heterogeneity scales (see
-    /// [`DeviceScales`]): raw model predictions — and the cache holding
-    /// them — are always baseline; compute predictions are multiplied by
-    /// each device's compute class and communication dimensions divided by
-    /// each device's effective bandwidth *after* retrieval.
+    /// The plans are priced on `fleet`, and its heterogeneity is priced
+    /// **after** inference. The pre-trained models (and their caches)
+    /// always see the *baseline* hardware: the feature schema is frozen at
+    /// [`crate::TABLE_FEATURE_DIM`] and checkpoints are shared across
+    /// fleets. A device of compute class `s` multiplies its predicted
+    /// kernel cost by `s`, and a device whose effective all-to-all
+    /// bandwidth is `b ×` baseline contributes its communication dimension
+    /// as `dim / b` (moving bytes at `b ×` bandwidth looks exactly like
+    /// moving `1/b ×` bytes at baseline) — the learned twin of the ground
+    /// truth's [`DevicePool::lowered_dims`]. A uniform fleet is a fleet
+    /// like any other: its scales are all `1.0`, and `x * 1.0` and
+    /// `x / 1.0` are exact, so pricing on it gives the baseline-hardware
+    /// bits.
     ///
     /// # Panics
     ///
     /// Panics if any assignment's device count differs from the bundle's,
-    /// or if `scales` covers a different number of devices.
+    /// or if `fleet` has a different number of devices.
     pub fn estimate_plan_batch_scaled<A: AsRef<[Vec<TableProfile>]>>(
         &self,
         assignments: &[A],
-        scales: &DeviceScales,
+        fleet: &DevicePool,
     ) -> Vec<EstimatedCost> {
         let d = self.bundle.num_devices;
         for a in assignments {
@@ -678,13 +585,14 @@ impl CostSimulator {
                     .collect(),
             })
             .collect();
-        self.estimate_from_loads(loads, scales)
+        self.estimate_from_loads(loads, fleet)
     }
 
     /// The second half of an estimate: given each plan's raw per-device
-    /// compute predictions and communication dimensions, applies `scales`
-    /// (compute × class, dimension ÷ bandwidth), runs one batched forward
-    /// per communication model and assembles the [`EstimatedCost`]s.
+    /// compute predictions and communication dimensions, applies `fleet`'s
+    /// scales (compute × class, dimension ÷ bandwidth), runs one batched
+    /// forward per communication model and assembles the
+    /// [`EstimatedCost`]s.
     ///
     /// [`CostSimulator::estimate_plan_batch_scaled`] is "look the compute
     /// costs up, then this"; the greedy walk already holds every device's
@@ -693,20 +601,29 @@ impl CostSimulator {
     /// # Panics
     ///
     /// Panics if any plan's device count differs from the bundle's, or if
-    /// `scales` covers a different number of devices.
+    /// `fleet` has a different number of devices.
     pub fn estimate_from_loads(
         &self,
         mut loads: Vec<DeviceLoads>,
-        scales: &DeviceScales,
+        fleet: &DevicePool,
     ) -> Vec<EstimatedCost> {
         let d = self.bundle.num_devices;
-        for load in &loads {
+        assert_eq!(
+            fleet.len(),
+            d,
+            "fleet device count does not match the bundle"
+        );
+        let (compute, bandwidth) = (fleet.compute_scales(), fleet.bw_scales());
+        for load in &mut loads {
             assert!(
                 load.compute_ms.len() == d && load.comm_dims.len() == d,
                 "plan device count does not match the bundle"
             );
+            for g in 0..d {
+                load.compute_ms[g] *= compute[g];
+                load.comm_dims[g] /= bandwidth[g];
+            }
         }
-        loads.iter_mut().for_each(|load| scales.apply(load));
         // Forward comm starts when each device's forward kernel ends.
         let fwd_starts_all: Vec<Vec<f64>> = loads
             .iter()
@@ -750,6 +667,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use nshard_data::TablePool;
+    use nshard_sim::DeviceProfile;
 
     fn quick_bundle(d: usize) -> CostModelBundle {
         let pool = TablePool::synthetic_dlrm(40, 1);
@@ -902,7 +820,7 @@ mod tests {
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let ests = sim.estimate_plan_batch_scaled(&plans, &DeviceScales::unit(2));
+        let ests = sim.estimate_plan_batch_scaled(&plans, &DevicePool::uniform(2, 1));
         for (plan, est) in plans.iter().zip(&ests) {
             let single = sim.estimate_plan(plan);
             assert_eq!(single.total_ms().to_bits(), est.total_ms().to_bits());
@@ -936,7 +854,7 @@ mod tests {
             vec![vec![t(64), t(32)], vec![t(16)]],
             vec![vec![t(8)], vec![t(64), t(8)]],
         ];
-        let scaled = sim.estimate_plan_batch_scaled(&plans, &DeviceScales::unit(2));
+        let scaled = sim.estimate_plan_batch_scaled(&plans, &DevicePool::uniform(2, 1));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (plan, est) in plans.iter().zip(&scaled) {
             // The reference never scales: raw compute costs, raw dimensions
@@ -965,9 +883,10 @@ mod tests {
         let sim = CostSimulator::new(quick_bundle(2));
         let plan = vec![vec![t(64), t(32)], vec![t(16)]];
         let plain = sim.estimate_plan(&plan);
-        let scales = DeviceScales::new(vec![1.0, 3.0], vec![1.0, 1.0]);
+        let devices = [1.0, 3.0].map(|class| DeviceProfile::new(1, class, 0));
+        let slow = DevicePool::new(devices.to_vec(), 1.0);
         let scaled = sim
-            .estimate_plan_batch_scaled(&[&plan[..]], &scales)
+            .estimate_plan_batch_scaled(&[&plan[..]], &slow)
             .pop()
             .unwrap();
         assert_eq!(
@@ -986,9 +905,10 @@ mod tests {
         let sim = CostSimulator::new(quick_bundle(2));
         let plan = vec![vec![t(64), t(32)], vec![t(64)]];
         let plain = sim.estimate_plan(&plan);
-        let scales = DeviceScales::new(vec![1.0, 1.0], vec![1.0, 0.25]);
+        // Two nodes behind quarter-speed links.
+        let split = DevicePool::two_tier(1, 1, 1, 1, 1.0, 0.25);
         let scaled = sim
-            .estimate_plan_batch_scaled(&[&plan[..]], &scales)
+            .estimate_plan_batch_scaled(&[&plan[..]], &split)
             .pop()
             .unwrap();
         assert!(scaled.fwd_comm_ms > plain.fwd_comm_ms);
@@ -1005,12 +925,6 @@ mod tests {
         let a = sim.estimate_plan(&plan_full);
         let b = sim.estimate_plan(&plan_repl);
         assert!(b.fwd_comm_ms < a.fwd_comm_ms);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn degenerate_device_scales_rejected() {
-        let _ = DeviceScales::new(vec![1.0, 0.0], vec![1.0, 1.0]);
     }
 
     #[test]

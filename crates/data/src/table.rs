@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use nshard_sim::profile::BYTES_PER_ELEM;
 use nshard_sim::TableProfile;
 
 use crate::indices::expected_distinct_fraction;
@@ -230,7 +231,7 @@ impl TableConfig {
 
     /// Bytes of fp32 storage at the current dimension.
     pub fn memory_bytes(&self) -> u64 {
-        self.hash_size * u64::from(self.dim) * 4
+        self.hash_size * u64::from(self.dim) * BYTES_PER_ELEM
     }
 
     /// Lowers this table to the simulator profile for a given batch size.

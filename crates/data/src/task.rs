@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
+use nshard_sim::profile::BYTES_PER_ELEM;
 use nshard_sim::{DevicePool, DeviceProfile, TableProfile};
 
 use crate::pool::TablePool;
@@ -80,7 +81,9 @@ impl TryFrom<TaskWire> for ShardingTask {
         wire.tables
             .iter()
             .try_fold(0u64, |sum, t| {
-                let bytes = t.hash_size().checked_mul(u64::from(t.dim()) * 4)?;
+                let bytes = t
+                    .hash_size()
+                    .checked_mul(u64::from(t.dim()) * BYTES_PER_ELEM)?;
                 sum.checked_add(bytes)
             })
             .ok_or("the tables' total byte size overflows 64 bits")?;
@@ -91,9 +94,7 @@ impl TryFrom<TaskWire> for ShardingTask {
             ));
         }
         let devices = match wire.devices {
-            // The derive built the pool past its constructors: re-run them.
-            Some(pool) => DevicePool::try_new(pool.devices().to_vec(), pool.inter_node_bw_scale())
-                .map_err(|e| e.to_string())?,
+            Some(pool) => pool,
             None if wire.mem_budget_bytes == 0 => {
                 return Err("device memory budget must be positive".into())
             }
@@ -245,13 +246,8 @@ impl ShardingTask {
         &self.devices
     }
 
-    /// The memory budget of device `g`.
-    pub fn budget_of(&self, g: usize) -> u64 {
-        self.devices.budget_of(g)
-    }
-
     /// Per-device memory budgets, in device order.
-    pub fn budgets(&self) -> Vec<u64> {
+    pub fn budgets(&self) -> &[u64] {
         self.devices.budgets()
     }
 
@@ -377,11 +373,9 @@ mod tests {
     fn budgets_come_from_the_pool() {
         let uniform = ShardingTask::new(two_tables(), 4, 1 << 30, 64);
         assert_eq!(uniform.devices(), &DevicePool::uniform(4, 1 << 30));
-        assert_eq!(uniform.budgets(), vec![1 << 30; 4]);
+        assert_eq!(uniform.budgets(), [1 << 30; 4]);
         let task = uniform.with_devices(DevicePool::two_tier(2, 4 << 30, 2, 1 << 30, 1.5, 0.5));
-        assert_eq!(task.budget_of(0), 4 << 30);
-        assert_eq!(task.budget_of(3), 1 << 30);
-        assert_eq!(task.budgets(), vec![4 << 30, 4 << 30, 1 << 30, 1 << 30]);
+        assert_eq!(task.budgets(), [4 << 30, 4 << 30, 1 << 30, 1 << 30]);
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl ContinualLearner {
                 .get(d)
                 .copied()
                 .unwrap_or_default();
-            let class = fleet.compute_scale_of(d);
+            let class = fleet.compute_scales()[d];
             self.offer(ObservationWire {
                 kind: ObservationKind::Compute.label().into(),
                 features,

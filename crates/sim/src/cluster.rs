@@ -7,16 +7,16 @@
 //! **max across devices** as the plan's cost, since the slowest device is
 //! the bottleneck of synchronous training.
 //!
-//! Evaluation never branches on the fleet's shape: the fleet is lowered
-//! once, when it is set, to per-device memory budgets, kernel-time
-//! multipliers and bandwidth scales, and every evaluation runs the one
-//! kernel law and the one all-to-all law on them (`Cluster::phase_inputs`).
-//! Every factor is exactly `1.0` on a uniform fleet.
+//! Evaluation never branches on the fleet's shape: every evaluation runs
+//! the one kernel law and the one all-to-all law on the per-device memory
+//! budgets, kernel-time multipliers and bandwidth scales its [`DevicePool`]
+//! was lowered to when it was built (`Cluster::phase_inputs`). Every factor
+//! is exactly `1.0` on a uniform fleet.
 
 use serde::{Deserialize, Serialize};
 
 use crate::device::GpuSpec;
-use crate::devices::{lower_dims, DevicePool};
+use crate::devices::DevicePool;
 use crate::error::SimError;
 use crate::kernel::profile_stream;
 use crate::noise::NoiseModel;
@@ -120,10 +120,6 @@ pub struct Cluster {
     batch_size: u32,
     noise: NoiseModel,
     devices: DevicePool,
-    // `devices` lowered to what evaluation reads, one entry per device.
-    budgets: Vec<u64>,
-    compute_scales: Vec<f64>,
-    bw_scales: Vec<f64>,
 }
 
 impl Cluster {
@@ -136,20 +132,11 @@ impl Cluster {
     /// Panics if `num_devices == 0` or the spec's memory budget is zero.
     pub fn new(spec: GpuSpec, num_devices: usize, batch_size: u32) -> Self {
         assert!(num_devices > 0, "a cluster needs at least one device");
-        let pool = DevicePool::uniform(num_devices, spec.mem_budget_bytes());
-        Self::on(spec, batch_size, NoiseModel::default(), pool)
-    }
-
-    /// The cluster of `devices`, lowered.
-    fn on(spec: GpuSpec, batch_size: u32, noise: NoiseModel, devices: DevicePool) -> Self {
         Self {
             spec,
             batch_size,
-            noise,
-            budgets: devices.budgets(),
-            compute_scales: devices.compute_scales(),
-            bw_scales: devices.bw_scales(),
-            devices,
+            noise: NoiseModel::default(),
+            devices: DevicePool::uniform(num_devices, spec.mem_budget_bytes()),
         }
     }
 
@@ -167,13 +154,14 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics when the pool's size differs from the cluster's device count.
-    pub fn with_devices(self, pool: DevicePool) -> Self {
+    pub fn with_devices(mut self, pool: DevicePool) -> Self {
         assert_eq!(
             pool.len(),
             self.num_devices(),
             "device pool size must match the cluster's device count"
         );
-        Self::on(self.spec, self.batch_size, self.noise, pool)
+        self.devices = pool;
+        self
     }
 
     /// The fleet description.
@@ -213,7 +201,7 @@ impl Cluster {
                 ),
             });
         }
-        for (g, (tables, &budget)) in assignment.iter().zip(&self.budgets).enumerate() {
+        for (g, (tables, &budget)) in assignment.iter().zip(self.devices.budgets()).enumerate() {
             let required: u64 = tables.iter().map(TableProfile::memory_bytes).sum();
             if required > budget {
                 return Err(SimError::OutOfMemory {
@@ -254,7 +242,7 @@ impl Cluster {
     }
 
     /// The exact per-device inputs of one iteration's four phases, before
-    /// any measurement noise: what the lowered fleet makes of `assignment`.
+    /// any measurement noise: what the fleet makes of `assignment`.
     /// [`Cluster`] evaluation and the [`crate::TraceSimulator`] both start
     /// here, so a fleet is never priced one way and traced another.
     pub(crate) fn phase_inputs(&self, assignment: &[Vec<TableProfile>]) -> PhaseInputs {
@@ -264,14 +252,14 @@ impl Cluster {
         for (g, tables) in assignment.iter().enumerate() {
             // `x * 1.0` is a bitwise identity, so a healthy uniform
             // device keeps its kernel time.
-            let scale = self.compute_scales[g];
+            let scale = self.devices.compute_scales()[g];
             fwd_ms.push(kernel.multi_forward_ms(tables, self.batch_size) * scale);
             bwd_ms.push(kernel.multi_backward_ms(tables, self.batch_size) * scale);
         }
         PhaseInputs {
             fwd_ms,
             bwd_ms,
-            dims: lower_dims(assignment, &self.bw_scales),
+            dims: self.devices.lowered_dims(assignment),
         }
     }
 
@@ -386,22 +374,14 @@ mod tests {
     fn exactly_at_budget_is_feasible() {
         // required == budget must pass: the budget is an inclusive bound.
         let table = t(64);
-        let c = Cluster::new(
-            GpuSpec::rtx_2080_ti().with_mem_budget(table.memory_bytes()),
-            2,
-            65_536,
-        );
+        let c = cluster(2).with_devices(DevicePool::uniform(2, table.memory_bytes()));
         c.check_memory(&[vec![table], vec![table]]).unwrap();
     }
 
     #[test]
     fn one_byte_over_budget_is_attributed() {
         let table = t(64);
-        let c = Cluster::new(
-            GpuSpec::rtx_2080_ti().with_mem_budget(table.memory_bytes() - 1),
-            2,
-            65_536,
-        );
+        let c = cluster(2).with_devices(DevicePool::uniform(2, table.memory_bytes() - 1));
         let err = c.check_memory(&[vec![], vec![table]]).unwrap_err();
         match err {
             SimError::OutOfMemory {
@@ -421,7 +401,7 @@ mod tests {
     fn empty_devices_occupy_zero_bytes() {
         // Devices with no tables pass the memory check at the smallest
         // budget, and an all-empty plan evaluates without error.
-        let c = Cluster::new(GpuSpec::rtx_2080_ti().with_mem_budget(1), 2, 65_536);
+        let c = cluster(2).with_devices(DevicePool::uniform(2, 1));
         c.check_memory(&[vec![], vec![]]).unwrap();
         let roomy = cluster(2);
         let costs = roomy.evaluate_exact(&[vec![], vec![]]).unwrap();
@@ -661,7 +641,7 @@ mod tests {
             1.0,
         );
         let c = cluster(2).with_devices(pool);
-        assert_eq!(c.devices().budget_of(0), 2 * table.memory_bytes());
+        assert_eq!(c.devices().budgets()[0], 2 * table.memory_bytes());
         // The same load fits the roomy device and overflows the tight one.
         c.check_memory(&[vec![table], vec![]]).unwrap();
         match c.check_memory(&[vec![], vec![table]]) {

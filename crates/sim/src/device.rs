@@ -20,8 +20,6 @@ use crate::DEFAULT_MEM_BYTES;
 ///
 /// let gpu = GpuSpec::rtx_2080_ti();
 /// assert_eq!(gpu.mem_budget_bytes(), 4 * 1024 * 1024 * 1024);
-/// let roomy = gpu.with_mem_budget(8 * 1024 * 1024 * 1024);
-/// assert_eq!(roomy.mem_budget_bytes(), 8 * 1024 * 1024 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpuSpec {
@@ -74,12 +72,6 @@ impl GpuSpec {
     pub fn mem_budget_bytes(&self) -> u64 {
         self.mem_budget_bytes
     }
-
-    /// Returns a copy with a different memory budget (builder-style).
-    pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget_bytes = bytes;
-        self
-    }
 }
 
 impl Default for GpuSpec {
@@ -95,14 +87,6 @@ mod tests {
     #[test]
     fn default_is_2080_ti() {
         assert_eq!(GpuSpec::default(), GpuSpec::rtx_2080_ti());
-    }
-
-    #[test]
-    fn with_mem_budget_replaces_the_budget_only() {
-        let spec = GpuSpec::rtx_2080_ti().with_mem_budget(123);
-        assert_eq!(spec.mem_budget_bytes(), 123);
-        assert_eq!(spec.kernel(), GpuSpec::rtx_2080_ti().kernel());
-        assert_eq!(spec.comm(), GpuSpec::rtx_2080_ti().comm());
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! flat all-to-all law then prices the fleet, and the learned side divides
 //! the same dimensions by the same scales.
 
+use std::collections::HashMap;
+
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
@@ -93,13 +96,48 @@ impl DeviceProfile {
     }
 }
 
-/// A fleet of (possibly heterogeneous) devices plus a two-tier network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A fleet of (possibly heterogeneous) devices plus a two-tier network,
+/// lowered once, when it is built, to what placing and pricing read: one
+/// memory budget, one compute class and one effective bandwidth scale per
+/// device. Decoding goes through [`DevicePool::try_new`], so a pool read
+/// from JSON is validated and lowered like any other.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(try_from = "PoolWire")]
 pub struct DevicePool {
     devices: Vec<DeviceProfile>,
     /// Bandwidth of an inter-node link relative to an intra-node link, in
     /// `(0, 1]`. `1.0` = flat network.
     inter_node_bw_scale: f64,
+    budgets: Vec<u64>,
+    compute_scales: Vec<f64>,
+    bw_scales: Vec<f64>,
+}
+
+/// A [`DevicePool`] as stored: the two keys its `Serialize` writes.
+#[derive(Deserialize)]
+struct PoolWire {
+    devices: Vec<DeviceProfile>,
+    inter_node_bw_scale: f64,
+}
+
+impl TryFrom<PoolWire> for DevicePool {
+    type Error = SimError;
+
+    fn try_from(wire: PoolWire) -> Result<Self, SimError> {
+        Self::try_new(wire.devices, wire.inter_node_bw_scale)
+    }
+}
+
+impl Serialize for DevicePool {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("devices".into(), self.devices.to_value()),
+            (
+                "inter_node_bw_scale".into(),
+                self.inter_node_bw_scale.to_value(),
+            ),
+        ])
+    }
 }
 
 impl DevicePool {
@@ -130,7 +168,18 @@ impl DevicePool {
                 ),
             });
         }
+        let mut per_node: HashMap<usize, usize> = HashMap::new();
+        for d in &devices {
+            *per_node.entry(d.node).or_default() += 1;
+        }
+        let peers = devices.len() - 1;
         Ok(Self {
+            budgets: devices.iter().map(|d| d.mem_budget_bytes).collect(),
+            compute_scales: devices.iter().map(|d| d.compute_scale).collect(),
+            bw_scales: devices
+                .iter()
+                .map(|d| bw_scale(per_node[&d.node] - 1, peers, inter_node_bw_scale))
+                .collect(),
             devices,
             inter_node_bw_scale,
         })
@@ -195,142 +244,95 @@ impl DevicePool {
         self.inter_node_bw_scale
     }
 
-    /// Memory budget of device `g`, bytes.
-    pub fn budget_of(&self, g: usize) -> u64 {
-        self.devices[g].mem_budget_bytes
-    }
-
-    /// Compute-time multiplier of device `g`.
-    pub fn compute_scale_of(&self, g: usize) -> f64 {
-        self.devices[g].compute_scale
-    }
-
-    /// Node of device `g`.
-    pub fn node_of(&self, g: usize) -> usize {
-        self.devices[g].node
-    }
-
     /// The largest single-device memory budget in the pool.
     pub fn max_budget(&self) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.mem_budget_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Effective all-to-all bandwidth scale of device `g` (see the module
-    /// docs for the harmonic blend). Exactly `1.0` on a flat network.
-    pub fn bw_scale_of(&self, g: usize) -> f64 {
-        let d = self.devices.len();
-        if d <= 1 {
-            return 1.0;
-        }
-        let node = self.devices[g].node;
-        let local = self
-            .devices
-            .iter()
-            .enumerate()
-            .filter(|&(i, dev)| i != g && dev.node == node)
-            .count();
-        let remote = d - 1 - local;
-        if remote == 0 {
-            return 1.0;
-        }
-        let (local, remote) = (local as f64, remote as f64);
-        (local + remote) / (local + remote / self.inter_node_bw_scale)
+        self.budgets.iter().copied().max().unwrap_or(0)
     }
 
     /// Lowers a placement on this fleet onto the flat all-to-all law:
     /// device `g`'s communication dimension is its tables'
-    /// [`TableProfile::comm_dim`]s summed, over [`DevicePool::bw_scale_of`]
-    /// — moving bytes at `b ×` bandwidth is moving `1/b ×` the bytes at
-    /// full bandwidth. `x / 1.0` is a bitwise identity, so a flat fleet's
-    /// dimensions are the plain sums.
+    /// [`TableProfile::comm_dim`]s summed, over `bw_scales()[g]` — moving
+    /// bytes at `b ×` bandwidth is moving `1/b ×` the bytes at full
+    /// bandwidth. `x / 1.0` is a bitwise identity, so a flat fleet's
+    /// dimensions are the plain sums. The one lowering of a placement:
+    /// ground truth and estimate both run the all-to-all law on these.
     ///
     /// # Panics
     ///
     /// Panics if `assignment` covers more devices than the pool.
     pub fn lowered_dims(&self, assignment: &[Vec<TableProfile>]) -> Vec<f64> {
-        lower_dims(assignment, &self.bw_scales())
-    }
-
-    /// Per-device effective bandwidth scales, in device order.
-    pub fn bw_scales(&self) -> Vec<f64> {
-        (0..self.devices.len())
-            .map(|g| self.bw_scale_of(g))
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(g, tables)| {
+                tables.iter().map(TableProfile::comm_dim).sum::<f64>() / self.bw_scales[g]
+            })
             .collect()
     }
 
+    /// Per-device effective all-to-all bandwidth scales (see the module
+    /// docs for the harmonic blend), in device order. Exactly `1.0` on a
+    /// flat network.
+    pub fn bw_scales(&self) -> &[f64] {
+        &self.bw_scales
+    }
+
     /// Per-device compute-time multipliers, in device order.
-    pub fn compute_scales(&self) -> Vec<f64> {
-        self.devices.iter().map(|d| d.compute_scale).collect()
+    pub fn compute_scales(&self) -> &[f64] {
+        &self.compute_scales
     }
 
     /// Per-device memory budgets, in device order.
-    pub fn budgets(&self) -> Vec<u64> {
-        self.devices.iter().map(|d| d.mem_budget_bytes).collect()
-    }
-
-    /// Whether every device has baseline compute speed.
-    pub fn has_uniform_compute(&self) -> bool {
-        self.devices.iter().all(|d| d.compute_scale == 1.0)
-    }
-
-    /// Whether the network is effectively flat (single node, or full
-    /// inter-node bandwidth).
-    pub fn has_uniform_bandwidth(&self) -> bool {
-        self.inter_node_bw_scale == 1.0
-            || self.devices.iter().all(|d| d.node == self.devices[0].node)
+    pub fn budgets(&self) -> &[u64] {
+        &self.budgets
     }
 }
 
-/// Device `g`'s tables' [`TableProfile::comm_dim`]s summed, over
-/// `bw_scales[g]`: the one lowering of a placement onto the flat
-/// all-to-all law, for a pool's own scales or the copy a cluster caches.
-///
-/// # Panics
-///
-/// Panics if `assignment` covers more devices than `bw_scales`.
-pub(crate) fn lower_dims(assignment: &[Vec<TableProfile>], bw_scales: &[f64]) -> Vec<f64> {
-    assignment
-        .iter()
-        .enumerate()
-        .map(|(g, tables)| tables.iter().map(TableProfile::comm_dim).sum::<f64>() / bw_scales[g])
-        .collect()
+/// Effective all-to-all bandwidth scale of a device with `local` of its
+/// `peers` on its own node, on links between nodes at
+/// `inter_node_bw_scale` (the module docs' harmonic blend). Exactly `1.0`
+/// when no peer is on another node.
+fn bw_scale(local: usize, peers: usize, inter_node_bw_scale: f64) -> f64 {
+    let remote = peers - local;
+    if remote == 0 {
+        return 1.0;
+    }
+    let (local, remote) = (local as f64, remote as f64);
+    (local + remote) / (local + remote / inter_node_bw_scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bits(scales: &[f64]) -> Vec<u64> {
+        scales.iter().map(|s| s.to_bits()).collect()
+    }
+
     #[test]
     fn uniform_pool_is_uniform() {
         let pool = DevicePool::uniform(4, 1 << 30);
-        assert!(pool.has_uniform_compute() && pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
-        assert_eq!(pool.budget_of(3), 1 << 30);
-        for g in 0..4 {
-            assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
-            assert_eq!(pool.compute_scale_of(g), 1.0);
-        }
+        assert_eq!(pool.budgets(), [1 << 30; 4]);
+        assert_eq!(bits(pool.compute_scales()), bits(&[1.0; 4]));
+        assert_eq!(bits(pool.bw_scales()), bits(&[1.0; 4]));
+        assert!(pool.devices().iter().all(|d| d.node() == 0));
     }
 
     #[test]
     fn two_tier_pool_is_heterogeneous() {
         let pool = DevicePool::two_tier(2, 4 << 30, 2, 1 << 30, 1.5, 0.25);
-        assert!(!pool.has_uniform_compute() && !pool.has_uniform_bandwidth());
         assert_eq!(pool.len(), 4);
-        assert_eq!(pool.budget_of(0), 4 << 30);
-        assert_eq!(pool.budget_of(2), 1 << 30);
-        assert_eq!(pool.compute_scale_of(2), 1.5);
-        assert_eq!(pool.node_of(0), 0);
-        assert_eq!(pool.node_of(3), 1);
+        assert_eq!(pool.budgets(), [4 << 30, 4 << 30, 1 << 30, 1 << 30]);
+        assert_eq!(pool.compute_scales(), [1.0, 1.0, 1.5, 1.5]);
+        assert_eq!(pool.devices()[0].node(), 0);
+        assert_eq!(pool.devices()[3].node(), 1);
         assert_eq!(pool.max_budget(), 4 << 30);
         // 1 local peer at full speed + 2 remote peers at 0.25:
-        // (1 + 2) / (1 + 2/0.25) = 3/9.
-        let s = pool.bw_scale_of(0);
-        assert!((s - 3.0 / 9.0).abs() < 1e-12, "got {s}");
+        // (1 + 2) / (1 + 2/0.25) = 3/9, on either node.
+        for s in pool.bw_scales() {
+            assert!((s - 3.0 / 9.0).abs() < 1e-12, "got {s}");
+        }
     }
 
     #[test]
@@ -338,10 +340,7 @@ mod tests {
         // Two nodes but full inter-node bandwidth: scale must be the exact
         // 1.0 bits, so applying it changes nothing.
         let pool = DevicePool::two_tier(2, 1 << 30, 2, 1 << 30, 1.0, 1.0);
-        for g in 0..4 {
-            assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
-        }
-        assert!(pool.has_uniform_bandwidth());
+        assert_eq!(bits(pool.bw_scales()), bits(&[1.0; 4]));
     }
 
     #[test]
@@ -350,11 +349,8 @@ mod tests {
             .map(|_| DeviceProfile::new(1 << 20, 2.0, 5))
             .collect();
         let pool = DevicePool::new(devices, 0.1);
-        assert!(pool.has_uniform_bandwidth());
-        assert!(!pool.has_uniform_compute());
-        for g in 0..3 {
-            assert_eq!(pool.bw_scale_of(g).to_bits(), 1.0f64.to_bits());
-        }
+        assert_eq!(bits(pool.bw_scales()), bits(&[1.0; 3]));
+        assert_eq!(pool.compute_scales(), [2.0; 3]);
     }
 
     #[test]
@@ -370,7 +366,33 @@ mod tests {
     fn serde_round_trip() {
         let pool = DevicePool::two_tier(2, 4 << 30, 6, 1 << 30, 1.25, 0.4);
         let json = serde_json::to_string(&pool).unwrap();
+        assert!(
+            json.starts_with(r#"{"devices":[{"mem_budget_bytes":"#),
+            "{json}"
+        );
+        assert!(json.ends_with(r#"],"inter_node_bw_scale":0.4}"#), "{json}");
         let back: DevicePool = serde_json::from_str(&json).unwrap();
         assert_eq!(pool, back);
+        assert_eq!(back.budgets(), pool.budgets());
+        assert_eq!(bits(back.compute_scales()), bits(pool.compute_scales()));
+        assert_eq!(bits(back.bw_scales()), bits(pool.bw_scales()));
+    }
+
+    #[test]
+    fn a_decoded_pool_is_refused_what_try_new_refuses() {
+        let decode = |json: &str| serde_json::from_str::<DevicePool>(json);
+        let device = |scale: &str| {
+            format!(
+                r#"{{"devices":[{{"mem_budget_bytes":1024,"compute_scale":{scale},"node":0}}],"inter_node_bw_scale":1.0}}"#
+            )
+        };
+        assert!(decode(&device("1.0")).is_ok());
+        for json in [
+            r#"{"devices":[],"inter_node_bw_scale":1.0}"#.to_string(),
+            device("0.0"),
+        ] {
+            let err = decode(&json).expect_err(&json);
+            println!("{json}: {err}");
+        }
     }
 }

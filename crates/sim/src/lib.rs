@@ -20,10 +20,10 @@
 //!    two-tier fleet ([`devices`]) enlarges a device's dimension before the
 //!    law runs.
 //!
-//! A [`Cluster`] is evaluated from one input, its fleet, lowered once to
-//! per-device budgets, kernel-time scales and bandwidth scales. A hostile
-//! fleet — a squeezed budget, a slow compute class, a slow node behind slow
-//! links — is just another [`DevicePool`].
+//! A [`Cluster`] is evaluated from one input, its fleet: a [`DevicePool`],
+//! lowered once, when it is built, to per-device budgets, kernel-time
+//! scales and bandwidth scales. A hostile fleet — a squeezed budget, a slow
+//! compute class, a slow node behind slow links — is just another pool.
 //!
 //! The rest of the system treats this crate exactly the way the paper treats
 //! a GPU cluster: micro-benchmarks are run against it to produce training

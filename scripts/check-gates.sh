@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=116
-MAX_TOTAL_LINES=13144
-MAX_TOTAL_ITEMS=741
+MAX_TOTAL_LINES=13088
+MAX_TOTAL_ITEMS=724
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -1,11 +1,15 @@
 #!/bin/sh
 # One task->pricing translation (DESIGN.md §13): outside nshard-core a plan
-# is priced through `nshard_core::estimate_for_task`, and a fleet is lowered
-# to `DeviceScales` by exactly two callers (the search and that function).
+# is priced through `nshard_core::estimate_for_task`. One fleet, lowered
+# once: a `DevicePool` holds its budgets and scales, so the second scales
+# type (`DeviceScales`, `from_pool`) and the per-device lookups
+# (`budget_of`, `compute_scale_of`, `bw_scale_of`, `has_uniform_*`) stay
+# deleted.
 #
-# Special cases are values (DESIGN.md §6.5, §13): a uniform fleet is unit
-# scales, so non-test code holds one `Option<&DeviceScales>` (the frozen
-# `search_with_devices` door, which lowers `None` to unit scales); "w/o
+# Special cases are values (DESIGN.md §6.5, §13): a uniform fleet is a
+# `DevicePool` like any other, so non-test code holds one
+# `Option<&DevicePool>` (the frozen `search_with_devices` door, which reads
+# `None` as the one-node, class-1 fleet of its budgets); "w/o
 # beam search" is `l = 0` and "w/o greedy grid search" is `m = 0`, so the
 # two switches and the grid-off builder stay deleted; one set or one table
 # is a batch of one, so the single-set and single-table pricing doors stay
@@ -95,9 +99,9 @@ if code crates/online/src crates/serve/src |
     echo "error: price plans through nshard_core::estimate_for_task (lines above)" >&2
     exit 1
 fi
-lowerings=$(code crates/*/src | grep -v '^crates/cost/src/simulator.rs:' | grep -c 'from_pool(' || true)
-if [ "$lowerings" -gt 2 ]; then
-    echo "error: $lowerings callers of DeviceScales::from_pool, at most 2 allowed" >&2
+if code crates/*/src src | grep -E -e '\bDeviceScales\b' \
+    -e '(from_pool|budget_of|compute_scale_of|bw_scale_of)\(' -e 'has_uniform_(compute|bandwidth)'; then
+    echo "error: a DevicePool is the one fleet, lowered once; read its slices (lines above)" >&2
     exit 1
 fi
 if code crates/*/src src | grep -E -e 'device_compute_cost\(' \
@@ -105,10 +109,10 @@ if code crates/*/src src | grep -E -e 'device_compute_cost\(' \
     echo "error: l = 0 and m = 0 are the search ablations, and one set is a batch of one (lines above)" >&2
     exit 1
 fi
-optional_scales=$(code crates/*/src src | grep -c 'Option<&DeviceScales>' || true)
-if [ "$optional_scales" -gt 1 ]; then
-    code crates/*/src src | grep 'Option<&DeviceScales>'
-    echo "error: $optional_scales Option<&DeviceScales> in non-test code; a uniform fleet is unit scales," \
+optional_fleets=$(code crates/*/src src | grep -c 'Option<&DevicePool>' || true)
+if [ "$optional_fleets" -gt 1 ]; then
+    code crates/*/src src | grep 'Option<&DevicePool>'
+    echo "error: $optional_fleets Option<&DevicePool> in non-test code; a uniform fleet is a pool," \
         "and only search_with_devices may take None (lines above)" >&2
     exit 1
 fi
@@ -254,4 +258,4 @@ if [ "$degraded" -gt 1 ] ||
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "pricing callers ok ($lowerings fleet lowerings, $degraded chain beside the stack)"
+echo "pricing callers ok ($optional_fleets optional fleet, $degraded chain beside the stack)"

@@ -270,9 +270,9 @@ fn repair_respects_device_profiles_under_node_faults() {
         .expect("repaired plan is feasible");
     for (d, bytes) in report.plan.device_bytes().into_iter().enumerate() {
         assert!(
-            bytes <= task.budget_of(d),
+            bytes <= task.budgets()[d],
             "device {d} holds {bytes} bytes over its profile's {} byte budget",
-            task.budget_of(d)
+            task.budgets()[d]
         );
     }
 }
@@ -300,7 +300,7 @@ fn hetero_fault_sweep_recovers_profile_respecting_plans() {
                 plans += 1;
                 for (d, bytes) in outcome.plan.device_bytes().into_iter().enumerate() {
                     assert!(
-                        bytes <= task.budget_of(d),
+                        bytes <= task.budgets()[d],
                         "seed {seed}: device {d} over its per-device budget"
                     );
                 }

@@ -144,10 +144,10 @@ fn every_cell_finds_a_memory_feasible_plan() {
                 });
                 for (d, bytes) in outcome.plan.device_bytes().into_iter().enumerate() {
                     assert!(
-                        bytes <= t.budget_of(d),
+                        bytes <= t.budgets()[d],
                         "cell ({fleet:?}, {workload:?}, {shape:?}): device {d} holds \
                          {bytes} bytes over its {} byte budget",
-                        t.budget_of(d)
+                        t.budgets()[d]
                     );
                 }
             }

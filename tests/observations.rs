@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use serde_json::Value;
 
-use neuroshard::cost::{CostModelBundle, CostSimulator, DeviceLoads, DeviceScales, TableSetKey};
+use neuroshard::cost::{CostModelBundle, CostSimulator, DeviceLoads, EstimatedCost, TableSetKey};
 use neuroshard::data::{
     augment_pool, DevicePool, PlacementGenerator, TableConfig, TableId, TablePool, PAPER_DIMS,
 };
@@ -196,7 +196,7 @@ proptest! {
         let at_class = scaled.evaluate_exact(&assignment).unwrap();
         let at_baseline = baseline.evaluate_exact(&assignment).unwrap();
         for (g, (s, b)) in at_class.devices().iter().zip(at_baseline.devices()).enumerate() {
-            let class = pool.compute_scale_of(g);
+            let class = pool.compute_scales()[g];
             prop_assert_eq!(s.compute_fwd_ms.to_bits(), (b.compute_fwd_ms * class).to_bits());
             prop_assert_eq!(s.compute_bwd_ms.to_bits(), (b.compute_bwd_ms * class).to_bits());
         }
@@ -218,26 +218,43 @@ proptest! {
         }
     }
 
-    /// Ground truth and estimate share one definition of a slow link: the
-    /// dimensions `Cluster` runs the all-to-all law on are, bit for bit,
-    /// the `comm_dims` `estimate_from_loads` hands the comm models.
+    /// Ground truth and estimate share one definition of a slow link: an
+    /// estimate on a two-tier fleet is, bit for bit, the estimate on the
+    /// uniform fleet of the dimensions `Cluster` runs the all-to-all law on
+    /// (`DevicePool::lowered_dims`), with each device's compute at its
+    /// class. Four devices: the conformance bundle's count.
     #[test]
     fn truth_and_estimate_lower_a_fleet_to_the_same_dimensions(
-        pool in two_tier_pools(),
+        fast in 1usize..=3,
+        class in 1.0f64..=4.0,
+        inter in 0.05f64..=1.0,
         shards in shards(),
-        deal in proptest::collection::vec(0usize..6, 1..12),
+        deal in proptest::collection::vec(0usize..4, 1..12),
     ) {
-        let assignment = dealt(&shards, &deal, pool.len());
-        let mut load = DeviceLoads {
-            compute_ms: vec![0.0; pool.len()],
+        let pool = DevicePool::two_tier(fast, 1 << 40, 4 - fast, 1 << 40, class, inter);
+        let sim = conformance_sim();
+        let assignment = dealt(&shards, &deal, 4);
+        let keyed: Vec<(TableSetKey, &[TableProfile])> =
+            assignment.iter().map(|s| (TableSetKey::of(s), &s[..])).collect();
+        let raw = DeviceLoads {
+            compute_ms: sim.device_compute_cost_batch(&keyed),
             comm_dims: assignment
                 .iter()
                 .map(|tables| tables.iter().map(TableProfile::comm_dim).sum())
                 .collect(),
         };
-        DeviceScales::from_pool(&pool).apply(&mut load);
-        let bits = |dims: &[f64]| dims.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&load.comm_dims), bits(&pool.lowered_dims(&assignment)));
+        let lowered = DeviceLoads {
+            compute_ms: raw.compute_ms.iter().zip(pool.compute_scales()).map(|(c, s)| c * s).collect(),
+            comm_dims: pool.lowered_dims(&assignment),
+        };
+        let on_fleet = sim.estimate_from_loads(vec![raw], &pool);
+        let on_uniform = sim.estimate_from_loads(vec![lowered], &DevicePool::uniform(4, 1 << 40));
+        let bits = |e: &EstimatedCost| {
+            let mut bits: Vec<u64> = e.compute_per_device.iter().map(|c| c.to_bits()).collect();
+            bits.extend([e.max_compute_ms, e.fwd_comm_ms, e.bwd_comm_ms].map(f64::to_bits));
+            bits
+        };
+        prop_assert_eq!(bits(&on_fleet[0]), bits(&on_uniform[0]));
     }
 }
 
@@ -266,6 +283,12 @@ fn conformance_json() -> String {
         "/tests/fixtures/conformance_bundle.json"
     );
     std::fs::read_to_string(path).expect("committed conformance bundle")
+}
+
+/// One simulator over the conformance bundle, shared by every case.
+fn conformance_sim() -> &'static CostSimulator {
+    static SIM: std::sync::OnceLock<CostSimulator> = std::sync::OnceLock::new();
+    SIM.get_or_init(|| CostSimulator::new(bundle_from(&conformance_json())))
 }
 
 fn bundle_from(json: &str) -> CostModelBundle {

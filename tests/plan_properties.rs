@@ -7,7 +7,7 @@ use neuroshard::core::{
     migration_bytes, ShardingPlan, SplitStep,
 };
 use neuroshard::cost::{
-    CollectConfig, CostModelBundle, CostSimulator, DeviceScales, EstimatedCost, TrainSettings,
+    CollectConfig, CostModelBundle, CostSimulator, EstimatedCost, TrainSettings,
 };
 use neuroshard::data::{DevicePool, ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::resilient::repair;
@@ -447,14 +447,14 @@ proptest! {
 
         let batched = estimate_batch_for_task(sim, &task, &plans).unwrap();
         prop_assert_eq!(batched.len(), plans.len());
-        let scales = DeviceScales::from_pool(task.devices());
-        let uniform = scales == DeviceScales::unit(2);
+        let fleet = task.devices();
+        let uniform = fleet.compute_scales() == [1.0; 2] && fleet.bw_scales() == [1.0; 2];
         prop_assert_eq!(uniform, !two_tier || (slow_scale == 1.0 && link_slowdown == 1.0));
         for (plan, from_batch) in plans.iter().zip(&batched) {
             let profiles = plan.device_profiles(task.batch_size());
             let single = estimate_for_task(sim, &task, plan).unwrap();
             let primitive = sim
-                .estimate_plan_batch_scaled(std::slice::from_ref(&profiles), &scales)
+                .estimate_plan_batch_scaled(std::slice::from_ref(&profiles), fleet)
                 .pop()
                 .unwrap();
             prop_assert_eq!(estimate_bits(&single), estimate_bits(&primitive));
