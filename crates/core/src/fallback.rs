@@ -79,8 +79,8 @@ pub enum ProvenanceEvent {
         reason: String,
     },
     /// A transient verification failure triggered a retry. No build
-    /// records it any more; plan records from older builds, on disk or
-    /// replicated, must still decode.
+    /// records it any more; plan records from older builds, on disk, must
+    /// still decode.
     TransientRetry {
         /// Algorithm name.
         algorithm: String,
@@ -129,30 +129,6 @@ pub struct ReplanAttribution {
     pub epoch: u64,
 }
 
-/// Which replica produced a plan *after a control-plane failover* — set by
-/// a serving daemon that promoted itself from follower to leader when the
-/// incumbent leader died, `None` for plans produced under the original
-/// leader (or outside a replicated deployment entirely).
-///
-/// The attribution makes degraded-mode planning auditable the same way
-/// [`ReplanAttribution`] makes drift-triggered replans auditable: any plan
-/// minted while the control plane was recovering names the surviving node
-/// and the replicated sequence number it had caught up to at promotion, so
-/// an operator can tell exactly which writes the plan could (and could
-/// not) have seen.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FailoverAttribution {
-    /// Identity of the replica that promoted itself and produced the plan.
-    pub node: String,
-    /// The replicated sequence number the promoted replica had applied at
-    /// promotion time — the horizon of writes this plan could observe.
-    pub at_seq: u64,
-    /// `true` when the promoted replica knew it was still behind the dead
-    /// leader's last advertised sequence (stale-read mode): the plan may
-    /// have been produced from an incomplete store.
-    pub stale: bool,
-}
-
 /// The full decision record of one [`FallbackChain::shard_with_provenance`]
 /// call.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,9 +140,6 @@ pub struct PlanProvenance {
     /// Drift attribution when this plan replaced an incumbent in response
     /// to a workload-drift trigger; `None` for one-shot plans.
     pub replan: Option<ReplanAttribution>,
-    /// Failover attribution when this plan was produced by a replica that
-    /// promoted itself after the leader died; `None` otherwise.
-    pub failover: Option<FailoverAttribution>,
 }
 
 impl PlanProvenance {
@@ -183,25 +156,6 @@ impl PlanProvenance {
         self.replan = Some(ReplanAttribution {
             trigger_kind: trigger_kind.into(),
             epoch,
-        });
-        self
-    }
-
-    /// Attributes this plan to a post-failover promoted replica
-    /// (builder-style) — used by the serving control plane so every plan
-    /// minted while a follower-turned-leader was recovering records who
-    /// produced it and how caught-up that replica was.
-    #[must_use]
-    pub fn attributed_to_failover(
-        mut self,
-        node: impl Into<String>,
-        at_seq: u64,
-        stale: bool,
-    ) -> Self {
-        self.failover = Some(FailoverAttribution {
-            node: node.into(),
-            at_seq,
-            stale,
         });
         self
     }
@@ -425,7 +379,6 @@ impl Run<'_> {
             source,
             events: self.events,
             replan: None,
-            failover: None,
         }
     }
 }
@@ -696,26 +649,6 @@ mod tests {
             })
         );
         // Attribution does not change degradation status.
-        assert_eq!(attributed.is_degraded(), outcome.provenance.is_degraded());
-    }
-
-    #[test]
-    fn failover_attribution_is_recordable() {
-        let chain = FallbackChain::new(Box::new(RoundRobin));
-        let outcome = chain.shard_with_provenance(&small_task()).unwrap();
-        assert_eq!(outcome.provenance.failover, None);
-        let attributed = outcome
-            .provenance
-            .clone()
-            .attributed_to_failover("node-1", 42, true);
-        assert_eq!(
-            attributed.failover,
-            Some(FailoverAttribution {
-                node: "node-1".into(),
-                at_seq: 42,
-                stale: true,
-            })
-        );
         assert_eq!(attributed.is_degraded(), outcome.provenance.is_degraded());
     }
 

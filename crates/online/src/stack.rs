@@ -130,7 +130,6 @@ impl PlanningStack {
                         },
                         events: Vec::new(),
                         replan: None,
-                        failover: None,
                     },
                     route: ReplanRoute::Incremental {
                         delta: out.delta,

@@ -147,32 +147,10 @@ pub(crate) struct HealthResponse {
     pub workers: u64,
     /// Bounded queue capacity.
     pub queue_capacity: u64,
-    /// This node's replication role (`"leader"`, `"follower"`,
-    /// `"candidate"`).
-    pub role: String,
     /// Version of the cost-model bundle currently serving predictions;
     /// starts at `1` and increments on every continual-learning
-    /// promotion (or replicated model swap).
+    /// promotion (and once at a boot that restores a promoted model).
     pub model_version: u64,
-}
-
-/// Body of `GET /v1/repl/status` — a replica's replication facts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub(crate) struct ReplStatus {
-    /// The node's configured name.
-    pub node: String,
-    /// Current role label.
-    pub role: String,
-    /// Sequence of the last applied mutation.
-    pub applied_seq: u64,
-    /// `true` when serving in degraded stale-read mode after a failover.
-    pub stale: bool,
-    /// Oldest sequence still in the retained op log.
-    pub log_earliest: u64,
-    /// Retained op-log length.
-    pub log_len: u64,
-    /// Plans materialized in the local store.
-    pub plans: u64,
 }
 
 /// Short stable label for a [`PlanSource`], used in responses and metric

@@ -3,8 +3,7 @@
 //! Admission control compares "how long has this request waited" against
 //! its deadline. Behind a trait, the daemon runs on [`WallClock`] while
 //! tests drive a [`ManualClock`] — deadlines expire exactly when the test
-//! says so, with no sleeps and no flakiness (the same recorded-not-slept
-//! discipline as the replicator's reconnect backoff).
+//! says so, with no sleeps and no flakiness.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

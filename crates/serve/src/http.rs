@@ -5,8 +5,8 @@
 //! [`HttpResponse`] and its one serializer, [`HttpResponse::to_bytes`])
 //! plus the one blocking client, the connection-reusing
 //! [`KeepAliveClient`] ([`http_call`] is one used once), shared by the
-//! replication tailer, the integration tests, the load generators and the
-//! demos' self-checks. The server side of the wire — the request parser
+//! integration tests, the repo benchmark's load generator and the demo's
+//! self-check. The server side of the wire — the request parser
 //! and the socket I/O — is [`crate::net`].
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -37,9 +37,6 @@ pub struct HttpResponse {
     pub body: Vec<u8>,
     /// Optional `Retry-After` seconds (load-shedding responses).
     pub retry_after_s: Option<u32>,
-    /// Extra response headers (e.g. `X-Nshard-Stale` on degraded-mode
-    /// reads after a failover).
-    pub headers: Vec<(String, String)>,
 }
 
 impl HttpResponse {
@@ -50,7 +47,6 @@ impl HttpResponse {
             content_type: "application/json",
             body: body.into_bytes(),
             retry_after_s: None,
-            headers: Vec::new(),
         }
     }
 
@@ -61,7 +57,6 @@ impl HttpResponse {
             content_type: "text/plain; version=0.0.4",
             body: body.into_bytes(),
             retry_after_s: None,
-            headers: Vec::new(),
         }
     }
 
@@ -69,13 +64,6 @@ impl HttpResponse {
     #[must_use]
     pub(crate) fn with_retry_after(mut self, seconds: u32) -> Self {
         self.retry_after_s = Some(seconds);
-        self
-    }
-
-    /// Attaches an extra response header (builder-style).
-    #[must_use]
-    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
         self
     }
 
@@ -118,9 +106,6 @@ impl HttpResponse {
         if let Some(seconds) = self.retry_after_s {
             out.extend_from_slice(format!("Retry-After: {seconds}\r\n").as_bytes());
         }
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
         out
@@ -144,7 +129,7 @@ pub fn http_call(
 
 /// A blocking HTTP/1.1 client that keeps one connection open across
 /// calls — the client side of the event loop's keep-alive serving path
-/// (the replication tailer uses it to avoid a connect per request).
+/// (the repo benchmark's clients use it to avoid a connect per request).
 ///
 /// Responses are framed by `Content-Length`, so the client reads exactly
 /// one response per call and leaves the connection ready for the next.
@@ -337,18 +322,8 @@ mod tests {
     }
 
     #[test]
-    fn extra_headers_are_emitted() {
-        let resp = HttpResponse::json(200, "{}".into()).with_header("X-Nshard-Stale", "true");
-        let text = String::from_utf8(resp.to_bytes(false)).unwrap();
-        assert!(text.contains("X-Nshard-Stale: true\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
-    }
-
-    #[test]
     fn keep_alive_changes_only_the_connection_header() {
-        let resp = HttpResponse::json(200, "{\"ok\":true}".into())
-            .with_retry_after(2)
-            .with_header("X-Nshard-Stale", "true");
+        let resp = HttpResponse::json(200, "{\"ok\":true}".into()).with_retry_after(2);
         let keep = String::from_utf8(resp.to_bytes(true)).unwrap();
         let close = String::from_utf8(resp.to_bytes(false)).unwrap();
         assert_eq!(

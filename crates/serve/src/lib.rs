@@ -17,35 +17,30 @@
 //! | `POST /v1/replan` | Warm-started incremental replan around a stored incumbent |
 //! | `POST /v1/observations` | Report ground-truth costs for continual learning |
 //! | `GET /v1/plans/{id}` | Fetch a stored plan with provenance |
-//! | `GET /health` | Liveness + store/queue facts + replication role |
+//! | `GET /health` | Liveness + store/queue facts + model version |
 //! | `GET /metrics` | Prometheus exposition |
-//! | `GET /v1/repl/status` | Replication role, applied sequence, staleness |
-//! | `GET /v1/repl/log/{from}` | Sequenced op log for tailing followers ([`repl`]) |
-//! | `GET /v1/repl/snapshot` | Full store snapshot for cold/lagging catch-up |
 //!
 //! ## Module map
 //!
 //! The public surface is what the crate's callers name: the modules
-//! [`http`], [`net`], [`repl`] and [`server`], and the items re-exported
-//! below. Everything else is private.
+//! [`http`], [`net`] and [`server`], and the items re-exported below.
+//! Everything else is private.
 //!
 //! | Module | Holds |
 //! |---|---|
 //! | [`server`] | A facade over `config`, `service`, `routes`, `admission`, `cache`, `respond`, `daemon`: [`ServeConfig`], [`Service`], [`Server`] |
 //! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, syscall bindings |
-//! | [`repl`] | Roles, the [`Replicator`], its transports, and the service's replication hooks and endpoints |
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
-//! | `store` | [`PlanStore`] — the one sequenced record of adopted plans, its op log, snapshots and files — and the wire types [`LogOp`], [`LogFetch`], [`KvSnapshot`] |
+//! | `store` | [`PlanStore`] — the one sequenced record of adopted plans and the promoted model, and its checksummed files |
 //! | `api`, `engine`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], the metrics registry, [`Clock`] |
 //!
-//! ## Replication
+//! ## The plan store
 //!
-//! N daemons form a serve tier sharing one logical plan store. A node's
-//! [`PlanStore`] sequences every write: a leader adopts a plan with one
-//! write (the plan's `version` is its sequence number), followers tail
-//! its op log, applying only the next op, and promote themselves on
-//! leader death, and a restarted node restores the snapshot its files
-//! hold ([`repl`] has the full story).
+//! One daemon keeps one [`PlanStore`]. It sequences every write: an
+//! adoption is one write (the plan's `version` is its sequence number),
+//! and so is a model promotion. With `store_dir` set, each write is saved
+//! to a checksummed file first, and a restarted daemon reads those files
+//! back: the same plans, versions and promoted model, warm.
 //!
 //! ## Admission control
 //!
@@ -80,7 +75,6 @@ mod engine;
 pub mod http;
 mod metrics;
 pub mod net;
-pub mod repl;
 pub mod server;
 mod store;
 
@@ -90,6 +84,5 @@ pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
 // The `POST /v1/observations` item, named here by the benchmark's
 // `surface.rs`.
 pub use nshard_online::ObservationWire;
-pub use repl::{HttpTransport, PollOutcome, ReplError, ReplTransport, Replicator, Role, RoleCell};
-pub use server::{ReplicaConfig, Routed, ServeConfig, Server, Service};
-pub use store::{KvSnapshot, LogFetch, LogOp, PlanStore, SnapshotEntry, StoreError, StoredPlan};
+pub use server::{Routed, ServeConfig, Server, Service};
+pub use store::{PlanStore, StoreError, StoredPlan};

@@ -311,9 +311,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) degraded: Arc<Counter>,
     pub(crate) fallbacks: Arc<Counter>,
     pub(crate) repairs: Arc<Counter>,
-    pub(crate) replica_role: Arc<Gauge>,
-    pub(crate) replication_lag: Arc<Gauge>,
-    pub(crate) snapshot_catchup: Arc<Counter>,
     pub(crate) seq_conflicts: Arc<Counter>,
     pub(crate) response_cache_hits: Arc<Counter>,
     pub(crate) response_cache_misses: Arc<Counter>,
@@ -347,18 +344,6 @@ impl ServiceMetrics {
             repairs: registry.counter(
                 "nshard_serve_repair_total",
                 "Plans that needed the repair engine",
-            ),
-            replica_role: registry.gauge(
-                "nshard_serve_replica_role",
-                "This node's replication role: 0 follower, 1 candidate, 2 leader",
-            ),
-            replication_lag: registry.gauge(
-                "nshard_serve_replication_lag",
-                "Sequence delta between the last observed leader op and this replica",
-            ),
-            snapshot_catchup: registry.counter(
-                "nshard_serve_snapshot_catchup_total",
-                "Times this replica caught up by full snapshot instead of log tailing",
             ),
             seq_conflicts: registry.counter(
                 "nshard_serve_seq_conflict_total",

@@ -174,22 +174,6 @@ impl Service {
         body: Vec<u8>,
         on_response: OnResponse,
     ) -> Option<HttpResponse> {
-        if !self.role.is_leader() {
-            self.metrics.count_rejection("not_leader");
-            self.metrics.count_request(kind.endpoint(), 503);
-            return Some(
-                error_response(
-                    503,
-                    "not_leader",
-                    format!(
-                        "node {} is a {}; planning writes go to the leader",
-                        self.config.replica.node,
-                        self.role.role().label()
-                    ),
-                )
-                .with_retry_after(1),
-            );
-        }
         // Admission-time cache fast path: a hit is answered inline
         // without consuming queue capacity — equivalent to a worker
         // picking the job up instantly. The lookup keys `degrade =

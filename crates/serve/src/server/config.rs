@@ -1,5 +1,5 @@
-//! Daemon configuration: search knobs, admission bounds, store location
-//! and this node's place in a replicated tier.
+//! Daemon configuration: search knobs, admission bounds and the store
+//! location.
 
 use std::path::PathBuf;
 
@@ -13,19 +13,18 @@ pub struct ServeConfig {
     pub search: NeuroShardConfig,
     /// Warm-start knobs for `POST /v1/replan`.
     pub incremental: IncrementalConfig,
-    /// Seed of the replication reconnect jitter (`repl.rs`); planning
-    /// draws no seed.
+    /// Unread: planning draws no seed. Kept only because the frozen
+    /// benchmark surface passes it to [`crate::PlanningEngine::new`]'s
+    /// unused `_seed`; both go together.
     pub seed: u64,
     /// Bounded admission-queue capacity; a full queue answers `429`.
     pub queue_capacity: usize,
     /// Worker threads draining the queue; `0` = auto via
     /// [`nshard_pool::resolve_threads`] (the `NSHARD_THREADS` path).
     pub workers: usize,
-    /// Persist adopted plans under this directory; `None` = memory only.
+    /// Persist adopted plans and the promoted model under this directory,
+    /// and boot from what it holds; `None` = memory only.
     pub store_dir: Option<PathBuf>,
-    /// Replication role and tier knobs; defaults to a standalone leader,
-    /// so single-node deployments need no extra configuration.
-    pub replica: ReplicaConfig,
     /// Identical-request response cache entries; `0` (default) disables
     /// it. Safe because identical bodies already produce byte-identical
     /// responses (the documented determinism contract) and every entry
@@ -38,29 +37,6 @@ pub struct ServeConfig {
     pub response_cache_entries: usize,
 }
 
-/// Replication knobs of one node in a serve tier.
-#[derive(Debug, Clone)]
-pub struct ReplicaConfig {
-    /// This node's name, used in failover attribution.
-    pub node: String,
-    /// Start as a follower (tail a leader's log) instead of as the
-    /// leader.
-    pub follower: bool,
-    /// Consecutive transport failures after which a follower promotes
-    /// itself to leader.
-    pub failure_threshold: u32,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        Self {
-            node: "node-0".to_string(),
-            follower: false,
-            failure_threshold: 3,
-        }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
@@ -70,7 +46,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             workers: 0,
             store_dir: None,
-            replica: ReplicaConfig::default(),
             response_cache_entries: 0,
         }
     }

@@ -22,8 +22,8 @@
 //! `503` shedding), `cache` (the identical-request response cache),
 //! `respond` (a worker's plan or replan answer, adoption included) and
 //! `daemon` (the reactor and worker threads around one service). The
-//! replication endpoints and hooks are in [`crate::repl`], the metric
-//! handles in `crate::metrics`.
+//! metric handles are in `crate::metrics`, the plan store in
+//! `crate::store`.
 //!
 //! Determinism: workers add no entropy — identical request bodies produce
 //! byte-identical `200` responses at any concurrency, because the engine
@@ -39,6 +39,6 @@ mod routes;
 mod service;
 
 pub use admission::{ResponseSlot, Routed};
-pub use config::{ReplicaConfig, ServeConfig};
+pub use config::ServeConfig;
 pub use daemon::Server;
 pub use service::Service;

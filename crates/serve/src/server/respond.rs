@@ -1,14 +1,13 @@
 //! What a worker does with an admitted job: deadline check, degradation
 //! decision, response-cache lookup, plan or replan through the engine,
-//! failover attribution, adoption into the store (one sequenced write,
-//! which is also the replication log's entry), and the response body.
+//! adoption into the store (one sequenced write), and the response body.
 //!
 //! A worker that pops an already-expired job answers `503` without
 //! searching, and a job whose remaining budget is below
 //! [`DEGRADE_BELOW_MS`] takes the **degraded** (greedy) chain rather than
 //! erroring — the `FallbackChain` discipline applied to deadlines.
 
-use nshard_core::{PlanProvenance, PlanSource};
+use nshard_core::PlanSource;
 use nshard_data::ShardingTask;
 
 use crate::api::{
@@ -125,46 +124,35 @@ impl Service {
         response
     }
 
-    /// What both planning answers do with the engine's output: stamp the
-    /// failover attribution (a plan minted after this node promoted itself
-    /// records which node took over, at what sequence, and whether it was
-    /// known stale), count the outcome, and adopt it when asked. Returns
-    /// the store version (`0` when not adopted) and the stamped
-    /// provenance, or the `500` a failed store write answers.
+    /// What both planning answers do with the engine's output: count the
+    /// outcome, and adopt it when asked. Returns the store version (`0`
+    /// when not adopted), or the `500` a failed store write answers.
     fn settle(
         &self,
         task: ShardingTask,
         output: &PlanOutput,
         adopt: bool,
-    ) -> Result<(u64, PlanProvenance), HttpResponse> {
-        let provenance = match self.role.promoted_at() {
-            Some(at_seq) => output.provenance.clone().attributed_to_failover(
-                self.config.replica.node.clone(),
-                at_seq,
-                self.role.stale(),
-            ),
-            None => output.provenance.clone(),
-        };
+    ) -> Result<u64, HttpResponse> {
         if output.degraded {
             self.metrics.degraded.inc();
         }
-        match &provenance.source {
+        match &output.provenance.source {
             PlanSource::Repaired { .. } => self.metrics.repairs.inc(),
             PlanSource::Fallback { .. } | PlanSource::SizeBalanced => self.metrics.fallbacks.inc(),
             PlanSource::Primary { .. } => {}
         }
         if !adopt {
-            return Ok((0, provenance));
+            return Ok(0);
         }
         let adopted = self.plans.adopt(
             &output.id,
             task,
             output.plan.clone(),
-            provenance.clone(),
+            output.provenance.clone(),
             output.predicted_ms,
             output.degraded,
         );
-        adopted.map(|version| (version, provenance)).map_err(|e| {
+        adopted.map_err(|e| {
             if matches!(e, StoreError::Conflict(_)) {
                 self.metrics.seq_conflicts.inc();
             }
@@ -177,19 +165,18 @@ impl Service {
             Ok(output) => output,
             Err(e) => return error_response(422, "infeasible", e.to_string()),
         };
-        let (version, provenance) =
-            match self.settle(request.task, &output, request.adopt.unwrap_or(true)) {
-                Ok(settled) => settled,
-                Err(response) => return response,
-            };
+        let version = match self.settle(request.task, &output, request.adopt.unwrap_or(true)) {
+            Ok(version) => version,
+            Err(response) => return response,
+        };
         let body = PlanResponse {
             id: output.id,
             version,
             degraded: output.degraded,
-            source: source_label(&provenance.source),
+            source: source_label(&output.provenance.source),
             predicted_ms: output.predicted_ms,
             plan: output.plan,
-            provenance,
+            provenance: output.provenance,
         };
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
     }
@@ -213,22 +200,21 @@ impl Service {
             Ok(re) => re,
             Err(e) => return error_response(422, "infeasible", e.to_string()),
         };
-        let (version, provenance) =
-            match self.settle(request.task, &re.output, request.adopt.unwrap_or(true)) {
-                Ok(settled) => settled,
-                Err(response) => return response,
-            };
+        let version = match self.settle(request.task, &re.output, request.adopt.unwrap_or(true)) {
+            Ok(version) => version,
+            Err(response) => return response,
+        };
         let body = ReplanResponse {
             id: re.output.id,
             version,
             degraded: re.output.degraded,
-            source: source_label(&provenance.source),
+            source: source_label(&re.output.provenance.source),
             predicted_ms: re.output.predicted_ms,
             migration_bytes: re.migration_bytes,
             incremental: re.incremental,
             evaluated_plans: re.evaluated_plans as u64,
             plan: re.output.plan,
-            provenance,
+            provenance: re.output.provenance,
         };
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
     }

@@ -1,8 +1,7 @@
 //! The route table and every handler answered inline on the calling
 //! thread: health, metrics, plan fetches and observation ingest. Planning
 //! POSTs go through admission ([`super::admission`]) to a worker
-//! ([`super::respond`]); the `/v1/repl/*` handlers live with the rest of
-//! replication in [`crate::repl`].
+//! ([`super::respond`]).
 
 use std::sync::Arc;
 
@@ -60,11 +59,6 @@ impl Service {
             ("GET", path) if path.starts_with("/v1/plans/") => {
                 self.get_plan(&path["/v1/plans/".len()..])
             }
-            ("GET", "/v1/repl/status") => self.repl_status(),
-            ("GET", "/v1/repl/snapshot") => self.repl_snapshot(),
-            ("GET", path) if path.starts_with("/v1/repl/log/") => {
-                self.repl_log(&path["/v1/repl/log/".len()..])
-            }
             ("POST", "/v1/plan") => {
                 return self.admit(JobKind::Plan, request.body.clone(), on_response)
             }
@@ -99,7 +93,6 @@ impl Service {
             plans: self.plans.len() as u64,
             workers: self.workers as u64,
             queue_capacity: self.config.queue_capacity as u64,
-            role: self.role.role().label().to_string(),
             model_version: self.engine.model_version(),
         };
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
@@ -159,20 +152,14 @@ impl Service {
             .len()
     }
 
-    /// `GET /v1/plans/{id}`; a degraded-mode (stale) read after a
-    /// promotion known to be behind the dead leader is flagged.
+    /// `GET /v1/plans/{id}`.
     fn get_plan(&self, id: &str) -> HttpResponse {
         let Some(stored) = self.plans.get(id) else {
             self.metrics.count_request("plans_get", 404);
             return error_response(404, "not_found", format!("no stored plan with id {id}"));
         };
         self.metrics.count_request("plans_get", 200);
-        let response = HttpResponse::json(200, serde_json::to_string(&stored).unwrap_or_default());
-        if self.role.stale() {
-            response.with_header("X-Nshard-Stale", "true")
-        } else {
-            response
-        }
+        HttpResponse::json(200, serde_json::to_string(&stored).unwrap_or_default())
     }
 
     /// Prometheus exposition: the registry plus prediction-cache gauges

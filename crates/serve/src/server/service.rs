@@ -5,13 +5,13 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use nshard_cost::CostModelBundle;
+use nshard_nn::serialize::{envelope_from_json, envelope_to_json};
 use nshard_online::ObservationWire;
 use nshard_pool::resolve_threads;
 
 use crate::clock::{Clock, WallClock};
 use crate::engine::PlanningEngine;
 use crate::metrics::ServiceMetrics;
-use crate::repl::{Role, RoleCell};
 use crate::store::{PlanStore, StoreError};
 
 use super::admission::AdmissionQueue;
@@ -23,14 +23,12 @@ use super::ServeConfig;
 /// manual clock and zero sleeps.
 ///
 /// Its handlers are grouped by concern: routing and the inline endpoints
-/// in `server::routes`, admission in `server::admission`, the worker's
-/// plan/replan responses in `server::respond`, and the replication hooks
-/// in [`crate::repl`].
+/// in `server::routes`, admission in `server::admission`, and the
+/// worker's plan/replan responses in `server::respond`.
 pub struct Service {
     pub(crate) config: ServeConfig,
     pub(crate) engine: PlanningEngine,
     pub(crate) plans: PlanStore,
-    pub(crate) role: RoleCell,
     pub(super) clock: Arc<dyn Clock>,
     pub(super) queue: AdmissionQueue,
     pub(crate) metrics: ServiceMetrics,
@@ -40,7 +38,9 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds the service from a pre-trained bundle.
+    /// Builds the service from a pre-trained bundle. With a `store_dir`,
+    /// the service boots from the files there: their plans, and the
+    /// promoted bundle `models/active` holds, which replaces `bundle`.
     ///
     /// # Errors
     ///
@@ -69,47 +69,36 @@ impl Service {
             .search
             .validate()
             .map_err(StoreError::InvalidConfig)?;
-        let (plans, boot) = PlanStore::open(config.store_dir.as_deref())?;
-        let engine = PlanningEngine::new(bundle, config.search, config.incremental, config.seed);
+        let (plans, promoted) = PlanStore::open(config.store_dir.as_deref())?;
+        let engine = PlanningEngine::new(bundle, config.search, config.incremental, 0);
+        // A bundle promoted before the restart serves again, under the
+        // next model version; one that does not decode is left unserved.
+        if let Some(Ok(envelope)) = promoted.map(|json| envelope_from_json(&json)) {
+            engine.swap_bundle(envelope.payload);
+        }
         let metrics = ServiceMetrics::new();
         metrics.model_version.set(engine.model_version());
         metrics.store_quarantined.set(plans.quarantined() as u64);
         let queue = AdmissionQueue::new(config.queue_capacity, Arc::clone(&metrics.queue_depth));
         let workers = resolve_threads(config.workers);
-        let role = RoleCell::new(if config.replica.follower {
-            Role::Follower
-        } else {
-            Role::Leader
-        });
-        metrics.replica_role.set(role.role().gauge_value());
         let response_cache = (config.response_cache_entries > 0)
             .then(|| Mutex::new(ResponseCache::new(config.response_cache_entries)));
-        let service = Self {
+        Ok(Self {
             config,
             engine,
             plans,
-            role,
             clock,
             queue,
             metrics,
             workers,
             response_cache,
             observations: Mutex::new(VecDeque::new()),
-        };
-        // Boot is a catch-up from the store's own files.
-        service.boot(boot);
-        Ok(service)
+        })
     }
 
-    /// The plan store, the record replication tails (tests and the demo
-    /// inspect it directly).
+    /// The plan store (tests and the demo inspect it directly).
     pub fn plans(&self) -> &PlanStore {
         &self.plans
-    }
-
-    /// This node's replication role cell.
-    pub fn role(&self) -> &RoleCell {
-        &self.role
     }
 
     /// The daemon configuration.
@@ -130,15 +119,16 @@ impl Service {
     /// Atomically promotes a fine-tuned cost-model bundle into the
     /// serving engine: the engine core (sharder, chains, incremental
     /// planner, prediction/encoding caches) is rebuilt and swapped under
-    /// one write lock, and a leader replicates the bundle to followers.
-    /// Returns the new model version.
+    /// one write lock, and the bundle is written to the store as
+    /// `models/active`, one sequenced write (a failed save leaves it
+    /// serving until the next restart). Returns the new model version.
     pub fn promote_model(&self, bundle: &CostModelBundle) -> u64 {
         let version = self.engine.swap_bundle(bundle.clone());
         self.metrics.model_promotions.inc();
         self.metrics.model_version.set(version);
-        if self.role.is_leader() {
-            self.log_model(bundle);
-        }
+        let _ = self
+            .plans
+            .write_model(envelope_to_json("cost-bundle", "nshard", bundle));
         version
     }
 

@@ -7,9 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-MAX_SERVE_ITEMS=116
-MAX_TOTAL_LINES=13088
-MAX_TOTAL_ITEMS=724
+MAX_SERVE_ITEMS=88
+MAX_TOTAL_LINES=12457
+MAX_TOTAL_ITEMS=694
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -41,13 +41,16 @@
 # connection-config struct stay deleted (outside tests, which may spell an
 # old record's fields).
 #
-# One record of adopted plans (DESIGN.md §9): `serve::store::PlanStore` owns
-# it, with one leader write path, and a follower applies only the next op.
-# The wrapped KV and its module, the conditional-upsert enum and its error
-# (all `MatchSeq` variants), the out-of-order op buffer and the pool's
-# backoff builder (reconnect pacing is `repl`'s one function) stay deleted,
-# as do the second representation's roads in — the replica insert, the
-# boot re-log, the adopt-then-log pair and the store's own map.
+# One daemon, one record of adopted plans (DESIGN.md §9):
+# `serve::store::PlanStore` owns it, with one write path, and its only
+# outside input is its own files at boot. Leader/follower replication stays
+# deleted: its module (`serve/src/repl.rs`), driver, node config, failover
+# provenance, stale-read header, `/v1/repl/*` routes and `not_leader`
+# refusal. So do the wrapped KV and its module, the conditional-upsert enum
+# and its error (all `MatchSeq` variants), the out-of-order op buffer, the
+# pool's backoff builder, and the second representation's roads in — the
+# replica insert, the boot re-log, the adopt-then-log pair and the store's
+# own map.
 #
 # One connection table (DESIGN.md §9): the reactor keys each connection by
 # a token it never reuses and reads deadlines off that table each turn;
@@ -136,7 +139,7 @@ if code crates/*/src | grep -E '_with_faults|degraded_comm|lowered_dims_under'; 
     exit 1
 fi
 if grep -rnwE 'Partition|NodeCrash' crates; then
-    echo "error: control-plane faults live with the replication harness, not under crates/ (lines above)" >&2
+    echo "error: one daemon has no control plane to partition or crash (lines above)" >&2
     exit 1
 fi
 if code crates/*/src | grep -E -e '\b(PlanVerifier|RetryPolicy|with_verifier|with_retry|total_backoff_ms|ConnConfig)\b' -e 'with_seed\('; then
@@ -155,6 +158,12 @@ if code crates/*/src src | grep -wE 'PlanKv|MatchSeq|KvError|pending_len|Backoff
     [ -e crates/serve/src/kv.rs ]; then
     echo "error: PlanStore is the one record of adopted plans; the wrapped KV, its" \
         "upsert conditions, the op buffer and the backoff builder stay deleted (lines above)" >&2
+    exit 1
+fi
+if code crates/*/src src examples |
+    grep -E 'Replicator|ReplicaConfig|FailoverAttribution|X-Nshard-Stale|/v1/repl/|not_leader' ||
+    [ -e crates/serve/src/repl.rs ]; then
+    echo "error: one daemon, no replication: the store boots from its own files (lines above)" >&2
     exit 1
 fi
 if grep -rnE 'PlanStoreInner|insert_replica|boot_kv|log_adoption|adopt_and_log' crates/serve/src; then

@@ -2,9 +2,10 @@
 //! ground-truth observations flow over `POST /v1/observations` into an
 //! [`neuroshard::learn::ContinualLearner`], a model promotion atomically
 //! invalidates every serving cache (no response priced by a retired
-//! model is ever replayed), promoted bundles replicate to followers
-//! through the plan-KV log, and a contradictory search configuration is
+//! model is ever replayed), and a contradictory search configuration is
 //! rejected at boot with a typed error instead of becoming dead config.
+//! (A promoted bundle surviving a restart is `tests/serve_loop.rs`'s
+//! `a_restarted_daemon_keeps_its_sequence_and_model`.)
 //! Zero sleeps — manual clocks and synchronous queue draining.
 
 use std::sync::Arc;
@@ -204,42 +205,6 @@ fn promotion_invalidates_caches_and_relabels_metrics() {
     assert!(
         metrics.contains("nshard_serve_model_rollbacks_total 1"),
         "got: {metrics}"
-    );
-}
-
-/// A leader promotion writes the promoted bundle into the replicated KV
-/// under `models/active`; a follower applying the log materializes it
-/// and starts serving the same model version.
-#[test]
-fn promoted_model_replicates_to_the_follower() {
-    let leader = Service::with_clock(
-        quick_bundle(7),
-        ServeConfig::smoke(),
-        Arc::new(ManualClock::new()),
-    )
-    .expect("leader boots");
-    let mut follower_config = ServeConfig::smoke();
-    follower_config.replica.node = "node-1".into();
-    follower_config.replica.follower = true;
-    let follower = Service::with_clock(
-        quick_bundle(7),
-        follower_config,
-        Arc::new(ManualClock::new()),
-    )
-    .expect("follower boots");
-    assert_eq!(follower.model_version(), 1);
-
-    let promoted = quick_bundle(9);
-    assert_eq!(leader.promote_model(&promoted), 2);
-
-    let neuroshard::serve::LogFetch::Ops(ops) = leader.plans().log_since(0) else {
-        panic!("leader log is retained")
-    };
-    assert!(follower.apply_replicated(ops) > 0);
-    assert_eq!(
-        follower.model_version(),
-        2,
-        "the follower materializes the promoted bundle"
     );
 }
 

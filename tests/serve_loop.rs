@@ -1,9 +1,15 @@
 //! Serving-layer integration tests: bit-identical responses under
 //! concurrency, deadline handling through a manual clock (no sleeps),
-//! queue-full load shedding, store persistence across restarts, and the
+//! queue-full load shedding, store persistence across restarts (plans,
+//! sequence and promoted model; damaged files quarantined), and the
 //! `/metrics` contract.
 
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::SystemTime;
+
+use proptest::prelude::*;
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
@@ -535,4 +541,253 @@ fn malformed_tasks_get_400_and_the_worker_survives() {
     // After sixteen refusals the same worker replans from the stored plan.
     assert_eq!(answer("/v1/replan", plan_body()).status, 200);
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Restart: a store_dir daemon's files are its only outside input
+// ---------------------------------------------------------------------------
+
+/// A plan body whose table dimensions turn with `salt` (0..=3): distinct
+/// salts plan distinct tasks, hence distinct content-addressed plan ids.
+fn salted_plan_body(salt: u32) -> String {
+    let tables: Vec<TableConfig> = (0..8)
+        .map(|i| TableConfig::new(TableId(i), 16 + 16 * ((i + salt) % 4), 1 << 14, 8.0, 1.05))
+        .collect();
+    let task = ShardingTask::new(tables, 2, 1 << 30, 1024);
+    format!("{{\"task\":{}}}", serde_json::to_string(&task).unwrap())
+}
+
+/// Posts a planning request and drains it on this thread (no sleeps).
+fn post_drained(service: &Service, path: &str, body: &str) -> (u16, String) {
+    let response = match post(service, path, body) {
+        Routed::Inline(response) => response,
+        Routed::Queued(slot) => {
+            assert!(service.drain_one(), "a job was queued");
+            slot.wait()
+        }
+    };
+    (response.status, String::from_utf8(response.body).unwrap())
+}
+
+/// A GET, answered inline.
+fn get_inline(service: &Service, path: &str) -> (u16, String) {
+    let Routed::Inline(response) = service.route(&HttpRequest {
+        method: "GET".into(),
+        path: path.into(),
+        body: Vec::new(),
+    }) else {
+        panic!("GET {path} answers inline")
+    };
+    (response.status, String::from_utf8(response.body).unwrap())
+}
+
+/// Every file of the store rooted at `dir`, sorted: `(path, bytes, last
+/// modification)` — a rewrite with the same bytes still moves the time.
+fn store_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>, SystemTime)> {
+    let mut files: Vec<_> = ["plans", "models"]
+        .iter()
+        .flat_map(|sub| std::fs::read_dir(dir.join(sub)).into_iter().flatten())
+        .map(|entry| entry.unwrap().path())
+        .map(|path| {
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (path.clone(), std::fs::read(path).unwrap(), modified)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The exact bits of a response body's `predicted_ms`.
+fn predicted_bits(body: &str) -> u64 {
+    let value = serde_json::parse_value(body).unwrap();
+    let field = value
+        .as_map()
+        .unwrap()
+        .iter()
+        .find(|(k, _)| k == "predicted_ms");
+    match field.map(|(_, v)| v) {
+        Some(serde_json::Value::Float(ms)) => ms.to_bits(),
+        other => panic!("predicted_ms is {other:?}"),
+    }
+}
+
+/// A disk-backed daemon restarted on its own files keeps its sequence
+/// space and its promoted model: the same plan bytes, model version `2`,
+/// no file rewritten, and an idempotent re-adoption priced by the
+/// restored model answers the bytes it answered before the restart.
+#[test]
+fn a_restarted_daemon_keeps_its_sequence_and_model() {
+    let dir = std::env::temp_dir().join(format!("nshard_serve_sequence_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let original = quick_bundle(41);
+    let boot = || {
+        let config = ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::smoke()
+        };
+        Service::with_clock(original.clone(), config, Arc::new(ManualClock::new()))
+            .expect("the daemon boots")
+    };
+    let first = boot();
+    assert_eq!(
+        post_drained(&first, "/v1/plan", &salted_plan_body(0)).0,
+        200
+    );
+    assert_eq!(first.promote_model(&quick_bundle(43)), 2);
+    let (status, adopted) = post_drained(&first, "/v1/plan", &salted_plan_body(1));
+    assert_eq!(status, 200, "{adopted}");
+    let ids = first.plans().ids();
+    let fetch = |service: &Service| -> Vec<(u16, String)> {
+        let path = |id: &String| format!("/v1/plans/{id}");
+        ids.iter()
+            .map(|id| get_inline(service, &path(id)))
+            .collect()
+    };
+    let fetched = fetch(&first);
+    let files = store_files(&dir);
+    assert_eq!(files.len(), 3, "two plans and models/active");
+    drop(first);
+
+    let restarted = boot();
+    assert_eq!(
+        fetch(&restarted),
+        fetched,
+        "GET /v1/plans/{{id}} answers the same bytes"
+    );
+    assert_eq!(restarted.model_version(), 2, "models/active was restored");
+    assert_eq!(
+        store_files(&dir),
+        files,
+        "boot reads its files, never writes"
+    );
+    let (status, again) = post_drained(&restarted, "/v1/plan", &salted_plan_body(1));
+    assert_eq!(status, 200);
+    assert_eq!(predicted_bits(&again), predicted_bits(&adopted));
+    assert_eq!(
+        again, adopted,
+        "the idempotent re-adoption answers the same bytes"
+    );
+    assert_eq!(
+        restarted.plans().applied_seq(),
+        3,
+        "the promotion kept its number"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One smoke bundle shared by the property cases (pre-training per case
+/// would dominate them).
+fn shared_bundle() -> CostModelBundle {
+    static BUNDLE: OnceLock<CostModelBundle> = OnceLock::new();
+    BUNDLE.get_or_init(|| quick_bundle(47)).clone()
+}
+
+/// A daemon's store files after two adoptions around a promotion:
+/// `(path under the store, bytes, sequence number)`.
+fn store_fixture() -> &'static Vec<(PathBuf, Vec<u8>, u64)> {
+    static FILES: OnceLock<Vec<(PathBuf, Vec<u8>, u64)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("nshard_serve_files_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::smoke()
+        };
+        let service = Service::with_clock(shared_bundle(), config, Arc::new(ManualClock::new()))
+            .expect("the daemon boots");
+        assert_eq!(
+            post_drained(&service, "/v1/plan", &salted_plan_body(0)).0,
+            200
+        );
+        service.promote_model(&shared_bundle());
+        assert_eq!(
+            post_drained(&service, "/v1/plan", &salted_plan_body(1)).0,
+            200
+        );
+        let mut files: Vec<_> = service
+            .plans()
+            .ids()
+            .into_iter()
+            .map(|id| {
+                let version = service.plans().get(&id).unwrap().version;
+                (PathBuf::from(format!("plans/{id}.json")), version)
+            })
+            .chain([(PathBuf::from("models/active.json"), 2)])
+            .map(|(path, seq)| (path.clone(), std::fs::read(dir.join(&path)).unwrap(), seq))
+            .collect();
+        files.sort_by_key(|f| f.2);
+        assert_eq!(files.iter().map(|f| f.2).collect::<Vec<_>>(), [1, 2, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+        files
+    })
+}
+
+/// `file` (framed, with sequence `seq`) unframed and re-stamped to `to`.
+fn restamp(file: &[u8], seq: u64, to: u64) -> Vec<u8> {
+    let text = String::from_utf8(file.to_vec()).unwrap();
+    let bare = text.split_once('\n').unwrap().1;
+    let (head, payload) = bare.split_once("\"payload\":").unwrap();
+    let field = if payload.starts_with("{\"key\"") {
+        "seq"
+    } else {
+        "version"
+    };
+    let stamped = payload.replacen(
+        &format!("\"{field}\":{seq},"),
+        &format!("\"{field}\":{to},"),
+        1,
+    );
+    assert_ne!(stamped, payload, "the payload carries its sequence");
+    format!("{head}\"payload\":{stamped}").into_bytes()
+}
+
+proptest! {
+    /// A truncated, bit-flipped or re-stamped (colliding sequence) plan or
+    /// model file is quarantined at boot — a collision takes both
+    /// claimants — and the daemon still comes up and answers.
+    #[test]
+    fn damaged_store_files_are_quarantined_at_boot(
+        victim in 0usize..3,
+        damage in 0usize..3,
+        at in 0usize..1_000_000,
+        bit in 0u32..8,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::SeqCst);
+        let dir = std::env::temp_dir()
+            .join(format!("nshard_serve_damage_{}_{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let files = store_fixture();
+        for (path, bytes, _) in files {
+            std::fs::create_dir_all(dir.join(path).parent().unwrap()).unwrap();
+            std::fs::write(dir.join(path), bytes).unwrap();
+        }
+        let (path, bytes, seq) = &files[victim];
+        let (damaged, lost) = match damage {
+            0 => (bytes[..at % bytes.len()].to_vec(), 1),
+            1 => {
+                let mut flipped = bytes.clone();
+                flipped[at % bytes.len()] ^= 1 << bit;
+                (flipped, 1)
+            }
+            _ => {
+                let others: Vec<u64> = files.iter().map(|f| f.2).filter(|s| s != seq).collect();
+                (restamp(bytes, *seq, others[at % others.len()]), 2)
+            }
+        };
+        std::fs::write(dir.join(path), damaged).unwrap();
+        let config = ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::smoke()
+        };
+        let booted = Service::with_clock(shared_bundle(), config, Arc::new(ManualClock::new()));
+        prop_assert!(booted.is_ok(), "boot failed: {:?}", booted.err());
+        let service = booted.unwrap();
+        let metrics = service.render_metrics();
+        let gauge = format!("nshard_serve_store_quarantined {lost}\n");
+        prop_assert!(metrics.contains(&gauge), "{}", metrics);
+        prop_assert!(!dir.join(path).exists());
+        prop_assert_eq!(get_inline(&service, "/health").0, 200);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -546,6 +546,7 @@ fn daemon_answers_equal_the_socket_free_route() {
         ("POST", "/v1/replan", replan.as_bytes()),
         ("GET", "/nope", b""),
         ("DELETE", "/health", b""),
+        // A retired route: both paths must answer the same 404.
         ("GET", "/v1/repl/status", b""),
         ("GET", "/v1/plans/missing", b""),
     ];
@@ -556,6 +557,9 @@ fn daemon_answers_equal_the_socket_free_route() {
             body: body.to_vec(),
         });
         let over_tcp = http_call(&addr, method, path, body).unwrap();
+        if path.starts_with("/v1/repl/") {
+            assert_eq!(expected.status, 404, "{method} {path}");
+        }
         assert_eq!(
             over_tcp,
             (
