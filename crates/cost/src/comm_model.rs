@@ -23,7 +23,8 @@ const COMM_HIDDEN: [usize; 4] = [128, 64, 32, 16];
 /// use nshard_cost::CommCostModel;
 ///
 /// let model = CommCostModel::new(4, 0);
-/// let cost = model.predict(&[320.0, 300.0, 310.0, 290.0], &[0.0; 4], 65_536);
+/// let dims = [320.0, 300.0, 310.0, 290.0];
+/// let cost = model.predict_batch(&[(&dims[..], &[0.0; 4][..])], 65_536)[0];
 /// assert!(cost.is_finite());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,7 +34,7 @@ pub struct CommCostModel {
 }
 
 thread_local! {
-    /// Reusable per-thread buffers for `predict`/`predict_batch`.
+    /// Reusable per-thread buffers for `predict_batch`.
     static COMM_SCRATCH: RefCell<MlpWorkspace> = RefCell::new(MlpWorkspace::new());
 }
 
@@ -65,19 +66,11 @@ impl CommCostModel {
         self.num_devices
     }
 
-    /// Predicts the max collective latency (ms) for a placement described by
-    /// per-GPU device dimensions and start timestamps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not match the model's device count.
-    pub fn predict(&self, device_dims: &[f64], start_ts_ms: &[f64], batch_size: u32) -> f64 {
-        self.predict_batch(&[(device_dims, start_ts_ms)], batch_size)[0]
-    }
-
-    /// Predicts many placements with a single multi-row forward pass.
-    /// `Mlp::forward` is row-independent, so each result is bit-identical
-    /// to calling [`CommCostModel::predict`] on that placement alone.
+    /// Predicts the max collective latency (ms) of many placements, each
+    /// described by per-GPU device dimensions and start timestamps, with a
+    /// single multi-row forward pass. One placement is a batch of one.
+    /// `Mlp::forward_in` is row-independent, so a placement's latency is
+    /// bit-identical whatever other placements share its batch.
     /// Feature rows are written directly into a reusable per-thread batch
     /// matrix, so steady-state prediction does not allocate.
     ///
@@ -166,6 +159,11 @@ mod tests {
     use nshard_data::TablePool;
     use nshard_sim::CommParams;
 
+    /// The latency of one placement at batch 65,536: a batch of one.
+    fn predict(model: &CommCostModel, dims: &[f64], starts: &[f64]) -> f64 {
+        model.predict_batch(&[(dims, starts)], 65_536)[0]
+    }
+
     fn dataset(n: usize, d: usize) -> crate::collect::CommDataset {
         let pool = TablePool::synthetic_dlrm(60, 3);
         let cfg = CollectConfig {
@@ -208,8 +206,8 @@ mod tests {
             },
             2,
         );
-        let balanced = model.predict(&[250.0; 4], &[0.0; 4], 65_536);
-        let skewed = model.predict(&[700.0, 100.0, 100.0, 100.0], &[0.0; 4], 65_536);
+        let balanced = predict(&model, &[250.0; 4], &[0.0; 4]);
+        let skewed = predict(&model, &[700.0, 100.0, 100.0, 100.0], &[0.0; 4]);
         assert!(
             skewed > balanced,
             "skewed {skewed} should exceed balanced {balanced}"
@@ -230,7 +228,7 @@ mod tests {
             .collect();
         let batch = model.predict_batch(&refs, 65_536);
         for ((dims, starts), &b) in placements.iter().zip(&batch) {
-            let single = model.predict(dims, starts, 65_536);
+            let single = predict(&model, dims, starts);
             assert_eq!(single.to_bits(), b.to_bits());
         }
         assert!(model.predict_batch(&[], 65_536).is_empty());
@@ -270,7 +268,7 @@ mod tests {
     #[should_panic(expected = "wrong number of devices")]
     fn wrong_device_count_panics() {
         let model = CommCostModel::new(4, 0);
-        let _ = model.predict(&[1.0, 2.0], &[0.0, 0.0], 65_536);
+        let _ = predict(&model, &[1.0, 2.0], &[0.0, 0.0]);
     }
 
     #[test]
@@ -297,8 +295,8 @@ mod tests {
         let back: CommCostModel = serde_json::from_str(&json).unwrap();
         let dims = [100.0, 200.0, 300.0, 400.0];
         assert_eq!(
-            model.predict(&dims, &[0.0; 4], 65_536),
-            back.predict(&dims, &[0.0; 4], 65_536)
+            predict(&model, &dims, &[0.0; 4]),
+            predict(&back, &dims, &[0.0; 4])
         );
     }
 }

@@ -35,7 +35,7 @@ const HEAD_HIDDEN: [usize; 1] = [64];
 /// let model = ComputeCostModel::new(0);
 /// let t = TableProfile::new(64, 1 << 20, 15.0, 0.3, 1.1);
 /// let features = vec![table_features(&t, 65_536)];
-/// let cost = model.predict(&features);
+/// let cost = model.predict_batch(&[features])[0];
 /// assert!(cost.is_finite());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ pub struct ComputeCostModel {
     head: Mlp,
 }
 
-/// Reusable per-thread buffers for `predict`/`predict_batch`: the two
+/// Reusable per-thread buffers for `predict_batch`: the two
 /// networks' passes, the encoder's input being the batch of table rows and
 /// the head's the pooled per-set encodings. Thread-local because models
 /// are shared `&self` across search worker threads.
@@ -85,25 +85,18 @@ impl ComputeCostModel {
         Self::with_architecture(&[], &[], seed)
     }
 
-    /// Predicts the fused multi-table kernel cost (ms) for a combination
-    /// given per-table feature vectors.
+    /// Predicts the fused-kernel cost (ms) of many table combinations, each
+    /// given as per-table feature vectors, with two forward passes total:
+    /// every table row of every set goes through the shared encoder as one
+    /// matrix, each set's rows are sum-pooled, and the pooled rows go
+    /// through the head as one matrix. One combination is a batch of one.
     ///
-    /// An empty combination predicts the head's response to a zero sum
-    /// (≈ the kernel launch overhead once trained).
-    pub fn predict(&self, tables: &[Vec<f32>]) -> f64 {
-        self.predict_batch(&[tables])[0]
-    }
-
-    /// Predicts the fused-kernel cost of many table combinations with two
-    /// forward passes total: every table row of every set goes through the
-    /// shared encoder as one matrix, each set's rows are sum-pooled, and
-    /// the pooled rows go through the head as one matrix.
-    ///
-    /// Both forward passes and the pooling accumulate in the same order as
-    /// the single-set path, so each result is **bit-identical** to calling
-    /// [`ComputeCostModel::predict`] on that set alone. All intermediates
-    /// live in thread-local scratch — the hot path allocates only the
-    /// returned `Vec` after warm-up.
+    /// Both networks are row-independent and each set pools its own rows in
+    /// order, so a set's cost is **bit-identical** whatever other sets
+    /// share its batch. An empty combination predicts the head's response
+    /// to a zero sum (≈ the kernel launch overhead once trained). All
+    /// intermediates live in thread-local scratch — the hot path allocates
+    /// only the returned `Vec` after warm-up.
     pub fn predict_batch<S: AsRef<[Vec<f32>]>>(&self, sets: &[S]) -> Vec<f64> {
         if sets.is_empty() {
             return Vec::new();
@@ -414,6 +407,11 @@ mod tests {
     use nshard_data::TablePool;
     use nshard_sim::KernelParams;
 
+    /// The cost of one combination: a batch of one.
+    fn predict(model: &ComputeCostModel, tables: &[Vec<f32>]) -> f64 {
+        model.predict_batch(&[tables])[0]
+    }
+
     fn small_dataset(n: usize) -> ComputeDataset {
         let pool = TablePool::synthetic_dlrm(40, 5);
         let cfg = CollectConfig {
@@ -428,9 +426,9 @@ mod tests {
         let model = ComputeCostModel::new(0);
         let data = small_dataset(5);
         for s in &data.samples {
-            assert!(model.predict(&s.tables).is_finite());
+            assert!(predict(&model, &s.tables).is_finite());
         }
-        assert!(model.predict(&[]).is_finite());
+        assert!(predict(&model, &[]).is_finite());
     }
 
     #[test]
@@ -438,9 +436,9 @@ mod tests {
         let model = ComputeCostModel::new(3);
         let data = small_dataset(1);
         let mut tables = data.samples[0].tables.clone();
-        let a = model.predict(&tables);
+        let a = predict(&model, &tables);
         tables.reverse();
-        let b = model.predict(&tables);
+        let b = predict(&model, &tables);
         assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }
 
@@ -453,7 +451,7 @@ mod tests {
         let batch = model.predict_batch(&sets);
         assert_eq!(batch.len(), sets.len());
         for (s, &b) in sets.iter().zip(&batch) {
-            let single = model.predict(s);
+            let single = predict(&model, s);
             assert_eq!(single.to_bits(), b.to_bits(), "batch diverged on {s:?}");
         }
         assert!(model.predict_batch::<Vec<Vec<f32>>>(&[]).is_empty());
@@ -475,7 +473,7 @@ mod tests {
                 }
             }
             let via_parts = model.head_costs(&mut pooled)[0];
-            let direct = model.predict(&s.tables);
+            let direct = predict(&model, &s.tables);
             assert_eq!(via_parts.to_bits(), direct.to_bits());
         }
         assert!(model.encode_tables(&[]).is_empty());
@@ -531,7 +529,7 @@ mod tests {
             .iter()
             .max_by(|a, b| a.cost_ms.partial_cmp(&b.cost_ms).unwrap())
             .unwrap();
-        assert!(model.predict(&max.tables) > model.predict(&min.tables));
+        assert!(predict(&model, &max.tables) > predict(&model, &min.tables));
     }
 
     #[test]
@@ -931,7 +929,7 @@ mod tests {
             match label % 4 {
                 0 => {
                     for s in train.samples.iter_mut().step_by(2) {
-                        s.cost_ms = ComputeCostModel::new(seed).predict(&s.tables) as f32;
+                        s.cost_ms = predict(&ComputeCostModel::new(seed), &s.tables) as f32;
                     }
                 }
                 1 => train.samples[n - 1].cost_ms = f32::NAN,

@@ -777,7 +777,7 @@ mod tests {
                 .iter()
                 .map(|t| table_features(t, bundle.batch_size()))
                 .collect();
-            bundle.compute_model().predict(&feats)
+            bundle.compute_model().predict_batch(&[feats])[0]
         };
 
         // device_compute_cost_batch, including an in-batch duplicate and

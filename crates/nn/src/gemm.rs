@@ -1,11 +1,11 @@
-//! Cache-blocked, autovectorization-friendly GEMM kernels.
+//! The packed, register-tiled GEMM kernel every MLP forward runs through.
 //!
 //! Every plan the search evaluates bottoms out in a handful of tiny dense
 //! matrix products (`batch × 8 · 8 × 128`, `batch × 128 · 128 × 32`, …), so
-//! these kernels are written for one thing: letting LLVM emit wide vector
-//! code without `unsafe`. Three ingredients make that happen:
+//! the kernel is written for one thing: letting LLVM emit wide vector code
+//! without `unsafe`. Three ingredients make that happen:
 //!
-//! * **register tiling** — the blocked kernel computes an `MR × NR`
+//! * **register tiling** — [`PackedGemm::gemm_into`] computes an `MR × NR`
 //!   (4 × 16) tile of the output at a time, keeping 64 scalar accumulators
 //!   in registers across the whole `k` loop,
 //! * **fixed-width inner loops** — the innermost loops run over `[f32; NR]`
@@ -14,18 +14,19 @@
 //! * **packed panels** — [`PackedGemm`] stores the right-hand operand as
 //!   column panels of width `NR` (`[ceil(n/NR)][k][NR]`, zero-padded), so
 //!   the `k` loop walks both operands contiguously. Layers pack their
-//!   weights once at load time and reuse the panels for every forward pass.
+//!   weights once at load time and reuse the panels for every forward pass;
+//!   the free [`gemm_into`] packs its operand on every call.
 //!
 //! # Bit-exactness contract
 //!
-//! All f32 kernels in this module produce **bit-identical** results to the
-//! scalar reference [`gemm_ref_into`]: each output element is accumulated in
-//! a single `f32` accumulator over `k` in ascending order, exactly like the
-//! reference's `i, k, j` loop nest. Blocking only reorders *which elements*
-//! are computed when, never the additions *within* one element, and no
+//! Each output element is accumulated in a single `f32` accumulator that
+//! starts at `+0.0` and adds `a[i][k] * b[k][j]` over `k` in ascending
+//! order — the scalar `i, k, j` loop nest the unit tests and
+//! `tests/kernel_conformance.rs` keep as a reference and compare by
+//! `to_bits` across odd shapes. Tiling only reorders *which elements* are
+//! computed when, never the additions *within* one element, and no
 //! fused-multiply-add or re-association is introduced (rustc does not
-//! contract float expressions). The conformance suite in
-//! `tests/kernel_conformance.rs` pins this across odd shapes.
+//! contract float expressions).
 //!
 //! The two backward-pass products (crate-internal, behind
 //! [`crate::Mlp::backward`]) keep their own, equally fixed orders:
@@ -36,128 +37,20 @@
 //! before one scaled fold into its output.
 
 /// Rows of the output register tile.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns of the output register tile (and packed panel width).
-pub const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
-/// Scalar reference kernel: `out = a · b` with `a: m × k`, `b: k × n`, both
-/// row-major.
-///
-/// This is the historical `Matrix::matmul` loop nest (minus its
-/// `a == 0.0` skip, which was a data-dependent branch in the hot loop and a
-/// `-0.0`/NaN behavior hazard). Each `out[i][j]` accumulates
-/// `a[i][k] * b[k][j]` over `k` in ascending order. The blocked kernels are
-/// tested bit-identical against this.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn gemm_ref_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_ref_into: lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_ref_into: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_ref_into: out length mismatch");
-    out.fill(0.0);
-    if n == 0 {
-        return;
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (b_row, &av) in b.chunks_exact(n).zip(a_row) {
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Blocked kernel: `out = a · b`, both operands row-major and unpacked.
-///
-/// Tiles the output into `MR × NR` register blocks with the `k` loop
-/// innermost and sequential, so every output element sees the exact same
-/// ascending-`k` accumulation as [`gemm_ref_into`] (bit-identical results).
+/// `out = a · b` with `a: m × k`, `b: k × n`, both row-major: packs `b`
+/// into panels and runs [`PackedGemm::gemm_into`], so it is bitwise the
+/// same product. A caller that multiplies by one `b` many times should
+/// keep the [`PackedGemm`].
 ///
 /// # Panics
 ///
 /// Panics if slice lengths do not match the given dimensions.
 pub fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_into: lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_into: rhs length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_into: out length mismatch");
-    if n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let n_main = n - n % NR;
-    let m_main = m - m % MR;
-    let mut i = 0;
-    while i < m_main {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let a2 = &a[(i + 2) * k..(i + 3) * k];
-        let a3 = &a[(i + 3) * k..(i + 4) * k];
-        let mut j = 0;
-        while j < n_main {
-            let mut acc = [[0.0f32; NR]; MR];
-            for ((((b_row, &v0), &v1), &v2), &v3) in
-                b.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3)
-            {
-                let bk: &[f32; NR] = b_row[j..j + NR].try_into().expect("NR-wide tile");
-                let av = [v0, v1, v2, v3];
-                for r in 0..MR {
-                    for c in 0..NR {
-                        acc[r][c] += av[r] * bk[c];
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_row);
-            }
-            j += NR;
-        }
-        for j in n_main..n {
-            let mut acc = [0.0f32; MR];
-            for ((((b_row, &v0), &v1), &v2), &v3) in
-                b.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3)
-            {
-                let bv = b_row[j];
-                acc[0] += v0 * bv;
-                acc[1] += v1 * bv;
-                acc[2] += v2 * bv;
-                acc[3] += v3 * bv;
-            }
-            for (r, &v) in acc.iter().enumerate() {
-                out[(i + r) * n + j] = v;
-            }
-        }
-        i += MR;
-    }
-    while i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j < n_main {
-            let mut acc = [0.0f32; NR];
-            for (b_row, &av) in b.chunks_exact(n).zip(a_row) {
-                let bk: &[f32; NR] = b_row[j..j + NR].try_into().expect("NR-wide tile");
-                for c in 0..NR {
-                    acc[c] += av * bk[c];
-                }
-            }
-            out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
-            j += NR;
-        }
-        for j in n_main..n {
-            let mut acc = 0.0f32;
-            for (b_row, &av) in b.chunks_exact(n).zip(a_row) {
-                acc += av * b_row[j];
-            }
-            out[i * n + j] = acc;
-        }
-        i += 1;
-    }
+    PackedGemm::pack(b, k, n).gemm_into(a, m, out);
 }
 
 /// One operand of [`at_b_into`]: `(data, stride)`, row `r` starting at
@@ -265,7 +158,7 @@ fn fold_tile<const R: usize>(
 /// holds columns `p*NR .. p*NR+NR` of the original `k × n` matrix with the
 /// last panel zero-padded. The `k` loop of [`PackedGemm::gemm_into`] then
 /// streams both operands contiguously. Padded lanes accumulate zeros and
-/// are never stored, so results stay bit-identical to [`gemm_ref_into`].
+/// are never stored, so padding never changes a result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedGemm {
     k: usize,
@@ -334,7 +227,8 @@ impl PackedGemm {
     }
 
     /// `out = a · B` where `a` is row-major `m × k` and `B` is the packed
-    /// operand. Bit-identical to [`gemm_ref_into`] on the unpacked matrix.
+    /// operand, each element summed over `k` in ascending order from `+0.0`
+    /// (see the module's bit-exactness contract).
     ///
     /// # Panics
     ///
@@ -440,6 +334,21 @@ impl PackedGemm {
 mod tests {
     use super::*;
 
+    /// The scalar reference: `out = a · b`, each `out[i][j]` summing
+    /// `a[i][k] * b[k][j]` over `k` in ascending order from `+0.0` — the
+    /// loop nest both GEMM entry points must match bit for bit.
+    fn gemm_ref_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+        assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n));
+        out.fill(0.0);
+        for i in 0..m {
+            for kk in 0..k {
+                for j in 0..n {
+                    out[i * n + j] += a[i * k + kk] * b[kk * n + j];
+                }
+            }
+        }
+    }
+
     fn dummy(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.73).cos()).collect();
@@ -447,7 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_reference_bitwise() {
+    fn kernels_match_reference_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for &(m, k, n) in &[
             (1, 1, 1),
             (4, 8, 8),
@@ -456,25 +366,22 @@ mod tests {
             (17, 8, 128),
             (1, 128, 1),
             (12, 1, 40),
+            (0, 5, 3),
+            (2, 0, 3),
+            (3, 4, 0),
+            (0, 0, 0),
         ] {
             let (a, b) = dummy(m, k, n);
+            let shape = format!("m={m} k={k} n={n}");
             let mut want = vec![0.0f32; m * n];
-            let mut got = vec![0.0f32; m * n];
             gemm_ref_into(&a, &b, m, k, n, &mut want);
+            // Outputs start dirty: every element must be written.
+            let mut got = vec![f32::NAN; m * n];
             gemm_into(&a, &b, m, k, n, &mut got);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "blocked kernel diverged at m={m} k={k} n={n}"
-            );
-            let packed = PackedGemm::pack(&b, k, n);
-            let mut got_packed = vec![0.0f32; m * n];
-            packed.gemm_into(&a, m, &mut got_packed);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got_packed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "packed kernel diverged at m={m} k={k} n={n}"
-            );
+            assert_eq!(bits(&want), bits(&got), "free gemm_into, {shape}");
+            let mut got = vec![f32::NAN; m * n];
+            PackedGemm::pack(&b, k, n).gemm_into(&a, m, &mut got);
+            assert_eq!(bits(&want), bits(&got), "kept pack, {shape}");
         }
     }
 
@@ -514,17 +421,6 @@ mod tests {
         let mut out = vec![1.0f32; 6];
         packed.gemm_sum_into(&[], 2, &mut out);
         assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
-    }
-
-    #[test]
-    fn zero_k_is_zero() {
-        let mut out = vec![1.0f32; 6];
-        gemm_into(&[], &[], 2, 0, 3, &mut out);
-        assert_eq!(out, vec![0.0; 6]);
-        let packed = PackedGemm::pack(&[], 0, 3);
-        let mut out = vec![1.0f32; 6];
-        packed.gemm_into(&[], 2, &mut out);
-        assert_eq!(out, vec![0.0; 6]);
     }
 
     #[test]

@@ -170,25 +170,13 @@ impl Dense {
             .get(|p| p.repack_transposed(self.w.as_slice(), self.w.rows(), self.w.cols()))
     }
 
-    /// Forward pass: `x (batch × in) → batch × out`.
+    /// Forward pass `x (batch × in) → out (batch × out)` into a
+    /// caller-provided output, reusing its allocation.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != input_dim`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(x.rows(), self.output_dim());
-        self.forward_into(x, &mut y);
-        y
-    }
-
-    /// Forward pass into a caller-provided output, reusing its allocation.
-    ///
-    /// Bit-identical to [`Dense::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != input_dim`.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.input_dim(), "matmul shape mismatch");
         out.reset(x.rows(), self.output_dim());
         self.packed()
@@ -223,7 +211,7 @@ impl Dense {
 
     /// Direct mutable access to the parameters (weights buffer then bias),
     /// used by the optimizer.
-    pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+    pub(crate) fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
         self.packed.invalidate();
         self.packed_t.invalidate();
         (self.w.as_mut_slice(), &mut self.b)
@@ -231,7 +219,7 @@ impl Dense {
 }
 
 /// ReLU forward in place: `max(0, x)` element-wise.
-pub fn relu_inplace(x: &mut Matrix) {
+pub(crate) fn relu_inplace(x: &mut Matrix) {
     x.map_inplace(|v| v.max(0.0));
 }
 
@@ -259,6 +247,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `layer`'s output on `x`, into a fresh matrix.
+    fn forward(layer: &Dense, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        layer.forward_into(x, &mut y);
+        y
+    }
+
     #[test]
     fn forward_known_values() {
         let mut layer = Dense::new(2, 1, 0);
@@ -267,7 +262,7 @@ mod tests {
         w.copy_from_slice(&[2.0, -1.0]);
         b.copy_from_slice(&[0.5]);
         let x = Matrix::from_rows([vec![1.0, 3.0]]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         assert_eq!(y.get(0, 0), 1.0 * 2.0 + -3.0 + 0.5);
     }
 
@@ -305,7 +300,7 @@ mod tests {
             for s in 0..=step {
                 fresh.params_mut().0[s] += 0.25;
             }
-            assert_eq!(layer.forward(&x), fresh.forward(&x));
+            assert_eq!(forward(&layer, &x), forward(&fresh, &x));
             layer.input_grad_into(&dy, &mut dx);
             let mut want = Matrix::default();
             fresh.input_grad_into(&dy, &mut want);
@@ -328,7 +323,7 @@ mod tests {
         crate::gemm::at_b_into(x_rows, dy_rows, 2, 2, 1.0, dw.as_mut_slice());
         crate::gemm::at_b_into((&[1.0], 0), dy_rows, 2, 2, 1.0, &mut db);
 
-        let loss = |layer: &Dense, x: &Matrix| -> f32 { layer.forward(x).as_slice().iter().sum() };
+        let loss = |layer: &Dense, x: &Matrix| -> f32 { forward(layer, x).as_slice().iter().sum() };
         let eps = 1e-3;
 
         // Check dW numerically.
@@ -366,7 +361,7 @@ mod tests {
         fn forward_shape(batch in 1usize..8, input in 1usize..8, output in 1usize..8) {
             let layer = Dense::new(input, output, 3);
             let x = Matrix::zeros(batch, input);
-            let y = layer.forward(&x);
+            let y = forward(&layer, &x);
             prop_assert_eq!(y.rows(), batch);
             prop_assert_eq!(y.cols(), output);
         }

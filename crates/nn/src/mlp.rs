@@ -173,7 +173,7 @@ impl Mlp {
     }
 
     /// Mutable access to the layers (used by the optimizer).
-    pub fn layers_mut(&mut self) -> &mut [Dense] {
+    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }
 
@@ -187,25 +187,21 @@ impl Mlp {
         self.layers.last().map_or(0, Dense::output_dim)
     }
 
-    /// Inference-only forward pass.
+    /// Inference-only forward pass: [`Mlp::forward_in`] on a workspace of
+    /// its own, for callers that do not keep one.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len().saturating_sub(1);
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            if i < last {
-                relu_inplace(&mut h);
-            }
-        }
-        h
+        let mut ws = MlpWorkspace::new();
+        ws.x = x.clone();
+        self.forward_in(&mut ws);
+        ws.acts.pop().unwrap_or(ws.x)
     }
 
     /// Forward pass over the batch in [`MlpWorkspace::input_mut`]: every
     /// layer's output is written once into `ws`, where [`Mlp::backward`]
-    /// finds it. Bit-identical to [`Mlp::forward`], and row-independent: a
-    /// row's activations do not depend on which other rows share its batch.
-    /// Inference runs through it too, so a hot caller that keeps its
-    /// workspace allocates nothing after warm-up.
+    /// finds it. Row-independent: a row's activations do not depend on
+    /// which other rows share its batch. Every forward runs through it, so
+    /// a hot caller that keeps its workspace allocates nothing after
+    /// warm-up.
     pub fn forward_in<'w>(&self, ws: &'w mut MlpWorkspace) -> &'w Matrix {
         ws.acts.resize_with(self.layers.len(), Matrix::default);
         let last = self.layers.len().saturating_sub(1);
@@ -365,8 +361,23 @@ mod tests {
         (mlp.input_gradient(&mut ws).clone(), grads)
     }
 
+    /// The layer chain spelled out: each layer's `forward_into` a fresh
+    /// matrix, ReLU on every output but the last.
+    fn layer_by_layer(mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut h = x.clone();
+        for (i, layer) in mlp.layers().iter().enumerate() {
+            let mut y = Matrix::default();
+            layer.forward_into(&h, &mut y);
+            if i + 1 < mlp.layers().len() {
+                relu_inplace(&mut y);
+            }
+            h = y;
+        }
+        h
+    }
+
     #[test]
-    fn training_forward_matches_plain_forward() {
+    fn workspace_forward_matches_the_layer_chain() {
         let mlp = Mlp::new(4, &[8, 8], 2, 3);
         let x1 = Matrix::from_rows([vec![0.1, -0.2, 0.3, 0.4], vec![1.0, 2.0, -3.0, 0.5]]);
         let x2 = Matrix::from_rows([vec![-0.7, 0.0, 2.5, 0.9]]);
@@ -375,10 +386,10 @@ mod tests {
         // every predict path reuses its own.
         let mut ws = MlpWorkspace::new();
         for x in [&x1, &x2, &x1] {
-            let want = mlp.forward(x);
+            let want = layer_by_layer(&mlp, x);
             ws.input_mut().copy_from(x);
             assert_eq!(bits(mlp.forward_in(&mut ws)), bits(&want));
-            assert_eq!(ws.output(), &want);
+            assert_eq!(bits(&mlp.forward(x)), bits(&want));
         }
     }
 

@@ -94,7 +94,8 @@ fn forward_cached(mlp: &Mlp, x: &Matrix) -> (Matrix, Cache) {
     let last = mlp.layers().len().saturating_sub(1);
     for (i, layer) in mlp.layers().iter().enumerate() {
         cache.inputs.push(h.clone());
-        let pre = layer.forward(&h);
+        let mut pre = Matrix::default();
+        layer.forward_into(&h, &mut pre);
         cache.pre_acts.push(pre.clone());
         h = if i < last { relu(&pre) } else { pre };
     }

@@ -20,7 +20,7 @@
 //!   envelopes.
 //!
 //! **Version policy.** The current format is [`CHECKPOINT_VERSION`]; every
-//! version down to [`MIN_SUPPORTED_CHECKPOINT_VERSION`] still loads and is
+//! version down to `MIN_SUPPORTED_CHECKPOINT_VERSION` still loads and is
 //! migrated forward in memory (v1 documents predate the `created_by`
 //! field, which migration defaults to the empty string). Anything outside
 //! that range surfaces a typed [`CheckpointError::UnsupportedVersion`] —
@@ -37,7 +37,7 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Oldest checkpoint format version this build still loads (migrating it
 /// forward in memory).
-pub const MIN_SUPPORTED_CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const MIN_SUPPORTED_CHECKPOINT_VERSION: u32 = 1;
 
 /// Errors arising from checkpoint handling.
 #[derive(Debug)]

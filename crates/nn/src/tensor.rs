@@ -117,7 +117,7 @@ impl Matrix {
     }
 
     /// Mutable access to the flat row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -170,7 +170,7 @@ impl Matrix {
     }
 
     /// Makes `self` an exact copy of `other`, reusing the allocation.
-    pub fn copy_from(&mut self, other: &Matrix) {
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
         self.rows = other.rows;
         self.cols = other.cols;
         self.data.clear();
@@ -182,7 +182,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `bias.len() != self.cols`.
-    pub fn add_row_bias(&mut self, bias: &[f32]) {
+    pub(crate) fn add_row_bias(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
         for r in 0..self.rows {
             for (v, &b) in self.row_mut(r).iter_mut().zip(bias) {
@@ -192,7 +192,7 @@ impl Matrix {
     }
 
     /// Element-wise in-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in &mut self.data {
             *v = f(*v);
         }
@@ -203,7 +203,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
+    pub(crate) fn add_scaled(&mut self, other: &Matrix, scale: f32) {
         assert_eq!(self.rows, other.rows, "add_scaled shape mismatch");
         assert_eq!(self.cols, other.cols, "add_scaled shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
@@ -216,7 +216,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
+    pub(crate) fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::default();
         self.select_rows_into(indices, &mut out);
         out
@@ -241,7 +241,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// `a · b` through the blocked kernel every layer's forward pass uses.
+    /// `a · b` through the free `gemm_into`.
     fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());

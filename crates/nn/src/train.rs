@@ -194,7 +194,7 @@ impl TrainSettings {
 
     /// Rows per mini-batch when the training partition has `n` rows: a
     /// fit's workspace is sized by it and [`fit_epochs`] chunks by it.
-    pub fn batch_for(&self, n: usize) -> usize {
+    pub(crate) fn batch_for(&self, n: usize) -> usize {
         self.batch_size.min(n).max(1)
     }
 }

@@ -403,7 +403,7 @@ mod tests {
                 // the tables; the row lists them in table order, so the
                 // f32 sum may round differently in its last place.
                 ObservationKind::Compute => {
-                    let replay = bundle.compute_model().predict(&obs.features);
+                    let replay = bundle.compute_model().predict_batch(&[&obs.features])[0];
                     (replay - obs.predicted_ms).abs() <= 1e-6 * replay.abs()
                 }
                 ObservationKind::CommForward => comm(bundle.comm_fwd_model()),

@@ -176,7 +176,7 @@ mod tests {
     fn compute_obs(bundle: &CostModelBundle, table: &TableConfig, scale: f64) -> ObservationWire {
         let profile = table.profile(bundle.batch_size());
         let features = vec![table_features(&profile, bundle.batch_size())];
-        let predicted = bundle.compute_model().predict(&features);
+        let predicted = bundle.compute_model().predict_batch(&[&features])[0];
         ObservationWire {
             kind: "compute".into(),
             features,

@@ -84,15 +84,27 @@
 # `nshard-bench` names no `nshard-serve`, and `repro` is its one binary —
 # load tests are `#[test]`s and timing lives in `benchmark/`.
 #
-# Same rule as count-lines.sh: each file is cut at its first `#[cfg(test)]`
-# and lines starting with `//` are dropped.
+# One GEMM kernel, one MLP forward (DESIGN.md §11): every product
+# `a · B` runs through `nn::gemm::PackedGemm` (the free `gemm_into` packs
+# and calls it) and every MLP forward through `Mlp::forward_in`, so the
+# scalar reference GEMM lives only in tests, `gemm.rs` tiles nowhere but
+# `PackedGemm` and the weight-gradient kernel `at_b_into`, the allocating
+# `Dense::forward` stays deleted, and so do the cost models' single-row
+# `predict`s (one set is a batch of one).
+#
+# Same rule as count-lines.sh: the test-only module files are skipped, each
+# other file is cut at its first line that starts with `#[cfg(test)]`, and
+# lines starting with `//` are dropped.
 set -eu
 cd "$(dirname "$0")/.."
 
+# The test-only module files, as in count-lines.sh.
+TEST_ONLY='crates/nn/src/reference.rs'
+
 code() {
-    find "$@" -name '*.rs' | sort | xargs awk '
+    find "$@" -name '*.rs' | grep -vxF "$TEST_ONLY" | sort | xargs awk '
         FNR == 1 { cut = 0 }
-        /#\[cfg\(test\)\]/ { cut = 1 }
+        /^#\[cfg\(test\)\]/ { cut = 1 }
         cut || /^[[:space:]]*\/\// { next }
         { print FILENAME ":" FNR ": " $0 }'
 }
@@ -197,6 +209,30 @@ fi
 if code crates/nn/src/train.rs crates/cost/src/compute.rs crates/cost/src/comm_model.rs |
     grep -wE 'WorkPool|for_each_mut'; then
     echo "error: a fit takes no pool; models fit side by side in the pre-train's lanes (lines above)" >&2
+    exit 1
+fi
+
+if code crates/*/src src | grep -w 'gemm_ref_into'; then
+    echo "error: the scalar GEMM reference lives only in tests; PackedGemm is the one kernel (lines above)" >&2
+    exit 1
+fi
+# A tile is an `[f32; NR]` accumulator or a `0..NR` loop; each top-level
+# item of gemm.rs is named by its first line.
+if code crates/nn/src/gemm.rs | awk '
+    { line = $0; sub(/^[^:]*:[0-9]+: /, "", line) }
+    line ~ /^(pub(\(crate\))? )?(fn|impl|struct|const|type)[ <]/ { item = line }
+    line ~ /; NR\]|\.\.NR([^A-Za-z0-9_]|$)/ &&
+        item !~ /^impl PackedGemm|fn (at_b_into|at_b_tile|fold_tile)[<(]/ { print; found = 1 }
+    END { exit !found }'; then
+    echo "error: gemm.rs tiles only in PackedGemm and at_b_into; a product a · B packs B (lines above)" >&2
+    exit 1
+fi
+if code crates/nn/src/layer.rs | grep -E 'fn forward\('; then
+    echo "error: Mlp::forward_in is the one MLP forward; Dense::forward stays deleted (lines above)" >&2
+    exit 1
+fi
+if code crates/cost/src/compute.rs crates/cost/src/comm_model.rs | grep -E 'fn predict\('; then
+    echo "error: one set is a batch of one; price through predict_batch (lines above)" >&2
     exit 1
 fi
 

@@ -355,9 +355,10 @@ proptest! {
                 let d = bundle.num_devices();
                 let table = TableProfile::new(64, 1 << 20, 15.0, 0.3, 1.1);
                 let features = vec![table_features(&table, 1024)];
-                prop_assert!(bundle.compute_model().predict(&features).is_finite());
+                prop_assert!(bundle.compute_model().predict_batch(&[&features])[0].is_finite());
+                let (dims, starts) = (vec![300.0; d], vec![0.0; d]);
                 for comm in [bundle.comm_fwd_model(), bundle.comm_bwd_model()] {
-                    comm.predict(&vec![300.0; d], &vec![0.0; d], 1024);
+                    comm.predict_batch(&[(&dims[..], &starts[..])], 1024);
                 }
                 CostSimulator::new(bundle).estimate_plan(&vec![vec![table]; d]);
             }

@@ -98,7 +98,7 @@ fn filled_buffer(incumbent: &CostModelBundle) -> ObservationBuffer {
     let mut buffer = ObservationBuffer::new(BufferConfig::default());
     for table in pool().tables() {
         let features = vec![table_features(&table.profile(batch), batch)];
-        let predicted = incumbent.compute_model().predict(&features);
+        let predicted = incumbent.compute_model().predict_batch(&[&features])[0];
         buffer.insert(ObservationWire {
             kind: ObservationKind::Compute.label().into(),
             features,

@@ -352,7 +352,7 @@ fn learned_violations(bundle: CostModelBundle) -> Tally {
         };
         let starts = vec![0.0; devices];
         for model in &comm {
-            let predicted = |dims: &[f64]| model.predict(dims, &starts, BATCH);
+            let predicted = |dims: &[f64]| model.predict_batch(&[(dims, &starts[..])], BATCH)[0];
             tally[2].0 += usize::from(predicted(&low) > predicted(&high));
             tally[2].1 += 1;
         }
