@@ -208,7 +208,7 @@ impl ShardingAlgorithm for ImitationSharder {
             placed_bytes[chosen] += table.memory_bytes();
             device_of[i] = chosen;
         }
-        ShardingPlan::with_split_plan(split_plan, tables, device_of, task.num_devices())
+        ShardingPlan::new(split_plan, tables, device_of, task.num_devices())
     }
 }
 

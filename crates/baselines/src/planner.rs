@@ -13,7 +13,9 @@
 //! partitioned greedily under the memory budget, scored by the heuristic
 //! max-device cost, best proposal wins.
 
-use nshard_core::{apply_column_plan, ColumnPlan, PlanError, ShardingAlgorithm, ShardingPlan};
+use nshard_core::{
+    apply_split_plan, PlanError, ShardingAlgorithm, ShardingPlan, SplitPlan, SplitStep,
+};
 use nshard_data::{ShardingTask, TableConfig};
 
 /// The TorchRec-like planning baseline.
@@ -44,10 +46,11 @@ impl Heuristic {
 }
 
 impl TorchRecLikePlanner {
-    /// Builds the column plan that splits every table whose byte size
-    /// exceeds `threshold` until all shards fit (or can no longer split).
-    fn split_until_fits(tables: &[TableConfig], threshold: u64) -> (ColumnPlan, Vec<TableConfig>) {
-        let mut plan: ColumnPlan = Vec::new();
+    /// Builds the column-wise split plan that splits every table whose
+    /// byte size exceeds `threshold` until all shards fit (or can no longer
+    /// split).
+    fn split_until_fits(tables: &[TableConfig], threshold: u64) -> (SplitPlan, Vec<TableConfig>) {
+        let mut plan = SplitPlan::new();
         let mut list = tables.to_vec();
         // Repeatedly split the first too-large splittable shard; bounded by
         // the total dimension budget so it always terminates.
@@ -56,7 +59,7 @@ impl TorchRecLikePlanner {
             .position(|t| t.memory_bytes() > threshold && t.split_columns().is_some())
         {
             let (a, b) = list[idx].split_columns().expect("checked splittable");
-            plan.push(idx);
+            plan.push(SplitStep::column(idx));
             list[idx] = a;
             list.push(b);
         }
@@ -110,9 +113,9 @@ impl ShardingAlgorithm for TorchRecLikePlanner {
         let thresholds = [budget, budget / 2, budget / 4, budget / 8];
         let heuristics = [Heuristic::Lookup, Heuristic::Storage, Heuristic::Dim];
 
-        let mut best: Option<(f64, ColumnPlan, Vec<TableConfig>, Vec<usize>)> = None;
+        let mut best: Option<(f64, SplitPlan, Vec<TableConfig>, Vec<usize>)> = None;
         for &threshold in &thresholds {
-            let (col_plan, shards) = Self::split_until_fits(task.tables(), threshold);
+            let (split_plan, shards) = Self::split_until_fits(task.tables(), threshold);
             for &h in &heuristics {
                 let Some(device_of) = Self::partition(&shards, budgets, h) else {
                     continue;
@@ -126,19 +129,19 @@ impl ShardingAlgorithm for TorchRecLikePlanner {
                 }
                 let score = per_dev.iter().cloned().fold(0.0, f64::max);
                 if best.as_ref().is_none_or(|(s, ..)| score < *s) {
-                    best = Some((score, col_plan.clone(), shards.clone(), device_of));
+                    best = Some((score, split_plan.clone(), shards.clone(), device_of));
                 }
             }
         }
 
-        let (_, col_plan, shards, device_of) = best.ok_or_else(|| PlanError::Infeasible {
+        let (_, split_plan, shards, device_of) = best.ok_or_else(|| PlanError::Infeasible {
             reason: "no proposal fits the memory budget".into(),
         })?;
         debug_assert_eq!(
-            apply_column_plan(task.tables(), &col_plan).as_deref(),
+            apply_split_plan(task.tables(), &split_plan).as_deref(),
             Ok(&shards[..]),
         );
-        ShardingPlan::new(col_plan, shards, device_of, task.num_devices())
+        ShardingPlan::new(split_plan, shards, device_of, task.num_devices())
     }
 }
 
@@ -205,6 +208,9 @@ mod tests {
         let total: u64 = shards.iter().map(TableConfig::memory_bytes).sum();
         assert_eq!(total, tables[0].memory_bytes());
         // The recorded plan reproduces the shards.
-        assert_eq!(apply_column_plan(&tables, &plan).unwrap(), shards);
+        assert_eq!(apply_split_plan(&tables, &plan).unwrap(), shards);
+        assert!(plan
+            .iter()
+            .all(|s| s.kind == nshard_core::SplitKind::Column));
     }
 }

@@ -199,8 +199,7 @@ impl<'a> BeamSearch<'a> {
             ),
         })?;
         let sharded = apply_split_plan(task.tables(), &split_plan)?;
-        let plan =
-            ShardingPlan::with_split_plan(split_plan, sharded, device_of, task.num_devices())?;
+        let plan = ShardingPlan::new(split_plan, sharded, device_of, task.num_devices())?;
         Ok(BeamSearchResult {
             plan,
             estimated_cost_ms: cost,

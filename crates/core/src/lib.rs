@@ -11,7 +11,7 @@
 //! where `f` is estimated entirely by the pre-trained cost models — no GPU
 //! (here: no ground-truth simulator) execution during search.
 //!
-//! * `plan` — column-wise and table-wise plan types and their semantics
+//! * `plan` — split plans, placements and the plan type that joins them
 //!   ([`ShardingPlan`], [`SplitPlan`]),
 //! * `greedy_grid` — the inner loop (Algorithm 2, [`GreedyGridSearch`]): a
 //!   greedy allocator balancing predicted computation costs under a
@@ -76,8 +76,8 @@ pub use local::{
 };
 pub use neuroshard::{ConfigError, NeuroShard, NeuroShardConfig, ShardOutcome};
 pub use plan::{
-    apply_column_plan, apply_split_plan, migration_bytes, ColumnPlan, PlanError, ShardingPlan,
-    SplitKind, SplitPlan, SplitStep,
+    apply_split_plan, migration_bytes, replan_migration_bytes, PlanError, ShardingPlan, SplitKind,
+    SplitPlan, SplitStep,
 };
 
 use nshard_data::ShardingTask;

@@ -166,7 +166,7 @@ impl PlanDelta {
             }
         }
         // A device the plan does not have is rejected here.
-        ShardingPlan::with_split_plan(split_plan, tables, device_of, base.num_devices())
+        ShardingPlan::new(split_plan, tables, device_of, base.num_devices())
     }
 }
 
@@ -859,7 +859,7 @@ mod tests {
                 }
             }
         }
-        let plan = ShardingPlan::with_split_plan(split_plan, tables, device_of, num_devices)?;
+        let plan = ShardingPlan::new(split_plan, tables, device_of, num_devices)?;
         plan.validate(task)?;
         Ok((plan, steps, initial_overflow_bytes))
     }

@@ -1,4 +1,4 @@
-//! Sharding plan types: column-wise plans, table-wise plans and their
+//! Sharding plan types: split plans, table-wise placements and their
 //! combined result.
 
 use serde::{Deserialize, Serialize};
@@ -6,12 +6,6 @@ use serde::{Deserialize, Serialize};
 use nshard_data::task::MAX_WIRE_DEVICES;
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_sim::TableProfile;
-
-/// A column-wise sharding plan `c = [c₁, c₂, ..., cₘ]` (§3.3): at step `i`,
-/// the table at index `cᵢ` of the *current* table list is split into two
-/// column-wise halves; the first half replaces position `cᵢ` and the second
-/// is appended to the end of the list.
-pub type ColumnPlan = Vec<usize>;
 
 /// How a table is split in two by one sharding step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -64,7 +58,11 @@ impl SplitStep {
     }
 }
 
-/// A generalized sharding plan mixing column- and row-wise steps.
+/// A sharding plan's split steps, in order. The paper's column-wise plan
+/// `c = [c₁, c₂, ..., cₘ]` (§3.3) is the special case whose steps are all
+/// [`SplitStep::column`]: at step `i` the table at index `cᵢ` of the
+/// *current* table list is split into two halves; the first half replaces
+/// position `cᵢ` and the second is appended to the end of the list.
 pub type SplitPlan = Vec<SplitStep>;
 
 /// Errors produced while constructing or validating sharding plans.
@@ -146,33 +144,6 @@ pub(crate) fn finite_cost(what: &str, value: f64) -> Result<f64, PlanError> {
     }
 }
 
-/// Applies a column-wise plan to a table list, producing the sharded list
-/// of `T + |plan|` tables.
-///
-/// # Errors
-///
-/// [`PlanError::ColumnIndexOutOfRange`] or [`PlanError::UnsplittableTable`]
-/// when a step is illegal.
-///
-/// ```
-/// use nshard_core::apply_column_plan;
-/// use nshard_data::{TableConfig, TableId};
-///
-/// let tables = vec![TableConfig::new(TableId(0), 64, 1000, 5.0, 1.0)];
-/// let sharded = apply_column_plan(&tables, &[0, 0])?;
-/// assert_eq!(sharded.len(), 3);
-/// // First split: 64 → 32+32; second split of index 0: 32 → 16+16.
-/// assert_eq!(sharded.iter().map(|t| t.dim()).collect::<Vec<_>>(), vec![16, 32, 16]);
-/// # Ok::<(), nshard_core::PlanError>(())
-/// ```
-pub fn apply_column_plan(
-    tables: &[TableConfig],
-    plan: &[usize],
-) -> Result<Vec<TableConfig>, PlanError> {
-    let steps: SplitPlan = plan.iter().map(|&i| SplitStep::column(i)).collect();
-    apply_split_plan(tables, &steps)
-}
-
 /// Applies a generalized (column- and/or row-wise) split plan to a table
 /// list, producing the sharded list of `T + |plan|` tables.
 ///
@@ -234,22 +205,28 @@ pub(crate) fn split_in_place(
     Ok(())
 }
 
-/// A complete sharding plan: the column-wise sharded table list plus the
-/// device assignment of every sharded table.
+/// A complete sharding plan: the split plan, the sharded table list it
+/// produces and the device assignment of every sharded table.
 ///
 /// # Example
 ///
 /// ```
-/// use nshard_core::ShardingPlan;
+/// use nshard_core::{apply_split_plan, ShardingPlan, SplitStep};
 /// use nshard_data::{TableConfig, TableId};
 ///
 /// let tables = vec![
 ///     TableConfig::new(TableId(0), 64, 1000, 5.0, 1.0),
 ///     TableConfig::new(TableId(1), 32, 2000, 3.0, 1.0),
 /// ];
-/// let plan = ShardingPlan::new(vec![], tables, vec![0, 1], 2)?;
+/// let plan = ShardingPlan::new(vec![], tables.clone(), vec![0, 1], 2)?;
 /// assert_eq!(plan.num_devices(), 2);
 /// assert_eq!(plan.device_tables()[0].len(), 1);
+///
+/// // A column-wise plan is a plan whose steps are all column splits.
+/// let steps = vec![SplitStep::column(0)];
+/// let sharded = apply_split_plan(&tables, &steps)?;
+/// let split = ShardingPlan::new(steps, sharded, vec![0, 1, 1], 2)?;
+/// assert_eq!(split.num_column_splits(), 1);
 /// # Ok::<(), nshard_core::PlanError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -261,11 +238,10 @@ pub struct ShardingPlan {
     num_devices: usize,
 }
 
-/// The JSON form of a [`ShardingPlan`] as read (a stored plan file, a
-/// replicated log value): the conversion goes through
-/// [`ShardingPlan::with_split_plan`], so a decoded plan holds what a built
-/// one does, and bounds the device count the per-device accessors
-/// allocate for.
+/// The JSON form of a [`ShardingPlan`] as read (a stored plan file): the
+/// conversion goes through [`ShardingPlan::new`], so a decoded plan holds
+/// what a built one does, and bounds the device count the per-device
+/// accessors allocate for.
 #[derive(Deserialize)]
 struct PlanWire {
     split_plan: SplitPlan,
@@ -284,7 +260,7 @@ impl TryFrom<PlanWire> for ShardingPlan {
                 wire.num_devices
             ));
         }
-        Self::with_split_plan(
+        Self::new(
             wire.split_plan,
             wire.sharded_tables,
             wire.device_of,
@@ -295,30 +271,14 @@ impl TryFrom<PlanWire> for ShardingPlan {
 }
 
 impl ShardingPlan {
-    /// Builds a plan from its parts.
+    /// Builds a plan from its split plan, the sharded tables it produced
+    /// and their devices.
     ///
     /// # Errors
     ///
     /// [`PlanError::Invalid`] when lengths disagree or a device index is out
     /// of range.
     pub fn new(
-        column_plan: ColumnPlan,
-        sharded_tables: Vec<TableConfig>,
-        device_of: Vec<usize>,
-        num_devices: usize,
-    ) -> Result<Self, PlanError> {
-        let split_plan = column_plan.into_iter().map(SplitStep::column).collect();
-        Self::with_split_plan(split_plan, sharded_tables, device_of, num_devices)
-    }
-
-    /// Builds a plan from a generalized (column- and/or row-wise) split
-    /// plan.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::Invalid`] when lengths disagree or a device index is out
-    /// of range.
-    pub fn with_split_plan(
         split_plan: SplitPlan,
         sharded_tables: Vec<TableConfig>,
         device_of: Vec<usize>,
@@ -357,7 +317,7 @@ impl ShardingPlan {
         &self.split_plan
     }
 
-    /// The column-wise sharded tables, in list order.
+    /// The sharded tables, in list order.
     pub fn sharded_tables(&self) -> &[TableConfig] {
         &self.sharded_tables
     }
@@ -462,7 +422,7 @@ impl ShardingPlan {
             });
         }
         let sharded = apply_split_plan(task.tables(), &self.split_plan)?;
-        Self::with_split_plan(
+        Self::new(
             self.split_plan.clone(),
             sharded,
             self.device_of.clone(),
@@ -499,7 +459,7 @@ impl ShardingPlan {
 
     /// Validates the plan against a task: same device count, every device
     /// within the memory budget, and the sharded tables derivable from the
-    /// task's tables via the recorded column plan.
+    /// task's tables via the recorded split plan.
     ///
     /// # Errors
     ///
@@ -509,7 +469,7 @@ impl ShardingPlan {
         let expected = apply_split_plan(task.tables(), &self.split_plan)?;
         if expected != self.sharded_tables {
             return Err(PlanError::Invalid {
-                reason: "sharded tables do not match the column plan applied to the task".into(),
+                reason: "sharded tables do not match the split plan applied to the task".into(),
             });
         }
         if let Some((d, bytes, budget)) = self.first_over_budget(task) {
@@ -566,6 +526,44 @@ pub fn migration_bytes(from: &ShardingPlan, to: &ShardingPlan) -> u64 {
         .sum()
 }
 
+/// The embedding bytes a replan moves when `plan` replaces `incumbent` on
+/// (typically drifted) `task` — the one charge every replan path reports:
+/// [`migration_bytes`] from the incumbent rebased onto `task`
+/// ([`ShardingPlan::rebase`]), or **every byte of the task** when the
+/// incumbent no longer rebases (a recorded split turned illegal after
+/// drift, or another table list): its shards no longer describe the
+/// task's tables, so none of them can be counted as already in place.
+///
+/// ```
+/// use nshard_core::{replan_migration_bytes, ShardingPlan};
+/// use nshard_data::{ShardingTask, TableConfig, TableId};
+///
+/// let tables = vec![
+///     TableConfig::new(TableId(0), 64, 1000, 5.0, 1.0),
+///     TableConfig::new(TableId(1), 32, 2000, 3.0, 1.0),
+/// ];
+/// let task = ShardingTask::new(tables.clone(), 2, 1 << 30, 1024);
+/// let a = ShardingPlan::new(vec![], tables.clone(), vec![0, 1], 2)?;
+/// let b = ShardingPlan::new(vec![], tables.clone(), vec![1, 1], 2)?;
+/// assert_eq!(replan_migration_bytes(&a, &b, &task), tables[0].memory_bytes());
+///
+/// // A task with another table list: nothing of `a` is in place.
+/// let other = ShardingTask::new(vec![tables[1]], 2, 1 << 30, 1024);
+/// let c = ShardingPlan::new(vec![], vec![tables[1]], vec![0], 2)?;
+/// assert_eq!(replan_migration_bytes(&a, &c, &other), tables[1].memory_bytes());
+/// # Ok::<(), nshard_core::PlanError>(())
+/// ```
+pub fn replan_migration_bytes(
+    incumbent: &ShardingPlan,
+    plan: &ShardingPlan,
+    task: &ShardingTask,
+) -> u64 {
+    match incumbent.rebase(task) {
+        Ok(base) => migration_bytes(&base, plan),
+        Err(_) => task.tables().iter().map(TableConfig::memory_bytes).sum(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,16 +573,21 @@ mod tests {
         TableConfig::new(TableId(id), dim, 1000, 5.0, 1.0)
     }
 
+    /// The column-wise plan `c` as split steps.
+    fn cols(c: &[usize]) -> SplitPlan {
+        c.iter().map(|&i| SplitStep::column(i)).collect()
+    }
+
     #[test]
     fn apply_empty_plan_is_identity() {
         let tables = vec![t(0, 64), t(1, 32)];
-        assert_eq!(apply_column_plan(&tables, &[]).unwrap(), tables);
+        assert_eq!(apply_split_plan(&tables, &cols(&[])).unwrap(), tables);
     }
 
     #[test]
     fn apply_single_split() {
         let tables = vec![t(0, 64), t(1, 32)];
-        let out = apply_column_plan(&tables, &[0]).unwrap();
+        let out = apply_split_plan(&tables, &cols(&[0])).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].dim(), 32);
         assert_eq!(out[1].dim(), 32);
@@ -596,7 +599,7 @@ mod tests {
     fn apply_chained_splits_track_growing_list() {
         let tables = vec![t(0, 64)];
         // Split 0 (64→32,32 at [0],[1]); split 1 (the appended half).
-        let out = apply_column_plan(&tables, &[0, 1]).unwrap();
+        let out = apply_split_plan(&tables, &cols(&[0, 1])).unwrap();
         assert_eq!(
             out.iter().map(|x| x.dim()).collect::<Vec<_>>(),
             vec![32, 16, 16]
@@ -605,7 +608,7 @@ mod tests {
 
     #[test]
     fn out_of_range_step_errors() {
-        let err = apply_column_plan(&[t(0, 64)], &[3]).unwrap_err();
+        let err = apply_split_plan(&[t(0, 64)], &cols(&[3])).unwrap_err();
         assert!(matches!(
             err,
             PlanError::ColumnIndexOutOfRange { index: 3, .. }
@@ -614,7 +617,7 @@ mod tests {
 
     #[test]
     fn unsplittable_table_errors() {
-        let err = apply_column_plan(&[t(0, 4)], &[0]).unwrap_err();
+        let err = apply_split_plan(&[t(0, 4)], &cols(&[0])).unwrap_err();
         assert!(matches!(err, PlanError::UnsplittableTable { dim: 4, .. }));
     }
 
@@ -648,8 +651,8 @@ mod tests {
     fn validate_against_task() {
         let pool_tables = vec![t(0, 64), t(1, 32)];
         let task = ShardingTask::new(pool_tables.clone(), 2, 1 << 30, 1024);
-        let sharded = apply_column_plan(&pool_tables, &[0]).unwrap();
-        let plan = ShardingPlan::new(vec![0], sharded, vec![0, 1, 0], 2).unwrap();
+        let sharded = apply_split_plan(&pool_tables, &cols(&[0])).unwrap();
+        let plan = ShardingPlan::new(cols(&[0]), sharded, vec![0, 1, 0], 2).unwrap();
         assert!(plan.validate(&task).is_ok());
 
         // Wrong device count.
@@ -671,8 +674,8 @@ mod tests {
     #[test]
     fn rebase_carries_drifted_parameters() {
         let tables = vec![t(0, 64), t(1, 32)];
-        let sharded = apply_column_plan(&tables, &[0]).unwrap();
-        let plan = ShardingPlan::new(vec![0], sharded, vec![0, 1, 0], 2).unwrap();
+        let sharded = apply_split_plan(&tables, &cols(&[0])).unwrap();
+        let plan = ShardingPlan::new(cols(&[0]), sharded, vec![0, 1, 0], 2).unwrap();
 
         // Drift: table 0's pooling factor doubles, table 1's rows double.
         let drifted_tables = vec![
@@ -716,8 +719,8 @@ mod tests {
     fn migration_bytes_ignores_same_device_splits() {
         let tables = vec![t(0, 64)];
         let whole = ShardingPlan::new(vec![], tables.clone(), vec![0], 1).unwrap();
-        let sharded = apply_column_plan(&tables, &[0]).unwrap();
-        let split = ShardingPlan::new(vec![0], sharded, vec![0, 0], 1).unwrap();
+        let sharded = apply_split_plan(&tables, &cols(&[0])).unwrap();
+        let split = ShardingPlan::new(cols(&[0]), sharded, vec![0, 0], 1).unwrap();
         // Splitting in place relocates nothing.
         assert_eq!(migration_bytes(&whole, &split), 0);
     }
@@ -726,8 +729,8 @@ mod tests {
     fn migration_bytes_charges_relocated_split_halves() {
         let tables = vec![t(0, 64)];
         let whole2 = ShardingPlan::new(vec![], tables.clone(), vec![0], 2).unwrap();
-        let sharded = apply_column_plan(&tables, &[0]).unwrap();
-        let half_moved = ShardingPlan::new(vec![0], sharded.clone(), vec![0, 1], 2).unwrap();
+        let sharded = apply_split_plan(&tables, &cols(&[0])).unwrap();
+        let half_moved = ShardingPlan::new(cols(&[0]), sharded.clone(), vec![0, 1], 2).unwrap();
         // One half relocated: half the table's bytes move.
         assert_eq!(
             migration_bytes(&whole2, &half_moved),
@@ -765,7 +768,7 @@ mod tests {
             SplitStep::row(1),
         ];
         let sharded = apply_split_plan(&tables, &steps).unwrap();
-        let plan = ShardingPlan::with_split_plan(steps, sharded, vec![0, 1, 2, 3], 4).unwrap();
+        let plan = ShardingPlan::new(steps, sharded, vec![0, 1, 2, 3], 4).unwrap();
         assert_eq!(plan.num_column_splits(), 1);
         assert_eq!(plan.num_replications(), 1);
         assert_eq!(plan.num_row_splits(), 1);
@@ -776,7 +779,7 @@ mod tests {
         let hot = TableConfig::new(TableId(0), 64, 1000, 8.0, 1.0);
         let steps = vec![SplitStep::replicate(0)];
         let sharded = apply_split_plan(&[hot], &steps).unwrap();
-        let plan = ShardingPlan::with_split_plan(steps, sharded, vec![0, 1], 2).unwrap();
+        let plan = ShardingPlan::new(steps, sharded, vec![0, 1], 2).unwrap();
         // Each of the two replicas carries half the table's traffic.
         assert_eq!(plan.device_dims(), vec![32.0, 32.0]);
         // But memory is paid in full on both holders.
@@ -811,7 +814,7 @@ mod tests {
         let whole = ShardingPlan::new(vec![], vec![hot], vec![0], 2).unwrap();
         let steps = vec![SplitStep::replicate(0)];
         let sharded = apply_split_plan(&[hot], &steps).unwrap();
-        let replicated = ShardingPlan::with_split_plan(steps, sharded, vec![0, 1], 2).unwrap();
+        let replicated = ShardingPlan::new(steps, sharded, vec![0, 1], 2).unwrap();
         // Standing up the new replica ships the full table to device 1.
         assert_eq!(migration_bytes(&whole, &replicated), hot.memory_bytes());
         // Tearing it down moves nothing (bytes are counted at destinations).
@@ -823,7 +826,7 @@ mod tests {
         let hot = TableConfig::new(TableId(0), 64, 1000, 8.0, 1.0);
         let steps = vec![SplitStep::replicate(0)];
         let sharded = apply_split_plan(&[hot], &steps).unwrap();
-        let plan = ShardingPlan::with_split_plan(steps, sharded, vec![0, 1], 2).unwrap();
+        let plan = ShardingPlan::new(steps, sharded, vec![0, 1], 2).unwrap();
 
         let drifted_task = ShardingTask::new(vec![hot.with_pooling_factor(16.0)], 2, 1 << 30, 1024);
         let rebased = plan.rebase(&drifted_task).unwrap();

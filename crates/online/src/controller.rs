@@ -16,8 +16,12 @@
 //!    fallback chain, or ask the stack for a migration-aware replan (the
 //!    incremental planner, falling back to the chain when its result is
 //!    unusable).
-//! 4. **Apply** — adopt the new plan; migration bytes are charged by
-//!    [`migration_bytes`] against the rebased incumbent.
+//! 4. **Apply** — adopt the new plan, charged the bytes it moves by the
+//!    one rule every replan path shares,
+//!    [`replan_migration_bytes`]:
+//!    the migration from the rebased incumbent, or every byte of the task
+//!    when the incumbent no longer rebases. A stack replan arrives charged
+//!    in its [`ReplanOutcome`]; a full replan is charged here.
 //! 5. **Evaluate** — ground-truth the deployed plan on the cluster
 //!    simulator (the paper's "real GPU cost" oracle), which the search
 //!    itself never sees.
@@ -31,8 +35,8 @@
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{
-    estimate_for_task, evaluate_plan, migration_bytes, IncrementalConfig, NeuroShardConfig,
-    PlanDelta, PlanProvenance, ShardingPlan,
+    estimate_for_task, evaluate_plan, replan_migration_bytes, IncrementalConfig, NeuroShardConfig,
+    PlanProvenance, ShardingPlan,
 };
 use nshard_cost::{CostModelBundle, EstimatedCost};
 use nshard_data::ShardingTask;
@@ -121,26 +125,19 @@ impl Default for OnlineConfig {
 pub enum ReplanAction {
     /// The trigger fired but the strategy is [`ReplanStrategy::Never`].
     Suppressed,
-    /// A full search through the fallback chain produced the new plan.
+    /// A full search through the fallback chain, by request: the
+    /// [`ReplanStrategy::Full`] strategy, or a stalled incremental trace's
+    /// escape.
     Full {
         /// The chain's full decision record, attributed to the trigger.
         provenance: PlanProvenance,
     },
-    /// The incremental planner produced the new plan.
+    /// The stack's migration-aware replan ([`PlanningStack::replan`]).
     Incremental {
-        /// The replayable delta from the rebased incumbent.
-        delta: PlanDelta,
-        /// Candidate plans the planner scored.
-        evaluated_plans: usize,
-        /// Synthetic provenance attributing the plan to the trigger.
-        provenance: PlanProvenance,
-    },
-    /// The incremental planner failed or produced an infeasible plan and
-    /// the fallback chain took over.
-    IncrementalFellBack {
-        /// Why the incremental path was abandoned.
-        reason: String,
-        /// The chain's full decision record, attributed to the trigger.
+        /// Which path produced the plan: the incremental planner's delta,
+        /// or the fallback chain and why the delta was abandoned.
+        route: ReplanRoute,
+        /// The plan's record, attributed to the trigger.
         provenance: PlanProvenance,
     },
 }
@@ -150,9 +147,9 @@ impl ReplanAction {
     pub fn provenance(&self) -> Option<&PlanProvenance> {
         match self {
             ReplanAction::Suppressed => None,
-            ReplanAction::Full { provenance }
-            | ReplanAction::Incremental { provenance, .. }
-            | ReplanAction::IncrementalFellBack { provenance, .. } => Some(provenance),
+            ReplanAction::Full { provenance } | ReplanAction::Incremental { provenance, .. } => {
+                Some(provenance)
+            }
         }
     }
 }
@@ -266,17 +263,10 @@ impl OnlineController {
     pub fn new(bundle: CostModelBundle, drift: WorkloadDrift, config: OnlineConfig) -> Self {
         Self {
             drift,
-            stack: Self::stack_for(bundle, &config),
+            stack: PlanningStack::new(bundle, config.search, config.incremental),
             detector: DriftDetector::new(config.thresholds),
             config,
         }
-    }
-
-    /// The planning stack for `bundle` under `config` — built at
-    /// construction and again on every promotion, so a swap replaces the
-    /// simulator and with it every prediction/encoding cache.
-    fn stack_for(bundle: CostModelBundle, config: &OnlineConfig) -> PlanningStack {
-        PlanningStack::new(bundle, config.search, config.incremental)
     }
 
     /// Runs the full epoch loop and returns the per-epoch history.
@@ -346,7 +336,7 @@ impl OnlineController {
             })
         });
         if let Some(bundle) = promoted {
-            self.stack = Self::stack_for(bundle, &self.config);
+            self.stack = self.stack.with_bundle(bundle);
             baseline_ms = self.price(&task0, &incumbent).total_ms();
         }
 
@@ -362,26 +352,22 @@ impl OnlineController {
             let task = self.drift.task_at(epoch);
 
             // Observe: the incumbent's shards under the drifted workload.
+            // A recorded split that became illegal after drift leaves no
+            // report: detection cannot price the incumbent, and the replan
+            // below is forced.
             let rebased = incumbent.rebase(&task);
-            let (report, reference) = match &rebased {
-                Ok(r) => {
-                    let report = self
-                        .detector
-                        .observe(
-                            self.stack.simulator(),
-                            r,
-                            &task,
-                            &deployed_task,
-                            baseline_ms,
-                            epoch,
-                        )
-                        .unwrap_or_else(|e| panic!("the detector cannot price the incumbent: {e}"));
-                    (Some(report), r.clone())
-                }
-                // A recorded split became illegal after drift: detection
-                // cannot price the incumbent; force a full replan below.
-                Err(_) => (None, incumbent.clone()),
-            };
+            let report = rebased.as_ref().ok().map(|r| {
+                self.detector
+                    .observe(
+                        self.stack.simulator(),
+                        r,
+                        &task,
+                        &deployed_task,
+                        baseline_ms,
+                        epoch,
+                    )
+                    .unwrap_or_else(|e| panic!("the detector cannot price the incumbent: {e}"))
+            });
 
             let trigger = report.as_ref().and_then(|r| r.trigger.clone());
             // The end-of-trace escape hatch: a stalled incremental trace
@@ -401,6 +387,7 @@ impl OnlineController {
             );
 
             let mut action = None;
+            let mut adopted = None;
             let mut moved = 0u64;
             if must_replan {
                 match self.config.strategy {
@@ -409,56 +396,24 @@ impl OnlineController {
                     }
                     ReplanStrategy::Incremental if !escape => {
                         let ReplanOutcome {
-                            plan: next,
+                            plan,
                             provenance,
+                            migration_bytes,
                             route,
                         } = self.stack.replan(&task, &incumbent)?;
-                        let provenance = provenance.attributed_to_replan(trigger_kind, epoch);
-                        let act = match route {
-                            ReplanRoute::Incremental {
-                                delta,
-                                evaluated_plans,
-                            } => ReplanAction::Incremental {
-                                delta,
-                                evaluated_plans,
-                                provenance,
-                            },
-                            ReplanRoute::FellBack { reason } => {
-                                ReplanAction::IncrementalFellBack { reason, provenance }
-                            }
-                        };
-                        // Stall accounting against the λ-objective: a
-                        // patch that beats the drifted incumbent can
-                        // still ratchet the deployment away from what an
-                        // unconstrained search would find, so progress
-                        // is measured against the last full-chain
-                        // deployment's predicted quality instead.
-                        let after = self.price(&task, &next).total_ms();
-                        if matches!(act, ReplanAction::IncrementalFellBack { .. }) {
-                            // The fallback chain replans unconstrained:
-                            // it clears the debt by construction and
-                            // becomes the new reference.
-                            full_quality_ms = after;
-                            stalled_replans = 0;
-                        } else {
-                            let debt =
-                                (after - full_quality_ms) / full_quality_ms.max(f64::MIN_POSITIVE);
-                            if debt > STALL_IMPROVEMENT {
-                                stalled_replans += 1;
-                            } else {
-                                stalled_replans = 0;
-                            }
-                        }
-                        moved = migration_bytes(&reference, &next);
-                        incumbent = next;
-                        action = Some(act);
+                        moved = migration_bytes;
+                        adopted = Some(plan);
+                        action = Some(ReplanAction::Incremental {
+                            route,
+                            provenance: provenance.attributed_to_replan(trigger_kind, epoch),
+                        });
                     }
                     // `Full`, or a stalled incremental trace's escape
                     // hatch: plan from scratch, which clears the debt.
                     ReplanStrategy::Full | ReplanStrategy::Incremental => {
                         let outcome = self.stack.plan(&task)?;
-                        moved = migration_bytes(&reference, &outcome.plan);
-                        incumbent = outcome.plan;
+                        moved = replan_migration_bytes(&incumbent, &outcome.plan, &task);
+                        adopted = Some(outcome.plan);
                         stalled_replans = 0;
                         action = Some(ReplanAction::Full {
                             provenance: outcome
@@ -473,19 +428,37 @@ impl OnlineController {
             // Without a replan the deployment is the rebased incumbent; a
             // failed rebase leaves the stale incumbent (infeasible to
             // evaluate against the drifted task's table list).
-            if !matches!(
-                action,
-                Some(ReplanAction::Full { .. })
-                    | Some(ReplanAction::Incremental { .. })
-                    | Some(ReplanAction::IncrementalFellBack { .. })
-            ) {
-                if let Ok(r) = rebased {
-                    incumbent = r;
-                }
+            match (adopted, rebased) {
+                (Some(plan), _) | (None, Ok(plan)) => incumbent = plan,
+                (None, Err(_)) => {}
             }
             let estimated = self.price(&task, &incumbent);
             let truth = self.ground_truth(&task, &incumbent, epoch);
             let predicted_ms = estimated.total_ms();
+
+            // Stall accounting against the λ-objective: a patch that beats
+            // the drifted incumbent can still ratchet the deployment away
+            // from what an unconstrained search would find, so progress is
+            // measured against the last full-chain deployment's predicted
+            // quality instead. A fall-back replans unconstrained: it clears
+            // the debt by construction and becomes the new reference.
+            if let Some(ReplanAction::Incremental { route, .. }) = &action {
+                match route {
+                    ReplanRoute::FellBack { .. } => {
+                        full_quality_ms = predicted_ms;
+                        stalled_replans = 0;
+                    }
+                    ReplanRoute::Incremental { .. } => {
+                        let debt = (predicted_ms - full_quality_ms)
+                            / full_quality_ms.max(f64::MIN_POSITIVE);
+                        if debt > STALL_IMPROVEMENT {
+                            stalled_replans += 1;
+                        } else {
+                            stalled_replans = 0;
+                        }
+                    }
+                }
+            }
 
             epochs.push(EpochRecord {
                 epoch,
@@ -511,7 +484,7 @@ impl OnlineController {
             deployed_task = task;
             baseline_ms = predicted_ms;
             if let Some(bundle) = promoted {
-                self.stack = Self::stack_for(bundle, &self.config);
+                self.stack = self.stack.with_bundle(bundle);
                 // Re-price the baseline (and the stall reference) with the
                 // new models so next epoch's regression ratio is not an
                 // artifact of the swap itself.

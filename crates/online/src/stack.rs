@@ -2,16 +2,19 @@
 
 use std::sync::Arc;
 
+use serde::{Deserialize, Serialize};
+
 use nshard_baselines::SizeGreedy;
 use nshard_core::{
-    FallbackChain, IncrementalConfig, IncrementalPlanner, NeuroShard, NeuroShardConfig, PlanDelta,
-    PlanProvenance, PlanSource, ResilientError, ResilientOutcome, ShardingPlan,
+    replan_migration_bytes, FallbackChain, IncrementalConfig, IncrementalPlanner, NeuroShard,
+    NeuroShardConfig, PlanDelta, PlanProvenance, PlanSource, ResilientError, ResilientOutcome,
+    ShardingPlan,
 };
 use nshard_cost::{CostModelBundle, CostSimulator};
 use nshard_data::ShardingTask;
 
 /// Which path of [`PlanningStack::replan`] produced the plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ReplanRoute {
     /// The incremental planner's result, within every device's budget.
     Incremental {
@@ -20,15 +23,17 @@ pub enum ReplanRoute {
         /// Candidate plans the planner scored.
         evaluated_plans: usize,
     },
-    /// The incremental path was abandoned and the full chain planned from
-    /// scratch.
+    /// The incremental path was abandoned and a chain planned from scratch:
+    /// the stack's full chain, or the daemon's greedy chain for a
+    /// deadline-pressed replan.
     FellBack {
-        /// Why the incremental result could not be used.
+        /// Why the incremental result was not used.
         reason: String,
     },
 }
 
-/// The result of one [`PlanningStack::replan`].
+/// The result of one [`PlanningStack::replan`]: the one record of a
+/// replan, read as it is by the controller and the daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanOutcome {
     /// The plan to adopt.
@@ -36,6 +41,10 @@ pub struct ReplanOutcome {
     /// How it was obtained: the chain's record after a fall-back, a
     /// primary-source `"incremental_planner"` record otherwise.
     pub provenance: PlanProvenance,
+    /// Embedding bytes adopting `plan` moves from the incumbent:
+    /// [`nshard_core::replan_migration_bytes`], which on the incremental
+    /// route is the delta's own count.
+    pub migration_bytes: u64,
     /// Which path produced it.
     pub route: ReplanRoute,
 }
@@ -91,6 +100,13 @@ impl PlanningStack {
         }
     }
 
+    /// The stack for `bundle` with this stack's search and incremental
+    /// configurations — what a promotion builds, so the swap replaces the
+    /// simulator and with it every prediction/encoding cache.
+    pub fn with_bundle(&self, bundle: CostModelBundle) -> Self {
+        Self::new(bundle, *self.neuro.config(), *self.planner.config())
+    }
+
     /// The one simulator every path of this stack prices with.
     pub fn simulator(&self) -> &CostSimulator {
         self.neuro.simulator()
@@ -110,7 +126,9 @@ impl PlanningStack {
     /// own budget ([`ShardingTask::budgets`]); when it does not, or the
     /// incumbent no longer rebases onto `task`, the full chain plans from
     /// scratch and the reason is recorded — so a returned plan always
-    /// passed the chain's verifier or the budget check here.
+    /// passed the chain's verifier or the budget check here. Either way
+    /// the outcome carries the bytes the plan moves
+    /// ([`nshard_core::replan_migration_bytes`]).
     ///
     /// # Errors
     ///
@@ -131,17 +149,21 @@ impl PlanningStack {
                         events: Vec::new(),
                         replan: None,
                     },
+                    // Charged against the rebased incumbent, as
+                    // `replan_migration_bytes` charges.
+                    migration_bytes: out.delta.migration_bytes,
                     route: ReplanRoute::Incremental {
                         delta: out.delta,
                         evaluated_plans: out.evaluated_plans,
                     },
-                })
+                });
             }
             Ok(_) => "incremental plan still over budget".to_string(),
             Err(e) => format!("incremental replan failed: {e}"),
         };
         let outcome = self.plan(task)?;
         Ok(ReplanOutcome {
+            migration_bytes: replan_migration_bytes(incumbent, &outcome.plan, task),
             plan: outcome.plan,
             provenance: outcome.provenance,
             route: ReplanRoute::FellBack { reason },
@@ -203,25 +225,50 @@ mod tests {
         let full = stack.plan(&grown).unwrap();
         assert_eq!(re.plan, full.plan);
         assert_eq!(re.provenance, full.provenance);
+        // The incumbent still rebases: the charge is the migration from it.
+        let rebased = incumbent.rebase(&grown).unwrap();
+        assert_eq!(
+            re.migration_bytes,
+            nshard_core::migration_bytes(&rebased, &re.plan)
+        );
     }
 
     #[test]
-    fn an_incumbent_that_no_longer_rebases_falls_back() {
+    fn an_incumbent_that_no_longer_rebases_falls_back_and_moves_every_byte() {
         let stack = stack();
-        let incumbent = stack.plan(&tight_task(200_000)).unwrap().plan;
+        let planned = stack.plan(&tight_task(200_000)).unwrap().plan;
         let other = ShardingTask::new(
             vec![TableConfig::new(TableId(9), 32, 1 << 14, 8.0, 1.05)],
             2,
             64 << 20,
             1024,
         );
-        let re = stack.replan(&other, &incumbent).unwrap();
-        assert!(
-            matches!(&re.route, ReplanRoute::FellBack { reason } if reason.contains("failed")),
-            "{:?}",
-            re.route
-        );
-        re.plan.validate(&other).unwrap();
+        // Table 0 row-halved, its halves on both devices; then drift cools
+        // it below two lookups per sample, so the recorded split no longer
+        // applies.
+        let task = tight_task(100_000);
+        let steps = vec![nshard_core::SplitStep::row(0)];
+        let sharded = nshard_core::apply_split_plan(task.tables(), &steps).unwrap();
+        let row_split = ShardingPlan::new(steps, sharded, vec![0, 1, 1], 2).unwrap();
+        row_split.validate(&task).unwrap();
+        let mut tables = task.tables().to_vec();
+        tables[0] = tables[0].with_pooling_factor(1.5);
+        let cooled = ShardingTask::new(tables, 2, 64 << 20, 1024);
+
+        // Another table list, or an illegal split: nothing of the
+        // incumbent is in place on the drifted task.
+        for (incumbent, drifted) in [(&planned, &other), (&row_split, &cooled)] {
+            assert!(incumbent.rebase(drifted).is_err());
+            let re = stack.replan(drifted, incumbent).unwrap();
+            assert!(
+                matches!(&re.route, ReplanRoute::FellBack { reason } if reason.contains("failed")),
+                "{:?}",
+                re.route
+            );
+            re.plan.validate(drifted).unwrap();
+            let every_byte: u64 = drifted.tables().iter().map(|t| t.memory_bytes()).sum();
+            assert_eq!(re.migration_bytes, every_byte);
+        }
     }
 
     #[test]
@@ -246,9 +293,19 @@ mod tests {
         );
         assert!(stack.simulator().cache().stats().since(&before).hits > 0);
 
-        // A drifted task's new predictions land in that same cache.
-        stack.replan(&tight_task(120_000), &planned.plan).unwrap();
+        // A drifted task's new predictions land in that same cache, and a
+        // patch is charged its delta's bytes.
+        let drifted = tight_task(120_000);
+        let patched = stack.replan(&drifted, &planned.plan).unwrap();
         assert!(stack.simulator().cache().len() > after_plan);
+        let ReplanRoute::Incremental { delta, .. } = &patched.route else {
+            panic!("a small drift is patched: {:?}", patched.route);
+        };
+        assert_eq!(patched.migration_bytes, delta.migration_bytes);
+        assert_eq!(
+            patched.migration_bytes,
+            replan_migration_bytes(&planned.plan, &patched.plan, &drifted)
+        );
     }
 
     #[test]
@@ -267,5 +324,12 @@ mod tests {
         };
         let stack = PlanningStack::new(bundle, search, IncrementalConfig::default());
         assert!(stack.planner.config().row_wise);
+
+        // A successor keeps both configurations and starts cold.
+        stack.plan(&tight_task(100_000)).unwrap();
+        let next = stack.with_bundle(stack.simulator().bundle().clone());
+        assert_eq!(next.neuro.config(), stack.neuro.config());
+        assert_eq!(next.planner.config(), stack.planner.config());
+        assert!(next.simulator().cache().is_empty());
     }
 }

@@ -81,7 +81,10 @@ pub(crate) struct ReplanResponse {
     pub source: String,
     /// Predicted embedding cost, ms.
     pub predicted_ms: f64,
-    /// Bytes that must move from the incumbent to adopt this plan.
+    /// Bytes adopting this plan moves from the incumbent
+    /// ([`nshard_core::replan_migration_bytes`]): the migration from the
+    /// incumbent rebased onto the task, or every byte of the task when the
+    /// incumbent no longer rebases onto it.
     pub migration_bytes: u64,
     /// `true` when the warm-started incremental planner produced the plan.
     pub incremental: bool,

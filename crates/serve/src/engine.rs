@@ -10,6 +10,11 @@
 //!   remaining deadline budget is too small for a beam search, so a
 //!   deadline-pressed request degrades to a fast plan instead of erroring.
 //!
+//! A replan's `migration_bytes` is the stack's one charge,
+//! [`replan_migration_bytes`]: the bytes moved from the incumbent rebased
+//! onto the request's task, or every byte of the task when the incumbent
+//! no longer rebases. A degraded replan is charged by the same function.
+//!
 //! Everything downstream is deterministic (order-preserving work pools,
 //! serial batched scoring), so identical requests produce **bit-identical
 //! plans at any concurrency** — the serving layer adds no entropy: plan
@@ -20,13 +25,15 @@ use std::sync::{Arc, RwLock};
 
 use nshard_baselines::{DimGreedy, SizeGreedy};
 use nshard_core::{
-    estimate_for_task, migration_bytes, FallbackChain, NeuroShardConfig, PlanProvenance,
+    estimate_for_task, replan_migration_bytes, FallbackChain, NeuroShardConfig, PlanProvenance,
     ResilientError, ShardingPlan,
 };
 use nshard_cost::{CacheStats, CostModelBundle};
 use nshard_data::ShardingTask;
 use nshard_nn::serialize::{fnv64, fnv64_extend};
-use nshard_online::{IncrementalConfig, PlanningStack, ReplanRoute};
+use nshard_online::{IncrementalConfig, PlanningStack, ReplanOutcome, ReplanRoute};
+
+use crate::sync;
 
 /// One planned (or replanned) task, ready to store and serialize.
 #[derive(Debug, Clone)]
@@ -45,22 +52,6 @@ pub struct PlanOutput {
     pub degraded: bool,
 }
 
-/// A replan: a [`PlanOutput`] plus migration accounting.
-#[derive(Debug, Clone)]
-pub(crate) struct ReplanOutput {
-    /// The plan and its provenance.
-    pub output: PlanOutput,
-    /// Bytes that must move from the incumbent to adopt the new plan.
-    pub migration_bytes: u64,
-    /// `true` when the warm-started incremental planner produced the plan;
-    /// `false` when it could not (the incumbent no longer rebases onto
-    /// the drifted task, or no local move brings every device within its
-    /// budget) and a full search ran instead.
-    pub incremental: bool,
-    /// Candidate plans scored (incremental path only; `0` for full).
-    pub evaluated_plans: usize,
-}
-
 /// Everything derived from one cost-model bundle: the planning stack, the
 /// degraded chain, and the monotonically increasing model version.
 /// Swapped atomically as a unit on promotion, which also replaces the
@@ -77,8 +68,6 @@ struct EngineCore {
 /// version.
 pub struct PlanningEngine {
     core: RwLock<Arc<EngineCore>>,
-    search: NeuroShardConfig,
-    incremental_config: IncrementalConfig,
 }
 
 impl PlanningEngine {
@@ -96,24 +85,9 @@ impl PlanningEngine {
         incremental: IncrementalConfig,
         _seed: u64,
     ) -> Self {
-        let core = Arc::new(Self::build_core(bundle, search, incremental, 1));
+        let stack = PlanningStack::new(bundle, search, incremental);
         Self {
-            core: RwLock::new(core),
-            search,
-            incremental_config: incremental,
-        }
-    }
-
-    fn build_core(
-        bundle: CostModelBundle,
-        search: NeuroShardConfig,
-        incremental: IncrementalConfig,
-        version: u64,
-    ) -> EngineCore {
-        EngineCore {
-            stack: PlanningStack::new(bundle, search, incremental),
-            degraded: FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy)),
-            version,
+            core: RwLock::new(Arc::new(EngineCore::new(stack, 1))),
         }
     }
 
@@ -121,7 +95,7 @@ impl PlanningEngine {
     /// planning against the model generation they started with even if a
     /// promotion lands mid-request.
     fn current(&self) -> Arc<EngineCore> {
-        self.core.read().expect("engine core lock poisoned").clone()
+        sync::read(&self.core).clone()
     }
 
     /// Atomically swaps in a new cost-model bundle — a new planning stack
@@ -129,14 +103,9 @@ impl PlanningEngine {
     /// version. The fresh simulator starts with empty prediction/encoding
     /// caches, so no stale predictions survive the promotion.
     pub(crate) fn swap_bundle(&self, bundle: CostModelBundle) -> u64 {
-        let mut guard = self.core.write().expect("engine core lock poisoned");
+        let mut guard = sync::write(&self.core);
         let version = guard.version + 1;
-        *guard = Arc::new(Self::build_core(
-            bundle,
-            self.search,
-            self.incremental_config,
-            version,
-        ));
+        *guard = Arc::new(EngineCore::new(guard.stack.with_bundle(bundle), version));
         version
     }
 
@@ -190,10 +159,9 @@ impl PlanningEngine {
     /// Replans `task` warm-started from `incumbent` through
     /// [`PlanningStack::replan`]: the incremental result when every device
     /// ends within its budget, else a full search. `degrade` skips the
-    /// stack entirely (a deadline-pressed replan takes the greedy chain).
-    /// Anything but an incremental result is charged with the migration
-    /// from the rebased incumbent, or with every byte when the incumbent
-    /// no longer rebases.
+    /// stack entirely (a deadline-pressed replan takes the greedy chain,
+    /// routed as a fall-back). Returns the priced plan, the bytes it moves
+    /// ([`replan_migration_bytes`]) and the route that made it.
     ///
     /// # Errors
     ///
@@ -204,36 +172,33 @@ impl PlanningEngine {
         task: &ShardingTask,
         incumbent: &ShardingPlan,
         degrade: bool,
-    ) -> Result<ReplanOutput, ResilientError> {
+    ) -> Result<(PlanOutput, u64, ReplanRoute), ResilientError> {
         let core = self.current();
-        let (plan, provenance, incremental) = if degrade {
+        let re = if degrade {
             let outcome = core.degraded.shard_with_provenance(task)?;
-            (outcome.plan, outcome.provenance, None)
+            ReplanOutcome {
+                migration_bytes: replan_migration_bytes(incumbent, &outcome.plan, task),
+                plan: outcome.plan,
+                provenance: outcome.provenance,
+                route: ReplanRoute::FellBack {
+                    reason: "deadline pressure: the greedy chain planned".into(),
+                },
+            }
         } else {
-            let re = core.stack.replan(task, incumbent)?;
-            let incremental = match re.route {
-                ReplanRoute::Incremental {
-                    delta,
-                    evaluated_plans,
-                } => Some((delta.migration_bytes, evaluated_plans)),
-                ReplanRoute::FellBack { .. } => None,
-            };
-            (re.plan, re.provenance, incremental)
+            core.stack.replan(task, incumbent)?
         };
-        let output = finish(&core, task, plan, provenance, degrade)?;
-        let (migration_bytes, evaluated_plans) = incremental.unwrap_or_else(|| {
-            let moved = incumbent
-                .rebase(task)
-                .map(|base| migration_bytes(&base, &output.plan))
-                .unwrap_or_else(|_| task.tables().iter().map(|t| t.memory_bytes()).sum());
-            (moved, 0)
-        });
-        Ok(ReplanOutput {
-            output,
-            migration_bytes,
-            incremental: incremental.is_some(),
-            evaluated_plans,
-        })
+        let output = finish(&core, task, re.plan, re.provenance, degrade)?;
+        Ok((output, re.migration_bytes, re.route))
+    }
+}
+
+impl EngineCore {
+    fn new(stack: PlanningStack, version: u64) -> Self {
+        Self {
+            stack,
+            degraded: FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy)),
+            version,
+        }
     }
 }
 
@@ -339,10 +304,10 @@ mod tests {
         let t = task();
         let incumbent = eng.plan(&t, false).unwrap();
         // Same task: nothing to move.
-        let re = eng.replan(&t, &incumbent.plan, false).unwrap();
-        assert!(re.incremental);
-        assert_eq!(re.migration_bytes, 0);
-        assert!(re.output.plan.validate(&t).is_ok());
+        let (out, moved, route) = eng.replan(&t, &incumbent.plan, false).unwrap();
+        assert!(matches!(route, ReplanRoute::Incremental { .. }));
+        assert_eq!(moved, 0);
+        assert!(out.plan.validate(&t).is_ok());
     }
 
     #[test]
@@ -355,10 +320,16 @@ mod tests {
             .map(|i| TableConfig::new(TableId(100 + i), 32, 1 << 14, 8.0, 1.05))
             .collect();
         let drifted = ShardingTask::new(tables, 2, 1 << 30, 1024);
-        let re = eng.replan(&drifted, &incumbent.plan, false).unwrap();
-        assert!(!re.incremental);
-        assert!(re.migration_bytes > 0);
-        assert!(re.output.plan.validate(&drifted).is_ok());
+        let (out, moved, route) = eng.replan(&drifted, &incumbent.plan, false).unwrap();
+        assert!(matches!(route, ReplanRoute::FellBack { .. }));
+        // Nothing of the incumbent is in place: every byte moves.
+        let every_byte: u64 = drifted.tables().iter().map(|t| t.memory_bytes()).sum();
+        assert_eq!(moved, every_byte);
+        assert!(out.plan.validate(&drifted).is_ok());
+        // A deadline-pressed replan is charged by the same rule.
+        let (out, moved, _) = eng.replan(&drifted, &incumbent.plan, true).unwrap();
+        assert!(out.degraded);
+        assert_eq!(moved, every_byte);
     }
 
     /// Two 64-dim tables on two 64 MiB devices; `rows` sizes the first.
@@ -378,14 +349,16 @@ mod tests {
         // single move, swap or split fits both devices again: the
         // hill-climb ends at 76,800,000 bytes on device 0.
         let grown = tight_task(300_000);
-        let re = eng.replan(&grown, &incumbent.plan, false).unwrap();
-        assert!(!re.incremental, "an over-budget patch is not an answer");
-        assert_eq!(re.evaluated_plans, 0);
-        re.output.plan.validate(&grown).unwrap();
+        let (out, _, route) = eng.replan(&grown, &incumbent.plan, false).unwrap();
+        assert!(
+            matches!(route, ReplanRoute::FellBack { .. }),
+            "an over-budget patch is not an answer"
+        );
+        out.plan.validate(&grown).unwrap();
         let full = eng.plan(&grown, false).unwrap();
-        assert_eq!(re.output.plan, full.plan);
-        assert_eq!(re.output.id, full.id);
-        assert_eq!(re.output.plan.device_bytes(), vec![61_440_000, 61_440_000]);
+        assert_eq!(out.plan, full.plan);
+        assert_eq!(out.id, full.id);
+        assert_eq!(out.plan.device_bytes(), vec![61_440_000, 61_440_000]);
     }
 
     #[test]
@@ -449,7 +422,7 @@ mod tests {
     fn predicted_ms_is_the_search_estimate_on_a_heterogeneous_fleet() {
         let eng = engine();
         let t = two_tier_task();
-        let searched = BeamSearch::new(eng.current().stack.simulator(), &eng.search)
+        let searched = BeamSearch::new(eng.current().stack.simulator(), &NeuroShardConfig::smoke())
             .search(&t)
             .unwrap();
         let planned = eng.plan(&t, false).unwrap();
@@ -460,14 +433,11 @@ mod tests {
             "the engine must price the plan for the task's fleet, as the search did"
         );
         // Nothing drifted: the replanner keeps the search's own plan.
-        let re = eng.replan(&t, &planned.plan, false).unwrap();
-        assert!(re.incremental);
-        assert_eq!(re.output.plan, planned.plan);
-        assert_eq!(re.migration_bytes, 0);
-        assert_eq!(
-            re.output.predicted_ms.to_bits(),
-            planned.predicted_ms.to_bits()
-        );
+        let (out, moved, route) = eng.replan(&t, &planned.plan, false).unwrap();
+        assert!(matches!(route, ReplanRoute::Incremental { .. }));
+        assert_eq!(out.plan, planned.plan);
+        assert_eq!(moved, 0);
+        assert_eq!(out.predicted_ms.to_bits(), planned.predicted_ms.to_bits());
     }
 
     #[test]
@@ -481,7 +451,7 @@ mod tests {
             (
                 eng.plan(&three, false).map(|out| out.id),
                 eng.plan(&three, true).map(|out| out.id),
-                eng.replan(&three, &incumbent, false).map(|re| re.output.id),
+                eng.replan(&three, &incumbent, false).map(|re| re.0.id),
             )
         }))
         .expect("a mismatched device count must not panic");

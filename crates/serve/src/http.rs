@@ -198,6 +198,7 @@ impl KeepAliveClient {
         path: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, String)> {
+        // invariant: `call` connects before every `try_call`.
         let reader = self.stream.as_mut().expect("connected");
         {
             let stream = reader.get_mut();

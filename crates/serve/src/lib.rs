@@ -14,7 +14,7 @@
 //! | Route | Effect |
 //! |---|---|
 //! | `POST /v1/plan` | Plan a task from scratch through the full [`nshard_core::FallbackChain`] |
-//! | `POST /v1/replan` | Warm-started incremental replan around a stored incumbent |
+//! | `POST /v1/replan` | Warm-started incremental replan around a stored incumbent, charged by [`nshard_core::replan_migration_bytes`] |
 //! | `POST /v1/observations` | Report ground-truth costs for continual learning |
 //! | `GET /v1/plans/{id}` | Fetch a stored plan with provenance |
 //! | `GET /health` | Liveness + store/queue facts + model version |
@@ -33,6 +33,7 @@
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
 //! | `store` | [`PlanStore`] — the one sequenced record of adopted plans and the promoted model, and its checksummed files |
 //! | `api`, `engine`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], the metrics registry, [`Clock`] |
+//! | `sync` | The one lock policy: every lock is taken through it, and a poisoned lock is recovered |
 //!
 //! ## The plan store
 //!
@@ -77,6 +78,7 @@ mod metrics;
 pub mod net;
 pub mod server;
 mod store;
+mod sync;
 
 pub use clock::{Clock, ManualClock};
 pub use engine::{PlanOutput, PlanningEngine};

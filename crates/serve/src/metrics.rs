@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::sync;
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub(crate) struct Counter {
@@ -158,6 +160,7 @@ impl Histogram {
             let n = bucket.load(Ordering::Relaxed);
             if seen + n >= target {
                 if i >= self.bounds.len() {
+                    // invariant: `new` asserts at least one bound.
                     return *self.bounds.last().expect("bounds are non-empty");
                 }
                 let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
@@ -167,6 +170,7 @@ impl Histogram {
             }
             seen += n;
         }
+        // invariant: `new` asserts at least one bound.
         *self.bounds.last().expect("bounds are non-empty")
     }
 
@@ -218,7 +222,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
+        let mut entries = sync::lock(&self.entries);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             metric: Metric::Counter(Arc::new(Counter::default())),
@@ -235,7 +239,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
+        let mut entries = sync::lock(&self.entries);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             metric: Metric::Gauge(Arc::new(Gauge::default())),
@@ -252,7 +256,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
+        let mut entries = sync::lock(&self.entries);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             metric: Metric::Histogram(Arc::new(Histogram::default_ms())),
@@ -266,7 +270,7 @@ impl MetricsRegistry {
     /// Renders every metric in Prometheus text exposition format, sorted
     /// by name (deterministic for fixed counter values).
     pub(crate) fn render(&self) -> String {
-        let entries = self.entries.lock().expect("registry poisoned");
+        let entries = sync::lock(&self.entries);
         let mut out = String::new();
         let mut last_family = "";
         for (name, entry) in entries.iter() {

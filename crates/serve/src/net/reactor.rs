@@ -46,6 +46,7 @@ use std::time::Instant;
 
 use crate::http::HttpResponse;
 use crate::server::Service;
+use crate::sync;
 
 use super::conn::{ConnState, ReadOutcome, TimeoutKind};
 use super::sys::{Event, Interest, Poller};
@@ -97,7 +98,8 @@ impl Reactor {
     ///
     /// # Errors
     ///
-    /// I/O errors setting up the listener or creating the self-pipe.
+    /// I/O errors setting up the listener, creating the self-pipe or
+    /// spawning the reactor thread.
     pub(crate) fn spawn(service: Arc<Service>, listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let (waker_rx, waker_tx) = UnixStream::pair()?;
@@ -129,8 +131,7 @@ impl Reactor {
                         accepting: true,
                     };
                     loop_state.run();
-                })
-                .expect("spawn reactor")
+                })?
         };
         Ok(Self {
             shared,
@@ -351,15 +352,11 @@ impl EventLoop {
             entry.started_ms.insert(seq, now);
             let shared = Arc::clone(&self.shared);
             let callback = Box::new(move |response: HttpResponse| {
-                shared
-                    .completions
-                    .lock()
-                    .expect("completions poisoned")
-                    .push(Completion {
-                        token,
-                        seq,
-                        response,
-                    });
+                sync::lock(&shared.completions).push(Completion {
+                    token,
+                    seq,
+                    response,
+                });
                 shared.wake();
             });
             let inline = self.service.route_async(&request, callback);
@@ -442,13 +439,8 @@ impl EventLoop {
     }
 
     fn drain_completions(&mut self) {
-        let completions: Vec<Completion> = std::mem::take(
-            &mut *self
-                .shared
-                .completions
-                .lock()
-                .expect("completions poisoned"),
-        );
+        let completions: Vec<Completion> =
+            std::mem::take(&mut *sync::lock(&self.shared.completions));
         let mut touched: Vec<usize> = Vec::new();
         for completion in completions {
             // A connection closed before its job finished has no entry.

@@ -12,6 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use crate::api::error_response;
 use crate::http::HttpResponse;
 use crate::metrics::Gauge;
+use crate::sync;
 
 use super::cache::response_cache_key;
 use super::Service;
@@ -61,19 +62,19 @@ impl ResponseSlot {
     }
 
     pub(super) fn put(&self, response: HttpResponse) {
-        let mut cell = self.cell.lock().expect("slot poisoned");
+        let mut cell = sync::lock(&self.cell);
         *cell = Some(response);
         self.ready.notify_all();
     }
 
     /// Blocks until a worker fills the slot.
     pub fn wait(&self) -> HttpResponse {
-        let mut cell = self.cell.lock().expect("slot poisoned");
+        let mut cell = sync::lock(&self.cell);
         loop {
             if let Some(response) = cell.take() {
                 return response;
             }
-            cell = self.ready.wait(cell).expect("slot poisoned");
+            cell = sync::wait(&self.ready, cell);
         }
     }
 }
@@ -122,7 +123,7 @@ impl AdmissionQueue {
     }
 
     fn push(&self, job: Job) -> Result<(), Rejection> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = sync::lock(&self.state);
         if state.closed {
             return Err(Rejection::ShuttingDown);
         }
@@ -138,7 +139,7 @@ impl AdmissionQueue {
     /// Blocks for the next job; `None` once closed **and** drained, so
     /// shutdown still answers everything already admitted.
     fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = sync::lock(&self.state);
         loop {
             if let Some(job) = state.jobs.pop_front() {
                 self.depth.set(state.jobs.len() as u64);
@@ -147,20 +148,20 @@ impl AdmissionQueue {
             if state.closed {
                 return None;
             }
-            state = self.nonempty.wait(state).expect("queue poisoned");
+            state = sync::wait(&self.nonempty, state);
         }
     }
 
     /// Non-blocking pop (the synchronous test hook).
     fn try_pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = sync::lock(&self.state);
         let job = state.jobs.pop_front();
         self.depth.set(state.jobs.len() as u64);
         job
     }
 
     fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        sync::lock(&self.state).closed = true;
         self.nonempty.notify_all();
     }
 }
@@ -184,7 +185,7 @@ impl Service {
         // the full deadline/degrade semantics.
         if let Some(cache) = &self.response_cache {
             let key = response_cache_key(kind, false, self.cache_generation(kind), &body);
-            if let Some(hit) = cache.lock().expect("cache poisoned").get(key) {
+            if let Some(hit) = sync::lock(cache).get(key) {
                 self.metrics.response_cache_hits.inc();
                 self.metrics.count_request(kind.endpoint(), hit.status);
                 return Some(hit);

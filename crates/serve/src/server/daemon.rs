@@ -43,6 +43,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("nshard-serve-worker-{i}"))
                     .spawn(move || while service.drain_blocking() {})
+                    // Panics at start, before any request is taken: no half-staffed daemon.
                     .expect("spawn worker")
             })
             .collect();

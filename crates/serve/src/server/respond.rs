@@ -9,6 +9,7 @@
 
 use nshard_core::PlanSource;
 use nshard_data::ShardingTask;
+use nshard_online::ReplanRoute;
 
 use crate::api::{
     error_response, source_label, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse,
@@ -16,6 +17,7 @@ use crate::api::{
 use crate::engine::PlanOutput;
 use crate::http::HttpResponse;
 use crate::store::StoreError;
+use crate::sync;
 
 use super::admission::{Job, JobKind};
 use super::cache::response_cache_key;
@@ -104,7 +106,7 @@ impl Service {
             )
         });
         if let Some((cache, key)) = cached {
-            if let Some(hit) = cache.lock().expect("cache poisoned").get(key) {
+            if let Some(hit) = sync::lock(cache).get(key) {
                 self.metrics.response_cache_hits.inc();
                 return hit;
             }
@@ -116,10 +118,7 @@ impl Service {
             Parsed::Replan(request) => self.respond_replan(request, degrade),
         };
         if let Some((cache, key)) = cached.filter(|_| response.status == 200) {
-            cache
-                .lock()
-                .expect("cache poisoned")
-                .put(key, response.clone());
+            sync::lock(cache).put(key, response.clone());
         }
         response
     }
@@ -196,25 +195,32 @@ impl Service {
                 },
             );
         };
-        let re = match self.engine.replan(&request.task, &incumbent.plan, degrade) {
-            Ok(re) => re,
-            Err(e) => return error_response(422, "infeasible", e.to_string()),
-        };
-        let version = match self.settle(request.task, &re.output, request.adopt.unwrap_or(true)) {
+        let (output, migration_bytes, route) =
+            match self.engine.replan(&request.task, &incumbent.plan, degrade) {
+                Ok(re) => re,
+                Err(e) => return error_response(422, "infeasible", e.to_string()),
+            };
+        let version = match self.settle(request.task, &output, request.adopt.unwrap_or(true)) {
             Ok(version) => version,
             Err(response) => return response,
         };
+        let evaluated_plans = match route {
+            ReplanRoute::Incremental {
+                evaluated_plans, ..
+            } => Some(evaluated_plans as u64),
+            ReplanRoute::FellBack { .. } => None,
+        };
         let body = ReplanResponse {
-            id: re.output.id,
+            id: output.id,
             version,
-            degraded: re.output.degraded,
-            source: source_label(&re.output.provenance.source),
-            predicted_ms: re.output.predicted_ms,
-            migration_bytes: re.migration_bytes,
-            incremental: re.incremental,
-            evaluated_plans: re.evaluated_plans as u64,
-            plan: re.output.plan,
-            provenance: re.output.provenance,
+            degraded: output.degraded,
+            source: source_label(&output.provenance.source),
+            predicted_ms: output.predicted_ms,
+            migration_bytes,
+            incremental: evaluated_plans.is_some(),
+            evaluated_plans: evaluated_plans.unwrap_or(0),
+            plan: output.plan,
+            provenance: output.provenance,
         };
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
     }

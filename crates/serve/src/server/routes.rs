@@ -9,6 +9,7 @@ use nshard_online::ObservationWire;
 
 use crate::api::{error_response, HealthResponse, ObservationsAck, ObservationsRequest};
 use crate::http::{HttpRequest, HttpResponse};
+use crate::sync;
 
 use super::admission::{JobKind, OnResponse, ResponseSlot, Routed};
 use super::Service;
@@ -117,7 +118,7 @@ impl Service {
             };
         let accepted = request.observations.len() as u64;
         let buffered = {
-            let mut buffer = self.observations.lock().expect("observations poisoned");
+            let mut buffer = sync::lock(&self.observations);
             buffer.extend(request.observations);
             while buffer.len() > OBSERVATION_BUFFER_CAP {
                 buffer.pop_front();
@@ -137,19 +138,12 @@ impl Service {
     /// Drains every buffered ground-truth observation — the
     /// continual-learning loop's pull path.
     pub fn take_observations(&self) -> Vec<ObservationWire> {
-        self.observations
-            .lock()
-            .expect("observations poisoned")
-            .drain(..)
-            .collect()
+        sync::lock(&self.observations).drain(..).collect()
     }
 
     /// Observations currently staged for the learning loop.
     pub fn observations_buffered(&self) -> usize {
-        self.observations
-            .lock()
-            .expect("observations poisoned")
-            .len()
+        sync::lock(&self.observations).len()
     }
 
     /// `GET /v1/plans/{id}`.

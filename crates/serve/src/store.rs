@@ -56,6 +56,8 @@ use nshard_core::{PlanProvenance, ShardingPlan};
 use nshard_data::ShardingTask;
 use nshard_nn::serialize::{read_checked, write_checked, CheckpointError};
 
+use crate::sync;
+
 /// The producer tag written into envelope headers.
 const CREATED_BY: &str = "nshard-serve";
 
@@ -313,11 +315,10 @@ impl PlanStore {
         self.quarantined
     }
 
-    /// The record. Invariant: nothing panics while it is held (sequence
-    /// arithmetic saturates and file saves return errors), so the lock is
-    /// never poisoned.
+    /// The record. Nothing panics while it is held (sequence arithmetic
+    /// saturates and file saves return errors).
     fn lock(&self) -> MutexGuard<'_, Record> {
-        self.record.lock().expect("plan store poisoned")
+        sync::lock(&self.record)
     }
 
     /// Saves `payload` as `<key>.json` under the store directory, if it

@@ -92,6 +92,21 @@
 # `Dense::forward` stays deleted, and so do the cost models' single-row
 # `predict`s (one set is a batch of one).
 #
+# One replan record, charged once (DESIGN.md §8, §9):
+# `nshard_core::replan_migration_bytes` decides what a replan moves — from
+# the rebased incumbent, or every byte of the task when the incumbent no
+# longer rebases. `PlanningStack::replan` returns it in its
+# `ReplanOutcome`; the controller's full replans and the daemon's degraded
+# replans call it; nothing under online/serve charges with the raw
+# `migration_bytes(` a second way. The daemon's replan record, the
+# controller's copy of the stack's route and the column-only plan
+# constructor, applier and type stay deleted (a column-wise plan is a
+# `SplitPlan` of column steps).
+#
+# One lock policy (DESIGN.md §9): every lock the daemon takes goes through
+# `serve::sync`, which recovers a poisoned guard, so no acquisition under
+# serve/src unwraps or expects a poison error.
+#
 # Same rule as count-lines.sh: the test-only module files are skipped, each
 # other file is cut at its first line that starts with `#[cfg(test)]`, and
 # lines starting with `//` are dropped.
@@ -279,6 +294,24 @@ if grep -rnwE 'RepairStep|remapped_devices' crates src tests examples; then
 fi
 if [ -e crates/online/src/incremental.rs ]; then
     echo "error: the incremental planner lives in crates/core/src/local.rs" >&2
+    exit 1
+fi
+
+if code crates/online/src crates/serve/src | grep -E '(^|[^A-Za-z0-9_])migration_bytes\('; then
+    echo "error: a replan is charged by nshard_core::replan_migration_bytes, read off the" \
+        "stack's ReplanOutcome or called, never recomputed (lines above)" >&2
+    exit 1
+fi
+if code crates/*/src src |
+    grep -wE 'ReplanOutput|IncrementalFellBack|with_split_plan|apply_column_plan|ColumnPlan'; then
+    echo "error: one replan record and one plan constructor; the deleted spellings stay" \
+        "deleted (lines above)" >&2
+    exit 1
+fi
+if code crates/serve/src | grep -v '^crates/serve/src/sync.rs:' |
+    grep -E 'poisoned"|\.(lock|read|write)\(\)[[:space:]]*\.(expect|unwrap)\(|\.wait\([^)]*\)\.(expect|unwrap)\('; then
+    echo "error: the daemon takes its locks through serve::sync, which recovers poisoned" \
+        "guards (lines above)" >&2
     exit 1
 fi
 

@@ -20,8 +20,8 @@ use neuroshard::core::estimate_for_task;
 use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::online::{
-    DriftDetector, IncrementalConfig, IncrementalPlanner, OnlineConfig, OnlineController,
-    ReplanHistory, ReplanStrategy, ReplanTrigger, WorkloadDrift,
+    DriftDetector, DriftThresholds, IncrementalConfig, IncrementalPlanner, OnlineConfig,
+    OnlineController, ReplanHistory, ReplanStrategy, ReplanTrigger, WorkloadDrift,
 };
 use neuroshard::prelude::*;
 use neuroshard::sim::DevicePool;
@@ -281,6 +281,94 @@ fn tight_devices_are_held_to_their_own_budget() {
         out.plan
             .validate(&task)
             .expect("replanned plans respect per-device budgets");
+    }
+}
+
+/// A replan whose incumbent no longer rebases is charged one way, by the
+/// controller and by the daemon alike: every byte of the drifted task.
+/// The trace's table 0 does not fit one 64 MiB device, so the row-wise
+/// search row-halves it while the epoch-0 hotspot keeps its pooling above
+/// 2; at epoch 2 the hotspot has moved on, the pooling drops below 2, the
+/// recorded row split turns illegal and the replan is forced (the
+/// detector's thresholds are out of reach, so nothing replans before).
+#[test]
+fn a_replan_whose_incumbent_no_longer_rebases_is_charged_as_the_daemon_charges() {
+    use neuroshard::serve::http::HttpRequest;
+    use neuroshard::serve::server::Routed;
+    use neuroshard::serve::{ServeConfig, Service};
+
+    let pool = TablePool::synthetic_dlrm(40, 1);
+    let bundle = quick_bundle(&pool, 2, 7);
+    let mut tables = vec![TableConfig::new(TableId(0), 8, 3 << 20, 1.0, 1.05)];
+    tables.extend((1..10).map(|i| TableConfig::new(TableId(i), 8, 1 << 14, 0.6, 1.05)));
+    let drift = WorkloadDrift::standard(ShardingTask::new(tables, 2, 64 << 20, 1024), 0);
+    let search = NeuroShardConfig {
+        use_row_wise: true,
+        ..small_search()
+    };
+    let task2 = drift.task_at(2);
+    let every_byte: u64 = task2.tables().iter().map(|t| t.memory_bytes()).sum();
+
+    // The daemon: adopt the epoch-0 plan, then replan onto epoch 2.
+    let service = Service::new(
+        bundle.clone(),
+        ServeConfig {
+            search,
+            ..ServeConfig::smoke()
+        },
+    )
+    .expect("service boots");
+    let post = |path: &str, task: &ShardingTask| {
+        let body = format!("{{\"task\":{}}}", serde_json::to_string(task).unwrap());
+        let Routed::Queued(slot) = service.route(&HttpRequest {
+            method: "POST".into(),
+            path: path.into(),
+            body: body.into_bytes(),
+        }) else {
+            panic!("{path} is queued");
+        };
+        assert!(service.drain_one());
+        let response = slot.wait();
+        let text = String::from_utf8(response.body).unwrap();
+        assert_eq!(response.status, 200, "{path}: {text}");
+        text
+    };
+    post("/v1/plan", &drift.task_at(0));
+    let incumbent = service.plans().latest().expect("adopted").plan;
+    assert!(incumbent.num_row_splits() > 0, "{incumbent:?}");
+    assert!(incumbent.rebase(&task2).is_err());
+    let replanned = post("/v1/replan", &task2);
+    let field = "\"migration_bytes\":";
+    let at = replanned.find(field).expect("a replan reports its bytes") + field.len();
+    let daemon_bytes: u64 = replanned[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|digits| digits.parse().ok())
+        .expect("an integer byte count");
+    assert_eq!(daemon_bytes, every_byte);
+
+    for strategy in [ReplanStrategy::Full, ReplanStrategy::Incremental] {
+        let config = OnlineConfig {
+            epochs: 3,
+            strategy,
+            thresholds: DriftThresholds {
+                max_cost_regression: f64::INFINITY,
+                imbalance_ratio: f64::INFINITY,
+            },
+            search,
+            seed: 5,
+            ..OnlineConfig::default()
+        };
+        let history = OnlineController::new(bundle.clone(), drift.clone(), config)
+            .run()
+            .expect("every epoch is plannable");
+        assert_eq!(history.epochs[1].migration_bytes, 0, "{strategy:?}");
+        let forced = &history.epochs[2];
+        assert!(forced.report.is_none(), "the rebase failed ({strategy:?})");
+        assert_eq!(
+            forced.migration_bytes, daemon_bytes,
+            "{strategy:?} charges the daemon's bytes"
+        );
     }
 }
 

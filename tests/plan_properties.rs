@@ -159,7 +159,7 @@ proptest! {
             Err(_) => (vec![], tables),
         };
         let device_of = (0..sharded.len()).map(|i| i % devices).collect();
-        let plan = ShardingPlan::with_split_plan(steps, sharded, device_of, devices).unwrap();
+        let plan = ShardingPlan::new(steps, sharded, device_of, devices).unwrap();
         let json = serde_json::to_string(&plan).unwrap();
         prop_assert_eq!(&serde_json::from_str::<ShardingPlan>(&json).unwrap(), &plan);
         for span in field_value_spans(&json) {
@@ -343,7 +343,7 @@ proptest! {
         let device_of: Vec<usize> = (0..sharded.len())
             .map(|i| ((assignment_seed >> (i % 60)) as usize) % devices)
             .collect();
-        let p = ShardingPlan::with_split_plan(plan, sharded, device_of, devices).unwrap();
+        let p = ShardingPlan::new(plan, sharded, device_of, devices).unwrap();
         let charged: u64 = p.device_bytes().iter().sum();
         prop_assert_eq!(charged, total_before + added);
     }
@@ -379,7 +379,7 @@ proptest! {
         let device_of: Vec<usize> = (0..sharded.len())
             .map(|i| ((assignment_seed >> (i % 60)) as usize) % devices)
             .collect();
-        let p = ShardingPlan::with_split_plan(
+        let p = ShardingPlan::new(
             plan.clone(), sharded.clone(), device_of.clone(), devices,
         ).unwrap();
         prop_assert_eq!(migration_bytes(&p, &p), 0);
@@ -388,7 +388,7 @@ proptest! {
         let i = (move_pick as usize) % sharded.len();
         let mut moved = device_of.clone();
         moved[i] = (device_of[i] + 1) % devices;
-        let q = ShardingPlan::with_split_plan(plan.clone(), sharded.clone(), moved, devices).unwrap();
+        let q = ShardingPlan::new(plan.clone(), sharded.clone(), moved, devices).unwrap();
         prop_assert_eq!(migration_bytes(&p, &q), sharded[i].memory_bytes());
 
         // Pooling-only drift: rebase succeeds (pooling never shrinks, so
