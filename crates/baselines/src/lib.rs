@@ -3,20 +3,20 @@
 //! Implements the baseline sharding algorithms of Table 1 / Table 4
 //! (Appendix E):
 //!
-//! * [`greedy`] — **Random** sharding and the four greedy heuristics
-//!   (size-, dim-, lookup- and size-lookup-based). Faithful to the paper,
+//! * [`RandomSharding`] and the four greedy heuristics ([`SizeGreedy`],
+//!   [`DimGreedy`], [`LookupGreedy`], [`SizeLookupGreedy`]). Faithful to the paper,
 //!   these balance a heuristic cost *without* memory awareness or
 //!   column-wise sharding, so they hit out-of-memory failures as table
 //!   dimensions grow — the "-" cells of Table 1.
-//! * [`rl`] — REINFORCE policy-gradient sharding agents standing in for
+//! * [`RlSharder`] — REINFORCE policy-gradient sharding agents standing in for
 //!   **AutoShard** (balances learned computation costs) and **DreamShard**
 //!   (balances computation + communication). These are simulations of the
 //!   referenced systems: table-wise-only assignment with a stochastic
 //!   policy, which reproduces their qualitative behaviour — competitive at
 //!   small dimensions, unable to scale to large tables.
-//! * [`imitation`] — **self-imitation learning** (Appendix H): distill a
+//! * [`ImitationSharder`] — **self-imitation learning** (Appendix H): distill a
 //!   log of NeuroShard plans into a fast one-pass policy sharder.
-//! * [`planner`] — a **TorchRec-like** partition planner: supports
+//! * [`TorchRecLikePlanner`] — a **TorchRec-like** partition planner: supports
 //!   column-wise splitting (so it scales to the largest dimensions) but
 //!   costs proposals with a *heuristic* (non-learned) cost function, which
 //!   is why it trails NeuroShard everywhere.
@@ -26,11 +26,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod greedy;
-pub mod imitation;
-pub mod planner;
+mod greedy;
+mod imitation;
+mod planner;
 mod policy;
-pub mod rl;
+mod rl;
 
 pub use greedy::{DimGreedy, LookupGreedy, RandomSharding, SizeGreedy, SizeLookupGreedy};
 pub use imitation::{ImitationSharder, SystemLog};

@@ -985,9 +985,9 @@ mod tests {
         let tables: Vec<TableConfig> = (0..12).map(|i| t(i, 32)).collect();
         let _ = search2(&search, &tables, nshard_sim::DEFAULT_MEM_BYTES, 65_536).unwrap();
         assert!(
-            sim.cache().hit_rate() > 0.5,
+            sim.cache().stats().hit_rate() > 0.5,
             "hit rate {}",
-            sim.cache().hit_rate()
+            sim.cache().stats().hit_rate()
         );
     }
 

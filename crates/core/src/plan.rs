@@ -3,8 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_data::task::MAX_WIRE_DEVICES;
-use nshard_data::{ShardingTask, TableConfig};
+use nshard_data::{ShardingTask, TableConfig, MAX_WIRE_DEVICES};
 use nshard_sim::TableProfile;
 
 /// How a table is split in two by one sharding step.
@@ -20,6 +19,16 @@ pub enum SplitKind {
     /// the batch's lookups, splitting the table's compute and all-to-all
     /// traffic across its holders.
     Replicate,
+}
+
+impl std::fmt::Display for SplitKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SplitKind::Column => "column",
+            SplitKind::Row => "row",
+            SplitKind::Replicate => "replicate",
+        })
+    }
 }
 
 /// One step of a generalized sharding plan: split the table at `index`
@@ -68,24 +77,28 @@ pub type SplitPlan = Vec<SplitStep>;
 /// Errors produced while constructing or validating sharding plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// A column-plan step referenced a table index that does not exist.
+    /// A split step referenced a table index that does not exist.
     ColumnIndexOutOfRange {
         /// The offending step.
         step: usize,
+        /// The split it asked for.
+        kind: SplitKind,
         /// The index referenced.
         index: usize,
         /// The table-list length at that step.
         len: usize,
     },
-    /// A column-plan step tried to split a table whose halved dimension
-    /// would violate the kernel lane constraint.
+    /// A split step asked for a split the table refuses: a column split
+    /// whose halved dimension would violate the kernel lane constraint, a
+    /// row split of a table with too few rows or a pooling factor under 2,
+    /// or a replication of a table with a pooling factor under 2.
     UnsplittableTable {
         /// The offending step.
         step: usize,
+        /// The refused split.
+        kind: SplitKind,
         /// The index referenced.
         index: usize,
-        /// The table's dimension.
-        dim: u32,
     },
     /// No memory-feasible table-wise plan exists (the "-" cells of
     /// Table 1).
@@ -112,14 +125,18 @@ pub enum PlanError {
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlanError::ColumnIndexOutOfRange { step, index, len } => write!(
+            PlanError::ColumnIndexOutOfRange {
+                step,
+                kind,
+                index,
+                len,
+            } => write!(
                 f,
-                "column plan step {step} references table {index} but only {len} tables exist"
+                "{kind} split step {step} references table {index} but only {len} tables exist"
             ),
-            PlanError::UnsplittableTable { step, index, dim } => write!(
-                f,
-                "column plan step {step} cannot split table {index} of dimension {dim}"
-            ),
+            PlanError::UnsplittableTable { step, kind, index } => {
+                write!(f, "{kind} split step {step} cannot split table {index}")
+            }
             PlanError::Infeasible { reason } => write!(f, "no feasible plan: {reason}"),
             PlanError::Invalid { reason } => write!(f, "invalid plan: {reason}"),
             PlanError::NonFiniteCost { what, value } => {
@@ -186,6 +203,7 @@ pub(crate) fn split_in_place(
     let Some(table) = list.get(index) else {
         return Err(PlanError::ColumnIndexOutOfRange {
             step,
+            kind,
             index,
             len: list.len(),
         });
@@ -195,11 +213,7 @@ pub(crate) fn split_in_place(
         SplitKind::Row => table.split_rows(),
         SplitKind::Replicate => table.replicate(),
     }
-    .ok_or(PlanError::UnsplittableTable {
-        step,
-        index,
-        dim: table.dim(),
-    })?;
+    .ok_or(PlanError::UnsplittableTable { step, kind, index })?;
     list[index] = a;
     list.push(b);
     Ok(())
@@ -618,7 +632,27 @@ mod tests {
     #[test]
     fn unsplittable_table_errors() {
         let err = apply_split_plan(&[t(0, 4)], &cols(&[0])).unwrap_err();
-        assert!(matches!(err, PlanError::UnsplittableTable { dim: 4, .. }));
+        assert!(matches!(
+            err,
+            PlanError::UnsplittableTable {
+                kind: SplitKind::Column,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn a_refused_split_names_its_kind() {
+        let cold = TableConfig::new(TableId(0), 64, 1 << 20, 1.5, 1.0);
+        let err = apply_split_plan(&[cold], &[SplitStep::row(0)]).unwrap_err();
+        assert_eq!(err.to_string(), "row split step 0 cannot split table 0");
+        let err = apply_split_plan(&[t(0, 4)], &cols(&[0])).unwrap_err();
+        assert_eq!(err.to_string(), "column split step 0 cannot split table 0");
+        let err = apply_split_plan(&[t(0, 64)], &[SplitStep::row(2)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "row split step 0 references table 2 but only 1 tables exist"
+        );
     }
 
     #[test]

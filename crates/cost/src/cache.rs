@@ -243,13 +243,13 @@ impl CacheStats {
 /// ```
 /// use nshard_cost::PredictionCache;
 ///
-/// let cache = PredictionCache::new();
+/// let cache = PredictionCache::default();
 /// let out = cache.resolve(&[42, 7, 42], |firsts| {
 ///     assert_eq!(firsts, [0, 1]); // 42 and 7 must be computed...
 ///     vec![3.5, 1.0]
 /// });
 /// assert_eq!(out, [3.5, 1.0, 3.5]); // ...and the second 42 is a hit
-/// assert_eq!((cache.hits(), cache.misses()), (1, 2));
+/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
 /// ```
 #[derive(Debug, Default)]
 pub struct PredictionCache {
@@ -353,11 +353,6 @@ impl<V: Clone> BatchMap<V> {
 }
 
 impl PredictionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resolves one batch of keys and returns the value the cache holds
     /// for each, in key order: one shared lock to look them up, then —
     /// unless all were found — `compute` for the first position asking for
@@ -378,27 +373,12 @@ impl PredictionCache {
         out
     }
 
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// A snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Hit rate in `[0, 1]`; 0 when the cache has not been queried.
-    pub fn hit_rate(&self) -> f64 {
-        self.stats().hit_rate()
     }
 
     /// Number of distinct entries stored.
@@ -524,27 +504,27 @@ mod tests {
 
     #[test]
     fn cache_hits_and_misses_are_counted() {
-        let cache = PredictionCache::new();
-        assert_eq!(cache.hit_rate(), 0.0);
+        let cache = PredictionCache::default();
+        assert_eq!(cache.stats().hit_rate(), 0.0);
         lookup(&cache, 1, 1.0);
         lookup(&cache, 1, 2.0);
         lookup(&cache, 2, 3.0);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().misses, 2);
+        assert!((cache.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn cached_value_wins() {
-        let cache = PredictionCache::new();
+        let cache = PredictionCache::default();
         lookup(&cache, 9, 5.0);
         assert_eq!(lookup(&cache, 9, 99.0), 5.0);
     }
 
     #[test]
     fn batch_primitives_account_consistently() {
-        let cache = PredictionCache::new();
+        let cache = PredictionCache::default();
         let out = cache.resolve(&[7, 8, 7, 7], |firsts| {
             assert_eq!(firsts, [0, 1]);
             // A racing batch stores key 7 while this one computes (no lock
@@ -643,7 +623,7 @@ mod tests {
         const THREADS: u64 = 8;
         const BATCHES: u64 = 250;
         const BATCH: u64 = 16;
-        let cache = PredictionCache::new();
+        let cache = PredictionCache::default();
         let start = std::sync::Barrier::new(THREADS as usize);
         let seen: Vec<Vec<(u64, f64)>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)

@@ -338,7 +338,7 @@ impl CostSimulator {
         Self {
             baseline: DevicePool::uniform(bundle.num_devices, DEFAULT_MEM_BYTES),
             bundle,
-            cache: PredictionCache::new(),
+            cache: PredictionCache::default(),
             encodings: EncodingCache::default(),
             cache_enabled: true,
         }
@@ -738,10 +738,10 @@ mod tests {
         let est = sim.estimate_plan(&plan);
         assert_eq!(est.compute_per_device.len(), 2);
         assert!(est.total_ms().is_finite());
-        assert_eq!(sim.cache().misses(), 2);
+        assert_eq!(sim.cache().stats().misses, 2);
         // Second estimate hits the cache for both devices.
         let _ = sim.estimate_plan(&plan);
-        assert_eq!(sim.cache().hits(), 2);
+        assert_eq!(sim.cache().stats().hits, 2);
     }
 
     #[test]
@@ -750,8 +750,8 @@ mod tests {
         let plan = vec![vec![t(64)], vec![t(16)]];
         let _ = sim.estimate_plan(&plan);
         let _ = sim.estimate_plan(&plan);
-        assert_eq!(sim.cache().hits(), 0);
-        assert_eq!(sim.cache().hit_rate(), 0.0);
+        assert_eq!(sim.cache().stats().hits, 0);
+        assert_eq!(sim.cache().stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -938,8 +938,8 @@ mod tests {
             .collect();
         let _ = sim.device_compute_cost_batch(&keyed);
         // Serial replay: miss(a), miss(b), hit(a), hit(a).
-        assert_eq!(sim.cache().misses(), 2);
-        assert_eq!(sim.cache().hits(), 2);
+        assert_eq!(sim.cache().stats().misses, 2);
+        assert_eq!(sim.cache().stats().hits, 2);
     }
 
     #[test]

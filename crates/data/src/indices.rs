@@ -28,17 +28,25 @@ pub fn expected_distinct_fraction(hash_size: u64, alpha: f64, lookups: f64) -> f
     // The estimator is pure but libm-heavy (~300 transcendental calls), and
     // the search re-profiles the same tables constantly — memoize per
     // thread. Bit-identical: the cache stores exactly the computed value.
-    thread_local! {
-        static MEMO: std::cell::RefCell<std::collections::HashMap<(u64, u64, u64), f64>> =
-            std::cell::RefCell::new(std::collections::HashMap::new());
-    }
     let key = (hash_size, alpha.to_bits(), lookups.to_bits());
-    if let Some(v) = MEMO.with(|m| m.borrow().get(&key).copied()) {
-        return v;
-    }
-    let v = expected_distinct_fraction_uncached(hash_size, alpha, lookups);
-    MEMO.with(|m| m.borrow_mut().insert(key, v));
-    v
+    MEMO.with_borrow_mut(|memo| {
+        if memo.len() >= MEMO_ENTRIES && !memo.contains_key(&key) {
+            memo.clear();
+        }
+        *memo
+            .entry(key)
+            .or_insert_with(|| expected_distinct_fraction_uncached(hash_size, alpha, lookups))
+    })
+}
+
+/// Entries a thread's memo holds before it starts over, so a worker fed
+/// ever-new tables stays bounded. A search touches far fewer tables.
+const MEMO_ENTRIES: usize = 1 << 16;
+
+type Memo = std::collections::HashMap<(u64, u64, u64), f64>;
+
+thread_local! {
+    static MEMO: std::cell::RefCell<Memo> = std::cell::RefCell::new(Memo::new());
 }
 
 fn expected_distinct_fraction_uncached(hash_size: u64, alpha: f64, lookups: f64) -> f64 {
@@ -96,6 +104,25 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn the_memo_starts_over_past_its_bound() {
+        // Uniform tables take the cheap closed form, so going past the
+        // bound costs little.
+        let fresh = |rows: u64| expected_distinct_fraction_uncached(rows, 0.0, 64.0);
+        for rows in 1..=(MEMO_ENTRIES as u64 + 10) {
+            assert_eq!(
+                expected_distinct_fraction(rows, 0.0, 64.0).to_bits(),
+                fresh(rows).to_bits()
+            );
+            assert!(MEMO.with(|m| m.borrow().len()) <= MEMO_ENTRIES);
+        }
+        assert_eq!(MEMO.with(|m| m.borrow().len()), 10);
+        assert_eq!(
+            expected_distinct_fraction(1, 0.0, 64.0).to_bits(),
+            fresh(1).to_bits()
+        );
+    }
 
     /// The estimator's oracle: the measured fraction of distinct indices
     /// among `lookups` draws from `Zipf(alpha)` over `hash_size` rows, like

@@ -11,12 +11,12 @@
 //! On top of the table pool the crate implements the paper's synthetic-input
 //! generation pipeline (§3.1 and Appendix B):
 //!
-//! * [`augment`] — table augmentation over a dimension set (Algorithm 3),
-//! * [`combination`] — random table combinations for computation-cost
+//! * [`augment_pool`] — table augmentation over a dimension set (Algorithm 3),
+//! * [`CombinationGenerator`] — random table combinations for computation-cost
 //!   benchmarking (Algorithm 4),
-//! * [`placement`] — random table placements with greedy-with-randomness
+//! * [`PlacementGenerator`] — random table placements with greedy-with-randomness
 //!   balance control and random start timestamps (Algorithm 5),
-//! * [`task`] — the evaluation sharding tasks of Table 5 (number of GPUs ×
+//! * [`ShardingTask`] and [`TaskGrid`] — the evaluation sharding tasks of Table 5 (number of GPUs ×
 //!   max table dimension grid).
 //!
 //! ## Example
@@ -35,13 +35,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod augment;
-pub mod combination;
-pub mod indices;
-pub mod placement;
-pub mod pool;
-pub mod table;
-pub mod task;
+mod augment;
+mod combination;
+mod indices;
+mod placement;
+mod pool;
+mod table;
+mod task;
 
 pub use augment::augment_pool;
 pub use combination::{CombinationGenerator, TableCombination};
@@ -49,7 +49,7 @@ pub use indices::expected_distinct_fraction;
 pub use placement::{Placement, PlacementGenerator};
 pub use pool::{PoolStats, TablePool};
 pub use table::{TableConfig, TableId, MIN_ROW_SHARD};
-pub use task::{ShardingTask, TaskGrid};
+pub use task::{ShardingTask, TaskGrid, MAX_WIRE_DEVICES};
 
 // Heterogeneous fleet descriptions live in the simulator crate (they are
 // part of the ground-truth cluster model); re-exported here because tasks

@@ -2,8 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_sim::profile::BYTES_PER_ELEM;
 use nshard_sim::TableProfile;
+use nshard_sim::BYTES_PER_ELEM;
 
 use crate::indices::expected_distinct_fraction;
 
@@ -262,7 +262,7 @@ impl TableConfig {
     pub fn split_columns(&self) -> Option<(TableConfig, TableConfig)> {
         // Delegate legality to the simulator's profile rules.
         let half = self.dim / 2;
-        if half == 0 || !half.is_multiple_of(nshard_sim::profile::DIM_LANE) {
+        if half == 0 || !half.is_multiple_of(nshard_sim::DIM_LANE) {
             return None;
         }
         let a = self.with_dim(half);

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
-use nshard_sim::profile::BYTES_PER_ELEM;
+use nshard_sim::BYTES_PER_ELEM;
 use nshard_sim::{DevicePool, DeviceProfile, TableProfile};
 
 use crate::pool::TablePool;

@@ -1,36 +1,4 @@
-//! The online re-sharding loop: observe → detect → replan → apply →
-//! evaluate.
-//!
-//! [`OnlineController`] drives a deployed sharding plan through a drifting
-//! workload, one epoch at a time:
-//!
-//! 1. **Observe** — materialize the epoch's drifted task from the
-//!    [`WorkloadDrift`] generator and rebase the incumbent plan onto it
-//!    (the placement is unchanged; every shard now carries the drifted
-//!    pooling factors and hash sizes).
-//! 2. **Detect** — the [`DriftDetector`] prices the rebased incumbent
-//!    with the pre-trained cost models and fires a typed
-//!    [`ReplanTrigger`] when the plan's assumptions no longer hold.
-//! 3. **Replan** — per the configured [`ReplanStrategy`]: keep the
-//!    incumbent, run a full search through the [`PlanningStack`]'s
-//!    fallback chain, or ask the stack for a migration-aware replan (the
-//!    incremental planner, falling back to the chain when its result is
-//!    unusable).
-//! 4. **Apply** — adopt the new plan, charged the bytes it moves by the
-//!    one rule every replan path shares,
-//!    [`replan_migration_bytes`]:
-//!    the migration from the rebased incumbent, or every byte of the task
-//!    when the incumbent no longer rebases. A stack replan arrives charged
-//!    in its [`ReplanOutcome`]; a full replan is charged here.
-//! 5. **Evaluate** — ground-truth the deployed plan on the cluster
-//!    simulator (the paper's "real GPU cost" oracle), which the search
-//!    itself never sees.
-//!
-//! Every epoch appends an [`EpochRecord`] to the returned
-//! [`ReplanHistory`]; every adopted plan carries a [`PlanProvenance`]
-//! whose `replan` field attributes it to the trigger kind and epoch that
-//! caused it. The whole loop is bit-deterministic per seed at any thread
-//! count.
+//! The online re-sharding loop: see [`OnlineController`].
 
 use serde::{Deserialize, Serialize};
 
@@ -249,7 +217,39 @@ pub(crate) struct EpochObservation<'a> {
     pub trigger: Option<&'a ReplanTrigger>,
 }
 
-/// The epoch loop. See the [module documentation](self).
+/// The online re-sharding loop: observe → detect → replan → apply →
+/// evaluate.
+///
+/// It drives a deployed sharding plan through a drifting workload, one
+/// epoch at a time:
+///
+/// 1. **Observe** — materialize the epoch's drifted task from the
+///    [`WorkloadDrift`] generator and rebase the incumbent plan onto it
+///    (the placement is unchanged; every shard now carries the drifted
+///    pooling factors and hash sizes).
+/// 2. **Detect** — the [`DriftDetector`] prices the rebased incumbent
+///    with the pre-trained cost models and fires a typed
+///    [`ReplanTrigger`] when the plan's assumptions no longer hold.
+/// 3. **Replan** — per the configured [`ReplanStrategy`]: keep the
+///    incumbent, run a full search through the [`PlanningStack`]'s
+///    fallback chain, or ask the stack for a migration-aware replan (the
+///    incremental planner, falling back to the chain when its result is
+///    unusable).
+/// 4. **Apply** — adopt the new plan, charged the bytes it moves by the
+///    one rule every replan path shares,
+///    [`replan_migration_bytes`]:
+///    the migration from the rebased incumbent, or every byte of the task
+///    when the incumbent no longer rebases. A stack replan arrives charged
+///    in its [`ReplanOutcome`]; a full replan is charged here.
+/// 5. **Evaluate** — ground-truth the deployed plan on the cluster
+///    simulator (the paper's "real GPU cost" oracle), which the search
+///    itself never sees.
+///
+/// Every epoch appends an [`EpochRecord`] to the returned
+/// [`ReplanHistory`]; every adopted plan carries a [`PlanProvenance`]
+/// whose `replan` field attributes it to the trigger kind and epoch that
+/// caused it. The whole loop is bit-deterministic per seed at any thread
+/// count.
 pub struct OnlineController {
     drift: WorkloadDrift,
     stack: PlanningStack,
@@ -336,7 +336,7 @@ impl OnlineController {
             })
         });
         if let Some(bundle) = promoted {
-            self.stack = self.stack.with_bundle(bundle);
+            self.stack = PlanningStack::new(bundle, self.config.search, self.config.incremental);
             baseline_ms = self.price(&task0, &incumbent).total_ms();
         }
 
@@ -484,7 +484,8 @@ impl OnlineController {
             deployed_task = task;
             baseline_ms = predicted_ms;
             if let Some(bundle) = promoted {
-                self.stack = self.stack.with_bundle(bundle);
+                self.stack =
+                    PlanningStack::new(bundle, self.config.search, self.config.incremental);
                 // Re-price the baseline (and the stall reference) with the
                 // new models so next epoch's regression ratio is not an
                 // artifact of the swap itself.

@@ -7,13 +7,13 @@
 //!
 //! This crate closes the loop:
 //!
-//! * [`drift`] — a seeded, bit-deterministic **workload drift trace**
+//! * [`WorkloadDrift`] — a seeded, bit-deterministic **workload drift trace**
 //!   evolving a task's pooling factors, hash sizes and skew over discrete
 //!   epochs: [`WorkloadDrift::standard`] composes gradual growth, a
 //!   rotating hotspot, a diurnal swing and a sudden spike. Synthetic
 //!   drift stands in for real traffic traces the same way the cluster
 //!   simulator stands in for real GPUs.
-//! * [`detect`] — a **drift detector** pricing the incumbent plan under
+//! * [`DriftDetector`] — a **drift detector** pricing the incumbent plan under
 //!   the current workload with the same pre-trained cost models used by
 //!   the search, firing a typed [`ReplanTrigger`] when the plan's
 //!   deploy-time assumptions break.
@@ -27,7 +27,7 @@
 //!   pair of caches), the full fallback chain around it and the
 //!   incremental planner, for one cost-model bundle. Its `replan` is the
 //!   one place that decides *incremental, else the full chain*.
-//! * [`controller`] — the [`OnlineController`] epoch loop: observe →
+//! * [`OnlineController`] — the epoch loop: observe →
 //!   detect → replan (through its stack) → apply → ground-truth evaluate,
 //!   recording a full [`ReplanHistory`].
 //! * [`learn`] — continual learning of the cost models: the
@@ -69,9 +69,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod controller;
-pub mod detect;
-pub mod drift;
+mod controller;
+mod detect;
+mod drift;
 pub mod learn;
 mod stack;
 

@@ -54,7 +54,7 @@ pub struct ReplanOutcome {
 ///
 /// Everything that plans with a pre-trained bundle — the daemon's engine
 /// (`nshard-serve`) and the [`OnlineController`](crate::OnlineController)
-/// — builds, replans and falls back through one stack. It owns **one**
+/// — builds, replans and falls back through a stack. It owns **one**
 /// [`NeuroShard`], hence one [`CostSimulator`] and one pair of
 /// prediction/encoding caches: the full search, the incremental planner,
 /// the drift detector and every `predicted_ms` ask the same simulator, so
@@ -63,9 +63,11 @@ pub struct ReplanOutcome {
 /// sharder sit the **full chain** (`NeuroShard → SizeGreedy →
 /// size-balanced`) and the [`IncrementalPlanner`].
 ///
-/// A stack is immutable. Swapping in a new bundle means building a new
-/// stack, which is what guarantees a promoted model never serves a
-/// predecessor's cached predictions.
+/// A stack is immutable, and its caches live as long as it does. The
+/// daemon builds one per request, so no cache outlives the request that
+/// filled it; the controller keeps one for its run and builds a new one
+/// from its configuration when it promotes a bundle, so a promoted model
+/// never serves a predecessor's cached predictions.
 pub struct PlanningStack {
     neuro: Arc<NeuroShard>,
     chain: FallbackChain,
@@ -98,13 +100,6 @@ impl PlanningStack {
             chain,
             planner,
         }
-    }
-
-    /// The stack for `bundle` with this stack's search and incremental
-    /// configurations — what a promotion builds, so the swap replaces the
-    /// simulator and with it every prediction/encoding cache.
-    pub fn with_bundle(&self, bundle: CostModelBundle) -> Self {
-        Self::new(bundle, *self.neuro.config(), *self.planner.config())
     }
 
     /// The one simulator every path of this stack prices with.
@@ -324,12 +319,5 @@ mod tests {
         };
         let stack = PlanningStack::new(bundle, search, IncrementalConfig::default());
         assert!(stack.planner.config().row_wise);
-
-        // A successor keeps both configurations and starts cold.
-        stack.plan(&tight_task(100_000)).unwrap();
-        let next = stack.with_bundle(stack.simulator().bundle().clone());
-        assert_eq!(next.neuro.config(), stack.neuro.config());
-        assert_eq!(next.planner.config(), stack.planner.config());
-        assert!(next.simulator().cache().is_empty());
     }
 }

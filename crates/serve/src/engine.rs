@@ -1,14 +1,20 @@
 //! The planning engine behind the daemon's endpoints.
 //!
 //! One [`PlanningEngine`] is shared (behind an `Arc`) by every worker
-//! thread. Per cost-model generation it owns:
+//! thread. It holds the serving cost-model bundle and its version, the
+//! search and incremental configurations, and the **degraded chain** —
+//! greedy primaries only, used when a request's remaining deadline budget
+//! is too small for a beam search, so a deadline-pressed request degrades
+//! to a fast plan instead of erroring.
 //!
-//! * the [`PlanningStack`] — the sharder, the full chain around it and the
-//!   incremental planner, all pricing with one simulator; `POST /v1/plan`
-//!   is its `plan`, `POST /v1/replan` its `replan`;
-//! * the **degraded chain** — greedy primaries only, used when a request's
-//!   remaining deadline budget is too small for a beam search, so a
-//!   deadline-pressed request degrades to a fast plan instead of erroring.
+//! Each request builds its own [`PlanningStack`] around the serving
+//! bundle: `POST /v1/plan` is its `plan`, `POST /v1/replan` its `replan`.
+//! The search, the fall-back, the incremental replan and the pricing of
+//! the answer share that stack's one simulator, and its prediction and
+//! encoding caches are dropped with the response. No cache outlives the
+//! request that filled it, so the daemon's memory does not grow with the
+//! tasks it has seen, and a body's answer does not depend on the requests
+//! before it or beside it.
 //!
 //! A replan's `migration_bytes` is the stack's one charge,
 //! [`replan_migration_bytes`]: the bytes moved from the incumbent rebased
@@ -50,24 +56,27 @@ pub struct PlanOutput {
     /// `true` when the serving layer routed this request through the
     /// degraded chain (deadline pressure) or the chain itself downgraded.
     pub degraded: bool,
+    /// The model version that planned and priced it.
+    pub model_version: u64,
+    /// The request's own prediction-cache hits and misses.
+    pub cache: CacheStats,
 }
 
-/// Everything derived from one cost-model bundle: the planning stack, the
-/// degraded chain, and the monotonically increasing model version.
-/// Swapped atomically as a unit on promotion, which also replaces the
-/// stack's simulator — and with it every prediction and encoding cache,
-/// so a promoted model can never serve a predecessor's cached predictions.
-struct EngineCore {
-    stack: PlanningStack,
-    degraded: FallbackChain,
+/// The serving cost-model bundle and its version, swapped as a unit on
+/// promotion.
+struct Serving {
+    bundle: CostModelBundle,
     version: u64,
 }
 
-/// The planning engine shared by every worker thread: per cost-model
-/// generation, the planning stack, the greedy degraded chain and the model
-/// version.
+/// The planning engine shared by every worker thread: the serving bundle
+/// and its version, the configurations each request's planning stack is
+/// built with, and the greedy degraded chain.
 pub struct PlanningEngine {
-    core: RwLock<Arc<EngineCore>>,
+    serving: RwLock<Arc<Serving>>,
+    search: NeuroShardConfig,
+    incremental: IncrementalConfig,
+    degraded: FallbackChain,
 }
 
 impl PlanningEngine {
@@ -79,33 +88,39 @@ impl PlanningEngine {
     /// model version is `1`. `_seed` is read by nothing: the chains verify
     /// a plan on its task's fleet, which draws no seed. It stays until the
     /// benchmark surface, which passes it, is next changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a contradictory `search` (see
+    /// [`NeuroShardConfig::validate`]).
     pub fn new(
         bundle: CostModelBundle,
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
         _seed: u64,
     ) -> Self {
-        let stack = PlanningStack::new(bundle, search, incremental);
+        search.validate().expect("a valid NeuroShardConfig");
         Self {
-            core: RwLock::new(Arc::new(EngineCore::new(stack, 1))),
+            serving: RwLock::new(Arc::new(Serving { bundle, version: 1 })),
+            search,
+            incremental,
+            degraded: FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy)),
         }
     }
 
-    /// The current core; cloned out of the lock so in-flight requests keep
-    /// planning against the model generation they started with even if a
-    /// promotion lands mid-request.
-    fn current(&self) -> Arc<EngineCore> {
-        sync::read(&self.core).clone()
+    /// The serving bundle; cloned out of the lock so an in-flight request
+    /// keeps planning against the model generation it started with even
+    /// if a promotion lands mid-request.
+    fn current(&self) -> Arc<Serving> {
+        sync::read(&self.serving).clone()
     }
 
-    /// Atomically swaps in a new cost-model bundle — a new planning stack
-    /// and degraded chain built around it — and returns the new model
-    /// version. The fresh simulator starts with empty prediction/encoding
-    /// caches, so no stale predictions survive the promotion.
+    /// Atomically installs a new cost-model bundle and returns its model
+    /// version. Requests that start after it plan with the new bundle.
     pub(crate) fn swap_bundle(&self, bundle: CostModelBundle) -> u64 {
-        let mut guard = sync::write(&self.core);
+        let mut guard = sync::write(&self.serving);
         let version = guard.version + 1;
-        *guard = Arc::new(EngineCore::new(guard.stack.with_bundle(bundle), version));
+        *guard = Arc::new(Serving { bundle, version });
         version
     }
 
@@ -122,17 +137,15 @@ impl PlanningEngine {
     ///
     /// A message naming both counts.
     pub(crate) fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
-        let core = self.current();
-        core.stack
-            .simulator()
-            .bundle()
-            .check_device_count(num_devices)
+        self.current().bundle.check_device_count(num_devices)
     }
 
-    /// Cumulative prediction-cache statistics of the **active** model
-    /// generation, for `/metrics` (a swap resets them with the caches).
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.current().stack.simulator().cache().stats()
+    /// One request's planning stack around the serving bundle, and that
+    /// bundle's version.
+    fn stack(&self) -> (PlanningStack, u64) {
+        let serving = self.current();
+        let stack = PlanningStack::new(serving.bundle.clone(), self.search, self.incremental);
+        (stack, serving.version)
     }
 
     /// Plans `task` from scratch. `degrade` routes through the greedy
@@ -147,19 +160,19 @@ impl PlanningEngine {
     /// count (cause [`nshard_core::PlanError::Invalid`]); carries full
     /// provenance.
     pub fn plan(&self, task: &ShardingTask, degrade: bool) -> Result<PlanOutput, ResilientError> {
-        let core = self.current();
-        let outcome = if degrade {
-            core.degraded.shard_with_provenance(task)?
+        let (stack, version) = self.stack();
+        let out = if degrade {
+            self.degraded.shard_with_provenance(task)?
         } else {
-            core.stack.plan(task)?
+            stack.plan(task)?
         };
-        finish(&core, task, outcome.plan, outcome.provenance, degrade)
+        finish(&stack, version, task, out.plan, out.provenance, degrade)
     }
 
     /// Replans `task` warm-started from `incumbent` through
     /// [`PlanningStack::replan`]: the incremental result when every device
     /// ends within its budget, else a full search. `degrade` skips the
-    /// stack entirely (a deadline-pressed replan takes the greedy chain,
+    /// stack's planners (a deadline-pressed replan takes the greedy chain,
     /// routed as a fall-back). Returns the priced plan, the bytes it moves
     /// ([`replan_migration_bytes`]) and the route that made it.
     ///
@@ -173,9 +186,9 @@ impl PlanningEngine {
         incumbent: &ShardingPlan,
         degrade: bool,
     ) -> Result<(PlanOutput, u64, ReplanRoute), ResilientError> {
-        let core = self.current();
+        let (stack, version) = self.stack();
         let re = if degrade {
-            let outcome = core.degraded.shard_with_provenance(task)?;
+            let outcome = self.degraded.shard_with_provenance(task)?;
             ReplanOutcome {
                 migration_bytes: replan_migration_bytes(incumbent, &outcome.plan, task),
                 plan: outcome.plan,
@@ -185,33 +198,24 @@ impl PlanningEngine {
                 },
             }
         } else {
-            core.stack.replan(task, incumbent)?
+            stack.replan(task, incumbent)?
         };
-        let output = finish(&core, task, re.plan, re.provenance, degrade)?;
+        let output = finish(&stack, version, task, re.plan, re.provenance, degrade)?;
         Ok((output, re.migration_bytes, re.route))
     }
 }
 
-impl EngineCore {
-    fn new(stack: PlanningStack, version: u64) -> Self {
-        Self {
-            stack,
-            degraded: FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy)),
-            version,
-        }
-    }
-}
-
-/// Prices, ids, and packages an accepted plan against one core (so the
-/// whole request is served by a single model generation).
+/// Prices, ids, and packages an accepted plan with the request's own
+/// stack (so the whole request is served by a single model generation).
 fn finish(
-    core: &EngineCore,
+    stack: &PlanningStack,
+    model_version: u64,
     task: &ShardingTask,
     plan: ShardingPlan,
     provenance: PlanProvenance,
     degrade: bool,
 ) -> Result<PlanOutput, ResilientError> {
-    let predicted_ms = match estimate_for_task(core.stack.simulator(), task, &plan) {
+    let predicted_ms = match estimate_for_task(stack.simulator(), task, &plan) {
         Ok(estimate) => estimate.total_ms(),
         Err(cause) => {
             return Err(ResilientError {
@@ -228,6 +232,8 @@ fn finish(
         provenance,
         predicted_ms,
         degraded,
+        model_version,
+        cache: stack.simulator().cache().stats(),
     })
 }
 
@@ -246,7 +252,7 @@ pub(crate) fn plan_id(task: &ShardingTask, plan: &ShardingPlan) -> String {
 mod tests {
     use super::*;
     use nshard_core::{BeamSearch, PlanError};
-    use nshard_cost::{CollectConfig, TrainSettings};
+    use nshard_cost::{CollectConfig, CostSimulator, TrainSettings};
     use nshard_data::{TableConfig, TableId, TablePool};
 
     fn engine() -> PlanningEngine {
@@ -368,14 +374,15 @@ mod tests {
     }
 
     #[test]
-    fn swap_bundle_bumps_version_and_clears_caches() {
+    fn swap_bundle_bumps_version_and_reprices() {
         let eng = engine();
         assert_eq!(eng.model_version(), 1);
         let t = task();
         let first = eng.plan(&t, false).unwrap();
+        assert_eq!(first.model_version, 1);
         assert!(
-            eng.cache_stats().misses > 0,
-            "planning must touch the prediction cache"
+            first.cache.misses > 0,
+            "planning must touch the request's prediction cache"
         );
 
         // Swap in a differently-seeded (differently-initialized) bundle.
@@ -389,15 +396,10 @@ mod tests {
         );
         assert_eq!(eng.swap_bundle(other), 2);
         assert_eq!(eng.model_version(), 2);
-        let stats = eng.cache_stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 0),
-            "a promoted model must start with empty caches"
-        );
 
         // The new generation prices plans with the new models.
         let second = eng.plan(&t, false).unwrap();
+        assert_eq!(second.model_version, 2);
         assert!(second.plan.validate(&t).is_ok());
         assert_ne!(
             first.predicted_ms, second.predicted_ms,
@@ -405,8 +407,22 @@ mod tests {
         );
     }
 
-    /// The Motivation fleet of ISSUE 17: one baseline device, one at 3x
-    /// compute time behind a half-bandwidth link.
+    #[test]
+    fn each_request_starts_with_empty_caches() {
+        let eng = engine();
+        let t = task();
+        let first = eng.plan(&t, false).unwrap();
+        let again = eng.plan(&t, false).unwrap();
+        // A shared cache would answer every lookup of the twin from the
+        // first request's entries.
+        assert!(again.cache.misses > 0, "{:?}", again.cache);
+        assert_eq!(first.cache.total(), again.cache.total());
+        let (replanned, _, _) = eng.replan(&t, &first.plan, false).unwrap();
+        assert!(replanned.cache.misses > 0);
+    }
+
+    /// One baseline device, one at 3x compute time behind a
+    /// half-bandwidth link.
     fn two_tier_task() -> ShardingTask {
         task().with_devices(nshard_data::DevicePool::two_tier(
             1,
@@ -422,7 +438,8 @@ mod tests {
     fn predicted_ms_is_the_search_estimate_on_a_heterogeneous_fleet() {
         let eng = engine();
         let t = two_tier_task();
-        let searched = BeamSearch::new(eng.current().stack.simulator(), &NeuroShardConfig::smoke())
+        let sim = CostSimulator::new(eng.current().bundle.clone());
+        let searched = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
             .search(&t)
             .unwrap();
         let planned = eng.plan(&t, false).unwrap();

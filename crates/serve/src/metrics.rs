@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use nshard_cost::CacheStats;
+
 use crate::sync;
 
 /// A monotonically increasing counter.
@@ -187,6 +189,7 @@ impl Histogram {
 }
 
 /// One registered metric.
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -222,13 +225,8 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut entries = sync::lock(&self.entries);
-        let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
-            help: help.to_string(),
-            metric: Metric::Counter(Arc::new(Counter::default())),
-        });
-        match &entry.metric {
-            Metric::Counter(c) => Arc::clone(c),
+        match self.get_or_create(name, help, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
             _ => panic!("metric `{name}` is already registered with a different kind"),
         }
     }
@@ -239,13 +237,8 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut entries = sync::lock(&self.entries);
-        let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
-            help: help.to_string(),
-            metric: Metric::Gauge(Arc::new(Gauge::default())),
-        });
-        match &entry.metric {
-            Metric::Gauge(g) => Arc::clone(g),
+        match self.get_or_create(name, help, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
             _ => panic!("metric `{name}` is already registered with a different kind"),
         }
     }
@@ -256,15 +249,23 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub(crate) fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
+        match self.get_or_create(name, help, || {
+            Metric::Histogram(Arc::new(Histogram::default_ms()))
+        }) {
+            Metric::Histogram(h) => h,
+            _ => panic!("metric `{name}` is already registered with a different kind"),
+        }
+    }
+
+    /// The one entry-or-insert: the metric registered as `name`, made by
+    /// `create` on first use.
+    fn get_or_create(&self, name: &str, help: &str, create: impl FnOnce() -> Metric) -> Metric {
         let mut entries = sync::lock(&self.entries);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
-            metric: Metric::Histogram(Arc::new(Histogram::default_ms())),
+            metric: create(),
         });
-        match &entry.metric {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` is already registered with a different kind"),
-        }
+        entry.metric.clone()
     }
 
     /// Renders every metric in Prometheus text exposition format, sorted
@@ -392,6 +393,23 @@ impl ServiceMetrics {
                 "Requests by endpoint and status code",
             )
             .inc();
+    }
+
+    /// Publishes `version` as the serving model version, and registers
+    /// its prediction-cache series so they exist at zero.
+    pub(crate) fn start_model_version(&self, version: u64) {
+        self.model_version.set(version);
+        self.count_prediction_cache(version, CacheStats::default());
+    }
+
+    /// Adds one request's prediction-cache hits and misses to the series
+    /// of the model version that served it.
+    pub(crate) fn count_prediction_cache(&self, version: u64, stats: CacheStats) {
+        for (outcome, count) in [("hits", stats.hits), ("misses", stats.misses)] {
+            let name = format!("nshard_serve_cache_{outcome}_total{{model_version=\"{version}\"}}");
+            let help = format!("Prediction-cache {outcome} of requests, by serving model version");
+            self.registry.counter(&name, &help).add(count);
+        }
     }
 
     pub(crate) fn count_rejection(&self, reason: &str) {

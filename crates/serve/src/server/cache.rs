@@ -13,8 +13,10 @@ use super::Service;
 /// A bounded FIFO cache of `200` responses for byte-identical request
 /// bodies. Correctness rests on the daemon's determinism contract —
 /// identical bodies already yield byte-identical responses (plan ids are
-/// content-addressed, adoption is idempotent) — so a hit only skips
-/// redundant search work, never changes an answer. Every entry folds the
+/// content-addressed, adoption is idempotent, and every request plans
+/// with prediction caches of its own, so no earlier or concurrent request
+/// can shift a cached prediction's bits) — so a hit only skips redundant
+/// search work, never changes an answer. Every entry folds the
 /// serving model version into the key (replan entries also the store's
 /// applied sequence), so a model promotion or plan adoption invalidates it —
 /// a response priced by a retired model is never replayed.

@@ -124,7 +124,7 @@ impl Service {
     }
 
     /// What both planning answers do with the engine's output: count the
-    /// outcome, and adopt it when asked. Returns the store version (`0`
+    /// outcome and its prediction-cache lookups, and adopt it when asked. Returns the store version (`0`
     /// when not adopted), or the `500` a failed store write answers.
     fn settle(
         &self,
@@ -132,6 +132,8 @@ impl Service {
         output: &PlanOutput,
         adopt: bool,
     ) -> Result<u64, HttpResponse> {
+        self.metrics
+            .count_prediction_cache(output.model_version, output.cache);
         if output.degraded {
             self.metrics.degraded.inc();
         }

@@ -156,23 +156,11 @@ impl Service {
         HttpResponse::json(200, serde_json::to_string(&stored).unwrap_or_default())
     }
 
-    /// Prometheus exposition: the registry plus prediction-cache gauges
-    /// scraped live from the engine. The cache series carry a
-    /// `model_version` label so dashboards can attribute hit-rate resets
-    /// and cost shifts to a promotion event (a swap rebuilds the caches,
-    /// so counts restart from zero under the new label).
+    /// Prometheus exposition of the daemon's one registry. The
+    /// prediction-cache series carry a `model_version` label, one pair per
+    /// model version that has served, so dashboards can attribute hit-rate
+    /// and cost shifts to a promotion event.
     pub fn render_metrics(&self) -> String {
-        let mut out = self.metrics.registry.render();
-        let stats = self.engine.cache_stats();
-        let version = self.engine.model_version();
-        for (outcome, count) in [("hits", stats.hits), ("misses", stats.misses)] {
-            let family = format!("nshard_serve_cache_{outcome}_total");
-            out.push_str(&format!(
-                "# HELP {family} Prediction-cache {outcome} across all searches\n\
-                 # TYPE {family} counter\n\
-                 {family}{{model_version=\"{version}\"}} {count}\n"
-            ));
-        }
-        out
+        self.metrics.registry.render()
     }
 }

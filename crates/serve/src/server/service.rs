@@ -1,5 +1,7 @@
 //! [`Service`]: the state every request handler shares, its construction
-//! and the model lifecycle's entry points.
+//! and the model lifecycle's entry points. No planning state is shared:
+//! the engine builds each request's planning stack, and a promotion
+//! installs a bundle under the next model version.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -77,7 +79,7 @@ impl Service {
             engine.swap_bundle(envelope.payload);
         }
         let metrics = ServiceMetrics::new();
-        metrics.model_version.set(engine.model_version());
+        metrics.start_model_version(engine.model_version());
         metrics.store_quarantined.set(plans.quarantined() as u64);
         let queue = AdmissionQueue::new(config.queue_capacity, Arc::clone(&metrics.queue_depth));
         let workers = resolve_threads(config.workers);
@@ -117,15 +119,15 @@ impl Service {
     }
 
     /// Atomically promotes a fine-tuned cost-model bundle into the
-    /// serving engine: the engine core (sharder, chains, incremental
-    /// planner, prediction/encoding caches) is rebuilt and swapped under
-    /// one write lock, and the bundle is written to the store as
-    /// `models/active`, one sequenced write (a failed save leaves it
+    /// serving engine: the bundle is installed under one write lock and
+    /// the model version bumped, so every request that starts after it
+    /// plans with the new bundle, and the bundle is written to the store
+    /// as `models/active`, one sequenced write (a failed save leaves it
     /// serving until the next restart). Returns the new model version.
     pub fn promote_model(&self, bundle: &CostModelBundle) -> u64 {
         let version = self.engine.swap_bundle(bundle.clone());
         self.metrics.model_promotions.inc();
-        self.metrics.model_version.set(version);
+        self.metrics.start_model_version(version);
         let _ = self
             .plans
             .write_model(envelope_to_json("cost-bundle", "nshard", bundle));

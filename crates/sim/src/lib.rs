@@ -9,15 +9,15 @@
 //!
 //! 1. **Observation 1** — splitting a table column-wise into two halves
 //!    produces shards that each cost *more* than half the original table
-//!    ([`kernel`]: fixed per-row overhead plus a sublinear dimension term).
+//!    ([`KernelParams`]: fixed per-row overhead plus a sublinear dimension term).
 //! 2. **Observation 2** — the fused multi-table kernel cost is *non-linearly*
-//!    below the sum of single-table costs ([`kernel`]: occupancy/fusion
+//!    below the sum of single-table costs ([`KernelParams`]: occupancy/fusion
 //!    amortization improves with the number of tables).
 //! 3. **Observation 3** — the max all-to-all communication cost across GPUs
-//!    is positively correlated with the max device dimension ([`comm`]:
+//!    is positively correlated with the max device dimension ([`CommParams`]:
 //!    collective barrier plus a bandwidth term proportional to the data the
 //!    slowest participant moves). That is the only communication law: a
-//!    two-tier fleet ([`devices`]) enlarges a device's dimension before the
+//!    two-tier [`DevicePool`] enlarges a device's dimension before the
 //!    law runs.
 //!
 //! A [`Cluster`] is evaluated from one input, its fleet: a [`DevicePool`],
@@ -51,15 +51,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod comm;
-pub mod device;
-pub mod devices;
-pub mod error;
-pub mod kernel;
-pub mod noise;
-pub mod profile;
-pub mod trace;
+mod cluster;
+mod comm;
+mod device;
+mod devices;
+mod error;
+mod kernel;
+mod noise;
+mod profile;
+mod trace;
 
 pub use cluster::{Cluster, DeviceCost, PlanCosts};
 pub use comm::{CommCosts, CommParams};
@@ -68,7 +68,7 @@ pub use devices::{DevicePool, DeviceProfile};
 pub use error::SimError;
 pub use kernel::KernelParams;
 pub use noise::NoiseModel;
-pub use profile::TableProfile;
+pub use profile::{TableProfile, BYTES_PER_ELEM, DIM_LANE};
 pub use trace::{IterationTrace, Phase, Span, TraceSimulator, TraceSummary};
 
 /// Default per-GPU memory budget for embedding tables used throughout the

@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=88
-MAX_TOTAL_LINES=12319
-MAX_TOTAL_ITEMS=685
+MAX_TOTAL_LINES=12316
+MAX_TOTAL_ITEMS=657
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

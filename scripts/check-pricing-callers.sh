@@ -107,6 +107,12 @@
 # `serve::sync`, which recovers a poisoned guard, so no acquisition under
 # serve/src unwraps or expects a poison error.
 #
+# A daemon request owns its planning state (DESIGN.md §9): the engine
+# holds the serving bundle, and each request builds its own planning stack,
+# whose caches are dropped with the response. So non-test code under
+# serve/src holds no `PlanningStack`, `NeuroShard` or `CostSimulator` as a
+# struct field, and the long-lived cache's `cache_stats` stays deleted.
+#
 # Same rule as count-lines.sh: the test-only module files are skipped, each
 # other file is cut at its first line that starts with `#[cfg(test)]`, and
 # lines starting with `//` are dropped.
@@ -312,6 +318,15 @@ if code crates/serve/src | grep -v '^crates/serve/src/sync.rs:' |
     grep -E 'poisoned"|\.(lock|read|write)\(\)[[:space:]]*\.(expect|unwrap)\(|\.wait\([^)]*\)\.(expect|unwrap)\('; then
     echo "error: the daemon takes its locks through serve::sync, which recovers poisoned" \
         "guards (lines above)" >&2
+    exit 1
+fi
+
+held='(PlanningStack|NeuroShard|CostSimulator)\b'
+if code crates/serve/src | grep -E \
+    -e "(:[0-9]+: +|\{ *)(pub(\((crate|super)\))? +)?[a-z_][a-z0-9_]*: *([A-Za-z_:]+<)*$held" \
+    -e "struct [A-Za-z_]+(<[^>]*>)?\(.*\b$held" -e '\bcache_stats\b'; then
+    echo "error: a daemon request builds its own planning stack; nothing under serve/src" \
+        "keeps one, or a sharder or simulator, across requests (lines above)" >&2
     exit 1
 fi
 

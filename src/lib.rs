@@ -35,7 +35,7 @@
 //! let task = ShardingTask::sample(&pool, 2, 8..=8, 64, 0x5EED);
 //!
 //! // 3. Shard with a heuristic baseline (no pre-training needed here).
-//! let plan = nshard_baselines::greedy::DimGreedy.shard(&task).unwrap();
+//! let plan = nshard_baselines::DimGreedy.shard(&task).unwrap();
 //! assert_eq!(plan.num_devices(), 2);
 //! ```
 

@@ -166,5 +166,5 @@ fn cost_simulator_is_thread_safe() {
     let results: Vec<f64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert!(results.iter().all(|c| c.is_finite()));
     // Heavy reuse ⇒ high hit rate even under concurrency.
-    assert!(sim.cache().hit_rate() > 0.9);
+    assert!(sim.cache().stats().hit_rate() > 0.9);
 }

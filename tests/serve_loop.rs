@@ -543,6 +543,69 @@ fn malformed_tasks_get_400_and_the_worker_survives() {
     server.shutdown();
 }
 
+/// A body's answer does not depend on the requests before it or beside
+/// it: each request plans with its own stack, so no prediction another
+/// request stored can reach it. One body (tables drawn from the same small
+/// pool as the others, so they share table sets) is answered on a fresh
+/// daemon, after 200 unrelated bodies, and while 8 unrelated bodies run on
+/// two workers — the same bytes each time.
+#[test]
+fn a_body_is_answered_alike_whatever_ran_before_or_beside_it() {
+    let pool = TablePool::synthetic_dlrm(40, 3);
+    let body = |seed: u64| {
+        let task = ShardingTask::sample(&pool, 2, 4..=6, 16, seed);
+        format!(
+            "{{\"task\":{},\"adopt\":false}}",
+            serde_json::to_string(&task).unwrap()
+        )
+    };
+    let probe = body(1_000_000);
+    let bundle = quick_bundle(7);
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::smoke()
+    };
+    let boot = || Service::new(bundle.clone(), config.clone()).expect("service boots");
+
+    let (status, alone) = post_drained(&boot(), "/v1/plan", &probe);
+    assert_eq!(status, 200, "{alone}");
+
+    let warmed = boot();
+    for seed in 0..200 {
+        assert_eq!(post_drained(&warmed, "/v1/plan", &body(seed)).0, 200);
+    }
+    let (_, after) = post_drained(&warmed, "/v1/plan", &probe);
+    assert_eq!(after, alone, "200 earlier bodies moved the answer");
+
+    let server = Server::start(Arc::new(boot()), "127.0.0.1:0").expect("server binds");
+    let service = server.service();
+    let request = |body: String| HttpRequest {
+        method: "POST".into(),
+        path: "/v1/plan".into(),
+        body: body.into_bytes(),
+    };
+    let beside = std::thread::scope(|s| {
+        let others: Vec<_> = (200..208)
+            .map(|seed| {
+                let other = request(body(seed));
+                s.spawn(move || service.handle_blocking(&other).status)
+            })
+            .collect();
+        let answer = service.handle_blocking(&request(probe.clone()));
+        for other in others {
+            assert_eq!(other.join().unwrap(), 200);
+        }
+        answer
+    });
+    server.shutdown();
+    assert_eq!(beside.status, 200);
+    assert_eq!(
+        String::from_utf8(beside.body).unwrap(),
+        alone,
+        "8 concurrent bodies moved the answer"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Restart: a store_dir daemon's files are its only outside input
 // ---------------------------------------------------------------------------
