@@ -20,6 +20,7 @@
 pub mod check;
 mod extensions;
 mod observations;
+mod online;
 pub mod repro;
 mod tables;
 

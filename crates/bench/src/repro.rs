@@ -12,14 +12,14 @@ use nshard_data::{ShardingTask, TablePool};
 use nshard_sim::GpuSpec;
 
 use crate::check::check_file;
-use crate::{extensions, observations, tables};
+use crate::{extensions, observations, online, tables};
 
 /// An experiment: a plain function over the shared context.
 type Experiment = fn(&mut Ctx) -> Report;
 
 /// Every experiment, under the stem of its result file, in the order `all`
 /// runs them.
-const EXPERIMENTS: [(&str, Experiment); 15] = [
+const EXPERIMENTS: [(&str, Experiment); 16] = [
     ("fig1", observations::fig1),
     ("fig3_left", observations::fig3_left),
     ("fig3_right", observations::fig3_right),
@@ -35,6 +35,7 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("ext_rowwise", extensions::ext_rowwise),
     ("ext_imitation", extensions::ext_imitation),
     ("ext_linear", extensions::ext_linear),
+    ("ext_online", online::ext_online),
 ];
 
 /// What an experiment returns.

@@ -112,23 +112,6 @@ pub enum ProvenanceEvent {
     },
 }
 
-/// Why a *re*-plan was requested — set when a plan replaces an incumbent
-/// because the observed workload drifted away from the incumbent's
-/// assumptions (the online re-sharding loop), `None` for one-shot plans.
-///
-/// The `trigger_kind` is the short stable name of the drift trigger (e.g.
-/// `"cost_regression"`, `"imbalance"`, `"memory"`), so a degraded or
-/// migrated plan is attributable to the drift event that caused it, just
-/// like the chain's fallbacks are attributable through
-/// [`ProvenanceEvent`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplanAttribution {
-    /// Stable short name of the trigger that fired.
-    pub trigger_kind: String,
-    /// The drift epoch at which the trigger fired.
-    pub epoch: u64,
-}
-
 /// The full decision record of one [`FallbackChain::shard_with_provenance`]
 /// call.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,27 +120,12 @@ pub struct PlanProvenance {
     pub source: PlanSource,
     /// Every decision, in order.
     pub events: Vec<ProvenanceEvent>,
-    /// Drift attribution when this plan replaced an incumbent in response
-    /// to a workload-drift trigger; `None` for one-shot plans.
-    pub replan: Option<ReplanAttribution>,
 }
 
 impl PlanProvenance {
     /// `true` when the accepted plan is a downgrade from the primary.
     pub fn is_degraded(&self) -> bool {
         self.source.is_degraded()
-    }
-
-    /// Attributes this plan to a drift-triggered replan (builder-style) —
-    /// used by the online controller so every replacement plan records the
-    /// trigger kind and epoch that caused it.
-    #[must_use]
-    pub fn attributed_to_replan(mut self, trigger_kind: impl Into<String>, epoch: u64) -> Self {
-        self.replan = Some(ReplanAttribution {
-            trigger_kind: trigger_kind.into(),
-            epoch,
-        });
-        self
     }
 }
 
@@ -378,7 +346,6 @@ impl Run<'_> {
         PlanProvenance {
             source,
             events: self.events,
-            replan: None,
         }
     }
 }
@@ -630,26 +597,6 @@ mod tests {
         let b = make().shard_with_provenance(&task).unwrap();
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.provenance, b.provenance);
-    }
-
-    #[test]
-    fn replan_attribution_is_recordable() {
-        let chain = FallbackChain::new(Box::new(RoundRobin));
-        let outcome = chain.shard_with_provenance(&small_task()).unwrap();
-        assert_eq!(outcome.provenance.replan, None);
-        let attributed = outcome
-            .provenance
-            .clone()
-            .attributed_to_replan("cost_regression", 7);
-        assert_eq!(
-            attributed.replan,
-            Some(ReplanAttribution {
-                trigger_kind: "cost_regression".into(),
-                epoch: 7,
-            })
-        );
-        // Attribution does not change degradation status.
-        assert_eq!(attributed.is_degraded(), outcome.provenance.is_degraded());
     }
 
     #[test]

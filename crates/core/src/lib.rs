@@ -66,8 +66,8 @@ pub use eval::{
     cluster_for, estimate_batch_for_task, estimate_for_task, evaluate_plan, evaluate_plan_exact,
 };
 pub use fallback::{
-    size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
-    ReplanAttribution, ResilientError, ResilientOutcome,
+    size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent, ResilientError,
+    ResilientOutcome,
 };
 pub use greedy_grid::{GreedyGridSearch, GridSearchResult};
 pub use local::{

@@ -498,7 +498,7 @@ impl ShardingPlan {
 
     /// The first device holding more bytes than `task` budgets for it, as
     /// `(device, bytes, budget)` — the one memory-fit scan validation,
-    /// the replan gate and the drift detector share.
+    /// the replan gate and `repro ext_online`'s memory trigger share.
     pub fn first_over_budget(&self, task: &ShardingTask) -> Option<(usize, u64, u64)> {
         self.device_bytes()
             .into_iter()

@@ -1,29 +1,56 @@
 //! The closed continual-learning loop: observe → buffer → fine-tune →
 //! shadow-evaluate → promote or roll back.
 //!
-//! [`OnlineController::run_learning`](crate::OnlineController::run_learning)
-//! hands the [`ContinualLearner`] every finished epoch: the learner
-//! converts the controller's `(estimated, ground-truth)` pair into
-//! per-model observations and, when the drift detector fires (and enough
+//! An epoch loop (`repro ext_online` runs one) hands the
+//! [`ContinualLearner`] every finished epoch as an [`EpochObservation`]:
+//! the learner converts the loop's `(estimated, ground-truth)` pair into
+//! per-model observations and, when the epoch drifted (and enough
 //! observations accumulated and the cooldown elapsed), fine-tunes the
 //! incumbent, runs the candidate through the [`ModelLifecycle`] shadow
-//! evaluation, and — only on promotion — hands the controller the bundle
-//! to plan with.
+//! evaluation, and — only on promotion — hands the loop the bundle to
+//! plan with.
 //!
 //! The same learner also ingests observations drained from a serve
 //! daemon (`Service::take_observations`), so one loop can learn from both
 //! the epoch simulator and live traffic. Both roads end in one check: a
 //! row the incumbent's models cannot read is skipped, never buffered.
 
-use nshard_cost::{comm_features, table_features, CostModelBundle, TABLE_FEATURE_DIM};
+use nshard_core::ShardingPlan;
+use nshard_cost::{
+    comm_features, table_features, CostModelBundle, EstimatedCost, TABLE_FEATURE_DIM,
+};
+use nshard_data::ShardingTask;
 use nshard_nn::serialize::CheckpointError;
 use nshard_pool::splitmix64;
-use nshard_sim::DeviceCost;
+use nshard_sim::{DeviceCost, PlanCosts};
 
 use super::buffer::{BufferConfig, ObservationBuffer, ObservationKind, ObservationWire};
 use super::finetune::{FineTuneSettings, FineTuner};
 use super::lifecycle::{ModelLifecycle, PromotionRecord};
-use crate::controller::EpochObservation;
+
+/// Everything one epoch of an online loop observed about the deployed
+/// plan, handed to [`ContinualLearner::on_epoch`] once the epoch is over.
+///
+/// `estimated` and `ground_truth` describe the **same** deployment priced
+/// two ways — by the neural cost models and by the cluster-simulator
+/// oracle — which is exactly the `(predicted, observed)` pairing the
+/// observation buffer accumulates.
+#[derive(Debug)]
+pub struct EpochObservation<'a> {
+    /// The epoch index (0 = initial deployment).
+    pub epoch: u64,
+    /// The epoch's drifted task.
+    pub task: &'a ShardingTask,
+    /// The deployed plan, placed onto `task`.
+    pub plan: &'a ShardingPlan,
+    /// The cost models' estimate of the deployed plan.
+    pub estimated: &'a EstimatedCost,
+    /// The oracle's per-device cost breakdown, `None` when the plan is
+    /// memory-infeasible for the epoch's task.
+    pub ground_truth: Option<&'a PlanCosts>,
+    /// Whether the loop's drift trigger fired this epoch.
+    pub drifted: bool,
+}
 
 /// Knobs of the continual-learning loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,7 +181,7 @@ impl ContinualLearner {
         }
     }
 
-    /// Converts one controller epoch into observations: a per-device
+    /// Converts one loop epoch into observations: a per-device
     /// compute sample plus one forward and one backward comm sample,
     /// each pairing the models' prediction with the simulated ground
     /// truth. Epochs without ground truth contribute nothing.
@@ -230,11 +257,7 @@ impl ContinualLearner {
 
     /// Fine-tunes and shadow-evaluates now, regardless of triggers.
     /// Returns the promoted bundle when the candidate won.
-    fn fine_tune_now(
-        &mut self,
-        epoch: u64,
-        probe: &nshard_data::ShardingTask,
-    ) -> Option<CostModelBundle> {
+    fn fine_tune_now(&mut self, epoch: u64, probe: &ShardingTask) -> Option<CostModelBundle> {
         self.last_attempt_epoch = Some(epoch);
         let train = self.buffer.training_data();
         let valid = self.buffer.validation_data();
@@ -259,16 +282,13 @@ impl ContinualLearner {
         None
     }
 
-    /// Observes one finished epoch of the online loop; fine-tunes when
-    /// its trigger fired, enough observations accumulated and the
-    /// cooldown elapsed. Returns the promoted bundle the loop must plan
-    /// with from the next epoch on.
-    pub(crate) fn on_epoch(
-        &mut self,
-        observation: &EpochObservation<'_>,
-    ) -> Option<CostModelBundle> {
+    /// Observes one finished epoch of an online loop; fine-tunes when it
+    /// drifted, enough observations accumulated and the cooldown elapsed.
+    /// Returns the promoted bundle the loop must plan with from the next
+    /// epoch on.
+    pub fn on_epoch(&mut self, observation: &EpochObservation<'_>) -> Option<CostModelBundle> {
         self.ingest_epoch(observation);
-        let should_try = observation.trigger.is_some()
+        let should_try = observation.drifted
             && self.buffer.len() >= self.config.min_observations
             && self.cooldown_elapsed(observation.epoch);
         if !should_try {
@@ -281,9 +301,11 @@ impl ContinualLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OnlineConfig, OnlineController, ReplanStrategy, WorkloadDrift};
+    use crate::{PlanningStack, WorkloadDrift};
+    use nshard_core::{estimate_for_task, evaluate_plan, IncrementalConfig, NeuroShardConfig};
     use nshard_cost::{CollectConfig, TrainSettings};
-    use nshard_data::{ShardingTask, TablePool};
+    use nshard_data::TablePool;
+    use nshard_sim::GpuSpec;
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {
@@ -304,6 +326,35 @@ mod tests {
         }
     }
 
+    /// Hands `learner` epochs `0..epochs` of `drift`, each planned from
+    /// scratch with `bundle` and measured on its task, every one drifted.
+    fn drive(
+        learner: &mut ContinualLearner,
+        bundle: &CostModelBundle,
+        drift: &WorkloadDrift,
+        epochs: u64,
+    ) {
+        let stack = PlanningStack::new(
+            bundle.clone(),
+            NeuroShardConfig::smoke(),
+            IncrementalConfig::default(),
+        );
+        for epoch in 0..epochs {
+            let task = drift.task_at(epoch);
+            let plan = stack.plan(&task).expect("the trace is plannable").plan;
+            let estimated = estimate_for_task(stack.simulator(), &task, &plan).unwrap();
+            let truth = evaluate_plan(&task, &plan, &GpuSpec::default(), epoch).ok();
+            learner.on_epoch(&EpochObservation {
+                epoch,
+                task: &task,
+                plan: &plan,
+                estimated: &estimated,
+                ground_truth: truth.as_ref(),
+                drifted: true,
+            });
+        }
+    }
+
     #[test]
     fn learning_run_buffers_observations_and_stays_deterministic() {
         let pool = TablePool::synthetic_dlrm(64, 21);
@@ -318,26 +369,14 @@ mod tests {
         let run = |tag: &str| {
             let dir = TempDir::new(tag);
             let drift = WorkloadDrift::standard(base.clone(), 3);
-            let config = OnlineConfig {
-                epochs: 6,
-                strategy: ReplanStrategy::Incremental,
-                ..OnlineConfig::default()
-            };
             let mut learner =
                 ContinualLearner::new(bundle.clone(), dir.path(), ContinualConfig::smoke())
                     .expect("store opens");
-            let history = OnlineController::new(bundle.clone(), drift, config)
-                .run_learning(&mut learner)
-                .expect("run succeeds");
-            (history.epochs.len(), learner.buffer.to_bytes())
+            drive(&mut learner, &bundle, &drift, 6);
+            learner.buffer.to_bytes()
         };
-        let (epochs_a, bytes_a) = run("det_a");
-        let (epochs_b, bytes_b) = run("det_b");
-        assert!(
-            epochs_a >= 6,
-            "expected at least the drift epochs, got {epochs_a}"
-        );
-        assert_eq!(epochs_a, epochs_b);
+        let bytes_a = run("det_a");
+        let bytes_b = run("det_b");
         assert_eq!(
             bytes_a, bytes_b,
             "the learning run's observation stream must be bit-deterministic"
@@ -376,14 +415,7 @@ mod tests {
             ..ContinualConfig::smoke()
         };
         let mut learner = ContinualLearner::new(bundle.clone(), dir.path(), config).unwrap();
-        let online = OnlineConfig {
-            epochs: 5,
-            strategy: ReplanStrategy::Incremental,
-            ..OnlineConfig::default()
-        };
-        OnlineController::new(bundle.clone(), WorkloadDrift::standard(base, 3), online)
-            .run_learning(&mut learner)
-            .expect("run succeeds");
+        drive(&mut learner, &bundle, &WorkloadDrift::standard(base, 3), 5);
 
         let rows = learner.buffer().training_observations();
         assert!(rows.len() >= 5 * 3, "one comm pair and a device per epoch");

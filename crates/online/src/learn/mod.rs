@@ -3,9 +3,8 @@
 //! The paper pre-trains its neural cost models once and searches forever.
 //! Production drifts: the workload the models were pre-trained on slowly
 //! stops resembling the workload being served, and every prediction
-//! inherits the gap. This module closes the *training* loop the way the
-//! [`OnlineController`](crate::OnlineController) closes the *planning*
-//! loop:
+//! inherits the gap. This module closes the *training* loop beside the
+//! *planning* one ([`PlanningStack`](crate::PlanningStack)'s replans):
 //!
 //! * [`buffer`] — a bounded [`ObservationBuffer`] of
 //!   [`ObservationWire`] records, `(model input, predicted, observed)`,
@@ -23,10 +22,11 @@
 //!   train→search conformance probe) and atomically **promoted or rolled
 //!   back**; a rejected candidate leaves the active checkpoint
 //!   byte-identical.
-//! * [`continual`] — the [`ContinualLearner`] tying it together, driven by
-//!   [`OnlineController::run_learning`](crate::OnlineController::run_learning):
-//!   observe every epoch, fine-tune when the drift detector fires,
-//!   hot-swap the serving models only on promotion. It also ingests
+//! * [`continual`] — the [`ContinualLearner`] tying it together, handed
+//!   each epoch of an online loop as an [`EpochObservation`] through
+//!   [`ContinualLearner::on_epoch`] (`repro ext_online` runs that loop):
+//!   observe every epoch, fine-tune when the epoch drifted, hot-swap the
+//!   serving models only on promotion. It also ingests
 //!   observations drained from a serve daemon's `POST /v1/observations`
 //!   buffer; this crate does not depend on the daemon.
 //!
@@ -42,6 +42,6 @@ pub mod lifecycle;
 pub use buffer::{
     BufferConfig, LearnDatasets, ObservationBuffer, ObservationKind, ObservationWire,
 };
-pub use continual::{ContinualConfig, ContinualLearner};
+pub use continual::{ContinualConfig, ContinualLearner, EpochObservation};
 pub use finetune::{FineTuneSettings, FineTuner};
 pub use lifecycle::{ModelLifecycle, PromotionRecord};

@@ -5,7 +5,7 @@
 //! pool sizes grow, hot items shift, traffic breathes diurnally — and a
 //! plan that was optimal at deploy time slowly (or suddenly) is not.
 //!
-//! This crate closes the loop:
+//! This crate holds what keeps a plan fresh under drift:
 //!
 //! * [`WorkloadDrift`] — a seeded, bit-deterministic **workload drift trace**
 //!   evolving a task's pooling factors, hash sizes and skew over discrete
@@ -13,10 +13,6 @@
 //!   rotating hotspot, a diurnal swing and a sudden spike. Synthetic
 //!   drift stands in for real traffic traces the same way the cluster
 //!   simulator stands in for real GPUs.
-//! * [`DriftDetector`] — a **drift detector** pricing the incumbent plan under
-//!   the current workload with the same pre-trained cost models used by
-//!   the search, firing a typed [`ReplanTrigger`] when the plan's
-//!   deploy-time assumptions break.
 //! * [`IncrementalPlanner`] — the **migration-aware incremental planner**
 //!   that warm-starts from the incumbent and hill-climbs over local moves
 //!   (move / swap / split), minimizing predicted cost plus a
@@ -27,58 +23,46 @@
 //!   pair of caches), the full fallback chain around it and the
 //!   incremental planner, for one cost-model bundle. Its `replan` is the
 //!   one place that decides *incremental, else the full chain*.
-//! * [`OnlineController`] — the epoch loop: observe →
-//!   detect → replan (through its stack) → apply → ground-truth evaluate,
-//!   recording a full [`ReplanHistory`].
 //! * [`learn`] — continual learning of the cost models: the
-//!   [`ContinualLearner`](learn::ContinualLearner) that
-//!   [`OnlineController::run_learning`] hands every epoch buffers ground
-//!   truth, fine-tunes on drift and promotes or rolls back each candidate
-//!   through a versioned lifecycle. Its [`ObservationWire`] is one
-//!   ground-truth observation as a deployment reports it, which the serve
-//!   daemon buffers and the learner ingests.
+//!   [`ContinualLearner`](learn::ContinualLearner), handed every epoch of
+//!   an online loop, buffers ground truth, fine-tunes on drift and
+//!   promotes or rolls back each candidate through a versioned lifecycle.
+//!   Its [`ObservationWire`] is one ground-truth observation as a
+//!   deployment reports it, which the serve daemon buffers and the
+//!   learner ingests.
 //!
-//! Everything is bit-deterministic per seed at any thread count.
+//! The closed loop itself — detect drift, replan, measure, learn — is an
+//! experiment, `repro ext_online` (`nshard-bench`), which compares never,
+//! full and incremental replanning, and frozen against continually
+//! fine-tuned models. Everything is bit-deterministic per seed at any
+//! thread count.
 //!
 //! ## Example
 //!
 //! ```no_run
+//! use nshard_core::{IncrementalConfig, NeuroShardConfig};
 //! use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
 //! use nshard_data::{ShardingTask, TablePool};
-//! use nshard_online::{OnlineConfig, OnlineController, ReplanStrategy, WorkloadDrift};
+//! use nshard_online::{PlanningStack, WorkloadDrift};
 //!
 //! let pool = TablePool::synthetic_dlrm(856, 2023);
 //! let bundle = CostModelBundle::pretrain(
 //!     &pool, 4, &CollectConfig::default(), &TrainSettings::default(), 0,
 //! );
-//! let base = ShardingTask::sample(&pool, 4, 20..=40, 64, 7);
-//! let drift = WorkloadDrift::standard(base, 42);
-//! let config = OnlineConfig {
-//!     epochs: 20,
-//!     strategy: ReplanStrategy::Incremental,
-//!     ..OnlineConfig::default()
-//! };
-//! let history = OnlineController::new(bundle, drift, config).run().unwrap();
-//! println!(
-//!     "replans: {}, bytes moved: {}",
-//!     history.replans(),
-//!     history.total_migration_bytes(),
-//! );
+//! let drift = WorkloadDrift::standard(ShardingTask::sample(&pool, 4, 20..=40, 64, 7), 42);
+//! let stack = PlanningStack::new(bundle, NeuroShardConfig::default(), IncrementalConfig::default());
+//! let deployed = stack.plan(&drift.task_at(0)).unwrap().plan;
+//! let replanned = stack.replan(&drift.task_at(10), &deployed).unwrap();
+//! println!("bytes moved at the spike: {}", replanned.migration_bytes);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
-mod detect;
 mod drift;
 pub mod learn;
 mod stack;
 
-pub use controller::{
-    EpochRecord, OnlineConfig, OnlineController, ReplanAction, ReplanHistory, ReplanStrategy,
-};
-pub use detect::{DriftDetector, DriftReport, DriftThresholds, ReplanTrigger};
 pub use drift::WorkloadDrift;
 pub use learn::ObservationWire;
 pub use nshard_core::{

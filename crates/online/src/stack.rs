@@ -33,7 +33,7 @@ pub enum ReplanRoute {
 }
 
 /// The result of one [`PlanningStack::replan`]: the one record of a
-/// replan, read as it is by the controller and the daemon.
+/// replan, read as it is by the daemon and by `repro ext_online`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanOutcome {
     /// The plan to adopt.
@@ -53,11 +53,11 @@ pub struct ReplanOutcome {
 /// one cost-model bundle.
 ///
 /// Everything that plans with a pre-trained bundle — the daemon's engine
-/// (`nshard-serve`) and the [`OnlineController`](crate::OnlineController)
-/// — builds, replans and falls back through a stack. It owns **one**
+/// (`nshard-serve`) and the drift experiment (`repro ext_online`) —
+/// builds, replans and falls back through a stack. It owns **one**
 /// [`NeuroShard`], hence one [`CostSimulator`] and one pair of
 /// prediction/encoding caches: the full search, the incremental planner,
-/// the drift detector and every `predicted_ms` ask the same simulator, so
+/// the drift triggers and every `predicted_ms` ask the same simulator, so
 /// a replan reuses what the search before it already priced and
 /// [`NeuroShardConfig::use_cache`] governs all of them alike. Around the
 /// sharder sit the **full chain** (`NeuroShard → SizeGreedy →
@@ -65,9 +65,9 @@ pub struct ReplanOutcome {
 ///
 /// A stack is immutable, and its caches live as long as it does. The
 /// daemon builds one per request, so no cache outlives the request that
-/// filled it; the controller keeps one for its run and builds a new one
-/// from its configuration when it promotes a bundle, so a promoted model
-/// never serves a predecessor's cached predictions.
+/// filled it; the experiment keeps one per trace and builds a new one when
+/// it promotes a bundle, so a promoted model never serves a predecessor's
+/// cached predictions.
 pub struct PlanningStack {
     neuro: Arc<NeuroShard>,
     chain: FallbackChain,
@@ -142,7 +142,6 @@ impl PlanningStack {
                             algorithm: "incremental_planner".into(),
                         },
                         events: Vec::new(),
-                        replan: None,
                     },
                     // Charged against the rebased incumbent, as
                     // `replan_migration_bytes` charges.

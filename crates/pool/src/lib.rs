@@ -57,7 +57,7 @@ pub fn sample_seed(seed: u64, index: u64) -> u64 {
 ///
 /// This is the **single** thread-count knob of the workspace: every
 /// component that spawns workers — the parallel search, the repair engine,
-/// the online controller, and the `nshard-serve` daemon's request worker
+/// the incremental planner, and the `nshard-serve` daemon's request worker
 /// pool — resolves its count through [`resolve_threads`], so one
 /// environment variable governs them all and no crate re-reads the
 /// variable on its own.

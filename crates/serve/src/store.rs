@@ -458,7 +458,6 @@ mod tests {
                 algorithm: "test".into(),
             },
             events: Vec::new(),
-            replan: None,
         }
     }
 
@@ -637,8 +636,9 @@ mod tests {
     }
 
     /// A provenance as older builds wrote it: retry backoff
-    /// (`total_retries`, `total_backoff_ms`, a retry's `backoff_ms`) and a
-    /// replica's `failover` attribution, neither of which exists any more.
+    /// (`total_retries`, `total_backoff_ms`, a retry's `backoff_ms`), the
+    /// online controller's `replan` attribution and a replica's `failover`
+    /// attribution, none of which exists any more.
     const OLD_PROVENANCE: &str = r#"{"source":{"Primary":{"algorithm":"size_greedy"}},"events":[{"Attempt":{"algorithm":"size_greedy"}},{"TransientRetry":{"algorithm":"size_greedy","attempt":1,"backoff_ms":50,"reason":"transient measurement failure on device 1: injected measurement fault"}}],"total_retries":1,"total_backoff_ms":50,"replan":null,"failover":{"node":"node-1","at_seq":3,"stale":true}}"#;
 
     #[test]

@@ -197,39 +197,6 @@ impl TableProfile {
         let b = a;
         Some((a, b))
     }
-
-    /// Workload-drift hook: the largest relative change of any cost-relevant
-    /// workload quantity of this profile versus a `baseline` profile of the
-    /// same table — pooling factor (indices per lookup), hash size (id-space
-    /// growth), unique-index fraction and Zipf skew. `0.0` means the
-    /// workload is unchanged; `0.5` means some quantity moved by 50% of its
-    /// baseline value. The dimension is deliberately excluded: it is a
-    /// *plan* property, not a traffic property.
-    ///
-    /// ```
-    /// use nshard_sim::TableProfile;
-    /// let before = TableProfile::new(64, 1 << 20, 10.0, 0.5, 1.0);
-    /// let after = TableProfile::new(64, 1 << 20, 15.0, 0.5, 1.0);
-    /// assert!((before.workload_delta(&before)).abs() < 1e-12);
-    /// assert!((after.workload_delta(&before) - 0.5).abs() < 1e-12);
-    /// ```
-    pub fn workload_delta(&self, baseline: &TableProfile) -> f64 {
-        let rel = |now: f64, then: f64| {
-            if then == 0.0 {
-                if now == 0.0 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                ((now - then) / then).abs()
-            }
-        };
-        rel(self.pooling_factor, baseline.pooling_factor)
-            .max(rel(self.hash_size as f64, baseline.hash_size as f64))
-            .max(rel(self.unique_frac, baseline.unique_frac))
-            .max(rel(self.zipf_alpha, baseline.zipf_alpha))
-    }
 }
 
 #[cfg(test)]
@@ -293,18 +260,6 @@ mod tests {
         assert!(TableProfile::new(12, 10, 1.0, 0.5, 1.0)
             .split_columns()
             .is_none());
-    }
-
-    #[test]
-    fn workload_delta_tracks_largest_relative_change() {
-        let base = TableProfile::new(64, 1000, 10.0, 0.5, 1.0);
-        assert_eq!(base.workload_delta(&base), 0.0);
-        // Rows doubled: delta 1.0 dominates the 20% pooling change.
-        let drifted = TableProfile::new(64, 2000, 12.0, 0.5, 1.0);
-        assert!((drifted.workload_delta(&base) - 1.0).abs() < 1e-12);
-        // Dimension changes are plan properties, not workload drift.
-        let resharded = TableProfile::new(32, 1000, 10.0, 0.5, 1.0);
-        assert_eq!(resharded.workload_delta(&base), 0.0);
     }
 
     #[test]

@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=88
-MAX_TOTAL_LINES=12316
-MAX_TOTAL_ITEMS=657
+MAX_TOTAL_LINES=12105
+MAX_TOTAL_ITEMS=630
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -73,12 +73,14 @@
 # the model store and the field-less config shims stay deleted, and the
 # continual learner (`nshard_online::learn`) does not depend on the daemon.
 #
-# One online loop (DESIGN.md §8, §12): the continual learner lives in
-# `nshard-online` and the controller calls it directly, so the
-# `nshard-learn` crate, the epoch-hook seam, the composable drift-model
-# algebra (the standard trace is the one trace) and the off-by-default
-# stall switches (the stall escape is part of the incremental strategy)
-# stay deleted.
+# The closed loop is an experiment (DESIGN.md §8, §12): `repro ext_online`
+# runs it over one planning stack and hands each epoch straight to the
+# continual learner (`nshard_online::learn`), so the online controller, the
+# drift detector and their types (`crates/online/src/{controller,detect}.rs`),
+# the provenance's replan attribution, the `nshard-learn` crate, the
+# epoch-hook seam, the composable drift-model algebra (the standard trace
+# is the one trace) and the off-by-default stall switches (the stall escape
+# is part of the experiment's incremental strategy) stay deleted.
 #
 # The reproduction driver does not depend on the daemon (DESIGN.md §2):
 # `nshard-bench` names no `nshard-serve`, and `repro` is its one binary —
@@ -96,8 +98,8 @@
 # `nshard_core::replan_migration_bytes` decides what a replan moves — from
 # the rebased incumbent, or every byte of the task when the incumbent no
 # longer rebases. `PlanningStack::replan` returns it in its
-# `ReplanOutcome`; the controller's full replans and the daemon's degraded
-# replans call it; nothing under online/serve charges with the raw
+# `ReplanOutcome`; `repro ext_online`'s full replans and the daemon's
+# degraded replans call it; nothing under online/serve charges with the raw
 # `migration_bytes(` a second way. The daemon's replan record, the
 # controller's copy of the stack's route and the column-only plan
 # constructor, applier and type stay deleted (a column-wise plan is a
@@ -267,8 +269,19 @@ if [ -e crates/learn ]; then
 fi
 if code crates/*/src src examples | grep -wE \
     'EpochHook|HookAction|NoopHook|DriftModel|DriftFactors|final_full_replan_on_stall|stall_improvement'; then
-    echo "error: one online loop: the controller calls its learner, the standard trace is the one" \
+    echo "error: one online loop: the experiment calls its learner, the standard trace is the one" \
         "drift, and the stall escape is part of the incremental strategy (lines above)" >&2
+    exit 1
+fi
+if [ -e crates/online/src/controller.rs ] || [ -e crates/online/src/detect.rs ]; then
+    echo "error: the closed loop is repro ext_online (crates/bench/src/online.rs); the online" \
+        "controller and the drift detector stay deleted" >&2
+    exit 1
+fi
+if code crates/*/src src examples | grep -wE \
+    'OnlineController|OnlineConfig|ReplanStrategy|ReplanHistory|DriftDetector|DriftThresholds|ReplanTrigger|ReplanAttribution|attributed_to_replan'; then
+    echo "error: the closed loop is repro ext_online; its strategies and triggers are private to" \
+        "it, and a plan's provenance carries no replan attribution (lines above)" >&2
     exit 1
 fi
 if code crates/*/src | grep -v '^crates/nn/src/serialize.rs:' | grep -E \

@@ -11,9 +11,9 @@
 //! * [`cost`] — the pre-trained neural cost models and data collection.
 //! * [`core`] — the NeuroShard online search (beam + greedy grid search).
 //! * [`baselines`] — every comparator of the paper's Table 1 / Table 4.
-//! * [`online`] — workload drift, drift detection, migration-aware
-//!   incremental re-sharding (the deployed-plan maintenance loop) and
-//!   continual learning of the cost models.
+//! * [`online`] — workload drift, the planning stack with its
+//!   migration-aware incremental replan, and continual learning of the
+//!   cost models (the closed loop is `repro ext_online`).
 //! * [`serve`] — sharding-as-a-service daemon: HTTP/1.1 JSON API with
 //!   admission control, a versioned plan/model store, and `/metrics`.
 //! * [`learn`] — `online`'s continual learning: observation buffering,
@@ -57,9 +57,7 @@ pub mod prelude {
     pub use nshard_core::{FallbackChain, NeuroShard, NeuroShardConfig, ShardingPlan};
     pub use nshard_cost::{CostModelBundle, CostSimulator};
     pub use nshard_data::{ShardingTask, TablePool};
-    pub use nshard_online::{
-        OnlineConfig, OnlineController, PlanDelta, ReplanHistory, ReplanStrategy, WorkloadDrift,
-    };
+    pub use nshard_online::{PlanDelta, WorkloadDrift};
     pub use nshard_serve::{ServeConfig, Server, Service};
     pub use nshard_sim::{Cluster, GpuSpec, TableProfile};
 }

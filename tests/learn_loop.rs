@@ -1,11 +1,12 @@
 //! Continual-learning loop integration tests: the observation buffer is
-//! a **pure function of `(seed, insert sequence)`** (proptest), the
-//! learning epoch loop produces byte-identical buffers and identical
-//! promotion decisions at every worker thread count, an end-to-end
-//! drift run against a stale incumbent promotes at least one fine-tuned
-//! candidate through the shadow evaluation, and — the subsystem's quality
-//! gate — over a 28-epoch trace the continual run ends at most 0.97× the
-//! frozen run's ground-truth max-device cost.
+//! a **pure function of `(seed, insert sequence)`** (proptest), a
+//! learner handed a drift trace epoch by epoch produces byte-identical
+//! buffers and identical promotion decisions at every worker thread
+//! count, and a drift run against a stale incumbent promotes at least one
+//! fine-tuned candidate through the shadow evaluation. The quality gate —
+//! over a 28-epoch trace the continual run ends at most 0.97× the frozen
+//! run's ground-truth max-device cost — is checked on the regenerated
+//! `repro ext_online`.
 //!
 //! The thread-count sweep is the learning loop's entry in the workspace
 //! determinism contract: CI runs this file under `NSHARD_THREADS=8` as
@@ -13,17 +14,15 @@
 
 use proptest::prelude::*;
 
-use neuroshard::core::NeuroShardConfig;
+use neuroshard::core::{estimate_for_task, evaluate_plan, IncrementalConfig, NeuroShardConfig};
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TablePool};
 use neuroshard::learn::{
-    BufferConfig, ContinualConfig, ContinualLearner, FineTuneSettings, ObservationBuffer,
-    ObservationKind, ObservationWire,
+    BufferConfig, ContinualConfig, ContinualLearner, EpochObservation, FineTuneSettings,
+    ObservationBuffer, ObservationKind, ObservationWire,
 };
-use neuroshard::online::{
-    DriftThresholds, IncrementalConfig, OnlineConfig, OnlineController, ReplanHistory,
-    ReplanStrategy, WorkloadDrift,
-};
+use neuroshard::online::{PlanningStack, WorkloadDrift};
+use neuroshard::sim::GpuSpec;
 
 /// Self-removing scratch directory for checkpoint stores.
 struct TempDir(std::path::PathBuf);
@@ -152,27 +151,50 @@ fn stale_setup() -> (CostModelBundle, ShardingTask, TablePool) {
     (bundle, base, pool)
 }
 
+/// Hands `learner` epochs `0..epochs` of `drift`, each planned from
+/// scratch with the learner's incumbent (a new stack on every promotion)
+/// and measured on the ground-truth cluster; every epoch after the first
+/// is marked drifted.
+fn drive(
+    learner: &mut ContinualLearner,
+    drift: &WorkloadDrift,
+    epochs: u64,
+    search: NeuroShardConfig,
+) {
+    let stack_of = |bundle: &CostModelBundle| {
+        PlanningStack::new(bundle.clone(), search, IncrementalConfig::default())
+    };
+    let mut stack = stack_of(learner.incumbent());
+    for epoch in 0..epochs {
+        let task = drift.task_at(epoch);
+        let plan = stack.plan(&task).expect("the trace is plannable").plan;
+        let estimated = estimate_for_task(stack.simulator(), &task, &plan).unwrap();
+        let truth = evaluate_plan(&task, &plan, &GpuSpec::default(), epoch).ok();
+        let promoted = learner.on_epoch(&EpochObservation {
+            epoch,
+            task: &task,
+            plan: &plan,
+            estimated: &estimated,
+            ground_truth: truth.as_ref(),
+            drifted: epoch > 0,
+        });
+        if let Some(bundle) = promoted {
+            stack = stack_of(&bundle);
+        }
+    }
+}
+
 fn learning_run(
     bundle: &CostModelBundle,
     base: &ShardingTask,
     threads: usize,
     tag: &str,
-) -> (Vec<u8>, Vec<neuroshard::learn::PromotionRecord>, u64) {
+) -> (Vec<u8>, Vec<neuroshard::learn::PromotionRecord>) {
     let dir = TempDir::new(tag);
     let drift = WorkloadDrift::standard(base.clone(), 29);
-    let config = OnlineConfig {
-        epochs: 10,
-        strategy: ReplanStrategy::Full,
-        search: NeuroShardConfig {
-            threads,
-            ..NeuroShardConfig::default()
-        },
-        incremental: IncrementalConfig {
-            threads,
-            ..IncrementalConfig::default()
-        },
-        seed: 29,
-        ..OnlineConfig::default()
+    let search = NeuroShardConfig {
+        threads,
+        ..NeuroShardConfig::default()
     };
     let learn_config = ContinualConfig {
         settings: FineTuneSettings {
@@ -187,14 +209,8 @@ fn learning_run(
     };
     let mut learner =
         ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
-    let history = OnlineController::new(bundle.clone(), drift, config)
-        .run_learning(&mut learner)
-        .expect("the deployment is feasible");
-    (
-        learner.buffer().to_bytes(),
-        learner.records().to_vec(),
-        history.epochs.len() as u64,
-    )
+    drive(&mut learner, &drift, 10, search);
+    (learner.buffer().to_bytes(), learner.records().to_vec())
 }
 
 /// The whole learning loop — observation stream, reservoir eviction,
@@ -203,11 +219,9 @@ fn learning_run(
 #[test]
 fn hooked_loop_is_bit_identical_across_thread_counts() {
     let (bundle, base, _pool) = stale_setup();
-    let (bytes_1, records_1, epochs_1) = learning_run(&bundle, &base, 1, "threads_1");
-    let (bytes_2, records_2, epochs_2) = learning_run(&bundle, &base, 2, "threads_2");
-    let (bytes_8, records_8, epochs_8) = learning_run(&bundle, &base, 8, "threads_8");
-    assert_eq!(epochs_1, epochs_2);
-    assert_eq!(epochs_1, epochs_8);
+    let (bytes_1, records_1) = learning_run(&bundle, &base, 1, "threads_1");
+    let (bytes_2, records_2) = learning_run(&bundle, &base, 2, "threads_2");
+    let (bytes_8, records_8) = learning_run(&bundle, &base, 8, "threads_8");
     assert_eq!(
         bytes_1, bytes_2,
         "observation buffers must be byte-identical at 1 vs 2 threads"
@@ -228,26 +242,14 @@ fn hooked_loop_is_bit_identical_across_thread_counts() {
 }
 
 /// End-to-end: a drift trace against a stale incumbent accumulates
-/// observations, fires the detector, and promotes at least one
-/// fine-tuned candidate whose probe plan stayed inside the conformance
-/// band — the learner's incumbent is no longer the pre-trained bundle.
+/// observations and promotes at least one fine-tuned candidate whose
+/// probe plan stayed inside the conformance band — the learner's
+/// incumbent is no longer the pre-trained bundle.
 #[test]
 fn drift_run_promotes_a_finetuned_candidate() {
     let (bundle, base, _pool) = stale_setup();
     let dir = TempDir::new("promote");
     let drift = WorkloadDrift::standard(base, 29);
-    let config = OnlineConfig {
-        epochs: 12,
-        strategy: ReplanStrategy::Full,
-        seed: 29,
-        // A twitchy detector: the point here is the promote path, not
-        // trigger calibration, so make sure the trace fires it.
-        thresholds: DriftThresholds {
-            max_cost_regression: 0.02,
-            imbalance_ratio: 1.05,
-        },
-        ..OnlineConfig::default()
-    };
     let learn_config = ContinualConfig {
         // Enough optimization to actually close a stale incumbent's gap
         // — the smoke settings only nudge (see the thread-count test).
@@ -263,9 +265,7 @@ fn drift_run_promotes_a_finetuned_candidate() {
     };
     let mut learner =
         ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
-    OnlineController::new(bundle.clone(), drift, config)
-        .run_learning(&mut learner)
-        .expect("the deployment is feasible");
+    drive(&mut learner, &drift, 12, NeuroShardConfig::default());
     let promoted: Vec<_> = learner.records().iter().filter(|r| r.promoted).collect();
     assert!(
         !promoted.is_empty(),
@@ -297,63 +297,29 @@ fn drift_run_promotes_a_finetuned_candidate() {
     );
 }
 
-/// The quality gate of the continual learner: the same 28-epoch drift
-/// trace, planned once with a weakly pre-trained stale incumbent frozen
-/// and once with the learner fine-tuning it from served ground truth.
-/// Closing the loop must actually plan better.
+/// The quality gate of the continual learner: `repro ext_online`
+/// regenerates bit for bit against its committed file, and over its
+/// 28-epoch trace the stale bundle fine-tuned from served ground truth
+/// ends at most 0.97x the frozen bundle's final ground-truth max-device
+/// cost. Closing the loop must actually plan better.
 #[test]
 fn continual_final_cost_at_most_0_97x_frozen() {
+    use serde_json::Value;
     const MAX_FINAL_COST_OVER_FROZEN: f64 = 0.97;
 
-    let pool = TablePool::synthetic_dlrm(856, 2023);
-    // A small sample budget on purpose: the incumbent stands in for a
-    // model the production workload has drifted away from.
-    let collect = CollectConfig {
-        compute_samples: 400,
-        comm_samples: 400,
-        ..CollectConfig::default()
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    nshard_bench::repro::run(&["ext_online".to_string()], true, &results)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let text = std::fs::read_to_string(results.join("ext_online.json")).unwrap();
+    let field = |value: Value, key: &str| match value {
+        Value::Map(entries) => entries.into_iter().find(|(k, _)| k == key).unwrap().1,
+        other => panic!("{key} is not in {other:?}"),
     };
-    let bundle = stale_bundle(&pool, 4, &collect, 42);
-    let drift = WorkloadDrift::standard(ShardingTask::sample(&pool, 4, 25..=35, 64, 9), 33);
-    let config = OnlineConfig {
-        epochs: 28,
-        strategy: ReplanStrategy::Full,
-        seed: 9,
-        ..OnlineConfig::default()
+    let gates = field(serde_json::parse_value(&text).unwrap(), "gates");
+    let Value::Float(ratio) = field(gates, "continual_over_frozen_final_ms") else {
+        panic!("continual_over_frozen_final_ms is not a ratio");
     };
-    let controller = || OnlineController::new(bundle.clone(), drift.clone(), config);
-    let final_ms = |h: &ReplanHistory| {
-        h.epochs
-            .last()
-            .and_then(|e| e.ground_truth_ms)
-            .expect("the last deployed plan is memory-feasible")
-    };
-
-    let frozen = controller().run().expect("the deployment is feasible");
-
-    let dir = TempDir::new("gate");
-    let learn_config = ContinualConfig {
-        settings: FineTuneSettings {
-            train: TrainSettings {
-                epochs: 30,
-                learning_rate: 1e-3,
-                ..FineTuneSettings::default().train
-            },
-            min_samples: 12,
-        },
-        min_observations: 24,
-        cooldown_epochs: 3,
-        seed: 9,
-        ..ContinualConfig::default()
-    };
-    let mut learner =
-        ContinualLearner::new(bundle.clone(), dir.path(), learn_config).expect("store opens");
-    let continual = controller()
-        .run_learning(&mut learner)
-        .expect("the deployment is feasible");
-
-    let ratio = final_ms(&continual) / final_ms(&frozen);
-    println!("continual/frozen final ground-truth cost over 28 epochs: {ratio}");
+    println!("continual/frozen final cost over 28 epochs: {ratio}");
     assert!(
         ratio <= MAX_FINAL_COST_OVER_FROZEN,
         "the continual run ended at {ratio}x the frozen run's ground-truth max-device cost \

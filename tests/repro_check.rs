@@ -1,8 +1,10 @@
 //! `results/` regenerates, and the checker that says so can fail.
 //!
-//! The five simulator-only experiments run through `repro … --check`'s
-//! library route against the committed files (the ten that pre-train a
-//! bundle run in CI: `repro all --check`). The rest is a mutation-style
+//! The five simulator-only experiments and `ext_online` run through
+//! `repro … --check`'s library route against the committed files (the ten
+//! that pre-train at the shared scale run in CI: `repro all --check`).
+//! `ext_online`'s committed ratios are held to their gates. The rest is a
+//! mutation-style
 //! self-test of the checker: every kind of drift it must catch is planted
 //! and must be reported at its JSON path, and drift in a wall-clock field
 //! must not be.
@@ -11,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use nshard_bench::check::{check_file, CheckError, Difference};
 use nshard_bench::repro::run;
+use serde_json::{parse_value, Value};
 
 fn results() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("results")
@@ -20,6 +23,42 @@ fn results() -> PathBuf {
 fn simulator_only_results_regenerate() {
     let names = ["fig1", "fig3_left", "fig3_right", "fig4", "table5"].map(String::from);
     run(&names, true, &results()).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// The closed loop under drift (DESIGN.md §8, §12), regenerated and
+/// held to its gates: incremental replanning moves at most a quarter of
+/// the bytes full replanning moves and ends within 5% of its final
+/// ground-truth cost, and continual fine-tuning ends at most 0.97x the
+/// frozen stale bundle's final cost.
+#[test]
+fn ext_online_regenerates_within_its_gates() {
+    const MAX_BYTES_OVER_FULL: f64 = 0.25;
+    const MAX_FINAL_COST_OVER_FULL: f64 = 1.05;
+    const MAX_FINAL_COST_OVER_FROZEN: f64 = 0.97;
+
+    run(&["ext_online".to_string()], true, &results()).unwrap_or_else(|e| panic!("{e}"));
+    let text = std::fs::read_to_string(results().join("ext_online.json")).unwrap();
+    let field = |value: &Value, name: &str| match value {
+        Value::Map(entries) => entries
+            .iter()
+            .find(|(key, _)| key == name)
+            .unwrap()
+            .1
+            .clone(),
+        other => panic!("{name} is not in {other:?}"),
+    };
+    let gates = field(&parse_value(&text).unwrap(), "gates");
+    for (name, bound) in [
+        ("incremental_over_full_bytes", MAX_BYTES_OVER_FULL),
+        ("incremental_over_full_final_ms", MAX_FINAL_COST_OVER_FULL),
+        ("continual_over_frozen_final_ms", MAX_FINAL_COST_OVER_FROZEN),
+    ] {
+        let Value::Float(ratio) = field(&gates, name) else {
+            panic!("{name} is not a ratio");
+        };
+        println!("{name}: {ratio} (gate {bound})");
+        assert!(ratio <= bound, "{name} = {ratio}, above its gate {bound}");
+    }
 }
 
 const ROW_A: &str = r#"{"name": "a", "mean_cost_ms": 10.0, "total": 3, "mean_time_s": 0.5}"#;
