@@ -273,7 +273,6 @@ pub(crate) fn ext_online(ctx: &mut Ctx) -> Report {
     let stale = CostModelBundle::pretrain(&stale, 4, &collect, &TrainSettings::smoke(), 42);
     let drift = WorkloadDrift::standard(ShardingTask::sample(&ctx.dlrm, 4, 25..=35, 64, 9), 33);
     let frozen = run_trace(&stale, &drift, 28, Strategy::Full, 9, None);
-    let store = std::env::temp_dir().join(format!("nshard_ext_online_{}", std::process::id()));
     let config = ContinualConfig {
         settings: FineTuneSettings {
             train: TrainSettings {
@@ -288,9 +287,8 @@ pub(crate) fn ext_online(ctx: &mut Ctx) -> Report {
         seed: 9,
         ..ContinualConfig::default()
     };
-    let mut learner = ContinualLearner::new(stale.clone(), &store, config).expect("store opens");
+    let mut learner = ContinualLearner::new(stale.clone(), config);
     let continual = run_trace(&stale, &drift, 28, Strategy::Full, 9, Some(&mut learner));
-    std::fs::remove_dir_all(&store).ok();
     let continual = [
         Trace::new("frozen", frozen),
         Trace::new("continual", continual),

@@ -1,32 +1,85 @@
 //! The closed continual-learning loop: observe → buffer → fine-tune →
-//! shadow-evaluate → promote or roll back.
+//! shadow-evaluate → promote or keep the incumbent.
 //!
 //! An epoch loop (`repro ext_online` runs one) hands the
 //! [`ContinualLearner`] every finished epoch as an [`EpochObservation`]:
 //! the learner converts the loop's `(estimated, ground-truth)` pair into
 //! per-model observations and, when the epoch drifted (and enough
 //! observations accumulated and the cooldown elapsed), fine-tunes the
-//! incumbent, runs the candidate through the [`ModelLifecycle`] shadow
-//! evaluation, and — only on promotion — hands the loop the bundle to
-//! plan with.
+//! incumbent, shadow-evaluates the candidate ([`ContinualLearner::propose`])
+//! and — only on promotion — hands the loop the bundle to plan with.
+//!
+//! A candidate never serves directly. It must first pass two gates
+//! against the incumbent:
+//!
+//! 1. **Held-back validation** — the candidate's MSE on the buffer's
+//!    validation slice (data no fine-tuning step ever saw) must not be
+//!    worse than the incumbent's. A candidate that memorized poisoned or
+//!    unrepresentative training samples fails here.
+//! 2. **Train→search conformance** — the candidate must still *search
+//!    well*: a NeuroShard run on a probe task must produce a
+//!    memory-feasible plan whose estimated cost agrees with the exact
+//!    ground-truth oracle within the workspace's conformance band
+//!    (`max(est/exact, exact/est) ≤ band`). Low validation MSE with a
+//!    broken cost surface (e.g. a collapsed head) fails here.
+//!
+//! The decision is made in memory and recorded as a [`PromotionRecord`];
+//! a rejected candidate is dropped and the incumbent keeps serving. The
+//! learner writes no file: the one persisted model is the serve daemon's
+//! `models/active`, written by `Service::promote_model`.
 //!
 //! The same learner also ingests observations drained from a serve
 //! daemon (`Service::take_observations`), so one loop can learn from both
 //! the epoch simulator and live traffic. Both roads end in one check: a
 //! row the incumbent's models cannot read is skipped, never buffered.
 
-use nshard_core::ShardingPlan;
+use serde::{Deserialize, Serialize};
+
+use nshard_core::{evaluate_plan_exact, NeuroShard, NeuroShardConfig, ShardingPlan};
 use nshard_cost::{
     comm_features, table_features, CostModelBundle, EstimatedCost, TABLE_FEATURE_DIM,
 };
 use nshard_data::ShardingTask;
-use nshard_nn::serialize::CheckpointError;
 use nshard_pool::splitmix64;
-use nshard_sim::{DeviceCost, PlanCosts};
+use nshard_sim::{DeviceCost, GpuSpec, PlanCosts};
 
 use super::buffer::{BufferConfig, ObservationBuffer, ObservationKind, ObservationWire};
-use super::finetune::{FineTuneSettings, FineTuner};
-use super::lifecycle::{ModelLifecycle, PromotionRecord};
+use super::finetune::{fine_tune, FineTuneSettings};
+
+/// Allowed estimated-vs-exact disagreement on the probe search:
+/// `max(est/exact, exact/est)` must stay at or below this. Mirrors the
+/// train→search conformance band.
+const CONFORMANCE_BAND: f64 = 1.5;
+
+/// Slack on the validation-MSE gate: the candidate passes when
+/// `candidate_mse ≤ incumbent_mse × MSE_TOLERANCE`.
+const MSE_TOLERANCE: f32 = 1.05;
+
+/// The recorded outcome of one promotion decision — serialized into the
+/// golden fixtures, so field order and content must stay deterministic.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PromotionRecord {
+    /// Proposal ordinal (1-based, counts rejected proposals too).
+    pub proposal: u64,
+    /// Serving model version **after** the decision (1 = the incumbent
+    /// the learner was built with).
+    pub version: u64,
+    /// `true` when the candidate was promoted.
+    pub promoted: bool,
+    /// Stable machine-readable reason label: `"promoted"`,
+    /// `"validation_regression"`, `"infeasible"` or `"conformance"`.
+    pub reason: String,
+    /// Candidate MSE on the held-back validation slice (NaN when the
+    /// slice had no compute samples — the gate then passes vacuously).
+    pub candidate_valid_mse: f32,
+    /// Incumbent MSE on the same slice.
+    pub incumbent_valid_mse: f32,
+    /// Probe-search agreement `max(est/exact, exact/est)`; NaN when the
+    /// probe search itself failed.
+    pub conformance_ratio: f64,
+    /// `true` when the probe search produced a memory-feasible plan.
+    pub feasible: bool,
+}
 
 /// Everything one epoch of an online loop observed about the deployed
 /// plan, handed to [`ContinualLearner::on_epoch`] once the epoch is over.
@@ -94,49 +147,30 @@ impl ContinualConfig {
 }
 
 /// The closed-loop learner: buffers ground truth, fine-tunes on drift,
-/// and versions every promotion decision through a [`ModelLifecycle`].
+/// and records every promotion decision.
 pub struct ContinualLearner {
     config: ContinualConfig,
     buffer: ObservationBuffer,
-    lifecycle: ModelLifecycle,
     incumbent: CostModelBundle,
     last_attempt_epoch: Option<u64>,
     records: Vec<PromotionRecord>,
 }
 
 impl ContinualLearner {
-    /// Builds the learner around the serving incumbent; `store_dir` roots
-    /// the versioned checkpoint store.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when the incumbent's checkpoints cannot be
-    /// written.
-    pub fn new(
-        incumbent: CostModelBundle,
-        store_dir: impl AsRef<std::path::Path>,
-        config: ContinualConfig,
-    ) -> Result<Self, CheckpointError> {
-        let lifecycle = ModelLifecycle::open(store_dir, &incumbent)?;
-        let buffer = ObservationBuffer::new(config.buffer);
-        Ok(Self {
+    /// Builds the learner around the serving incumbent, model version 1.
+    pub fn new(incumbent: CostModelBundle, config: ContinualConfig) -> Self {
+        Self {
+            buffer: ObservationBuffer::new(config.buffer),
             config,
-            buffer,
-            lifecycle,
             incumbent,
             last_attempt_epoch: None,
             records: Vec::new(),
-        })
+        }
     }
 
     /// The observation buffer.
     pub fn buffer(&self) -> &ObservationBuffer {
         &self.buffer
-    }
-
-    /// The versioned lifecycle.
-    pub fn lifecycle(&self) -> &ModelLifecycle {
-        &self.lifecycle
     }
 
     /// The bundle the learner currently considers incumbent.
@@ -255,46 +289,111 @@ impl ContinualLearner {
         }
     }
 
-    /// Fine-tunes and shadow-evaluates now, regardless of triggers.
-    /// Returns the promoted bundle when the candidate won.
-    fn fine_tune_now(&mut self, epoch: u64, probe: &ShardingTask) -> Option<CostModelBundle> {
-        self.last_attempt_epoch = Some(epoch);
-        let train = self.buffer.training_data();
-        let valid = self.buffer.validation_data();
-        let candidate = FineTuner::fine_tune(
-            &self.incumbent,
-            &train,
-            &valid,
-            &self.config.settings,
-            self.config.seed ^ splitmix64(epoch),
-        )?;
-        let proposed = self
-            .lifecycle
-            .propose(&self.incumbent, candidate, &valid, probe);
-        // A store failure cannot crash the serving loop: treat it as a
-        // rejected proposal (the incumbent keeps serving) and move on.
-        let (record, installed) = proposed.ok()?;
+    /// Shadow-evaluates `candidate` against the incumbent on the buffer's
+    /// held-back validation slice and a probe search over `probe`, and
+    /// records the decision. On promotion the candidate becomes the
+    /// incumbent and is returned for installation; a rejected candidate
+    /// is dropped and the incumbent keeps serving.
+    pub fn propose(
+        &mut self,
+        candidate: CostModelBundle,
+        probe: &ShardingTask,
+    ) -> Option<CostModelBundle> {
+        let record = self.shadow_evaluate(&candidate, probe);
+        let promoted = record.promoted;
         self.records.push(record);
-        if let Some(bundle) = installed {
-            self.incumbent = bundle.clone();
-            return Some(bundle);
+        promoted.then(|| {
+            self.incumbent = candidate.clone();
+            candidate
+        })
+    }
+
+    /// Both gates, each with its fixed threshold above: the validation
+    /// MSE against the incumbent's, then a smoke-sized probe search whose
+    /// plan must be memory-feasible and whose estimate must agree with
+    /// the exact oracle inside the conformance band. Evaluation failures
+    /// are rejections, not errors.
+    fn shadow_evaluate(
+        &self,
+        candidate: &CostModelBundle,
+        probe: &ShardingTask,
+    ) -> PromotionRecord {
+        let validation = self.buffer.validation_data();
+        let (candidate_mse, incumbent_mse) = if validation.compute.is_empty() {
+            (f32::NAN, f32::NAN)
+        } else {
+            (
+                candidate.compute_model().evaluate_mse(&validation.compute),
+                self.incumbent
+                    .compute_model()
+                    .evaluate_mse(&validation.compute),
+            )
+        };
+        let mse_ok = candidate_mse.is_nan() || candidate_mse <= incumbent_mse * MSE_TOLERANCE;
+
+        // `(estimated, exact)` ms of the probe plan; `None` when the search
+        // or the exact evaluation failed.
+        let probed = NeuroShard::try_new(candidate.clone(), NeuroShardConfig::smoke())
+            .ok()
+            .and_then(|sharder| sharder.shard_with_stats(probe).ok())
+            .and_then(|outcome| {
+                let exact = evaluate_plan_exact(probe, &outcome.plan, &GpuSpec::default()).ok()?;
+                Some((outcome.estimated_cost_ms, exact.max_total_ms()))
+            });
+        let (feasible, ratio) = match probed {
+            None => (false, f64::NAN),
+            Some((est, exact)) if exact <= 0.0 || est <= 0.0 || exact.is_nan() || est.is_nan() => {
+                (true, f64::NAN)
+            }
+            Some((est, exact)) => (true, (est / exact).max(exact / est)),
+        };
+
+        let reason = if !mse_ok {
+            "validation_regression"
+        } else if !feasible {
+            "infeasible"
+        } else if ratio > CONFORMANCE_BAND || ratio.is_nan() {
+            "conformance"
+        } else {
+            "promoted"
+        };
+        let promoted = reason == "promoted";
+        let version = self.records.last().map_or(1, |r| r.version);
+        PromotionRecord {
+            proposal: self.records.len() as u64 + 1,
+            version: version + u64::from(promoted),
+            promoted,
+            reason: reason.to_string(),
+            candidate_valid_mse: candidate_mse,
+            incumbent_valid_mse: incumbent_mse,
+            conformance_ratio: ratio,
+            feasible,
         }
-        None
     }
 
     /// Observes one finished epoch of an online loop; fine-tunes when it
-    /// drifted, enough observations accumulated and the cooldown elapsed.
+    /// drifted, enough observations accumulated and the cooldown elapsed,
+    /// and proposes the candidate with the epoch's task as the probe.
     /// Returns the promoted bundle the loop must plan with from the next
     /// epoch on.
     pub fn on_epoch(&mut self, observation: &EpochObservation<'_>) -> Option<CostModelBundle> {
         self.ingest_epoch(observation);
+        let epoch = observation.epoch;
         let should_try = observation.drifted
             && self.buffer.len() >= self.config.min_observations
-            && self.cooldown_elapsed(observation.epoch);
+            && self.cooldown_elapsed(epoch);
         if !should_try {
             return None;
         }
-        self.fine_tune_now(observation.epoch, observation.task)
+        self.last_attempt_epoch = Some(epoch);
+        let candidate = fine_tune(
+            &self.incumbent,
+            &self.buffer.training_data(),
+            &self.buffer.validation_data(),
+            &self.config.settings,
+            self.config.seed ^ splitmix64(epoch),
+        )?;
+        self.propose(candidate, observation.task)
     }
 }
 
@@ -306,25 +405,6 @@ mod tests {
     use nshard_cost::{CollectConfig, TrainSettings};
     use nshard_data::TablePool;
     use nshard_sim::GpuSpec;
-
-    struct TempDir(std::path::PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("nshard_continual_{tag}_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            Self(dir)
-        }
-        fn path(&self) -> &std::path::Path {
-            &self.0
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     /// Hands `learner` epochs `0..epochs` of `drift`, each planned from
     /// scratch with `bundle` and measured on its task, every one drifted.
@@ -366,17 +446,14 @@ mod tests {
             21,
         );
         let base = ShardingTask::sample(&pool, 2, 8..=12, 64, 21);
-        let run = |tag: &str| {
-            let dir = TempDir::new(tag);
+        let run = || {
             let drift = WorkloadDrift::standard(base.clone(), 3);
-            let mut learner =
-                ContinualLearner::new(bundle.clone(), dir.path(), ContinualConfig::smoke())
-                    .expect("store opens");
+            let mut learner = ContinualLearner::new(bundle.clone(), ContinualConfig::smoke());
             drive(&mut learner, &bundle, &drift, 6);
             learner.buffer.to_bytes()
         };
-        let bytes_a = run("det_a");
-        let bytes_b = run("det_b");
+        let bytes_a = run();
+        let bytes_b = run();
         assert_eq!(
             bytes_a, bytes_b,
             "the learning run's observation stream must be bit-deterministic"
@@ -404,7 +481,6 @@ mod tests {
         let budget = nshard_sim::DEFAULT_MEM_BYTES;
         let fleet = DevicePool::two_tier(3, budget, 1, budget, 1.5, 0.25);
         let base = ShardingTask::sample(&pool, 4, 10..=14, 64, 21).with_devices(fleet);
-        let dir = TempDir::new("replay");
         let config = ContinualConfig {
             buffer: BufferConfig {
                 validation_stride: u64::MAX,
@@ -414,7 +490,7 @@ mod tests {
             min_observations: usize::MAX,
             ..ContinualConfig::smoke()
         };
-        let mut learner = ContinualLearner::new(bundle.clone(), dir.path(), config).unwrap();
+        let mut learner = ContinualLearner::new(bundle.clone(), config);
         drive(&mut learner, &bundle, &WorkloadDrift::standard(base, 3), 5);
 
         let rows = learner.buffer().training_observations();
@@ -459,9 +535,7 @@ mod tests {
             &TrainSettings::smoke(),
             2,
         );
-        let dir = TempDir::new("wire");
-        let mut learner =
-            ContinualLearner::new(bundle, dir.path(), ContinualConfig::smoke()).unwrap();
+        let mut learner = ContinualLearner::new(bundle, ContinualConfig::smoke());
         learner.ingest_wire(&[
             ObservationWire {
                 kind: "compute".into(),
@@ -499,7 +573,6 @@ mod tests {
             &TrainSettings::smoke(),
             2,
         );
-        let probe = ShardingTask::sample(&pool, 2, 8..=8, 64, 2);
         let row = |kind: &str, features: Vec<Vec<f32>>, observed_ms: f64| ObservationWire {
             kind: kind.into(),
             features,
@@ -516,13 +589,66 @@ mod tests {
             row("comm_forward", vec![vec![1.0; 7]], f64::INFINITY),
         ];
         for (i, case) in cases.into_iter().enumerate() {
-            let dir = TempDir::new(&format!("malformed_{i}"));
-            let mut learner =
-                ContinualLearner::new(bundle.clone(), dir.path(), ContinualConfig::smoke())
-                    .unwrap();
+            let mut learner = ContinualLearner::new(bundle.clone(), ContinualConfig::smoke());
             learner.ingest_wire(&vec![case; 64]);
-            assert!(learner.fine_tune_now(1, &probe).is_none(), "case {i}");
-            assert_eq!(learner.buffer().inserted(), 0, "case {i} was buffered");
+            let buffer = learner.buffer();
+            let (train, valid) = (buffer.training_data(), buffer.validation_data());
+            let settings = FineTuneSettings::smoke();
+            assert!(
+                fine_tune(&bundle, &train, &valid, &settings, 1).is_none(),
+                "case {i}"
+            );
+            assert_eq!(buffer.inserted(), 0, "case {i} was buffered");
         }
+    }
+
+    /// A smoke incumbent and a probe task for the shadow gates.
+    fn gate_setup() -> (CostModelBundle, ShardingTask) {
+        let pool = TablePool::synthetic_dlrm(64, 5);
+        let bundle = CostModelBundle::pretrain(
+            &pool,
+            2,
+            &CollectConfig::smoke(),
+            &TrainSettings::smoke(),
+            5,
+        );
+        (bundle, ShardingTask::sample(&pool, 2, 8..=12, 64, 5))
+    }
+
+    #[test]
+    fn healthy_incumbent_copy_promotes() {
+        let (bundle, task) = gate_setup();
+        let mut learner = ContinualLearner::new(bundle.clone(), ContinualConfig::smoke());
+        let installed = learner.propose(bundle.clone(), &task);
+        let record = &learner.records()[0];
+        assert!(record.promoted, "reason: {}", record.reason);
+        assert_eq!((record.proposal, record.version), (1, 2));
+        assert_eq!(installed.as_ref(), Some(&bundle));
+        assert_eq!(learner.incumbent(), &bundle);
+    }
+
+    #[test]
+    fn a_rejected_candidate_leaves_the_incumbent_serving() {
+        let (bundle, task) = gate_setup();
+        let before = serde_json::to_string(&bundle).unwrap();
+        let mut learner = ContinualLearner::new(bundle.clone(), ContinualConfig::smoke());
+        // A freshly-initialized (untrained) compute model: predicts
+        // garbage, so the probe search disagrees with the oracle far
+        // beyond the band.
+        let broken = CostModelBundle::from_parts(
+            nshard_cost::ComputeCostModel::new(99),
+            bundle.comm_fwd_model().clone(),
+            bundle.comm_bwd_model().clone(),
+            bundle.batch_size(),
+            *bundle.report(),
+        );
+        assert!(learner.propose(broken, &task).is_none());
+        let record = &learner.records()[0];
+        assert!(!record.promoted);
+        assert_eq!(record.version, 1);
+        assert!(
+            serde_json::to_string(learner.incumbent()).unwrap() == before,
+            "a rejected candidate must leave the incumbent serving, bit for bit"
+        );
     }
 }

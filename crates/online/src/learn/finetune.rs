@@ -11,8 +11,10 @@
 //! fine-tuned checkpoint provably cannot have corrupted the pre-trained
 //! representation it keeps.
 //!
-//! Every produced bundle is a candidate only — promotion is the model
-//! lifecycle's decision ([`super::lifecycle`]), never the tuner's.
+//! Every produced bundle is a candidate only — promotion is the
+//! learner's shadow evaluation's decision
+//! ([`ContinualLearner::propose`](super::ContinualLearner::propose)),
+//! never the tuner's.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +36,7 @@ const FREEZE_ENCODER: bool = true;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FineTuneSettings {
     /// Epochs, mini-batch size and learning rate of each fit, and the
-    /// threads of the two fine-tuning lanes (see [`FineTuner::fine_tune`]).
+    /// threads of the two fine-tuning lanes (see [`fine_tune`]).
     /// The learning rate is low by design: it defaults to 10× below the
     /// pre-training default so fine-tuning nudges rather than rewrites.
     pub train: TrainSettings,
@@ -71,88 +73,83 @@ impl FineTuneSettings {
     }
 }
 
-/// Fine-tunes an incumbent bundle on buffered ground truth.
-#[derive(Debug, Clone, Default)]
-pub struct FineTuner;
+/// Fine-tunes `incumbent` on buffered ground truth into a candidate
+/// bundle: each cost model with enough buffered data is fine-tuned from
+/// the incumbent's weights; the rest carry over bitwise unchanged.
+/// Returns `None` when **no** model had enough data — there is nothing
+/// to propose.
+///
+/// `valid` is the held-back validation slice; models select their best
+/// epoch against it (a fit falls back to its training data when the
+/// slice has nothing for that model). The fits run in the pre-train's
+/// two lanes ([`CostModelBundle::pretrain_with_spec`]): the compute model
+/// beside the forward and then the backward comm model, on a [`WorkPool`]
+/// of the settings' threads. Deterministic per `seed` at any thread
+/// count.
+pub fn fine_tune(
+    incumbent: &CostModelBundle,
+    train: &LearnDatasets,
+    valid: &LearnDatasets,
+    settings: &FineTuneSettings,
+    seed: u64,
+) -> Option<CostModelBundle> {
+    let ts = &settings.train;
+    let mut compute = incumbent.compute_model().clone();
+    let mut comm = [incumbent.comm_fwd_model(), incumbent.comm_bwd_model()].map(Clone::clone);
+    let tune_comm = |model: &mut CommCostModel,
+                     train_ds: &Option<Dataset>,
+                     valid_ds: &Option<Dataset>,
+                     salt: u64|
+     -> Option<(f32, usize)> {
+        let train_ds = train_ds.as_ref()?;
+        if train_ds.len() < settings.min_samples {
+            return None;
+        }
+        // Nothing held back for this model: an empty validation part,
+        // which the fit answers by ranking on its training rows.
+        let no_rows = train_ds.select(&[]);
+        let valid_ds = valid_ds.as_ref().unwrap_or(&no_rows);
+        let tune = model.fine_tune(train_ds, valid_ds, ts, &FROZEN_COMM_LAYERS, seed ^ salt);
+        Some((tune.valid_mse, train_ds.len()))
+    };
+    let (compute_mse, [fwd, bwd]) = WorkPool::new(ts.threads).join(
+        || {
+            (train.compute.len() >= settings.min_samples).then(|| {
+                let tune =
+                    compute.fine_tune(&train.compute, &valid.compute, ts, FREEZE_ENCODER, seed);
+                tune.valid_mse
+            })
+        },
+        || {
+            let [fwd, bwd] = &mut comm;
+            [
+                tune_comm(fwd, &train.comm_fwd, &valid.comm_fwd, 0x0f0d),
+                tune_comm(bwd, &train.comm_bwd, &valid.comm_bwd, 0x0b0d),
+            ]
+        },
+    );
 
-impl FineTuner {
-    /// Produces a candidate bundle: each cost model with enough buffered
-    /// data is fine-tuned from the incumbent's weights; the rest carry
-    /// over bitwise unchanged. Returns `None` when **no** model had
-    /// enough data — there is nothing to propose.
-    ///
-    /// `valid` is the held-back validation slice; models select their
-    /// best epoch against it (a fit falls back to its training data when
-    /// the slice has nothing for that model). The fits run in the
-    /// pre-train's two lanes ([`CostModelBundle::pretrain_with_spec`]):
-    /// the compute model beside the forward and then the backward comm
-    /// model, on a [`WorkPool`] of the settings' threads. Deterministic
-    /// per `seed` at any thread count.
-    pub fn fine_tune(
-        incumbent: &CostModelBundle,
-        train: &LearnDatasets,
-        valid: &LearnDatasets,
-        settings: &FineTuneSettings,
-        seed: u64,
-    ) -> Option<CostModelBundle> {
-        let ts = &settings.train;
-        let mut compute = incumbent.compute_model().clone();
-        let mut comm = [incumbent.comm_fwd_model(), incumbent.comm_bwd_model()].map(Clone::clone);
-        let tune_comm = |model: &mut CommCostModel,
-                         train_ds: &Option<Dataset>,
-                         valid_ds: &Option<Dataset>,
-                         salt: u64|
-         -> Option<(f32, usize)> {
-            let train_ds = train_ds.as_ref()?;
-            if train_ds.len() < settings.min_samples {
-                return None;
-            }
-            // Nothing held back for this model: an empty validation part,
-            // which the fit answers by ranking on its training rows.
-            let no_rows = train_ds.select(&[]);
-            let valid_ds = valid_ds.as_ref().unwrap_or(&no_rows);
-            let tune = model.fine_tune(train_ds, valid_ds, ts, &FROZEN_COMM_LAYERS, seed ^ salt);
-            Some((tune.valid_mse, train_ds.len()))
-        };
-        let (compute_mse, [fwd, bwd]) = WorkPool::new(ts.threads).join(
-            || {
-                (train.compute.len() >= settings.min_samples).then(|| {
-                    let tune =
-                        compute.fine_tune(&train.compute, &valid.compute, ts, FREEZE_ENCODER, seed);
-                    tune.valid_mse
-                })
-            },
-            || {
-                let [fwd, bwd] = &mut comm;
-                [
-                    tune_comm(fwd, &train.comm_fwd, &valid.comm_fwd, 0x0f0d),
-                    tune_comm(bwd, &train.comm_bwd, &valid.comm_bwd, 0x0b0d),
-                ]
-            },
-        );
-
-        let mut report = *incumbent.report();
-        if let Some(mse) = compute_mse {
-            report.compute_test_mse = mse;
-            report.compute_samples = train.compute.len();
-        }
-        if let Some((mse, _)) = fwd {
-            report.fwd_comm_test_mse = mse;
-        }
-        if let Some((mse, _)) = bwd {
-            report.bwd_comm_test_mse = mse;
-        }
-        let comm_samples: usize = [fwd, bwd].iter().flatten().map(|&(_, n)| n).sum();
-        if comm_samples > 0 {
-            report.comm_samples = comm_samples;
-        }
-
-        let [comm_fwd, comm_bwd] = comm;
-        let tuned_any = compute_mse.is_some() || fwd.is_some() || bwd.is_some();
-        tuned_any.then(|| {
-            CostModelBundle::from_parts(compute, comm_fwd, comm_bwd, incumbent.batch_size(), report)
-        })
+    let mut report = *incumbent.report();
+    if let Some(mse) = compute_mse {
+        report.compute_test_mse = mse;
+        report.compute_samples = train.compute.len();
     }
+    if let Some((mse, _)) = fwd {
+        report.fwd_comm_test_mse = mse;
+    }
+    if let Some((mse, _)) = bwd {
+        report.bwd_comm_test_mse = mse;
+    }
+    let comm_samples: usize = [fwd, bwd].iter().flatten().map(|&(_, n)| n).sum();
+    if comm_samples > 0 {
+        report.comm_samples = comm_samples;
+    }
+
+    let [comm_fwd, comm_bwd] = comm;
+    let tuned_any = compute_mse.is_some() || fwd.is_some() || bwd.is_some();
+    tuned_any.then(|| {
+        CostModelBundle::from_parts(compute, comm_fwd, comm_bwd, incumbent.batch_size(), report)
+    })
 }
 
 #[cfg(test)]
@@ -189,7 +186,7 @@ mod tests {
     fn too_little_data_yields_no_candidate() {
         let bundle = smoke_bundle();
         let buffer = ObservationBuffer::new(BufferConfig::default());
-        let candidate = FineTuner::fine_tune(
+        let candidate = fine_tune(
             &bundle,
             &buffer.training_data(),
             &buffer.validation_data(),
@@ -213,9 +210,9 @@ mod tests {
         }
         let train = buffer.training_data();
         let settings = FineTuneSettings::smoke();
-        let a = FineTuner::fine_tune(&bundle, &train, &buffer.validation_data(), &settings, 9)
+        let a = fine_tune(&bundle, &train, &buffer.validation_data(), &settings, 9)
             .expect("enough data");
-        let b = FineTuner::fine_tune(&bundle, &train, &buffer.validation_data(), &settings, 9)
+        let b = fine_tune(&bundle, &train, &buffer.validation_data(), &settings, 9)
             .expect("enough data");
         assert_eq!(a, b, "fine-tuning must be bit-deterministic per seed");
         // The candidate predicts closer to the shifted truth than the

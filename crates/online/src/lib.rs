@@ -26,10 +26,10 @@
 //! * [`learn`] — continual learning of the cost models: the
 //!   [`ContinualLearner`](learn::ContinualLearner), handed every epoch of
 //!   an online loop, buffers ground truth, fine-tunes on drift and
-//!   promotes or rolls back each candidate through a versioned lifecycle.
-//!   Its [`ObservationWire`] is one ground-truth observation as a
-//!   deployment reports it, which the serve daemon buffers and the
-//!   learner ingests.
+//!   shadow-evaluates each candidate in memory, promoting it or keeping
+//!   the incumbent. Its [`ObservationWire`](learn::ObservationWire) is one
+//!   ground-truth observation as a deployment reports it, which the serve
+//!   daemon buffers and the learner ingests.
 //!
 //! The closed loop itself — detect drift, replan, measure, learn — is an
 //! experiment, `repro ext_online` (`nshard-bench`), which compares never,
@@ -64,7 +64,6 @@ pub mod learn;
 mod stack;
 
 pub use drift::WorkloadDrift;
-pub use learn::ObservationWire;
 pub use nshard_core::{
     DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta,
 };

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use nshard_core::{PlanProvenance, PlanSource, ShardingPlan};
 use nshard_data::ShardingTask;
-use nshard_online::ObservationWire;
+use nshard_online::learn::ObservationWire;
 
 use crate::http::HttpResponse;
 

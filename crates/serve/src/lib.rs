@@ -4,10 +4,12 @@
 //! NeuroShard planner: the deployment story for the paper's "pre-train
 //! once, search per task" workflow. The caller hands the daemon its
 //! pre-trained cost models at startup and every request is an online
-//! search. The daemon reads no model checkpoint itself: a bundle reaches
-//! it through [`Service::new`] or [`Service::promote_model`] (the caller
-//! loads a checkpoint with `nshard_nn::serialize::read_checked`, and
-//! `nshard_online::learn::ModelLifecycle` writes them).
+//! search. The daemon keeps the one persisted model, `models/active` in
+//! its plan store: [`Service::promote_model`] writes it, and with a
+//! `store_dir` [`Service::with_clock`] restores it at boot in place of
+//! the bundle it was handed. A promoted bundle comes from the caller,
+//! typically a `nshard_online::learn::ContinualLearner` that
+//! shadow-evaluated it in memory.
 //!
 //! ## Endpoints
 //!
@@ -85,6 +87,6 @@ pub use engine::{PlanOutput, PlanningEngine};
 pub use http::{http_call, HttpRequest, HttpResponse, KeepAliveClient};
 // The `POST /v1/observations` item, named here by the benchmark's
 // `surface.rs`.
-pub use nshard_online::ObservationWire;
+pub use nshard_online::learn::ObservationWire;
 pub use server::{Routed, ServeConfig, Server, Service};
 pub use store::{PlanStore, StoreError, StoredPlan};

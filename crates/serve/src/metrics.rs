@@ -321,7 +321,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) response_cache_misses: Arc<Counter>,
     pub(crate) observations: Arc<Counter>,
     pub(crate) model_promotions: Arc<Counter>,
-    pub(crate) model_rollbacks: Arc<Counter>,
     pub(crate) model_version: Arc<Gauge>,
     pub(crate) store_quarantined: Arc<Gauge>,
 }
@@ -369,10 +368,6 @@ impl ServiceMetrics {
             model_promotions: registry.counter(
                 "nshard_serve_model_promotions_total",
                 "Fine-tuned cost-model bundles promoted into the serving engine",
-            ),
-            model_rollbacks: registry.counter(
-                "nshard_serve_model_rollbacks_total",
-                "Candidate cost-model bundles rejected by shadow evaluation (incumbent kept)",
             ),
             model_version: registry.gauge(
                 "nshard_serve_model_version",

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use nshard_online::ObservationWire;
+use nshard_online::learn::ObservationWire;
 
 use crate::api::{error_response, HealthResponse, ObservationsAck, ObservationsRequest};
 use crate::http::{HttpRequest, HttpResponse};

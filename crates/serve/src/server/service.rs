@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use nshard_cost::CostModelBundle;
 use nshard_nn::serialize::{envelope_from_json, envelope_to_json};
-use nshard_online::ObservationWire;
+use nshard_online::learn::ObservationWire;
 use nshard_pool::resolve_threads;
 
 use crate::clock::{Clock, WallClock};
@@ -132,11 +132,5 @@ impl Service {
             .plans
             .write_model(envelope_to_json("cost-bundle", "nshard", bundle));
         version
-    }
-
-    /// Records a shadow-evaluation rejection (the incumbent stays) in
-    /// `/metrics` — the lifecycle calls this so rollbacks are observable.
-    pub fn note_model_rollback(&self) {
-        self.metrics.model_rollbacks.inc();
     }
 }

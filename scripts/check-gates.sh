@@ -7,9 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-MAX_SERVE_ITEMS=88
-MAX_TOTAL_LINES=12105
-MAX_TOTAL_ITEMS=630
+MAX_SERVE_ITEMS=87
+MAX_TOTAL_LINES=12015
+MAX_TOTAL_ITEMS=616
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

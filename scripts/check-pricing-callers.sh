@@ -82,6 +82,15 @@
 # is the one trace) and the off-by-default stall switches (the stall escape
 # is part of the experiment's incremental strategy) stay deleted.
 #
+# One model store (DESIGN.md §12): the daemon's `models/active` is the one
+# persisted model. The continual learner shadow-evaluates each candidate in
+# memory and holds no files, so non-test code under online/src calls
+# neither `write_checked(`, `read_checked(` nor `std::fs`; the lifecycle's
+# checkpoint directory (`ModelLifecycle`, its `load_active`), the
+# `FineTuner` struct (fine-tuning is the free `learn::fine_tune`) and the
+# rollback counter nothing incremented (`note_model_rollback`,
+# `nshard_serve_model_rollbacks_total`) stay deleted.
+#
 # The reproduction driver does not depend on the daemon (DESIGN.md §2):
 # `nshard-bench` names no `nshard-serve`, and `repro` is its one binary —
 # load tests are `#[test]`s and timing lives in `benchmark/`.
@@ -282,6 +291,17 @@ if code crates/*/src src examples | grep -wE \
     'OnlineController|OnlineConfig|ReplanStrategy|ReplanHistory|DriftDetector|DriftThresholds|ReplanTrigger|ReplanAttribution|attributed_to_replan'; then
     echo "error: the closed loop is repro ext_online; its strategies and triggers are private to" \
         "it, and a plan's provenance carries no replan attribution (lines above)" >&2
+    exit 1
+fi
+if code crates/online/src | grep -E 'write_checked\(|read_checked\(|std::fs([^A-Za-z0-9_]|$)'; then
+    echo "error: the continual learner decides promotions in memory and holds no files;" \
+        "the daemon's models/active is the one model store (lines above)" >&2
+    exit 1
+fi
+if code crates src examples |
+    grep -E 'ModelLifecycle|FineTuner|load_active|note_model_rollback|model_rollbacks'; then
+    echo "error: one model store: the lifecycle's checkpoint directory, FineTuner and the" \
+        "rollback counter stay deleted; fine-tune with learn::fine_tune (lines above)" >&2
     exit 1
 fi
 if code crates/*/src | grep -v '^crates/nn/src/serialize.rs:' | grep -E \

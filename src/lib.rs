@@ -17,8 +17,8 @@
 //! * [`serve`] — sharding-as-a-service daemon: HTTP/1.1 JSON API with
 //!   admission control, a versioned plan/model store, and `/metrics`.
 //! * [`learn`] — `online`'s continual learning: observation buffering,
-//!   drift-triggered fine-tuning and the versioned promote-or-rollback
-//!   model lifecycle.
+//!   drift-triggered fine-tuning and in-memory shadow evaluation of each
+//!   candidate (promote, or keep the incumbent).
 //!
 //! See the repository README for a quickstart, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-vs-measured record.

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use neuroshard::cost::{table_features, CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TablePool};
 use neuroshard::learn::{
-    BufferConfig, FineTuneSettings, FineTuner, ModelLifecycle, ObservationBuffer, ObservationKind,
+    fine_tune, ContinualConfig, ContinualLearner, FineTuneSettings, ObservationKind,
     ObservationWire, PromotionRecord,
 };
 use neuroshard::nn::{envelope_from_json, envelope_to_json, Envelope, CHECKPOINT_VERSION};
@@ -53,28 +53,6 @@ fn maybe_write(name: &str, content: &str) -> bool {
     false
 }
 
-/// Self-removing scratch directory for the lifecycle's checkpoint store.
-struct TempDir(std::path::PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "nshard_learn_fixtures_{tag}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        Self(dir)
-    }
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn pool() -> TablePool {
     TablePool::synthetic_dlrm(80, 0xA11CE)
 }
@@ -89,35 +67,46 @@ fn incumbent() -> CostModelBundle {
     )
 }
 
-/// A buffer of compute observations whose ground truth runs
-/// `TRUTH_SCALE`× the incumbent's predictions — the default stride keeps
-/// a held-back validation slice, so the recorded decision exercises both
-/// shadow-evaluation gates with real numbers.
-fn filled_buffer(incumbent: &CostModelBundle) -> ObservationBuffer {
+/// A learner around `incumbent` that ingested one compute observation per
+/// pool table, whose ground truth runs `TRUTH_SCALE`× the incumbent's
+/// predictions — the default stride keeps a held-back validation slice,
+/// so the recorded decision exercises both shadow-evaluation gates with
+/// real numbers.
+fn filled_learner(incumbent: &CostModelBundle) -> ContinualLearner {
     let batch = incumbent.batch_size();
-    let mut buffer = ObservationBuffer::new(BufferConfig::default());
-    for table in pool().tables() {
-        let features = vec![table_features(&table.profile(batch), batch)];
-        let predicted = incumbent.compute_model().predict_batch(&[&features])[0];
-        buffer.insert(ObservationWire {
-            kind: ObservationKind::Compute.label().into(),
-            features,
-            predicted_ms: predicted,
-            observed_ms: predicted * TRUTH_SCALE,
-        });
-    }
+    let rows: Vec<ObservationWire> = pool()
+        .tables()
+        .iter()
+        .map(|table| {
+            let features = vec![table_features(&table.profile(batch), batch)];
+            let predicted = incumbent.compute_model().predict_batch(&[&features])[0];
+            ObservationWire {
+                kind: ObservationKind::Compute.label().into(),
+                features,
+                predicted_ms: predicted,
+                observed_ms: predicted * TRUTH_SCALE,
+            }
+        })
+        .collect();
+    let mut learner = ContinualLearner::new(incumbent.clone(), ContinualConfig::smoke());
+    learner.ingest_wire(&rows);
+    assert_eq!(
+        learner.buffer().inserted(),
+        rows.len() as u64,
+        "every row is readable"
+    );
     assert!(
-        buffer.validation_len() > 0,
+        learner.buffer().validation_len() > 0,
         "the fixture scenario holds back validation"
     );
-    buffer
+    learner
 }
 
-fn finetuned(incumbent: &CostModelBundle, buffer: &ObservationBuffer) -> CostModelBundle {
-    FineTuner::fine_tune(
-        incumbent,
-        &buffer.training_data(),
-        &buffer.validation_data(),
+fn finetuned(learner: &ContinualLearner) -> CostModelBundle {
+    fine_tune(
+        learner.incumbent(),
+        &learner.buffer().training_data(),
+        &learner.buffer().validation_data(),
         &FineTuneSettings::smoke(),
         SEED,
     )
@@ -131,7 +120,7 @@ fn finetuned(incumbent: &CostModelBundle, buffer: &ObservationBuffer) -> CostMod
 #[test]
 fn finetuned_checkpoint_fixture_is_byte_exact() {
     let incumbent = incumbent();
-    let bundle = finetuned(&incumbent, &filled_buffer(&incumbent));
+    let bundle = finetuned(&filled_learner(&incumbent));
     let json = envelope_to_json("finetuned-cost-bundle", "fixture_writer", &bundle);
     if maybe_write("finetuned_bundle_v2.json", &json) {
         return;
@@ -163,16 +152,11 @@ fn finetuned_checkpoint_fixture_is_byte_exact() {
 /// MSEs, same conformance ratio, same verdict.
 #[test]
 fn promotion_decision_fixture_is_byte_exact() {
-    let incumbent = incumbent();
-    let buffer = filled_buffer(&incumbent);
-    let candidate = finetuned(&incumbent, &buffer);
+    let mut learner = filled_learner(&incumbent());
+    let candidate = finetuned(&learner);
     let probe = ShardingTask::sample(&pool(), 2, 10..=14, 64, SEED);
-
-    let dir = TempDir::new("decision");
-    let mut lifecycle = ModelLifecycle::open(dir.path(), &incumbent).expect("store opens");
-    let (record, installed) = lifecycle
-        .propose(&incumbent, candidate, &buffer.validation_data(), &probe)
-        .expect("proposal evaluates");
+    let installed = learner.propose(candidate.clone(), &probe);
+    let record = learner.records()[0].clone();
 
     let json = envelope_to_json("promotion-record", "fixture_writer", &record);
     if maybe_write("promotion_record_v2.json", &json) {
@@ -189,11 +173,8 @@ fn promotion_decision_fixture_is_byte_exact() {
     assert_eq!(envelope.version, CHECKPOINT_VERSION);
     assert_eq!(envelope.payload, record);
     // The committed scenario is a promotion — the interesting decision —
-    // and the lifecycle installed exactly what it persisted.
+    // and the learner installed exactly the candidate it evaluated.
     assert!(record.promoted, "fixture scenario must promote: {record:?}");
-    assert!(installed.is_some());
-    assert_eq!(
-        lifecycle.load_active().expect("active checkpoint loads"),
-        installed.expect("promotion installs"),
-    );
+    assert_eq!(installed.as_ref(), Some(&candidate));
+    assert_eq!(learner.incumbent(), &candidate);
 }

@@ -60,26 +60,6 @@ fn get_inline(service: &Service, path: &str) -> (u16, String) {
     (r.status, String::from_utf8_lossy(&r.body).to_string())
 }
 
-/// Self-removing scratch directory for checkpoint stores.
-struct TempDir(std::path::PathBuf);
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("nshard_learn_serve_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        Self(dir)
-    }
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// `POST /v1/observations` stages ground-truth reports inline, the
 /// learning loop drains them with `take_observations`, and a
 /// `ContinualLearner` ingests the drained batch (unknown kinds skipped).
@@ -104,9 +84,7 @@ fn observations_flow_from_the_wire_into_the_learner() {
     assert!(ack_body.contains("\"accepted\":3"), "got: {ack_body}");
     assert_eq!(service.observations_buffered(), 3);
 
-    let dir = TempDir::new("wire");
-    let mut learner = ContinualLearner::new(quick_bundle(7), dir.path(), ContinualConfig::smoke())
-        .expect("store opens");
+    let mut learner = ContinualLearner::new(quick_bundle(7), ContinualConfig::smoke());
     learner.ingest_wire(&service.take_observations());
     assert_eq!(
         learner.buffer().inserted(),
@@ -197,14 +175,6 @@ fn promotion_invalidates_caches_and_relabels_metrics() {
     assert!(
         metrics.contains("model_version=\"2\""),
         "cache series re-label after promotion: {metrics}"
-    );
-
-    // Rollbacks are observable too.
-    service.note_model_rollback();
-    let metrics = service.render_metrics();
-    assert!(
-        metrics.contains("nshard_serve_model_rollbacks_total 1"),
-        "got: {metrics}"
     );
 }
 

@@ -18,7 +18,7 @@ use neuroshard::cost::{
     ComputeCostModel, CostModelBundle, TrainSettings,
 };
 use neuroshard::data::TablePool;
-use neuroshard::learn::{FineTuneSettings, FineTuner, LearnDatasets};
+use neuroshard::learn::{fine_tune, FineTuneSettings, LearnDatasets};
 use neuroshard::nn::{fit, Mlp, GRAD_SHARD_ROWS};
 use neuroshard::sim::{CommParams, GpuSpec, KernelParams};
 
@@ -248,8 +248,7 @@ fn fine_tuned_bundle_is_bit_identical_across_thread_counts() {
         settings.train.threads = threads;
         settings
     };
-    let tuned =
-        |threads| FineTuner::fine_tune(&incumbent, &train, &valid, &settings(threads), seed);
+    let tuned = |threads| fine_tune(&incumbent, &train, &valid, &settings(threads), seed);
     let ts = settings(1).train;
     let mut report = *incumbent.report();
     let mut compute = incumbent.compute_model().clone();
