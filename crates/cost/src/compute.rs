@@ -15,6 +15,7 @@ use nshard_nn::{
     fit_epochs, Adam, Gradients, Matrix, Mlp, MlpWorkspace, TrainReport, TrainSettings,
 };
 
+use crate::cache::add_encoding;
 use crate::collect::ComputeDataset;
 use crate::features::TABLE_FEATURE_DIM;
 
@@ -127,9 +128,7 @@ impl ComputeCostModel {
         for (i, set) in sets.iter().enumerate() {
             let pooled = s.head.input_mut().row_mut(i);
             for _ in 0..set.as_ref().len() {
-                for (p, &v) in pooled.iter_mut().zip(encoded.row(r)) {
-                    *p += v;
-                }
+                add_encoding(pooled, encoded.row(r));
                 r += 1;
             }
         }
@@ -372,9 +371,7 @@ impl FitBlock {
                     end = rows.end;
                     self.table_ends.push(end);
                     for r in rows {
-                        for (p, &v) in pooled.row_mut(s).iter_mut().zip(self.enc.output().row(r)) {
-                            *p += v;
-                        }
+                        add_encoding(pooled.row_mut(s), self.enc.output().row(r));
                     }
                 }
             }
@@ -711,7 +708,11 @@ mod tests {
             let mut model = ComputeCostModel::new(1);
             let report = model.train(&data, &settings, 3);
             assert_ne!(model, ComputeCostModel::new(1), "n = {n}: untrained");
-            for mse in [report.train_mse, report.valid_mse, report.test_mse] {
+            for mse in [
+                model.evaluate_mse(&train),
+                report.valid_mse,
+                report.test_mse,
+            ] {
                 assert!(mse.is_finite(), "n = {n}: {report:?}");
             }
             assert!(report.valid_history.iter().all(|v| v.is_finite()));
@@ -754,29 +755,31 @@ mod tests {
             (comm(12, 2), true),
         ];
 
-        let check = |kind: &str, report: TrainReport, ranks: bool, valid_of_fitted: f32| {
+        // `fitted_on`: the selected checkpoint's MSE on (validation, train).
+        let check = |kind: &str, report: TrainReport, ranks: bool, fitted_on: (f32, f32)| {
             assert_eq!(report.valid_history.len(), 4, "{kind}: {report:?}");
             assert!(report.valid_mse.is_finite(), "{kind}: {report:?}");
             // Selected, and reported, on validation when it can rank and on
             // the training data when it cannot.
-            let selected_on = if ranks {
-                valid_of_fitted
-            } else {
-                report.train_mse
-            };
+            let selected_on = if ranks { fitted_on.0 } else { fitted_on.1 };
             assert_eq!(report.valid_mse.to_bits(), selected_on.to_bits(), "{kind}");
         };
         for (valid, ranks) in compute_cases {
             let mut model = ComputeCostModel::new(6);
             let report = model.fine_tune(&compute_train, &valid, &settings, false, 2);
             assert_ne!(model, ComputeCostModel::new(6));
-            check("compute", report, ranks, model.evaluate_mse(&valid));
+            let fitted_on = (
+                model.evaluate_mse(&valid),
+                model.evaluate_mse(&compute_train),
+            );
+            check("compute", report, ranks, fitted_on);
         }
         for (valid, ranks) in comm_cases {
             let mut model = CommCostModel::new(2, 6);
             let report = model.fine_tune(&comm_train, &valid, &settings, &[], 2);
             assert_ne!(model, CommCostModel::new(2, 6));
-            check("comm", report, ranks, model.evaluate_mse(&valid));
+            let fitted_on = (model.evaluate_mse(&valid), model.evaluate_mse(&comm_train));
+            check("comm", report, ranks, fitted_on);
         }
     }
 
@@ -869,7 +872,6 @@ mod tests {
         }
         *model = best;
         TrainReport {
-            train_mse: model.evaluate_mse(train),
             valid_mse: best_valid,
             test_mse: model.evaluate_mse(valid),
             valid_history,
@@ -950,7 +952,7 @@ mod tests {
             };
             proptest::prop_assert!(weights(&model) == weights(&want), "weights diverged");
             let bits = |r: &TrainReport| {
-                [r.train_mse, r.valid_mse, r.test_mse]
+                [r.valid_mse, r.test_mse]
                     .iter()
                     .chain(&r.valid_history)
                     .map(|v| v.to_bits())

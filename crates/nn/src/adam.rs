@@ -79,31 +79,32 @@ impl Adam {
         let bias2 = 1.0 - self.beta2.powf(t);
         for (layer_idx, layer) in mlp.layers_mut().iter_mut().enumerate() {
             let (dw, db) = &grads.layers[layer_idx];
-            let (w, b) = layer.params_mut();
-            Self::update_buffer(
-                w,
-                dw.as_slice(),
-                &mut self.m[layer_idx].0,
-                &mut self.v[layer_idx].0,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                bias1,
-                bias2,
-            );
-            Self::update_buffer(
-                b,
-                db,
-                &mut self.m[layer_idx].1,
-                &mut self.v[layer_idx].1,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                bias1,
-                bias2,
-            );
+            layer.update(|w, b| {
+                Self::update_buffer(
+                    w,
+                    dw.as_slice(),
+                    &mut self.m[layer_idx].0,
+                    &mut self.v[layer_idx].0,
+                    self.lr,
+                    self.beta1,
+                    self.beta2,
+                    self.eps,
+                    bias1,
+                    bias2,
+                );
+                Self::update_buffer(
+                    b,
+                    db,
+                    &mut self.m[layer_idx].1,
+                    &mut self.v[layer_idx].1,
+                    self.lr,
+                    self.beta1,
+                    self.beta2,
+                    self.eps,
+                    bias1,
+                    bias2,
+                );
+            });
         }
     }
 

@@ -13,9 +13,13 @@
 //!   branches and no bounds checks in the hot loop,
 //! * **packed panels** — [`PackedGemm`] stores the right-hand operand as
 //!   column panels of width `NR` (`[ceil(n/NR)][k][NR]`, zero-padded), so
-//!   the `k` loop walks both operands contiguously. Layers pack their
-//!   weights once at load time and reuse the panels for every forward pass;
-//!   the free [`gemm_into`] packs its operand on every call.
+//!   the `k` loop walks both operands contiguously. A layer packs its
+//!   weights when they change (built, decoded or updated) and reuses the
+//!   panels for every forward pass; the free [`gemm_into`] packs its
+//!   operand on every call.
+//!
+//! A layer's forward adds its bias, and ReLU when a hidden layer asks for
+//! it, as each finished tile is stored, so every activation is written once.
 //!
 //! # Bit-exactness contract
 //!
@@ -26,7 +30,8 @@
 //! `to_bits` across odd shapes. Tiling only reorders *which elements* are
 //! computed when, never the additions *within* one element, and no
 //! fused-multiply-add or re-association is introduced (rustc does not
-//! contract float expressions).
+//! contract float expressions). The bias and ReLU come after the sum, as
+//! separate passes over the product would apply them: `(acc + b).max(0.0)`.
 //!
 //! The two backward-pass products (crate-internal, behind
 //! [`crate::Mlp::backward`]) keep their own, equally fixed orders:
@@ -234,7 +239,29 @@ impl PackedGemm {
     ///
     /// Panics if slice lengths do not match the given dimensions.
     pub fn gemm_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
-        self.gemm_from::<false>(a, m, out);
+        self.gemm_from::<false>(a, m, None, out);
+    }
+
+    /// A dense layer's forward: `out = a · B` plus `bias` on every row,
+    /// clamped at zero when `relu` is set, each element stored once as its
+    /// tile finishes (`out` need not be initialised). Element `j` of a row
+    /// is bitwise `(acc + bias[j]).max(0.0)` (without `relu`, `acc +
+    /// bias[j]`), where `acc` is [`PackedGemm::gemm_into`]'s sum — what a
+    /// bias pass and then a ReLU pass over the product would leave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the given dimensions.
+    pub(crate) fn gemm_bias_into(
+        &self,
+        a: &[f32],
+        m: usize,
+        bias: &[f32],
+        relu: bool,
+        out: &mut [f32],
+    ) {
+        assert_eq!(bias.len(), self.n, "packed gemm: bias length mismatch");
+        self.gemm_from::<false>(a, m, Some((bias, relu)), out);
     }
 
     /// `out = a · B` with every accumulator started at `-0.0` instead of
@@ -249,23 +276,27 @@ impl PackedGemm {
     ///
     /// Panics if slice lengths do not match the given dimensions.
     pub(crate) fn gemm_sum_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
-        self.gemm_from::<true>(a, m, out);
+        self.gemm_from::<true>(a, m, None, out);
     }
 
     /// The packed kernel with every accumulator started at `-0.0`
-    /// (`FROM_NEG_ZERO`) or `+0.0`.
+    /// (`FROM_NEG_ZERO`) or `+0.0`, each finished tile stored through
+    /// `epilogue` (see [`PackedGemm::store`]).
     ///
     /// The tile is four separate `[f32; NR]` rows, each updated by its own
     /// fixed-width loop: that shape vectorizes whatever the rows start from,
     /// where one `[[f32; NR]; MR]` block started at anything but a literal
     /// `+0.0` is left in memory by LLVM and runs six times slower.
-    fn gemm_from<const FROM_NEG_ZERO: bool>(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_from<const FROM_NEG_ZERO: bool>(
+        &self,
+        a: &[f32],
+        m: usize,
+        epilogue: Epilogue,
+        out: &mut [f32],
+    ) {
         let (k, n) = (self.k, self.n);
         assert_eq!(a.len(), m * k, "packed gemm: lhs length mismatch");
         assert_eq!(out.len(), m * n, "packed gemm: out length mismatch");
-        if n == 0 {
-            return;
-        }
         let start = || {
             if FROM_NEG_ZERO {
                 [-0.0f32; NR]
@@ -273,10 +304,16 @@ impl PackedGemm {
                 [0.0f32; NR]
             }
         };
-        if k == 0 {
-            out.fill(start()[0]);
-            return;
-        }
+        // Panel `p`, its output columns and their part of the epilogue.
+        let panel = |p: usize| {
+            let (j, w) = (p * NR, (n - p * NR).min(NR));
+            let epilogue = epilogue.map(|(bias, relu)| (&bias[j..j + w], relu));
+            (
+                &self.panels[p * k * NR..(p + 1) * k * NR],
+                j..j + w,
+                epilogue,
+            )
+        };
         let m_main = m - m % MR;
         let mut i = 0;
         while i < m_main {
@@ -284,9 +321,7 @@ impl PackedGemm {
             let a1 = &a[(i + 1) * k..(i + 2) * k];
             let a2 = &a[(i + 2) * k..(i + 3) * k];
             let a3 = &a[(i + 3) * k..(i + 4) * k];
-            for (p, panel) in self.panels.chunks_exact(k * NR).enumerate() {
-                let j = p * NR;
-                let w = (n - j).min(NR);
+            for (panel, cols, epilogue) in (0..n.div_ceil(NR)).map(panel) {
                 let (mut acc0, mut acc1, mut acc2, mut acc3) = (start(), start(), start(), start());
                 for ((((bk, &v0), &v1), &v2), &v3) in
                     panel.chunks_exact(NR).zip(a0).zip(a1).zip(a2).zip(a3)
@@ -306,16 +341,15 @@ impl PackedGemm {
                     }
                 }
                 for (r, acc) in [acc0, acc1, acc2, acc3].iter().enumerate() {
-                    out[(i + r) * n + j..(i + r) * n + j + w].copy_from_slice(&acc[..w]);
+                    let row = (i + r) * n;
+                    Self::store(&mut out[row + cols.start..row + cols.end], acc, epilogue);
                 }
             }
             i += MR;
         }
         while i < m {
             let a_row = &a[i * k..(i + 1) * k];
-            for (p, panel) in self.panels.chunks_exact(k * NR).enumerate() {
-                let j = p * NR;
-                let w = (n - j).min(NR);
+            for (panel, cols, epilogue) in (0..n.div_ceil(NR)).map(panel) {
                 let mut acc = start();
                 for (bk, &av) in panel.chunks_exact(NR).zip(a_row) {
                     let bk: &[f32; NR] = bk.try_into().expect("NR-wide panel row");
@@ -323,12 +357,36 @@ impl PackedGemm {
                         acc[c] += av * bk[c];
                     }
                 }
-                out[i * n + j..i * n + j + w].copy_from_slice(&acc[..w]);
+                Self::store(
+                    &mut out[i * n + cols.start..i * n + cols.end],
+                    &acc,
+                    epilogue,
+                );
             }
             i += 1;
         }
     }
+
+    /// Stores the first `out.len()` lanes of a finished accumulator row:
+    /// as they are, or plus the epilogue's bias and, when it says so,
+    /// clamped at zero — `(acc + b).max(0.0)`, the value separate bias and
+    /// ReLU passes would store.
+    #[inline(always)]
+    fn store(out: &mut [f32], acc: &[f32; NR], epilogue: Epilogue) {
+        let Some((bias, relu)) = epilogue else {
+            out.copy_from_slice(&acc[..out.len()]);
+            return;
+        };
+        for ((o, &acc), &b) in out.iter_mut().zip(acc).zip(bias) {
+            *o = if relu { (acc + b).max(0.0) } else { acc + b };
+        }
+    }
 }
+
+/// What the packed kernel adds to each finished sum before storing it: a
+/// bias (one value per output column, sliced to the tile's columns) and
+/// whether ReLU follows it; `None` stores the bare product.
+type Epilogue<'b> = Option<(&'b [f32], bool)>;
 
 #[cfg(test)]
 mod tests {

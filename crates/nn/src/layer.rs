@@ -1,7 +1,5 @@
 //! Dense (fully connected) layer with manual gradients.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,85 +15,23 @@ use crate::tensor::Matrix;
 ///
 /// Forward passes run through a packed-panel copy of `W`, and input
 /// gradients through a packed-panel copy of `Wᵀ` (see
-/// [`crate::gemm::PackedGemm`]); each is built lazily on first use and
-/// invalidated whenever the parameters are mutated. The caches are pure
-/// derived state: they never affect equality, serialization, or results
-/// (the packed kernels are bit-identical to their scalar references).
-#[derive(Debug)]
+/// [`crate::gemm::PackedGemm`]). Both are packed when the layer is built or
+/// decoded and repacked, into their own buffers, by `Dense::update` — the
+/// one way its parameters change — so they always hold the weights. They
+/// are derived state: serialization writes only `{w, b}`, and the packed
+/// kernels are bit-identical to their scalar references.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     w: Matrix,
     b: Vec<f32>,
-    packed: Panels,
-    packed_t: Panels,
-}
-
-/// A lazily packed copy of the weights that recycles its allocation: a
-/// training loop invalidates it once per optimizer step, and the next pack
-/// writes into the buffer the last one left behind.
-#[derive(Debug, Default)]
-struct Panels {
-    live: OnceLock<PackedGemm>,
-    /// The invalidated generation's buffer, parked for the next pack.
-    spare: Mutex<Option<PackedGemm>>,
-}
-
-impl Panels {
-    /// The live panels, packed by `repack` (into the parked buffer when
-    /// there is one) if the weights changed since the last call.
-    fn get(&self, repack: impl FnOnce(&mut PackedGemm)) -> &PackedGemm {
-        self.live.get_or_init(|| {
-            // An `Option` is valid in any state, so a poisoned lock is too.
-            let spare = self
-                .spare
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let mut panels = spare.unwrap_or_default();
-            repack(&mut panels);
-            panels
-        })
-    }
-
-    /// Marks the panels stale, keeping their allocation for the next pack.
-    fn invalidate(&mut self) {
-        if let Some(stale) = self.live.take() {
-            *self.spare.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(stale);
-        }
-    }
-}
-
-impl Clone for Dense {
-    fn clone(&self) -> Self {
-        Self {
-            w: self.w.clone(),
-            b: self.b.clone(),
-            // Carry the forward panels over so clones stay on the fast
-            // path; `Wᵀ` is training-only and re-packs on demand.
-            packed: Panels {
-                live: self
-                    .packed
-                    .live
-                    .get()
-                    .cloned()
-                    .map(OnceLock::from)
-                    .unwrap_or_default(),
-                spare: Mutex::default(),
-            },
-            packed_t: Panels::default(),
-        }
-    }
-}
-
-impl PartialEq for Dense {
-    fn eq(&self, other: &Self) -> bool {
-        self.w == other.w && self.b == other.b
-    }
+    packed: PackedGemm,
+    packed_t: PackedGemm,
 }
 
 // Serialization must stay byte-compatible with the historical
 // `#[derive(Serialize, Deserialize)]` on `{ w, b }` — golden checkpoint
 // fixtures pin the exact output — so these impls mirror the derive macro's
-// expansion and simply omit the packed cache.
+// expansion and leave the panels out (decoding packs them).
 impl serde::Serialize for Dense {
     fn to_value(&self) -> serde::value::Value {
         serde::value::Value::Map(vec![
@@ -113,12 +49,8 @@ impl serde::Deserialize for Dense {
                 v.kind()
             ))
         })?;
-        Ok(Dense {
-            w: serde::__field(map, "w")?,
-            b: serde::__field(map, "b")?,
-            packed: Panels::default(),
-            packed_t: Panels::default(),
-        })
+        let (w, b) = (serde::__field(map, "w")?, serde::__field(map, "b")?);
+        Ok(Dense::from_parts(w, b))
     }
 }
 
@@ -130,12 +62,23 @@ impl Dense {
         let data = (0..input_dim * output_dim)
             .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale)
             .collect();
-        Self {
-            w: Matrix::from_flat(input_dim, output_dim, data),
-            b: vec![0.0; output_dim],
-            packed: Panels::default(),
-            packed_t: Panels::default(),
-        }
+        Self::from_parts(
+            Matrix::from_flat(input_dim, output_dim, data),
+            vec![0.0; output_dim],
+        )
+    }
+
+    /// A layer over `w` and `b`, its panels packed.
+    fn from_parts(w: Matrix, b: Vec<f32>) -> Self {
+        let (packed, packed_t) = (PackedGemm::default(), PackedGemm::default());
+        let mut layer = Self {
+            w,
+            b,
+            packed,
+            packed_t,
+        };
+        layer.repack();
+        layer
     }
 
     /// Input dimension.
@@ -158,34 +101,25 @@ impl Dense {
         &self.b
     }
 
-    /// The packed-panel copy of `W`, built on first use.
-    fn packed(&self) -> &PackedGemm {
-        self.packed
-            .get(|p| p.repack(self.w.as_slice(), self.w.rows(), self.w.cols()))
-    }
-
-    /// The packed-panel copy of `Wᵀ`, built on first use.
-    fn packed_t(&self) -> &PackedGemm {
-        self.packed_t
-            .get(|p| p.repack_transposed(self.w.as_slice(), self.w.rows(), self.w.cols()))
-    }
-
-    /// Forward pass `x (batch × in) → out (batch × out)` into a
-    /// caller-provided output, reusing its allocation.
+    /// Forward pass `x (batch × in) → out (batch × out)`, ReLU applied
+    /// when `relu` is set, into a caller-provided output that is reshaped
+    /// (keeping its allocation) but not cleared: the kernel stores every
+    /// element once, bias and ReLU included
+    /// ([`PackedGemm::gemm_bias_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != input_dim`.
-    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut Matrix, relu: bool) {
         assert_eq!(x.cols(), self.input_dim(), "matmul shape mismatch");
-        out.reset(x.rows(), self.output_dim());
-        self.packed()
-            .gemm_into(x.as_slice(), x.rows(), out.as_mut_slice());
-        out.add_row_bias(&self.b);
+        out.reshape(x.rows(), self.output_dim());
+        self.packed
+            .gemm_bias_into(x.as_slice(), x.rows(), &self.b, relu, out.as_mut_slice());
     }
 
     /// The gradient on the layer input: `dx = dy · Wᵀ` (`batch × in`) into a
-    /// caller-provided matrix, reusing its allocation.
+    /// caller-provided matrix, reshaped like the forward's output and
+    /// written once.
     ///
     /// Each `dx[r][i]` is bitwise the scalar dot
     /// `dy.row(r).zip(W.row(i)).map(|(d, w)| d * w).sum::<f32>()` — one
@@ -204,23 +138,26 @@ impl Dense {
             self.output_dim(),
             "input gradient shape mismatch"
         );
-        dx.reset(dy.rows(), self.input_dim());
-        self.packed_t()
+        dx.reshape(dy.rows(), self.input_dim());
+        self.packed_t
             .gemm_sum_into(dy.as_slice(), dy.rows(), dx.as_mut_slice());
     }
 
-    /// Direct mutable access to the parameters (weights buffer then bias),
-    /// used by the optimizer.
-    pub(crate) fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
-        self.packed.invalidate();
-        self.packed_t.invalidate();
-        (self.w.as_mut_slice(), &mut self.b)
+    /// Applies `f` to the parameters (the row-major weights, then the
+    /// bias) and repacks both panels into their own buffers: the one way
+    /// they change, so the panels always follow the weights and an
+    /// optimizer step allocates nothing.
+    pub(crate) fn update(&mut self, f: impl FnOnce(&mut [f32], &mut [f32])) {
+        f(self.w.as_mut_slice(), &mut self.b);
+        self.repack();
     }
-}
 
-/// ReLU forward in place: `max(0, x)` element-wise.
-pub(crate) fn relu_inplace(x: &mut Matrix) {
-    x.map_inplace(|v| v.max(0.0));
+    /// Packs `W` and `Wᵀ` from the weights.
+    fn repack(&mut self) {
+        let (w, rows, cols) = (self.w.as_slice(), self.w.rows(), self.w.cols());
+        self.packed.repack(w, rows, cols);
+        self.packed_t.repack_transposed(w, rows, cols);
+    }
 }
 
 /// ReLU backward in place: zeroes the upstream gradient `d` wherever the
@@ -247,23 +184,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// `layer`'s output on `x`, into a fresh matrix.
+    /// `layer`'s output on `x`, without ReLU, into a fresh matrix.
     fn forward(layer: &Dense, x: &Matrix) -> Matrix {
         let mut y = Matrix::default();
-        layer.forward_into(x, &mut y);
+        layer.forward_into(x, &mut y, false);
         y
     }
 
     #[test]
     fn forward_known_values() {
-        let mut layer = Dense::new(2, 1, 0);
+        let mut layer = Dense::new(2, 2, 0);
         // Overwrite parameters with known values.
-        let (w, b) = layer.params_mut();
-        w.copy_from_slice(&[2.0, -1.0]);
-        b.copy_from_slice(&[0.5]);
+        layer.update(|w, b| {
+            w.copy_from_slice(&[2.0, 1.0, -1.0, 1.0]);
+            b.copy_from_slice(&[1.5, -5.0]);
+        });
         let x = Matrix::from_rows([vec![1.0, 3.0]]);
-        let y = forward(&layer, &x);
-        assert_eq!(y.get(0, 0), 1.0 * 2.0 + -3.0 + 0.5);
+        let want = [1.0 * 2.0 + -3.0 + 1.5, 1.0 + 3.0 - 5.0];
+        assert_eq!(forward(&layer, &x).as_slice(), want);
+        let mut y = Matrix::default();
+        layer.forward_into(&x, &mut y, true);
+        assert_eq!(y.as_slice(), [want[0], 0.0]);
     }
 
     #[test]
@@ -273,40 +214,37 @@ mod tests {
     }
 
     #[test]
-    fn relu_clamps_negatives() {
-        let mut x = Matrix::from_rows([vec![-1.0, 0.0, 2.0]]);
-        relu_inplace(&mut x);
-        assert_eq!(x, Matrix::from_rows([vec![0.0, 0.0, 2.0]]));
-    }
-
-    #[test]
     fn relu_backward_masks() {
-        let mut act = Matrix::from_rows([vec![-1.0, -0.0, 0.5]]);
-        relu_inplace(&mut act);
         let mut d = [3.0, 3.0, 3.0];
-        relu_backward_inplace(act.as_slice(), &mut d);
+        relu_backward_inplace(&[0.0, -0.0, 0.5], &mut d);
         assert_eq!(d, [0.0, 0.0, 3.0]);
     }
 
     #[test]
-    fn panels_follow_the_weights_and_recycle_their_buffer() {
+    fn updated_layers_compute_what_a_fresh_layer_over_their_weights_does() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut layer = Dense::new(3, 20, 4);
-        let x = Matrix::from_rows([vec![0.5, -1.0, 2.0]]);
-        let dy = Matrix::from_rows([(0..20).map(|i| i as f32 - 7.5).collect::<Vec<_>>()]);
-        let mut dx = Matrix::default();
+        let x = Matrix::from_rows([vec![0.5, -1.0, 2.0], vec![0.0, 1.5, -0.25]]);
+        let dy = Matrix::from_flat(2, 20, (0..40).map(|i| i as f32 - 17.5).collect());
+        // Outputs start dirty: every element must be written.
+        let mut y = Matrix::from_flat(2, 20, vec![f32::NAN; 40]);
+        let mut dx = Matrix::from_flat(2, 3, vec![f32::NAN; 6]);
         for step in 0..3 {
-            layer.params_mut().0[step] += 0.25;
-            let mut fresh = Dense::new(3, 20, 4);
-            for s in 0..=step {
-                fresh.params_mut().0[s] += 0.25;
+            layer.update(|w, b| {
+                w[step] += 0.25;
+                b[step] -= 1.5;
+            });
+            let fresh = Dense::from_parts(layer.w.clone(), layer.b.clone());
+            for relu in [false, true] {
+                let mut want = Matrix::default();
+                fresh.forward_into(&x, &mut want, relu);
+                layer.forward_into(&x, &mut y, relu);
+                assert_eq!(bits(&y), bits(&want), "step {step}, relu {relu}");
             }
-            assert_eq!(forward(&layer, &x), forward(&fresh, &x));
-            layer.input_grad_into(&dy, &mut dx);
             let mut want = Matrix::default();
             fresh.input_grad_into(&dy, &mut want);
-            assert_eq!(dx, want);
-            // The live panels are the ones parked by the last invalidation.
-            assert!(layer.packed.spare.lock().unwrap().is_none());
+            layer.input_grad_into(&dy, &mut dx);
+            assert_eq!(bits(&dx), bits(&want), "step {step}");
         }
     }
 
@@ -330,7 +268,7 @@ mod tests {
         let base = loss(&layer, &x);
         for idx in 0..6 {
             let mut pert = layer.clone();
-            pert.params_mut().0[idx] += eps;
+            pert.update(|w, _| w[idx] += eps);
             let num = (loss(&pert, &x) - base) / eps;
             assert!(
                 (num - dw.as_slice()[idx]).abs() < 1e-2,
@@ -341,7 +279,7 @@ mod tests {
         // Check db numerically.
         for (idx, &analytic) in db.iter().enumerate() {
             let mut pert = layer.clone();
-            pert.params_mut().1[idx] += eps;
+            pert.update(|_, b| b[idx] += eps);
             let num = (loss(&pert, &x) - base) / eps;
             assert!((num - analytic).abs() < 1e-2);
         }

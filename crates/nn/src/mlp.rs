@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::gemm::at_b_into;
-use crate::layer::{relu_backward_inplace, relu_inplace, Dense};
+use crate::layer::{relu_backward_inplace, Dense};
 use crate::tensor::Matrix;
 
 /// An MLP: dense layers with ReLU between all but the last.
@@ -198,7 +198,9 @@ impl Mlp {
 
     /// Forward pass over the batch in [`MlpWorkspace::input_mut`]: every
     /// layer's output is written once into `ws`, where [`Mlp::backward`]
-    /// finds it. Row-independent: a row's activations do not depend on
+    /// finds it — the GEMM kernel adds the bias, and ReLU below the top
+    /// layer, as it stores each element, so no buffer is zeroed or swept
+    /// again. Row-independent: a row's activations do not depend on
     /// which other rows share its batch. Every forward runs through it, so
     /// a hot caller that keeps its workspace allocates nothing after
     /// warm-up.
@@ -207,10 +209,7 @@ impl Mlp {
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
             let (done, rest) = ws.acts.split_at_mut(i);
-            layer.forward_into(done.last().unwrap_or(&ws.x), &mut rest[0]);
-            if i < last {
-                relu_inplace(&mut rest[0]);
-            }
+            layer.forward_into(done.last().unwrap_or(&ws.x), &mut rest[0], i < last);
         }
         ws.output()
     }
@@ -361,15 +360,15 @@ mod tests {
         (mlp.input_gradient(&mut ws).clone(), grads)
     }
 
-    /// The layer chain spelled out: each layer's `forward_into` a fresh
-    /// matrix, ReLU on every output but the last.
+    /// The layer chain spelled out: each layer's bare `forward_into` a
+    /// fresh matrix, then a ReLU pass on every output but the last.
     fn layer_by_layer(mlp: &Mlp, x: &Matrix) -> Matrix {
         let mut h = x.clone();
         for (i, layer) in mlp.layers().iter().enumerate() {
             let mut y = Matrix::default();
-            layer.forward_into(&h, &mut y);
+            layer.forward_into(&h, &mut y, false);
             if i + 1 < mlp.layers().len() {
-                relu_inplace(&mut y);
+                y.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
             }
             h = y;
         }
@@ -429,7 +428,7 @@ mod tests {
         // First-layer weight gradient, a few entries.
         for idx in 0..5 {
             let mut mp = mlp.clone();
-            mp.layers_mut()[0].params_mut().0[idx] += eps;
+            mp.layers_mut()[0].update(|w, _| w[idx] += eps);
             let num = (loss(&mp, &x) - base) / eps;
             let analytic = grads.layers[0].0.as_slice()[idx];
             assert!(

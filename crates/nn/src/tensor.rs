@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is deliberately minimal: the buffers dense-layer forward/backward
 /// passes fill (the products themselves are [`crate::gemm`]'s), with
-/// row access, element-wise maps and row selection. No broadcasting, no
-/// views, no BLAS.
+/// row access and row selection. No broadcasting, no views, no BLAS.
 ///
 /// # Example
 ///
@@ -163,9 +162,16 @@ impl Matrix {
 
     /// Reshapes to `rows × cols` and zero-fills, reusing the allocation.
     pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.reshape(rows, cols);
+    }
+
+    /// Reshapes to `rows × cols`, reusing the allocation and keeping the
+    /// values it holds (new elements are zero): for a caller that then
+    /// writes every element.
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -175,27 +181,6 @@ impl Matrix {
         self.cols = other.cols;
         self.data.clear();
         self.data.extend_from_slice(&other.data);
-    }
-
-    /// Adds `bias` to every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != self.cols`.
-    pub(crate) fn add_row_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for r in 0..self.rows {
-            for (v, &b) in self.row_mut(r).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-    }
-
-    /// Element-wise in-place map.
-    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// `self += other * scale`.
@@ -258,10 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_col_sums() {
-        let mut m = Matrix::zeros(3, 2);
-        m.add_row_bias(&[1.0, -2.0]);
-        assert_eq!(m, Matrix::from_flat(3, 2, [1.0, -2.0].repeat(3)));
+    fn col_sums() {
+        let m = Matrix::from_flat(3, 2, [1.0, -2.0].repeat(3));
         // A layer's bias gradient: `1ᵀ · m`, one stride-0 row of ones.
         let mut sums = [0.0; 2];
         crate::gemm::at_b_into((&[1.0], 0), (m.as_slice(), 2), 3, 2, 1.0, &mut sums);
@@ -289,13 +272,6 @@ mod tests {
         let m = Matrix::from_rows([vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
         let s = m.select_rows(&[3, 1]);
         assert_eq!(s, Matrix::from_rows([vec![3.0], vec![1.0]]));
-    }
-
-    #[test]
-    fn map_inplace_applies() {
-        let mut m = Matrix::from_rows([vec![-1.0, 2.0]]);
-        m.map_inplace(|v| v.max(0.0));
-        assert_eq!(m, Matrix::from_rows([vec![0.0, 2.0]]));
     }
 
     #[test]

@@ -202,8 +202,6 @@ impl TrainSettings {
 /// Result of a training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// MSE of the selected checkpoint on the training partition.
-    pub train_mse: f32,
     /// Best per-epoch selection score (see [`fit_epochs`]).
     pub valid_mse: f32,
     /// MSE of the selected checkpoint on the held-out test partition.
@@ -235,7 +233,6 @@ pub fn fit_epochs<M: Clone, D>(
 ) -> TrainReport {
     if train_len == 0 {
         return TrainReport {
-            train_mse: f32::NAN,
             valid_mse: score(model, valid),
             test_mse: score(model, test),
             valid_history: Vec::new(),
@@ -266,7 +263,6 @@ pub fn fit_epochs<M: Clone, D>(
     }
     *model = best;
     TrainReport {
-        train_mse: score(model, train),
         valid_mse: best_valid,
         test_mse: score(model, test),
         valid_history,
@@ -469,7 +465,8 @@ mod tests {
             assert_ne!(fitted, init, "n = {n}: untrained");
             assert_eq!(report.valid_history.len(), 6);
             assert!(report.valid_history.iter().all(|v| v.is_finite()));
-            assert_eq!(report.valid_mse.to_bits(), report.train_mse.to_bits());
+            let train_mse = d.split(4).train.mse(&fitted);
+            assert_eq!(report.valid_mse.to_bits(), train_mse.to_bits());
             assert!(report.test_mse.is_nan(), "n = {n}: there is no test row");
             let weights = fitted.layers().iter().flat_map(|l| l.weights().as_slice());
             assert!(weights.into_iter().all(|w| w.is_finite()));
@@ -512,11 +509,11 @@ mod tests {
         // enough epochs must drive the training MSE to ~zero.
         let d = linear_dataset(32);
         let mut mlp = Mlp::new(2, &[32], 1, 0);
-        let report = fit(&mut mlp, [&d, &d, &d], &[], &settings(800, 32, 5e-3), 13);
+        fit(&mut mlp, [&d, &d, &d], &[], &settings(800, 32, 5e-3), 13);
+        let train_mse = d.mse(&mlp);
         assert!(
-            report.train_mse < 1e-4,
-            "failed to overfit 32 samples: train MSE {}",
-            report.train_mse
+            train_mse < 1e-4,
+            "failed to overfit 32 samples: train MSE {train_mse}"
         );
     }
 

@@ -124,6 +124,12 @@
 # serve/src holds no `PlanningStack`, `NeuroShard` or `CostSimulator` as a
 # struct field, and the long-lived cache's `cache_stats` stays deleted.
 #
+# A layer is plain data (DESIGN.md §11): `Dense` packs its panels when it
+# is built, decoded or updated (`Dense::update`, the one mutation entry),
+# and the kernel stores each activation once with its bias and ReLU. So
+# non-test code under nn/src takes no `OnceLock` or `Mutex`, and the
+# deleted `params_mut`, `add_row_bias` and `relu_inplace` stay deleted.
+#
 # Same rule as count-lines.sh: the test-only module files are skipped, each
 # other file is cut at its first line that starts with `#[cfg(test)]`, and
 # lines starting with `//` are dropped.
@@ -261,6 +267,11 @@ if code crates/nn/src/gemm.rs | awk '
 fi
 if code crates/nn/src/layer.rs | grep -E 'fn forward\('; then
     echo "error: Mlp::forward_in is the one MLP forward; Dense::forward stays deleted (lines above)" >&2
+    exit 1
+fi
+if code crates/nn/src | grep -wE 'OnceLock|Mutex|params_mut|add_row_bias|relu_inplace'; then
+    echo "error: a Dense layer is plain data, repacked by Dense::update, and the kernel stores" \
+        "bias and ReLU with the product (lines above)" >&2
     exit 1
 fi
 if code crates/cost/src/compute.rs crates/cost/src/comm_model.rs | grep -E 'fn predict\('; then

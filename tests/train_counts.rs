@@ -2,8 +2,8 @@
 //! mini-batch a training step allocates nothing.
 //!
 //! Both loops run in workspaces built once per fit (`nn::train`'s shard
-//! pass and gradient slots, `ComputeCostModel`'s one `FitBlock`), and the
-//! layers recycle their packed panels across optimizer steps. A clone
+//! pass and gradient slots, `ComputeCostModel`'s one `FitBlock`), and each
+//! optimizer step repacks a layer's panels into their own buffers. A clone
 //! creeping back into the step would cost wall-clock nobody can bound on a
 //! shared VM; here it costs a count.
 //!
