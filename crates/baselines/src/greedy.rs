@@ -168,7 +168,9 @@ mod tests {
     fn dim_greedy_balances_dimensions() {
         let task = task();
         let plan = DimGreedy.shard(&task).unwrap();
-        let dims = plan.device_dims();
+        let dims = task
+            .devices()
+            .lowered_dims(&plan.device_profiles(task.batch_size()));
         let max = dims.iter().cloned().fold(0.0, f64::max);
         let min = dims.iter().cloned().fold(f64::INFINITY, f64::min);
         // Greedy on sorted dims keeps the spread below the largest table.

@@ -17,10 +17,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use nshard_core::{apply_split_plan, PlanError, ShardingAlgorithm, ShardingPlan, SplitStep};
+use nshard_core::{apply_split_plan, PlanError, ShardingAlgorithm, ShardingPlan};
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_nn::{Adam, Gradients, Matrix, Mlp, MlpWorkspace};
 
+use crate::planner::split_until_fits;
 use crate::policy::{placement_order, softmax, DeviceState, INPUT_DIM};
 
 /// A log of solved sharding tasks — the training data of Appendix H's
@@ -164,18 +165,7 @@ impl ShardingAlgorithm for ImitationSharder {
         // Deterministic pre-split: halve any shard that exceeds half the
         // largest device's budget until everything is placeable (the
         // imitation policy is table-wise only; see module docs).
-        let threshold = task.devices().max_budget() / 2;
-        let mut split_plan: Vec<SplitStep> = Vec::new();
-        let mut tables = task.tables().to_vec();
-        while let Some(idx) = tables
-            .iter()
-            .position(|t| t.memory_bytes() > threshold && t.split_columns().is_some())
-        {
-            let (a, b) = tables[idx].split_columns().expect("checked splittable");
-            split_plan.push(SplitStep::column(idx));
-            tables[idx] = a;
-            tables.push(b);
-        }
+        let (split_plan, tables) = split_until_fits(task.tables(), task.devices().max_budget() / 2);
         debug_assert_eq!(
             apply_split_plan(task.tables(), &split_plan).as_deref(),
             Ok(&tables[..])
@@ -261,7 +251,9 @@ mod tests {
         // device dimensions, like its dim-greedy teacher.
         let held_out = &tasks(3, 999)[0];
         let plan = sharder.shard(held_out).unwrap();
-        let dims = plan.device_dims();
+        let dims = held_out
+            .devices()
+            .lowered_dims(&plan.device_profiles(held_out.batch_size()));
         let max = dims.iter().cloned().fold(0.0, f64::max);
         let min = dims.iter().cloned().fold(f64::INFINITY, f64::min);
         let total: f64 = dims.iter().sum();

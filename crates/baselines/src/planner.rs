@@ -45,27 +45,29 @@ impl Heuristic {
     }
 }
 
-impl TorchRecLikePlanner {
-    /// Builds the column-wise split plan that splits every table whose
-    /// byte size exceeds `threshold` until all shards fit (or can no longer
-    /// split).
-    fn split_until_fits(tables: &[TableConfig], threshold: u64) -> (SplitPlan, Vec<TableConfig>) {
-        let mut plan = SplitPlan::new();
-        let mut list = tables.to_vec();
-        // Repeatedly split the first too-large splittable shard; bounded by
-        // the total dimension budget so it always terminates.
-        while let Some(idx) = list
-            .iter()
-            .position(|t| t.memory_bytes() > threshold && t.split_columns().is_some())
-        {
-            let (a, b) = list[idx].split_columns().expect("checked splittable");
-            plan.push(SplitStep::column(idx));
-            list[idx] = a;
-            list.push(b);
-        }
-        (plan, list)
+/// The column-wise split plan that halves the first shard whose byte size
+/// exceeds `threshold` until all shards fit (or can no longer split), and
+/// the shards it leaves. Bounded by the total dimension budget, so it
+/// always terminates.
+pub(crate) fn split_until_fits(
+    tables: &[TableConfig],
+    threshold: u64,
+) -> (SplitPlan, Vec<TableConfig>) {
+    let mut plan = SplitPlan::new();
+    let mut list = tables.to_vec();
+    while let Some(idx) = list
+        .iter()
+        .position(|t| t.memory_bytes() > threshold && t.split_columns().is_some())
+    {
+        let (a, b) = list[idx].split_columns().expect("checked splittable");
+        plan.push(SplitStep::column(idx));
+        list[idx] = a;
+        list.push(b);
     }
+    (plan, list)
+}
 
+impl TorchRecLikePlanner {
     /// Memory-aware greedy partition of `shards` over devices of `budgets`
     /// bytes, balancing `heuristic`. Returns `None` when some shard fits on
     /// no device.
@@ -115,7 +117,7 @@ impl ShardingAlgorithm for TorchRecLikePlanner {
 
         let mut best: Option<(f64, SplitPlan, Vec<TableConfig>, Vec<usize>)> = None;
         for &threshold in &thresholds {
-            let (split_plan, shards) = Self::split_until_fits(task.tables(), threshold);
+            let (split_plan, shards) = split_until_fits(task.tables(), threshold);
             for &h in &heuristics {
                 let Some(device_of) = Self::partition(&shards, budgets, h) else {
                     continue;
@@ -201,7 +203,7 @@ mod tests {
     #[test]
     fn split_until_fits_terminates_and_covers() {
         let tables = vec![t(0, 128, 1 << 22)]; // 2 GB
-        let (plan, shards) = TorchRecLikePlanner::split_until_fits(&tables, 1 << 28); // 256 MB
+        let (plan, shards) = split_until_fits(&tables, 1 << 28); // 256 MB
         assert!(!plan.is_empty());
         assert!(shards.iter().all(|s| s.memory_bytes() <= 1 << 28));
         // Total memory conserved.

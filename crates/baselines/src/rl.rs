@@ -63,12 +63,6 @@ impl RlSharder {
         }
     }
 
-    /// Sets the number of training episodes (builder-style).
-    pub fn with_episodes(mut self, episodes: usize) -> Self {
-        self.episodes = episodes.max(1);
-        self
-    }
-
     /// Sets the hardware spec used for reward queries.
     pub fn with_spec(mut self, spec: GpuSpec) -> Self {
         self.spec = spec;
@@ -263,6 +257,14 @@ mod tests {
     use super::*;
     use nshard_data::{TableConfig, TableId, TablePool};
 
+    /// An agent of `variant` and `seed` trained for `episodes` episodes.
+    fn agent(variant: RlVariant, seed: u64, episodes: usize) -> RlSharder {
+        RlSharder {
+            episodes,
+            ..RlSharder::new(variant, seed)
+        }
+    }
+
     fn task(d: usize) -> ShardingTask {
         let pool = TablePool::synthetic_dlrm(50, 3);
         ShardingTask::sample(&pool, d, 8..=14, 16, 5)
@@ -272,7 +274,7 @@ mod tests {
     fn produces_full_assignments() {
         let t = task(2);
         for variant in [RlVariant::AutoShardLike, RlVariant::DreamShardLike] {
-            let agent = RlSharder::new(variant, 1).with_episodes(10);
+            let agent = agent(variant, 1, 10);
             let plan = agent.shard(&t).unwrap();
             assert_eq!(plan.sharded_tables().len(), t.num_tables());
             assert_eq!(plan.num_column_splits(), 0); // table-wise only
@@ -284,14 +286,8 @@ mod tests {
         // The paper's instability complaint: different seeds, different
         // plans.
         let t = task(2);
-        let a = RlSharder::new(RlVariant::AutoShardLike, 1)
-            .with_episodes(12)
-            .shard(&t)
-            .unwrap();
-        let b = RlSharder::new(RlVariant::AutoShardLike, 99)
-            .with_episodes(12)
-            .shard(&t)
-            .unwrap();
+        let a = agent(RlVariant::AutoShardLike, 1, 12).shard(&t).unwrap();
+        let b = agent(RlVariant::AutoShardLike, 99, 12).shard(&t).unwrap();
         // (Equality would be astronomically unlikely across 8+ tables.)
         assert_ne!(a.device_of(), b.device_of());
     }
@@ -299,8 +295,8 @@ mod tests {
     #[test]
     fn training_improves_over_random_policy() {
         let t = task(4);
-        let untrained = RlSharder::new(RlVariant::AutoShardLike, 3).with_episodes(1);
-        let trained = RlSharder::new(RlVariant::AutoShardLike, 3).with_episodes(64);
+        let untrained = agent(RlVariant::AutoShardLike, 3, 1);
+        let trained = agent(RlVariant::AutoShardLike, 3, 64);
         let profiles = t.profiles();
         let reward =
             |plan: &ShardingPlan, agent: &RlSharder| agent.reward(&t, &profiles, plan.device_of());
@@ -318,7 +314,7 @@ mod tests {
         // validation fails — the paper's "-" outcome.
         let huge = TableConfig::new(TableId(0), 128, 32 << 20, 8.0, 1.0);
         let t = ShardingTask::new(vec![huge], 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
-        let agent = RlSharder::new(RlVariant::DreamShardLike, 0).with_episodes(4);
+        let agent = agent(RlVariant::DreamShardLike, 0, 4);
         let plan = agent.shard(&t).unwrap();
         assert!(plan.validate(&t).is_err());
     }

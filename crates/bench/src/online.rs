@@ -135,7 +135,10 @@ fn run_trace(
         )
     };
     let mut stack = stack_of(bundle.clone());
-    let mut incumbent = stack.plan(&drift.task_at(0)).expect("epoch 0 plans").plan;
+    let mut incumbent = stack
+        .plan(&drift.task_at(0), false)
+        .expect("epoch 0 plans")
+        .plan;
     let mut records = Vec::new();
     // The predicted cost of the deployment and of the last full-chain
     // plan, and the incremental replans since that stayed stalled.
@@ -162,7 +165,9 @@ fn run_trace(
                 rebased.ok()
             }
             (Some(_), Strategy::Incremental) if !escape => {
-                let out = stack.replan(&task, &incumbent).expect("the replan plans");
+                let out = stack
+                    .replan(&task, &incumbent, false)
+                    .expect("the replan plans");
                 record.migration_bytes = out.migration_bytes;
                 record.action = Some(match out.route {
                     ReplanRoute::Incremental { .. } => "incremental",
@@ -172,7 +177,7 @@ fn run_trace(
                 Some(out.plan)
             }
             (Some(_), _) => {
-                let plan = stack.plan(&task).expect("the full chain plans").plan;
+                let plan = stack.plan(&task, false).expect("the full chain plans").plan;
                 record.migration_bytes = replan_migration_bytes(&incumbent, &plan, &task);
                 record.action = Some("full");
                 stalled = 0;

@@ -9,15 +9,17 @@
 //! partial plans survive to the next level. `L = 0` evaluates the root plan
 //! alone — Table 3's "w/o beam search".
 
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
 
-use nshard_cost::{CacheStats, CostSimulator};
+use nshard_cost::CacheStats;
 use nshard_data::{ShardingTask, TableConfig};
 use nshard_pool::WorkPool;
 use nshard_sim::TableProfile;
 
 use crate::greedy_grid::{single_table_costs, GreedyGridSearch};
-use crate::neuroshard::NeuroShardConfig;
+use crate::neuroshard::{NeuroShard, ShardOutcome};
 use crate::plan::{apply_split_plan, PlanError, ShardingPlan, SplitKind, SplitPlan, SplitStep};
 
 /// Score offset for memory-infeasible beam entries: far above any real
@@ -40,53 +42,37 @@ pub struct SearchPhaseStats {
     pub inner: CacheStats,
 }
 
-/// Result of a beam search run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BeamSearchResult {
-    /// The best complete sharding plan found.
-    pub plan: ShardingPlan,
-    /// Its estimated embedding cost (model units, ms).
-    pub estimated_cost_ms: f64,
-    /// Number of (column-plan, inner-search) evaluations performed.
-    pub evaluated_plans: usize,
-    /// Per-phase prediction-cache statistics for this run.
-    pub phase_stats: SearchPhaseStats,
-}
-
-/// The beam-search driver over column-wise sharding plans. Every knob is
-/// read from the [`NeuroShardConfig`] it borrows (`use_cache` excepted:
-/// caching is a property of the simulator it is handed); `l = 0` searches
-/// the root plan alone and `m = 0` runs each inner search without a grid.
-#[derive(Debug, Clone, Copy)]
-pub struct BeamSearch<'a> {
-    sim: &'a CostSimulator,
-    config: &'a NeuroShardConfig,
-}
-
-impl<'a> BeamSearch<'a> {
-    /// A beam search over `sim`'s cost models with `config`'s
-    /// hyperparameters (the paper's are [`NeuroShardConfig::default`]:
-    /// `N = 10, K = 3, L = 10, M = 11`).
-    pub fn new(sim: &'a CostSimulator, config: &'a NeuroShardConfig) -> Self {
-        Self { sim, config }
-    }
-
-    /// Runs the search for `task` and returns the best plan found.
+/// The beam search over column-wise sharding plans. Every knob is read
+/// from the sharder's [`crate::NeuroShardConfig`] (`use_cache` excepted:
+/// caching is a property of its simulator); `l = 0` searches the root plan
+/// alone and `m = 0` runs each inner search without a grid.
+impl NeuroShard {
+    /// Shards `task`, returning the plan plus search telemetry: the one
+    /// entry to the beam search.
     ///
     /// # Errors
     ///
+    /// [`PlanError::Invalid`] when the task's device count is not the one
+    /// the cost models were trained for
+    /// ([`nshard_cost::CostModelBundle::check_device_count`]);
     /// [`PlanError::Infeasible`] when no explored column-wise plan admits a
     /// memory-feasible table-wise plan; [`PlanError::NonFiniteCost`] when a
     /// cost model predicts NaN or an infinity for a candidate table or
     /// anywhere in an inner search — the run stops there instead of
     /// ranking plans by a meaningless number.
-    pub fn search(&self, task: &ShardingTask) -> Result<BeamSearchResult, PlanError> {
+    pub fn shard_with_stats(&self, task: &ShardingTask) -> Result<ShardOutcome, PlanError> {
+        let (sim, config) = (self.simulator(), self.config());
+        sim.bundle()
+            .check_device_count(task.num_devices())
+            .map_err(|reason| PlanError::Invalid { reason })?;
+        let start = Instant::now();
         // The one fan-out level: a beam level's candidate plans spread over
         // the pool in contiguous chunks, each chunk's inner searches walked
         // in lockstep by one thread; the root plan is a one-job batch.
-        let pool = WorkPool::new(self.config.threads);
-        let inner = GreedyGridSearch::new(self.sim, self.config.m);
-        let cache = self.sim.cache();
+        let pool = WorkPool::new(config.threads);
+        let inner = GreedyGridSearch::new(sim, config.m);
+        let cache = sim.cache();
+        let at_start = cache.stats();
         let mut phase_stats = SearchPhaseStats::default();
         let mut evaluated = 0usize;
 
@@ -98,8 +84,8 @@ impl<'a> BeamSearch<'a> {
         // then a deterministic presplit pass first row-halves any table
         // too large for every device, so row-wise splits stay reachable
         // even with the beam disabled (`L = 0`, the greedy-only config).
-        let root: SplitPlan = if self.config.use_row_wise {
-            self.presplit_steps(task)
+        let root: SplitPlan = if config.use_row_wise {
+            presplit_steps(task)
         } else {
             Vec::new()
         };
@@ -110,7 +96,7 @@ impl<'a> BeamSearch<'a> {
         // evaluates the jobs the beam before it expands to.
         let mut best: Option<(SplitPlan, f64, Vec<usize>)> = None;
         let mut jobs: Vec<(SplitPlan, Vec<TableConfig>)> = vec![(root, root_tables)];
-        let levels = self.config.l;
+        let levels = config.l;
         for level in 0..=levels {
             evaluated += jobs.len();
             // Evaluate the level's jobs concurrently: each worker takes one
@@ -166,7 +152,7 @@ impl<'a> BeamSearch<'a> {
                 a.1.partial_cmp(&b.1)
                     .expect("inner searches return finite estimates")
             });
-            beam.truncate(self.config.k.max(1));
+            beam.truncate(config.k.max(1));
             if level == levels {
                 break;
             }
@@ -200,48 +186,14 @@ impl<'a> BeamSearch<'a> {
         })?;
         let sharded = apply_split_plan(task.tables(), &split_plan)?;
         let plan = ShardingPlan::new(split_plan, sharded, device_of, task.num_devices())?;
-        Ok(BeamSearchResult {
+        Ok(ShardOutcome {
             plan,
             estimated_cost_ms: cost,
+            sharding_time_s: start.elapsed().as_secs_f64(),
+            cache_hit_rate: cache.stats().since(&at_start).hit_rate(),
             evaluated_plans: evaluated,
             phase_stats,
         })
-    }
-
-    /// Deterministic feasibility presplit (row-wise mode only): while the
-    /// largest shard exceeds every device's memory budget, halve it —
-    /// row-wise when its rows still split, column-wise otherwise. Ties
-    /// break on the lowest index, so the step sequence is a pure function
-    /// of the task. Returns an empty plan when every table already fits.
-    fn presplit_steps(&self, task: &ShardingTask) -> SplitPlan {
-        let max_budget = task.devices().max_budget();
-        let mut steps: SplitPlan = Vec::new();
-        let mut tables = task.tables().to_vec();
-        while let Some(worst) = (0..tables.len()).max_by(|&a, &b| {
-            tables[a]
-                .memory_bytes()
-                .cmp(&tables[b].memory_bytes())
-                .then(b.cmp(&a)) // prefer the lower index on ties
-        }) {
-            if tables[worst].memory_bytes() <= max_budget {
-                break;
-            }
-            let halves = tables[worst]
-                .split_rows()
-                .or_else(|| tables[worst].split_columns());
-            let Some((a, b)) = halves else {
-                break; // unsplittable: leave infeasibility to the search
-            };
-            let kind = if tables[worst].split_rows().is_some() {
-                SplitKind::Row
-            } else {
-                SplitKind::Column
-            };
-            steps.push(SplitStep { index: worst, kind });
-            tables[worst] = a;
-            tables.push(b);
-        }
-        steps
     }
 
     /// Candidate split steps: top-`N` tables by predicted cost plus top-`N`
@@ -259,8 +211,9 @@ impl<'a> BeamSearch<'a> {
         tables: &[TableConfig],
         batch_size: u32,
     ) -> Result<Vec<SplitStep>, PlanError> {
-        let (row_wise, replication) = (self.config.use_row_wise, self.config.use_replication);
-        let n = self.config.n.max(1);
+        let config = self.config();
+        let (row_wise, replication) = (config.use_row_wise, config.use_replication);
+        let n = config.n.max(1);
         let relevant: Vec<usize> = (0..tables.len())
             .filter(|&i| {
                 tables[i].split_columns().is_some()
@@ -278,7 +231,7 @@ impl<'a> BeamSearch<'a> {
             .iter()
             .map(|&i| tables[i].profile(batch_size))
             .collect();
-        let costs = single_table_costs(self.sim, &profiles)?;
+        let costs = single_table_costs(self.simulator(), &profiles)?;
         let mut by_cost: Vec<usize> = (0..relevant.len()).collect();
         by_cost.sort_by(|&a, &b| {
             costs[b]
@@ -325,22 +278,67 @@ impl<'a> BeamSearch<'a> {
     }
 }
 
+/// Deterministic feasibility presplit (row-wise mode only): while the
+/// largest shard exceeds every device's memory budget, halve it —
+/// row-wise when its rows still split, column-wise otherwise. Ties
+/// break on the lowest index, so the step sequence is a pure function
+/// of the task. Returns an empty plan when every table already fits.
+fn presplit_steps(task: &ShardingTask) -> SplitPlan {
+    let max_budget = task.devices().max_budget();
+    let mut steps: SplitPlan = Vec::new();
+    let mut tables = task.tables().to_vec();
+    while let Some(worst) = (0..tables.len()).max_by(|&a, &b| {
+        tables[a]
+            .memory_bytes()
+            .cmp(&tables[b].memory_bytes())
+            .then(b.cmp(&a)) // prefer the lower index on ties
+    }) {
+        if tables[worst].memory_bytes() <= max_budget {
+            break;
+        }
+        let halves = tables[worst]
+            .split_rows()
+            .or_else(|| tables[worst].split_columns());
+        let Some((a, b)) = halves else {
+            break; // unsplittable: leave infeasibility to the search
+        };
+        let kind = if tables[worst].split_rows().is_some() {
+            SplitKind::Row
+        } else {
+            SplitKind::Column
+        };
+        steps.push(SplitStep { index: worst, kind });
+        tables[worst] = a;
+        tables.push(b);
+    }
+    steps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NeuroShardConfig;
     use nshard_cost::{CollectConfig, CostModelBundle, TrainSettings};
     use nshard_data::{ShardingTask, TableConfig, TableId, TablePool};
 
-    fn sim(d: usize) -> CostSimulator {
+    fn bundle(d: usize) -> CostModelBundle {
         let pool = TablePool::synthetic_dlrm(30, 1);
-        let bundle = CostModelBundle::pretrain(
+        CostModelBundle::pretrain(
             &pool,
             d,
             &CollectConfig::smoke(),
             &TrainSettings::smoke(),
             7,
-        );
-        CostSimulator::new(bundle)
+        )
+    }
+
+    /// One search with a fresh sharder over `bundle`.
+    fn search(
+        bundle: &CostModelBundle,
+        config: NeuroShardConfig,
+        task: &ShardingTask,
+    ) -> Result<ShardOutcome, PlanError> {
+        NeuroShard::new(bundle.clone(), config).shard_with_stats(task)
     }
 
     /// `NeuroShardConfig::smoke()` with the given levels / candidate count.
@@ -369,11 +367,9 @@ mod tests {
 
     #[test]
     fn finds_a_valid_plan() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
-        let result = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
-            .search(&task)
-            .unwrap();
+        let result = search(&bundle, NeuroShardConfig::smoke(), &task).unwrap();
         assert!(result.plan.validate(&task).is_ok());
         assert!(result.estimated_cost_ms.is_finite());
         assert!(result.evaluated_plans >= 1);
@@ -381,14 +377,14 @@ mod tests {
 
     #[test]
     fn splits_oversized_tables_to_fit() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         // One table too large for any single device: must be split.
         let big = TableConfig::new(TableId(0), 128, 4 << 20, 8.0, 1.0); // 2 GB
         let small = TableConfig::new(TableId(1), 16, 1 << 16, 4.0, 1.0);
         // 1.25 GB budget: the 2 GB table must split, and its 1 GB halves
         // plus the small table then fit comfortably.
         let task = ShardingTask::new(vec![big, small], 2, (1 << 30) + (1 << 28), 65_536);
-        let result = BeamSearch::new(&sim, &config(3, 2)).search(&task).unwrap();
+        let result = search(&bundle, config(3, 2), &task).unwrap();
         assert!(
             !result.plan.split_plan().is_empty(),
             "must column-split the 2 GB table"
@@ -398,7 +394,7 @@ mod tests {
 
     #[test]
     fn without_beam_fails_on_oversized_tables() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let big = TableConfig::new(TableId(0), 128, 4 << 20, 8.0, 1.0); // 2 GB
         let task = ShardingTask::new(vec![big], 2, 1 << 30, 65_536);
         // Ablation: no column-wise sharding.
@@ -407,28 +403,26 @@ mod tests {
             ..NeuroShardConfig::default()
         };
         assert!(matches!(
-            BeamSearch::new(&sim, &no_beam).search(&task),
+            search(&bundle, no_beam, &task),
             Err(PlanError::Infeasible { .. })
         ));
     }
 
     #[test]
     fn more_levels_never_hurt() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
-        let shallow = BeamSearch::new(&sim, &config(0, 3)).search(&task).unwrap();
-        let deep = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
-            .search(&task)
-            .unwrap();
+        let shallow = search(&bundle, config(0, 3), &task).unwrap();
+        let deep = search(&bundle, NeuroShardConfig::smoke(), &task).unwrap();
         assert!(deep.estimated_cost_ms <= shallow.estimated_cost_ms + 1e-9);
     }
 
     #[test]
     fn candidate_count_respects_n() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
-        let cands =
-            BeamSearch::new(&sim, &config(10, 2)).candidates(task.tables(), task.batch_size());
+        let cands = NeuroShard::new(bundle.clone(), config(10, 2))
+            .candidates(task.tables(), task.batch_size());
         let cands = cands.unwrap();
         assert!(cands.len() <= 4); // 2 by cost + 2 by size, deduped
         assert!(!cands.is_empty());
@@ -436,14 +430,14 @@ mod tests {
 
     #[test]
     fn row_wise_rescues_tall_skinny_tables() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         // A dim-4 table of 512 M rows = 8 GB: column-wise sharding cannot
         // split it (dim 4 is the lane minimum), so plain NeuroShard fails...
         let tall = TableConfig::new(TableId(0), 4, 512 << 20, 16.0, 1.0);
         let task = ShardingTask::new(vec![tall], 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
         let plain = config(4, 2);
         assert!(matches!(
-            BeamSearch::new(&sim, &plain).search(&task),
+            search(&bundle, plain, &task),
             Err(PlanError::Infeasible { .. })
         ));
         // ...while the row-wise extension splits it across devices.
@@ -451,35 +445,35 @@ mod tests {
             use_row_wise: true,
             ..plain
         };
-        let result = BeamSearch::new(&sim, &extended).search(&task).unwrap();
+        let result = search(&bundle, extended, &task).unwrap();
         assert!(result.plan.num_row_splits() >= 1);
         assert!(result.plan.validate(&task).is_ok());
     }
 
     #[test]
     fn row_wise_never_hurts_estimated_cost() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
         let plain = NeuroShardConfig::smoke();
-        let base = BeamSearch::new(&sim, &plain).search(&task).unwrap();
+        let base = search(&bundle, plain, &task).unwrap();
         let extended = NeuroShardConfig {
             use_row_wise: true,
             ..plain
         };
-        let extended = BeamSearch::new(&sim, &extended).search(&task).unwrap();
+        let extended = search(&bundle, extended, &task).unwrap();
         assert!(extended.estimated_cost_ms <= base.estimated_cost_ms + 1e-9);
     }
 
     #[test]
     fn parallel_beam_is_bit_identical_to_serial() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
         let run = |threads| {
             let config = NeuroShardConfig {
                 threads,
                 ..NeuroShardConfig::smoke()
             };
-            BeamSearch::new(&sim, &config).search(&task).unwrap()
+            search(&bundle, config, &task).unwrap()
         };
         let serial = run(1);
         for threads in [2, 8] {
@@ -499,11 +493,9 @@ mod tests {
 
     #[test]
     fn phase_stats_are_populated() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
-        let result = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
-            .search(&task)
-            .unwrap();
+        let result = search(&bundle, NeuroShardConfig::smoke(), &task).unwrap();
         assert!(result.phase_stats.candidate.total() > 0);
         assert!(result.phase_stats.inner.total() > 0);
         assert!(result.phase_stats.inner.hit_rate() <= 1.0);
@@ -511,7 +503,7 @@ mod tests {
 
     #[test]
     fn row_wise_without_beam_presplits_tall_tables() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         // 8 GB tall-skinny table, greedy-only config (L = 0): the
         // deterministic presplit pass must row-halve it until it fits.
         let tall = TableConfig::new(TableId(0), 4, 512 << 20, 16.0, 1.0);
@@ -521,21 +513,21 @@ mod tests {
             use_row_wise: true,
             ..NeuroShardConfig::default()
         };
-        let result = BeamSearch::new(&sim, &greedy_only).search(&task).unwrap();
+        let result = search(&bundle, greedy_only, &task).unwrap();
         assert!(result.plan.num_row_splits() >= 1);
         assert!(result.plan.validate(&task).is_ok());
     }
 
     #[test]
     fn replication_proposes_replicate_candidates() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let replicating = NeuroShardConfig {
             use_replication: true,
             ..config(10, 3)
         };
         let task = small_task(2);
-        let cands =
-            BeamSearch::new(&sim, &replicating).candidates(task.tables(), task.batch_size());
+        let cands = NeuroShard::new(bundle.clone(), replicating)
+            .candidates(task.tables(), task.batch_size());
         assert!(cands
             .unwrap()
             .iter()
@@ -544,15 +536,15 @@ mod tests {
 
     #[test]
     fn replication_never_hurts_estimated_cost() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let task = small_task(2);
         let plain = NeuroShardConfig::smoke();
-        let base = BeamSearch::new(&sim, &plain).search(&task).unwrap();
+        let base = search(&bundle, plain, &task).unwrap();
         let replicating = NeuroShardConfig {
             use_replication: true,
             ..plain
         };
-        let replicated = BeamSearch::new(&sim, &replicating).search(&task).unwrap();
+        let replicated = search(&bundle, replicating, &task).unwrap();
         assert!(replicated.estimated_cost_ms <= base.estimated_cost_ms + 1e-9);
         assert!(replicated.plan.validate(&task).is_ok());
     }
@@ -560,7 +552,7 @@ mod tests {
     #[test]
     fn heterogeneous_task_plans_respect_per_device_budgets() {
         use nshard_data::{DevicePool, DeviceProfile};
-        let sim = sim(2);
+        let bundle = bundle(2);
         let tables: Vec<TableConfig> = (0..6)
             .map(|i| TableConfig::new(TableId(i), 32, 1 << 16, 6.0, 1.0))
             .collect();
@@ -576,7 +568,7 @@ mod tests {
         );
         let task =
             ShardingTask::new(tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536).with_devices(pool);
-        let result = BeamSearch::new(&sim, &config(1, 2)).search(&task).unwrap();
+        let result = search(&bundle, config(1, 2), &task).unwrap();
         assert!(result.plan.validate(&task).is_ok());
         let bytes = result.plan.device_bytes();
         assert!(bytes[1] <= one_table);
@@ -585,7 +577,7 @@ mod tests {
     #[test]
     fn hetero_parallel_beam_is_bit_identical_to_serial() {
         use nshard_data::DevicePool;
-        let sim = sim(2);
+        let bundle = bundle(2);
         let tables: Vec<TableConfig> = (0..8)
             .map(|i| {
                 TableConfig::new(
@@ -614,7 +606,7 @@ mod tests {
                 threads,
                 ..NeuroShardConfig::smoke()
             };
-            BeamSearch::new(&sim, &config).search(&task).unwrap()
+            search(&bundle, config, &task).unwrap()
         };
         let serial = run(1);
         for threads in [2, 8] {
@@ -629,12 +621,12 @@ mod tests {
 
     #[test]
     fn all_dim4_tables_terminate_immediately() {
-        let sim = sim(2);
+        let bundle = bundle(2);
         let tables: Vec<TableConfig> = (0..4)
             .map(|i| TableConfig::new(TableId(i), 4, 1 << 16, 4.0, 1.0))
             .collect();
         let task = ShardingTask::new(tables, 2, nshard_sim::DEFAULT_MEM_BYTES, 65_536);
-        let result = BeamSearch::new(&sim, &config(5, 10)).search(&task).unwrap();
+        let result = search(&bundle, config(5, 10), &task).unwrap();
         assert!(result.plan.split_plan().is_empty());
     }
 }

@@ -2,16 +2,17 @@
 //! a guaranteed size-balanced placement.
 //!
 //! Production sharding cannot simply return "-" when a search fails: a
-//! plan must ship. The [`FallbackChain`] runs a sequence of sharders in
-//! preference order and returns the first plan that verifies, downgrading
-//! step by step:
+//! plan must ship. The [`FallbackChain`] runs its stages in preference
+//! order, in one loop, and returns the first plan that verifies,
+//! downgrading step by step:
 //!
-//! 1. the **primary** algorithm (normally NeuroShard),
+//! 1. the **primary** (the first stage, normally NeuroShard),
 //! 2. the primary's plan **repaired** by [`repair`] when it was rejected
 //!    for memory reasons,
-//! 3. each registered **fallback** algorithm (normally a greedy baseline),
-//!    repaired likewise if needed,
-//! 4. a built-in **size-balanced** last resort ([`size_balanced_plan`]).
+//! 3. each **fallback** stage (normally a greedy baseline), repaired
+//!    likewise if needed,
+//! 4. the built-in **size-balanced** last resort ([`size_balanced_plan`]),
+//!    the loop's final stage.
 //!
 //! A plan is checked on the fleet its task describes: each call builds the
 //! task's ground-truth cluster once ([`crate::cluster_for`]) and accepts a
@@ -163,34 +164,36 @@ impl std::fmt::Display for ResilientError {
 
 impl std::error::Error for ResilientError {}
 
-/// The degradation chain: the primary algorithm, its plan [`repair`]ed,
-/// each fallback (repaired likewise), then [`size_balanced_plan`]. The
+/// The degradation chain: its stages in preference order, each stage's
+/// plan [`repair`]ed if it overflows, then [`size_balanced_plan`]. The
 /// first plan that passes one memory check on the task's own fleet ships,
 /// with the [`PlanProvenance`] of every step that led to it.
 ///
 /// The chain is `Send + Sync` (all stages must be too), so one chain can
-/// serve concurrent planning requests behind an `Arc` — the contract the
-/// `nshard-serve` worker pool relies on.
+/// serve concurrent planning requests behind an `Arc`.
 pub struct FallbackChain {
-    primary: Box<dyn ShardingAlgorithm + Send + Sync>,
-    fallbacks: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>,
+    stages: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>,
+}
+
+/// The built-in last resort as a stage: [`size_balanced_plan`].
+struct SizeBalanced;
+
+impl ShardingAlgorithm for SizeBalanced {
+    fn name(&self) -> &str {
+        "size_balanced"
+    }
+
+    fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
+        size_balanced_plan(task)
+    }
 }
 
 impl FallbackChain {
-    /// A chain with only the primary algorithm and the built-in
-    /// size-balanced last resort, verifying on the task's fleet.
-    pub fn new(primary: Box<dyn ShardingAlgorithm + Send + Sync>) -> Self {
-        Self {
-            primary,
-            fallbacks: Vec::new(),
-        }
-    }
-
-    /// Appends a fallback algorithm (builder-style; tried in insertion
-    /// order after the primary).
-    pub fn with_fallback(mut self, algo: Box<dyn ShardingAlgorithm + Send + Sync>) -> Self {
-        self.fallbacks.push(algo);
-        self
+    /// A chain of `stages` in preference order — the first is the primary
+    /// — followed by the built-in size-balanced last resort, verifying on
+    /// the task's fleet.
+    pub fn new(stages: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>) -> Self {
+        Self { stages }
     }
 
     /// Runs the chain: first verified plan wins.
@@ -199,6 +202,8 @@ impl FallbackChain {
     ///
     /// [`ResilientError`] when every stage — including the size-balanced
     /// last resort — failed; the error carries the full [`PlanProvenance`].
+    /// Its cause is the last stage's error, except that a search failure
+    /// of the last resort never replaces an earlier stage's error.
     pub fn shard_with_provenance(
         &self,
         task: &ShardingTask,
@@ -209,9 +214,11 @@ impl FallbackChain {
             events: Vec::new(),
         };
 
-        let stages = std::iter::once(&self.primary).chain(&self.fallbacks);
+        let last_resort: &(dyn ShardingAlgorithm + Send + Sync) = &SizeBalanced;
+        let stages = self.stages.iter().map(|s| &**s).chain([last_resort]);
         let mut last_error = None;
         for (rank, algo) in stages.enumerate() {
+            let is_last_resort = rank == self.stages.len();
             let name = algo.name().to_string();
             run.events.push(ProvenanceEvent::Attempt {
                 algorithm: name.clone(),
@@ -223,13 +230,17 @@ impl FallbackChain {
                         algorithm: name.clone(),
                         reason: e.to_string(),
                     });
-                    last_error = Some(e);
+                    last_error = match last_error {
+                        Some(earlier) if is_last_resort => Some(earlier),
+                        _ => Some(e),
+                    };
                     continue;
                 }
             };
             match run.verify_and_repair(plan, &name) {
                 Ok((plan, repair_steps)) => {
                     let source = match (rank, repair_steps) {
+                        _ if is_last_resort => PlanSource::SizeBalanced,
                         (0, None) => PlanSource::Primary { algorithm: name },
                         (_, None) => PlanSource::Fallback { algorithm: name },
                         (_, Some(steps)) => PlanSource::Repaired {
@@ -245,35 +256,10 @@ impl FallbackChain {
                 Err(e) => last_error = Some(e),
             }
         }
-
-        // Last resort: size-balanced placement, never search-fails but may
-        // still be infeasible.
-        run.events.push(ProvenanceEvent::Attempt {
-            algorithm: "size_balanced".into(),
-        });
-        match size_balanced_plan(task) {
-            Ok(plan) => match run.verify_and_repair(plan, "size_balanced") {
-                Ok((plan, _)) => Ok(ResilientOutcome {
-                    plan,
-                    provenance: run.into_provenance(PlanSource::SizeBalanced),
-                }),
-                Err(e) => Err(ResilientError {
-                    cause: e,
-                    provenance: Box::new(run.into_provenance(PlanSource::SizeBalanced)),
-                }),
-            },
-            Err(e) => {
-                run.events.push(ProvenanceEvent::SearchFailed {
-                    algorithm: "size_balanced".into(),
-                    reason: e.to_string(),
-                });
-                let cause = last_error.unwrap_or(e);
-                Err(ResilientError {
-                    cause,
-                    provenance: Box::new(run.into_provenance(PlanSource::SizeBalanced)),
-                })
-            }
-        }
+        Err(ResilientError {
+            cause: last_error.expect("the last resort ran and failed"),
+            provenance: Box::new(run.into_provenance(PlanSource::SizeBalanced)),
+        })
     }
 }
 
@@ -465,7 +451,7 @@ mod tests {
 
     #[test]
     fn healthy_primary_is_used_directly() {
-        let chain = FallbackChain::new(Box::new(RoundRobin));
+        let chain = FallbackChain::new(vec![Box::new(RoundRobin)]);
         let outcome = chain.shard_with_provenance(&small_task()).unwrap();
         assert_eq!(
             outcome.provenance.source,
@@ -484,7 +470,7 @@ mod tests {
 
     #[test]
     fn failing_primary_downgrades_to_fallback() {
-        let chain = FallbackChain::new(Box::new(AlwaysFails)).with_fallback(Box::new(RoundRobin));
+        let chain = FallbackChain::new(vec![Box::new(AlwaysFails), Box::new(RoundRobin)]);
         let outcome = chain.shard_with_provenance(&small_task()).unwrap();
         assert_eq!(
             outcome.provenance.source,
@@ -507,7 +493,7 @@ mod tests {
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 32, 4096)).collect();
         let budget = tables[0].memory_bytes() * 3;
         let task = ShardingTask::new(tables, 2, budget, 1024);
-        let chain = FallbackChain::new(Box::new(PileOnDeviceZero));
+        let chain = FallbackChain::new(vec![Box::new(PileOnDeviceZero)]);
         let outcome = chain.shard_with_provenance(&task).unwrap();
         assert!(matches!(
             outcome.provenance.source,
@@ -537,7 +523,7 @@ mod tests {
     #[test]
     fn a_plan_for_another_device_count_fails_repair_and_falls_back() {
         let task = small_task();
-        let chain = FallbackChain::new(Box::new(FourDevices)).with_fallback(Box::new(RoundRobin));
+        let chain = FallbackChain::new(vec![Box::new(FourDevices), Box::new(RoundRobin)]);
         let outcome = chain.shard_with_provenance(&task).unwrap();
         assert_eq!(
             outcome.provenance.source,
@@ -555,7 +541,7 @@ mod tests {
 
     #[test]
     fn size_balanced_is_the_last_resort() {
-        let chain = FallbackChain::new(Box::new(AlwaysFails));
+        let chain = FallbackChain::new(vec![Box::new(AlwaysFails)]);
         let outcome = chain.shard_with_provenance(&small_task()).unwrap();
         assert_eq!(outcome.provenance.source, PlanSource::SizeBalanced);
         assert!(outcome.plan.validate(&small_task()).is_ok());
@@ -567,7 +553,7 @@ mod tests {
         let tables = vec![t(0, 64, 1 << 20)];
         let budget = 1024u64;
         let task = ShardingTask::new(tables, 1, budget, 1024);
-        let chain = FallbackChain::new(Box::new(RoundRobin));
+        let chain = FallbackChain::new(vec![Box::new(RoundRobin)]);
         let err = chain.shard_with_provenance(&task).unwrap_err();
         assert!(matches!(
             err.cause,
@@ -587,9 +573,34 @@ mod tests {
     }
 
     #[test]
+    fn a_last_resort_search_failure_keeps_the_earlier_cause() {
+        // One device, one table past its budget even fully split: the
+        // stage fails its search, and so does the size-balanced repair.
+        let task = ShardingTask::new(vec![t(0, 64, 1 << 20)], 1, 1024, 1024);
+        let err = FallbackChain::new(vec![Box::new(AlwaysFails)])
+            .shard_with_provenance(&task)
+            .unwrap_err();
+        assert_eq!(
+            err.cause,
+            PlanError::Infeasible {
+                reason: "synthetic failure".into()
+            }
+        );
+        assert_eq!(err.provenance.source, PlanSource::SizeBalanced);
+        assert!(matches!(
+            err.provenance.events.last(),
+            Some(ProvenanceEvent::SearchFailed { algorithm, .. }) if algorithm == "size_balanced"
+        ));
+        // With no earlier stage, the last resort's own error is the cause.
+        let alone = FallbackChain::new(Vec::new())
+            .shard_with_provenance(&task)
+            .unwrap_err();
+        assert_eq!(Err(alone.cause), size_balanced_plan(&task));
+    }
+
+    #[test]
     fn chain_is_deterministic() {
-        let make =
-            || FallbackChain::new(Box::new(PileOnDeviceZero)).with_fallback(Box::new(RoundRobin));
+        let make = || FallbackChain::new(vec![Box::new(PileOnDeviceZero), Box::new(RoundRobin)]);
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 32, 4096)).collect();
         let budget = tables[0].memory_bytes() * 3;
         let task = ShardingTask::new(tables, 2, budget, 1024);
@@ -623,7 +634,7 @@ mod tests {
             1.0,
         );
         let task = ShardingTask::new(tables, 2, each * 6, 1024).with_devices(pool);
-        let chain = FallbackChain::new(Box::new(RoundRobin));
+        let chain = FallbackChain::new(vec![Box::new(RoundRobin)]);
         let outcome = chain.shard_with_provenance(&task).unwrap();
         assert!(matches!(
             outcome.provenance.source,

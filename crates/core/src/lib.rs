@@ -16,10 +16,12 @@
 //! * `greedy_grid` — the inner loop (Algorithm 2, [`GreedyGridSearch`]): a
 //!   greedy allocator balancing predicted computation costs under a
 //!   max-device-dimension constraint found by grid search,
-//! * `beam` — the outer loop (Algorithm 1, [`BeamSearch`]): beam search
-//!   over column-wise sharding steps, candidates drawn from the most costly
-//!   and the largest tables,
-//! * `neuroshard` — the end-to-end [`NeuroShard`] sharder,
+//! * `beam` — the outer loop (Algorithm 1): beam search over column-wise
+//!   sharding steps, candidates drawn from the most costly and the largest
+//!   tables; [`NeuroShard::shard_with_stats`] is its one entry and
+//!   [`ShardOutcome`] its one record,
+//! * `neuroshard` — the end-to-end [`NeuroShard`] sharder and its
+//!   [`NeuroShardConfig`],
 //! * `eval` — pricing a finished plan for its task's fleet: ground truth
 //!   (the paper's "collect real costs from GPUs" step) and its learned
 //!   twin ([`estimate_for_task`]), the one place outside the search that
@@ -29,8 +31,9 @@
 //!   plan fit (evict-and-replace onto the least-loaded device that fits)
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
 //!   migration-regularized cost,
-//! * `fallback` — the graceful-degradation chain ([`FallbackChain`]),
-//!   verifying on the fleet its task describes, with full
+//! * `fallback` — the graceful-degradation chain ([`FallbackChain`]): its
+//!   stages in preference order, then the size-balanced last resort, each
+//!   verified on the fleet its task describes, with full
 //!   [`PlanProvenance`] attribution.
 //!
 //! ## Example
@@ -61,7 +64,7 @@ mod local;
 mod neuroshard;
 mod plan;
 
-pub use beam::{BeamSearch, BeamSearchResult, SearchPhaseStats};
+pub use beam::SearchPhaseStats;
 pub use eval::{
     cluster_for, estimate_batch_for_task, estimate_for_task, evaluate_plan, evaluate_plan_exact,
 };
@@ -74,7 +77,7 @@ pub use local::{
     repair, DeltaStep, IncrementalConfig, IncrementalOutcome, IncrementalPlanner, PlanDelta,
     RepairReport,
 };
-pub use neuroshard::{ConfigError, NeuroShard, NeuroShardConfig, ShardOutcome};
+pub use neuroshard::{NeuroShard, NeuroShardConfig, ShardOutcome};
 pub use plan::{
     apply_split_plan, migration_bytes, replan_migration_bytes, PlanError, ShardingPlan, SplitKind,
     SplitPlan, SplitStep,

@@ -1,13 +1,11 @@
 //! The end-to-end NeuroShard sharder.
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
 use nshard_cost::{CostModelBundle, CostSimulator};
 use nshard_data::ShardingTask;
 
-use crate::beam::BeamSearch;
+use crate::beam::SearchPhaseStats;
 use crate::plan::{PlanError, ShardingPlan};
 use crate::ShardingAlgorithm;
 
@@ -37,9 +35,9 @@ pub struct NeuroShardConfig {
     pub use_row_wise: bool,
     /// `true` also searches **replicated** placements of hot tables:
     /// replicas cost memory on every holder but split the table's lookup
-    /// traffic. Requires `l > 0` (replicas are only proposed during beam
-    /// expansion). Deserializes as `false` when absent, so persisted
-    /// configs from earlier versions load unchanged.
+    /// traffic. Like `n` and `k`, it acts only in beam expansion, so at
+    /// `l = 0` it changes nothing. Deserializes as `false` when absent, so
+    /// persisted configs from earlier versions load unchanged.
     #[serde(default)]
     pub use_replication: bool,
     /// Worker threads for the parallel search; `0` = auto (the
@@ -74,51 +72,7 @@ impl NeuroShardConfig {
             ..Self::default()
         }
     }
-
-    /// Rejects configurations whose switches silently contradict each
-    /// other instead of letting them become dead config.
-    ///
-    /// `use_row_wise` is valid in every configuration: with the beam it
-    /// expands the candidate set, and without it a deterministic presplit
-    /// pass still row-halves oversized tables (ROADMAP item 4, now
-    /// first-class). The one rejected combination is `use_replication:
-    /// true` with `l = 0`: replicated placements are only proposed during
-    /// beam expansion, so a beam of no levels would make the replication
-    /// request dead config.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::ReplicationRequiresBeam`] for the combination above.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.use_replication && self.l == 0 {
-            return Err(ConfigError::ReplicationRequiresBeam);
-        }
-        Ok(())
-    }
 }
-
-/// Typed rejection of a contradictory [`NeuroShardConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConfigError {
-    /// `use_replication: true` with `l = 0`: replicated placements are
-    /// only reachable through beam expansion, so the request would be
-    /// silently ignored.
-    ReplicationRequiresBeam,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ReplicationRequiresBeam => write!(
-                f,
-                "use_replication: true requires l > 0 — replicated placements are only \
-                 explored during beam expansion, so this combination would be dead config"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// The result of sharding one task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,10 +88,11 @@ pub struct ShardOutcome {
     /// Number of inner-loop evaluations performed.
     pub evaluated_plans: usize,
     /// Per-phase cache statistics (candidate ranking vs inner search).
-    pub phase_stats: crate::beam::SearchPhaseStats,
+    pub phase_stats: SearchPhaseStats,
 }
 
-/// NeuroShard: pre-trained cost models + beam / greedy-grid online search.
+/// NeuroShard: pre-trained cost models + beam / greedy-grid online search
+/// (Algorithms 1 and 2); [`NeuroShard::shard_with_stats`] runs it.
 ///
 /// # Example
 ///
@@ -164,30 +119,12 @@ pub struct NeuroShard {
 impl NeuroShard {
     /// Builds a sharder from a pre-trained bundle and a search
     /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is contradictory (see
-    /// [`NeuroShardConfig::validate`]); use [`NeuroShard::try_new`] to
-    /// handle the typed error instead.
     pub fn new(bundle: CostModelBundle, config: NeuroShardConfig) -> Self {
-        Self::try_new(bundle, config).unwrap_or_else(|e| panic!("invalid NeuroShardConfig: {e}"))
-    }
-
-    /// [`NeuroShard::new`] returning the typed [`ConfigError`] instead of
-    /// panicking on a contradictory configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] when [`NeuroShardConfig::validate`] rejects
-    /// `config`.
-    pub fn try_new(bundle: CostModelBundle, config: NeuroShardConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
         let mut sim = CostSimulator::new(bundle);
         if !config.use_cache {
             sim = sim.with_cache_disabled();
         }
-        Ok(Self { sim, config })
+        Self { sim, config }
     }
 
     /// The search configuration.
@@ -198,35 +135,6 @@ impl NeuroShard {
     /// The cost simulator (bundle + cache).
     pub fn simulator(&self) -> &CostSimulator {
         &self.sim
-    }
-
-    /// Shards `task`, returning the plan plus search telemetry.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::Invalid`] when the task's device count is not the one
-    /// the cost models were trained for
-    /// ([`CostModelBundle::check_device_count`]); [`PlanError::Infeasible`] when no explored
-    /// plan satisfies the memory budgets.
-    pub fn shard_with_stats(&self, task: &ShardingTask) -> Result<ShardOutcome, PlanError> {
-        self.sim
-            .bundle()
-            .check_device_count(task.num_devices())
-            .map_err(|reason| PlanError::Invalid { reason })?;
-        let before = self.sim.cache().stats();
-        let start = Instant::now();
-
-        let result = BeamSearch::new(&self.sim, &self.config).search(task)?;
-
-        let elapsed = start.elapsed().as_secs_f64();
-        Ok(ShardOutcome {
-            plan: result.plan,
-            estimated_cost_ms: result.estimated_cost_ms,
-            sharding_time_s: elapsed,
-            cache_hit_rate: self.sim.cache().stats().since(&before).hit_rate(),
-            evaluated_plans: result.evaluated_plans,
-            phase_stats: result.phase_stats,
-        })
     }
 }
 
@@ -334,7 +242,6 @@ mod tests {
             l: 0,
             ..NeuroShardConfig::smoke()
         };
-        assert!(config.validate().is_ok());
         let ns = sharder(2, config);
         // An 8 GB tall-skinny table only shards row-wise; the greedy-only
         // sharder must now handle it rather than reject the config.
@@ -346,35 +253,25 @@ mod tests {
     }
 
     #[test]
-    fn replication_without_beam_is_rejected_with_typed_error() {
-        let config = NeuroShardConfig {
+    fn replication_without_beam_plans_as_without_it() {
+        // Replicas are only proposed in beam expansion, as the `n`
+        // candidates are: with no levels the switch changes nothing.
+        let plain = NeuroShardConfig {
+            l: 0,
+            ..NeuroShardConfig::smoke()
+        };
+        let replicating = NeuroShardConfig {
             use_replication: true,
-            l: 0,
-            ..NeuroShardConfig::smoke()
+            ..plain
         };
-        assert_eq!(config.validate(), Err(ConfigError::ReplicationRequiresBeam));
-        let pool = TablePool::synthetic_dlrm(30, 1);
-        let bundle = CostModelBundle::pretrain(
-            &pool,
-            2,
-            &CollectConfig::smoke(),
-            &TrainSettings::smoke(),
-            7,
+        let (a, b) = (sharder(2, plain), sharder(2, replicating));
+        let (a, b) = (
+            a.shard_with_stats(&task(2)).unwrap(),
+            b.shard_with_stats(&task(2)).unwrap(),
         );
-        let err = NeuroShard::try_new(bundle, config).err().unwrap();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("use_replication") && msg.contains("l > 0"),
-            "error must name both settings: {msg}"
-        );
-        // The paper's default search space stays valid, including the
-        // beam-less ablation without a replication request.
-        assert!(NeuroShardConfig::default().validate().is_ok());
-        let ablation = NeuroShardConfig {
-            l: 0,
-            ..NeuroShardConfig::smoke()
-        };
-        assert!(ablation.validate().is_ok());
+        assert_eq!(a.plan, b.plan);
+        assert_eq!(a.estimated_cost_ms.to_bits(), b.estimated_cost_ms.to_bits());
+        assert_eq!(a.evaluated_plans, b.evaluated_plans);
     }
 
     #[test]

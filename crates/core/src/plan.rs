@@ -397,17 +397,6 @@ impl ShardingPlan {
         out
     }
 
-    /// Per-device **communication-effective** dimension sums: replicated
-    /// shards count at `dim / replicas` (each holder moves only its share
-    /// of the traffic); ordinary shards count their full dimension.
-    pub fn device_dims(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_devices];
-        for (table, &d) in self.sharded_tables.iter().zip(&self.device_of) {
-            out[d] += table.comm_dim();
-        }
-        out
-    }
-
     /// Rebases this plan onto a (typically drifted) task: re-applies the
     /// recorded split plan to the task's current tables and keeps the
     /// device assignment. This is how an incumbent plan is priced under a
@@ -658,11 +647,13 @@ mod tests {
     #[test]
     fn plan_groups_by_device() {
         let tables = vec![t(0, 64), t(1, 32), t(2, 16)];
-        let plan = ShardingPlan::new(vec![], tables, vec![1, 0, 1], 2).unwrap();
+        let plan = ShardingPlan::new(vec![], tables.clone(), vec![1, 0, 1], 2).unwrap();
         let by_dev = plan.device_tables();
         assert_eq!(by_dev[0].len(), 1);
         assert_eq!(by_dev[1].len(), 2);
-        assert_eq!(plan.device_dims(), vec![32.0, 80.0]);
+        let task = ShardingTask::new(tables.clone(), 2, 1 << 30, 1024);
+        let dims = task.devices().lowered_dims(&plan.device_profiles(1024));
+        assert_eq!(dims, vec![32.0, 80.0]);
         let bytes = plan.device_bytes();
         assert_eq!(bytes[0], 32 * 1000 * 4);
         assert_eq!(bytes[1], (64 + 16) * 1000 * 4);
@@ -815,7 +806,9 @@ mod tests {
         let sharded = apply_split_plan(&[hot], &steps).unwrap();
         let plan = ShardingPlan::new(steps, sharded, vec![0, 1], 2).unwrap();
         // Each of the two replicas carries half the table's traffic.
-        assert_eq!(plan.device_dims(), vec![32.0, 32.0]);
+        let task = ShardingTask::new(vec![hot], 2, 1 << 30, 1024);
+        let dims = task.devices().lowered_dims(&plan.device_profiles(1024));
+        assert_eq!(dims, vec![32.0, 32.0]);
         // But memory is paid in full on both holders.
         assert_eq!(plan.device_bytes(), vec![hot.memory_bytes(); 2]);
     }

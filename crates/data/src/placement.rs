@@ -65,8 +65,7 @@ impl Placement {
 /// use nshard_data::{PlacementGenerator, TablePool};
 ///
 /// let pool = TablePool::synthetic_dlrm(100, 1);
-/// let generator = PlacementGenerator::new(pool, 4, 10, 60)
-///     .with_mem_budget(4 * 1024 * 1024 * 1024);
+/// let generator = PlacementGenerator::new(pool, 4, 10, 60);
 /// let placements = generator.generate(20, 42);
 /// assert_eq!(placements.len(), 20);
 /// assert!(placements.iter().all(|p| p.num_devices() == 4));
@@ -105,12 +104,6 @@ impl PlacementGenerator {
             mem_budget_bytes: nshard_sim::DEFAULT_MEM_BYTES,
             max_start_ms: 20.0,
         }
-    }
-
-    /// Replaces the per-device memory budget (builder-style).
-    pub fn with_mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget_bytes = bytes;
-        self
     }
 
     /// Replaces the maximum start-timestamp skew (builder-style).
@@ -200,7 +193,10 @@ mod tests {
     #[test]
     fn memory_budget_is_respected() {
         let budget = 64 * 1024 * 1024; // tiny: 64 MB
-        let g = generator(4).with_mem_budget(budget);
+        let g = PlacementGenerator {
+            mem_budget_bytes: budget,
+            ..generator(4)
+        };
         for p in g.generate(10, 7) {
             for device in &p.assignment {
                 let bytes: u64 = device.iter().map(TableConfig::memory_bytes).sum();

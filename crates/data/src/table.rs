@@ -173,17 +173,6 @@ impl TableConfig {
         self.replicas
     }
 
-    /// Communication-effective dimension: each of `R` replicas carries only
-    /// `1/R` of the table's all-to-all traffic. Exactly `dim` for ordinary
-    /// shards (no floating-point perturbation on the `replicas == 1` path).
-    pub fn comm_dim(&self) -> f64 {
-        if self.replicas > 1 {
-            f64::from(self.dim) / f64::from(self.replicas)
-        } else {
-            f64::from(self.dim)
-        }
-    }
-
     /// First logical row covered by this (possibly row-wise) shard.
     pub fn row_offset(&self) -> u64 {
         self.row_offset

@@ -333,9 +333,9 @@ impl ContinualLearner {
 
         // `(estimated, exact)` ms of the probe plan; `None` when the search
         // or the exact evaluation failed.
-        let probed = NeuroShard::try_new(candidate.clone(), NeuroShardConfig::smoke())
+        let probed = NeuroShard::new(candidate.clone(), NeuroShardConfig::smoke())
+            .shard_with_stats(probe)
             .ok()
-            .and_then(|sharder| sharder.shard_with_stats(probe).ok())
             .and_then(|outcome| {
                 let exact = evaluate_plan_exact(probe, &outcome.plan, &GpuSpec::default()).ok()?;
                 Some((outcome.estimated_cost_ms, exact.max_total_ms()))
@@ -421,7 +421,10 @@ mod tests {
         );
         for epoch in 0..epochs {
             let task = drift.task_at(epoch);
-            let plan = stack.plan(&task).expect("the trace is plannable").plan;
+            let plan = stack
+                .plan(&task, false)
+                .expect("the trace is plannable")
+                .plan;
             let estimated = estimate_for_task(stack.simulator(), &task, &plan).unwrap();
             let truth = evaluate_plan(&task, &plan, &GpuSpec::default(), epoch).ok();
             learner.on_epoch(&EpochObservation {

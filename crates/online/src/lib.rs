@@ -20,9 +20,10 @@
 //!   is `nshard_core::local`'s, the local search it shares with plan
 //!   repair, re-exported here with its config, outcome and step type.
 //! * [`PlanningStack`] — one sharder (one simulator, one
-//!   pair of caches), the full fallback chain around it and the
+//!   pair of caches), the two fallback chains around it (the full chain,
+//!   and the greedy chain a deadline-pressed request degrades to) and the
 //!   incremental planner, for one cost-model bundle. Its `replan` is the
-//!   one place that decides *incremental, else the full chain*.
+//!   one place that decides *incremental, else a chain*.
 //! * [`learn`] — continual learning of the cost models: the
 //!   [`ContinualLearner`](learn::ContinualLearner), handed every epoch of
 //!   an online loop, buffers ground truth, fine-tunes on drift and
@@ -51,8 +52,8 @@
 //! );
 //! let drift = WorkloadDrift::standard(ShardingTask::sample(&pool, 4, 20..=40, 64, 7), 42);
 //! let stack = PlanningStack::new(bundle, NeuroShardConfig::default(), IncrementalConfig::default());
-//! let deployed = stack.plan(&drift.task_at(0)).unwrap().plan;
-//! let replanned = stack.replan(&drift.task_at(10), &deployed).unwrap();
+//! let deployed = stack.plan(&drift.task_at(0), false).unwrap().plan;
+//! let replanned = stack.replan(&drift.task_at(10), &deployed, false).unwrap();
 //! println!("bytes moved at the spike: {}", replanned.migration_bytes);
 //! ```
 

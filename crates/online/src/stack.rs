@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use nshard_baselines::SizeGreedy;
+use nshard_baselines::{DimGreedy, SizeGreedy};
 use nshard_core::{
     replan_migration_bytes, FallbackChain, IncrementalConfig, IncrementalPlanner, NeuroShard,
     NeuroShardConfig, PlanDelta, PlanProvenance, PlanSource, ResilientError, ResilientOutcome,
@@ -23,9 +23,9 @@ pub enum ReplanRoute {
         /// Candidate plans the planner scored.
         evaluated_plans: usize,
     },
-    /// The incremental path was abandoned and a chain planned from scratch:
-    /// the stack's full chain, or the daemon's greedy chain for a
-    /// deadline-pressed replan.
+    /// The incremental path was abandoned, or skipped under deadline
+    /// pressure, and a chain planned from scratch: the full chain, or the
+    /// greedy chain for a degraded replan.
     FellBack {
         /// Why the incremental result was not used.
         reason: String,
@@ -49,7 +49,7 @@ pub struct ReplanOutcome {
     pub route: ReplanRoute,
 }
 
-/// The sharder, the full chain around it and the incremental planner for
+/// The sharder, the two chains around it and the incremental planner for
 /// one cost-model bundle.
 ///
 /// Everything that plans with a pre-trained bundle — the daemon's engine
@@ -61,7 +61,9 @@ pub struct ReplanOutcome {
 /// a replan reuses what the search before it already priced and
 /// [`NeuroShardConfig::use_cache`] governs all of them alike. Around the
 /// sharder sit the **full chain** (`NeuroShard → SizeGreedy →
-/// size-balanced`) and the [`IncrementalPlanner`].
+/// size-balanced`), the **greedy chain** (`SizeGreedy → DimGreedy →
+/// size-balanced`, for a request without the time for a beam search) and
+/// the [`IncrementalPlanner`].
 ///
 /// A stack is immutable, and its caches live as long as it does. The
 /// daemon builds one per request, so no cache outlives the request that
@@ -70,7 +72,8 @@ pub struct ReplanOutcome {
 /// cached predictions.
 pub struct PlanningStack {
     neuro: Arc<NeuroShard>,
-    chain: FallbackChain,
+    full: FallbackChain,
+    greedy: FallbackChain,
     planner: IncrementalPlanner,
 }
 
@@ -78,26 +81,22 @@ impl PlanningStack {
     /// Builds the stack for `bundle`. `incremental.row_wise` is taken
     /// from `search.use_row_wise`, so a disabled setting disables row
     /// splits on both paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a contradictory `search` (see
-    /// [`NeuroShardConfig::validate`]).
     pub fn new(
         bundle: CostModelBundle,
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
     ) -> Self {
         let neuro = Arc::new(NeuroShard::new(bundle, search));
-        let chain =
-            FallbackChain::new(Box::new(Arc::clone(&neuro))).with_fallback(Box::new(SizeGreedy));
+        let full = FallbackChain::new(vec![Box::new(Arc::clone(&neuro)), Box::new(SizeGreedy)]);
+        let greedy = FallbackChain::new(vec![Box::new(SizeGreedy), Box::new(DimGreedy)]);
         let planner = IncrementalPlanner::new(IncrementalConfig {
             row_wise: search.use_row_wise,
             ..incremental
         });
         Self {
             neuro,
-            chain,
+            full,
+            greedy,
             planner,
         }
     }
@@ -107,13 +106,19 @@ impl PlanningStack {
         self.neuro.simulator()
     }
 
-    /// Plans `task` from scratch through the full chain.
+    /// Plans `task` from scratch through the full chain, or through the
+    /// greedy chain when `degrade` (deadline pressure) is set.
     ///
     /// # Errors
     ///
     /// [`ResilientError`] when every stage of the chain failed.
-    pub fn plan(&self, task: &ShardingTask) -> Result<ResilientOutcome, ResilientError> {
-        self.chain.shard_with_provenance(task)
+    pub fn plan(
+        &self,
+        task: &ShardingTask,
+        degrade: bool,
+    ) -> Result<ResilientOutcome, ResilientError> {
+        let chain = if degrade { &self.greedy } else { &self.full };
+        chain.shard_with_provenance(task)
     }
 
     /// Replans `task` warm-started from `incumbent`. The incremental
@@ -121,20 +126,24 @@ impl PlanningStack {
     /// own budget ([`ShardingTask::budgets`]); when it does not, or the
     /// incumbent no longer rebases onto `task`, the full chain plans from
     /// scratch and the reason is recorded — so a returned plan always
-    /// passed the chain's verifier or the budget check here. Either way
-    /// the outcome carries the bytes the plan moves
+    /// passed the chain's verifier or the budget check here. `degrade`
+    /// skips the incremental planner: the greedy chain plans, routed as a
+    /// fall-back. Either way the outcome carries the bytes the plan moves
     /// ([`nshard_core::replan_migration_bytes`]).
     ///
     /// # Errors
     ///
-    /// [`ResilientError`] when the full-chain fall-back also failed.
+    /// [`ResilientError`] when the fall-back chain also failed.
     pub fn replan(
         &self,
         task: &ShardingTask,
         incumbent: &ShardingPlan,
+        degrade: bool,
     ) -> Result<ReplanOutcome, ResilientError> {
-        let reason = match self.planner.replan(self.simulator(), task, incumbent) {
-            Ok(out) if out.plan.first_over_budget(task).is_none() => {
+        let attempt = (!degrade).then(|| self.planner.replan(self.simulator(), task, incumbent));
+        let reason = match attempt {
+            None => "deadline pressure: the greedy chain planned".to_string(),
+            Some(Ok(out)) if out.plan.first_over_budget(task).is_none() => {
                 return Ok(ReplanOutcome {
                     plan: out.plan,
                     provenance: PlanProvenance {
@@ -152,10 +161,10 @@ impl PlanningStack {
                     },
                 });
             }
-            Ok(_) => "incremental plan still over budget".to_string(),
-            Err(e) => format!("incremental replan failed: {e}"),
+            Some(Ok(_)) => "incremental plan still over budget".to_string(),
+            Some(Err(e)) => format!("incremental replan failed: {e}"),
         };
-        let outcome = self.plan(task)?;
+        let outcome = self.plan(task, degrade)?;
         Ok(ReplanOutcome {
             migration_bytes: replan_migration_bytes(incumbent, &outcome.plan, task),
             plan: outcome.plan,
@@ -199,7 +208,7 @@ mod tests {
     #[test]
     fn an_over_budget_incremental_result_falls_back_with_the_reason_recorded() {
         let stack = stack();
-        let incumbent = stack.plan(&tight_task(200_000)).unwrap().plan;
+        let incumbent = stack.plan(&tight_task(200_000), false).unwrap().plan;
         // The first table outgrows its device; no single move, swap or
         // split brings both devices back within budget, so the hill-climb
         // ends on a plan that still overflows.
@@ -210,13 +219,13 @@ mod tests {
             .unwrap();
         assert!(local.plan.validate(&grown).is_err());
 
-        let re = stack.replan(&grown, &incumbent).unwrap();
+        let re = stack.replan(&grown, &incumbent, false).unwrap();
         match &re.route {
             ReplanRoute::FellBack { reason } => assert!(reason.contains("over budget"), "{reason}"),
             other => panic!("an over-budget patch must not be accepted: {other:?}"),
         }
         re.plan.validate(&grown).unwrap();
-        let full = stack.plan(&grown).unwrap();
+        let full = stack.plan(&grown, false).unwrap();
         assert_eq!(re.plan, full.plan);
         assert_eq!(re.provenance, full.provenance);
         // The incumbent still rebases: the charge is the migration from it.
@@ -230,7 +239,7 @@ mod tests {
     #[test]
     fn an_incumbent_that_no_longer_rebases_falls_back_and_moves_every_byte() {
         let stack = stack();
-        let planned = stack.plan(&tight_task(200_000)).unwrap().plan;
+        let planned = stack.plan(&tight_task(200_000), false).unwrap().plan;
         let other = ShardingTask::new(
             vec![TableConfig::new(TableId(9), 32, 1 << 14, 8.0, 1.05)],
             2,
@@ -253,7 +262,7 @@ mod tests {
         // incumbent is in place on the drifted task.
         for (incumbent, drifted) in [(&planned, &other), (&row_split, &cooled)] {
             assert!(incumbent.rebase(drifted).is_err());
-            let re = stack.replan(drifted, incumbent).unwrap();
+            let re = stack.replan(drifted, incumbent, false).unwrap();
             assert!(
                 matches!(&re.route, ReplanRoute::FellBack { reason } if reason.contains("failed")),
                 "{:?}",
@@ -270,14 +279,14 @@ mod tests {
         let stack = stack();
         let task = tight_task(100_000);
         assert_eq!(stack.simulator().cache().len(), 0);
-        let planned = stack.plan(&task).unwrap();
+        let planned = stack.plan(&task, false).unwrap();
         let after_plan = stack.simulator().cache().len();
         assert!(after_plan > 0, "the search fills the stack's one cache");
 
         // Nothing drifted: the replanner's first question — the price of
         // the incumbent — is one the search already answered.
         let before = stack.simulator().cache().stats();
-        let same = stack.replan(&task, &planned.plan).unwrap();
+        let same = stack.replan(&task, &planned.plan, false).unwrap();
         assert!(matches!(same.route, ReplanRoute::Incremental { .. }));
         assert_eq!(
             same.provenance.source,
@@ -290,7 +299,7 @@ mod tests {
         // A drifted task's new predictions land in that same cache, and a
         // patch is charged its delta's bytes.
         let drifted = tight_task(120_000);
-        let patched = stack.replan(&drifted, &planned.plan).unwrap();
+        let patched = stack.replan(&drifted, &planned.plan, false).unwrap();
         assert!(stack.simulator().cache().len() > after_plan);
         let ReplanRoute::Incremental { delta, .. } = &patched.route else {
             panic!("a small drift is patched: {:?}", patched.route);
@@ -299,6 +308,31 @@ mod tests {
         assert_eq!(
             patched.migration_bytes,
             replan_migration_bytes(&planned.plan, &patched.plan, &drifted)
+        );
+    }
+
+    #[test]
+    fn a_degraded_replan_takes_the_greedy_chain_and_is_charged_alike() {
+        let stack = stack();
+        let incumbent = stack.plan(&tight_task(100_000), false).unwrap().plan;
+        let drifted = tight_task(120_000);
+        let re = stack.replan(&drifted, &incumbent, true).unwrap();
+        let ReplanRoute::FellBack { reason } = &re.route else {
+            panic!("a degraded replan skips the planner: {:?}", re.route);
+        };
+        assert_eq!(reason, "deadline pressure: the greedy chain planned");
+        let greedy = stack.plan(&drifted, true).unwrap();
+        assert_eq!(re.plan, greedy.plan);
+        assert_eq!(re.provenance, greedy.provenance);
+        assert_eq!(
+            re.provenance.source,
+            PlanSource::Primary {
+                algorithm: "size_greedy".into()
+            }
+        );
+        assert_eq!(
+            re.migration_bytes,
+            replan_migration_bytes(&incumbent, &re.plan, &drifted)
         );
     }
 

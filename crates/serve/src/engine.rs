@@ -1,25 +1,20 @@
 //! The planning engine behind the daemon's endpoints.
 //!
 //! One [`PlanningEngine`] is shared (behind an `Arc`) by every worker
-//! thread. It holds the serving cost-model bundle and its version, the
-//! search and incremental configurations, and the **degraded chain** —
-//! greedy primaries only, used when a request's remaining deadline budget
-//! is too small for a beam search, so a deadline-pressed request degrades
-//! to a fast plan instead of erroring.
+//! thread. It holds the serving cost-model bundle and its version, and the
+//! search and incremental configurations — nothing that plans.
 //!
 //! Each request builds its own [`PlanningStack`] around the serving
-//! bundle: `POST /v1/plan` is its `plan`, `POST /v1/replan` its `replan`.
-//! The search, the fall-back, the incremental replan and the pricing of
-//! the answer share that stack's one simulator, and its prediction and
-//! encoding caches are dropped with the response. No cache outlives the
-//! request that filled it, so the daemon's memory does not grow with the
-//! tasks it has seen, and a body's answer does not depend on the requests
-//! before it or beside it.
-//!
-//! A replan's `migration_bytes` is the stack's one charge,
-//! [`replan_migration_bytes`]: the bytes moved from the incumbent rebased
-//! onto the request's task, or every byte of the task when the incumbent
-//! no longer rebases. A degraded replan is charged by the same function.
+//! bundle: `POST /v1/plan` is its `plan`, `POST /v1/replan` its `replan`,
+//! both handed the worker's `degrade` decision (a request whose remaining
+//! deadline budget is too small for a beam search takes the stack's
+//! greedy chain instead of erroring). The search, the fall-back, the
+//! incremental replan, the charge of the bytes a replan moves and the
+//! pricing of the answer all come from that stack and its one simulator,
+//! and its prediction and encoding caches are dropped with the response.
+//! No cache outlives the request that filled it, so the daemon's memory
+//! does not grow with the tasks it has seen, and a body's answer does not
+//! depend on the requests before it or beside it.
 //!
 //! Everything downstream is deterministic (order-preserving work pools,
 //! serial batched scoring), so identical requests produce **bit-identical
@@ -29,15 +24,13 @@
 
 use std::sync::{Arc, RwLock};
 
-use nshard_baselines::{DimGreedy, SizeGreedy};
 use nshard_core::{
-    estimate_for_task, replan_migration_bytes, FallbackChain, NeuroShardConfig, PlanProvenance,
-    ResilientError, ShardingPlan,
+    estimate_for_task, NeuroShardConfig, PlanProvenance, ResilientError, ShardingPlan,
 };
 use nshard_cost::{CacheStats, CostModelBundle};
 use nshard_data::ShardingTask;
 use nshard_nn::serialize::{fnv64, fnv64_extend};
-use nshard_online::{IncrementalConfig, PlanningStack, ReplanOutcome, ReplanRoute};
+use nshard_online::{IncrementalConfig, PlanningStack, ReplanRoute};
 
 use crate::sync;
 
@@ -54,7 +47,7 @@ pub struct PlanOutput {
     /// fleet, ms — the number the search minimised.
     pub predicted_ms: f64,
     /// `true` when the serving layer routed this request through the
-    /// degraded chain (deadline pressure) or the chain itself downgraded.
+    /// greedy chain (deadline pressure) or the chain itself downgraded.
     pub degraded: bool,
     /// The model version that planned and priced it.
     pub model_version: u64,
@@ -70,13 +63,12 @@ struct Serving {
 }
 
 /// The planning engine shared by every worker thread: the serving bundle
-/// and its version, the configurations each request's planning stack is
-/// built with, and the greedy degraded chain.
+/// and its version, and the configurations each request's planning stack
+/// is built with.
 pub struct PlanningEngine {
     serving: RwLock<Arc<Serving>>,
     search: NeuroShardConfig,
     incremental: IncrementalConfig,
-    degraded: FallbackChain,
 }
 
 impl PlanningEngine {
@@ -88,23 +80,16 @@ impl PlanningEngine {
     /// model version is `1`. `_seed` is read by nothing: the chains verify
     /// a plan on its task's fleet, which draws no seed. It stays until the
     /// benchmark surface, which passes it, is next changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a contradictory `search` (see
-    /// [`NeuroShardConfig::validate`]).
     pub fn new(
         bundle: CostModelBundle,
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
         _seed: u64,
     ) -> Self {
-        search.validate().expect("a valid NeuroShardConfig");
         Self {
             serving: RwLock::new(Arc::new(Serving { bundle, version: 1 })),
             search,
             incremental,
-            degraded: FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy)),
         }
     }
 
@@ -148,9 +133,9 @@ impl PlanningEngine {
         (stack, serving.version)
     }
 
-    /// Plans `task` from scratch. `degrade` routes through the greedy
-    /// chain (deadline pressure); otherwise the full NeuroShard chain
-    /// runs.
+    /// Plans `task` from scratch through [`PlanningStack::plan`]: the full
+    /// NeuroShard chain, or the greedy chain when `degrade` (deadline
+    /// pressure) is set.
     ///
     /// # Errors
     ///
@@ -161,24 +146,19 @@ impl PlanningEngine {
     /// provenance.
     pub fn plan(&self, task: &ShardingTask, degrade: bool) -> Result<PlanOutput, ResilientError> {
         let (stack, version) = self.stack();
-        let out = if degrade {
-            self.degraded.shard_with_provenance(task)?
-        } else {
-            stack.plan(task)?
-        };
+        let out = stack.plan(task, degrade)?;
         finish(&stack, version, task, out.plan, out.provenance, degrade)
     }
 
     /// Replans `task` warm-started from `incumbent` through
     /// [`PlanningStack::replan`]: the incremental result when every device
-    /// ends within its budget, else a full search. `degrade` skips the
-    /// stack's planners (a deadline-pressed replan takes the greedy chain,
-    /// routed as a fall-back). Returns the priced plan, the bytes it moves
-    /// ([`replan_migration_bytes`]) and the route that made it.
+    /// ends within its budget, else a full search; with `degrade`, the
+    /// greedy chain. Returns the priced plan, the bytes it moves and the
+    /// route that made it.
     ///
     /// # Errors
     ///
-    /// [`ResilientError`] when the full-search fallback also failed; see
+    /// [`ResilientError`] when the fall-back chain also failed; see
     /// [`PlanningEngine::plan`].
     pub(crate) fn replan(
         &self,
@@ -187,19 +167,7 @@ impl PlanningEngine {
         degrade: bool,
     ) -> Result<(PlanOutput, u64, ReplanRoute), ResilientError> {
         let (stack, version) = self.stack();
-        let re = if degrade {
-            let outcome = self.degraded.shard_with_provenance(task)?;
-            ReplanOutcome {
-                migration_bytes: replan_migration_bytes(incumbent, &outcome.plan, task),
-                plan: outcome.plan,
-                provenance: outcome.provenance,
-                route: ReplanRoute::FellBack {
-                    reason: "deadline pressure: the greedy chain planned".into(),
-                },
-            }
-        } else {
-            stack.replan(task, incumbent)?
-        };
+        let re = stack.replan(task, incumbent, degrade)?;
         let output = finish(&stack, version, task, re.plan, re.provenance, degrade)?;
         Ok((output, re.migration_bytes, re.route))
     }
@@ -251,8 +219,8 @@ pub(crate) fn plan_id(task: &ShardingTask, plan: &ShardingPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nshard_core::{BeamSearch, PlanError};
-    use nshard_cost::{CollectConfig, CostSimulator, TrainSettings};
+    use nshard_core::{NeuroShard, PlanError};
+    use nshard_cost::{CollectConfig, TrainSettings};
     use nshard_data::{TableConfig, TableId, TablePool};
 
     fn engine() -> PlanningEngine {
@@ -438,9 +406,8 @@ mod tests {
     fn predicted_ms_is_the_search_estimate_on_a_heterogeneous_fleet() {
         let eng = engine();
         let t = two_tier_task();
-        let sim = CostSimulator::new(eng.current().bundle.clone());
-        let searched = BeamSearch::new(&sim, &NeuroShardConfig::smoke())
-            .search(&t)
+        let searched = NeuroShard::new(eng.current().bundle.clone(), NeuroShardConfig::smoke())
+            .shard_with_stats(&t)
             .unwrap();
         let planned = eng.plan(&t, false).unwrap();
         assert_eq!(planned.plan, searched.plan);

@@ -15,7 +15,7 @@
 //!
 //! | Route | Effect |
 //! |---|---|
-//! | `POST /v1/plan` | Plan a task from scratch through the full [`nshard_core::FallbackChain`] |
+//! | `POST /v1/plan` | Plan a task from scratch through the full chain of an [`nshard_online::PlanningStack`] |
 //! | `POST /v1/replan` | Warm-started incremental replan around a stored incumbent, charged by [`nshard_core::replan_migration_bytes`] |
 //! | `POST /v1/observations` | Report ground-truth costs for continual learning |
 //! | `GET /v1/plans/{id}` | Fetch a stored plan with provenance |
@@ -49,10 +49,12 @@
 //!
 //! The reactor ([`net`]) feeds a **bounded** queue drained by a worker
 //! pool; a full queue sheds load with `429 Too Many Requests` instead of
-//! building unbounded latency. Every job carries a deadline: expired jobs answer
-//! `503` without searching, and deadline-pressed jobs degrade to the
-//! greedy chain — a fast plan beats no plan, the same philosophy as the
-//! [`nshard_core::FallbackChain`]'s downgrades.
+//! building unbounded latency. A body whose `200` answer is in the response
+//! cache is answered inline at admission, the cache's one read. Every job
+//! carries a deadline: expired jobs answer `503` without searching, and
+//! deadline-pressed jobs degrade to the planning stack's greedy chain — a
+//! fast plan beats no plan, the same philosophy as the chain's own
+//! downgrades. A degraded answer is never cached.
 //!
 //! ## Determinism
 //!

@@ -175,21 +175,19 @@ impl Service {
         body: Vec<u8>,
         on_response: OnResponse,
     ) -> Option<HttpResponse> {
-        // Admission-time cache fast path: a hit is answered inline
-        // without consuming queue capacity — equivalent to a worker
-        // picking the job up instantly. The lookup keys `degrade =
-        // false` (the zero-wait decision); identical bodies carry
-        // identical deadlines, so a body whose deadline forces
-        // degradation (or instant expiry) can never have an entry under
-        // this key and falls through to the worker path, which computes
-        // the full deadline/degrade semantics.
+        // The response cache's one read: a hit is answered inline without
+        // consuming queue capacity — equivalent to a worker picking the job
+        // up instantly. Only full-budget answers are stored, so a body
+        // whose deadline forces degradation (or instant expiry) finds no
+        // entry and goes to a worker, which decides both.
         if let Some(cache) = &self.response_cache {
-            let key = response_cache_key(kind, false, self.cache_generation(kind), &body);
+            let key = response_cache_key(kind, self.cache_generation(kind), &body);
             if let Some(hit) = sync::lock(cache).get(key) {
                 self.metrics.response_cache_hits.inc();
                 self.metrics.count_request(kind.endpoint(), hit.status);
                 return Some(hit);
             }
+            self.metrics.response_cache_misses.inc();
         }
         let job = Job {
             kind,

@@ -10,8 +10,8 @@ use crate::http::HttpResponse;
 use super::admission::JobKind;
 use super::Service;
 
-/// A bounded FIFO cache of `200` responses for byte-identical request
-/// bodies. Correctness rests on the daemon's determinism contract —
+/// A bounded FIFO cache of full-budget `200` responses for byte-identical
+/// request bodies, read once, at admission, and filled by the workers. Correctness rests on the daemon's determinism contract —
 /// identical bodies already yield byte-identical responses (plan ids are
 /// content-addressed, adoption is idempotent, and every request plans
 /// with prediction caches of its own, so no earlier or concurrent request
@@ -54,18 +54,15 @@ impl ResponseCache {
 }
 
 /// FNV-1a over the facts that determine a cached response.
-pub(super) fn response_cache_key(
-    kind: JobKind,
-    degrade: bool,
-    generation: u64,
-    body: &[u8],
-) -> u64 {
+pub(super) fn response_cache_key(kind: JobKind, generation: u64, body: &[u8]) -> u64 {
     let kind = match kind {
         JobKind::Plan => 1,
         JobKind::Replan => 2,
     };
-    let hash = fnv64(&[kind, u8::from(degrade)]);
-    fnv64_extend(fnv64_extend(hash, &generation.to_le_bytes()), body)
+    fnv64_extend(
+        fnv64_extend(fnv64(&[kind]), &generation.to_le_bytes()),
+        body,
+    )
 }
 
 impl Service {
@@ -89,14 +86,9 @@ mod tests {
 
     #[test]
     fn response_cache_keys_do_not_move() {
-        // The value this input hashed to before the crate's FNV copies
-        // were merged.
-        let key = response_cache_key(
-            JobKind::Replan,
-            true,
-            0x0102_0304_0506_0708,
-            b"{\"task\":1}",
-        );
-        assert_eq!(key, 0x40e9_da07_77fd_0f02);
+        // The key has no degradation bit since degraded answers are no
+        // longer cached; this input hashed to this value when it went.
+        let key = response_cache_key(JobKind::Replan, 0x0102_0304_0506_0708, b"{\"task\":1}");
+        assert_eq!(key, 0x6bc7_5e40_ab86_72a3);
     }
 }

@@ -8,9 +8,9 @@
 //! ──────────────────           ─────────────            ───────────────
 //! parse HTTP ── GET ──────────────────────────────────▶ answered inline
 //!          └─── POST ─▶ admit ─▶ [Job, Job, ...] ─pop─▶ deadline check
-//!                        │ full                            │ expired → 503
-//!                        ▼                                 │ pressed → degraded chain
-//!                       429                                ▼
+//!                        │ full, or cached                 │ expired → 503
+//!                        ▼                                 │ pressed → greedy chain
+//!                   429, or 200                            ▼
 //!                                                    PlanningEngine
 //!                                                          │
 //!                          on_response(..) ◀── response ──┘

@@ -1,11 +1,11 @@
 //! What a worker does with an admitted job: deadline check, degradation
-//! decision, response-cache lookup, plan or replan through the engine,
-//! adoption into the store (one sequenced write), and the response body.
+//! decision, plan or replan through the engine, adoption into the store
+//! (one sequenced write), the response body, and its response-cache entry.
 //!
 //! A worker that pops an already-expired job answers `503` without
 //! searching, and a job whose remaining budget is below
 //! [`DEGRADE_BELOW_MS`] takes the **degraded** (greedy) chain rather than
-//! erroring — the `FallbackChain` discipline applied to deadlines.
+//! erroring — the fallback chain's discipline applied to deadlines.
 
 use nshard_core::PlanSource;
 use nshard_data::ShardingTask;
@@ -95,29 +95,20 @@ impl Service {
         // degrade to the greedy chain instead of erroring later.
         let degrade = deadline_ms - waited_ms < DEGRADE_BELOW_MS;
 
-        // Cache lookup happens only after the deadline check: an expired
-        // request answers 503 whether or not its twin is cached — the
-        // shed/degrade semantics are identical with the cache on or off.
-        let cached = self.response_cache.as_ref().map(|cache| {
+        // The cache was read at admission; a worker only fills it, and only
+        // with a full-budget `200`, so a deadline-pressed answer is never
+        // replayed. The generation is read before planning, as the entry
+        // describes the store the request saw.
+        let entry = self.response_cache.as_ref().map(|cache| {
             let generation = self.cache_generation(job.kind);
-            (
-                cache,
-                response_cache_key(job.kind, degrade, generation, &job.body),
-            )
+            (cache, response_cache_key(job.kind, generation, &job.body))
         });
-        if let Some((cache, key)) = cached {
-            if let Some(hit) = sync::lock(cache).get(key) {
-                self.metrics.response_cache_hits.inc();
-                return hit;
-            }
-            self.metrics.response_cache_misses.inc();
-        }
 
         let response = match parsed {
             Parsed::Plan(request) => self.respond_plan(request, degrade),
             Parsed::Replan(request) => self.respond_replan(request, degrade),
         };
-        if let Some((cache, key)) = cached.filter(|_| response.status == 200) {
+        if let Some((cache, key)) = entry.filter(|_| response.status == 200 && !degrade) {
             sync::lock(cache).put(key, response.clone());
         }
         response

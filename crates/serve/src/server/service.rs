@@ -63,14 +63,6 @@ impl Service {
         config: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, StoreError> {
-        // Reject dead configurations before they can panic deep inside
-        // the engine: the typed [`nshard_core::ConfigError`] surfaces the
-        // same way store corruption does — at construction, not at the
-        // first request.
-        config
-            .search
-            .validate()
-            .map_err(StoreError::InvalidConfig)?;
         let (plans, promoted) = PlanStore::open(config.store_dir.as_deref())?;
         let engine = PlanningEngine::new(bundle, config.search, config.incremental, 0);
         // A bundle promoted before the restart serves again, under the

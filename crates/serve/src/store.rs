@@ -82,10 +82,6 @@ pub enum StoreError {
     /// The store refused a write: it would be numbered `u64::MAX`, outside
     /// the sequence space.
     Conflict(String),
-    /// The daemon configuration is internally inconsistent — rejected at
-    /// construction with the typed search-config error instead of
-    /// panicking on the first request.
-    InvalidConfig(nshard_core::ConfigError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -94,7 +90,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Io { path, error } => write!(f, "store I/O failed for {path}: {error}"),
             StoreError::Checkpoint(e) => write!(f, "store artifact error: {e}"),
             StoreError::Conflict(e) => write!(f, "plan store conflict: {e}"),
-            StoreError::InvalidConfig(e) => write!(f, "invalid serve configuration: {e}"),
         }
     }
 }

@@ -253,8 +253,9 @@ impl Cluster {
             // `x * 1.0` is a bitwise identity, so a healthy uniform
             // device keeps its kernel time.
             let scale = self.devices.compute_scales()[g];
-            fwd_ms.push(kernel.multi_forward_ms(tables, self.batch_size) * scale);
-            bwd_ms.push(kernel.multi_backward_ms(tables, self.batch_size) * scale);
+            let (fwd, bwd) = kernel.fused_ms(tables, self.batch_size);
+            fwd_ms.push(fwd * scale);
+            bwd_ms.push(bwd * scale);
         }
         PhaseInputs {
             fwd_ms,

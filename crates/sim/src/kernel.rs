@@ -134,31 +134,28 @@ impl KernelParams {
         lookups * row_ns * self.cache_penalty(table, batch_size) * 1e-6
     }
 
-    /// Forward cost of a fused multi-table kernel, in milliseconds.
+    /// Forward and backward cost of a fused multi-table kernel, in
+    /// milliseconds, from one pass over the tables' work.
     ///
-    /// Returns just the launch overhead for an empty table list (an empty
-    /// device still joins the iteration).
-    pub fn multi_forward_ms(&self, tables: &[TableProfile], batch_size: u32) -> f64 {
+    /// An empty table list costs just the launch overhead each way (an
+    /// empty device still joins the iteration).
+    pub(crate) fn fused_ms(&self, tables: &[TableProfile], batch_size: u32) -> (f64, f64) {
         let raw: f64 = tables
             .iter()
             .map(|t| self.table_work_ms(t, batch_size))
             .sum();
-        self.launch_ms + raw * self.efficiency(tables.len())
-    }
-
-    /// Backward cost of a fused multi-table kernel, in milliseconds.
-    pub fn multi_backward_ms(&self, tables: &[TableProfile], batch_size: u32) -> f64 {
-        let raw: f64 = tables
-            .iter()
-            .map(|t| self.table_work_ms(t, batch_size))
-            .sum();
-        self.launch_ms + raw * self.bwd_factor * self.efficiency(tables.len())
+        let eff = self.efficiency(tables.len());
+        (
+            self.launch_ms + raw * eff,
+            self.launch_ms + raw * self.bwd_factor * eff,
+        )
     }
 
     /// Combined forward + backward cost (the quantity the paper's
     /// computation cost model predicts), in milliseconds.
     pub fn multi_cost_ms(&self, tables: &[TableProfile], batch_size: u32) -> f64 {
-        self.multi_forward_ms(tables, batch_size) + self.multi_backward_ms(tables, batch_size)
+        let (fwd, bwd) = self.fused_ms(tables, batch_size);
+        fwd + bwd
     }
 
     /// Noisy "measured" combined cost, following the paper's protocol of
@@ -295,8 +292,8 @@ mod tests {
     #[test]
     fn backward_costs_more_than_forward() {
         let p = KernelParams::rtx_2080_ti();
-        let ts = vec![table(64), table(32)];
-        assert!(p.multi_backward_ms(&ts, 65_536) > p.multi_forward_ms(&ts, 65_536));
+        let (fwd, bwd) = p.fused_ms(&[table(64), table(32)], 65_536);
+        assert!(bwd > fwd);
     }
 
     #[test]
@@ -326,7 +323,7 @@ mod tests {
     #[test]
     fn empty_device_costs_only_launch() {
         let p = KernelParams::rtx_2080_ti();
-        assert_eq!(p.multi_forward_ms(&[], 65_536), p.launch_ms);
+        assert_eq!(p.fused_ms(&[], 65_536).0, p.launch_ms);
     }
 
     proptest! {

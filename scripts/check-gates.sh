@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=87
-MAX_TOTAL_LINES=11976
-MAX_TOTAL_ITEMS=616
+MAX_TOTAL_LINES=11857
+MAX_TOTAL_ITEMS=602
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

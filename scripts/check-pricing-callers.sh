@@ -16,9 +16,16 @@
 # deleted.
 #
 # One planning stack (DESIGN.md §8): outside `online::stack` nothing under
-# online/serve builds an incremental planner or a fallback chain — the
-# one exception is the daemon's greedy degraded chain in `serve::engine` —
-# so "incremental, else the full chain" cannot be written a second time.
+# online/serve builds an incremental planner or a fallback chain, and
+# nothing under serve/src names one — the stack owns the full and the
+# greedy chain — so "incremental, else a chain" cannot be written a second
+# time.
+#
+# One door per planning job (DESIGN.md §6.5, §7): `NeuroShard::shard_with_stats`
+# is the one entry to the beam search, a chain's stages are one list
+# (`FallbackChain::new`), and a search config has nothing to validate, so
+# the bare beam type and its record, the fallback builder, the config error
+# and the fallible constructor stay deleted.
 #
 # One communication law (DESIGN.md §3, §13): nothing under crates/ is named
 # `*_tiered` again, and the learner builds comm rows from
@@ -374,6 +381,13 @@ if code crates/serve/src | grep -E \
     exit 1
 fi
 
+if code crates/*/src src examples |
+    grep -E -e '\b(ConfigError|BeamSearch|BeamSearchResult|with_fallback)\b' -e 'NeuroShard::try_new'; then
+    echo "error: NeuroShard::shard_with_stats is the one search, a chain takes its stages in" \
+        "one list, and a search config has nothing to validate (lines above)" >&2
+    exit 1
+fi
+
 stack=crates/online/src/stack.rs
 planner=crates/core/src/local.rs
 consumers="crates/online/src crates/serve/src"
@@ -385,14 +399,11 @@ if code $consumers crates/core/src | grep -E 'IncrementalPlanner::(new|default)\
     fail=1
 fi
 # shellcheck disable=SC2086
-chains=$(code $consumers | grep 'FallbackChain::new(' | grep -v "^$stack:" || true)
-degraded=$(printf '%s\n' "$chains" | grep -c '^crates/serve/src/engine.rs:' || true)
-if [ "$degraded" -gt 1 ] ||
-    printf '%s\n' "$chains" | grep -v '^crates/serve/src/engine.rs:' | grep -q .; then
-    printf '%s\n' "$chains"
-    echo "error: nshard_online::PlanningStack builds the NeuroShard chain; only" \
-        "serve::engine's one degraded chain may stand beside it (lines above)" >&2
+if code $consumers | grep 'FallbackChain::new(' | grep -v "^$stack:" ||
+    code crates/serve/src | grep -w 'FallbackChain'; then
+    echo "error: nshard_online::PlanningStack builds the full and the greedy chain;" \
+        "no other chain stands beside them (lines above)" >&2
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "pricing callers ok ($optional_fleets optional fleet, $degraded chain beside the stack)"
+echo "pricing callers ok ($optional_fleets optional fleet)"

@@ -66,8 +66,9 @@ pub mod prelude {
 ///
 /// Re-exports the repair / fallback machinery of [`nshard_core`]: a chain
 /// checks each plan on the fleet its task describes, so a hostile fleet is
-/// a [`nshard_data::DevicePool`] on the task. The wired-up NeuroShard chain
-/// lives in [`nshard_online::PlanningStack`].
+/// a [`nshard_data::DevicePool`] on the task. The wired-up chains — the
+/// full NeuroShard chain and the greedy one — live in
+/// [`nshard_online::PlanningStack`].
 pub mod resilient {
     pub use nshard_core::{
         repair, size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,

@@ -25,7 +25,7 @@ const DEVICES: usize = 4;
 /// Builds the chain under test: greedy primary, greedy fallback, plans
 /// verified on the task's fleet.
 fn chain() -> FallbackChain {
-    FallbackChain::new(Box::new(SizeGreedy)).with_fallback(Box::new(DimGreedy))
+    FallbackChain::new(vec![Box::new(SizeGreedy), Box::new(DimGreedy)])
 }
 
 /// The hostile fleet for `task` at `seed`: each device holds 80–140% of
@@ -171,7 +171,7 @@ fn oom_greedy_plan_is_repaired_into_feasibility() {
 
     // And through the chain: the same task yields a verified plan with
     // repair recorded in its provenance.
-    let chain = FallbackChain::new(Box::new(DimGreedy));
+    let chain = FallbackChain::new(vec![Box::new(DimGreedy)]);
     let outcome = chain.shard_with_provenance(&task).unwrap();
     assert!(matches!(
         outcome.provenance.source,

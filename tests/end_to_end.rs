@@ -209,7 +209,7 @@ fn poisoned_before(bundle: &CostModelBundle, marker: &str) -> CostModelBundle {
 #[test]
 fn non_finite_predictions_reach_the_fallback_chain() {
     use neuroshard::baselines::SizeGreedy;
-    use neuroshard::core::{BeamSearch, PlanError};
+    use neuroshard::core::PlanError;
     use neuroshard::cost::{CostSimulator, TableSetKey};
     use neuroshard::resilient::{FallbackChain, PlanSource, ProvenanceEvent};
 
@@ -229,8 +229,8 @@ fn non_finite_predictions_reach_the_fallback_chain() {
     let profiles = task.profiles();
     let set = [(TableSetKey::of(&profiles), &profiles[..])];
     assert!(sim.device_compute_cost_batch(&set)[0].is_nan());
-    let err = BeamSearch::new(&sim, &config)
-        .search(&task)
+    let err = NeuroShard::new(nan_compute.clone(), config)
+        .shard_with_stats(&task)
         .expect_err("a NaN cost is not a plan");
     assert!(
         matches!(&err, PlanError::NonFiniteCost { what, value }
@@ -239,8 +239,8 @@ fn non_finite_predictions_reach_the_fallback_chain() {
     );
 
     let inf_comm = poisoned_before(&healthy, "\"comm_bwd\"");
-    let comm_err = BeamSearch::new(&CostSimulator::new(inf_comm), &config)
-        .search(&task)
+    let comm_err = NeuroShard::new(inf_comm, config)
+        .shard_with_stats(&task)
         .expect_err("an infinite estimate is not a plan");
     assert!(
         matches!(&comm_err, PlanError::NonFiniteCost { what, value }
@@ -248,8 +248,10 @@ fn non_finite_predictions_reach_the_fallback_chain() {
         "{comm_err}"
     );
 
-    let chain = FallbackChain::new(Box::new(NeuroShard::new(nan_compute, config)))
-        .with_fallback(Box::new(SizeGreedy));
+    let chain = FallbackChain::new(vec![
+        Box::new(NeuroShard::new(nan_compute, config)),
+        Box::new(SizeGreedy),
+    ]);
     let outcome = chain
         .shard_with_provenance(&task)
         .expect("greedy plan ships");

@@ -147,7 +147,10 @@ fn drive(
     let mut stack = stack_of(learner.incumbent());
     for epoch in 0..epochs {
         let task = drift.task_at(epoch);
-        let plan = stack.plan(&task).expect("the trace is plannable").plan;
+        let plan = stack
+            .plan(&task, false)
+            .expect("the trace is plannable")
+            .plan;
         let estimated = estimate_for_task(stack.simulator(), &task, &plan).unwrap();
         let truth = evaluate_plan(&task, &plan, &GpuSpec::default(), epoch).ok();
         let promoted = learner.on_epoch(&EpochObservation {

@@ -2,21 +2,20 @@
 //! ground-truth observations flow over `POST /v1/observations` into an
 //! [`neuroshard::learn::ContinualLearner`], a model promotion atomically
 //! invalidates every serving cache (no response priced by a retired
-//! model is ever replayed), and a contradictory search configuration is
-//! rejected at boot with a typed error instead of becoming dead config.
+//! model is ever replayed), and a search configuration has nothing to
+//! reject at boot: the greedy-only ones boot and plan.
 //! (A promoted bundle surviving a restart is `tests/serve_loop.rs`'s
 //! `a_restarted_daemon_keeps_its_sequence_and_model`.)
 //! Zero sleeps — manual clocks and synchronous queue draining.
 
 use std::sync::Arc;
 
-use neuroshard::core::ConfigError;
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
 use neuroshard::learn::{ContinualConfig, ContinualLearner};
 use neuroshard::serve::http::HttpRequest;
 use neuroshard::serve::server::Routed;
-use neuroshard::serve::{ManualClock, ServeConfig, Service, StoreError};
+use neuroshard::serve::{ManualClock, ServeConfig, Service};
 
 fn quick_bundle(seed: u64) -> CostModelBundle {
     let pool = TablePool::synthetic_dlrm(40, 3);
@@ -192,24 +191,25 @@ fn row_wise_greedy_only_config_boots() {
     assert!(service.config().search.use_row_wise);
 }
 
-/// The one remaining contradictory combination — `use_replication` with
-/// `l = 0` — is rejected at boot with a typed error, not
-/// silently ignored.
+/// `use_replication` with `l = 0` is a config like any other: replicas
+/// are only proposed in beam expansion, so with no levels the switch
+/// changes nothing — the daemon boots, and its plan body is
+/// byte-identical to the one the switch-off daemon answers.
 #[test]
-fn contradictory_search_config_is_rejected_at_boot() {
-    let mut config = ServeConfig::smoke();
-    config.search.use_replication = true;
-    config.search.l = 0;
-    let err = Service::with_clock(quick_bundle(7), config, Arc::new(ManualClock::new()))
-        .err()
-        .expect("boot must fail");
-    match err {
-        StoreError::InvalidConfig(e) => assert_eq!(e, ConfigError::ReplicationRequiresBeam),
-        other => panic!("expected InvalidConfig, got {other:?}"),
-    }
-    let message = format!("{err}");
-    assert!(
-        message.contains("use_replication") && message.contains("l > 0"),
-        "the error names both contradicting settings: {message}"
-    );
+fn replication_greedy_only_config_boots_and_plans_as_without_it() {
+    let answer = |use_replication: bool| {
+        let mut config = ServeConfig::smoke();
+        config.search.use_replication = use_replication;
+        config.search.l = 0;
+        let service = Service::with_clock(quick_bundle(7), config, Arc::new(ManualClock::new()))
+            .expect("a greedy-only config boots");
+        let Routed::Queued(slot) = post(&service, "/v1/plan", &plan_body()) else {
+            panic!("plan request must be queued");
+        };
+        assert!(service.drain_one());
+        let response = slot.wait();
+        assert_eq!(response.status, 200);
+        response.body
+    };
+    assert_eq!(answer(true), answer(false));
 }

@@ -236,7 +236,8 @@ proptest! {
         prop_assert_eq!(grouped.iter().map(Vec::len).sum::<usize>(), tables.len());
         let bytes: u64 = plan.device_bytes().iter().sum();
         prop_assert_eq!(bytes, tables.iter().map(TableConfig::memory_bytes).sum::<u64>());
-        let dims: f64 = plan.device_dims().iter().sum();
+        let task = ShardingTask::new(tables.clone(), devices, 1 << 30, 1024);
+        let dims: f64 = task.devices().lowered_dims(&plan.device_profiles(1024)).iter().sum();
         let expect: f64 = tables.iter().map(|t| f64::from(t.dim())).sum();
         prop_assert!((dims - expect).abs() < 1e-9);
     }

@@ -137,6 +137,12 @@ fn deadline_pressure_degrades_instead_of_failing() {
     assert_eq!(response.status, 200);
     let text = String::from_utf8(response.body).unwrap();
     assert!(text.contains("\"degraded\":true"), "got: {text}");
+    // A deadline-pressed answer is not cached: its twin queues again.
+    let Routed::Queued(slot) = post(&service, "/v1/plan", &body) else {
+        panic!("a degraded answer must not be replayed");
+    };
+    assert!(service.drain_one());
+    assert_eq!(slot.wait().status, 200);
 
     // The same request with full budget is served by the primary search.
     let Routed::Queued(slot) = post(&service, "/v1/plan", &plan_body()) else {
@@ -277,6 +283,42 @@ fn response_cache_answers_identical_requests_inline() {
         metrics.contains("nshard_serve_response_cache_hits_total 1"),
         "got: {metrics}"
     );
+}
+
+/// The response cache is read once, at admission: two identical bodies
+/// admitted before either is drained both miss there, so both run the
+/// engine, and their answers are byte-equal anyway.
+#[test]
+fn identical_bodies_admitted_together_both_run_the_engine() {
+    let config = ServeConfig {
+        response_cache_entries: 8,
+        ..ServeConfig::smoke()
+    };
+    let service = Service::with_clock(
+        quick_bundle(7),
+        config,
+        Arc::new(ManualClock::new()) as Arc<_>,
+    )
+    .expect("service boots");
+    let body = plan_body();
+    let slots: Vec<_> = (0..2)
+        .map(|_| match post(&service, "/v1/plan", &body) {
+            Routed::Queued(slot) => slot,
+            Routed::Inline(_) => panic!("nothing is cached before the first drain"),
+        })
+        .collect();
+    assert!(service.drain_one() && service.drain_one());
+    let [first, second] = [slots[0].wait(), slots[1].wait()];
+    assert_eq!(first.status, 200);
+    assert_eq!(first.body, second.body);
+
+    let metrics = service.render_metrics();
+    for line in [
+        "nshard_serve_response_cache_hits_total 0",
+        "nshard_serve_response_cache_misses_total 2",
+    ] {
+        assert!(metrics.contains(line), "{line} not in: {metrics}");
+    }
 }
 
 /// Adopted plans survive a daemon restart (disk-backed store) and are

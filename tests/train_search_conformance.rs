@@ -4,7 +4,7 @@
 //! The committed fixtures pin one full pre-train run: a cost-model bundle
 //! (`tests/fixtures/conformance_bundle.json`, stored in the versioned
 //! checkpoint envelope the serving daemon uses) and the ground-truth cost
-//! of the plan [`BeamSearch`] finds with it
+//! of the plan [`NeuroShard`] finds with it
 //! (`tests/fixtures/conformance_band.json`). The suite then retrains the
 //! models from scratch — same [`CollectConfig::smoke`] recipe, a
 //! *different* seed — searches with the fresh checkpoint, and asserts the
@@ -21,8 +21,8 @@
 
 use std::path::PathBuf;
 
-use neuroshard::core::{evaluate_plan_exact, BeamSearch, NeuroShardConfig, ShardingPlan};
-use neuroshard::cost::{CollectConfig, CostModelBundle, CostSimulator, TrainSettings};
+use neuroshard::core::{evaluate_plan_exact, NeuroShard, NeuroShardConfig, ShardingPlan};
+use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TablePool};
 use neuroshard::nn::{envelope_from_json, envelope_to_json, Envelope};
 use neuroshard::sim::GpuSpec;
@@ -68,9 +68,8 @@ fn pretrain(seed: u64) -> CostModelBundle {
 /// (noise-free simulator) cost — the committed and fresh runs are compared
 /// on the oracle, not on their own models' estimates.
 fn search_and_measure(bundle: CostModelBundle, task: &ShardingTask) -> (ShardingPlan, f64) {
-    let sim = CostSimulator::new(bundle);
-    let result = BeamSearch::new(&sim, &NeuroShardConfig::default())
-        .search(task)
+    let result = NeuroShard::new(bundle, NeuroShardConfig::default())
+        .shard_with_stats(task)
         .expect("smoke task is feasible");
     let truth = evaluate_plan_exact(task, &result.plan, &GpuSpec::rtx_2080_ti())
         .expect("plan fits in memory");
