@@ -3,29 +3,30 @@
 //!
 //! Production sharding cannot simply return "-" when a search fails: a
 //! plan must ship. The [`FallbackChain`] runs its stages in preference
-//! order, in one loop, and returns the first plan that verifies,
+//! order, in one loop, and returns the first plan that [`repair`] accepts,
 //! downgrading step by step:
 //!
 //! 1. the **primary** (the first stage, normally NeuroShard),
-//! 2. the primary's plan **repaired** by [`repair`] when it was rejected
-//!    for memory reasons,
+//! 2. the primary's plan **repaired** when it overflows a device,
 //! 3. each **fallback** stage (normally a greedy baseline), repaired
 //!    likewise if needed,
 //! 4. the built-in **size-balanced** last resort ([`size_balanced_plan`]),
 //!    the loop's final stage.
 //!
-//! A plan is checked on the fleet its task describes: each call builds the
-//! task's ground-truth cluster once ([`crate::cluster_for`]) and accepts a
-//! plan when [`Cluster::check_memory`] passes. A hostile fleet — a
-//! squeezed budget, a slow compute class, a slow node behind slow links —
-//! is a [`nshard_data::DevicePool`] on the task.
+//! A stage's plan gets one check, a [`repair`] call against its task: a
+//! plan that fits every device of the task's fleet comes back unchanged,
+//! one that overflows comes back moved and split until it fits, and
+//! whatever comes back validates against the task
+//! ([`ShardingPlan::validate`]), so a plan for another device count, or
+//! whose tables do not derive from the task's, fails the stage. A hostile
+//! fleet — a squeezed budget, a slow compute class, a slow node behind
+//! slow links — is a [`nshard_data::DevicePool`] on the task.
 //!
 //! Every decision — attempts, failures, repairs, downgrades — is recorded
 //! in a [`PlanProvenance`] attached to the returned plan, so a degraded
 //! plan is always attributable.
 
 use nshard_data::ShardingTask;
-use nshard_sim::{Cluster, GpuSpec, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::local::repair;
@@ -35,19 +36,19 @@ use crate::ShardingAlgorithm;
 /// Which stage of the chain produced the accepted plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanSource {
-    /// The primary algorithm's plan, verified as-is.
+    /// The primary algorithm's plan, shipped as-is.
     Primary {
         /// Algorithm name.
         algorithm: String,
     },
-    /// A plan that needed the repair engine before verifying.
+    /// A stage's plan that the repair engine had to move or split.
     Repaired {
         /// Name of the algorithm whose plan was repaired.
         algorithm: String,
         /// Number of repair actions taken.
         repair_steps: usize,
     },
-    /// A fallback algorithm's plan, verified as-is.
+    /// A fallback algorithm's plan, shipped as-is.
     Fallback {
         /// Algorithm name.
         algorithm: String,
@@ -90,7 +91,9 @@ pub enum ProvenanceEvent {
         /// The transient error, rendered.
         reason: String,
     },
-    /// The stage's plan failed verification for a persistent reason.
+    /// The stage's plan failed a memory check that came before repair. No
+    /// build records it any more; plan records from older builds, on disk,
+    /// must still decode.
     VerifyFailed {
         /// Algorithm name.
         algorithm: String,
@@ -133,14 +136,14 @@ impl PlanProvenance {
 /// A plan plus the record of how the chain arrived at it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientOutcome {
-    /// The accepted, verified plan.
+    /// The accepted plan: it validates against its task.
     pub plan: ShardingPlan,
     /// How it was obtained.
     pub provenance: PlanProvenance,
 }
 
-/// Typed failure of the whole chain: even the last resort did not verify.
-/// Carries the full provenance for attribution.
+/// Typed failure of the whole chain: even the last resort produced no plan
+/// that fits. Carries the full provenance for attribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientError {
     /// The error of the final stage.
@@ -164,10 +167,10 @@ impl std::fmt::Display for ResilientError {
 
 impl std::error::Error for ResilientError {}
 
-/// The degradation chain: its stages in preference order, each stage's
-/// plan [`repair`]ed if it overflows, then [`size_balanced_plan`]. The
-/// first plan that passes one memory check on the task's own fleet ships,
-/// with the [`PlanProvenance`] of every step that led to it.
+/// The degradation chain: its stages in preference order, then
+/// [`size_balanced_plan`]. The first stage plan that [`repair`] accepts
+/// ships — unchanged when it fits, repaired when it overflows — with the
+/// [`PlanProvenance`] of every step that led to it.
 ///
 /// The chain is `Send + Sync` (all stages must be too), so one chain can
 /// serve concurrent planning requests behind an `Arc`.
@@ -190,13 +193,12 @@ impl ShardingAlgorithm for SizeBalanced {
 
 impl FallbackChain {
     /// A chain of `stages` in preference order — the first is the primary
-    /// — followed by the built-in size-balanced last resort, verifying on
-    /// the task's fleet.
+    /// — followed by the built-in size-balanced last resort.
     pub fn new(stages: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>) -> Self {
         Self { stages }
     }
 
-    /// Runs the chain: first verified plan wins.
+    /// Runs the chain: the first stage plan that [`repair`] accepts wins.
     ///
     /// # Errors
     ///
@@ -208,144 +210,71 @@ impl FallbackChain {
         &self,
         task: &ShardingTask,
     ) -> Result<ResilientOutcome, ResilientError> {
-        let mut run = Run {
-            task,
-            fleet: crate::eval::cluster_for(task, &GpuSpec::rtx_2080_ti()),
-            events: Vec::new(),
-        };
-
         let last_resort: &(dyn ShardingAlgorithm + Send + Sync) = &SizeBalanced;
         let stages = self.stages.iter().map(|s| &**s).chain([last_resort]);
+        let mut events = Vec::new();
         let mut last_error = None;
         for (rank, algo) in stages.enumerate() {
             let is_last_resort = rank == self.stages.len();
-            let name = algo.name().to_string();
-            run.events.push(ProvenanceEvent::Attempt {
-                algorithm: name.clone(),
+            let algorithm = algo.name().to_string();
+            events.push(ProvenanceEvent::Attempt {
+                algorithm: algorithm.clone(),
             });
             let plan = match algo.shard(task) {
                 Ok(plan) => plan,
                 Err(e) => {
-                    run.events.push(ProvenanceEvent::SearchFailed {
-                        algorithm: name.clone(),
+                    events.push(ProvenanceEvent::SearchFailed {
+                        algorithm,
                         reason: e.to_string(),
                     });
-                    last_error = match last_error {
-                        Some(earlier) if is_last_resort => Some(earlier),
-                        _ => Some(e),
-                    };
+                    if !(is_last_resort && last_error.is_some()) {
+                        last_error = Some(e);
+                    }
                     continue;
                 }
             };
-            match run.verify_and_repair(plan, &name) {
-                Ok((plan, repair_steps)) => {
-                    let source = match (rank, repair_steps) {
-                        _ if is_last_resort => PlanSource::SizeBalanced,
-                        (0, None) => PlanSource::Primary { algorithm: name },
-                        (_, None) => PlanSource::Fallback { algorithm: name },
-                        (_, Some(steps)) => PlanSource::Repaired {
-                            algorithm: name,
-                            repair_steps: steps,
-                        },
-                    };
-                    return Ok(ResilientOutcome {
-                        plan,
-                        provenance: run.into_provenance(source),
+            // The chain's one check: a plan that fits comes back unchanged
+            // (an empty delta), and whatever comes back validates.
+            let report = match repair(task, &plan) {
+                Ok(report) => report,
+                Err(e) => {
+                    events.push(ProvenanceEvent::RepairFailed {
+                        algorithm,
+                        reason: e.to_string(),
                     });
+                    last_error = Some(e);
+                    continue;
                 }
-                Err(e) => last_error = Some(e),
+            };
+            let steps = report.delta.steps.len();
+            if steps > 0 {
+                events.push(ProvenanceEvent::Repaired {
+                    algorithm: algorithm.clone(),
+                    steps,
+                });
             }
+            let source = match (rank, steps) {
+                _ if is_last_resort => PlanSource::SizeBalanced,
+                (0, 0) => PlanSource::Primary { algorithm },
+                (_, 0) => PlanSource::Fallback { algorithm },
+                (_, steps) => PlanSource::Repaired {
+                    algorithm,
+                    repair_steps: steps,
+                },
+            };
+            return Ok(ResilientOutcome {
+                plan: report.plan,
+                provenance: PlanProvenance { source, events },
+            });
         }
         Err(ResilientError {
             cause: last_error.expect("the last resort ran and failed"),
-            provenance: Box::new(run.into_provenance(PlanSource::SizeBalanced)),
+            provenance: Box::new(PlanProvenance {
+                source: PlanSource::SizeBalanced,
+                events,
+            }),
         })
     }
-}
-
-/// One [`FallbackChain::shard_with_provenance`] call: the task, its fleet
-/// and the decisions so far.
-struct Run<'a> {
-    task: &'a ShardingTask,
-    fleet: Cluster,
-    events: Vec<ProvenanceEvent>,
-}
-
-impl Run<'_> {
-    /// Verifies `plan`, repairing memory failures once. Returns the
-    /// accepted plan and the repair step count if repair was needed.
-    fn verify_and_repair(
-        &mut self,
-        plan: ShardingPlan,
-        name: &str,
-    ) -> Result<(ShardingPlan, Option<usize>), PlanError> {
-        let err = match self.verify(&plan) {
-            Ok(()) => return Ok((plan, None)),
-            Err(err) => err,
-        };
-        if !is_repairable(&err) {
-            self.events.push(ProvenanceEvent::VerifyFailed {
-                algorithm: name.to_string(),
-                reason: err.to_string(),
-            });
-            return Err(PlanError::Invalid {
-                reason: err.to_string(),
-            });
-        }
-        let report = match repair(self.task, &plan) {
-            Ok(report) => report,
-            Err(e) => {
-                self.events.push(ProvenanceEvent::RepairFailed {
-                    algorithm: name.to_string(),
-                    reason: e.to_string(),
-                });
-                return Err(e);
-            }
-        };
-        let steps = report.delta.steps.len();
-        self.events.push(ProvenanceEvent::Repaired {
-            algorithm: name.to_string(),
-            steps,
-        });
-        match self.verify(&report.plan) {
-            Ok(()) => Ok((report.plan, Some(steps))),
-            Err(e) => {
-                self.events.push(ProvenanceEvent::VerifyFailed {
-                    algorithm: name.to_string(),
-                    reason: e.to_string(),
-                });
-                Err(PlanError::Infeasible {
-                    reason: format!("repaired plan still rejected: {e}"),
-                })
-            }
-        }
-    }
-
-    /// The chain's one verification: [`Cluster::check_memory`] on the
-    /// task's fleet.
-    fn verify(&self, plan: &ShardingPlan) -> Result<(), SimError> {
-        self.fleet
-            .check_memory(&plan.device_profiles(self.task.batch_size()))
-    }
-
-    fn into_provenance(self, source: PlanSource) -> PlanProvenance {
-        PlanProvenance {
-            source,
-            events: self.events,
-        }
-    }
-}
-
-/// Errors handed to the repair engine: memory overflow it can fix, and
-/// device-range or shape failures it rejects with a typed [`PlanError`]
-/// (recorded as `RepairFailed`) so the chain moves to the next stage.
-fn is_repairable(err: &SimError) -> bool {
-    matches!(
-        err,
-        SimError::OutOfMemory { .. }
-            | SimError::DeviceOutOfRange { .. }
-            | SimError::InvalidPlan { .. }
-    )
 }
 
 /// The guaranteed last resort: assign tables to the least-loaded device,
@@ -537,6 +466,61 @@ mod tests {
                 if algorithm == "four_devices" && reason.contains("plan has 4 devices, task wants 2")
         )));
         assert!(outcome.plan.validate(&task).is_ok());
+    }
+
+    /// A sharder that places round-robin tables of its own — narrower
+    /// than the task's, so its plan fits every device.
+    struct ForeignTables;
+
+    impl ShardingAlgorithm for ForeignTables {
+        fn name(&self) -> &str {
+            "foreign_tables"
+        }
+
+        fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
+            let tables: Vec<TableConfig> = (0..task.num_tables())
+                .map(|i| t(i as u32, 16, 4096))
+                .collect();
+            let device_of = (0..tables.len()).map(|i| i % task.num_devices()).collect();
+            ShardingPlan::new(Vec::new(), tables, device_of, task.num_devices())
+        }
+    }
+
+    #[test]
+    fn a_plan_that_fits_but_is_not_the_tasks_fails_repair_and_falls_back() {
+        let task = small_task();
+        let foreign = ForeignTables.shard(&task).unwrap();
+        assert_eq!(
+            foreign.first_over_budget(&task),
+            None,
+            "the stub's plan fits"
+        );
+        let chain = FallbackChain::new(vec![Box::new(ForeignTables), Box::new(RoundRobin)]);
+        let outcome = chain.shard_with_provenance(&task).unwrap();
+        assert_eq!(
+            outcome.provenance.events,
+            [
+                ProvenanceEvent::Attempt {
+                    algorithm: "foreign_tables".into()
+                },
+                ProvenanceEvent::RepairFailed {
+                    algorithm: "foreign_tables".into(),
+                    reason: "invalid plan: sharded tables do not match the split plan \
+                             applied to the task"
+                        .into()
+                },
+                ProvenanceEvent::Attempt {
+                    algorithm: "round_robin".into()
+                },
+            ]
+        );
+        assert_eq!(
+            outcome.provenance.source,
+            PlanSource::Fallback {
+                algorithm: "round_robin".into()
+            }
+        );
+        assert_eq!(outcome.plan, RoundRobin.shard(&task).unwrap());
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   migration-regularized cost,
 //! * `fallback` — the graceful-degradation chain ([`FallbackChain`]): its
 //!   stages in preference order, then the size-balanced last resort, each
-//!   verified on the fleet its task describes, with full
-//!   [`PlanProvenance`] attribution.
+//!   stage's plan checked by one [`repair`] call against its task, with
+//!   full [`PlanProvenance`] attribution.
 //!
 //! ## Example
 //!

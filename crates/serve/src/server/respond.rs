@@ -98,18 +98,24 @@ impl Service {
         // The cache was read at admission; a worker only fills it, and only
         // with a full-budget `200`, so a deadline-pressed answer is never
         // replayed. The generation is read before planning, as the entry
-        // describes the store the request saw.
-        let entry = self.response_cache.as_ref().map(|cache| {
-            let generation = self.cache_generation(job.kind);
-            (cache, response_cache_key(job.kind, generation, &job.body))
-        });
-
+        // describes the store the request saw, and the entry is stored only
+        // if that generation is still current once the answer has settled:
+        // past an adoption or promotion (an adopting replan's own, say) no
+        // request could read it, and it would only evict a live entry.
+        let entry = self
+            .response_cache
+            .as_ref()
+            .map(|cache| (cache, self.cache_generation(job.kind)));
         let response = match parsed {
             Parsed::Plan(request) => self.respond_plan(request, degrade),
             Parsed::Replan(request) => self.respond_replan(request, degrade),
         };
-        if let Some((cache, key)) = entry.filter(|_| response.status == 200 && !degrade) {
-            sync::lock(cache).put(key, response.clone());
+        if let Some((cache, generation)) = entry {
+            let live = self.cache_generation(job.kind) == generation;
+            if response.status == 200 && !degrade && live {
+                let key = response_cache_key(job.kind, generation, &job.body);
+                sync::lock(cache).put(key, response.clone());
+            }
         }
         response
     }

@@ -20,13 +20,6 @@ pub enum SimError {
         /// The device's embedding-table memory budget in bytes.
         budget_bytes: u64,
     },
-    /// A plan referenced more devices than the cluster has.
-    DeviceOutOfRange {
-        /// The offending device index.
-        device: usize,
-        /// Number of devices in the cluster.
-        num_devices: usize,
-    },
     /// A table profile failed validation (zero dimension, non-positive
     /// pooling factor, dimension not divisible by the kernel lane width...).
     InvalidTable {
@@ -51,13 +44,6 @@ impl fmt::Display for SimError {
                 f,
                 "device {device} out of memory: plan requires {required_bytes} bytes \
                  but budget is {budget_bytes} bytes"
-            ),
-            SimError::DeviceOutOfRange {
-                device,
-                num_devices,
-            } => write!(
-                f,
-                "device index {device} out of range for a cluster of {num_devices} devices"
             ),
             SimError::InvalidTable { reason } => write!(f, "invalid table profile: {reason}"),
             SimError::InvalidPlan { reason } => write!(f, "invalid sharding plan: {reason}"),
@@ -94,13 +80,6 @@ mod tests {
                     budget_bytes: 1024,
                 },
                 "device 1 out of memory: plan requires 2048 bytes but budget is 1024 bytes",
-            ),
-            (
-                SimError::DeviceOutOfRange {
-                    device: 7,
-                    num_devices: 4,
-                },
-                "device index 7 out of range for a cluster of 4 devices",
             ),
             (
                 SimError::InvalidTable {

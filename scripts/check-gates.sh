@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=87
-MAX_TOTAL_LINES=11857
+MAX_TOTAL_LINES=11789
 MAX_TOTAL_ITEMS=602
 
 counts=$(scripts/count-lines.sh)

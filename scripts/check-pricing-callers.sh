@@ -42,11 +42,13 @@
 # transient failure and the chain's retry loop stay deleted (no new
 # `TransientRetry` is written; old records still decode), as do the
 # fault-threading evaluation path and control-plane faults in the
-# simulator. The fallback chain checks a plan with exactly one
-# `Cluster::check_memory` call on its task's fleet; the verifier closure,
-# the retry policy, the chain seed, the recorded backoff and the
-# connection-config struct stay deleted (outside tests, which may spell an
-# old record's fields).
+# simulator. The fallback chain checks a stage's plan with one `repair`
+# call (a plan that fits comes back unchanged, and what comes back
+# validates), so `core::fallback` builds no ground-truth `Cluster` and
+# sorts no `SimError`: besides the stage loop, only `size_balanced_plan`
+# calls `repair`. The verifier closure, the retry policy, the chain seed,
+# the recorded backoff and the connection-config struct stay deleted
+# (outside tests, which may spell an old record's fields).
 #
 # One daemon, one record of adopted plans (DESIGN.md §9):
 # `serve::store::PlanStore` owns it, with one write path, and its only
@@ -203,11 +205,14 @@ if code crates/*/src | grep -E -e '\b(PlanVerifier|RetryPolicy|with_verifier|wit
     echo "error: a chain is set by its fallbacks, a connection by constants (lines above)" >&2
     exit 1
 fi
-checks=$(code crates/core/src/fallback.rs | grep -c 'check_memory(' || true)
-if code crates/core/src/fallback.rs | grep -E '\.evaluate(_exact)?\(|first_over_budget|\.validate\(' ||
-    [ "$checks" -ne 1 ]; then
-    echo "error: the fallback chain verifies through exactly one Cluster::check_memory call" \
-        "($checks found) and never evaluates or validates (lines above)" >&2
+repairs=$(code crates/core/src/fallback.rs | grep -cE '\brepair\(' || true)
+if code crates/core/src/fallback.rs |
+    grep -E -e '\b(check_memory|cluster_for|Cluster|GpuSpec|SimError|first_over_budget)\b' \
+        -e '\.evaluate(_exact)?\(|\.validate\(' ||
+    [ "$repairs" -ne 2 ]; then
+    echo "error: the fallback chain checks a plan only through repair, called in the stage" \
+        "loop and in size_balanced_plan ($repairs calls found); it builds no ground-truth" \
+        "cluster and never evaluates or validates (lines above)" >&2
     exit 1
 fi
 

@@ -65,8 +65,9 @@ pub mod prelude {
 /// Resilience: plan repair and graceful degradation.
 ///
 /// Re-exports the repair / fallback machinery of [`nshard_core`]: a chain
-/// checks each plan on the fleet its task describes, so a hostile fleet is
-/// a [`nshard_data::DevicePool`] on the task. The wired-up chains — the
+/// checks each stage's plan with one [`nshard_core::repair`] call against
+/// its task, whose budgets are its fleet's, so a hostile fleet is a
+/// [`nshard_data::DevicePool`] on the task. The wired-up chains — the
 /// full NeuroShard chain and the greedy one — live in
 /// [`nshard_online::PlanningStack`].
 pub mod resilient {

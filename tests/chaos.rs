@@ -8,9 +8,11 @@
 //! * the planner never panics,
 //! * it returns either a plan that fits every device of the task's fleet
 //!   or a typed [`ResilientError`] with full provenance attribution,
+//! * a plan's [`PlanSource`] and an error's cause are the ones its
+//!   recorded events imply,
 //! * every outcome is bit-for-bit deterministic per scenario seed.
 
-use neuroshard::baselines::{DimGreedy, SizeGreedy};
+use neuroshard::baselines::{DimGreedy, ShardingAlgorithm, SizeGreedy, TorchRecLikePlanner};
 use neuroshard::data::{DevicePool, DeviceProfile, ShardingTask, TablePool};
 use neuroshard::resilient::{
     FallbackChain, PlanSource, ProvenanceEvent, ResilientError, ResilientOutcome,
@@ -29,12 +31,12 @@ fn chain() -> FallbackChain {
 }
 
 /// The hostile fleet for `task` at `seed`: each device holds 80–140% of
-/// its share of a 115% even split of the task's bytes and computes 1–3×
-/// slower than the baseline, and the devices sit on two nodes joined by
-/// links at 0.25–1.0 of full bandwidth.
-fn hostile_pool(task: &ShardingTask, seed: u64) -> DevicePool {
+/// its share of a `percent`% even split of the task's bytes and computes
+/// 1–3× slower than the baseline, and the devices sit on two nodes joined
+/// by links at 0.25–1.0 of full bandwidth.
+fn hostile_pool(task: &ShardingTask, seed: u64, percent: u64) -> DevicePool {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A0_5C4A_05C4_A05C);
-    let share = (task.total_bytes() * 115 / (100 * DEVICES as u64)) as f64;
+    let share = (task.total_bytes() * percent / (100 * DEVICES as u64)) as f64;
     let devices = (0..DEVICES)
         .map(|_| {
             let budget = (share * rng.random_range(0.8..1.4)) as u64;
@@ -50,10 +52,89 @@ fn hostile_pool(task: &ShardingTask, seed: u64) -> DevicePool {
 
 /// The sweep's task for `seed`, on its hostile fleet.
 fn task_for(seed: u64) -> ShardingTask {
+    squeezed_task_for(seed, 115)
+}
+
+/// The sweep's task for `seed` on a fleet holding `percent`% of its bytes
+/// in an even split; below 71% (1.4 × 71% < 100%) no plan fits at all.
+fn squeezed_task_for(seed: u64, percent: u64) -> ShardingTask {
     let pool = TablePool::synthetic_dlrm(120, seed);
     let task = ShardingTask::sample(&pool, DEVICES, 12..=30, 64, seed);
-    let fleet = hostile_pool(&task, seed);
+    let fleet = hostile_pool(&task, seed, percent);
     task.with_devices(fleet)
+}
+
+/// The name of the chain's first stage.
+const PRIMARY: &str = "size_greedy";
+
+/// The name of the built-in last resort.
+const LAST_RESORT: &str = "size_balanced";
+
+/// Asserts that `outcome` is attributed as its events say (`first` is
+/// the chain's first stage):
+///
+/// * a plan is `Primary` iff the events are exactly `[Attempt(first)]`,
+///   `SizeBalanced` iff the last attempt is the last resort's,
+///   `Repaired { a, s }` iff the last event is `Repaired { a, s }`, and
+///   `Fallback { a }` otherwise, `a` being the last attempt and not the
+///   first stage;
+/// * an error's source is `SizeBalanced`, its last attempt the last
+///   resort's, and its cause renders the last recorded failure — unless
+///   that is the last resort's search failure after an earlier stage's,
+///   which keeps the earlier cause.
+fn assert_attributed(first: &str, outcome: &Result<ResilientOutcome, ResilientError>) {
+    let (source, events) = match outcome {
+        Ok(outcome) => (&outcome.provenance.source, &outcome.provenance.events),
+        Err(err) => (&err.provenance.source, &err.provenance.events),
+    };
+    let last_attempt = events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            ProvenanceEvent::Attempt { algorithm } => Some(algorithm.as_str()),
+            _ => None,
+        })
+        .expect("every outcome records an attempt");
+    let Err(err) = outcome else {
+        let expected = match events.last() {
+            _ if last_attempt == LAST_RESORT => PlanSource::SizeBalanced,
+            Some(ProvenanceEvent::Repaired { algorithm, steps }) => PlanSource::Repaired {
+                algorithm: algorithm.clone(),
+                repair_steps: *steps,
+            },
+            _ if events.len() == 1 && last_attempt == first => PlanSource::Primary {
+                algorithm: first.to_string(),
+            },
+            _ => {
+                assert_ne!(last_attempt, first, "events: {events:?}");
+                PlanSource::Fallback {
+                    algorithm: last_attempt.to_string(),
+                }
+            }
+        };
+        assert_eq!(source, &expected, "events: {events:?}");
+        return;
+    };
+    assert_eq!(source, &PlanSource::SizeBalanced, "events: {events:?}");
+    assert_eq!(last_attempt, LAST_RESORT, "events: {events:?}");
+    let failures: Vec<(&ProvenanceEvent, &str)> = events
+        .iter()
+        .filter_map(|e| match e {
+            ProvenanceEvent::SearchFailed { reason, .. }
+            | ProvenanceEvent::RepairFailed { reason, .. } => Some((e, reason.as_str())),
+            _ => None,
+        })
+        .collect();
+    let cause = match failures.as_slice() {
+        [.., (_, earlier), (ProvenanceEvent::SearchFailed { algorithm, .. }, _)]
+            if algorithm == LAST_RESORT =>
+        {
+            earlier
+        }
+        [.., (_, last)] => last,
+        [] => panic!("an error without a recorded failure: {events:?}"),
+    };
+    assert_eq!(err.cause.to_string(), *cause, "events: {events:?}");
 }
 
 /// Runs one seeded scenario end to end.
@@ -99,6 +180,66 @@ fn sweep_never_panics_and_outcomes_are_typed() {
     );
 }
 
+/// Every outcome of the sweep — on its hostile fleet, and on the same
+/// fleet squeezed until only some stages, then no stage, can fit it —
+/// carries the attribution its events imply, for the sweep's chain, a
+/// memory-aware planner that fails its search when it finds no fit, and
+/// the last resort alone. Prints the outcomes by kind.
+#[test]
+fn every_outcome_is_attributed_as_its_events_say() {
+    type Stages = Vec<Box<dyn ShardingAlgorithm + Send + Sync>>;
+    /// A chain's first stage and the stages it is built from.
+    type Chain = (&'static str, fn() -> Stages);
+    let chains: [Chain; 3] = [
+        (PRIMARY, || vec![Box::new(SizeGreedy), Box::new(DimGreedy)]),
+        ("torchrec_like", || {
+            vec![Box::new(TorchRecLikePlanner::default())]
+        }),
+        (LAST_RESORT, Vec::new),
+    ];
+    let mut counts = std::collections::BTreeMap::new();
+    for (first, stages) in chains {
+        for percent in [115, 85, 60] {
+            for seed in 0..SCENARIOS {
+                let task = squeezed_task_for(seed, percent);
+                let outcome = FallbackChain::new(stages()).shard_with_provenance(&task);
+                assert_attributed(first, &outcome);
+                let kind = match &outcome {
+                    Ok(outcome) => {
+                        neuroshard::core::cluster_for(&task, &GpuSpec::rtx_2080_ti())
+                            .check_memory(&outcome.plan.device_profiles(task.batch_size()))
+                            .expect("accepted plan must fit every device's budget");
+                        match outcome.provenance.source {
+                            PlanSource::Primary { .. } => "primary",
+                            PlanSource::Repaired { .. } => "repaired",
+                            PlanSource::Fallback { .. } => "fallback",
+                            PlanSource::SizeBalanced => "size_balanced",
+                        }
+                    }
+                    Err(err) => match err.provenance.events.last() {
+                        Some(ProvenanceEvent::SearchFailed { algorithm, .. })
+                            if algorithm == LAST_RESORT && first != LAST_RESORT =>
+                        {
+                            "error after an earlier stage's"
+                        }
+                        _ => "error",
+                    },
+                };
+                *counts.entry(kind).or_insert(0usize) += 1;
+            }
+        }
+    }
+    println!("outcomes by kind: {counts:?}");
+    for kind in [
+        "primary",
+        "repaired",
+        "size_balanced",
+        "error after an earlier stage's",
+    ] {
+        assert!(counts.contains_key(kind), "no outcome of kind {kind:?}");
+    }
+}
+
 #[test]
 fn sweep_is_bit_for_bit_deterministic() {
     for seed in 0..SCENARIOS {
@@ -122,8 +263,7 @@ fn sweep_exercises_the_degradation_machinery() {
                 || provenance.events.iter().any(|e| {
                     matches!(
                         e,
-                        ProvenanceEvent::VerifyFailed { .. }
-                            | ProvenanceEvent::Repaired { .. }
+                        ProvenanceEvent::Repaired { .. }
                             | ProvenanceEvent::RepairFailed { .. }
                             | ProvenanceEvent::SearchFailed { .. }
                     )
@@ -140,7 +280,6 @@ fn sweep_exercises_the_degradation_machinery() {
 /// repair engine inside the chain.
 #[test]
 fn oom_greedy_plan_is_repaired_into_feasibility() {
-    use neuroshard::baselines::ShardingAlgorithm;
     use neuroshard::data::{TableConfig, TableId};
     use neuroshard::resilient::repair;
     use neuroshard::sim::SimError;
@@ -295,6 +434,7 @@ fn hetero_fault_sweep_recovers_profile_respecting_plans() {
             run(),
             "hetero scenario {seed} is not deterministic"
         );
+        assert_attributed(PRIMARY, &outcome);
         match outcome {
             Ok(outcome) => {
                 plans += 1;

@@ -321,6 +321,41 @@ fn identical_bodies_admitted_together_both_run_the_engine() {
     }
 }
 
+/// A worker stores a response only under a generation a request can
+/// still read: an adopting replan moves the store's sequence past the one
+/// its key names, so it stores nothing, and a one-entry cache still holds
+/// the plan answered before it.
+#[test]
+fn an_adopting_replan_does_not_evict_a_live_entry() {
+    let config = ServeConfig {
+        response_cache_entries: 1,
+        ..ServeConfig::smoke()
+    };
+    let service = Service::with_clock(
+        quick_bundle(7),
+        config,
+        Arc::new(ManualClock::new()) as Arc<_>,
+    )
+    .expect("service boots");
+    let body = plan_body();
+    let (status, original) = post_drained(&service, "/v1/plan", &body);
+    assert_eq!(status, 200, "{original}");
+
+    let tables: Vec<TableConfig> = (0..8)
+        .map(|i| TableConfig::new(TableId(i), 16 + 16 * (i % 2), 1 << 15, 8.0, 1.05))
+        .collect();
+    let drifted = ShardingTask::new(tables, 2, 1 << 30, 1024);
+    let replan = format!("{{\"task\":{}}}", serde_json::to_string(&drifted).unwrap());
+    let (status, text) = post_drained(&service, "/v1/replan", &replan);
+    assert_eq!(status, 200, "{text}");
+    assert_eq!(service.plans().len(), 2, "the replan adopted a second plan");
+
+    let Routed::Inline(twin) = post(&service, "/v1/plan", &body) else {
+        panic!("the plan's twin must be answered from the cache inline");
+    };
+    assert_eq!(String::from_utf8(twin.body).unwrap(), original);
+}
+
 /// Adopted plans survive a daemon restart (disk-backed store) and are
 /// retrievable over `GET /v1/plans/{id}` with full provenance.
 #[test]
