@@ -9,8 +9,8 @@ use serde::Serialize;
 
 use nshard_data::{augment_pool, PlacementGenerator, PoolStats, TablePool, TaskGrid, PAPER_DIMS};
 use nshard_sim::{
-    Cluster, CommParams, GpuSpec, KernelParams, NoiseModel, Phase, TableProfile, TraceSimulator,
-    TraceSummary, DEFAULT_BATCH_SIZE as BATCH,
+    Cluster, CommDirection, CommParams, GpuSpec, KernelParams, NoiseModel, Phase, TableProfile,
+    TraceSimulator, TraceSummary, DEFAULT_BATCH_SIZE as BATCH,
 };
 
 use crate::repro::{Ctx, Report};
@@ -284,11 +284,14 @@ pub(crate) fn fig4(ctx: &mut Ctx) -> Report {
             bwd_correlation: 0.0,
         };
         for p in generator.generate(PLACEMENTS, 2 ^ gpus as u64) {
-            let costs =
-                comm.measure_costs_ms(&p.device_dims(), &p.start_ts_ms, BATCH, &noise, REPEATS);
+            let (dims, starts) = (p.device_dims(), &p.start_ts_ms);
+            let max_ms = |direction| {
+                let costs = comm.measure_costs_ms(direction, &dims, starts, BATCH, &noise, REPEATS);
+                costs.into_iter().fold(0.0, f64::max)
+            };
             s.max_device_dim.push(p.max_device_dim());
-            s.max_fwd_comm_ms.push(costs.max_fwd_ms());
-            s.max_bwd_comm_ms.push(costs.max_bwd_ms());
+            s.max_fwd_comm_ms.push(max_ms(CommDirection::Forward));
+            s.max_bwd_comm_ms.push(max_ms(CommDirection::Backward));
         }
         s.fwd_correlation = pearson(&s.max_device_dim, &s.max_fwd_comm_ms);
         s.bwd_correlation = pearson(&s.max_device_dim, &s.max_bwd_comm_ms);

@@ -18,9 +18,11 @@
 //! one that overflows comes back moved and split until it fits, and
 //! whatever comes back validates against the task
 //! ([`ShardingPlan::validate`]), so a plan for another device count, or
-//! whose tables do not derive from the task's, fails the stage. A hostile
-//! fleet — a squeezed budget, a slow compute class, a slow node behind
-//! slow links — is a [`nshard_data::DevicePool`] on the task.
+//! whose tables do not derive from the task's, fails the stage. The last
+//! resort builds its plan through [`repair`], so its plan is not checked a
+//! second time. A hostile fleet — a squeezed budget, a slow compute class,
+//! a slow node behind slow links — is a [`nshard_data::DevicePool`] on the
+//! task.
 //!
 //! Every decision — attempts, failures, repairs, downgrades — is recorded
 //! in a [`PlanProvenance`] attached to the returned plan, so a degraded
@@ -234,9 +236,15 @@ impl FallbackChain {
                 }
             };
             // The chain's one check: a plan that fits comes back unchanged
-            // (an empty delta), and whatever comes back validates.
-            let report = match repair(task, &plan) {
-                Ok(report) => report,
+            // (an empty delta), and whatever comes back validates. The last
+            // resort's plan was repaired, and so validated, as it was built.
+            let checked = if is_last_resort {
+                Ok((plan, 0))
+            } else {
+                repair(task, &plan).map(|r| (r.plan, r.delta.steps.len()))
+            };
+            let (plan, steps) = match checked {
+                Ok(checked) => checked,
                 Err(e) => {
                     events.push(ProvenanceEvent::RepairFailed {
                         algorithm,
@@ -246,7 +254,6 @@ impl FallbackChain {
                     continue;
                 }
             };
-            let steps = report.delta.steps.len();
             if steps > 0 {
                 events.push(ProvenanceEvent::Repaired {
                     algorithm: algorithm.clone(),
@@ -263,7 +270,7 @@ impl FallbackChain {
                 },
             };
             return Ok(ResilientOutcome {
-                plan: report.plan,
+                plan,
                 provenance: PlanProvenance { source, events },
             });
         }

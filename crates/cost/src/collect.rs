@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use nshard_data::{augment_pool, CombinationGenerator, PlacementGenerator, TablePool, PAPER_DIMS};
 use nshard_nn::{Dataset, Matrix};
-use nshard_sim::{CommParams, KernelParams, NoiseModel};
+use nshard_sim::{CommDirection, CommParams, KernelParams, NoiseModel};
 
 use crate::features::{comm_features, table_features};
 
@@ -128,13 +128,11 @@ impl ComputeDataset {
     }
 
     /// Shuffled 80/10/10 split, seeded: the samples [`nshard_nn::partition`]
-    /// picks, as [`Dataset::split`] does for rows.
-    pub fn split(&self, seed: u64) -> (ComputeDataset, ComputeDataset, ComputeDataset) {
-        let [train, valid, test] = nshard_nn::partition(self.len(), seed).map(|picked| {
-            let samples = picked.iter().map(|&i| self.samples[i].clone()).collect();
-            ComputeDataset { samples }
-        });
-        (train, valid, test)
+    /// picks, as `[train, valid, test]` — the shape of [`Dataset::split`].
+    pub fn split(&self, seed: u64) -> [ComputeDataset; 3] {
+        nshard_nn::partition(self.len(), seed).map(|picked| ComputeDataset {
+            samples: picked.iter().map(|&i| self.samples[i].clone()).collect(),
+        })
     }
 }
 
@@ -212,12 +210,15 @@ pub fn collect_comm_data(
         let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
         let p = generator.generate_one(&mut rng);
         let dims = p.device_dims();
-        let costs =
-            comm.measure_costs_ms(&dims, &p.start_ts_ms, config.batch_size, &noise, REPEATS);
+        let max_ms = |direction| {
+            let (starts, batch) = (&p.start_ts_ms, config.batch_size);
+            let costs = comm.measure_costs_ms(direction, &dims, starts, batch, &noise, REPEATS);
+            costs.into_iter().fold(0.0, f64::max) as f32
+        };
         (
             comm_features(&dims, &p.start_ts_ms, config.batch_size),
-            costs.max_fwd_ms() as f32,
-            costs.max_bwd_ms() as f32,
+            max_ms(CommDirection::Forward),
+            max_ms(CommDirection::Backward),
         )
     });
 
@@ -283,7 +284,7 @@ mod tests {
             ..CollectConfig::smoke()
         };
         let data = collect_compute_data(&pool(), &KernelParams::rtx_2080_ti(), &cfg, 2);
-        let (train, valid, test) = data.split(9);
+        let [train, valid, test] = data.split(9);
         assert_eq!(train.len() + valid.len() + test.len(), 100);
         assert_eq!(train.len(), 80);
     }
@@ -300,14 +301,14 @@ mod tests {
             ],
         };
         for n in 3..8 {
-            let (train, valid, test) = dataset(n).split(1);
+            let [train, valid, test] = dataset(n).split(1);
             assert_eq!(train.len() + valid.len() + test.len(), n);
             assert!(!train.is_empty() && !valid.is_empty() && !test.is_empty());
         }
         // From eight samples on, rounding alone already fills every part:
         // the sizes are the ones every fixture was trained on.
         for n in 8..=600 {
-            let (train, valid, test) = dataset(n).split(1);
+            let [train, valid, test] = dataset(n).split(1);
             let n_train = ((n as f64) * 0.8).round() as usize;
             let n_valid = ((n as f64) * 0.1).round() as usize;
             assert_eq!(
@@ -333,8 +334,7 @@ mod tests {
             };
             let rows = Matrix::from_rows(labels.map(|v| vec![v]));
             let rows = Dataset::new(rows.clone(), rows).expect("n > 0");
-            let (train, valid, test) = compute.split(seed);
-            for (samples, rows) in [train, valid, test].iter().zip(rows.split(seed).parts()) {
+            for (samples, rows) in compute.split(seed).iter().zip(rows.split(seed)) {
                 let picked: Vec<f32> = samples.samples.iter().map(|s| s.cost_ms).collect();
                 assert_eq!(picked, rows.y().as_slice(), "n = {n}, seed = {seed}");
             }

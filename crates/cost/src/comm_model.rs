@@ -110,7 +110,8 @@ impl CommCostModel {
     /// Panics if the dataset's feature width does not match this model.
     pub fn train(&mut self, data: &Dataset, settings: &TrainSettings, seed: u64) -> TrainReport {
         self.check_width(data);
-        nshard_nn::fit(&mut self.mlp, data.split(seed).parts(), &[], settings, seed)
+        let [train, valid, test] = data.split(seed);
+        nshard_nn::fit(&mut self.mlp, [&train, &valid, &test], &[], settings, seed)
     }
 
     /// Fine-tunes on explicit train/valid partitions (no internal split),
@@ -246,7 +247,7 @@ mod tests {
         let mut model = CommCostModel::new(4, 5);
         model.train(&data.forward, &settings, 5);
         let before = model.clone();
-        let split = data.forward.split(9);
+        let [train, valid, _] = data.forward.split(9);
         let ft = TrainSettings {
             epochs: 8,
             batch_size: 32,
@@ -254,13 +255,13 @@ mod tests {
             ..TrainSettings::default()
         };
         // Freeze the first two layers: they must stay bitwise identical.
-        let report = model.fine_tune(&split.train, &split.valid, &ft, &[0, 1], 7);
+        let report = model.fine_tune(&train, &valid, &ft, &[0, 1], 7);
         assert!(report.valid_mse.is_finite());
         assert_eq!(before.mlp.layers()[0], model.mlp.layers()[0]);
         assert_eq!(before.mlp.layers()[1], model.mlp.layers()[1]);
         // Determinism: a second identical fine-tune matches bitwise.
         let mut again = before.clone();
-        again.fine_tune(&split.train, &split.valid, &ft, &[0, 1], 7);
+        again.fine_tune(&train, &valid, &ft, &[0, 1], 7);
         assert_eq!(model, again);
     }
 

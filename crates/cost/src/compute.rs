@@ -233,8 +233,7 @@ impl ComputeCostModel {
         settings: &TrainSettings,
         seed: u64,
     ) -> TrainReport {
-        let (train, valid, test) = data.split(seed);
-        self.fit_partitions([&train, &valid, &test], settings, false, seed)
+        self.fit_partitions(data.split(seed).each_ref(), settings, false, seed)
     }
 
     /// Fine-tunes the model on explicit train/valid partitions (no internal
@@ -608,7 +607,7 @@ mod tests {
             9,
         );
         let before = model.clone();
-        let (train, valid, _) = data.split(13);
+        let [train, valid, _] = data.split(13);
         let report = model.fine_tune(
             &train,
             &valid,
@@ -651,7 +650,7 @@ mod tests {
         let mut base = ComputeCostModel::new(2);
         base.train(&data, &settings, 3);
         let before = base.evaluate_mse(&shifted);
-        let (train, valid, _) = shifted.split(5);
+        let [train, valid, _] = shifted.split(5);
         let ft_settings = TrainSettings {
             epochs: 15,
             batch_size: 32,
@@ -703,7 +702,7 @@ mod tests {
         };
         for n in [3, 4, 5] {
             let data = small_dataset(n);
-            let (train, valid, test) = data.split(3);
+            let [train, valid, test] = data.split(3);
             assert!(!train.is_empty() && !valid.is_empty() && !test.is_empty());
             let mut model = ComputeCostModel::new(1);
             let report = model.train(&data, &settings, 3);

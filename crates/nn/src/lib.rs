@@ -18,8 +18,10 @@
 //! * [`adam::Adam`] — the Adam optimizer,
 //! * [`loss`] — mean-squared-error and its gradient,
 //! * [`train`] — the one training protocol: seeded train/valid/test
-//!   partition, mini-batch epochs, best-on-validation model selection (the
-//!   paper trains 1000 epochs and keeps the best validation checkpoint),
+//!   partition, mini-batch epochs (a mini-batch is one pass whose gradient
+//!   folds its 64-row groups in order), best-on-validation model selection
+//!   (the paper trains 1000 epochs and keeps the best validation
+//!   checkpoint),
 //! * [`serialize`] — the one on-disk artifact format: a versioned envelope
 //!   in a checksum frame.
 //!
@@ -39,7 +41,7 @@
 //!
 //! let mut mlp = Mlp::new(2, &[16], 1, 0);
 //! let settings = TrainSettings { epochs: 300, batch_size: 32, ..TrainSettings::default() };
-//! let report = fit(&mut mlp, dataset.split(42).parts(), &[], &settings, 42);
+//! let report = fit(&mut mlp, dataset.split(42).each_ref(), &[], &settings, 42);
 //! assert!(report.test_mse < 0.05, "test MSE {}", report.test_mse);
 //! ```
 
@@ -64,9 +66,7 @@ pub use serialize::{
     CHECKPOINT_VERSION,
 };
 pub use tensor::Matrix;
-pub use train::{
-    fit, fit_epochs, partition, Dataset, Split, TrainReport, TrainSettings, GRAD_SHARD_ROWS,
-};
+pub use train::{fit, fit_epochs, partition, Dataset, TrainReport, TrainSettings, FOLD_GROUP_ROWS};
 
 // Last, after every public item: `scripts/count-lines.sh` stops reading a
 // file at its first line that starts with `#[cfg(test)]`.

@@ -29,30 +29,16 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> f32 {
         / n as f32
 }
 
-/// Gradient of the squared error summed over this shard and divided by
-/// `total_elems`, written into `grad` (reusing its allocation):
-/// `2 (pred - target) / total_elems`.
-///
-/// This is the per-shard building block of the sharded trainer: each row
-/// shard of a mini-batch computes its gradient against the *whole* batch's
-/// element count, so the fixed-order sum over shards equals the full-batch
-/// gradient of [`mse`] (up to float re-association — which is why the
-/// shard decomposition is fixed). With
-/// `total_elems == pred.rows() * pred.cols()` this is exactly that
-/// gradient.
+/// Gradient of [`mse`] with respect to `pred`, written into `grad` (reusing
+/// its allocation): `2 (pred - target) / n` over the `n` elements.
 ///
 /// # Panics
 ///
 /// Panics if shapes differ.
-pub(crate) fn mse_grad_scaled_into(
-    pred: &Matrix,
-    target: &Matrix,
-    total_elems: usize,
-    grad: &mut Matrix,
-) {
+pub(crate) fn mse_grad_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) {
     assert_eq!(pred.rows(), target.rows(), "mse shape mismatch");
     assert_eq!(pred.cols(), target.cols(), "mse shape mismatch");
-    let n = total_elems.max(1) as f32;
+    let n = (pred.rows() * pred.cols()) as f32;
     grad.copy_from(pred);
     for (g, &t) in grad.as_mut_slice().iter_mut().zip(target.as_slice()) {
         *g = 2.0 * (*g - t) / n;
@@ -82,7 +68,7 @@ mod tests {
         let pred = Matrix::from_rows([vec![1.0, -2.0], vec![0.5, 3.0]]);
         let target = Matrix::from_rows([vec![0.0, 1.0], vec![0.5, 2.0]]);
         let mut g = Matrix::default();
-        mse_grad_scaled_into(&pred, &target, 4, &mut g);
+        mse_grad_into(&pred, &target, &mut g);
         let eps = 1e-3;
         let base = mse(&pred, &target);
         for r in 0..2 {

@@ -69,8 +69,8 @@ pub struct MlpWorkspace {
     acts: Vec<Matrix>,
     /// `ds[i]` is the gradient on layer `i`'s pre-activation output, one
     /// row per batch row — except the top layer's, which is `dy` as the
-    /// backward pass was given it (one row per group, standing for every
-    /// row of it, when grouped).
+    /// backward pass was given it (one row per batch row, or one per group
+    /// standing for every row of it).
     ds: Vec<Matrix>,
     /// An input gradient on its way to `ds`.
     spare: Matrix,
@@ -222,10 +222,17 @@ impl Mlp {
     /// Each group of batch rows contributes one term to the fold. With
     /// `ends` `None` the whole batch is one group and `dy` has one row per
     /// batch row. With `Some(ends)` group `g` is rows
-    /// `ends[g - 1]..ends[g]` and `dy` has one row per group, standing for
-    /// every row of it — the computation cost model's sum pooling hands
-    /// each table of a sample the same gradient. A standing-in row meets
-    /// the top layer's `Wᵀ` once per group, not once per row.
+    /// `ends[g - 1]..ends[g]`, and `dy` has either
+    ///
+    /// * one row per batch row — [`crate::fit`] folds a mini-batch in
+    ///   groups of [`crate::FOLD_GROUP_ROWS`] rows this way — or
+    /// * one row per group, standing for every row of it — the computation
+    ///   cost model's sum pooling hands each table of a sample the same
+    ///   gradient. A standing-in row meets the top layer's `Wᵀ` once per
+    ///   group, not once per row.
+    ///
+    /// A `dy` with as many rows as there are groups is read per group (when
+    /// every group is one row, the two readings agree).
     ///
     /// Only what has a consumer is formed: an input gradient `d · Wᵀ` for
     /// layers above the lowest unfrozen one, never for layer 0 — the one
@@ -249,12 +256,12 @@ impl Mlp {
         assert_eq!(ws.acts.len(), depth, "workspace depth mismatch");
         let end = ws.ends.last().copied().unwrap_or(0);
         assert_eq!(end, rows, "groups must end at the batch");
-        let want = if ends.is_some() { ws.ends.len() } else { rows };
-        assert_eq!(dy.rows(), want, "batch mismatch in backward");
-        // `dy` has one row per group, standing for all the group's rows —
-        // or no groups were given and the batch is one row, which reads the
-        // same either way. `fold_into` reads it off the same shapes.
+        // `dy` has one row per batch row, or one per given group, standing
+        // for all the group's rows; when every group (or the batch) is one
+        // row, both read the same. `fold_into` reads it off the same shapes.
         let broadcast = dy.rows() == ws.ends.len();
+        let per_group = ends.is_some() && broadcast;
+        assert!(per_group || dy.rows() == rows, "batch mismatch in backward");
         ws.ds.resize_with(depth, Matrix::default);
         ws.d_layer = None;
         let Some(lowest) = (0..depth).find(|i| !frozen.contains(i)) else {

@@ -4,10 +4,13 @@
 //!
 //! The reference is the old code kept verbatim in shape: the scalar
 //! `.sum()` dot for `dy · Wᵀ`, an input gradient for every layer, three
-//! clones per activation, a fresh `Gradients` per shard, the consuming
-//! tree reduction, and frozen layers computed and then zeroed. The rewrite
-//! promises the same floating-point operations in the same order, so every
-//! comparison here is by `to_bits`.
+//! clones per activation, a fresh forward pass and `Gradients` per 64-row
+//! shard, and frozen layers computed and then zeroed. One change is
+//! deliberate: the shards' gradients are summed left to right (the chain
+//! [`Mlp::fold_into`] folds), where the old code summed them in a pairwise
+//! tree; up to three shards both add the same terms in the same order. The
+//! rewrite promises the same floating-point operations in the same order,
+//! so every comparison here is by `to_bits`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,10 +18,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::adam::Adam;
 use crate::layer::Dense;
-use crate::loss::{mse, mse_grad_scaled_into};
+use crate::loss::mse;
 use crate::mlp::{Gradients, Mlp, MlpWorkspace};
 use crate::tensor::Matrix;
-use crate::train::{fit, Dataset, Split, TrainReport, TrainSettings, GRAD_SHARD_ROWS};
+use crate::train::{fit, Dataset, TrainReport, TrainSettings, FOLD_GROUP_ROWS};
 
 /// `a · bᵀ`, one scalar `.sum()` dot per element.
 fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
@@ -118,32 +121,29 @@ fn backward(mlp: &Mlp, cache: &Cache, dy: &Matrix) -> (Matrix, Gradients) {
     (d, Gradients { layers: grads })
 }
 
-fn tree_reduce(mut grads: Vec<Gradients>) -> Gradients {
-    while grads.len() > 1 {
-        let mut next = Vec::new();
-        let mut it = grads.into_iter();
-        while let Some(mut left) = it.next() {
-            if let Some(right) = it.next() {
-                left.accumulate(&right, 1.0);
-            }
-            next.push(left);
-        }
-        grads = next;
-    }
-    grads.pop().expect("one gradient remains")
+/// The shards' gradients summed left to right: `((g₀ + g₁) + g₂) + …`.
+fn chain(grads: impl Iterator<Item = Gradients>) -> Gradients {
+    grads
+        .reduce(|mut sum, g| {
+            sum.accumulate(&g, 1.0);
+            sum
+        })
+        .expect("a batch has a shard")
 }
 
 fn batch_gradients(mlp: &Mlp, train: &Dataset, chunk: &[usize]) -> Gradients {
     let total_elems = chunk.len() * train.y().cols();
-    let per_shard = chunk.chunks(GRAD_SHARD_ROWS).map(|shard| {
+    let per_shard = chunk.chunks(FOLD_GROUP_ROWS).map(|shard| {
         let xb = train.x().select_rows(shard);
         let yb = train.y().select_rows(shard);
         let (pred, cache) = forward_cached(mlp, &xb);
-        let mut dy = Matrix::default();
-        mse_grad_scaled_into(&pred, &yb, total_elems, &mut dy);
+        let mut dy = pred;
+        for (g, &t) in dy.as_mut_slice().iter_mut().zip(yb.as_slice()) {
+            *g = 2.0 * (*g - t) / total_elems as f32;
+        }
         backward(mlp, &cache, &dy).1
     });
-    tree_reduce(per_shard.collect())
+    chain(per_shard)
 }
 
 fn zero_layers(grads: &mut Gradients, layers: &[usize]) {
@@ -159,12 +159,12 @@ fn fit_split(
     config: &TrainSettings,
     frozen: &[usize],
     mut mlp: Mlp,
-    split: &Split,
+    [train, valid, test]: &[Dataset; 3],
     seed: u64,
 ) -> (TrainReport, Mlp) {
     let mut adam = Adam::new(&mlp, config.learning_rate);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
-    let n = split.train.len();
+    let n = train.len();
     let batch = config.batch_size.clamp(1, n);
     let mut best = mlp.clone();
     let mut best_valid = f32::INFINITY;
@@ -176,11 +176,11 @@ fn fit_split(
             order.swap(i, j);
         }
         for chunk in order.chunks(batch) {
-            let mut grads = batch_gradients(&mlp, &split.train, chunk);
+            let mut grads = batch_gradients(&mlp, train, chunk);
             zero_layers(&mut grads, frozen);
             adam.step(&mut mlp, &grads);
         }
-        let valid_mse = mse(&mlp.forward(split.valid.x()), split.valid.y());
+        let valid_mse = mse(&mlp.forward(valid.x()), valid.y());
         valid_history.push(valid_mse);
         if valid_mse < best_valid {
             best_valid = valid_mse;
@@ -189,7 +189,7 @@ fn fit_split(
     }
     let report = TrainReport {
         valid_mse: best_valid,
-        test_mse: mse(&best.forward(split.test.x()), split.test.y()),
+        test_mse: mse(&best.forward(test.x()), test.y()),
         valid_history,
     };
     (report, best)
@@ -268,9 +268,9 @@ proptest! {
     }
 
     /// One forward + backward pass against the old step — predictions,
-    /// parameter gradients, input gradient — and the grouped form (one `dy`
-    /// row per group) against whole passes over each group's rows, folded
-    /// in turn at a scale.
+    /// parameter gradients, input gradient — and both grouped forms (one
+    /// `dy` row per group, or per batch row) against whole passes over each
+    /// group's rows, folded in turn at a scale.
     #[test]
     fn step_matches_the_reference(rows in 1usize..7, cut in 0usize..7, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -310,6 +310,23 @@ proptest! {
             want.accumulate(&backward(&mlp, &cache, &dy).1, 0.37);
         }
         prop_assert_eq!(grad_bits(&got), grad_bits(&want));
+
+        // One `dy` row per batch row, the groups still marking the fold's
+        // terms (both groups hold rows: a `dy` with a row per group is read
+        // per group).
+        if 0 < cut && cut < rows {
+            mlp.backward(&mut ws, &dy, Some(&[cut, rows]), &[]);
+            let mut got = Gradients::zeros_like(&mlp);
+            mlp.fold_into(&ws, &[], 0.37, &mut got);
+            let mut want = Gradients::zeros_like(&mlp);
+            for range in [0..cut, cut..rows] {
+                let picked: Vec<usize> = range.collect();
+                let (_, cache) = forward_cached(&mlp, &x.select_rows(&picked));
+                let dy = dy.select_rows(&picked);
+                want.accumulate(&backward(&mlp, &cache, &dy).1, 0.37);
+            }
+            prop_assert_eq!(grad_bits(&got), grad_bits(&want));
+        }
     }
 
     /// The register-tiled `aᵀ·b` against the old loop by bits: odd shapes,
@@ -376,7 +393,7 @@ proptest! {
         let settings = TrainSettings { epochs: 3, batch_size: batch, learning_rate: 2e-3, threads: 1 };
         let (want_report, want_model) = fit_split(&settings, &frozen, init.clone(), &split, seed);
         let mut model = init;
-        let report = fit(&mut model, split.parts(), &frozen, &settings, seed);
+        let report = fit(&mut model, split.each_ref(), &frozen, &settings, seed);
         prop_assert!(weight_bits(&model) == weight_bits(&want_model), "weights diverged");
         prop_assert_eq!(bits(&report.valid_history), bits(&want_report.valid_history));
         prop_assert_eq!(
@@ -409,20 +426,18 @@ fn input_gradient_kernel_folds_from_negative_zero() {
     }
 }
 
+/// The fold's contract: a mini-batch's gradient is its 64-row groups'
+/// terms summed left to right. One whole-batch fit per group count 1..=9
+/// (the last group short), where a pairwise tree re-associates from four
+/// groups on and a single whole-batch term from two.
 #[test]
-fn slot_tree_reduction_is_the_reference_tree() {
-    // One fit per shard count 1..=9 exercises every tree shape the
-    // in-place reduction can take, odd tails included.
-    for shards in 1..=9usize {
-        let n = shards * GRAD_SHARD_ROWS - 5;
-        let mut rng = StdRng::seed_from_u64(shards as u64);
+fn the_fold_is_the_reference_chain() {
+    for groups in 1..=9usize {
+        let n = groups * FOLD_GROUP_ROWS - 5;
+        let mut rng = StdRng::seed_from_u64(groups as u64);
         let data = Dataset::new(matrix(&mut rng, n, 3), matrix(&mut rng, n, 1))
             .expect("non-empty dataset");
-        let split = Split {
-            train: data.clone(),
-            valid: data.clone(),
-            test: data,
-        };
+        let parts = [data.clone(), data.clone(), data];
         let init = Mlp::new(3, &[5], 1, 2);
         let config = TrainSettings {
             epochs: 1,
@@ -430,9 +445,9 @@ fn slot_tree_reduction_is_the_reference_tree() {
             learning_rate: 1e-2,
             threads: 1,
         };
-        let (_, want) = fit_split(&config, &[], init.clone(), &split, 3);
+        let (_, want) = fit_split(&config, &[], init.clone(), &parts, 3);
         let mut model = init;
-        fit(&mut model, split.parts(), &[], &config, 3);
-        assert_eq!(weight_bits(&model), weight_bits(&want), "{shards} shards");
+        fit(&mut model, parts.each_ref(), &[], &config, 3);
+        assert_eq!(weight_bits(&model), weight_bits(&want), "{groups} groups");
     }
 }

@@ -8,36 +8,32 @@
 //! does to the model and how the model scores a partition. [`fit`] is the
 //! plain-[`Mlp`] instance.
 //!
-//! ## Sharded gradients
+//! ## One fold per mini-batch
 //!
-//! Each mini-batch is decomposed into fixed-width row shards of
-//! [`GRAD_SHARD_ROWS`]; each shard's gradient is computed against the whole
-//! batch's element count, a fixed-order pairwise tree reduction sums them,
-//! and a single Adam step applies the sum. The shard decomposition and the
-//! reduction order are pure functions of the batch, and they fix the
-//! float order of every trained weight. A fit runs on the calling thread:
-//! the three cost models fit side by side instead (see
-//! [`TrainSettings::threads`]).
-//!
-//! The shards of a mini-batch run one after another through one pass
-//! workspace (input rows, activations, layer gradients), each into its own
-//! parameter-gradient slot; both are built once per fit, so after the first
-//! mini-batch a step allocates nothing.
+//! [`fit`] runs a mini-batch through the network once — one forward pass,
+//! one MSE gradient, one backward pass — and folds its parameter gradient
+//! in groups of [`FOLD_GROUP_ROWS`] rows, in order, into one accumulator
+//! ([`Mlp::fold_into`]); one Adam step applies it. The group width and the
+//! fold's order fix the float order of every trained weight. A fit runs on
+//! the calling thread: the three cost models fit side by side instead (see
+//! [`TrainSettings::threads`]). Its buffers are built once per fit, so
+//! after the first mini-batch a step allocates nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
-use crate::loss::{mse, mse_grad_scaled_into};
+use crate::loss::{mse, mse_grad_into};
 use crate::mlp::{Gradients, Mlp, MlpWorkspace};
 use crate::tensor::Matrix;
 
-/// Width (in dataset rows) of one gradient shard. A mini-batch of 512 rows
-/// becomes 8 shards. The constant is part of the trainer's numerical
-/// contract: changing it re-associates the gradient sum and therefore
-/// changes trained weights (deterministically so).
-pub const GRAD_SHARD_ROWS: usize = 64;
+/// Width (in dataset rows) of one group of [`fit`]'s gradient fold: a
+/// mini-batch of 512 rows folds 8 terms, each its group's rows summed in
+/// order. The constant is part of the trainer's numerical contract:
+/// changing it re-associates the gradient sum and therefore changes trained
+/// weights (deterministically so).
+pub const FOLD_GROUP_ROWS: usize = 64;
 
 /// A supervised regression dataset: feature rows `x` and target rows `y`.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,10 +85,10 @@ impl Dataset {
         }
     }
 
-    /// Shuffled 80/10/10 split, seeded: the rows [`partition`] picks.
-    pub fn split(&self, seed: u64) -> Split {
-        let [train, valid, test] = partition(self.len(), seed).map(|rows| self.select(&rows));
-        Split { train, valid, test }
+    /// Shuffled 80/10/10 split, seeded: the rows [`partition`] picks, as
+    /// `[train, valid, test]` — the order [`fit`] takes them in.
+    pub fn split(&self, seed: u64) -> [Dataset; 3] {
+        partition(self.len(), seed).map(|rows| self.select(&rows))
     }
 
     /// Mean squared error of `mlp`'s predictions over this dataset; `NaN`
@@ -102,24 +98,6 @@ impl Dataset {
             return f32::NAN;
         }
         mse(&mlp.forward(&self.x), &self.y)
-    }
-}
-
-/// The three parts of a dataset split.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Split {
-    /// Training partition.
-    pub train: Dataset,
-    /// Validation partition (model selection).
-    pub valid: Dataset,
-    /// Held-out test partition (reported MSE).
-    pub test: Dataset,
-}
-
-impl Split {
-    /// The parts in the order [`fit`] takes them: train, valid, test.
-    pub fn parts(&self) -> [&Dataset; 3] {
-        [&self.train, &self.valid, &self.test]
     }
 }
 
@@ -191,12 +169,6 @@ impl TrainSettings {
             threads: 0,
         }
     }
-
-    /// Rows per mini-batch when the training partition has `n` rows: a
-    /// fit's workspace is sized by it and [`fit_epochs`] chunks by it.
-    pub(crate) fn batch_for(&self, n: usize) -> usize {
-        self.batch_size.min(n).max(1)
-    }
 }
 
 /// Result of a training run.
@@ -248,7 +220,7 @@ pub fn fit_epochs<M: Clone, D>(
     let mut best = model.clone();
     let mut best_valid = f32::INFINITY;
     let mut valid_history = Vec::with_capacity(settings.epochs);
-    let batch = settings.batch_for(train_len);
+    let batch = settings.batch_size.clamp(1, train_len);
     for _epoch in 0..settings.epochs {
         shuffle(&mut order, &mut rng);
         for chunk in order.chunks(batch) {
@@ -270,7 +242,9 @@ pub fn fit_epochs<M: Clone, D>(
 }
 
 /// Trains `mlp` on the `[train, valid, test]` partitions through
-/// [`fit_epochs`], leaving the selected checkpoint in it.
+/// [`fit_epochs`], leaving the selected checkpoint in it. A mini-batch is
+/// one pass and one fold of [`FOLD_GROUP_ROWS`]-row groups (see the module
+/// docs).
 ///
 /// Layers listed in `frozen` stay bitwise untouched: their gradients are
 /// never formed, so every Adam step sees zeros, which keeps the moments at
@@ -284,9 +258,9 @@ pub fn fit(
 ) -> TrainReport {
     let train = parts[0];
     let mut adam = Adam::new(mlp, settings.learning_rate);
-    let shards = settings.batch_for(train.len()).div_ceil(GRAD_SHARD_ROWS);
-    let mut grads: Vec<Gradients> = (0..shards).map(|_| Gradients::zeros_like(mlp)).collect();
-    let mut pass = ShardPass::default();
+    let mut grads = Gradients::zeros_like(mlp);
+    let (mut ws, mut target, mut dy) = (MlpWorkspace::new(), Matrix::default(), Matrix::default());
+    let mut ends = Vec::new();
     fit_epochs(
         mlp,
         parts,
@@ -295,73 +269,21 @@ pub fn fit(
         seed ^ 0xA5A5_5A5A,
         |mlp, data| data.mse(mlp),
         |mlp, chunk| {
-            let grads = batch_gradients(mlp, train, chunk, frozen, &mut pass, &mut grads);
-            adam.step(mlp, grads);
+            train.x().select_rows_into(chunk, ws.input_mut());
+            train.y().select_rows_into(chunk, &mut target);
+            let pred = mlp.forward_in(&mut ws);
+            mse_grad_into(pred, &target, &mut dy);
+            // Every `FOLD_GROUP_ROWS` rows is one term of the fold; the
+            // last group may be short.
+            ends.clear();
+            ends.extend((FOLD_GROUP_ROWS..chunk.len()).step_by(FOLD_GROUP_ROWS));
+            ends.push(chunk.len());
+            mlp.backward(&mut ws, &dy, Some(&ends), frozen);
+            grads.zero();
+            mlp.fold_into(&ws, frozen, 1.0, &mut grads);
+            adam.step(mlp, &grads);
         },
     )
-}
-
-/// One gradient shard's pass, kept from shard to shard and mini-batch to
-/// mini-batch: the network workspace (the shard's input rows live in it),
-/// its target rows and the loss gradient.
-#[derive(Default)]
-struct ShardPass {
-    ws: MlpWorkspace,
-    target: Matrix,
-    dy: Matrix,
-}
-
-/// Computes the gradient of one mini-batch (`chunk` of row indices into
-/// `train`) one fixed-width row shard at a time, each into its own slot of
-/// `grads`, and sums the per-shard gradients with [`tree_reduce`]; the sum
-/// is returned out of the first slot.
-///
-/// Each shard's upstream gradient is scaled by the *whole* batch's element
-/// count ([`mse_grad_scaled_into`]), so the reduced sum is the mini-batch
-/// MSE gradient. Both the shard boundaries ([`GRAD_SHARD_ROWS`]) and the
-/// reduction order depend only on the batch itself. Gradients of `frozen`
-/// layers are never formed: they stay zero.
-fn batch_gradients<'g>(
-    mlp: &Mlp,
-    train: &Dataset,
-    chunk: &[usize],
-    frozen: &[usize],
-    pass: &mut ShardPass,
-    grads: &'g mut [Gradients],
-) -> &'g Gradients {
-    let total_elems = chunk.len() * train.y().cols();
-    let grads = &mut grads[..chunk.len().div_ceil(GRAD_SHARD_ROWS)];
-    for (g, shard) in grads.iter_mut().zip(chunk.chunks(GRAD_SHARD_ROWS)) {
-        train.x().select_rows_into(shard, pass.ws.input_mut());
-        train.y().select_rows_into(shard, &mut pass.target);
-        let pred = mlp.forward_in(&mut pass.ws);
-        mse_grad_scaled_into(pred, &pass.target, total_elems, &mut pass.dy);
-        // The whole shard is one term: its gradient, folded into zeros.
-        mlp.backward(&mut pass.ws, &pass.dy, None, frozen);
-        g.zero();
-        mlp.fold_into(&pass.ws, frozen, 1.0, g);
-    }
-    tree_reduce(grads);
-    &grads[0]
-}
-
-/// Sums the shards' gradients into the first with a fixed-order pairwise
-/// tree reduction: level by level, slot `2k` of the survivors absorbs slot
-/// `2k + 1`.
-///
-/// The reduction order is a pure function of `grads.len()`: it is part of
-/// the trainer's numerical contract, like [`GRAD_SHARD_ROWS`].
-fn tree_reduce(grads: &mut [Gradients]) {
-    let mut stride = 1;
-    while stride < grads.len() {
-        for pair in grads.chunks_mut(2 * stride) {
-            let (left, right) = pair.split_at_mut(stride.min(pair.len()));
-            if let Some(right) = right.first() {
-                left[0].accumulate(right, 1.0);
-            }
-        }
-        stride *= 2;
-    }
 }
 
 #[cfg(test)]
@@ -393,24 +315,24 @@ mod tests {
         settings: &TrainSettings,
         seed: u64,
     ) -> (TrainReport, Mlp) {
-        let report = fit(&mut mlp, d.split(seed).parts(), frozen, settings, seed);
+        let report = fit(&mut mlp, d.split(seed).each_ref(), frozen, settings, seed);
         (report, mlp)
     }
 
     #[test]
     fn split_partitions_everything() {
         let d = linear_dataset(100);
-        let s = d.split(1);
-        assert_eq!(s.train.len() + s.valid.len() + s.test.len(), 100);
-        assert_eq!(s.train.len(), 80);
-        assert_eq!(s.valid.len(), 10);
+        let [train, valid, test] = d.split(1);
+        assert_eq!(train.len() + valid.len() + test.len(), 100);
+        assert_eq!(train.len(), 80);
+        assert_eq!(valid.len(), 10);
     }
 
     #[test]
     fn split_is_deterministic() {
         let d = linear_dataset(50);
-        assert_eq!(d.split(3).train, d.split(3).train);
-        assert_ne!(d.split(3).train, d.split(4).train);
+        assert_eq!(d.split(3)[0], d.split(3)[0]);
+        assert_ne!(d.split(3)[0], d.split(4)[0]);
     }
 
     #[test]
@@ -448,9 +370,9 @@ mod tests {
     #[test]
     fn tiny_datasets_split_without_panicking() {
         let d = linear_dataset(3);
-        let s = d.split(0);
-        assert_eq!(s.train.len() + s.valid.len() + s.test.len(), 3);
-        assert!(!s.train.is_empty());
+        let [train, valid, test] = d.split(0);
+        assert_eq!(train.len() + valid.len() + test.len(), 3);
+        assert!(!train.is_empty());
     }
 
     #[test]
@@ -459,13 +381,13 @@ mod tests {
         // training rows instead of `mse` meeting an empty matrix.
         for n in [1, 2] {
             let d = linear_dataset(n);
-            assert!(d.split(4).valid.is_empty());
+            assert!(d.split(4)[1].is_empty());
             let init = Mlp::new(2, &[8], 1, 5);
             let (report, fitted) = fit_on(&d, init.clone(), &[], &settings(6, 32, 3e-3), 4);
             assert_ne!(fitted, init, "n = {n}: untrained");
             assert_eq!(report.valid_history.len(), 6);
             assert!(report.valid_history.iter().all(|v| v.is_finite()));
-            let train_mse = d.split(4).train.mse(&fitted);
+            let train_mse = d.split(4)[0].mse(&fitted);
             assert_eq!(report.valid_mse.to_bits(), train_mse.to_bits());
             assert!(report.test_mse.is_nan(), "n = {n}: there is no test row");
             let weights = fitted.layers().iter().flat_map(|l| l.weights().as_slice());
@@ -484,7 +406,7 @@ mod tests {
 
     #[test]
     fn fit_is_bit_identical_across_thread_counts() {
-        // Batch of 256 rows = 4 shards of GRAD_SHARD_ROWS. A fit is serial
+        // Batch of 256 rows = 4 fold groups of FOLD_GROUP_ROWS. A fit is serial
         // whatever `threads` says (the pre-train's lanes read it), so every
         // setting must train the same bits.
         let d = linear_dataset(320);
@@ -567,8 +489,7 @@ mod tests {
             // `Dataset::split` is these rows, in this order.
             if n > 0 {
                 let d = linear_dataset(n);
-                let s = d.split(seed);
-                for (part, rows) in s.parts().into_iter().zip(&parts) {
+                for (part, rows) in d.split(seed).iter().zip(&parts) {
                     proptest::prop_assert_eq!(part, &d.select(rows));
                 }
             }

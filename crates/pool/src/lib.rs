@@ -21,9 +21,8 @@
 //!
 //! [`splitmix64`] / [`sample_seed`] live here too: deterministic fan-out
 //! needs per-item seeds that are a pure function of `(seed, index)`, so a
-//! dataset or gradient computed by worker 7 is the same one the serial
-//! loop would have produced (and a replica's reconnect delay is the same
-//! in every run).
+//! sample computed by worker 7 is the one the serial loop would have
+//! produced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,9 +55,8 @@ pub fn sample_seed(seed: u64, index: u64) -> u64 {
 /// values fall back to the available parallelism).
 ///
 /// This is the **single** thread-count knob of the workspace: every
-/// component that spawns workers — the parallel search, the repair engine,
-/// the incremental planner, and the `nshard-serve` daemon's request worker
-/// pool — resolves its count through [`resolve_threads`], so one
+/// component that spawns workers — the parallel search, the incremental
+/// planner, and the `nshard-serve` daemon's request worker pool — resolves its count through [`resolve_threads`], so one
 /// environment variable governs them all and no crate re-reads the
 /// variable on its own.
 pub const THREADS_ENV: &str = "NSHARD_THREADS";

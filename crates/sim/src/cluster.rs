@@ -15,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::comm::CommDirection;
 use crate::device::GpuSpec;
 use crate::devices::DevicePool;
 use crate::error::SimError;
@@ -298,12 +299,12 @@ impl Cluster {
         // backward comm starts synchronously (the dense backward between
         // the two collectives is data-parallel and identical across
         // devices).
-        let comm = self.spec.comm();
-        let measure = |starts: &[f64]| {
-            comm.measure_costs_ms(&dims, starts, self.batch_size, &noise, MEASURE_REPEATS)
+        let measure = |direction, starts: &[f64]| {
+            let (comm, batch) = (self.spec.comm(), self.batch_size);
+            comm.measure_costs_ms(direction, &dims, starts, batch, &noise, MEASURE_REPEATS)
         };
-        let comm_fwd = measure(&fwd_compute).fwd;
-        let comm_bwd = measure(&vec![0.0; dims.len()]).bwd;
+        let comm_fwd = measure(CommDirection::Forward, &fwd_compute);
+        let comm_bwd = measure(CommDirection::Backward, &vec![0.0; dims.len()]);
 
         let devices = (0..self.num_devices())
             .map(|g| DeviceCost {
@@ -341,6 +342,43 @@ mod tests {
 
     fn cluster(d: usize) -> Cluster {
         Cluster::new(GpuSpec::rtx_2080_ti(), d, 65_536)
+    }
+
+    /// Ground truth draws each collective once, from its own streams: the
+    /// forward all-to-all at the forward kernels' measured ends, the
+    /// backward one at zero, GPU `g` from stream `g` of the placement with
+    /// the backward's top bit flipped — the draws of the one call that once
+    /// measured both directions and kept one of each.
+    #[test]
+    fn each_collective_is_drawn_once_from_its_own_streams() {
+        let plan = vec![vec![t(64), t(8)], vec![t(128)], vec![], vec![t(32); 3]];
+        let two_tier = DevicePool::two_tier(2, 1 << 34, 2, 1 << 33, 1.5, 0.5);
+        for c in [cluster(4), cluster(4).with_devices(two_tier)] {
+            let (comm, batch) = (c.spec.comm(), c.batch_size);
+            let dims = c.phase_inputs(&plan).dims;
+            for seed in 0..3 {
+                let costs = c.evaluate(&plan, seed).unwrap();
+                let noise = NoiseModel::new(seed ^ c.noise.seed(), c.noise.sigma());
+                let drawn = |exact: Vec<f64>, starts: &[f64], salt: u64| -> Vec<u64> {
+                    let stream = crate::comm::comm_stream(&dims, starts) ^ salt;
+                    let draw = |(g, ms)| noise.median_measurement(ms, MEASURE_REPEATS, stream ^ g);
+                    (0..).zip(exact).map(|g| draw(g).to_bits()).collect()
+                };
+                let ends: Vec<f64> = costs.devices().iter().map(|d| d.compute_fwd_ms).collect();
+                let zeros = vec![0.0; ends.len()];
+                let fwd = drawn(comm.forward_costs_ms(&dims, &ends, batch), &ends, 0);
+                let bwd = drawn(
+                    comm.backward_costs_ms(&dims, &zeros, batch),
+                    &zeros,
+                    1 << 63,
+                );
+                let got = |phase: fn(&DeviceCost) -> f64| -> Vec<u64> {
+                    costs.devices().iter().map(|d| phase(d).to_bits()).collect()
+                };
+                assert_eq!(got(|d| d.comm_fwd_ms), fwd, "forward, seed {seed}");
+                assert_eq!(got(|d| d.comm_bwd_ms), bwd, "backward, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -180,32 +180,29 @@ impl CommParams {
         )
     }
 
-    /// Noisy "measured" forward and backward per-GPU latencies, median over
-    /// `repeats` runs.
+    /// Noisy "measured" per-GPU latencies of one `direction` (see
+    /// [`CommParams::forward_costs_ms`]), median over `repeats` runs. GPU
+    /// `g` draws from stream `g` of the placement; a backward stream is the
+    /// forward one with its top bit flipped.
     pub fn measure_costs_ms(
         &self,
-        device_dims: &[f64],
-        start_ts_ms: &[f64],
-        batch_size: u32,
+        direction: CommDirection,
+        dims: &[f64],
+        starts_ms: &[f64],
+        batch: u32,
         noise: &NoiseModel,
         repeats: u32,
-    ) -> CommCosts {
-        let stream = comm_stream(device_dims, start_ts_ms);
-        let fwd = self
-            .forward_costs_ms(device_dims, start_ts_ms, batch_size)
+    ) -> Vec<f64> {
+        let (exact, salt) = match direction {
+            CommDirection::Forward => (self.forward_costs_ms(dims, starts_ms, batch), 0),
+            CommDirection::Backward => (self.backward_costs_ms(dims, starts_ms, batch), 1 << 63),
+        };
+        let stream = comm_stream(dims, starts_ms) ^ salt;
+        exact
             .into_iter()
             .enumerate()
             .map(|(g, c)| noise.median_measurement(c, repeats, stream ^ (g as u64)))
-            .collect();
-        let bwd = self
-            .backward_costs_ms(device_dims, start_ts_ms, batch_size)
-            .into_iter()
-            .enumerate()
-            .map(|(g, c)| {
-                noise.median_measurement(c, repeats, stream ^ (g as u64) ^ 0x8000_0000_0000_0000)
-            })
-            .collect();
-        CommCosts { fwd, bwd }
+            .collect()
     }
 }
 
@@ -215,28 +212,16 @@ impl Default for CommParams {
     }
 }
 
-/// Per-GPU forward and backward all-to-all latencies for one placement.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct CommCosts {
-    /// Forward all-to-all latency per GPU, ms.
-    pub fwd: Vec<f64>,
-    /// Backward all-to-all latency per GPU, ms.
-    pub bwd: Vec<f64>,
+/// One of the two all-to-all collectives of an iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommDirection {
+    /// The forward embedding exchange.
+    Forward,
+    /// The backward gradient exchange.
+    Backward,
 }
 
-impl CommCosts {
-    /// Max forward latency across GPUs (the bottleneck the paper balances).
-    pub fn max_fwd_ms(&self) -> f64 {
-        self.fwd.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// Max backward latency across GPUs.
-    pub fn max_bwd_ms(&self) -> f64 {
-        self.bwd.iter().cloned().fold(0.0, f64::max)
-    }
-}
-
-fn comm_stream(device_dims: &[f64], starts: &[f64]) -> u64 {
+pub(crate) fn comm_stream(device_dims: &[f64], starts: &[f64]) -> u64 {
     let mut h: u64 = 0x811c_9dc5;
     for v in device_dims.iter().chain(starts) {
         h ^= v.to_bits();
@@ -315,11 +300,12 @@ mod tests {
         let p = CommParams::pcie_server();
         let noise = NoiseModel::new(1, 0.02);
         let dims = [300.0, 400.0];
-        let a = p.measure_costs_ms(&dims, &[0.0, 1.0], 65_536, &noise, 11);
-        let b = p.measure_costs_ms(&dims, &[0.0, 1.0], 65_536, &noise, 11);
-        assert_eq!(a, b);
-        assert_eq!(a.fwd.len(), 2);
-        assert_eq!(a.bwd.len(), 2);
+        for direction in [CommDirection::Forward, CommDirection::Backward] {
+            let a = p.measure_costs_ms(direction, &dims, &[0.0, 1.0], 65_536, &noise, 11);
+            let b = p.measure_costs_ms(direction, &dims, &[0.0, 1.0], 65_536, &noise, 11);
+            assert_eq!(a, b);
+            assert_eq!(a.len(), 2);
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod profile;
 mod trace;
 
 pub use cluster::{Cluster, DeviceCost, PlanCosts};
-pub use comm::{CommCosts, CommParams};
+pub use comm::{CommDirection, CommParams};
 pub use device::GpuSpec;
 pub use devices::{DevicePool, DeviceProfile};
 pub use error::SimError;

@@ -8,8 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=87
-MAX_TOTAL_LINES=11789
-MAX_TOTAL_ITEMS=602
+MAX_TOTAL_LINES=11732
+MAX_TOTAL_ITEMS=598
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

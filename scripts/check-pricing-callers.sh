@@ -77,6 +77,11 @@
 # side in the pre-train's two lanes, so the trainer, the compute fit and the
 # comm model name neither `WorkPool` nor the deleted per-item fan-out.
 #
+# One gradient fold for every fit (DESIGN.md §10): `nn::fit` runs a
+# mini-batch once and folds its 64-row groups in order into one
+# accumulator, so the trainer's shard pass, its gradient slots and their
+# pairwise tree reduction stay deleted.
+#
 # One artifact format with one owner (DESIGN.md §9): `nn::serialize` alone
 # defines the FNV digest and the checksum frame; the single-MLP checkpoint,
 # the model store and the field-less config shims stay deleted, and the
@@ -259,6 +264,11 @@ fi
 if code crates/nn/src/train.rs crates/cost/src/compute.rs crates/cost/src/comm_model.rs |
     grep -wE 'WorkPool|for_each_mut'; then
     echo "error: a fit takes no pool; models fit side by side in the pre-train's lanes (lines above)" >&2
+    exit 1
+fi
+if code crates/nn/src/train.rs | grep -E -e '\b(tree_reduce|ShardPass)\b' -e 'Vec<Gradients>'; then
+    echo "error: a mini-batch is one pass and one in-order fold into one accumulator;" \
+        "no shard slots or tree reduction (lines above)" >&2
     exit 1
 fi
 

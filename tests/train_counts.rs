@@ -111,9 +111,9 @@ fn comm_trainer_steps_allocate_nothing() {
             threads: 1,
         };
         let mut mlp = Mlp::new(9, &[128, 64, 32, 16], 1, 3);
-        fit(&mut mlp, data.split(5).parts(), &[], &settings, 5);
+        fit(&mut mlp, data.split(5).each_ref(), &[], &settings, 5);
     });
-    assert_eq!(data.split(5).train.len(), 16 * STEPS_PER_EPOCH);
+    assert_eq!(data.split(5)[0].len(), 16 * STEPS_PER_EPOCH);
     assert!(
         per_epoch <= PER_EPOCH_CAP,
         "{per_epoch} allocations an epoch of {STEPS_PER_EPOCH} steps: the step allocates"
@@ -137,7 +137,7 @@ fn compute_model_steps_allocate_nothing() {
         })
         .collect();
     let data = ComputeDataset { samples };
-    let (train, valid, _) = data.split(9);
+    let [train, valid, _] = data.split(9);
     assert_eq!(train.len(), 8 * STEPS_PER_EPOCH);
     let settings = |epochs: usize| TrainSettings {
         epochs,

@@ -4,8 +4,8 @@
 //!
 //! Collection owes this to per-sample seeding (`sample_seed(seed, i)` gives
 //! every sample its own RNG, so results do not depend on which worker ran
-//! it). A single fit is serial — its float order is fixed by the shard
-//! decomposition and the fixed-order tree reduction — and the only
+//! it). A single fit is serial — its float order is fixed by its 64-row
+//! fold groups, folded in order — and the only
 //! training fan-out is the pre-train's and the fine-tuner's two lanes (the
 //! compute model beside the two comm models), which the two lane sweeps
 //! below hold to the three fits made one after another. This suite sweeps
@@ -19,7 +19,7 @@ use neuroshard::cost::{
 };
 use neuroshard::data::TablePool;
 use neuroshard::learn::{fine_tune, FineTuneSettings, LearnDatasets};
-use neuroshard::nn::{fit, Mlp, GRAD_SHARD_ROWS};
+use neuroshard::nn::{fit, Mlp, FOLD_GROUP_ROWS};
 use neuroshard::sim::{CommParams, GpuSpec, KernelParams};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 3, 8];
@@ -78,7 +78,10 @@ fn trainer_is_bit_identical_across_thread_counts() {
         neuroshard::nn::Matrix::from_rows(&ys),
     )
     .unwrap();
-    assert!(data.len() > 2 * GRAD_SHARD_ROWS, "batches must multi-shard");
+    assert!(
+        data.len() > 2 * FOLD_GROUP_ROWS,
+        "batches must fold several groups"
+    );
 
     let config = |threads: usize| TrainSettings {
         epochs: 12,
@@ -87,13 +90,19 @@ fn trainer_is_bit_identical_across_thread_counts() {
         threads,
     };
     let mut model_ref = Mlp::new(2, &[16, 8], 1, 3);
-    let report_ref = fit(&mut model_ref, data.split(17).parts(), &[], &config(1), 17);
+    let report_ref = fit(
+        &mut model_ref,
+        data.split(17).each_ref(),
+        &[],
+        &config(1),
+        17,
+    );
 
     for threads in THREAD_SWEEP {
         let mut model = Mlp::new(2, &[16, 8], 1, 3);
         let report = fit(
             &mut model,
-            data.split(17).parts(),
+            data.split(17).each_ref(),
             &[],
             &config(threads),
             17,
