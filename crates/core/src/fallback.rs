@@ -2,9 +2,9 @@
 //! a guaranteed size-balanced placement.
 //!
 //! Production sharding cannot simply return "-" when a search fails: a
-//! plan must ship. The [`FallbackChain`] runs its stages in preference
-//! order, in one loop, and returns the first plan that [`repair`] accepts,
-//! downgrading step by step:
+//! plan must ship. [`shard_with_provenance`] runs the stages it is given in
+//! preference order, in one loop, and returns the first plan that
+//! [`repair`] accepts, downgrading step by step:
 //!
 //! 1. the **primary** (the first stage, normally NeuroShard),
 //! 2. the primary's plan **repaired** when it overflows a device,
@@ -118,8 +118,7 @@ pub enum ProvenanceEvent {
     },
 }
 
-/// The full decision record of one [`FallbackChain::shard_with_provenance`]
-/// call.
+/// The full decision record of one [`shard_with_provenance`] call.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanProvenance {
     /// Which stage produced the accepted plan.
@@ -169,17 +168,6 @@ impl std::fmt::Display for ResilientError {
 
 impl std::error::Error for ResilientError {}
 
-/// The degradation chain: its stages in preference order, then
-/// [`size_balanced_plan`]. The first stage plan that [`repair`] accepts
-/// ships — unchanged when it fits, repaired when it overflows — with the
-/// [`PlanProvenance`] of every step that led to it.
-///
-/// The chain is `Send + Sync` (all stages must be too), so one chain can
-/// serve concurrent planning requests behind an `Arc`.
-pub struct FallbackChain {
-    stages: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>,
-}
-
 /// The built-in last resort as a stage: [`size_balanced_plan`].
 struct SizeBalanced;
 
@@ -193,95 +181,89 @@ impl ShardingAlgorithm for SizeBalanced {
     }
 }
 
-impl FallbackChain {
-    /// A chain of `stages` in preference order — the first is the primary
-    /// — followed by the built-in size-balanced last resort.
-    pub fn new(stages: Vec<Box<dyn ShardingAlgorithm + Send + Sync>>) -> Self {
-        Self { stages }
-    }
-
-    /// Runs the chain: the first stage plan that [`repair`] accepts wins.
-    ///
-    /// # Errors
-    ///
-    /// [`ResilientError`] when every stage — including the size-balanced
-    /// last resort — failed; the error carries the full [`PlanProvenance`].
-    /// Its cause is the last stage's error, except that a search failure
-    /// of the last resort never replaces an earlier stage's error.
-    pub fn shard_with_provenance(
-        &self,
-        task: &ShardingTask,
-    ) -> Result<ResilientOutcome, ResilientError> {
-        let last_resort: &(dyn ShardingAlgorithm + Send + Sync) = &SizeBalanced;
-        let stages = self.stages.iter().map(|s| &**s).chain([last_resort]);
-        let mut events = Vec::new();
-        let mut last_error = None;
-        for (rank, algo) in stages.enumerate() {
-            let is_last_resort = rank == self.stages.len();
-            let algorithm = algo.name().to_string();
-            events.push(ProvenanceEvent::Attempt {
-                algorithm: algorithm.clone(),
-            });
-            let plan = match algo.shard(task) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    events.push(ProvenanceEvent::SearchFailed {
-                        algorithm,
-                        reason: e.to_string(),
-                    });
-                    if !(is_last_resort && last_error.is_some()) {
-                        last_error = Some(e);
-                    }
-                    continue;
-                }
-            };
-            // The chain's one check: a plan that fits comes back unchanged
-            // (an empty delta), and whatever comes back validates. The last
-            // resort's plan was repaired, and so validated, as it was built.
-            let checked = if is_last_resort {
-                Ok((plan, 0))
-            } else {
-                repair(task, &plan).map(|r| (r.plan, r.delta.steps.len()))
-            };
-            let (plan, steps) = match checked {
-                Ok(checked) => checked,
-                Err(e) => {
-                    events.push(ProvenanceEvent::RepairFailed {
-                        algorithm,
-                        reason: e.to_string(),
-                    });
-                    last_error = Some(e);
-                    continue;
-                }
-            };
-            if steps > 0 {
-                events.push(ProvenanceEvent::Repaired {
-                    algorithm: algorithm.clone(),
-                    steps,
-                });
-            }
-            let source = match (rank, steps) {
-                _ if is_last_resort => PlanSource::SizeBalanced,
-                (0, 0) => PlanSource::Primary { algorithm },
-                (_, 0) => PlanSource::Fallback { algorithm },
-                (_, steps) => PlanSource::Repaired {
+/// Runs the degradation chain: `stages` in preference order — the first
+/// is the primary — then [`size_balanced_plan`]. The first stage plan that
+/// [`repair`] accepts ships — unchanged when it fits, repaired when it
+/// overflows — with the [`PlanProvenance`] of every step that led to it.
+///
+/// # Errors
+///
+/// [`ResilientError`] when every stage — including the size-balanced
+/// last resort — failed; the error carries the full [`PlanProvenance`].
+/// Its cause is the last stage's error, except that a search failure
+/// of the last resort never replaces an earlier stage's error.
+pub fn shard_with_provenance(
+    stages: &[&dyn ShardingAlgorithm],
+    task: &ShardingTask,
+) -> Result<ResilientOutcome, ResilientError> {
+    let last_resort: &dyn ShardingAlgorithm = &SizeBalanced;
+    let mut events = Vec::new();
+    let mut last_error = None;
+    for (rank, algo) in stages.iter().chain([&last_resort]).enumerate() {
+        let is_last_resort = rank == stages.len();
+        let algorithm = algo.name().to_string();
+        events.push(ProvenanceEvent::Attempt {
+            algorithm: algorithm.clone(),
+        });
+        let plan = match algo.shard(task) {
+            Ok(plan) => plan,
+            Err(e) => {
+                events.push(ProvenanceEvent::SearchFailed {
                     algorithm,
-                    repair_steps: steps,
-                },
-            };
-            return Ok(ResilientOutcome {
-                plan,
-                provenance: PlanProvenance { source, events },
+                    reason: e.to_string(),
+                });
+                if !(is_last_resort && last_error.is_some()) {
+                    last_error = Some(e);
+                }
+                continue;
+            }
+        };
+        // The chain's one check: a plan that fits comes back unchanged
+        // (an empty delta), and whatever comes back validates. The last
+        // resort's plan was repaired, and so validated, as it was built.
+        let checked = if is_last_resort {
+            Ok((plan, 0))
+        } else {
+            repair(task, &plan).map(|r| (r.plan, r.delta.steps.len()))
+        };
+        let (plan, steps) = match checked {
+            Ok(checked) => checked,
+            Err(e) => {
+                events.push(ProvenanceEvent::RepairFailed {
+                    algorithm,
+                    reason: e.to_string(),
+                });
+                last_error = Some(e);
+                continue;
+            }
+        };
+        if steps > 0 {
+            events.push(ProvenanceEvent::Repaired {
+                algorithm: algorithm.clone(),
+                steps,
             });
         }
-        Err(ResilientError {
-            cause: last_error.expect("the last resort ran and failed"),
-            provenance: Box::new(PlanProvenance {
-                source: PlanSource::SizeBalanced,
-                events,
-            }),
-        })
+        let source = match (rank, steps) {
+            _ if is_last_resort => PlanSource::SizeBalanced,
+            (0, 0) => PlanSource::Primary { algorithm },
+            (_, 0) => PlanSource::Fallback { algorithm },
+            (_, steps) => PlanSource::Repaired {
+                algorithm,
+                repair_steps: steps,
+            },
+        };
+        return Ok(ResilientOutcome {
+            plan,
+            provenance: PlanProvenance { source, events },
+        });
     }
+    Err(ResilientError {
+        cause: last_error.expect("the last resort ran and failed"),
+        provenance: Box::new(PlanProvenance {
+            source: PlanSource::SizeBalanced,
+            events,
+        }),
+    })
 }
 
 /// The guaranteed last resort: assign tables to the least-loaded device,
@@ -387,8 +369,7 @@ mod tests {
 
     #[test]
     fn healthy_primary_is_used_directly() {
-        let chain = FallbackChain::new(vec![Box::new(RoundRobin)]);
-        let outcome = chain.shard_with_provenance(&small_task()).unwrap();
+        let outcome = shard_with_provenance(&[&RoundRobin], &small_task()).unwrap();
         assert_eq!(
             outcome.provenance.source,
             PlanSource::Primary {
@@ -406,8 +387,7 @@ mod tests {
 
     #[test]
     fn failing_primary_downgrades_to_fallback() {
-        let chain = FallbackChain::new(vec![Box::new(AlwaysFails), Box::new(RoundRobin)]);
-        let outcome = chain.shard_with_provenance(&small_task()).unwrap();
+        let outcome = shard_with_provenance(&[&AlwaysFails, &RoundRobin], &small_task()).unwrap();
         assert_eq!(
             outcome.provenance.source,
             PlanSource::Fallback {
@@ -429,8 +409,7 @@ mod tests {
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 32, 4096)).collect();
         let budget = tables[0].memory_bytes() * 3;
         let task = ShardingTask::new(tables, 2, budget, 1024);
-        let chain = FallbackChain::new(vec![Box::new(PileOnDeviceZero)]);
-        let outcome = chain.shard_with_provenance(&task).unwrap();
+        let outcome = shard_with_provenance(&[&PileOnDeviceZero], &task).unwrap();
         assert!(matches!(
             outcome.provenance.source,
             PlanSource::Repaired { ref algorithm, repair_steps } if algorithm == "pile_on_zero" && repair_steps > 0
@@ -459,8 +438,7 @@ mod tests {
     #[test]
     fn a_plan_for_another_device_count_fails_repair_and_falls_back() {
         let task = small_task();
-        let chain = FallbackChain::new(vec![Box::new(FourDevices), Box::new(RoundRobin)]);
-        let outcome = chain.shard_with_provenance(&task).unwrap();
+        let outcome = shard_with_provenance(&[&FourDevices, &RoundRobin], &task).unwrap();
         assert_eq!(
             outcome.provenance.source,
             PlanSource::Fallback {
@@ -502,8 +480,7 @@ mod tests {
             None,
             "the stub's plan fits"
         );
-        let chain = FallbackChain::new(vec![Box::new(ForeignTables), Box::new(RoundRobin)]);
-        let outcome = chain.shard_with_provenance(&task).unwrap();
+        let outcome = shard_with_provenance(&[&ForeignTables, &RoundRobin], &task).unwrap();
         assert_eq!(
             outcome.provenance.events,
             [
@@ -532,8 +509,7 @@ mod tests {
 
     #[test]
     fn size_balanced_is_the_last_resort() {
-        let chain = FallbackChain::new(vec![Box::new(AlwaysFails)]);
-        let outcome = chain.shard_with_provenance(&small_task()).unwrap();
+        let outcome = shard_with_provenance(&[&AlwaysFails], &small_task()).unwrap();
         assert_eq!(outcome.provenance.source, PlanSource::SizeBalanced);
         assert!(outcome.plan.validate(&small_task()).is_ok());
     }
@@ -544,8 +520,7 @@ mod tests {
         let tables = vec![t(0, 64, 1 << 20)];
         let budget = 1024u64;
         let task = ShardingTask::new(tables, 1, budget, 1024);
-        let chain = FallbackChain::new(vec![Box::new(RoundRobin)]);
-        let err = chain.shard_with_provenance(&task).unwrap_err();
+        let err = shard_with_provenance(&[&RoundRobin], &task).unwrap_err();
         assert!(matches!(
             err.cause,
             PlanError::Infeasible { .. } | PlanError::Invalid { .. }
@@ -568,9 +543,7 @@ mod tests {
         // One device, one table past its budget even fully split: the
         // stage fails its search, and so does the size-balanced repair.
         let task = ShardingTask::new(vec![t(0, 64, 1 << 20)], 1, 1024, 1024);
-        let err = FallbackChain::new(vec![Box::new(AlwaysFails)])
-            .shard_with_provenance(&task)
-            .unwrap_err();
+        let err = shard_with_provenance(&[&AlwaysFails], &task).unwrap_err();
         assert_eq!(
             err.cause,
             PlanError::Infeasible {
@@ -583,30 +556,20 @@ mod tests {
             Some(ProvenanceEvent::SearchFailed { algorithm, .. }) if algorithm == "size_balanced"
         ));
         // With no earlier stage, the last resort's own error is the cause.
-        let alone = FallbackChain::new(Vec::new())
-            .shard_with_provenance(&task)
-            .unwrap_err();
+        let alone = shard_with_provenance(&[], &task).unwrap_err();
         assert_eq!(Err(alone.cause), size_balanced_plan(&task));
     }
 
     #[test]
     fn chain_is_deterministic() {
-        let make = || FallbackChain::new(vec![Box::new(PileOnDeviceZero), Box::new(RoundRobin)]);
         let tables: Vec<TableConfig> = (0..6).map(|i| t(i, 32, 4096)).collect();
         let budget = tables[0].memory_bytes() * 3;
         let task = ShardingTask::new(tables, 2, budget, 1024);
-        let a = make().shard_with_provenance(&task).unwrap();
-        let b = make().shard_with_provenance(&task).unwrap();
+        let stages: [&dyn ShardingAlgorithm; 2] = [&PileOnDeviceZero, &RoundRobin];
+        let a = shard_with_provenance(&stages, &task).unwrap();
+        let b = shard_with_provenance(&stages, &task).unwrap();
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.provenance, b.provenance);
-    }
-
-    #[test]
-    fn chain_is_shareable_across_threads() {
-        // The serving daemon shares one chain behind an Arc across its
-        // worker pool; a missing auto-trait bound would break that.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<FallbackChain>();
     }
 
     #[test]
@@ -625,8 +588,7 @@ mod tests {
             1.0,
         );
         let task = ShardingTask::new(tables, 2, each * 6, 1024).with_devices(pool);
-        let chain = FallbackChain::new(vec![Box::new(RoundRobin)]);
-        let outcome = chain.shard_with_provenance(&task).unwrap();
+        let outcome = shard_with_provenance(&[&RoundRobin], &task).unwrap();
         assert!(matches!(
             outcome.provenance.source,
             PlanSource::Repaired { .. }

@@ -31,10 +31,11 @@
 //!   plan fit (evict-and-replace onto the least-loaded device that fits)
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
 //!   migration-regularized cost,
-//! * `fallback` — the graceful-degradation chain ([`FallbackChain`]): its
-//!   stages in preference order, then the size-balanced last resort, each
-//!   stage's plan checked by one [`repair`] call against its task, with
-//!   full [`PlanProvenance`] attribution.
+//! * `fallback` — the graceful-degradation chain
+//!   ([`shard_with_provenance`]): the stages it is given in preference
+//!   order, then the size-balanced last resort, each stage's plan checked
+//!   by one [`repair`] call against its task, with full
+//!   [`PlanProvenance`] attribution.
 //!
 //! ## Example
 //!
@@ -69,8 +70,8 @@ pub use eval::{
     cluster_for, estimate_batch_for_task, estimate_for_task, evaluate_plan, evaluate_plan_exact,
 };
 pub use fallback::{
-    size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent, ResilientError,
-    ResilientOutcome,
+    shard_with_provenance, size_balanced_plan, PlanProvenance, PlanSource, ProvenanceEvent,
+    ResilientError, ResilientOutcome,
 };
 pub use greedy_grid::{GreedyGridSearch, GridSearchResult};
 pub use local::{
@@ -99,17 +100,4 @@ pub trait ShardingAlgorithm {
     /// [`PlanError`] when the algorithm cannot produce a memory-feasible
     /// plan — the "-" cells of Table 1.
     fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError>;
-}
-
-/// A shared algorithm is an algorithm: a [`FallbackChain`] can run the
-/// same [`NeuroShard`] — hence the same simulator and caches — that its
-/// owner keeps a handle to.
-impl<T: ShardingAlgorithm + ?Sized> ShardingAlgorithm for std::sync::Arc<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn shard(&self, task: &ShardingTask) -> Result<ShardingPlan, PlanError> {
-        (**self).shard(task)
-    }
 }

@@ -54,7 +54,7 @@ pub fn table_features(table: &TableProfile, batch_size: u32) -> Vec<f32> {
 /// Input dimension of the communication cost model for a cluster of
 /// `num_devices` GPUs: per-GPU `(data size, start timestamp)` pairs plus
 /// three summary features.
-pub(crate) fn comm_feature_dim(num_devices: usize) -> usize {
+pub fn comm_feature_dim(num_devices: usize) -> usize {
     2 * num_devices + 3
 }
 

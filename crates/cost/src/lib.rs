@@ -52,6 +52,6 @@ pub use collect::{
 };
 pub use comm_model::CommCostModel;
 pub use compute::ComputeCostModel;
-pub use features::{comm_features, table_features, TABLE_FEATURE_DIM};
+pub use features::{comm_feature_dim, comm_features, table_features, TABLE_FEATURE_DIM};
 pub use nshard_nn::{TrainReport, TrainSettings};
 pub use simulator::{BundleReport, CostModelBundle, CostSimulator, DeviceLoads, EstimatedCost};

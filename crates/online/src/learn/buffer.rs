@@ -28,7 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nshard_cost::{ComputeDataset, ComputeSample};
+use nshard_cost::{comm_feature_dim, ComputeDataset, ComputeSample, TABLE_FEATURE_DIM};
 use nshard_nn::{Dataset, Matrix};
 use nshard_pool::splitmix64;
 
@@ -86,6 +86,25 @@ pub struct ObservationWire {
 }
 
 impl ObservationWire {
+    /// Whether cost models for `devices` devices can train on this
+    /// observation: a known kind, finite values, and
+    /// [`TABLE_FEATURE_DIM`]-wide table rows for compute or one
+    /// [`comm_feature_dim`]-wide row for comm. The continual learner
+    /// buffers, and the serve daemon stages, nothing else: any other row
+    /// would panic the next fine-tune.
+    pub fn is_readable(&self, devices: usize) -> bool {
+        let width = match ObservationKind::from_label(&self.kind) {
+            Some(ObservationKind::Compute) => TABLE_FEATURE_DIM,
+            Some(_) if self.features.len() == 1 => comm_feature_dim(devices),
+            _ => return false,
+        };
+        !self.features.is_empty()
+            && self.features.iter().all(|row| row.len() == width)
+            && self.features.iter().flatten().all(|v| v.is_finite())
+            && self.predicted_ms.is_finite()
+            && self.observed_ms.is_finite()
+    }
+
     /// The sampling weight: absolute prediction error, floored so
     /// perfectly-predicted samples still have a nonzero keep chance.
     pub fn weight(&self) -> f64 {

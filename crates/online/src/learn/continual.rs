@@ -36,9 +36,7 @@
 use serde::{Deserialize, Serialize};
 
 use nshard_core::{evaluate_plan_exact, NeuroShard, NeuroShardConfig, ShardingPlan};
-use nshard_cost::{
-    comm_features, table_features, CostModelBundle, EstimatedCost, TABLE_FEATURE_DIM,
-};
+use nshard_cost::{comm_features, table_features, CostModelBundle, EstimatedCost};
 use nshard_data::ShardingTask;
 use nshard_pool::splitmix64;
 use nshard_sim::{DeviceCost, GpuSpec, PlanCosts};
@@ -195,22 +193,9 @@ impl ContinualLearner {
     }
 
     /// The one way into the buffer: an observation enters only if the
-    /// incumbent can train on it — a known kind, finite values, and
-    /// [`TABLE_FEATURE_DIM`]-wide table rows for compute or one
-    /// `2 · devices + 3`-wide row for comm. Buffered, any other row
-    /// would panic the next fine-tune.
+    /// incumbent can train on it ([`ObservationWire::is_readable`]).
     fn offer(&mut self, observation: ObservationWire) {
-        let width = match ObservationKind::from_label(&observation.kind) {
-            Some(ObservationKind::Compute) => TABLE_FEATURE_DIM,
-            Some(_) if observation.features.len() == 1 => 2 * self.incumbent.num_devices() + 3,
-            _ => return,
-        };
-        let readable = !observation.features.is_empty()
-            && observation.features.iter().all(|row| row.len() == width)
-            && observation.features.iter().flatten().all(|v| v.is_finite())
-            && observation.predicted_ms.is_finite()
-            && observation.observed_ms.is_finite();
-        if readable {
+        if observation.is_readable(self.incumbent.num_devices()) {
             self.buffer.insert(observation);
         }
     }

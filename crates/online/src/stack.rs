@@ -1,14 +1,12 @@
 //! One planning stack per cost-model generation: see [`PlanningStack`].
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use nshard_baselines::{DimGreedy, SizeGreedy};
 use nshard_core::{
-    replan_migration_bytes, FallbackChain, IncrementalConfig, IncrementalPlanner, NeuroShard,
-    NeuroShardConfig, PlanDelta, PlanProvenance, PlanSource, ResilientError, ResilientOutcome,
-    ShardingPlan,
+    replan_migration_bytes, shard_with_provenance, IncrementalConfig, IncrementalPlanner,
+    NeuroShard, NeuroShardConfig, PlanDelta, PlanProvenance, PlanSource, ResilientError,
+    ResilientOutcome, ShardingAlgorithm, ShardingPlan,
 };
 use nshard_cost::{CostModelBundle, CostSimulator};
 use nshard_data::ShardingTask;
@@ -49,8 +47,8 @@ pub struct ReplanOutcome {
     pub route: ReplanRoute,
 }
 
-/// The sharder, the two chains around it and the incremental planner for
-/// one cost-model bundle.
+/// The sharder, the incremental planner and the two fallback chains of one
+/// cost-model bundle.
 ///
 /// Everything that plans with a pre-trained bundle — the daemon's engine
 /// (`nshard-serve`) and the drift experiment (`repro ext_online`) —
@@ -59,11 +57,12 @@ pub struct ReplanOutcome {
 /// prediction/encoding caches: the full search, the incremental planner,
 /// the drift triggers and every `predicted_ms` ask the same simulator, so
 /// a replan reuses what the search before it already priced and
-/// [`NeuroShardConfig::use_cache`] governs all of them alike. Around the
-/// sharder sit the **full chain** (`NeuroShard → SizeGreedy →
-/// size-balanced`), the **greedy chain** (`SizeGreedy → DimGreedy →
-/// size-balanced`, for a request without the time for a beam search) and
-/// the [`IncrementalPlanner`].
+/// [`NeuroShardConfig::use_cache`] governs all of them alike. Beside the
+/// sharder sits the [`IncrementalPlanner`]; [`PlanningStack::plan`] runs
+/// one of two chains through [`shard_with_provenance`]: the **full chain**
+/// (`NeuroShard → SizeGreedy → size-balanced`) or the **greedy chain**
+/// (`SizeGreedy → DimGreedy → size-balanced`, for a request without the
+/// time for a beam search).
 ///
 /// A stack is immutable, and its caches live as long as it does. The
 /// daemon builds one per request, so no cache outlives the request that
@@ -71,9 +70,7 @@ pub struct ReplanOutcome {
 /// it promotes a bundle, so a promoted model never serves a predecessor's
 /// cached predictions.
 pub struct PlanningStack {
-    neuro: Arc<NeuroShard>,
-    full: FallbackChain,
-    greedy: FallbackChain,
+    neuro: NeuroShard,
     planner: IncrementalPlanner,
 }
 
@@ -86,17 +83,12 @@ impl PlanningStack {
         search: NeuroShardConfig,
         incremental: IncrementalConfig,
     ) -> Self {
-        let neuro = Arc::new(NeuroShard::new(bundle, search));
-        let full = FallbackChain::new(vec![Box::new(Arc::clone(&neuro)), Box::new(SizeGreedy)]);
-        let greedy = FallbackChain::new(vec![Box::new(SizeGreedy), Box::new(DimGreedy)]);
         let planner = IncrementalPlanner::new(IncrementalConfig {
             row_wise: search.use_row_wise,
             ..incremental
         });
         Self {
-            neuro,
-            full,
-            greedy,
+            neuro: NeuroShard::new(bundle, search),
             planner,
         }
     }
@@ -117,8 +109,12 @@ impl PlanningStack {
         task: &ShardingTask,
         degrade: bool,
     ) -> Result<ResilientOutcome, ResilientError> {
-        let chain = if degrade { &self.greedy } else { &self.full };
-        chain.shard_with_provenance(task)
+        let chain: [&dyn ShardingAlgorithm; 2] = if degrade {
+            [&SizeGreedy, &DimGreedy]
+        } else {
+            [&self.neuro, &SizeGreedy]
+        };
+        shard_with_provenance(&chain, task)
     }
 
     /// Replans `task` warm-started from `incumbent`. The incremental

@@ -115,6 +115,11 @@ impl PlanningEngine {
         self.current().version
     }
 
+    /// The device count the active cost models were trained for.
+    pub(crate) fn num_devices(&self) -> usize {
+        self.current().bundle.num_devices()
+    }
+
     /// Whether the active cost models can price a task on `num_devices`
     /// devices ([`CostModelBundle::check_device_count`]).
     ///

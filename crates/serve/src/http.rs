@@ -133,12 +133,15 @@ pub fn http_call(
 ///
 /// Responses are framed by `Content-Length`, so the client reads exactly
 /// one response per call and leaves the connection ready for the next.
-/// If the server closed the connection (or it was never opened), the
-/// next call reconnects transparently.
+/// A request is sent twice only when the server cannot have answered it:
+/// the call reused a keep-alive connection, and the write failed or the
+/// connection closed before the first status byte (the server closed it
+/// while it sat idle). Any other failure is returned as it is, and the
+/// next call opens a fresh connection.
 pub struct KeepAliveClient {
     addr: String,
     stream: Option<BufReader<TcpStream>>,
-    /// Calls that found the cached connection dead and reconnected.
+    /// Calls that found the reused connection closed and sent again.
     reconnects: u64,
 }
 
@@ -152,7 +155,8 @@ impl KeepAliveClient {
         }
     }
 
-    /// How many calls had to re-establish the connection.
+    /// How many calls found their reused connection closed by the server
+    /// and sent the request again on a fresh one.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -170,19 +174,23 @@ impl KeepAliveClient {
         path: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, String)> {
-        if self.stream.is_none() {
+        let reused = self.stream.is_some();
+        if !reused {
             self.connect()?;
         }
-        match self.try_call(method, path, body) {
-            Ok(result) => Ok(result),
-            Err(_) => {
-                // The server may have closed an idle keep-alive
-                // connection between calls; retry once on a fresh one.
+        let result = match self.exchange(method, path, body) {
+            Err(_) if reused => {
                 self.reconnects += 1;
                 self.connect()?;
-                self.try_call(method, path, body)
+                self.exchange(method, path, body)
             }
+            result => result,
         }
+        .and_then(|answer| answer);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result
     }
 
     fn connect(&mut self) -> std::io::Result<()> {
@@ -192,34 +200,41 @@ impl KeepAliveClient {
         Ok(())
     }
 
-    fn try_call(
+    /// Sends one request. `Err` when the server cannot have answered it:
+    /// the write failed, or the connection closed before the first status
+    /// byte. Otherwise what came back, read or not.
+    fn exchange(
         &mut self,
         method: &str,
         path: &str,
         body: &[u8],
-    ) -> std::io::Result<(u16, String)> {
-        // invariant: `call` connects before every `try_call`.
+    ) -> std::io::Result<std::io::Result<(u16, String)>> {
+        // invariant: `call` connects before every `exchange`.
         let reader = self.stream.as_mut().expect("connected");
-        {
-            let stream = reader.get_mut();
-            write!(
-                stream,
-                "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-                self.addr,
-                body.len()
-            )?;
-            stream.write_all(body)?;
-            stream.flush()?;
-        }
+        let stream = reader.get_mut();
+        write!(
+            stream,
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+            self.addr,
+            body.len()
+        )?;
+        stream.write_all(body)?;
+        stream.flush()?;
 
         let mut status_line = String::new();
-        if reader.read_line(&mut status_line)? == 0 {
-            self.stream = None;
-            return Err(std::io::Error::new(
+        match reader.read_line(&mut status_line) {
+            Ok(0) => Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed before the status line",
-            ));
+            )),
+            Ok(_) => Ok(self.read_response(&status_line)),
+            Err(e) => Ok(Err(e)),
         }
+    }
+
+    /// Reads the rest of a response whose status line was `status_line`.
+    fn read_response(&mut self, status_line: &str) -> std::io::Result<(u16, String)> {
+        let reader = self.stream.as_mut().expect("connected");
         let status: u16 = status_line
             .split_whitespace()
             .nth(1)
@@ -236,7 +251,6 @@ impl KeepAliveClient {
         loop {
             let mut header = String::new();
             if reader.read_line(&mut header)? == 0 {
-                self.stream = None;
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed in response headers",
@@ -276,6 +290,8 @@ mod tests {
     use super::*;
     use crate::net::{ParseStep, RequestParser};
     use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Reads the next request off `stream` with the daemon's parser.
     fn next_request(stream: &mut TcpStream, parser: &mut RequestParser) -> HttpRequest {
@@ -354,5 +370,87 @@ mod tests {
         assert_eq!((status, body.as_str()), (200, "{\"path\":\"/b\"}"));
         assert_eq!(client.reconnects(), 0);
         handle.join().unwrap();
+    }
+
+    /// A server that answers each connection's requests with `replies`, in
+    /// order, counting them, then ends its side of the connection; until
+    /// the returned closure stops it.
+    fn scripted_server(replies: Vec<Vec<u8>>) -> (String, Arc<AtomicUsize>, impl FnOnce()) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let requests = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = std::thread::spawn({
+            let (requests, stop) = (Arc::clone(&requests), Arc::clone(&stop));
+            move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let mut stream = stream.unwrap();
+                    let mut parser = RequestParser::new();
+                    for reply in &replies {
+                        next_request(&mut stream, &mut parser);
+                        requests.fetch_add(1, Ordering::SeqCst);
+                        stream.write_all(reply).unwrap();
+                    }
+                    stream.shutdown(std::net::Shutdown::Write).unwrap();
+                }
+            }
+        });
+        let shutdown = {
+            let addr = addr.clone();
+            move || {
+                stop.store(true, Ordering::SeqCst);
+                drop(TcpStream::connect(&addr));
+                handle.join().unwrap();
+            }
+        };
+        (addr, requests, shutdown)
+    }
+
+    #[test]
+    fn an_answered_request_is_never_sent_again() {
+        let ok = HttpResponse::json(200, "{}".into()).to_bytes(true);
+        for bad in [
+            &b"garbage\r\n\r\n"[..],
+            b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+        ] {
+            // The bad answer on a fresh connection, then on a reused one.
+            for script in [vec![bad.to_vec()], vec![ok.clone(), bad.to_vec()]] {
+                let calls = script.len();
+                let (addr, requests, shutdown) = scripted_server(script);
+                let mut client = KeepAliveClient::new(addr);
+                for _ in 1..calls {
+                    assert_eq!(client.call("GET", "/", b"").unwrap(), (200, "{}".into()));
+                }
+                client.call("GET", "/", b"").unwrap_err();
+                shutdown();
+                assert_eq!(
+                    requests.load(Ordering::SeqCst),
+                    calls,
+                    "{}",
+                    String::from_utf8_lossy(bad)
+                );
+                assert_eq!(client.reconnects(), 0, "{}", String::from_utf8_lossy(bad));
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_connection_the_server_closed_is_sent_again_once() {
+        let ok = HttpResponse::json(200, "{}".into()).to_bytes(true);
+        let (addr, requests, shutdown) = scripted_server(vec![ok]);
+        let mut client = KeepAliveClient::new(addr);
+        for _ in 0..3 {
+            assert_eq!(client.call("GET", "/", b"").unwrap(), (200, "{}".into()));
+        }
+        shutdown();
+        // The server ends each connection after one answer: the second and
+        // third calls find theirs closed before a status byte.
+        assert_eq!(requests.load(Ordering::SeqCst), 3);
+        assert_eq!(client.reconnects(), 2);
     }
 }

@@ -19,6 +19,11 @@
 //! ([`ParseFault::HeadersTooLarge`]) and an oversized declared body with
 //! `413` ([`ParseFault::BodyTooLarge`]) — a reactor holds many
 //! connections in one thread, so per-connection memory must be bounded.
+//! Its work is bounded too: each byte of a head is scanned for the blank
+//! line once, however it is fragmented, and a head is parsed once, not
+//! once per fragment of its body. A body is framed by `Content-Length`
+//! alone: a `Transfer-Encoding` header, or two `Content-Length` headers
+//! that disagree, is `400`.
 
 use crate::http::{HttpRequest, MAX_BODY_BYTES};
 
@@ -112,9 +117,28 @@ pub struct RequestParser {
     buf: Vec<u8>,
     /// Consumed prefix of `buf` (compacted lazily to amortize copies).
     start: usize,
+    /// Where the search for the next request's blank line resumes, as
+    /// offsets from `start`: the beginning of the line it is in, and the
+    /// next byte to look at.
+    scan: (usize, usize),
+    /// The next request's head once parsed, kept while its body arrives.
+    head: Option<Head>,
     /// A fault is sticky: once the stream is broken there is no way to
     /// resynchronize on request boundaries.
     fault: Option<ParseFault>,
+    /// Bytes the blank-line search has looked at.
+    #[cfg(test)]
+    scanned: usize,
+}
+
+/// A request's head: what the request line and headers say.
+#[derive(Debug)]
+struct Head {
+    /// Bytes from the request line through the blank line.
+    len: usize,
+    content_length: usize,
+    /// The request, its body still empty.
+    parsed: ParsedRequest,
 }
 
 impl RequestParser {
@@ -169,116 +193,126 @@ impl RequestParser {
 
     /// Parses one request if completely buffered; `Ok(None)` = need more.
     fn parse_one(&mut self) -> Result<Option<ParsedRequest>, ParseFault> {
-        let bytes = &self.buf[self.start..];
-        if bytes.is_empty() {
-            return Ok(None);
-        }
-        // Locate the blank line ending the headers. Lines end at `\n`
-        // with an optional preceding `\r`.
-        let Some(header_end) = find_header_end(bytes) else {
-            if bytes.len() > MAX_HEADER_BYTES {
-                return Err(ParseFault::HeadersTooLarge {
-                    buffered: bytes.len(),
-                });
+        let head = match self.head.take() {
+            Some(head) => head,
+            None => {
+                let len = self.find_head_end();
+                let buffered = len.unwrap_or(self.buffered());
+                if buffered > MAX_HEADER_BYTES {
+                    return Err(ParseFault::HeadersTooLarge { buffered });
+                }
+                let Some(len) = len else { return Ok(None) };
+                parse_head(&self.buf[self.start..][..len])?
             }
-            return Ok(None);
         };
-        if header_end > MAX_HEADER_BYTES {
-            return Err(ParseFault::HeadersTooLarge {
-                buffered: header_end,
-            });
+        let end = head.len + head.content_length;
+        if self.buffered() < end {
+            self.head = Some(head); // body still arriving
+            return Ok(None);
         }
-
-        let head = &bytes[..header_end];
-        let mut lines = head.split(|&b| b == b'\n').map(|line| {
-            // Strip trailing CR and whitespace.
-            let mut line = line;
-            while let Some((&last, rest)) = line.split_last() {
-                if last == b'\r' || last.is_ascii_whitespace() {
-                    line = rest;
-                } else {
-                    break;
-                }
-            }
-            line
-        });
-
-        let request_line = lines.next().unwrap_or_default();
-        let request_line = String::from_utf8_lossy(request_line);
-        let mut parts = request_line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| ParseFault::Malformed("empty request line".into()))?
-            .to_ascii_uppercase();
-        let path = parts
-            .next()
-            .ok_or_else(|| ParseFault::Malformed("request line has no path".into()))?
-            .to_string();
-        let version = parts.next().unwrap_or("HTTP/1.1").to_ascii_uppercase();
-
-        let mut content_length = 0usize;
-        let mut connection: Option<String> = None;
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let line = String::from_utf8_lossy(line);
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| ParseFault::Malformed("bad Content-Length".into()))?;
-                } else if name.eq_ignore_ascii_case("connection") {
-                    connection = Some(value.trim().to_ascii_lowercase());
-                }
-            }
-        }
-        if content_length > MAX_BODY_BYTES {
-            return Err(ParseFault::BodyTooLarge {
-                declared: content_length,
-            });
-        }
-
-        let body_start = header_end;
-        if bytes.len() < body_start + content_length {
-            return Ok(None); // body still arriving
-        }
-        let body = bytes[body_start..body_start + content_length].to_vec();
-        self.start += body_start + content_length;
+        let mut parsed = head.parsed;
+        parsed.request.body = self.buf[self.start..][head.len..end].to_vec();
+        self.start += end;
+        self.scan = (0, 0);
         self.compact();
+        Ok(Some(parsed))
+    }
 
-        let keep_alive = match connection.as_deref() {
-            Some("close") => false,
-            Some(c) if c.contains("keep-alive") => true,
-            _ => version != "HTTP/1.0",
-        };
-        Ok(Some(ParsedRequest {
-            request: HttpRequest { method, path, body },
-            keep_alive,
-        }))
+    /// Length of the next request's head — through the first `\n` whose
+    /// line (after stripping a trailing `\r`) is empty — if buffered. The
+    /// search resumes where the last call stopped.
+    fn find_head_end(&mut self) -> Option<usize> {
+        let bytes = &self.buf[self.start..];
+        let (mut line_start, scanned) = self.scan;
+        for (i, &b) in bytes.iter().enumerate().skip(scanned) {
+            #[cfg(test)]
+            {
+                self.scanned += 1;
+            }
+            if b == b'\n' {
+                let line = &bytes[line_start..i];
+                if matches!(line, [] | [b'\r']) {
+                    return Some(i + 1);
+                }
+                line_start = i + 1;
+            }
+        }
+        self.scan = (line_start, bytes.len());
+        None
     }
 }
 
-/// Index just past the header-terminating blank line, if buffered: the
-/// first `\n` whose line (after stripping a trailing `\r`) is empty.
-fn find_header_end(bytes: &[u8]) -> Option<usize> {
-    let mut line_start = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            let line = &bytes[line_start..i];
-            let line = match line.split_last() {
-                Some((&b'\r', rest)) => rest,
-                _ => line,
-            };
-            if line.is_empty() {
-                return Some(i + 1);
+/// Parses a complete head: the request line and the headers.
+fn parse_head(head: &[u8]) -> Result<Head, ParseFault> {
+    // Lines without their trailing CR and whitespace.
+    let mut lines = head.split(|&b| b == b'\n').map(<[u8]>::trim_ascii_end);
+
+    let request_line = lines.next().unwrap_or_default();
+    let request_line = String::from_utf8_lossy(request_line);
+    let mut parts = request_line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| ParseFault::Malformed("empty request line".into()))?
+        .to_ascii_uppercase();
+    let path = parts
+        .next()
+        .ok_or_else(|| ParseFault::Malformed("request line has no path".into()))?
+        .to_string();
+    let version = parts.next().unwrap_or("HTTP/1.1").to_ascii_uppercase();
+
+    let mut content_length = None;
+    let mut connection: Option<String> = None;
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        let line = String::from_utf8_lossy(line);
+        if let Some((name, value)) = line.split_once(':') {
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                let length: usize = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| ParseFault::Malformed("bad Content-Length".into()))?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(ParseFault::Malformed(
+                        "Content-Length headers disagree".into(),
+                    ));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(ParseFault::Malformed(
+                    "Transfer-Encoding is not supported".into(),
+                ));
+            } else if name.eq_ignore_ascii_case("connection") {
+                connection = Some(value.trim().to_ascii_lowercase());
             }
-            line_start = i + 1;
         }
     }
-    None
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Err(ParseFault::BodyTooLarge {
+            declared: content_length,
+        });
+    }
+    let keep_alive = match connection.as_deref() {
+        Some("close") => false,
+        Some(c) if c.contains("keep-alive") => true,
+        _ => version != "HTTP/1.0",
+    };
+    let request = HttpRequest {
+        method,
+        path,
+        body: Vec::new(),
+    };
+    Ok(Head {
+        len: head.len(),
+        content_length,
+        parsed: ParsedRequest {
+            request,
+            keep_alive,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -418,5 +452,25 @@ mod tests {
             "buffer must not grow with request count (cap {})",
             p.buf.capacity()
         );
+    }
+
+    #[test]
+    fn a_head_is_scanned_once_however_it_arrives() {
+        let mut raw = b"POST /v1/plan HTTP/1.1\r\n".to_vec();
+        for i in 0..200 {
+            raw.extend_from_slice(format!("X-Header-{i}: value\r\n").as_bytes());
+        }
+        let body = vec![b'x'; 1000];
+        raw.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
+        let head_len = raw.len();
+        raw.extend_from_slice(&body);
+        // One byte at a time, stepping after each, as a slow client sends.
+        let mut p = RequestParser::new();
+        for (i, &b) in raw.iter().enumerate() {
+            p.feed(&[b]);
+            let step = p.step();
+            assert_eq!(matches!(step, ParseStep::Request(_)), i + 1 == raw.len());
+        }
+        assert_eq!(p.scanned, head_len, "every head byte once, no body byte");
     }
 }

@@ -3,6 +3,7 @@
 //! POSTs go through admission ([`super::admission`]) to a worker
 //! ([`super::respond`]).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use nshard_online::learn::ObservationWire;
@@ -14,11 +15,27 @@ use crate::sync;
 use super::admission::{JobKind, OnResponse, ResponseSlot, Routed};
 use super::Service;
 
-/// Most ground-truth observations the daemon buffers before evicting the
-/// oldest — bounds memory under a reporting storm. The continual-learning
-/// loop ([`Service::take_observations`]) owns prioritized sampling; the
-/// daemon keeps only a bounded FIFO staging area.
-const OBSERVATION_BUFFER_CAP: usize = 65_536;
+/// Most feature values the daemon stages before evicting the oldest
+/// observations — bounds memory under a reporting storm, whatever the
+/// observations' shape: 65,536 one-row observations of up to 32 values (a
+/// compute row is 8 wide, a comm row on 14 devices 31) fit. The
+/// continual-learning loop ([`Service::take_observations`]) owns
+/// prioritized sampling; the daemon keeps only a bounded FIFO staging
+/// area.
+const OBSERVATION_VALUE_CAP: usize = 65_536 * 32;
+
+/// Feature values an observation carries.
+fn values(observation: &ObservationWire) -> usize {
+    observation.features.iter().map(Vec::len).sum()
+}
+
+/// The observations staged for the learning loop, oldest first, and the
+/// feature values they hold.
+#[derive(Default)]
+pub(super) struct ObservationStage {
+    observations: VecDeque<ObservationWire>,
+    values: usize,
+}
 
 impl Service {
     /// Answers a request end to end, blocking until a worker (or the
@@ -99,10 +116,12 @@ impl Service {
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
     }
 
-    /// `POST /v1/observations`: buffers ground-truth cost observations
-    /// for the continual-learning loop. Answered inline — ingest is a
-    /// bounded buffer push, not a search — so observation storms cannot
-    /// starve planning jobs of queue capacity.
+    /// `POST /v1/observations`: stages ground-truth cost observations for
+    /// the continual-learning loop. Answered inline — ingest is a bounded
+    /// buffer push, not a search — so observation storms cannot starve
+    /// planning jobs of queue capacity. Only observations the serving
+    /// models can read ([`ObservationWire::is_readable`]) and that fit the
+    /// stage on their own are staged, and `accepted` counts them.
     fn ingest_observations(&self, body: &[u8]) -> HttpResponse {
         let request =
             match serde_json::from_str::<ObservationsRequest>(&String::from_utf8_lossy(body)) {
@@ -116,14 +135,24 @@ impl Service {
                     );
                 }
             };
-        let accepted = request.observations.len() as u64;
+        let devices = self.engine.num_devices();
+        let staged: Vec<ObservationWire> = request
+            .observations
+            .into_iter()
+            .filter(|o| o.is_readable(devices) && values(o) <= OBSERVATION_VALUE_CAP)
+            .collect();
+        let accepted = staged.len() as u64;
         let buffered = {
-            let mut buffer = sync::lock(&self.observations);
-            buffer.extend(request.observations);
-            while buffer.len() > OBSERVATION_BUFFER_CAP {
-                buffer.pop_front();
+            let mut stage = sync::lock(&self.observations);
+            for observation in staged {
+                stage.values += values(&observation);
+                stage.observations.push_back(observation);
+                while stage.values > OBSERVATION_VALUE_CAP {
+                    let oldest = stage.observations.pop_front().expect("values are staged");
+                    stage.values -= values(&oldest);
+                }
             }
-            buffer.len() as u64
+            stage.observations.len() as u64
         };
         self.metrics.observations.add(accepted);
         self.metrics.count_request("observations", 200);
@@ -138,12 +167,14 @@ impl Service {
     /// Drains every buffered ground-truth observation — the
     /// continual-learning loop's pull path.
     pub fn take_observations(&self) -> Vec<ObservationWire> {
-        sync::lock(&self.observations).drain(..).collect()
+        let mut stage = sync::lock(&self.observations);
+        stage.values = 0;
+        stage.observations.drain(..).collect()
     }
 
     /// Observations currently staged for the learning loop.
     pub fn observations_buffered(&self) -> usize {
-        sync::lock(&self.observations).len()
+        sync::lock(&self.observations).observations.len()
     }
 
     /// `GET /v1/plans/{id}`.

@@ -3,12 +3,10 @@
 //! the engine builds each request's planning stack, and a promotion
 //! installs a bundle under the next model version.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use nshard_cost::CostModelBundle;
 use nshard_nn::serialize::{envelope_from_json, envelope_to_json};
-use nshard_online::learn::ObservationWire;
 use nshard_pool::resolve_threads;
 
 use crate::clock::{Clock, WallClock};
@@ -18,6 +16,7 @@ use crate::store::{PlanStore, StoreError};
 
 use super::admission::AdmissionQueue;
 use super::cache::ResponseCache;
+use super::routes::ObservationStage;
 use super::ServeConfig;
 
 /// The daemon's service layer: everything minus the TCP accept loop, so
@@ -36,7 +35,7 @@ pub struct Service {
     pub(crate) metrics: ServiceMetrics,
     pub(super) workers: usize,
     pub(super) response_cache: Option<Mutex<ResponseCache>>,
-    pub(super) observations: Mutex<VecDeque<ObservationWire>>,
+    pub(super) observations: Mutex<ObservationStage>,
 }
 
 impl Service {
@@ -86,7 +85,7 @@ impl Service {
             metrics,
             workers,
             response_cache,
-            observations: Mutex::new(VecDeque::new()),
+            observations: Mutex::default(),
         })
     }
 

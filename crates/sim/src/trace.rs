@@ -121,102 +121,55 @@ impl TraceSimulator {
             dims,
         } = self.cluster.phase_inputs(assignment);
 
-        // Per-GPU time cursors: when each GPU becomes free.
-        let mut cursor = vec![0.0f64; d];
-        let mut idle = vec![0.0f64; d];
-        let mut last_trace = IterationTrace {
-            spans: vec![Vec::new(); d],
-        };
-        let mut iter_start_max = 0.0f64;
-        let mut iter_end_max = 0.0f64;
-
-        let iterations = iterations.max(1);
-        for it in 0..iterations {
-            let record = it + 1 == iterations;
-            if record {
-                for s in &mut last_trace.spans {
-                    s.clear();
-                }
-                iter_start_max = cursor.iter().cloned().fold(f64::MIN, f64::max);
-            }
-            idle.iter_mut().for_each(|v| *v = 0.0);
-
+        let max = |v: &[f64]| v.iter().cloned().fold(f64::MIN, f64::max);
+        // One iteration's phase boundaries on each GPU, in pipeline order:
+        // its start, then the end of each of the five phases. The last is
+        // when the GPU is free again, so it starts the next iteration.
+        let mut at: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0f64; d]);
+        for _ in 0..iterations.max(1) {
+            let start = std::mem::take(&mut at[5]);
             // 1. Embedding forward (starts as soon as each GPU is free).
-            let fwd_end: Vec<f64> = (0..d).map(|g| cursor[g] + fwd[g]).collect();
-            if record {
-                for g in 0..d {
-                    last_trace.spans[g].push(Span {
-                        phase: Phase::EmbeddingForward,
-                        start_ms: cursor[g],
-                        end_ms: fwd_end[g],
-                    });
-                }
-            }
-
+            let fwd_end: Vec<f64> = (0..d).map(|g| start[g] + fwd[g]).collect();
             // 2. Forward all-to-all: collective joined at fwd_end[g].
             let fwd_comm = comm.forward_costs_ms(&dims, &fwd_end, batch);
             let fwd_comm_end: Vec<f64> = (0..d).map(|g| fwd_end[g] + fwd_comm[g]).collect();
-            let ready = fwd_end.iter().cloned().fold(f64::MIN, f64::max);
-            for g in 0..d {
-                idle[g] += ready - fwd_end[g];
-            }
-            if record {
-                for g in 0..d {
-                    last_trace.spans[g].push(Span {
-                        phase: Phase::ForwardComm,
-                        start_ms: fwd_end[g],
-                        end_ms: fwd_comm_end[g],
-                    });
-                }
-            }
-
             // 3. Dense forward + backward (identical everywhere).
             let dense_end: Vec<f64> = fwd_comm_end.iter().map(|&e| e + self.dense_ms).collect();
-            if record {
-                for g in 0..d {
-                    last_trace.spans[g].push(Span {
-                        phase: Phase::DenseCompute,
-                        start_ms: fwd_comm_end[g],
-                        end_ms: dense_end[g],
-                    });
-                }
-            }
-
             // 4. Backward all-to-all.
             let bwd_comm = comm.backward_costs_ms(&dims, &dense_end, batch);
             let bwd_comm_end: Vec<f64> = (0..d).map(|g| dense_end[g] + bwd_comm[g]).collect();
-            let ready_b = dense_end.iter().cloned().fold(f64::MIN, f64::max);
-            for g in 0..d {
-                idle[g] += ready_b - dense_end[g];
-            }
-            if record {
-                for g in 0..d {
-                    last_trace.spans[g].push(Span {
-                        phase: Phase::BackwardComm,
-                        start_ms: dense_end[g],
-                        end_ms: bwd_comm_end[g],
-                    });
-                }
-            }
-
             // 5. Embedding backward; its end staggers the next iteration.
-            for g in 0..d {
-                let end = bwd_comm_end[g] + bwd[g];
-                if record {
-                    last_trace.spans[g].push(Span {
-                        phase: Phase::EmbeddingBackward,
-                        start_ms: bwd_comm_end[g],
-                        end_ms: end,
-                    });
-                }
-                cursor[g] = end;
-            }
-            if record {
-                iter_end_max = cursor.iter().cloned().fold(f64::MIN, f64::max);
-            }
+            let end = (0..d).map(|g| bwd_comm_end[g] + bwd[g]).collect();
+            at = [start, fwd_end, fwd_comm_end, dense_end, bwd_comm_end, end];
         }
 
-        let iteration_ms = iter_end_max - iter_start_max;
+        const PHASES: [Phase; 5] = [
+            Phase::EmbeddingForward,
+            Phase::ForwardComm,
+            Phase::DenseCompute,
+            Phase::BackwardComm,
+            Phase::EmbeddingBackward,
+        ];
+        let spans = (0..d)
+            .map(|g| {
+                PHASES
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &phase)| Span {
+                        phase,
+                        start_ms: at[i][g],
+                        end_ms: at[i + 1][g],
+                    })
+                    .collect()
+            })
+            .collect();
+        // The last iteration's waits: each GPU for the last one into each
+        // collective.
+        let (ready, ready_b) = (max(&at[1]), max(&at[3]));
+        let idle: Vec<f64> = (0..d)
+            .map(|g| (ready - at[1][g]) + (ready_b - at[3][g]))
+            .collect();
+        let iteration_ms = max(&at[5]) - max(&at[0]);
         let mean_idle = idle.iter().sum::<f64>() / d as f64;
         let max_idle = idle.iter().cloned().fold(0.0, f64::max);
         let throughput = if iteration_ms > 0.0 {
@@ -229,7 +182,7 @@ impl TraceSimulator {
             mean_idle_ms: mean_idle,
             max_idle_ms: max_idle,
             throughput_samples_per_sec: throughput,
-            last_iteration: last_trace,
+            last_iteration: IterationTrace { spans },
         })
     }
 }

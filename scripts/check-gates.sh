@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MAX_SERVE_ITEMS=87
-MAX_TOTAL_LINES=11732
+MAX_TOTAL_LINES=11718
 MAX_TOTAL_ITEMS=598
 
 counts=$(scripts/count-lines.sh)

@@ -16,16 +16,17 @@
 # deleted.
 #
 # One planning stack (DESIGN.md §8): outside `online::stack` nothing under
-# online/serve builds an incremental planner or a fallback chain, and
-# nothing under serve/src names one — the stack owns the full and the
-# greedy chain — so "incremental, else a chain" cannot be written a second
-# time.
+# online/serve builds an incremental planner or calls a fallback chain
+# (`shard_with_provenance`), and nothing under serve/src names the chain —
+# the stack calls the full and the greedy chain — so "incremental, else a
+# chain" cannot be written a second time.
 #
 # One door per planning job (DESIGN.md §6.5, §7): `NeuroShard::shard_with_stats`
-# is the one entry to the beam search, a chain's stages are one list
-# (`FallbackChain::new`), and a search config has nothing to validate, so
-# the bare beam type and its record, the fallback builder, the config error
-# and the fallible constructor stay deleted.
+# is the one entry to the beam search, a chain is one call over its stages
+# (`shard_with_provenance`), and a search config has nothing to validate,
+# so the bare beam type and its record, the fallback builder, the stored
+# chain (`FallbackChain`), the config error and the fallible constructor
+# stay deleted.
 #
 # One communication law (DESIGN.md §3, §13): nothing under crates/ is named
 # `*_tiered` again, and the learner builds comm rows from
@@ -397,9 +398,10 @@ if code crates/serve/src | grep -E \
 fi
 
 if code crates/*/src src examples |
-    grep -E -e '\b(ConfigError|BeamSearch|BeamSearchResult|with_fallback)\b' -e 'NeuroShard::try_new'; then
-    echo "error: NeuroShard::shard_with_stats is the one search, a chain takes its stages in" \
-        "one list, and a search config has nothing to validate (lines above)" >&2
+    grep -E -e '\b(ConfigError|BeamSearch|BeamSearchResult|with_fallback|FallbackChain)\b' \
+        -e 'NeuroShard::try_new'; then
+    echo "error: NeuroShard::shard_with_stats is the one search, a chain is one call over" \
+        "its stages, and a search config has nothing to validate (lines above)" >&2
     exit 1
 fi
 
@@ -414,9 +416,9 @@ if code $consumers crates/core/src | grep -E 'IncrementalPlanner::(new|default)\
     fail=1
 fi
 # shellcheck disable=SC2086
-if code $consumers | grep 'FallbackChain::new(' | grep -v "^$stack:" ||
-    code crates/serve/src | grep -w 'FallbackChain'; then
-    echo "error: nshard_online::PlanningStack builds the full and the greedy chain;" \
+if code $consumers | grep -w 'shard_with_provenance' | grep -v "^$stack:" ||
+    code crates/serve/src | grep -w 'shard_with_provenance'; then
+    echo "error: nshard_online::PlanningStack calls the full and the greedy chain;" \
         "no other chain stands beside them (lines above)" >&2
     fail=1
 fi

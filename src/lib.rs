@@ -54,7 +54,7 @@ pub use nshard_sim as sim;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use nshard_baselines::ShardingAlgorithm;
-    pub use nshard_core::{FallbackChain, NeuroShard, NeuroShardConfig, ShardingPlan};
+    pub use nshard_core::{NeuroShard, NeuroShardConfig, ShardingPlan};
     pub use nshard_cost::{CostModelBundle, CostSimulator};
     pub use nshard_data::{ShardingTask, TablePool};
     pub use nshard_online::{PlanDelta, WorkloadDrift};
@@ -65,14 +65,14 @@ pub mod prelude {
 /// Resilience: plan repair and graceful degradation.
 ///
 /// Re-exports the repair / fallback machinery of [`nshard_core`]: a chain
-/// checks each stage's plan with one [`nshard_core::repair`] call against
-/// its task, whose budgets are its fleet's, so a hostile fleet is a
-/// [`nshard_data::DevicePool`] on the task. The wired-up chains — the
-/// full NeuroShard chain and the greedy one — live in
-/// [`nshard_online::PlanningStack`].
+/// is one [`nshard_core::shard_with_provenance`] call over its stages,
+/// which checks each stage's plan with one [`nshard_core::repair`] call
+/// against its task, whose budgets are its fleet's, so a hostile fleet is
+/// a [`nshard_data::DevicePool`] on the task. The full NeuroShard chain
+/// and the greedy one are [`nshard_online::PlanningStack::plan`]'s.
 pub mod resilient {
     pub use nshard_core::{
-        repair, size_balanced_plan, FallbackChain, PlanProvenance, PlanSource, ProvenanceEvent,
-        RepairReport, ResilientError, ResilientOutcome,
+        repair, shard_with_provenance, size_balanced_plan, PlanProvenance, PlanSource,
+        ProvenanceEvent, RepairReport, ResilientError, ResilientOutcome,
     };
 }

@@ -15,7 +15,7 @@
 use neuroshard::baselines::{DimGreedy, ShardingAlgorithm, SizeGreedy, TorchRecLikePlanner};
 use neuroshard::data::{DevicePool, DeviceProfile, ShardingTask, TablePool};
 use neuroshard::resilient::{
-    FallbackChain, PlanSource, ProvenanceEvent, ResilientError, ResilientOutcome,
+    shard_with_provenance, PlanSource, ProvenanceEvent, ResilientError, ResilientOutcome,
 };
 use neuroshard::sim::GpuSpec;
 use rand::rngs::StdRng;
@@ -24,10 +24,10 @@ use rand::{Rng, SeedableRng};
 const SCENARIOS: u64 = 24;
 const DEVICES: usize = 4;
 
-/// Builds the chain under test: greedy primary, greedy fallback, plans
-/// verified on the task's fleet.
-fn chain() -> FallbackChain {
-    FallbackChain::new(vec![Box::new(SizeGreedy), Box::new(DimGreedy)])
+/// Runs the chain under test on `task`: greedy primary, greedy fallback,
+/// plans verified on the task's fleet.
+fn chain(task: &ShardingTask) -> Result<ResilientOutcome, ResilientError> {
+    shard_with_provenance(&[&SizeGreedy, &DimGreedy], task)
 }
 
 /// The hostile fleet for `task` at `seed`: each device holds 80–140% of
@@ -139,7 +139,7 @@ fn assert_attributed(first: &str, outcome: &Result<ResilientOutcome, ResilientEr
 
 /// Runs one seeded scenario end to end.
 fn run_scenario(seed: u64) -> Result<ResilientOutcome, ResilientError> {
-    chain().shard_with_provenance(&task_for(seed))
+    chain(&task_for(seed))
 }
 
 #[test]
@@ -187,22 +187,20 @@ fn sweep_never_panics_and_outcomes_are_typed() {
 /// the last resort alone. Prints the outcomes by kind.
 #[test]
 fn every_outcome_is_attributed_as_its_events_say() {
-    type Stages = Vec<Box<dyn ShardingAlgorithm + Send + Sync>>;
-    /// A chain's first stage and the stages it is built from.
-    type Chain = (&'static str, fn() -> Stages);
+    let torchrec = TorchRecLikePlanner::default();
+    /// A chain's first stage and the stages it runs.
+    type Chain<'a> = (&'static str, Vec<&'a dyn ShardingAlgorithm>);
     let chains: [Chain; 3] = [
-        (PRIMARY, || vec![Box::new(SizeGreedy), Box::new(DimGreedy)]),
-        ("torchrec_like", || {
-            vec![Box::new(TorchRecLikePlanner::default())]
-        }),
-        (LAST_RESORT, Vec::new),
+        (PRIMARY, vec![&SizeGreedy, &DimGreedy]),
+        ("torchrec_like", vec![&torchrec]),
+        (LAST_RESORT, Vec::new()),
     ];
     let mut counts = std::collections::BTreeMap::new();
     for (first, stages) in chains {
         for percent in [115, 85, 60] {
             for seed in 0..SCENARIOS {
                 let task = squeezed_task_for(seed, percent);
-                let outcome = FallbackChain::new(stages()).shard_with_provenance(&task);
+                let outcome = shard_with_provenance(&stages, &task);
                 assert_attributed(first, &outcome);
                 let kind = match &outcome {
                     Ok(outcome) => {
@@ -310,8 +308,7 @@ fn oom_greedy_plan_is_repaired_into_feasibility() {
 
     // And through the chain: the same task yields a verified plan with
     // repair recorded in its provenance.
-    let chain = FallbackChain::new(vec![Box::new(DimGreedy)]);
-    let outcome = chain.shard_with_provenance(&task).unwrap();
+    let outcome = shard_with_provenance(&[&DimGreedy], &task).unwrap();
     assert!(matches!(
         outcome.provenance.source,
         PlanSource::Repaired { .. }
@@ -427,7 +424,7 @@ fn hetero_fault_sweep_recovers_profile_respecting_plans() {
         let slow_scale = 1.5 * (2.0 + (seed % 3) as f64);
         let inter = 0.5 * (0.2 + 0.1 * (seed % 4) as f64);
         let task = hetero_task(seed, two_tier_pool(slow_scale, inter));
-        let run = || chain().shard_with_provenance(&task);
+        let run = || chain(&task);
         let outcome = run();
         assert_eq!(
             outcome,

@@ -211,7 +211,7 @@ fn non_finite_predictions_reach_the_fallback_chain() {
     use neuroshard::baselines::SizeGreedy;
     use neuroshard::core::PlanError;
     use neuroshard::cost::{CostSimulator, TableSetKey};
-    use neuroshard::resilient::{FallbackChain, PlanSource, ProvenanceEvent};
+    use neuroshard::resilient::{shard_with_provenance, PlanSource, ProvenanceEvent};
 
     let pool = TablePool::synthetic_dlrm(100, 13);
     let healthy = CostModelBundle::pretrain(
@@ -248,13 +248,8 @@ fn non_finite_predictions_reach_the_fallback_chain() {
         "{comm_err}"
     );
 
-    let chain = FallbackChain::new(vec![
-        Box::new(NeuroShard::new(nan_compute, config)),
-        Box::new(SizeGreedy),
-    ]);
-    let outcome = chain
-        .shard_with_provenance(&task)
-        .expect("greedy plan ships");
+    let neuro = NeuroShard::new(nan_compute, config);
+    let outcome = shard_with_provenance(&[&neuro, &SizeGreedy], &task).expect("greedy plan ships");
     assert!(outcome.plan.validate(&task).is_ok());
     assert!(matches!(
         &outcome.provenance.source,

@@ -59,9 +59,9 @@ fn get_inline(service: &Service, path: &str) -> (u16, String) {
     (r.status, String::from_utf8_lossy(&r.body).to_string())
 }
 
-/// `POST /v1/observations` stages ground-truth reports inline, the
-/// learning loop drains them with `take_observations`, and a
-/// `ContinualLearner` ingests the drained batch (unknown kinds skipped).
+/// `POST /v1/observations` stages ground-truth reports inline (unknown
+/// kinds skipped at the door), the learning loop drains them with
+/// `take_observations`, and a `ContinualLearner` ingests the drained batch.
 #[test]
 fn observations_flow_from_the_wire_into_the_learner() {
     let service = Service::with_clock(
@@ -80,15 +80,15 @@ fn observations_flow_from_the_wire_into_the_learner() {
     };
     assert_eq!(ack.status, 200, "{}", String::from_utf8_lossy(&ack.body));
     let ack_body = String::from_utf8_lossy(&ack.body).to_string();
-    assert!(ack_body.contains("\"accepted\":3"), "got: {ack_body}");
-    assert_eq!(service.observations_buffered(), 3);
+    assert!(ack_body.contains("\"accepted\":2"), "got: {ack_body}");
+    assert_eq!(service.observations_buffered(), 2);
 
     let mut learner = ContinualLearner::new(quick_bundle(7), ContinualConfig::smoke());
     learner.ingest_wire(&service.take_observations());
     assert_eq!(
         learner.buffer().inserted(),
         2,
-        "the unknown kind is skipped, the rest are buffered"
+        "every staged observation is buffered"
     );
     assert_eq!(
         service.observations_buffered(),
@@ -98,9 +98,65 @@ fn observations_flow_from_the_wire_into_the_learner() {
 
     let metrics = service.render_metrics();
     assert!(
-        metrics.contains("nshard_serve_observations_total 3"),
+        metrics.contains("nshard_serve_observations_total 2"),
         "got: {metrics}"
     );
+}
+
+/// The daemon stages only observations its serving models can read, and
+/// however large each readable one is, the stage keeps a bounded number
+/// of feature values, evicting the oldest observations first.
+#[test]
+fn the_stage_holds_only_readable_rows_and_stays_bounded() {
+    let service = Service::with_clock(
+        quick_bundle(7),
+        ServeConfig::smoke(),
+        Arc::new(ManualClock::new()),
+    )
+    .expect("service boots");
+    let ack = |observations: &[String]| {
+        let body = format!("{{\"observations\":[{}]}}", observations.join(","));
+        let Routed::Inline(ack) = post(&service, "/v1/observations", &body) else {
+            panic!("observation ingest answers inline")
+        };
+        assert_eq!(ack.status, 200);
+        String::from_utf8_lossy(&ack.body).to_string()
+    };
+    let observation = |kind: &str, rows: usize, width: usize| {
+        let row = format!("[{}]", vec!["0.5"; width].join(","));
+        format!(
+            "{{\"kind\":\"{kind}\",\"features\":[{}],\"predicted_ms\":1.0,\"observed_ms\":2.0}}",
+            vec![row; rows].join(",")
+        )
+    };
+
+    // A one-value compute row, an empty compute observation, comm rows of
+    // the wrong width (the bundle prices two devices: 7 values) or count,
+    // and an unknown kind: the learner could read none of them.
+    let unreadable = [
+        observation("compute", 1, 1),
+        observation("compute", 0, 8),
+        observation("comm_forward", 1, 3),
+        observation("comm_backward", 2, 7),
+        observation("mystery", 1, 8),
+    ];
+    let got = ack(&unreadable);
+    assert!(got.contains("\"accepted\":0"), "got: {got}");
+    assert_eq!(service.observations_buffered(), 0);
+
+    // Half the stage's 2,097,152 values each: two fit, a third evicts
+    // the oldest, and one past the whole cap is refused.
+    let half = observation("compute", 1 << 17, 8);
+    for buffered in [1, 2, 2] {
+        let got = ack(std::slice::from_ref(&half));
+        assert!(got.contains("\"accepted\":1"), "got: {got}");
+        assert_eq!(service.observations_buffered(), buffered);
+    }
+    let got = ack(&[observation("compute", (1 << 18) + 1, 8)]);
+    assert!(got.contains("\"accepted\":0"), "got: {got}");
+    let staged = service.take_observations();
+    let values: usize = staged.iter().flat_map(|o| &o.features).map(Vec::len).sum();
+    assert_eq!((staged.len(), values), (2, 1 << 21));
 }
 
 /// The stale-cache-across-promotion test: a model promotion bumps the

@@ -114,7 +114,7 @@ fn expired_deadline_is_shed_with_503() {
 }
 
 /// A request with *almost* no budget left degrades to the greedy chain
-/// (a fast plan) instead of erroring — the FallbackChain discipline
+/// (a fast plan) instead of erroring — the fallback chain's discipline
 /// applied to deadlines.
 #[test]
 fn deadline_pressure_degrades_instead_of_failing() {

@@ -169,6 +169,47 @@ fn canonical_requests_parse_to_their_literal_meaning() {
     }
 }
 
+/// A body is framed by `Content-Length` alone: a `Transfer-Encoding`
+/// header (of any coding) faults, and so do two `Content-Length` headers
+/// that disagree, rather than reading a chunked body as a next request or
+/// letting the last length win. Two that agree frame the body they state.
+#[test]
+fn framing_the_parser_cannot_honour_faults_and_agreeing_lengths_parse() {
+    let faults: [(&[u8], &str); 3] = [
+        (
+            b"POST /v1/plan HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+            "Transfer-Encoding is not supported",
+        ),
+        (
+            b"POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding: identity\r\n\r\nok",
+            "Transfer-Encoding is not supported",
+        ),
+        (
+            b"POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nokk",
+            "Content-Length headers disagree",
+        ),
+    ];
+    for (raw, reason) in faults {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        assert_eq!(
+            parser.step(),
+            ParseStep::Fault(ParseFault::Malformed(reason.into())),
+            "{:?}",
+            String::from_utf8_lossy(raw)
+        );
+    }
+    let agreeing = b"POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nok";
+    assert_eq!(
+        parse_one_shot(agreeing),
+        vec![HttpRequest {
+            method: "POST".into(),
+            path: "/v1/plan".into(),
+            body: b"ok".to_vec(),
+        }]
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Hostile bytes: the parser answers every input with a typed step
 // ---------------------------------------------------------------------------
