@@ -68,9 +68,10 @@ impl ObservationKind {
 
 /// One ground-truth cost observation reported by a deployment —
 /// `(model input features, predicted cost, observed cost)` for exactly
-/// one of the three cost models. The serve daemon buffers these verbatim
-/// (`POST /v1/observations`), the continual learner ingests them, and the
-/// [`ObservationBuffer`] retains them as they arrived.
+/// one of the three cost models. The serve daemon counts the readable
+/// ones it is sent (`POST /v1/observations`) and keeps none, the continual
+/// learner ingests them, and the [`ObservationBuffer`] retains them as
+/// they arrived.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObservationWire {
     /// Which cost model the sample feeds: an [`ObservationKind`] label,

@@ -25,13 +25,14 @@
 //!
 //! The decision is made in memory and recorded as a [`PromotionRecord`];
 //! a rejected candidate is dropped and the incumbent keeps serving. The
-//! learner writes no file: the one persisted model is the serve daemon's
-//! `models/active`, written by `Service::promote_model`.
+//! learner writes no file, and nothing swaps a model into a running serve
+//! daemon: a promoted bundle serves by booting a daemon with it.
 //!
-//! The same learner also ingests observations drained from a serve
-//! daemon (`Service::take_observations`), so one loop can learn from both
-//! the epoch simulator and live traffic. Both roads end in one check: a
-//! row the incumbent's models cannot read is skipped, never buffered.
+//! The same learner also ingests observations in their wire form
+//! ([`ObservationWire`], the body of the daemon's `POST
+//! /v1/observations`), so one loop can learn from both the epoch
+//! simulator and recorded reports. Both roads end in one check: a row the
+//! incumbent's models cannot read is skipped, never buffered.
 
 use serde::{Deserialize, Serialize};
 
@@ -181,8 +182,8 @@ impl ContinualLearner {
         &self.records
     }
 
-    /// Ingests observations reported over the wire
-    /// (`POST /v1/observations` → `Service::take_observations`). A row
+    /// Ingests observations in their wire form (the rows of a `POST
+    /// /v1/observations` body). A row
     /// the incumbent's models cannot read — an unknown kind, no features,
     /// a non-finite value, or rows of the wrong width — is skipped, not
     /// an error.

@@ -106,13 +106,8 @@ pub(crate) struct ObservationsRequest {
 /// Body of a successful `POST /v1/observations`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) struct ObservationsAck {
-    /// Observations admitted into the buffer by this request.
+    /// Observations in the request the serving models can read.
     pub accepted: u64,
-    /// Total observations currently buffered (after bounded eviction).
-    pub buffered: u64,
-    /// The model version the predictions were scored against (the
-    /// engine's current version at ingest time).
-    pub model_version: u64,
 }
 
 /// Body of every error response.
@@ -150,10 +145,6 @@ pub(crate) struct HealthResponse {
     pub workers: u64,
     /// Bounded queue capacity.
     pub queue_capacity: u64,
-    /// Version of the cost-model bundle currently serving predictions;
-    /// starts at `1` and increments on every continual-learning
-    /// promotion (and once at a boot that restores a promoted model).
-    pub model_version: u64,
 }
 
 /// Short stable label for a [`PlanSource`], used in responses and metric

@@ -1,8 +1,8 @@
 //! The planning engine behind the daemon's endpoints.
 //!
-//! One [`PlanningEngine`] is shared (behind an `Arc`) by every worker
-//! thread. It holds the serving cost-model bundle and its version, and the
-//! search and incremental configurations — nothing that plans.
+//! One [`PlanningEngine`] is shared by every worker thread. It holds the
+//! cost-model bundle the daemon booted with, and the search and
+//! incremental configurations — nothing that plans.
 //!
 //! Each request builds its own [`PlanningStack`] around the serving
 //! bundle: `POST /v1/plan` is its `plan`, `POST /v1/replan` its `replan`,
@@ -22,8 +22,6 @@
 //! ids are content-addressed hashes of the task + plan JSON, and no
 //! timestamps enter response bodies.
 
-use std::sync::{Arc, RwLock};
-
 use nshard_core::{
     estimate_for_task, NeuroShardConfig, PlanProvenance, ResilientError, ShardingPlan,
 };
@@ -31,8 +29,6 @@ use nshard_cost::{CacheStats, CostModelBundle};
 use nshard_data::ShardingTask;
 use nshard_nn::serialize::{fnv64, fnv64_extend};
 use nshard_online::{IncrementalConfig, PlanningStack, ReplanRoute};
-
-use crate::sync;
 
 /// One planned (or replanned) task, ready to store and serialize.
 #[derive(Debug, Clone)]
@@ -49,24 +45,14 @@ pub struct PlanOutput {
     /// `true` when the serving layer routed this request through the
     /// greedy chain (deadline pressure) or the chain itself downgraded.
     pub degraded: bool,
-    /// The model version that planned and priced it.
-    pub model_version: u64,
     /// The request's own prediction-cache hits and misses.
     pub cache: CacheStats,
 }
 
-/// The serving cost-model bundle and its version, swapped as a unit on
-/// promotion.
-struct Serving {
-    bundle: CostModelBundle,
-    version: u64,
-}
-
 /// The planning engine shared by every worker thread: the serving bundle
-/// and its version, and the configurations each request's planning stack
-/// is built with.
+/// and the configurations each request's planning stack is built with.
 pub struct PlanningEngine {
-    serving: RwLock<Arc<Serving>>,
+    bundle: CostModelBundle,
     search: NeuroShardConfig,
     incremental: IncrementalConfig,
 }
@@ -76,8 +62,8 @@ impl PlanningEngine {
     ///
     /// `threads = 0` in `search` resolves through the single
     /// [`nshard_pool::THREADS_ENV`] path, so the daemon honors
-    /// `NSHARD_THREADS` exactly like the offline binaries. The initial
-    /// model version is `1`. `_seed` is read by nothing: the chains verify
+    /// `NSHARD_THREADS` exactly like the offline binaries. `_seed` is read
+    /// by nothing: the chains verify
     /// a plan on its task's fleet, which draws no seed. It stays until the
     /// benchmark surface, which passes it, is next changed.
     pub fn new(
@@ -87,55 +73,30 @@ impl PlanningEngine {
         _seed: u64,
     ) -> Self {
         Self {
-            serving: RwLock::new(Arc::new(Serving { bundle, version: 1 })),
+            bundle,
             search,
             incremental,
         }
     }
 
-    /// The serving bundle; cloned out of the lock so an in-flight request
-    /// keeps planning against the model generation it started with even
-    /// if a promotion lands mid-request.
-    fn current(&self) -> Arc<Serving> {
-        sync::read(&self.serving).clone()
-    }
-
-    /// Atomically installs a new cost-model bundle and returns its model
-    /// version. Requests that start after it plan with the new bundle.
-    pub(crate) fn swap_bundle(&self, bundle: CostModelBundle) -> u64 {
-        let mut guard = sync::write(&self.serving);
-        let version = guard.version + 1;
-        *guard = Arc::new(Serving { bundle, version });
-        version
-    }
-
-    /// The active model version (starts at 1, +1 per
-    /// [`PlanningEngine::swap_bundle`]).
-    pub(crate) fn model_version(&self) -> u64 {
-        self.current().version
-    }
-
-    /// The device count the active cost models were trained for.
+    /// The device count the serving cost models were trained for.
     pub(crate) fn num_devices(&self) -> usize {
-        self.current().bundle.num_devices()
+        self.bundle.num_devices()
     }
 
-    /// Whether the active cost models can price a task on `num_devices`
+    /// Whether the serving cost models can price a task on `num_devices`
     /// devices ([`CostModelBundle::check_device_count`]).
     ///
     /// # Errors
     ///
     /// A message naming both counts.
     pub(crate) fn check_device_count(&self, num_devices: usize) -> Result<(), String> {
-        self.current().bundle.check_device_count(num_devices)
+        self.bundle.check_device_count(num_devices)
     }
 
-    /// One request's planning stack around the serving bundle, and that
-    /// bundle's version.
-    fn stack(&self) -> (PlanningStack, u64) {
-        let serving = self.current();
-        let stack = PlanningStack::new(serving.bundle.clone(), self.search, self.incremental);
-        (stack, serving.version)
+    /// One request's planning stack around the serving bundle.
+    fn stack(&self) -> PlanningStack {
+        PlanningStack::new(self.bundle.clone(), self.search, self.incremental)
     }
 
     /// Plans `task` from scratch through [`PlanningStack::plan`]: the full
@@ -150,9 +111,9 @@ impl PlanningEngine {
     /// count (cause [`nshard_core::PlanError::Invalid`]); carries full
     /// provenance.
     pub fn plan(&self, task: &ShardingTask, degrade: bool) -> Result<PlanOutput, ResilientError> {
-        let (stack, version) = self.stack();
+        let stack = self.stack();
         let out = stack.plan(task, degrade)?;
-        finish(&stack, version, task, out.plan, out.provenance, degrade)
+        finish(&stack, task, out.plan, out.provenance, degrade)
     }
 
     /// Replans `task` warm-started from `incumbent` through
@@ -171,18 +132,17 @@ impl PlanningEngine {
         incumbent: &ShardingPlan,
         degrade: bool,
     ) -> Result<(PlanOutput, u64, ReplanRoute), ResilientError> {
-        let (stack, version) = self.stack();
+        let stack = self.stack();
         let re = stack.replan(task, incumbent, degrade)?;
-        let output = finish(&stack, version, task, re.plan, re.provenance, degrade)?;
+        let output = finish(&stack, task, re.plan, re.provenance, degrade)?;
         Ok((output, re.migration_bytes, re.route))
     }
 }
 
 /// Prices, ids, and packages an accepted plan with the request's own
-/// stack (so the whole request is served by a single model generation).
+/// stack (so the plan is priced by the simulator that searched it).
 fn finish(
     stack: &PlanningStack,
-    model_version: u64,
     task: &ShardingTask,
     plan: ShardingPlan,
     provenance: PlanProvenance,
@@ -205,7 +165,6 @@ fn finish(
         provenance,
         predicted_ms,
         degraded,
-        model_version,
         cache: stack.simulator().cache().stats(),
     })
 }
@@ -347,40 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_bundle_bumps_version_and_reprices() {
-        let eng = engine();
-        assert_eq!(eng.model_version(), 1);
-        let t = task();
-        let first = eng.plan(&t, false).unwrap();
-        assert_eq!(first.model_version, 1);
-        assert!(
-            first.cache.misses > 0,
-            "planning must touch the request's prediction cache"
-        );
-
-        // Swap in a differently-seeded (differently-initialized) bundle.
-        let pool = TablePool::synthetic_dlrm(40, 3);
-        let other = CostModelBundle::pretrain(
-            &pool,
-            2,
-            &CollectConfig::smoke(),
-            &TrainSettings::smoke(),
-            99,
-        );
-        assert_eq!(eng.swap_bundle(other), 2);
-        assert_eq!(eng.model_version(), 2);
-
-        // The new generation prices plans with the new models.
-        let second = eng.plan(&t, false).unwrap();
-        assert_eq!(second.model_version, 2);
-        assert!(second.plan.validate(&t).is_ok());
-        assert_ne!(
-            first.predicted_ms, second.predicted_ms,
-            "different bundles should price the workload differently"
-        );
-    }
-
-    #[test]
     fn each_request_starts_with_empty_caches() {
         let eng = engine();
         let t = task();
@@ -411,7 +336,7 @@ mod tests {
     fn predicted_ms_is_the_search_estimate_on_a_heterogeneous_fleet() {
         let eng = engine();
         let t = two_tier_task();
-        let searched = NeuroShard::new(eng.current().bundle.clone(), NeuroShardConfig::smoke())
+        let searched = NeuroShard::new(eng.bundle.clone(), NeuroShardConfig::smoke())
             .shard_with_stats(&t)
             .unwrap();
         let planned = eng.plan(&t, false).unwrap();

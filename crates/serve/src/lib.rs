@@ -3,13 +3,11 @@
 //! A long-running, dependency-free HTTP/1.1 JSON daemon around the
 //! NeuroShard planner: the deployment story for the paper's "pre-train
 //! once, search per task" workflow. The caller hands the daemon its
-//! pre-trained cost models at startup and every request is an online
-//! search. The daemon keeps the one persisted model, `models/active` in
-//! its plan store: [`Service::promote_model`] writes it, and with a
-//! `store_dir` [`Service::with_clock`] restores it at boot in place of
-//! the bundle it was handed. A promoted bundle comes from the caller,
-//! typically a `nshard_online::learn::ContinualLearner` that
-//! shadow-evaluated it in memory.
+//! pre-trained cost models at startup ([`Service::new`]) and every request
+//! is an online search with them: one bundle serves the daemon's whole
+//! life, and nothing the daemon stores or is sent replaces it. A
+//! fine-tuned bundle (`nshard_online::learn::ContinualLearner`) is served
+//! by booting a daemon with it.
 //!
 //! ## Endpoints
 //!
@@ -17,9 +15,9 @@
 //! |---|---|
 //! | `POST /v1/plan` | Plan a task from scratch through the full chain of an [`nshard_online::PlanningStack`] |
 //! | `POST /v1/replan` | Warm-started incremental replan around a stored incumbent, charged by [`nshard_core::replan_migration_bytes`] |
-//! | `POST /v1/observations` | Report ground-truth costs for continual learning |
+//! | `POST /v1/observations` | Report ground-truth costs: counts the readable ones, keeps none |
 //! | `GET /v1/plans/{id}` | Fetch a stored plan with provenance |
-//! | `GET /health` | Liveness + store/queue facts + model version |
+//! | `GET /health` | Liveness + store/queue facts |
 //! | `GET /metrics` | Prometheus exposition |
 //!
 //! ## Module map
@@ -33,17 +31,17 @@
 //! | [`server`] | A facade over `config`, `service`, `routes`, `admission`, `cache`, `respond`, `daemon`: [`ServeConfig`], [`Service`], [`Server`] |
 //! | [`net`] | The event-driven I/O edge: reactor, connection state machine, parser, syscall bindings |
 //! | [`http`] | [`HttpRequest`], [`HttpResponse`], and the one client ([`KeepAliveClient`]) |
-//! | `store` | [`PlanStore`] — the one sequenced record of adopted plans and the promoted model, and its checksummed files |
+//! | `store` | [`PlanStore`] — the one sequenced record of adopted plans, and its checksummed files |
 //! | `api`, `engine`, `metrics`, `clock` | Wire structs, the [`PlanningEngine`], the metrics registry, [`Clock`] |
 //! | `sync` | The one lock policy: every lock is taken through it, and a poisoned lock is recovered |
 //!
 //! ## The plan store
 //!
 //! One daemon keeps one [`PlanStore`]. It sequences every write: an
-//! adoption is one write (the plan's `version` is its sequence number),
-//! and so is a model promotion. With `store_dir` set, each write is saved
-//! to a checksummed file first, and a restarted daemon reads those files
-//! back: the same plans, versions and promoted model, warm.
+//! adoption is one write, and the plan's `version` is its sequence number.
+//! With `store_dir` set, each write is saved to a checksummed file first,
+//! and a restarted daemon reads those files back: the same plans and
+//! versions, warm. The store holds no model.
 //!
 //! ## Admission control
 //!

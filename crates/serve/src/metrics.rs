@@ -20,8 +20,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nshard_cost::CacheStats;
-
 use crate::sync;
 
 /// A monotonically increasing counter.
@@ -319,9 +317,9 @@ pub(crate) struct ServiceMetrics {
     pub(crate) seq_conflicts: Arc<Counter>,
     pub(crate) response_cache_hits: Arc<Counter>,
     pub(crate) response_cache_misses: Arc<Counter>,
+    pub(crate) cache_hits: Arc<Counter>,
+    pub(crate) cache_misses: Arc<Counter>,
     pub(crate) observations: Arc<Counter>,
-    pub(crate) model_promotions: Arc<Counter>,
-    pub(crate) model_version: Arc<Gauge>,
     pub(crate) store_quarantined: Arc<Gauge>,
 }
 
@@ -361,17 +359,17 @@ impl ServiceMetrics {
                 "nshard_serve_response_cache_misses_total",
                 "Planning jobs that missed the response cache (cache enabled only)",
             ),
+            cache_hits: registry.counter(
+                "nshard_serve_cache_hits_total",
+                "Prediction-cache hits of requests",
+            ),
+            cache_misses: registry.counter(
+                "nshard_serve_cache_misses_total",
+                "Prediction-cache misses of requests",
+            ),
             observations: registry.counter(
                 "nshard_serve_observations_total",
                 "Ground-truth cost observations accepted via POST /v1/observations",
-            ),
-            model_promotions: registry.counter(
-                "nshard_serve_model_promotions_total",
-                "Fine-tuned cost-model bundles promoted into the serving engine",
-            ),
-            model_version: registry.gauge(
-                "nshard_serve_model_version",
-                "Version of the cost-model bundle currently serving predictions",
             ),
             store_quarantined: registry.gauge(
                 "nshard_serve_store_quarantined",
@@ -388,23 +386,6 @@ impl ServiceMetrics {
                 "Requests by endpoint and status code",
             )
             .inc();
-    }
-
-    /// Publishes `version` as the serving model version, and registers
-    /// its prediction-cache series so they exist at zero.
-    pub(crate) fn start_model_version(&self, version: u64) {
-        self.model_version.set(version);
-        self.count_prediction_cache(version, CacheStats::default());
-    }
-
-    /// Adds one request's prediction-cache hits and misses to the series
-    /// of the model version that served it.
-    pub(crate) fn count_prediction_cache(&self, version: u64, stats: CacheStats) {
-        for (outcome, count) in [("hits", stats.hits), ("misses", stats.misses)] {
-            let name = format!("nshard_serve_cache_{outcome}_total{{model_version=\"{version}\"}}");
-            let help = format!("Prediction-cache {outcome} of requests, by serving model version");
-            self.registry.counter(&name, &help).add(count);
-        }
     }
 
     pub(crate) fn count_rejection(&self, reason: &str) {

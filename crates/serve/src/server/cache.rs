@@ -1,5 +1,5 @@
 //! The identical-request response cache and the key that scopes an entry
-//! to the model and store generation that produced it.
+//! to the store generation that produced it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -11,15 +11,15 @@ use super::admission::JobKind;
 use super::Service;
 
 /// A bounded FIFO cache of full-budget `200` responses for byte-identical
-/// request bodies, read once, at admission, and filled by the workers. Correctness rests on the daemon's determinism contract —
-/// identical bodies already yield byte-identical responses (plan ids are
-/// content-addressed, adoption is idempotent, and every request plans
-/// with prediction caches of its own, so no earlier or concurrent request
-/// can shift a cached prediction's bits) — so a hit only skips redundant
-/// search work, never changes an answer. Every entry folds the
-/// serving model version into the key (replan entries also the store's
-/// applied sequence), so a model promotion or plan adoption invalidates it —
-/// a response priced by a retired model is never replayed.
+/// request bodies, read once, at admission, and filled by the workers.
+/// Correctness rests on the daemon's determinism contract — identical
+/// bodies already yield byte-identical responses (plan ids are
+/// content-addressed, adoption is idempotent, every request plans with
+/// prediction caches of its own, and one bundle serves the daemon's whole
+/// life) — so a hit only skips redundant search work, never changes an
+/// answer. A replan entry folds the store's applied sequence into its key,
+/// so a plan adoption invalidates it: a replan warm-started from a retired
+/// incumbent is never replayed.
 pub(super) struct ResponseCache {
     capacity: usize,
     map: HashMap<u64, HttpResponse>,
@@ -66,16 +66,13 @@ pub(super) fn response_cache_key(kind: JobKind, generation: u64, body: &[u8]) ->
 }
 
 impl Service {
-    /// Response-cache generation for `kind`: every cached response was
-    /// priced by a specific model version (a promotion must invalidate
-    /// it), and replans additionally depend on the store's applied
-    /// sequence (an adoption changes the incumbent a replan warm-starts
-    /// from).
+    /// Response-cache generation for `kind`: `0` for a plan, which no
+    /// adoption changes, and the store's applied sequence for a replan (an
+    /// adoption changes the incumbent a replan warm-starts from).
     pub(super) fn cache_generation(&self, kind: JobKind) -> u64 {
-        let version = self.engine.model_version() << 32;
         match kind {
-            JobKind::Plan => version,
-            JobKind::Replan => version | (self.plans.applied_seq() & 0xffff_ffff),
+            JobKind::Plan => 0,
+            JobKind::Replan => self.plans.applied_seq(),
         }
     }
 }

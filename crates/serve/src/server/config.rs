@@ -22,15 +22,14 @@ pub struct ServeConfig {
     /// Worker threads draining the queue; `0` = auto via
     /// [`nshard_pool::resolve_threads`] (the `NSHARD_THREADS` path).
     pub workers: usize,
-    /// Persist adopted plans and the promoted model under this directory,
-    /// and boot from what it holds; `None` = memory only.
+    /// Persist adopted plans under this directory, and boot with the
+    /// plans it holds; `None` = memory only.
     pub store_dir: Option<PathBuf>,
     /// Identical-request response cache entries; `0` (default) disables
     /// it. Safe because identical bodies already produce byte-identical
-    /// responses (the documented determinism contract) and every entry
-    /// keys on the serving model version (replans additionally on the
-    /// store generation), so a model promotion or plan adoption
-    /// invalidates it. Hits are answered inline at admission without
+    /// responses (the documented determinism contract) and a replan entry
+    /// keys on the store generation, so a plan adoption invalidates it.
+    /// Hits are answered inline at admission without
     /// consuming queue capacity, so repeated bodies measure the HTTP path
     /// rather than re-run identical searches (the open-loop test in
     /// `tests/serve_net.rs` turns it on).

@@ -100,7 +100,7 @@ impl Service {
         // replayed. The generation is read before planning, as the entry
         // describes the store the request saw, and the entry is stored only
         // if that generation is still current once the answer has settled:
-        // past an adoption or promotion (an adopting replan's own, say) no
+        // past an adoption (an adopting replan's own, say) no
         // request could read it, and it would only evict a live entry.
         let entry = self
             .response_cache
@@ -129,8 +129,8 @@ impl Service {
         output: &PlanOutput,
         adopt: bool,
     ) -> Result<u64, HttpResponse> {
-        self.metrics
-            .count_prediction_cache(output.model_version, output.cache);
+        self.metrics.cache_hits.add(output.cache.hits);
+        self.metrics.cache_misses.add(output.cache.misses);
         if output.degraded {
             self.metrics.degraded.inc();
         }

@@ -1,41 +1,15 @@
 //! The route table and every handler answered inline on the calling
-//! thread: health, metrics, plan fetches and observation ingest. Planning
+//! thread: health, metrics, plan fetches and observation reports. Planning
 //! POSTs go through admission ([`super::admission`]) to a worker
 //! ([`super::respond`]).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-use nshard_online::learn::ObservationWire;
 
 use crate::api::{error_response, HealthResponse, ObservationsAck, ObservationsRequest};
 use crate::http::{HttpRequest, HttpResponse};
-use crate::sync;
 
 use super::admission::{JobKind, OnResponse, ResponseSlot, Routed};
 use super::Service;
-
-/// Most feature values the daemon stages before evicting the oldest
-/// observations — bounds memory under a reporting storm, whatever the
-/// observations' shape: 65,536 one-row observations of up to 32 values (a
-/// compute row is 8 wide, a comm row on 14 devices 31) fit. The
-/// continual-learning loop ([`Service::take_observations`]) owns
-/// prioritized sampling; the daemon keeps only a bounded FIFO staging
-/// area.
-const OBSERVATION_VALUE_CAP: usize = 65_536 * 32;
-
-/// Feature values an observation carries.
-fn values(observation: &ObservationWire) -> usize {
-    observation.features.iter().map(Vec::len).sum()
-}
-
-/// The observations staged for the learning loop, oldest first, and the
-/// feature values they hold.
-#[derive(Default)]
-pub(super) struct ObservationStage {
-    observations: VecDeque<ObservationWire>,
-    values: usize,
-}
 
 impl Service {
     /// Answers a request end to end, blocking until a worker (or the
@@ -111,17 +85,18 @@ impl Service {
             plans: self.plans.len() as u64,
             workers: self.workers as u64,
             queue_capacity: self.config.queue_capacity as u64,
-            model_version: self.engine.model_version(),
         };
         HttpResponse::json(200, serde_json::to_string(&body).unwrap_or_default())
     }
 
-    /// `POST /v1/observations`: stages ground-truth cost observations for
-    /// the continual-learning loop. Answered inline — ingest is a bounded
-    /// buffer push, not a search — so observation storms cannot starve
-    /// planning jobs of queue capacity. Only observations the serving
-    /// models can read ([`ObservationWire::is_readable`]) and that fit the
-    /// stage on their own are staged, and `accepted` counts them.
+    /// `POST /v1/observations`: counts the ground-truth cost observations
+    /// the serving models can read ([`ObservationWire::is_readable`]) into
+    /// `accepted` and `nshard_serve_observations_total`, and keeps none of
+    /// them — the daemon serves the bundle it booted with, and the
+    /// continual learner runs offline. Answered inline, so observation
+    /// storms cannot starve planning jobs of queue capacity.
+    ///
+    /// [`ObservationWire::is_readable`]: nshard_online::learn::ObservationWire::is_readable
     fn ingest_observations(&self, body: &[u8]) -> HttpResponse {
         let request =
             match serde_json::from_str::<ObservationsRequest>(&String::from_utf8_lossy(body)) {
@@ -136,45 +111,15 @@ impl Service {
                 }
             };
         let devices = self.engine.num_devices();
-        let staged: Vec<ObservationWire> = request
+        let accepted = request
             .observations
-            .into_iter()
-            .filter(|o| o.is_readable(devices) && values(o) <= OBSERVATION_VALUE_CAP)
-            .collect();
-        let accepted = staged.len() as u64;
-        let buffered = {
-            let mut stage = sync::lock(&self.observations);
-            for observation in staged {
-                stage.values += values(&observation);
-                stage.observations.push_back(observation);
-                while stage.values > OBSERVATION_VALUE_CAP {
-                    let oldest = stage.observations.pop_front().expect("values are staged");
-                    stage.values -= values(&oldest);
-                }
-            }
-            stage.observations.len() as u64
-        };
+            .iter()
+            .filter(|o| o.is_readable(devices))
+            .count() as u64;
         self.metrics.observations.add(accepted);
         self.metrics.count_request("observations", 200);
-        let ack = ObservationsAck {
-            accepted,
-            buffered,
-            model_version: self.engine.model_version(),
-        };
+        let ack = ObservationsAck { accepted };
         HttpResponse::json(200, serde_json::to_string(&ack).unwrap_or_default())
-    }
-
-    /// Drains every buffered ground-truth observation — the
-    /// continual-learning loop's pull path.
-    pub fn take_observations(&self) -> Vec<ObservationWire> {
-        let mut stage = sync::lock(&self.observations);
-        stage.values = 0;
-        stage.observations.drain(..).collect()
-    }
-
-    /// Observations currently staged for the learning loop.
-    pub fn observations_buffered(&self) -> usize {
-        sync::lock(&self.observations).observations.len()
     }
 
     /// `GET /v1/plans/{id}`.
@@ -187,10 +132,7 @@ impl Service {
         HttpResponse::json(200, serde_json::to_string(&stored).unwrap_or_default())
     }
 
-    /// Prometheus exposition of the daemon's one registry. The
-    /// prediction-cache series carry a `model_version` label, one pair per
-    /// model version that has served, so dashboards can attribute hit-rate
-    /// and cost shifts to a promotion event.
+    /// Prometheus exposition of the daemon's one registry.
     pub fn render_metrics(&self) -> String {
         self.metrics.registry.render()
     }

@@ -1,12 +1,10 @@
-//! The plan store behind the daemon: the one record of adopted plans and
-//! of the promoted cost model.
+//! The plan store behind the daemon: the one record of adopted plans.
 //!
 //! [`PlanStore`] holds every **adopted** [`ShardingPlan`] with its
 //! [`PlanProvenance`], keyed by a deterministic content-addressed id.
-//! Every write takes the next sequence number: an adopted plan's `version`
-//! is the number of the write that adopted it, and a promoted cost-model
-//! bundle (`models/active`) takes its number from the same sequence. An
-//! adoption checks its id under the store's lock — a duplicate adoption,
+//! Every write takes the next sequence number, and an adopted plan's
+//! `version` is the number of the write that adopted it. An adoption
+//! checks its id under the store's lock — a duplicate adoption,
 //! concurrent identical requests included, finds its twin instead of
 //! forking a version — and saves its file before the record changes, so a
 //! failed save adopts nothing.
@@ -23,16 +21,14 @@
 //! ```text
 //! store/
 //!   plans/<id>.json      (payload = StoredPlan)
-//!   models/active.json   (payload = the promoted bundle's envelope and
-//!                         the sequence number of its write)
 //! ```
 //!
 //! The files are the store's only outside input: [`PlanStore::open`]
-//! reads them straight into the record and hands back the promoted bundle
-//! they hold, which `Service::new` installs, so a restarted daemon serves
-//! the plans, versions and model it served before. The daemon reads no
-//! other model file: a bundle reaches it through `Service::new` or
-//! `Service::promote_model`, which writes `models/active`.
+//! reads them straight into the record, so a restarted daemon serves the
+//! plans and versions it served before. The store holds no model: the
+//! daemon serves the bundle `Service::new` was handed, and a
+//! `models/active.json` an older build wrote beside `plans/` is neither
+//! read, renamed nor deleted (its number stays a gap in the sequence).
 //!
 //! ## Torn-write hardening
 //!
@@ -60,11 +56,6 @@ use crate::sync;
 
 /// The producer tag written into envelope headers.
 const CREATED_BY: &str = "nshard-serve";
-
-/// The key, and file stem, of the promoted cost-model bundle. A single
-/// key: promotion is last-writer-wins, and a restart wants the newest
-/// bundle.
-const MODEL_KEY: &str = "models/active";
 
 /// Errors of the plan store.
 #[derive(Debug)]
@@ -128,7 +119,7 @@ pub struct StoredPlan {
     /// Content-addressed id (hex of the task+plan fingerprint).
     pub id: String,
     /// The sequence number of the write that adopted it (1-based,
-    /// monotonic per store; shared with `models/active` writes).
+    /// monotonic per store).
     pub version: u64,
     /// The task the plan was produced for.
     pub task: ShardingTask,
@@ -142,50 +133,14 @@ pub struct StoredPlan {
     pub degraded: bool,
 }
 
-/// The payload of `models/active.json`: the promoted bundle's envelope
-/// under the sequence number of its write.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct ModelEntry {
-    /// Always [`MODEL_KEY`].
-    key: String,
-    /// Sequence of the write.
-    seq: u64,
-    /// The bundle's envelope JSON.
-    value: String,
-}
-
-/// What one store file holds.
-enum StoreFile {
-    Plan(Box<StoredPlan>),
-    Model(ModelEntry),
-}
-
-impl StoreFile {
-    /// The sequence number of the write that saved it.
-    fn seq(&self) -> u64 {
-        match self {
-            StoreFile::Plan(plan) => plan.version,
-            StoreFile::Model(model) => model.seq,
-        }
-    }
-}
-
-/// What the store file at `path` holds, or `None` when the file is
+/// The plan the store file at `path` holds, or `None` when the file is
 /// damaged: a torn or flipped write, or a plan whose id is not its file
 /// name.
-fn read_file(path: &Path) -> Result<Option<StoreFile>, StoreError> {
-    let read = if path.ends_with(format!("{MODEL_KEY}.json")) {
-        read_checked::<ModelEntry>(path).map(|e| {
-            Some(e.payload)
-                .filter(|m| m.key == MODEL_KEY)
-                .map(StoreFile::Model)
-        })
-    } else {
-        read_checked::<StoredPlan>(path).map(|e| {
-            let plan = e.payload;
-            (path.file_stem() == Some(plan.id.as_ref())).then(|| StoreFile::Plan(Box::new(plan)))
-        })
-    };
+fn read_file(path: &Path) -> Result<Option<StoredPlan>, StoreError> {
+    let read = read_checked::<StoredPlan>(path).map(|e| {
+        let plan = e.payload;
+        (path.file_stem() == Some(plan.id.as_ref())).then_some(plan)
+    });
     match read {
         Err(e) if is_damage(&e) => Ok(None),
         other => Ok(other?),
@@ -218,7 +173,7 @@ impl Record {
 
 /// The adopted plans: one sequenced record, optionally mirrored to disk.
 /// Every write takes the next sequence number — an adopted plan's
-/// `version`, shared with `models/active` — and saves its file first.
+/// `version` — and saves its file first.
 pub struct PlanStore {
     record: Mutex<Record>,
     dir: Option<PathBuf>,
@@ -227,10 +182,9 @@ pub struct PlanStore {
 
 impl PlanStore {
     /// Opens the store — in memory when `dir` is `None`, else rooted at
-    /// `dir` (created if needed) — with every intact plan file in its
-    /// record, current through the highest sequence number the files
-    /// hold, and returns it beside the promoted bundle's envelope JSON
-    /// when `models/active` holds one. Nothing is written back. Files that
+    /// `dir` (created if needed) — with every intact file under `plans/`
+    /// in its record, current through the highest sequence number the
+    /// files hold. Nothing is written back. Files that
     /// fail their checksum or do not parse — damaged on disk — and files
     /// whose sequence number another file claims, or that no store could
     /// have written, are renamed to `*.json.quarantined` and left out, so
@@ -242,14 +196,13 @@ impl PlanStore {
     /// be read or renamed, or a persisted plan carries an unsupported
     /// format version (a build problem, not file damage — never
     /// quarantined silently).
-    pub(crate) fn open(dir: Option<&Path>) -> Result<(Self, Option<String>), StoreError> {
+    pub(crate) fn open(dir: Option<&Path>) -> Result<Self, StoreError> {
         let Some(dir) = dir else {
-            let store = Self {
+            return Ok(Self {
                 record: Mutex::default(),
                 dir: None,
                 quarantined: 0,
-            };
-            return Ok((store, None));
+            });
         };
         let mut quarantined = 0;
         let mut set_aside = |path: &Path| {
@@ -259,19 +212,18 @@ impl PlanStore {
         };
         let root = dir.join("plans");
         std::fs::create_dir_all(&root).map_err(|e| io_error(&root, e))?;
-        let mut paths = vec![dir.join(format!("{MODEL_KEY}.json"))];
-        for entry in std::fs::read_dir(&root).map_err(|e| io_error(&root, e))? {
-            paths.push(entry.map_err(|e| io_error(&root, e))?.path());
-        }
-        paths.retain(|p| p.extension() == Some("json".as_ref()) && p.exists());
         let mut found = Vec::new();
-        for path in paths {
+        for entry in std::fs::read_dir(&root).map_err(|e| io_error(&root, e))? {
+            let path = entry.map_err(|e| io_error(&root, e))?.path();
+            if path.extension() != Some("json".as_ref()) {
+                continue;
+            }
             match read_file(&path)? {
-                Some(file) => found.push((path, file)),
+                Some(plan) => found.push((path, plan)),
                 None => set_aside(&path)?,
             }
         }
-        let seqs = found.iter().map(|(_, file)| file.seq());
+        let seqs = found.iter().map(|(_, plan)| plan.version);
         let applied_seq = seqs.clone().filter(|&s| s < u64::MAX).max().unwrap_or(0);
         let mut claims: HashMap<u64, usize> = HashMap::new();
         for seq in seqs {
@@ -281,27 +233,20 @@ impl PlanStore {
             plans: BTreeMap::new(),
             applied_seq,
         };
-        let mut model = None;
-        for (path, file) in found {
+        for (path, plan) in found {
             // Every claimant of a shared number is set aside.
-            let seq = file.seq();
+            let seq = plan.version;
             if !(1..=applied_seq).contains(&seq) || claims[&seq] > 1 {
                 set_aside(&path)?;
                 continue;
             }
-            match file {
-                StoreFile::Plan(plan) => {
-                    record.plans.insert(plan.id.clone(), *plan);
-                }
-                StoreFile::Model(entry) => model = Some(entry.value),
-            }
+            record.plans.insert(plan.id.clone(), plan);
         }
-        let store = Self {
+        Ok(Self {
             record: Mutex::new(record),
             dir: Some(dir.to_path_buf()),
             quarantined,
-        };
-        Ok((store, model))
+        })
     }
 
     /// How many persisted entries [`PlanStore::open`] quarantined (always
@@ -314,20 +259,6 @@ impl PlanStore {
     /// saturates and file saves return errors).
     fn lock(&self) -> MutexGuard<'_, Record> {
         sync::lock(&self.record)
-    }
-
-    /// Saves `payload` as `<key>.json` under the store directory, if it
-    /// has one, in an envelope named `name`.
-    fn save<T: Serialize>(&self, key: &str, name: &str, payload: &T) -> Result<(), StoreError> {
-        match &self.dir {
-            Some(dir) => Ok(write_checked(
-                &dir.join(format!("{key}.json")),
-                name,
-                CREATED_BY,
-                payload,
-            )?),
-            None => Ok(()),
-        }
     }
 
     /// Adopts a plan: one write of `plans/<id>` whose sequence number
@@ -363,29 +294,13 @@ impl PlanStore {
             predicted_ms,
             degraded,
         };
-        self.save(&format!("plans/{id}"), id, &adopted)?;
+        if let Some(dir) = &self.dir {
+            let path = dir.join("plans").join(format!("{id}.json"));
+            write_checked(&path, id, CREATED_BY, &adopted)?;
+        }
         record.plans.insert(adopted.id.clone(), adopted);
         record.applied_seq = version;
         Ok(version)
-    }
-
-    /// Writes a promoted bundle's envelope JSON under `models/active`,
-    /// unconditionally, and returns the write's sequence number.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PlanStore::adopt`], bar the twin check.
-    pub(crate) fn write_model(&self, value: String) -> Result<u64, StoreError> {
-        let mut record = self.lock();
-        let seq = record.next_seq()?;
-        let entry = ModelEntry {
-            key: MODEL_KEY.to_string(),
-            seq,
-            value,
-        };
-        self.save(MODEL_KEY, MODEL_KEY, &entry)?;
-        record.applied_seq = seq;
-        Ok(seq)
     }
 
     /// The sequence of the last write (`0` when pristine).
@@ -464,11 +379,11 @@ mod tests {
 
     /// Opens the store `dir` holds (the boot path minus the service).
     fn reopen(dir: &Path) -> PlanStore {
-        PlanStore::open(Some(dir)).unwrap().0
+        PlanStore::open(Some(dir)).unwrap()
     }
 
     fn memory() -> PlanStore {
-        PlanStore::open(None).unwrap().0
+        PlanStore::open(None).unwrap()
     }
 
     #[test]
@@ -721,35 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn a_promoted_model_reopens_in_its_place_in_the_sequence() {
-        let dir = tmp("model");
-        let t = task();
-        {
-            let store = reopen(&dir);
-            store
-                .adopt("p1", t.clone(), plan(&t), provenance(), 1.0, false)
-                .unwrap();
-            assert_eq!(store.write_model("first".into()).unwrap(), 2);
-            assert_eq!(store.write_model("second".into()).unwrap(), 3);
-        }
-        let (store, model) = PlanStore::open(Some(&dir)).unwrap();
-        assert_eq!(model.as_deref(), Some("second"), "the last write wins");
-        assert_eq!((store.applied_seq(), store.len()), (3, 1));
-        let p2 = store.adopt("p2", t.clone(), plan(&t), provenance(), 1.0, false);
-        assert_eq!(p2.unwrap(), 4);
-        std::fs::remove_dir_all(&dir).ok();
-        // An in-memory store numbers a promotion too, and holds no file.
-        let store = memory();
-        assert_eq!(store.write_model("m".into()).unwrap(), 1);
-        assert_eq!(
-            store
-                .adopt("p", t.clone(), plan(&t), provenance(), 1.0, false)
-                .unwrap(),
-            2
-        );
-    }
-
-    #[test]
     fn a_write_whose_file_cannot_be_saved_adopts_nothing() {
         let dir = tmp("unsaved");
         let store = reopen(&dir);
@@ -819,10 +705,6 @@ mod tests {
         assert_eq!(store.ids(), ["eve"]);
         assert_eq!(store.applied_seq(), u64::MAX - 1);
         // One short of the end, every write is refused.
-        assert!(matches!(
-            store.write_model("1".into()),
-            Err(StoreError::Conflict(_))
-        ));
         let adopted = store.adopt("p", t.clone(), plan(&t), provenance(), 1.0, false);
         assert!(matches!(adopted, Err(StoreError::Conflict(_))));
         assert_eq!((store.applied_seq(), store.len()), (u64::MAX - 1, 1));

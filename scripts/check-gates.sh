@@ -7,9 +7,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-MAX_SERVE_ITEMS=87
-MAX_TOTAL_LINES=11718
-MAX_TOTAL_ITEMS=598
+MAX_SERVE_ITEMS=83
+MAX_TOTAL_LINES=11557
+MAX_TOTAL_ITEMS=594
 
 counts=$(scripts/count-lines.sh)
 echo "$counts"

@@ -97,9 +97,15 @@
 # is the one trace) and the off-by-default stall switches (the stall escape
 # is part of the experiment's incremental strategy) stay deleted.
 #
-# One model store (DESIGN.md §12): the daemon's `models/active` is the one
-# persisted model. The continual learner shadow-evaluates each candidate in
-# memory and holds no files, so non-test code under online/src calls
+# No model store (DESIGN.md §12): nothing persists a model. A daemon serves
+# the bundle it booted with and keeps no observation, so the runtime swap
+# (`promote_model`, `swap_bundle`, the store's `write_model` and
+# `MODEL_KEY`), the observation stage (`ObservationStage`,
+# `OBSERVATION_VALUE_CAP`, `take_observations`, `observations_buffered`)
+# and the model-version machinery (`start_model_version`, the
+# `model_promotions` counter) stay deleted. The continual learner
+# shadow-evaluates each candidate in memory and holds no files, so non-test
+# code under online/src calls
 # neither `write_checked(`, `read_checked(` nor `std::fs`; the lifecycle's
 # checkpoint directory (`ModelLifecycle`, its `load_active`), the
 # `FineTuner` struct (fine-tuning is the free `learn::fine_tune`) and the
@@ -329,7 +335,16 @@ if code crates/*/src src examples | grep -wE \
 fi
 if code crates/online/src | grep -E 'write_checked\(|read_checked\(|std::fs([^A-Za-z0-9_]|$)'; then
     echo "error: the continual learner decides promotions in memory and holds no files;" \
-        "the daemon's models/active is the one model store (lines above)" >&2
+        "nothing persists a model (lines above)" >&2
+    exit 1
+fi
+if code crates/*/src src examples | grep -E \
+    -e '\b(promote_model|swap_bundle|take_observations|observations_buffered)\b' \
+    -e '\b(OBSERVATION_VALUE_CAP|ObservationStage|write_model|MODEL_KEY)\b' \
+    -e 'start_model_version|model_promotions'; then
+    echo "error: a daemon serves the bundle it booted with and keeps no observation; the" \
+        "model swap, the observation stage and the model-version machinery stay deleted" \
+        "(lines above)" >&2
     exit 1
 fi
 if code crates src examples |

@@ -15,7 +15,8 @@
 //!   migration-aware incremental replan, and continual learning of the
 //!   cost models (the closed loop is `repro ext_online`).
 //! * [`serve`] — sharding-as-a-service daemon: HTTP/1.1 JSON API with
-//!   admission control, a versioned plan/model store, and `/metrics`.
+//!   admission control, a versioned plan store, and `/metrics`; it serves
+//!   the cost models it booted with.
 //! * [`learn`] — `online`'s continual learning: observation buffering,
 //!   drift-triggered fine-tuning and in-memory shadow evaluation of each
 //!   candidate (promote, or keep the incumbent).

@@ -1,18 +1,16 @@
-//! Serving-side integration of the continual-learning subsystem:
-//! ground-truth observations flow over `POST /v1/observations` into an
-//! [`neuroshard::learn::ContinualLearner`], a model promotion atomically
-//! invalidates every serving cache (no response priced by a retired
-//! model is ever replayed), and a search configuration has nothing to
-//! reject at boot: the greedy-only ones boot and plan.
-//! (A promoted bundle surviving a restart is `tests/serve_loop.rs`'s
-//! `a_restarted_daemon_keeps_its_sequence_and_model`.)
+//! The serving side of the cost models' life: the daemon serves the
+//! bundle it booted with, so ground-truth observations posted to `POST
+//! /v1/observations` are counted by readability and change nothing it
+//! answers, and a search configuration has nothing to reject at boot: the
+//! greedy-only ones boot and plan. (A store an older build left a promoted
+//! model in is `tests/serve_loop.rs`'s
+//! `a_store_with_an_old_models_active_serves_the_bundle_it_was_handed`.)
 //! Zero sleeps — manual clocks and synchronous queue draining.
 
 use std::sync::Arc;
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
-use neuroshard::learn::{ContinualConfig, ContinualLearner};
 use neuroshard::serve::http::HttpRequest;
 use neuroshard::serve::server::Routed;
 use neuroshard::serve::{ManualClock, ServeConfig, Service};
@@ -59,69 +57,23 @@ fn get_inline(service: &Service, path: &str) -> (u16, String) {
     (r.status, String::from_utf8_lossy(&r.body).to_string())
 }
 
-/// `POST /v1/observations` stages ground-truth reports inline (unknown
-/// kinds skipped at the door), the learning loop drains them with
-/// `take_observations`, and a `ContinualLearner` ingests the drained batch.
-#[test]
-fn observations_flow_from_the_wire_into_the_learner() {
-    let service = Service::with_clock(
+/// A daemon that was never sent an observation.
+fn fresh_service() -> Service {
+    Service::with_clock(
         quick_bundle(7),
         ServeConfig::smoke(),
         Arc::new(ManualClock::new()),
     )
-    .expect("service boots");
-    let body = r#"{"observations":[
-        {"kind":"compute","features":[[1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0]],"predicted_ms":1.5,"observed_ms":2.0},
-        {"kind":"comm_forward","features":[[0.5,0.5,0.5,0.5,0.5,0.5,0.5]],"predicted_ms":0.4,"observed_ms":0.6},
-        {"kind":"mystery","features":[[1.0]],"predicted_ms":0.0,"observed_ms":0.0}
-    ]}"#;
-    let Routed::Inline(ack) = post(&service, "/v1/observations", body) else {
-        panic!("observation ingest answers inline")
-    };
-    assert_eq!(ack.status, 200, "{}", String::from_utf8_lossy(&ack.body));
-    let ack_body = String::from_utf8_lossy(&ack.body).to_string();
-    assert!(ack_body.contains("\"accepted\":2"), "got: {ack_body}");
-    assert_eq!(service.observations_buffered(), 2);
-
-    let mut learner = ContinualLearner::new(quick_bundle(7), ContinualConfig::smoke());
-    learner.ingest_wire(&service.take_observations());
-    assert_eq!(
-        learner.buffer().inserted(),
-        2,
-        "every staged observation is buffered"
-    );
-    assert_eq!(
-        service.observations_buffered(),
-        0,
-        "draining empties the stage"
-    );
-
-    let metrics = service.render_metrics();
-    assert!(
-        metrics.contains("nshard_serve_observations_total 2"),
-        "got: {metrics}"
-    );
+    .expect("service boots")
 }
 
-/// The daemon stages only observations its serving models can read, and
-/// however large each readable one is, the stage keeps a bounded number
-/// of feature values, evicting the oldest observations first.
+/// `POST /v1/observations` answers `200` inline, counts into `accepted`
+/// and `nshard_serve_observations_total` only the observations the serving
+/// models can read, and keeps nothing: after a hundred more posts of the
+/// batch, `/health` and the next plan body are the bytes a daemon that
+/// never saw an observation answers.
 #[test]
-fn the_stage_holds_only_readable_rows_and_stays_bounded() {
-    let service = Service::with_clock(
-        quick_bundle(7),
-        ServeConfig::smoke(),
-        Arc::new(ManualClock::new()),
-    )
-    .expect("service boots");
-    let ack = |observations: &[String]| {
-        let body = format!("{{\"observations\":[{}]}}", observations.join(","));
-        let Routed::Inline(ack) = post(&service, "/v1/observations", &body) else {
-            panic!("observation ingest answers inline")
-        };
-        assert_eq!(ack.status, 200);
-        String::from_utf8_lossy(&ack.body).to_string()
-    };
+fn observations_are_counted_by_readability_and_kept_nowhere() {
     let observation = |kind: &str, rows: usize, width: usize| {
         let row = format!("[{}]", vec!["0.5"; width].join(","));
         format!(
@@ -129,108 +81,56 @@ fn the_stage_holds_only_readable_rows_and_stays_bounded() {
             vec![row; rows].join(",")
         )
     };
-
+    // Readable: a compute row is 8 wide, a comm row on the bundle's two
+    // devices 7.
+    let readable = [
+        observation("compute", 3, 8),
+        observation("comm_forward", 1, 7),
+        observation("comm_backward", 1, 7),
+    ];
     // A one-value compute row, an empty compute observation, comm rows of
-    // the wrong width (the bundle prices two devices: 7 values) or count,
-    // and an unknown kind: the learner could read none of them.
+    // the wrong width or count, and unknown kinds: the models could read
+    // none of them.
     let unreadable = [
         observation("compute", 1, 1),
         observation("compute", 0, 8),
         observation("comm_forward", 1, 3),
         observation("comm_backward", 2, 7),
         observation("mystery", 1, 8),
+        r#"{"kind":"mystery","features":[[1.0]],"predicted_ms":0.0,"observed_ms":0.0}"#.into(),
     ];
-    let got = ack(&unreadable);
-    assert!(got.contains("\"accepted\":0"), "got: {got}");
-    assert_eq!(service.observations_buffered(), 0);
+    let batch: Vec<String> = readable.iter().chain(&unreadable).cloned().collect();
+    let body = format!("{{\"observations\":[{}]}}", batch.join(","));
 
-    // Half the stage's 2,097,152 values each: two fit, a third evicts
-    // the oldest, and one past the whole cap is refused.
-    let half = observation("compute", 1 << 17, 8);
-    for buffered in [1, 2, 2] {
-        let got = ack(std::slice::from_ref(&half));
-        assert!(got.contains("\"accepted\":1"), "got: {got}");
-        assert_eq!(service.observations_buffered(), buffered);
+    let service = fresh_service();
+    for _ in 0..101 {
+        let Routed::Inline(ack) = post(&service, "/v1/observations", &body) else {
+            panic!("observation ingest answers inline")
+        };
+        assert_eq!(ack.status, 200);
+        assert_eq!(String::from_utf8_lossy(&ack.body), r#"{"accepted":3}"#);
     }
-    let got = ack(&[observation("compute", (1 << 18) + 1, 8)]);
-    assert!(got.contains("\"accepted\":0"), "got: {got}");
-    let staged = service.take_observations();
-    let values: usize = staged.iter().flat_map(|o| &o.features).map(Vec::len).sum();
-    assert_eq!((staged.len(), values), (2, 1 << 21));
-}
-
-/// The stale-cache-across-promotion test: a model promotion bumps the
-/// version in `/health` and `/metrics`, re-labels the prediction-cache
-/// series, and invalidates the identical-request response cache — the
-/// twin of a pre-promotion request must be re-planned by the new model,
-/// not replayed from the old one's cache.
-#[test]
-fn promotion_invalidates_caches_and_relabels_metrics() {
-    let config = ServeConfig {
-        response_cache_entries: 8,
-        ..ServeConfig::smoke()
-    };
-    let service = Service::with_clock(quick_bundle(7), config, Arc::new(ManualClock::new()))
-        .expect("service boots");
-    let body = plan_body();
-
-    let (status, health) = get_inline(&service, "/health");
-    assert_eq!(status, 200);
-    assert!(health.contains("\"model_version\":1"), "got: {health}");
-
-    // Warm the response cache: plan once, then hit with the twin.
-    let Routed::Queued(slot) = post(&service, "/v1/plan", &body) else {
-        panic!("first request must queue")
-    };
-    assert!(service.drain_one());
-    assert_eq!(slot.wait().status, 200);
-    let Routed::Inline(hit) = post(&service, "/v1/plan", &body) else {
-        panic!("identical request must be served from the cache inline")
-    };
-    assert_eq!(hit.status, 200);
     let metrics = service.render_metrics();
     assert!(
-        metrics.contains("nshard_serve_response_cache_hits_total 1"),
+        metrics.contains("nshard_serve_observations_total 303\n"),
         "got: {metrics}"
     );
-    assert!(
-        metrics.contains("model_version=\"1\""),
-        "prediction-cache series carry the serving model version: {metrics}"
+
+    let untouched = fresh_service();
+    assert_eq!(
+        get_inline(&service, "/health"),
+        get_inline(&untouched, "/health")
     );
-
-    // Promote a different bundle: version bumps everywhere...
-    let version = service.promote_model(&quick_bundle(9));
-    assert_eq!(version, 2);
-    assert_eq!(service.model_version(), 2);
-    let (_, health) = get_inline(&service, "/health");
-    assert!(health.contains("\"model_version\":2"), "got: {health}");
-
-    // ...and the twin of the cached request must MISS — it re-queues and
-    // is re-planned by the promoted model instead of replaying the
-    // retired model's response.
-    let Routed::Queued(slot) = post(&service, "/v1/plan", &body) else {
-        panic!("post-promotion twin must miss the response cache and queue")
+    let plan = |service: &Service| {
+        let Routed::Queued(slot) = post(service, "/v1/plan", &plan_body()) else {
+            panic!("plan request must be queued");
+        };
+        assert!(service.drain_one());
+        slot.wait()
     };
-    assert!(service.drain_one());
-    assert_eq!(slot.wait().status, 200);
-
-    let metrics = service.render_metrics();
-    assert!(
-        metrics.contains("nshard_serve_response_cache_hits_total 1"),
-        "the post-promotion twin must not be a cache hit: {metrics}"
-    );
-    assert!(
-        metrics.contains("nshard_serve_model_version 2"),
-        "got: {metrics}"
-    );
-    assert!(
-        metrics.contains("nshard_serve_model_promotions_total 1"),
-        "got: {metrics}"
-    );
-    assert!(
-        metrics.contains("model_version=\"2\""),
-        "cache series re-label after promotion: {metrics}"
-    );
+    let (after, fresh) = (plan(&service), plan(&untouched));
+    assert_eq!(after.status, 200);
+    assert_eq!(after.body, fresh.body);
 }
 
 /// `use_row_wise` + `l = 0` (no beam) — historically rejected as dead

@@ -1,8 +1,8 @@
 //! Serving-layer integration tests: bit-identical responses under
 //! concurrency, deadline handling through a manual clock (no sleeps),
-//! queue-full load shedding, store persistence across restarts (plans,
-//! sequence and promoted model; damaged files quarantined), and the
-//! `/metrics` contract.
+//! queue-full load shedding, store persistence across restarts (plans and
+//! sequence; damaged files quarantined; an older build's model file left
+//! alone), and the `/metrics` contract.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,9 +13,10 @@ use proptest::prelude::*;
 
 use neuroshard::cost::{CollectConfig, CostModelBundle, TrainSettings};
 use neuroshard::data::{ShardingTask, TableConfig, TableId, TablePool};
+use neuroshard::nn::serialize::{envelope_to_json, write_checked};
 use neuroshard::serve::http::HttpRequest;
 use neuroshard::serve::server::Routed;
-use neuroshard::serve::{http_call, ManualClock, ServeConfig, Server, Service};
+use neuroshard::serve::{http_call, ManualClock, ServeConfig, Server, Service, StoredPlan};
 
 fn quick_bundle(seed: u64) -> CostModelBundle {
     let pool = TablePool::synthetic_dlrm(40, 3);
@@ -687,14 +688,19 @@ fn a_body_is_answered_alike_whatever_ran_before_or_beside_it() {
 // Restart: a store_dir daemon's files are its only outside input
 // ---------------------------------------------------------------------------
 
-/// A plan body whose table dimensions turn with `salt` (0..=3): distinct
-/// salts plan distinct tasks, hence distinct content-addressed plan ids.
-fn salted_plan_body(salt: u32) -> String {
+/// A task whose table dimensions turn with `salt` (0..=3), as JSON:
+/// distinct salts are distinct tasks, hence distinct content-addressed
+/// plan ids.
+fn salted_task(salt: u32) -> String {
     let tables: Vec<TableConfig> = (0..8)
         .map(|i| TableConfig::new(TableId(i), 16 + 16 * ((i + salt) % 4), 1 << 14, 8.0, 1.05))
         .collect();
-    let task = ShardingTask::new(tables, 2, 1 << 30, 1024);
-    format!("{{\"task\":{}}}", serde_json::to_string(&task).unwrap())
+    serde_json::to_string(&ShardingTask::new(tables, 2, 1 << 30, 1024)).unwrap()
+}
+
+/// A plan body for [`salted_task`].
+fn salted_plan_body(salt: u32) -> String {
+    format!("{{\"task\":{}}}", salted_task(salt))
 }
 
 /// Posts a planning request and drains it on this thread (no sleeps).
@@ -752,20 +758,18 @@ fn predicted_bits(body: &str) -> u64 {
 }
 
 /// A disk-backed daemon restarted on its own files keeps its sequence
-/// space and its promoted model: the same plan bytes, model version `2`,
-/// no file rewritten, and an idempotent re-adoption priced by the
-/// restored model answers the bytes it answered before the restart.
+/// space: the same plan bytes, no file rewritten, and an idempotent
+/// re-adoption answers the bytes it answered before the restart.
 #[test]
-fn a_restarted_daemon_keeps_its_sequence_and_model() {
+fn a_restarted_daemon_keeps_its_sequence() {
     let dir = std::env::temp_dir().join(format!("nshard_serve_sequence_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let original = quick_bundle(41);
     let boot = || {
         let config = ServeConfig {
             store_dir: Some(dir.clone()),
             ..ServeConfig::smoke()
         };
-        Service::with_clock(original.clone(), config, Arc::new(ManualClock::new()))
+        Service::with_clock(quick_bundle(41), config, Arc::new(ManualClock::new()))
             .expect("the daemon boots")
     };
     let first = boot();
@@ -773,7 +777,6 @@ fn a_restarted_daemon_keeps_its_sequence_and_model() {
         post_drained(&first, "/v1/plan", &salted_plan_body(0)).0,
         200
     );
-    assert_eq!(first.promote_model(&quick_bundle(43)), 2);
     let (status, adopted) = post_drained(&first, "/v1/plan", &salted_plan_body(1));
     assert_eq!(status, 200, "{adopted}");
     let ids = first.plans().ids();
@@ -785,7 +788,7 @@ fn a_restarted_daemon_keeps_its_sequence_and_model() {
     };
     let fetched = fetch(&first);
     let files = store_files(&dir);
-    assert_eq!(files.len(), 3, "two plans and models/active");
+    assert_eq!(files.len(), 2, "two plans");
     drop(first);
 
     let restarted = boot();
@@ -794,7 +797,6 @@ fn a_restarted_daemon_keeps_its_sequence_and_model() {
         fetched,
         "GET /v1/plans/{{id}} answers the same bytes"
     );
-    assert_eq!(restarted.model_version(), 2, "models/active was restored");
     assert_eq!(
         store_files(&dir),
         files,
@@ -807,11 +809,72 @@ fn a_restarted_daemon_keeps_its_sequence_and_model() {
         again, adopted,
         "the idempotent re-adoption answers the same bytes"
     );
-    assert_eq!(
-        restarted.plans().applied_seq(),
-        3,
-        "the promotion kept its number"
+    assert_eq!(restarted.plans().applied_seq(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The plan a store-less daemon booted with `bundle` adopts for `body`.
+fn adopted_by(bundle: CostModelBundle, body: &str) -> StoredPlan {
+    let service = Service::with_clock(bundle, ServeConfig::smoke(), Arc::new(ManualClock::new()))
+        .expect("the daemon boots");
+    assert_eq!(post_drained(&service, "/v1/plan", body).0, 200);
+    service.plans().latest().expect("the plan was adopted")
+}
+
+/// A store an older build wrote holds a promoted model beside its plans:
+/// `models/active.json`, a `{key, seq, value}` entry that took sequence
+/// number 2 between the adoptions at 1 and 3, holding a different bundle.
+/// The daemon serves the bundle it was handed all the same: it boots with
+/// both plans (their GET bytes unchanged, nothing quarantined), leaves the
+/// model file as it found it, and prices a fresh plan bit for bit as a
+/// store-less daemon on the same bundle does.
+#[test]
+fn a_store_with_an_old_models_active_serves_the_bundle_it_was_handed() {
+    let dir = std::env::temp_dir().join(format!("nshard_serve_legacy_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let handed = quick_bundle(41);
+    let promoted = quick_bundle(43);
+    let before = adopted_by(handed.clone(), &salted_plan_body(0));
+    let mut after = adopted_by(promoted.clone(), &salted_plan_body(1));
+    after.version = 3;
+    for plan in [&before, &after] {
+        let path = dir.join("plans").join(format!("{}.json", plan.id));
+        write_checked(&path, &plan.id, "nshard-serve", plan).unwrap();
+    }
+    let value = envelope_to_json("cost-bundle", "nshard", &promoted);
+    let entry = format!(
+        "{{\"key\":\"models/active\",\"seq\":2,\"value\":{}}}",
+        serde_json::to_string(&value).unwrap()
     );
+    let model = dir.join("models").join("active.json");
+    let entry = serde_json::parse_value(&entry).unwrap();
+    write_checked(&model, "models/active", "nshard-serve", &entry).unwrap();
+    let model_bytes = std::fs::read(&model).unwrap();
+
+    let config = ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::smoke()
+    };
+    let service = Service::with_clock(handed.clone(), config, Arc::new(ManualClock::new()))
+        .expect("the daemon boots");
+    for plan in [&before, &after] {
+        let got = get_inline(&service, &format!("/v1/plans/{}", plan.id));
+        assert_eq!(got, (200, serde_json::to_string(plan).unwrap()));
+    }
+    assert!(service
+        .render_metrics()
+        .contains("nshard_serve_store_quarantined 0\n"));
+    assert_eq!(service.plans().applied_seq(), 3);
+    assert_eq!(std::fs::read(&model).unwrap(), model_bytes);
+
+    let fresh = format!("{{\"task\":{},\"adopt\":false}}", salted_task(2));
+    let (status, served) = post_drained(&service, "/v1/plan", &fresh);
+    assert_eq!(status, 200, "{served}");
+    let storeless =
+        Service::with_clock(handed, ServeConfig::smoke(), Arc::new(ManualClock::new())).unwrap();
+    let (_, reference) = post_drained(&storeless, "/v1/plan", &fresh);
+    assert_eq!(predicted_bits(&served), predicted_bits(&reference));
+    assert_eq!(served, reference);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -822,8 +885,8 @@ fn shared_bundle() -> CostModelBundle {
     BUNDLE.get_or_init(|| quick_bundle(47)).clone()
 }
 
-/// A daemon's store files after two adoptions around a promotion:
-/// `(path under the store, bytes, sequence number)`.
+/// A daemon's store files after two adoptions: `(path under the store,
+/// bytes, sequence number)`.
 fn store_fixture() -> &'static Vec<(PathBuf, Vec<u8>, u64)> {
     static FILES: OnceLock<Vec<(PathBuf, Vec<u8>, u64)>> = OnceLock::new();
     FILES.get_or_init(|| {
@@ -835,15 +898,12 @@ fn store_fixture() -> &'static Vec<(PathBuf, Vec<u8>, u64)> {
         };
         let service = Service::with_clock(shared_bundle(), config, Arc::new(ManualClock::new()))
             .expect("the daemon boots");
-        assert_eq!(
-            post_drained(&service, "/v1/plan", &salted_plan_body(0)).0,
-            200
-        );
-        service.promote_model(&shared_bundle());
-        assert_eq!(
-            post_drained(&service, "/v1/plan", &salted_plan_body(1)).0,
-            200
-        );
+        for salt in [0, 1] {
+            assert_eq!(
+                post_drained(&service, "/v1/plan", &salted_plan_body(salt)).0,
+                200
+            );
+        }
         let mut files: Vec<_> = service
             .plans()
             .ids()
@@ -852,11 +912,10 @@ fn store_fixture() -> &'static Vec<(PathBuf, Vec<u8>, u64)> {
                 let version = service.plans().get(&id).unwrap().version;
                 (PathBuf::from(format!("plans/{id}.json")), version)
             })
-            .chain([(PathBuf::from("models/active.json"), 2)])
             .map(|(path, seq)| (path.clone(), std::fs::read(dir.join(&path)).unwrap(), seq))
             .collect();
         files.sort_by_key(|f| f.2);
-        assert_eq!(files.iter().map(|f| f.2).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(files.iter().map(|f| f.2).collect::<Vec<_>>(), [1, 2]);
         std::fs::remove_dir_all(&dir).ok();
         files
     })
@@ -867,14 +926,9 @@ fn restamp(file: &[u8], seq: u64, to: u64) -> Vec<u8> {
     let text = String::from_utf8(file.to_vec()).unwrap();
     let bare = text.split_once('\n').unwrap().1;
     let (head, payload) = bare.split_once("\"payload\":").unwrap();
-    let field = if payload.starts_with("{\"key\"") {
-        "seq"
-    } else {
-        "version"
-    };
     let stamped = payload.replacen(
-        &format!("\"{field}\":{seq},"),
-        &format!("\"{field}\":{to},"),
+        &format!("\"version\":{seq},"),
+        &format!("\"version\":{to},"),
         1,
     );
     assert_ne!(stamped, payload, "the payload carries its sequence");
@@ -882,12 +936,12 @@ fn restamp(file: &[u8], seq: u64, to: u64) -> Vec<u8> {
 }
 
 proptest! {
-    /// A truncated, bit-flipped or re-stamped (colliding sequence) plan or
-    /// model file is quarantined at boot — a collision takes both
+    /// A truncated, bit-flipped or re-stamped (colliding sequence) plan
+    /// file is quarantined at boot — a collision takes both
     /// claimants — and the daemon still comes up and answers.
     #[test]
     fn damaged_store_files_are_quarantined_at_boot(
-        victim in 0usize..3,
+        victim in 0usize..2,
         damage in 0usize..3,
         at in 0usize..1_000_000,
         bit in 0u32..8,
