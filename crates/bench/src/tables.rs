@@ -252,8 +252,7 @@ pub(crate) fn fig8_samples(ctx: &mut Ctx) -> Report {
 /// Table 3 + Table 7: component ablations at max dim 128 on 4 and 8 GPUs,
 /// 8 tasks each — cost over the successful tasks, success rate, sharding
 /// time and cache hit rates. The searches run on one thread: that is what
-/// the paper's time and hit-rate columns describe, and concurrent inner
-/// searches shift a few lookups between hit and miss from run to run.
+/// the paper's time and hit-rate columns describe.
 pub(crate) fn table3(ctx: &mut Ctx) -> Report {
     #[derive(Serialize)]
     struct Output {

@@ -30,10 +30,9 @@ const INFEASIBLE_BASE: f64 = 1e15;
 /// Prediction-cache statistics split by search phase (the per-phase hit
 /// rates of the Table 3 ablation output).
 ///
-/// The candidate phase is serial, so its counters are deterministic; the
-/// inner phase runs concurrently, so overlapping misses on the same key
-/// can shift a few counts between hits and misses across thread counts —
-/// plans and costs are unaffected.
+/// Both phases count the same at any thread count: a miss is an entry
+/// stored, so inner searches that run concurrently and compute one key
+/// count one miss between them, and every other lookup is a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SearchPhaseStats {
     /// Candidate ranking (single-table cost lookups in the beam expansion).

@@ -532,7 +532,8 @@ impl<'a> GreedyGridSearch<'a> {
     /// asks the cost model no question `M + 1` independent passes would
     /// not — it only stops repeating them. Batching changes no count
     /// either: a key two probes of one step share is one miss and one hit,
-    /// as it would be asked one after the other.
+    /// as it would be asked one after the other, and a key two concurrent
+    /// chunks both compute is one miss, for the chunk that stores it.
     ///
     /// A probe reads the pass's own state: device `g` with the table added
     /// is `pooled[g] + encoding(table)`, the last step of the fold the

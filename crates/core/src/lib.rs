@@ -30,7 +30,8 @@
 //!   ([`DeltaStep`], [`PlanDelta`]): [`repair`] makes an infeasible
 //!   plan fit (evict-and-replace onto the least-loaded device that fits)
 //!   and [`IncrementalPlanner`] hill-climbs from an incumbent under a
-//!   migration-regularized cost,
+//!   migration-regularized cost, priced by the cost models or, for
+//!   [`IncrementalPlanner::climb_truth`], by the ground truth,
 //! * `fallback` — the graceful-degradation chain
 //!   ([`shard_with_provenance`]): the stages it is given in preference
 //!   order, then the size-balanced last resort, each stage's plan checked

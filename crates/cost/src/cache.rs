@@ -234,9 +234,11 @@ impl CacheStats {
 /// ([`PredictionCache::resolve`]). The counters are atomics; they are
 /// statistics that publish no other data, hence `Relaxed`.
 ///
-/// Accounting is the serial path's: every probed key is one lookup, the
-/// first position of a batch to ask for an absent key is its miss, and
-/// every later position asking for it is a hit.
+/// Every probed key is one lookup, and a miss is an entry stored: the
+/// first position of a batch to ask for an absent key is its miss unless
+/// another thread stored that key while this batch computed it, and every
+/// other lookup is a hit. So the misses equal [`PredictionCache::len`] at
+/// any thread count, as the serial path counts them.
 ///
 /// # Example
 ///
@@ -301,7 +303,8 @@ impl<V: Clone> BatchMap<V> {
     /// handed to `hit` for every position asking for them. No lock is held
     /// while `compute` or `hit` on a computed value runs, and a value
     /// another thread stored first wins, keeping reads stable. Returns how
-    /// many values `compute` returned.
+    /// many entries this call stored: the computed keys whose slot was
+    /// still vacant when it stored them.
     ///
     /// # Panics
     ///
@@ -329,21 +332,23 @@ impl<V: Clone> BatchMap<V> {
             misses.slots.push((i, first));
         }
         drop(found);
-        let computed = misses.firsts.len();
-        if computed > 0 {
+        let mut inserted = 0;
+        if !misses.firsts.is_empty() {
             let values = compute(&misses.firsts);
-            assert_eq!(values.len(), computed, "one value per miss");
+            assert_eq!(values.len(), misses.firsts.len(), "one value per miss");
             let mut stored = self.0.write();
+            let before = stored.len();
             let served: Vec<V> = (misses.firsts.iter().zip(values))
                 .map(|(&i, value)| stored.entry(keys[i]).or_insert(value).clone())
                 .collect();
+            inserted = stored.len() - before;
             drop(stored);
             for &(i, first) in &misses.slots {
                 hit(i, &served[first]);
             }
         }
         BATCH_MISSES.set(misses);
-        computed
+        inserted
     }
 
     /// Number of distinct entries stored.
@@ -359,17 +364,17 @@ impl PredictionCache {
     /// each absent key, in batch order, and one exclusive lock to store
     /// what it returns in that order. No lock is held while `compute`
     /// runs, and a value another thread stored first wins, keeping reads
-    /// stable.
+    /// stable; the key counts as a hit here, as the other thread's miss.
     ///
     /// # Panics
     ///
     /// Panics if `compute` does not return one value per position it got.
     pub fn resolve(&self, keys: &[u64], compute: impl FnOnce(&[usize]) -> Vec<f64>) -> Vec<f64> {
         let mut out = vec![f64::NAN; keys.len()];
-        let computed = self.map.resolve(keys, |i, &v| out[i] = v, compute);
+        let stored = self.map.resolve(keys, |i, &v| out[i] = v, compute);
         self.hits
-            .fetch_add((keys.len() - computed) as u64, Ordering::Relaxed);
-        self.misses.fetch_add(computed as u64, Ordering::Relaxed);
+            .fetch_add((keys.len() - stored) as u64, Ordering::Relaxed);
+        self.misses.fetch_add(stored as u64, Ordering::Relaxed);
         out
     }
 
@@ -533,12 +538,43 @@ mod tests {
             vec![1.5, 2.5]
         });
         assert_eq!(out, [9.9, 2.5, 9.9, 9.9]);
-        // Both racers counted their miss; the batch's repeats are hits.
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 3 });
+        // Key 7 is the racer's miss and 8 this batch's; the rest are hits.
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 2 });
         assert_eq!(cache.len(), 2);
         // A batch that finds every key counts only hits and computes nothing.
         cache.resolve(&[7, 8, 7, 7], |_| unreachable!("every key is cached"));
-        assert_eq!(cache.stats(), CacheStats { hits: 6, misses: 3 });
+        assert_eq!(cache.stats(), CacheStats { hits: 7, misses: 2 });
+    }
+
+    #[test]
+    fn racing_batches_count_one_miss_per_entry() {
+        // Both threads find key 42 absent and compute it; the barrier
+        // holds each inside `compute` until the other has looked too. One
+        // stores the entry, and the other reads it back as a hit.
+        let cache = PredictionCache::default();
+        let both_looked = std::sync::Barrier::new(2);
+        let values: Vec<f64> = std::thread::scope(|scope| {
+            let racers: Vec<_> = [1.0, 2.0]
+                .into_iter()
+                .map(|value| {
+                    let (cache, both_looked) = (&cache, &both_looked);
+                    scope.spawn(move || {
+                        cache.resolve(&[42], |_| {
+                            both_looked.wait();
+                            vec![value]
+                        })[0]
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(
+            values[0].to_bits(),
+            values[1].to_bits(),
+            "first stored wins"
+        );
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -648,6 +684,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.total(), THREADS * BATCHES * BATCH);
         assert_eq!(cache.len(), 64);
+        assert_eq!(stats.misses, 64, "one miss per entry stored");
         assert!(stats.hits > stats.misses, "repeated keys should mostly hit");
         let mut stored = PreMixedMap::default();
         for &(key, value) in seen.iter().flatten() {

@@ -347,6 +347,10 @@ mod tests {
             ..NeuroShardConfig::smoke()
         };
         let stack = PlanningStack::new(bundle, search, IncrementalConfig::default());
-        assert!(stack.planner.config().row_wise);
+        let row_wise = IncrementalConfig {
+            row_wise: true,
+            ..IncrementalConfig::default()
+        };
+        assert_eq!(stack.planner, IncrementalPlanner::new(row_wise));
     }
 }

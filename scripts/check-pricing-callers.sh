@@ -78,6 +78,10 @@
 # side in the pre-train's two lanes, so the trainer, the compute fit and the
 # comm model name neither `WorkPool` nor the deleted per-item fan-out.
 #
+# One climb builds its candidates serially (DESIGN.md §8): a pool lost
+# 3-4x to serial construction at two threads, so `core::local` names no
+# `WorkPool`.
+#
 # One gradient fold for every fit (DESIGN.md §10): `nn::fit` runs a
 # mini-batch once and folds its 64-row groups in order into one
 # accumulator, so the trainer's shard pass, its gradient slots and their
@@ -271,6 +275,10 @@ fi
 if code crates/nn/src/train.rs crates/cost/src/compute.rs crates/cost/src/comm_model.rs |
     grep -wE 'WorkPool|for_each_mut'; then
     echo "error: a fit takes no pool; models fit side by side in the pre-train's lanes (lines above)" >&2
+    exit 1
+fi
+if code crates/core/src/local.rs | grep -w WorkPool; then
+    echo "error: the incremental climb builds its candidates serially (lines above)" >&2
     exit 1
 fi
 if code crates/nn/src/train.rs | grep -E -e '\b(tree_reduce|ShardPass)\b' -e 'Vec<Gradients>'; then

@@ -91,9 +91,9 @@ fn incremental_plan_is_never_worse_than_the_incumbent() {
         let rebased = incumbent.rebase(&task).unwrap();
         let incumbent_ms = estimate_for_task(&sim, &task, &rebased).unwrap().total_ms();
         assert!(
-            out.estimated.total_ms() <= incumbent_ms + 1e-12,
+            out.cost.total_ms() <= incumbent_ms + 1e-12,
             "epoch {epoch}: incremental {:.4} ms worse than incumbent {incumbent_ms:.4} ms",
-            out.estimated.total_ms()
+            out.cost.total_ms()
         );
     }
 }
@@ -142,7 +142,7 @@ fn undrifted_two_tier_replan_keeps_the_searchs_own_plan() {
          incumbent's {incumbent_ms} ms",
         out.delta.migration_bytes
     );
-    assert_eq!(out.estimated.total_ms().to_bits(), replanned_ms.to_bits());
+    assert_eq!(out.cost.total_ms().to_bits(), replanned_ms.to_bits());
     assert_eq!(out.plan, searched.plan, "nothing drifted, nothing to gain");
     assert_eq!(out.delta.migration_bytes, 0);
 }
